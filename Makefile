@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz deprecated-surface
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz deprecated-surface
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
 
-ci: fmt-check vet tier1 race race-pool bench-smoke trace-smoke chaos-smoke graphd-smoke graphd-chaos bench-diff deprecated-surface
+ci: fmt-check vet tier1 race race-pool bench-smoke bench-lab-test trace-smoke chaos-smoke graphd-smoke graphd-chaos bench-diff deprecated-surface
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \
@@ -44,7 +44,24 @@ bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
 # One-iteration benchmark smoke: every exhibit still runs to completion.
+# Then the combine step's micro-benchmarks with allocation counts: one
+# rank's share of multibfs1d-64's largest sweep at 0/50/90% duplicates
+# through localindex.Combiner (union / OR / min), beside the
+# sort-then-compact merge it replaced. 0 allocs/op is the expectation.
 bench-smoke: bench
+	$(GO) test -run=^$$ -bench=Combine -benchtime=100x -benchmem ./internal/localindex
+
+# The wall-clock perf lab is its own module (bench/go.mod), outside
+# `go test ./...`: run its tests — every workload at n = 2000,
+# oracle-checked, plus the estimator unit tests — from inside it.
+bench-lab-test:
+	cd bench && $(GO) test ./...
+
+# One run of the perf lab the way the driver runs it; pass arguments
+# with ARGS, e.g. `make perf ARGS="--workload multibfs1d-64 --seed 9
+# --seconds 16 --trace 0"` (see bench/README.md).
+perf:
+	bash bench/run.sh $(ARGS)
 
 # Machine-readable perf baseline for the headline workload (see
 # README.md "Perf trajectory" for the format). Also writes the
@@ -173,9 +190,11 @@ deprecated-surface:
 	$(GO) run ./examples/compat
 
 # Coverage-guided fuzzing: the hybrid wire codec round-trips, malformed
-# payload rejection, weighted edge-list IO, and distributed Δ-stepping
-# vs the serial Dijkstra oracle. FUZZTIME sets the budget per target.
+# payload rejection, the sort-free combiner vs the sort-then-compact
+# references, weighted edge-list IO, and distributed Δ-stepping vs the
+# serial Dijkstra oracle. FUZZTIME sets the budget per target.
 fuzz:
+	$(GO) test ./internal/localindex -run=^$$ -fuzz=FuzzCombine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontier -run=^$$ -fuzz=FuzzHybridSetRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontier -run=^$$ -fuzz=FuzzHybridBitsRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontier -run=^$$ -fuzz=FuzzDecodeMalformed -fuzztime=$(FUZZTIME)

@@ -1,7 +1,7 @@
 // Command bfsbench regenerates the paper's tables and figures.
 //
 // Each experiment id corresponds to one exhibit of the evaluation
-// section (see DESIGN.md §4):
+// section (harness.All is the index; -list prints it):
 //
 //	fig4a fig4b fig4c fig5 table1 fig6a fig6b fig7
 //	ablation-mapping ablation-collective ablation-sentcache

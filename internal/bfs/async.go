@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/collective"
-	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/localindex"
-	"repro/internal/torus"
 )
 
 // Overlapped (asynchronous) level schedules. Every exchange posts its
@@ -16,7 +13,7 @@ import (
 // hash-probe scan as they complete, so the wire time of the parts still
 // in flight hides under the scan compute that dominates the §4.2
 // profile — and the fold's sends post per bin, as each bin finishes its
-// sort-merge, instead of after the whole merge. Results are identical
+// merge, instead of after the whole merge. Results are identical
 // to the synchronous path (the scans, unions, min-merges, and OR-merges
 // are order-insensitive, and the sent-neighbors cache admits each
 // vertex exactly once in any order); only the simulated clock — and the
@@ -35,22 +32,6 @@ func foldAlgKey(a FoldAlg) string {
 		return "bruck"
 	default:
 		panic(fmt.Sprintf("bfs: unknown fold algorithm %v", a))
-	}
-}
-
-// sortPrep wraps the neighbor bins as a collective.Prep that sorts (and
-// charges) each bin the moment it is needed for posting, so the early
-// bins' transfers fly while the later bins are still being merged.
-func sortPrep(c *comm.Comm, model torus.CostModel, bins [][]uint32) collective.Prep {
-	sorted := make([]bool, len(bins))
-	return func(m int) []uint32 {
-		if !sorted[m] {
-			var d int
-			bins[m], d = localindex.SortSet(bins[m])
-			c.ChargeItems(len(bins[m])+d, model.VertexCost)
-			sorted[m] = true
-		}
-		return bins[m]
 	}
 }
 
@@ -93,12 +74,12 @@ func (e *engine2D) expandAsync(s *sideState, tag int, handle collective.Handle) 
 
 // stepAsync is the overlapped top-down level: each expand part's
 // hash-probe scan runs while the remaining parts are on the wire, and
-// the fold's sends post per sorted bin.
+// the fold's sends post per merged bin.
 func (e *engine2D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := newLevelTimer(e.c)
 	h0 := e.hist
 	rec := rankLevel{frontier: s.F.Len()}
-	bins := make([][]uint32, e.st.Layout.C)
+	bins := e.bins.raw
 	scan := func(m int, part []uint32) {
 		// Mirror expandUnwire: WireSparse parts are raw id lists that never
 		// saw the sentinel guard, so they must not go through Decode.
@@ -113,7 +94,7 @@ func (e *engine2D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 
 	o := collective.Opts{Tag: tagBase + 1<<24, Chunk: e.opts.ChunkWords, Async: true}
 	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.rowG, e.st.Layout.OwnedRange, &e.hist)
-	nbar, fst := collective.FoldAsync(e.c, e.rowG, o, foldAlgKey(e.opts.Fold), sortPrep(e.c, e.model, bins))
+	nbar, fst := collective.FoldAsync(e.c, e.rowG, o, foldAlgKey(e.opts.Fold), e.bins.set)
 	rec.foldWords = fst.RecvWords
 	rec.dups = fst.Dups
 
@@ -138,169 +119,19 @@ func (e *engine2D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 	return rec, foundTarget
 }
 
-// sweepAsync is the overlapped lane-parallel sweep under the 2D
-// partitioning: lane payloads stream into the partial-list scan as they
-// arrive, and the row exchange posts per bin as each finishes its
-// OR-merge.
-func (e *multiEngine2D) sweepAsync(s *multiState, tagBase int) rankLevel {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
-	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	l := e.st.Layout
-	r := e.colG.Size()
-
-	sendV := make([][]uint32, r)
-	sendM := make([][]uint64, r)
-	s.F.Iterate(func(gv uint32) {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		m := s.fmask[li]
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
-				sendV[i] = append(sendV[i], gv)
-				sendM[i] = append(sendM[i], m)
-			}
-		}
-	})
-	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
-	b := len(s.levels)
-	lo, n := e.st.Lo, e.st.OwnedCount()
-
-	binV := make([][]uint32, l.C)
-	binM := make([][]uint64, l.C)
-	scanned := 0
-	handle := func(m int, part []uint32) {
-		var avs []uint32
-		var ams []uint64
-		if m == e.colG.Me {
-			avs, ams = sendV[m], sendM[m]
-		} else {
-			avs, ams = decodeLanes(e.pl, part, b)
-		}
-		scanned += e.scanLanes(avs, ams, binV, binM)
-	}
-	prep := func(i int) []uint32 {
-		if i == e.colG.Me {
-			return nil // stays local; handle reads sendV/sendM directly
-		}
-		return encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
-	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
-	_, est := collective.AllToAllAsync(e.c, e.colG, o, prep, handle)
-	rec.expandWords = est.RecvWords
-	rec.edges = scanned
-
-	deduped := make([]bool, l.C)
-	prepR := func(j int) []uint32 {
-		if !deduped[j] {
-			var d int
-			binV[j], binM[j], d = dedupOr(binV[j], binM[j])
-			rec.dups += d
-			e.c.ChargeItems(len(binV[j])+d, e.model.VertexCost)
-			deduped[j] = true
-		}
-		if j == e.rowG.Me {
-			return nil
-		}
-		dlo, dhi := l.OwnedRange(e.rowG.World(j))
-		return encodeLanes(e.pl, binV[j], binM[j], b, uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	var rvs []uint32
-	var rms []uint64
-	handleR := func(j int, part []uint32) {
-		var pvs []uint32
-		var pms []uint64
-		if j == e.rowG.Me {
-			pvs, pms = binV[j], binM[j]
-		} else {
-			pvs, pms = decodeLanes(e.pl, part, b)
-		}
-		rvs = append(rvs, pvs...)
-		rms = append(rms, pms...)
-	}
-	o2 := collective.Opts{Tag: tagBase + 1<<24, Chunk: e.opts.ChunkWords, Async: true}
-	_, fst := collective.AllToAllAsync(e.c, e.rowG, o2, prepR, handleR)
-	rec.foldWords = fst.RecvWords
-
-	var d int
-	rvs, rms, d = dedupOr(rvs, rms)
-	rec.dups += d
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
-	return rec
-}
-
-// sweepAsync is the overlapped lane-parallel sweep under the 1D
-// partitioning: the scan is local, so the win is the pipelined fold —
-// per-bin OR-merges interleave with the posts.
-func (e *multiEngine1D) sweepAsync(s *multiState, tagBase int) rankLevel {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
-	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	l := e.st.Layout
-	p := e.world.Size()
-
-	binV, binM, scanned := e.scanLanes(s)
-	rec.edges = scanned
-	b := len(s.levels)
-
-	deduped := make([]bool, p)
-	prep := func(q int) []uint32 {
-		if !deduped[q] {
-			var d int
-			binV[q], binM[q], d = dedupOr(binV[q], binM[q])
-			rec.dups += d
-			e.c.ChargeItems(len(binV[q])+d, e.model.VertexCost)
-			deduped[q] = true
-		}
-		if q == e.world.Me {
-			return nil
-		}
-		dlo, dhi := l.OwnedRange(q)
-		return encodeLanes(e.pl, binV[q], binM[q], b, uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	var rvs []uint32
-	var rms []uint64
-	handle := func(q int, part []uint32) {
-		var pvs []uint32
-		var pms []uint64
-		if q == e.world.Me {
-			pvs, pms = binV[q], binM[q]
-		} else {
-			pvs, pms = decodeLanes(e.pl, part, b)
-		}
-		rvs = append(rvs, pvs...)
-		rms = append(rms, pms...)
-	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
-	_, fst := collective.AllToAllAsync(e.c, e.world, o, prep, handle)
-	rec.foldWords = fst.RecvWords
-
-	var d int
-	rvs, rms, d = dedupOr(rvs, rms)
-	rec.dups += d
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
-	return rec
-}
-
 // stepAsync is the overlapped Algorithm 1 level: the scan precedes the
 // fold entirely (1D has no expand), so the win is the pipelined fold —
-// per-bin sort-merges interleave with the posts, and all P-1 transfers
+// per-bin merges interleave with the posts, and all P-1 transfers
 // fly concurrently instead of one transit per pairwise step.
 func (e *engine1D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := newLevelTimer(e.c)
 	h0 := e.hist
 	rec := rankLevel{frontier: s.F.Len()}
-	bins, scanned := e.scanFrontier(s)
-	rec.edges = scanned
+	rec.edges = e.scanFrontier(s)
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
 	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.world, e.st.Layout.OwnedRange, &e.hist)
-	nbar, fst := collective.FoldAsync(e.c, e.world, o, foldAlgKey(e.opts.Fold), sortPrep(e.c, e.model, bins))
+	nbar, fst := collective.FoldAsync(e.c, e.world, o, foldAlgKey(e.opts.Fold), e.bins.set)
 	rec.foldWords = fst.RecvWords
 	rec.dups = fst.Dups
 

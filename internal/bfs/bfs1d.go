@@ -45,6 +45,8 @@ type engine1D struct {
 	// probes0 is the store's hash-probe counter at run (or restore)
 	// start; probeDelta reports this run's probes against it.
 	probes0 uint64
+	// bins is the per-run scratch of the neighbor merge (see combine.go).
+	bins *setBins
 }
 
 func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
@@ -54,7 +56,8 @@ func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
 	}
 	c.SetCores(opts.Cores)
 	return &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
-		pl: pool.New(opts.Workers), probes0: st.TargetMap.Probes()}
+		pl: pool.New(opts.Workers), probes0: st.TargetMap.Probes(),
+		bins: newSetBins(c, g, st.Layout.BlockSize(), st.Layout.OwnedRange)}
 }
 
 // probeDelta returns the hash probes performed since the engine was
@@ -117,13 +120,8 @@ func (e *engine1D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := newLevelTimer(e.c)
 	h0 := e.hist
 	rec := rankLevel{frontier: s.F.Len()}
-	bins, scanned := e.scanFrontier(s)
-	rec.edges = scanned
-	for q := range bins {
-		var d int
-		bins[q], d = localindex.SortSet(bins[q])
-		e.c.ChargeItems(len(bins[q])+d, e.model.VertexCost)
-	}
+	rec.edges = e.scanFrontier(s)
+	bins := e.bins.sets()
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
 	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.world, e.st.Layout.OwnedRange, &e.hist)

@@ -41,21 +41,25 @@ type engine2D struct {
 	// probes0 is the stores' combined hash-probe counter at run (or
 	// restore) start; probeDelta reports this run's probes against it.
 	probes0 uint64
+	// bins is the per-run scratch of the neighbor merge (see combine.go).
+	bins *setBins
 }
 
 func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 	l := st.Layout
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
+	rowG := mesh.RowGroup(c.Rank())
 	return &engine2D{
 		c:       c,
 		st:      st,
 		opts:    opts,
 		model:   c.Model(),
 		colG:    mesh.ColGroup(c.Rank()),
-		rowG:    mesh.RowGroup(c.Rank()),
+		rowG:    rowG,
 		pl:      pool.New(opts.Workers),
 		probes0: st.ColMap.Probes() + st.RowMap.Probes(),
+		bins:    newSetBins(c, rowG, l.BlockSize(), l.OwnedRange),
 	}
 }
 
@@ -324,14 +328,8 @@ func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
 // discovered neighbors into per-destination sorted sets ("merged to
 // form N").
 func (e *engine2D) neighbors(s *sideState, fbar []uint32) ([][]uint32, int) {
-	bins := make([][]uint32, e.st.Layout.C)
-	scanned := e.scanPart(s, fbar, bins)
-	for j := range bins {
-		var d int
-		bins[j], d = localindex.SortSet(bins[j])
-		e.c.ChargeItems(len(bins[j])+d, e.model.VertexCost)
-	}
-	return bins, scanned
+	scanned := e.scanPart(s, fbar, e.bins.raw)
+	return e.bins.sets(), scanned
 }
 
 // foldCodec builds the wire codec for fold payloads: a set destined to

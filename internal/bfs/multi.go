@@ -3,7 +3,7 @@ package bfs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/collective"
@@ -135,10 +135,12 @@ func encodeLanes(p *pool.Pool, vs []uint32, ms []uint64, b int, lo uint32, n int
 	return append(out, planes...)
 }
 
-// decodeLanes inverts encodeLanes for a b-lane search.
-func decodeLanes(p *pool.Pool, buf []uint32, b int) (vs []uint32, ms []uint64) {
+// decodeLanes inverts encodeLanes for a b-lane search. vs and ms are
+// staging whose capacity is reused for the decoded batch; neither
+// result aliases buf.
+func decodeLanes(p *pool.Pool, buf []uint32, b int, vs []uint32, ms []uint64) ([]uint32, []uint64) {
 	if len(buf) == 0 {
-		return nil, nil
+		return vs[:0], ms[:0]
 	}
 	if len(buf) < 2 {
 		panic("bfs: truncated lane payload")
@@ -148,10 +150,10 @@ func decodeLanes(p *pool.Pool, buf []uint32, b int) (vs []uint32, ms []uint64) {
 	if 2+nw > len(buf) {
 		panic("bfs: truncated lane payload set")
 	}
-	vs = frontier.DecodePar(p, buf[2:2+nw])
+	vs = frontier.AppendDecodePar(p, vs[:0], buf[2:2+nw])
 	rest := buf[2+nw:]
 	s := len(vs)
-	ms = make([]uint64, s)
+	ms = slices.Grow(ms[:0], s)[:s]
 	switch form {
 	case laneFormInterleaved:
 		w := maskWords(b)
@@ -169,6 +171,7 @@ func decodeLanes(p *pool.Pool, buf []uint32, b int) (vs []uint32, ms []uint64) {
 		if len(rest) != b*pw {
 			panic("bfs: lane payload plane length mismatch")
 		}
+		clear(ms)
 		for lane := 0; lane < b; lane++ {
 			plane := rest[lane*pw : (lane+1)*pw]
 			frontier.IterateBits(plane, func(p uint32) { ms[p] |= 1 << uint(lane) })
@@ -179,47 +182,14 @@ func decodeLanes(p *pool.Pool, buf []uint32, b int) (vs []uint32, ms []uint64) {
 	return vs, ms
 }
 
-// lanePairs sorts parallel (vertex, mask) slices by vertex.
-type lanePairs struct {
-	vs []uint32
-	ms []uint64
-}
-
-func (p lanePairs) Len() int           { return len(p.vs) }
-func (p lanePairs) Less(i, j int) bool { return p.vs[i] < p.vs[j] }
-func (p lanePairs) Swap(i, j int) {
-	p.vs[i], p.vs[j] = p.vs[j], p.vs[i]
-	p.ms[i], p.ms[j] = p.ms[j], p.ms[i]
-}
-
-// dedupOr sorts the (vertex, mask) pairs by vertex and OR-merges the
-// masks of duplicates in place — the lane analogue of the union fold's
-// duplicate elimination. It returns the compacted slices and the
-// number of pairs the merge absorbed.
-func dedupOr(vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
-	if len(vs) < 2 {
-		return vs, ms, 0
-	}
-	sort.Sort(lanePairs{vs, ms})
-	w := 1
-	for i := 1; i < len(vs); i++ {
-		if vs[i] != vs[w-1] {
-			vs[w], ms[w] = vs[i], ms[i]
-			w++
-		} else {
-			ms[w-1] |= ms[i]
-		}
-	}
-	return vs[:w], ms[:w], len(vs) - w
-}
-
 // multiState is one rank's lane-parallel search state.
 type multiState struct {
 	// reached[li] holds the lanes that have labeled owned vertex li.
 	reached []uint64
 	// fmask[li] holds the lanes that newly labeled li last sweep; the
-	// nonzero entries are exactly the members of F.
-	fmask []uint64
+	// nonzero entries are exactly the members of F. spare is the
+	// previous sweep's fmask, zeroed and reused as the next one.
+	fmask, spare []uint64
 	// F is the lane-OR frontier: owned vertices with fmask != 0.
 	F frontier.Frontier
 	// levels[lane][li] is lane's level of owned vertex li.
@@ -232,6 +202,7 @@ func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int)
 	s := &multiState{
 		reached: make([]uint64, n),
 		fmask:   make([]uint64, n),
+		spare:   make([]uint64, n),
 		F:       opts.newFrontier(lo, n),
 		levels:  make([][]int32, len(sources)),
 	}
@@ -261,7 +232,8 @@ func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int)
 // next frontier and advances the sweep counter.
 func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rms []uint64, rec *rankLevel) {
 	next := opts.newFrontier(lo, n)
-	nextMask := make([]uint64, n)
+	nextMask := s.spare
+	clear(nextMask)
 	for i, gu := range rvs {
 		li := gu - uint32(lo)
 		nw := rms[i] &^ s.reached[li]
@@ -277,7 +249,7 @@ func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rm
 		next.Add(gu)
 	}
 	s.F = next
-	s.fmask = nextMask
+	s.fmask, s.spare = nextMask, s.fmask
 	s.sweep++
 }
 
@@ -320,13 +292,19 @@ type multiEngine2D struct {
 	rowG  comm.Group
 	pl    *pool.Pool
 	hist  frontier.ContainerHist
+	// fold is the row-exchange half of a sweep and its per-run scratch;
+	// sendV/sendM stage the targeted column expand, likewise reused
+	// every sweep.
+	fold  *laneFold
+	sendV [][]uint32
+	sendM [][]uint64
 }
 
 func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *multiEngine2D {
 	l := st.Layout
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
-	return &multiEngine2D{
+	e := &multiEngine2D{
 		c:     c,
 		st:    st,
 		opts:  opts,
@@ -334,27 +312,33 @@ func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *multiE
 		colG:  mesh.ColGroup(c.Rank()),
 		rowG:  mesh.RowGroup(c.Rank()),
 		pl:    pool.New(opts.Workers),
+		sendV: make([][]uint32, l.R),
+		sendM: make([][]uint64, l.R),
 	}
+	e.fold = newLaneFold(c, e.rowG, opts, e.pl, &e.hist, l.BlockSize(), l.OwnedRange)
+	return e
 }
 
 func (e *multiEngine2D) newMulti(sources []graph.Vertex) *multiState {
 	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
 }
 
+// sweep runs one lane-parallel sweep under either schedule. The
+// overlapped one streams lane payloads into the partial-list scan as
+// they arrive and posts the row exchange per bin as each finishes its
+// OR-merge; payloads, statistics and marks are the same.
 func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
-	if e.opts.Async {
-		return e.sweepAsync(s, tagBase)
-	}
 	tm := newLevelTimer(e.c)
 	h0 := e.hist
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	l := e.st.Layout
 	r := e.colG.Size()
 
 	// Targeted column expand: a frontier vertex travels, mask
 	// alongside, only to the mesh rows holding a partial list for it.
-	sendV := make([][]uint32, r)
-	sendM := make([][]uint64, r)
+	sendV, sendM := e.sendV, e.sendM
+	for i := range sendV {
+		sendV[i], sendM[i] = sendV[i][:0], sendM[i][:0]
+	}
 	s.F.Iterate(func(gv uint32) {
 		li := e.st.LocalOf(graph.Vertex(gv))
 		m := s.fmask[li]
@@ -368,71 +352,30 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
 	b := len(s.levels)
 	lo, n := e.st.Lo, e.st.OwnedCount()
-	send := make([][]uint32, r)
-	for i := 0; i < r; i++ {
+	prep := func(i int) []uint32 {
 		if i == e.colG.Me {
-			continue // stays local, unencoded
+			return nil // stays local; the scan reads sendV/sendM directly
 		}
-		send[i] = encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
+		return encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
 	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
-	parts, est := collective.AllToAll(e.c, e.colG, o, send)
-	rec.expandWords = est.RecvWords
 
 	// Scan the partial edge lists of every received frontier vertex and
 	// bin the discovered (neighbor, mask) pairs by owner mesh column
 	// (scanLanes runs on the worker pool and charges the scan).
-	binV := make([][]uint32, l.C)
-	binM := make([][]uint64, l.C)
-	for i, p := range parts {
-		var avs []uint32
-		var ams []uint64
-		if i == e.colG.Me {
-			avs, ams = sendV[i], sendM[i]
-		} else {
-			avs, ams = decodeLanes(e.pl, p, b)
+	binV, binM := e.fold.reset()
+	scan := func(i int, part []uint32) {
+		avs, ams := sendV[i], sendM[i]
+		if i != e.colG.Me {
+			avs, ams = e.fold.decode(part, b)
 		}
 		rec.edges += e.scanLanes(avs, ams, binV, binM)
 	}
+	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+	rec.expandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 
-	// Local lane merge per destination ("merged to form N" with an OR
-	// instead of a union), then the row exchange to the owners.
-	for j := range binV {
-		var d int
-		binV[j], binM[j], d = dedupOr(binV[j], binM[j])
-		rec.dups += d
-		e.c.ChargeItems(len(binV[j])+d, e.model.VertexCost)
-	}
-	sendR := make([][]uint32, l.C)
-	for j := range binV {
-		if j == e.rowG.Me {
-			continue
-		}
-		dlo, dhi := l.OwnedRange(e.rowG.World(j))
-		sendR[j] = encodeLanes(e.pl, binV[j], binM[j], b, uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	o2 := collective.Opts{Tag: tagBase + 1<<24, Chunk: e.opts.ChunkWords}
-	rparts, fst := collective.AllToAll(e.c, e.rowG, o2, sendR)
-	rec.foldWords = fst.RecvWords
-
-	var rvs []uint32
-	var rms []uint64
-	for j, p := range rparts {
-		var pvs []uint32
-		var pms []uint64
-		if j == e.rowG.Me {
-			pvs, pms = binV[j], binM[j]
-		} else {
-			pvs, pms = decodeLanes(e.pl, p, b)
-		}
-		rvs = append(rvs, pvs...)
-		rms = append(rms, pms...)
-	}
-	var d int
-	rvs, rms, d = dedupOr(rvs, rms)
-	rec.dups += d
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-
+	// Lane merge per destination, the row exchange to the owners, and
+	// the owner's merge of what arrives.
+	rvs, rms := e.fold.deliver(b, tagBase+1<<24, &rec)
 	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
@@ -450,6 +393,8 @@ type multiEngine1D struct {
 	world comm.Group
 	pl    *pool.Pool
 	hist  frontier.ContainerHist
+	// fold is the exchange half of a sweep and its per-run scratch.
+	fold *laneFold
 }
 
 func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *multiEngine1D {
@@ -458,63 +403,25 @@ func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *multiE
 		g.Ranks[i] = i
 	}
 	c.SetCores(opts.Cores)
-	return &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
+	e := &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
 		pl: pool.New(opts.Workers)}
+	e.fold = newLaneFold(c, g, opts, e.pl, &e.hist, st.Layout.BlockSize(), st.Layout.OwnedRange)
+	return e
 }
 
 func (e *multiEngine1D) newMulti(sources []graph.Vertex) *multiState {
 	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
 }
 
+// sweep runs one lane-parallel sweep under either schedule: the scan is
+// local, so the overlapped schedule's win is the pipelined fold —
+// per-bin OR-merges interleave with the posts.
 func (e *multiEngine1D) sweep(s *multiState, tagBase int) rankLevel {
-	if e.opts.Async {
-		return e.sweepAsync(s, tagBase)
-	}
 	tm := newLevelTimer(e.c)
 	h0 := e.hist
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	l := e.st.Layout
-	p := e.world.Size()
-
-	binV, binM, scanned := e.scanLanes(s)
-	rec.edges = scanned
-	for q := range binV {
-		var d int
-		binV[q], binM[q], d = dedupOr(binV[q], binM[q])
-		rec.dups += d
-		e.c.ChargeItems(len(binV[q])+d, e.model.VertexCost)
-	}
-	b := len(s.levels)
-	send := make([][]uint32, p)
-	for q := range binV {
-		if q == e.world.Me {
-			continue
-		}
-		dlo, dhi := l.OwnedRange(q)
-		send[q] = encodeLanes(e.pl, binV[q], binM[q], b, uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
-	parts, fst := collective.AllToAll(e.c, e.world, o, send)
-	rec.foldWords = fst.RecvWords
-
-	var rvs []uint32
-	var rms []uint64
-	for q, part := range parts {
-		var pvs []uint32
-		var pms []uint64
-		if q == e.world.Me {
-			pvs, pms = binV[q], binM[q]
-		} else {
-			pvs, pms = decodeLanes(e.pl, part, b)
-		}
-		rvs = append(rvs, pvs...)
-		rms = append(rms, pms...)
-	}
-	var d int
-	rvs, rms, d = dedupOr(rvs, rms)
-	rec.dups += d
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-
+	rec.edges = e.scanLanes(s)
+	rvs, rms := e.fold.deliver(len(s.levels), tagBase, &rec)
 	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)

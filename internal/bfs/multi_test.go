@@ -205,6 +205,8 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 		{64, 4096, nil, func(i int) uint64 { return ^uint64(0) - uint64(i) }},             // full width
 		{1, 100, []uint32{0, 99}, func(i int) uint64 { return 1 }},                        // single lane
 	}
+	var stV []uint32
+	var stM []uint64
 	for ci, tc := range cases {
 		vs := tc.vs
 		if vs == nil {
@@ -228,7 +230,10 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 			buf := encodeLanes(nil, vs, ms, tc.b, 0, tc.n, wire, nil)
 			// Copy to catch aliasing into caller storage.
 			buf = append([]uint32(nil), buf...)
-			gvs, gms := decodeLanes(nil, buf, tc.b)
+			// The staging is reused from one decode to the next, as the
+			// engines do: stale masks must not leak into a later batch.
+			stV, stM = decodeLanes(nil, buf, tc.b, stV, stM)
+			gvs, gms := stV, stM
 			if len(gvs) != len(vs) {
 				t.Fatalf("case %d wire=%v: %d members, want %d", ci, wire, len(gvs), len(vs))
 			}
@@ -240,8 +245,8 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if got, _ := decodeLanes(nil, nil, 8); got != nil {
-		t.Error("nil payload should decode to nil")
+	if gvs, gms := decodeLanes(nil, nil, 8, stV, stM); len(gvs) != 0 || len(gms) != 0 {
+		t.Error("nil payload should decode to an empty batch")
 	}
 }
 

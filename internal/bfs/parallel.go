@@ -15,17 +15,17 @@ const (
 	ownedGrain = 2048
 )
 
-// scanFrontier merges the frontier's edge lists into per-owner bins
-// (Algorithm 1 steps 7–9) on the worker pool, charging the edge scan
-// and hash probes; the bins are unsorted (the fold paths sort and
+// scanFrontier merges the frontier's edge lists into the raw per-owner
+// bins (Algorithm 1 steps 7–9) on the worker pool, charging the edge
+// scan and hash probes; the bins are unsorted (the fold paths merge and
 // charge them). Per-chunk bins concatenate in chunk order, so bin
 // contents are identical to the serial scan; with the sent cache the
 // CAS claim order is scheduler-dependent, but each neighbor still lands
 // in its owner's bin at most once, so the sorted sets the fold moves —
 // and every count — are unchanged.
-func (e *engine1D) scanFrontier(s *sideState) ([][]uint32, int) {
+func (e *engine1D) scanFrontier(s *sideState) int {
 	l := e.st.Layout
-	bins := make([][]uint32, e.c.Size())
+	bins := e.bins.raw
 	scanned := 0
 	var probes uint64
 	vs := s.F.Vertices()
@@ -89,7 +89,7 @@ func (e *engine1D) scanFrontier(s *sideState) ([][]uint32, int) {
 	}
 	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
 	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
-	return bins, scanned
+	return scanned
 }
 
 // scanLanes scans the partial edge lists of one decoded (vertex, mask)
@@ -162,15 +162,14 @@ func (e *multiEngine2D) scanLanes(avs []uint32, ams []uint64, binV [][]uint32, b
 	return scanned
 }
 
-// scanLanes merges the frontier's full edge lists into per-owner
-// (neighbor, mask) bins on the worker pool — the 1D sweep's local scan,
-// identical between the synchronous and overlapped schedules — and
-// charges the edge scan.
-func (e *multiEngine1D) scanLanes(s *multiState) (binV [][]uint32, binM [][]uint64, scanned int) {
+// scanLanes merges the frontier's full edge lists into the fold's
+// per-owner (neighbor, mask) bins on the worker pool — the 1D sweep's
+// local scan, identical between the synchronous and overlapped
+// schedules — and charges the edge scan.
+func (e *multiEngine1D) scanLanes(s *multiState) (scanned int) {
 	l := e.st.Layout
 	p := e.world.Size()
-	binV = make([][]uint32, p)
-	binM = make([][]uint64, p)
+	binV, binM := e.fold.reset()
 	vs := s.F.Vertices()
 	if nc := pool.Chunks(len(vs), scanGrain); e.pl.Workers() > 1 && nc > 1 {
 		type chunkOut struct {
@@ -216,5 +215,5 @@ func (e *multiEngine1D) scanLanes(s *multiState) (binV [][]uint32, binM [][]uint
 		}
 	}
 	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	return binV, binM, scanned
+	return scanned
 }

@@ -22,12 +22,12 @@ import (
 // Hidden wire seconds are audited by comm.Comm.OverlapTime. Results are
 // bit-identical to the synchronous path: the engines only ever combine
 // parts with order-insensitive reductions (set union, min-merge,
-// bitwise OR, concatenate-then-sort).
+// bitwise OR).
 
 // Prep produces the payload destined to group member m. The pipelined
 // exchanges call it immediately before posting m's send (self last,
-// after every send is posted), so compute charged inside Prep — sort,
-// dedup, encode — overlaps the transfers already in flight.
+// after every send is posted), so compute charged inside Prep — merge,
+// encode — overlaps the transfers already in flight.
 type Prep func(m int) []uint32
 
 // Handle consumes one completed part. The pipelined exchanges invoke it
@@ -80,6 +80,27 @@ func AllToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle)
 	}
 	done()
 	return out, st
+}
+
+// Exchange is the personalized exchange under the schedule o.Async
+// selects, for callers that produce and consume payloads the same way
+// under both: AllToAllAsync as it is, or AllToAll with every payload
+// prepared up front in member order and every part — the self part
+// included — handled in member order after the last one has arrived.
+func Exchange(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stats {
+	if o.Async {
+		_, st := AllToAllAsync(c, g, o, prep, handle)
+		return st
+	}
+	send := make([][]uint32, g.Size())
+	for m := range send {
+		send[m] = prep(m)
+	}
+	parts, st := AllToAll(c, g, o, send)
+	for m, part := range parts {
+		handle(m, part)
+	}
+	return st
 }
 
 // AllGatherAsync is the ring all-gather with each hop's forward posted

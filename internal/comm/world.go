@@ -2,7 +2,7 @@
 // stands in for MPI on BlueGene/L. A World runs P ranks as goroutines;
 // each rank owns a Comm handle with FIFO point-to-point Send/Recv,
 // barrier and reduction primitives, and a deterministic simulated clock
-// driven by the torus cost model (see DESIGN.md §6).
+// driven by the torus cost model (torus.CostModel).
 //
 // Everything higher in the stack — all collectives of §3.2 and the BFS
 // itself — is written against Comm using only point-to-point messages,

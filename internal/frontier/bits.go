@@ -2,6 +2,7 @@ package frontier
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -76,9 +77,14 @@ func IDsToBits(ids []uint32, lo uint32, n int) []uint32 {
 
 // BitsToIDs unpacks a wire bitmap into ascending ids offset by lo.
 func BitsToIDs(w []uint32, lo uint32) []uint32 {
-	out := make([]uint32, 0, CountBits(w))
-	IterateBits(w, func(i uint32) { out = append(out, lo+i) })
-	return out
+	return appendBitsIDs(nil, w, lo)
+}
+
+// appendBitsIDs is BitsToIDs appending to dst.
+func appendBitsIDs(dst, w []uint32, lo uint32) []uint32 {
+	dst = slices.Grow(dst, CountBits(w))
+	IterateBits(w, func(i uint32) { dst = append(dst, lo+i) })
+	return dst
 }
 
 // Bits renders any frontier as a wire bitmap over its universe,

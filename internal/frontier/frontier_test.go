@@ -3,6 +3,7 @@ package frontier
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/localindex"
@@ -171,6 +172,18 @@ func TestWireRoundTrip(t *testing.T) {
 				if got[j] != want[j] {
 					t.Fatalf("case %d mode %v: id[%d]=%d want %d", i, mode, j, got[j], want[j])
 				}
+			}
+			// AppendDecode extends a staging buffer with the same ids and
+			// never aliases the payload, raw lists included.
+			staged := AppendDecode([]uint32{7}, buf)
+			if !slices.Equal(staged[1:], want) || staged[0] != 7 {
+				t.Fatalf("case %d mode %v: AppendDecode gave %v, want 7 then %v", i, mode, staged, want)
+			}
+			for j := range buf {
+				buf[j] = ^buf[j]
+			}
+			if !slices.Equal(staged[1:], want) {
+				t.Fatalf("case %d mode %v: AppendDecode aliased its payload", i, mode)
 			}
 		}
 		// Auto picks the smaller of the two encodings.

@@ -515,8 +515,8 @@ func encodeHybridSet(ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 
 	return appendSetChunks(buf, ids, lo, n, h)
 }
 
-// decodeHybridSet inverts encodeHybridSet.
-func decodeHybridSet(buf []uint32) []uint32 {
+// appendHybridSet inverts encodeHybridSet, appending the ids to dst.
+func appendHybridSet(dst, buf []uint32) []uint32 {
 	if len(buf) < 3 {
 		panic("frontier: truncated hybrid wire payload")
 	}
@@ -526,16 +526,14 @@ func decodeHybridSet(buf []uint32) []uint32 {
 		// reaching past them would let lo+off wrap uint32.
 		panic("frontier: hybrid universe exceeds the id space")
 	}
-	// Size the output from the universe, but never let a forged header
-	// n drive the allocation: a genuine stream of len(buf) words can
-	// hold at most ~32 members per word, so cap by that.
-	capHint := n / 8
-	if m := 32 * len(buf); capHint > m {
-		capHint = m
+	if cap(dst) == 0 {
+		// Size a fresh output from the universe, but never let a forged
+		// header n drive the allocation: a genuine stream of len(buf)
+		// words can hold at most ~32 members per word, so cap by that.
+		dst = make([]uint32, 0, min(n/8, 32*len(buf)))
 	}
-	out := make([]uint32, 0, capHint)
-	decodeChunks(buf[3:], n, func(off uint32) { out = append(out, lo+off) })
-	return out
+	decodeChunks(buf[3:], n, func(off uint32) { dst = append(dst, lo+off) })
+	return dst
 }
 
 // EncodeBits encodes a wire bitmap over [0, n) for transmission.

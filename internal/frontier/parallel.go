@@ -1,6 +1,9 @@
 package frontier
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Parallel hybrid codec: every ChunkSpan-id chunk encodes and decodes
 // independently, so the chunk stream can be built (and walked) by the
@@ -120,10 +123,10 @@ func chunkStarts(stream []uint32, nc int) []int {
 	return starts
 }
 
-// decodeChunksPar walks a chunk stream by groups on the runner,
-// returning the ascending universe-relative offsets. Malformed payloads
-// panic with the serial messages (re-raised by the runner).
-func decodeChunksPar(p Runner, stream []uint32, n int) []uint32 {
+// appendChunksPar walks a chunk stream over the universe [lo, lo+n) by
+// groups on the runner, appending the ascending ids to dst. Malformed
+// payloads panic with the serial messages (re-raised by the runner).
+func appendChunksPar(p Runner, dst, stream []uint32, lo uint32, n int) []uint32 {
 	nc := numChunks(n)
 	starts := chunkStarts(stream, nc)
 	ng := (nc + codecGrainChunks - 1) / codecGrainChunks
@@ -132,18 +135,18 @@ func decodeChunksPar(p Runner, stream []uint32, n int) []uint32 {
 		olo, ohi := groupSpan(clo, chi, n)
 		sub := stream[starts[clo]:starts[chi]]
 		out := make([]uint32, 0, (ohi-olo)/8)
-		decodeChunks(sub, ohi-olo, func(off uint32) { out = append(out, uint32(olo)+off) })
+		decodeChunks(sub, ohi-olo, func(off uint32) { out = append(out, lo+uint32(olo)+off) })
 		outs[g] = out
 	})
 	total := 0
 	for _, o := range outs {
 		total += len(o)
 	}
-	merged := make([]uint32, 0, total)
+	dst = slices.Grow(dst, total)
 	for _, o := range outs {
-		merged = append(merged, o...)
+		dst = append(dst, o...)
 	}
-	return merged
+	return dst
 }
 
 // EncodeSetStatsPar is EncodeSetStats with the hybrid chunk stream
@@ -208,20 +211,25 @@ func EncodeBitsPar(p Runner, words []uint32, n int, mode WireMode, h *ContainerH
 
 // DecodePar is Decode with hybrid chunk streams walked on the runner.
 func DecodePar(p Runner, buf []uint32) []uint32 {
+	if len(buf) == 0 || buf[0] < hybridSentinel {
+		return buf
+	}
+	return AppendDecodePar(p, nil, buf)
+}
+
+// AppendDecodePar is AppendDecode with hybrid chunk streams walked on
+// the runner.
+func AppendDecodePar(p Runner, dst, buf []uint32) []uint32 {
 	if len(buf) >= 3 && buf[0] == hybridSentinel {
 		lo, n := buf[1], int(buf[2])
 		if parallelWorthwhile(p, n) {
 			if uint64(lo)+uint64(n) > uint64(hybridSentinel) {
 				panic("frontier: hybrid universe exceeds the id space")
 			}
-			offs := decodeChunksPar(p, buf[3:], n)
-			for i := range offs {
-				offs[i] += lo
-			}
-			return offs
+			return appendChunksPar(p, dst, buf[3:], lo, n)
 		}
 	}
-	return Decode(buf)
+	return AppendDecode(dst, buf)
 }
 
 // DecodeBitsPar is DecodeBits with chunk streams walked on the runner.

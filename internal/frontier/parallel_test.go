@@ -3,6 +3,7 @@ package frontier
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/pool"
@@ -71,6 +72,9 @@ func TestParCodecMatchesSerial(t *testing.T) {
 			}
 			if !reflect.DeepEqual(dec, want) {
 				t.Fatalf("set %d workers %d: parallel decode does not invert encode", si, workers)
+			}
+			if staged := AppendDecodePar(p, []uint32{7}, par); staged[0] != 7 || !slices.Equal(staged[1:], shifted) {
+				t.Fatalf("set %d workers %d: parallel append-decode does not invert encode", si, workers)
 			}
 		}
 	}

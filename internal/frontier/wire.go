@@ -231,12 +231,22 @@ func DecodeChecked(buf []uint32) (ids []uint32, err error) {
 // internal/comm's checksummed frames); use DecodeChecked for input
 // that is not protocol-guaranteed.
 func Decode(buf []uint32) []uint32 {
-	if len(buf) == 0 {
+	if len(buf) == 0 || buf[0] < hybridSentinel {
 		return buf
+	}
+	return AppendDecode(nil, buf)
+}
+
+// AppendDecode is Decode appending the ids to dst, so a caller that
+// decodes one payload after another can reuse a staging buffer. It
+// never aliases buf: raw lists are copied.
+func AppendDecode(dst, buf []uint32) []uint32 {
+	if len(buf) == 0 {
+		return dst
 	}
 	switch buf[0] {
 	case hybridSentinel:
-		return decodeHybridSet(buf)
+		return appendHybridSet(dst, buf)
 	case wireSentinel:
 		if len(buf) < 3 {
 			panic("frontier: truncated dense wire payload")
@@ -251,8 +261,8 @@ func Decode(buf []uint32) []uint32 {
 		if pad := n % 32; pad != 0 && buf[len(buf)-1]>>uint(pad) != 0 {
 			panic("frontier: dense wire payload has bits set beyond its universe")
 		}
-		return BitsToIDs(buf[3:], lo)
+		return appendBitsIDs(dst, buf[3:], lo)
 	default:
-		return buf
+		return append(dst, buf...)
 	}
 }

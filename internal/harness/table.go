@@ -1,8 +1,8 @@
 // Package harness reproduces every table and figure of the paper's
 // evaluation (§4): one registered experiment per exhibit, each emitting
 // the same rows/series the paper reports, at a laptop scale set by
-// Config.Scale. See DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured notes.
+// Config.Scale. All (experiments.go) is the experiment index, and each
+// rendered Table's notes state what the paper reports for that exhibit.
 package harness
 
 import (

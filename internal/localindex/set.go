@@ -1,15 +1,17 @@
 package localindex
 
-import "sort"
+import "slices"
 
 // SortSet sorts s ascending and removes duplicates in place, returning
 // the deduplicated slice and the number of duplicates removed. The
 // duplicate count feeds the paper's redundancy-ratio metric (Fig. 7).
+// It is the general-purpose merge for callers that know no id range;
+// the engines' per-destination bins use Combiner instead.
 func SortSet(s []uint32) ([]uint32, int) {
 	if len(s) < 2 {
 		return s, 0
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	w := 1
 	for i := 1; i < len(s); i++ {
 		if s[i] != s[w-1] {

@@ -12,7 +12,7 @@ package sssp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -76,7 +76,7 @@ func saveEpochBlob(c *comm.Comm, st *rankState, recs []epochRec, allLight bool, 
 	for idx := range st.buckets {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	enc.Int(len(idxs))
 	for _, idx := range idxs {
 		enc.U32(idx)

@@ -3,7 +3,7 @@ package sssp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -52,8 +52,12 @@ type rankState struct {
 	// in the same bucket is a re-settle.
 	settled *localindex.Bitset
 	// removed collects, in drain order, the distinct vertices the
-	// current bucket settled — the heavy phase's active set.
+	// current bucket settled — the heavy phase's active set, and exactly
+	// the bits set in settled.
 	removed []uint32
+	// active, dists and heavy are per-run buffers behind the active list
+	// (drain, apply), its distances (distsOf) and the sorted heavy set.
+	active, dists, heavy []uint32
 }
 
 func (s *rankState) bucketOfDist(d uint32) uint32 { return bucketOf(d, s.delta) }
@@ -82,7 +86,7 @@ func (s *rankState) localMinBucket() (min uint64, scanned int) {
 	for idx := range s.buckets {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	for _, idx := range idxs {
 		f := s.buckets[idx]
 		live := false
@@ -101,29 +105,40 @@ func (s *rankState) localMinBucket() (min uint64, scanned int) {
 	return min, scanned
 }
 
-// drain removes bucket k and returns its live members ascending.
+// drain removes bucket k and returns its live members ascending (valid
+// until the next drain or apply).
 func (s *rankState) drain(k uint32) []uint32 {
+	s.active = s.active[:0]
 	f, ok := s.buckets[k]
 	if !ok {
-		return nil
+		return s.active
 	}
 	delete(s.buckets, k)
-	var out []uint32
 	f.Iterate(func(gv uint32) {
 		if s.bucketOfDist(s.D[gv-s.lo]) == k {
-			out = append(out, gv)
+			s.active = append(s.active, gv)
 		}
 	})
-	return out
+	return s.active
 }
 
-// distsOf gathers the current distances of an active list.
+// distsOf gathers the current distances of an active list (valid until
+// the next call).
 func (s *rankState) distsOf(vs []uint32) []uint32 {
-	ds := make([]uint32, len(vs))
-	for i, gv := range vs {
-		ds[i] = s.D[gv-s.lo]
+	s.dists = s.dists[:0]
+	for _, gv := range vs {
+		s.dists = append(s.dists, s.D[gv-s.lo])
 	}
-	return ds
+	return s.dists
+}
+
+// unsettle clears the per-bucket settle marks through the removed list,
+// which names exactly the set bits, and empties the list.
+func (s *rankState) unsettle() {
+	for _, gv := range s.removed {
+		s.settled.Clear(gv - s.lo)
+	}
+	s.removed = s.removed[:0]
 }
 
 // settle marks the active list as relaxed within the current bucket,
@@ -142,9 +157,10 @@ func (s *rankState) settle(vs []uint32, rec *epochRec) {
 // improvement updates the distance and re-buckets the vertex. It
 // returns the vertices whose new distance lands back in bucket k (the
 // next light sub-round's active set, ascending — requests arrive
-// deduplicated and sorted).
+// deduplicated and sorted). The previous active list is dead once its
+// round's requests are in, so the new one reuses its buffer.
 func (s *rankState) apply(rvs, rds []uint32, k uint32, rec *epochRec) []uint32 {
-	var again []uint32
+	again := s.active[:0]
 	for i, gv := range rvs {
 		li := gv - s.lo
 		if rds[i] >= s.D[li] {
@@ -158,6 +174,7 @@ func (s *rankState) apply(rvs, rds []uint32, k uint32, rec *epochRec) []uint32 {
 			s.insert(gv, rds[i])
 		}
 	}
+	s.active = again
 	return again
 }
 
@@ -253,8 +270,7 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 		}
 		k := uint32(k64)
 		active := st.drain(k)
-		st.settled = localindex.NewBitset(n)
-		st.removed = st.removed[:0]
+		st.unsettle()
 		for {
 			if cxl := checkCancel(opts, c, len(recs)); cxl != nil {
 				return recs, st, cxl
@@ -273,8 +289,8 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 			recs = append(recs, rec)
 		}
 		if !allLight {
-			heavy := append([]uint32(nil), st.removed...)
-			heavy, _ = localindex.SortSet(heavy)
+			st.heavy = append(st.heavy[:0], st.removed...)
+			heavy, _ := localindex.SortSet(st.heavy)
 			rec := epochRec{bucket: k, phase: PhaseHeavy, active: len(heavy)}
 			tme := newEpochTimer(c, &rec)
 			rvs, rds := e.scatter(heavy, st.distsOf(heavy), false, st.delta, tagSeq*64, &rec)

@@ -1,14 +1,12 @@
 package sssp
 
 import (
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/torus"
-	"repro/internal/trace"
 )
 
 // engine1D holds one rank's storage handles for Δ-stepping under the
@@ -30,6 +28,8 @@ type engine1D struct {
 	// codec run on; see parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
+	// fold is the exchange half of a round and its per-run scratch.
+	fold *relaxFold
 }
 
 func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
@@ -38,8 +38,10 @@ func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
 		g.Ranks[i] = i
 	}
 	c.SetCores(opts.Cores)
-	return &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
+	e := &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
 		pl: pool.New(opts.Workers)}
+	e.fold = newRelaxFold(c, g, opts, e.pl, &e.hist, st.Layout.BlockSize(), st.Layout.OwnedRange)
+	return e
 }
 
 func (e *engine1D) comm() *comm.Comm { return e.c }
@@ -69,54 +71,14 @@ func (e *engine1D) weightAt(i int64) uint32 {
 
 // scatter relaxes one class of edges out of the active owned vertices
 // and delivers the requests to their owners with a direct personalized
-// all-to-all, returning this rank's deduplicated requests.
+// all-to-all, returning this rank's deduplicated requests (valid until
+// the next round). The scan is local, so the overlapped schedule's win
+// is the pipelined delivery — per-bin min-merges interleave with the
+// posts, and all P-1 transfers fly concurrently.
 func (e *engine1D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	if e.opts.Async {
-		return e.scatterAsync(vs, ds, light, delta, tag, rec)
-	}
-	return e.scatterSync(vs, ds, light, delta, tag, rec)
-}
-
-// scatterSync is the phase-synchronous relaxation round.
-func (e *engine1D) scatterSync(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
 	h0 := e.hist
-	l := e.st.Layout
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	binV, binD, scanned := e.relaxScan(vs, ds, light, delta)
-	rec.edges += scanned
-	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)})
-	for q := range binV {
-		var d int
-		binV[q], binD[q], d = dedupMin(binV[q], binD[q])
-		e.c.ChargeItems(len(binV[q])+d, e.model.VertexCost)
-	}
-	send := make([][]uint32, e.world.Size())
-	for q := range binV {
-		if q == e.world.Me {
-			continue
-		}
-		dlo, dhi := l.OwnedRange(q)
-		send[q] = encodeRequests(e.pl, binV[q], binD[q], uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
-	parts, fst := collective.AllToAll(e.c, e.world, o, send)
-	rec.foldWords = fst.RecvWords
-
-	var rvs, rds []uint32
-	for q, part := range parts {
-		var pvs, pds []uint32
-		if q == e.world.Me {
-			pvs, pds = binV[q], binD[q]
-		} else {
-			pvs, pds = decodeRequests(e.pl, part)
-		}
-		rvs = append(rvs, pvs...)
-		rds = append(rds, pds...)
-	}
-	var d int
-	rvs, rds, d = dedupMin(rvs, rds)
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
+	rec.edges += e.relaxScan(vs, ds, light, delta)
+	rvs, rds := e.fold.deliver(tag, rec)
 	rec.containers.Add(e.hist.Sub(h0))
 	return rvs, rds
 }

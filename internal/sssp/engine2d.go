@@ -8,7 +8,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/torus"
-	"repro/internal/trace"
 )
 
 // engine2D holds one rank's storage handles for Δ-stepping under the
@@ -30,13 +29,18 @@ type engine2D struct {
 	// codec run on; see parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
+	// fold is the row-exchange half of a round and its per-run scratch;
+	// sendV/sendD stage the targeted column expand, likewise reused
+	// every round.
+	fold         *relaxFold
+	sendV, sendD [][]uint32
 }
 
 func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 	l := st.Layout
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
-	return &engine2D{
+	e := &engine2D{
 		c:     c,
 		st:    st,
 		opts:  opts,
@@ -44,7 +48,11 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 		colG:  mesh.ColGroup(c.Rank()),
 		rowG:  mesh.RowGroup(c.Rank()),
 		pl:    pool.New(opts.Workers),
+		sendV: make([][]uint32, l.R),
+		sendD: make([][]uint32, l.R),
 	}
+	e.fold = newRelaxFold(c, e.rowG, opts, e.pl, &e.hist, l.BlockSize(), l.OwnedRange)
+	return e
 }
 
 func (e *engine2D) comm() *comm.Comm { return e.c }
@@ -77,25 +85,24 @@ func (e *engine2D) weightAt(i int64) uint32 {
 // scatter relaxes one class of edges out of the active owned vertices
 // (vs ascending with parallel dists), exchanges the relax requests,
 // and returns the requests destined to this rank, deduplicated to the
-// minimum distance per vertex.
+// minimum distance per vertex and valid until the next round.
+//
+// Both schedules run this one body and keep payloads and statistics
+// bit-for-bit (the min-merge is order-insensitive). The overlapped one
+// posts every send before any wait: active batches stream into the
+// partial-list scan as they arrive, and the row exchange's sends post
+// per destination bin as each finishes its min-merge.
 func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	if e.opts.Async {
-		return e.scatterAsync(vs, ds, light, delta, tag, rec)
-	}
-	return e.scatterSync(vs, ds, light, delta, tag, rec)
-}
-
-// scatterSync is the phase-synchronous relaxation round.
-func (e *engine2D) scatterSync(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
 	h0 := e.hist
-	l := e.st.Layout
 	r := e.colG.Size()
 
 	// Targeted column expand: an active vertex travels only to the mesh
 	// rows holding a non-empty partial edge list for it (§2.2), carrying
 	// its tentative distance alongside.
-	sendV := make([][]uint32, r)
-	sendD := make([][]uint32, r)
+	sendV, sendD := e.sendV, e.sendD
+	for i := range sendV {
+		sendV[i], sendD[i] = sendV[i][:0], sendD[i][:0]
+	}
 	for idx, gv := range vs {
 		li := e.st.LocalOf(graph.Vertex(gv))
 		for i := 0; i < r; i++ {
@@ -107,70 +114,30 @@ func (e *engine2D) scatterSync(vs, ds []uint32, light bool, delta uint32, tag in
 	}
 	e.c.ChargeItems(len(vs)*((r+63)/64), e.model.EdgeCost)
 	lo, n := e.st.Lo, e.st.OwnedCount()
-	send := make([][]uint32, r)
-	for i := 0; i < r; i++ {
+	prep := func(i int) []uint32 {
 		if i == e.colG.Me {
-			continue // stays local, unencoded
+			return nil // stays local; the scan reads sendV/sendD directly
 		}
-		send[i] = encodeRequests(e.pl, sendV[i], sendD[i], uint32(lo), n, e.opts.Wire, &e.hist)
+		return encodeRequests(e.pl, sendV[i], sendD[i], uint32(lo), n, e.opts.Wire, &e.hist)
 	}
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
-	parts, est := collective.AllToAll(e.c, e.colG, o, send)
-	rec.expandWords = est.RecvWords
 
 	// Scan the partial edge lists of every received active vertex and
 	// bin the resulting relax requests by owner mesh column (relaxPart
 	// runs on the worker pool and charges the scan).
-	binV := make([][]uint32, l.C)
-	binD := make([][]uint32, l.C)
-	scanned := 0
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	for i, p := range parts {
-		var avs, ads []uint32
-		if i == e.colG.Me {
-			avs, ads = sendV[i], sendD[i]
-		} else {
-			avs, ads = decodeRequests(e.pl, p)
+	binV, binD := e.fold.reset()
+	scan := func(i int, part []uint32) {
+		avs, ads := sendV[i], sendD[i]
+		if i != e.colG.Me {
+			avs, ads = e.fold.decode(part)
 		}
-		scanned += e.relaxPart(avs, ads, light, delta, binV, binD)
+		rec.edges += e.relaxPart(avs, ads, light, delta, binV, binD)
 	}
-	rec.edges += scanned
-	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)})
+	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+	rec.expandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 
-	// Local minimum-merge per destination ("merged to form N" with a
-	// min instead of a union), then the row exchange to the owners.
-	for j := range binV {
-		var d int
-		binV[j], binD[j], d = dedupMin(binV[j], binD[j])
-		e.c.ChargeItems(len(binV[j])+d, e.model.VertexCost)
-	}
-	sendR := make([][]uint32, l.C)
-	for j := range binV {
-		if j == e.rowG.Me {
-			continue
-		}
-		dlo, dhi := l.OwnedRange(e.rowG.World(j))
-		sendR[j] = encodeRequests(e.pl, binV[j], binD[j], uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	o2 := collective.Opts{Tag: tag + 1<<24, Chunk: e.opts.ChunkWords}
-	rparts, fst := collective.AllToAll(e.c, e.rowG, o2, sendR)
-	rec.foldWords = fst.RecvWords
-
-	var rvs, rds []uint32
-	for j, p := range rparts {
-		var pvs, pds []uint32
-		if j == e.rowG.Me {
-			pvs, pds = binV[j], binD[j]
-		} else {
-			pvs, pds = decodeRequests(e.pl, p)
-		}
-		rvs = append(rvs, pvs...)
-		rds = append(rds, pds...)
-	}
-	var d int
-	rvs, rds, d = dedupMin(rvs, rds)
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
+	// Minimum-merge per destination, the row exchange to the owners, and
+	// the owner's merge of what arrives.
+	rvs, rds := e.fold.deliver(tag+1<<24, rec)
 	rec.containers.Add(e.hist.Sub(h0))
 	return rvs, rds
 }

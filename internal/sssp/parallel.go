@@ -3,25 +3,28 @@ package sssp
 import (
 	"repro/internal/graph"
 	"repro/internal/pool"
+	"repro/internal/trace"
 )
 
 // relaxGrain is the pool chunk width, in active vertices, for the
 // relaxation scans. Chunk boundaries are pure functions of the batch
 // length (see internal/pool), so per-chunk request bins concatenate in
-// a worker-count-independent order; the downstream dedupMin sorts them
-// anyway, making the delivered request sets — and every count —
-// bit-identical to the serial scan.
+// a worker-count-independent order; the downstream min-merge is
+// order-insensitive anyway, making the delivered request sets — and
+// every count — bit-identical to the serial scan.
 const relaxGrain = 512
 
 // relaxScan relaxes one class of edges out of the active owned
 // vertices on the worker pool, binning the (neighbor, candidate) relax
-// requests by owner rank — the 1D scan shared by the synchronous and
-// overlapped schedules — and charges the edge scan.
-func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) (binV, binD [][]uint32, scanned int) {
+// requests by owner rank into the fold's raw bins — the 1D scan shared
+// by the synchronous and overlapped schedules — and charges the edge
+// scan.
+func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) (scanned int) {
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
 	l := e.st.Layout
 	p := e.world.Size()
-	binV = make([][]uint32, p)
-	binD = make([][]uint32, p)
+	binV, binD := e.fold.reset()
 	if nc := pool.Chunks(len(vs), relaxGrain); e.pl.Workers() > 1 && nc > 1 {
 		type chunkOut struct {
 			binV    [][]uint32
@@ -82,7 +85,8 @@ func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) (binV, b
 		}
 	}
 	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	return binV, binD, scanned
+	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)})
+	return scanned
 }
 
 // relaxPart scans the partial edge lists of one arrived active batch
@@ -90,6 +94,8 @@ func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) (binV, b
 // in chunk order, and charges the pair handling, edge scan, and hash
 // probes. Both 2D schedules call it once per arrived part.
 func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, binD [][]uint32) int {
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
 	l := e.st.Layout
 	scanned := 0
 	var probes uint64
@@ -167,5 +173,6 @@ func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, 
 	e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
 	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
 	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)})
 	return scanned
 }

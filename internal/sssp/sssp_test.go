@@ -491,7 +491,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 	for _, mode := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
 		var h frontier.ContainerHist
 		buf := encodeRequests(nil, vs, ds, 100, 4000, mode, &h)
-		gvs, gds := decodeRequests(nil, buf)
+		gvs, gds := decodeRequests(nil, buf, nil)
 		if len(gvs) != len(vs) {
 			t.Fatalf("mode %v: %d vertices back, want %d", mode, len(gvs), len(vs))
 		}
@@ -507,24 +507,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 	if encodeRequests(nil, nil, nil, 0, 10, frontier.WireHybrid, nil) != nil {
 		t.Fatal("empty batch should encode to nil")
 	}
-	if vs, ds := decodeRequests(nil, nil); len(vs) != 0 || len(ds) != 0 {
+	if vs, ds := decodeRequests(nil, nil, nil); len(vs) != 0 || len(ds) != 0 {
 		t.Fatal("nil payload should decode empty")
-	}
-}
-
-// TestDedupMin keeps the minimum distance per vertex.
-func TestDedupMin(t *testing.T) {
-	vs := []uint32{5, 3, 5, 3, 9, 5}
-	ds := []uint32{10, 4, 2, 8, 1, 7}
-	gvs, gds, dups := dedupMin(vs, ds)
-	if dups != 3 {
-		t.Fatalf("dups = %d, want 3", dups)
-	}
-	wantV := []uint32{3, 5, 9}
-	wantD := []uint32{4, 2, 1}
-	for i := range wantV {
-		if gvs[i] != wantV[i] || gds[i] != wantD[i] {
-			t.Fatalf("pair %d = (%d,%d), want (%d,%d)", i, gvs[i], gds[i], wantV[i], wantD[i])
-		}
 	}
 }

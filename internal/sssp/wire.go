@@ -1,8 +1,6 @@
 package sssp
 
 import (
-	"sort"
-
 	"repro/internal/frontier"
 	"repro/internal/pool"
 )
@@ -32,52 +30,20 @@ func encodeRequests(p *pool.Pool, vs, ds []uint32, lo uint32, n int, mode fronti
 	return append(out, ds...)
 }
 
-// decodeRequests inverts encodeRequests.
-func decodeRequests(p *pool.Pool, buf []uint32) (vs, ds []uint32) {
+// decodeRequests inverts encodeRequests. The vertex set is decoded into
+// the staging vs, whose capacity is reused; the distances alias buf.
+func decodeRequests(p *pool.Pool, buf, vs []uint32) (_, ds []uint32) {
 	if len(buf) == 0 {
-		return nil, nil
+		return vs[:0], nil
 	}
 	nw := int(buf[0])
 	if 1+nw > len(buf) {
 		panic("sssp: truncated relax-request payload")
 	}
-	vs = frontier.DecodePar(p, buf[1:1+nw])
+	vs = frontier.AppendDecodePar(p, vs[:0], buf[1:1+nw])
 	ds = buf[1+nw:]
 	if len(vs) != len(ds) {
 		panic("sssp: relax-request set/distance length mismatch")
 	}
 	return vs, ds
-}
-
-// pairsByVertex sorts parallel (vertex, dist) slices by vertex, ties
-// by ascending distance so the minimum lands first.
-type pairsByVertex struct{ vs, ds []uint32 }
-
-func (p pairsByVertex) Len() int { return len(p.vs) }
-func (p pairsByVertex) Less(i, j int) bool {
-	return p.vs[i] < p.vs[j] || (p.vs[i] == p.vs[j] && p.ds[i] < p.ds[j])
-}
-func (p pairsByVertex) Swap(i, j int) {
-	p.vs[i], p.vs[j] = p.vs[j], p.vs[i]
-	p.ds[i], p.ds[j] = p.ds[j], p.ds[i]
-}
-
-// dedupMin sorts the request pairs by vertex and keeps the minimum
-// distance per vertex, in place. It returns the compacted slices — an
-// ascending duplicate-free vertex set with parallel distances — and
-// the number of requests the local minimum-merge absorbed.
-func dedupMin(vs, ds []uint32) ([]uint32, []uint32, int) {
-	if len(vs) < 2 {
-		return vs, ds, 0
-	}
-	sort.Sort(pairsByVertex{vs, ds})
-	w := 1
-	for i := 1; i < len(vs); i++ {
-		if vs[i] != vs[w-1] {
-			vs[w], ds[w] = vs[i], ds[i]
-			w++
-		}
-		// Same vertex: ds[w-1] already holds the minimum (sort order).
-	}
-	return vs[:w], ds[:w], len(vs) - w
 }
