@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz deprecated-surface
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
 
-ci: fmt-check vet tier1 race race-pool bench-smoke bench-lab-test trace-smoke chaos-smoke graphd-smoke graphd-chaos bench-diff deprecated-surface
+ci: fmt-check vet tier1 race race-pool bench-smoke bench-lab-test trace-smoke chaos-smoke graphd-smoke graphd-chaos bench-diff
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \
@@ -28,10 +28,12 @@ race:
 # Worker-pool matrix under the race detector: the determinism suite
 # (pool sizes 1/2/8 byte-identical on every mesh x codec x schedule),
 # the oracle-equivalence suite at 8 workers, the cores cost-model
-# check, and the package-level regression tests pinning the shared-map
-# probe counting, CAS visit claims, and grouped codec paths.
+# check, the read-only-stores proof (two clusters searching one
+# distributed graph at once, every engine, 1 and 4 workers), and the
+# package-level regression tests pinning the concurrent map readers,
+# CAS visit claims, and grouped codec paths.
 race-pool:
-	$(GO) test -race -count=1 -run 'TestWorkerPoolDeterminism|TestParallelOracleEquivalence|TestCoresModel' .
+	$(GO) test -race -count=1 -run 'TestWorkerPoolDeterminism|TestParallelOracleEquivalence|TestCoresModel|TestSharedGraphConcurrentClusters' .
 	$(GO) test -race -count=1 ./internal/pool ./internal/localindex ./internal/frontier
 
 build:
@@ -181,13 +183,6 @@ graphd-chaos:
 profile:
 	$(GO) run ./cmd/bfsrun -n 100000 -k 10 -r 4 -c 4 -verify=false -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof (open with: go tool pprof cpu.pprof)"
-
-# Deprecated-surface check: the examples (examples/compat in
-# particular) compile and run against the pre-redesign option aliases,
-# so the compat shims cannot silently rot.
-deprecated-surface:
-	$(GO) build ./examples/...
-	$(GO) run ./examples/compat
 
 # Coverage-guided fuzzing: the hybrid wire codec round-trips, malformed
 # payload rejection, the sort-free combiner vs the sort-then-compact

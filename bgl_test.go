@@ -328,8 +328,8 @@ func TestSSSPQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := g.LargestComponentVertex()
-	res, err := cl.SSSP(dg, src, WithSSSPWire(WireHybrid),
-		WithSSSPChunkWords(4096), WithSSSPFrontierOccupancy(0.05))
+	res, err := cl.SSSP(dg, src, WithWire(WireHybrid),
+		WithChunkWords(4096), WithOccupancy(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 		wireStr  = flag.String("wire", "hybrid", "frontier wire encoding: sparse|dense|auto|hybrid")
 		cores    = flag.Int("cores", 1, "modeled compute cores per node")
 		workers  = flag.Int("workers", 0, "real per-rank worker pool size (0 = -cores)")
-		replicas = flag.Int("replicas", 1, "engine replicas (each a full distributed copy; bounds real concurrency)")
+		replicas = flag.Int("replicas", 1, "engine replicas (each a simulated machine over the one distributed graph; bounds real concurrency)")
 		window   = flag.Duration("window", graphd.DefaultWindow, "batching window (0 disables batching)")
 		batch    = flag.Int("batch", bgl.MaxLanes, "max distinct sources per MultiBFS sweep (<= 64)")
 		maxWait  = flag.Int("max-waiting", 0, "max batched BFS queries awaiting sweeps before 503 (0 = 4x -batch)")

@@ -98,22 +98,8 @@ func (e *engine2D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 	rec.foldWords = fst.RecvWords
 	rec.dups = fst.Dups
 
-	foundTarget := false
 	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
-	for _, gu := range nbar {
-		li := e.st.LocalOf(graph.Vertex(gu))
-		if s.L[li] == graph.Unreached {
-			s.L[li] = s.level + 1
-			next.Add(gu)
-			rec.marked++
-			if e.opts.HasTarget && graph.Vertex(gu) == e.opts.Target {
-				foundTarget = true
-			}
-		}
-	}
-	s.F = next
-	s.level++
+	foundTarget := s.mark(e.opts, e.st.Lo, nbar, &rec)
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget
@@ -136,21 +122,7 @@ func (e *engine1D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 	rec.dups = fst.Dups
 
 	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	foundTarget := false
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
-	for _, gu := range nbar {
-		li := e.st.LocalOf(graph.Vertex(gu))
-		if s.L[li] == graph.Unreached {
-			s.L[li] = s.level + 1
-			next.Add(gu)
-			rec.marked++
-			if e.opts.HasTarget && graph.Vertex(gu) == e.opts.Target {
-				foundTarget = true
-			}
-		}
-	}
-	s.F = next
-	s.level++
+	foundTarget := s.mark(e.opts, e.st.Lo, nbar, &rec)
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget

@@ -42,9 +42,9 @@ type engine1D struct {
 	// (1D stores hold full edge lists, so degrees are local).
 	degTotal    uint64
 	degComputed bool
-	// probes0 is the store's hash-probe counter at run (or restore)
-	// start; probeDelta reports this run's probes against it.
-	probes0 uint64
+	// probes counts this run's hash probes (a restore seeds it with the
+	// checkpointed run's); the store itself is read-only.
+	probes uint64
 	// bins is the per-run scratch of the neighbor merge (see combine.go).
 	bins *setBins
 }
@@ -56,13 +56,9 @@ func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
 	}
 	c.SetCores(opts.Cores)
 	return &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
-		pl: pool.New(opts.Workers), probes0: st.TargetMap.Probes(),
+		pl:   pool.New(opts.Workers),
 		bins: newSetBins(c, g, st.Layout.BlockSize(), st.Layout.OwnedRange)}
 }
-
-// probeDelta returns the hash probes performed since the engine was
-// built, plus any restored pre-checkpoint probes.
-func (e *engine1D) probeDelta() uint64 { return e.st.TargetMap.Probes() - e.probes0 }
 
 func (e *engine1D) newSide(src graph.Vertex) *sideState {
 	s := &sideState{
@@ -125,40 +121,12 @@ func (e *engine1D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
 	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.world, e.st.Layout.OwnedRange, &e.hist)
-	var nbar []uint32
-	var fst collective.Stats
-	switch e.opts.Fold {
-	case FoldDirect:
-		nbar, fst = collective.ReduceScatterUnion(e.c, e.world, o, bins)
-	case FoldTwoPhase:
-		nbar, fst = collective.TwoPhaseFold(e.c, e.world, o, bins)
-	case FoldTwoPhaseNoUnion:
-		o.NoUnion = true
-		nbar, fst = collective.TwoPhaseFold(e.c, e.world, o, bins)
-	case FoldBruck:
-		nbar, fst = collective.ReduceScatterUnionBruck(e.c, e.world, o, bins)
-	default:
-		panic(fmt.Sprintf("bfs: unknown fold algorithm %v", e.opts.Fold))
-	}
+	nbar, fst := syncFold(e.c, e.world, o, e.opts.Fold, bins)
 	rec.foldWords = fst.RecvWords
 	rec.dups = fst.Dups
 
 	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	foundTarget := false
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
-	for _, gu := range nbar {
-		li := e.st.LocalOf(graph.Vertex(gu))
-		if s.L[li] == graph.Unreached {
-			s.L[li] = s.level + 1
-			next.Add(gu)
-			rec.marked++
-			if e.opts.HasTarget && graph.Vertex(gu) == e.opts.Target {
-				foundTarget = true
-			}
-		}
-	}
-	s.F = next
-	s.level++
+	foundTarget := s.mark(e.opts, e.st.Lo, nbar, &rec)
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget
@@ -223,7 +191,7 @@ func Run1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, e
 		recs, s, found, cxl := driveUni(c, e, opts)
 		perRank[c.Rank()] = recs
 		localLevels[c.Rank()] = s.L
-		probes[c.Rank()] = e.probeDelta()
+		probes[c.Rank()] = e.probes
 		cancels[c.Rank()] = cxl
 		if found && c.Rank() == 0 {
 			foundAt = s.level
@@ -286,7 +254,7 @@ func RunBidirectional1D(w *comm.World, stores []*partition.Store1D, opts Options
 		recs, ss, best, cxl := driveBidir(c, e, st, opts)
 		perRank[c.Rank()] = recs
 		localLevels[c.Rank()] = ss.L
-		probes[c.Rank()] = e.probeDelta()
+		probes[c.Rank()] = e.probes
 		cancels[c.Rank()] = cxl
 		if c.Rank() == 0 && best != bidirInf {
 			globalBest = int64(best)

@@ -59,7 +59,7 @@ func RunBidirectional2D(w *comm.World, stores []*partition.Store2D, opts Options
 		recs, ss, best, cxl := driveBidir(c, e, st, opts)
 		perRank[c.Rank()] = recs
 		localLevels[c.Rank()] = ss.L
-		probes[c.Rank()] = e.probeDelta()
+		probes[c.Rank()] = e.probes
 		cancels[c.Rank()] = cxl
 		if c.Rank() == 0 && best != bidirInf {
 			globalBest = int64(best)

@@ -66,69 +66,29 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	unwireBitPieces(e.pl, e.opts, pieces, e.st.Layout.OwnedCount)
 	rec.expandWords = st.RecvWords
 
-	bs := uint32(e.st.Layout.BlockSize())
-	inFrontier := func(u graph.Vertex) bool {
-		r := uint32(u) / bs
-		return frontier.TestBit(pieces[r], uint32(u)-r*bs)
-	}
-
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
+	n := len(s.L)
 	edges := 0
-	foundTarget := false
-	if nc := pool.Chunks(len(s.L), ownedGrain); e.pl.Workers() > 1 && nc > 1 {
-		// Workers write s.L only at chunk-disjoint indices and record the
-		// vertices they labeled; the chunk-ordered replay below rebuilds
-		// the frontier in the serial ascending order.
-		type chunkOut struct {
-			marked []uint32 // local indices, ascending
-			edges  int
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(s.L), ownedGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			for li := lo; li < hi; li++ {
-				if s.L[li] != graph.Unreached {
-					continue
-				}
-				for _, u := range e.st.Neighbors(uint32(li)) {
-					o.edges++
-					if inFrontier(u) {
-						s.L[li] = s.level + 1
-						o.marked = append(o.marked, uint32(li))
-						break
-					}
-				}
-			}
-		})
-		for i := range outs {
-			edges += outs[i].edges
-			for _, li := range outs[i].marked {
-				gv := e.st.GlobalOf(li)
-				next.Add(uint32(gv))
-				rec.marked++
-				if e.opts.HasTarget && gv == e.opts.Target {
-					foundTarget = true
-				}
-			}
-		}
+	if e.pl.Inline(n, ownedGrain) {
+		edges = e.findParents(s, pieces, 0, n)
 	} else {
-		for li := range s.L {
-			if s.L[li] != graph.Unreached {
-				continue
-			}
-			for _, u := range e.st.Neighbors(uint32(li)) {
-				edges++
-				if inFrontier(u) {
-					s.L[li] = s.level + 1
-					gv := e.st.GlobalOf(uint32(li))
-					next.Add(uint32(gv))
-					rec.marked++
-					if e.opts.HasTarget && gv == e.opts.Target {
-						foundTarget = true
-					}
-					break
-				}
-			}
+		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.findParents(s, pieces, lo, hi) }) {
+			edges += c
+		}
+	}
+	// The chunks labeled s.L at disjoint indices; one ascending pass
+	// over the labels builds the frontier in the same order at every
+	// pool size.
+	next := e.opts.newFrontier(e.st.Lo, n)
+	foundTarget := false
+	for li, lv := range s.L {
+		if lv != s.level+1 {
+			continue
+		}
+		gv := e.st.GlobalOf(uint32(li))
+		next.Add(uint32(gv))
+		rec.marked++
+		if e.opts.HasTarget && gv == e.opts.Target {
+			foundTarget = true
 		}
 	}
 	rec.edges = edges
@@ -138,6 +98,28 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget
+}
+
+// findParents is the 1D bottom-up scan's body over the owned vertices
+// [lo, hi): each still-unlabeled one searches its edge list for a parent
+// in the gathered frontier bitmaps and is labeled at the first hit. It
+// returns the edge entries inspected.
+func (e *engine1D) findParents(s *sideState, pieces [][]uint32, lo, hi int) (edges int) {
+	bs := uint32(e.st.Layout.BlockSize())
+	for li := lo; li < hi; li++ {
+		if s.L[li] != graph.Unreached {
+			continue
+		}
+		for _, u := range e.st.Neighbors(uint32(li)) {
+			edges++
+			r := uint32(u) / bs
+			if frontier.TestBit(pieces[r], uint32(u)-r*bs) {
+				s.L[li] = s.level + 1
+				break
+			}
+		}
+	}
+	return edges
 }
 
 // stepBottomUp runs one bottom-up level under the 2D partitioning:
@@ -161,7 +143,6 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := newLevelTimer(e.c)
 	l := e.st.Layout
-	bs := uint32(l.BlockSize())
 	h0 := e.hist
 	// dir is stamped here, not by the caller: the level span closes
 	// inside tm.record with rec.dir as its arg.
@@ -201,62 +182,17 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
 	rec.expandWords = fst.RecvWords + ust.RecvWords
 
-	// My row vertices u satisfy BlockOf(u) mod R == my mesh row, so
-	// their owner sits at row-group index BlockOf(u)/R.
-	inFrontier := func(u graph.Vertex) bool {
-		b := uint32(u) / bs
-		return frontier.TestBit(fPieces[int(b)/l.R], uint32(u)-b*bs)
-	}
-
 	claims := make([][]uint32, l.R)
 	for i := 0; i < l.R; i++ {
 		claims[i] = frontier.NewBits(l.OwnedCount(e.colG.Ranks[i]))
 	}
+	n := len(e.st.ColIds)
 	edges := 0
-	if nc := pool.Chunks(len(e.st.ColIds), ownedGrain); e.pl.Workers() > 1 && nc > 1 {
-		// Distinct column vertices can claim distinct bits of a shared
-		// claims word, so the set must be a CAS; which bits get set is
-		// schedule-independent (each vertex's scan touches only its own
-		// partial list).
-		chunkEdges := make([]int, nc)
-		e.pl.Run(len(e.st.ColIds), ownedGrain, func(ch, lo, hi int) {
-			for ci := lo; ci < hi; ci++ {
-				v := e.st.ColIds[ci]
-				b := uint32(v) / bs
-				m := int(b) % l.R
-				off := uint32(v) - b*bs
-				if !frontier.TestBit(uPieces[m], off) {
-					continue
-				}
-				for _, u := range e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]] {
-					chunkEdges[ch]++
-					if inFrontier(u) {
-						frontier.SetBitAtomic(claims[m], off)
-						break
-					}
-				}
-			}
-		})
-		for _, n := range chunkEdges {
-			edges += n
-		}
+	if e.pl.Inline(n, ownedGrain) {
+		edges = e.claimParents(fPieces, uPieces, claims, 0, n)
 	} else {
-		for ci, v := range e.st.ColIds {
-			// Column vertices v are owned within my processor column, at
-			// column-group index BlockOf(v) mod R.
-			b := uint32(v) / bs
-			m := int(b) % l.R
-			off := uint32(v) - b*bs
-			if !frontier.TestBit(uPieces[m], off) {
-				continue
-			}
-			for _, u := range e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]] {
-				edges++
-				if inFrontier(u) {
-					frontier.SetBit(claims[m], off)
-					break
-				}
-			}
+		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(fPieces, uPieces, claims, lo, hi) }) {
+			edges += c
 		}
 	}
 	rec.edges = edges
@@ -304,4 +240,38 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget
+}
+
+// claimParents is the 2D bottom-up scan's body over the compact columns
+// [lo, hi): each column vertex its owner still holds unlabeled stops at
+// the first frontier parent in its partial list here and claims itself
+// for that owner. Distinct column vertices can claim distinct bits of
+// one claims word from different chunks, so the set is atomic; which
+// bits get set is schedule-independent (each vertex's scan touches only
+// its own partial list). It returns the edge entries inspected.
+func (e *engine2D) claimParents(fPieces, uPieces, claims [][]uint32, lo, hi int) (edges int) {
+	l := e.st.Layout
+	bs := uint32(l.BlockSize())
+	for ci := lo; ci < hi; ci++ {
+		// Column vertices v are owned within my processor column, at
+		// column-group index BlockOf(v) mod R.
+		v := e.st.ColIds[ci]
+		b := uint32(v) / bs
+		m := int(b) % l.R
+		off := uint32(v) - b*bs
+		if !frontier.TestBit(uPieces[m], off) {
+			continue
+		}
+		for _, u := range e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]] {
+			edges++
+			// My row vertices u satisfy BlockOf(u) mod R == my mesh row,
+			// so their owner sits at row-group index BlockOf(u)/R.
+			ub := uint32(u) / bs
+			if frontier.TestBit(fPieces[int(ub)/l.R], uint32(u)-ub*bs) {
+				frontier.SetBitAtomic(claims[m], off)
+				break
+			}
+		}
+	}
+	return edges
 }

@@ -236,19 +236,18 @@ func (e *engine1D) fingerprint() uint64 {
 
 // saveExtra persists the 1D degree-sum cache — it is computed without
 // charges, but restoring it keeps the restored run's reductions
-// byte-identical without rescanning — and the pre-checkpoint hash-probe
-// delta, so the restored Result's HashProbes matches the uninterrupted
-// run.
+// byte-identical without rescanning — and the hash probes so far, so the
+// restored Result's HashProbes matches the uninterrupted run.
 func (e *engine1D) saveExtra(enc *checkpoint.Enc) {
 	enc.Bool(e.degComputed)
 	enc.U64(e.degTotal)
-	enc.U64(e.probeDelta())
+	enc.U64(e.probes)
 }
 
 func (e *engine1D) restoreExtra(dec *checkpoint.Dec) {
 	e.degComputed = dec.Bool()
 	e.degTotal = dec.U64()
-	e.probes0 = e.st.TargetMap.Probes() - dec.U64()
+	e.probes = dec.U64()
 }
 
 func (e *engine2D) fingerprint() uint64 {
@@ -264,12 +263,12 @@ func (e *engine2D) saveExtra(enc *checkpoint.Enc) {
 	if e.deg != nil {
 		enc.Words(e.deg)
 	}
-	enc.U64(e.probeDelta())
+	enc.U64(e.probes)
 }
 
 func (e *engine2D) restoreExtra(dec *checkpoint.Dec) {
 	if dec.Bool() {
 		e.deg = dec.Words()
 	}
-	e.probes0 = e.st.ColMap.Probes() + e.st.RowMap.Probes() - dec.U64()
+	e.probes = dec.U64()
 }

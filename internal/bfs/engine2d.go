@@ -38,9 +38,9 @@ type engine2D struct {
 	// mean no single rank holds a vertex's full degree). Only the
 	// direction-optimizing policy consults it.
 	deg []uint32
-	// probes0 is the stores' combined hash-probe counter at run (or
-	// restore) start; probeDelta reports this run's probes against it.
-	probes0 uint64
+	// probes counts this run's hash probes (a restore seeds it with the
+	// checkpointed run's); the stores themselves are read-only.
+	probes uint64
 	// bins is the per-run scratch of the neighbor merge (see combine.go).
 	bins *setBins
 }
@@ -51,22 +51,15 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 	c.SetCores(opts.Cores)
 	rowG := mesh.RowGroup(c.Rank())
 	return &engine2D{
-		c:       c,
-		st:      st,
-		opts:    opts,
-		model:   c.Model(),
-		colG:    mesh.ColGroup(c.Rank()),
-		rowG:    rowG,
-		pl:      pool.New(opts.Workers),
-		probes0: st.ColMap.Probes() + st.RowMap.Probes(),
-		bins:    newSetBins(c, rowG, l.BlockSize(), l.OwnedRange),
+		c:     c,
+		st:    st,
+		opts:  opts,
+		model: c.Model(),
+		colG:  mesh.ColGroup(c.Rank()),
+		rowG:  rowG,
+		pl:    pool.New(opts.Workers),
+		bins:  newSetBins(c, rowG, l.BlockSize(), l.OwnedRange),
 	}
-}
-
-// probeDelta returns the hash probes performed since the engine was
-// built, plus any restored pre-checkpoint probes.
-func (e *engine2D) probeDelta() uint64 {
-	return e.st.ColMap.Probes() + e.st.RowMap.Probes() - e.probes0
 }
 
 // sideState is the per-side search state (the bi-directional search
@@ -76,6 +69,28 @@ type sideState struct {
 	F     frontier.Frontier // owned vertices labeled in the current level
 	sent  *localindex.Bitset
 	level int32
+}
+
+// mark applies a level's delivery N̄ — owned vertices, ascending, lo
+// the first owned id — to the side: those still unlabeled are labeled
+// level+1 and become the next frontier, and the level advances. It
+// reports whether the target was among the newly labeled.
+func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rankLevel) (foundTarget bool) {
+	next := opts.newFrontier(lo, len(s.L))
+	for _, gu := range nbar {
+		li := gu - uint32(lo)
+		if s.L[li] == graph.Unreached {
+			s.L[li] = s.level + 1
+			next.Add(gu)
+			rec.marked++
+			if opts.HasTarget && graph.Vertex(gu) == opts.Target {
+				foundTarget = true
+			}
+		}
+	}
+	s.F = next
+	s.level++
+	return foundTarget
 }
 
 func (e *engine2D) newSide(src graph.Vertex) *sideState {
@@ -239,91 +254,6 @@ func flatten(parts [][]uint32) []uint32 {
 	return out
 }
 
-// scanPart scans the partial edge lists of one decoded expand part
-// (Algorithm 2 step 12), binning the discovered neighbors by owner mesh
-// column and charging the edge scan and hash probes. It returns the
-// edge entries inspected. The overlapped schedule calls it once per
-// received part as each arrives; the synchronous path once with all of
-// F̄. The bins, sent-cache state, and charges are identical either way
-// (the sent cache admits each row vertex exactly once regardless of
-// scan order, and the bins are sorted sets before they travel).
-func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	l := e.st.Layout
-	scanned := 0
-	var probes uint64
-	if nc := pool.Chunks(len(part), scanGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			bins    [][]uint32
-			scanned int
-			probes  uint64
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(part), scanGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.bins = make([][]uint32, l.C)
-			for _, gv := range part[lo:hi] {
-				ci, ok, cp := e.st.ColMap.GetCounted(gv)
-				o.probes += uint64(cp)
-				if !ok {
-					continue // no partial list here
-				}
-				list := e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]]
-				o.scanned += len(list)
-				for _, u := range list {
-					if s.sent != nil {
-						idx, ok, rp := e.st.RowMap.GetCounted(u)
-						o.probes += uint64(rp)
-						if !ok {
-							panic("bfs: row vertex missing from RowMap")
-						}
-						if s.sent.TestAndSetAtomic(idx) {
-							continue // already sent to its owner once (§2.4.3)
-						}
-					}
-					o.bins[l.ColBlockOf(u)] = append(o.bins[l.ColBlockOf(u)], uint32(u))
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			probes += outs[i].probes
-			for j, b := range outs[i].bins {
-				bins[j] = append(bins[j], b...)
-			}
-		}
-		// Credit the shared counter once. probeDelta sums the ColMap and
-		// RowMap counters, so folding the RowMap probes into the ColMap
-		// tally changes no reported number.
-		e.st.ColMap.AddProbes(probes)
-	} else {
-		colProbes0 := e.st.ColMap.Probes()
-		rowProbes0 := e.st.RowMap.Probes()
-		for _, gv := range part {
-			list := e.st.PartialList(graph.Vertex(gv))
-			scanned += len(list)
-			for _, u := range list {
-				if s.sent != nil {
-					idx, ok := e.st.RowMap.Get(u)
-					if !ok {
-						panic("bfs: row vertex missing from RowMap")
-					}
-					if s.sent.TestAndSet(idx) {
-						continue // already sent to its owner once (§2.4.3)
-					}
-				}
-				bins[l.ColBlockOf(u)] = append(bins[l.ColBlockOf(u)], uint32(u))
-			}
-		}
-		probes = (e.st.ColMap.Probes() - colProbes0) + (e.st.RowMap.Probes() - rowProbes0)
-	}
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
-	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)}, trace.Arg{Key: "probes", Val: int64(probes)})
-	return scanned
-}
-
 // neighbors scans the partial edge lists of F̄ and merges the
 // discovered neighbors into per-destination sorted sets ("merged to
 // form N").
@@ -357,24 +287,23 @@ func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Gr
 	}
 }
 
-// fold delivers the neighbor sets to their owners (Algorithm 2 steps
-// 13–18) using the configured collective, returning the sorted set N̄
+// syncFold delivers the merged neighbor sets to their owners over the
+// fold group g (Algorithm 1 steps 8–13, Algorithm 2 steps 13–18) with the
+// configured phase-synchronous collective, returning the sorted set N̄
 // of owned vertices to mark.
-func (e *engine2D) fold(bins [][]uint32, tag int) ([]uint32, collective.Stats) {
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
-	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.rowG, e.st.Layout.OwnedRange, &e.hist)
-	switch e.opts.Fold {
+func syncFold(c *comm.Comm, g comm.Group, o collective.Opts, alg FoldAlg, bins [][]uint32) ([]uint32, collective.Stats) {
+	switch alg {
 	case FoldDirect:
-		return collective.ReduceScatterUnion(e.c, e.rowG, o, bins)
+		return collective.ReduceScatterUnion(c, g, o, bins)
 	case FoldTwoPhase:
-		return collective.TwoPhaseFold(e.c, e.rowG, o, bins)
+		return collective.TwoPhaseFold(c, g, o, bins)
 	case FoldTwoPhaseNoUnion:
 		o.NoUnion = true
-		return collective.TwoPhaseFold(e.c, e.rowG, o, bins)
+		return collective.TwoPhaseFold(c, g, o, bins)
 	case FoldBruck:
-		return collective.ReduceScatterUnionBruck(e.c, e.rowG, o, bins)
+		return collective.ReduceScatterUnionBruck(c, g, o, bins)
 	default:
-		panic(fmt.Sprintf("bfs: unknown fold algorithm %v", e.opts.Fold))
+		panic(fmt.Sprintf("bfs: unknown fold algorithm %v", alg))
 	}
 }
 
@@ -463,26 +392,14 @@ func (e *engine2D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
 
 	bins, edges := e.neighbors(s, fbar)
 	rec.edges = edges
-	nbar, fst := e.fold(bins, tagBase+1<<24)
+	o := collective.Opts{Tag: tagBase + 1<<24, Chunk: e.opts.ChunkWords}
+	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.rowG, e.st.Layout.OwnedRange, &e.hist)
+	nbar, fst := syncFold(e.c, e.rowG, o, e.opts.Fold, bins)
 	rec.foldWords = fst.RecvWords
 	rec.dups = fst.Dups
 
-	foundTarget := false
 	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
-	for _, gu := range nbar {
-		li := e.st.LocalOf(graph.Vertex(gu))
-		if s.L[li] == graph.Unreached {
-			s.L[li] = s.level + 1
-			next.Add(gu)
-			rec.marked++
-			if e.opts.HasTarget && graph.Vertex(gu) == e.opts.Target {
-				foundTarget = true
-			}
-		}
-	}
-	s.F = next
-	s.level++
+	foundTarget := s.mark(e.opts, e.st.Lo, nbar, &rec)
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget
@@ -531,7 +448,7 @@ func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, e
 		recs, s, found, cxl := driveUni(c, e, opts)
 		perRank[c.Rank()] = recs
 		localLevels[c.Rank()] = s.L
-		probes[c.Rank()] = e.probeDelta()
+		probes[c.Rank()] = e.probes
 		cancels[c.Rank()] = cxl
 		if found && c.Rank() == 0 {
 			foundAt = s.level // target labeled at the last completed level

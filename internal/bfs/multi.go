@@ -292,6 +292,8 @@ type multiEngine2D struct {
 	rowG  comm.Group
 	pl    *pool.Pool
 	hist  frontier.ContainerHist
+	// probes counts this run's hash probes.
+	probes uint64
 	// fold is the row-exchange half of a sweep and its per-run scratch;
 	// sendV/sendM stage the targeted column expand, likewise reused
 	// every sweep.
@@ -502,13 +504,11 @@ func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vert
 	start := time.Now()
 	cancels := make([]*search.Canceled, w.P)
 	comms, err := w.Run(func(c *comm.Comm) {
-		st := stores[c.Rank()]
-		e := newMultiEngine2D(c, st, opts)
-		probes0 := st.ColMap.Probes() + st.RowMap.Probes()
+		e := newMultiEngine2D(c, stores[c.Rank()], opts)
 		recs, s, cxl := multiDrive(c, e, opts, sources)
 		perRank[c.Rank()] = recs
 		laneLevels[c.Rank()] = s.levels
-		probes[c.Rank()] = st.ColMap.Probes() + st.RowMap.Probes() - probes0
+		probes[c.Rank()] = e.probes
 		cancels[c.Rank()] = cxl
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package bfs
 import (
 	"repro/internal/graph"
 	"repro/internal/pool"
+	"repro/internal/trace"
 )
 
 // Intra-rank parallelism grains: pool chunk widths, in loop items, for
@@ -15,205 +16,219 @@ const (
 	ownedGrain = 2048
 )
 
-// scanFrontier merges the frontier's edge lists into the raw per-owner
-// bins (Algorithm 1 steps 7–9) on the worker pool, charging the edge
-// scan and hash probes; the bins are unsorted (the fold paths merge and
-// charge them). Per-chunk bins concatenate in chunk order, so bin
-// contents are identical to the serial scan; with the sent cache the
-// CAS claim order is scheduler-dependent, but each neighbor still lands
+// Every hot loop has one chunk body. It looks vertices up through the
+// side-effect-free Map.GetCounted and claims through the atomic
+// TestAndSetAtomic / SetBitAtomic, so it is the same code whether it runs
+// once over the whole range, appending straight into the destination
+// bins, or per chunk on the pool into staged bins that are appended to
+// the destination in chunk order. On the pool, which worker wins a
+// claimed vertex is scheduler-dependent, but each neighbor still lands
 // in its owner's bin at most once, so the sorted sets the fold moves —
-// and every count — are unchanged.
-func (e *engine1D) scanFrontier(s *sideState) int {
-	l := e.st.Layout
-	bins := e.bins.raw
-	scanned := 0
-	var probes uint64
-	vs := s.F.Vertices()
-	if nc := pool.Chunks(len(vs), scanGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			bins    [][]uint32
-			scanned int
-			probes  uint64
+// and every count — are the same at every pool size.
+
+// scanOut is what a top-down scan produces: the discovered neighbors
+// binned by destination (the lane masks alongside under MultiBFS), the
+// edge entries inspected and the hash probes made.
+type scanOut struct {
+	binV    [][]uint32
+	binM    [][]uint64
+	scanned int
+	probes  uint64
+}
+
+// collect runs body over the chunks of [0, n) on the pool, each chunk
+// into staged bins of its own, and appends those to o in chunk order.
+func (o *scanOut) collect(p *pool.Pool, n int, body func(c *scanOut, lo, hi int)) {
+	nb, masks := len(o.binV), o.binM != nil
+	outs := pool.Collect(p, n, scanGrain, func(c *scanOut, lo, hi int) {
+		c.binV = make([][]uint32, nb)
+		if masks {
+			c.binM = make([][]uint64, nb)
 		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(vs), scanGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.bins = make([][]uint32, len(bins))
-			for _, gv := range vs[lo:hi] {
-				li := e.st.LocalOf(graph.Vertex(gv))
-				adj := e.st.Neighbors(li)
-				o.scanned += len(adj)
-				for _, u := range adj {
-					if s.sent != nil {
-						idx, ok, pr := e.st.TargetMap.GetCounted(u)
-						o.probes += uint64(pr)
-						if !ok {
-							panic("bfs: neighbor missing from TargetMap")
-						}
-						if s.sent.TestAndSetAtomic(idx) {
-							continue // already sent to its owner once (§2.4.3)
-						}
-					}
-					o.bins[l.OwnerRank(u)] = append(o.bins[l.OwnerRank(u)], uint32(u))
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			probes += outs[i].probes
-			for q, b := range outs[i].bins {
-				bins[q] = append(bins[q], b...)
-			}
+		body(c, lo, hi)
+	})
+	for i := range outs {
+		c := &outs[i]
+		o.scanned += c.scanned
+		o.probes += c.probes
+		for q := range c.binV {
+			o.binV[q] = append(o.binV[q], c.binV[q]...)
 		}
-		e.st.TargetMap.AddProbes(probes)
-	} else {
-		probes0 := e.st.TargetMap.Probes()
-		for _, gv := range vs {
-			li := e.st.LocalOf(graph.Vertex(gv))
-			adj := e.st.Neighbors(li)
-			scanned += len(adj)
-			for _, u := range adj {
-				if s.sent != nil {
-					idx, ok := e.st.TargetMap.Get(u)
-					if !ok {
-						panic("bfs: neighbor missing from TargetMap")
-					}
-					if s.sent.TestAndSet(idx) {
-						continue // already sent to its owner once (§2.4.3)
-					}
-				}
-				bins[l.OwnerRank(u)] = append(bins[l.OwnerRank(u)], uint32(u))
-			}
+		for q := range c.binM {
+			o.binM[q] = append(o.binM[q], c.binM[q]...)
 		}
-		probes = e.st.TargetMap.Probes() - probes0
 	}
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
-	return scanned
+}
+
+// scanFrontier merges the frontier's edge lists into the raw per-owner
+// bins (Algorithm 1 steps 7–9), charging the edge scan and hash probes;
+// the bins are unsorted (the fold paths merge and charge them).
+func (e *engine1D) scanFrontier(s *sideState) int {
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
+	vs := s.F.Vertices()
+	out := scanOut{binV: e.bins.raw}
+	if e.pl.Inline(len(vs), scanGrain) {
+		e.scanChunk(s, vs, &out)
+	} else {
+		out.collect(e.pl, len(vs), func(c *scanOut, lo, hi int) { e.scanChunk(s, vs[lo:hi], c) })
+	}
+	e.probes += out.probes
+	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
+	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})
+	return out.scanned
+}
+
+// scanChunk is scanFrontier's body over the frontier vertices vs.
+func (e *engine1D) scanChunk(s *sideState, vs []uint32, o *scanOut) {
+	l := e.st.Layout
+	for _, gv := range vs {
+		adj := e.st.Neighbors(e.st.LocalOf(graph.Vertex(gv)))
+		o.scanned += len(adj)
+		for _, u := range adj {
+			if s.sent != nil {
+				idx, ok, pr := e.st.TargetMap.GetCounted(u)
+				o.probes += uint64(pr)
+				if !ok {
+					panic("bfs: neighbor missing from TargetMap")
+				}
+				if s.sent.TestAndSetAtomic(idx) {
+					continue // already sent to its owner once (§2.4.3)
+				}
+			}
+			q := l.OwnerRank(u)
+			o.binV[q] = append(o.binV[q], uint32(u))
+		}
+	}
+}
+
+// scanPart scans the partial edge lists of one decoded expand part
+// (Algorithm 2 step 12), binning the discovered neighbors by owner mesh
+// column and charging the edge scan and hash probes. It returns the
+// edge entries inspected. The overlapped schedule calls it once per
+// received part as each arrives; the synchronous path once with all of
+// F̄. The bins, sent-cache state, and charges are identical either way
+// (the sent cache admits each row vertex exactly once regardless of
+// scan order, and the bins are sorted sets before they travel).
+func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
+	out := scanOut{binV: bins}
+	if e.pl.Inline(len(part), scanGrain) {
+		e.scanChunk(s, part, &out)
+	} else {
+		out.collect(e.pl, len(part), func(c *scanOut, lo, hi int) { e.scanChunk(s, part[lo:hi], c) })
+	}
+	e.probes += out.probes
+	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
+	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})
+	return out.scanned
+}
+
+// scanChunk is scanPart's body over the received frontier vertices part.
+func (e *engine2D) scanChunk(s *sideState, part []uint32, o *scanOut) {
+	l := e.st.Layout
+	for _, gv := range part {
+		ci, ok, cp := e.st.ColMap.GetCounted(gv)
+		o.probes += uint64(cp)
+		if !ok {
+			continue // no partial list here
+		}
+		list := e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]]
+		o.scanned += len(list)
+		for _, u := range list {
+			if s.sent != nil {
+				idx, ok, rp := e.st.RowMap.GetCounted(u)
+				o.probes += uint64(rp)
+				if !ok {
+					panic("bfs: row vertex missing from RowMap")
+				}
+				if s.sent.TestAndSetAtomic(idx) {
+					continue // already sent to its owner once (§2.4.3)
+				}
+			}
+			j := l.ColBlockOf(u)
+			o.binV[j] = append(o.binV[j], uint32(u))
+		}
+	}
 }
 
 // scanLanes scans the partial edge lists of one decoded (vertex, mask)
-// batch on the worker pool, appending discovered (neighbor, mask) pairs
-// to the per-column bins in chunk order, and charges the pair handling,
-// edge scan, and hash probes. Both the synchronous and overlapped 2D
-// sweeps call it once per arrived part.
+// batch, appending discovered (neighbor, mask) pairs to the per-column
+// bins, and charges the pair handling, edge scan, and hash probes. Both
+// the synchronous and overlapped 2D sweeps call it once per arrived
+// part.
 func (e *multiEngine2D) scanLanes(avs []uint32, ams []uint64, binV [][]uint32, binM [][]uint64) int {
-	l := e.st.Layout
-	scanned := 0
-	var probes uint64
-	if nc := pool.Chunks(len(avs), scanGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			binV    [][]uint32
-			binM    [][]uint64
-			scanned int
-			probes  uint64
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(avs), scanGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.binV = make([][]uint32, l.C)
-			o.binM = make([][]uint64, l.C)
-			for idx := lo; idx < hi; idx++ {
-				ci, ok, pr := e.st.ColMap.GetCounted(avs[idx])
-				o.probes += uint64(pr)
-				if !ok {
-					continue // no partial list here (possible only locally)
-				}
-				mask := ams[idx]
-				for i := e.st.Off[ci]; i < e.st.Off[ci+1]; i++ {
-					o.scanned++
-					u := e.st.Rows[i]
-					j := l.ColBlockOf(u)
-					o.binV[j] = append(o.binV[j], uint32(u))
-					o.binM[j] = append(o.binM[j], mask)
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			probes += outs[i].probes
-			for j := range outs[i].binV {
-				binV[j] = append(binV[j], outs[i].binV[j]...)
-				binM[j] = append(binM[j], outs[i].binM[j]...)
-			}
-		}
-		e.st.ColMap.AddProbes(probes)
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
+	out := scanOut{binV: binV, binM: binM}
+	if e.pl.Inline(len(avs), scanGrain) {
+		e.scanChunk(avs, ams, &out)
 	} else {
-		p0 := e.st.ColMap.Probes()
-		for idx, gv := range avs {
-			ci, ok := e.st.ColMap.Get(gv)
-			if !ok {
-				continue // no partial list here (possible only locally)
-			}
-			mask := ams[idx]
-			for i := e.st.Off[ci]; i < e.st.Off[ci+1]; i++ {
-				scanned++
-				u := e.st.Rows[i]
-				j := l.ColBlockOf(u)
-				binV[j] = append(binV[j], uint32(u))
-				binM[j] = append(binM[j], mask)
-			}
-		}
-		probes = e.st.ColMap.Probes() - p0
+		out.collect(e.pl, len(avs), func(c *scanOut, lo, hi int) { e.scanChunk(avs[lo:hi], ams[lo:hi], c) })
 	}
+	e.probes += out.probes
 	e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
-	return scanned
+	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
+	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})
+	return out.scanned
+}
+
+// scanChunk is the 2D scanLanes body over the arrived pairs (avs, ams).
+func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, o *scanOut) {
+	l := e.st.Layout
+	for idx, gv := range avs {
+		ci, ok, pr := e.st.ColMap.GetCounted(gv)
+		o.probes += uint64(pr)
+		if !ok {
+			continue // no partial list here (possible only locally)
+		}
+		mask := ams[idx]
+		list := e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]]
+		o.scanned += len(list)
+		for _, u := range list {
+			j := l.ColBlockOf(u)
+			o.binV[j] = append(o.binV[j], uint32(u))
+			o.binM[j] = append(o.binM[j], mask)
+		}
+	}
 }
 
 // scanLanes merges the frontier's full edge lists into the fold's
-// per-owner (neighbor, mask) bins on the worker pool — the 1D sweep's
-// local scan, identical between the synchronous and overlapped
-// schedules — and charges the edge scan.
-func (e *multiEngine1D) scanLanes(s *multiState) (scanned int) {
-	l := e.st.Layout
-	p := e.world.Size()
+// per-owner (neighbor, mask) bins — the 1D sweep's local scan, identical
+// between the synchronous and overlapped schedules — and charges the
+// edge scan.
+func (e *multiEngine1D) scanLanes(s *multiState) int {
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
 	binV, binM := e.fold.reset()
 	vs := s.F.Vertices()
-	if nc := pool.Chunks(len(vs), scanGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			binV    [][]uint32
-			binM    [][]uint64
-			scanned int
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(vs), scanGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.binV = make([][]uint32, p)
-			o.binM = make([][]uint64, p)
-			for _, gv := range vs[lo:hi] {
-				li := e.st.LocalOf(graph.Vertex(gv))
-				m := s.fmask[li]
-				adj := e.st.Neighbors(li)
-				o.scanned += len(adj)
-				for _, u := range adj {
-					q := l.OwnerRank(u)
-					o.binV[q] = append(o.binV[q], uint32(u))
-					o.binM[q] = append(o.binM[q], m)
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			for q := range outs[i].binV {
-				binV[q] = append(binV[q], outs[i].binV[q]...)
-				binM[q] = append(binM[q], outs[i].binM[q]...)
-			}
-		}
+	out := scanOut{binV: binV, binM: binM}
+	if e.pl.Inline(len(vs), scanGrain) {
+		e.scanChunk(s, vs, &out)
 	} else {
-		for _, gv := range vs {
-			li := e.st.LocalOf(graph.Vertex(gv))
-			m := s.fmask[li]
-			adj := e.st.Neighbors(li)
-			scanned += len(adj)
-			for _, u := range adj {
-				q := l.OwnerRank(u)
-				binV[q] = append(binV[q], uint32(u))
-				binM[q] = append(binM[q], m)
-			}
+		out.collect(e.pl, len(vs), func(c *scanOut, lo, hi int) { e.scanChunk(s, vs[lo:hi], c) })
+	}
+	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)})
+	return out.scanned
+}
+
+// scanChunk is the 1D scanLanes body over the frontier vertices vs.
+func (e *multiEngine1D) scanChunk(s *multiState, vs []uint32, o *scanOut) {
+	l := e.st.Layout
+	for _, gv := range vs {
+		li := e.st.LocalOf(graph.Vertex(gv))
+		m := s.fmask[li]
+		adj := e.st.Neighbors(li)
+		o.scanned += len(adj)
+		for _, u := range adj {
+			q := l.OwnerRank(u)
+			o.binV[q] = append(o.binV[q], uint32(u))
+			o.binM[q] = append(o.binM[q], m)
 		}
 	}
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	return scanned
 }

@@ -177,6 +177,92 @@ func TestChaosPanicQuarantineRebuild(t *testing.T) {
 	}
 }
 
+// TestReplicasShareOneDistGraph: a server distributes its graph exactly
+// once. Its 4 engines are machines of their own and nothing more — the
+// one *DistGraph is the server's — and after a panic the supervisor
+// builds a fresh machine while the DistGraph stays the very same one
+// (Distribute would have returned another), yet the rebuilt replica
+// answers oracle-correct on its own.
+func TestReplicasShareOneDistGraph(t *testing.T) {
+	g := testGraph(t, 400)
+	s := newTestServer(t, g, func(c *Config) {
+		c.Replicas = 4
+		c.ChaosPanicSweep = 1
+		c.RebuildBackoff = 10 * time.Millisecond
+	})
+	_, cl := startHTTP(t, s)
+
+	// borrow empties the idle pool.
+	borrow := func() []*engine {
+		es := make([]*engine, 4)
+		for i := range es {
+			es[i] = <-s.engines
+		}
+		return es
+	}
+
+	dg := s.dg
+	if dg == nil {
+		t.Fatal("the server holds no distributed graph")
+	}
+	before := borrow()
+	machines := map[*bgl.Cluster]bool{}
+	for _, e := range before {
+		machines[e.cl] = true
+	}
+	if len(machines) != 4 {
+		t.Fatalf("4 replicas run on %d distinct machines", len(machines))
+	}
+	for _, e := range before {
+		s.engines <- e
+	}
+
+	// The armed first sweep kills its replica; the query retries on a
+	// healthy one. Then wait for the supervisor.
+	if _, err := cl.BFS(BFSRequest{Source: intp(3)}); err != nil {
+		t.Fatalf("bfs riding the chaos sweep: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if st := s.Stats(); st.Replicas.Rebuilds >= 1 && st.Replicas.Live == 4 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("replica never rebuilt: %+v", st.Replicas)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if s.dg != dg {
+		t.Fatalf("after the rebuild the server searches DistGraph %p, not the original %p", s.dg, dg)
+	}
+	after := borrow()
+	var rebuilt *engine
+	for _, e := range after {
+		if !machines[e.cl] {
+			rebuilt = e
+		}
+	}
+	if rebuilt == nil {
+		t.Fatal("no replica runs on a fresh machine after the rebuild")
+	}
+	// Only the rebuilt replica is in the pool for this query.
+	s.engines <- rebuilt
+	res, err := cl.BFS(BFSRequest{Source: intp(5), Levels: true})
+	if err != nil {
+		t.Fatalf("bfs on the rebuilt replica: %v", err)
+	}
+	for v, want := range g.SerialBFS(5) {
+		if res.Levels[v] != want {
+			t.Fatalf("levels[%d] = %d on the rebuilt replica, oracle %d", v, res.Levels[v], want)
+		}
+	}
+	for _, e := range after {
+		if e != rebuilt {
+			s.engines <- e
+		}
+	}
+}
+
 // TestFaultInjectedServing: under the canned fault plan every answer
 // still matches the serial oracle (the transport recovery protocol
 // absorbs the faults) and the injected-fault counters surface in

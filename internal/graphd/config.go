@@ -45,11 +45,10 @@ type Config struct {
 	// defaults (single core, inline loops).
 	Cores, Workers int
 
-	// Replicas is the number of independent engine copies (each a full
-	// Cluster + DistGraph, distributed at startup). One engine runs one
-	// sweep or query at a time, so replicas bound the service's real
-	// execution concurrency — at the price of replicating the stores.
-	// Default 1.
+	// Replicas is the number of engines: each a simulated machine of its
+	// own (a Cluster) over the one DistGraph distributed at startup. One
+	// engine runs one sweep or query at a time, so replicas bound the
+	// service's real execution concurrency. Default 1.
 	Replicas int
 
 	// Window is how long the batcher holds the first query of a batch
@@ -193,40 +192,40 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// engine is one independent copy of the simulated machine with the
-// graph distributed over it. An engine runs one sweep or query at a
-// time (the ranks share mailboxes), so the server keeps engines in a
-// pool and callers borrow one per run. idx names the replica slot for
-// quarantine accounting and rebuild logs.
+// engine is one simulated machine. An engine runs one sweep or query at
+// a time (the ranks share mailboxes), so the server keeps engines in a
+// pool and callers borrow one per run; the distributed graph's stores
+// are read-only, so every engine searches the server's one DistGraph.
+// idx names the replica slot for quarantine accounting and rebuild logs.
 type engine struct {
 	idx int
 	cl  *bgl.Cluster
-	dg  *bgl.DistGraph
 }
 
-// buildEngine distributes the graph for replica slot i. The supervisor
-// calls it again when rebuilding a quarantined replica.
-func buildEngine(cfg Config, i int) (*engine, error) {
+// newEngine builds the simulated machine of replica slot i. The
+// supervisor calls it again to replace a quarantined replica.
+func newEngine(cfg Config, i int) (*engine, error) {
 	cl, err := bgl.NewCluster(bgl.ClusterConfig{R: cfg.R, C: cfg.C})
 	if err != nil {
 		return nil, fmt.Errorf("graphd: building replica %d: %w", i, err)
 	}
-	dg, err := cl.Distribute(cfg.Graph, bgl.WithPartition(cfg.Partition))
-	if err != nil {
-		return nil, fmt.Errorf("graphd: distributing replica %d: %w", i, err)
-	}
-	return &engine{idx: i, cl: cl, dg: dg}, nil
+	return &engine{idx: i, cl: cl}, nil
 }
 
-// buildEngines distributes the graph cfg.Replicas times.
-func buildEngines(cfg Config) ([]*engine, error) {
-	engines := make([]*engine, 0, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		e, err := buildEngine(cfg, i)
+// buildEngines builds cfg.Replicas engines and distributes the graph —
+// once — for all of them to search.
+func buildEngines(cfg Config) ([]*engine, *bgl.DistGraph, error) {
+	engines := make([]*engine, cfg.Replicas)
+	for i := range engines {
+		e, err := newEngine(cfg, i)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		engines = append(engines, e)
+		engines[i] = e
 	}
-	return engines, nil
+	dg, err := engines[0].cl.Distribute(cfg.Graph, bgl.WithPartition(cfg.Partition))
+	if err != nil {
+		return nil, nil, fmt.Errorf("graphd: distributing the graph: %w", err)
+	}
+	return engines, dg, nil
 }

@@ -15,9 +15,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Server is a graphd instance: the graph distributed over a pool of
-// engine replicas, the dynamic batcher in front of them, the bounded
-// worker queue for non-batchable queries, and the HTTP surface.
+// Server is a graphd instance: the graph distributed once, a pool of
+// engine replicas searching it, the dynamic batcher in front of them,
+// the bounded worker queue for non-batchable queries, and the HTTP
+// surface.
 //
 //	POST /v1/bfs    single-source BFS (batched into MultiBFS sweeps)
 //	POST /v1/path   shortest path s→t (worker queue)
@@ -26,7 +27,9 @@ import (
 //	GET  /metrics   the metrics registry (text; ?format=json for JSON)
 //	GET  /healthz   liveness (503 while draining)
 type Server struct {
-	cfg     Config
+	cfg Config
+	// dg is the distributed graph, which every engine searches.
+	dg      *bgl.DistGraph
 	engines chan *engine
 	batcher *batcher
 	reg     *metrics.Registry
@@ -69,8 +72,8 @@ type Server struct {
 	hLatency           *metrics.Histogram
 }
 
-// NewServer validates cfg, distributes the graph over cfg.Replicas
-// engine copies, and returns a ready (but not yet listening) server;
+// NewServer validates cfg, distributes the graph, builds cfg.Replicas
+// engines over it, and returns a ready (but not yet listening) server;
 // mount Handler on any http.Server. Configuration the library cannot
 // lay out — a mesh with more ranks than the graph has vertices, an
 // unknown partitioning — returns the library's own descriptive error.
@@ -79,12 +82,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	engines, err := buildEngines(cfg)
+	engines, dg, err := buildEngines(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:     cfg,
+		dg:      dg,
 		engines: make(chan *engine, len(engines)),
 		reg:     cfg.Metrics,
 		start:   time.Now(),
@@ -300,8 +304,9 @@ func (s *Server) quarantineEngine(e *engine) {
 }
 
 // rebuildReplica is the supervisor loop for one quarantined slot: wait
-// a backoff, rebuild the engine from the config, return it to the
-// pool. Build failures double the backoff up to RebuildBackoffMax.
+// a backoff, build a fresh machine over the same distributed graph —
+// nothing is re-partitioned — and return it to the pool. Build failures
+// double the backoff up to RebuildBackoffMax.
 // When the server begins draining mid-backoff the loop makes one final
 // immediate attempt — an in-flight query blocked on the pool may need
 // the replacement to finish — then gives up.
@@ -312,12 +317,12 @@ func (s *Server) rebuildReplica(idx int) {
 		select {
 		case <-time.After(backoff):
 		case <-s.stopCh:
-			if e, err := buildEngine(s.cfg, idx); err == nil {
+			if e, err := newEngine(s.cfg, idx); err == nil {
 				s.restoreEngine(e)
 			}
 			return
 		}
-		e, err := buildEngine(s.cfg, idx)
+		e, err := newEngine(s.cfg, idx)
 		if err == nil {
 			s.restoreEngine(e)
 			return
@@ -379,7 +384,7 @@ func (s *Server) trySweep(sources []bgl.Vertex, deadline time.Time, hostile bool
 			opts = append(opts, bgl.WithFault(bgl.HostileFaultPlan(uint64(e.idx)+1)))
 		}
 		if len(sources) == 1 {
-			res, err := e.cl.BFS(e.dg, sources[0], opts...)
+			res, err := e.cl.BFS(s.dg, sources[0], opts...)
 			if res != nil {
 				s.recordFaults(res.Faults)
 				levels = [][]int32{res.Levels}
@@ -392,7 +397,7 @@ func (s *Server) trySweep(sources []bgl.Vertex, deadline time.Time, hostile bool
 			}
 			return err
 		}
-		mres, err := e.cl.MultiBFS(e.dg, sources, opts...)
+		mres, err := e.cl.MultiBFS(s.dg, sources, opts...)
 		if mres != nil {
 			s.recordFaults(mres.Faults)
 			levels = mres.LaneLevels
@@ -632,7 +637,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	ok = s.submitWork(func() {
 		var o out
 		s.runEngine(func(e *engine) error {
-			p, res, err := e.cl.Path(e.dg, src, tgt, s.searchOpts(s.deadlineOpts(deadline)...)...)
+			p, res, err := e.cl.Path(s.dg, src, tgt, s.searchOpts(s.deadlineOpts(deadline)...)...)
 			if res == nil {
 				// No result at all: the run itself died (rank panic,
 				// exhausted retry budget) — let runEngine quarantine.
@@ -740,7 +745,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	ok = s.submitWork(func() {
 		var o out
 		s.runEngine(func(e *engine) error {
-			res, err := e.cl.SSSP(e.dg, src, s.searchOpts(append(s.deadlineOpts(deadline), bgl.WithDelta(req.Delta))...)...)
+			res, err := e.cl.SSSP(s.dg, src, s.searchOpts(append(s.deadlineOpts(deadline), bgl.WithDelta(req.Delta))...)...)
 			if res == nil {
 				o = out{err: err}
 				return err

@@ -40,9 +40,9 @@ func (b *Bitset) TestAndSet(i uint32) bool {
 
 // TestAndSetAtomic is TestAndSet via compare-and-swap, safe for
 // concurrent claimants: exactly one caller per bit observes false. The
-// sent-neighbor cache uses it under the worker pool — which worker wins
-// a vertex is scheduler-dependent, but the set of claimed bits (and
-// everything downstream of the sorted merge) is not.
+// sent-neighbor cache always claims through it — on the worker pool,
+// which worker wins a vertex is scheduler-dependent, but the set of
+// claimed bits (and everything downstream of the sorted merge) is not.
 func (b *Bitset) TestAndSetAtomic(i uint32) bool {
 	p := &b.words[i>>6]
 	m := uint64(1) << (i & 63)

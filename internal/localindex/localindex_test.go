@@ -67,14 +67,49 @@ func TestMapGetOrPut(t *testing.T) {
 	}
 }
 
-func TestMapProbesMonotone(t *testing.T) {
+// GetCounted's probe count is what the searches charge HashCost for:
+// one slot inspection for a key at its home slot or a miss on an empty
+// home slot, one more per occupied slot walked past.
+func TestGetCountedProbes(t *testing.T) {
 	m := NewMap(8)
-	before := m.Probes()
-	m.Put(1, 1)
-	m.Get(1)
-	m.Get(2)
-	if m.Probes() <= before {
-		t.Fatal("probe counter did not advance")
+	// Four keys sharing one home slot: three form a chain, the fourth
+	// is looked up absent and walks the whole chain to the empty slot.
+	var chain []uint32
+	for k := uint32(1); len(chain) < 4; k++ {
+		if hash32(k)&m.mask == hash32(1)&m.mask {
+			chain = append(chain, k)
+		}
+	}
+	for i, k := range chain[:3] {
+		m.Put(k, uint32(i))
+	}
+	// A key whose home slot nothing occupies or runs into.
+	var lone uint32
+	for k := uint32(2); ; k++ {
+		if home := hash32(k) & m.mask; !m.isUsed(home) {
+			lone = k
+			break
+		}
+	}
+	cases := []struct {
+		name   string
+		key    uint32
+		val    uint32
+		ok     bool
+		probes int
+	}{
+		{"hit at the home slot", chain[0], 0, true, 1},
+		{"hit one slot down the chain", chain[1], 1, true, 2},
+		{"hit at the end of the chain", chain[2], 2, true, 3},
+		{"miss after walking the chain", chain[3], 0, false, 4},
+		{"miss on an empty home slot", lone, 0, false, 1},
+	}
+	for _, c := range cases {
+		val, ok, probes := m.GetCounted(c.key)
+		if val != c.val || ok != c.ok || probes != c.probes {
+			t.Errorf("%s: GetCounted(%d) = (%d, %v, %d probes), want (%d, %v, %d probes)",
+				c.name, c.key, val, ok, probes, c.val, c.ok, c.probes)
+		}
 	}
 }
 

@@ -12,16 +12,17 @@ import "math/bits"
 // Map is an open-addressing hash map from uint32 keys to uint32 values
 // with linear probing. The zero value is not usable; call NewMap. A key
 // may be inserted at most once (Put of an existing key overwrites).
+// Lookups write nothing, so a built map serves any number of concurrent
+// readers; the searches count their own probes (GetCounted).
 //
 // The sentinel empty slot is encoded in a separate occupancy bitmap so
 // that all 2^32 keys, including 0, are valid.
 type Map struct {
-	keys   []uint32
-	vals   []uint32
-	used   []uint64 // occupancy bitmap, 1 bit per slot
-	mask   uint32
-	n      int
-	probes uint64 // cumulative probe count, for the cost model
+	keys []uint32
+	vals []uint32
+	used []uint64 // occupancy bitmap, 1 bit per slot
+	mask uint32
+	n    int
 }
 
 // NewMap returns a map pre-sized for n entries.
@@ -54,11 +55,6 @@ func (m *Map) setUsed(i uint32)     { m.used[i>>6] |= 1 << (i & 63) }
 // Len returns the number of entries.
 func (m *Map) Len() int { return m.n }
 
-// Probes returns the cumulative number of slot inspections performed by
-// Put and Get since creation. The BFS charges CostModel.HashCost per
-// probe.
-func (m *Map) Probes() uint64 { return m.probes }
-
 // Put inserts or overwrites key -> val.
 func (m *Map) Put(key, val uint32) {
 	if m.n*2 >= len(m.keys) {
@@ -66,7 +62,6 @@ func (m *Map) Put(key, val uint32) {
 	}
 	i := hash32(key) & m.mask
 	for {
-		m.probes++
 		if !m.isUsed(i) {
 			m.keys[i] = key
 			m.vals[i] = val
@@ -84,24 +79,13 @@ func (m *Map) Put(key, val uint32) {
 
 // Get returns the value for key and whether it is present.
 func (m *Map) Get(key uint32) (uint32, bool) {
-	i := hash32(key) & m.mask
-	for {
-		m.probes++
-		if !m.isUsed(i) {
-			return 0, false
-		}
-		if m.keys[i] == key {
-			return m.vals[i], true
-		}
-		i = (i + 1) & m.mask
-	}
+	val, ok, _ := m.GetCounted(key)
+	return val, ok
 }
 
-// GetCounted is Get without the shared probe counter: it returns the
-// number of slot inspections this lookup performed so that parallel
-// scans can tally probes per worker chunk and credit the map once via
-// AddProbes after the merge. Get itself mutates m.probes and is NOT
-// safe for concurrent use.
+// GetCounted is Get that also returns the number of slot inspections the
+// lookup performed. The searches charge CostModel.HashCost per probe, so
+// every hot scan looks up through it and keeps its own tally.
 func (m *Map) GetCounted(key uint32) (val uint32, ok bool, probes int) {
 	i := hash32(key) & m.mask
 	for {
@@ -115,11 +99,6 @@ func (m *Map) GetCounted(key uint32) (val uint32, ok bool, probes int) {
 		i = (i + 1) & m.mask
 	}
 }
-
-// AddProbes credits n slot inspections to the cumulative probe counter,
-// pairing with GetCounted. Call it from one goroutine only, after the
-// parallel section has joined.
-func (m *Map) AddProbes(n uint64) { m.probes += n }
 
 // GetOrPut returns the existing value for key, or inserts next() and
 // returns it. Used to build compact indices while streaming edges.

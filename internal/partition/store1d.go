@@ -8,7 +8,7 @@ import (
 // Store1D is one rank's storage under the 1D partitioning: a local CSR
 // over its owned vertices with global target ids, plus the compact
 // mapping over all vertices appearing in local edge lists (for the
-// sent-neighbors cache, §2.4.3).
+// sent-neighbors cache, §2.4.3). Like Store2D it is immutable once built.
 type Store1D struct {
 	Layout *Layout1D
 	Rank   int

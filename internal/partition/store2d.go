@@ -13,6 +13,9 @@ import (
 // distinct vertices appearing in any local list. These are the second
 // and third global→local mappings of §2.4.2 (the first — owned
 // vertices — is plain block arithmetic).
+//
+// A store is immutable once Build2D returns: searches only read it, so
+// any number of worlds can run over one set of stores at the same time.
 type Store2D struct {
 	Layout *Layout2D
 	Rank   int
@@ -51,8 +54,7 @@ func (s *Store2D) LocalOf(v graph.Vertex) uint32 { return uint32(v - s.Lo) }
 func (s *Store2D) GlobalOf(i uint32) graph.Vertex { return s.Lo + graph.Vertex(i) }
 
 // PartialList returns the partial edge list stored on this rank for
-// global vertex v, or nil if empty. The probe cost is visible through
-// ColMap.Probes for the cost model.
+// global vertex v, or nil if empty.
 func (s *Store2D) PartialList(v graph.Vertex) []graph.Vertex {
 	idx, ok := s.ColMap.Get(v)
 	if !ok {

@@ -4,11 +4,16 @@
 // Δ-stepping relaxations — over fixed-width chunks of an index range.
 //
 // The determinism contract: chunk boundaries depend only on (n, grain),
-// never on the worker count or the scheduler, so callers that collect
-// per-chunk outputs and concatenate them in chunk order reproduce the
-// serial loop's output byte for byte. Workers claim chunks dynamically
-// (an atomic counter), which balances skewed edge lists without
-// affecting the merge order.
+// never on the worker count or the scheduler, so per-chunk outputs
+// concatenated in chunk order are what one pass over [0, n) appends.
+// Workers claim chunks dynamically (an atomic counter), which balances
+// skewed edge lists without affecting the merge order.
+//
+// Every engine loop is written once, as a chunk body over [lo, hi):
+// where Inline holds the engine calls it once over the whole range,
+// appending straight into its destination; otherwise Collect runs it per
+// chunk, each into an output of its own, and the engine merges those in
+// chunk order.
 package pool
 
 import (
@@ -18,8 +23,7 @@ import (
 
 // Pool schedules chunked loops over a fixed number of workers. The nil
 // pool and any pool with one worker run every chunk inline on the
-// caller's goroutine, spawning nothing — that is the serial engine,
-// byte for byte.
+// caller's goroutine, spawning nothing.
 type Pool struct {
 	workers int
 }
@@ -51,6 +55,22 @@ func Chunks(n, grain int) int {
 		grain = 1
 	}
 	return (n + grain - 1) / grain
+}
+
+// Inline reports whether a loop over n items at the given grain stays
+// on the caller's goroutine — one worker, or at most one chunk — so
+// that staging per-chunk outputs would buy nothing.
+func (p *Pool) Inline(n, grain int) bool {
+	return p.Workers() <= 1 || Chunks(n, grain) <= 1
+}
+
+// Collect runs body once per chunk of [0, n) on the pool, each call
+// filling the zero-valued output of its chunk, and returns the outputs
+// in chunk order.
+func Collect[T any](p *Pool, n, grain int, body func(out *T, lo, hi int)) []T {
+	outs := make([]T, Chunks(n, grain))
+	p.Run(n, grain, func(chunk, lo, hi int) { body(&outs[chunk], lo, hi) })
+	return outs
 }
 
 // Run partitions [0, n) into chunks of grain items and calls

@@ -110,3 +110,41 @@ func TestChunksEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// Collect hands every chunk its own zero-valued output and returns them
+// in chunk order at every worker count; Inline is true exactly when the
+// loop would not leave the caller's goroutine.
+func TestCollectAndInline(t *testing.T) {
+	const n, grain = 1000, 64
+	type out struct{ lo, hi int }
+	for _, workers := range []int{1, 2, 8} {
+		outs := Collect(New(workers), n, grain, func(o *out, lo, hi int) {
+			if *o != (out{}) {
+				t.Errorf("workers=%d: chunk at %d started from a used output %v", workers, lo, *o)
+			}
+			*o = out{lo, hi}
+		})
+		if len(outs) != Chunks(n, grain) {
+			t.Fatalf("workers=%d: %d outputs, want %d", workers, len(outs), Chunks(n, grain))
+		}
+		for c, o := range outs {
+			if want := (out{c * grain, min((c+1)*grain, n)}); o != want {
+				t.Fatalf("workers=%d: output %d = %v, want %v", workers, c, o, want)
+			}
+		}
+	}
+	var nilPool *Pool
+	cases := []struct {
+		p        *Pool
+		n, grain int
+		want     bool
+	}{
+		{nilPool, 1000, 64, true}, {New(1), 1000, 64, true},
+		{New(4), 64, 64, true}, {New(4), 0, 64, true}, {New(4), 65, 64, false},
+	}
+	for _, c := range cases {
+		if got := c.p.Inline(c.n, c.grain); got != c.want {
+			t.Errorf("workers=%d Inline(%d, %d) = %v, want %v", c.p.Workers(), c.n, c.grain, got, c.want)
+		}
+	}
+}

@@ -11,168 +11,128 @@ import (
 // length (see internal/pool), so per-chunk request bins concatenate in
 // a worker-count-independent order; the downstream min-merge is
 // order-insensitive anyway, making the delivered request sets — and
-// every count — bit-identical to the serial scan.
+// every count — the same at every pool size.
 const relaxGrain = 512
 
-// relaxScan relaxes one class of edges out of the active owned
-// vertices on the worker pool, binning the (neighbor, candidate) relax
-// requests by owner rank into the fold's raw bins — the 1D scan shared
-// by the synchronous and overlapped schedules — and charges the edge
-// scan.
-func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) (scanned int) {
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	l := e.st.Layout
-	p := e.world.Size()
-	binV, binD := e.fold.reset()
-	if nc := pool.Chunks(len(vs), relaxGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			binV    [][]uint32
-			binD    [][]uint32
-			scanned int
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(vs), relaxGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.binV = make([][]uint32, p)
-			o.binD = make([][]uint32, p)
-			for idx := lo; idx < hi; idx++ {
-				li := e.st.LocalOf(graph.Vertex(vs[idx]))
-				dv := ds[idx]
-				for i := e.st.Off[li]; i < e.st.Off[li+1]; i++ {
-					o.scanned++
-					w := e.weightAt(i)
-					if (w <= delta) != light {
-						continue
-					}
-					cand := dv + w
-					if cand < dv || cand == graph.MaxDist {
-						continue // saturated: stays unreachable
-					}
-					u := e.st.Adj[i]
-					q := l.OwnerRank(u)
-					o.binV[q] = append(o.binV[q], uint32(u))
-					o.binD[q] = append(o.binD[q], cand)
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			for q := range outs[i].binV {
-				binV[q] = append(binV[q], outs[i].binV[q]...)
-				binD[q] = append(binD[q], outs[i].binD[q]...)
-			}
-		}
-	} else {
-		for idx, gv := range vs {
-			li := e.st.LocalOf(graph.Vertex(gv))
-			dv := ds[idx]
-			for i := e.st.Off[li]; i < e.st.Off[li+1]; i++ {
-				scanned++
-				w := e.weightAt(i)
-				if (w <= delta) != light {
-					continue
-				}
-				cand := dv + w
-				if cand < dv || cand == graph.MaxDist {
-					continue // saturated: stays unreachable
-				}
-				u := e.st.Adj[i]
-				q := l.OwnerRank(u)
-				binV[q] = append(binV[q], uint32(u))
-				binD[q] = append(binD[q], cand)
-			}
-		}
-	}
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)})
-	return scanned
+// Each relaxation scan has one chunk body. It runs once over the whole
+// batch, appending straight into the fold's raw bins, or per chunk on
+// the pool into staged bins that are appended to those in chunk order.
+
+// relaxOut is what a relaxation scan produces: the (neighbor,
+// candidate) relax requests binned by destination, the edge entries
+// inspected and the hash probes made.
+type relaxOut struct {
+	binV, binD [][]uint32
+	scanned    int
+	probes     uint64
 }
 
-// relaxPart scans the partial edge lists of one arrived active batch
-// on the worker pool, appending relax requests to the per-column bins
-// in chunk order, and charges the pair handling, edge scan, and hash
-// probes. Both 2D schedules call it once per arrived part.
+// collect runs body over the chunks of [0, n) on the pool, each chunk
+// into staged bins of its own, and appends those to o in chunk order.
+func (o *relaxOut) collect(p *pool.Pool, n int, body func(c *relaxOut, lo, hi int)) {
+	nb := len(o.binV)
+	outs := pool.Collect(p, n, relaxGrain, func(c *relaxOut, lo, hi int) {
+		c.binV, c.binD = make([][]uint32, nb), make([][]uint32, nb)
+		body(c, lo, hi)
+	})
+	for i := range outs {
+		c := &outs[i]
+		o.scanned += c.scanned
+		o.probes += c.probes
+		for q := range c.binV {
+			o.binV[q] = append(o.binV[q], c.binV[q]...)
+			o.binD[q] = append(o.binD[q], c.binD[q]...)
+		}
+	}
+}
+
+// relaxScan relaxes one class of edges out of the active owned
+// vertices, binning the (neighbor, candidate) relax requests by owner
+// rank into the fold's raw bins — the 1D scan shared by the synchronous
+// and overlapped schedules — and charges the edge scan.
+func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) int {
+	tr := e.c.Tracer()
+	tr.Begin("engine", "scan")
+	binV, binD := e.fold.reset()
+	out := relaxOut{binV: binV, binD: binD}
+	if e.pl.Inline(len(vs), relaxGrain) {
+		e.relaxChunk(vs, ds, light, delta, &out)
+	} else {
+		out.collect(e.pl, len(vs), func(c *relaxOut, lo, hi int) { e.relaxChunk(vs[lo:hi], ds[lo:hi], light, delta, c) })
+	}
+	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)})
+	return out.scanned
+}
+
+// relaxChunk is relaxScan's body over the active pairs (vs, ds).
+func (e *engine1D) relaxChunk(vs, ds []uint32, light bool, delta uint32, o *relaxOut) {
+	l := e.st.Layout
+	for idx, gv := range vs {
+		li := e.st.LocalOf(graph.Vertex(gv))
+		dv := ds[idx]
+		for i := e.st.Off[li]; i < e.st.Off[li+1]; i++ {
+			o.scanned++
+			w := e.weightAt(i)
+			if (w <= delta) != light {
+				continue
+			}
+			cand := dv + w
+			if cand < dv || cand == graph.MaxDist {
+				continue // saturated: stays unreachable
+			}
+			u := e.st.Adj[i]
+			q := l.OwnerRank(u)
+			o.binV[q] = append(o.binV[q], uint32(u))
+			o.binD[q] = append(o.binD[q], cand)
+		}
+	}
+}
+
+// relaxPart scans the partial edge lists of one arrived active batch,
+// appending relax requests to the per-column bins, and charges the pair
+// handling, edge scan, and hash probes. Both 2D schedules call it once
+// per arrived part.
 func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, binD [][]uint32) int {
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
-	l := e.st.Layout
-	scanned := 0
-	var probes uint64
-	if nc := pool.Chunks(len(avs), relaxGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			binV    [][]uint32
-			binD    [][]uint32
-			scanned int
-			probes  uint64
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(avs), relaxGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.binV = make([][]uint32, l.C)
-			o.binD = make([][]uint32, l.C)
-			for idx := lo; idx < hi; idx++ {
-				ci, ok, pr := e.st.ColMap.GetCounted(avs[idx])
-				o.probes += uint64(pr)
-				if !ok {
-					continue // no partial list here (possible only locally)
-				}
-				dv := ads[idx]
-				for i := e.st.Off[ci]; i < e.st.Off[ci+1]; i++ {
-					o.scanned++
-					w := e.weightAt(i)
-					if (w <= delta) != light {
-						continue
-					}
-					cand := dv + w
-					if cand < dv || cand == graph.MaxDist {
-						continue // saturated: stays unreachable
-					}
-					u := e.st.Rows[i]
-					j := l.ColBlockOf(u)
-					o.binV[j] = append(o.binV[j], uint32(u))
-					o.binD[j] = append(o.binD[j], cand)
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			probes += outs[i].probes
-			for j := range outs[i].binV {
-				binV[j] = append(binV[j], outs[i].binV[j]...)
-				binD[j] = append(binD[j], outs[i].binD[j]...)
-			}
-		}
-		e.st.ColMap.AddProbes(probes)
+	out := relaxOut{binV: binV, binD: binD}
+	if e.pl.Inline(len(avs), relaxGrain) {
+		e.relaxChunk(avs, ads, light, delta, &out)
 	} else {
-		p0 := e.st.ColMap.Probes()
-		for idx, gv := range avs {
-			ci, ok := e.st.ColMap.Get(graph.Vertex(gv))
-			if !ok {
-				continue // no partial list here (possible only locally)
-			}
-			dv := ads[idx]
-			for i := e.st.Off[ci]; i < e.st.Off[ci+1]; i++ {
-				scanned++
-				w := e.weightAt(i)
-				if (w <= delta) != light {
-					continue
-				}
-				cand := dv + w
-				if cand < dv || cand == graph.MaxDist {
-					continue // saturated: stays unreachable
-				}
-				u := e.st.Rows[i]
-				j := l.ColBlockOf(u)
-				binV[j] = append(binV[j], uint32(u))
-				binD[j] = append(binD[j], cand)
-			}
-		}
-		probes = e.st.ColMap.Probes() - p0
+		out.collect(e.pl, len(avs), func(c *relaxOut, lo, hi int) { e.relaxChunk(avs[lo:hi], ads[lo:hi], light, delta, c) })
 	}
 	e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
-	tr.End(trace.Arg{Key: "edges", Val: int64(scanned)})
-	return scanned
+	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
+	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
+	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})
+	return out.scanned
+}
+
+// relaxChunk is relaxPart's body over the arrived pairs (avs, ads).
+func (e *engine2D) relaxChunk(avs, ads []uint32, light bool, delta uint32, o *relaxOut) {
+	l := e.st.Layout
+	for idx, gv := range avs {
+		ci, ok, pr := e.st.ColMap.GetCounted(gv)
+		o.probes += uint64(pr)
+		if !ok {
+			continue // no partial list here (possible only locally)
+		}
+		dv := ads[idx]
+		for i := e.st.Off[ci]; i < e.st.Off[ci+1]; i++ {
+			o.scanned++
+			w := e.weightAt(i)
+			if (w <= delta) != light {
+				continue
+			}
+			cand := dv + w
+			if cand < dv || cand == graph.MaxDist {
+				continue // saturated: stays unreachable
+			}
+			u := e.st.Rows[i]
+			j := l.ColBlockOf(u)
+			o.binV[j] = append(o.binV[j], uint32(u))
+			o.binD[j] = append(o.binD[j], cand)
+		}
+	}
 }

@@ -208,6 +208,102 @@ func TestMultiBFSTrace(t *testing.T) {
 	}
 }
 
+// TestEveryEngineTracesItsScans: every top-down engine — BFS, MultiBFS
+// and Δ-stepping on the 2D and on the dedicated 1D partitioning — wraps
+// its local scan in an engine/scan span whose edges (and, where a map is
+// probed, probes) args add up to the Result's totals, and recording them
+// leaves the simulated clock where the untraced run put it.
+func TestEveryEngineTracesItsScans(t *testing.T) {
+	g, err := GenerateWeighted(3000, 8, 99, WithMaxWeight(255))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := g.LargestComponentVertex()
+	cl, err := NewCluster(ClusterConfig{R: 2, C: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// scanTotals sums the args of the recorded engine/scan spans.
+	scanTotals := func(tr *Trace) (spans int, edges, probes int64) {
+		for _, rank := range tr.Ranks() {
+			for _, ev := range rank.Events() {
+				if ev.Cat != "engine" || ev.Name != "scan" {
+					continue
+				}
+				spans++
+				for _, a := range ev.Args {
+					switch a.Key {
+					case "edges":
+						edges += a.Val
+					case "probes":
+						probes += a.Val
+					}
+				}
+			}
+		}
+		return spans, edges, probes
+	}
+	for _, part := range []Partition{Part2D, Part1DCol} {
+		dg, err := cl.Distribute(g, WithPartition(part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(name string, tr *Trace, wantEdges int64, wantProbes uint64, bareSim, tracedSim float64) {
+			t.Helper()
+			spans, edges, probes := scanTotals(tr)
+			if spans == 0 {
+				t.Fatalf("%s/%s: no engine/scan span recorded", part, name)
+			}
+			if edges != wantEdges || uint64(probes) != wantProbes {
+				t.Fatalf("%s/%s: scan spans carry %d edges / %d probes, the Result %d / %d",
+					part, name, edges, probes, wantEdges, wantProbes)
+			}
+			if bareSim != tracedSim {
+				t.Fatalf("%s/%s: tracing moved the clock: %g vs %g", part, name, bareSim, tracedSim)
+			}
+		}
+
+		bare, err := cl.BFS(dg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTrace()
+		res, err := cl.BFS(dg, src, WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("bfs", tr, res.TotalEdgesScanned, res.HashProbes, bare.SimTime, res.SimTime)
+
+		srcs := []Vertex{src, src + 1, src + 2}
+		bareM, err := cl.MultiBFS(dg, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr = NewTrace()
+		resM, err := cl.MultiBFS(dg, srcs, WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("multibfs", tr, resM.TotalEdgesScanned, resM.HashProbes, bareM.SimTime, resM.SimTime)
+
+		bareS, err := cl.SSSP(dg, src, WithDelta(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr = NewTrace()
+		resS, err := cl.SSSP(dg, src, WithDelta(64), WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Δ-stepping Results carry no probe total; take the spans' own.
+		_, _, ssspProbes := scanTotals(tr)
+		if (part == Part2D) != (ssspProbes > 0) {
+			t.Fatalf("%s/sssp: scan spans carry %d probes", part, ssspProbes)
+		}
+		check("sssp", tr, resS.TotalEdgesScanned, uint64(ssspProbes), bareS.SimTime, resS.SimTime)
+	}
+}
+
 // TestMetricsPublish asserts a run publishes its statistics into the
 // registry and the snapshot is readable.
 func TestMetricsPublish(t *testing.T) {

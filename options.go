@@ -50,13 +50,6 @@ func (c *searchConfig) apply(opts []Option) {
 // options — see its doc comment for the exact carve-out.
 type Option func(*searchConfig)
 
-// SSSPOption is the former Δ-stepping-specific option type.
-//
-// Deprecated: the options surface is unified — every Option works with
-// Cluster.SSSP. SSSPOption is kept as an alias so existing code
-// compiles unchanged.
-type SSSPOption = Option
-
 // ExpandAlg and FoldAlg re-export the collective algorithm selectors.
 type (
 	ExpandAlg = bfs.ExpandAlg
@@ -336,36 +329,6 @@ func WithRestore(s *CheckpointSnapshot) Option {
 func WithDelta(delta uint32) Option {
 	return func(c *searchConfig) { c.sssp.Delta = delta }
 }
-
-// Deprecated aliases — the pre-redesign option names. Each is a thin
-// shim over its unified spelling; see the README migration table. They
-// are compiled by the examples under `make deprecated-surface` so the
-// compat layer cannot silently rot.
-
-// WithFrontierWire selects the wire encoding for search payloads.
-//
-// Deprecated: use WithWire, which also covers SSSP relax requests.
-func WithFrontierWire(m WireMode) Option { return WithWire(m) }
-
-// WithSSSPWire selects the wire encoding of the relax-request sets.
-//
-// Deprecated: use WithWire; the codec family was always shared.
-func WithSSSPWire(m WireMode) Option { return WithWire(m) }
-
-// WithFrontierOccupancy sets the frontier sparse→dense threshold.
-//
-// Deprecated: use WithOccupancy, which also covers SSSP buckets.
-func WithFrontierOccupancy(f float64) Option { return WithOccupancy(f) }
-
-// WithSSSPFrontierOccupancy sets the buckets' sparse→dense threshold.
-//
-// Deprecated: use WithOccupancy; buckets and frontiers share the knob.
-func WithSSSPFrontierOccupancy(f float64) Option { return WithOccupancy(f) }
-
-// WithSSSPChunkWords caps physical SSSP messages at n words.
-//
-// Deprecated: use WithChunkWords, which chunks every algorithm.
-func WithSSSPChunkWords(n int) Option { return WithChunkWords(n) }
 
 // Analytic re-exports (§3.1, Figure 6b).
 

@@ -1,7 +1,6 @@
 package bgl
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -194,36 +193,6 @@ func TestDistributeValidation(t *testing.T) {
 	if got := Partition(99).String(); !strings.Contains(got, "99") {
 		t.Errorf("unknown partition String() = %q", got)
 	}
-}
-
-// TestDeprecatedAliasEquivalence proves every deprecated option alias
-// produces exactly the configuration of its unified spelling.
-func TestDeprecatedAliasEquivalence(t *testing.T) {
-	cases := []struct {
-		name     string
-		old, new Option
-	}{
-		{"WithFrontierWire", WithFrontierWire(WireHybrid), WithWire(WireHybrid)},
-		{"WithSSSPWire", WithSSSPWire(WireDense), WithWire(WireDense)},
-		{"WithFrontierOccupancy", WithFrontierOccupancy(0.07), WithOccupancy(0.07)},
-		{"WithSSSPFrontierOccupancy", WithSSSPFrontierOccupancy(0.2), WithOccupancy(0.2)},
-		{"WithSSSPChunkWords", WithSSSPChunkWords(512), WithChunkWords(512)},
-	}
-	for _, tc := range cases {
-		a := newSearchConfig(5)
-		b := newSearchConfig(5)
-		tc.old(&a)
-		tc.new(&b)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: alias config %+v differs from unified %+v", tc.name, a, b)
-		}
-		base := newSearchConfig(5)
-		if reflect.DeepEqual(a, base) {
-			t.Errorf("%s: alias was a no-op", tc.name)
-		}
-	}
-	// SSSPOption must remain assignable from the unified Option.
-	var _ SSSPOption = WithWire(WireAuto)
 }
 
 // TestSharedOptionsReachBothFamilies checks the unified knobs land in
