@@ -10,8 +10,9 @@ package main
 //     *_simexec_s at 5% — both pure simulated values.
 //
 //  2. A real end-to-end QPS measurement: two in-process graphd
-//     servers on a smaller graph — one batching, one with the window
-//     disabled — serving the same seeded query set over real HTTP.
+//     servers on a smaller graph — one batching, one built with
+//     MaxBatch 1 so every query runs alone — serving the same seeded
+//     query set over real HTTP.
 //     Wall QPS depends on the host, so those leaves use non-gated
 //     names and are recorded as context.
 //
@@ -173,8 +174,10 @@ type wallService struct {
 	client *graphd.Client
 }
 
-func startWallService(g *bgl.Graph, window time.Duration) (*wallService, error) {
-	srv, err := graphd.NewServer(graphd.Config{Graph: g, R: 2, C: 2, Window: window})
+// startWallService starts a graphd over g; maxBatch 0 is the service
+// default (up to 64 lanes per sweep), 1 the unbatched control.
+func startWallService(g *bgl.Graph, maxBatch int) (*wallService, error) {
+	srv, err := graphd.NewServer(graphd.Config{Graph: g, R: 2, C: 2, MaxBatch: maxBatch, MaxWaiting: 256})
 	if err != nil {
 		return nil, err
 	}
@@ -206,9 +209,6 @@ func measureServiceWall(doc *Baseline9) error {
 		svcN    = 20000
 		svcK    = 10
 		svcSeed = 42
-		// Long enough that a burst of concurrent queries lands in one
-		// window even on a loaded host.
-		svcWindow = 25 * time.Millisecond
 	)
 	doc.ServiceWall.N = svcN
 	doc.ServiceWall.Mesh = "2x2"
@@ -276,12 +276,12 @@ func measureServiceWall(doc *Baseline9) error {
 		return wall, mean, nil
 	}
 
-	batched, err := startWallService(g, svcWindow)
+	batched, err := startWallService(g, 0)
 	if err != nil {
 		return err
 	}
 	defer batched.stop()
-	unbatched, err := startWallService(g, 0) // window 0: every query sweeps alone
+	unbatched, err := startWallService(g, 1) // every query runs alone
 	if err != nil {
 		return err
 	}

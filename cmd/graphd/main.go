@@ -1,10 +1,11 @@
 // Command graphd serves graph queries over HTTP/JSON from a long-lived
 // process: the graph is loaded (or generated) and distributed over the
 // simulated machine ONCE at startup, then concurrent queries share the
-// resident engines. Concurrent single-source BFS queries are coalesced
-// by the dynamic batcher into multi-source MultiBFS sweeps; SSSP and
-// path queries go through a bounded worker queue with admission
-// control.
+// resident engines. A single-source BFS query that finds a replica idle
+// runs on it at once, direction-optimizing; those that arrive while
+// every replica is busy coalesce into multi-source MultiBFS sweeps as
+// replicas free up. SSSP and path queries go through a bounded worker
+// queue with admission control.
 //
 // Endpoints:
 //
@@ -56,8 +57,7 @@ func main() {
 		cores    = flag.Int("cores", 1, "modeled compute cores per node")
 		workers  = flag.Int("workers", 0, "real per-rank worker pool size (0 = -cores)")
 		replicas = flag.Int("replicas", 1, "engine replicas (each a simulated machine over the one distributed graph; bounds real concurrency)")
-		window   = flag.Duration("window", graphd.DefaultWindow, "batching window (0 disables batching)")
-		batch    = flag.Int("batch", bgl.MaxLanes, "max distinct sources per MultiBFS sweep (<= 64)")
+		batch    = flag.Int("batch", bgl.MaxLanes, "max distinct sources per MultiBFS sweep (<= 64; 1 serves every BFS alone)")
 		maxWait  = flag.Int("max-waiting", 0, "max batched BFS queries awaiting sweeps before 503 (0 = 4x -batch)")
 		queue    = flag.Int("queue", graphd.DefaultQueueDepth, "bounded queue depth for path/sssp queries")
 		qworkers = flag.Int("query-workers", 0, "goroutines draining the path/sssp queue (0 = -replicas)")
@@ -119,7 +119,7 @@ func main() {
 	srv, err := graphd.NewServer(graphd.Config{
 		Graph: g, R: *r, C: *c, Partition: part, Wire: wire,
 		Cores: *cores, Workers: *workers, Replicas: *replicas,
-		Window: *window, MaxBatch: *batch, MaxWaiting: *maxWait,
+		MaxBatch: *batch, MaxWaiting: *maxWait,
 		QueueDepth: *queue, QueryWorkers: *qworkers,
 		Fault: fplan, MaxQueryWall: *maxQuery, MaxSimExec: *maxSim,
 		ChaosPanicSweep: *chaosN,
@@ -141,8 +141,8 @@ func main() {
 			fail(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "graphd: serving on http://%s (window=%v batch=%d queue=%d)\n",
-		bound, *window, *batch, *queue)
+	fmt.Fprintf(os.Stderr, "graphd: serving on http://%s (batch=%d queue=%d)\n",
+		bound, *batch, *queue)
 
 	// The hardened wrapper sets read-header/read/idle timeouts so a
 	// slow-loris client cannot pin connections open.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/frontier"
-	"repro/internal/graph"
 )
 
 // Overlapped (asynchronous) level schedules. Every exchange posts its
@@ -41,25 +40,14 @@ func (e *engine2D) expandAsync(s *sideState, tag int, handle collective.Handle) 
 	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: true}
 	switch e.opts.Expand {
 	case ExpandTargeted:
-		r := e.colG.Size()
-		send := make([][]uint32, r)
-		s.F.Iterate(func(gv uint32) {
-			li := e.st.LocalOf(graph.Vertex(gv))
-			for i := 0; i < r; i++ {
-				if e.st.NeedsRow(li, i) {
-					send[i] = append(send[i], gv)
-				}
-			}
-		})
-		e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
+		send := e.targetRows(s)
 		prep := func(i int) []uint32 {
 			if i == e.colG.Me {
 				return send[i] // stays local, unencoded
 			}
 			return e.expandWire(send[i])
 		}
-		_, st := collective.AllToAllAsync(e.c, e.colG, o, prep, handle)
-		return st
+		return collective.Exchange(e.c, e.colG, o, prep, handle)
 	case ExpandAllGather:
 		_, st := collective.AllGatherAsync(e.c, e.colG, o, e.wireFrontier(s.F), handle)
 		return st

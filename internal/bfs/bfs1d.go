@@ -61,13 +61,7 @@ func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
 }
 
 func (e *engine1D) newSide(src graph.Vertex) *sideState {
-	s := &sideState{
-		L: make([]int32, e.st.OwnedCount()),
-		F: e.opts.newFrontier(e.st.Lo, e.st.OwnedCount()),
-	}
-	for i := range s.L {
-		s.L[i] = graph.Unreached
-	}
+	s := newSideState(e.opts, e.st.Lo, e.st.OwnedCount())
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))

@@ -78,7 +78,7 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	// The chunks labeled s.L at disjoint indices; one ascending pass
 	// over the labels builds the frontier in the same order at every
 	// pool size.
-	next := e.opts.newFrontier(e.st.Lo, n)
+	next := s.nextFrontier()
 	foundTarget := false
 	for li, lv := range s.L {
 		if lv != s.level+1 {
@@ -93,8 +93,7 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	}
 	rec.edges = edges
 	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
-	s.F = next
-	s.level++
+	s.advance()
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget
@@ -221,7 +220,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	}
 	rec.foldWords = cst.RecvWords
 
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
+	next := s.nextFrontier()
 	foundTarget := false
 	frontier.IterateBits(mine, func(li uint32) {
 		if s.L[li] != graph.Unreached {
@@ -235,8 +234,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 			foundTarget = true
 		}
 	})
-	s.F = next
-	s.level++
+	s.advance()
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec, foundTarget

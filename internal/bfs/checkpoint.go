@@ -151,8 +151,7 @@ func decodeSide(dec *checkpoint.Dec, e stepper, opts Options) *sideState {
 	for i := range s.L {
 		s.L[i] = int32(dec.U32())
 	}
-	lo, n := s.F.Universe()
-	s.F = frontier.NewAdaptive(lo, n, opts.FrontierOccupancy)
+	s.F.Reset() // newSide seeded the source
 	for _, v := range frontier.Decode(dec.Words()) {
 		s.F.Add(v)
 	}

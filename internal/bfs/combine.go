@@ -14,10 +14,10 @@ import (
 // Every bin is destined to one member of the fold group, so its ids lie
 // in that member's contiguous owned range and a localindex.Combiner
 // merges them without a sort. The scratch below is allocated once per
-// rank per run and reused by every level or sweep, except what is handed
-// to comm (owned by the transport from then on). The
-// model charges each merge one VertexCost per id that went in,
-// len(out)+absorbed, whatever way the merge is computed.
+// rank per run and reused by every level or sweep: the folds encode or
+// copy what they send (collective.wireSet), so nothing here is ever
+// handed to comm. The model charges each merge one VertexCost per id
+// that went in, len(out)+absorbed, whatever way the merge is computed.
 
 // setBins is one rank's union-form combine scratch: the raw per-member
 // neighbor bins a level's scan fills, and the Combiner that turns each
@@ -36,19 +36,20 @@ func newSetBins(c *comm.Comm, g comm.Group, blockSize int, ownedRange func(world
 	return &setBins{c: c, g: g, ownedRange: ownedRange, comb: localindex.NewCombiner(blockSize), raw: make([][]uint32, g.Size())}
 }
 
-// set merges (and charges) raw bin m into its sorted set. Once the
-// Combiner holds the bin's ids the set is drained over the bin's own
-// memory, which then goes with the set to the fold — the folds may hand
-// a set to comm as it is — so the next scan starts bin m afresh. set is
-// a collective.Prep, which the folds call once per member; under the
-// overlapped schedule that is the moment the bin is needed for posting,
-// so the early bins' transfers fly while the later bins are merged.
+// set merges (and charges) raw bin m into its sorted set and empties
+// the bin for the next scan. Once the Combiner holds the bin's ids the
+// set is drained over the bin's own memory, so it is valid only until
+// that scan — long enough for the fold, which is done with its input
+// sets when it returns. set is a collective.Prep, which the folds call
+// once per member; under the overlapped schedule that is the moment the
+// bin is needed for posting, so the early bins' transfers fly while the
+// later bins are merged.
 func (b *setBins) set(m int) []uint32 {
 	lo, hi := b.ownedRange(b.g.World(m))
 	b.comb.Reset(uint32(lo), int(hi-lo))
 	b.comb.Add(b.raw[m])
 	set, d := b.comb.Drain(b.raw[m][:0])
-	b.raw[m] = nil
+	b.raw[m] = set[:0]
 	b.c.ChargeItems(len(set)+d, b.c.Model().VertexCost)
 	return set
 }

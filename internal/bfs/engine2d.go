@@ -43,6 +43,10 @@ type engine2D struct {
 	probes uint64
 	// bins is the per-run scratch of the neighbor merge (see combine.go).
 	bins *setBins
+	// sendV is the targeted expand's per-destination-row staging, kept
+	// across levels: what reaches comm is an encoding or a copy (see
+	// expandWire), never these lists.
+	sendV [][]uint32
 }
 
 func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
@@ -59,16 +63,47 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 		rowG:  rowG,
 		pl:    pool.New(opts.Workers),
 		bins:  newSetBins(c, rowG, l.BlockSize(), l.OwnedRange),
+		sendV: make([][]uint32, l.R),
 	}
 }
 
 // sideState is the per-side search state (the bi-directional search
 // runs two of these).
 type sideState struct {
-	L     []int32           // levels of owned vertices, Unreached if unlabeled
-	F     frontier.Frontier // owned vertices labeled in the current level
-	sent  *localindex.Bitset
-	level int32
+	L []int32 // levels of owned vertices, Unreached if unlabeled
+	// F holds the owned vertices labeled in the current level; spare is
+	// the storage the next level's frontier is built in (see advance).
+	F, spare *frontier.Adaptive
+	sent     *localindex.Bitset
+	level    int32
+}
+
+// newSideState returns a side over the owned range [lo, lo+n) with
+// nothing labeled.
+func newSideState(opts Options, lo graph.Vertex, n int) *sideState {
+	s := &sideState{
+		L:     make([]int32, n),
+		F:     opts.newFrontier(lo, n),
+		spare: opts.newFrontier(lo, n),
+	}
+	for i := range s.L {
+		s.L[i] = graph.Unreached
+	}
+	return s
+}
+
+// nextFrontier returns the emptied spare frontier for a level to fill;
+// advance installs it.
+func (s *sideState) nextFrontier() *frontier.Adaptive {
+	s.spare.Reset()
+	return s.spare
+}
+
+// advance makes the frontier nextFrontier handed out the current one
+// and moves to the next level.
+func (s *sideState) advance() {
+	s.F, s.spare = s.spare, s.F
+	s.level++
 }
 
 // mark applies a level's delivery N̄ — owned vertices, ascending, lo
@@ -76,7 +111,7 @@ type sideState struct {
 // level+1 and become the next frontier, and the level advances. It
 // reports whether the target was among the newly labeled.
 func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rankLevel) (foundTarget bool) {
-	next := opts.newFrontier(lo, len(s.L))
+	next := s.nextFrontier()
 	for _, gu := range nbar {
 		li := gu - uint32(lo)
 		if s.L[li] == graph.Unreached {
@@ -88,19 +123,12 @@ func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rank
 			}
 		}
 	}
-	s.F = next
-	s.level++
+	s.advance()
 	return foundTarget
 }
 
 func (e *engine2D) newSide(src graph.Vertex) *sideState {
-	s := &sideState{
-		L: make([]int32, e.st.OwnedCount()),
-		F: e.opts.newFrontier(e.st.Lo, e.st.OwnedCount()),
-	}
-	for i := range s.L {
-		s.L[i] = graph.Unreached
-	}
+	s := newSideState(e.opts, e.st.Lo, e.st.OwnedCount())
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))
@@ -114,12 +142,14 @@ func (e *engine2D) newSide(src graph.Vertex) *sideState {
 // universe returns the global vertex count.
 func (e *engine2D) universe() int { return e.st.Layout.N }
 
-// expandWire encodes an expand payload (a subset of this rank's owned
-// frontier) for the wire under the configured encoding; WireSparse is
-// the identity, keeping the legacy vertex-list format free of overhead.
+// expandWire readies an expand payload (a subset of this rank's owned
+// frontier) for the wire: its encoding under the configured mode, or
+// under WireSparse — the legacy vertex-list format, free of overhead —
+// a copy. Either way the transport, which owns what it is handed, never
+// gets the caller's list.
 func (e *engine2D) expandWire(ids []uint32) []uint32 {
 	if e.opts.Wire == frontier.WireSparse {
-		return ids
+		return append(make([]uint32, 0, len(ids)), ids...)
 	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "encode")
@@ -132,7 +162,7 @@ func (e *engine2D) expandWire(ids []uint32) []uint32 {
 // the word-level repack when the representation is already dense.
 func (e *engine2D) wireFrontier(f frontier.Frontier) []uint32 {
 	if e.opts.Wire == frontier.WireSparse {
-		return f.Vertices()
+		return e.expandWire(f.Vertices())
 	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "encode")
@@ -164,26 +194,15 @@ func (e *engine2D) expand(s *sideState, tag int) ([]uint32, collective.Stats) {
 	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
 	switch e.opts.Expand {
 	case ExpandTargeted:
-		r := e.colG.Size()
-		send := make([][]uint32, r)
-		// Filter my frontier per destination row by the row-need masks
-		// (only rows holding a non-empty partial list receive v).
-		s.F.Iterate(func(gv uint32) {
-			li := e.st.LocalOf(graph.Vertex(gv))
-			for i := 0; i < r; i++ {
-				if e.st.NeedsRow(li, i) {
-					send[i] = append(send[i], gv)
-				}
-			}
-		})
-		// Bitmask scan cost: |F| x ceil(R/64) words.
-		e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
-		for i := range send {
+		send := e.c.Lists(e.colG.Size())
+		for i, ids := range e.targetRows(s) {
+			send[i] = ids
 			if i != e.colG.Me {
-				send[i] = e.expandWire(send[i])
+				send[i] = e.expandWire(ids)
 			}
 		}
 		parts, st := collective.AllToAll(e.c, e.colG, o, send)
+		e.c.ReleaseLists(send)
 		e.expandUnwire(parts)
 		return flatten(parts), st
 	case ExpandAllGather:
@@ -240,6 +259,28 @@ func (e *engine2D) expandBundleMerge() *collective.BundleCodec {
 			return out
 		},
 	}
+}
+
+// targetRows filters the frontier per destination row by the row-need
+// masks (only rows holding a non-empty partial list receive v) into
+// the engine's staging lists, charges the mask scan, and returns the
+// lists, valid until the next call.
+func (e *engine2D) targetRows(s *sideState) [][]uint32 {
+	r := len(e.sendV)
+	for i := range e.sendV {
+		e.sendV[i] = e.sendV[i][:0]
+	}
+	s.F.Iterate(func(gv uint32) {
+		li := e.st.LocalOf(graph.Vertex(gv))
+		for i := 0; i < r; i++ {
+			if e.st.NeedsRow(li, i) {
+				e.sendV[i] = append(e.sendV[i], gv)
+			}
+		}
+	})
+	// Bitmask scan cost: |F| x ceil(R/64) words.
+	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
+	return e.sendV
 }
 
 func flatten(parts [][]uint32) []uint32 {

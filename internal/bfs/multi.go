@@ -190,8 +190,9 @@ type multiState struct {
 	// nonzero entries are exactly the members of F. spare is the
 	// previous sweep's fmask, zeroed and reused as the next one.
 	fmask, spare []uint64
-	// F is the lane-OR frontier: owned vertices with fmask != 0.
-	F frontier.Frontier
+	// F is the lane-OR frontier: owned vertices with fmask != 0; spareF
+	// is the storage mark builds the next one in.
+	F, spareF *frontier.Adaptive
 	// levels[lane][li] is lane's level of owned vertex li.
 	levels [][]int32
 	sweep  int32
@@ -204,6 +205,7 @@ func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int)
 		fmask:   make([]uint64, n),
 		spare:   make([]uint64, n),
 		F:       opts.newFrontier(lo, n),
+		spareF:  opts.newFrontier(lo, n),
 		levels:  make([][]int32, len(sources)),
 	}
 	for lane := range s.levels {
@@ -231,7 +233,8 @@ func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int)
 // re-enter the frontier carrying only the new lanes. It installs the
 // next frontier and advances the sweep counter.
 func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rms []uint64, rec *rankLevel) {
-	next := opts.newFrontier(lo, n)
+	next := s.spareF
+	next.Reset()
 	nextMask := s.spare
 	clear(nextMask)
 	for i, gu := range rvs {
@@ -248,7 +251,7 @@ func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rm
 		nextMask[li] = nw
 		next.Add(gu)
 	}
-	s.F = next
+	s.F, s.spareF = next, s.F
 	s.fmask, s.spare = nextMask, s.fmask
 	s.sweep++
 }

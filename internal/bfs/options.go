@@ -188,7 +188,7 @@ func DefaultOptions(source graph.Vertex) Options {
 
 // newFrontier builds a level frontier over the owned range [lo, lo+n)
 // with the configured adaptive occupancy threshold.
-func (o Options) newFrontier(lo graph.Vertex, n int) frontier.Frontier {
+func (o Options) newFrontier(lo graph.Vertex, n int) *frontier.Adaptive {
 	return o.NewFrontier(uint32(lo), n)
 }
 

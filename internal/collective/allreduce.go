@@ -54,8 +54,8 @@ func AllReduceP2P(c *comm.Comm, g comm.Group, o Opts, val uint64, op AllReduceOp
 		return val
 	}
 	var st Stats
-	done := span(c, "allreduce-p2p", &st)
-	defer done()
+	tr := begin(c, "allreduce-p2p")
+	defer end(tr, &st)
 	// Largest power of two <= size.
 	pof2 := 1
 	for pof2*2 <= size {

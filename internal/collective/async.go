@@ -45,41 +45,46 @@ func prepared(send [][]uint32) Prep {
 // pipelined schedule. prep must not be nil; handle may be. out[i] and
 // Stats match AllToAll exactly.
 func AllToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) ([][]uint32, Stats) {
+	out := make([][]uint32, g.Size())
+	return out, allToAllAsync(c, g, o, prep, handle, out)
+}
+
+// allToAllAsync is AllToAllAsync recording the parts in out when out is
+// not nil; callers that consume every part in handle pass nil.
+func allToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle, out [][]uint32) Stats {
 	size := g.Size()
-	out := make([][]uint32, size)
 	var st Stats
-	if size == 1 {
-		out[0] = prep(0)
-		if handle != nil {
-			handle(0, out[0])
+	deliver := func(m int, part []uint32) {
+		if out != nil {
+			out[m] = part
 		}
-		return out, st
+		if handle != nil {
+			handle(m, part)
+		}
 	}
-	done := span(c, "alltoall-async", &st)
+	if size == 1 {
+		deliver(0, prep(0))
+		return st
+	}
+	tr := begin(c, "alltoall-async")
 	for step := 1; step < size; step++ {
 		to := (g.Me + step) % size
 		c.IsendChunked(g.World(to), o.Tag+step, prep(to), o.Chunk)
 	}
-	reqs := make([]*comm.Request, size)
+	reqs := c.Requests(size)
 	for step := 1; step < size; step++ {
 		from := (g.Me - step + size) % size
 		reqs[step] = c.IrecvChunked(g.World(from), o.Tag+step, o.Chunk)
 	}
-	out[g.Me] = prep(g.Me)
-	if handle != nil {
-		handle(g.Me, out[g.Me])
-	}
+	deliver(g.Me, prep(g.Me))
 	for step := 1; step < size; step++ {
-		from := (g.Me - step + size) % size
 		part := reqs[step].Wait()
 		st.RecvWords += len(part)
-		out[from] = part
-		if handle != nil {
-			handle(from, part)
-		}
+		deliver((g.Me-step+size)%size, part)
 	}
-	done()
-	return out, st
+	c.ReleaseRequests(reqs)
+	end(tr, &st)
+	return st
 }
 
 // Exchange is the personalized exchange under the schedule o.Async
@@ -89,14 +94,14 @@ func AllToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle)
 // included — handled in member order after the last one has arrived.
 func Exchange(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stats {
 	if o.Async {
-		_, st := AllToAllAsync(c, g, o, prep, handle)
-		return st
+		return allToAllAsync(c, g, o, prep, handle, nil)
 	}
-	send := make([][]uint32, g.Size())
+	send := c.Lists(g.Size())
 	for m := range send {
 		send[m] = prep(m)
 	}
 	parts, st := AllToAll(c, g, o, send)
+	c.ReleaseLists(send)
 	for m, part := range parts {
 		handle(m, part)
 	}
@@ -120,7 +125,7 @@ func AllGatherAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, handle Ha
 		}
 		return out, st
 	}
-	done := span(c, "allgather-async", &st)
+	tr := begin(c, "allgather-async")
 	next := g.World(g.Next(g.Me))
 	prev := g.World(g.Prev(g.Me))
 	piece := data
@@ -143,7 +148,7 @@ func AllGatherAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, handle Ha
 	if handle != nil {
 		handle(pendIdx, out[pendIdx])
 	}
-	done()
+	end(tr, &st)
 	return out, st
 }
 
@@ -157,8 +162,8 @@ func ReduceScatterUnionAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]u
 	var dups int
 	wirePrep := func(m int) []uint32 {
 		s := prep(m)
-		if o.Codec != nil && m != g.Me {
-			return o.Codec.Enc(m, s)
+		if m != g.Me {
+			return wireSet(o.Codec, m, s)
 		}
 		return s
 	}
@@ -175,7 +180,7 @@ func ReduceScatterUnionAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]u
 		acc, d = localindex.UnionInto(acc, part)
 		dups += d
 	}
-	_, st := AllToAllAsync(c, g, o, wirePrep, handle)
+	st := allToAllAsync(c, g, o, wirePrep, handle, nil)
 	st.Dups += dups
 	return acc, st
 }
@@ -209,8 +214,7 @@ func ReduceScatterOrAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle 
 		}
 		return s
 	}
-	_, st := AllToAllAsync(c, g, o, wirePrep, orPart)
-	return acc, st
+	return acc, allToAllAsync(c, g, o, wirePrep, orPart, nil)
 }
 
 // ReduceScatterUnionBruckAsync folds with Bruck's exchange. Every round
@@ -219,11 +223,13 @@ func ReduceScatterOrAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle 
 // between them; the variant exists so the async engines have a uniform
 // call surface, and it simply runs the synchronous schedule.
 func ReduceScatterUnionBruckAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stats) {
-	send := make([][]uint32, g.Size())
+	send := c.Lists(g.Size())
 	for m := range send {
 		send[m] = prep(m)
 	}
-	return ReduceScatterUnionBruck(c, g, o, send)
+	acc, st := ReduceScatterUnionBruck(c, g, o, send)
+	c.ReleaseLists(send)
+	return acc, st
 }
 
 // TwoPhaseExpandAsync is TwoPhaseExpand with the pipelined schedule:
@@ -243,7 +249,7 @@ func TwoPhaseExpandAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, hand
 		}
 		return out, st
 	}
-	done := span(c, "twophase-expand-async", &st)
+	tr := begin(c, "twophase-expand-async")
 	a, b := FactorGrid(size)
 	row, col := g.Me/b, g.Me%b
 	next := g.World(row*b + (col+1)%b)
@@ -260,18 +266,19 @@ func TwoPhaseExpandAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, hand
 			c.IsendChunked(g.World(i*b+col), o.Tag+row, data, o.Chunk)
 		}
 	}
-	reqs := make([]*comm.Request, a)
+	reqs := c.Requests(a)
 	for i := 0; i < a; i++ {
 		if i != row {
 			reqs[i] = c.IrecvChunked(g.World(i*b+col), o.Tag+i, o.Chunk)
 		}
 	}
 	var wire []uint32
-	var p2req *comm.Request
+	var p2req comm.Request
+	p2posted := false
 	if b > 1 && a == 1 {
 		wire = bundleForWire(o, g, col, colSets)
 		c.IsendChunked(next, tag2, wire, o.Chunk)
-		p2req = c.IrecvChunked(prev, tag2, o.Chunk)
+		p2req, p2posted = c.IrecvChunked(prev, tag2, o.Chunk), true
 	}
 
 	// My own portion processes under the transfers just posted; then
@@ -293,12 +300,13 @@ func TwoPhaseExpandAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, hand
 		out[i*b+col] = colSets[i]
 		pendP1 = i
 	}
+	c.ReleaseRequests(reqs)
 
 	// Phase 2: circulate bundles along my grid-row ring. Each hop's
 	// forward posts before the pending sets are handled, so their scan
 	// hides the hop's transit; received bundles forward verbatim.
 	if b > 1 {
-		if p2req == nil {
+		if !p2posted {
 			wire = bundleForWire(o, g, col, colSets)
 			c.IsendChunked(next, tag2, wire, o.Chunk)
 			p2req = c.IrecvChunked(prev, tag2, o.Chunk)
@@ -336,53 +344,8 @@ func TwoPhaseExpandAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, hand
 	} else if pendP1 >= 0 && handle != nil {
 		handle(pendP1*b+col, colSets[pendP1])
 	}
-	done()
+	end(tr, &st)
 	return out, st
-}
-
-// twoPhaseFoldPhase2Async distributes the reduced per-destination sets
-// down the grid column with every send posted before any wait, merging
-// parts as they complete. Called from TwoPhaseFold when o.Async is set.
-func twoPhaseFoldPhase2Async(c *comm.Comm, g comm.Group, o Opts, a, b, row, col int, mine [][]uint32, st *Stats) []uint32 {
-	acc := append([]uint32(nil), mine[row]...)
-	tag2 := o.Tag + 1<<20
-	useCodec := o.Codec != nil && !o.NoUnion
-	for i := 0; i < a; i++ {
-		if i == row {
-			continue
-		}
-		part := mine[i]
-		if useCodec {
-			part = o.Codec.Enc(i*b+col, part)
-		}
-		c.IsendChunked(g.World(i*b+col), tag2+row, part, o.Chunk)
-	}
-	reqs := make([]*comm.Request, a)
-	for i := 0; i < a; i++ {
-		if i != row {
-			reqs[i] = c.IrecvChunked(g.World(i*b+col), tag2+i, o.Chunk)
-		}
-	}
-	for i := 0; i < a; i++ {
-		if i == row {
-			continue
-		}
-		part := reqs[i].Wait()
-		st.RecvWords += len(part)
-		if useCodec {
-			part = o.Codec.Dec(g.Me, part)
-		}
-		if o.NoUnion {
-			part, _ = localindex.SortSet(append([]uint32(nil), part...))
-		}
-		var d int
-		acc, d = localindex.UnionInto(acc, part)
-		st.Dups += d
-	}
-	if o.NoUnion {
-		acc, _ = localindex.SortSet(acc)
-	}
-	return acc
 }
 
 // FoldAsync dispatches a union fold to the pipelined variant of the
@@ -400,11 +363,7 @@ func FoldAsync(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uin
 		if alg == "twophase-nounion" {
 			o.NoUnion = true
 		}
-		send := make([][]uint32, g.Size())
-		for m := range send {
-			send[m] = prep(m)
-		}
-		return TwoPhaseFold(c, g, o, send)
+		return twoPhaseFold(c, g, o, prep)
 	case "bruck":
 		return ReduceScatterUnionBruckAsync(c, g, o, prep)
 	default:

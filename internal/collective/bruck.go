@@ -33,7 +33,7 @@ func AllToAllBruck(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uin
 	if size == 1 {
 		return out, st
 	}
-	done := span(c, "bruck", &st)
+	tr := begin(c, "bruck")
 
 	// Phase 1 (local rotation): block j carries the payload destined to
 	// relative rank j, i.e. absolute member (me + j) mod size.
@@ -90,7 +90,7 @@ func AllToAllBruck(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uin
 		}
 		out[src] = block
 	}
-	done()
+	end(tr, &st)
 	return out, st
 }
 

@@ -97,19 +97,28 @@ type BundleCodec struct {
 	Split func(origins []int, merged []uint32) [][]uint32
 }
 
-// encodeSends re-encodes every payload that will cross the wire
-// (send[g.Me] stays local and plain).
-func encodeSends(g comm.Group, cdc *Codec, send [][]uint32) [][]uint32 {
-	if cdc == nil {
-		return send
+// wireSet readies the set a union fold sends to group member m: the
+// codec's encoding, or without a codec a copy. Either way the caller's
+// set is not what travels — a fold never hands its input to the
+// transport, so the engines may keep scanning into the same bins level
+// after level.
+func wireSet(cdc *Codec, m int, set []uint32) []uint32 {
+	if cdc != nil {
+		return cdc.Enc(m, set)
 	}
+	return append(make([]uint32, 0, len(set)), set...)
+}
+
+// encodeSends readies every set that will cross the wire (send[g.Me]
+// stays local and plain).
+func encodeSends(g comm.Group, cdc *Codec, send [][]uint32) [][]uint32 {
 	out := make([][]uint32, len(send))
 	for i, s := range send {
 		if i == g.Me {
 			out[i] = s
 			continue
 		}
-		out[i] = cdc.Enc(i, s)
+		out[i] = wireSet(cdc, i, s)
 	}
 	return out
 }
@@ -127,16 +136,19 @@ func decodeParts(g comm.Group, cdc *Codec, parts [][]uint32) {
 	}
 }
 
-// span opens a structural trace span for one collective operation on
-// this rank's tracer (a no-op without a bound recorder). The returned
-// func closes it, annotating the words this rank received.
-func span(c *comm.Comm, name string, st *Stats) func() {
+// begin opens a structural trace span for one collective operation on
+// this rank's tracer (a no-op without a bound recorder) and returns the
+// tracer for the matching end.
+func begin(c *comm.Comm, name string) *trace.Tracer {
 	tr := c.Tracer()
-	if tr == nil {
-		return func() {}
-	}
 	tr.Begin("collective", name)
-	return func() { tr.End(trace.Arg{Key: "recv_words", Val: int64(st.RecvWords)}) }
+	return tr
+}
+
+// end closes the span begin opened, annotating the words this rank
+// received.
+func end(tr *trace.Tracer, st *Stats) {
+	tr.End(trace.Arg{Key: "recv_words", Val: int64(st.RecvWords)})
 }
 
 // round wraps one exchange step in a structural span.
@@ -174,7 +186,7 @@ func AllGather(c *comm.Comm, g comm.Group, o Opts, data []uint32) ([][]uint32, S
 	if size == 1 {
 		return out, st
 	}
-	done := span(c, "allgather", &st)
+	tr := begin(c, "allgather")
 	next := g.World(g.Next(g.Me))
 	prev := g.World(g.Prev(g.Me))
 	piece := data
@@ -190,7 +202,7 @@ func AllGather(c *comm.Comm, g comm.Group, o Opts, data []uint32) ([][]uint32, S
 		st.RecvWords += len(piece)
 		stepDone()
 	}
-	done()
+	end(tr, &st)
 	return out, st
 }
 
@@ -207,7 +219,7 @@ func AllToAll(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uint32, 
 	out := make([][]uint32, size)
 	out[g.Me] = send[g.Me]
 	var st Stats
-	done := span(c, "alltoall", &st)
+	tr := begin(c, "alltoall")
 	for step := 1; step < size; step++ {
 		stepDone := round(c, step)
 		to := (g.Me + step) % size
@@ -217,7 +229,7 @@ func AllToAll(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uint32, 
 		st.RecvWords += len(out[from])
 		stepDone()
 	}
-	done()
+	end(tr, &st)
 	return out, st
 }
 
@@ -228,7 +240,7 @@ func AllToAll(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uint32, 
 // merge savings only; contrast with TwoPhaseFold.
 func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats) {
 	var st Stats
-	done := span(c, "rs-union", &st)
+	tr := begin(c, "rs-union")
 	parts, ast := AllToAll(c, g, o, encodeSends(g, o.Codec, send))
 	st = ast
 	decodeParts(g, o.Codec, parts)
@@ -241,7 +253,7 @@ func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]
 		acc, d = localindex.UnionInto(acc, p)
 		st.Dups += d
 	}
-	done()
+	end(tr, &st)
 	return acc, st
 }
 
@@ -253,7 +265,7 @@ func Broadcast(c *comm.Comm, g comm.Group, o Opts, root int, data []uint32) ([]u
 	if size == 1 {
 		return data, st
 	}
-	done := span(c, "bcast", &st)
+	tr := begin(c, "bcast")
 	// Position relative to root along the ring.
 	rel := (g.Me - root + size) % size
 	if rel != 0 {
@@ -263,6 +275,6 @@ func Broadcast(c *comm.Comm, g comm.Group, o Opts, root int, data []uint32) ([]u
 	if rel != size-1 {
 		c.SendChunked(g.World(g.Next(g.Me)), o.Tag, data, o.Chunk)
 	}
-	done()
+	end(tr, &st)
 	return data, st
 }

@@ -16,7 +16,10 @@ import "repro/internal/comm"
 // chunk containers when sparser than the raw words) and decoded back
 // before the OR; RecvWords counts the encoded words.
 func ReduceScatterOr(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats) {
-	parts, st := AllToAll(c, g, o, encodeSends(g, o.Codec, send))
+	if o.Codec != nil {
+		send = encodeSends(g, o.Codec, send)
+	}
+	parts, st := AllToAll(c, g, o, send)
 	decodeParts(g, o.Codec, parts)
 	var acc []uint32
 	for _, p := range parts {

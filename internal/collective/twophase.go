@@ -43,9 +43,14 @@ func encodeBundle(sets [][]uint32) []uint32 {
 }
 
 func decodeBundle(buf []uint32, k int) [][]uint32 {
-	sets := make([][]uint32, k)
+	return decodeBundleInto(make([][]uint32, k), buf)
+}
+
+// decodeBundleInto splits buf into the len(sets) sections it frames,
+// storing them in sets.
+func decodeBundleInto(sets [][]uint32, buf []uint32) [][]uint32 {
 	pos := 0
-	for i := 0; i < k; i++ {
+	for i := range sets {
 		if pos >= len(buf) {
 			panic("collective: truncated bundle")
 		}
@@ -74,29 +79,32 @@ func decodeBundle(buf []uint32, k int) [][]uint32 {
 // send[i] is the sorted set destined for group member i; the result is
 // the union of all sets destined to this rank.
 func TwoPhaseFold(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats) {
-	size := g.Size()
-	if len(send) != size {
-		panic(fmt.Sprintf("collective: TwoPhaseFold needs %d send buffers, got %d", size, len(send)))
+	if len(send) != g.Size() {
+		panic(fmt.Sprintf("collective: TwoPhaseFold needs %d send buffers, got %d", g.Size(), len(send)))
 	}
+	return twoPhaseFold(c, g, o, prepared(send))
+}
+
+// twoPhaseFold is TwoPhaseFold drawing the set destined to member m
+// from prep(m), called once per member in member order before anything
+// is sent.
+func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stats) {
+	size := g.Size()
 	var st Stats
 	if size == 1 {
-		return append([]uint32(nil), send[0]...), st
+		return append([]uint32(nil), prep(0)...), st
 	}
-	done := span(c, "twophase-fold", &st)
-	tr := c.Tracer()
+	tr := begin(c, "twophase-fold")
 	a, b := FactorGrid(size)
 	row, col := g.Me/b, g.Me%b
 
-	// chunks[(j+1)%b] holds the bundle destined to grid column j:
+	// chunk((j+1)%b) holds the bundle destined to grid column j:
 	// a sets, one per grid row. The +1 shift makes the textbook ring
 	// schedule finish with this rank owning its own column's bundle.
-	chunks := make([][][]uint32, b)
-	for j := 0; j < b; j++ {
-		sets := make([][]uint32, a)
-		for i := 0; i < a; i++ {
-			sets[i] = send[i*b+j]
-		}
-		chunks[(j+1)%b] = sets
+	sets := c.Lists(size)
+	chunk := func(idx int) [][]uint32 { return sets[idx*a : (idx+1)*a] }
+	for m := 0; m < size; m++ {
+		sets[(m%b+1)%b*a+m/b] = prep(m)
 	}
 
 	// Phase 1: ring reduce-scatter along my grid row. With a codec,
@@ -104,68 +112,95 @@ func TwoPhaseFold(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32
 	// before the in-flight union (bitmap payloads when denser is
 	// cheaper); NoUnion skips the codec because its in-transit payloads
 	// are merged multisets with no set encoding.
+	cdc := o.Codec
+	if o.NoUnion {
+		cdc = nil
+	}
 	if b > 1 {
 		tr.Begin("phase", "phase1")
 		next := g.World(row*b + (col+1)%b)
 		prev := g.World(row*b + (col-1+b)%b)
+		staged := c.Lists(a)
 		for s := 0; s < b-1; s++ {
 			stepDone := round(c, s)
 			sendIdx := (col - s + b) % b
 			recvIdx := (col - s - 1 + b) % b
-			c.SendChunked(next, o.Tag+s, encodeBundle(foldWireSets(o, a, b, sendIdx, chunks[sendIdx])), o.Chunk)
+			outgoing := chunk(sendIdx)
+			if cdc != nil {
+				// Set i of the bundle stored at sendIdx belongs to group
+				// member i*b + (sendIdx-1 mod b).
+				for i, set := range outgoing {
+					staged[i] = cdc.Enc(i*b+(sendIdx-1+b)%b, set)
+				}
+				outgoing = staged
+			}
+			c.SendChunked(next, o.Tag+s, encodeBundle(outgoing), o.Chunk)
 			buf := c.RecvChunked(prev, o.Tag+s, o.Chunk)
 			st.RecvWords += len(buf)
-			incoming := decodeBundle(buf, a)
-			foldUnwireSets(o, b, recvIdx, incoming)
+			incoming := decodeBundleInto(staged, buf)
+			mine := chunk(recvIdx)
 			for i := 0; i < a; i++ {
+				if cdc != nil {
+					incoming[i] = cdc.Dec(i*b+(recvIdx-1+b)%b, incoming[i])
+				}
 				if o.NoUnion {
-					chunks[recvIdx][i] = mergeKeepDups(chunks[recvIdx][i], incoming[i])
+					mine[i] = mergeKeepDups(mine[i], incoming[i])
 					continue
 				}
 				var d int
-				chunks[recvIdx][i], d = localindex.UnionSorted(chunks[recvIdx][i], incoming[i])
+				mine[i], d = localindex.UnionSorted(mine[i], incoming[i])
 				st.Dups += d
 			}
 			stepDone()
 		}
+		c.ReleaseLists(staged)
 		tr.End()
 	}
 	// This rank now owns the fully reduced bundle for its grid column.
-	mine := chunks[(col+1)%b]
+	mine := chunk((col + 1) % b)
 
 	// Phase 2: point-to-point distribution down my grid column. The
 	// async schedule posts every send before any wait so the column's
 	// transfers fly concurrently (phase 1's ring is serially dependent —
 	// each step forwards what the previous one merged — and stays
-	// synchronous either way).
+	// synchronous either way). What travels is the codec's encoding or,
+	// without one (and for NoUnion's multisets), a copy: see wireSet.
 	tr.Begin("phase", "phase2")
-	if o.Async {
-		acc := twoPhaseFoldPhase2Async(c, g, o, a, b, row, col, mine, &st)
-		tr.End()
-		done()
-		return acc, st
-	}
 	acc := append([]uint32(nil), mine[row]...)
 	tag2 := o.Tag + 1<<20
-	useCodec := o.Codec != nil && !o.NoUnion
-	for i := 0; i < a; i++ {
-		if i == row {
-			continue
-		}
-		part := mine[i]
-		if useCodec {
-			part = o.Codec.Enc(i*b+col, part)
-		}
-		c.SendChunked(g.World(i*b+col), tag2+row, part, o.Chunk)
+	var reqs []comm.Request
+	if o.Async {
+		reqs = c.Requests(a)
 	}
 	for i := 0; i < a; i++ {
 		if i == row {
 			continue
 		}
-		part := c.RecvChunked(g.World(i*b+col), tag2+i, o.Chunk)
+		part := wireSet(cdc, i*b+col, mine[i])
+		if o.Async {
+			c.IsendChunked(g.World(i*b+col), tag2+row, part, o.Chunk)
+		} else {
+			c.SendChunked(g.World(i*b+col), tag2+row, part, o.Chunk)
+		}
+	}
+	for i := 0; o.Async && i < a; i++ {
+		if i != row {
+			reqs[i] = c.IrecvChunked(g.World(i*b+col), tag2+i, o.Chunk)
+		}
+	}
+	for i := 0; i < a; i++ {
+		if i == row {
+			continue
+		}
+		var part []uint32
+		if o.Async {
+			part = reqs[i].Wait()
+		} else {
+			part = c.RecvChunked(g.World(i*b+col), tag2+i, o.Chunk)
+		}
 		st.RecvWords += len(part)
-		if useCodec {
-			part = o.Codec.Dec(g.Me, part)
+		if cdc != nil {
+			part = cdc.Dec(g.Me, part)
 		}
 		if o.NoUnion {
 			// part may be a multiset; dedup on receipt. These
@@ -180,37 +215,13 @@ func TwoPhaseFold(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32
 	if o.NoUnion {
 		acc, _ = localindex.SortSet(acc)
 	}
+	if o.Async {
+		c.ReleaseRequests(reqs)
+	}
+	c.ReleaseLists(sets)
 	tr.End()
-	done()
+	end(tr, &st)
 	return acc, st
-}
-
-// foldWireSets re-encodes each set of the phase-1 bundle stored at
-// index idx (destined to grid column (idx-1+b) mod b; set i belongs to
-// group member i*b+col) through the codec, if any.
-func foldWireSets(o Opts, a, b, idx int, sets [][]uint32) [][]uint32 {
-	if o.Codec == nil || o.NoUnion {
-		return sets
-	}
-	col := (idx - 1 + b) % b
-	out := make([][]uint32, a)
-	for i, s := range sets {
-		out[i] = o.Codec.Enc(i*b+col, s)
-	}
-	return out
-}
-
-// foldUnwireSets decodes an incoming phase-1 bundle (stored at index
-// idx; set i is destined to group member i*b+col with col as in
-// foldWireSets) in place.
-func foldUnwireSets(o Opts, b, idx int, sets [][]uint32) {
-	if o.Codec == nil || o.NoUnion {
-		return
-	}
-	col := (idx - 1 + b) % b
-	for i := range sets {
-		sets[i] = o.Codec.Dec(i*b+col, sets[i])
-	}
 }
 
 // mergeKeepDups merges two ascending slices preserving duplicates, the
@@ -248,8 +259,7 @@ func TwoPhaseExpand(c *comm.Comm, g comm.Group, o Opts, data []uint32) ([][]uint
 	if size == 1 {
 		return out, st
 	}
-	done := span(c, "twophase-expand", &st)
-	tr := c.Tracer()
+	tr := begin(c, "twophase-expand")
 	a, b := FactorGrid(size)
 	row, col := g.Me/b, g.Me%b
 
@@ -302,7 +312,7 @@ func TwoPhaseExpand(c *comm.Comm, g comm.Group, o Opts, data []uint32) ([][]uint
 		}
 		tr.End()
 	}
-	done()
+	end(tr, &st)
 	return out, st
 }
 

@@ -43,7 +43,7 @@ func (c *Comm) RecvChunked(src, tag int, maxWords int) []uint32 {
 // whichever pair is in use).
 func sendChunks(send func(piece []uint32), data []uint32, maxWords int) {
 	nchunks := (len(data) + maxWords - 1) / maxWords
-	send([]uint32{uint32(nchunks)})
+	send(chunkHeader(nchunks))
 	for i := 0; i < nchunks; i++ {
 		lo := i * maxWords
 		hi := lo + maxWords
@@ -52,6 +52,19 @@ func sendChunks(send func(piece []uint32), data []uint32, maxWords int) {
 		}
 		send(data[lo:hi])
 	}
+}
+
+// smallHeaders are the chunk-count headers of logical messages of up to
+// three chunks — nearly every message under the default 16Ki-word
+// buffers — shared by all senders: a payload handed to the transport is
+// read-only from then on, so the header needs no copy of its own.
+var smallHeaders = [...][1]uint32{{0}, {1}, {2}, {3}}
+
+func chunkHeader(nchunks int) []uint32 {
+	if nchunks < len(smallHeaders) {
+		return smallHeaders[nchunks][:]
+	}
+	return []uint32{uint32(nchunks)}
 }
 
 // recvChunks inverts sendChunks, drawing each message through recv.

@@ -43,7 +43,11 @@ type Comm struct {
 	hopsRecv  uint64 // sum of torus hop counts over received messages
 	hopBytes  uint64 // sum of bytes x hops (link-traffic load)
 
-	linkLoad map[linkKey]uint64 // bytes per directed torus link
+	linkLoad []uint64 // bytes per directed torus link, by route-table link index
+
+	// Per-call scratch the collectives borrow (see scratch.go).
+	reqs  lend[Request]
+	lists lend[[]uint32]
 
 	// Transport framing: per-peer sequence counters (sendSeq[dst] is
 	// the next outgoing frame number on the rank->dst stream,
@@ -164,10 +168,14 @@ func (c *Comm) ChargeItemsPar(n int, unit float64) {
 	c.Compute(d)
 }
 
-// Send transmits data to rank dst with the given tag. The payload slice
-// is handed over by reference and must not be mutated by the sender
-// afterwards (ranks share one address space; the simulated network does
-// not copy). Every payload is framed with a sequence number and
+// Send transmits data to rank dst with the given tag. The transport
+// takes ownership of the payload: ranks share one address space and the
+// simulated network does not copy, so the slice handed over here is the
+// one the receiver gets — possibly much later, possibly forwarded on to
+// other ranks — and from this call on nobody may write to it, sender or
+// receiver. A sender that wants to reuse a buffer sends a copy (the
+// union folds and the expand do: collective.wireSet, bfs expandWire).
+// Every payload is framed with a sequence number and
 // checksum carried in the modeled message envelope; a nil payload or an
 // out-of-range dst is a descriptive panic (recovered by World.Run into
 // an error).

@@ -251,7 +251,7 @@ func TestOffloadedRecoveryKeepsLedger(t *testing.T) {
 	w.SetFault(&fault.Plan{Seed: 8, PDrop: 1})
 	comms, err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Isend(1, 1, []uint32{1, 2, 3}).Wait()
+			c.Isend(1, 1, []uint32{1, 2, 3})
 		} else {
 			r := c.Irecv(0, 1)
 			c.Compute(5e-6)

@@ -1,26 +1,15 @@
 package comm
 
-import "repro/internal/torus"
-
-// linkKey identifies one directed torus link by its endpoints.
-type linkKey struct {
-	from, to torus.Coord
-}
-
 // recordRoute charges a message's bytes to every directed link on its
-// dimension-ordered route. Each rank accumulates into its own map (no
-// sharing); World merges after Run. The resulting per-link loads are
-// what the Figure 1 task mapping optimizes on the real machine — the
-// deterministic clock model has no contention, so congestion shows up
-// here rather than in simulated time.
+// dimension-ordered route, looked up in the World's route table. Each
+// rank accumulates into its own ledger, indexed by the table's link
+// numbering (no sharing); LinkLoads merges after Run. The resulting
+// per-link loads are what the Figure 1 task mapping optimizes on the
+// real machine — the deterministic clock model has no contention, so
+// congestion shows up here rather than in simulated time.
 func (c *Comm) recordRoute(src int, bytes int) {
-	m := c.world.mapping
-	path := m.Torus.Route(m.Coords[src], m.Coords[c.rank])
-	for i := 1; i < len(path); i++ {
-		if c.linkLoad == nil {
-			c.linkLoad = make(map[linkKey]uint64)
-		}
-		c.linkLoad[linkKey{path[i-1], path[i]}] += uint64(bytes)
+	for _, l := range c.world.routes.Route(src, c.rank) {
+		c.linkLoad[l] += uint64(bytes)
 	}
 }
 
@@ -28,17 +17,24 @@ func (c *Comm) recordRoute(src int, bytes int) {
 // returns the maximum and total bytes carried by any single directed
 // link, plus the number of distinct links used.
 func LinkLoads(comms []*Comm) (maxBytes, totalBytes uint64, links int) {
-	merged := make(map[linkKey]uint64)
+	if len(comms) == 0 {
+		return 0, 0, 0
+	}
+	merged := make([]uint64, len(comms[0].linkLoad))
 	for _, c := range comms {
-		for k, v := range c.linkLoad {
-			merged[k] += v
+		for l, v := range c.linkLoad {
+			merged[l] += v
 		}
 	}
 	for _, v := range merged {
+		if v == 0 {
+			continue
+		}
+		links++
 		totalBytes += v
 		if v > maxBytes {
 			maxBytes = v
 		}
 	}
-	return maxBytes, totalBytes, len(merged)
+	return maxBytes, totalBytes, links
 }

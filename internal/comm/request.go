@@ -29,7 +29,9 @@ import (
 // Requests on the same (source, tag) stream must be waited in posting
 // order — the mailboxes are FIFO, exactly like eager MPI.
 
-// Request is a handle to a posted nonblocking operation.
+// Request is a handle to a posted nonblocking operation. It is a plain
+// value: posting one allocates nothing, and a collective that posts a
+// batch keeps them in a slice borrowed from Comm.Requests.
 type Request struct {
 	c     *Comm
 	src   int
@@ -45,25 +47,25 @@ type Request struct {
 // after the coprocessor frees up, the overhead is charged to the
 // communication ledger as overlapped work, and the main core's clock
 // does not move.
-func (c *Comm) Isend(dst, tag int, data []uint32) *Request {
+func (c *Comm) Isend(dst, tag int, data []uint32) Request {
 	c.sendOffloaded(dst, tag, data)
-	return &Request{c: c, done: true}
+	return Request{c: c, done: true}
 }
 
 // IsendChunked is Isend under the fixed-length buffer discipline of
 // SendChunked; the receiver must use IrecvChunked with the same
 // maxWords. As with SendChunked, a nil data slice means an empty
 // logical message.
-func (c *Comm) IsendChunked(dst, tag int, data []uint32, maxWords int) *Request {
+func (c *Comm) IsendChunked(dst, tag int, data []uint32, maxWords int) Request {
 	if data == nil {
 		data = emptyPayload
 	}
 	if maxWords <= 0 {
 		c.sendOffloaded(dst, tag, data)
-		return &Request{c: c, done: true}
+		return Request{c: c, done: true}
 	}
 	sendChunks(func(piece []uint32) { c.sendOffloaded(dst, tag, piece) }, data, maxWords)
-	return &Request{c: c, done: true}
+	return Request{c: c, done: true}
 }
 
 // sendOffloaded queues one message through the coprocessor: departures
@@ -92,16 +94,16 @@ func (c *Comm) sendOffloaded(dst, tag int, data []uint32) {
 // tag. Nothing is charged at post time; the clock of the post is
 // recorded so Wait can tell how much of the transfer progressed under
 // the activity in between.
-func (c *Comm) Irecv(src, tag int) *Request {
+func (c *Comm) Irecv(src, tag int) Request {
 	if src == c.rank {
 		panic(fmt.Sprintf("comm: rank %d posting a receive from itself (tag %d)", c.rank, tag))
 	}
-	return &Request{c: c, src: src, tag: tag, ref: c.clock}
+	return Request{c: c, src: src, tag: tag, ref: c.clock}
 }
 
 // IrecvChunked posts a receive for a logical message sent with
 // SendChunked/IsendChunked using the same maxWords.
-func (c *Comm) IrecvChunked(src, tag, maxWords int) *Request {
+func (c *Comm) IrecvChunked(src, tag, maxWords int) Request {
 	r := c.Irecv(src, tag)
 	r.chunk = maxWords
 	return r

@@ -113,7 +113,8 @@ func TestNoComputeNoOverlap(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []uint32{1, 2, 3})
 		} else {
-			c.Irecv(0, 1).Wait()
+			req := c.Irecv(0, 1)
+			req.Wait()
 		}
 	})
 	if err != nil {

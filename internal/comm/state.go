@@ -80,8 +80,11 @@ func (c *Comm) CaptureState() State {
 	if c.recvSeq != nil {
 		s.RecvSeq = append([]uint32(nil), c.recvSeq...)
 	}
-	for k, v := range c.linkLoad {
-		s.Links = append(s.Links, LinkLoad{From: k.from, To: k.to, Bytes: v})
+	for id, v := range c.linkLoad {
+		if v != 0 {
+			l := c.world.routes.Link(id)
+			s.Links = append(s.Links, LinkLoad{From: l.From, To: l.To, Bytes: v})
+		}
 	}
 	sort.Slice(s.Links, func(i, j int) bool {
 		a, b := s.Links[i], s.Links[j]
@@ -120,12 +123,13 @@ func (c *Comm) RestoreState(s State) {
 	if s.RecvSeq != nil {
 		c.recvSeq = append([]uint32(nil), s.RecvSeq...)
 	}
-	c.linkLoad = nil
+	clear(c.linkLoad)
 	for _, l := range s.Links {
-		if c.linkLoad == nil {
-			c.linkLoad = make(map[linkKey]uint64)
+		id, ok := c.world.routes.LinkID(l.From, l.To)
+		if !ok {
+			panic(fmt.Sprintf("comm: rank %d restoring a load on link %v→%v, which no route of this world uses", c.rank, l.From, l.To))
 		}
-		c.linkLoad[linkKey{from: l.From, to: l.To}] += l.Bytes
+		c.linkLoad[id] += l.Bytes
 	}
 }
 

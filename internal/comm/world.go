@@ -45,6 +45,9 @@ type World struct {
 	P       int
 	mapping *torus.Mapping
 	model   torus.CostModel
+	// routes is the link-index route of every ordered rank pair, built
+	// once here so the per-message link accounting allocates nothing.
+	routes *torus.RouteTable
 
 	// mail[dst][src] carries messages from src to dst in FIFO order.
 	mail [][]*queue
@@ -93,6 +96,7 @@ func NewWorld(cfg Config) (*World, error) {
 		P:       cfg.P,
 		mapping: cfg.Mapping,
 		model:   cfg.Model,
+		routes:  torus.NewRouteTable(cfg.Mapping, cfg.P),
 		mail:    make([][]*queue, cfg.P),
 		barrier: newClockBarrier(),
 	}
@@ -135,7 +139,7 @@ func (w *World) Fault() *fault.Plan { return w.fault }
 func (w *World) Run(body func(c *Comm)) ([]*Comm, error) {
 	comms := make([]*Comm, w.P)
 	for r := range comms {
-		comms[r] = &Comm{world: w, rank: r, slow: 1, cores: 1}
+		comms[r] = &Comm{world: w, rank: r, slow: 1, cores: 1, linkLoad: make([]uint64, w.routes.NumLinks())}
 		if w.fault != nil {
 			comms[r].slow = w.fault.StragglerFactor(r)
 		}

@@ -28,6 +28,12 @@ func (d *Dense) check(v uint32) {
 	}
 }
 
+// clear empties the set, keeping the bitmap's storage.
+func (d *Dense) clear() {
+	clear(d.bits.Words())
+	d.count = 0
+}
+
 // Add inserts v.
 func (d *Dense) Add(v uint32) {
 	d.check(v)

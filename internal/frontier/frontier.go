@@ -94,7 +94,7 @@ func ToSparse(f Frontier) *Sparse {
 // representation.
 func Unwrap(f Frontier) Frontier {
 	if a, ok := f.(*Adaptive); ok {
-		return a.rep
+		return a.rep()
 	}
 	return f
 }

@@ -115,25 +115,52 @@ func uvarintLen(v uint32) int {
 	return n
 }
 
-func appendUvarint(b []byte, v uint32) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
+// bytePacker streams a byte-granular container straight into its wire
+// words: bytes land little-endian, four to a word, and the last word is
+// zero-padded — no intermediate byte buffer.
+type bytePacker struct {
+	buf []uint32
+	cur uint32
+	n   uint // bytes held in cur
 }
 
-// readUvarint decodes one varint at pos, returning the value and the
-// position after it; it panics on truncation (malformed payloads are
-// protocol bugs, matching the dense codec).
-func readUvarint(b []byte, pos int) (uint32, int) {
+func (p *bytePacker) put(b byte) {
+	p.cur |= uint32(b) << (8 * p.n)
+	if p.n++; p.n == 4 {
+		p.buf = append(p.buf, p.cur)
+		p.cur, p.n = 0, 0
+	}
+}
+
+func (p *bytePacker) uvarint(v uint32) {
+	for v >= 0x80 {
+		p.put(byte(v) | 0x80)
+		v >>= 7
+	}
+	p.put(byte(v))
+}
+
+// words flushes the padded tail and returns the extended buffer.
+func (p *bytePacker) words() []uint32 {
+	if p.n > 0 {
+		p.buf = append(p.buf, p.cur)
+	}
+	return p.buf
+}
+
+// readUvarint decodes one varint at byte position pos of the packed
+// words (including any zero padding; varint streams carry their own
+// counts), returning the value and the position after it; it panics on
+// truncation (malformed payloads are protocol bugs, matching the dense
+// codec).
+func readUvarint(words []uint32, pos int) (uint32, int) {
 	var v uint32
 	var shift uint
 	for {
-		if pos >= len(b) {
+		if pos >= 4*len(words) {
 			panic("frontier: truncated varint in hybrid chunk")
 		}
-		c := b[pos]
+		c := byte(words[pos>>2] >> (8 * uint(pos&3)))
 		pos++
 		v |= uint32(c&0x7f) << shift
 		if c < 0x80 {
@@ -146,41 +173,18 @@ func readUvarint(b []byte, pos int) (uint32, int) {
 	}
 }
 
-// packBytes appends b to buf little-endian, zero-padded to whole words.
-func packBytes(buf []uint32, b []byte) []uint32 {
-	for i := 0; i < len(b); i += 4 {
-		var w uint32
-		for j := 0; j < 4 && i+j < len(b); j++ {
-			w |= uint32(b[i+j]) << (8 * j)
-		}
-		buf = append(buf, w)
-	}
-	return buf
-}
-
-// unpackBytes flattens words back into their byte stream (including
-// any zero padding; varint streams carry their own counts).
-func unpackBytes(words []uint32) []byte {
-	b := make([]byte, 0, 4*len(words))
-	for _, w := range words {
-		b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
-	}
-	return b
-}
-
 func bytesToWords(n int) int { return (n + 3) / 4 }
 
 // --- chunk encoding -------------------------------------------------
 
 // chunkCosts returns the payload word counts of the four containers
-// for a chunk holding offs (ascending, chunk-relative) over span ids.
-func chunkCosts(offs []uint32, span int) (list, bitmap, runs, packed int) {
+// for a chunk holding offs (ascending, chunk-relative) over span ids,
+// plus the run count and largest member gap the encoders need.
+func chunkCosts(offs []uint32, span int) (list, bitmap, runs, packed, nruns int, maxDelta uint32) {
 	listBytes := uvarintLen(uint32(len(offs)))
 	runsBytes := 0
-	nruns := 0
 	prevEnd := uint32(0) // one past the previous run's last member
 	runStart := uint32(0)
-	maxDelta := uint32(0)
 	for i, off := range offs {
 		if i == 0 {
 			listBytes += uvarintLen(off)
@@ -204,7 +208,7 @@ func chunkCosts(offs []uint32, span int) (list, bitmap, runs, packed int) {
 		runsBytes += uvarintLen(runStart-prevEnd) + uvarintLen(offs[len(offs)-1]-runStart)
 	}
 	runsBytes += uvarintLen(uint32(nruns))
-	return bytesToWords(listBytes), BitWords(span), bytesToWords(runsBytes), packedCost(len(offs), maxDelta)
+	return bytesToWords(listBytes), BitWords(span), bytesToWords(runsBytes), packedCost(len(offs), maxDelta), nruns, maxDelta
 }
 
 // packedCost is the word count of the bit-packed fixed-width delta
@@ -229,7 +233,7 @@ func encodeChunk(buf []uint32, offs []uint32, span int, h *ContainerHist) []uint
 		h.EmptyChunks++
 		return append(buf, chunkEmpty<<chunkTypeShift)
 	}
-	list, bitmap, runs, packed := chunkCosts(offs, span)
+	list, bitmap, runs, packed, nruns, maxDelta := chunkCosts(offs, span)
 	// Cheapest container wins; ties keep the pre-packed preference order
 	// (list, then runs, then bitmap), so the packed form is only ever
 	// chosen when it strictly shrinks a chunk and can never regress.
@@ -246,48 +250,44 @@ func encodeChunk(buf []uint32, offs []uint32, span int, h *ContainerHist) []uint
 	switch choice {
 	case chunkList:
 		h.ListChunks++
-		b := appendUvarint(nil, uint32(len(offs)))
+		p := bytePacker{buf: append(buf, chunkList<<chunkTypeShift|uint32(list))}
+		p.uvarint(uint32(len(offs)))
 		for i, off := range offs {
 			if i == 0 {
-				b = appendUvarint(b, off)
+				p.uvarint(off)
 			} else {
-				b = appendUvarint(b, off-offs[i-1]-1)
+				p.uvarint(off - offs[i-1] - 1)
 			}
 		}
-		buf = append(buf, chunkList<<chunkTypeShift|uint32(bytesToWords(len(b))))
-		return packBytes(buf, b)
+		return p.words()
 	case chunkPacked:
-		return appendPackedChunk(buf, offs, h)
+		return appendPackedChunk(buf, offs, maxDelta, h)
 	case chunkRuns:
 		h.RunChunks++
-		var b []byte
-		nruns := 0
-		var spans [][2]uint32 // [start, last]
-		for i, off := range offs {
-			if i == 0 || off != offs[i-1]+1 {
-				spans = append(spans, [2]uint32{off, off})
-				nruns++
-			} else {
-				spans[nruns-1][1] = off
+		p := bytePacker{buf: append(buf, chunkRuns<<chunkTypeShift|uint32(runs))}
+		p.uvarint(uint32(nruns))
+		prevEnd, runStart := uint32(0), offs[0]
+		for i := 1; i <= len(offs); i++ {
+			if i < len(offs) && offs[i] == offs[i-1]+1 {
+				continue
+			}
+			p.uvarint(runStart - prevEnd)
+			p.uvarint(offs[i-1] - runStart)
+			prevEnd = offs[i-1] + 1
+			if i < len(offs) {
+				runStart = offs[i]
 			}
 		}
-		b = appendUvarint(b, uint32(nruns))
-		prevEnd := uint32(0)
-		for _, r := range spans {
-			b = appendUvarint(b, r[0]-prevEnd)
-			b = appendUvarint(b, r[1]-r[0])
-			prevEnd = r[1] + 1
-		}
-		buf = append(buf, chunkRuns<<chunkTypeShift|uint32(bytesToWords(len(b))))
-		return packBytes(buf, b)
+		return p.words()
 	default:
 		h.BitmapChunks++
-		w := NewBits(span)
+		buf = append(buf, chunkBitmap<<chunkTypeShift|uint32(bitmap))
+		at := len(buf)
+		buf = append(buf, make([]uint32, bitmap)...)
 		for _, off := range offs {
-			SetBit(w, off)
+			SetBit(buf[at:], off)
 		}
-		buf = append(buf, chunkBitmap<<chunkTypeShift|uint32(len(w)))
-		return append(buf, w...)
+		return buf
 	}
 }
 
@@ -302,15 +302,10 @@ const (
 	packedFirstOff  = packedCountBits + packedWidthBits
 )
 
-// appendPackedChunk appends the header and payload of a packed chunk.
-func appendPackedChunk(buf []uint32, offs []uint32, h *ContainerHist) []uint32 {
+// appendPackedChunk appends the header and payload of a packed chunk
+// whose largest member gap (minus one) is maxDelta.
+func appendPackedChunk(buf []uint32, offs []uint32, maxDelta uint32, h *ContainerHist) []uint32 {
 	h.PackedChunks++
-	maxDelta := uint32(0)
-	for i := 1; i < len(offs); i++ {
-		if d := offs[i] - offs[i-1] - 1; d > maxDelta {
-			maxDelta = d
-		}
-	}
 	width := uint(bits.Len32(maxDelta))
 	words := packedCost(len(offs), maxDelta)
 	buf = append(buf, chunkPacked<<chunkTypeShift|uint32(words))
@@ -384,7 +379,8 @@ func numChunks(n int) int { return (n + ChunkSpan - 1) / ChunkSpan }
 // appendSetChunks appends the chunk stream for an ascending id set over
 // [lo, lo+n).
 func appendSetChunks(buf []uint32, ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 {
-	offs := make([]uint32, 0, ChunkSpan)
+	var scratch [ChunkSpan]uint32 // chunk-relative offsets; stays on the stack
+	offs := scratch[:0]
 	i := 0
 	for c := 0; c < numChunks(n); c++ {
 		base := lo + uint32(c*ChunkSpan)
@@ -413,7 +409,7 @@ func appendSetChunks(buf []uint32, ids []uint32, lo uint32, n int, h *ContainerH
 // per chunk), so each chunk's members come from a word subrange.
 func appendBitsChunks(buf []uint32, words []uint32, n int, h *ContainerHist) []uint32 {
 	const wordsPerChunk = ChunkSpan / 32
-	offs := make([]uint32, 0, ChunkSpan)
+	var scratch [ChunkSpan]uint32 // chunk-relative offsets; stays on the stack
 	for c := 0; c < numChunks(n); c++ {
 		span := n - c*ChunkSpan
 		if span > ChunkSpan {
@@ -421,8 +417,12 @@ func appendBitsChunks(buf []uint32, words []uint32, n int, h *ContainerHist) []u
 		}
 		wlo := c * wordsPerChunk
 		whi := wlo + BitWords(span)
-		offs = offs[:0]
-		IterateBits(words[wlo:whi], func(off uint32) { offs = append(offs, off) })
+		offs := scratch[:0]
+		for wi, x := range words[wlo:whi] {
+			for ; x != 0; x &= x - 1 {
+				offs = append(offs, uint32(wi)*32+uint32(bits.TrailingZeros32(x)))
+			}
+		}
 		buf = encodeChunk(buf, offs, span, h)
 	}
 	return buf
@@ -454,7 +454,7 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 		case chunkPacked:
 			decodePackedChunk(payload, span, func(off uint32) { emit(base + off) })
 		case chunkList:
-			b := unpackBytes(payload)
+			b := payload
 			count, bp := readUvarint(b, 0)
 			if int(count) > span {
 				panic("frontier: hybrid list chunk overflows its span")
@@ -482,7 +482,7 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 			}
 			IterateBits(payload, func(off uint32) { emit(base + off) })
 		case chunkRuns:
-			b := unpackBytes(payload)
+			b := payload
 			nruns, bp := readUvarint(b, 0)
 			pos := uint32(0)
 			for r := uint32(0); r < nruns; r++ {
@@ -510,9 +510,18 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 // encodeHybridSet builds the full self-describing hybrid set payload
 // [hybridSentinel, lo, n, chunks...].
 func encodeHybridSet(ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 {
-	buf := make([]uint32, 0, 3+numChunks(n))
+	buf := make([]uint32, 0, 3+streamBound(n, len(ids)))
 	buf = append(buf, hybridSentinel, lo, uint32(n))
 	return appendSetChunks(buf, ids, lo, n, h)
+}
+
+// streamBound bounds the words of the chunk stream of count members
+// over an n-id universe, so an encoder can reserve its output once: a
+// header word per chunk, and per chunk no more payload than its bitmap
+// (span/32 words) or its varint list (at most two bytes per member and
+// for the count, rounded up to a word).
+func streamBound(n, count int) int {
+	return numChunks(n) + min(BitWords(n)+numChunks(n), (count+1)/2+2*numChunks(n))
 }
 
 // appendHybridSet inverts encodeHybridSet, appending the ids to dst.
@@ -548,7 +557,7 @@ func EncodeBits(words []uint32, n int, mode WireMode, h *ContainerHist) []uint32
 		return words
 	}
 	var hist ContainerHist
-	stream := appendBitsChunks(make([]uint32, 0, numChunks(n)), words, n, &hist)
+	stream := appendBitsChunks(make([]uint32, 0, streamBound(n, CountBits(words))), words, n, &hist)
 	if len(stream) >= len(words) {
 		if h != nil {
 			h.DensePayloads++

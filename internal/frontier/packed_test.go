@@ -46,7 +46,8 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 	}
 	for i, offs := range cases {
 		var h ContainerHist
-		buf := appendPackedChunk(nil, offs, &h)
+		_, _, _, _, _, maxDelta := chunkCosts(offs, ChunkSpan)
+		buf := appendPackedChunk(nil, offs, maxDelta, &h)
 		if h.PackedChunks != 1 {
 			t.Fatalf("case %d: accounting %+v", i, h)
 		}
@@ -104,7 +105,7 @@ func legacySetCost(ids []uint32, lo uint32, n int) int {
 		if len(offs) == 0 {
 			continue
 		}
-		list, bitmap, runs, _ := chunkCosts(offs, span)
+		list, bitmap, runs, _, _, _ := chunkCosts(offs, span)
 		best := list
 		if runs < best {
 			best = runs

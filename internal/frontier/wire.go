@@ -144,7 +144,7 @@ func encodeDenseFrontierHybrid(d *Dense, h *ContainerHist) []uint32 {
 	}
 	w := d.WireBits()
 	var chunks ContainerHist
-	buf := make([]uint32, 0, 3+numChunks(n))
+	buf := make([]uint32, 0, 3+streamBound(n, d.Len()))
 	hyb := appendBitsChunks(append(buf, hybridSentinel, lo, uint32(n)), w, n, &chunks)
 	return pickHybridForm(hyb, chunks, d.Len(), lo, n, h,
 		func() []uint32 { return rawList(d.Vertices()) },

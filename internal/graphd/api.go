@@ -4,14 +4,17 @@
 // HTTP/JSON, plus the well-typed client the load generator and tests
 // share.
 //
-// The core of the service is a dynamic batcher: concurrent
-// single-source BFS queries that arrive within a configurable window
-// (or up to the 64-lane MultiBFS capacity, whichever fills first)
-// coalesce into ONE multi-source sweep sequence, and each caller gets
-// its own lane's levels back — identical to an independent run, but the
-// batch moves strictly fewer wire words and far less simulated
-// execution time than one-query-at-a-time (the PR 4 acceptance result
-// the service exists to exploit). Queries that cannot share a sweep —
+// The core of the service is engine-paced dispatch (see batcher): a
+// single-source BFS query that finds an engine replica idle runs on it
+// at once — alone, direction-optimizing, under its own deadline, with
+// no queue wait — and the queries that arrive while every replica is
+// busy are the next batch: the replica that frees up takes its share of
+// them, up to the 64-lane MultiBFS capacity, as ONE multi-source sweep
+// sequence, and each caller gets its own lane's levels back — identical
+// to an independent run, but the batch moves strictly fewer wire words
+// and far less simulated execution time than one-query-at-a-time (the
+// PR 4 acceptance result the service exists to exploit). There is no
+// batching window and no timer. Queries that cannot share a sweep —
 // Δ-stepping SSSP and path reconstruction — go through a bounded worker
 // queue with admission control instead: when the queue is full the
 // server answers 503 with a Retry-After header rather than building an
@@ -92,9 +95,9 @@ type SSSPResponse struct {
 }
 
 // QueryStats reports how the service executed one query: how long it
-// waited for a sweep or worker slot, how many queries and distinct
-// sources shared its sweep (both 1 for unbatched work), and the sweep's
-// simulated cost — which is AMORTIZED over the whole batch, so a query
+// waited for an engine or worker slot, how many queries and distinct
+// sources shared its run (both 1 for a query that ran alone), and the
+// run's simulated cost — which is AMORTIZED over the whole batch, so a query
 // that shared a 64-lane sweep reports the one sweep's words, not 64
 // runs' worth.
 type QueryStats struct {
@@ -108,18 +111,20 @@ type QueryStats struct {
 }
 
 // ErrorResponse is the body of every non-2xx answer. A 504
-// (deadline-exceeded) answer sets DeadlineExceeded and, when the
-// engines canceled cooperatively, Partial — how far the traversal got
-// before the budget ran out.
+// (deadline-exceeded) answer sets DeadlineExceeded and Partial — how
+// far the run got: to the boundary where the engines canceled
+// cooperatively, or, for a rider whose deadline passed while the sweep
+// it shared ran on for others, to the end. Only the stuck-engine
+// backstop answers without Partial.
 type ErrorResponse struct {
 	Error            string        `json:"error"`
 	DeadlineExceeded bool          `json:"deadline_exceeded,omitempty"`
 	Partial          *PartialStats `json:"partial,omitempty"`
 }
 
-// PartialStats reports the progress of a cooperatively canceled run:
-// Done whole units (Unit "level", "sweep", or "epoch") completed, and
-// the simulated / wall cost spent before the stop.
+// PartialStats reports the progress of the run behind a 504: Done whole
+// units (Unit "level", "sweep", or "epoch") completed, and the
+// simulated / wall cost spent.
 type PartialStats struct {
 	Unit     string  `json:"unit"`
 	Done     int     `json:"done"`
@@ -148,10 +153,9 @@ type GraphInfo struct {
 
 // BatchingInfo reports the batcher and admission configuration.
 type BatchingInfo struct {
-	WindowS    float64 `json:"window_s"`
-	MaxBatch   int     `json:"max_batch"`
-	MaxWaiting int     `json:"max_waiting"`
-	QueueDepth int     `json:"queue_depth"`
+	MaxBatch   int `json:"max_batch"`
+	MaxWaiting int `json:"max_waiting"`
+	QueueDepth int `json:"queue_depth"`
 }
 
 // QueryCounts aggregates the server's lifetime traffic.

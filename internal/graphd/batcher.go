@@ -15,65 +15,86 @@ import (
 // shutdown drain; the server maps it to a 503.
 var ErrDraining = errors.New("graphd: draining")
 
-// sweepStats is the shared cost of one coalesced sweep, reported to
-// every query that rode it.
+// sweepStats is the shared cost of one run, reported to every query
+// that rode it. Unit and Done say how far it got ("level" for a single
+// traversal, "sweep" for a MultiBFS) and Finished when it returned — a
+// rider whose own deadline is earlier than that was answered too late.
 type sweepStats struct {
 	SimExecS float64
 	SimCommS float64
 	Words    int64
 	WallS    float64
+	Unit     string
+	Done     int
+	Finished time.Time
 }
 
-// sweepFunc runs one sweep over the deduplicated batch sources and
+// partial renders the run as the progress report of a 504 body.
+func (st sweepStats) partial() *PartialStats {
+	return &PartialStats{Unit: st.Unit, Done: st.Done, SimExecS: st.SimExecS, WallS: st.WallS}
+}
+
+// sweepFunc runs the deduplicated sources on the borrowed engine e and
 // returns one level array per source, index-aligned. The batcher owns
-// WHEN a sweep fires and which queries share it; the server owns HOW a
-// sweep runs (borrowing an engine, choosing MultiBFS vs a plain BFS for
-// a single lane). deadline is the batch's wall budget — the LOOSEST
-// member deadline, zero when any member is unbounded, because one
-// shared sweep cannot stop early for its most impatient rider without
-// robbing the patient ones.
-type sweepFunc func(sources []bgl.Vertex, deadline time.Time) ([][]int32, sweepStats, error)
+// WHEN a run starts, on which engine, and which queries share it; the
+// server owns HOW it runs (a direction-optimizing BFS for one source,
+// MultiBFS for more) and what becomes of e afterwards — back to the
+// pool, or quarantined. deadline is the run's wall budget — the LOOSEST
+// rider deadline, zero when any rider is unbounded, because one shared
+// sweep cannot stop early for its most impatient rider without robbing
+// the patient ones; for a lone query that is its own deadline.
+type sweepFunc func(e *engine, sources []bgl.Vertex, deadline time.Time) ([][]int32, sweepStats, error)
 
 // batchAnswer is what a waiting caller receives: its own lane's levels
-// plus the per-query statistics.
+// plus the per-query statistics, or the run's error.
 type batchAnswer struct {
 	levels []int32
 	stats  QueryStats
+	sweep  sweepStats
 	err    error
 }
 
 // batchQuery is one waiting caller. deadline is the query's own wall
-// budget (zero = unbounded); the batch sweeps under the loosest member
-// deadline and each HANDLER still enforces its own tighter one.
+// budget (zero = unbounded).
 type batchQuery struct {
 	source   bgl.Vertex
 	enq      time.Time
 	deadline time.Time
+	lane     int // index of source in its run's sources, set when taken
 	done     chan batchAnswer
 }
 
-// batcher coalesces concurrent single-source BFS queries into
-// multi-source sweeps. The first query of a batch opens a window;
-// every query arriving before it expires joins the batch, duplicate
-// sources sharing one lane. The batch fires when the window expires OR
-// the distinct-source count reaches maxBatch, whichever comes first —
-// so a steady stream of concurrent queries runs at full 64-lane
-// occupancy while a lone query waits at most one window. Close drains:
-// the pending batch fires immediately and Close blocks until every
-// accepted query has its answer.
+// minSweepLanes is the smallest share worth a MultiBFS sweep. A sweep
+// has a large fixed cost and is top-down only: measured on the lab's
+// service graph (n = 20000, 2x2, hybrid) a k-lane sweep costs 1.9, 2.7,
+// 3.1, 4.1, 3.5, 4.1 and 5.4 direction-optimizing singles at k = 1, 2,
+// 3, 4, 5, 8 and 16, so below four lanes the riders are served sooner —
+// and the engines kept no busier — one at a time, each by whichever
+// engine frees up first.
+const minSweepLanes = 4
+
+// batcher paces single-source BFS queries by the engines, not by a
+// clock. One dispatcher goroutine waits for a pending query, borrows an
+// idle engine — blocking while every engine is busy, which is exactly
+// when arrivals pool into a batch — and hands that engine its share of
+// the distinct pending sources: ceil(pending / idle engines), capped at
+// maxBatch, and a single source when that is under minSweepLanes. So
+// while queries do not outnumber engines each runs alone the moment it
+// arrives, and 64 lanes still fill when 64 clients outrun the replicas.
+// Duplicate sources share a lane. close drains: every admitted query is
+// answered before it returns.
 type batcher struct {
-	window   time.Duration
 	maxBatch int
+	engines  chan *engine
 	sweep    sweepFunc
 
 	mu      sync.Mutex
+	arrived *sync.Cond // signaled on submit and close
 	closed  bool
-	pending []*batchQuery
-	lanes   map[bgl.Vertex]int // distinct pending sources → lane index
-	gen     uint64             // flush generation, guards stale timers
-	timer   *time.Timer
+	pending []*batchQuery           // arrival order
+	lanes   map[bgl.Vertex]struct{} // distinct pending sources
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the dispatcher and every run in flight
 
 	batches        atomic.Int64
 	batchedQueries atomic.Int64
@@ -87,86 +108,110 @@ type batcher struct {
 // histogram (graphd_batch_lanes): powers of two up to the lane cap.
 var batchLaneBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
-// newBatcher builds a batcher; reg may be nil.
-func newBatcher(window time.Duration, maxBatch int, sweep sweepFunc, reg *metrics.Registry) *batcher {
+// newBatcher builds a batcher over the engine pool and starts its
+// dispatcher; reg may be nil.
+func newBatcher(maxBatch int, engines chan *engine, sweep sweepFunc, reg *metrics.Registry) *batcher {
 	b := &batcher{
-		window:   window,
-		maxBatch: maxBatch,
+		maxBatch: min(max(maxBatch, 1), bgl.MaxLanes),
+		engines:  engines,
 		sweep:    sweep,
-		lanes:    map[bgl.Vertex]int{},
+		lanes:    map[bgl.Vertex]struct{}{},
 	}
-	if b.maxBatch < 1 {
-		b.maxBatch = 1
-	}
-	if b.maxBatch > bgl.MaxLanes {
-		b.maxBatch = bgl.MaxLanes
-	}
+	b.arrived = sync.NewCond(&b.mu)
 	if reg != nil {
 		b.mBatches = reg.Counter("graphd_batches_total")
 		b.mQueries = reg.Counter("graphd_batched_queries_total")
 		b.mLanes = reg.Histogram("graphd_batch_lanes", batchLaneBuckets)
 	}
+	b.wg.Add(1)
+	go b.dispatch()
 	return b
 }
 
 // submit enqueues one query and returns the channel its answer will
-// arrive on (buffered — the batch goroutine never blocks on a caller).
+// arrive on (buffered — a run never blocks on a caller).
 func (b *batcher) submit(src bgl.Vertex, deadline time.Time) (<-chan batchAnswer, error) {
 	q := &batchQuery{source: src, enq: time.Now(), deadline: deadline, done: make(chan batchAnswer, 1)}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return nil, ErrDraining
 	}
 	b.pending = append(b.pending, q)
-	if _, dup := b.lanes[src]; !dup {
-		b.lanes[src] = len(b.lanes)
-	}
-	switch {
-	case len(b.lanes) >= b.maxBatch || b.window <= 0:
-		// Size cap reached (or batching disabled): fire now. A
-		// duplicate source never pushes the lane count past the cap, so
-		// overflow can only happen between batches, never inside one.
-		b.flushLocked()
-	case len(b.pending) == 1:
-		// First query of a new batch: open the window.
-		gen := b.gen
-		b.timer = time.AfterFunc(b.window, func() { b.expire(gen) })
-	}
-	b.mu.Unlock()
+	b.lanes[src] = struct{}{}
+	b.arrived.Signal()
 	return q.done, nil
 }
 
-// expire fires the batch whose window just closed. The generation
-// guard makes a stale timer (its batch already flushed by the size
-// cap) a no-op instead of prematurely firing the next batch.
-func (b *batcher) expire(gen uint64) {
-	b.mu.Lock()
-	if gen == b.gen && len(b.pending) > 0 {
-		b.flushLocked()
+// dispatch is the dispatcher loop: one run per borrowed engine until
+// the batcher is closed and nothing is pending.
+func (b *batcher) dispatch() {
+	defer b.wg.Done()
+	for {
+		b.mu.Lock()
+		for len(b.pending) == 0 && !b.closed {
+			b.arrived.Wait()
+		}
+		drained := len(b.pending) == 0
+		b.mu.Unlock()
+		if drained {
+			return
+		}
+		// Engine first: whatever arrives while every engine is busy is
+		// in the pending set by the time the share is cut.
+		e := <-b.engines
+		b.mu.Lock()
+		batch, sources := b.takeLocked(share(len(b.lanes), 1+len(b.engines), b.maxBatch))
+		b.mu.Unlock()
+		b.wg.Add(1)
+		go b.run(e, batch, sources)
 	}
-	b.mu.Unlock()
 }
 
-// flushLocked hands the pending batch to a sweep goroutine and resets
-// the collection state. Callers hold b.mu.
-func (b *batcher) flushLocked() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
+// share is how many distinct sources the engine just borrowed takes
+// when idle engines (itself included) are free: an even split of the
+// pending ones, at most maxBatch, and one at a time while the split is
+// too small to be worth a sweep.
+func share(pending, idle, maxBatch int) int {
+	n := min((pending+idle-1)/idle, maxBatch)
+	if n < minSweepLanes {
+		return 1
 	}
-	batch, lanes := b.pending, b.lanes
-	b.pending, b.lanes = nil, map[bgl.Vertex]int{}
-	b.gen++
-	b.wg.Add(1)
-	go b.run(batch, lanes)
+	return n
 }
 
-// batchDeadline is the wall budget one shared sweep runs under: the
-// LOOSEST member deadline, or zero (unbounded) when any member is
-// unbounded. Tighter individual deadlines stay with their handlers —
-// an impatient rider 504s on its own timer while the sweep finishes
-// for the patient ones.
+// takeLocked removes the n earliest distinct sources from the pending
+// set, with every query waiting on one of them, and returns the queries
+// and the sources (lane order). Callers hold b.mu.
+func (b *batcher) takeLocked(n int) ([]*batchQuery, []bgl.Vertex) {
+	lane := make(map[bgl.Vertex]int, n)
+	sources := make([]bgl.Vertex, 0, n)
+	var batch []*batchQuery
+	rest := b.pending[:0]
+	for _, q := range b.pending {
+		l, taken := lane[q.source]
+		if !taken && len(sources) < n {
+			l, taken = len(sources), true
+			lane[q.source] = l
+			sources = append(sources, q.source)
+			delete(b.lanes, q.source)
+		}
+		if taken {
+			q.lane = l
+			batch = append(batch, q)
+		} else {
+			rest = append(rest, q)
+		}
+	}
+	clear(b.pending[len(rest):])
+	b.pending = rest
+	return batch, sources
+}
+
+// batchDeadline is the wall budget one shared run executes under: the
+// LOOSEST rider deadline, or zero (unbounded) when any rider is
+// unbounded. A tighter rider deadline is judged against the run's
+// finish time when the answer is delivered.
 func batchDeadline(batch []*batchQuery) time.Time {
 	var dl time.Time
 	for _, q := range batch {
@@ -180,31 +225,24 @@ func batchDeadline(batch []*batchQuery) time.Time {
 	return dl
 }
 
-// run executes one batch: sweep the deduplicated sources, then
+// run executes one share on engine e: sweep the sources, then
 // demultiplex each lane's levels back to its waiting caller(s). The
 // demux loop runs under a recover of its own: a panic while answering
-// one query (a short levels array, a corrupted lane map) must not
-// strand the other riders of the sweep without an answer — they get a
-// descriptive error instead.
-func (b *batcher) run(batch []*batchQuery, lanes map[bgl.Vertex]int) {
+// one query (a short levels array) must not strand the other riders of
+// the sweep without an answer — they get a descriptive error instead.
+func (b *batcher) run(e *engine, batch []*batchQuery, sources []bgl.Vertex) {
 	defer b.wg.Done()
-	answered := make([]bool, len(batch))
+	answered := 0
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("graphd: batch demux panicked: %v", r)
-			for i, q := range batch {
-				if !answered[i] {
-					q.done <- batchAnswer{err: err}
-				}
+			for _, q := range batch[answered:] {
+				q.done <- batchAnswer{err: err}
 			}
 		}
 	}()
 	start := time.Now()
-	sources := make([]bgl.Vertex, len(lanes))
-	for src, i := range lanes {
-		sources[i] = src
-	}
-	levels, st, err := b.sweep(sources, batchDeadline(batch))
+	levels, st, err := b.sweep(e, sources, batchDeadline(batch))
 	b.batches.Add(1)
 	b.batchedQueries.Add(int64(len(batch)))
 	if b.mBatches != nil {
@@ -212,15 +250,11 @@ func (b *batcher) run(batch []*batchQuery, lanes map[bgl.Vertex]int) {
 		b.mQueries.Add(int64(len(batch)))
 		b.mLanes.Observe(float64(len(sources)))
 	}
-	for i, q := range batch {
-		if err != nil {
-			q.done <- batchAnswer{err: err}
-			answered[i] = true
-			continue
-		}
-		q.done <- batchAnswer{
-			levels: levels[lanes[q.source]],
-			stats: QueryStats{
+	for _, q := range batch {
+		ans := batchAnswer{sweep: st, err: err}
+		if err == nil {
+			ans.levels = levels[q.lane]
+			ans.stats = QueryStats{
 				QueueWaitS: start.Sub(q.enq).Seconds(),
 				BatchSize:  len(batch),
 				BatchLanes: len(sources),
@@ -228,26 +262,21 @@ func (b *batcher) run(batch []*batchQuery, lanes map[bgl.Vertex]int) {
 				SimCommS:   st.SimCommS,
 				Words:      st.Words,
 				WallS:      st.WallS,
-			},
+			}
 		}
-		answered[i] = true
+		q.done <- ans
+		answered++
 	}
 }
 
-// close drains the batcher: the pending batch (if any) fires
-// immediately — a query admitted before shutdown always gets its
-// answer — and close blocks until every in-flight sweep has delivered.
+// close drains the batcher: no new query is admitted, the dispatcher
+// runs the pending ones as engines free up — a query admitted before
+// shutdown always gets its answer — and close blocks until every run
+// has delivered.
 func (b *batcher) close() {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		if len(b.pending) > 0 {
-			b.flushLocked()
-		} else if b.timer != nil {
-			b.timer.Stop()
-			b.timer = nil
-		}
-	}
+	b.closed = true
+	b.arrived.Signal()
 	b.mu.Unlock()
 	b.wg.Wait()
 }

@@ -2,6 +2,7 @@ package graphd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	bgl "repro"
 )
 
-// testGraph builds the small deterministic workload the batcher tests
+// testGraph builds the small deterministic workload the graphd tests
 // share.
 func testGraph(t *testing.T, n int) *bgl.Graph {
 	t.Helper()
@@ -21,8 +22,8 @@ func testGraph(t *testing.T, n int) *bgl.Graph {
 	return g
 }
 
-// newTestServer builds a server over a 2x2 mesh with the given
-// batching knobs and registers its drain with the test cleanup.
+// newTestServer builds a server over a 2x2 mesh with the given knobs
+// and registers its drain with the test cleanup.
 func newTestServer(t *testing.T, g *bgl.Graph, mutate func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{Graph: g, R: 2, C: 2}
@@ -50,221 +51,387 @@ func recvAnswer(t *testing.T, ch <-chan batchAnswer) batchAnswer {
 	}
 }
 
-// checkOracle verifies a batched answer equals an independent run.
-func checkOracle(t *testing.T, g *bgl.Graph, src bgl.Vertex, ans batchAnswer) {
-	t.Helper()
-	if ans.err != nil {
-		t.Fatalf("source %d: batch error: %v", src, ans.err)
-	}
-	want := g.SerialBFS(src)
-	if len(ans.levels) != len(want) {
-		t.Fatalf("source %d: %d levels, oracle has %d", src, len(ans.levels), len(want))
-	}
-	for v := range want {
-		if ans.levels[v] != want[v] {
-			t.Fatalf("source %d: level[%d] = %d, oracle %d", src, v, ans.levels[v], want[v])
-		}
-	}
+// fleet is a pool of fake engines for driving the dispatcher without a
+// graph or a clock: every run announces itself on started and then
+// parks until the test finishes it, which also puts its engine back in
+// the pool — so which engines are busy, and what is pending when one
+// frees up, is exactly what the test arranged.
+type fleet struct {
+	t       *testing.T
+	engines chan *engine
+	started chan *fakeRun
+	b       *batcher
 }
 
-func TestBatcherSingleQuery(t *testing.T) {
-	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) { c.Window = 5 * time.Millisecond })
-	ch, err := s.batcher.submit(7, time.Time{})
+// fakeRun is one parked run: the engine it holds and the share it was
+// handed.
+type fakeRun struct {
+	e        *engine
+	sources  []bgl.Vertex
+	deadline time.Time
+	release  chan struct{}
+}
+
+// newFleet starts a batcher over n idle fake engines.
+func newFleet(t *testing.T, n, maxBatch int) *fleet {
+	f := &fleet{t: t, engines: make(chan *engine, n), started: make(chan *fakeRun)}
+	for i := 0; i < n; i++ {
+		f.engines <- &engine{idx: i}
+	}
+	f.b = newBatcher(maxBatch, f.engines, f.sweep, nil)
+	return f
+}
+
+// sweep answers lane i with the one-entry level array {source i}, so a
+// demultiplexed answer names the lane it came from.
+func (f *fleet) sweep(e *engine, sources []bgl.Vertex, deadline time.Time) ([][]int32, sweepStats, error) {
+	r := &fakeRun{e: e, sources: sources, deadline: deadline, release: make(chan struct{})}
+	f.started <- r
+	<-r.release
+	levels := make([][]int32, len(sources))
+	for i, src := range sources {
+		levels[i] = []int32{int32(src)}
+	}
+	return levels, sweepStats{Finished: time.Now()}, nil
+}
+
+// finish ends a parked run: its engine goes back to the pool and its
+// riders get their answers.
+func (f *fleet) finish(r *fakeRun) {
+	f.engines <- r.e
+	close(r.release)
+}
+
+func (f *fleet) submit(src bgl.Vertex) <-chan batchAnswer {
+	f.t.Helper()
+	ch, err := f.b.submit(src, time.Time{})
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		f.t.Fatalf("submit %d: %v", src, err)
 	}
-	ans := recvAnswer(t, ch)
-	checkOracle(t, g, 7, ans)
-	if ans.stats.BatchSize != 1 || ans.stats.BatchLanes != 1 {
-		t.Fatalf("lone query got batch size %d lanes %d, want 1/1", ans.stats.BatchSize, ans.stats.BatchLanes)
-	}
-	if ans.stats.SimExecS <= 0 || ans.stats.Words <= 0 {
-		t.Fatalf("per-query stats not filled: %+v", ans.stats)
+	return ch
+}
+
+// nextRun waits for the dispatcher to start a run.
+func (f *fleet) nextRun() *fakeRun {
+	f.t.Helper()
+	select {
+	case r := <-f.started:
+		return r
+	case <-time.After(30 * time.Second):
+		f.t.Fatal("the dispatcher started no run within 30s")
+		panic("unreachable")
 	}
 }
 
-// TestBatcherSizeCapTrigger holds the window effectively open forever;
-// only the size cap can fire the batch, and it must.
-func TestBatcherSizeCapTrigger(t *testing.T) {
-	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) {
-		c.Window = time.Hour
-		c.MaxBatch = 4
-	})
-	chans := make([]<-chan batchAnswer, 4)
-	for i := range chans {
-		ch, err := s.batcher.submit(bgl.Vertex(10*(i+1)), time.Time{})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		chans[i] = ch
-	}
-	for i, ch := range chans {
-		ans := recvAnswer(t, ch)
-		checkOracle(t, g, bgl.Vertex(10*(i+1)), ans)
-		if ans.stats.BatchSize != 4 || ans.stats.BatchLanes != 4 {
-			t.Fatalf("query %d: batch size %d lanes %d, want 4/4", i, ans.stats.BatchSize, ans.stats.BatchLanes)
-		}
-	}
-	if got := s.batcher.Batches(); got != 1 {
-		t.Fatalf("size-cap run produced %d batches, want 1", got)
+// closeAndWait closes the batcher, failing the test if the drain hangs.
+func (f *fleet) closeAndWait() {
+	f.t.Helper()
+	done := make(chan struct{})
+	go func() { f.b.close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		f.t.Fatal("batcher close did not return")
 	}
 }
 
-// TestBatcherWindowExpiry submits fewer queries than the cap; only the
-// window can fire the batch.
-func TestBatcherWindowExpiry(t *testing.T) {
-	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) { c.Window = 30 * time.Millisecond })
-	srcs := []bgl.Vertex{3, 44, 178}
+// wantAnswer checks a rider got its own lane's answer and the run
+// shape the test arranged.
+func (f *fleet) wantAnswer(ch <-chan batchAnswer, src bgl.Vertex, size, lanes int) batchAnswer {
+	f.t.Helper()
+	ans := recvAnswer(f.t, ch)
+	if ans.err != nil {
+		f.t.Fatalf("source %d: %v", src, ans.err)
+	}
+	if len(ans.levels) != 1 || ans.levels[0] != int32(src) {
+		f.t.Fatalf("source %d was handed lane answer %v", src, ans.levels)
+	}
+	if ans.stats.BatchSize != size || ans.stats.BatchLanes != lanes {
+		f.t.Fatalf("source %d: batch size %d lanes %d, want %d/%d", src, ans.stats.BatchSize, ans.stats.BatchLanes, size, lanes)
+	}
+	return ans
+}
+
+// TestDispatchIdleEnginesRunSingles: while queries do not outnumber idle
+// engines each gets an engine of its own at once — the second starts
+// while the first is still running — and waited for nothing.
+func TestDispatchIdleEnginesRunSingles(t *testing.T) {
+	f := newFleet(t, 2, bgl.MaxLanes)
+	t0 := time.Now()
+	chA := f.submit(10)
+	a := f.nextRun()
+	chB := f.submit(20)
+	b := f.nextRun() // a is still parked: b did not wait for it
+	dispatched := time.Since(t0).Seconds()
+	if a.e == b.e {
+		t.Fatalf("both queries were put on engine %d", a.e.idx)
+	}
+	if len(a.sources) != 1 || a.sources[0] != 10 || len(b.sources) != 1 || b.sources[0] != 20 {
+		t.Fatalf("runs took %v and %v, want one source each", a.sources, b.sources)
+	}
+	f.finish(a)
+	f.finish(b)
+	for src, ch := range map[bgl.Vertex]<-chan batchAnswer{10: chA, 20: chB} {
+		// Both runs had started by `dispatched`, so neither queued longer.
+		if ans := f.wantAnswer(ch, src, 1, 1); ans.stats.QueueWaitS > dispatched {
+			t.Fatalf("source %d reports %.6fs of queue wait, but both runs were started %.6fs after the first submit",
+				src, ans.stats.QueueWaitS, dispatched)
+		}
+	}
+	f.closeAndWait()
+	if got := f.b.Batches(); got != 2 {
+		t.Fatalf("%d runs, want 2", got)
+	}
+}
+
+// TestDispatchBusyEnginesPool: what arrives while every engine is busy
+// is one batch for the next engine to free up, duplicates sharing a
+// lane.
+func TestDispatchBusyEnginesPool(t *testing.T) {
+	f := newFleet(t, 1, bgl.MaxLanes)
+	chFirst := f.submit(1)
+	first := f.nextRun()
+	srcs := []bgl.Vertex{42, 7, 42, 9, 11} // 4 distinct
 	chans := make([]<-chan batchAnswer, len(srcs))
 	for i, src := range srcs {
-		ch, err := s.batcher.submit(src, time.Time{})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		chans[i] = ch
+		chans[i] = f.submit(src)
 	}
+	f.finish(first)
+	f.wantAnswer(chFirst, 1, 1, 1)
+	pooled := f.nextRun()
+	if got := fmt.Sprint(pooled.sources); got != "[42 7 9 11]" {
+		t.Fatalf("pooled run took lanes %s, want the 4 distinct sources in arrival order", got)
+	}
+	f.finish(pooled)
 	for i, ch := range chans {
-		ans := recvAnswer(t, ch)
-		checkOracle(t, g, srcs[i], ans)
-		if ans.stats.BatchSize != 3 || ans.stats.BatchLanes != 3 {
-			t.Fatalf("query %d: batch size %d lanes %d, want 3/3", i, ans.stats.BatchSize, ans.stats.BatchLanes)
-		}
+		f.wantAnswer(ch, srcs[i], 5, 4)
 	}
-	if got := s.batcher.Batches(); got != 1 {
-		t.Fatalf("window-expiry run produced %d batches, want 1", got)
+	f.closeAndWait()
+	if f.b.Batches() != 2 || f.b.BatchedQueries() != 6 {
+		t.Fatalf("%d runs over %d queries, want 2 over 6", f.b.Batches(), f.b.BatchedQueries())
 	}
 }
 
-// TestBatcherDuplicateSources: two queries for the same source must
-// share one lane, and both get the full correct answer.
-func TestBatcherDuplicateSources(t *testing.T) {
-	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) { c.Window = 30 * time.Millisecond })
-	srcs := []bgl.Vertex{42, 42, 7}
-	chans := make([]<-chan batchAnswer, len(srcs))
-	for i, src := range srcs {
-		ch, err := s.batcher.submit(src, time.Time{})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		chans[i] = ch
+// TestDispatchDuplicatesShareASingle: two queries for one source are
+// one lane even when that lane runs alone.
+func TestDispatchDuplicatesShareASingle(t *testing.T) {
+	f := newFleet(t, 1, bgl.MaxLanes)
+	f.submit(1)
+	first := f.nextRun()
+	ch1, ch2 := f.submit(42), f.submit(42)
+	f.finish(first)
+	dup := f.nextRun()
+	if len(dup.sources) != 1 || dup.sources[0] != 42 {
+		t.Fatalf("duplicate queries ran as lanes %v, want the one source", dup.sources)
 	}
-	for i, ch := range chans {
-		ans := recvAnswer(t, ch)
-		checkOracle(t, g, srcs[i], ans)
-		if ans.stats.BatchSize != 3 || ans.stats.BatchLanes != 2 {
-			t.Fatalf("query %d: batch size %d lanes %d, want 3 queries over 2 lanes",
-				i, ans.stats.BatchSize, ans.stats.BatchLanes)
-		}
-	}
+	f.finish(dup)
+	f.wantAnswer(ch1, 42, 2, 1)
+	f.wantAnswer(ch2, 42, 2, 1)
+	f.closeAndWait()
 }
 
-// TestBatcherFullAndOverflow: exactly 64 distinct sources fill one
-// sweep; a 65th overflows into a second.
-func TestBatcherFullAndOverflow(t *testing.T) {
-	g := testGraph(t, 400)
-	for _, tc := range []struct {
-		queries, wantBatches int
-	}{
-		{bgl.MaxLanes, 1},
-		{bgl.MaxLanes + 1, 2},
+// TestShareRule pins the split: an even share of the distinct pending
+// sources per idle engine, capped at MaxBatch, one at a time below the
+// sweep floor.
+func TestShareRule(t *testing.T) {
+	for _, tc := range []struct{ pending, idle, maxBatch, want int }{
+		{1, 1, 64, 1},
+		{1, 4, 64, 1},
+		{2, 2, 64, 1},
+		{5, 2, 64, 1}, // ceil(5/2) = 3: under minSweepLanes
+		{3, 1, 64, 1}, // likewise
+		{4, 1, 64, 4}, // the smallest sweep
+		{8, 2, 64, 4}, // an even split
+		{9, 2, 64, 5}, // rounded up
+		{62, 1, 64, 62},
+		{64, 1, 64, 64},
+		{200, 2, 64, 64}, // capped at the lane capacity
+		{200, 2, 16, 16}, // capped at MaxBatch
+		{10, 1, 1, 1},    // MaxBatch 1 never coalesces
+		{10, 1, 3, 1},    // a cap under the floor never sweeps either
 	} {
-		t.Run(fmt.Sprintf("queries=%d", tc.queries), func(t *testing.T) {
-			s := newTestServer(t, g, func(c *Config) { c.Window = 50 * time.Millisecond })
-			chans := make([]<-chan batchAnswer, tc.queries)
-			for i := range chans {
-				ch, err := s.batcher.submit(bgl.Vertex(i), time.Time{})
-				if err != nil {
-					t.Fatalf("submit %d: %v", i, err)
+		if got := share(tc.pending, tc.idle, tc.maxBatch); got != tc.want {
+			t.Errorf("share(pending %d, idle %d, max %d) = %d, want %d", tc.pending, tc.idle, tc.maxBatch, got, tc.want)
+		}
+	}
+}
+
+// TestDispatchShareByIdleEngines drives the rule through the
+// dispatcher: the share an engine takes depends on how many others are
+// idle when it is cut.
+func TestDispatchShareByIdleEngines(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		engines, pending, freeUp int // freeUp engines come back together
+		want                     []int
+	}{
+		{"62 on the only engine", 1, 62, 1, []int{62}},
+		{"200 on one of two", 2, 200, 1, []int{64}},
+		{"8 over two idle", 2, 8, 2, []int{4, 4}},
+		{"5 over two idle", 2, 5, 2, []int{1, 4}}, // ceil(5/2) is under the floor; the 4 left are a sweep
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, tc.engines, bgl.MaxLanes)
+			// Occupy every engine, then let the arrivals pool.
+			busy := make([]*fakeRun, tc.engines)
+			for i := range busy {
+				f.submit(bgl.Vertex(1000 + i))
+				busy[i] = f.nextRun()
+			}
+			for i := 0; i < tc.pending; i++ {
+				f.submit(bgl.Vertex(i))
+			}
+			// The dispatcher is blocked on the empty pool and cuts a share
+			// under b.mu: hold it while the engines come back, so the first
+			// share is cut with all of them idle.
+			f.b.mu.Lock()
+			for _, r := range busy[:tc.freeUp] {
+				f.finish(r)
+			}
+			f.b.mu.Unlock()
+			// Runs are cut one after another but start concurrently.
+			var got []int
+			for range tc.want {
+				r := f.nextRun()
+				got = append(got, len(r.sources))
+				busy = append(busy, r)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("the freed engines took shares of %v lanes, want %v", got, tc.want)
+			}
+			// Drain: finish what is parked and whatever starts after.
+			go func() {
+				for r := range f.started {
+					f.finish(r)
 				}
-				chans[i] = ch
+			}()
+			for _, r := range busy[tc.freeUp:] {
+				f.finish(r)
 			}
-			lanesSeen := map[int]bool{}
-			for i, ch := range chans {
-				ans := recvAnswer(t, ch)
-				checkOracle(t, g, bgl.Vertex(i), ans)
-				lanesSeen[ans.stats.BatchLanes] = true
-			}
-			if got := s.batcher.Batches(); got != int64(tc.wantBatches) {
-				t.Fatalf("%d queries produced %d batches, want %d", tc.queries, got, tc.wantBatches)
-			}
-			if !lanesSeen[bgl.MaxLanes] {
-				t.Fatalf("no query rode a full %d-lane sweep (lanes seen: %v)", bgl.MaxLanes, lanesSeen)
-			}
-			if tc.queries > bgl.MaxLanes && !lanesSeen[1] {
-				t.Fatalf("overflow query did not run in its own 1-lane sweep (lanes seen: %v)", lanesSeen)
-			}
+			f.closeAndWait()
+			close(f.started)
 		})
 	}
 }
 
-// TestBatcherShutdownMidWindow: closing the batcher while a window is
-// open fires the pending batch immediately — admitted queries are
-// answered, not dropped — and later submits are refused.
-func TestBatcherShutdownMidWindow(t *testing.T) {
-	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) { c.Window = time.Hour })
-	srcs := []bgl.Vertex{5, 99}
-	chans := make([]<-chan batchAnswer, len(srcs))
-	for i, src := range srcs {
-		ch, err := s.batcher.submit(src, time.Time{})
+// TestDispatchMaxBatchOneNeverCoalesces: the unbatched control serves a
+// backlog one query per run, in arrival order.
+func TestDispatchMaxBatchOneNeverCoalesces(t *testing.T) {
+	f := newFleet(t, 1, 1)
+	f.submit(100)
+	first := f.nextRun()
+	chans := make([]<-chan batchAnswer, 5)
+	for i := range chans {
+		chans[i] = f.submit(bgl.Vertex(i))
+	}
+	f.finish(first)
+	for i, ch := range chans {
+		r := f.nextRun()
+		if len(r.sources) != 1 || r.sources[0] != bgl.Vertex(i) {
+			t.Fatalf("run %d took %v, want the single source %d", i, r.sources, i)
+		}
+		f.finish(r)
+		f.wantAnswer(ch, bgl.Vertex(i), 1, 1)
+	}
+	f.closeAndWait()
+}
+
+// TestDispatchCloseDrains: close answers every query admitted before
+// it, as engines free up, and refuses the ones after.
+func TestDispatchCloseDrains(t *testing.T) {
+	f := newFleet(t, 1, bgl.MaxLanes)
+	chA := f.submit(1)
+	a := f.nextRun()
+	chB, chC := f.submit(2), f.submit(3)
+	closed := make(chan struct{})
+	go func() { f.b.close(); close(closed) }()
+	// close returns only after b and c have run, whenever it got to
+	// mark the batcher closed.
+	f.finish(a)
+	f.wantAnswer(chA, 1, 1, 1)
+	for _, want := range []bgl.Vertex{2, 3} {
+		r := f.nextRun()
+		if len(r.sources) != 1 || r.sources[0] != want {
+			t.Fatalf("drain ran %v, want source %d alone", r.sources, want)
+		}
+		f.finish(r)
+	}
+	f.wantAnswer(chB, 2, 1, 1)
+	f.wantAnswer(chC, 3, 1, 1)
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("batcher close did not return after draining")
+	}
+	if _, err := f.b.submit(4, time.Time{}); err != ErrDraining {
+		t.Fatalf("submit after close: err = %v, want ErrDraining", err)
+	}
+}
+
+// TestDispatchLoosestDeadline: a shared run executes under the loosest
+// rider deadline, unbounded if any rider is.
+func TestDispatchLoosestDeadline(t *testing.T) {
+	f := newFleet(t, 1, bgl.MaxLanes)
+	f.submit(100)
+	first := f.nextRun()
+	soon, later := time.Now().Add(time.Hour), time.Now().Add(2*time.Hour)
+	for i, dl := range []time.Time{soon, later, soon, soon} {
+		if _, err := f.b.submit(bgl.Vertex(i), dl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.finish(first)
+	bounded := f.nextRun()
+	if !bounded.deadline.Equal(later) {
+		t.Fatalf("4 bounded riders ran under deadline %v, want the loosest %v", bounded.deadline, later)
+	}
+	for i, dl := range []time.Time{soon, {}, soon, soon} {
+		if _, err := f.b.submit(bgl.Vertex(10+i), dl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.finish(bounded)
+	mixed := f.nextRun()
+	if !mixed.deadline.IsZero() {
+		t.Fatalf("a run with an unbounded rider got deadline %v", mixed.deadline)
+	}
+	f.finish(mixed)
+	f.closeAndWait()
+}
+
+// TestDispatchDemuxPanicIsolated: a panic while demultiplexing one
+// lane's answer (here: the sweep returned fewer level arrays than
+// lanes) must not strand the other riders — they get a descriptive
+// error instead of waiting forever.
+func TestDispatchDemuxPanicIsolated(t *testing.T) {
+	engines := make(chan *engine, 1)
+	hold := &engine{}
+	short := func(e *engine, sources []bgl.Vertex, _ time.Time) ([][]int32, sweepStats, error) {
+		engines <- e
+		// One array short: the highest lane's demux indexes past the end.
+		return make([][]int32, len(sources)-1), sweepStats{}, nil
+	}
+	b := newBatcher(bgl.MaxLanes, engines, short, nil)
+	chans := make([]<-chan batchAnswer, 4)
+	for i := range chans {
+		ch, err := b.submit(bgl.Vertex(i), time.Time{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		chans[i] = ch
 	}
-	closed := make(chan struct{})
-	go func() {
-		s.batcher.close()
-		close(closed)
-	}()
+	engines <- hold // all 4 are pending: one sweep
 	for i, ch := range chans {
 		ans := recvAnswer(t, ch)
-		checkOracle(t, g, srcs[i], ans)
-		if ans.stats.BatchSize != 2 {
-			t.Fatalf("drained batch size %d, want 2", ans.stats.BatchSize)
+		switch {
+		case i < 3 && ans.err != nil:
+			t.Fatalf("lane %d (inside the short answer) got error %v, want its levels", i, ans.err)
+		case i == 3 && ans.err == nil:
+			t.Fatal("lane 3 (past the short answer) got no error")
+		case i == 3 && !strings.Contains(ans.err.Error(), "demux panicked"):
+			t.Fatalf("lane 3 error %q does not name the demux panic", ans.err)
 		}
-	}
-	select {
-	case <-closed:
-	case <-time.After(30 * time.Second):
-		t.Fatal("batcher.close did not return after draining")
-	}
-	if _, err := s.batcher.submit(1, time.Time{}); err != ErrDraining {
-		t.Fatalf("submit after close: err = %v, want ErrDraining", err)
-	}
-}
-
-// TestBatcherDemuxPanicIsolated: a panic while demultiplexing one
-// lane's answer (here: the sweep returned fewer level arrays than
-// lanes) must not strand the other riders — they get a descriptive
-// error instead of waiting forever.
-func TestBatcherDemuxPanicIsolated(t *testing.T) {
-	short := func(sources []bgl.Vertex, _ time.Time) ([][]int32, sweepStats, error) {
-		// One array short: the highest lane's demux indexes past the end.
-		return make([][]int32, len(sources)-1), sweepStats{}, nil
-	}
-	b := newBatcher(time.Hour, 2, short, nil) // window never expires; size cap fires
-	ch1, err := b.submit(1, time.Time{})
-	if err != nil {
-		t.Fatalf("submit 1: %v", err)
-	}
-	ch2, err := b.submit(2, time.Time{}) // second distinct source: batch fires
-	if err != nil {
-		t.Fatalf("submit 2: %v", err)
-	}
-	a1, a2 := recvAnswer(t, ch1), recvAnswer(t, ch2)
-	if a1.err != nil {
-		t.Fatalf("lane 0 (inside the short answer) got error %v, want its levels", a1.err)
-	}
-	if a2.err == nil {
-		t.Fatal("lane 1 (past the short answer) got no error")
-	}
-	if !strings.Contains(a2.err.Error(), "demux panicked") {
-		t.Fatalf("lane 1 error %q does not name the demux panic", a2.err)
 	}
 	done := make(chan struct{})
 	go func() { b.close(); close(done) }()
@@ -275,18 +442,17 @@ func TestBatcherDemuxPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestBatcherCloseRace hammers close against concurrent submitters and
-// expiring window timers (run under -race): every accepted query gets
-// exactly one answer, every refused submit reports ErrDraining, and
-// close returns.
-func TestBatcherCloseRace(t *testing.T) {
+// TestDispatchCloseRace hammers close against concurrent submitters on
+// a real server (run under -race): every accepted query gets exactly
+// one answer, every refused submit reports ErrDraining, and close
+// returns.
+func TestDispatchCloseRace(t *testing.T) {
 	g := testGraph(t, 200)
 	for round := 0; round < 5; round++ {
-		s := newTestServer(t, g, func(c *Config) {
-			c.Window = 200 * time.Microsecond // fast timers racing the close
-		})
+		s := newTestServer(t, g, func(c *Config) { c.Replicas = 2 })
 		var wg sync.WaitGroup
 		answers := make(chan error, 64)
+		admitted := make(chan struct{}, 64)
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -299,12 +465,16 @@ func TestBatcherCloseRace(t *testing.T) {
 						}
 						return // draining: later submits only get more of the same
 					}
+					admitted <- struct{}{}
 					ans := recvAnswer(t, ch)
 					answers <- ans.err
 				}
 			}(w)
 		}
-		time.Sleep(time.Duration(round) * 300 * time.Microsecond)
+		// Close after a round-dependent number of admissions.
+		for i := 0; i < 4*round; i++ {
+			<-admitted
+		}
 		s.batcher.close()
 		wg.Wait()
 		close(answers)

@@ -119,13 +119,13 @@ func (b *breaker) failure() {
 	b.mu.Unlock()
 }
 
-// hedgeWindow is how many recent latencies the hedger remembers when
+// hedgeSamples is how many recent latencies the hedger remembers when
 // estimating its trigger quantile.
-const hedgeWindow = 128
+const hedgeSamples = 128
 
 // hedger decides when a BFS query has been in flight suspiciously long
 // and deserves a racing duplicate: past the configured quantile of the
-// last hedgeWindow observed latencies (never below the floor). Only
+// last hedgeSamples observed latencies (never below the floor). Only
 // idempotent reads may hedge — every graphd query is one.
 type hedger struct {
 	quantile float64
@@ -140,7 +140,7 @@ type hedger struct {
 }
 
 func newHedger(quantile float64, floor time.Duration) *hedger {
-	return &hedger{quantile: quantile, floor: floor, lat: make([]time.Duration, hedgeWindow)}
+	return &hedger{quantile: quantile, floor: floor, lat: make([]time.Duration, hedgeSamples)}
 }
 
 // delay returns how long to wait before firing the hedge.

@@ -2,6 +2,7 @@ package graphd
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -61,18 +62,56 @@ func TestQueryDeadlineSimBudget(t *testing.T) {
 	}
 }
 
-// TestQueryDeadlineTimeoutMS: a request-level timeout_ms shorter than
-// the batching window guarantees the deadline has passed by the first
-// level boundary — the engines cancel cooperatively and the rider gets
-// a 504 with the partial stats.
+// holdEngines takes every engine out of the pool, so admitted queries
+// wait, and returns the func that puts them back.
+func holdEngines(s *Server) (release func()) {
+	held := make([]*engine, s.cfg.Replicas)
+	for i := range held {
+		held[i] = <-s.engines
+	}
+	return func() {
+		for _, e := range held {
+			s.engines <- e
+		}
+	}
+}
+
+// awaitWaiting polls until n BFS queries are waiting on engines.
+func awaitWaiting(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.waiting.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d BFS queries reached the batcher", s.waiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueryDeadlineTimeoutMS: a query running alone carries its own
+// deadline into the run. With the engine held back until the 1 ms
+// budget is certainly spent, the run cancels cooperatively at its first
+// level boundary and the answer is a 504 with the partial stats.
 func TestQueryDeadlineTimeoutMS(t *testing.T) {
 	g := testGraph(t, 500)
-	s := newTestServer(t, g, func(c *Config) {
-		c.Window = 20 * time.Millisecond // deadline long gone when the sweep starts
-	})
+	s := newTestServer(t, g, nil)
 	ts, _ := startHTTP(t, s)
 
-	code, raw := postJSON(t, ts.URL+"/v1/bfs", `{"source":2,"timeout_ms":1}`)
+	release := holdEngines(s)
+	type answer struct {
+		code int
+		raw  []byte
+	}
+	got := make(chan answer, 1)
+	go func() {
+		code, raw := postJSON(t, ts.URL+"/v1/bfs", `{"source":2,"timeout_ms":1}`)
+		got <- answer{code, raw}
+	}()
+	awaitWaiting(t, s, 1)
+	time.Sleep(5 * time.Millisecond) // the deadline passes while the query waits
+	release()
+	a := <-got
+	code, raw := a.code, a.raw
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("bfs with timeout_ms=1: status %d (body %s), want 504", code, raw)
 	}
@@ -82,6 +121,9 @@ func TestQueryDeadlineTimeoutMS(t *testing.T) {
 	}
 	if !strings.Contains(er.Error, "deadline exceeded") {
 		t.Fatalf("504 error %q does not say the deadline was exceeded", er.Error)
+	}
+	if er.Partial == nil || er.Partial.Unit != "level" {
+		t.Fatalf("504 body %s carries no partial progress of the canceled run", raw)
 	}
 
 	// Negative timeouts are the caller's bug: 400, not 504.
@@ -99,6 +141,65 @@ func TestQueryDeadlineTimeoutMS(t *testing.T) {
 		if res.Levels[v] != want {
 			t.Fatalf("levels[%d] = %d under a generous timeout, oracle %d", v, res.Levels[v], want)
 		}
+	}
+}
+
+// TestLateRiderAnswered504: a deadline is a property of the answer. A
+// rider whose own deadline passed before the sweep it shares finished
+// is answered 504 with that sweep's stats — the sweep ran to completion
+// under its patient riders' (unbounded) deadline, and they get their
+// levels — however quickly the answer reached the handler.
+func TestLateRiderAnswered504(t *testing.T) {
+	g := testGraph(t, 500)
+	s := newTestServer(t, g, nil)
+	ts, cl := startHTTP(t, s)
+
+	release := holdEngines(s)
+	late := make(chan []byte, 1)
+	go func() {
+		code, raw := postJSON(t, ts.URL+"/v1/bfs", `{"source":2,"timeout_ms":1}`)
+		if code != http.StatusGatewayTimeout {
+			raw = []byte(fmt.Sprintf("status %d: %s", code, raw))
+		}
+		late <- raw
+	}()
+	patient := make(chan error, minSweepLanes)
+	for i := 0; i < minSweepLanes; i++ {
+		go func(src int) {
+			res, err := cl.BFS(BFSRequest{Source: intp(src), Levels: true})
+			if err == nil {
+				if res.Stats.BatchLanes != minSweepLanes+1 {
+					err = fmt.Errorf("source %d rode %d lanes, want the %d-lane sweep", src, res.Stats.BatchLanes, minSweepLanes+1)
+				}
+				for v, want := range g.SerialBFS(bgl.Vertex(src)) {
+					if res.Levels[v] != want {
+						err = fmt.Errorf("source %d: levels[%d] = %d, oracle %d", src, v, res.Levels[v], want)
+						break
+					}
+				}
+			}
+			patient <- err
+		}(10 + i)
+	}
+	awaitWaiting(t, s, minSweepLanes+1)
+	time.Sleep(5 * time.Millisecond) // the impatient rider's deadline passes
+	release()
+
+	for i := 0; i < minSweepLanes; i++ {
+		if err := <-patient; err != nil {
+			t.Fatalf("patient rider: %v", err)
+		}
+	}
+	raw := <-late
+	var er ErrorResponse
+	if err := json.Unmarshal(raw, &er); err != nil || !er.DeadlineExceeded {
+		t.Fatalf("late rider was not answered 504 deadline-exceeded: %s", raw)
+	}
+	if er.Partial == nil || er.Partial.Unit != "sweep" || er.Partial.Done == 0 || er.Partial.SimExecS <= 0 {
+		t.Fatalf("late rider's 504 does not carry the finished sweep's stats: %s", raw)
+	}
+	if st := s.Stats(); st.Queries.DeadlineExceeded != 1 || st.Queries.Errors != 0 {
+		t.Fatalf("stats %+v, want one deadline-exceeded query and no errors", st.Queries)
 	}
 }
 

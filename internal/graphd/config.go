@@ -8,13 +8,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// Defaults for the tunable knobs of Config. The 2ms window is long
-// enough to coalesce a burst of concurrent queries (a sweep on the
-// headline workload runs for tens of milliseconds, so arrivals during
-// one sweep pool into the next batch anyway) and short enough to be
-// invisible next to a single traversal.
+// Defaults for the tunable knobs of Config.
 const (
-	DefaultWindow     = 2 * time.Millisecond
 	DefaultQueueDepth = 64
 	DefaultRetryAfter = time.Second
 
@@ -27,7 +22,10 @@ const (
 
 // Config describes a graphd server: the graph to distribute once at
 // startup, the simulated machine to distribute it over, and the
-// batching / admission knobs.
+// batching / admission knobs. There is no batching window: BFS queries
+// are paced by the engines (see batcher) — one that finds a replica idle
+// runs at once, alone and direction-optimizing; those that arrive while
+// every replica is busy are the next batch.
 type Config struct {
 	// Graph is the graph the server answers queries about (required).
 	// The caller loads or generates it; NewServer distributes it.
@@ -51,11 +49,9 @@ type Config struct {
 	// service's real execution concurrency. Default 1.
 	Replicas int
 
-	// Window is how long the batcher holds the first query of a batch
-	// open for companions (default DefaultWindow; 0 disables batching —
-	// every query sweeps alone). MaxBatch caps the distinct sources per
-	// sweep (default bgl.MaxLanes = 64, the MultiBFS lane capacity).
-	Window   time.Duration
+	// MaxBatch caps the distinct sources one engine takes per run
+	// (default bgl.MaxLanes = 64, the MultiBFS lane capacity); 1 serves
+	// every BFS query alone.
 	MaxBatch int
 
 	// MaxWaiting bounds the batched BFS queries admitted but not yet
@@ -126,9 +122,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
 	}
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
-	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = bgl.MaxLanes
 	}
@@ -166,9 +159,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.R < 0 || cfg.C < 0 {
 		return fmt.Errorf("graphd: mesh must be positive, got %dx%d", cfg.R, cfg.C)
-	}
-	if cfg.Window < 0 {
-		return fmt.Errorf("graphd: negative batching window %v", cfg.Window)
 	}
 	if cfg.MaxBatch < 0 || cfg.MaxBatch > bgl.MaxLanes {
 		return fmt.Errorf("graphd: max batch %d outside the MultiBFS lane capacity [1, %d]",

@@ -16,11 +16,11 @@ import (
 )
 
 // Server is a graphd instance: the graph distributed once, a pool of
-// engine replicas searching it, the dynamic batcher in front of them,
-// the bounded worker queue for non-batchable queries, and the HTTP
-// surface.
+// engine replicas searching it, the engine-paced batcher in front of
+// them, the bounded worker queue for non-batchable queries, and the
+// HTTP surface.
 //
-//	POST /v1/bfs    single-source BFS (batched into MultiBFS sweeps)
+//	POST /v1/bfs    single-source BFS (alone on an idle replica, sharing a MultiBFS sweep when all are busy)
 //	POST /v1/path   shortest path s→t (worker queue)
 //	POST /v1/sssp   Δ-stepping distances (worker queue)
 //	GET  /v1/stats  service statistics
@@ -100,7 +100,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.engines <- e
 	}
 	s.live.Store(int64(len(engines)))
-	s.batcher = newBatcher(cfg.Window, cfg.MaxBatch, s.sweepBFS, s.reg)
+	s.batcher = newBatcher(cfg.MaxBatch, s.engines, s.sweepBFS, s.reg)
 	s.nBFS = s.reg.Counter("graphd_bfs_queries_total")
 	s.nPath = s.reg.Counter("graphd_path_queries_total")
 	s.nSSSP = s.reg.Counter("graphd_sssp_queries_total")
@@ -138,8 +138,8 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the server: no new queries are admitted (503), the
-// pending batch fires immediately, the worker queue runs dry, and
-// Close blocks until every admitted query has been answered. Safe to
+// pending BFS queries run as engines free up, the worker queue runs
+// dry, and Close blocks until every admitted query has been answered. Safe to
 // call more than once. Stop the HTTP listener first (http.Server
 // Shutdown) or alongside — handlers already past admission finish
 // normally.
@@ -181,11 +181,40 @@ func (s *Server) searchOpts(extra ...bgl.Option) []bgl.Option {
 
 // --- deadlines -----------------------------------------------------
 
-// deadlineGrace is how much past its own wall deadline a handler waits
-// for the engine's cooperative cancel to deliver partial statistics
-// before answering 504 on its own timer. The cancel fires at the next
-// level/epoch boundary, so the grace only needs to cover one boundary.
+// A deadline is a property of the answer: a query whose own wall
+// deadline had passed when its run returned is answered 504 with that
+// run's progress, however the run ended — canceled cooperatively at a
+// level/epoch boundary (a query running alone stops itself this way),
+// or finished late for a rider of a sweep that ran under a looser
+// deadline (see late).
+
+// deadlineGrace is the backstop for a stuck engine: how much past its
+// own wall deadline a handler waits for the run's answer before giving
+// up on it and answering 504 without progress.
 const deadlineGrace = 200 * time.Millisecond
+
+// late reports whether a run that returned at finished missed the
+// query's own deadline (zero = unbounded).
+func late(deadline, finished time.Time) bool {
+	return !deadline.IsZero() && finished.After(deadline)
+}
+
+// awaitAnswer receives a run's answer for a handler. ok is false when
+// the deadlineGrace backstop fired first; the buffered channel means
+// the run never blocks on the handler that gave up.
+func awaitAnswer[T any](ch <-chan T, deadline time.Time) (ans T, ok bool) {
+	if deadline.IsZero() {
+		return <-ch, true
+	}
+	timer := time.NewTimer(time.Until(deadline) + deadlineGrace)
+	defer timer.Stop()
+	select {
+	case ans = <-ch:
+		return ans, true
+	case <-timer.C:
+		return ans, false
+	}
+}
 
 // errDeadline marks a run stopped by its deadline or simulated-exec
 // budget, carrying the partial progress for the 504 body. It unwraps
@@ -235,13 +264,13 @@ func (s *Server) deadlineOpts(deadline time.Time) []bgl.Option {
 // wrapDeadline converts a cooperative-cancel error into an errDeadline
 // carrying the run's partial progress; every other error (including
 // nil) passes through untouched.
-func wrapDeadline(err error, sim, wall float64) error {
+func wrapDeadline(err error, st sweepStats) error {
 	var cxl *bgl.Canceled
 	if err == nil || !errors.As(err, &cxl) {
 		return err
 	}
 	return &errDeadline{cxl: cxl, stats: PartialStats{
-		Unit: cxl.Unit, Done: cxl.Done, SimExecS: sim, WallS: wall,
+		Unit: cxl.Unit, Done: cxl.Done, SimExecS: st.SimExecS, WallS: st.WallS,
 	}}
 }
 
@@ -271,12 +300,16 @@ func engineFailed(err error) bool {
 	return !errors.As(err, &cxl)
 }
 
-// runEngine borrows an engine, runs fn on it under panic isolation,
-// and decides the engine's fate: a clean run (or a cooperative cancel)
+// runEngine borrows an engine and runs fn on it (see runOn).
+func (s *Server) runEngine(fn func(e *engine) error) error {
+	return s.runOn(<-s.engines, fn)
+}
+
+// runOn runs fn on the borrowed engine e under panic isolation and
+// decides the engine's fate: a clean run (or a cooperative cancel)
 // returns it to the pool; a panic or engine failure quarantines it and
 // hands the slot to the supervisor for an asynchronous rebuild.
-func (s *Server) runEngine(fn func(e *engine) error) error {
-	e := <-s.engines
+func (s *Server) runOn(e *engine, fn func(e *engine) error) error {
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -357,63 +390,64 @@ func (s *Server) recordFaults(fs bgl.FaultStats) {
 
 // --- sweeps --------------------------------------------------------
 
-// sweepBFS executes one batch: a single distinct source runs a plain
-// BFS (no lane-mask overhead), two or more share one MultiBFS sweep
-// sequence. Either way each source's levels are identical to an
-// independent run — the MultiBFS contract. A sweep whose replica dies
-// under it (the one-shot chaos drill, or a fault plan beyond the retry
-// budget) is retried once on a healthy engine, so the riders never see
-// the casualty.
-func (s *Server) sweepBFS(sources []bgl.Vertex, deadline time.Time) ([][]int32, sweepStats, error) {
+// sweepBFS executes one share on the engine the dispatcher borrowed for
+// it: a single distinct source runs the flagship direction-optimizing
+// BFS (no lane-mask overhead, bottom-up on the big middle levels), two
+// or more share one MultiBFS sweep sequence. Either way each source's
+// levels are identical to an independent run — the MultiBFS contract.
+// A run whose replica dies under it (the one-shot chaos drill, or a
+// fault plan beyond the retry budget) is retried once on a healthy
+// engine, so the riders never see the casualty.
+func (s *Server) sweepBFS(e *engine, sources []bgl.Vertex, deadline time.Time) ([][]int32, sweepStats, error) {
 	seq := s.sweepSeq.Add(1)
 	hostile := s.cfg.ChaosPanicSweep > 0 && seq == int64(s.cfg.ChaosPanicSweep)
-	levels, st, err := s.trySweep(sources, deadline, hostile)
+	levels, st, err := s.trySweep(e, sources, deadline, hostile)
 	if engineFailed(err) && !s.isDraining() {
-		levels, st, err = s.trySweep(sources, deadline, false)
+		levels, st, err = s.trySweep(<-s.engines, sources, deadline, false)
 	}
 	return levels, st, err
 }
 
-// trySweep runs the batch once on one borrowed engine.
-func (s *Server) trySweep(sources []bgl.Vertex, deadline time.Time, hostile bool) ([][]int32, sweepStats, error) {
+// trySweep runs the share once on engine e.
+func (s *Server) trySweep(e *engine, sources []bgl.Vertex, deadline time.Time, hostile bool) ([][]int32, sweepStats, error) {
 	var levels [][]int32
 	var st sweepStats
-	err := s.runEngine(func(e *engine) error {
+	err := s.runOn(e, func(e *engine) error {
 		opts := s.searchOpts(s.deadlineOpts(deadline)...)
 		if hostile {
 			opts = append(opts, bgl.WithFault(bgl.HostileFaultPlan(uint64(e.idx)+1)))
 		}
 		if len(sources) == 1 {
-			res, err := e.cl.BFS(s.dg, sources[0], opts...)
-			if res != nil {
-				s.recordFaults(res.Faults)
-				levels = [][]int32{res.Levels}
-				st = sweepStats{
-					SimExecS: res.SimTime, SimCommS: res.SimComm,
-					Words: res.TotalExpandWords + res.TotalFoldWords,
-					WallS: res.Wall.Seconds(),
-				}
-				return wrapDeadline(err, res.SimTime, res.Wall.Seconds())
+			res, err := e.cl.BFS(s.dg, sources[0], append(opts, bgl.WithDirection(bgl.DirectionOptimizing))...)
+			if res == nil {
+				return err
 			}
-			return err
+			s.recordFaults(res.Faults)
+			levels = [][]int32{res.Levels}
+			st = runStats(res.SimTime, res.SimComm, res.TotalExpandWords+res.TotalFoldWords, res.Wall, "level", len(res.PerLevel))
+			return wrapDeadline(err, st)
 		}
 		mres, err := e.cl.MultiBFS(s.dg, sources, opts...)
-		if mres != nil {
-			s.recordFaults(mres.Faults)
-			levels = mres.LaneLevels
-			st = sweepStats{
-				SimExecS: mres.SimTime, SimCommS: mres.SimComm,
-				Words: mres.TotalExpandWords + mres.TotalFoldWords,
-				WallS: mres.Wall.Seconds(),
-			}
-			return wrapDeadline(err, mres.SimTime, mres.Wall.Seconds())
+		if mres == nil {
+			return err
 		}
-		return err
+		s.recordFaults(mres.Faults)
+		levels = mres.LaneLevels
+		st = runStats(mres.SimTime, mres.SimComm, mres.TotalExpandWords+mres.TotalFoldWords, mres.Wall, "sweep", len(mres.PerLevel))
+		return wrapDeadline(err, st)
 	})
 	if err != nil {
-		return nil, sweepStats{}, err
+		return nil, st, err
 	}
 	return levels, st, nil
+}
+
+// runStats stamps a run that just returned.
+func runStats(sim, comm float64, words int64, wall time.Duration, unit string, done int) sweepStats {
+	return sweepStats{
+		SimExecS: sim, SimCommS: comm, Words: words, WallS: wall.Seconds(),
+		Unit: unit, Done: done, Finished: time.Now(),
+	}
 }
 
 // isDraining reports whether Close has begun.
@@ -558,22 +592,13 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var ans batchAnswer
-	if deadline.IsZero() {
-		ans = <-ch
-	} else {
-		timer := time.NewTimer(time.Until(deadline) + deadlineGrace)
-		select {
-		case ans = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			// The shared sweep is still running for patient riders; this
-			// query's own budget is spent. The buffered answer channel
-			// means the batcher never blocks on us.
-			s.writeDeadline(w, fmt.Sprintf(
-				"bfs from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
-			return
-		}
+	ans, ok := awaitAnswer(ch, deadline)
+	if !ok {
+		// The run is still going — for patient riders, or on a stuck
+		// engine; this query's own budget is long spent.
+		s.writeDeadline(w, fmt.Sprintf(
+			"bfs from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
+		return
 	}
 	if ans.err != nil {
 		var edl *errDeadline
@@ -583,6 +608,12 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writeError(w, http.StatusInternalServerError, "bfs from %d failed: %v", src, ans.err)
+		return
+	}
+	if late(deadline, ans.sweep.Finished) {
+		s.writeDeadline(w, fmt.Sprintf(
+			"bfs from %d: query deadline exceeded: the %d-lane sweep it rode finished %v past it",
+			src, ans.stats.BatchLanes, ans.sweep.Finished.Sub(deadline).Round(time.Microsecond)), ans.sweep.partial())
 		return
 	}
 	resp := BFSResponse{Source: int(src), Stats: ans.stats}
@@ -630,6 +661,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	type out struct {
 		path []bgl.Vertex
 		res  *bgl.Result
+		st   sweepStats
 		err  error
 	}
 	enq := time.Now()
@@ -647,7 +679,8 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 			s.recordFaults(res.Faults)
 			// A canceled run hands back partial levels; not-reachable
 			// and reconstruction errors are answers, not failures.
-			o = out{path: p, res: res, err: wrapDeadline(err, res.SimTime, res.Wall.Seconds())}
+			st := runStats(res.SimTime, res.SimComm, res.TotalExpandWords+res.TotalFoldWords, res.Wall, "level", len(res.PerLevel))
+			o = out{path: p, res: res, st: st, err: wrapDeadline(err, st)}
 			var edl *errDeadline
 			if errors.As(o.err, &edl) {
 				return edl
@@ -661,27 +694,25 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 			"query queue full (%d deep); retry shortly", s.cfg.QueueDepth)
 		return
 	}
-	var o out
-	if deadline.IsZero() {
-		o = <-ch
-	} else {
-		timer := time.NewTimer(time.Until(deadline) + deadlineGrace)
-		select {
-		case o = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			s.writeDeadline(w, fmt.Sprintf(
-				"path %d→%d: query deadline exceeded (timeout %dms)", src, tgt, req.TimeoutMS), nil)
-			return
-		}
+	o, ok := awaitAnswer(ch, deadline)
+	if !ok {
+		s.writeDeadline(w, fmt.Sprintf(
+			"path %d→%d: query deadline exceeded (timeout %dms)", src, tgt, req.TimeoutMS), nil)
+		return
+	}
+	var edl *errDeadline
+	if errors.As(o.err, &edl) {
+		s.writeDeadline(w, fmt.Sprintf(
+			"path %d→%d: query deadline exceeded: %v", src, tgt, edl), &edl.stats)
+		return
+	}
+	if o.res != nil && late(deadline, o.st.Finished) {
+		s.writeDeadline(w, fmt.Sprintf(
+			"path %d→%d: query deadline exceeded: the search finished %v past it",
+			src, tgt, o.st.Finished.Sub(deadline).Round(time.Microsecond)), o.st.partial())
+		return
 	}
 	if o.err != nil {
-		var edl *errDeadline
-		if errors.As(o.err, &edl) {
-			s.writeDeadline(w, fmt.Sprintf(
-				"path %d→%d: query deadline exceeded: %v", src, tgt, edl), &edl.stats)
-			return
-		}
 		if o.res == nil || o.res.Found {
 			s.writeError(w, http.StatusInternalServerError, "path %d→%d failed: %v", src, tgt, o.err)
 			return
@@ -689,16 +720,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := PathResponse{Source: int(src), Target: int(tgt), Distance: -1}
 	if o.res != nil {
-		resp.Stats = QueryStats{
-			BatchSize: 1, BatchLanes: 1,
-			SimExecS: o.res.SimTime, SimCommS: o.res.SimComm,
-			Words: o.res.TotalExpandWords + o.res.TotalFoldWords,
-			WallS: o.res.Wall.Seconds(),
-		}
-		resp.Stats.QueueWaitS = time.Since(enq).Seconds() - o.res.Wall.Seconds()
-		if resp.Stats.QueueWaitS < 0 {
-			resp.Stats.QueueWaitS = 0
-		}
+		resp.Stats = soloStats(o.st, enq)
 	}
 	if o.err == nil {
 		resp.Found = true
@@ -738,6 +760,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	defer done()
 	type out struct {
 		res *bgl.SSSPResult
+		st  sweepStats
 		err error
 	}
 	enq := time.Now()
@@ -751,7 +774,8 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 			s.recordFaults(res.Faults)
-			o = out{res: res, err: wrapDeadline(err, res.SimTime, res.Wall.Seconds())}
+			st := runStats(res.SimTime, res.SimComm, res.TotalWords(), res.Wall, "epoch", len(res.PerEpoch))
+			o = out{res: res, st: st, err: wrapDeadline(err, st)}
 			var edl *errDeadline
 			if errors.As(o.err, &edl) {
 				return edl
@@ -765,19 +789,11 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			"query queue full (%d deep); retry shortly", s.cfg.QueueDepth)
 		return
 	}
-	var o out
-	if deadline.IsZero() {
-		o = <-ch
-	} else {
-		timer := time.NewTimer(time.Until(deadline) + deadlineGrace)
-		select {
-		case o = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			s.writeDeadline(w, fmt.Sprintf(
-				"sssp from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
-			return
-		}
+	o, ok := awaitAnswer(ch, deadline)
+	if !ok {
+		s.writeDeadline(w, fmt.Sprintf(
+			"sssp from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
+		return
 	}
 	if o.err != nil {
 		var edl *errDeadline
@@ -789,19 +805,13 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "sssp from %d failed: %v", src, o.err)
 		return
 	}
-	resp := SSSPResponse{
-		Source:  int(src),
-		Reached: o.res.Reached(),
-		Stats: QueryStats{
-			BatchSize: 1, BatchLanes: 1,
-			SimExecS: o.res.SimTime, SimCommS: o.res.SimComm,
-			Words: o.res.TotalWords(), WallS: o.res.Wall.Seconds(),
-		},
+	if late(deadline, o.st.Finished) {
+		s.writeDeadline(w, fmt.Sprintf(
+			"sssp from %d: query deadline exceeded: the search finished %v past it",
+			src, o.st.Finished.Sub(deadline).Round(time.Microsecond)), o.st.partial())
+		return
 	}
-	resp.Stats.QueueWaitS = time.Since(enq).Seconds() - o.res.Wall.Seconds()
-	if resp.Stats.QueueWaitS < 0 {
-		resp.Stats.QueueWaitS = 0
-	}
+	resp := SSSPResponse{Source: int(src), Reached: o.res.Reached(), Stats: soloStats(o.st, enq)}
 	if req.Target != nil {
 		d := o.res.Dist[tgt]
 		found := d != graph.MaxDist
@@ -813,6 +823,17 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	s.hQueueWait.Observe(resp.Stats.QueueWaitS)
 	s.hLatency.Observe(time.Since(t0).Seconds())
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// soloStats are the QueryStats of a query that ran alone off the worker
+// queue: everything between admission and the run's return that was not
+// the run itself counts as queue wait.
+func soloStats(st sweepStats, enq time.Time) QueryStats {
+	return QueryStats{
+		QueueWaitS: max(0, st.Finished.Sub(enq).Seconds()-st.WallS),
+		BatchSize:  1, BatchLanes: 1,
+		SimExecS: st.SimExecS, SimCommS: st.SimCommS, Words: st.Words, WallS: st.WallS,
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -860,7 +881,6 @@ func (s *Server) Stats() StatsResponse {
 			Replicas:  s.cfg.Replicas,
 		},
 		Batching: BatchingInfo{
-			WindowS:    s.cfg.Window.Seconds(),
 			MaxBatch:   s.cfg.MaxBatch,
 			MaxWaiting: s.cfg.MaxWaiting,
 			QueueDepth: s.cfg.QueueDepth,

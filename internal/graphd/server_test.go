@@ -1,8 +1,10 @@
 package graphd
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +31,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	s := newTestServer(t, g, func(c *Config) { c.Window = 5 * time.Millisecond })
+	s := newTestServer(t, g, nil)
 	_, cl := startHTTP(t, s)
 
 	if err := cl.Healthz(); err != nil {
@@ -250,7 +252,6 @@ func TestServerConfigErrors(t *testing.T) {
 		{"nil graph", Config{}, "needs a graph"},
 		{"mesh larger than graph", Config{Graph: small, R: 4, C: 4}, "more ranks"},
 		{"batch above lane cap", Config{Graph: small, MaxBatch: bgl.MaxLanes + 1}, "lane capacity"},
-		{"negative window", Config{Graph: small, Window: -time.Second}, "negative batching window"},
 		{"negative replicas", Config{Graph: small, Replicas: -2}, "negative replica"},
 		{"negative mesh", Config{Graph: small, R: -1, C: 2}, "mesh must be positive"},
 		{"negative queue", Config{Graph: small, QueueDepth: -1}, "non-negative"},
@@ -321,17 +322,90 @@ func TestServerQueueFull(t *testing.T) {
 	}
 }
 
-// TestServerBatchBacklogFull: once MaxWaiting batched queries are
-// waiting on sweeps, further BFS queries are rejected with 503.
+// TestSinglesAndSweepsMatchSerialBFS: the levels a query gets are the
+// serial oracle's whichever way the dispatcher served it — alone (a
+// direction-optimizing BFS) or riding a 64-lane MultiBFS sweep — on a
+// 2x2 and a 1x1 mesh, under a fault plan, and its QueryStats report the
+// run that actually happened.
+func TestSinglesAndSweepsMatchSerialBFS(t *testing.T) {
+	g := testGraph(t, 600)
+	srcs := make([]bgl.Vertex, bgl.MaxLanes)
+	want := make([][]int32, len(srcs))
+	for i := range srcs {
+		srcs[i] = bgl.Vertex((7 + 9*i) % g.N())
+		want[i] = g.SerialBFS(srcs[i])
+	}
+	check := func(t *testing.T, i int, ans batchAnswer, size, lanes int) {
+		t.Helper()
+		if ans.err != nil {
+			t.Fatalf("source %d: %v", srcs[i], ans.err)
+		}
+		if !slices.Equal(ans.levels, want[i]) {
+			t.Fatalf("source %d (a %d-lane run): levels differ from SerialBFS", srcs[i], lanes)
+		}
+		if ans.stats.BatchSize != size || ans.stats.BatchLanes != lanes {
+			t.Fatalf("source %d: stats report %d queries over %d lanes, ran %d over %d",
+				srcs[i], ans.stats.BatchSize, ans.stats.BatchLanes, size, lanes)
+		}
+		if ans.stats.SimExecS <= 0 { // a 1x1 mesh moves no words
+			t.Fatalf("source %d: run stats not filled: %+v", srcs[i], ans.stats)
+		}
+	}
+	for _, mesh := range [][2]int{{2, 2}, {1, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", mesh[0], mesh[1]), func(t *testing.T) {
+			s := newTestServer(t, g, func(c *Config) {
+				c.R, c.C = mesh[0], mesh[1]
+				c.Fault = bgl.CannedFaultPlan(7)
+			})
+			// One at a time: the engine is idle, so each runs alone.
+			var singleWords int64
+			for i, src := range srcs {
+				ch, err := s.batcher.submit(src, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ans := recvAnswer(t, ch)
+				check(t, i, ans, 1, 1)
+				singleWords += ans.stats.Words
+			}
+			// All 64 while the engine is busy: one full sweep.
+			release := holdEngines(s)
+			chans := make([]<-chan batchAnswer, len(srcs))
+			for i, src := range srcs {
+				ch, err := s.batcher.submit(src, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				chans[i] = ch
+			}
+			release()
+			var sweepWords int64
+			for i, ch := range chans {
+				ans := recvAnswer(t, ch)
+				check(t, i, ans, len(srcs), len(srcs))
+				sweepWords = ans.stats.Words
+			}
+			if got := s.batcher.Batches(); got != int64(len(srcs))+1 {
+				t.Fatalf("%d runs, want %d singles and one sweep", got, len(srcs))
+			}
+			if mesh[0]*mesh[1] > 1 && sweepWords >= singleWords {
+				t.Fatalf("the 64-lane sweep moved %d words, the 64 singles %d", sweepWords, singleWords)
+			}
+			if st := s.Stats(); st.Faults == nil || (mesh[0]*mesh[1] > 1 && st.Faults.Injected == 0) {
+				t.Fatalf("fault plan left no trace in stats: %+v", st.Faults)
+			}
+		})
+	}
+}
+
+// TestServerBatchBacklogFull: once MaxWaiting BFS queries are waiting
+// on engines, further BFS queries are rejected with 503.
 func TestServerBatchBacklogFull(t *testing.T) {
 	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) {
-		c.Window = time.Hour // only the size cap (2) can fire the batch
-		c.MaxBatch = 2
-		c.MaxWaiting = 1
-	})
+	s := newTestServer(t, g, func(c *Config) { c.MaxWaiting = 1 })
 	ts, cl := startHTTP(t, s)
 
+	e := <-s.engines // the only engine is busy: the first query waits
 	first := make(chan error, 1)
 	go func() {
 		_, err := cl.BFS(BFSRequest{Source: intp(3)})
@@ -340,12 +414,14 @@ func TestServerBatchBacklogFull(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for s.waiting.Load() < 1 {
 		if time.Now().After(deadline) {
+			s.engines <- e
 			t.Fatal("first BFS query never reached the batcher")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/bfs", "application/json", strings.NewReader(`{"source":4}`))
+	s.engines <- e // the engine frees up: the waiting query runs
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -360,16 +436,8 @@ func TestServerBatchBacklogFull(t *testing.T) {
 	if !strings.Contains(string(body), "backlog full") {
 		t.Fatalf("rejection %s does not mention the backlog", body)
 	}
-
-	// A second distinct source reaches the size cap and fires the sweep,
-	// releasing the waiting query.
-	ch, err := s.batcher.submit(9, time.Time{})
-	if err != nil {
-		t.Fatalf("companion submit: %v", err)
-	}
-	recvAnswer(t, ch)
 	if err := <-first; err != nil {
-		t.Fatalf("waiting BFS query failed after the sweep fired: %v", err)
+		t.Fatalf("waiting BFS query failed once the engine freed up: %v", err)
 	}
 }
 

@@ -119,6 +119,6 @@ func Defaults() Common {
 // NewFrontier builds an adaptive vertex set over the owned range
 // [lo, lo+n) with the configured sparse→dense occupancy threshold —
 // the representation level frontiers and Δ-stepping buckets share.
-func (c Common) NewFrontier(lo uint32, n int) frontier.Frontier {
+func (c Common) NewFrontier(lo uint32, n int) *frontier.Adaptive {
 	return frontier.NewAdaptive(lo, n, c.FrontierOccupancy)
 }
