@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
@@ -64,6 +64,19 @@ bench-lab-test:
 # --seconds 16 --trace 0"` (see bench/README.md).
 perf:
 	bash bench/run.sh $(ARGS)
+
+# Wall-clock comparison of the working tree against a base revision on
+# one lab workload: N alternating pairs of the driver's run (16 s,
+# untraced), then per end-to-end metric both sides' median and
+# quartiles, the pairs won, and whether the medians differ by more than
+# the base's inter-quartile distance. The base is exported and built
+# under .bench_build/ (see scripts/perfpairs.sh). About 40 s a pair.
+#   make perf-pairs BASE=HEAD~1 WORKLOAD=bfs2d-topdown [N=10] [SEED=9]
+N ?= 10
+SEED ?= 9
+perf-pairs:
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make perf-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=9]"; exit 2; }
+	bash scripts/perfpairs.sh $(BASE) $(WORKLOAD) $(N) $(SEED)
 
 # Machine-readable perf baseline for the headline workload (see
 # README.md "Perf trajectory" for the format). Also writes the

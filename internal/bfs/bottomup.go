@@ -248,24 +248,24 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 // bits get set is schedule-independent (each vertex's scan touches only
 // its own partial list). It returns the edge entries inspected.
 func (e *engine2D) claimParents(fPieces, uPieces, claims [][]uint32, lo, hi int) (edges int) {
-	l := e.st.Layout
-	bs := uint32(l.BlockSize())
+	st := e.st
+	l := st.Layout
+	bs := l.BlockSize()
+	// Column vertices v are owned within my processor column, at
+	// column-group index BlockOf(v) mod R, and ascend with ci, so the
+	// cursor divides once per owner the chunk reaches.
+	owner := l.OwnerCursor()
 	for ci := lo; ci < hi; ci++ {
-		// Column vertices v are owned within my processor column, at
-		// column-group index BlockOf(v) mod R.
-		v := e.st.ColIds[ci]
-		b := uint32(v) / bs
-		m := int(b) % l.R
-		off := uint32(v) - b*bs
+		m, off := owner.Locate(st.ColIds[ci])
 		if !frontier.TestBit(uPieces[m], off) {
 			continue
 		}
-		for _, u := range e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]] {
+		for _, u := range st.Rows[st.Off[ci]:st.Off[ci+1]] {
 			edges++
 			// My row vertices u satisfy BlockOf(u) mod R == my mesh row,
 			// so their owner sits at row-group index BlockOf(u)/R.
-			ub := uint32(u) / bs
-			if frontier.TestBit(fPieces[int(ub)/l.R], uint32(u)-ub*bs) {
+			ub := int(u) / bs
+			if frontier.TestBit(fPieces[ub/l.R], uint32(int(u)-ub*bs)) {
 				frontier.SetBitAtomic(claims[m], off)
 				break
 			}

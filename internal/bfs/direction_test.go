@@ -471,3 +471,83 @@ func TestDOAlphaExtremes(t *testing.T) {
 		}
 	}
 }
+
+// TestBottomUpWalksPastEmptyOwners aims at the walk claimParents and
+// ownedOutDegrees make along the ascending compact columns: they locate
+// each column vertex's owner through a cursor that divides only when
+// the vertex leaves the previous one's block, so a block column whose
+// first or middle owner has no column on a rank is what they can get
+// wrong — within a chunk and at a chunk's start. On the 4x2 mesh below
+// only the vertices of every second block (the owners at column-group
+// index 1 and 3) have edges, about 5,900 columns on half the ranks and
+// none on the rest, so four workers cut the scan into ownedGrain chunks
+// that begin before, inside and after the gap. The tiny cases put n next
+// to P, where most owners own one vertex or none.
+func TestBottomUpWalksPastEmptyOwners(t *testing.T) {
+	const bs = 3000
+	rng := rand.New(rand.NewSource(5))
+	var live []graph.Vertex
+	for v := 0; v < 8*bs; v++ {
+		if v/bs%2 == 1 {
+			live = append(live, graph.Vertex(v))
+		}
+	}
+	var gappy [][2]graph.Vertex
+	for i := 1; i < len(live); i++ {
+		gappy = append(gappy, [2]graph.Vertex{live[i-1], live[i]}) // connected
+		for e := 0; e < 3; e++ {
+			if u := live[rng.Intn(len(live))]; u != live[i] {
+				gappy = append(gappy, [2]graph.Vertex{live[i], u})
+			}
+		}
+	}
+	star := func(n int) [][2]graph.Vertex {
+		var es [][2]graph.Vertex
+		for v := 0; v < n; v++ {
+			if v != n/2 {
+				es = append(es, [2]graph.Vertex{graph.Vertex(n / 2), graph.Vertex(v)})
+			}
+		}
+		return es
+	}
+	cases := []struct {
+		name  string
+		n     int
+		edges [][2]graph.Vertex
+		r, c  int
+		src   graph.Vertex
+	}{
+		{"every-second-owner", 8 * bs, gappy, 4, 2, live[0]},
+		{"star-n=P+1", 17, star(17), 4, 4, 3},
+		{"star-n=P+1-3x2", 7, star(7), 3, 2, 0},
+	}
+	for _, tc := range cases {
+		g, err := graph.FromEdges(tc.n, tc.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := graph.BFS(g, tc.src)
+		fx := build2D(t, g, tc.r, tc.c)
+		for _, dir := range []Direction{BottomUp, DirectionOptimizing} {
+			var edges int64
+			for _, workers := range []int{1, 4} {
+				for _, async := range []bool{false, true} {
+					label := fmt.Sprintf("%s dir %v workers %d async %v", tc.name, dir, workers, async)
+					opts := DefaultOptions(tc.src)
+					opts.Direction, opts.Workers, opts.Async = dir, workers, async
+					res, err := Run2D(fx.world, fx.st2, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					levelsEqual(t, res.Levels, serial, label)
+					if edges == 0 {
+						edges = res.TotalEdgesScanned
+					}
+					if res.TotalEdgesScanned != edges {
+						t.Fatalf("%s: %d edges scanned, first run of this direction %d", label, res.TotalEdgesScanned, edges)
+					}
+				}
+			}
+		}
+	}
+}

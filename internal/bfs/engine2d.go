@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/collective"
@@ -271,9 +272,9 @@ func (e *engine2D) targetRows(s *sideState) [][]uint32 {
 		e.sendV[i] = e.sendV[i][:0]
 	}
 	s.F.Iterate(func(gv uint32) {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
+		for w, need := range e.st.NeedWords(e.st.LocalOf(graph.Vertex(gv))) {
+			for ; need != 0; need &= need - 1 {
+				i := w*64 + bits.TrailingZeros64(need)
 				e.sendV[i] = append(e.sendV[i], gv)
 			}
 		}
@@ -363,15 +364,15 @@ func (e *engine2D) ownedOutDegrees() []uint32 {
 		return e.deg
 	}
 	l := e.st.Layout
-	bs := l.BlockSize()
 	r := e.colG.Size()
 	send := make([][]uint32, r)
 	for i := 0; i < r; i++ {
 		send[i] = make([]uint32, l.OwnedCount(e.colG.Ranks[i]))
 	}
+	owner := l.OwnerCursor() // columns ascend: one division per owner
 	for ci, v := range e.st.ColIds {
-		b := int(v) / bs
-		send[b%l.R][int(v)-b*bs] += uint32(e.st.Off[ci+1] - e.st.Off[ci])
+		m, li := owner.Locate(v)
+		send[m][li] += uint32(e.st.Off[ci+1] - e.st.Off[ci])
 	}
 	e.c.ChargeItems(len(e.st.ColIds), e.model.VertexCost)
 	o := collective.Opts{Tag: degreeExchangeTag, Chunk: e.opts.ChunkWords}

@@ -347,8 +347,9 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	s.F.Iterate(func(gv uint32) {
 		li := e.st.LocalOf(graph.Vertex(gv))
 		m := s.fmask[li]
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
+		for w, need := range e.st.NeedWords(li) {
+			for ; need != 0; need &= need - 1 {
+				i := w*64 + bits.TrailingZeros64(need)
 				sendV[i] = append(sendV[i], gv)
 				sendM[i] = append(sendM[i], m)
 			}

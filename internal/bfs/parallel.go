@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -16,15 +17,17 @@ const (
 	ownedGrain = 2048
 )
 
-// Every hot loop has one chunk body. It looks vertices up through the
-// side-effect-free Map.GetCounted and claims through the atomic
-// TestAndSetAtomic / SetBitAtomic, so it is the same code whether it runs
-// once over the whole range, appending straight into the destination
-// bins, or per chunk on the pool into staged bins that are appended to
-// the destination in chunk order. On the pool, which worker wins a
-// claimed vertex is scheduler-dependent, but each neighbor still lands
-// in its owner's bin at most once, so the sorted sets the fold moves —
-// and every count — are the same at every pool size.
+// Every hot loop has one chunk body. It reads the immutable store — a
+// received vertex's column through Store2D.ResolveColumns, a scanned
+// neighbor's sent-cache index straight from the edge entry — and claims
+// through the atomic TestAndSetAtomic / SetBitAtomic, so it is the same
+// code whether it runs once over the whole range, appending straight
+// into the destination bins, or per chunk on the pool into staged bins
+// that are appended to the destination in chunk order. On the pool,
+// which worker wins a claimed vertex is scheduler-dependent, but each
+// neighbor still lands in its owner's bin at most once, so the sorted
+// sets the fold moves — and every count — are the same at every pool
+// size.
 
 // scanOut is what a top-down scan produces: the discovered neighbors
 // binned by destination (the lane masks alongside under MultiBFS), the
@@ -82,21 +85,23 @@ func (e *engine1D) scanFrontier(s *sideState) int {
 
 // scanChunk is scanFrontier's body over the frontier vertices vs.
 func (e *engine1D) scanChunk(s *sideState, vs []uint32, o *scanOut) {
-	l := e.st.Layout
+	st := e.st
+	l := st.Layout
 	for _, gv := range vs {
-		adj := e.st.Neighbors(e.st.LocalOf(graph.Vertex(gv)))
-		o.scanned += len(adj)
-		for _, u := range adj {
+		li := st.LocalOf(graph.Vertex(gv))
+		lo, hi := st.Off[li], st.Off[li+1]
+		o.scanned += int(hi - lo)
+		for k := lo; k < hi; k++ {
 			if s.sent != nil {
-				idx, ok, pr := e.st.TargetMap.GetCounted(u)
-				o.probes += uint64(pr)
-				if !ok {
-					panic("bfs: neighbor missing from TargetMap")
-				}
-				if s.sent.TestAndSetAtomic(idx) {
+				// The target's index was resolved when the store was
+				// built; charge the lookup the paper's search makes.
+				ti := st.AdjIdx[k]
+				o.probes += uint64(st.TargetProbes[ti])
+				if s.sent.TestAndSetAtomic(ti) {
 					continue // already sent to its owner once (§2.4.3)
 				}
 			}
+			u := st.Adj[k]
 			q := l.OwnerRank(u)
 			o.binV[q] = append(o.binV[q], uint32(u))
 		}
@@ -129,28 +134,33 @@ func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
 
 // scanChunk is scanPart's body over the received frontier vertices part.
 func (e *engine2D) scanChunk(s *sideState, part []uint32, o *scanOut) {
-	l := e.st.Layout
-	for _, gv := range part {
-		ci, ok, cp := e.st.ColMap.GetCounted(gv)
-		o.probes += uint64(cp)
-		if !ok {
-			continue // no partial list here
-		}
-		list := e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]]
-		o.scanned += len(list)
-		for _, u := range list {
-			if s.sent != nil {
-				idx, ok, rp := e.st.RowMap.GetCounted(u)
-				o.probes += uint64(rp)
-				if !ok {
-					panic("bfs: row vertex missing from RowMap")
-				}
-				if s.sent.TestAndSetAtomic(idx) {
-					continue // already sent to its owner once (§2.4.3)
-				}
+	st := e.st
+	l := st.Layout
+	var cis [partition.ResolveBatch]uint32
+	for len(part) > 0 {
+		n := min(len(part), len(cis))
+		o.probes += st.ResolveColumns(part[:n], &cis)
+		part = part[n:]
+		for _, ci := range cis[:n] {
+			if ci == partition.NoColumn {
+				continue // no partial list here
 			}
-			j := l.ColBlockOf(u)
-			o.binV[j] = append(o.binV[j], uint32(u))
+			lo, hi := st.Off[ci], st.Off[ci+1]
+			o.scanned += int(hi - lo)
+			for k := lo; k < hi; k++ {
+				if s.sent != nil {
+					// The row's index was resolved when the store was
+					// built; charge the lookup the paper's search makes.
+					ri := st.RowIdx[k]
+					o.probes += uint64(st.RowProbes[ri])
+					if s.sent.TestAndSetAtomic(ri) {
+						continue // already sent to its owner once (§2.4.3)
+					}
+				}
+				u := st.Rows[k]
+				j := l.ColBlockOf(u)
+				o.binV[j] = append(o.binV[j], uint32(u))
+			}
 		}
 	}
 }
@@ -179,21 +189,26 @@ func (e *multiEngine2D) scanLanes(avs []uint32, ams []uint64, binV [][]uint32, b
 
 // scanChunk is the 2D scanLanes body over the arrived pairs (avs, ams).
 func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, o *scanOut) {
-	l := e.st.Layout
-	for idx, gv := range avs {
-		ci, ok, pr := e.st.ColMap.GetCounted(gv)
-		o.probes += uint64(pr)
-		if !ok {
-			continue // no partial list here (possible only locally)
+	st := e.st
+	l := st.Layout
+	var cis [partition.ResolveBatch]uint32
+	for len(avs) > 0 {
+		n := min(len(avs), len(cis))
+		o.probes += st.ResolveColumns(avs[:n], &cis)
+		for idx, ci := range cis[:n] {
+			if ci == partition.NoColumn {
+				continue // no partial list here (possible only locally)
+			}
+			mask := ams[idx]
+			list := st.Rows[st.Off[ci]:st.Off[ci+1]]
+			o.scanned += len(list)
+			for _, u := range list {
+				j := l.ColBlockOf(u)
+				o.binV[j] = append(o.binV[j], uint32(u))
+				o.binM[j] = append(o.binM[j], mask)
+			}
 		}
-		mask := ams[idx]
-		list := e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]]
-		o.scanned += len(list)
-		for _, u := range list {
-			j := l.ColBlockOf(u)
-			o.binV[j] = append(o.binV[j], uint32(u))
-			o.binM[j] = append(o.binM[j], mask)
-		}
+		avs, ams = avs[n:], ams[n:]
 	}
 }
 

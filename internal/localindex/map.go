@@ -1,10 +1,18 @@
 // Package localindex provides the local-indexing machinery of §2.4.2 of
 // the paper: compact open-addressing hash maps from global vertex ids to
-// local indices, dense bitsets over local indices, and sorted-set
-// utilities used by the union-fold collective. The paper notes that the
-// BFS spends most of its time in exactly these hash probes, so the map
-// is written for probe speed: power-of-two capacity, linear probing,
-// no per-entry allocation.
+// local indices, dense bitsets over local indices, and the sorted-set and
+// dense-range combine utilities behind the union-fold collective.
+//
+// The paper's search reaches every local index through such a map and
+// notes that it spends most of its time in the probes. Here the maps are
+// built once, when a graph is distributed, and are immutable afterwards,
+// so a lookup whose answer cannot change is made by the loader instead:
+// the partition stores carry the local index of every edge-list entry
+// and, for the simulated clock, the number of probes GetCounted would
+// have taken to find it. What a search still probes is the one map keyed
+// by what arrives over the wire (received frontier vertex → partial edge
+// list). The map is written for that: power-of-two capacity, linear
+// probing, no per-entry allocation, lookups that write nothing.
 package localindex
 
 import "math/bits"
@@ -122,6 +130,18 @@ func (m *Map) grow() {
 	for i, k := range oldKeys {
 		if oldUsed[i>>6]&(1<<(uint(i)&63)) != 0 {
 			m.Put(k, oldVals[i])
+		}
+	}
+}
+
+// Rewrite replaces the value of every entry with fn(key, value). No key
+// moves, so every lookup, hit or miss, probes exactly as it did before:
+// a loader can number its keys after it has seen them all without
+// changing what a search is charged.
+func (m *Map) Rewrite(fn func(key, val uint32) uint32) {
+	for i := range m.keys {
+		if m.isUsed(uint32(i)) {
+			m.vals[i] = fn(m.keys[i], m.vals[i])
 		}
 	}
 }

@@ -1,9 +1,13 @@
 // Package partition implements the 1D (vertex) and 2D (edge)
 // partitionings of §2.1–2.2 and the per-rank storage of §2.4: blocked
 // vertex ownership, partial edge lists indexed only when non-empty, the
-// three global→local mappings, and the per-owned-vertex row-need masks
-// that let the targeted expand send a frontier vertex only to ranks
-// actually holding part of its edge list.
+// three global→local mappings — block arithmetic for owned vertices, a
+// hash map for received frontier vertices, and a local index resolved by
+// the loader and carried by every edge-list entry for the sent-neighbors
+// cache — and the per-owned-vertex row-need masks that let the targeted
+// expand send a frontier vertex only to ranks actually holding part of
+// its edge list. Stores are built once by a centralized loader and are
+// read-only afterwards.
 package partition
 
 import (
@@ -102,6 +106,30 @@ func (l *Layout2D) RowIndexOf(u graph.Vertex) int { return l.BlockOf(u) % l.R }
 // (row u, column v): mesh position (RowIndexOf(u), ColBlockOf(v)).
 func (l *Layout2D) StoringRank(u, v graph.Vertex) int {
 	return l.RankAt(l.RowIndexOf(u), l.ColBlockOf(v))
+}
+
+// OwnerCursor locates vertices within their processor column's group —
+// the owner's column-group index BlockOf(v) mod R and the vertex's local
+// index there — dividing only when a vertex lies outside the block of
+// the one before it. A walk over ascending ids, such as a store's
+// ColIds, divides once per vertex block instead of twice per vertex.
+type OwnerCursor struct {
+	l       *Layout2D
+	lo, end int // the block last located in, [lo, end); empty at first
+	m       int
+}
+
+// OwnerCursor returns a cursor that has located nothing yet.
+func (l *Layout2D) OwnerCursor() OwnerCursor { return OwnerCursor{l: l} }
+
+// Locate returns the column-group index of v's owner and v's local index
+// on that owner.
+func (c *OwnerCursor) Locate(v graph.Vertex) (m int, li uint32) {
+	if x := int(v); x < c.lo || x >= c.end {
+		b := x / c.l.bs
+		c.m, c.lo, c.end = b%c.l.R, b*c.l.bs, (b+1)*c.l.bs
+	}
+	return c.m, uint32(int(v) - c.lo)
 }
 
 // Layout1D is the conventional 1D vertex partitioning of §2.1: rank q

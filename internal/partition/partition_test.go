@@ -185,15 +185,6 @@ func TestBuild1DMatchesCSR(t *testing.T) {
 				}
 			}
 		}
-		// TargetMap covers every adjacency entry.
-		for _, u := range st.Adj {
-			if _, ok := st.TargetMap.Get(u); !ok {
-				t.Fatalf("rank %d: target %d missing from TargetMap", st.Rank, u)
-			}
-		}
-		if st.TargetCount != st.TargetMap.Len() {
-			t.Fatalf("rank %d: TargetCount %d != map len %d", st.Rank, st.TargetCount, st.TargetMap.Len())
-		}
 	}
 	if totalEdges != 2*g.NumEdges() {
 		t.Fatalf("total directed entries %d, want %d", totalEdges, 2*g.NumEdges())
@@ -267,9 +258,8 @@ func TestBuild2DRowNeed(t *testing.T) {
 		for i := 0; i < l.R; i++ {
 			st := stores[l.RankAt(i, j)]
 			nonEmpty := len(st.PartialList(v)) > 0
-			if owner.NeedsRow(li, i) != nonEmpty {
-				t.Fatalf("vertex %d row %d: NeedsRow=%v but list non-empty=%v",
-					v, i, owner.NeedsRow(li, i), nonEmpty)
+			if needs := owner.NeedWords(li)[i/64]&(1<<(i%64)) != 0; needs != nonEmpty {
+				t.Fatalf("vertex %d row %d: need bit=%v but list non-empty=%v", v, i, needs, nonEmpty)
 			}
 		}
 	}
@@ -302,30 +292,6 @@ func TestBuild2DNonEmptyColumnsBound(t *testing.T) {
 		dense := g.N / l.C
 		if st.NonEmptyColumns() >= dense {
 			t.Fatalf("rank %d: non-empty columns %d not below dense bound %d", st.Rank, st.NonEmptyColumns(), dense)
-		}
-	}
-}
-
-func TestBuild2DRowMapCoversRows(t *testing.T) {
-	g, err := graph.Generate(graph.Params{N: 150, K: 5, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, _ := NewLayout2D(g.N, 2, 2)
-	stores, err := Build2D(l, visitCSR(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stores {
-		distinct := map[graph.Vertex]bool{}
-		for _, u := range st.Rows {
-			distinct[u] = true
-			if _, ok := st.RowMap.Get(u); !ok {
-				t.Fatalf("rank %d: row %d missing from RowMap", st.Rank, u)
-			}
-		}
-		if st.RowCount != len(distinct) {
-			t.Fatalf("rank %d: RowCount %d != distinct rows %d", st.Rank, st.RowCount, len(distinct))
 		}
 	}
 }

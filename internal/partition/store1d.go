@@ -1,14 +1,20 @@
 package partition
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/localindex"
 )
 
 // Store1D is one rank's storage under the 1D partitioning: a local CSR
-// over its owned vertices with global target ids, plus the compact
-// mapping over all vertices appearing in local edge lists (for the
-// sent-neighbors cache, §2.4.3). Like Store2D it is immutable once built.
+// over its owned vertices with global target ids. The compact mapping
+// over all vertices appearing in local edge lists (for the
+// sent-neighbors cache, §2.4.3) is resolved when the store is built, as
+// in Store2D: every entry carries its target's compact index, and the
+// probes a hash lookup of it would take are kept per target for the
+// simulated clock to charge. Like Store2D it is immutable once built.
 type Store1D struct {
 	Layout *Layout1D
 	Rank   int
@@ -20,10 +26,17 @@ type Store1D struct {
 	// entry (weight-aware builds only).
 	Wt []uint32
 
-	// TargetMap maps every distinct vertex appearing in a local edge
-	// list to a compact index in [0, TargetCount); nil until built.
-	TargetMap   *localindex.Map
+	// AdjIdx, parallel to Adj, is each entry's compact target index:
+	// the distinct vertices appearing in local edge lists are numbered
+	// [0, TargetCount) by first appearance in Adj, and the
+	// sent-neighbors bitset is indexed by that number.
+	AdjIdx      []uint32
 	TargetCount int
+	// TargetProbes[ti] is the number of probes Map.GetCounted takes to
+	// find target ti's vertex in the rank's target map (NewMap(len(Adj))
+	// filled in Adj order): what a search charges instead of making the
+	// lookup. Build1D fails rather than truncate a count.
+	TargetProbes []uint8
 }
 
 // OwnedCount returns the number of owned vertices.
@@ -106,21 +119,21 @@ func build1D(l *Layout1D, visit WeightedVisitor, weighted bool) ([]*Store1D, err
 		if weighted {
 			st.Wt = make([]uint32, len(st.Adj))
 		}
-		st.TargetMap = localindex.NewMap(len(st.Adj))
 	}
-	fills := make([][]int64, l.P)
+	next := make([][]int64, l.P) // where each owned vertex's next entry goes
 	for r, st := range stores {
-		fills[r] = make([]int64, st.OwnedCount())
+		next[r] = append([]int64(nil), st.Off[:st.OwnedCount()]...)
 	}
 	place := func(v, target graph.Vertex, w uint32) {
 		r := l.OwnerRank(v)
 		st := stores[r]
 		li := st.LocalOf(v)
-		st.Adj[st.Off[li]+fills[r][li]] = target
+		k := next[r][li]
+		next[r][li]++
+		st.Adj[k] = target
 		if weighted {
-			st.Wt[st.Off[li]+fills[r][li]] = w
+			st.Wt[k] = w
 		}
-		fills[r][li]++
 	}
 	if err := visit(func(u, v graph.Vertex, w uint32) {
 		place(u, v, w)
@@ -128,13 +141,35 @@ func build1D(l *Layout1D, visit WeightedVisitor, weighted bool) ([]*Store1D, err
 	}); err != nil {
 		return nil, err
 	}
-	for _, st := range stores {
-		next := uint32(0)
-		gen := func() uint32 { next++; return next - 1 }
-		for _, t := range st.Adj {
-			st.TargetMap.GetOrPut(t, gen)
+	// Number each rank's targets through one dense index over all
+	// vertices, handed clean from rank to rank, so the target map sees
+	// only its first-appearance Puts and is dropped with the loop body.
+	index := make([]uint32, l.N) // compact target + 1, 0 until it appears
+	var probes []uint8           // the rank's TargetProbes as they are found
+	for r, st := range stores {
+		targets := localindex.NewMap(len(st.Adj))
+		st.AdjIdx = make([]uint32, len(st.Adj))
+		probes = probes[:0]
+		for k, t := range st.Adj {
+			if index[t] == 0 {
+				targets.Put(t, uint32(len(probes)))
+				// The map was sized for every entry and never grows, so
+				// a later Put only fills an empty slot: the probes that
+				// find t now are those that find it in the finished map.
+				pc, err := probeCount(targets, t)
+				if err != nil {
+					return nil, fmt.Errorf("partition: rank %d target map: %w", r, err)
+				}
+				probes = append(probes, pc)
+				index[t] = uint32(len(probes))
+			}
+			st.AdjIdx[k] = index[t] - 1
 		}
-		st.TargetCount = int(next)
+		st.TargetCount = len(probes)
+		st.TargetProbes = slices.Clone(probes)
+		for _, t := range st.Adj {
+			index[t] = 0
+		}
 	}
 	return stores, nil
 }

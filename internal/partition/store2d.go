@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/localindex"
 )
@@ -8,11 +11,20 @@ import (
 // Store2D is one rank's storage under the 2D partitioning (§2.2, §2.4).
 // Rank (i, j) stores, for each vertex v in its block column j, the
 // partial edge list {u : (u,v) in E, block(u) mod R == i}. Only
-// non-empty partial lists are indexed (§2.4.1): ColMap compacts the
-// O(n/P) expected non-empty columns, RowMap compacts the O(n/P)
-// distinct vertices appearing in any local list. These are the second
-// and third global→local mappings of §2.4.2 (the first — owned
-// vertices — is plain block arithmetic).
+// non-empty partial lists are indexed (§2.4.1), in CSR form over compact
+// columns numbered in ascending vertex id, so a sorted frontier part
+// walks Off and Rows forward.
+//
+// Of the three global→local mappings of §2.4.2 the first (owned
+// vertices) is block arithmetic, the second (ColMap: received frontier
+// vertex → compact column) is the one hash lookup a search still makes,
+// a batch at a time through ResolveColumns, and the third (row vertex →
+// sent-neighbors bit, §2.4.3) is resolved when the store is built: every
+// entry carries its local row index in RowIdx. The paper's search pays a
+// hash probe per scanned neighbor for that third mapping, so the
+// simulated clock still charges it: RowProbes holds, per local row, the
+// slot inspections a lookup of that vertex takes in the row map the
+// loader builds and then drops.
 //
 // A store is immutable once Build2D returns: searches only read it, so
 // any number of worlds can run over one set of stores at the same time.
@@ -24,17 +36,25 @@ type Store2D struct {
 
 	// Partial edge lists in CSR over compacted non-empty columns.
 	ColMap *localindex.Map // global v -> compact column index
-	ColIds []graph.Vertex  // compact column index -> global v (ColMap inverse)
+	ColIds []graph.Vertex  // compact column index -> global v, strictly ascending
 	Off    []int64
 	Rows   []graph.Vertex // global u ids
 	// RowWts, when non-nil, carries the edge weight parallel to each
 	// Rows entry (weight-aware builds only).
 	RowWts []uint32
 
-	// RowMap indexes every distinct u appearing in Rows, backing the
-	// sent-neighbors bitset (§2.4.3).
-	RowMap   *localindex.Map
+	// RowIdx, parallel to Rows, is each entry's local row: distinct row
+	// vertices are numbered [0, RowCount) by first appearance in the
+	// edge stream, and the sent-neighbors bitset (§2.4.3) is indexed by
+	// that number.
+	RowIdx   []uint32
 	RowCount int
+	// RowProbes[ri] is the number of probes Map.GetCounted takes to find
+	// local row ri's vertex in the rank's row map (built in
+	// first-appearance order from NewMap(16), as §2.4.2 has it): what a
+	// search charges instead of making the lookup. Build2D fails rather
+	// than truncate a count.
+	RowProbes []uint8
 
 	// RowNeed marks, for each owned vertex (by local index), which mesh
 	// rows i' hold a non-empty partial edge list for it. The targeted
@@ -76,11 +96,39 @@ func (s *Store2D) PartialWeights(v graph.Vertex) []uint32 {
 	return s.RowWts[s.Off[idx]:s.Off[idx+1]]
 }
 
-// NeedsRow reports whether mesh row i has a non-empty partial edge list
-// for owned vertex with local index li.
-func (s *Store2D) NeedsRow(li uint32, i int) bool {
-	w := int(li)*s.rowNeedWpv + i/64
-	return s.RowNeed[w]&(1<<(i%64)) != 0
+// ResolveBatch is the most vertices one ResolveColumns call looks up:
+// enough for the independent map loads to overlap, small enough for the
+// result to live on the caller's stack.
+const ResolveBatch = 256
+
+// NoColumn is the compact column ResolveColumns reports for a vertex
+// with no partial edge list on this rank.
+const NoColumn = ^uint32(0)
+
+// ResolveColumns looks up the compact column of each received vertex of
+// part (at most ResolveBatch of them) into cis, NoColumn where this rank
+// holds no partial list, and returns the hash probes the lookups made —
+// misses included — for the caller to charge. The loop holds nothing but
+// the probe, so one lookup's cache miss does not wait for the previous
+// vertex's edge list to be scanned.
+func (s *Store2D) ResolveColumns(part []uint32, cis *[ResolveBatch]uint32) (probes uint64) {
+	for i, gv := range part {
+		ci, ok, p := s.ColMap.GetCounted(gv)
+		if !ok {
+			ci = NoColumn
+		}
+		cis[i] = ci
+		probes += uint64(p)
+	}
+	return probes
+}
+
+// NeedWords returns the ceil(R/64) RowNeed words of the owned vertex
+// with local index li: bit i%64 of word i/64 is set when mesh row i has
+// a non-empty partial edge list for it.
+func (s *Store2D) NeedWords(li uint32) []uint64 {
+	w := int(li) * s.rowNeedWpv
+	return s.RowNeed[w : w+s.rowNeedWpv]
 }
 
 func (s *Store2D) setNeedsRow(li uint32, i int) {
@@ -128,9 +176,32 @@ func Build2DWeighted(l *Layout2D, visit WeightedVisitor) ([]*Store2D, error) {
 	return build2D(l, visit, true)
 }
 
+// loader2D is what build2D keeps per rank while it streams the edges:
+// the third mapping's hash map, and a dense index over the rank's block
+// column and block row standing in for every lookup the loader itself
+// would make, so the maps see only their first-appearance Puts. It costs
+// (R+C)·4n bytes over all ranks and is dropped when the build returns;
+// the centralized loader holds the whole graph anyway.
+type loader2D struct {
+	// rowMap is the row vertex -> local row map of §2.4.2, built as the
+	// search would have built it; only its probe counts outlive the build.
+	rowMap *localindex.Map
+	// col is indexed by a vertex's position in block column j. Pass 1
+	// counts the vertex's entries there; between the passes the count
+	// becomes the vertex's compact column.
+	col []uint32
+	// row is indexed by a vertex's position in block row i (its C blocks
+	// laid end to end) and holds its local row + 1, 0 until it appears.
+	row []uint32
+	// next[ci] is where pass 2 writes column ci's next entry.
+	next []int64
+}
+
 func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, error) {
-	p := l.P()
+	p, bs := l.P(), l.BlockSize()
+	colSpan := l.R * bs // vertices in a block column
 	stores := make([]*Store2D, p)
+	loaders := make([]loader2D, p)
 	wpv := (l.R + 63) / 64
 	for r := 0; r < p; r++ {
 		i, j := l.MeshOf(r)
@@ -138,68 +209,122 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		st := &Store2D{
 			Layout: l, Rank: r, I: i, J: j, Lo: lo, Hi: hi,
 			ColMap:     localindex.NewMap(16),
-			RowMap:     localindex.NewMap(16),
 			rowNeedWpv: wpv,
 		}
 		st.RowNeed = make([]uint64, st.OwnedCount()*wpv)
 		stores[r] = st
+		loaders[r] = loader2D{
+			rowMap: localindex.NewMap(16),
+			col:    make([]uint32, colSpan),
+			row:    make([]uint32, l.C*bs),
+		}
 	}
-	// Pass 1: discover non-empty columns, count entries, build RowMap
-	// and RowNeed.
-	counts := make([][]int64, p)
-	entry := func(u, v graph.Vertex) {
+	// locate returns the rank storing matrix entry (row u, column v),
+	// given the blocks bu and bv of the two, and the positions of v in
+	// that rank's block column and of u in its block row.
+	locate := func(u graph.Vertex, bu int, v graph.Vertex, bv int) (rk, colPos, rowPos int) {
+		j := bv / l.R
+		return l.RankAt(bu%l.R, j), int(v) - j*colSpan, bu/l.R*bs + int(u) - bu*bs
+	}
+	// Pass 1: discover non-empty columns and distinct rows in stream
+	// order (each map sees exactly the Puts a GetOrPut per entry would
+	// make), count entries per column, build RowNeed.
+	discover := func(u graph.Vertex, bu int, v graph.Vertex, bv int) {
 		// u appears in the edge list (matrix column) of v.
-		rk := l.StoringRank(u, v)
-		st := stores[rk]
-		ci := st.ColMap.GetOrPut(v, func() uint32 {
-			counts[rk] = append(counts[rk], 0)
-			st.ColIds = append(st.ColIds, v)
-			return uint32(len(counts[rk]) - 1)
-		})
-		counts[rk][ci]++
-		st.RowMap.GetOrPut(u, func() uint32 {
+		rk, colPos, rowPos := locate(u, bu, v, bv)
+		st, ld := stores[rk], &loaders[rk]
+		if ld.col[colPos] == 0 {
+			st.ColMap.Put(v, 0) // numbered once every column is known
+		}
+		ld.col[colPos]++
+		if ld.row[rowPos] == 0 {
+			ld.rowMap.Put(u, uint32(st.RowCount))
 			st.RowCount++
-			return uint32(st.RowCount - 1)
-		})
+			ld.row[rowPos] = uint32(st.RowCount)
+		}
 		// Tell v's owner that mesh row RowIndexOf(u) has a non-empty
 		// partial list for v.
-		owner := stores[l.OwnerRank(v)]
-		owner.setNeedsRow(owner.LocalOf(v), l.RowIndexOf(u))
+		owner := stores[l.RankAt(bv%l.R, bv/l.R)]
+		owner.setNeedsRow(uint32(int(v)-bv*bs), bu%l.R)
 	}
 	if err := visit(func(u, v graph.Vertex, w uint32) {
-		entry(u, v)
-		entry(v, u)
+		bu, bv := int(u)/bs, int(v)/bs
+		discover(u, bu, v, bv)
+		discover(v, bv, u, bu)
 	}); err != nil {
 		return nil, err
 	}
-	fills := make([][]int64, p)
 	for r, st := range stores {
-		st.Off = make([]int64, len(counts[r])+1)
-		for i, c := range counts[r] {
-			st.Off[i+1] = st.Off[i] + c
+		ld := &loaders[r]
+		// Number the columns in ascending vertex id: a walk over the
+		// block column in place of a sort.
+		base := graph.Vertex(st.J * colSpan)
+		n := st.ColMap.Len()
+		st.ColIds = make([]graph.Vertex, 0, n)
+		st.Off = make([]int64, 1, n+1)
+		for pos, count := range ld.col {
+			if count == 0 {
+				continue
+			}
+			ld.col[pos] = uint32(len(st.ColIds))
+			st.ColIds = append(st.ColIds, base+graph.Vertex(pos))
+			st.Off = append(st.Off, st.Off[len(st.Off)-1]+int64(count))
 		}
-		st.Rows = make([]graph.Vertex, st.Off[len(st.Off)-1])
+		st.ColMap.Rewrite(func(v, _ uint32) uint32 { return ld.col[v-uint32(base)] })
+		ld.next = append([]int64(nil), st.Off[:n]...)
+		st.Rows = make([]graph.Vertex, st.Off[n])
+		st.RowIdx = make([]uint32, len(st.Rows))
 		if weighted {
 			st.RowWts = make([]uint32, len(st.Rows))
 		}
-		fills[r] = make([]int64, len(counts[r]))
-	}
-	// Pass 2: fill rows (and their weights when carried).
-	place := func(u, v graph.Vertex, w uint32) {
-		rk := l.StoringRank(u, v)
-		st := stores[rk]
-		ci, _ := st.ColMap.Get(v)
-		st.Rows[st.Off[ci]+fills[rk][ci]] = u
-		if weighted {
-			st.RowWts[st.Off[ci]+fills[rk][ci]] = w
+		// What a search would have probed for each row, from the map it
+		// would have probed, now that the map is complete.
+		st.RowProbes = make([]uint8, st.RowCount)
+		for pos, ri := range ld.row {
+			if ri == 0 {
+				continue
+			}
+			jj := pos / bs // the vertex sits in block i + R*jj, pos%bs in
+			u := graph.Vertex((st.I+l.R*jj)*bs + pos - jj*bs)
+			var err error
+			if st.RowProbes[ri-1], err = probeCount(ld.rowMap, u); err != nil {
+				return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
+			}
 		}
-		fills[rk][ci]++
+		ld.rowMap = nil
+	}
+	// Pass 2: fill rows, their local indices, and their weights when
+	// carried; within a column entries keep stream order.
+	place := func(u graph.Vertex, bu int, v graph.Vertex, bv int, w uint32) {
+		rk, colPos, rowPos := locate(u, bu, v, bv)
+		st, ld := stores[rk], &loaders[rk]
+		ci := ld.col[colPos]
+		k := ld.next[ci]
+		ld.next[ci]++
+		st.Rows[k] = u
+		st.RowIdx[k] = ld.row[rowPos] - 1
+		if weighted {
+			st.RowWts[k] = w
+		}
 	}
 	if err := visit(func(u, v graph.Vertex, w uint32) {
-		place(u, v, w)
-		place(v, u, w)
+		bu, bv := int(u)/bs, int(v)/bs
+		place(u, bu, v, bv, w)
+		place(v, bv, u, bu, w)
 	}); err != nil {
 		return nil, err
 	}
 	return stores, nil
+}
+
+// probeCount returns the probes m.GetCounted takes to find key. It fails
+// if the count does not fit the stores' 8 bits: a lookup that long means
+// ids crafted to collide, and a truncated count would silently
+// undercharge every search.
+func probeCount(m *localindex.Map, key uint32) (uint8, error) {
+	_, _, probes := m.GetCounted(key)
+	if probes > math.MaxUint8 {
+		return 0, fmt.Errorf("looking up vertex %d takes %d probes, more than the %d a probe count holds", key, probes, math.MaxUint8)
+	}
+	return uint8(probes), nil
 }

@@ -1,6 +1,8 @@
 package sssp
 
 import (
+	"math/bits"
+
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
@@ -104,9 +106,9 @@ func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, r
 		sendV[i], sendD[i] = sendV[i][:0], sendD[i][:0]
 	}
 	for idx, gv := range vs {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
+		for w, need := range e.st.NeedWords(e.st.LocalOf(graph.Vertex(gv))) {
+			for ; need != 0; need &= need - 1 {
+				i := w*64 + bits.TrailingZeros64(need)
 				sendV[i] = append(sendV[i], gv)
 				sendD[i] = append(sendD[i], ds[idx])
 			}

@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -111,28 +112,33 @@ func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, 
 
 // relaxChunk is relaxPart's body over the arrived pairs (avs, ads).
 func (e *engine2D) relaxChunk(avs, ads []uint32, light bool, delta uint32, o *relaxOut) {
-	l := e.st.Layout
-	for idx, gv := range avs {
-		ci, ok, pr := e.st.ColMap.GetCounted(gv)
-		o.probes += uint64(pr)
-		if !ok {
-			continue // no partial list here (possible only locally)
-		}
-		dv := ads[idx]
-		for i := e.st.Off[ci]; i < e.st.Off[ci+1]; i++ {
-			o.scanned++
-			w := e.weightAt(i)
-			if (w <= delta) != light {
-				continue
+	st := e.st
+	l := st.Layout
+	var cis [partition.ResolveBatch]uint32
+	for len(avs) > 0 {
+		n := min(len(avs), len(cis))
+		o.probes += st.ResolveColumns(avs[:n], &cis)
+		for idx, ci := range cis[:n] {
+			if ci == partition.NoColumn {
+				continue // no partial list here (possible only locally)
 			}
-			cand := dv + w
-			if cand < dv || cand == graph.MaxDist {
-				continue // saturated: stays unreachable
+			dv := ads[idx]
+			for i := st.Off[ci]; i < st.Off[ci+1]; i++ {
+				o.scanned++
+				w := e.weightAt(i)
+				if (w <= delta) != light {
+					continue
+				}
+				cand := dv + w
+				if cand < dv || cand == graph.MaxDist {
+					continue // saturated: stays unreachable
+				}
+				u := st.Rows[i]
+				j := l.ColBlockOf(u)
+				o.binV[j] = append(o.binV[j], uint32(u))
+				o.binD[j] = append(o.binD[j], cand)
 			}
-			u := e.st.Rows[i]
-			j := l.ColBlockOf(u)
-			o.binV[j] = append(o.binV[j], uint32(u))
-			o.binD[j] = append(o.binD[j], cand)
 		}
+		avs, ads = avs[n:], ads[n:]
 	}
 }
