@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs sim-matrix bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
@@ -77,6 +77,18 @@ SEED ?= 9
 perf-pairs:
 	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make perf-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=9]"; exit 2; }
 	bash scripts/perfpairs.sh $(BASE) $(WORKLOAD) $(N) $(SEED)
+
+# Simulated-drift check against a base revision: a 242-configuration
+# `bfsrun -json` matrix (every family x partitioning x wire codec x
+# schedule, the fold/expand collectives, direction policies, sent
+# cache, a canned fault plan, cores/workers) run on BASE and on the
+# working tree and compared byte for byte with Wall dropped; the first
+# differing configuration is printed as a runnable bfsrun line. Not part
+# of `ci` — it needs a base revision (see scripts/simmatrix.sh).
+#   make sim-matrix BASE=HEAD~1
+sim-matrix:
+	@[ -n "$(BASE)" ] || { echo "usage: make sim-matrix BASE=<rev>"; exit 2; }
+	bash scripts/simmatrix.sh $(BASE)
 
 # Machine-readable perf baseline for the headline workload (see
 # README.md "Perf trajectory" for the format). Also writes the

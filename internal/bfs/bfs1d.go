@@ -1,17 +1,12 @@
 package bfs
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/localindex"
 	"repro/internal/partition"
 	"repro/internal/pool"
-	"repro/internal/search"
 	"repro/internal/torus"
 )
 
@@ -49,15 +44,11 @@ type engine1D struct {
 	bins *setBins
 }
 
-func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
-	g := comm.Group{Ranks: make([]int, c.Size()), Me: c.Rank()}
-	for i := range g.Ranks {
-		g.Ranks[i] = i
-	}
+func newEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Options) stepper {
 	c.SetCores(opts.Cores)
-	return &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
-		pl:   pool.New(opts.Workers),
-		bins: newSetBins(c, g, st.Layout.BlockSize(), st.Layout.OwnedRange)}
+	e := &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: c.WorldGroup(), pl: pool.New(opts.Workers)}
+	e.bins = newSetBins(c, e.world, l, &e.opts, e.pl, &e.hist)
+	return e
 }
 
 func (e *engine1D) newSide(src graph.Vertex) *sideState {
@@ -72,8 +63,8 @@ func (e *engine1D) newSide(src graph.Vertex) *sideState {
 	return s
 }
 
-// universe returns the global vertex count.
-func (e *engine1D) universe() int { return e.st.Layout.N }
+// hashProbes returns the probes the scans have made so far.
+func (e *engine1D) hashProbes() uint64 { return e.probes }
 
 // totalOutDegree returns this rank's owned vertices' degree sum.
 func (e *engine1D) totalOutDegree() uint64 {
@@ -97,182 +88,16 @@ func (e *engine1D) frontierOutDegree(s *sideState) uint64 {
 }
 
 // step runs one complete Algorithm 1 level: merge frontier edge lists
-// into per-owner bins (steps 7–9), fold (steps 8–13), mark (14–16).
+// into per-owner bins (steps 7–9), fold (steps 8–13), mark (14–16). The
+// scan precedes the fold entirely (1D has no expand), so the overlapped
+// schedule's win is the pipelined fold — per-bin merges interleave with
+// the posts, and all P-1 transfers fly concurrently instead of one
+// transit per pairwise step.
 func (e *engine1D) step(s *sideState, tagBase int) (rankLevel, bool) {
-	if e.opts.Async {
-		return e.stepAsync(s, tagBase)
-	}
-	return e.stepSync(s, tagBase)
-}
-
-// stepSync is the phase-synchronous Algorithm 1 level.
-func (e *engine1D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
+	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{frontier: s.F.Len()}
-	rec.edges = e.scanFrontier(s)
-	bins := e.bins.sets()
-
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
-	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.world, e.st.Layout.OwnedRange, &e.hist)
-	nbar, fst := syncFold(e.c, e.world, o, e.opts.Fold, bins)
-	rec.foldWords = fst.RecvWords
-	rec.dups = fst.Dups
-
-	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	foundTarget := s.mark(e.opts, e.st.Lo, nbar, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
+	rec.Edges = e.scanFrontier(s)
+	foundTarget := s.mark(e.opts, e.st.Lo, e.bins.fold(tagBase, &rec), &rec)
+	rec.end(tm)
 	return rec, foundTarget
-}
-
-// validate1D checks a 1D run's inputs.
-func validate1D(w *comm.World, stores []*partition.Store1D, opts Options) (*partition.Layout1D, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P, w.P)
-	}
-	if int(opts.Source) >= l.N {
-		return nil, fmt.Errorf("bfs: source %d out of range for n=%d", opts.Source, l.N)
-	}
-	if opts.HasTarget && int(opts.Target) >= l.N {
-		return nil, fmt.Errorf("bfs: target %d out of range for n=%d", opts.Target, l.N)
-	}
-	return l, nil
-}
-
-// trivialResult handles the source==target case without communication.
-func trivialResult(n int, r, c int, source graph.Vertex) *Result {
-	res := &Result{N: n, R: r, C: c, Found: true}
-	res.Levels = make([]int32, n)
-	for i := range res.Levels {
-		res.Levels[i] = graph.Unreached
-	}
-	res.Levels[source] = 0
-	return res
-}
-
-// Run1D executes Algorithm 1 across the world.
-func Run1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	l, err := validate1D(w, stores, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateRobustness(opts, true); err != nil {
-		return nil, err
-	}
-	if opts.HasTarget && opts.Source == opts.Target {
-		return trivialResult(l.N, 1, l.P, opts.Source), nil
-	}
-
-	res := &Result{N: l.N, R: 1, C: l.P}
-	perRank := make([][]rankLevel, w.P)
-	localLevels := make([][]int32, w.P)
-	probes := make([]uint64, w.P)
-	var foundAt int32 = -1
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		st := stores[c.Rank()]
-		e := newEngine1D(c, st, opts)
-		recs, s, found, cxl := driveUni(c, e, opts)
-		perRank[c.Rank()] = recs
-		localLevels[c.Rank()] = s.L
-		probes[c.Rank()] = e.probes
-		cancels[c.Rank()] = cxl
-		if found && c.Rank() == 0 {
-			foundAt = s.level
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	mergeStats(res, perRank, comms)
-	for _, p := range probes {
-		res.HashProbes += p
-	}
-	res.Levels = make([]int32, l.N)
-	for r, st := range stores {
-		copy(res.Levels[int(st.Lo):int(st.Lo)+st.OwnedCount()], localLevels[r])
-	}
-	if opts.HasTarget && foundAt >= 0 {
-		res.Found = true
-		res.Distance = foundAt
-	}
-	publishMetrics(opts.Metrics, res)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
-}
-
-// RunBidirectional1D executes the §2.3 bi-directional search on the 1D
-// partitioning (the paper notes either partitioning can host it).
-func RunBidirectional1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	if !opts.HasTarget {
-		return nil, fmt.Errorf("bfs: bi-directional search requires a target")
-	}
-	l, err := validate1D(w, stores, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateRobustness(opts, false); err != nil {
-		return nil, err
-	}
-	if opts.Source == opts.Target {
-		return trivialResult(l.N, 1, l.P, opts.Source), nil
-	}
-
-	res := &Result{N: l.N, R: 1, C: l.P}
-	perRank := make([][]rankLevel, w.P)
-	localLevels := make([][]int32, w.P)
-	probes := make([]uint64, w.P)
-	var globalBest int64 = -1
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		st := stores[c.Rank()]
-		e := newEngine1D(c, st, opts)
-		recs, ss, best, cxl := driveBidir(c, e, st, opts)
-		perRank[c.Rank()] = recs
-		localLevels[c.Rank()] = ss.L
-		probes[c.Rank()] = e.probes
-		cancels[c.Rank()] = cxl
-		if c.Rank() == 0 && best != bidirInf {
-			globalBest = int64(best)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	mergeStats(res, perRank, comms)
-	for _, p := range probes {
-		res.HashProbes += p
-	}
-	res.Levels = make([]int32, l.N)
-	for r, st := range stores {
-		copy(res.Levels[int(st.Lo):int(st.Lo)+st.OwnedCount()], localLevels[r])
-	}
-	if globalBest >= 0 {
-		res.Found = true
-		res.Distance = int32(globalBest)
-	}
-	publishMetrics(opts.Metrics, res)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
 }

@@ -42,10 +42,9 @@ func unwireBitPieces(p *pool.Pool, opts Options, pieces [][]uint32, widths func(
 // needed), then scans its unlabeled owned vertices for frontier
 // parents.
 func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
+	tm := beginLevel(e.c, &e.hist)
 	// dir is stamped here, not by the caller: the level span closes
-	// inside tm.record with rec.dir as its arg.
+	// inside rec.end with rec.dir as its arg.
 	rec := rankLevel{dir: BottomUp, frontier: s.F.Len()}
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
 	payload := wireBits(e.pl, e.opts, &e.hist, frontier.Bits(s.F), e.st.OwnedCount())
@@ -64,7 +63,7 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		e.c.ChargeItems(st.RecvWords, e.model.VertexCost)
 	}
 	unwireBitPieces(e.pl, e.opts, pieces, e.st.Layout.OwnedCount)
-	rec.expandWords = st.RecvWords
+	rec.ExpandWords = st.RecvWords
 
 	n := len(s.L)
 	edges := 0
@@ -91,11 +90,10 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 			foundTarget = true
 		}
 	}
-	rec.edges = edges
+	rec.Edges = edges
 	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
 	s.advance()
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
+	rec.end(tm)
 	return rec, foundTarget
 }
 
@@ -140,11 +138,10 @@ func (e *engine1D) findParents(s *sideState, pieces [][]uint32, lo, hi int) (edg
 // payloads (the gathers at the caller edges, the claims through
 // collective.Opts.Codec).
 func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := newLevelTimer(e.c)
+	tm := beginLevel(e.c, &e.hist)
 	l := e.st.Layout
-	h0 := e.hist
 	// dir is stamped here, not by the caller: the level span closes
-	// inside tm.record with rec.dir as its arg.
+	// inside rec.end with rec.dir as its arg.
 	rec := rankLevel{dir: BottomUp, frontier: s.F.Len()}
 
 	// Per-piece handling charge for the pipelined gathers (received
@@ -179,7 +176,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	o2 := collective.Opts{Tag: tagBase + 1<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
 	uPieces, ust := gather(e.colG, o2, wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()))
 	unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
-	rec.expandWords = fst.RecvWords + ust.RecvWords
+	rec.ExpandWords = fst.RecvWords + ust.RecvWords
 
 	claims := make([][]uint32, l.R)
 	for i := 0; i < l.R; i++ {
@@ -194,7 +191,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 			edges += c
 		}
 	}
-	rec.edges = edges
+	rec.Edges = edges
 	e.c.ChargeItemsPar(len(e.st.ColIds), e.model.VertexCost)
 	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
 
@@ -218,7 +215,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		mine, cst = collective.ReduceScatterOr(e.c, e.colG, o3, claims)
 		e.c.ChargeItems(cst.RecvWords, e.model.VertexCost)
 	}
-	rec.foldWords = cst.RecvWords
+	rec.FoldWords = cst.RecvWords
 
 	next := s.nextFrontier()
 	foundTarget := false
@@ -235,8 +232,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		}
 	})
 	s.advance()
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
+	rec.end(tm)
 	return rec, foundTarget
 }
 

@@ -16,106 +16,30 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
-	"repro/internal/comm"
 	"repro/internal/frontier"
+	"repro/internal/partition"
+	"repro/internal/search"
 )
 
-// ckptVersion guards the blob layout.
-const ckptVersion = 1
-
-// optsFingerprint folds every option that must match between the
-// checkpointing and the restoring run — anything that changes the
-// schedule, the wire traffic, or the charges.
-func optsFingerprint(o Options) uint64 {
+// fingerprint is the run's workload identity: the layout and shared
+// options (search.Common.Fingerprint) plus every BFS option that must
+// match between the checkpointing and the restoring run — anything that
+// changes the schedule, the wire traffic, or the charges.
+func (o *Options) fingerprint(l partition.View) uint64 {
 	var bits uint64
 	if o.HasTarget {
 		bits |= 1
 	}
-	if o.Async {
+	if o.SentCache {
 		bits |= 2
 	}
-	if o.SentCache {
+	if o.P2PTermination {
 		bits |= 4
 	}
-	if o.P2PTermination {
-		bits |= 8
-	}
-	return checkpoint.Fingerprint(
+	return o.Fingerprint(l,
 		uint64(o.Source), uint64(o.Target), bits,
 		uint64(o.Expand), uint64(o.Fold), uint64(o.Direction),
-		math.Float64bits(o.doAlpha()),
-		uint64(o.Wire), uint64(o.ChunkWords),
-		math.Float64bits(o.FrontierOccupancy),
-		uint64(o.MaxLevels),
-		// Cores scales the pool-loop charges, so it is workload identity;
-		// 0 and 1 are the same single-core baseline. Workers is real
-		// wall-clock parallelism only and deliberately excluded.
-		uint64(max(1, o.Cores)),
-	)
-}
-
-// runFingerprint is the full workload identity: engine partitioning,
-// options, and world size.
-func runFingerprint(e stepper, opts Options, p int) uint64 {
-	return checkpoint.Fingerprint(e.fingerprint(), optsFingerprint(opts), uint64(p))
-}
-
-// validateRobustness rejects checkpoint/restore combinations a driver
-// does not support. uniDriver is false for the bi-directional and
-// multi-source drivers, which have no snapshot support.
-func validateRobustness(opts Options, uniDriver bool) error {
-	cp := opts.Checkpoint.Enabled()
-	rs := opts.Restore != nil
-	if !cp && !rs {
-		return nil
-	}
-	if !uniDriver {
-		return fmt.Errorf("bfs: checkpoint/restore is only supported by the uni-directional drivers")
-	}
-	if cp && rs {
-		return fmt.Errorf("bfs: cannot checkpoint and restore in the same run")
-	}
-	if opts.Trace != nil {
-		return fmt.Errorf("bfs: checkpoint/restore cannot be combined with tracing (a partial run's spans do not tile the clock)")
-	}
-	return nil
-}
-
-// saveUniBlob serializes one rank's uni-directional driver state.
-func saveUniBlob(c *comm.Comm, e stepper, s *sideState, recs []rankLevel, unlabeledDeg uint64, redTag int) []uint32 {
-	enc := &checkpoint.Enc{}
-	enc.U32(ckptVersion)
-	enc.U64(unlabeledDeg)
-	enc.Int(redTag)
-	encodeSide(enc, s)
-	e.saveExtra(enc)
-	enc.Int(len(recs))
-	for i := range recs {
-		encodeRankLevel(enc, &recs[i])
-	}
-	c.CaptureState().Encode(enc)
-	return enc.Payload()
-}
-
-// restoreUniBlob is saveUniBlob's inverse: it rebuilds the side and
-// statistics and loads the transport state onto the (fresh) rank.
-func restoreUniBlob(c *comm.Comm, e stepper, opts Options, blob []uint32) (*sideState, []rankLevel, uint64, int) {
-	dec := checkpoint.NewDec(blob)
-	if v := dec.U32(); v != ckptVersion {
-		panic(fmt.Sprintf("bfs: checkpoint blob version %d, want %d", v, ckptVersion))
-	}
-	unlabeledDeg := dec.U64()
-	redTag := dec.Int()
-	s := decodeSide(dec, e, opts)
-	e.restoreExtra(dec)
-	n := dec.Int()
-	recs := make([]rankLevel, n)
-	for i := range recs {
-		recs[i] = decodeRankLevel(dec)
-	}
-	c.RestoreState(comm.DecodeState(dec))
-	dec.Done()
-	return s, recs, unlabeledDeg, redTag
+		math.Float64bits(o.doAlpha()), uint64(o.MaxLevels))
 }
 
 // encodeSide serializes a sideState. The frontier goes through the
@@ -175,63 +99,18 @@ func decodeSide(dec *checkpoint.Dec, e stepper, opts Options) *sideState {
 func encodeRankLevel(enc *checkpoint.Enc, r *rankLevel) {
 	enc.Int(int(r.dir))
 	enc.Int(r.frontier)
-	enc.Int(r.expandWords)
-	enc.Int(r.foldWords)
 	enc.Int(r.dups)
 	enc.Int(r.marked)
-	enc.Int(r.edges)
-	encodeHist(enc, r.containers)
-	enc.F64(r.execS)
-	enc.F64(r.commS)
-	enc.F64(r.overlapS)
+	r.Step.Encode(enc)
 }
 
 func decodeRankLevel(dec *checkpoint.Dec) rankLevel {
-	var r rankLevel
-	r.dir = Direction(dec.Int())
-	r.frontier = dec.Int()
-	r.expandWords = dec.Int()
-	r.foldWords = dec.Int()
-	r.dups = dec.Int()
-	r.marked = dec.Int()
-	r.edges = dec.Int()
-	r.containers = decodeHist(dec)
-	r.execS = dec.F64()
-	r.commS = dec.F64()
-	r.overlapS = dec.F64()
+	r := rankLevel{dir: Direction(dec.Int()), frontier: dec.Int(), dups: dec.Int(), marked: dec.Int()}
+	r.Step = search.DecodeStep(dec)
 	return r
 }
 
-func encodeHist(enc *checkpoint.Enc, h frontier.ContainerHist) {
-	enc.U64(uint64(h.RawPayloads))
-	enc.U64(uint64(h.DensePayloads))
-	enc.U64(uint64(h.HybridPayloads))
-	enc.U64(uint64(h.EmptyChunks))
-	enc.U64(uint64(h.ListChunks))
-	enc.U64(uint64(h.BitmapChunks))
-	enc.U64(uint64(h.RunChunks))
-	enc.U64(uint64(h.PackedChunks))
-}
-
-func decodeHist(dec *checkpoint.Dec) frontier.ContainerHist {
-	return frontier.ContainerHist{
-		RawPayloads:    int64(dec.U64()),
-		DensePayloads:  int64(dec.U64()),
-		HybridPayloads: int64(dec.U64()),
-		EmptyChunks:    int64(dec.U64()),
-		ListChunks:     int64(dec.U64()),
-		BitmapChunks:   int64(dec.U64()),
-		RunChunks:      int64(dec.U64()),
-		PackedChunks:   int64(dec.U64()),
-	}
-}
-
-// engine fingerprints and extra-state hooks.
-
-func (e *engine1D) fingerprint() uint64 {
-	l := e.st.Layout
-	return checkpoint.Fingerprint(uint64(l.N), 1, uint64(l.P))
-}
+// The engines' extra-state hooks.
 
 // saveExtra persists the 1D degree-sum cache — it is computed without
 // charges, but restoring it keeps the restored run's reductions
@@ -247,11 +126,6 @@ func (e *engine1D) restoreExtra(dec *checkpoint.Dec) {
 	e.degComputed = dec.Bool()
 	e.degTotal = dec.U64()
 	e.probes = dec.U64()
-}
-
-func (e *engine2D) fingerprint() uint64 {
-	l := e.st.Layout
-	return checkpoint.Fingerprint(uint64(l.N), uint64(l.R), uint64(l.C))
 }
 
 // saveExtra persists the 2D degree-exchange result: computing it

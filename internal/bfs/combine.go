@@ -4,36 +4,41 @@ import (
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
-	"repro/internal/graph"
 	"repro/internal/localindex"
+	"repro/internal/partition"
 	"repro/internal/pool"
 )
 
 // The combine step — Algorithm 2's neighbors "merged to form N" before
-// the fold, and merged again at the owner — shared by every engine.
-// Every bin is destined to one member of the fold group, so its ids lie
-// in that member's contiguous owned range and a localindex.Combiner
-// merges them without a sort. The scratch below is allocated once per
-// rank per run and reused by every level or sweep: the folds encode or
-// copy what they send (collective.wireSet), so nothing here is ever
-// handed to comm. The model charges each merge one VertexCost per id
-// that went in, len(out)+absorbed, whatever way the merge is computed.
+// the fold, and merged again at the owner — of the single-source
+// engines (the lane-parallel sweeps and Δ-stepping, whose vertices carry
+// a value, share search.Fold). Every bin is destined to one member of
+// the fold group, so its ids lie in that member's contiguous owned
+// range and a localindex.Combiner merges them without a sort. The
+// scratch below is allocated once per rank per run and reused by every
+// level: the folds encode or copy what they send (collective.wireSet),
+// so nothing here is ever handed to comm. The model charges each merge
+// one VertexCost per id that went in, len(out)+absorbed, whatever way
+// the merge is computed.
 
-// setBins is one rank's union-form combine scratch: the raw per-member
-// neighbor bins a level's scan fills, and the Combiner that turns each
-// into the sorted set the fold moves.
+// setBins is one rank's union-form combine scratch and the fold that
+// consumes it: the raw per-member neighbor bins a level's scan fills and
+// the Combiner that turns each into the sorted set the fold moves.
 type setBins struct {
 	c *comm.Comm
 	g comm.Group // the fold group; bin m is destined to member m
-	// ownedRange is the layout's owned vertex range of a world rank, at
-	// most blockSize wide.
-	ownedRange func(worldRank int) (lo, hi graph.Vertex)
-	comb       *localindex.Combiner
-	raw        [][]uint32
+	// l is the layout; a member's owned range is at most l.BlockSize wide.
+	l    partition.View
+	opts *Options
+	pl   *pool.Pool
+	hist *frontier.ContainerHist
+	comb *localindex.Combiner
+	raw  [][]uint32
 }
 
-func newSetBins(c *comm.Comm, g comm.Group, blockSize int, ownedRange func(worldRank int) (lo, hi graph.Vertex)) *setBins {
-	return &setBins{c: c, g: g, ownedRange: ownedRange, comb: localindex.NewCombiner(blockSize), raw: make([][]uint32, g.Size())}
+func newSetBins(c *comm.Comm, g comm.Group, l partition.View, opts *Options, p *pool.Pool, h *frontier.ContainerHist) *setBins {
+	return &setBins{c: c, g: g, l: l, opts: opts, pl: p, hist: h,
+		comb: localindex.NewCombiner(l.BlockSize), raw: make([][]uint32, g.Size())}
 }
 
 // set merges (and charges) raw bin m into its sorted set and empties
@@ -45,7 +50,7 @@ func newSetBins(c *comm.Comm, g comm.Group, blockSize int, ownedRange func(world
 // bin is needed for posting, so the early bins' transfers fly while the
 // later bins are merged.
 func (b *setBins) set(m int) []uint32 {
-	lo, hi := b.ownedRange(b.g.World(m))
+	lo, hi := b.l.OwnedRange(b.g.World(m))
 	b.comb.Reset(uint32(lo), int(hi-lo))
 	b.comb.Add(b.raw[m])
 	set, d := b.comb.Drain(b.raw[m][:0])
@@ -54,95 +59,40 @@ func (b *setBins) set(m int) []uint32 {
 	return set
 }
 
-// sets merges every bin, in member order.
-func (b *setBins) sets() [][]uint32 {
-	out := make([][]uint32, len(b.raw))
-	for m := range out {
-		out[m] = b.set(m)
-	}
-	return out
+// fold is the tail every top-down level shares once its scan has filled
+// the bins (Algorithm 1 steps 8–13, Algorithm 2 steps 13–18): merge
+// them, deliver the sets to their owners with the configured collective
+// under the configured schedule, and return the sorted set N̄ of owned
+// vertices to mark, its handling charged.
+func (b *setBins) fold(tag int, rec *rankLevel) []uint32 {
+	o := collective.Opts{Tag: tag, Chunk: b.opts.ChunkWords, Async: b.opts.Async}
+	o.Codec = foldCodec(b.c.Tracer(), b.pl, b.opts.Wire, b.g, b.l, b.hist)
+	nbar, st := collective.Fold(b.c, b.g, o, b.opts.Fold.String(), b.set)
+	rec.FoldWords, rec.dups = st.RecvWords, st.Dups
+	b.c.ChargeItems(len(nbar), b.c.Model().VertexCost)
+	return nbar
 }
 
-// laneFold is the fold half of a lane-parallel sweep, the same for both
-// partitionings and both schedules: OR-merge each raw (vertex, mask)
-// bin, deliver the bins to their owners over the fold group, and
-// OR-merge what arrives for this rank. It holds the raw bins, the
-// send-side Combiner (retargeted per bin), the owner's Combiner that
-// every arrived part streams into as it lands, and the merge and decode
-// staging.
-type laneFold struct {
-	c    *comm.Comm
-	g    comm.Group
-	opts Options
+// lanePayload is the multi-source fold's payload: a 64-bit lane mask
+// rides with each vertex, merged by OR and framed by encodeLanes for
+// the b lanes of the batch.
+type lanePayload struct {
 	pl   *pool.Pool
+	b    int
+	wire frontier.WireMode
 	hist *frontier.ContainerHist
-	// ownedRange is the layout's owned vertex range of a world rank, at
-	// most blockSize wide.
-	ownedRange func(worldRank int) (lo, hi graph.Vertex)
-	comb, own  *localindex.Combiner
-	binV       [][]uint32
-	binM       [][]uint64
-	outV, decV []uint32
-	outM, decM []uint64
 }
 
-func newLaneFold(c *comm.Comm, g comm.Group, opts Options, pl *pool.Pool, hist *frontier.ContainerHist,
-	blockSize int, ownedRange func(worldRank int) (lo, hi graph.Vertex)) *laneFold {
-	f := &laneFold{c: c, g: g, opts: opts, pl: pl, hist: hist, ownedRange: ownedRange,
-		comb: localindex.NewCombiner(blockSize), own: localindex.NewCombiner(blockSize),
-		binV: make([][]uint32, g.Size()), binM: make([][]uint64, g.Size())}
-	lo, hi := ownedRange(g.World(g.Me))
-	f.own.Reset(uint32(lo), int(hi-lo))
-	return f
+func (lanePayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
+
+func (lanePayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
+	return cb.DrainOr(vs, ms)
 }
 
-// reset empties the raw bins for the next scan and returns them.
-func (f *laneFold) reset() ([][]uint32, [][]uint64) {
-	for m := range f.binV {
-		f.binV[m], f.binM[m] = f.binV[m][:0], f.binM[m][:0]
-	}
-	return f.binV, f.binM
+func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
+	return encodeLanes(p.pl, vs, ms, p.b, lo, n, p.wire, p.hist)
 }
 
-// decode decodes a lane payload into the decode staging, valid until
-// the next call; the 2D engine's expand scan, which is over before the
-// fold begins, stages its arrivals here too.
-func (f *laneFold) decode(buf []uint32, b int) ([]uint32, []uint64) {
-	f.decV, f.decM = decodeLanes(f.pl, buf, b, f.decV, f.decM)
-	return f.decV, f.decM
-}
-
-// deliver runs the fold of a b-lane sweep and returns the merged
-// (vertex, mask) arrivals owned by this rank, valid until the next
-// call. The exchanges call prep once per member, the self bin included;
-// the overlapped schedule posts each bin as soon as it is merged.
-func (f *laneFold) deliver(b, tag int, rec *rankLevel) ([]uint32, []uint64) {
-	vertexCost := f.c.Model().VertexCost
-	prep := func(m int) []uint32 {
-		lo, hi := f.ownedRange(f.g.World(m))
-		f.comb.Reset(uint32(lo), int(hi-lo))
-		f.comb.AddOr(f.binV[m], f.binM[m])
-		var d int
-		f.outV, f.outM, d = f.comb.DrainOr(f.outV[:0], f.outM[:0])
-		rec.dups += d
-		f.c.ChargeItems(len(f.outV)+d, vertexCost)
-		if m == f.g.Me {
-			f.own.AddOr(f.outV, f.outM) // stays local, unencoded
-			return nil
-		}
-		return encodeLanes(f.pl, f.outV, f.outM, b, uint32(lo), int(hi-lo), f.opts.Wire, f.hist)
-	}
-	handle := func(m int, part []uint32) {
-		if m != f.g.Me {
-			f.own.AddOr(f.decode(part, b))
-		}
-	}
-	o := collective.Opts{Tag: tag, Chunk: f.opts.ChunkWords, Async: f.opts.Async}
-	rec.foldWords = collective.Exchange(f.c, f.g, o, prep, handle).RecvWords
-
-	var d int
-	f.outV, f.outM, d = f.own.DrainOr(f.outV[:0], f.outM[:0])
-	rec.dups += d
-	f.c.ChargeItems(len(f.outV)+d, vertexCost)
-	return f.outV, f.outM
+func (p lanePayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) {
+	return decodeLanes(p.pl, buf, p.b, vs, ms)
 }

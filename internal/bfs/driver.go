@@ -8,6 +8,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/search"
 )
 
@@ -25,11 +26,7 @@ type reducer struct {
 func newReducer(c *comm.Comm, opts Options) *reducer {
 	r := &reducer{c: c, p2p: opts.P2PTermination}
 	if r.p2p {
-		r.world = comm.Group{Ranks: make([]int, c.Size()), Me: c.Rank()}
-		for i := range r.world.Ranks {
-			r.world.Ranks[i] = i
-		}
-		r.tag = 1 << 28
+		r.world, r.tag = c.WorldGroup(), 1<<28
 	}
 	return r
 }
@@ -72,16 +69,14 @@ type stepper interface {
 	newSide(src graph.Vertex) *sideState
 	step(s *sideState, tagBase int) (rankLevel, bool)
 	stepBottomUp(s *sideState, tagBase int) (rankLevel, bool)
-	universe() int // global vertex count
 	// totalOutDegree and frontierOutDegree feed the Beamer-style
 	// direction heuristic: this rank's degree sum over its owned
 	// vertices, and over a side's current frontier. Only consulted
 	// under DirectionOptimizing.
 	totalOutDegree() uint64
 	frontierOutDegree(s *sideState) uint64
-	// fingerprint identifies the engine's partitioned workload (graph
-	// size, mesh shape) for checkpoint compatibility checks.
-	fingerprint() uint64
+	// hashProbes returns the global→local probes this run has made.
+	hashProbes() uint64
 	// saveExtra / restoreExtra serialize engine-internal caches whose
 	// absence would change a restored run's charges (the 2D engine's
 	// degree-exchange result, the 1D engine's degree sum).
@@ -128,26 +123,13 @@ func stepDir(e stepper, s *sideState, dir Direction, tagBase int) (rankLevel, bo
 	return e.step(s, tagBase)
 }
 
-// checkCancel polls the cooperative cancellation hook at a boundary
-// and reduces the verdict so every rank agrees. unit/done describe the
-// boundary for the Canceled error. A nil hook costs nothing.
-func checkCancel(opts Options, red *reducer, clock float64, unit string, done int) *search.Canceled {
-	if opts.Cancel == nil {
-		return nil
-	}
-	cause := opts.Cancel(clock)
-	if !red.or(cause != nil) {
-		return nil
-	}
-	return &search.Canceled{Unit: unit, Done: done, Cause: cause}
-}
-
 // driveUni runs a uni-directional level-synchronized search to
 // completion (empty global frontier), target discovery, the MaxLevels
 // bound, or a cooperative cancellation (non-nil *search.Canceled — the
 // state holds the partial labeling). It returns the per-level records,
-// the search state, and whether the target was found (globally agreed).
-func driveUni(c *comm.Comm, e stepper, opts Options) ([]rankLevel, *sideState, bool, *search.Canceled) {
+// the search state, and the level the target was found at (globally
+// agreed), -1 if it was not.
+func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLevel, *sideState, int64, *search.Canceled) {
 	red := newReducer(c, opts)
 	dirop := opts.Direction == DirectionOptimizing
 	var s *sideState
@@ -161,12 +143,12 @@ func driveUni(c *comm.Comm, e stepper, opts Options) ([]rankLevel, *sideState, b
 		// Resume from a snapshot: load engine + transport state and
 		// skip the charged initialization (it already happened in the
 		// checkpointing run and its cost is in the restored ledgers).
-		if err := opts.Restore.Check("bfs", c.Size(), runFingerprint(e, opts, c.Size())); err != nil {
-			panic(err.Error())
-		}
-		var redTag int
-		s, recs, unlabeledDeg, redTag = restoreUniBlob(c, e, opts, opts.Restore.Blobs[c.Rank()])
-		red.tag = redTag
+		opts.Resume(c, "bfs", opts.fingerprint(l), func(dec *checkpoint.Dec) {
+			unlabeledDeg, red.tag = dec.U64(), dec.Int()
+			s = decodeSide(dec, e, opts)
+			e.restoreExtra(dec)
+			recs = search.DecodeRecs(dec, decodeRankLevel)
+		})
 	} else {
 		s = e.newSide(opts.Source)
 		if dirop {
@@ -177,17 +159,21 @@ func driveUni(c *comm.Comm, e stepper, opts Options) ([]rankLevel, *sideState, b
 		if opts.Checkpoint.Enabled() && opts.Restore == nil && int(s.level) == opts.Checkpoint.At {
 			// Halt here: snapshot this rank's complete state at the top
 			// of level At, before any of its reductions or exchanges.
-			opts.Checkpoint.Put("bfs", opts.Checkpoint.At, c.Size(), c.Rank(),
-				runFingerprint(e, opts, c.Size()),
-				saveUniBlob(c, e, s, recs, unlabeledDeg, red.tag))
-			return recs, s, false, nil
+			opts.Halt(c, "bfs", opts.fingerprint(l), func(enc *checkpoint.Enc) {
+				enc.U64(unlabeledDeg)
+				enc.Int(red.tag)
+				encodeSide(enc, s)
+				e.saveExtra(enc)
+				search.EncodeRecs(enc, recs, encodeRankLevel)
+			})
+			return recs, s, -1, nil
 		}
-		if cxl := checkCancel(opts, red, c.Clock(), "level", int(s.level)); cxl != nil {
-			return recs, s, false, cxl
+		if cxl := opts.Poll(red.or, c.Clock(), "level", int(s.level)); cxl != nil {
+			return recs, s, -1, cxl
 		}
 		gf := red.sum(uint64(s.F.Len()))
 		if gf == 0 {
-			return recs, s, false, nil
+			return recs, s, -1, nil
 		}
 		var frontierDeg uint64
 		if dirop {
@@ -195,13 +181,13 @@ func driveUni(c *comm.Comm, e stepper, opts Options) ([]rankLevel, *sideState, b
 			unlabeledDeg -= frontierDeg
 		}
 		if opts.MaxLevels > 0 && int(s.level) >= opts.MaxLevels {
-			return recs, s, false, nil
+			return recs, s, -1, nil
 		}
 		dir := chooseDirection(opts, frontierDeg, unlabeledDeg)
 		rec, foundLocal := stepDir(e, s, dir, int(s.level)*64)
 		recs = append(recs, rec)
 		if opts.HasTarget && red.or(foundLocal) {
-			return recs, s, true, nil
+			return recs, s, int64(s.level), nil // labeled at the last completed level
 		}
 	}
 }
@@ -210,6 +196,14 @@ func driveUni(c *comm.Comm, e stepper, opts Options) ([]rankLevel, *sideState, b
 // driver's best-distance reduction.
 const bidirInf = uint64(math.MaxUint32)
 
+// meetDist is the reduction's value as a distance, -1 for the sentinel.
+func meetDist(best uint64) int64 {
+	if best == bidirInf {
+		return -1
+	}
+	return int64(best)
+}
+
 // driveBidir runs the §2.3 bi-directional search: two sides expand
 // alternately (always the side with the smaller global frontier), meets
 // are detected when a side labels a vertex the other side already
@@ -217,10 +211,9 @@ const bidirInf = uint64(math.MaxUint32)
 // provably optimal (any undiscovered path must exceed the sum of the
 // completed levels), either side exhausts, or a cooperative
 // cancellation fires. It returns the records, the forward side's
-// state, and the best distance (bidirInf if none).
-func driveBidir(c *comm.Comm, e stepper, st interface {
-	LocalOf(v graph.Vertex) uint32
-}, opts Options) ([]rankLevel, *sideState, uint64, *search.Canceled) {
+// state, and the best distance (-1 if none).
+func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLevel, *sideState, int64, *search.Canceled) {
+	lo, _ := l.OwnedRange(c.Rank())
 	ss := e.newSide(opts.Source)
 	ts := e.newSide(opts.Target)
 	red := newReducer(c, opts)
@@ -240,8 +233,8 @@ func driveBidir(c *comm.Comm, e stepper, st interface {
 	}
 	newS, newT := true, true
 	for {
-		if cxl := checkCancel(opts, red, c.Clock(), "level", len(recs)); cxl != nil {
-			return recs, ss, best, cxl
+		if cxl := opts.Poll(red.or, c.Clock(), "level", len(recs)); cxl != nil {
+			return recs, ss, meetDist(best), cxl
 		}
 		gfs := red.sum(uint64(ss.F.Len()))
 		gft := red.sum(uint64(ts.F.Len()))
@@ -257,10 +250,10 @@ func driveBidir(c *comm.Comm, e stepper, st interface {
 		exhausted := gfs == 0 || gft == 0
 		proven := best != bidirInf && best <= uint64(ss.level)+uint64(ts.level)
 		if exhausted || proven {
-			return recs, ss, best, nil
+			return recs, ss, meetDist(best), nil
 		}
 		if opts.MaxLevels > 0 && int(ss.level+ts.level) >= opts.MaxLevels {
-			return recs, ss, best, nil
+			return recs, ss, meetDist(best), nil
 		}
 		side, mf, mu := ss, degS, unS
 		if gft < gfs {
@@ -279,7 +272,7 @@ func driveBidir(c *comm.Comm, e stepper, st interface {
 		}
 		tagSeq++
 		side.F.Iterate(func(gu uint32) {
-			li := st.LocalOf(graph.Vertex(gu))
+			li := gu - uint32(lo)
 			if other.L[li] != graph.Unreached {
 				cand := uint64(side.L[li]) + uint64(other.L[li])
 				if cand < best {

@@ -3,7 +3,6 @@ package bfs
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"repro/internal/collective"
 	"repro/internal/comm"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/localindex"
 	"repro/internal/partition"
 	"repro/internal/pool"
-	"repro/internal/search"
 	"repro/internal/torus"
 	"repro/internal/trace"
 )
@@ -32,7 +30,7 @@ type engine2D struct {
 	pl *pool.Pool
 
 	// hist tallies the wire codec's container choices; per-level deltas
-	// land in rankLevel.containers.
+	// land in rankLevel.Containers.
 	hist frontier.ContainerHist
 	// deg caches the global out-degree of every owned vertex, built on
 	// first use by a processor-column exchange (2D partial edge lists
@@ -48,24 +46,29 @@ type engine2D struct {
 	// across levels: what reaches comm is an encoding or a copy (see
 	// expandWire), never these lists.
 	sendV [][]uint32
+	// bundle recompresses the two-phase expand's circulating bundles
+	// (see expandBundleMerge); nil under the other expands.
+	bundle *collective.BundleCodec
 }
 
-func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
-	l := st.Layout
+func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) stepper {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
-	rowG := mesh.RowGroup(c.Rank())
-	return &engine2D{
+	e := &engine2D{
 		c:     c,
 		st:    st,
 		opts:  opts,
 		model: c.Model(),
 		colG:  mesh.ColGroup(c.Rank()),
-		rowG:  rowG,
+		rowG:  mesh.RowGroup(c.Rank()),
 		pl:    pool.New(opts.Workers),
-		bins:  newSetBins(c, rowG, l.BlockSize(), l.OwnedRange),
 		sendV: make([][]uint32, l.R),
 	}
+	e.bins = newSetBins(c, e.rowG, l, &e.opts, e.pl, &e.hist)
+	if opts.Expand == ExpandTwoPhase {
+		e.bundle = e.expandBundleMerge()
+	}
+	return e
 }
 
 // sideState is the per-side search state (the bi-directional search
@@ -140,8 +143,8 @@ func (e *engine2D) newSide(src graph.Vertex) *sideState {
 	return s
 }
 
-// universe returns the global vertex count.
-func (e *engine2D) universe() int { return e.st.Layout.N }
+// hashProbes returns the probes the scans have made so far.
+func (e *engine2D) hashProbes() uint64 { return e.probes }
 
 // expandWire readies an expand payload (a subset of this rank's owned
 // frontier) for the wire: its encoding under the configured mode, or
@@ -211,10 +214,36 @@ func (e *engine2D) expand(s *sideState, tag int) ([]uint32, collective.Stats) {
 		e.expandUnwire(parts)
 		return flatten(parts), st
 	case ExpandTwoPhase:
-		o.BundleMerge = e.expandBundleMerge()
+		o.BundleMerge = e.bundle
 		parts, st := collective.TwoPhaseExpand(e.c, e.colG, o, e.wireFrontier(s.F))
 		e.expandUnwire(parts)
 		return flatten(parts), st
+	default:
+		panic(fmt.Sprintf("bfs: unknown expand algorithm %v", e.opts.Expand))
+	}
+}
+
+// expandAsync posts the expand with the pipelined schedule, streaming
+// every part — this rank's own portion first — through handle.
+func (e *engine2D) expandAsync(s *sideState, tag int, handle collective.Handle) collective.Stats {
+	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: true}
+	switch e.opts.Expand {
+	case ExpandTargeted:
+		send := e.targetRows(s)
+		prep := func(i int) []uint32 {
+			if i == e.colG.Me {
+				return send[i] // stays local, unencoded
+			}
+			return e.expandWire(send[i])
+		}
+		return collective.Exchange(e.c, e.colG, o, prep, handle)
+	case ExpandAllGather:
+		_, st := collective.AllGatherAsync(e.c, e.colG, o, e.wireFrontier(s.F), handle)
+		return st
+	case ExpandTwoPhase:
+		o.BundleMerge = e.bundle
+		_, st := collective.TwoPhaseExpandAsync(e.c, e.colG, o, e.wireFrontier(s.F), handle)
+		return st
 	default:
 		panic(fmt.Sprintf("bfs: unknown expand algorithm %v", e.opts.Expand))
 	}
@@ -296,26 +325,18 @@ func flatten(parts [][]uint32) []uint32 {
 	return out
 }
 
-// neighbors scans the partial edge lists of F̄ and merges the
-// discovered neighbors into per-destination sorted sets ("merged to
-// form N").
-func (e *engine2D) neighbors(s *sideState, fbar []uint32) ([][]uint32, int) {
-	scanned := e.scanPart(s, fbar, e.bins.raw)
-	return e.bins.sets(), scanned
-}
-
 // foldCodec builds the wire codec for fold payloads: a set destined to
 // row-group member m is a subset of that member's owned range, so it
 // can travel as a bitmap — or hybrid chunk containers — over that
 // range when denser is cheaper.
-func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Group, ownedRange func(worldRank int) (graph.Vertex, graph.Vertex), h *frontier.ContainerHist) *collective.Codec {
+func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Group, l partition.View, h *frontier.ContainerHist) *collective.Codec {
 	if wire == frontier.WireSparse {
 		return nil
 	}
 	return &collective.Codec{
 		Enc: func(m int, set []uint32) []uint32 {
 			tr.Begin("engine", "encode")
-			lo, hi := ownedRange(g.World(m))
+			lo, hi := l.OwnedRange(g.World(m))
 			out := frontier.EncodeSetStatsPar(p, set, uint32(lo), int(hi-lo), wire, h)
 			tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
 			return out
@@ -326,26 +347,6 @@ func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Gr
 			tr.End(trace.Arg{Key: "words", Val: int64(len(buf))})
 			return out
 		},
-	}
-}
-
-// syncFold delivers the merged neighbor sets to their owners over the
-// fold group g (Algorithm 1 steps 8–13, Algorithm 2 steps 13–18) with the
-// configured phase-synchronous collective, returning the sorted set N̄
-// of owned vertices to mark.
-func syncFold(c *comm.Comm, g comm.Group, o collective.Opts, alg FoldAlg, bins [][]uint32) ([]uint32, collective.Stats) {
-	switch alg {
-	case FoldDirect:
-		return collective.ReduceScatterUnion(c, g, o, bins)
-	case FoldTwoPhase:
-		return collective.TwoPhaseFold(c, g, o, bins)
-	case FoldTwoPhaseNoUnion:
-		o.NoUnion = true
-		return collective.TwoPhaseFold(c, g, o, bins)
-	case FoldBruck:
-		return collective.ReduceScatterUnionBruck(c, g, o, bins)
-	default:
-		panic(fmt.Sprintf("bfs: unknown fold algorithm %v", alg))
 	}
 }
 
@@ -408,120 +409,37 @@ func (e *engine2D) frontierOutDegree(s *sideState) uint64 {
 	return sum
 }
 
-// step runs one complete BFS level for side s: expand, neighbor scan,
-// fold, mark. It returns the rank-local statistics and whether this
-// rank labeled the target this level. The global frontier emptiness
-// check belongs to the caller (it differs between uni- and
+// step runs one complete top-down BFS level for side s: expand,
+// neighbor scan, fold, mark. It returns the rank-local statistics and
+// whether this rank labeled the target this level. The global frontier
+// emptiness check belongs to the caller (it differs between uni- and
 // bi-directional drivers).
+//
+// The phase-synchronous schedule waits out the whole expand and scans
+// F̄ once; the overlapped one scans each expand part as it arrives,
+// while the remaining parts are on the wire. Results are identical —
+// the scans and unions are order-insensitive, and the sent-neighbors
+// cache admits each vertex exactly once in any order; only the
+// simulated clock, and the OverlapS ledger, changes. The fold's
+// schedule is collective.Fold's business.
 func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
-	if e.opts.Async {
-		return e.stepAsync(s, tagBase)
-	}
-	return e.stepSync(s, tagBase)
-}
-
-// stepSync is the phase-synchronous level schedule: wait out the whole
-// expand, scan, wait out the whole fold, mark.
-func (e *engine2D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
+	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{frontier: s.F.Len()}
-	fbar, est := e.expand(s, tagBase)
-	rec.expandWords = est.RecvWords
-	// Received frontier vertices are processed through the hash-indexed
-	// partial lists; charge their handling.
-	e.c.ChargeItemsPar(len(fbar), e.model.VertexCost)
-
-	bins, edges := e.neighbors(s, fbar)
-	rec.edges = edges
-	o := collective.Opts{Tag: tagBase + 1<<24, Chunk: e.opts.ChunkWords}
-	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.rowG, e.st.Layout.OwnedRange, &e.hist)
-	nbar, fst := syncFold(e.c, e.rowG, o, e.opts.Fold, bins)
-	rec.foldWords = fst.RecvWords
-	rec.dups = fst.Dups
-
-	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	foundTarget := s.mark(e.opts, e.st.Lo, nbar, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
+	if e.opts.Async {
+		rec.ExpandWords = e.expandAsync(s, tagBase, func(m int, part []uint32) {
+			// Mirror expandUnwire: WireSparse parts are raw id lists that never
+			// saw the sentinel guard, so they must not go through Decode.
+			if e.opts.Wire != frontier.WireSparse {
+				part = frontier.DecodePar(e.pl, part) // no-op on raw lists and local parts
+			}
+			rec.Edges += e.scanPart(s, part)
+		}).RecvWords
+	} else {
+		fbar, est := e.expand(s, tagBase)
+		rec.ExpandWords = est.RecvWords
+		rec.Edges = e.scanPart(s, fbar)
+	}
+	foundTarget := s.mark(e.opts, e.st.Lo, e.bins.fold(tagBase+1<<24, &rec), &rec)
+	rec.end(tm)
 	return rec, foundTarget
-}
-
-// Run2D executes Algorithm 2 (or, with the mesh degenerate to R=1 or
-// C=1, the 1D partitionings of Table 1) across the world. stores must
-// come from partition.Build2D with P = w.P ranks.
-func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P() != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P(), w.P)
-	}
-	if int(opts.Source) >= l.N {
-		return nil, fmt.Errorf("bfs: source %d out of range for n=%d", opts.Source, l.N)
-	}
-	if opts.HasTarget && int(opts.Target) >= l.N {
-		return nil, fmt.Errorf("bfs: target %d out of range for n=%d", opts.Target, l.N)
-	}
-
-	if err := validateRobustness(opts, true); err != nil {
-		return nil, err
-	}
-
-	res := &Result{N: l.N, R: l.R, C: l.C}
-	if opts.HasTarget && opts.Source == opts.Target {
-		return trivialResult(l.N, l.R, l.C, opts.Source), nil
-	}
-
-	perRank := make([][]rankLevel, w.P)
-	localLevels := make([][]int32, w.P)
-	probes := make([]uint64, w.P)
-	var foundAt int32 = -1
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		st := stores[c.Rank()]
-		e := newEngine2D(c, st, opts)
-		recs, s, found, cxl := driveUni(c, e, opts)
-		perRank[c.Rank()] = recs
-		localLevels[c.Rank()] = s.L
-		probes[c.Rank()] = e.probes
-		cancels[c.Rank()] = cxl
-		if found && c.Rank() == 0 {
-			foundAt = s.level // target labeled at the last completed level
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	mergeStats(res, perRank, comms)
-	for _, p := range probes {
-		res.HashProbes += p
-	}
-	res.Levels = assembleLevels(l, stores, localLevels)
-	if opts.HasTarget && foundAt >= 0 {
-		res.Found = true
-		res.Distance = foundAt
-	}
-	publishMetrics(opts.Metrics, res)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
-}
-
-// assembleLevels stitches per-rank level arrays into a global one.
-func assembleLevels(l *partition.Layout2D, stores []*partition.Store2D, local [][]int32) []int32 {
-	out := make([]int32, l.N)
-	for r, st := range stores {
-		lo := int(st.Lo)
-		copy(out[lo:lo+st.OwnedCount()], local[r])
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/collective"
 	"repro/internal/comm"
@@ -105,15 +104,11 @@ func encodeLanes(p *pool.Pool, vs []uint32, ms []uint64, b int, lo uint32, n int
 	if len(vs) == 0 {
 		return nil
 	}
-	enc := frontier.EncodeSetStatsPar(p, vs, lo, n, mode, h)
 	s := len(vs)
 	wInter := s * maskWords(b)
 	wPlane := b * frontier.BitWords(s)
-	out := make([]uint32, 0, 2+len(enc)+min(wInter, wPlane))
-	out = append(out, uint32(len(enc)))
 	if wInter <= wPlane {
-		out = append(out, laneFormInterleaved)
-		out = append(out, enc...)
+		out := search.FrameSet(p, vs, lo, n, mode, h, wInter, laneFormInterleaved)
 		for _, m := range ms {
 			out = append(out, uint32(m))
 			if b > 32 {
@@ -122,8 +117,7 @@ func encodeLanes(p *pool.Pool, vs []uint32, ms []uint64, b int, lo uint32, n int
 		}
 		return out
 	}
-	out = append(out, laneFormPlanes)
-	out = append(out, enc...)
+	out := search.FrameSet(p, vs, lo, n, mode, h, wPlane, laneFormPlanes)
 	planes := make([]uint32, wPlane)
 	pw := frontier.BitWords(s)
 	for p, m := range ms {
@@ -142,19 +136,10 @@ func decodeLanes(p *pool.Pool, buf []uint32, b int, vs []uint32, ms []uint64) ([
 	if len(buf) == 0 {
 		return vs[:0], ms[:0]
 	}
-	if len(buf) < 2 {
-		panic("bfs: truncated lane payload")
-	}
-	nw := int(buf[0])
-	form := buf[1]
-	if 2+nw > len(buf) {
-		panic("bfs: truncated lane payload set")
-	}
-	vs = frontier.AppendDecodePar(p, vs[:0], buf[2:2+nw])
-	rest := buf[2+nw:]
+	vs, form, rest := search.UnframeSet(p, buf, vs, 1)
 	s := len(vs)
 	ms = slices.Grow(ms[:0], s)[:s]
-	switch form {
+	switch form[0] {
 	case laneFormInterleaved:
 		w := maskWords(b)
 		if len(rest) != s*w {
@@ -260,6 +245,7 @@ func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rm
 type multiStepper interface {
 	newMulti(sources []graph.Vertex) *multiState
 	sweep(s *multiState, tagBase int) rankLevel
+	hashProbes() uint64
 }
 
 // multiDrive runs lane-parallel sweeps until the global lane-OR
@@ -269,7 +255,7 @@ func multiDrive(c *comm.Comm, e multiStepper, opts Options, sources []graph.Vert
 	red := newReducer(c, opts)
 	var recs []rankLevel
 	for {
-		if cxl := checkCancel(opts, red, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
+		if cxl := opts.Poll(red.or, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
 			return recs, s, cxl
 		}
 		if red.sum(uint64(s.F.Len())) == 0 {
@@ -300,13 +286,13 @@ type multiEngine2D struct {
 	// fold is the row-exchange half of a sweep and its per-run scratch;
 	// sendV/sendM stage the targeted column expand, likewise reused
 	// every sweep.
-	fold  *laneFold
+	fold  *search.Fold[uint64]
 	sendV [][]uint32
 	sendM [][]uint64
 }
 
-func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *multiEngine2D {
-	l := st.Layout
+// newMultiEngine2D builds rank c's engine for a batch of b lanes.
+func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, b int) multiStepper {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &multiEngine2D{
@@ -320,9 +306,11 @@ func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *multiE
 		sendV: make([][]uint32, l.R),
 		sendM: make([][]uint64, l.R),
 	}
-	e.fold = newLaneFold(c, e.rowG, opts, e.pl, &e.hist, l.BlockSize(), l.OwnedRange)
+	e.fold = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist})
 	return e
 }
+
+func (e *multiEngine2D) hashProbes() uint64 { return e.probes }
 
 func (e *multiEngine2D) newMulti(sources []graph.Vertex) *multiState {
 	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
@@ -333,8 +321,7 @@ func (e *multiEngine2D) newMulti(sources []graph.Vertex) *multiState {
 // they arrive and posts the row exchange per bin as each finishes its
 // OR-merge; payloads, statistics and marks are the same.
 func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
+	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
 	r := e.colG.Size()
 
@@ -368,23 +355,23 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	// Scan the partial edge lists of every received frontier vertex and
 	// bin the discovered (neighbor, mask) pairs by owner mesh column
 	// (scanLanes runs on the worker pool and charges the scan).
-	binV, binM := e.fold.reset()
+	binV, binM := e.fold.Reset()
 	scan := func(i int, part []uint32) {
 		avs, ams := sendV[i], sendM[i]
 		if i != e.colG.Me {
-			avs, ams = e.fold.decode(part, b)
+			avs, ams = e.fold.Decode(part)
 		}
-		rec.edges += e.scanLanes(avs, ams, binV, binM)
+		rec.Edges += e.scanLanes(avs, ams, binV, binM)
 	}
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	rec.expandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
+	rec.ExpandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 
 	// Lane merge per destination, the row exchange to the owners, and
 	// the owner's merge of what arrives.
-	rvs, rms := e.fold.deliver(b, tagBase+1<<24, &rec)
+	rvs, rms, dups := e.fold.Deliver(tagBase+1<<24, &rec.Step)
+	rec.dups = dups
 	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
+	rec.end(tm)
 	return rec
 }
 
@@ -396,24 +383,23 @@ type multiEngine1D struct {
 	st    *partition.Store1D
 	opts  Options
 	model torus.CostModel
-	world comm.Group
 	pl    *pool.Pool
 	hist  frontier.ContainerHist
 	// fold is the exchange half of a sweep and its per-run scratch.
-	fold *laneFold
+	fold *search.Fold[uint64]
 }
 
-func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *multiEngine1D {
-	g := comm.Group{Ranks: make([]int, c.Size()), Me: c.Rank()}
-	for i := range g.Ranks {
-		g.Ranks[i] = i
-	}
+// newMultiEngine1D builds rank c's engine for a batch of b lanes.
+func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Options, b int) multiStepper {
 	c.SetCores(opts.Cores)
-	e := &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
-		pl: pool.New(opts.Workers)}
-	e.fold = newLaneFold(c, g, opts, e.pl, &e.hist, st.Layout.BlockSize(), st.Layout.OwnedRange)
+	e := &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), pl: pool.New(opts.Workers)}
+	e.fold = search.NewFold[uint64](c, c.WorldGroup(), &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist})
 	return e
 }
+
+// hashProbes is zero: the 1D sweep scans full local edge lists and
+// keeps no sent cache, so it resolves nothing.
+func (e *multiEngine1D) hashProbes() uint64 { return 0 }
 
 func (e *multiEngine1D) newMulti(sources []graph.Vertex) *multiState {
 	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
@@ -423,14 +409,13 @@ func (e *multiEngine1D) newMulti(sources []graph.Vertex) *multiState {
 // local, so the overlapped schedule's win is the pipelined fold —
 // per-bin OR-merges interleave with the posts.
 func (e *multiEngine1D) sweep(s *multiState, tagBase int) rankLevel {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
+	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	rec.edges = e.scanLanes(s)
-	rvs, rms := e.fold.deliver(len(s.levels), tagBase, &rec)
+	rec.Edges = e.scanLanes(s)
+	rvs, rms, dups := e.fold.Deliver(tagBase, &rec.Step)
+	rec.dups = dups
 	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
+	rec.end(tm)
 	return rec
 }
 
@@ -451,133 +436,18 @@ func validateSources(sources []graph.Vertex, n int) error {
 	return nil
 }
 
-// finishMulti assembles the global per-lane level arrays and the
-// nearest-source Levels from the per-rank owned slices.
-func finishMulti(res *MultiResult, n int, ranges func(rank int) (graph.Vertex, graph.Vertex), laneLevels [][][]int32) {
-	b := res.B
-	res.LaneLevels = make([][]int32, b)
-	for lane := 0; lane < b; lane++ {
-		res.LaneLevels[lane] = make([]int32, n)
-	}
-	for rank, lanes := range laneLevels {
-		lo, hi := ranges(rank)
-		for lane := 0; lane < b; lane++ {
-			copy(res.LaneLevels[lane][int(lo):int(hi)], lanes[lane])
-		}
-	}
-	res.Levels = make([]int32, n)
-	for v := range res.Levels {
+// nearestLevels returns every vertex's level from its nearest source:
+// the minimum over the lanes that reached it.
+func nearestLevels(laneLevels [][]int32, n int) []int32 {
+	levels := make([]int32, n)
+	for v := range levels {
 		min := graph.Unreached
-		for lane := 0; lane < b; lane++ {
-			if l := res.LaneLevels[lane][v]; l != graph.Unreached && (min == graph.Unreached || l < min) {
+		for _, lane := range laneLevels {
+			if l := lane[v]; l != graph.Unreached && (min == graph.Unreached || l < min) {
 				min = l
 			}
 		}
-		res.Levels[v] = min
+		levels[v] = min
 	}
-}
-
-// MultiRun2D executes a batched multi-source BFS over the 2D edge
-// partitioning (or a degenerate 1D mesh). Direction is always
-// top-down; the sent-neighbors cache does not apply (a vertex must be
-// re-sent when it carries new lanes) and is ignored.
-func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P() != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P(), w.P)
-	}
-	if err := validateSources(sources, l.N); err != nil {
-		return nil, err
-	}
-	if err := validateRobustness(opts, false); err != nil {
-		return nil, err
-	}
-
-	res := &MultiResult{B: len(sources), Sources: append([]graph.Vertex(nil), sources...)}
-	res.N, res.R, res.C = l.N, l.R, l.C
-	perRank := make([][]rankLevel, w.P)
-	laneLevels := make([][][]int32, w.P)
-	probes := make([]uint64, w.P)
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		e := newMultiEngine2D(c, stores[c.Rank()], opts)
-		recs, s, cxl := multiDrive(c, e, opts, sources)
-		perRank[c.Rank()] = recs
-		laneLevels[c.Rank()] = s.levels
-		probes[c.Rank()] = e.probes
-		cancels[c.Rank()] = cxl
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	mergeStats(&res.Result, perRank, comms)
-	for _, p := range probes {
-		res.HashProbes += p
-	}
-	finishMulti(res, l.N, func(rank int) (graph.Vertex, graph.Vertex) {
-		return l.OwnedRange(rank)
-	}, laneLevels)
-	publishMetrics(opts.Metrics, &res.Result)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
-}
-
-// MultiRun1D executes a batched multi-source BFS over the dedicated 1D
-// engine.
-func MultiRun1D(w *comm.World, stores []*partition.Store1D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P, w.P)
-	}
-	if err := validateSources(sources, l.N); err != nil {
-		return nil, err
-	}
-	if err := validateRobustness(opts, false); err != nil {
-		return nil, err
-	}
-
-	res := &MultiResult{B: len(sources), Sources: append([]graph.Vertex(nil), sources...)}
-	res.N, res.R, res.C = l.N, 1, l.P
-	perRank := make([][]rankLevel, w.P)
-	laneLevels := make([][][]int32, w.P)
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		e := newMultiEngine1D(c, stores[c.Rank()], opts)
-		recs, s, cxl := multiDrive(c, e, opts, sources)
-		perRank[c.Rank()] = recs
-		laneLevels[c.Rank()] = s.levels
-		cancels[c.Rank()] = cxl
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	mergeStats(&res.Result, perRank, comms)
-	finishMulti(res, l.N, func(rank int) (graph.Vertex, graph.Vertex) {
-		return l.OwnedRange(rank)
-	}, laneLevels)
-	publishMetrics(opts.Metrics, &res.Result)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
+	return levels
 }

@@ -108,18 +108,25 @@ func (e *engine1D) scanChunk(s *sideState, vs []uint32, o *scanOut) {
 	}
 }
 
-// scanPart scans the partial edge lists of one decoded expand part
-// (Algorithm 2 step 12), binning the discovered neighbors by owner mesh
-// column and charging the edge scan and hash probes. It returns the
-// edge entries inspected. The overlapped schedule calls it once per
-// received part as each arrives; the synchronous path once with all of
-// F̄. The bins, sent-cache state, and charges are identical either way
-// (the sent cache admits each row vertex exactly once regardless of
-// scan order, and the bins are sorted sets before they travel).
-func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
+// scanPart charges the handling of one decoded expand part — received
+// frontier vertices are processed through the hash-indexed partial
+// lists — and scans their partial edge lists (Algorithm 2 step 12),
+// binning the discovered neighbors by owner mesh column and charging
+// the edge scan and hash probes. It returns the edge entries inspected.
+// The overlapped schedule calls it once per received part as each
+// arrives; the synchronous one once with all of F̄. The bins and the
+// sent-cache state are identical either way (the sent cache admits each
+// row vertex exactly once regardless of scan order, and the bins are
+// sorted sets before they travel); the charges are equal only up to
+// float association — the synchronous schedule charges F̄ once, the
+// overlapped one part by part, and ChargeItemsPar(a)+ChargeItemsPar(b)
+// is not ChargeItemsPar(a+b) on a float clock — which is why the
+// synchronous branch of step keeps its single call.
+func (e *engine2D) scanPart(s *sideState, part []uint32) int {
+	e.c.ChargeItemsPar(len(part), e.model.VertexCost)
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
-	out := scanOut{binV: bins}
+	out := scanOut{binV: e.bins.raw}
 	if e.pl.Inline(len(part), scanGrain) {
 		e.scanChunk(s, part, &out)
 	} else {
@@ -219,7 +226,7 @@ func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, o *scanOut) {
 func (e *multiEngine1D) scanLanes(s *multiState) int {
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
-	binV, binM := e.fold.reset()
+	binV, binM := e.fold.Reset()
 	vs := s.F.Vertices()
 	out := scanOut{binV: binV, binM: binM}
 	if e.pl.Inline(len(vs), scanGrain) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
+	"repro/internal/search"
 	"repro/internal/trace"
 )
 
@@ -193,93 +194,77 @@ func (r *Result) Reached() int {
 	return n
 }
 
-// rankLevel is one rank's contribution to a level's statistics.
+// rankLevel is one rank's contribution to a level's statistics: the
+// ledger every family keeps and BFS's own counters.
 type rankLevel struct {
-	dir         Direction
-	frontier    int
-	expandWords int
-	foldWords   int
-	dups        int
-	marked      int
-	edges       int
-	containers  frontier.ContainerHist
-	execS       float64
-	commS       float64
-	overlapS    float64
+	search.Step
+	dir      Direction
+	frontier int
+	dups     int
+	marked   int
 }
 
-// levelTimer snapshots a rank's simulated-time ledgers at level entry
-// so the level's clock/comm/overlap deltas can be recorded on exit.
-type levelTimer struct {
-	c                    *comm.Comm
-	clock, comm, overlap float64
+// beginLevel opens a level's (or sweep's) span and ledger snapshot.
+func beginLevel(c *comm.Comm, hist *frontier.ContainerHist) search.StepTimer {
+	return search.BeginStep(c, hist, "level", "level")
 }
 
-func newLevelTimer(c *comm.Comm) levelTimer {
-	c.Tracer().Begin("level", "level")
-	return levelTimer{c: c, clock: c.Clock(), comm: c.CommTime(), overlap: c.OverlapTime()}
-}
-
-func (t levelTimer) record(rec *rankLevel) {
-	rec.execS = t.c.Clock() - t.clock
-	rec.commS = t.c.CommTime() - t.comm
-	rec.overlapS = t.c.OverlapTime() - t.overlap
-	t.c.Tracer().End(
+// end records the level's ledger deltas and closes its span.
+func (rec *rankLevel) end(tm search.StepTimer) {
+	tm.End(&rec.Step,
 		trace.Arg{Key: "dir", Val: int64(rec.dir)},
 		trace.Arg{Key: "frontier", Val: int64(rec.frontier)},
-		trace.Arg{Key: "expand_words", Val: int64(rec.expandWords)},
-		trace.Arg{Key: "fold_words", Val: int64(rec.foldWords)},
+		trace.Arg{Key: "expand_words", Val: int64(rec.ExpandWords)},
+		trace.Arg{Key: "fold_words", Val: int64(rec.FoldWords)},
 		trace.Arg{Key: "dups", Val: int64(rec.dups)},
 		trace.Arg{Key: "marked", Val: int64(rec.marked)},
-		trace.Arg{Key: "edges", Val: int64(rec.edges)},
+		trace.Arg{Key: "edges", Val: int64(rec.Edges)},
 	)
 }
 
 // mergeStats combines per-rank per-level records into global LevelStats
 // and totals on a Result.
-func mergeStats(res *Result, perRank [][]rankLevel, comms []*comm.Comm) {
+func mergeStats(res *Result, out search.Outcome[rankOut]) {
 	levels := 0
-	for _, rl := range perRank {
-		if len(rl) > levels {
-			levels = len(rl)
-		}
+	for _, r := range out.PerRank {
+		levels = max(levels, len(r.recs))
 	}
 	res.PerLevel = make([]LevelStats, levels)
 	for l := 0; l < levels; l++ {
 		res.PerLevel[l].Level = int32(l)
 	}
-	res.PerRank = make([][]LevelStats, len(perRank))
-	for rank, rl := range perRank {
-		res.PerRank[rank] = make([]LevelStats, len(rl))
-		for l, s := range rl {
+	res.PerRank = make([][]LevelStats, len(out.PerRank))
+	for rank, r := range out.PerRank {
+		res.PerRank[rank] = make([]LevelStats, len(r.recs))
+		for l, s := range r.recs {
 			res.PerRank[rank][l] = LevelStats{
 				Level:        int32(l),
 				Direction:    s.dir,
 				Frontier:     int64(s.frontier),
-				ExpandWords:  int64(s.expandWords),
-				FoldWords:    int64(s.foldWords),
+				ExpandWords:  int64(s.ExpandWords),
+				FoldWords:    int64(s.FoldWords),
 				Dups:         int64(s.dups),
 				Marked:       int64(s.marked),
-				EdgesScanned: int64(s.edges),
-				Containers:   s.containers,
-				ExecS:        s.execS,
-				CommS:        s.commS,
-				OverlapS:     s.overlapS,
+				EdgesScanned: int64(s.Edges),
+				Containers:   s.Containers,
+				ExecS:        s.ExecS,
+				CommS:        s.CommS,
+				OverlapS:     s.OverlapS,
 			}
 			ls := &res.PerLevel[l]
 			ls.Direction = s.dir // uniform across ranks by construction
 			ls.Frontier += int64(s.frontier)
-			ls.ExpandWords += int64(s.expandWords)
-			ls.FoldWords += int64(s.foldWords)
+			ls.ExpandWords += int64(s.ExpandWords)
+			ls.FoldWords += int64(s.FoldWords)
 			ls.Dups += int64(s.dups)
 			ls.Marked += int64(s.marked)
-			ls.EdgesScanned += int64(s.edges)
-			ls.Containers.Add(s.containers)
-			if s.execS > ls.ExecS {
-				ls.ExecS = s.execS // critical path: slowest rank
+			ls.EdgesScanned += int64(s.Edges)
+			ls.Containers.Add(s.Containers)
+			if s.ExecS > ls.ExecS {
+				ls.ExecS = s.ExecS // critical path: slowest rank
 			}
-			ls.CommS += s.commS
-			ls.OverlapS += s.overlapS
+			ls.CommS += s.CommS
+			ls.OverlapS += s.OverlapS
 		}
 	}
 	for _, ls := range res.PerLevel {
@@ -289,14 +274,8 @@ func mergeStats(res *Result, perRank [][]rankLevel, comms []*comm.Comm) {
 		res.TotalEdgesScanned += ls.EdgesScanned
 		res.Containers.Add(ls.Containers)
 	}
-	res.SimTime = comm.MaxClock(comms)
-	res.SimComm = comm.MaxCommTime(comms)
-	res.SimOverlap = comm.MaxOverlapTime(comms)
-	for _, c := range comms {
-		res.MsgsRecv += c.MsgsRecv()
-		res.HopsRecv += c.HopsRecv()
-		res.HopBytes += c.HopBytes()
-	}
-	res.MaxLinkBytes, _, res.LinksUsed = comm.LinkLoads(comms)
-	res.Faults = comm.MergeFaultStats(comms)
+	t := out.Totals()
+	res.SimTime, res.SimComm, res.SimOverlap = t.SimTime, t.SimComm, t.SimOverlap
+	res.MsgsRecv, res.HopsRecv, res.HopBytes, res.Faults = t.MsgsRecv, t.HopsRecv, t.HopBytes, t.Faults
+	res.MaxLinkBytes, _, res.LinksUsed = comm.LinkLoads(out.Comms)
 }

@@ -217,21 +217,6 @@ func ReduceScatterOrAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle 
 	return acc, allToAllAsync(c, g, o, wirePrep, orPart, nil)
 }
 
-// ReduceScatterUnionBruckAsync folds with Bruck's exchange. Every round
-// of the log-step schedule forwards blocks received the round before,
-// so the rounds are inherently serial and there is nothing to pipeline
-// between them; the variant exists so the async engines have a uniform
-// call surface, and it simply runs the synchronous schedule.
-func ReduceScatterUnionBruckAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stats) {
-	send := c.Lists(g.Size())
-	for m := range send {
-		send[m] = prep(m)
-	}
-	acc, st := ReduceScatterUnionBruck(c, g, o, send)
-	c.ReleaseLists(send)
-	return acc, st
-}
-
 // TwoPhaseExpandAsync is TwoPhaseExpand with the pipelined schedule:
 // phase 1's column exchange streams pieces through handle, and each
 // phase-2 ring hop forwards the received bundle before its sets are
@@ -348,25 +333,45 @@ func TwoPhaseExpandAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, hand
 	return out, st
 }
 
-// FoldAsync dispatches a union fold to the pipelined variant of the
-// configured algorithm; alg names match the synchronous dispatchers in
-// the engines ("direct", "twophase", "twophase-nounion", "bruck").
-// Sets are produced by prep in posting order so their sort/encode
-// compute overlaps the transfers already in flight (the two-phase and
-// Bruck schedules need every bundle up front and call prep eagerly).
-func FoldAsync(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, Stats) {
+// Fold delivers the sets prep produces — prep(m) the sorted set
+// destined to member m — to their owners with the union fold alg names
+// ("direct", "twophase" or in full "twophase-union", "twophase-nounion",
+// "bruck") and returns the sorted union of what was destined to this rank. It is the one place a
+// fold's schedule is chosen: under o.Async the direct fold posts each
+// set as prep returns it, so the merges of the later sets overlap the
+// transfers already in flight, and the two-phase fold posts its phase 2
+// before any wait; otherwise every set is prepared up front in member
+// order and the phase-synchronous collective runs. The two-phase and
+// Bruck schedules need every bundle before their first hop and prepare
+// up front either way (Bruck's log-step rounds forward what the round
+// before received, so there is nothing to pipeline and both schedules
+// run the same exchange).
+func Fold(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, Stats) {
 	switch alg {
 	case "direct":
-		return ReduceScatterUnionAsync(c, g, o, prep)
-	case "twophase", "twophase-nounion":
-		o.Async = true
-		if alg == "twophase-nounion" {
-			o.NoUnion = true
+		if o.Async {
+			return ReduceScatterUnionAsync(c, g, o, prep)
 		}
+	case "twophase", "twophase-union", "twophase-nounion":
+		o.NoUnion = o.NoUnion || alg == "twophase-nounion"
 		return twoPhaseFold(c, g, o, prep)
 	case "bruck":
-		return ReduceScatterUnionBruckAsync(c, g, o, prep)
 	default:
-		panic(fmt.Sprintf("collective: unknown async fold %q", alg))
+		panic(fmt.Sprintf("collective: unknown fold %q", alg))
 	}
+	send := c.Lists(g.Size())
+	defer c.ReleaseLists(send)
+	for m := range send {
+		send[m] = prep(m)
+	}
+	if alg == "bruck" {
+		return ReduceScatterUnionBruck(c, g, o, send)
+	}
+	return ReduceScatterUnion(c, g, o, send)
+}
+
+// FoldAsync is Fold under the pipelined schedule.
+func FoldAsync(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, Stats) {
+	o.Async = true
+	return Fold(c, g, o, alg, prep)
 }

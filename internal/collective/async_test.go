@@ -318,24 +318,45 @@ func TestBundleMergeNeverMoreWords(t *testing.T) {
 	}
 }
 
-// TestFoldAsyncDispatch exercises every algorithm name.
+// TestFoldAsyncDispatch exercises every algorithm name, "twophase-union"
+// being the long form of "twophase": FoldAsync delivers the direct
+// fold's union, and Fold under the synchronous schedule delivers the
+// same set with the same Stats — received words, eliminated duplicates
+// — calling prep once per member, in member order.
 func TestFoldAsyncDispatch(t *testing.T) {
 	const p = 4
 	all := randSets(p, 30, 99)
-	for _, alg := range []string{"direct", "twophase", "twophase-nounion", "bruck"} {
+	for _, alg := range []string{"direct", "twophase", "twophase-union", "twophase-nounion", "bruck"} {
 		want, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
 			acc, _ := ReduceScatterUnion(c, g, Opts{Tag: 5}, all[g.Me])
 			return acc
 		})
-		got, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
-			acc, _ := FoldAsync(c, g, Opts{Tag: 5}, alg, prepared(all[g.Me]))
-			return acc
+		async, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
+			acc, st := FoldAsync(c, g, Opts{Tag: 5}, alg, prepared(all[g.Me]))
+			return foldOut{acc, st}
+		})
+		sync, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
+			next := 0
+			acc, st := Fold(c, g, Opts{Tag: 5}, alg, func(m int) []uint32 {
+				if m != next {
+					panic(fmt.Sprintf("prep(%d) called when member %d was due", m, next))
+				}
+				next++
+				return all[g.Me][m]
+			})
+			if next != p {
+				panic(fmt.Sprintf("prep called for %d of %d members", next, p))
+			}
+			return foldOut{acc, st}
 		})
 		for r := 0; r < p; r++ {
 			w := want[r].([]uint32)
-			g := got[r].([]uint32)
-			if fmt.Sprint(w) != fmt.Sprint(g) {
-				t.Fatalf("alg %s rank %d: got %v want %v", alg, r, g, w)
+			a, s := async[r].(foldOut), sync[r].(foldOut)
+			if fmt.Sprint(w) != fmt.Sprint(a.acc) {
+				t.Fatalf("alg %s rank %d: got %v want %v", alg, r, a.acc, w)
+			}
+			if !reflect.DeepEqual(a, s) {
+				t.Fatalf("alg %s rank %d: the schedules disagree: async %+v, sync %+v", alg, r, a, s)
 			}
 		}
 	}

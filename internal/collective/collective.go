@@ -16,6 +16,12 @@
 //     grid-row rings.
 //   - Broadcast (ring): used for one-to-all announcements; the real
 //     machine had a tree network for this.
+//   - Fold: the union fold by algorithm name (direct, two-phase with or
+//     without the in-flight union, Bruck) — the one place a fold's
+//     schedule, phase-synchronous or overlapped, is chosen.
+//   - Exchange: the personalized exchange for callers that produce and
+//     consume payloads the same way under both schedules (the value
+//     folds and targeted expands of multi-source BFS and Δ-stepping).
 //
 // All set-typed payloads are ascending, duplicate-free []uint32. Every
 // operation returns Stats with the words this rank received and the

@@ -22,6 +22,17 @@ func (g Group) Next(i int) int { return (i + 1) % len(g.Ranks) }
 // Prev returns the group index before i (ring order).
 func (g Group) Prev(i int) int { return (i - 1 + len(g.Ranks)) % len(g.Ranks) }
 
+// WorldGroup returns the group of every rank in world order, with this
+// rank at its own index: the group the 1D engines fold over and the
+// point-to-point reductions run in.
+func (c *Comm) WorldGroup() Group {
+	g := Group{Ranks: make([]int, c.Size()), Me: c.Rank()}
+	for i := range g.Ranks {
+		g.Ranks[i] = i
+	}
+	return g
+}
+
 // Mesh is the logical R x C processor mesh of the 2D partitioning.
 // Rank (i, j) has world id i*C + j; the paper's processor-row i is
 // {(i, j') : j'} and processor-column j is {(i', j) : i'}.

@@ -68,25 +68,8 @@ func (l *Layout2D) MeshOf(rank int) (i, j int) { return rank / l.C, rank % l.C }
 // RankAt returns the world rank at mesh position (i, j).
 func (l *Layout2D) RankAt(i, j int) int { return i*l.C + j }
 
-// BlockOfRank returns the vertex block owned by a world rank.
-func (l *Layout2D) BlockOfRank(rank int) int {
-	i, j := l.MeshOf(rank)
-	return j*l.R + i
-}
-
 // OwnedRange returns [lo, hi) global vertex range owned by rank.
-func (l *Layout2D) OwnedRange(rank int) (lo, hi graph.Vertex) {
-	b := l.BlockOfRank(rank)
-	start := b * l.bs
-	end := start + l.bs
-	if start > l.N {
-		start = l.N
-	}
-	if end > l.N {
-		end = l.N
-	}
-	return graph.Vertex(start), graph.Vertex(end)
-}
+func (l *Layout2D) OwnedRange(rank int) (lo, hi graph.Vertex) { return l.View().OwnedRange(rank) }
 
 // OwnedCount returns the number of vertices owned by rank.
 func (l *Layout2D) OwnedCount(rank int) int {
@@ -132,6 +115,31 @@ func (c *OwnerCursor) Locate(v graph.Vertex) (m int, li uint32) {
 	return c.m, uint32(int(v) - c.lo)
 }
 
+// View is what a run harness reads of a layout, the same for both
+// partitionings: the vertex count, the logical mesh (R = 1 under the 1D
+// vertex partitioning, where rank q owns block q) and the block size no
+// owned range exceeds.
+type View struct {
+	N, R, C   int
+	BlockSize int
+}
+
+// P returns the number of ranks R*C.
+func (v View) P() int { return v.R * v.C }
+
+// OwnedRange returns the [lo, hi) global vertex range owned by rank:
+// block j*R + i for the rank at mesh position (i, j), clipped to N.
+func (v View) OwnedRange(rank int) (lo, hi graph.Vertex) {
+	start := min((rank%v.C*v.R+rank/v.C)*v.BlockSize, v.N)
+	return graph.Vertex(start), graph.Vertex(min(start+v.BlockSize, v.N))
+}
+
+// View returns the harness's view of the layout.
+func (l *Layout2D) View() View { return View{N: l.N, R: l.R, C: l.C, BlockSize: l.bs} }
+
+// View returns the harness's view of the layout: a 1 x P mesh.
+func (l *Layout1D) View() View { return View{N: l.N, R: 1, C: l.P, BlockSize: l.bs} }
+
 // Layout1D is the conventional 1D vertex partitioning of §2.1: rank q
 // owns the q-th contiguous block of vertices and their full edge lists.
 type Layout1D struct {
@@ -157,17 +165,7 @@ func (l *Layout1D) BlockSize() int { return l.bs }
 func (l *Layout1D) OwnerRank(v graph.Vertex) int { return int(v) / l.bs }
 
 // OwnedRange returns the [lo, hi) vertex range owned by rank.
-func (l *Layout1D) OwnedRange(rank int) (lo, hi graph.Vertex) {
-	start := rank * l.bs
-	end := start + l.bs
-	if start > l.N {
-		start = l.N
-	}
-	if end > l.N {
-		end = l.N
-	}
-	return graph.Vertex(start), graph.Vertex(end)
-}
+func (l *Layout1D) OwnedRange(rank int) (lo, hi graph.Vertex) { return l.View().OwnedRange(rank) }
 
 // OwnedCount returns the number of vertices owned by rank.
 func (l *Layout1D) OwnedCount(rank int) int {

@@ -39,6 +39,9 @@ type Store1D struct {
 	TargetProbes []uint8
 }
 
+// View returns the harness's view of the store's layout.
+func (s *Store1D) View() View { return s.Layout.View() }
+
 // OwnedCount returns the number of owned vertices.
 func (s *Store1D) OwnedCount() int { return int(s.Hi - s.Lo) }
 

@@ -64,6 +64,9 @@ type Store2D struct {
 	rowNeedWpv int // words per vertex
 }
 
+// View returns the harness's view of the store's layout.
+func (s *Store2D) View() View { return s.Layout.View() }
+
 // OwnedCount returns the number of owned vertices.
 func (s *Store2D) OwnedCount() int { return int(s.Hi - s.Lo) }
 

@@ -50,6 +50,21 @@ func MergeCanceled(cs []*Canceled) *Canceled {
 	return m
 }
 
+// Poll asks the Cancel hook, at a boundary after done whole units, whether
+// the run should stop, and reduces the verdict through or — the
+// family's collective or-reduction — so every rank agrees. A nil hook
+// costs nothing: no call, no reduction.
+func (o *Common) Poll(or func(bool) bool, clock float64, unit string, done int) *Canceled {
+	if o.Cancel == nil {
+		return nil
+	}
+	cause := o.Cancel(clock)
+	if !or(cause != nil) {
+		return nil
+	}
+	return &Canceled{Unit: unit, Done: done, Cause: cause}
+}
+
 // ChainCancel composes two Cancel hooks: the combined hook fires when
 // either does. Nil hooks are identity.
 func ChainCancel(prev, next func(simSeconds float64) error) func(simSeconds float64) error {

@@ -1,11 +1,27 @@
-// Package search holds the options core shared by every distributed
-// search algorithm in this repository. BFS, batched multi-source BFS,
-// and Δ-stepping SSSP all move vertex-set payloads over the same
-// simulated torus, chunk them into the same fixed-length buffers
-// (§3.1), and hold per-rank sets in the same adaptive sparse/dense
-// frontier representations — so the knobs controlling those mechanisms
-// have one meaning and live in one embedded struct instead of
-// per-algorithm forks.
+// Package search is the scaffold every distributed search in this
+// repository stands on. The paper has one superstep — expand, scan the
+// owned edge lists into per-owner bins, fold, mark (Algorithm 1 steps
+// 7–16, Algorithm 2 steps 7–19) — and BFS, bi-directional BFS, batched
+// multi-source BFS and Δ-stepping SSSP all run it on either
+// partitioning, so what does not depend on the family lives here once:
+//
+//   - the run harness (Run, CheckShape, Assemble): install the trace
+//     recorder and fault plan, run one body per rank, collect results
+//     and cancellations, merge the ranks' ledgers;
+//   - the step ledger (Step, StepTimer): the words, edges, container
+//     choices and clock/comm/overlap deltas every per-level or per-epoch
+//     record keeps, their trace span and their checkpoint codec, with
+//     the blob envelope around a family's state (Halt, Resume);
+//   - the cancel poll (Poll) and the Cancel hooks it consults;
+//   - the value fold (Fold): the per-owner merge, exchange and owner-side
+//     merge of (vertex, value) pairs, generic over the value — a lane
+//     mask OR-merged, a tentative distance min-merged;
+//   - the options block (Common) whose knobs — wire codec, message
+//     buffers (§3.1), frontier occupancy, schedule, cores, workers — have
+//     one meaning for every family, and the shared metric names.
+//
+// A family is then its state, its scan body, its mark or apply, and its
+// record's own counters.
 package search
 
 import (

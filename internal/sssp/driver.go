@@ -1,11 +1,10 @@
 package sssp
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
@@ -18,9 +17,6 @@ import (
 // rounds; the bucket bookkeeping and phase schedule below are shared
 // between the 1D and 2D implementations.
 type engine interface {
-	comm() *comm.Comm
-	ownedRange() (lo graph.Vertex, n int)
-	universe() int
 	// maxWeight returns the largest local edge weight (1 if none).
 	maxWeight() uint32
 	// localEdgeEntries counts local edge-list entries (the degree
@@ -31,9 +27,9 @@ type engine interface {
 	// requests, and returns the ones owned by this rank, deduplicated
 	// to the minimum distance per vertex.
 	scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) (rvs, rds []uint32)
-	// fingerprint identifies the engine's partitioned workload (graph
-	// size, mesh shape) for checkpoint compatibility checks.
-	fingerprint() uint64
+	// containers is the engine's running tally of the wire codec's
+	// container choices; per-epoch deltas land in epochRec.Containers.
+	containers() *frontier.ContainerHist
 }
 
 // rankState is one rank's Δ-stepping search state.
@@ -56,8 +52,9 @@ type rankState struct {
 	// the bits set in settled.
 	removed []uint32
 	// active, dists and heavy are per-run buffers behind the active list
-	// (drain, apply), its distances (distsOf) and the sorted heavy set.
-	active, dists, heavy []uint32
+	// (drain, apply), its distances (distsOf) and the sorted heavy set;
+	// idxs is localMinBucket's sorted bucket-index scratch.
+	active, dists, heavy, idxs []uint32
 }
 
 func (s *rankState) bucketOfDist(d uint32) uint32 { return bucketOf(d, s.delta) }
@@ -82,12 +79,8 @@ const noBucket = uint64(math.MaxUint64)
 
 func (s *rankState) localMinBucket() (min uint64, scanned int) {
 	min = noBucket
-	idxs := make([]uint32, 0, len(s.buckets))
-	for idx := range s.buckets {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
+	s.idxs = s.sortedBuckets(s.idxs[:0])
+	for _, idx := range s.idxs {
 		f := s.buckets[idx]
 		live := false
 		for _, gv := range f.Vertices() {
@@ -103,6 +96,15 @@ func (s *rankState) localMinBucket() (min uint64, scanned int) {
 		delete(s.buckets, idx)
 	}
 	return min, scanned
+}
+
+// sortedBuckets appends the bucket indices, ascending, to idxs.
+func (s *rankState) sortedBuckets(idxs []uint32) []uint32 {
+	for idx := range s.buckets {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	return idxs
 }
 
 // drain removes bucket k and returns its live members ascending (valid
@@ -178,29 +180,15 @@ func (s *rankState) apply(rvs, rds []uint32, k uint32, rec *epochRec) []uint32 {
 	return again
 }
 
-// checkCancel polls the cooperative cancellation hook at an epoch
-// boundary and reduces the verdict so every rank agrees. A nil hook
-// costs nothing.
-func checkCancel(opts Options, c *comm.Comm, done int) *search.Canceled {
-	if opts.Cancel == nil {
-		return nil
-	}
-	cause := opts.Cancel(c.Clock())
-	if !c.AllReduceOr(cause != nil) {
-		return nil
-	}
-	return &search.Canceled{Unit: "epoch", Done: done, Cause: cause}
-}
-
 // runRank executes the Δ-stepping schedule on one rank. All control
 // decisions (bucket choice, loop exits, Δ, cancellation) are globally
 // reduced, so every rank runs the same epoch sequence. A non-nil
 // *search.Canceled return means the run stopped cooperatively with the
 // state holding partial tentative distances.
-func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) {
-	c := e.comm()
+func runRank(c *comm.Comm, l partition.View, e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) {
 	model := c.Model()
-	lo, n := e.ownedRange()
+	lo, hi := l.OwnedRange(c.Rank())
+	n := int(hi - lo)
 	st := &rankState{
 		lo:      uint32(lo),
 		n:       n,
@@ -216,10 +204,11 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 		// Resume from a snapshot: load the distances, buckets, Δ, and
 		// transport state and skip the charged initialization (its cost
 		// lives in the restored ledgers).
-		if err := opts.Restore.Check("sssp", c.Size(), runFingerprint(e, opts, c.Size())); err != nil {
-			panic(err.Error())
-		}
-		recs, allLight, tagSeq = restoreEpochBlob(c, st, opts.Restore.Blobs[c.Rank()])
+		opts.Resume(c, "sssp", opts.fingerprint(l), func(dec *checkpoint.Dec) {
+			allLight, tagSeq = dec.Bool(), dec.Int()
+			st.decode(dec)
+			recs = search.DecodeRecs(dec, decodeEpochRec)
+		})
 	} else {
 		for i := range st.D {
 			st.D[i] = graph.MaxDist
@@ -230,7 +219,7 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 		st.delta = opts.Delta
 		if st.delta == 0 {
 			entries := c.AllReduceSum(uint64(e.localEdgeEntries())) // 2m
-			avgDeg := entries / uint64(max(1, e.universe()))
+			avgDeg := entries / uint64(max(1, l.N))
 			if avgDeg < 1 {
 				avgDeg = 1
 			}
@@ -243,7 +232,7 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 		// (uniformly — maxW and Δ are global).
 		allLight = st.delta == DeltaInf || maxW <= st.delta
 
-		if opts.Source >= lo && opts.Source < lo+graph.Vertex(n) {
+		if opts.Source >= lo && opts.Source < hi {
 			st.D[opts.Source-lo] = 0
 			st.insert(uint32(opts.Source), 0)
 		}
@@ -254,12 +243,15 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 			// epochs: every rank has appended the same number of records,
 			// so the condition fires uniformly, and the per-bucket
 			// scratch state (settled, removed, active) is dead here.
-			opts.Checkpoint.Put("sssp", opts.Checkpoint.At, c.Size(), c.Rank(),
-				runFingerprint(e, opts, c.Size()),
-				saveEpochBlob(c, st, recs, allLight, tagSeq))
+			opts.Halt(c, "sssp", opts.fingerprint(l), func(enc *checkpoint.Enc) {
+				enc.Bool(allLight)
+				enc.Int(tagSeq)
+				st.encode(enc)
+				search.EncodeRecs(enc, recs, encodeEpochRec)
+			})
 			return recs, st, nil
 		}
-		if cxl := checkCancel(opts, c, len(recs)); cxl != nil {
+		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "epoch", len(recs)); cxl != nil {
 			return recs, st, cxl
 		}
 		min, scanned := st.localMinBucket()
@@ -272,32 +264,32 @@ func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) 
 		active := st.drain(k)
 		st.unsettle()
 		for {
-			if cxl := checkCancel(opts, c, len(recs)); cxl != nil {
+			if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "epoch", len(recs)); cxl != nil {
 				return recs, st, cxl
 			}
 			if c.AllReduceSum(uint64(len(active))) == 0 {
 				break
 			}
 			rec := epochRec{bucket: k, phase: PhaseLight, active: len(active)}
-			tme := newEpochTimer(c, &rec)
+			tme := rec.begin(c, e)
 			st.settle(active, &rec)
 			rvs, rds := e.scatter(active, st.distsOf(active), true, st.delta, tagSeq*64, &rec)
 			tagSeq++
 			c.ChargeItems(len(rvs), model.VertexCost)
 			active = st.apply(rvs, rds, k, &rec)
-			tme.record(&rec)
+			rec.end(tme)
 			recs = append(recs, rec)
 		}
 		if !allLight {
 			st.heavy = append(st.heavy[:0], st.removed...)
 			heavy, _ := localindex.SortSet(st.heavy)
 			rec := epochRec{bucket: k, phase: PhaseHeavy, active: len(heavy)}
-			tme := newEpochTimer(c, &rec)
+			tme := rec.begin(c, e)
 			rvs, rds := e.scatter(heavy, st.distsOf(heavy), false, st.delta, tagSeq*64, &rec)
 			tagSeq++
 			c.ChargeItems(len(rvs), model.VertexCost)
 			st.apply(rvs, rds, k, &rec) // heavy targets always land in later buckets
-			tme.record(&rec)
+			rec.end(tme)
 			recs = append(recs, rec)
 		}
 	}
@@ -315,120 +307,49 @@ func countBuckets(recs []EpochStats) int {
 	return n
 }
 
-// validate checks shared run inputs.
-func validate(p int, worldP, n int, opts Options) error {
-	if p == 0 {
-		return fmt.Errorf("sssp: no stores")
+// rankOut is what one rank's body hands back to the harness.
+type rankOut struct {
+	recs  []epochRec
+	dist  []uint32 // owned tentative distances
+	delta uint32
+}
+
+// run is distributed Δ-stepping over either partitioning: the engine
+// constructor is the only thing the exported entry points bind.
+func run[S search.Store](w *comm.World, stores []S, opts Options, engine func(*comm.Comm, S, partition.View, Options) engine) (*Result, error) {
+	l, err := search.CheckShape("sssp", w, stores)
+	if err == nil {
+		err = search.CheckVertex("sssp", "source", opts.Source, l.N)
 	}
-	if p != worldP {
-		return fmt.Errorf("sssp: %d stores for world P=%d", p, worldP)
+	if err == nil {
+		err = opts.CheckRobustness("sssp", true)
 	}
-	if int(opts.Source) >= n {
-		return fmt.Errorf("sssp: source %d out of range for n=%d", opts.Source, n)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
+		recs, st, cxl := runRank(c, l, engine(c, stores[c.Rank()], l, opts), opts)
+		return rankOut{recs, st.D, st.delta}, cxl
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{N: l.N, R: l.R, C: l.C, Wall: out.Wall, Delta: out.PerRank[0].delta}
+	mergeStats(res, out)
+	res.BucketsDrained = countBuckets(res.PerEpoch)
+	res.Dist = search.Assemble(l, out.PerRank, func(r rankOut) []uint32 { return r.dist })
+	publishMetrics(opts.Metrics, res)
+	return res, out.Err()
 }
 
 // Run2D executes distributed Δ-stepping over the 2D edge partitioning
 // (or, with a degenerate mesh, either 1D partitioning of Table 1).
 // Unweighted stores run with unit weights.
 func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("sssp: no stores")
-	}
-	l := stores[0].Layout
-	if err := validate(len(stores), w.P, l.N, opts); err != nil {
-		return nil, err
-	}
-	if l.P() != w.P {
-		return nil, fmt.Errorf("sssp: layout P=%d for world P=%d", l.P(), w.P)
-	}
-	if err := validateRobustness(opts); err != nil {
-		return nil, err
-	}
-	res := &Result{N: l.N, R: l.R, C: l.C}
-	perRank := make([][]epochRec, w.P)
-	dists := make([][]uint32, w.P)
-	deltas := make([]uint32, w.P)
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		e := newEngine2D(c, stores[c.Rank()], opts)
-		recs, st, cxl := runRank(e, opts)
-		perRank[c.Rank()] = recs
-		dists[c.Rank()] = st.D
-		deltas[c.Rank()] = st.delta
-		cancels[c.Rank()] = cxl
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	res.Delta = deltas[0]
-	mergeStats(res, perRank, comms)
-	res.BucketsDrained = countBuckets(res.PerEpoch)
-	res.Dist = make([]uint32, l.N)
-	for r, st := range stores {
-		copy(res.Dist[int(st.Lo):int(st.Lo)+st.OwnedCount()], dists[r])
-	}
-	publishMetrics(opts.Metrics, res)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
+	return run(w, stores, opts, newEngine2D)
 }
 
 // Run1D executes distributed Δ-stepping over the dedicated 1D engine.
 func Run1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("sssp: no stores")
-	}
-	l := stores[0].Layout
-	if err := validate(len(stores), w.P, l.N, opts); err != nil {
-		return nil, err
-	}
-	if l.P != w.P {
-		return nil, fmt.Errorf("sssp: layout P=%d for world P=%d", l.P, w.P)
-	}
-	if err := validateRobustness(opts); err != nil {
-		return nil, err
-	}
-	res := &Result{N: l.N, R: 1, C: l.P}
-	perRank := make([][]epochRec, w.P)
-	dists := make([][]uint32, w.P)
-	deltas := make([]uint32, w.P)
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		e := newEngine1D(c, stores[c.Rank()], opts)
-		recs, st, cxl := runRank(e, opts)
-		perRank[c.Rank()] = recs
-		dists[c.Rank()] = st.D
-		deltas[c.Rank()] = st.delta
-		cancels[c.Rank()] = cxl
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	res.Delta = deltas[0]
-	mergeStats(res, perRank, comms)
-	res.BucketsDrained = countBuckets(res.PerEpoch)
-	res.Dist = make([]uint32, l.N)
-	for r, st := range stores {
-		copy(res.Dist[int(st.Lo):int(st.Lo)+st.OwnedCount()], dists[r])
-	}
-	publishMetrics(opts.Metrics, res)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
+	return run(w, stores, opts, newEngine1D)
 }

@@ -3,9 +3,9 @@ package sssp
 import (
 	"repro/internal/comm"
 	"repro/internal/frontier"
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pool"
+	"repro/internal/search"
 	"repro/internal/torus"
 )
 
@@ -23,32 +23,22 @@ type engine1D struct {
 	st    *partition.Store1D
 	opts  Options
 	model torus.CostModel
-	world comm.Group
 	// pl is the per-rank worker pool the relaxation scans and the wire
 	// codec run on; see parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
 	// fold is the exchange half of a round and its per-run scratch.
-	fold *relaxFold
+	fold *search.Fold[uint32]
 }
 
-func newEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *engine1D {
-	g := comm.Group{Ranks: make([]int, c.Size()), Me: c.Rank()}
-	for i := range g.Ranks {
-		g.Ranks[i] = i
-	}
+func newEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Options) engine {
 	c.SetCores(opts.Cores)
-	e := &engine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
-		pl: pool.New(opts.Workers)}
-	e.fold = newRelaxFold(c, g, opts, e.pl, &e.hist, st.Layout.BlockSize(), st.Layout.OwnedRange)
+	e := &engine1D{c: c, st: st, opts: opts, model: c.Model(), pl: pool.New(opts.Workers)}
+	e.fold = search.NewFold[uint32](c, c.WorldGroup(), &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist})
 	return e
 }
 
-func (e *engine1D) comm() *comm.Comm { return e.c }
-
-func (e *engine1D) ownedRange() (graph.Vertex, int) { return e.st.Lo, e.st.OwnedCount() }
-
-func (e *engine1D) universe() int { return e.st.Layout.N }
+func (e *engine1D) containers() *frontier.ContainerHist { return &e.hist }
 
 func (e *engine1D) maxWeight() uint32 {
 	max := uint32(1)
@@ -76,9 +66,7 @@ func (e *engine1D) weightAt(i int64) uint32 {
 // is the pipelined delivery — per-bin min-merges interleave with the
 // posts, and all P-1 transfers fly concurrently.
 func (e *engine1D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	h0 := e.hist
-	rec.edges += e.relaxScan(vs, ds, light, delta)
-	rvs, rds := e.fold.deliver(tag, rec)
-	rec.containers.Add(e.hist.Sub(h0))
+	rec.Edges += e.relaxScan(vs, ds, light, delta)
+	rvs, rds, _ := e.fold.Deliver(tag, &rec.Step)
 	return rvs, rds
 }

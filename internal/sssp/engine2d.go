@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pool"
+	"repro/internal/search"
 	"repro/internal/torus"
 )
 
@@ -34,12 +35,11 @@ type engine2D struct {
 	// fold is the row-exchange half of a round and its per-run scratch;
 	// sendV/sendD stage the targeted column expand, likewise reused
 	// every round.
-	fold         *relaxFold
+	fold         *search.Fold[uint32]
 	sendV, sendD [][]uint32
 }
 
-func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
-	l := st.Layout
+func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) engine {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{
@@ -53,15 +53,11 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 		sendV: make([][]uint32, l.R),
 		sendD: make([][]uint32, l.R),
 	}
-	e.fold = newRelaxFold(c, e.rowG, opts, e.pl, &e.hist, l.BlockSize(), l.OwnedRange)
+	e.fold = search.NewFold[uint32](c, e.rowG, &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist})
 	return e
 }
 
-func (e *engine2D) comm() *comm.Comm { return e.c }
-
-func (e *engine2D) ownedRange() (graph.Vertex, int) { return e.st.Lo, e.st.OwnedCount() }
-
-func (e *engine2D) universe() int { return e.st.Layout.N }
+func (e *engine2D) containers() *frontier.ContainerHist { return &e.hist }
 
 func (e *engine2D) maxWeight() uint32 {
 	max := uint32(1)
@@ -95,7 +91,6 @@ func (e *engine2D) weightAt(i int64) uint32 {
 // partial-list scan as they arrive, and the row exchange's sends post
 // per destination bin as each finishes its min-merge.
 func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	h0 := e.hist
 	r := e.colG.Size()
 
 	// Targeted column expand: an active vertex travels only to the mesh
@@ -126,20 +121,19 @@ func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, r
 	// Scan the partial edge lists of every received active vertex and
 	// bin the resulting relax requests by owner mesh column (relaxPart
 	// runs on the worker pool and charges the scan).
-	binV, binD := e.fold.reset()
+	binV, binD := e.fold.Reset()
 	scan := func(i int, part []uint32) {
 		avs, ads := sendV[i], sendD[i]
 		if i != e.colG.Me {
-			avs, ads = e.fold.decode(part)
+			avs, ads = e.fold.Decode(part)
 		}
-		rec.edges += e.relaxPart(avs, ads, light, delta, binV, binD)
+		rec.Edges += e.relaxPart(avs, ads, light, delta, binV, binD)
 	}
 	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	rec.expandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
+	rec.ExpandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 
 	// Minimum-merge per destination, the row exchange to the owners, and
 	// the owner's merge of what arrives.
-	rvs, rds := e.fold.deliver(tag+1<<24, rec)
-	rec.containers.Add(e.hist.Sub(h0))
+	rvs, rds, _ := e.fold.Deliver(tag+1<<24, &rec.Step)
 	return rvs, rds
 }

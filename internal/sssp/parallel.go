@@ -54,7 +54,7 @@ func (o *relaxOut) collect(p *pool.Pool, n int, body func(c *relaxOut, lo, hi in
 func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) int {
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
-	binV, binD := e.fold.reset()
+	binV, binD := e.fold.Reset()
 	out := relaxOut{binV: binV, binD: binD}
 	if e.pl.Inline(len(vs), relaxGrain) {
 		e.relaxChunk(vs, ds, light, delta, &out)

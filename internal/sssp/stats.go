@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
+	"repro/internal/search"
 	"repro/internal/trace"
 )
 
@@ -139,97 +140,81 @@ func (r *Result) MaxDistance() uint32 {
 	return max
 }
 
-// epochRec is one rank's contribution to an epoch's statistics.
+// epochRec is one rank's contribution to an epoch's statistics: the
+// ledger every family keeps and Δ-stepping's own counters.
 type epochRec struct {
-	bucket      uint32
-	phase       Phase
-	active      int
-	expandWords int
-	foldWords   int
-	relax       int
-	resettles   int
-	edges       int
-	containers  frontier.ContainerHist
-	execS       float64
-	commS       float64
-	overlapS    float64
+	search.Step
+	bucket    uint32
+	phase     Phase
+	active    int
+	relax     int
+	resettles int
 }
 
-// epochTimer snapshots a rank's simulated-time ledgers at epoch entry
-// so the epoch's clock/comm/overlap deltas can be recorded on exit.
-type epochTimer struct {
-	c                    *comm.Comm
-	clock, comm, overlap float64
+// begin opens the epoch's span and ledger snapshot.
+func (rec *epochRec) begin(c *comm.Comm, e engine) search.StepTimer {
+	return search.BeginStep(c, e.containers(), "epoch", rec.phase.String(), trace.Arg{Key: "bucket", Val: int64(rec.bucket)})
 }
 
-func newEpochTimer(c *comm.Comm, rec *epochRec) epochTimer {
-	c.Tracer().Begin("epoch", rec.phase.String(), trace.Arg{Key: "bucket", Val: int64(rec.bucket)})
-	return epochTimer{c: c, clock: c.Clock(), comm: c.CommTime(), overlap: c.OverlapTime()}
-}
-
-func (t epochTimer) record(rec *epochRec) {
-	rec.execS = t.c.Clock() - t.clock
-	rec.commS = t.c.CommTime() - t.comm
-	rec.overlapS = t.c.OverlapTime() - t.overlap
-	t.c.Tracer().End(
+// end records the epoch's ledger deltas and closes its span.
+func (rec *epochRec) end(tm search.StepTimer) {
+	tm.End(&rec.Step,
 		trace.Arg{Key: "active", Val: int64(rec.active)},
-		trace.Arg{Key: "expand_words", Val: int64(rec.expandWords)},
-		trace.Arg{Key: "fold_words", Val: int64(rec.foldWords)},
+		trace.Arg{Key: "expand_words", Val: int64(rec.ExpandWords)},
+		trace.Arg{Key: "fold_words", Val: int64(rec.FoldWords)},
 		trace.Arg{Key: "relaxations", Val: int64(rec.relax)},
 		trace.Arg{Key: "resettles", Val: int64(rec.resettles)},
-		trace.Arg{Key: "edges", Val: int64(rec.edges)},
+		trace.Arg{Key: "edges", Val: int64(rec.Edges)},
 	)
 }
 
 // mergeStats combines per-rank per-epoch records into global
 // EpochStats and totals. Every rank participates in every epoch's
 // collectives, so the records are aligned by construction.
-func mergeStats(res *Result, perRank [][]epochRec, comms []*comm.Comm) {
+func mergeStats(res *Result, out search.Outcome[rankOut]) {
 	epochs := 0
-	for _, er := range perRank {
-		if len(er) > epochs {
-			epochs = len(er)
-		}
+	for _, r := range out.PerRank {
+		epochs = max(epochs, len(r.recs))
 	}
 	res.Epochs = epochs
 	res.PerEpoch = make([]EpochStats, epochs)
 	for e := 0; e < epochs; e++ {
 		res.PerEpoch[e].Epoch = int32(e)
 	}
-	res.PerRank = make([][]EpochStats, len(perRank))
-	for rank, er := range perRank {
-		res.PerRank[rank] = make([]EpochStats, len(er))
-		for e, s := range er {
+	res.PerRank = make([][]EpochStats, len(out.PerRank))
+	for rank, r := range out.PerRank {
+		res.PerRank[rank] = make([]EpochStats, len(r.recs))
+		for e, s := range r.recs {
 			res.PerRank[rank][e] = EpochStats{
 				Epoch:        int32(e),
 				Bucket:       s.bucket,
 				Phase:        s.phase,
 				Active:       int64(s.active),
-				ExpandWords:  int64(s.expandWords),
-				FoldWords:    int64(s.foldWords),
+				ExpandWords:  int64(s.ExpandWords),
+				FoldWords:    int64(s.FoldWords),
 				Relaxations:  int64(s.relax),
 				ReSettles:    int64(s.resettles),
-				EdgesScanned: int64(s.edges),
-				Containers:   s.containers,
-				ExecS:        s.execS,
-				CommS:        s.commS,
-				OverlapS:     s.overlapS,
+				EdgesScanned: int64(s.Edges),
+				Containers:   s.Containers,
+				ExecS:        s.ExecS,
+				CommS:        s.CommS,
+				OverlapS:     s.OverlapS,
 			}
 			es := &res.PerEpoch[e]
 			es.Bucket = s.bucket // uniform across ranks by construction
 			es.Phase = s.phase
 			es.Active += int64(s.active)
-			es.ExpandWords += int64(s.expandWords)
-			es.FoldWords += int64(s.foldWords)
+			es.ExpandWords += int64(s.ExpandWords)
+			es.FoldWords += int64(s.FoldWords)
 			es.Relaxations += int64(s.relax)
 			es.ReSettles += int64(s.resettles)
-			es.EdgesScanned += int64(s.edges)
-			es.Containers.Add(s.containers)
-			if s.execS > es.ExecS {
-				es.ExecS = s.execS // critical path: slowest rank
+			es.EdgesScanned += int64(s.Edges)
+			es.Containers.Add(s.Containers)
+			if s.ExecS > es.ExecS {
+				es.ExecS = s.ExecS // critical path: slowest rank
 			}
-			es.CommS += s.commS
-			es.OverlapS += s.overlapS
+			es.CommS += s.CommS
+			es.OverlapS += s.OverlapS
 		}
 	}
 	for _, es := range res.PerEpoch {
@@ -240,13 +225,7 @@ func mergeStats(res *Result, perRank [][]epochRec, comms []*comm.Comm) {
 		res.TotalEdgesScanned += es.EdgesScanned
 		res.Containers.Add(es.Containers)
 	}
-	res.SimTime = comm.MaxClock(comms)
-	res.SimComm = comm.MaxCommTime(comms)
-	res.SimOverlap = comm.MaxOverlapTime(comms)
-	for _, c := range comms {
-		res.MsgsRecv += c.MsgsRecv()
-		res.HopsRecv += c.HopsRecv()
-		res.HopBytes += c.HopBytes()
-	}
-	res.Faults = comm.MergeFaultStats(comms)
+	t := out.Totals()
+	res.SimTime, res.SimComm, res.SimOverlap = t.SimTime, t.SimComm, t.SimOverlap
+	res.MsgsRecv, res.HopsRecv, res.HopBytes, res.Faults = t.MsgsRecv, t.HopsRecv, t.HopBytes, t.Faults
 }

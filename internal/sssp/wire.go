@@ -2,7 +2,9 @@ package sssp
 
 import (
 	"repro/internal/frontier"
+	"repro/internal/localindex"
 	"repro/internal/pool"
+	"repro/internal/search"
 )
 
 // Relax requests cross the simulated torus as a vertex set plus a
@@ -23,11 +25,7 @@ func encodeRequests(p *pool.Pool, vs, ds []uint32, lo uint32, n int, mode fronti
 	if len(vs) == 0 {
 		return nil
 	}
-	enc := frontier.EncodeSetStatsPar(p, vs, lo, n, mode, h)
-	out := make([]uint32, 0, 1+len(enc)+len(ds))
-	out = append(out, uint32(len(enc)))
-	out = append(out, enc...)
-	return append(out, ds...)
+	return append(search.FrameSet(p, vs, lo, n, mode, h, len(ds)), ds...)
 }
 
 // decodeRequests inverts encodeRequests. The vertex set is decoded into
@@ -36,14 +34,32 @@ func decodeRequests(p *pool.Pool, buf, vs []uint32) (_, ds []uint32) {
 	if len(buf) == 0 {
 		return vs[:0], nil
 	}
-	nw := int(buf[0])
-	if 1+nw > len(buf) {
-		panic("sssp: truncated relax-request payload")
-	}
-	vs = frontier.AppendDecodePar(p, vs[:0], buf[1:1+nw])
-	ds = buf[1+nw:]
+	vs, _, ds = search.UnframeSet(p, buf, vs, 0)
 	if len(vs) != len(ds) {
 		panic("sssp: relax-request set/distance length mismatch")
 	}
 	return vs, ds
+}
+
+// requestPayload is the relaxation fold's payload: a tentative distance
+// rides with each vertex, merged by min and framed by encodeRequests.
+type requestPayload struct {
+	pl   *pool.Pool
+	wire frontier.WireMode
+	hist *frontier.ContainerHist
+}
+
+func (requestPayload) Add(cb *localindex.Combiner, vs, ds []uint32) { cb.AddMin(vs, ds) }
+
+func (requestPayload) Drain(cb *localindex.Combiner, vs, ds []uint32) ([]uint32, []uint32, int) {
+	return cb.DrainMin(vs, ds)
+}
+
+func (p requestPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
+	return encodeRequests(p.pl, vs, ds, lo, n, p.wire, p.hist)
+}
+
+// Decode leaves the staging ds alone: the distances alias buf.
+func (p requestPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
+	return decodeRequests(p.pl, buf, vs)
 }

@@ -32,9 +32,34 @@ func checkSim(d *trace.Derived, simTime, simComm, simOverlap float64) error {
 	return nil
 }
 
-func wantArg(kind string, i int, args map[string]int64, key string, want int64) error {
-	if got := args[key]; got != want {
-		return fmt.Errorf("traceverify: %s %d: trace %s = %d, Result records %d", kind, i, key, got, want)
+// want is one integer span arg a step's spans must sum to.
+type want struct {
+	key string
+	val int64
+}
+
+// checkSteps verifies the trace's spans of one kind ("level", "epoch")
+// against the n records the Result reports: record(i, ranks) returns
+// record i's span name ("" when the kind has one name), its critical
+// path and the args its spans must carry, summed over the ranks.
+func checkSteps(kind string, d *trace.Derived, pts []trace.PhaseTotals, n int, record func(i, ranks int) (name string, execS float64, args []want)) error {
+	if len(pts) != n {
+		return fmt.Errorf("traceverify: trace has %d %s spans, Result has %d %ss", len(pts), kind, n, kind)
+	}
+	eps := tol(d.MaxClock)
+	for i, pt := range pts {
+		name, execS, args := record(i, pt.Ranks)
+		if name != "" && pt.Name != name {
+			return fmt.Errorf("traceverify: %s %d: trace phase %q != Result phase %q", kind, i, pt.Name, name)
+		}
+		if math.Abs(pt.MaxS-execS) > eps {
+			return fmt.Errorf("traceverify: %s %d: trace critical path %g != Result ExecS %g", kind, i, pt.MaxS, execS)
+		}
+		for _, w := range args {
+			if got := pt.Args[w.key]; got != w.val {
+				return fmt.Errorf("traceverify: %s %d: trace %s = %d, Result records %d", kind, i, w.key, got, w.val)
+			}
+		}
 	}
 	return nil
 }
@@ -46,19 +71,9 @@ func BFS(d *trace.Derived, res *bfs.Result) error {
 	if err := checkSim(d, res.SimTime, res.SimComm, res.SimOverlap); err != nil {
 		return err
 	}
-	if len(d.Levels) != len(res.PerLevel) {
-		return fmt.Errorf("traceverify: trace has %d level spans, Result has %d levels", len(d.Levels), len(res.PerLevel))
-	}
-	eps := tol(d.MaxClock)
-	for i, pt := range d.Levels {
+	return checkSteps("level", d, d.Levels, len(res.PerLevel), func(i, ranks int) (string, float64, []want) {
 		ls := res.PerLevel[i]
-		if math.Abs(pt.MaxS-ls.ExecS) > eps {
-			return fmt.Errorf("traceverify: level %d: trace critical path %g != Result ExecS %g", i, pt.MaxS, ls.ExecS)
-		}
-		for _, chk := range []struct {
-			key  string
-			want int64
-		}{
+		return "", ls.ExecS, []want{
 			{"frontier", ls.Frontier},
 			{"expand_words", ls.ExpandWords},
 			{"fold_words", ls.FoldWords},
@@ -66,14 +81,9 @@ func BFS(d *trace.Derived, res *bfs.Result) error {
 			{"marked", ls.Marked},
 			{"edges", ls.EdgesScanned},
 			// dir is per-rank uniform, so the rank-wise sum is dir x ranks.
-			{"dir", int64(ls.Direction) * int64(pt.Ranks)},
-		} {
-			if err := wantArg("level", i, pt.Args, chk.key, chk.want); err != nil {
-				return err
-			}
+			{"dir", int64(ls.Direction) * int64(ranks)},
 		}
-	}
-	return nil
+	})
 }
 
 // SSSP verifies a checked trace against a Δ-stepping Result: simulated
@@ -83,37 +93,19 @@ func SSSP(d *trace.Derived, res *sssp.Result) error {
 	if err := checkSim(d, res.SimTime, res.SimComm, res.SimOverlap); err != nil {
 		return err
 	}
-	if len(d.Epochs) != len(res.PerEpoch) {
-		return fmt.Errorf("traceverify: trace has %d epoch spans, Result has %d epochs", len(d.Epochs), len(res.PerEpoch))
-	}
-	eps := tol(d.MaxClock)
-	for i, pt := range d.Epochs {
+	return checkSteps("epoch", d, d.Epochs, len(res.PerEpoch), func(i, ranks int) (string, float64, []want) {
 		es := res.PerEpoch[i]
-		if pt.Name != es.Phase.String() {
-			return fmt.Errorf("traceverify: epoch %d: trace phase %q != Result phase %q", i, pt.Name, es.Phase)
-		}
-		if math.Abs(pt.MaxS-es.ExecS) > eps {
-			return fmt.Errorf("traceverify: epoch %d: trace critical path %g != Result ExecS %g", i, pt.MaxS, es.ExecS)
-		}
-		for _, chk := range []struct {
-			key  string
-			want int64
-		}{
+		return es.Phase.String(), es.ExecS, []want{
 			// bucket is per-rank uniform, so the rank-wise sum is bucket x ranks.
-			{"bucket", int64(es.Bucket) * int64(pt.Ranks)},
+			{"bucket", int64(es.Bucket) * int64(ranks)},
 			{"active", es.Active},
 			{"expand_words", es.ExpandWords},
 			{"fold_words", es.FoldWords},
 			{"relaxations", es.Relaxations},
 			{"resettles", es.ReSettles},
 			{"edges", es.EdgesScanned},
-		} {
-			if err := wantArg("epoch", i, pt.Args, chk.key, chk.want); err != nil {
-				return err
-			}
 		}
-	}
-	return nil
+	})
 }
 
 // Export renders a recorder to Chrome JSON and runs the full pipeline:

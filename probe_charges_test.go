@@ -1,6 +1,8 @@
 package bgl
 
 import (
+	"errors"
+	"fmt"
 	"strconv"
 	"testing"
 )
@@ -48,35 +50,60 @@ func TestProbeChargesPinned(t *testing.T) {
 	}
 	type runFn func(cl *Cluster, dg *DistGraph) (reading, error)
 	sim := func(s float64) string { return strconv.FormatFloat(s, 'g', -1, 64) }
-	bfs := func(opts ...Option) runFn {
+	// read takes a run's reading; doneWant < 0 expects the run to finish,
+	// otherwise a *Canceled after exactly that many whole units with the
+	// partial Result beside it.
+	read := func(doneWant int, err error, r func() reading) (reading, error) {
+		var cxl *Canceled
+		switch {
+		case doneWant < 0 && err != nil:
+			return reading{}, err
+		case doneWant >= 0 && !errors.As(err, &cxl):
+			return reading{}, fmt.Errorf("want a *Canceled, got %v", err)
+		case doneWant >= 0 && cxl.Done != doneWant:
+			return reading{}, fmt.Errorf("canceled after %d %ss, want %d", cxl.Done, cxl.Unit, doneWant)
+		}
+		return r(), nil
+	}
+	bfsDone := func(doneWant int, opts ...Option) runFn {
 		return func(cl *Cluster, dg *DistGraph) (reading, error) {
 			res, err := cl.BFS(dg, dg.Graph().LargestComponentVertex(), opts...)
-			if err != nil {
-				return reading{}, err
-			}
-			return reading{res.HashProbes, res.TotalEdgesScanned, res.TotalExpandWords + res.TotalFoldWords, sim(res.SimTime)}, nil
+			return read(doneWant, err, func() reading {
+				return reading{res.HashProbes, res.TotalEdgesScanned, res.TotalExpandWords + res.TotalFoldWords, sim(res.SimTime)}
+			})
+		}
+	}
+	bfs := func(opts ...Option) runFn { return bfsDone(-1, opts...) }
+	// The bi-directional search runs between the component's anchor and
+	// a vertex half the id space away.
+	bi := func(opts ...Option) runFn {
+		return func(cl *Cluster, dg *DistGraph) (reading, error) {
+			s := dg.Graph().LargestComponentVertex()
+			res, err := cl.BiSearch(dg, s, Vertex((int(s)+n/2)%n), opts...)
+			return read(-1, err, func() reading {
+				return reading{res.HashProbes, res.TotalEdgesScanned, res.TotalExpandWords + res.TotalFoldWords, sim(res.SimTime)}
+			})
 		}
 	}
 	multi := func(opts ...Option) runFn {
 		return func(cl *Cluster, dg *DistGraph) (reading, error) {
 			res, err := cl.MultiBFS(dg, lanes, opts...)
-			if err != nil {
-				return reading{}, err
-			}
-			return reading{res.HashProbes, res.TotalEdgesScanned, res.TotalExpandWords + res.TotalFoldWords, sim(res.SimTime)}, nil
+			return read(-1, err, func() reading {
+				return reading{res.HashProbes, res.TotalEdgesScanned, res.TotalExpandWords + res.TotalFoldWords, sim(res.SimTime)}
+			})
 		}
 	}
 	// Δ-stepping reports no probe count of its own; its column probes
 	// show in the simulated clock.
-	sssp := func(opts ...Option) runFn {
+	ssspDone := func(doneWant int, opts ...Option) runFn {
 		return func(cl *Cluster, dg *DistGraph) (reading, error) {
 			res, err := cl.SSSP(dg, dg.Graph().LargestComponentVertex(), opts...)
-			if err != nil {
-				return reading{}, err
-			}
-			return reading{0, res.TotalEdgesScanned, res.TotalWords(), sim(res.SimTime)}, nil
+			return read(doneWant, err, func() reading {
+				return reading{0, res.TotalEdgesScanned, res.TotalWords(), sim(res.SimTime)}
+			})
 		}
 	}
+	sssp := func(opts ...Option) runFn { return ssspDone(-1, opts...) }
 	cases := []struct {
 		name string
 		r, c int
@@ -113,6 +140,58 @@ func TestProbeChargesPinned(t *testing.T) {
 			multi(WithWire(WireHybrid), WithWorkers(4), WithAsync(true)), reading{63216, 171787, 61652, "0.0024531300000000004"}},
 		{"2d/sssp/w4/async/hybrid", 4, 4, Part2D, gW,
 			sssp(WithWire(WireHybrid), WithDelta(25), WithWorkers(4), WithAsync(true)), reading{0, 111542, 89945, "0.005295591428571507"}},
+		// The rows below pin what the superstep scaffold of PR 20 moved —
+		// every fold algorithm under both schedules, the bi-directional
+		// driver, the value folds on the 1D engines and a canceled run of
+		// each family — read at the commit before it (PR 17).
+		{"2d/fold-direct/sync", 4, 4, Part2D, gU,
+			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(false)), reading{86492, 55112, 30407, "0.0016198399999999985"}},
+		{"2d/fold-direct/async", 4, 4, Part2D, gU,
+			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(true)), reading{86492, 55112, 30407, "0.0013142442857142853"}},
+		{"2d/fold-bruck/sync", 4, 4, Part2D, gU,
+			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(false)), reading{86492, 55112, 35937, "0.00157699857142857"}},
+		{"2d/fold-bruck/async", 4, 4, Part2D, gU,
+			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(true)), reading{86492, 55112, 35937, "0.0014136028571428566"}},
+		{"2d/fold-twophase-nounion/sync", 4, 4, Part2D, gU,
+			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(false)), reading{86492, 55112, 35708, "0.0015692328571428559"}},
+		{"2d/fold-twophase-nounion/async", 4, 4, Part2D, gU,
+			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(true)), reading{86492, 55112, 35708, "0.0013970671428571422"}},
+		{"1d/fold-direct/sync", 1, 16, Part1DCol, gS,
+			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(false)), reading{18330, 16700, 14290, "0.002805452857142836"}},
+		{"1d/fold-direct/async", 1, 16, Part1DCol, gS,
+			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(true)), reading{18330, 16700, 14290, "0.001729608571428564"}},
+		{"1d/fold-bruck/sync", 1, 16, Part1DCol, gS,
+			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(false)), reading{18330, 16700, 38179, "0.0013904757142857123"}},
+		{"1d/fold-bruck/async", 1, 16, Part1DCol, gS,
+			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(true)), reading{18330, 16700, 38179, "0.0013904757142857123"}},
+		{"1d/fold-twophase-nounion/sync", 1, 16, Part1DCol, gS,
+			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(false)), reading{18330, 16700, 37142, "0.001680309999999995"}},
+		{"1d/fold-twophase-nounion/async", 1, 16, Part1DCol, gS,
+			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(true)), reading{18330, 16700, 37142, "0.0015065642857142825"}},
+		{"2d/bisearch/sync", 4, 4, Part2D, gU,
+			bi(WithAsync(false)), reading{277, 183, 354, "0.0004958642857142864"}},
+		{"2d/bisearch/async", 4, 4, Part2D, gU,
+			bi(WithAsync(true)), reading{277, 183, 354, "0.0004446485714285717"}},
+		{"1d/bisearch/sync", 1, 16, Part1DCol, gS,
+			bi(WithAsync(false)), reading{230, 198, 2322, "0.001269862857142853"}},
+		{"1d/bisearch/async", 1, 16, Part1DCol, gS,
+			bi(WithAsync(true)), reading{230, 198, 2322, "0.0011905857142857105"}},
+		{"1d/multibfs/sync", 1, 16, Part1DCol, gS,
+			multi(WithAsync(false)), reading{0, 86885, 131880, "0.0037615357142856878"}},
+		{"1d/multibfs/async/hybrid", 1, 16, Part1DCol, gS,
+			multi(WithWire(WireHybrid), WithAsync(true)), reading{0, 86885, 80210, "0.0021250485714285616"}},
+		{"2d/multibfs/sync", 4, 4, Part2D, gU,
+			multi(WithAsync(false)), reading{63216, 171787, 156776, "0.0029950199999999962"}},
+		{"1d/sssp/sync", 1, 16, Part1DCol, gW,
+			sssp(WithDelta(25), WithAsync(false)), reading{0, 111542, 104353, "0.0115058185714285"}},
+		{"1d/sssp/async/hybrid", 1, 16, Part1DCol, gW,
+			sssp(WithWire(WireHybrid), WithDelta(25), WithAsync(true)), reading{0, 111542, 78578, "0.007020760000000238"}},
+		{"2d/sssp/sync", 4, 4, Part2D, gW,
+			sssp(WithDelta(25), WithAsync(false)), reading{0, 111542, 135477, "0.007296898571428788"}},
+		{"2d/topdown/simbudget-canceled", 4, 4, Part2D, gU,
+			bfsDone(5, WithDirection(TopDown), WithSimBudget(0.0005)), reading{66091, 42411, 28107, "0.0011775357142857145"}},
+		{"2d/sssp/simbudget-canceled", 4, 4, Part2D, gW,
+			ssspDone(22, WithDelta(25), WithSimBudget(0.002)), reading{0, 4657, 5356, "0.002045172857142852"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
