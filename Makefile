@@ -78,7 +78,7 @@ perf-pairs:
 	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make perf-pairs BASE=<rev> WORKLOAD=<name> [N=10] [SEED=9]"; exit 2; }
 	bash scripts/perfpairs.sh $(BASE) $(WORKLOAD) $(N) $(SEED)
 
-# Simulated-drift check against a base revision: a 242-configuration
+# Simulated-drift check against a base revision: a 232-configuration
 # `bfsrun -json` matrix (every family x partitioning x wire codec x
 # schedule, the fold/expand collectives, direction policies, sent
 # cache, a canned fault plan, cores/workers) run on BASE and on the
@@ -100,10 +100,10 @@ sim-matrix:
 # the deterministic simulated fields; wall times are host context).
 # ... and the graphd service baseline (BENCH_PR9.json: the 64-query set
 # swept in coalesced chunks at several concurrency levels vs one at a
-# time — gated on the deterministic simulated fields — plus real
-# batched-vs-unbatched HTTP QPS as host context).
+# time — gated on the deterministic simulated fields; service wall time
+# is the perf lab's, see `make perf`).
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR2.json -out4 BENCH_PR4.json -out5 BENCH_PR5.json -out8 BENCH_PR8.json -out9 BENCH_PR9.json
+	$(GO) run ./cmd/benchjson -dir .
 
 # Perf-regression gate: rerun the baseline batch into a scratch
 # directory and diff it against the committed BENCH_PR*.json under the
@@ -112,7 +112,7 @@ bench-json:
 # regression must make the gate fail, proving it actually bites.
 bench-diff:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/benchjson -out $$tmp/BENCH_PR2.json -out4 $$tmp/BENCH_PR4.json -out5 $$tmp/BENCH_PR5.json -out8 $$tmp/BENCH_PR8.json -out9 $$tmp/BENCH_PR9.json >/dev/null; \
+	$(GO) run ./cmd/benchjson -dir $$tmp >/dev/null; \
 	$(GO) run ./cmd/benchdiff BENCH_PR2.json=$$tmp/BENCH_PR2.json BENCH_PR4.json=$$tmp/BENCH_PR4.json BENCH_PR5.json=$$tmp/BENCH_PR5.json BENCH_PR8.json=$$tmp/BENCH_PR8.json BENCH_PR9.json=$$tmp/BENCH_PR9.json; \
 	if $(GO) run ./cmd/benchdiff -inject-simexec 1.10 BENCH_PR2.json=$$tmp/BENCH_PR2.json >/dev/null 2>&1; then \
 		echo "bench-diff: injected 10% simexec regression was NOT caught"; exit 1; \

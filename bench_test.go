@@ -89,10 +89,6 @@ func BenchmarkAblationCollectives(b *testing.B) { runExperiment(b, "ablation-col
 // ablation.
 func BenchmarkAblationSentCache(b *testing.B) { runExperiment(b, "ablation-sentcache") }
 
-// BenchmarkAblationTermination regenerates the §4.1 tree-vs-torus
-// termination ablation.
-func BenchmarkAblationTermination(b *testing.B) { runExperiment(b, "ablation-termination") }
-
 // BenchmarkAblationDirection regenerates the top-down vs
 // direction-optimizing level-by-level ablation.
 func BenchmarkAblationDirection(b *testing.B) { runExperiment(b, "ablation-direction") }

@@ -15,8 +15,8 @@
 // Part1DRow, Part1DCol — see WithPartition) and every search entry
 // point (BFS, Search, BiSearch, Path, SSSP, MultiBFS) dispatches to
 // the engine matching the DistGraph's partitioning. One Option
-// vocabulary serves every algorithm: WithWire, WithChunkWords and
-// WithOccupancy configure the shared payload/codec machinery, while
+// vocabulary serves every algorithm: WithWire and WithChunkWords
+// configure the shared payload/codec machinery, while
 // algorithm-specific options (WithDirection, WithDelta, ...) apply
 // only to their family.
 //
@@ -114,11 +114,6 @@ func WithWeightDist(d WeightDist) WeightOption {
 // WithMaxWeight bounds every weight draw (default graph.DefaultMaxWeight).
 func WithMaxWeight(w uint32) WeightOption {
 	return func(s *graph.WeightSpec) { s.MaxWeight = w }
-}
-
-// WithWeightSeed decorrelates the weight draws from the topology seed.
-func WithWeightSeed(seed int64) WeightOption {
-	return func(s *graph.WeightSpec) { s.Seed = seed }
 }
 
 // GenerateWeighted creates the Poisson random graph of Generate with
@@ -258,9 +253,6 @@ type ClusterConfig struct {
 	// R, C are the logical processor mesh dimensions; P = R*C ranks.
 	// C = 1 or R = 1 give the two 1D partitionings of Table 1.
 	R, C int
-	// TorusDims optionally fixes the 3D torus shape (X, Y, Z); zero
-	// means fit automatically around P.
-	TorusDims [3]int
 	// Mapping selects rank placement (default MapPlanes with fallback).
 	Mapping MappingKind
 	// ClusterModel switches the cost model from the BlueGene/L preset
@@ -281,17 +273,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("bgl: mesh must be positive, got %dx%d", cfg.R, cfg.C)
 	}
 	p := cfg.R * cfg.C
-	var tor torus.Torus
-	var err error
-	if cfg.TorusDims != [3]int{} {
-		tor, err = torus.New(cfg.TorusDims[0], cfg.TorusDims[1], cfg.TorusDims[2])
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		tor = torus.FitTorus(p)
-	}
+	tor := torus.FitTorus(p)
 	var mapping *torus.Mapping
+	var err error
 	switch cfg.Mapping {
 	case MapPlanes:
 		mapping, err = torus.Planes(tor, cfg.R, cfg.C)
@@ -593,7 +577,7 @@ const MaxLanes = bfs.MaxLanes
 // bitmap exchange and the sent-neighbors cache cannot express), so of
 // the BFS-family options only WithMaxLevels applies; WithDirection,
 // WithExpand, WithFold and WithSentCache are ignored. The shared
-// options (WithWire, WithChunkWords, WithOccupancy) apply as usual.
+// options (WithWire, WithChunkWords) apply as usual.
 func (c *Cluster) MultiBFS(dg *DistGraph, sources []Vertex, opts ...Option) (*MultiResult, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("bgl: MultiBFS needs at least one source")

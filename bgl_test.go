@@ -104,9 +104,6 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{R: 0, C: 4}); err == nil {
 		t.Error("R=0 accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{R: 2, C: 2, TorusDims: [3]int{1, 1, 1}}); err == nil {
-		t.Error("undersized torus accepted")
-	}
 	if _, err := NewCluster(ClusterConfig{R: 2, C: 2, Mapping: MappingKind(99)}); err == nil {
 		t.Error("unknown mapping accepted")
 	}
@@ -328,8 +325,7 @@ func TestSSSPQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := g.LargestComponentVertex()
-	res, err := cl.SSSP(dg, src, WithWire(WireHybrid),
-		WithChunkWords(4096), WithOccupancy(0.05))
+	res, err := cl.SSSP(dg, src, WithWire(WireHybrid), WithChunkWords(4096))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,184 @@
+package bgl
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// censusSection is the README section every settable value has a row
+// in.
+const censusSection = "## Options, and why each exists"
+
+// TestKnobCensus is the "no knob without a measured reason" guard: it
+// parses the sources for every exported With* option, every
+// ClusterConfig and graphd.Config field and every bfsrun / graphd flag,
+// and requires each to be named in the first cell of a README census
+// row whose other cells — where it comes from, where a non-default
+// value is measured, its test — are filled in. A row that names
+// something the sources no longer define fails too, so the table cannot
+// outlive a deletion.
+func TestKnobCensus(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	want := map[string]bool{}
+	for _, path := range []string{"options.go", "bgl.go", "observe.go", "internal/graphd/client.go"} {
+		for _, d := range parse(path).Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") {
+				want[fn.Name.Name] = true
+			}
+		}
+	}
+	fields := func(path, typ string) {
+		n := 0
+		ast.Inspect(parse(path), func(node ast.Node) bool {
+			ts, ok := node.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != typ {
+				return true
+			}
+			for _, f := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range f.Names {
+					want[typ+"."+name.Name] = true
+					n++
+				}
+			}
+			return false
+		})
+		if n == 0 {
+			t.Fatalf("%s: struct %s not found", path, typ)
+		}
+	}
+	fields("bgl.go", "ClusterConfig")
+	fields("internal/graphd/config.go", "Config")
+	flags := func(cmd string) {
+		n := 0
+		ast.Inspect(parse("cmd/"+cmd+"/main.go"), func(node ast.Node) bool {
+			call, ok := node.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !isFlagPkg(sel) {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true // flag.Parse and friends
+			}
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[cmd+" -"+name] = true
+			n++
+			return true
+		})
+		if n == 0 {
+			t.Fatalf("cmd/%s: no flag definitions found", cmd)
+		}
+	}
+	flags("bfsrun")
+	flags("graphd")
+
+	got := censusRows(t)
+	var missing, stale []string
+	for k := range want {
+		if !got[k] {
+			missing = append(missing, k)
+		}
+	}
+	for k := range got {
+		if !want[k] {
+			stale = append(stale, k)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("README %q has no row for: %s\n(a knob needs its reason: what motivates it, where a non-default value is measured, its test)",
+			censusSection, strings.Join(missing, ", "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("README %q names what the sources no longer define: %s", censusSection, strings.Join(stale, ", "))
+	}
+}
+
+// isFlagPkg reports whether sel is a call into package flag.
+func isFlagPkg(sel *ast.SelectorExpr) bool {
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "flag"
+}
+
+var (
+	censusOption = regexp.MustCompile(`\bWith[A-Z]\w*`)
+	censusField  = regexp.MustCompile(`\b(ClusterConfig|Config)\.[A-Z]\w*`)
+	// A backticked span that is a command's flag list: `bfsrun -n`, or a
+	// bare `-k` continuing the command named before it in the cell.
+	censusSpan = regexp.MustCompile("`(?:(bfsrun|graphd) )?(-[a-z][a-z0-9-]*)`")
+)
+
+// censusRows returns the names the census tables' first cells carry:
+// "WithWire", "Config.Replicas", "bfsrun -wire". Every row must have
+// its four cells filled in.
+func censusRows(t *testing.T) map[string]bool {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(readme), "\n"+censusSection+"\n")
+	if !ok {
+		t.Fatalf("README has no %q section", censusSection)
+	}
+	if next := strings.Index(body, "\n## "); next >= 0 {
+		body = body[:next]
+	}
+	// The tables from this heading on list the tools' flags, which the
+	// census does not parse, and what is no longer settable.
+	body, _, _ = strings.Cut(body, "\n### The other commands")
+	got := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue // prose, table headers and separators
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if len(cells) != 4 {
+			t.Errorf("census row has %d cells, want knob | from | measured | test:\n%s", len(cells), line)
+			continue
+		}
+		for i, c := range cells {
+			if strings.TrimSpace(c) == "" {
+				t.Errorf("census row has an empty cell %d:\n%s", i+1, line)
+			}
+		}
+		first := cells[0]
+		for _, m := range censusOption.FindAllString(first, -1) {
+			got[m] = true
+		}
+		for _, m := range censusField.FindAllString(first, -1) {
+			got[m] = true
+		}
+		cmd := ""
+		for _, m := range censusSpan.FindAllStringSubmatch(first, -1) {
+			if m[1] != "" {
+				cmd = m[1]
+			}
+			if cmd == "" {
+				t.Errorf("census row lists flag %s before naming bfsrun or graphd:\n%s", m[2], line)
+				continue
+			}
+			got[cmd+" "+m[2]] = true
+		}
+	}
+	return got
+}

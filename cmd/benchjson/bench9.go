@@ -1,40 +1,23 @@
 package main
 
-// BENCH_PR9: the graphd service baseline. Two halves:
-//
-//  1. A deterministic simulated comparison on the headline workload:
-//     the shared 64-source query set swept in coalesced chunks at
-//     several concurrency levels (a service at concurrency c batches
-//     ~c queries per sweep) versus the same 64 queries run one at a
-//     time. These fields are benchdiff-gated: multi_words exactly,
-//     *_simexec_s at 5% — both pure simulated values.
-//
-//  2. A real end-to-end QPS measurement: two in-process graphd
-//     servers on a smaller graph — one batching, one built with
-//     MaxBatch 1 so every query runs alone — serving the same seeded
-//     query set over real HTTP.
-//     Wall QPS depends on the host, so those leaves use non-gated
-//     names and are recorded as context.
+// BENCH_PR9: the graphd service baseline, a deterministic simulated
+// comparison on the headline workload: the shared 64-source query set
+// swept in coalesced chunks at several concurrency levels (a service at
+// concurrency c batches ~c queries per sweep) versus the same 64 queries
+// run one at a time. These fields are benchdiff-gated: multi_words
+// exactly, *_simexec_s at 5% — both pure simulated values. Service wall
+// time is the perf lab's to measure (bench/, the graphd-* workloads).
 //
 // The PR 9 acceptance bar: the batched trajectory moves strictly fewer
 // words AND less total simulated execution than one-at-a-time, with
 // every batched lane verified equal to its independent run.
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	bgl "repro"
 	"repro/internal/bfs"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/graphd"
 	"repro/internal/harness"
 )
 
@@ -49,18 +32,8 @@ type ServicePoint struct {
 	ExecRatio     float64 `json:"independent_over_multi_simexec"`
 }
 
-// WallPoint is one concurrency level's real HTTP throughput against
-// the batching and non-batching servers (host-dependent; not gated).
-type WallPoint struct {
-	Concurrency   int     `json:"concurrency"`
-	BatchedQPS    float64 `json:"batched_wall_qps"`
-	UnbatchedQPS  float64 `json:"unbatched_wall_qps"`
-	QPSRatio      float64 `json:"batched_over_unbatched_qps"`
-	MeanBatchSize float64 `json:"mean_batch_size"`
-}
-
 // Baseline9 is the PR 9 document: the graphd batching acceptance
-// metric plus service QPS context.
+// metric.
 type Baseline9 struct {
 	N                int            `json:"n"`
 	K                float64        `json:"k"`
@@ -74,11 +47,6 @@ type Baseline9 struct {
 	Verified         bool           `json:"answers_verified"`
 	StrictlyFewer    bool           `json:"batched_strictly_fewer_words"`
 	LowerExec        bool           `json:"batched_lower_simexec"`
-	ServiceWall      struct {
-		N      int         `json:"service_n"`
-		Mesh   string      `json:"service_mesh"`
-		Points []WallPoint `json:"points"`
-	} `json:"service_wall"`
 }
 
 // serviceConcurrencies are the modeled client concurrency levels: a
@@ -87,9 +55,8 @@ var serviceConcurrencies = [...]int{4, 16, 64}
 
 // writeServiceBaseline writes BENCH_PR9.json. srcs/inds are the shared
 // 64-source query set and its independent one-at-a-time runs.
-func writeServiceBaseline(path string, w *harness.Workload, srcs []graph.Vertex, inds []indepRun,
-	n int, k float64, seed int64, r, c int) error {
-	doc := Baseline9{N: n, K: k, Seed: seed, Mesh: fmt.Sprintf("%dx%d", r, c),
+func writeServiceBaseline(path string, w *harness.Workload, srcs []graph.Vertex, inds []indepRun) error {
+	doc := Baseline9{N: benchN, K: benchK, Seed: benchSeed, Mesh: benchMesh,
 		Queries: len(srcs), Wire: frontier.WireAuto.String(), Verified: true}
 	for _, ind := range inds {
 		doc.IndependentWords += ind.words
@@ -105,7 +72,6 @@ func writeServiceBaseline(path string, w *harness.Workload, srcs []graph.Vertex,
 			}
 			opts := bfs.DefaultOptions(0)
 			opts.Wire = frontier.WireAuto
-			opts.Metrics = reg
 			mres, err := bfs.MultiRun2D(w.World, w.Stores, srcs[lo:hi], opts)
 			if err != nil {
 				return err
@@ -137,20 +103,7 @@ func writeServiceBaseline(path string, w *harness.Workload, srcs []graph.Vertex,
 		doc.LowerExec = doc.LowerExec && pt.MultiSimExecS < doc.IndependentExecS
 	}
 
-	if err := measureServiceWall(&doc); err != nil {
-		return err
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeDoc(path, doc); err != nil {
 		return err
 	}
 	for _, pt := range doc.Batched {
@@ -158,164 +111,7 @@ func writeServiceBaseline(path string, w *harness.Workload, srcs []graph.Vertex,
 			pt.Concurrency, pt.Sweeps, pt.MultiWords, doc.IndependentWords, pt.WordsRatio,
 			pt.MultiSimExecS, doc.IndependentExecS, pt.ExecRatio)
 	}
-	for _, pt := range doc.ServiceWall.Points {
-		fmt.Printf("service wall conc=%-3d batched %.1f QPS vs unbatched %.1f (%.2fx, mean batch %.1f)\n",
-			pt.Concurrency, pt.BatchedQPS, pt.UnbatchedQPS, pt.QPSRatio, pt.MeanBatchSize)
-	}
-	fmt.Printf("wrote %s: batched strictly fewer words: %v, lower simexec: %v, answers verified: %v\n",
-		path, doc.StrictlyFewer, doc.LowerExec, doc.Verified)
-	return nil
-}
-
-// wallService is one live graphd instance behind a real listener.
-type wallService struct {
-	srv    *graphd.Server
-	hs     *http.Server
-	client *graphd.Client
-}
-
-// startWallService starts a graphd over g; maxBatch 0 is the service
-// default (up to 64 lanes per sweep), 1 the unbatched control.
-func startWallService(g *bgl.Graph, maxBatch int) (*wallService, error) {
-	srv, err := graphd.NewServer(graphd.Config{Graph: g, R: 2, C: 2, MaxBatch: maxBatch, MaxWaiting: 256})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	return &wallService{
-		srv: srv, hs: hs,
-		client: graphd.NewClient("http://"+ln.Addr().String(), graphd.WithTimeout(2*time.Minute)),
-	}, nil
-}
-
-func (s *wallService) stop() {
-	_ = s.hs.Close()
-	s.srv.Close()
-}
-
-// measureServiceWall fires the same query set at a batching and a
-// non-batching graphd over real HTTP and records wall QPS. The graph
-// is a smaller relative of the headline workload so the one-at-a-time
-// side stays affordable; every answer's reach count is still verified
-// against the serial oracle.
-func measureServiceWall(doc *Baseline9) error {
-	const (
-		svcN    = 20000
-		svcK    = 10
-		svcSeed = 42
-	)
-	doc.ServiceWall.N = svcN
-	doc.ServiceWall.Mesh = "2x2"
-
-	g, err := bgl.Generate(svcN, svcK, svcSeed)
-	if err != nil {
-		return err
-	}
-	srcs := multiSources(g.SerialBFS(g.LargestComponentVertex()), bfs.MaxLanes)
-	wantReached := map[int]int{}
-	for _, s := range srcs {
-		if _, ok := wantReached[int(s)]; ok {
-			continue
-		}
-		reached := 0
-		for _, l := range g.SerialBFS(s) {
-			if l != bgl.Unreached {
-				reached++
-			}
-		}
-		wantReached[int(s)] = reached
-	}
-
-	// fire sends every query from conc workers and returns the wall
-	// seconds and the server's mean batch size over the run.
-	fire := func(ws *wallService, conc int) (float64, float64, error) {
-		before, err := ws.client.Stats()
-		if err != nil {
-			return 0, 0, err
-		}
-		var failed atomic.Int64
-		work := make(chan graph.Vertex)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < conc; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for s := range work {
-					src := int(s)
-					resp, err := ws.client.BFS(graphd.BFSRequest{Source: &src})
-					if err != nil || resp.Reached != wantReached[src] {
-						failed.Add(1)
-					}
-				}
-			}()
-		}
-		for _, s := range srcs {
-			work <- s
-		}
-		close(work)
-		wg.Wait()
-		wall := time.Since(start).Seconds()
-		if n := failed.Load(); n > 0 {
-			return 0, 0, fmt.Errorf("benchjson: %d service answers failed oracle verification", n)
-		}
-		after, err := ws.client.Stats()
-		if err != nil {
-			return 0, 0, err
-		}
-		mean := 0.0
-		if db := after.Queries.Batches - before.Queries.Batches; db > 0 {
-			mean = float64(after.Queries.BatchedQueries-before.Queries.BatchedQueries) / float64(db)
-		}
-		return wall, mean, nil
-	}
-
-	batched, err := startWallService(g, 0)
-	if err != nil {
-		return err
-	}
-	defer batched.stop()
-	unbatched, err := startWallService(g, 1) // every query runs alone
-	if err != nil {
-		return err
-	}
-	defer unbatched.stop()
-
-	// One warmup query against each server so first-request setup cost
-	// stays out of the measurement.
-	warm := int(srcs[0])
-	if _, err := batched.client.BFS(graphd.BFSRequest{Source: &warm}); err != nil {
-		return err
-	}
-	if _, err := unbatched.client.BFS(graphd.BFSRequest{Source: &warm}); err != nil {
-		return err
-	}
-
-	for _, conc := range serviceConcurrencies {
-		bWall, bMean, err := fire(batched, conc)
-		if err != nil {
-			return err
-		}
-		uWall, _, err := fire(unbatched, conc)
-		if err != nil {
-			return err
-		}
-		pt := WallPoint{
-			Concurrency:   conc,
-			BatchedQPS:    float64(len(srcs)) / bWall,
-			UnbatchedQPS:  float64(len(srcs)) / uWall,
-			MeanBatchSize: bMean,
-		}
-		if pt.UnbatchedQPS > 0 {
-			pt.QPSRatio = pt.BatchedQPS / pt.UnbatchedQPS
-		}
-		doc.ServiceWall.Points = append(doc.ServiceWall.Points, pt)
-	}
+	fmt.Printf("batched strictly fewer words: %v, lower simexec: %v, answers verified: %v\n",
+		doc.StrictlyFewer, doc.LowerExec, doc.Verified)
 	return nil
 }

@@ -1,16 +1,19 @@
 // Command benchjson runs the repository's headline benchmark
 // configurations — the n=100k, k=10 Poisson traversal on a 4x4 mesh
-// under every direction policy and wire encoding — and writes a
-// machine-readable JSON baseline (BENCH_PR2.json by default) so later
-// PRs can diff simulated execution time, exchange words, and edges
-// scanned against a recorded trajectory. See README.md ("Perf
-// trajectory") for the format.
+// under every direction policy and wire encoding — and writes the five
+// machine-readable JSON baselines into -dir (the repository root by
+// default) so later PRs can diff simulated execution time, exchange
+// words, and edges scanned against a recorded trajectory. See README.md
+// ("Perf trajectory") for the formats.
 //
-// It additionally writes BENCH_PR4.json (-out4): the batched
-// multi-source BFS baseline — one 64-lane MultiBFS sweep sequence on
-// the same workload versus 64 independent BFS runs, with per-sweep
-// word counts and the words ratio (the PR 4 acceptance metric requires
-// the batch to move strictly fewer total wire words).
+//   - BENCH_PR2.json: every direction policy x wire encoding, and the
+//     Δ-stepping bucket-width sweep;
+//   - BENCH_PR4.json: one 64-lane MultiBFS sweep sequence versus 64
+//     independent BFS runs (the batch must move strictly fewer words);
+//   - BENCH_PR5.json: the synchronous versus the overlapped schedule;
+//   - BENCH_PR8.json: the modeled core count and worker pool at 1/2/4;
+//   - BENCH_PR9.json: the 64-query set swept in coalesced chunks at
+//     several concurrency levels versus one at a time.
 package main
 
 import (
@@ -18,20 +21,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 
 	"repro/internal/bfs"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/sssp"
 )
 
-// reg, when non-nil (-metrics), accumulates counters across every run
-// of the whole baseline batch into one registry snapshot.
-var reg *metrics.Registry
+// The headline workload every baseline runs on; the documents record
+// it in their header fields.
+const (
+	benchN    = 100000
+	benchK    = 10.0
+	benchSeed = 9
+	benchR    = 4
+	benchC    = 4
+)
+
+var benchMesh = fmt.Sprintf("%dx%d", benchR, benchC)
 
 // Level is one BFS level of a run.
 type Level struct {
@@ -239,35 +250,21 @@ type Baseline8 struct {
 }
 
 func main() {
-	var (
-		out  = flag.String("out", "BENCH_PR2.json", "output file")
-		out4 = flag.String("out4", "BENCH_PR4.json", "multi-source baseline output file (empty = skip)")
-		out5 = flag.String("out5", "BENCH_PR5.json", "async-overlap baseline output file (empty = skip)")
-		out8 = flag.String("out8", "BENCH_PR8.json", "worker-pool/cores baseline output file (empty = skip)")
-		out9 = flag.String("out9", "BENCH_PR9.json", "graphd batching baseline output file (empty = skip)")
-		n    = flag.Int("n", 100000, "vertices")
-		k    = flag.Float64("k", 10, "expected average degree")
-		seed = flag.Int64("seed", 9, "graph seed")
-		r    = flag.Int("r", 4, "mesh rows")
-		c    = flag.Int("c", 4, "mesh columns")
-		mout = flag.String("metrics", "", "also write a metrics snapshot accumulated over every run to this file")
-	)
+	dir := flag.String("dir", ".", "directory the five BENCH_PR*.json baselines are written into")
 	flag.Parse()
-	if *mout != "" {
-		reg = metrics.NewRegistry()
-	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	path := func(name string) string { return filepath.Join(*dir, name) }
 
-	w, err := harness.BuildWorkload(*n, *k, *seed, *r, *c)
+	w, err := harness.BuildWorkload(benchN, benchK, benchSeed, benchR, benchC)
 	if err != nil {
 		fail(err)
 	}
 	src := graph.LargestComponentVertex(w.Graph)
 
-	doc := Baseline{N: *n, K: *k, Seed: *seed, Mesh: fmt.Sprintf("%dx%d", *r, *c)}
+	doc := Baseline{N: benchN, K: benchK, Seed: benchSeed, Mesh: benchMesh}
 	type cfg struct {
 		name string
 		dir  bfs.Direction
@@ -287,7 +284,6 @@ func main() {
 		opts := bfs.DefaultOptions(src)
 		opts.Direction = cf.dir
 		opts.Wire = cf.wire
-		opts.Metrics = reg
 		res, err := bfs.Run2D(w.World, w.Stores, opts)
 		if err != nil {
 			fail(err)
@@ -307,7 +303,7 @@ func main() {
 				Level:        int(ls.Level),
 				Direction:    ls.Direction.String(),
 				Frontier:     ls.Frontier,
-				OccupancyPct: 100 * float64(ls.Frontier) / float64(*n),
+				OccupancyPct: 100 * float64(ls.Frontier) / benchN,
 				ExpandWords:  ls.ExpandWords,
 				FoldWords:    ls.FoldWords,
 				EdgesScanned: ls.EdgesScanned,
@@ -321,7 +317,7 @@ func main() {
 	m := &doc.MidOccupancy
 	m.OccupancyLowPct, m.OccupancyHiPct = midOccLowPct, midOccHiPct
 	for l, ls := range auto.PerLevel {
-		occ := 100 * float64(ls.Frontier) / float64(*n)
+		occ := 100 * float64(ls.Frontier) / benchN
 		if occ < midOccLowPct || occ >= midOccHiPct || l >= len(hybrid.PerLevel) {
 			continue
 		}
@@ -333,12 +329,12 @@ func main() {
 	}
 
 	// Δ-stepping sweep on the weighted variant of the same workload.
-	wg, err := graph.GenerateWeighted(graph.Params{N: *n, K: *k, Seed: *seed},
-		graph.WeightSpec{Dist: graph.WeightUniform, MaxWeight: 256, Seed: *seed + 1})
+	wg, err := graph.GenerateWeighted(graph.Params{N: benchN, K: benchK, Seed: benchSeed},
+		graph.WeightSpec{Dist: graph.WeightUniform, MaxWeight: 256, Seed: benchSeed + 1})
 	if err != nil {
 		fail(err)
 	}
-	layout, err := partition.NewLayout2D(*n, *r, *c)
+	layout, err := partition.NewLayout2D(benchN, benchR, benchC)
 	if err != nil {
 		fail(err)
 	}
@@ -365,7 +361,6 @@ func main() {
 		opts := sssp.DefaultOptions(wsrc)
 		opts.Delta = pt.delta
 		opts.Wire = frontier.WireHybrid
-		opts.Metrics = reg
 		res, err := sssp.Run2D(w.World, wstores, opts)
 		if err != nil {
 			fail(err)
@@ -394,67 +389,61 @@ func main() {
 	ds.InteriorBeatsExtremes = ds.BestInteriorExecS < ds.DijkstraLikeExecS &&
 		ds.BestInteriorExecS < ds.BellmanFordExecS
 
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := writeDoc(path("BENCH_PR2.json"), doc); err != nil {
 		fail(err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %s: mid-occupancy auto/hybrid = %.2fx (%d vs %d words)\n",
-		*out, m.AutoOverHybrid, m.AutoWords, m.HybridWords)
+	fmt.Printf("mid-occupancy auto/hybrid = %.2fx (%d vs %d words)\n",
+		m.AutoOverHybrid, m.AutoWords, m.HybridWords)
 	fmt.Printf("delta sweep: interior Δ=%d %.4fs vs dijkstra-like %.4fs, bellman-ford %.4fs (interior beats extremes: %v)\n",
 		ds.BestInteriorDelta, ds.BestInteriorExecS, ds.DijkstraLikeExecS, ds.BellmanFordExecS, ds.InteriorBeatsExtremes)
 
 	// The 64 independent single-source runs are shared by the PR 4
 	// multi-source baseline and the PR 9 service baseline: both compare
 	// the same one-query-at-a-time trajectory against coalesced sweeps.
-	if *out4 != "" || *out9 != "" {
-		msrcs := multiSources(graph.BFS(w.Graph, src), bfs.MaxLanes)
-		inds, err := runIndependents(w, msrcs)
-		if err != nil {
-			fail(err)
-		}
-		if *out4 != "" {
-			if err := writeMultiBaseline(*out4, w, msrcs, inds, *n, *k, *seed, *r, *c); err != nil {
-				fail(err)
-			}
-		}
-		if *out9 != "" {
-			if err := writeServiceBaseline(*out9, w, msrcs, inds, *n, *k, *seed, *r, *c); err != nil {
-				fail(err)
-			}
-		}
+	msrcs := multiSources(graph.BFS(w.Graph, src), bfs.MaxLanes)
+	inds, err := runIndependents(w, msrcs)
+	if err != nil {
+		fail(err)
 	}
-	if *out5 != "" {
-		layout1, err := partition.NewLayout1D(*n, *r**c)
-		if err != nil {
-			fail(err)
-		}
-		wstores1, err := partition.Build1DWeighted(layout1, wg.VisitWeightedEdges)
-		if err != nil {
-			fail(err)
-		}
-		if err := writeOverlapBaseline(*out5, w, wstores, wstores1, src, wsrc, *n, *k, *seed, *r, *c); err != nil {
-			fail(err)
-		}
+	if err := writeMultiBaseline(path("BENCH_PR4.json"), w, msrcs, inds); err != nil {
+		fail(err)
 	}
-	if *out8 != "" {
-		if err := writePoolBaseline(*out8, w, wstores, src, wsrc, *n, *k, *seed, *r, *c); err != nil {
-			fail(err)
-		}
+	if err := writeServiceBaseline(path("BENCH_PR9.json"), w, msrcs, inds); err != nil {
+		fail(err)
 	}
-	if *mout != "" {
-		if err := os.WriteFile(*mout, []byte(reg.Text()), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s: metrics snapshot accumulated over the full baseline batch\n", *mout)
+	layout1, err := partition.NewLayout1D(benchN, benchR*benchC)
+	if err != nil {
+		fail(err)
 	}
+	wstores1, err := partition.Build1DWeighted(layout1, wg.VisitWeightedEdges)
+	if err != nil {
+		fail(err)
+	}
+	if err := writeOverlapBaseline(path("BENCH_PR5.json"), w, wstores, wstores1, src, wsrc); err != nil {
+		fail(err)
+	}
+	if err := writePoolBaseline(path("BENCH_PR8.json"), w, wstores, src, wsrc); err != nil {
+		fail(err)
+	}
+}
+
+// writeDoc writes one baseline document as indented JSON.
+func writeDoc(path string, doc any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 // bfsOverlapPoints converts per-level stats into sync/async points.
@@ -488,8 +477,8 @@ func ssspOverlapPoints(sync, async *sssp.Result) []OverlapPoint {
 // workload, same words, different clocks — with the flagship Δ-stepping
 // run checked against the ≥1.3x bar.
 func writeOverlapBaseline(path string, w *harness.Workload, wstores []*partition.Store2D, wstores1 []*partition.Store1D,
-	src, wsrc graph.Vertex, n int, k float64, seed int64, r, c int) error {
-	doc := Baseline5{N: n, K: k, Seed: seed, Mesh: fmt.Sprintf("%dx%d", r, c)}
+	src, wsrc graph.Vertex) error {
+	doc := Baseline5{N: benchN, K: benchK, Seed: benchSeed, Mesh: benchMesh}
 	const flagship = "sssp-1dcol-delta128"
 
 	addRun := func(run OverlapRun, syncExec, asyncExec, overlap, comm float64) {
@@ -520,7 +509,6 @@ func writeOverlapBaseline(path string, w *harness.Workload, wstores []*partition
 			opts.Direction = cf.dir
 			opts.Wire = cf.wire
 			opts.Async = async
-			opts.Metrics = reg
 			return bfs.Run2D(w.World, w.Stores, opts)
 		}
 		syncRes, err := runOne(false)
@@ -551,7 +539,6 @@ func writeOverlapBaseline(path string, w *harness.Workload, wstores []*partition
 	for _, cf := range ssspCfgs {
 		baseOpts := sssp.DefaultOptions(wsrc)
 		baseOpts.Delta = cf.delta
-		baseOpts.Metrics = reg
 		runOne := func(async bool) (*sssp.Result, error) {
 			opts := baseOpts
 			opts.Async = async
@@ -576,24 +563,15 @@ func writeOverlapBaseline(path string, w *harness.Workload, wstores []*partition
 		}, syncRes.SimTime, asyncRes.SimTime, asyncRes.SimOverlap, asyncRes.SimComm)
 	}
 
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeDoc(path, doc); err != nil {
 		return err
 	}
 	for _, run := range doc.Runs {
 		fmt.Printf("overlap %-22s sync %.4fs -> async %.4fs (%.2fx, %.0f%% of comm hidden)\n",
 			run.Name, run.SyncExecS, run.SimExecS, run.Speedup, 100*run.HiddenFrac)
 	}
-	fmt.Printf("wrote %s: flagship %s speedup %.2fx (meets 1.3x bar: %v)\n",
-		path, doc.Flagship.Name, doc.Flagship.Speedup, doc.Flagship.Meets13x)
+	fmt.Printf("flagship %s speedup %.2fx (meets 1.3x bar: %v)\n",
+		doc.Flagship.Name, doc.Flagship.Speedup, doc.Flagship.Meets13x)
 	return nil
 }
 
@@ -633,7 +611,6 @@ func runIndependents(w *harness.Workload, srcs []graph.Vertex) ([]indepRun, erro
 	for _, s := range srcs {
 		opts := bfs.DefaultOptions(s)
 		opts.Wire = frontier.WireAuto
-		opts.Metrics = reg
 		res, err := bfs.Run2D(w.World, w.Stores, opts)
 		if err != nil {
 			return nil, err
@@ -650,13 +627,11 @@ func runIndependents(w *harness.Workload, srcs []graph.Vertex) ([]indepRun, erro
 // writeMultiBaseline runs the PR 4 acceptance comparison: one 64-lane
 // MultiBFS versus 64 independent BFS runs on the same stores, wire
 // mode auto for both.
-func writeMultiBaseline(path string, w *harness.Workload, srcs []graph.Vertex, inds []indepRun,
-	n int, k float64, seed int64, r, c int) error {
-	doc := Baseline4{N: n, K: k, Seed: seed, Mesh: fmt.Sprintf("%dx%d", r, c)}
+func writeMultiBaseline(path string, w *harness.Workload, srcs []graph.Vertex, inds []indepRun) error {
+	doc := Baseline4{N: benchN, K: benchK, Seed: benchSeed, Mesh: benchMesh}
 
 	opts := bfs.DefaultOptions(0)
 	opts.Wire = frontier.WireAuto
-	opts.Metrics = reg
 	mres, err := bfs.MultiRun2D(w.World, w.Stores, srcs, opts)
 	if err != nil {
 		return err
@@ -697,20 +672,11 @@ func writeMultiBaseline(path string, w *harness.Workload, srcs []graph.Vertex, i
 	}
 	mb.StrictlyFewer = mb.MultiWords < mb.IndependentWords
 
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeDoc(path, doc); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: multi-bfs b=%d moved %d words vs %d over %d runs (%.2fx, strictly fewer: %v); simexec %.4fs vs %.4fs (%.1fx)\n",
-		path, mb.B, mb.MultiWords, mb.IndependentWords, mb.IndependentRuns, mb.WordsRatio, mb.StrictlyFewer,
+	fmt.Printf("multi-bfs b=%d moved %d words vs %d over %d runs (%.2fx, strictly fewer: %v); simexec %.4fs vs %.4fs (%.1fx)\n",
+		mb.B, mb.MultiWords, mb.IndependentWords, mb.IndependentRuns, mb.WordsRatio, mb.StrictlyFewer,
 		mb.MultiSimExecS, mb.IndependentExecS, mb.IndependentExecS/mb.MultiSimExecS)
 	return nil
 }
@@ -738,10 +704,8 @@ func speedups(pts []CorePoint) {
 // worker pool stepped together through poolCores. The simulated times
 // and word counts are deterministic at every point and gate the diff;
 // wall times are host context.
-func writePoolBaseline(path string, w *harness.Workload, wstores []*partition.Store2D,
-	src, wsrc graph.Vertex, n int, k float64, seed int64, r, c int) error {
-	doc := Baseline8{N: n, K: k, Seed: seed, Mesh: fmt.Sprintf("%dx%d", r, c),
-		HostCPUs: runtime.NumCPU()}
+func writePoolBaseline(path string, w *harness.Workload, wstores []*partition.Store2D, src, wsrc graph.Vertex) error {
+	doc := Baseline8{N: benchN, K: benchK, Seed: benchSeed, Mesh: benchMesh, HostCPUs: runtime.NumCPU()}
 
 	bfsRun := PoolRun{Name: "bfs-dirop-hybrid", Algo: "bfs", Wire: frontier.WireHybrid.String()}
 	for _, nc := range poolCores {
@@ -750,7 +714,6 @@ func writePoolBaseline(path string, w *harness.Workload, wstores []*partition.St
 		opts.Wire = frontier.WireHybrid
 		opts.Cores = nc
 		opts.Workers = nc
-		opts.Metrics = reg
 		res, err := bfs.Run2D(w.World, w.Stores, opts)
 		if err != nil {
 			return err
@@ -772,7 +735,6 @@ func writePoolBaseline(path string, w *harness.Workload, wstores []*partition.St
 		opts.Wire = frontier.WireHybrid
 		opts.Cores = nc
 		opts.Workers = nc
-		opts.Metrics = reg
 		res, err := sssp.Run2D(w.World, wstores, opts)
 		if err != nil {
 			return err
@@ -787,16 +749,7 @@ func writePoolBaseline(path string, w *harness.Workload, wstores []*partition.St
 	speedups(ssspRun.Points)
 	doc.Runs = append(doc.Runs, ssspRun)
 
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeDoc(path, doc); err != nil {
 		return err
 	}
 	for _, run := range doc.Runs {
@@ -805,7 +758,6 @@ func writePoolBaseline(path string, w *harness.Workload, wstores []*partition.St
 				run.Name, pt.Cores, pt.SimExecS, pt.SimSpeedup, pt.WallMs, pt.WallSpeedup)
 		}
 	}
-	fmt.Printf("wrote %s: cores sweep on %d host CPUs (wall fields are context, not gated)\n",
-		path, doc.HostCPUs)
+	fmt.Printf("cores sweep on %d host CPUs (wall fields are context, not gated)\n", doc.HostCPUs)
 	return nil
 }

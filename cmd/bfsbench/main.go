@@ -1,15 +1,18 @@
 // Command bfsbench regenerates the paper's tables and figures.
 //
 // Each experiment id corresponds to one exhibit of the evaluation
-// section (harness.All is the index; -list prints it):
-//
-//	fig4a fig4b fig4c fig5 table1 fig6a fig6b fig7
-//	ablation-mapping ablation-collective ablation-sentcache
+// section or one design ablation; harness.All is the index and -list
+// prints it with what each exhibit reproduces.
 //
 // Usage:
 //
+//	bfsbench -list
 //	bfsbench -exp fig4a,table1 -scale 1 -maxp 64 -searches 3
 //	bfsbench -exp all -csv out/
+//
+// Flags: -exp, -scale, -maxp, -seed, -searches size the run; -csv also
+// writes each table as a file; -cpuprofile / -memprofile profile the
+// host process.
 package main
 
 import (

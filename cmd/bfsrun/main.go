@@ -2,7 +2,18 @@
 // knob exposed: mesh shape, expand/fold collectives, sent-neighbors
 // cache, fixed buffer size, torus mapping and cost model. It validates
 // the distributed result against the serial oracle and prints the
-// per-level statistics the paper reports.
+// per-level statistics the paper reports. README.md ("Options, and why
+// each exists") says what motivates each flag and where a non-default
+// value is measured.
+//
+// Flags, by what they set:
+//
+//	workload     -n -k -seed -input -shuffle -wdist -maxw
+//	machine      -r -c -part -rowmajor -cluster -cores -workers
+//	query        -algo -source -target -bidir -sources -delta
+//	algorithm    -expand -fold -direction -wire -async -sentcache -chunk
+//	robustness   -fault -checkpoint -kill-at -restore
+//	output       -verify -json -trace -metrics -cpuprofile -memprofile
 //
 // With -algo sssp it instead runs distributed Δ-stepping shortest
 // paths on a weighted graph (generated by -wdist/-maxw or loaded from
@@ -80,9 +91,8 @@ func main() {
 		target   = flag.Int("target", -1, "target vertex (-1 = full traversal)")
 		bidir    = flag.Bool("bidir", false, "bi-directional search (requires -target)")
 		expand   = flag.String("expand", "targeted", "expand collective: targeted|allgather|twophase")
-		fold     = flag.String("fold", "twophase", "fold collective: twophase|direct|nounion|bruck")
+		fold     = flag.String("fold", "twophase", "fold collective: twophase|direct|nounion")
 		dir      = flag.String("direction", "topdown", "traversal direction: topdown|bottomup|dirop")
-		doAlpha  = flag.Float64("doalpha", 0, "direction-optimizing switch factor (0 = default)")
 		wire     = flag.String("wire", "sparse", "frontier wire encoding: sparse|dense|auto|hybrid")
 		async    = flag.Bool("async", true, "overlapped exchange schedule (-async=false for the phase-synchronous baseline)")
 		cache    = flag.Bool("sentcache", true, "sent-neighbors cache (§2.4.3)")
@@ -91,7 +101,6 @@ func main() {
 		cluster  = flag.Bool("cluster", false, "Quadrics-cluster cost model instead of BlueGene/L")
 		verify   = flag.Bool("verify", true, "check against the serial oracle")
 		jsonOut  = flag.Bool("json", false, "emit the result as JSON (levels omitted) instead of text")
-		withLvls = flag.Bool("levels", false, "include the full level array in -json output")
 		faultStr = flag.String("fault", "", "inject a deterministic fault plan: key=value spec or canned[:SEED]")
 		ckptOut  = flag.String("checkpoint", "", "halt at -kill-at and write the snapshot to this file")
 		killAt   = flag.Int("kill-at", -1, "completed levels (bfs) / epochs (sssp) before the -checkpoint halt")
@@ -243,7 +252,7 @@ func main() {
 		fail(fmt.Errorf("unknown expand algorithm %q", *expand))
 	}
 	foldAlg, ok := map[string]bgl.FoldAlg{
-		"twophase": bgl.FoldTwoPhase, "direct": bgl.FoldDirect, "nounion": bgl.FoldTwoPhaseNoUnion, "bruck": bgl.FoldBruck,
+		"twophase": bgl.FoldTwoPhase, "direct": bgl.FoldDirect, "nounion": bgl.FoldTwoPhaseNoUnion,
 	}[*fold]
 	if !ok {
 		fail(fmt.Errorf("unknown fold algorithm %q", *fold))
@@ -329,7 +338,7 @@ func main() {
 		case *source >= 0:
 			fail(fmt.Errorf("-sources and -source conflict; list every source in -sources"))
 		}
-		runMulti(g, cl, dg, *sources, wireMode, *chunk, *cores, effWorkers, *async, *verify, *jsonOut, *withLvls, obs,
+		runMulti(g, cl, dg, *sources, wireMode, *chunk, *cores, effWorkers, *async, *verify, *jsonOut, obs,
 			func(res *bgl.MultiResult) {
 				finishObs(func(d *trace.Derived) error { return traceverify.BFS(d, &res.Result) })
 			})
@@ -362,10 +371,7 @@ func main() {
 		}
 		if *jsonOut {
 			out := *res
-			if !*withLvls {
-				out.Dist = nil
-				out.PerRank = nil
-			}
+			out.Dist, out.PerRank = nil, nil
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(struct {
@@ -415,8 +421,7 @@ func main() {
 
 	opts := append([]bgl.Option{
 		bgl.WithExpand(expAlg), bgl.WithFold(foldAlg),
-		bgl.WithDirection(dirPolicy), bgl.WithDOAlpha(*doAlpha),
-		bgl.WithWire(wireMode),
+		bgl.WithDirection(dirPolicy), bgl.WithWire(wireMode),
 		bgl.WithSentCache(*cache), bgl.WithChunkWords(*chunk),
 		bgl.WithAsync(*async),
 	}, obs...)
@@ -441,10 +446,7 @@ func main() {
 
 	if *jsonOut {
 		out := *res
-		if !*withLvls {
-			out.Levels = nil
-			out.PerRank = nil
-		}
+		out.Levels, out.PerRank = nil, nil
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
@@ -532,7 +534,7 @@ func main() {
 // BFS, prints per-sweep statistics, and validates every lane against
 // the serial oracle.
 func runMulti(g *bgl.Graph, cl *bgl.Cluster, dg *bgl.DistGraph, list string, wire bgl.WireMode, chunk, cores, workers int,
-	async, verify, jsonOut, withLvls bool, obs []bgl.Option, finish func(*bgl.MultiResult)) {
+	async, verify, jsonOut bool, obs []bgl.Option, finish func(*bgl.MultiResult)) {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -557,11 +559,7 @@ func runMulti(g *bgl.Graph, cl *bgl.Cluster, dg *bgl.DistGraph, list string, wir
 	finish(res)
 	if jsonOut {
 		out := *res
-		if !withLvls {
-			out.Levels = nil
-			out.LaneLevels = nil
-			out.PerRank = nil
-		}
+		out.Levels, out.LaneLevels, out.PerRank = nil, nil, nil
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {

@@ -48,19 +48,16 @@ func main() {
 		k        = flag.Float64("k", 10, "expected average degree (when generating)")
 		seed     = flag.Int64("seed", 42, "graph seed (when generating)")
 		input    = flag.String("input", "", "load the graph from an edge-list file instead of generating")
-		weighted = flag.Bool("weighted", false, "generate a weighted graph (enables meaningful -maxw)")
-		maxw     = flag.Uint("maxw", 0, "maximum edge weight for -weighted (0 = default)")
+		weighted = flag.Bool("weighted", false, "generate a weighted graph (uniform weights in [1, 256])")
 		r        = flag.Int("r", 2, "mesh rows R")
 		c        = flag.Int("c", 2, "mesh columns C")
 		partStr  = flag.String("part", "2d", "partitioning: 2d|1drow|1dcol")
-		wireStr  = flag.String("wire", "hybrid", "frontier wire encoding: sparse|dense|auto|hybrid")
 		cores    = flag.Int("cores", 1, "modeled compute cores per node")
 		workers  = flag.Int("workers", 0, "real per-rank worker pool size (0 = -cores)")
 		replicas = flag.Int("replicas", 1, "engine replicas (each a simulated machine over the one distributed graph; bounds real concurrency)")
 		batch    = flag.Int("batch", bgl.MaxLanes, "max distinct sources per MultiBFS sweep (<= 64; 1 serves every BFS alone)")
 		maxWait  = flag.Int("max-waiting", 0, "max batched BFS queries awaiting sweeps before 503 (0 = 4x -batch)")
 		queue    = flag.Int("queue", graphd.DefaultQueueDepth, "bounded queue depth for path/sssp queries")
-		qworkers = flag.Int("query-workers", 0, "goroutines draining the path/sssp queue (0 = -replicas)")
 		faultStr = flag.String("fault", "", "deterministic fault plan for every sweep (e.g. canned:7 or seed=1,corrupt=0.01)")
 		maxQuery = flag.Duration("max-query-time", 0, "server-side wall cap per query (0 = uncapped; timeout_ms may tighten)")
 		maxSim   = flag.Float64("max-simexec", 0, "cap on simulated execution seconds per query (0 = uncapped)")
@@ -78,12 +75,6 @@ func main() {
 	}[*partStr]
 	if !ok {
 		fail(fmt.Errorf("unknown partitioning %q", *partStr))
-	}
-	wire, ok := map[string]bgl.WireMode{
-		"sparse": bgl.WireSparse, "dense": bgl.WireDense, "auto": bgl.WireAuto, "hybrid": bgl.WireHybrid,
-	}[*wireStr]
-	if !ok {
-		fail(fmt.Errorf("unknown wire encoding %q", *wireStr))
 	}
 
 	var fplan *bgl.FaultPlan
@@ -105,7 +96,7 @@ func main() {
 		g, err = bgl.Load(f)
 		f.Close()
 	case *weighted:
-		g, err = bgl.GenerateWeighted(*n, *k, *seed, bgl.WithMaxWeight(uint32(*maxw)))
+		g, err = bgl.GenerateWeighted(*n, *k, *seed)
 	default:
 		g, err = bgl.Generate(*n, *k, *seed)
 	}
@@ -117,11 +108,11 @@ func main() {
 		g.N(), g.NumEdges(), g.Weighted(), *r, *c, *partStr, *replicas)
 	t0 := time.Now()
 	srv, err := graphd.NewServer(graphd.Config{
-		Graph: g, R: *r, C: *c, Partition: part, Wire: wire,
+		Graph: g, R: *r, C: *c, Partition: part,
 		Cores: *cores, Workers: *workers, Replicas: *replicas,
 		MaxBatch: *batch, MaxWaiting: *maxWait,
-		QueueDepth: *queue, QueryWorkers: *qworkers,
-		Fault: fplan, MaxQueryWall: *maxQuery, MaxSimExec: *maxSim,
+		QueueDepth: *queue, Fault: fplan,
+		MaxQueryWall: *maxQuery, MaxSimExec: *maxSim,
 		ChaosPanicSweep: *chaosN,
 	})
 	if err != nil {

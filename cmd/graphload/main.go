@@ -1,6 +1,6 @@
 // Command graphload is the deterministic load generator for graphd: a
-// seeded mix of BFS / path / SSSP queries fired at a target rate from a
-// pool of concurrent workers, with per-kind latency histograms and
+// seeded mix of BFS / path / SSSP queries fired as fast as a pool of
+// concurrent workers goes, with per-kind latency histograms and
 // optional oracle verification of every answer (the generator rebuilds
 // the server's graph locally from the same -n/-k/-graph-seed and checks
 // each response against serial BFS / Dijkstra).
@@ -105,7 +105,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "graphd address (host:port or full http:// URL)")
 		queries     = flag.Int("queries", 200, "total queries to send")
-		qps         = flag.Float64("qps", 0, "target release rate (0 = as fast as the workers go)")
 		concurrency = flag.Int("concurrency", 8, "concurrent workers")
 		seed        = flag.Uint64("seed", 1, "query-stream seed")
 		mixStr      = flag.String("mix", "bfs=6,path=1,sssp=1", "query mix as kind=weight pairs")
@@ -114,9 +113,6 @@ func main() {
 		k           = flag.Float64("k", 10, "server graph average degree (oracle rebuild)")
 		graphSeed   = flag.Int64("graph-seed", 42, "server graph seed (oracle rebuild)")
 		weighted    = flag.Bool("weighted", false, "the server graph is weighted (oracle rebuild)")
-		maxw        = flag.Uint("maxw", 0, "server graph max edge weight (oracle rebuild)")
-		timeout     = flag.Duration("timeout", 2*time.Minute, "per-attempt HTTP timeout")
-		retries     = flag.Int("retries", 3, "retries per query on overload/transport failure")
 		checkMet    = flag.Bool("check-metrics", false, "fetch /metrics afterwards and require the graphd instruments")
 		expectBatch = flag.Bool("expect-batching", false, "require the server to have coalesced queries (mean batch size > 1)")
 		chaos       = flag.Bool("chaos", false, "chaos drill: arm the resilient client and assert panic+quarantine+rebuild recovery afterwards")
@@ -147,7 +143,7 @@ func main() {
 		var g *bgl.Graph
 		var err error
 		if *weighted {
-			g, err = bgl.GenerateWeighted(*n, *k, *graphSeed, bgl.WithMaxWeight(uint32(*maxw)))
+			g, err = bgl.GenerateWeighted(*n, *k, *graphSeed)
 		} else {
 			g, err = bgl.Generate(*n, *k, *graphSeed)
 		}
@@ -180,7 +176,7 @@ func main() {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	copts := []graphd.ClientOption{graphd.WithTimeout(*timeout), graphd.WithRetries(*retries)}
+	copts := []graphd.ClientOption{graphd.WithTimeout(2 * time.Minute), graphd.WithRetries(3)}
 	if *chaos {
 		// The drill's client half: jittered backoff is already on by
 		// default; add the breaker (fail fast if the server dies
@@ -223,18 +219,7 @@ func main() {
 			}
 		}()
 	}
-	var interval time.Duration
-	if *qps > 0 {
-		interval = time.Duration(float64(time.Second) / *qps)
-	}
-	next := time.Now()
 	for _, q := range plan {
-		if interval > 0 {
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-			next = next.Add(interval)
-		}
 		work <- q
 	}
 	close(work)

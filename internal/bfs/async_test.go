@@ -116,7 +116,7 @@ func TestAsyncMatchesSync1DEngine(t *testing.T) {
 func TestAsyncMatchesSyncCollectiveVariants(t *testing.T) {
 	g := testGraph(t, 3000, 10, 17)
 	for _, expand := range []ExpandAlg{ExpandTargeted, ExpandAllGather, ExpandTwoPhase} {
-		for _, fold := range []FoldAlg{FoldTwoPhase, FoldDirect, FoldTwoPhaseNoUnion, FoldBruck} {
+		for _, fold := range []FoldAlg{FoldTwoPhase, FoldDirect, FoldTwoPhaseNoUnion} {
 			builder := func(t *testing.T, opts Options) *Result {
 				fx := build2D(t, g, 2, 4)
 				res, err := Run2D(fx.world, fx.st2, opts)

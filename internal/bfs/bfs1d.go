@@ -52,7 +52,7 @@ func newEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Opt
 }
 
 func (e *engine1D) newSide(src graph.Vertex) *sideState {
-	s := newSideState(e.opts, e.st.Lo, e.st.OwnedCount())
+	s := newSideState(e.st.Lo, e.st.OwnedCount())
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))

@@ -13,7 +13,6 @@ package bfs
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/frontier"
@@ -33,13 +32,9 @@ func (o *Options) fingerprint(l partition.View) uint64 {
 	if o.SentCache {
 		bits |= 2
 	}
-	if o.P2PTermination {
-		bits |= 4
-	}
 	return o.Fingerprint(l,
 		uint64(o.Source), uint64(o.Target), bits,
-		uint64(o.Expand), uint64(o.Fold), uint64(o.Direction),
-		math.Float64bits(o.doAlpha()), uint64(o.MaxLevels))
+		uint64(o.Expand), uint64(o.Fold), uint64(o.Direction), uint64(o.MaxLevels))
 }
 
 // encodeSide serializes a sideState. The frontier goes through the

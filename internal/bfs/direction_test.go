@@ -206,7 +206,7 @@ func TestWireAutoMatchesSparse(t *testing.T) {
 	g := testGraph(t, 5000, 10, 23)
 	fx := build2D(t, g, 2, 2)
 	for _, ex := range []ExpandAlg{ExpandTargeted, ExpandAllGather, ExpandTwoPhase} {
-		for _, fo := range []FoldAlg{FoldTwoPhase, FoldDirect, FoldBruck} {
+		for _, fo := range []FoldAlg{FoldTwoPhase, FoldDirect} {
 			base := DefaultOptions(fx.src)
 			base.Expand, base.Fold = ex, fo
 			auto := base
@@ -369,7 +369,7 @@ func TestWireAuto1D(t *testing.T) {
 	src := graph.LargestComponentVertex(g)
 	serial := graph.BFS(g, src)
 	st1, w := build1D(t, g, 4)
-	for _, fo := range []FoldAlg{FoldTwoPhase, FoldDirect, FoldBruck} {
+	for _, fo := range []FoldAlg{FoldTwoPhase, FoldDirect} {
 		opts := DefaultOptions(src)
 		opts.Fold = fo
 		opts.Wire = frontier.WireAuto
@@ -378,25 +378,6 @@ func TestWireAuto1D(t *testing.T) {
 			t.Fatalf("1D %v wire=auto: %v", fo, err)
 		}
 		levelsEqual(t, res.Levels, serial, fmt.Sprintf("1D %v wire=auto", fo))
-	}
-}
-
-// TestFrontierOccupancyExtremes: pinning the adaptive frontier sparse
-// or flipping it dense immediately must not change results.
-func TestFrontierOccupancyExtremes(t *testing.T) {
-	g := testGraph(t, 800, 6, 25)
-	fx := build2D(t, g, 2, 2)
-	for _, occ := range []float64{1e-9, 0.5, 1} {
-		for _, dir := range allDirections {
-			opts := DefaultOptions(fx.src)
-			opts.FrontierOccupancy = occ
-			opts.Direction = dir
-			res, err := Run2D(fx.world, fx.st2, opts)
-			if err != nil {
-				t.Fatalf("occ=%g dir=%v: %v", occ, dir, err)
-			}
-			levelsEqual(t, res.Levels, fx.serial, fmt.Sprintf("occ=%g dir=%v", occ, dir))
-		}
 	}
 }
 
@@ -447,28 +428,6 @@ func TestDirectionStrings(t *testing.T) {
 	opts.Direction = Direction(99)
 	if _, err := Run2D(fx.world, fx.st2, opts); err == nil {
 		t.Error("unknown direction policy did not error")
-	}
-}
-
-// TestDOAlphaExtremes: a huge alpha forces bottom-up from level 1, a
-// tiny one keeps every level top-down; both must stay exact.
-func TestDOAlphaExtremes(t *testing.T) {
-	g := testGraph(t, 800, 6, 28)
-	fx := build2D(t, g, 2, 2)
-	for _, alpha := range []float64{1e9, 1e-9} {
-		opts := DefaultOptions(fx.src)
-		opts.Direction = DirectionOptimizing
-		opts.DOAlpha = alpha
-		res, err := Run2D(fx.world, fx.st2, opts)
-		if err != nil {
-			t.Fatalf("alpha=%g: %v", alpha, err)
-		}
-		levelsEqual(t, res.Levels, fx.serial, fmt.Sprintf("alpha=%g", alpha))
-		for _, ls := range res.PerLevel {
-			if alpha < 1 && ls.Direction != TopDown {
-				t.Fatalf("alpha=%g: level %d ran %v", alpha, ls.Level, ls.Direction)
-			}
-		}
 	}
 }
 

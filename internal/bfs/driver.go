@@ -5,59 +5,11 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/search"
 )
-
-// reducer performs the per-level global reductions (frontier count,
-// target-found flag, best meeting distance) either on the modeled
-// combine-tree network or over point-to-point torus messages
-// (Options.P2PTermination).
-type reducer struct {
-	c     *comm.Comm
-	world comm.Group
-	p2p   bool
-	tag   int
-}
-
-func newReducer(c *comm.Comm, opts Options) *reducer {
-	r := &reducer{c: c, p2p: opts.P2PTermination}
-	if r.p2p {
-		r.world, r.tag = c.WorldGroup(), 1<<28
-	}
-	return r
-}
-
-func (r *reducer) sum(v uint64) uint64 {
-	if !r.p2p {
-		return r.c.AllReduceSum(v)
-	}
-	r.tag += 1 << 21
-	return collective.AllReduceP2P(r.c, r.world, collective.Opts{Tag: r.tag}, v, collective.OpSum)
-}
-
-func (r *reducer) or(b bool) bool {
-	if !r.p2p {
-		return r.c.AllReduceOr(b)
-	}
-	var v uint64
-	if b {
-		v = 1
-	}
-	r.tag += 1 << 21
-	return collective.AllReduceP2P(r.c, r.world, collective.Opts{Tag: r.tag}, v, collective.OpOr) != 0
-}
-
-func (r *reducer) min(v uint64) uint64 {
-	if !r.p2p {
-		return r.c.AllReduceMin(v)
-	}
-	r.tag += 1 << 21
-	return collective.AllReduceP2P(r.c, r.world, collective.Opts{Tag: r.tag}, v, collective.OpMin)
-}
 
 // stepper is a partitioning engine: it creates per-side search state
 // and advances one complete BFS level in either direction (expand where
@@ -103,7 +55,7 @@ func chooseDirection(opts Options, mf, mu uint64) Direction {
 		// mu == 0 means the unlabeled remainder has no edges at all
 		// (only isolated vertices are left): nothing can be labeled
 		// either way, so stay with the paper's top-down expansion.
-		if mu > 0 && float64(mf)*opts.doAlpha() >= float64(mu) {
+		if mu > 0 && float64(mf)*directionAlpha >= float64(mu) {
 			return BottomUp
 		}
 		return TopDown
@@ -130,7 +82,6 @@ func stepDir(e stepper, s *sideState, dir Direction, tagBase int) (rankLevel, bo
 // the search state, and the level the target was found at (globally
 // agreed), -1 if it was not.
 func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLevel, *sideState, int64, *search.Canceled) {
-	red := newReducer(c, opts)
 	dirop := opts.Direction == DirectionOptimizing
 	var s *sideState
 	var recs []rankLevel
@@ -144,7 +95,7 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 		// skip the charged initialization (it already happened in the
 		// checkpointing run and its cost is in the restored ledgers).
 		opts.Resume(c, "bfs", opts.fingerprint(l), func(dec *checkpoint.Dec) {
-			unlabeledDeg, red.tag = dec.U64(), dec.Int()
+			unlabeledDeg = dec.U64()
 			s = decodeSide(dec, e, opts)
 			e.restoreExtra(dec)
 			recs = search.DecodeRecs(dec, decodeRankLevel)
@@ -152,7 +103,7 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 	} else {
 		s = e.newSide(opts.Source)
 		if dirop {
-			unlabeledDeg = red.sum(e.totalOutDegree())
+			unlabeledDeg = c.AllReduceSum(e.totalOutDegree())
 		}
 	}
 	for {
@@ -161,23 +112,22 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 			// of level At, before any of its reductions or exchanges.
 			opts.Halt(c, "bfs", opts.fingerprint(l), func(enc *checkpoint.Enc) {
 				enc.U64(unlabeledDeg)
-				enc.Int(red.tag)
 				encodeSide(enc, s)
 				e.saveExtra(enc)
 				search.EncodeRecs(enc, recs, encodeRankLevel)
 			})
 			return recs, s, -1, nil
 		}
-		if cxl := opts.Poll(red.or, c.Clock(), "level", int(s.level)); cxl != nil {
+		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "level", int(s.level)); cxl != nil {
 			return recs, s, -1, cxl
 		}
-		gf := red.sum(uint64(s.F.Len()))
+		gf := c.AllReduceSum(uint64(s.F.Len()))
 		if gf == 0 {
 			return recs, s, -1, nil
 		}
 		var frontierDeg uint64
 		if dirop {
-			frontierDeg = red.sum(e.frontierOutDegree(s))
+			frontierDeg = c.AllReduceSum(e.frontierOutDegree(s))
 			unlabeledDeg -= frontierDeg
 		}
 		if opts.MaxLevels > 0 && int(s.level) >= opts.MaxLevels {
@@ -186,7 +136,7 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 		dir := chooseDirection(opts, frontierDeg, unlabeledDeg)
 		rec, foundLocal := stepDir(e, s, dir, int(s.level)*64)
 		recs = append(recs, rec)
-		if opts.HasTarget && red.or(foundLocal) {
+		if opts.HasTarget && c.AllReduceOr(foundLocal) {
 			return recs, s, int64(s.level), nil // labeled at the last completed level
 		}
 	}
@@ -216,7 +166,6 @@ func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rank
 	lo, _ := l.OwnedRange(c.Rank())
 	ss := e.newSide(opts.Source)
 	ts := e.newSide(opts.Target)
-	red := newReducer(c, opts)
 	dirop := opts.Direction == DirectionOptimizing
 	var recs []rankLevel
 	best := bidirInf
@@ -228,22 +177,22 @@ func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rank
 	// the sides track independent unlabeled sets.
 	var unS, unT, degS, degT uint64
 	if dirop {
-		total := red.sum(e.totalOutDegree())
+		total := c.AllReduceSum(e.totalOutDegree())
 		unS, unT = total, total
 	}
 	newS, newT := true, true
 	for {
-		if cxl := opts.Poll(red.or, c.Clock(), "level", len(recs)); cxl != nil {
+		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "level", len(recs)); cxl != nil {
 			return recs, ss, meetDist(best), cxl
 		}
-		gfs := red.sum(uint64(ss.F.Len()))
-		gft := red.sum(uint64(ts.F.Len()))
+		gfs := c.AllReduceSum(uint64(ss.F.Len()))
+		gft := c.AllReduceSum(uint64(ts.F.Len()))
 		if dirop && newS {
-			degS = red.sum(e.frontierOutDegree(ss))
+			degS = c.AllReduceSum(e.frontierOutDegree(ss))
 			unS -= degS
 		}
 		if dirop && newT {
-			degT = red.sum(e.frontierOutDegree(ts))
+			degT = c.AllReduceSum(e.frontierOutDegree(ts))
 			unT -= degT
 		}
 		newS, newT = false, false
@@ -280,7 +229,7 @@ func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rank
 				}
 			}
 		})
-		best = red.min(best)
+		best = c.AllReduceMin(best)
 		recs = append(recs, rec)
 	}
 }

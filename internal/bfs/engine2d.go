@@ -11,6 +11,7 @@ import (
 	"repro/internal/localindex"
 	"repro/internal/partition"
 	"repro/internal/pool"
+	"repro/internal/search"
 	"repro/internal/torus"
 	"repro/internal/trace"
 )
@@ -84,11 +85,11 @@ type sideState struct {
 
 // newSideState returns a side over the owned range [lo, lo+n) with
 // nothing labeled.
-func newSideState(opts Options, lo graph.Vertex, n int) *sideState {
+func newSideState(lo graph.Vertex, n int) *sideState {
 	s := &sideState{
 		L:     make([]int32, n),
-		F:     opts.newFrontier(lo, n),
-		spare: opts.newFrontier(lo, n),
+		F:     search.NewFrontier(uint32(lo), n),
+		spare: search.NewFrontier(uint32(lo), n),
 	}
 	for i := range s.L {
 		s.L[i] = graph.Unreached
@@ -132,7 +133,7 @@ func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rank
 }
 
 func (e *engine2D) newSide(src graph.Vertex) *sideState {
-	s := newSideState(e.opts, e.st.Lo, e.st.OwnedCount())
+	s := newSideState(e.st.Lo, e.st.OwnedCount())
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))
@@ -352,7 +353,7 @@ func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Gr
 
 // degreeExchangeTag namespaces the one-time owned-degree exchange of
 // the direction-optimizing heuristic, away from the per-level tag
-// spaces (level*64 + offsets) and the P2P reducer (1<<28).
+// spaces (level*64 + offsets).
 const degreeExchangeTag = 1 << 27
 
 // ownedOutDegrees returns the global out-degree of every owned vertex.

@@ -189,8 +189,8 @@ func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int)
 		reached: make([]uint64, n),
 		fmask:   make([]uint64, n),
 		spare:   make([]uint64, n),
-		F:       opts.newFrontier(lo, n),
-		spareF:  opts.newFrontier(lo, n),
+		F:       search.NewFrontier(uint32(lo), n),
+		spareF:  search.NewFrontier(uint32(lo), n),
 		levels:  make([][]int32, len(sources)),
 	}
 	for lane := range s.levels {
@@ -252,13 +252,12 @@ type multiStepper interface {
 // frontier empties (or MaxLevels, or a cooperative cancellation).
 func multiDrive(c *comm.Comm, e multiStepper, opts Options, sources []graph.Vertex) ([]rankLevel, *multiState, *search.Canceled) {
 	s := e.newMulti(sources)
-	red := newReducer(c, opts)
 	var recs []rankLevel
 	for {
-		if cxl := opts.Poll(red.or, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
+		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
 			return recs, s, cxl
 		}
-		if red.sum(uint64(s.F.Len())) == 0 {
+		if c.AllReduceSum(uint64(s.F.Len())) == 0 {
 			return recs, s, nil
 		}
 		if opts.MaxLevels > 0 && int(s.sweep) >= opts.MaxLevels {

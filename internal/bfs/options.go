@@ -18,7 +18,6 @@ package bfs
 import (
 	"fmt"
 
-	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/search"
 )
@@ -57,7 +56,7 @@ func (d Direction) String() string {
 }
 
 const (
-	// DefaultDOAlpha is the direction-optimizing switch factor of
+	// directionAlpha is the direction-optimizing switch factor of
 	// Beamer's true alpha heuristic: a level runs bottom-up when
 	// alpha x (edges out of the frontier) >= (edges out of the
 	// unlabeled set). On uniform-degree Poisson graphs the degree sums
@@ -68,7 +67,7 @@ const (
 	// never would. Beamer's alpha=14 overshoots here because the
 	// simulator charges hash probes and received words far above edge
 	// scans, making one-level-early switches expensive.
-	DefaultDOAlpha = 6.0
+	directionAlpha = 6.0
 )
 
 // ExpandAlg selects the expand (processor-column) collective.
@@ -115,10 +114,6 @@ const (
 	// FoldTwoPhaseNoUnion runs the two-phase schedule without in-flight
 	// union; duplicates cross the wire. Baseline for Fig. 7.
 	FoldTwoPhaseNoUnion
-	// FoldBruck exchanges with Bruck's log-step algorithm then unions
-	// locally — the short-message/latency-bound alternative (cf. the
-	// paper's torus all-to-all reference [17]).
-	FoldBruck
 )
 
 func (a FoldAlg) String() string {
@@ -129,8 +124,6 @@ func (a FoldAlg) String() string {
 		return "direct"
 	case FoldTwoPhaseNoUnion:
 		return "twophase-nounion"
-	case FoldBruck:
-		return "bruck"
 	default:
 		return fmt.Sprintf("FoldAlg(%d)", int(a))
 	}
@@ -150,27 +143,17 @@ type Options struct {
 	// Direction selects top-down (the paper's algorithm, the default),
 	// bottom-up, or per-level direction-optimizing traversal.
 	Direction Direction
-	// DOAlpha tunes the direction-optimizing switch: a level runs
-	// bottom-up when DOAlpha x (frontier out-degree) >= (unlabeled
-	// out-degree); <= 0 selects DefaultDOAlpha.
-	DOAlpha float64
 	// Common carries the knobs shared with every other search
-	// algorithm — Wire, ChunkWords, FrontierOccupancy — promoted so
-	// o.Wire etc. read as before. The bottom-up steps exchange bitmaps
-	// under every Wire mode except WireHybrid, which re-encodes those
-	// bitmaps through the same container codec.
+	// algorithm — Wire, ChunkWords, ... — promoted so o.Wire etc. read
+	// as before. The bottom-up steps exchange bitmaps under every Wire
+	// mode except WireHybrid, which re-encodes those bitmaps through the
+	// same container codec.
 	search.Common
 	// SentCache enables the sent-neighbors optimization (§2.4.3): a
 	// neighbor vertex is never sent to its owner twice.
 	SentCache bool
 	// MaxLevels bounds the search depth; 0 means unbounded.
 	MaxLevels int
-	// P2PTermination runs the per-level termination/found/meet
-	// reductions over point-to-point torus messages (recursive
-	// doubling) instead of the modeled combine-tree network. BlueGene/L
-	// had a dedicated tree network for these (§4.1), so the tree model
-	// is the default; this option makes the simulation torus-only.
-	P2PTermination bool
 }
 
 // DefaultOptions returns the configuration the paper runs on
@@ -184,18 +167,4 @@ func DefaultOptions(source graph.Vertex) Options {
 		SentCache: true,
 		Common:    search.Defaults(),
 	}
-}
-
-// newFrontier builds a level frontier over the owned range [lo, lo+n)
-// with the configured adaptive occupancy threshold.
-func (o Options) newFrontier(lo graph.Vertex, n int) *frontier.Adaptive {
-	return o.NewFrontier(uint32(lo), n)
-}
-
-// doAlpha returns the effective direction-optimizing switch factor.
-func (o Options) doAlpha() float64 {
-	if o.DOAlpha <= 0 {
-		return DefaultDOAlpha
-	}
-	return o.DOAlpha
 }

@@ -13,7 +13,6 @@ func TestAlgorithmStrings(t *testing.T) {
 		FoldTwoPhase.String():        "twophase-union",
 		FoldDirect.String():          "direct",
 		FoldTwoPhaseNoUnion.String(): "twophase-nounion",
-		FoldBruck.String():           "bruck",
 	}
 	for got, want := range cases {
 		if got != want {

@@ -41,29 +41,14 @@ func prepared(send [][]uint32) Prep {
 	return func(m int) []uint32 { return send[m] }
 }
 
-// AllToAllAsync performs the personalized exchange of AllToAll with the
-// pipelined schedule. prep must not be nil; handle may be. out[i] and
-// Stats match AllToAll exactly.
-func AllToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) ([][]uint32, Stats) {
-	out := make([][]uint32, g.Size())
-	return out, allToAllAsync(c, g, o, prep, handle, out)
-}
-
-// allToAllAsync is AllToAllAsync recording the parts in out when out is
-// not nil; callers that consume every part in handle pass nil.
-func allToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle, out [][]uint32) Stats {
+// allToAllAsync performs the personalized exchange of AllToAll with the
+// pipelined schedule, handing every part to handle; the parts and Stats
+// match AllToAll exactly.
+func allToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stats {
 	size := g.Size()
 	var st Stats
-	deliver := func(m int, part []uint32) {
-		if out != nil {
-			out[m] = part
-		}
-		if handle != nil {
-			handle(m, part)
-		}
-	}
 	if size == 1 {
-		deliver(0, prep(0))
+		handle(0, prep(0))
 		return st
 	}
 	tr := begin(c, "alltoall-async")
@@ -76,11 +61,11 @@ func allToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle,
 		from := (g.Me - step + size) % size
 		reqs[step] = c.IrecvChunked(g.World(from), o.Tag+step, o.Chunk)
 	}
-	deliver(g.Me, prep(g.Me))
+	handle(g.Me, prep(g.Me))
 	for step := 1; step < size; step++ {
 		part := reqs[step].Wait()
 		st.RecvWords += len(part)
-		deliver((g.Me-step+size)%size, part)
+		handle((g.Me-step+size)%size, part)
 	}
 	c.ReleaseRequests(reqs)
 	end(tr, &st)
@@ -89,12 +74,13 @@ func allToAllAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle,
 
 // Exchange is the personalized exchange under the schedule o.Async
 // selects, for callers that produce and consume payloads the same way
-// under both: AllToAllAsync as it is, or AllToAll with every payload
-// prepared up front in member order and every part — the self part
-// included — handled in member order after the last one has arrived.
+// under both: the pipelined exchange as it is, or AllToAll with every
+// payload prepared up front in member order and every part — the self
+// part included — handled in member order after the last one has
+// arrived.
 func Exchange(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stats {
 	if o.Async {
-		return allToAllAsync(c, g, o, prep, handle, nil)
+		return allToAllAsync(c, g, o, prep, handle)
 	}
 	send := c.Lists(g.Size())
 	for m := range send {
@@ -180,7 +166,7 @@ func ReduceScatterUnionAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]u
 		acc, d = localindex.UnionInto(acc, part)
 		dups += d
 	}
-	st := allToAllAsync(c, g, o, wirePrep, handle, nil)
+	st := allToAllAsync(c, g, o, wirePrep, handle)
 	st.Dups += dups
 	return acc, st
 }
@@ -214,7 +200,7 @@ func ReduceScatterOrAsync(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle 
 		}
 		return s
 	}
-	return acc, allToAllAsync(c, g, o, wirePrep, orPart, nil)
+	return acc, allToAllAsync(c, g, o, wirePrep, orPart)
 }
 
 // TwoPhaseExpandAsync is TwoPhaseExpand with the pipelined schedule:
@@ -335,17 +321,15 @@ func TwoPhaseExpandAsync(c *comm.Comm, g comm.Group, o Opts, data []uint32, hand
 
 // Fold delivers the sets prep produces — prep(m) the sorted set
 // destined to member m — to their owners with the union fold alg names
-// ("direct", "twophase" or in full "twophase-union", "twophase-nounion",
-// "bruck") and returns the sorted union of what was destined to this rank. It is the one place a
-// fold's schedule is chosen: under o.Async the direct fold posts each
-// set as prep returns it, so the merges of the later sets overlap the
-// transfers already in flight, and the two-phase fold posts its phase 2
-// before any wait; otherwise every set is prepared up front in member
-// order and the phase-synchronous collective runs. The two-phase and
-// Bruck schedules need every bundle before their first hop and prepare
-// up front either way (Bruck's log-step rounds forward what the round
-// before received, so there is nothing to pipeline and both schedules
-// run the same exchange).
+// ("direct", "twophase" or in full "twophase-union", "twophase-nounion")
+// and returns the sorted union of what was destined to this rank. It is
+// the one place a fold's schedule is chosen: under o.Async the direct
+// fold posts each set as prep returns it, so the merges of the later
+// sets overlap the transfers already in flight, and the two-phase fold
+// posts its phase 2 before any wait; otherwise every set is prepared up
+// front in member order and the phase-synchronous collective runs. The
+// two-phase schedule needs every bundle before its first hop and
+// prepares up front either way.
 func Fold(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, Stats) {
 	switch alg {
 	case "direct":
@@ -355,7 +339,6 @@ func Fold(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, 
 	case "twophase", "twophase-union", "twophase-nounion":
 		o.NoUnion = o.NoUnion || alg == "twophase-nounion"
 		return twoPhaseFold(c, g, o, prep)
-	case "bruck":
 	default:
 		panic(fmt.Sprintf("collective: unknown fold %q", alg))
 	}
@@ -363,9 +346,6 @@ func Fold(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, 
 	defer c.ReleaseLists(send)
 	for m := range send {
 		send[m] = prep(m)
-	}
-	if alg == "bruck" {
-		return ReduceScatterUnionBruck(c, g, o, send)
 	}
 	return ReduceScatterUnion(c, g, o, send)
 }

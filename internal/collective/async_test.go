@@ -36,8 +36,9 @@ type foldOut struct {
 	st  Stats
 }
 
-// TestAllToAllAsyncMatchesSync: payloads, parts, and received words are
-// identical to the synchronous exchange; simexec never worse.
+// TestAllToAllAsyncMatchesSync: payloads, parts, and received words of
+// the pipelined Exchange are identical to the synchronous exchange;
+// simexec never worse.
 func TestAllToAllAsyncMatchesSync(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8} {
 		for _, chunk := range []int{0, 16} {
@@ -48,7 +49,9 @@ func TestAllToAllAsyncMatchesSync(t *testing.T) {
 				return foldOut{flattenParts(parts), st}
 			})
 			async, asyncT := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
-				parts, st := AllToAllAsync(c, g, o, prepared(all[g.Me]), nil)
+				parts := make([][]uint32, p)
+				st := Exchange(c, g, Opts{Tag: o.Tag, Chunk: o.Chunk, Async: true}, prepared(all[g.Me]),
+					func(m int, part []uint32) { parts[m] = part })
 				return foldOut{flattenParts(parts), st}
 			})
 			for r := 0; r < p; r++ {
@@ -96,7 +99,7 @@ func TestAllToAllAsyncStreamsUnderCompute(t *testing.T) {
 	})
 	var overlapped float64
 	_, asyncT := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
-		_, _ = AllToAllAsync(c, g, Opts{Tag: 1}, prepared(send), func(m int, part []uint32) {
+		Exchange(c, g, Opts{Tag: 1, Async: true}, prepared(send), func(m int, part []uint32) {
 			c.Compute(perPart)
 		})
 		if c.Rank() == 0 {
@@ -326,7 +329,7 @@ func TestBundleMergeNeverMoreWords(t *testing.T) {
 func TestFoldAsyncDispatch(t *testing.T) {
 	const p = 4
 	all := randSets(p, 30, 99)
-	for _, alg := range []string{"direct", "twophase", "twophase-union", "twophase-nounion", "bruck"} {
+	for _, alg := range []string{"direct", "twophase", "twophase-union", "twophase-nounion"} {
 		want, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
 			acc, _ := ReduceScatterUnion(c, g, Opts{Tag: 5}, all[g.Me])
 			return acc

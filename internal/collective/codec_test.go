@@ -107,7 +107,6 @@ func TestUnionFoldsWithCodecMatchPlain(t *testing.T) {
 	folds := map[string]func(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats){
 		"direct":   ReduceScatterUnion,
 		"twophase": TwoPhaseFold,
-		"bruck":    ReduceScatterUnionBruck,
 	}
 	for name, fold := range folds {
 		for _, mode := range []frontier.WireMode{frontier.WireAuto, frontier.WireHybrid} {
@@ -135,38 +134,6 @@ func TestUnionFoldsWithCodecMatchPlain(t *testing.T) {
 							name, mode, p, d, r.codW, r.plainW)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestBruckCodecInsideBundles: AllToAllBruck with a codec must deliver
-// the same payloads as the plain exchange while moving fewer bundle
-// words (blocks are container-encoded at their first hop and stay
-// encoded across later hops).
-func TestBruckCodecInsideBundles(t *testing.T) {
-	const span = 128
-	for _, p := range []int{2, 4, 5, 8} {
-		all := denseOwnerSets(p, span, int64(10+p))
-		type res struct {
-			plain, coded [][]uint32
-			plainW, codW int
-		}
-		results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-			plain, pst := AllToAllBruck(c, g, Opts{Tag: 1}, all[g.Me])
-			coded, cst := AllToAllBruck(c, g, Opts{Tag: 1 << 16, Codec: ownerCodec(span, frontier.WireHybrid)}, all[g.Me])
-			return res{plain, coded, pst.RecvWords, cst.RecvWords}
-		})
-		for d := 0; d < p; d++ {
-			r := results[d].(res)
-			for src := 0; src < p; src++ {
-				if !reflect.DeepEqual(r.plain[src], r.coded[src]) {
-					t.Fatalf("p=%d rank %d: codec changed the payload from %d", p, d, src)
-				}
-			}
-			if r.codW >= r.plainW {
-				t.Errorf("p=%d rank %d: bundled dense payloads did not compress (%d >= %d words)",
-					p, d, r.codW, r.plainW)
 			}
 		}
 	}

@@ -17,8 +17,8 @@
 //   - Broadcast (ring): used for one-to-all announcements; the real
 //     machine had a tree network for this.
 //   - Fold: the union fold by algorithm name (direct, two-phase with or
-//     without the in-flight union, Bruck) — the one place a fold's
-//     schedule, phase-synchronous or overlapped, is chosen.
+//     without the in-flight union) — the one place a fold's schedule,
+//     phase-synchronous or overlapped, is chosen.
 //   - Exchange: the personalized exchange for callers that produce and
 //     consume payloads the same way under both schedules (the value
 //     folds and targeted expands of multi-source BFS and Δ-stepping).
@@ -57,8 +57,8 @@ type Opts struct {
 	// progress concurrently (see async.go). Payloads, tags, and received
 	// words are identical to the synchronous schedule; only the simulated
 	// clock — and the OverlapTime ledger — differ. Operations whose hops
-	// are serially dependent (the Bruck rounds, the two-phase fold's
-	// phase-1 ring) ignore the knob for those hops.
+	// are serially dependent (the two-phase fold's phase-1 ring) ignore
+	// the knob for those hops.
 	Async bool
 	// BundleMerge, when non-nil, lets TwoPhaseExpand recompress each
 	// circulating phase-2 bundle as one merged payload; the hop ships
@@ -68,12 +68,10 @@ type Opts struct {
 	// Codec, when non-nil, re-encodes payloads at wire boundaries
 	// (typically frontier.EncodeSet picking vertex lists, bitmaps, or
 	// hybrid chunk containers, whichever is fewer words). Honored by
-	// the union folds — ReduceScatterUnion, TwoPhaseFold (ignored under
-	// NoUnion, whose merged multisets have no set encoding), and the
-	// Bruck exchange (AllToAllBruck container-encodes bundled blocks at
-	// their first hop and decodes them only at the final destination) —
-	// and by ReduceScatterOr, whose payloads are wire bitmaps rather
-	// than sets. The pass-through exchanges (AllGather, AllToAll,
+	// the union folds — ReduceScatterUnion and TwoPhaseFold (ignored
+	// under NoUnion, whose merged multisets have no set encoding) — and
+	// by ReduceScatterOr, whose payloads are wire bitmaps rather than
+	// sets. The pass-through exchanges (AllGather, AllToAll,
 	// TwoPhaseExpand) move opaque payloads, so their callers encode and
 	// decode at the edges instead.
 	Codec *Codec

@@ -53,7 +53,7 @@ func (q *queue) pop() (message, bool) {
 
 // peek returns the head message without consuming it, never blocking;
 // the bool result is false when the queue is currently empty or
-// poisoned. Advisory only — see Request.Test.
+// poisoned.
 func (q *queue) peek() (message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -133,30 +133,6 @@ func (r *Request) Wait() []uint32 {
 	return r.data
 }
 
-// Test reports whether Wait would complete without blocking: the
-// (first) message is already in the mailbox and its simulated
-// completion is at or before this rank's clock. It never consumes the
-// message and charges nothing.
-//
-// Test is advisory only. Whether a peer's send has reached the mailbox
-// depends on host goroutine scheduling, so branching control flow on
-// Test would make the simulated clock nondeterministic; the engines in
-// this repository schedule with Wait alone and use Test for
-// diagnostics.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	msg, ok := r.c.world.mail[r.c.rank][r.src].peek()
-	if !ok || msg.tag != r.tag {
-		return false
-	}
-	bytes := messageHeaderBytes + 4*len(msg.data)
-	hops := r.c.world.mapping.Hops(r.src, r.c.rank)
-	transit := r.c.world.model.Transit(hops, bytes)
-	return msg.departure+transit+r.c.world.model.RecvOverhead <= r.c.clock
-}
-
 // receiveOffloaded pops the next message from src, checks its tag, and
 // runs the coprocessor-completion accounting against ref — the
 // simulated time the transfer was posted (or the previous chunk's

@@ -238,12 +238,3 @@ func MaxOverlapTime(comms []*Comm) float64 {
 	}
 	return max
 }
-
-// TotalBytes returns the total bytes sent by all ranks.
-func TotalBytes(comms []*Comm) uint64 {
-	var total uint64
-	for _, c := range comms {
-		total += c.bytesSent
-	}
-	return total
-}

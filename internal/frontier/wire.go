@@ -61,7 +61,7 @@ func denseHeader(lo uint32, n int) []uint32 {
 
 // rawList returns the raw-list arm of the wire format. The buffer is
 // always a copy: encoded payloads are owned by the transport until
-// receipt (they may sit in mailboxes or travel multiple Bruck hops),
+// receipt (they may sit in mailboxes or ride several ring hops),
 // and an aliased frontier slice the caller later mutates would corrupt
 // them in flight.
 func rawList(ids []uint32) []uint32 {

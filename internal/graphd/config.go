@@ -5,19 +5,25 @@ import (
 	"time"
 
 	bgl "repro"
-	"repro/internal/metrics"
 )
 
-// Defaults for the tunable knobs of Config.
+// Defaults for the knobs of Config, and the constants beside them.
 const (
 	DefaultQueueDepth = 64
-	DefaultRetryAfter = time.Second
+
+	// retryAfterSeconds is the Retry-After of every 503.
+	retryAfterSeconds = "1"
+
+	// wire is the payload codec of every sweep and query: the hybrid
+	// containers, never more words than the other three (BENCH_PR2.json,
+	// the topdown-* and dirop-* rows).
+	wire = bgl.WireHybrid
 
 	// Rebuild backoff bounds for the replica supervisor: the first
 	// rebuild of a quarantined replica waits DefaultRebuildBackoff,
-	// doubling per failure up to DefaultRebuildBackoffMax.
-	DefaultRebuildBackoff    = 50 * time.Millisecond
-	DefaultRebuildBackoffMax = 2 * time.Second
+	// doubling per failure up to maxRebuildBackoff.
+	DefaultRebuildBackoff = 50 * time.Millisecond
+	maxRebuildBackoff     = 2 * time.Second
 )
 
 // Config describes a graphd server: the graph to distribute once at
@@ -32,15 +38,14 @@ type Config struct {
 	Graph *bgl.Graph
 
 	// R, C are the logical mesh dimensions (default 1x1); Partition
-	// selects the layout (default Part2D); Wire the payload codec
-	// (default WireHybrid).
+	// selects the layout (default Part2D).
 	R, C      int
 	Partition bgl.Partition
-	Wire      bgl.WireMode
 
 	// Cores models n compute cores per node (see bgl.WithCores);
-	// Workers sizes the real per-rank pool. Zero leaves the engine
-	// defaults (single core, inline loops).
+	// Workers sizes the real per-rank pool (see bgl.WithWorkers; zero
+	// follows Cores). Both zero is the engine default: a single core,
+	// inline loops.
 	Cores, Workers int
 
 	// Replicas is the number of engines: each a simulated machine of its
@@ -57,15 +62,11 @@ type Config struct {
 	// MaxWaiting bounds the batched BFS queries admitted but not yet
 	// answered (default 4x MaxBatch); QueueDepth bounds the worker
 	// queue for queries that cannot batch — SSSP and path (default
-	// DefaultQueueDepth). Beyond either bound the server answers 503
-	// with a Retry-After of RetryAfter (default DefaultRetryAfter).
+	// DefaultQueueDepth), which Replicas goroutines drain — more would
+	// just contend for engines. Beyond either bound the server answers
+	// 503 with a Retry-After of one second.
 	MaxWaiting int
 	QueueDepth int
-	RetryAfter time.Duration
-
-	// QueryWorkers is the number of goroutines draining the non-batch
-	// queue (default Replicas — more would just contend for engines).
-	QueryWorkers int
 
 	// Fault, when non-nil, injects the plan's deterministic transport
 	// faults into every sweep and query the server runs. The engines'
@@ -91,16 +92,11 @@ type Config struct {
 	// /v1/stats. Test/chaos-harness knob; 0 (the default) disables it.
 	ChaosPanicSweep int
 
-	// RebuildBackoff / RebuildBackoffMax bound the supervisor's retry
-	// cadence when rebuilding a quarantined replica (defaults
-	// DefaultRebuildBackoff / DefaultRebuildBackoffMax).
-	RebuildBackoff    time.Duration
-	RebuildBackoffMax time.Duration
-
-	// Metrics, when non-nil, receives the server's instruments and
-	// every run's engine statistics; it is what GET /metrics serves.
-	// Default: a fresh registry.
-	Metrics *metrics.Registry
+	// RebuildBackoff is the supervisor's wait before it first rebuilds
+	// a quarantined replica (default DefaultRebuildBackoff), doubling
+	// per failed build up to two seconds. The chaos tests hold the
+	// degraded window open with it.
+	RebuildBackoff time.Duration
 }
 
 // withDefaults returns cfg with every zero knob replaced by its
@@ -111,13 +107,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.C == 0 {
 		cfg.C = 1
-	}
-	if cfg.Wire == 0 {
-		// WireSparse is the zero WireMode; the service default is the
-		// hybrid codec, which is never more words than sparse. Callers
-		// that really want plain lists set Wire explicitly after
-		// noting this (the CLI exposes -wire).
-		cfg.Wire = bgl.WireHybrid
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
@@ -131,22 +120,21 @@ func (cfg Config) withDefaults() Config {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.QueryWorkers == 0 {
-		cfg.QueryWorkers = cfg.Replicas
-	}
 	if cfg.RebuildBackoff == 0 {
 		cfg.RebuildBackoff = DefaultRebuildBackoff
 	}
-	if cfg.RebuildBackoffMax == 0 {
-		cfg.RebuildBackoffMax = DefaultRebuildBackoffMax
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	return cfg
+}
+
+// poolSize is the real per-rank worker pool every run gets: Workers
+// when set — 1 included, the inline loops under a multi-core cost
+// model — else one worker per modeled core, what bgl.WithCores sizes it
+// to.
+func (cfg Config) poolSize() int {
+	if cfg.Workers > 0 {
+		return cfg.Workers
+	}
+	return max(cfg.Cores, 1)
 }
 
 // validate rejects configurations no server can run. Distribute-style
@@ -167,7 +155,7 @@ func (cfg Config) validate() error {
 	if cfg.Replicas < 0 {
 		return fmt.Errorf("graphd: negative replica count %d", cfg.Replicas)
 	}
-	if cfg.MaxWaiting < 0 || cfg.QueueDepth < 0 || cfg.QueryWorkers < 0 {
+	if cfg.MaxWaiting < 0 || cfg.QueueDepth < 0 {
 		return fmt.Errorf("graphd: admission bounds must be non-negative")
 	}
 	if cfg.MaxQueryWall < 0 {

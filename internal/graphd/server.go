@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +32,7 @@ type Server struct {
 	engines chan *engine
 	batcher *batcher
 	reg     *metrics.Registry
+	opts    []bgl.Option // what every run starts from; see searchOpts
 	mux     *http.ServeMux
 	start   time.Time
 
@@ -90,11 +90,16 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		dg:      dg,
 		engines: make(chan *engine, len(engines)),
-		reg:     cfg.Metrics,
+		reg:     metrics.NewRegistry(),
 		start:   time.Now(),
 		workCh:  make(chan func(), cfg.QueueDepth),
 		closed:  make(chan struct{}),
 		stopCh:  make(chan struct{}),
+	}
+	s.opts = []bgl.Option{bgl.WithWire(wire), bgl.WithMetrics(s.reg),
+		bgl.WithCores(cfg.Cores), bgl.WithWorkers(cfg.poolSize())}
+	if cfg.Fault != nil {
+		s.opts = append(s.opts, bgl.WithFault(cfg.Fault))
 	}
 	for _, e := range engines {
 		s.engines <- e
@@ -115,7 +120,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.gQuarantined = s.reg.Gauge("graphd_replicas_quarantined")
 	s.hQueueWait = s.reg.Histogram("graphd_queue_wait_seconds", metrics.TimeBuckets)
 	s.hLatency = s.reg.Histogram("graphd_latency_seconds", metrics.TimeBuckets)
-	for i := 0; i < cfg.QueryWorkers; i++ {
+	for i := 0; i < cfg.Replicas; i++ {
 		s.workerWG.Add(1)
 		go func() {
 			defer s.workerWG.Done()
@@ -162,21 +167,12 @@ func (s *Server) Close() {
 	close(s.closed)
 }
 
-// searchOpts are the run options every sweep and query uses: the
-// server's wire codec and core model, the shared registry, and (when
-// configured) the deterministic fault plan.
+// searchOpts are the run options every sweep and query uses — the
+// server's wire codec, core model and worker pool, the shared registry,
+// and (when configured) the deterministic fault plan, built once by
+// NewServer — followed by the run's own.
 func (s *Server) searchOpts(extra ...bgl.Option) []bgl.Option {
-	opts := []bgl.Option{bgl.WithWire(s.cfg.Wire), bgl.WithMetrics(s.reg)}
-	if s.cfg.Cores > 1 {
-		opts = append(opts, bgl.WithCores(s.cfg.Cores))
-	}
-	if s.cfg.Workers > 1 {
-		opts = append(opts, bgl.WithWorkers(s.cfg.Workers))
-	}
-	if s.cfg.Fault != nil {
-		opts = append(opts, bgl.WithFault(s.cfg.Fault))
-	}
-	return append(opts, extra...)
+	return append(s.opts[:len(s.opts):len(s.opts)], extra...)
 }
 
 // --- deadlines -----------------------------------------------------
@@ -339,7 +335,7 @@ func (s *Server) quarantineEngine(e *engine) {
 // rebuildReplica is the supervisor loop for one quarantined slot: wait
 // a backoff, build a fresh machine over the same distributed graph —
 // nothing is re-partitioned — and return it to the pool. Build failures
-// double the backoff up to RebuildBackoffMax.
+// double the backoff up to maxRebuildBackoff.
 // When the server begins draining mid-backoff the loop makes one final
 // immediate attempt — an in-flight query blocked on the pool may need
 // the replacement to finish — then gives up.
@@ -360,10 +356,7 @@ func (s *Server) rebuildReplica(idx int) {
 			s.restoreEngine(e)
 			return
 		}
-		backoff *= 2
-		if backoff > s.cfg.RebuildBackoffMax {
-			backoff = s.cfg.RebuildBackoffMax
-		}
+		backoff = min(2*backoff, maxRebuildBackoff)
 	}
 }
 
@@ -470,11 +463,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeError answers a failure as ErrorResponse JSON.
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	if code == http.StatusServiceUnavailable {
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		s.nRejected.Inc()
 	}
 	if code >= 500 {
@@ -877,7 +866,7 @@ func (s *Server) Stats() StatsResponse {
 			N: g.N(), Edges: g.NumEdges(), Weighted: g.Weighted(),
 			Mesh:      fmt.Sprintf("%dx%d", s.cfg.R, s.cfg.C),
 			Partition: s.cfg.Partition.String(),
-			Wire:      s.cfg.Wire.String(),
+			Wire:      wire.String(),
 			Replicas:  s.cfg.Replicas,
 		},
 		Batching: BatchingInfo{

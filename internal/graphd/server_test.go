@@ -270,6 +270,19 @@ func TestServerConfigErrors(t *testing.T) {
 	}
 }
 
+// TestPoolSizeHonorsWorkers: Workers sizes the real pool whenever it is
+// set. `-cores 2 -workers 1` used to run two workers, because only
+// Workers > 1 was applied on top of WithCores, which sets both.
+func TestPoolSizeHonorsWorkers(t *testing.T) {
+	for _, tc := range []struct{ cores, workers, want int }{
+		{0, 0, 1}, {1, 0, 1}, {2, 0, 2}, {2, 1, 1}, {1, 4, 4}, {4, 2, 2},
+	} {
+		if got := (Config{Cores: tc.cores, Workers: tc.workers}).poolSize(); got != tc.want {
+			t.Errorf("cores %d workers %d: pool of %d, want %d", tc.cores, tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestServerQueueFull: with the lone engine borrowed and the bounded
 // queue filled, a path query is rejected with 503 + Retry-After instead
 // of queueing without bound.
@@ -277,7 +290,6 @@ func TestServerQueueFull(t *testing.T) {
 	g := testGraph(t, 400)
 	s := newTestServer(t, g, func(c *Config) {
 		c.QueueDepth = 1
-		c.RetryAfter = 3 * time.Second
 	})
 	ts, _ := startHTTP(t, s)
 
@@ -311,8 +323,8 @@ func TestServerQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d with a full queue, want 503 (body %s)", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want %q", ra, "3")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want %q", ra, "1")
 	}
 	if !strings.Contains(string(body), "queue full") {
 		t.Fatalf("rejection %s does not mention the full queue", body)

@@ -63,7 +63,7 @@ func RunAblationCollectives(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	src := graph.LargestComponentVertex(w.g)
-	for _, alg := range []bfs.FoldAlg{bfs.FoldDirect, bfs.FoldTwoPhase, bfs.FoldTwoPhaseNoUnion, bfs.FoldBruck} {
+	for _, alg := range []bfs.FoldAlg{bfs.FoldDirect, bfs.FoldTwoPhase, bfs.FoldTwoPhaseNoUnion} {
 		opts := bfs.DefaultOptions(src)
 		opts.Fold = alg
 		res, err := bfs.Run2D(w.cl.world, w.stores, opts)
@@ -74,40 +74,6 @@ func RunAblationCollectives(cfg Config) (*Table, error) {
 	}
 	t.Note("expected: union fold moves fewer words than the no-union ring; direct all-to-all")
 	t.Note("has fewest messages at this scale but needs per-destination buffers ∝ k (§3.2)")
-	return t, nil
-}
-
-// RunAblationTermination compares the two homes for the per-level
-// termination/found reductions: the modeled dedicated combine-tree
-// network BlueGene/L provides (§4.1) versus recursive-doubling over
-// ordinary torus point-to-point messages. The data collectives are
-// identical in both runs; only the O(log P) control reductions move.
-func RunAblationTermination(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		Title:   "Ablation — termination reductions: tree network vs torus point-to-point",
-		Columns: []string{"reductions", "exec(s)", "comm(s)", "messages"},
-	}
-	w, err := ablationWorkload(cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	src := graph.LargestComponentVertex(w.g)
-	for _, p2p := range []bool{false, true} {
-		opts := bfs.DefaultOptions(src)
-		opts.P2PTermination = p2p
-		res, err := bfs.Run2D(w.cl.world, w.stores, opts)
-		if err != nil {
-			return nil, err
-		}
-		label := "tree network"
-		if p2p {
-			label = "torus p2p"
-		}
-		t.AddRow(label, res.SimTime, res.SimComm, res.MsgsRecv)
-	}
-	t.Note("expected: torus-only termination adds ~2 log2(P) messages per rank per level and")
-	t.Note("grows comm time — the reason BlueGene/L's dedicated tree network matters (§4.1)")
 	return t, nil
 }
 

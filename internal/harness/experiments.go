@@ -73,7 +73,6 @@ func All() []Experiment {
 		{"ablation-mapping", "Figure-1 plane mapping vs row-major placement", "design ablation (§3.2.1)", RunAblationMapping},
 		{"ablation-collective", "Fold collective algorithms", "design ablation (§3.2.2)", RunAblationCollectives},
 		{"ablation-sentcache", "Sent-neighbors cache on/off", "design ablation (§2.4.3)", RunAblationSentCache},
-		{"ablation-termination", "Tree-network vs torus point-to-point termination", "design ablation (§4.1)", RunAblationTermination},
 		{"ablation-direction", "Top-down vs direction-optimizing traversal, level by level", "design ablation (beyond the paper)", RunAblationDirection},
 		{"ablation-wire", "Frontier wire encodings (sparse/dense/auto/hybrid) across occupancies", "design ablation (beyond the paper)", RunAblationWire},
 		{"ablation-delta", "Δ-stepping SSSP bucket-width sweep on the weighted Poisson workload", "design ablation (beyond the paper)", RunAblationDelta},

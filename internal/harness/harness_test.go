@@ -174,28 +174,6 @@ func TestTable1TopologiesDistinct(t *testing.T) {
 	}
 }
 
-// TestTerminationAblationShape: torus p2p termination must add
-// messages relative to the tree network.
-func TestTerminationAblationShape(t *testing.T) {
-	tbl, err := RunAblationTermination(Config{Scale: 0.1, MaxP: 16, Seed: 1, Searches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(tbl.Rows))
-	}
-	var tree, p2p float64
-	if _, err := fmtSscan(tbl.Rows[0][3], &tree); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(tbl.Rows[1][3], &p2p); err != nil {
-		t.Fatal(err)
-	}
-	if p2p <= tree {
-		t.Errorf("p2p termination messages %g not above tree %g", p2p, tree)
-	}
-}
-
 // TestAblationPartitionCoversAllPartitionings checks the Table 1
 // head-to-head exhibits every public partitioning with nonzero moved
 // words.

@@ -17,8 +17,8 @@
 //     merge of (vertex, value) pairs, generic over the value — a lane
 //     mask OR-merged, a tentative distance min-merged;
 //   - the options block (Common) whose knobs — wire codec, message
-//     buffers (§3.1), frontier occupancy, schedule, cores, workers — have
-//     one meaning for every family, and the shared metric names.
+//     buffers (§3.1), schedule, cores, workers — have one meaning for
+//     every family, and the shared metric names.
 //
 // A family is then its state, its scan body, its mark or apply, and its
 // record's own counters.
@@ -38,8 +38,8 @@ const DefaultChunkWords = 16384
 
 // Common is the options block shared by every search algorithm.
 // Algorithm-specific option structs embed it, promoting the fields so
-// existing o.Wire / o.ChunkWords / o.FrontierOccupancy call sites keep
-// working while the public API applies one option to every family.
+// existing o.Wire / o.ChunkWords call sites keep working while the
+// public API applies one option to every family.
 type Common struct {
 	// Wire selects the wire encoding of vertex-set payloads (expand
 	// frontiers, union-fold sets, relax-request sets, lane-OR
@@ -51,10 +51,6 @@ type Common struct {
 	// ChunkWords > 0 caps every physical message at this many words
 	// (§3.1 fixed-length buffers); 0 sends logical messages whole.
 	ChunkWords int
-	// FrontierOccupancy is the adaptive sets' sparse→dense switch
-	// threshold as a fraction of the owned range; <= 0 selects
-	// frontier.DefaultOccupancy, >= 1 pins the sets sparse.
-	FrontierOccupancy float64
 	// Async selects the overlapped per-level/per-epoch schedule: every
 	// exchange posts its sends before any wait and received parts stream
 	// into the local scan as they complete, hiding wire time under the
@@ -125,16 +121,15 @@ type Common struct {
 }
 
 // Defaults returns the shared production configuration: legacy sparse
-// wire lists, the paper's fixed message buffers, the frontier package's
-// default occupancy threshold, and the overlapped (asynchronous)
-// exchange schedule.
+// wire lists, the paper's fixed message buffers, and the overlapped
+// (asynchronous) exchange schedule.
 func Defaults() Common {
 	return Common{ChunkWords: DefaultChunkWords, Async: true}
 }
 
 // NewFrontier builds an adaptive vertex set over the owned range
-// [lo, lo+n) with the configured sparse→dense occupancy threshold —
-// the representation level frontiers and Δ-stepping buckets share.
-func (c Common) NewFrontier(lo uint32, n int) *frontier.Adaptive {
-	return frontier.NewAdaptive(lo, n, c.FrontierOccupancy)
+// [lo, lo+n) — the representation level frontiers and Δ-stepping
+// buckets share, switching sparse→dense at frontier.DefaultOccupancy.
+func NewFrontier(lo uint32, n int) *frontier.Adaptive {
+	return frontier.NewAdaptive(lo, n, frontier.DefaultOccupancy)
 }

@@ -14,27 +14,4 @@ func TestDefaults(t *testing.T) {
 	if c.Wire != frontier.WireSparse {
 		t.Errorf("default wire = %v, want sparse", c.Wire)
 	}
-	if c.FrontierOccupancy != 0 {
-		t.Error("default occupancy should defer to the frontier package")
-	}
-}
-
-func TestNewFrontierHonorsOccupancy(t *testing.T) {
-	// occupancy >= 1 pins the set sparse regardless of fill.
-	c := Common{FrontierOccupancy: 1}
-	f := c.NewFrontier(0, 64)
-	for v := uint32(0); v < 64; v++ {
-		f.Add(v)
-	}
-	if f.Kind() != frontier.KindSparse {
-		t.Error("occupancy 1 should pin the representation sparse")
-	}
-	// The default threshold flips a filling set dense.
-	d := Defaults().NewFrontier(0, 64)
-	for v := uint32(0); v < 64; v++ {
-		d.Add(v)
-	}
-	if d.Kind() != frontier.KindDense {
-		t.Error("default occupancy never flipped to dense")
-	}
 }

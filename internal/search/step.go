@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -112,10 +111,10 @@ func decodeHist(dec *checkpoint.Dec) frontier.ContainerHist {
 }
 
 // blobVersion guards the layout of a rank's checkpoint blob:
-// [version, the family's state..., the transport state]. Version 2
-// moved the shared Step fields of every record into one block; an older
+// [version, the family's state..., the transport state]. Version 3
+// dropped the BFS driver's point-to-point reduction tag; an older
 // snapshot is refused, not misread.
-const blobVersion = 2
+const blobVersion = 3
 
 // Halt deposits rank c's checkpoint blob into o.Checkpoint: state
 // writes the family's search state, the transport state follows. fam
@@ -175,7 +174,6 @@ func (o *Common) Fingerprint(l partition.View, family ...uint64) uint64 {
 	return checkpoint.Fingerprint(append(family,
 		uint64(l.N), uint64(l.R), uint64(l.C), async,
 		uint64(o.Wire), uint64(o.ChunkWords),
-		math.Float64bits(o.FrontierOccupancy),
 		// Cores scales the pool-loop charges, so it is workload identity;
 		// 0 and 1 are the same single-core baseline. Workers is real
 		// wall-clock parallelism only and deliberately excluded.

@@ -64,7 +64,7 @@ func (s *rankState) insert(gv uint32, d uint32) {
 	b := s.bucketOfDist(d)
 	f, ok := s.buckets[b]
 	if !ok {
-		f = s.opts.NewFrontier(s.lo, s.n)
+		f = search.NewFrontier(s.lo, s.n)
 		s.buckets[b] = f
 	}
 	f.Add(gv)

@@ -37,8 +37,7 @@ type Options struct {
 	// Common carries the knobs shared with every other search
 	// algorithm: Wire selects the encoding of the relax-request vertex
 	// sets (the same codec family the BFS payloads use), ChunkWords the
-	// fixed message buffers, and FrontierOccupancy the buckets'
-	// sparse→dense switch threshold.
+	// fixed message buffers.
 	search.Common
 }
 

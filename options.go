@@ -17,8 +17,8 @@ import (
 // searchConfig is the unified option target: one BFS-family and one
 // SSSP-family options struct, configured together so a single Option
 // vocabulary serves every search algorithm. Shared knobs (WithWire,
-// WithChunkWords, WithOccupancy) write both halves; algorithm-specific
-// knobs write only theirs and are ignored by the other family's runs.
+// WithChunkWords) write both halves; algorithm-specific knobs write
+// only theirs and are ignored by the other family's runs.
 type searchConfig struct {
 	bfs  bfs.Options
 	sssp sssp.Options
@@ -43,8 +43,8 @@ func (c *searchConfig) apply(opts []Option) {
 
 // Option adjusts a search run. One option vocabulary serves every
 // algorithm and partitioning: the shared knobs (WithWire,
-// WithChunkWords, WithOccupancy) apply to BFS, multi-source BFS and
-// Δ-stepping SSSP alike; algorithm-specific options (WithDirection,
+// WithChunkWords) apply to BFS, multi-source BFS and Δ-stepping SSSP
+// alike; algorithm-specific options (WithDirection,
 // WithDelta, ...) are silently ignored by runs of the other family.
 // MultiBFS additionally ignores the single-source traversal-shape
 // options — see its doc comment for the exact carve-out.
@@ -68,7 +68,6 @@ const (
 	FoldTwoPhase        = bfs.FoldTwoPhase
 	FoldDirect          = bfs.FoldDirect
 	FoldTwoPhaseNoUnion = bfs.FoldTwoPhaseNoUnion
-	FoldBruck           = bfs.FoldBruck
 )
 
 // Direction re-exports the per-level traversal direction policy.
@@ -116,13 +115,6 @@ func WithChunkWords(n int) Option {
 	return func(c *searchConfig) { c.bfs.ChunkWords = n; c.sssp.ChunkWords = n }
 }
 
-// WithOccupancy sets the adaptive vertex sets' sparse→dense switch
-// threshold — level frontiers and Δ-stepping buckets alike — as an
-// occupancy fraction of the owned range.
-func WithOccupancy(f float64) Option {
-	return func(c *searchConfig) { c.bfs.FrontierOccupancy = f; c.sssp.FrontierOccupancy = f }
-}
-
 // WithAsync toggles the overlapped exchange schedule (on by default):
 // every expand/fold/relax exchange posts its sends before any wait and
 // streams received parts into the local scan, hiding wire time under
@@ -165,13 +157,6 @@ func WithWorkers(n int) Option {
 // WithDirection selects the traversal direction policy.
 func WithDirection(d Direction) Option {
 	return func(c *searchConfig) { c.bfs.Direction = d }
-}
-
-// WithDOAlpha tunes the direction-optimizing switch: a level runs
-// bottom-up when alpha x (frontier out-degree) >= (unlabeled
-// out-degree).
-func WithDOAlpha(alpha float64) Option {
-	return func(c *searchConfig) { c.bfs.DOAlpha = alpha }
 }
 
 // WithExpand selects the expand collective.

@@ -199,15 +199,12 @@ func TestDistributeValidation(t *testing.T) {
 // both option families while family-specific ones stay put.
 func TestSharedOptionsReachBothFamilies(t *testing.T) {
 	cfg := newSearchConfig(3)
-	cfg.apply([]Option{WithWire(WireHybrid), WithChunkWords(777), WithOccupancy(0.11), WithDelta(9), WithDirection(BottomUp)})
+	cfg.apply([]Option{WithWire(WireHybrid), WithChunkWords(777), WithDelta(9), WithDirection(BottomUp)})
 	if cfg.bfs.Wire != WireHybrid || cfg.sssp.Wire != WireHybrid {
 		t.Error("WithWire did not reach both families")
 	}
 	if cfg.bfs.ChunkWords != 777 || cfg.sssp.ChunkWords != 777 {
 		t.Error("WithChunkWords did not reach both families")
-	}
-	if cfg.bfs.FrontierOccupancy != 0.11 || cfg.sssp.FrontierOccupancy != 0.11 {
-		t.Error("WithOccupancy did not reach both families")
 	}
 	if cfg.sssp.Delta != 9 {
 		t.Error("WithDelta lost")

@@ -148,10 +148,6 @@ func TestProbeChargesPinned(t *testing.T) {
 			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(false)), reading{86492, 55112, 30407, "0.0016198399999999985"}},
 		{"2d/fold-direct/async", 4, 4, Part2D, gU,
 			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(true)), reading{86492, 55112, 30407, "0.0013142442857142853"}},
-		{"2d/fold-bruck/sync", 4, 4, Part2D, gU,
-			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(false)), reading{86492, 55112, 35937, "0.00157699857142857"}},
-		{"2d/fold-bruck/async", 4, 4, Part2D, gU,
-			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(true)), reading{86492, 55112, 35937, "0.0014136028571428566"}},
 		{"2d/fold-twophase-nounion/sync", 4, 4, Part2D, gU,
 			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(false)), reading{86492, 55112, 35708, "0.0015692328571428559"}},
 		{"2d/fold-twophase-nounion/async", 4, 4, Part2D, gU,
@@ -160,10 +156,6 @@ func TestProbeChargesPinned(t *testing.T) {
 			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(false)), reading{18330, 16700, 14290, "0.002805452857142836"}},
 		{"1d/fold-direct/async", 1, 16, Part1DCol, gS,
 			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(true)), reading{18330, 16700, 14290, "0.001729608571428564"}},
-		{"1d/fold-bruck/sync", 1, 16, Part1DCol, gS,
-			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(false)), reading{18330, 16700, 38179, "0.0013904757142857123"}},
-		{"1d/fold-bruck/async", 1, 16, Part1DCol, gS,
-			bfs(WithDirection(TopDown), WithFold(FoldBruck), WithAsync(true)), reading{18330, 16700, 38179, "0.0013904757142857123"}},
 		{"1d/fold-twophase-nounion/sync", 1, 16, Part1DCol, gS,
 			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(false)), reading{18330, 16700, 37142, "0.001680309999999995"}},
 		{"1d/fold-twophase-nounion/async", 1, 16, Part1DCol, gS,

@@ -14,7 +14,7 @@
 # family (BFS, bi-directional, multi-source, Δ-stepping) with the
 # partitionings, wire codecs, schedules, fold and expand collectives,
 # direction policies, the sent cache, a canned fault plan and the
-# pool/cores knobs at n = 12000: 242 configurations, about ten seconds
+# pool/cores knobs at n = 12000: 232 configurations, about ten seconds
 # a side. The first differing configuration is printed as a runnable
 # bfsrun line.
 set -euo pipefail
@@ -63,13 +63,13 @@ matrix() {
 				echo "-algo sssp -part $part -async=$async $extra"
 				echo "-sources 3,99,1024,2047 -part $part -async=$async $extra"
 			done
-			for fold in twophase direct nounion bruck; do
+			for fold in twophase direct nounion; do
 				echo "-part $part -async=$async -fold $fold -wire auto"
 			done
 		done
 	done
 	for async in true false; do
-		for fold in twophase direct nounion bruck; do
+		for fold in twophase direct nounion; do
 			for expand in allgather twophase; do
 				echo "-part 2d -async=$async -fold $fold -expand $expand -wire hybrid"
 			done
