@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section (§4). Each benchmark runs the corresponding
-// harness experiment at a reduced scale (the full-scale runs are
-// driven by cmd/bfsbench) and reports headline quantities as custom
-// metrics so `go test -bench=.` yields a compact reproduction record:
+// evaluation section (§4): BenchmarkExhibit runs each harness
+// experiment at a reduced scale (the full-scale runs are driven by
+// cmd/bfsbench), and the engine benchmarks below it report headline
+// quantities as custom metrics so `go test -bench=.` yields a compact
+// reproduction record:
 //
 //	simexec-s   simulated execution time of the exhibit's largest run
 //	simcomm-s   simulated communication time of the same run
@@ -26,87 +27,24 @@ import (
 	"repro/internal/sssp"
 )
 
-// benchConfig keeps every exhibit under a few seconds per iteration on
-// one core.
-func benchConfig() harness.Config {
-	return harness.Config{Scale: 0.25, MaxP: 16, Seed: 1, Searches: 1}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := harness.ByID(id)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkExhibit regenerates every exhibit of harness.All — the
+// paper's figures and table, the memory-scalability exhibit and the
+// design ablations — one sub-benchmark per experiment id, at a scale
+// that keeps each under a few seconds per iteration on one core.
+// `make bench-smoke` runs it once: every exhibit still runs to
+// completion.
+func BenchmarkExhibit(b *testing.B) {
+	cfg := harness.Config{Scale: 0.25, MaxP: 16, Seed: 1, Searches: 1}
+	for _, e := range harness.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
-
-// BenchmarkFig4aWeakScaling regenerates Figure 4a (weak scaling mean
-// search time + communication time).
-func BenchmarkFig4aWeakScaling(b *testing.B) { runExperiment(b, "fig4a") }
-
-// BenchmarkFig4bMessageVolume regenerates Figure 4b (message volume vs
-// search path length).
-func BenchmarkFig4bMessageVolume(b *testing.B) { runExperiment(b, "fig4b") }
-
-// BenchmarkFig4cBidirectional regenerates Figure 4c (bi-directional vs
-// uni-directional weak scaling).
-func BenchmarkFig4cBidirectional(b *testing.B) { runExperiment(b, "fig4c") }
-
-// BenchmarkFig5StrongScaling regenerates Figure 5 (strong scaling
-// speedup).
-func BenchmarkFig5StrongScaling(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkTable1Topologies regenerates Table 1 (processor-topology
-// comparison).
-func BenchmarkTable1Topologies(b *testing.B) { runExperiment(b, "table1") }
-
-// BenchmarkFig6aVolumeByLevel regenerates Figure 6a (per-level volume,
-// 1D vs 2D, k=10 and k=50).
-func BenchmarkFig6aVolumeByLevel(b *testing.B) { runExperiment(b, "fig6a") }
-
-// BenchmarkFig6bCrossover regenerates Figure 6b (1D/2D crossover
-// degree).
-func BenchmarkFig6bCrossover(b *testing.B) { runExperiment(b, "fig6b") }
-
-// BenchmarkFig7Redundancy regenerates Figure 7 (union-fold redundancy
-// ratio).
-func BenchmarkFig7Redundancy(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkAblationMapping regenerates the §3.2.1 mapping ablation.
-func BenchmarkAblationMapping(b *testing.B) { runExperiment(b, "ablation-mapping") }
-
-// BenchmarkAblationCollectives regenerates the §3.2.2 collective
-// ablation.
-func BenchmarkAblationCollectives(b *testing.B) { runExperiment(b, "ablation-collective") }
-
-// BenchmarkAblationSentCache regenerates the §2.4.3 sent-cache
-// ablation.
-func BenchmarkAblationSentCache(b *testing.B) { runExperiment(b, "ablation-sentcache") }
-
-// BenchmarkAblationDirection regenerates the top-down vs
-// direction-optimizing level-by-level ablation.
-func BenchmarkAblationDirection(b *testing.B) { runExperiment(b, "ablation-direction") }
-
-// BenchmarkAblationWire regenerates the wire-encoding ablation
-// (sparse/dense/auto/hybrid across frontier occupancies).
-func BenchmarkAblationWire(b *testing.B) { runExperiment(b, "ablation-wire") }
-
-// BenchmarkMemScale regenerates the §2.4.1 memory-scalability exhibit.
-func BenchmarkMemScale(b *testing.B) { runExperiment(b, "memscale") }
-
-// BenchmarkAblationOverlap regenerates the synchronous-vs-overlapped
-// exchange-schedule ablation (async collectives hidden under the scan).
-func BenchmarkAblationOverlap(b *testing.B) { runExperiment(b, "ablation-overlap") }
-
-// BenchmarkAblationDelta regenerates the Δ-stepping bucket-width
-// sweep on the weighted Poisson workload.
-func BenchmarkAblationDelta(b *testing.B) { runExperiment(b, "ablation-delta") }
 
 // --- Core-engine micro-benchmarks -----------------------------------
 // These measure the real (wall-clock) throughput of the distributed

@@ -18,8 +18,8 @@ const censusSection = "## Options, and why each exists"
 
 // TestKnobCensus is the "no knob without a measured reason" guard: it
 // parses the sources for every exported With* option, every
-// ClusterConfig and graphd.Config field and every bfsrun / graphd flag,
-// and requires each to be named in the first cell of a README census
+// ClusterConfig and graphd.Config field and every command's flags, and
+// requires each to be named in the first cell of a README census
 // row whose other cells — where it comes from, where a non-default
 // value is measured, its test — are filled in. A row that names
 // something the sources no longer define fails too, so the table cannot
@@ -69,12 +69,13 @@ func TestKnobCensus(t *testing.T) {
 			if !ok || len(call.Args) == 0 {
 				return true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !isFlagPkg(sel) {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !flagDefiners[sel.Sel.Name] {
 				return true
 			}
 			lit, ok := call.Args[0].(*ast.BasicLit)
 			if !ok || lit.Kind != token.STRING {
-				return true // flag.Parse and friends
+				return true
 			}
 			name, err := strconv.Unquote(lit.Value)
 			if err != nil {
@@ -88,8 +89,9 @@ func TestKnobCensus(t *testing.T) {
 			t.Fatalf("cmd/%s: no flag definitions found", cmd)
 		}
 	}
-	flags("bfsrun")
-	flags("graphd")
+	for _, cmd := range censusCommands {
+		flags(cmd)
+	}
 
 	got := censusRows(t)
 	var missing, stale []string
@@ -114,10 +116,15 @@ func TestKnobCensus(t *testing.T) {
 	}
 }
 
-// isFlagPkg reports whether sel is a call into package flag.
-func isFlagPkg(sel *ast.SelectorExpr) bool {
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "flag"
+// censusCommands are the commands whose flag definitions the census
+// guards: every cmd/ directory.
+var censusCommands = []string{"bfsrun", "graphd", "bfsbench", "graphload", "graphgen", "tracecheck"}
+
+// flagDefiners are the methods of package flag and of a FlagSet that
+// define a flag named by their first argument.
+var flagDefiners = map[string]bool{
+	"Bool": true, "Int": true, "Int64": true, "Uint": true, "Uint64": true,
+	"String": true, "Float64": true, "Duration": true,
 }
 
 var (
@@ -125,7 +132,7 @@ var (
 	censusField  = regexp.MustCompile(`\b(ClusterConfig|Config)\.[A-Z]\w*`)
 	// A backticked span that is a command's flag list: `bfsrun -n`, or a
 	// bare `-k` continuing the command named before it in the cell.
-	censusSpan = regexp.MustCompile("`(?:(bfsrun|graphd) )?(-[a-z][a-z0-9-]*)`")
+	censusSpan = regexp.MustCompile("`(?:(" + strings.Join(censusCommands, "|") + ") )?(-[a-z][a-z0-9-]*)`")
 )
 
 // censusRows returns the names the census tables' first cells carry:
@@ -143,9 +150,8 @@ func censusRows(t *testing.T) map[string]bool {
 	if next := strings.Index(body, "\n## "); next >= 0 {
 		body = body[:next]
 	}
-	// The tables from this heading on list the tools' flags, which the
-	// census does not parse, and what is no longer settable.
-	body, _, _ = strings.Cut(body, "\n### The other commands")
+	// The table from this heading on lists what is no longer settable.
+	body, _, _ = strings.Cut(body, "\n### What is a constant")
 	got := map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {
 		if !strings.HasPrefix(line, "| `") {
@@ -174,7 +180,7 @@ func censusRows(t *testing.T) map[string]bool {
 				cmd = m[1]
 			}
 			if cmd == "" {
-				t.Errorf("census row lists flag %s before naming bfsrun or graphd:\n%s", m[2], line)
+				t.Errorf("census row lists flag %s before naming its command:\n%s", m[2], line)
 				continue
 			}
 			got[cmd+" "+m[2]] = true

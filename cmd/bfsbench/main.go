@@ -7,21 +7,15 @@
 // Usage:
 //
 //	bfsbench -list
-//	bfsbench -exp fig4a,table1 -scale 1 -maxp 64 -searches 3
-//	bfsbench -exp all -csv out/
+//	bfsbench -exp fig4a,table1 -maxp 64
 //
-// Flags: -exp, -scale, -maxp, -seed, -searches size the run; -csv also
-// writes each table as a file; -cpuprofile / -memprofile profile the
-// host process.
+// Flags: -exp picks the exhibits, -maxp caps the simulated rank count.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -30,45 +24,11 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		scale    = flag.Float64("scale", 1, "per-rank problem-size multiplier")
-		maxP     = flag.Int("maxp", 64, "maximum simulated rank count")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		searches = flag.Int("searches", 3, "s->t searches averaged per data point")
-		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		maxP    = flag.Int("maxp", 64, "maximum simulated rank count")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
-		}()
-	}
 
 	if *list {
 		for _, e := range harness.All() {
@@ -77,7 +37,7 @@ func main() {
 		return
 	}
 
-	cfg := harness.Config{Scale: *scale, MaxP: *maxP, Seed: *seed, Searches: *searches}
+	cfg := harness.Config{MaxP: *maxP}
 	var exps []harness.Experiment
 	if *expFlag == "all" {
 		exps = harness.All()
@@ -104,25 +64,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("(%s: %s, ran in %v)\n\n", e.ID, e.Paper, time.Since(start).Round(time.Millisecond))
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f, err := os.Create(filepath.Join(*csvDir, e.ID+".csv"))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := tbl.WriteCSV(f); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
 	}
 }

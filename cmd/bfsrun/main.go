@@ -59,8 +59,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -72,79 +74,126 @@ import (
 	"repro/internal/traceverify"
 )
 
-func main() {
-	var (
-		algo     = flag.String("algo", "bfs", "algorithm: bfs|sssp (Δ-stepping shortest paths)")
-		deltaStr = flag.String("delta", "auto", "sssp bucket width Δ: auto|inf|<uint32>")
-		wdist    = flag.String("wdist", "uniform", "sssp edge-weight distribution: uniform|exp|unit")
-		maxw     = flag.Uint("maxw", 0, "sssp maximum edge weight (0 = default)")
-		n        = flag.Int("n", 100000, "vertices")
-		k        = flag.Float64("k", 10, "expected average degree")
-		seed     = flag.Int64("seed", 42, "graph seed")
-		input    = flag.String("input", "", "load graph from an edge-list file instead of generating")
-		shuffle  = flag.Bool("shuffle", false, "relabel vertices randomly before distributing")
-		r        = flag.Int("r", 4, "mesh rows R")
-		c        = flag.Int("c", 4, "mesh columns C")
-		partStr  = flag.String("part", "2d", "partitioning: 2d|1drow|1dcol (Table 1)")
-		sources  = flag.String("sources", "", "comma-separated sources for one batched multi-source BFS (<= 64 lanes)")
-		source   = flag.Int("source", -1, "source vertex (-1 = a largest-component vertex)")
-		target   = flag.Int("target", -1, "target vertex (-1 = full traversal)")
-		bidir    = flag.Bool("bidir", false, "bi-directional search (requires -target)")
-		expand   = flag.String("expand", "targeted", "expand collective: targeted|allgather|twophase")
-		fold     = flag.String("fold", "twophase", "fold collective: twophase|direct|nounion")
-		dir      = flag.String("direction", "topdown", "traversal direction: topdown|bottomup|dirop")
-		wire     = flag.String("wire", "sparse", "frontier wire encoding: sparse|dense|auto|hybrid")
-		async    = flag.Bool("async", true, "overlapped exchange schedule (-async=false for the phase-synchronous baseline)")
-		cache    = flag.Bool("sentcache", true, "sent-neighbors cache (§2.4.3)")
-		chunk    = flag.Int("chunk", 16384, "fixed message buffer in words (0 = unchunked)")
-		rowMaj   = flag.Bool("rowmajor", false, "row-major torus mapping instead of Figure 1 planes")
-		cluster  = flag.Bool("cluster", false, "Quadrics-cluster cost model instead of BlueGene/L")
-		verify   = flag.Bool("verify", true, "check against the serial oracle")
-		jsonOut  = flag.Bool("json", false, "emit the result as JSON (levels omitted) instead of text")
-		faultStr = flag.String("fault", "", "inject a deterministic fault plan: key=value spec or canned[:SEED]")
-		ckptOut  = flag.String("checkpoint", "", "halt at -kill-at and write the snapshot to this file")
-		killAt   = flag.Int("kill-at", -1, "completed levels (bfs) / epochs (sssp) before the -checkpoint halt")
-		restore  = flag.String("restore", "", "resume from a snapshot written by -checkpoint")
-		traceOut = flag.String("trace", "", "write a verified Chrome trace-event span export to this file (load in Perfetto)")
-		metrOut  = flag.String("metrics", "", "write a metrics snapshot to this file after the run (- for stdout; .json suffix selects JSON)")
-		cores    = flag.Int("cores", 1, "modeled compute cores per node: divides pool-loop charges (2 = BG/L virtual-node mode) and sizes the worker pool")
-		workers  = flag.Int("workers", 0, "real per-rank worker pool size (0 = -cores); wall-clock only, results bit-identical")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	)
-	flag.Parse()
+// errUsage marks a command-line error the flag package has already
+// reported on stderr.
+var errUsage = errors.New("usage")
 
-	fail := func(err error) {
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// report is what a finished search hands the tail every output shape
+// (BFS, -algo sssp, -sources) shares: check, then print.
+type report struct {
+	// crossCheck holds a recorded trace against the run's own statistics.
+	crossCheck func(*trace.Derived) error
+	// verify compares the result with the serial oracle and returns the
+	// line a match prints.
+	verify func() (string, error)
+	// doc is the -json document, text writes the report a reader gets.
+	doc  any
+	text func(w io.Writer)
+}
+
+// setup is what the three searches share: the workload, the machine
+// and the options every family takes.
+type setup struct {
+	g       *bgl.Graph
+	cl      *bgl.Cluster
+	dg      *bgl.DistGraph
+	k       float64
+	seed    int64
+	wire    bgl.WireMode
+	chunk   int
+	cores   int
+	workers int // the pool size the run uses: -workers, or -cores when 0
+	async   bool
+	// opts carries -wire, -chunk, -async and the machine, robustness and
+	// observability options.
+	opts []bgl.Option
+}
+
+// run is the command: it parses args, runs one search, checks it
+// against the serial oracle and then writes the report to stdout (the
+// text tables, or the -json document with the "verified" line moved to
+// stderr). Every failure — a bad flag, a failed run, an oracle mismatch
+// — comes back as the error, with nothing on stdout.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("bfsrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		algo     = fs.String("algo", "bfs", "algorithm: bfs|sssp (Δ-stepping shortest paths)")
+		deltaStr = fs.String("delta", "auto", "sssp bucket width Δ: auto|inf|<uint32>")
+		wdist    = fs.String("wdist", "uniform", "sssp edge-weight distribution: uniform|exp|unit")
+		maxw     = fs.Uint("maxw", 0, "sssp maximum edge weight (0 = default)")
+		n        = fs.Int("n", 100000, "vertices")
+		k        = fs.Float64("k", 10, "expected average degree")
+		seed     = fs.Int64("seed", 42, "graph seed")
+		input    = fs.String("input", "", "load graph from an edge-list file instead of generating")
+		shuffle  = fs.Bool("shuffle", false, "relabel vertices randomly before distributing")
+		r        = fs.Int("r", 4, "mesh rows R")
+		c        = fs.Int("c", 4, "mesh columns C")
+		partStr  = fs.String("part", "2d", "partitioning: 2d|1drow|1dcol (Table 1)")
+		sources  = fs.String("sources", "", "comma-separated sources for one batched multi-source BFS (<= 64 lanes)")
+		source   = fs.Int("source", -1, "source vertex (-1 = a largest-component vertex)")
+		target   = fs.Int("target", -1, "target vertex (-1 = full traversal)")
+		bidir    = fs.Bool("bidir", false, "bi-directional search (requires -target)")
+		expand   = fs.String("expand", "targeted", "expand collective: targeted|allgather|twophase")
+		fold     = fs.String("fold", "twophase", "fold collective: twophase|direct|nounion")
+		dir      = fs.String("direction", "topdown", "traversal direction: topdown|bottomup|dirop")
+		wire     = fs.String("wire", "sparse", "frontier wire encoding: sparse|dense|auto|hybrid")
+		async    = fs.Bool("async", true, "overlapped exchange schedule (-async=false for the phase-synchronous baseline)")
+		cache    = fs.Bool("sentcache", true, "sent-neighbors cache (§2.4.3)")
+		chunk    = fs.Int("chunk", 16384, "fixed message buffer in words (0 = unchunked)")
+		rowMaj   = fs.Bool("rowmajor", false, "row-major torus mapping instead of Figure 1 planes")
+		cluster  = fs.Bool("cluster", false, "Quadrics-cluster cost model instead of BlueGene/L")
+		verify   = fs.Bool("verify", true, "check against the serial oracle")
+		jsonOut  = fs.Bool("json", false, "emit the result as JSON (levels omitted) instead of text")
+		faultStr = fs.String("fault", "", "inject a deterministic fault plan: key=value spec or canned[:SEED]")
+		ckptOut  = fs.String("checkpoint", "", "halt at -kill-at and write the snapshot to this file")
+		killAt   = fs.Int("kill-at", -1, "completed levels (bfs) / epochs (sssp) before the -checkpoint halt")
+		restore  = fs.String("restore", "", "resume from a snapshot written by -checkpoint")
+		traceOut = fs.String("trace", "", "write a verified Chrome trace-event span export to this file (load in Perfetto)")
+		metrOut  = fs.String("metrics", "", "write a metrics snapshot to this file after the run (- for stdout; .json suffix selects JSON)")
+		cores    = fs.Int("cores", 1, "modeled compute cores per node: divides pool-loop charges (2 = BG/L virtual-node mode) and sizes the worker pool")
+		workers  = fs.Int("workers", 0, "real per-rank worker pool size (0 = -cores); wall-clock only, results bit-identical")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fail(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
+			if err == nil {
+				err = writeHeapProfile(*memProf)
 			}
 		}()
 	}
 
+	s := setup{k: *k, seed: *seed, chunk: *chunk, cores: *cores, workers: *workers, async: *async}
+	if s.workers == 0 {
+		s.workers = *cores
+	}
 	var spanRec *bgl.Trace
 	if *traceOut != "" {
 		spanRec = bgl.NewTrace()
@@ -153,303 +202,279 @@ func main() {
 	if *metrOut != "" {
 		registry = bgl.NewMetrics()
 	}
-	var obs []bgl.Option
-	obs = append(obs, bgl.WithCores(*cores))
+	s.opts = []bgl.Option{bgl.WithCores(*cores), bgl.WithChunkWords(*chunk), bgl.WithAsync(*async)}
 	if *workers > 0 {
-		obs = append(obs, bgl.WithWorkers(*workers))
-	}
-	// effWorkers is the pool size the run actually uses (-workers
-	// defaults to -cores); reported in every -json shape.
-	effWorkers := *workers
-	if effWorkers == 0 {
-		effWorkers = *cores
+		s.opts = append(s.opts, bgl.WithWorkers(*workers))
 	}
 	if spanRec != nil {
-		obs = append(obs, bgl.WithTrace(spanRec))
+		s.opts = append(s.opts, bgl.WithTrace(spanRec))
 	}
 	if registry != nil {
-		obs = append(obs, bgl.WithMetrics(registry))
+		s.opts = append(s.opts, bgl.WithMetrics(registry))
 	}
 	if *faultStr != "" {
 		plan, err := bgl.ParseFaultPlan(*faultStr)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		obs = append(obs, bgl.WithFault(plan))
+		s.opts = append(s.opts, bgl.WithFault(plan))
 	}
 	if (*ckptOut == "") != (*killAt < 0) {
-		fail(fmt.Errorf("-checkpoint and -kill-at must be given together"))
+		return fmt.Errorf("-checkpoint and -kill-at must be given together")
 	}
 	var ckptPlan *bgl.CheckpointPlan
 	if *ckptOut != "" {
 		switch {
 		case *traceOut != "":
-			fail(fmt.Errorf("-checkpoint cannot combine with -trace: a restored run's spans cannot tile the clock from zero"))
+			return fmt.Errorf("-checkpoint cannot combine with -trace: a restored run's spans cannot tile the clock from zero")
 		case *restore != "":
-			fail(fmt.Errorf("-checkpoint and -restore cannot combine in one run"))
+			return fmt.Errorf("-checkpoint and -restore cannot combine in one run")
 		}
 		ckptPlan = bgl.NewCheckpoint(*killAt)
-		obs = append(obs, bgl.WithCheckpoint(ckptPlan))
+		s.opts = append(s.opts, bgl.WithCheckpoint(ckptPlan))
 	}
 	if *restore != "" {
 		if *traceOut != "" {
-			fail(fmt.Errorf("-restore cannot combine with -trace: a restored run's spans cannot tile the clock from zero"))
+			return fmt.Errorf("-restore cannot combine with -trace: a restored run's spans cannot tile the clock from zero")
 		}
 		snap, err := bgl.ReadCheckpoint(*restore)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		obs = append(obs, bgl.WithRestore(snap))
-	}
-	// writeSnap persists the collected snapshot after a -checkpoint run
-	// (which returns a deliberately partial Result not worth printing).
-	writeSnap := func() {
-		snap := ckptPlan.Snapshot()
-		if snap == nil {
-			fail(fmt.Errorf("run completed before reaching -kill-at %d; nothing to checkpoint", *killAt))
-		}
-		if err := bgl.WriteCheckpoint(*ckptOut, snap); err != nil {
-			fail(err)
-		}
-		fmt.Printf("checkpoint: %s snapshot at %d written to %s (%d ranks)\n",
-			snap.Kind, snap.At, *ckptOut, snap.P)
-	}
-	// finishObs exports and self-checks the trace (clock invariant
-	// re-derivation plus the engine cross-check) and writes the metrics
-	// snapshot. Called once after whichever algorithm ran.
-	finishObs := func(crossCheck func(*trace.Derived) error) {
-		if spanRec != nil {
-			data, d, err := traceverify.Export(spanRec)
-			if err != nil {
-				fail(fmt.Errorf("trace self-check failed: %w", err))
-			}
-			if err := crossCheck(d); err != nil {
-				fail(fmt.Errorf("trace does not match the run's statistics: %w", err))
-			}
-			if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "trace: verified %d-rank span export written to %s (%d bytes)\n",
-				len(d.Ranks), *traceOut, len(data))
-		}
-		if registry != nil {
-			snap := []byte(registry.Text())
-			if strings.HasSuffix(*metrOut, ".json") {
-				snap = registry.JSON()
-			}
-			if *metrOut == "-" {
-				os.Stdout.Write(snap)
-			} else if err := os.WriteFile(*metrOut, snap, 0o644); err != nil {
-				fail(err)
-			}
-		}
+		s.opts = append(s.opts, bgl.WithRestore(snap))
 	}
 
 	expAlg, ok := map[string]bgl.ExpandAlg{
 		"targeted": bgl.ExpandTargeted, "allgather": bgl.ExpandAllGather, "twophase": bgl.ExpandTwoPhase,
 	}[*expand]
 	if !ok {
-		fail(fmt.Errorf("unknown expand algorithm %q", *expand))
+		return fmt.Errorf("unknown expand algorithm %q", *expand)
 	}
 	foldAlg, ok := map[string]bgl.FoldAlg{
 		"twophase": bgl.FoldTwoPhase, "direct": bgl.FoldDirect, "nounion": bgl.FoldTwoPhaseNoUnion,
 	}[*fold]
 	if !ok {
-		fail(fmt.Errorf("unknown fold algorithm %q", *fold))
+		return fmt.Errorf("unknown fold algorithm %q", *fold)
 	}
 	dirPolicy, ok := map[string]bgl.Direction{
 		"topdown": bgl.TopDown, "bottomup": bgl.BottomUp, "dirop": bgl.DirectionOptimizing,
 	}[*dir]
 	if !ok {
-		fail(fmt.Errorf("unknown direction policy %q", *dir))
+		return fmt.Errorf("unknown direction policy %q", *dir)
 	}
-	wireMode, ok := map[string]bgl.WireMode{
+	s.wire, ok = map[string]bgl.WireMode{
 		"sparse": bgl.WireSparse, "dense": bgl.WireDense, "auto": bgl.WireAuto, "hybrid": bgl.WireHybrid,
 	}[*wire]
 	if !ok {
-		fail(fmt.Errorf("unknown wire encoding %q", *wire))
+		return fmt.Errorf("unknown wire encoding %q", *wire)
 	}
+	s.opts = append(s.opts, bgl.WithWire(s.wire))
 	part, ok := map[string]bgl.Partition{
 		"2d": bgl.Part2D, "1drow": bgl.Part1DRow, "1dcol": bgl.Part1DCol,
 	}[*partStr]
 	if !ok {
-		fail(fmt.Errorf("unknown partitioning %q", *partStr))
+		return fmt.Errorf("unknown partitioning %q", *partStr)
 	}
-
 	if *algo != "bfs" && *algo != "sssp" {
-		fail(fmt.Errorf("unknown algorithm %q", *algo))
+		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	runSSSP := *algo == "sssp"
+	if *sources != "" {
+		switch {
+		case runSSSP:
+			return fmt.Errorf("-sources runs a multi-source BFS and cannot combine with -algo sssp")
+		case *target >= 0 || *bidir:
+			return fmt.Errorf("-sources runs full multi-source traversals and cannot combine with -target/-bidir")
+		case *source >= 0:
+			return fmt.Errorf("-sources and -source conflict; list every source in -sources")
+		}
+	}
+	srcs, err := parseSources(*sources)
+	if err != nil {
+		return err
+	}
+	delta, err := parseDelta(*deltaStr)
+	if err != nil {
+		return err
+	}
 
-	var g *bgl.Graph
-	var err error
 	switch {
 	case *input != "":
 		f, ferr := os.Open(*input)
 		if ferr != nil {
-			fail(ferr)
+			return ferr
 		}
-		g, err = bgl.Load(f) // weighted inputs keep their third column
+		s.g, err = bgl.Load(f) // weighted inputs keep their third column
 		f.Close()
 	case runSSSP:
 		wd, ok := map[string]bgl.WeightDist{
 			"uniform": bgl.WeightUniform, "exp": bgl.WeightExponential, "unit": bgl.WeightUnit,
 		}[*wdist]
 		if !ok {
-			fail(fmt.Errorf("unknown weight distribution %q", *wdist))
+			return fmt.Errorf("unknown weight distribution %q", *wdist)
 		}
-		g, err = bgl.GenerateWeighted(*n, *k, *seed,
+		s.g, err = bgl.GenerateWeighted(*n, *k, *seed,
 			bgl.WithWeightDist(wd), bgl.WithMaxWeight(uint32(*maxw)))
 	default:
-		g, err = bgl.Generate(*n, *k, *seed)
+		s.g, err = bgl.Generate(*n, *k, *seed)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *shuffle {
-		g, _ = g.Relabel(*seed)
+		s.g, _ = s.g.Relabel(*seed)
 	}
 	mapping := bgl.MapPlanes
 	if *rowMaj {
 		mapping = bgl.MapRowMajor
 	}
-	cl, err := bgl.NewCluster(bgl.ClusterConfig{
+	s.cl, err = bgl.NewCluster(bgl.ClusterConfig{
 		R: *r, C: *c, Mapping: mapping, ClusterModel: *cluster,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	dg, err := cl.Distribute(g, bgl.WithPartition(part))
+	s.dg, err = s.cl.Distribute(s.g, bgl.WithPartition(part))
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	src := bgl.Vertex(*source)
 	if *source < 0 {
-		src = g.LargestComponentVertex()
+		src = s.g.LargestComponentVertex()
 	}
-
-	if *sources != "" {
-		switch {
-		case runSSSP:
-			fail(fmt.Errorf("-sources runs a multi-source BFS and cannot combine with -algo sssp"))
-		case *target >= 0 || *bidir:
-			fail(fmt.Errorf("-sources runs full multi-source traversals and cannot combine with -target/-bidir"))
-		case *source >= 0:
-			fail(fmt.Errorf("-sources and -source conflict; list every source in -sources"))
-		}
-		runMulti(g, cl, dg, *sources, wireMode, *chunk, *cores, effWorkers, *async, *verify, *jsonOut, obs,
-			func(res *bgl.MultiResult) {
-				finishObs(func(d *trace.Derived) error { return traceverify.BFS(d, &res.Result) })
-			})
-		return
-	}
-
-	if runSSSP {
-		delta := uint32(0)
-		switch *deltaStr {
-		case "auto":
-		case "inf":
-			delta = bgl.DeltaInf
-		default:
-			d64, derr := strconv.ParseUint(*deltaStr, 10, 32)
-			if derr != nil {
-				fail(fmt.Errorf("bad -delta %q: %v", *deltaStr, derr))
-			}
-			delta = uint32(d64)
-		}
-		res, err := cl.SSSP(dg, src,
-			append([]bgl.Option{bgl.WithDelta(delta), bgl.WithWire(wireMode),
-				bgl.WithChunkWords(*chunk), bgl.WithAsync(*async)}, obs...)...)
-		if err != nil {
-			fail(err)
-		}
-		finishObs(func(d *trace.Derived) error { return traceverify.SSSP(d, res) })
-		if ckptPlan != nil {
-			writeSnap()
-			return
-		}
-		if *jsonOut {
-			out := *res
-			out.Dist, out.PerRank = nil, nil
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(struct {
-				N          int
-				K          float64
-				Seed       int64
-				Wire       string
-				Cores      int
-				Workers    int
-				HiddenFrac float64
-				*bgl.SSSPResult
-			}{g.N(), *k, *seed, wireMode.String(), *cores, effWorkers,
-				hiddenFrac(out.SimOverlap, out.SimComm), &out}); err != nil {
-				fail(err)
-			}
-			return
-		}
-		minW, maxW := g.EdgeWeightRange()
-		fmt.Printf("graph: n=%d k=%.3g (%d edges, weights [%d,%d]) | mesh %dx%d (P=%d) part=%s | sssp delta=%d wire=%s chunk=%d async=%v\n",
-			g.N(), g.AvgDegree(), g.NumEdges(), minW, maxW, *r, *c, cl.P(), dg.Partition(), res.Delta, wireMode, *chunk, *async)
-		fmt.Printf("traversal from %d: reached %d vertices, max distance %d\n",
-			src, res.Reached(), res.MaxDistance())
-		fmt.Printf("simulated: exec %.6fs, comm %.6fs (%.1f%%), overlap %.6fs hidden (%.1f%% of comm) | wall %v\n",
-			res.SimTime, res.SimComm, safePct(res.SimComm, res.SimTime),
-			res.SimOverlap, safePct(res.SimOverlap, res.SimComm), res.Wall)
-		fmt.Printf("volumes: expand %d words, fold %d words | buckets %d, epochs %d, relaxations %d, re-settles %d\n",
-			res.TotalExpandWords, res.TotalFoldWords, res.BucketsDrained, res.Epochs,
-			res.TotalRelaxations, res.TotalReSettles)
-		printFaults(res.Faults)
-		fmt.Println("\nepoch  bucket  phase  active  expand-words  fold-words  relax  re-settle  edges-scanned")
-		for _, es := range res.PerEpoch {
-			fmt.Printf("%5d  %6d  %-5s  %6d  %12d  %10d  %5d  %9d  %13d\n",
-				es.Epoch, es.Bucket, es.Phase, es.Active, es.ExpandWords, es.FoldWords,
-				es.Relaxations, es.ReSettles, es.EdgesScanned)
-		}
-		if *verify {
-			want := g.SerialDijkstra(src)
-			for v, d := range res.Dist {
-				if d != want[v] {
-					fail(fmt.Errorf("VERIFY FAILED: dist[%d] = %d, serial dijkstra %d", v, d, want[v]))
-				}
-			}
-			fmt.Println("\nverified against serial Dijkstra oracle: OK")
-		}
-		return
-	}
-
-	opts := append([]bgl.Option{
-		bgl.WithExpand(expAlg), bgl.WithFold(foldAlg),
-		bgl.WithDirection(dirPolicy), bgl.WithWire(wireMode),
-		bgl.WithSentCache(*cache), bgl.WithChunkWords(*chunk),
-		bgl.WithAsync(*async),
-	}, obs...)
-
-	var res *bgl.Result
+	var rep report
 	switch {
-	case *target >= 0 && *bidir:
-		res, err = cl.BiSearch(dg, src, bgl.Vertex(*target), opts...)
-	case *target >= 0:
-		res, err = cl.Search(dg, src, bgl.Vertex(*target), opts...)
+	case *sources != "":
+		rep, err = s.multi(srcs)
+	case runSSSP:
+		rep, err = s.sssp(src, delta)
 	default:
-		res, err = cl.BFS(dg, src, opts...)
+		rep, err = s.bfs(src, traversal{
+			target: *target, bidir: *bidir, expand: *expand, fold: *fold, cache: *cache, dir: dirPolicy,
+			opts: []bgl.Option{bgl.WithExpand(expAlg), bgl.WithFold(foldAlg),
+				bgl.WithDirection(dirPolicy), bgl.WithSentCache(*cache)},
+		})
 	}
 	if err != nil {
-		fail(err)
-	}
-	finishObs(func(d *trace.Derived) error { return traceverify.BFS(d, res) })
-	if ckptPlan != nil {
-		writeSnap()
-		return
+		return err
 	}
 
+	// The shared tail. A -checkpoint run halts on purpose with a partial
+	// Result: nothing to verify or print, only the snapshot to write.
+	verified := ""
+	if *verify && ckptPlan == nil {
+		if verified, err = rep.verify(); err != nil {
+			return err
+		}
+	}
+	if spanRec != nil {
+		// Export re-derives the clock invariant from the span stream;
+		// crossCheck holds the derivation against the engine's statistics.
+		data, d, err := traceverify.Export(spanRec)
+		if err != nil {
+			return fmt.Errorf("trace self-check failed: %w", err)
+		}
+		if err := rep.crossCheck(d); err != nil {
+			return fmt.Errorf("trace does not match the run's statistics: %w", err)
+		}
+		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "trace: verified %d-rank span export written to %s (%d bytes)\n",
+			len(d.Ranks), *traceOut, len(data))
+	}
+	if registry != nil {
+		snap := []byte(registry.Text())
+		if strings.HasSuffix(*metrOut, ".json") {
+			snap = registry.JSON()
+		}
+		if *metrOut == "-" {
+			_, err = stdout.Write(snap)
+		} else {
+			err = os.WriteFile(*metrOut, snap, 0o644)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if ckptPlan != nil {
+		snap := ckptPlan.Snapshot()
+		if snap == nil {
+			return fmt.Errorf("run completed before reaching -kill-at %d; nothing to checkpoint", *killAt)
+		}
+		if err := bgl.WriteCheckpoint(*ckptOut, snap); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "checkpoint: %s snapshot at %d written to %s (%d ranks)\n",
+			snap.Kind, snap.At, *ckptOut, snap.P)
+		return nil
+	}
 	if *jsonOut {
-		out := *res
-		out.Levels, out.PerRank = nil, nil
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+		if err := enc.Encode(rep.doc); err != nil {
+			return err
+		}
+		if verified != "" {
+			fmt.Fprintln(stderr, verified)
+		}
+		return nil
+	}
+	rep.text(stdout)
+	if verified != "" {
+		fmt.Fprintf(stdout, "\n%s\n", verified)
+	}
+	return nil
+}
+
+// traversal is what only the single-source BFS family takes; expand and
+// fold keep the flag spellings for the report.
+type traversal struct {
+	target       int
+	bidir        bool
+	expand, fold string
+	cache        bool
+	dir          bgl.Direction
+	opts         []bgl.Option
+}
+
+// bfs runs one traversal, s→t search or bi-directional search from src.
+func (s *setup) bfs(src bgl.Vertex, t traversal) (report, error) {
+	opts := append(t.opts, s.opts...)
+	var res *bgl.Result
+	var err error
+	switch {
+	case t.target >= 0 && t.bidir:
+		res, err = s.cl.BiSearch(s.dg, src, bgl.Vertex(t.target), opts...)
+	case t.target >= 0:
+		res, err = s.cl.Search(s.dg, src, bgl.Vertex(t.target), opts...)
+	default:
+		res, err = s.cl.BFS(s.dg, src, opts...)
+	}
+	if err != nil {
+		return report{}, err
+	}
+	out := *res
+	out.Levels, out.PerRank = nil, nil
+	return report{
+		crossCheck: func(d *trace.Derived) error { return traceverify.BFS(d, res) },
+		verify: func() (string, error) {
+			if t.target >= 0 {
+				want := s.g.SerialDistance(src, bgl.Vertex(t.target))
+				if !(want == bgl.Unreached && !res.Found) && !(res.Found && res.Distance == want) {
+					return "", fmt.Errorf("VERIFY FAILED: distance %d (found=%v), serial %d", res.Distance, res.Found, want)
+				}
+			} else {
+				for v, want := range s.g.SerialBFS(src) {
+					if res.Levels[v] != want {
+						return "", fmt.Errorf("VERIFY FAILED: level[%d] = %d, serial %d", v, res.Levels[v], want)
+					}
+				}
+			}
+			return "verified against serial oracle: OK", nil
+		},
+		doc: struct {
 			N          int
 			K          float64
 			Seed       int64
@@ -463,82 +488,170 @@ func main() {
 			Workers    int
 			HiddenFrac float64
 			*bgl.Result
-		}{g.N(), *k, *seed, *expand, *fold, dirPolicy.String(), wireMode.String(), *cache, *chunk,
-			*cores, effWorkers, hiddenFrac(out.SimOverlap, out.SimComm), &out}); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	fmt.Printf("graph: n=%d k=%.3g (%d edges) | mesh %dx%d (P=%d) part=%s | expand=%s fold=%s dir=%s wire=%s cache=%v chunk=%d async=%v\n",
-		g.N(), g.AvgDegree(), g.NumEdges(), *r, *c, cl.P(), dg.Partition(), *expand, *fold, dirPolicy, wireMode, *cache, *chunk, *async)
-	if *target >= 0 {
-		fmt.Printf("search %d -> %d: found=%v distance=%d\n", src, *target, res.Found, res.Distance)
-	} else {
-		fmt.Printf("traversal from %d: reached %d vertices, max level %d\n",
-			src, res.Reached(), res.MaxLevel())
-	}
-	fmt.Printf("simulated: exec %.6fs, comm %.6fs (%.1f%%), overlap %.6fs hidden (%.1f%% of comm) | wall %v\n",
-		res.SimTime, res.SimComm, safePct(res.SimComm, res.SimTime),
-		res.SimOverlap, safePct(res.SimOverlap, res.SimComm), res.Wall)
-	fmt.Printf("volumes: expand %d words, fold %d words, dups eliminated %d (redundancy %.1f%%), hash probes %d\n",
-		res.TotalExpandWords, res.TotalFoldWords, res.TotalDups, res.RedundancyRatio(), res.HashProbes)
-	fmt.Printf("network: %d messages, %.2f avg hops, load imbalance %.3f\n",
-		res.MsgsRecv, res.AvgHopsPerMessage(), res.LoadImbalance())
-	printFaults(res.Faults)
-	showContainers := res.Containers.Payloads() > 0
-	if showContainers {
-		c := res.Containers
-		fmt.Printf("containers: payloads raw=%d dense=%d hybrid=%d | chunks empty=%d list=%d bitmap=%d runs=%d packed=%d\n",
-			c.RawPayloads, c.DensePayloads, c.HybridPayloads,
-			c.EmptyChunks, c.ListChunks, c.BitmapChunks, c.RunChunks, c.PackedChunks)
-	}
-	header := "\nlevel  dir       frontier  expand-words  fold-words  dups  marked  edges-scanned  overlap-ms  hidden%"
-	if showContainers {
-		header += "  containers raw/dense/hyb (chunks e/l/b/r/p)"
-	}
-	fmt.Println(header)
-	for _, ls := range res.PerLevel {
-		fmt.Printf("%5d  %-8s  %8d  %12d  %10d  %4d  %6d  %13d  %10.4f  %7.1f",
-			ls.Level, ls.Direction, ls.Frontier, ls.ExpandWords, ls.FoldWords, ls.Dups, ls.Marked, ls.EdgesScanned,
-			1e3*ls.OverlapS, 100*ls.HiddenFrac())
-		if showContainers {
-			c := ls.Containers
-			fmt.Printf("  %d/%d/%d (%d/%d/%d/%d/%d)",
-				c.RawPayloads, c.DensePayloads, c.HybridPayloads,
-				c.EmptyChunks, c.ListChunks, c.BitmapChunks, c.RunChunks, c.PackedChunks)
-		}
-		fmt.Println()
-	}
-
-	if *verify {
-		serial := g.SerialBFS(src)
-		if *target >= 0 {
-			want := g.SerialDistance(src, bgl.Vertex(*target))
-			okDist := (want == bgl.Unreached && !res.Found) || (res.Found && res.Distance == want)
-			if !okDist {
-				fail(fmt.Errorf("VERIFY FAILED: distance %d (found=%v), serial %d", res.Distance, res.Found, want))
+		}{s.g.N(), s.k, s.seed, t.expand, t.fold, t.dir.String(), s.wire.String(), t.cache, s.chunk,
+			s.cores, s.workers, hiddenFrac(out.SimOverlap, out.SimComm), &out},
+		text: func(w io.Writer) {
+			r, c := s.cl.Mesh()
+			fmt.Fprintf(w, "graph: n=%d k=%.3g (%d edges) | mesh %dx%d (P=%d) part=%s | expand=%s fold=%s dir=%s wire=%s cache=%v chunk=%d async=%v\n",
+				s.g.N(), s.g.AvgDegree(), s.g.NumEdges(), r, c, s.cl.P(), s.dg.Partition(), t.expand, t.fold, t.dir, s.wire, t.cache, s.chunk, s.async)
+			if t.target >= 0 {
+				fmt.Fprintf(w, "search %d -> %d: found=%v distance=%d\n", src, t.target, res.Found, res.Distance)
+			} else {
+				fmt.Fprintf(w, "traversal from %d: reached %d vertices, max level %d\n",
+					src, res.Reached(), res.MaxLevel())
 			}
-		} else {
-			for v, want := range serial {
-				if res.Levels[v] != want {
-					fail(fmt.Errorf("VERIFY FAILED: level[%d] = %d, serial %d", v, res.Levels[v], want))
+			fmt.Fprintf(w, "simulated: exec %.6fs, comm %.6fs (%.1f%%), overlap %.6fs hidden (%.1f%% of comm) | wall %v\n",
+				res.SimTime, res.SimComm, safePct(res.SimComm, res.SimTime),
+				res.SimOverlap, safePct(res.SimOverlap, res.SimComm), res.Wall)
+			fmt.Fprintf(w, "volumes: expand %d words, fold %d words, dups eliminated %d (redundancy %.1f%%), hash probes %d\n",
+				res.TotalExpandWords, res.TotalFoldWords, res.TotalDups, res.RedundancyRatio(), res.HashProbes)
+			fmt.Fprintf(w, "network: %d messages, %.2f avg hops, load imbalance %.3f\n",
+				res.MsgsRecv, res.AvgHopsPerMessage(), res.LoadImbalance())
+			printFaults(w, res.Faults)
+			showContainers := res.Containers.Payloads() > 0
+			if showContainers {
+				c := res.Containers
+				fmt.Fprintf(w, "containers: payloads raw=%d dense=%d hybrid=%d | chunks empty=%d list=%d bitmap=%d runs=%d packed=%d\n",
+					c.RawPayloads, c.DensePayloads, c.HybridPayloads,
+					c.EmptyChunks, c.ListChunks, c.BitmapChunks, c.RunChunks, c.PackedChunks)
+			}
+			header := "\nlevel  dir       frontier  expand-words  fold-words  dups  marked  edges-scanned  overlap-ms  hidden%"
+			if showContainers {
+				header += "  containers raw/dense/hyb (chunks e/l/b/r/p)"
+			}
+			fmt.Fprintln(w, header)
+			for _, ls := range res.PerLevel {
+				fmt.Fprintf(w, "%5d  %-8s  %8d  %12d  %10d  %4d  %6d  %13d  %10.4f  %7.1f",
+					ls.Level, ls.Direction, ls.Frontier, ls.ExpandWords, ls.FoldWords, ls.Dups, ls.Marked, ls.EdgesScanned,
+					1e3*ls.OverlapS, 100*ls.HiddenFrac())
+				if showContainers {
+					c := ls.Containers
+					fmt.Fprintf(w, "  %d/%d/%d (%d/%d/%d/%d/%d)",
+						c.RawPayloads, c.DensePayloads, c.HybridPayloads,
+						c.EmptyChunks, c.ListChunks, c.BitmapChunks, c.RunChunks, c.PackedChunks)
 				}
+				fmt.Fprintln(w)
 			}
-		}
-		fmt.Println("\nverified against serial oracle: OK")
-	}
+		},
+	}, nil
 }
 
-// runMulti parses the -sources list, runs one batched multi-source
-// BFS, prints per-sweep statistics, and validates every lane against
-// the serial oracle.
-func runMulti(g *bgl.Graph, cl *bgl.Cluster, dg *bgl.DistGraph, list string, wire bgl.WireMode, chunk, cores, workers int,
-	async, verify, jsonOut bool, obs []bgl.Option, finish func(*bgl.MultiResult)) {
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// sssp runs distributed Δ-stepping from src.
+func (s *setup) sssp(src bgl.Vertex, delta uint32) (report, error) {
+	res, err := s.cl.SSSP(s.dg, src, append([]bgl.Option{bgl.WithDelta(delta)}, s.opts...)...)
+	if err != nil {
+		return report{}, err
 	}
+	out := *res
+	out.Dist, out.PerRank = nil, nil
+	return report{
+		crossCheck: func(d *trace.Derived) error { return traceverify.SSSP(d, res) },
+		verify: func() (string, error) {
+			for v, want := range s.g.SerialDijkstra(src) {
+				if res.Dist[v] != want {
+					return "", fmt.Errorf("VERIFY FAILED: dist[%d] = %d, serial dijkstra %d", v, res.Dist[v], want)
+				}
+			}
+			return "verified against serial Dijkstra oracle: OK", nil
+		},
+		doc: struct {
+			N          int
+			K          float64
+			Seed       int64
+			Wire       string
+			Cores      int
+			Workers    int
+			HiddenFrac float64
+			*bgl.SSSPResult
+		}{s.g.N(), s.k, s.seed, s.wire.String(), s.cores, s.workers,
+			hiddenFrac(out.SimOverlap, out.SimComm), &out},
+		text: func(w io.Writer) {
+			r, c := s.cl.Mesh()
+			minW, maxW := s.g.EdgeWeightRange()
+			fmt.Fprintf(w, "graph: n=%d k=%.3g (%d edges, weights [%d,%d]) | mesh %dx%d (P=%d) part=%s | sssp delta=%d wire=%s chunk=%d async=%v\n",
+				s.g.N(), s.g.AvgDegree(), s.g.NumEdges(), minW, maxW, r, c, s.cl.P(), s.dg.Partition(), res.Delta, s.wire, s.chunk, s.async)
+			fmt.Fprintf(w, "traversal from %d: reached %d vertices, max distance %d\n",
+				src, res.Reached(), res.MaxDistance())
+			fmt.Fprintf(w, "simulated: exec %.6fs, comm %.6fs (%.1f%%), overlap %.6fs hidden (%.1f%% of comm) | wall %v\n",
+				res.SimTime, res.SimComm, safePct(res.SimComm, res.SimTime),
+				res.SimOverlap, safePct(res.SimOverlap, res.SimComm), res.Wall)
+			fmt.Fprintf(w, "volumes: expand %d words, fold %d words | buckets %d, epochs %d, relaxations %d, re-settles %d\n",
+				res.TotalExpandWords, res.TotalFoldWords, res.BucketsDrained, res.Epochs,
+				res.TotalRelaxations, res.TotalReSettles)
+			printFaults(w, res.Faults)
+			fmt.Fprintln(w, "\nepoch  bucket  phase  active  expand-words  fold-words  relax  re-settle  edges-scanned")
+			for _, es := range res.PerEpoch {
+				fmt.Fprintf(w, "%5d  %6d  %-5s  %6d  %12d  %10d  %5d  %9d  %13d\n",
+					es.Epoch, es.Bucket, es.Phase, es.Active, es.ExpandWords, es.FoldWords,
+					es.Relaxations, es.ReSettles, es.EdgesScanned)
+			}
+		},
+	}, nil
+}
+
+// multi runs one batched multi-source BFS, one bit-lane per source.
+func (s *setup) multi(srcs []bgl.Vertex) (report, error) {
+	res, err := s.cl.MultiBFS(s.dg, srcs, s.opts...)
+	if err != nil {
+		return report{}, err
+	}
+	out := *res
+	out.Levels, out.LaneLevels, out.PerRank = nil, nil, nil
+	return report{
+		crossCheck: func(d *trace.Derived) error { return traceverify.BFS(d, &res.Result) },
+		verify: func() (string, error) {
+			for lane, src := range res.Sources {
+				for v, want := range s.g.SerialBFS(src) {
+					if res.LaneLevels[lane][v] != want {
+						return "", fmt.Errorf("VERIFY FAILED: lane %d level[%d] = %d, serial %d",
+							lane, v, res.LaneLevels[lane][v], want)
+					}
+				}
+			}
+			return fmt.Sprintf("verified %d lanes against the serial oracle: OK", res.B), nil
+		},
+		doc: struct {
+			N          int
+			Wire       string
+			Part       string
+			Cores      int
+			Workers    int
+			HiddenFrac float64
+			*bgl.MultiResult
+		}{s.g.N(), s.wire.String(), s.dg.Partition().String(), s.cores, s.workers,
+			hiddenFrac(out.SimOverlap, out.SimComm), &out},
+		text: func(w io.Writer) {
+			r, c := s.cl.Mesh()
+			fmt.Fprintf(w, "graph: n=%d k=%.3g (%d edges) | mesh %dx%d (P=%d) part=%s | multi-bfs b=%d wire=%s chunk=%d\n",
+				s.g.N(), s.g.AvgDegree(), s.g.NumEdges(), r, c, s.cl.P(), s.dg.Partition(), res.B, s.wire, s.chunk)
+			fmt.Fprintf(w, "simulated: exec %.6fs, comm %.6fs (%.1f%%) | wall %v\n",
+				res.SimTime, res.SimComm, safePct(res.SimComm, res.SimTime), res.Wall)
+			fmt.Fprintf(w, "volumes: expand %d words, fold %d words over %d sweeps (lane merges %d)\n",
+				res.TotalExpandWords, res.TotalFoldWords, len(res.PerLevel), res.TotalDups)
+			fmt.Fprintln(w, "\nsweep  frontier  expand-words  fold-words  lane-labels  edges-scanned")
+			for _, ls := range res.PerLevel {
+				fmt.Fprintf(w, "%5d  %8d  %12d  %10d  %11d  %13d\n",
+					ls.Level, ls.Frontier, ls.ExpandWords, ls.FoldWords, ls.Marked, ls.EdgesScanned)
+			}
+			fmt.Fprintln(w, "\nlane  source  reached  max-level")
+			for lane, src := range res.Sources {
+				reached, maxL := 0, int32(0)
+				for _, l := range res.LaneLevels[lane] {
+					if l != bgl.Unreached {
+						reached++
+						if l > maxL {
+							maxL = l
+						}
+					}
+				}
+				fmt.Fprintf(w, "%4d  %6d  %7d  %9d\n", lane, src, reached, maxL)
+			}
+		},
+	}, nil
+}
+
+// parseSources reads the -sources list ("" is no list).
+func parseSources(list string) ([]bgl.Vertex, error) {
 	var srcs []bgl.Vertex
 	for _, f := range strings.Split(list, ",") {
 		f = strings.TrimSpace(f)
@@ -547,81 +660,49 @@ func runMulti(g *bgl.Graph, cl *bgl.Cluster, dg *bgl.DistGraph, list string, wir
 		}
 		v, err := strconv.ParseUint(f, 10, 32)
 		if err != nil {
-			fail(fmt.Errorf("bad -sources entry %q: %v", f, err))
+			return nil, fmt.Errorf("bad -sources entry %q: %v", f, err)
 		}
 		srcs = append(srcs, bgl.Vertex(v))
 	}
-	res, err := cl.MultiBFS(dg, srcs,
-		append([]bgl.Option{bgl.WithWire(wire), bgl.WithChunkWords(chunk), bgl.WithAsync(async)}, obs...)...)
+	return srcs, nil
+}
+
+// parseDelta reads -delta: auto (0), inf, or a bucket width.
+func parseDelta(s string) (uint32, error) {
+	switch s {
+	case "auto":
+		return 0, nil
+	case "inf":
+		return bgl.DeltaInf, nil
+	}
+	d, err := strconv.ParseUint(s, 10, 32)
 	if err != nil {
-		fail(err)
+		return 0, fmt.Errorf("bad -delta %q: %v", s, err)
 	}
-	finish(res)
-	if jsonOut {
-		out := *res
-		out.Levels, out.LaneLevels, out.PerRank = nil, nil, nil
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			N          int
-			Wire       string
-			Part       string
-			Cores      int
-			Workers    int
-			HiddenFrac float64
-			*bgl.MultiResult
-		}{g.N(), wire.String(), dg.Partition().String(), cores, workers,
-			hiddenFrac(out.SimOverlap, out.SimComm), &out}); err != nil {
-			fail(err)
-		}
-		return
+	return uint32(d), nil
+}
+
+// writeHeapProfile writes a pprof heap profile of the host process.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	r, c := cl.Mesh()
-	fmt.Printf("graph: n=%d k=%.3g (%d edges) | mesh %dx%d (P=%d) part=%s | multi-bfs b=%d wire=%s chunk=%d\n",
-		g.N(), g.AvgDegree(), g.NumEdges(), r, c, cl.P(), dg.Partition(), res.B, wire, chunk)
-	fmt.Printf("simulated: exec %.6fs, comm %.6fs (%.1f%%) | wall %v\n",
-		res.SimTime, res.SimComm, safePct(res.SimComm, res.SimTime), res.Wall)
-	fmt.Printf("volumes: expand %d words, fold %d words over %d sweeps (lane merges %d)\n",
-		res.TotalExpandWords, res.TotalFoldWords, len(res.PerLevel), res.TotalDups)
-	fmt.Println("\nsweep  frontier  expand-words  fold-words  lane-labels  edges-scanned")
-	for _, ls := range res.PerLevel {
-		fmt.Printf("%5d  %8d  %12d  %10d  %11d  %13d\n",
-			ls.Level, ls.Frontier, ls.ExpandWords, ls.FoldWords, ls.Marked, ls.EdgesScanned)
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
 	}
-	fmt.Println("\nlane  source  reached  max-level")
-	for lane, src := range res.Sources {
-		reached, maxL := 0, int32(0)
-		for _, l := range res.LaneLevels[lane] {
-			if l != bgl.Unreached {
-				reached++
-				if l > maxL {
-					maxL = l
-				}
-			}
-		}
-		fmt.Printf("%4d  %6d  %7d  %9d\n", lane, src, reached, maxL)
-	}
-	if verify {
-		for lane, src := range res.Sources {
-			want := g.SerialBFS(src)
-			for v, l := range want {
-				if res.LaneLevels[lane][v] != l {
-					fail(fmt.Errorf("VERIFY FAILED: lane %d level[%d] = %d, serial %d",
-						lane, v, res.LaneLevels[lane][v], l))
-				}
-			}
-		}
-		fmt.Printf("\nverified %d lanes against the serial oracle: OK\n", res.B)
-	}
+	return f.Close()
 }
 
 // printFaults reports the transport's fault/recovery counters when a
 // -fault plan injected anything.
-func printFaults(fs bgl.FaultStats) {
+func printFaults(w io.Writer, fs bgl.FaultStats) {
 	if fs.Injected() == 0 && fs.Retries == 0 && fs.DupsDiscarded == 0 {
 		return
 	}
-	fmt.Printf("faults: injected corrupt=%d drop=%d dup=%d delay=%d outage-holds=%d | recovered retries=%d checksum-fails=%d dups-discarded=%d (%.6fs sim retry time)\n",
+	fmt.Fprintf(w, "faults: injected corrupt=%d drop=%d dup=%d delay=%d outage-holds=%d | recovered retries=%d checksum-fails=%d dups-discarded=%d (%.6fs sim retry time)\n",
 		fs.InjCorrupt, fs.InjDrop, fs.InjDuplicate, fs.InjDelay, fs.InjOutage,
 		fs.Retries, fs.ChecksumFails, fs.DupsDiscarded, fs.RetrySeconds)
 }

@@ -15,8 +15,8 @@ const (
 	retryAfterSeconds = "1"
 
 	// wire is the payload codec of every sweep and query: the hybrid
-	// containers, never more words than the other three (BENCH_PR2.json,
-	// the topdown-* and dirop-* rows).
+	// containers, never more words than the other three (the ledger's
+	// headline -direction x -wire rows, cmd/bfsrun/testdata/ledger.tsv).
 	wire = bgl.WireHybrid
 
 	// Rebuild backoff bounds for the replica supervisor: the first

@@ -1,7 +1,6 @@
 package graphd
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -337,8 +336,8 @@ func TestServerQueueFull(t *testing.T) {
 // TestSinglesAndSweepsMatchSerialBFS: the levels a query gets are the
 // serial oracle's whichever way the dispatcher served it — alone (a
 // direction-optimizing BFS) or riding a 64-lane MultiBFS sweep — on a
-// 2x2 and a 1x1 mesh, under a fault plan, and its QueryStats report the
-// run that actually happened.
+// 2x2 and a 1x1 mesh and under both 1D partitionings, under a fault
+// plan, and its QueryStats report the run that actually happened.
 func TestSinglesAndSweepsMatchSerialBFS(t *testing.T) {
 	g := testGraph(t, 600)
 	srcs := make([]bgl.Vertex, bgl.MaxLanes)
@@ -363,10 +362,21 @@ func TestSinglesAndSweepsMatchSerialBFS(t *testing.T) {
 			t.Fatalf("source %d: run stats not filled: %+v", srcs[i], ans.stats)
 		}
 	}
-	for _, mesh := range [][2]int{{2, 2}, {1, 1}} {
-		t.Run(fmt.Sprintf("%dx%d", mesh[0], mesh[1]), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mesh [2]int
+		part bgl.Partition
+	}{
+		{"2x2", [2]int{2, 2}, bgl.Part2D},
+		{"1x1", [2]int{1, 1}, bgl.Part2D},
+		{"2x2-1dcol", [2]int{2, 2}, bgl.Part1DCol},
+		{"2x2-1drow", [2]int{2, 2}, bgl.Part1DRow},
+	} {
+		mesh := tc.mesh
+		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, g, func(c *Config) {
 				c.R, c.C = mesh[0], mesh[1]
+				c.Partition = tc.part
 				c.Fault = bgl.CannedFaultPlan(7)
 			})
 			// One at a time: the engine is idle, so each runs alone.

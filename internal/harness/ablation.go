@@ -105,5 +105,6 @@ func RunAblationSentCache(cfg Config) (*Table, error) {
 		t.AddRow(label, res.SimTime, res.TotalFoldWords, res.TotalDups)
 	}
 	t.Note("expected: cache removes re-sends of already-delivered neighbors, shrinking fold volume")
+	t.Note("measured at the default scale: 21%% fewer fold words with the cache, but more simulated time (0.0350 s with, 0.0249 s without): the cache loses time on its own exhibit and stays because it is the paper's §2.4.3")
 	return t, nil
 }

@@ -129,26 +129,6 @@ type workload struct {
 	cl     *cluster
 }
 
-// Workload is the exported face of a built workload, for external
-// drivers (cmd/benchjson) that measure the same machine the exhibits
-// run on.
-type Workload struct {
-	Graph  *graph.CSR
-	Stores []*partition.Store2D
-	World  *comm.World
-}
-
-// BuildWorkload generates the standard Poisson workload and
-// distributes it over an r x c mesh on the Figure 1 plane-mapped
-// BlueGene/L torus — the exact construction every exhibit uses.
-func BuildWorkload(n int, k float64, seed int64, r, c int) (*Workload, error) {
-	w, err := buildWorkload(n, k, seed, r, c, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{Graph: w.g, Stores: w.stores, World: w.cl.world}, nil
-}
-
 func buildWorkload(n int, k float64, seed int64, r, c int, rowMajor bool) (*workload, error) {
 	if k > float64(n-1) {
 		return nil, fmt.Errorf("harness: degree %g infeasible for n=%d", k, n)

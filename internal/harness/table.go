@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -87,17 +86,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// WriteCSV emits the table as CSV (columns header first).
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	if err := cw.WriteAll(t.Rows); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -86,8 +86,7 @@ type Common struct {
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives the run's statistics as
 	// counters/gauges/histograms after the run completes (see
-	// internal/metrics) — the snapshot bfsrun -metrics and benchjson
-	// read.
+	// internal/metrics) — the snapshot bfsrun -metrics writes.
 	Metrics *metrics.Registry
 	// Fault, when non-nil, is the seeded deterministic fault plan the
 	// simulated transport consults for every point-to-point message
