@@ -45,6 +45,8 @@ build:
 test:
 	$(GO) test ./...
 
+# Every benchmark once; BenchmarkMultiBFS1D (the perf lab's
+# multibfs1d-64 sweep) prints its B/op and allocs/op in every CI log.
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 

@@ -245,6 +245,43 @@ func BenchmarkTraversal1D(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiBFS1D measures one 64-lane batched sweep at the perf
+// lab's multibfs1d-64 shape — n = 16,000, k = 10, a 4x4 cluster under
+// Part1DCol, hybrid wire — with its allocations, so `make bench` prints
+// the bytes and allocations per sweep that workload's claim is about:
+//
+//	go test -run '^$' -bench MultiBFS1D -benchmem .
+func BenchmarkMultiBFS1D(b *testing.B) {
+	const n = 16000
+	g, err := Generate(n, 10, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := NewCluster(ClusterConfig{R: 4, C: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dg, err := cl.Distribute(g, WithPartition(Part1DCol))
+	if err != nil {
+		b.Fatal(err)
+	}
+	lanes := make([]Vertex, MaxLanes)
+	for i := range lanes {
+		lanes[i] = Vertex((int(g.LargestComponentVertex()) + 241*i) % n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var last *MultiResult
+	for i := 0; i < b.N; i++ {
+		if last, err = cl.MultiBFS(dg, lanes, WithWire(WireHybrid)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(last.TotalExpandWords+last.TotalFoldWords), "words")
+	b.ReportMetric(last.SimTime, "simexec-s")
+}
+
 // BenchmarkBidirectionalSearch measures the §2.3 bi-directional search
 // on far-apart endpoints.
 func BenchmarkBidirectionalSearch(b *testing.B) {

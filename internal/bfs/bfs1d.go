@@ -51,8 +51,8 @@ func newEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Opt
 	return e
 }
 
-func (e *engine1D) newSide(src graph.Vertex) *sideState {
-	s := newSideState(e.st.Lo, e.st.OwnedCount())
+func (e *engine1D) newSide(src graph.Vertex, L []int32) *sideState {
+	s := newSideState(e.st.Lo, e.st.OwnedCount(), L)
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))

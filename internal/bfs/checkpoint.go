@@ -60,9 +60,10 @@ func encodeSide(enc *checkpoint.Enc, s *sideState) {
 }
 
 // decodeSide rebuilds a sideState through the engine's own
-// constructor, so sizes and representations match the engine exactly.
-func decodeSide(dec *checkpoint.Dec, e stepper, opts Options) *sideState {
-	s := e.newSide(opts.Source)
+// constructor, so sizes and representations match the engine exactly;
+// the levels decode into L, as newSide takes it.
+func decodeSide(dec *checkpoint.Dec, e stepper, opts Options, L []int32) *sideState {
+	s := e.newSide(opts.Source, L)
 	s.level = int32(dec.U32())
 	if n := dec.Int(); n != len(s.L) {
 		panic(fmt.Sprintf("bfs: checkpoint has %d owned levels, engine has %d", n, len(s.L)))

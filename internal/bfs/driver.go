@@ -18,7 +18,9 @@ import (
 // (Algorithm 2) engines implement it, so the uni- and bi-directional
 // drivers below are shared.
 type stepper interface {
-	newSide(src graph.Vertex) *sideState
+	// newSide seeds a side searching from src that labels into L (see
+	// newSideState).
+	newSide(src graph.Vertex, L []int32) *sideState
 	step(s *sideState, tagBase int) (rankLevel, bool)
 	stepBottomUp(s *sideState, tagBase int) (rankLevel, bool)
 	// totalOutDegree and frontierOutDegree feed the Beamer-style
@@ -75,13 +77,13 @@ func stepDir(e stepper, s *sideState, dir Direction, tagBase int) (rankLevel, bo
 	return e.step(s, tagBase)
 }
 
-// driveUni runs a uni-directional level-synchronized search to
-// completion (empty global frontier), target discovery, the MaxLevels
-// bound, or a cooperative cancellation (non-nil *search.Canceled — the
-// state holds the partial labeling). It returns the per-level records,
-// the search state, and the level the target was found at (globally
+// driveUni runs a uni-directional level-synchronized search, labeling
+// into levels, to completion (empty global frontier), target discovery,
+// the MaxLevels bound, or a cooperative cancellation (non-nil
+// *search.Canceled — levels hold the partial labeling). It returns the
+// per-level records and the level the target was found at (globally
 // agreed), -1 if it was not.
-func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLevel, *sideState, int64, *search.Canceled) {
+func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
 	dirop := opts.Direction == DirectionOptimizing
 	var s *sideState
 	var recs []rankLevel
@@ -96,12 +98,12 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 		// checkpointing run and its cost is in the restored ledgers).
 		opts.Resume(c, "bfs", opts.fingerprint(l), func(dec *checkpoint.Dec) {
 			unlabeledDeg = dec.U64()
-			s = decodeSide(dec, e, opts)
+			s = decodeSide(dec, e, opts, levels)
 			e.restoreExtra(dec)
 			recs = search.DecodeRecs(dec, decodeRankLevel)
 		})
 	} else {
-		s = e.newSide(opts.Source)
+		s = e.newSide(opts.Source, levels)
 		if dirop {
 			unlabeledDeg = c.AllReduceSum(e.totalOutDegree())
 		}
@@ -116,14 +118,14 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 				e.saveExtra(enc)
 				search.EncodeRecs(enc, recs, encodeRankLevel)
 			})
-			return recs, s, -1, nil
+			return recs, -1, nil
 		}
 		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "level", int(s.level)); cxl != nil {
-			return recs, s, -1, cxl
+			return recs, -1, cxl
 		}
 		gf := c.AllReduceSum(uint64(s.F.Len()))
 		if gf == 0 {
-			return recs, s, -1, nil
+			return recs, -1, nil
 		}
 		var frontierDeg uint64
 		if dirop {
@@ -131,13 +133,13 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLe
 			unlabeledDeg -= frontierDeg
 		}
 		if opts.MaxLevels > 0 && int(s.level) >= opts.MaxLevels {
-			return recs, s, -1, nil
+			return recs, -1, nil
 		}
 		dir := chooseDirection(opts, frontierDeg, unlabeledDeg)
 		rec, foundLocal := stepDir(e, s, dir, int(s.level)*64)
 		recs = append(recs, rec)
 		if opts.HasTarget && c.AllReduceOr(foundLocal) {
-			return recs, s, int64(s.level), nil // labeled at the last completed level
+			return recs, int64(s.level), nil // labeled at the last completed level
 		}
 	}
 }
@@ -160,12 +162,13 @@ func meetDist(best uint64) int64 {
 // labeled, and the search stops once the best meeting distance is
 // provably optimal (any undiscovered path must exceed the sum of the
 // completed levels), either side exhausts, or a cooperative
-// cancellation fires. It returns the records, the forward side's
-// state, and the best distance (-1 if none).
-func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLevel, *sideState, int64, *search.Canceled) {
+// cancellation fires. The source side labels into levels, the target
+// side privately. It returns the records and the best distance (-1 if
+// none).
+func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
 	lo, _ := l.OwnedRange(c.Rank())
-	ss := e.newSide(opts.Source)
-	ts := e.newSide(opts.Target)
+	ss := e.newSide(opts.Source, levels)
+	ts := e.newSide(opts.Target, nil)
 	dirop := opts.Direction == DirectionOptimizing
 	var recs []rankLevel
 	best := bidirInf
@@ -183,7 +186,7 @@ func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rank
 	newS, newT := true, true
 	for {
 		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "level", len(recs)); cxl != nil {
-			return recs, ss, meetDist(best), cxl
+			return recs, meetDist(best), cxl
 		}
 		gfs := c.AllReduceSum(uint64(ss.F.Len()))
 		gft := c.AllReduceSum(uint64(ts.F.Len()))
@@ -199,10 +202,10 @@ func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rank
 		exhausted := gfs == 0 || gft == 0
 		proven := best != bidirInf && best <= uint64(ss.level)+uint64(ts.level)
 		if exhausted || proven {
-			return recs, ss, meetDist(best), nil
+			return recs, meetDist(best), nil
 		}
 		if opts.MaxLevels > 0 && int(ss.level+ts.level) >= opts.MaxLevels {
-			return recs, ss, meetDist(best), nil
+			return recs, meetDist(best), nil
 		}
 		side, mf, mu := ss, degS, unS
 		if gft < gfs {

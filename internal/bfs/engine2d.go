@@ -84,17 +84,21 @@ type sideState struct {
 }
 
 // newSideState returns a side over the owned range [lo, lo+n) with
-// nothing labeled.
-func newSideState(lo graph.Vertex, n int) *sideState {
-	s := &sideState{
-		L:     make([]int32, n),
+// nothing labeled. L is where it labels: the rank's block of the
+// Result's Levels, or nil for a private array (a bi-directional run's
+// target side).
+func newSideState(lo graph.Vertex, n int, L []int32) *sideState {
+	if L == nil {
+		L = make([]int32, n)
+	}
+	for i := range L {
+		L[i] = graph.Unreached
+	}
+	return &sideState{
+		L:     L,
 		F:     search.NewFrontier(uint32(lo), n),
 		spare: search.NewFrontier(uint32(lo), n),
 	}
-	for i := range s.L {
-		s.L[i] = graph.Unreached
-	}
-	return s
 }
 
 // nextFrontier returns the emptied spare frontier for a level to fill;
@@ -132,8 +136,8 @@ func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rank
 	return foundTarget
 }
 
-func (e *engine2D) newSide(src graph.Vertex) *sideState {
-	s := newSideState(e.st.Lo, e.st.OwnedCount())
+func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
+	s := newSideState(e.st.Lo, e.st.OwnedCount(), L)
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))

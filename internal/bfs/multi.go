@@ -62,10 +62,11 @@ func (r *MultiResult) laneOf(s graph.Vertex) int {
 	return -1
 }
 
-// LaneDistance returns the s→t distance of the lane searching from s
-// (Unreached if t was not reached or s is not in the batch).
+// LaneDistance returns the s→t distance of the lane searching from s —
+// the first such lane when s is in the batch twice — or Unreached if t
+// was not reached or is not a vertex, or s is not in the batch.
 func (r *MultiResult) LaneDistance(s, t graph.Vertex) int32 {
-	if i := r.laneOf(s); i >= 0 {
+	if i := r.laneOf(s); i >= 0 && int(t) < len(r.LaneLevels[i]) {
 		return r.LaneLevels[i][t]
 	}
 	return graph.Unreached
@@ -167,7 +168,8 @@ func decodeLanes(p *pool.Pool, buf []uint32, b int, vs []uint32, ms []uint64) ([
 	return vs, ms
 }
 
-// multiState is one rank's lane-parallel search state.
+// multiState is one rank's lane-parallel search state. Its labels are
+// the rank's owned blocks of the MultiResult's arrays, written in place.
 type multiState struct {
 	// reached[li] holds the lanes that have labeled owned vertex li.
 	reached []uint64
@@ -178,34 +180,43 @@ type multiState struct {
 	// F is the lane-OR frontier: owned vertices with fmask != 0; spareF
 	// is the storage mark builds the next one in.
 	F, spareF *frontier.Adaptive
-	// levels[lane][li] is lane's level of owned vertex li.
-	levels [][]int32
-	sweep  int32
+	// levels[lane][li] is lane's level of owned vertex li; nearest[li]
+	// is the lane minimum, stamped when the first lanes reach li.
+	levels  [][]int32
+	nearest []int32
+	sweep   int32
 }
 
-// newMultiState seeds the lanes owned by this rank.
-func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int) *multiState {
+// newMultiState seeds rank's lane-parallel search over its owned blocks
+// of res, which it initializes and from then on labels in place.
+func newMultiState(res *MultiResult, l partition.View, rank int) *multiState {
+	lo, hi := l.OwnedRange(rank)
+	n := int(hi - lo)
 	s := &multiState{
 		reached: make([]uint64, n),
 		fmask:   make([]uint64, n),
 		spare:   make([]uint64, n),
 		F:       search.NewFrontier(uint32(lo), n),
 		spareF:  search.NewFrontier(uint32(lo), n),
-		levels:  make([][]int32, len(sources)),
+		levels:  make([][]int32, res.B),
+		nearest: search.Owned(l, rank, res.Levels),
 	}
-	for lane := range s.levels {
-		lv := make([]int32, n)
+	for i := range s.nearest {
+		s.nearest[i] = graph.Unreached
+	}
+	for lane, all := range res.LaneLevels {
+		lv := search.Owned(l, rank, all)
 		for i := range lv {
 			lv[i] = graph.Unreached
 		}
 		s.levels[lane] = lv
 	}
-	for lane, src := range sources {
-		if src < lo || src >= lo+graph.Vertex(n) {
+	for lane, src := range res.Sources {
+		if src < lo || src >= hi {
 			continue
 		}
 		li := uint32(src - lo)
-		s.levels[lane][li] = 0
+		s.levels[lane][li], s.nearest[li] = 0, 0
 		s.reached[li] |= 1 << uint(lane)
 		s.fmask[li] |= 1 << uint(lane)
 		s.F.Add(uint32(src))
@@ -215,9 +226,10 @@ func newMultiState(opts Options, sources []graph.Vertex, lo graph.Vertex, n int)
 
 // mark applies a deduplicated batch of (vertex, mask) arrivals owned
 // by this rank: lanes not yet at a vertex label it at sweep+1 and
-// re-enter the frontier carrying only the new lanes. It installs the
-// next frontier and advances the sweep counter.
-func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rms []uint64, rec *rankLevel) {
+// re-enter the frontier carrying only the new lanes; a vertex no lane
+// had reached gets its nearest-source level too. It installs the next
+// frontier and advances the sweep counter.
+func (s *multiState) mark(lo graph.Vertex, rvs []uint32, rms []uint64, rec *rankLevel) {
 	next := s.spareF
 	next.Reset()
 	nextMask := s.spare
@@ -227,6 +239,9 @@ func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rm
 		nw := rms[i] &^ s.reached[li]
 		if nw == 0 {
 			continue
+		}
+		if s.reached[li] == 0 {
+			s.nearest[li] = s.sweep + 1
 		}
 		s.reached[li] |= nw
 		for m := nw; m != 0; m &= m - 1 {
@@ -243,25 +258,23 @@ func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rm
 
 // multiStepper is a partitioning engine for lane-parallel sweeps.
 type multiStepper interface {
-	newMulti(sources []graph.Vertex) *multiState
 	sweep(s *multiState, tagBase int) rankLevel
 	hashProbes() uint64
 }
 
-// multiDrive runs lane-parallel sweeps until the global lane-OR
+// multiDrive runs lane-parallel sweeps from s until the global lane-OR
 // frontier empties (or MaxLevels, or a cooperative cancellation).
-func multiDrive(c *comm.Comm, e multiStepper, opts Options, sources []graph.Vertex) ([]rankLevel, *multiState, *search.Canceled) {
-	s := e.newMulti(sources)
+func multiDrive(c *comm.Comm, e multiStepper, opts Options, s *multiState) ([]rankLevel, *search.Canceled) {
 	var recs []rankLevel
 	for {
 		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
-			return recs, s, cxl
+			return recs, cxl
 		}
 		if c.AllReduceSum(uint64(s.F.Len())) == 0 {
-			return recs, s, nil
+			return recs, nil
 		}
 		if opts.MaxLevels > 0 && int(s.sweep) >= opts.MaxLevels {
-			return recs, s, nil
+			return recs, nil
 		}
 		recs = append(recs, e.sweep(s, int(s.sweep)*64))
 	}
@@ -282,9 +295,11 @@ type multiEngine2D struct {
 	hist  frontier.ContainerHist
 	// probes counts this run's hash probes.
 	probes uint64
-	// fold is the row-exchange half of a sweep and its per-run scratch;
-	// sendV/sendM stage the targeted column expand, likewise reused
-	// every sweep.
+	// fold is the row-exchange half of a sweep and its per-run scratch,
+	// its raw bins sized once from the store's FoldEntries — a sweep scans
+	// each arrived vertex's partial list at most once, so they never
+	// regrow; sendV/sendM stage the targeted column expand, reused every
+	// sweep.
 	fold  *search.Fold[uint64]
 	sendV [][]uint32
 	sendM [][]uint64
@@ -305,15 +320,11 @@ func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opt
 		sendV: make([][]uint32, l.R),
 		sendM: make([][]uint64, l.R),
 	}
-	e.fold = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist})
+	e.fold = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist}, st.FoldEntries)
 	return e
 }
 
 func (e *multiEngine2D) hashProbes() uint64 { return e.probes }
-
-func (e *multiEngine2D) newMulti(sources []graph.Vertex) *multiState {
-	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
-}
 
 // sweep runs one lane-parallel sweep under either schedule. The
 // overlapped one streams lane payloads into the partial-list scan as
@@ -369,7 +380,7 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	// the owner's merge of what arrives.
 	rvs, rms, dups := e.fold.Deliver(tagBase+1<<24, &rec.Step)
 	rec.dups = dups
-	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
+	s.mark(e.st.Lo, rvs, rms, &rec)
 	rec.end(tm)
 	return rec
 }
@@ -384,7 +395,8 @@ type multiEngine1D struct {
 	model torus.CostModel
 	pl    *pool.Pool
 	hist  frontier.ContainerHist
-	// fold is the exchange half of a sweep and its per-run scratch.
+	// fold is the exchange half of a sweep and its per-run scratch, its
+	// raw bins sized from the store's FoldEntries (see multiEngine2D).
 	fold *search.Fold[uint64]
 }
 
@@ -392,17 +404,13 @@ type multiEngine1D struct {
 func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Options, b int) multiStepper {
 	c.SetCores(opts.Cores)
 	e := &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), pl: pool.New(opts.Workers)}
-	e.fold = search.NewFold[uint64](c, c.WorldGroup(), &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist})
+	e.fold = search.NewFold[uint64](c, c.WorldGroup(), &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist}, st.FoldEntries)
 	return e
 }
 
 // hashProbes is zero: the 1D sweep scans full local edge lists and
 // keeps no sent cache, so it resolves nothing.
 func (e *multiEngine1D) hashProbes() uint64 { return 0 }
-
-func (e *multiEngine1D) newMulti(sources []graph.Vertex) *multiState {
-	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
-}
 
 // sweep runs one lane-parallel sweep under either schedule: the scan is
 // local, so the overlapped schedule's win is the pipelined fold —
@@ -413,7 +421,7 @@ func (e *multiEngine1D) sweep(s *multiState, tagBase int) rankLevel {
 	rec.Edges = e.scanLanes(s)
 	rvs, rms, dups := e.fold.Deliver(tagBase, &rec.Step)
 	rec.dups = dups
-	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
+	s.mark(e.st.Lo, rvs, rms, &rec)
 	rec.end(tm)
 	return rec
 }
@@ -433,20 +441,4 @@ func validateSources(sources []graph.Vertex, n int) error {
 		}
 	}
 	return nil
-}
-
-// nearestLevels returns every vertex's level from its nearest source:
-// the minimum over the lanes that reached it.
-func nearestLevels(laneLevels [][]int32, n int) []int32 {
-	levels := make([]int32, n)
-	for v := range levels {
-		min := graph.Unreached
-		for _, lane := range laneLevels {
-			if l := lane[v]; l != graph.Unreached && (min == graph.Unreached || l < min) {
-				min = l
-			}
-		}
-		levels[v] = min
-	}
-	return levels
 }

@@ -1,13 +1,17 @@
 package bfs
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/search"
 )
 
 // multiSources picks b spread-out sources, including vertices outside
@@ -151,6 +155,154 @@ func TestMultiRunDuplicateSources(t *testing.T) {
 	levelsEqual(t, res.LaneLevels[0], want, "duplicate lane 0")
 	levelsEqual(t, res.LaneLevels[1], want, "duplicate lane 1")
 	levelsEqual(t, res.LaneLevels[2], graph.BFS(g, 0), "lane 2")
+}
+
+// laneMinimum is the reference for MultiResult.Levels: every vertex's
+// level from its nearest source, the minimum over the lanes that
+// reached it — the pass over all lanes that mark's stamp replaced.
+func laneMinimum(laneLevels [][]int32, n int) []int32 {
+	levels := make([]int32, n)
+	for v := range levels {
+		min := graph.Unreached
+		for _, lane := range laneLevels {
+			if l := lane[v]; l != graph.Unreached && (min == graph.Unreached || l < min) {
+				min = l
+			}
+		}
+		levels[v] = min
+	}
+	return levels
+}
+
+// TestMultiNearestIsLaneMinimum: the nearest-source levels mark stamps
+// in place are exactly the per-vertex lane minimum, on the 2D engine at
+// 1x1, 2x2 and 4x4 and the 1D engine at 1x16, for a batch with a
+// duplicate source and an isolated one — and so are the partial answers
+// of a run cut short by MaxLevels and of one stopped by a simulated-time
+// budget.
+func TestMultiNearestIsLaneMinimum(t *testing.T) {
+	g := testGraph(t, 600, 3, 17)
+	var isolated []graph.Vertex
+	for v := 0; v < g.N; v++ {
+		if len(g.Neighbors(graph.Vertex(v))) == 0 {
+			isolated = append(isolated, graph.Vertex(v))
+		}
+	}
+	if len(isolated) < 2 {
+		t.Fatalf("fixture has %d isolated vertices, want a source and an unreachable one", len(isolated))
+	}
+	srcs := multiSources(g, 6)
+	srcs = append(srcs, srcs[2], isolated[0])
+
+	type engine struct {
+		name string
+		run  func(Options) (*MultiResult, error)
+	}
+	var engines []engine
+	for _, mesh := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
+		fx := build2D(t, g, mesh[0], mesh[1])
+		engines = append(engines, engine{fmt.Sprintf("2D %dx%d", mesh[0], mesh[1]),
+			func(o Options) (*MultiResult, error) { return MultiRun2D(fx.world, fx.st2, srcs, o) }})
+	}
+	l1, err := partition.NewLayout1D(g.N, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1, err := partition.Build1D(l1, visitCSR(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := comm.NewWorld(comm.Config{P: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines = append(engines, engine{"1D 1x16",
+		func(o Options) (*MultiResult, error) { return MultiRun1D(w1, st1, srcs, o) }})
+
+	check := func(res *MultiResult, label string) {
+		t.Helper()
+		levelsEqual(t, res.Levels, laneMinimum(res.LaneLevels, g.N), label)
+	}
+	for _, e := range engines {
+		full, err := e.run(DefaultOptions(0))
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		check(full, e.name+" full")
+		for lane, src := range srcs {
+			levelsEqual(t, full.LaneLevels[lane], graph.BFS(g, src), fmt.Sprintf("%s lane %d", e.name, lane))
+		}
+		if full.Levels[isolated[1]] != graph.Unreached {
+			t.Fatalf("%s: isolated vertex %d at level %d", e.name, isolated[1], full.Levels[isolated[1]])
+		}
+
+		short := DefaultOptions(0)
+		short.MaxLevels = 2
+		res, err := e.run(short)
+		if err != nil {
+			t.Fatalf("%s MaxLevels: %v", e.name, err)
+		}
+		check(res, e.name+" MaxLevels=2")
+
+		budget := DefaultOptions(0)
+		budget.Cancel = search.SimBudgetCancel(full.SimTime / 2)
+		res, err = e.run(budget)
+		var cxl *search.Canceled
+		if !errors.As(err, &cxl) {
+			t.Fatalf("%s: a half-time budget returned %v, not a cancellation", e.name, err)
+		}
+		check(res, e.name+" sim budget")
+		if slices.Equal(res.Levels, full.Levels) {
+			t.Errorf("%s: the budget-stopped answer is the full one", e.name)
+		}
+	}
+}
+
+// TestMultiLaneDistance: LaneDistance answers from the first lane
+// searching from s, and Unreached — never a panic — for a target that
+// was not reached or is not a vertex, or a source not in the batch.
+func TestMultiLaneDistance(t *testing.T) {
+	g := testGraph(t, 300, 4, 14)
+	fx := build2D(t, g, 2, 2)
+	src := fx.src
+	res, err := MultiRun2D(fx.world, fx.st2, []graph.Vertex{src, 0, src}, DefaultOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mark the duplicate lane, so an answer from it shows.
+	res.LaneLevels[2] = slices.Repeat([]int32{99}, g.N)
+	far, unreached, outside := src, src, src
+	for v, l := range fx.serial {
+		switch {
+		case l == graph.Unreached:
+			unreached = graph.Vertex(v)
+		case l > fx.serial[far]:
+			far = graph.Vertex(v)
+		}
+		if v != int(src) && v != 0 {
+			outside = graph.Vertex(v)
+		}
+	}
+	if fx.serial[unreached] != graph.Unreached {
+		t.Fatal("fixture reaches every vertex from its source")
+	}
+	for _, tc := range []struct {
+		name string
+		s, t graph.Vertex
+		want int32
+	}{
+		{"own source", src, src, 0},
+		{"farthest vertex, first of the duplicate lanes", src, far, fx.serial[far]},
+		{"second lane", 0, 0, 0},
+		{"not reached", src, unreached, graph.Unreached},
+		{"t = N", src, graph.Vertex(g.N), graph.Unreached},
+		{"t = MaxUint32", src, math.MaxUint32, graph.Unreached},
+		{"s outside the batch", outside, src, graph.Unreached},
+	} {
+		if got := res.LaneDistance(tc.s, tc.t); got != tc.want {
+			t.Errorf("%s: LaneDistance(%d, %d) = %d, want %d", tc.name, tc.s, tc.t, got, tc.want)
+		}
+	}
 }
 
 // TestMultiRunValidation exercises the batch validation errors.

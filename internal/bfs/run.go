@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -14,11 +15,10 @@ import (
 // multi-source — which share search.Run's harness and the helpers
 // below; the partitionings differ only inside the engines.
 
-// rankOut is what one rank's body hands back to the harness.
+// rankOut is what one rank's body hands back to the harness besides
+// the labels it wrote into the answer (search.Owned).
 type rankOut struct {
 	recs   []rankLevel
-	levels []int32   // owned levels (the source side's when bi-directional)
-	lanes  [][]int32 // owned per-lane levels of a multi-source batch
 	probes uint64
 	dist   int64 // the globally agreed s→t distance, -1 when there is none
 }
@@ -68,23 +68,24 @@ func trivialResult(l partition.View, source graph.Vertex) *Result {
 }
 
 // drive is a level-synchronized driver: it runs rank c's engine to the
-// end of the search and returns the per-level records, the (source)
-// side's state, the globally agreed s→t distance (-1 when the target was
-// not reached, or there is none) and the cancellation, if any.
-type drive func(c *comm.Comm, e stepper, l partition.View, opts Options) ([]rankLevel, *sideState, int64, *search.Canceled)
+// end of the search, its (source) side labeling into levels — the rank's
+// block of the Result's — and returns the per-level records, the
+// globally agreed s→t distance (-1 when the target was not reached, or
+// there is none) and the cancellation, if any.
+type drive func(c *comm.Comm, e stepper, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled)
 
-// runSides runs drive on every rank's engine and assembles the Result
-// around the side's levels.
+// runSides allocates the Result and runs drive on every rank's engine,
+// each labeling its owned block of the Result's levels.
 func runSides[S search.Store](w *comm.World, stores []S, l partition.View, opts Options, engine func(*comm.Comm, S, partition.View, Options) stepper, drive drive) (*Result, error) {
+	res := &Result{Levels: make([]int32, l.N)}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
 		e := engine(c, stores[c.Rank()], l, opts)
-		recs, s, dist, cxl := drive(c, e, l, opts)
-		return rankOut{recs: recs, levels: s.L, probes: e.hashProbes(), dist: dist}, cxl
+		recs, dist, cxl := drive(c, e, l, opts, search.Owned(l, c.Rank(), res.Levels))
+		return rankOut{recs: recs, probes: e.hashProbes(), dist: dist}, cxl
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Levels: search.Assemble(l, out.PerRank, func(r rankOut) []int32 { return r.levels })}
 	return res, finish(res, l, &opts, out)
 }
 
@@ -137,20 +138,21 @@ func runMulti[S search.Store](w *comm.World, stores []S, sources []graph.Vertex,
 	if err != nil {
 		return nil, err
 	}
+	// The answer, for the ranks to label (newMultiState): one array per
+	// lane, so a caller that keeps one lane does not pin the whole batch.
+	res := &MultiResult{B: len(sources), Sources: slices.Clone(sources), LaneLevels: make([][]int32, len(sources))}
+	res.Levels = make([]int32, l.N)
+	for lane := range res.LaneLevels {
+		res.LaneLevels[lane] = make([]int32, l.N)
+	}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
 		e := engine(c, stores[c.Rank()], l, opts, len(sources))
-		recs, s, cxl := multiDrive(c, e, opts, sources)
-		return rankOut{recs: recs, lanes: s.levels, probes: e.hashProbes(), dist: -1}, cxl
+		recs, cxl := multiDrive(c, e, opts, newMultiState(res, l, c.Rank()))
+		return rankOut{recs: recs, probes: e.hashProbes(), dist: -1}, cxl
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &MultiResult{B: len(sources), Sources: append([]graph.Vertex(nil), sources...)}
-	res.LaneLevels = make([][]int32, res.B)
-	for lane := range res.LaneLevels {
-		res.LaneLevels[lane] = search.Assemble(l, out.PerRank, func(r rankOut) []int32 { return r.lanes[lane] })
-	}
-	res.Levels = nearestLevels(res.LaneLevels, l.N)
 	return res, finish(&res.Result, l, &opts, out)
 }
 

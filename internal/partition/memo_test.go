@@ -200,17 +200,20 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 	nextCol, nextRow := make([]func() uint32, p), make([]func() uint32, p)
 	need := make([][]uint64, p)
 	lists := make([]map[graph.Vertex][]entry, p)
+	fold := make([][]uint32, p)
 	for rk := 0; rk < p; rk++ {
 		colMaps[rk], rowMaps[rk] = localindex.NewMap(16), localindex.NewMap(16)
 		nextCol[rk], nextRow[rk] = counter(), counter()
 		need[rk] = make([]uint64, l.OwnedCount(rk)*wpv)
 		lists[rk] = map[graph.Vertex][]entry{}
+		fold[rk] = make([]uint32, c)
 	}
 	ref := func(u, v graph.Vertex, w uint32) {
 		rk := l.StoringRank(u, v)
 		colMaps[rk].GetOrPut(v, nextCol[rk])
 		rowMaps[rk].GetOrPut(u, nextRow[rk])
 		lists[rk][v] = append(lists[rk][v], entry{u, w})
+		fold[rk][l.ColBlockOf(u)]++
 		owner := l.OwnerRank(v)
 		lo, _ := l.OwnedRange(owner)
 		i := l.RowIndexOf(u)
@@ -290,6 +293,9 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 				t.Fatalf("rank %d: ResolveColumns probe total off by %d", rk, int64(batch))
 			}
 		}
+		if !slices.Equal(st.FoldEntries, fold[rk]) {
+			t.Fatalf("rank %d: FoldEntries %v, entries per block column %v", rk, st.FoldEntries, fold[rk])
+		}
 		if !slices.Equal(st.RowNeed, need[rk]) {
 			t.Fatalf("rank %d: RowNeed differs from the per-entry reference", rk)
 		}
@@ -333,8 +339,13 @@ func checkMemo1D(t *testing.T, n, p int, es []wedge, weighted bool) {
 		// The reference: the target map as the loader used to build it.
 		targets := localindex.NewMap(len(st.Adj))
 		next := counter()
+		fold := make([]uint32, p)
 		for _, u := range st.Adj {
 			targets.GetOrPut(u, next)
+			fold[l.OwnerRank(u)]++
+		}
+		if !slices.Equal(st.FoldEntries, fold) {
+			t.Fatalf("rank %d: FoldEntries %v, entries per owner %v", rk, st.FoldEntries, fold)
 		}
 		if len(st.AdjIdx) != len(st.Adj) || st.TargetCount != targets.Len() || len(st.TargetProbes) != st.TargetCount {
 			t.Fatalf("rank %d: %d AdjIdx for %d Adj, TargetCount %d, %d TargetProbes, reference map holds %d",

@@ -37,6 +37,11 @@ type Store1D struct {
 	// filled in Adj order): what a search charges instead of making the
 	// lookup. Build1D fails rather than truncate a count.
 	TargetProbes []uint8
+
+	// FoldEntries[q] counts the Adj entries whose target rank q owns: the
+	// most pairs one sweep of a lane-parallel search bins for q, since a
+	// sweep scans each owned vertex's list at most once.
+	FoldEntries []uint32
 }
 
 // View returns the harness's view of the store's layout.
@@ -100,7 +105,7 @@ func build1D(l *Layout1D, visit WeightedVisitor, weighted bool) ([]*Store1D, err
 	stores := make([]*Store1D, l.P)
 	for r := 0; r < l.P; r++ {
 		lo, hi := l.OwnedRange(r)
-		st := &Store1D{Layout: l, Rank: r, Lo: lo, Hi: hi}
+		st := &Store1D{Layout: l, Rank: r, Lo: lo, Hi: hi, FoldEntries: make([]uint32, l.P)}
 		st.Off = make([]int64, st.OwnedCount()+1)
 		stores[r] = st
 	}
@@ -127,20 +132,23 @@ func build1D(l *Layout1D, visit WeightedVisitor, weighted bool) ([]*Store1D, err
 	for r, st := range stores {
 		next[r] = append([]int64(nil), st.Off[:st.OwnedCount()]...)
 	}
-	place := func(v, target graph.Vertex, w uint32) {
-		r := l.OwnerRank(v)
+	// place files target in the list of v, owned by rank r; q owns target
+	// (each edge's two owners are found once, for both of its entries).
+	place := func(v graph.Vertex, r int, target graph.Vertex, q int, w uint32) {
 		st := stores[r]
 		li := st.LocalOf(v)
 		k := next[r][li]
 		next[r][li]++
 		st.Adj[k] = target
+		st.FoldEntries[q]++
 		if weighted {
 			st.Wt[k] = w
 		}
 	}
 	if err := visit(func(u, v graph.Vertex, w uint32) {
-		place(u, v, w)
-		place(v, u, w)
+		ru, rv := l.OwnerRank(u), l.OwnerRank(v)
+		place(u, ru, v, rv, w)
+		place(v, rv, u, ru, w)
 	}); err != nil {
 		return nil, err
 	}

@@ -56,6 +56,12 @@ type Store2D struct {
 	// than truncate a count.
 	RowProbes []uint8
 
+	// FoldEntries[j] counts the Rows entries in block column j (the row
+	// vertices processor column j owns): the most pairs one sweep of a
+	// lane-parallel search bins for row-group member j, since a sweep
+	// scans each arrived vertex's partial list at most once.
+	FoldEntries []uint32
+
 	// RowNeed marks, for each owned vertex (by local index), which mesh
 	// rows i' hold a non-empty partial edge list for it. The targeted
 	// expand sends a frontier vertex only to those rows. Packed
@@ -211,8 +217,9 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		lo, hi := l.OwnedRange(r)
 		st := &Store2D{
 			Layout: l, Rank: r, I: i, J: j, Lo: lo, Hi: hi,
-			ColMap:     localindex.NewMap(16),
-			rowNeedWpv: wpv,
+			ColMap:      localindex.NewMap(16),
+			FoldEntries: make([]uint32, l.C),
+			rowNeedWpv:  wpv,
 		}
 		st.RowNeed = make([]uint64, st.OwnedCount()*wpv)
 		stores[r] = st
@@ -223,18 +230,18 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		}
 	}
 	// locate returns the rank storing matrix entry (row u, column v),
-	// given the blocks bu and bv of the two, and the positions of v in
-	// that rank's block column and of u in its block row.
-	locate := func(u graph.Vertex, bu int, v graph.Vertex, bv int) (rk, colPos, rowPos int) {
-		j := bv / l.R
-		return l.RankAt(bu%l.R, j), int(v) - j*colSpan, bu/l.R*bs + int(u) - bu*bs
+	// given the blocks bu and bv of the two, the positions of v in that
+	// rank's block column and of u in its block row, and u's block column.
+	locate := func(u graph.Vertex, bu int, v graph.Vertex, bv int) (rk, colPos, rowPos, ju int) {
+		j, ju := bv/l.R, bu/l.R
+		return l.RankAt(bu%l.R, j), int(v) - j*colSpan, ju*bs + int(u) - bu*bs, ju
 	}
 	// Pass 1: discover non-empty columns and distinct rows in stream
 	// order (each map sees exactly the Puts a GetOrPut per entry would
 	// make), count entries per column, build RowNeed.
 	discover := func(u graph.Vertex, bu int, v graph.Vertex, bv int) {
 		// u appears in the edge list (matrix column) of v.
-		rk, colPos, rowPos := locate(u, bu, v, bv)
+		rk, colPos, rowPos, _ := locate(u, bu, v, bv)
 		st, ld := stores[rk], &loaders[rk]
 		if ld.col[colPos] == 0 {
 			st.ColMap.Put(v, 0) // numbered once every column is known
@@ -299,13 +306,14 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	// Pass 2: fill rows, their local indices, and their weights when
 	// carried; within a column entries keep stream order.
 	place := func(u graph.Vertex, bu int, v graph.Vertex, bv int, w uint32) {
-		rk, colPos, rowPos := locate(u, bu, v, bv)
+		rk, colPos, rowPos, ju := locate(u, bu, v, bv)
 		st, ld := stores[rk], &loaders[rk]
 		ci := ld.col[colPos]
 		k := ld.next[ci]
 		ld.next[ci]++
 		st.Rows[k] = u
 		st.RowIdx[k] = ld.row[rowPos] - 1
+		st.FoldEntries[ju]++
 		if weighted {
 			st.RowWts[k] = w
 		}

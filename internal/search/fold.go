@@ -58,11 +58,17 @@ type Fold[V any] struct {
 	absorbed int
 }
 
-// NewFold builds the fold of group g on rank c over layout l.
-func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, l partition.View, ops Payload[V]) *Fold[V] {
+// NewFold builds the fold of group g on rank c over layout l. caps,
+// when non-nil, is each raw bin's initial capacity — the most pairs one
+// step can bin for that member (a store's FoldEntries) — so the bins
+// never regrow; nil bins start empty and grow with what the steps bin.
+func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, l partition.View, ops Payload[V], caps []uint32) *Fold[V] {
 	f := &Fold[V]{c: c, g: g, o: o, l: l, ops: ops,
 		comb: localindex.NewCombiner(l.BlockSize), own: localindex.NewCombiner(l.BlockSize),
 		binV: make([][]uint32, g.Size()), binX: make([][]V, g.Size())}
+	for m, n := range caps {
+		f.binV[m], f.binX[m] = make([]uint32, 0, n), make([]V, 0, n)
+	}
 	lo, hi := l.OwnedRange(g.World(g.Me))
 	f.own.Reset(uint32(lo), int(hi-lo))
 	return f

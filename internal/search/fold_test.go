@@ -162,8 +162,9 @@ type foldGot[V any] struct {
 
 // runFold delivers rounds steps of cases on one Fold per rank — the
 // scratch is reused from step to step, as in the engines — under the
-// given schedule.
-func runFold[V any](t *testing.T, cases []foldCase[V], async bool, payload func(h *frontier.ContainerHist) Payload[V]) [][]foldGot[V] {
+// given schedule, its bins presized to the largest each step fills when
+// presize is set (as the lane engines size them from the store).
+func runFold[V any](t *testing.T, cases []foldCase[V], async, presize bool, payload func(h *frontier.ContainerHist) Payload[V]) [][]foldGot[V] {
 	t.Helper()
 	p := cases[0].l.P()
 	w := testWorld(t, p)
@@ -172,7 +173,16 @@ func runFold[V any](t *testing.T, cases []foldCase[V], async bool, payload func(
 		o := Defaults()
 		o.Async = async
 		var hist frontier.ContainerHist
-		f := NewFold(c, c.WorldGroup(), &o, cases[0].l, payload(&hist))
+		var caps []uint32
+		if presize {
+			caps = make([]uint32, p)
+			for _, fc := range cases {
+				for m, bin := range fc.bins[c.Rank()] {
+					caps[m] = max(caps[m], uint32(len(bin)))
+				}
+			}
+		}
+		f := NewFold(c, c.WorldGroup(), &o, cases[0].l, payload(&hist), caps)
 		for round, fc := range cases {
 			binV, binX := f.Reset()
 			for m, bin := range fc.bins[c.Rank()] {
@@ -196,9 +206,12 @@ func checkFold[V any](t *testing.T, value func(*rand.Rand) V, merge func(a, b V)
 			t.Run(fmt.Sprintf("p%d/%v", p, wire), func(t *testing.T) {
 				cases := []foldCase[V]{makeCase(t, 997, p, 0, value), makeCase(t, 997, p, 1, value)}
 				bind := func(h *frontier.ContainerHist) Payload[V] { return payload(wire, h) }
-				sync, async := runFold(t, cases, false, bind), runFold(t, cases, true, bind)
+				sync, async := runFold(t, cases, false, false, bind), runFold(t, cases, true, false, bind)
 				if !reflect.DeepEqual(sync, async) {
 					t.Errorf("the schedules disagree:\nsync  %+v\nasync %+v", sync, async)
+				}
+				if sized := runFold(t, cases, false, true, bind); !reflect.DeepEqual(sync, sized) {
+					t.Errorf("presized bins disagree:\ngrown %+v\nsized %+v", sync, sized)
 				}
 				for rank := range sync {
 					for round, g := range sync[rank] {

@@ -5,9 +5,10 @@
 // multi-source BFS and Δ-stepping SSSP all run it on either
 // partitioning, so what does not depend on the family lives here once:
 //
-//   - the run harness (Run, CheckShape, Assemble): install the trace
-//     recorder and fault plan, run one body per rank, collect results
-//     and cancellations, merge the ranks' ledgers;
+//   - the run harness (Run, CheckShape, Owned): install the trace
+//     recorder and fault plan, run one body per rank, each writing its
+//     owned block of the answer, collect cancellations, merge the ranks'
+//     ledgers;
 //   - the step ledger (Step, StepTimer): the words, edges, container
 //     choices and clock/comm/overlap deltas every per-level or per-epoch
 //     record keeps, their trace span and their checkpoint codec, with

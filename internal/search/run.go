@@ -107,14 +107,13 @@ func (o Outcome[T]) Totals() Totals {
 	return t
 }
 
-// Assemble stitches the ranks' owned slices (levels, distances) —
-// owned picks a rank's out of what its body returned — into one array
-// over all n vertices.
-func Assemble[R, T any](l partition.View, perRank []R, owned func(R) []T) []T {
-	out := make([]T, l.N)
-	for rank, r := range perRank {
-		lo, _ := l.OwnedRange(rank)
-		copy(out[lo:], owned(r))
-	}
-	return out
+// Owned returns rank's block [lo, hi) of an answer array over all n
+// vertices (levels, distances). The entry points allocate the answer
+// before the World starts and each rank initializes and writes only its
+// own block — the owner is the only writer of its labels, as in the
+// paper's distribution — so the ranks' writes never overlap and nothing
+// is copied once the World finishes. The block's capacity ends at hi.
+func Owned[T any](l partition.View, rank int, all []T) []T {
+	lo, hi := l.OwnedRange(rank)
+	return all[lo:hi:hi]
 }

@@ -180,12 +180,13 @@ func (s *rankState) apply(rvs, rds []uint32, k uint32, rec *epochRec) []uint32 {
 	return again
 }
 
-// runRank executes the Δ-stepping schedule on one rank. All control
-// decisions (bucket choice, loop exits, Δ, cancellation) are globally
-// reduced, so every rank runs the same epoch sequence. A non-nil
-// *search.Canceled return means the run stopped cooperatively with the
-// state holding partial tentative distances.
-func runRank(c *comm.Comm, l partition.View, e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) {
+// runRank executes the Δ-stepping schedule on one rank, its tentative
+// distances kept in D — the rank's block of the Result's Dist. All
+// control decisions (bucket choice, loop exits, Δ, cancellation) are
+// globally reduced, so every rank runs the same epoch sequence. A
+// non-nil *search.Canceled return means the run stopped cooperatively
+// with D holding partial tentative distances.
+func runRank(c *comm.Comm, l partition.View, e engine, opts Options, D []uint32) ([]epochRec, *rankState, *search.Canceled) {
 	model := c.Model()
 	lo, hi := l.OwnedRange(c.Rank())
 	n := int(hi - lo)
@@ -193,7 +194,7 @@ func runRank(c *comm.Comm, l partition.View, e engine, opts Options) ([]epochRec
 		lo:      uint32(lo),
 		n:       n,
 		opts:    opts,
-		D:       make([]uint32, n),
+		D:       D,
 		buckets: map[uint32]frontier.Frontier{},
 		settled: localindex.NewBitset(n),
 	}
@@ -307,10 +308,10 @@ func countBuckets(recs []EpochStats) int {
 	return n
 }
 
-// rankOut is what one rank's body hands back to the harness.
+// rankOut is what one rank's body hands back to the harness besides
+// the distances it wrote into the answer (search.Owned).
 type rankOut struct {
 	recs  []epochRec
-	dist  []uint32 // owned tentative distances
 	delta uint32
 }
 
@@ -327,17 +328,17 @@ func run[S search.Store](w *comm.World, stores []S, opts Options, engine func(*c
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{N: l.N, R: l.R, C: l.C, Dist: make([]uint32, l.N)}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		recs, st, cxl := runRank(c, l, engine(c, stores[c.Rank()], l, opts), opts)
-		return rankOut{recs, st.D, st.delta}, cxl
+		recs, st, cxl := runRank(c, l, engine(c, stores[c.Rank()], l, opts), opts, search.Owned(l, c.Rank(), res.Dist))
+		return rankOut{recs, st.delta}, cxl
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{N: l.N, R: l.R, C: l.C, Wall: out.Wall, Delta: out.PerRank[0].delta}
+	res.Wall, res.Delta = out.Wall, out.PerRank[0].delta
 	mergeStats(res, out)
 	res.BucketsDrained = countBuckets(res.PerEpoch)
-	res.Dist = search.Assemble(l, out.PerRank, func(r rankOut) []uint32 { return r.dist })
 	publishMetrics(opts.Metrics, res)
 	return res, out.Err()
 }

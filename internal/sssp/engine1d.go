@@ -27,14 +27,17 @@ type engine1D struct {
 	// codec run on; see parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
-	// fold is the exchange half of a round and its per-run scratch.
+	// fold is the exchange half of a round and its per-run scratch. Its
+	// bins grow with use rather than being sized from FoldEntries, as the
+	// lane engines' are: a round relaxes only one bucket's edges, a small
+	// fraction of that bound.
 	fold *search.Fold[uint32]
 }
 
 func newEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Options) engine {
 	c.SetCores(opts.Cores)
 	e := &engine1D{c: c, st: st, opts: opts, model: c.Model(), pl: pool.New(opts.Workers)}
-	e.fold = search.NewFold[uint32](c, c.WorldGroup(), &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist})
+	e.fold = search.NewFold[uint32](c, c.WorldGroup(), &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist}, nil)
 	return e
 }
 

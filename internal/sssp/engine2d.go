@@ -32,9 +32,9 @@ type engine2D struct {
 	// codec run on; see parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
-	// fold is the row-exchange half of a round and its per-run scratch;
-	// sendV/sendD stage the targeted column expand, likewise reused
-	// every round.
+	// fold is the row-exchange half of a round and its per-run scratch,
+	// its bins grown with use (see engine1D.fold); sendV/sendD stage the
+	// targeted column expand, likewise reused every round.
 	fold         *search.Fold[uint32]
 	sendV, sendD [][]uint32
 }
@@ -53,7 +53,7 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 		sendV: make([][]uint32, l.R),
 		sendD: make([][]uint32, l.R),
 	}
-	e.fold = search.NewFold[uint32](c, e.rowG, &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist})
+	e.fold = search.NewFold[uint32](c, e.rowG, &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist}, nil)
 	return e
 }
 
