@@ -23,7 +23,7 @@ tier1:
 
 # Race-detector pass: the SPMD ranks are goroutines sharing one address
 # space; any unsynchronized touch of a payload in flight shows up here.
-# -short is read by one test: the simulated ledger keeps its 232-line
+# -short is read by one test: the simulated ledger keeps its 240-line
 # matrix block under the detector and skips the n = 100,000 block.
 race:
 	$(GO) test -race -short ./...
@@ -85,7 +85,7 @@ perf-pairs:
 	bash scripts/perfpairs.sh $(BASE) $(WORKLOAD) $(N) $(SEED)
 
 # Simulated-drift check: run every line of the simulated ledger
-# (cmd/bfsrun/testdata/ledger.tsv — a 232-configuration `bfsrun -json`
+# (cmd/bfsrun/testdata/ledger.tsv — a 240-configuration `bfsrun -json`
 # matrix over every family x partitioning x wire codec x schedule, the
 # fold/expand collectives, direction policies, sent cache, a canned
 # fault plan and cores/workers, plus the 28 flagship runs) in-process,

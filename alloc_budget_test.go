@@ -21,8 +21,8 @@ import (
 // ceilings. The readings repeat exactly:
 //
 //	case                 allocs  MB     (before owner-written answers)
-//	sssp2d               15176   2.183  (15192, 2.208)
-//	multibfs1d            7208   2.827  (11350, 4.161)
+//	sssp2d               14056   2.003  (15192, 2.208)
+//	multibfs1d            7256   2.829  (11350, 4.161)
 //	multibfs2d-service     875   7.475  (1236, 16.709)
 //	bfs2d                 2405   0.754  (2421, 0.780)
 //	bfs2d-service          565   0.731  (569, 0.813)

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,9 +16,10 @@ import (
 // ledgerPath is the one committed record of simulated numbers: one line
 // per bfsrun configuration — the flag string, simexec_s, simcomm_s and
 // total words at full precision, and the SHA-256 of the -json document
-// with the Wall lines dropped — tab-separated, in a [matrix] block (the
-// configuration space at n = 12,000 on a 2x3 mesh) and a [headline]
-// block (the flagship runs at n = 100,000 on 4x4, skipped under -short).
+// with the Wall lines dropped — tab-separated, in [matrix] blocks (the
+// configuration space at n = 12,000 on a 2x3 mesh, then the 1x6 twin
+// pairs) and a [headline] block (the flagship runs at n = 100,000 on
+// 4x4, skipped under -short).
 const ledgerPath = "testdata/ledger.tsv"
 
 // ledgerCols names the columns after the flag string.
@@ -86,8 +88,9 @@ func readLedger(t *testing.T) ([]string, []ledgerLine) {
 }
 
 // measure runs one configuration in-process and returns its ledger
-// columns. The run must have passed the serial oracle.
-func measure(flags string) (cols [len(ledgerCols)]string, err error) {
+// columns. The run must have passed the serial oracle. The hash skips
+// the document's "Wall": lines and any line holding one of skip.
+func measure(flags string, skip ...string) (cols [len(ledgerCols)]string, err error) {
 	var stdout, stderr bytes.Buffer
 	if err := run(append(strings.Fields(flags), "-json"), &stdout, &stderr); err != nil {
 		return cols, fmt.Errorf("%v\n%s", err, stderr.String())
@@ -104,8 +107,9 @@ func measure(flags string) (cols [len(ledgerCols)]string, err error) {
 	}
 	// Wall is the host's time, the only field allowed to differ.
 	hash := sha256.New()
+	skip = append(skip, `"Wall":`)
 	for _, line := range bytes.SplitAfter(stdout.Bytes(), []byte("\n")) {
-		if !bytes.Contains(line, []byte(`"Wall":`)) {
+		if !slices.ContainsFunc(skip, func(s string) bool { return bytes.Contains(line, []byte(s)) }) {
 			hash.Write(line)
 		}
 	}
@@ -198,7 +202,9 @@ func TestSimLedgerCatchesOneDigit(t *testing.T) {
 // some interior Δ beats both degenerate extremes, the overlapped
 // schedule is worth ≥ 1.3x on the 1D Δ-stepping flagship, and a batched
 // multi-source sweep costs less per query, in words and in simulated
-// seconds, than a single-source traversal — the more lanes the less.
+// seconds, than a single-source traversal — the more lanes the less —
+// and Part1DCol is the 2D engine on a 1 x P mesh: each matrix line with
+// -r 1 -c 6 -part 1dcol records what its -part 2d twin does.
 // (That every lane equals its own serial BFS is TestSimLedger's oracle
 // check; a 64-lane batch against its 64 independent runs is
 // internal/bfs TestMultiRunFullBatch.)
@@ -251,5 +257,37 @@ func TestLedgerClaims(t *testing.T) {
 	}
 	if wider == 0 {
 		t.Error("no -sources rows in the headline block")
+	}
+
+	twins := 0
+	for _, l := range lines {
+		if !strings.Contains(l.flags, "-r 1 -c 6 ") || !strings.Contains(l.flags, "-part 1dcol") {
+			continue
+		}
+		twins++
+		twin := strings.Replace(l.flags, "-part 1dcol", "-part 2d", 1)
+		i := slices.IndexFunc(lines, func(m ledgerLine) bool { return m.flags == twin })
+		if i < 0 {
+			t.Errorf("%q has no twin %q", l.flags, twin)
+			continue
+		}
+		got, want := l.cols, lines[i].cols
+		if strings.Contains(l.flags, "-sources") {
+			// A MultiBFS document names its partitioning: compare the two
+			// runs' documents without that line.
+			var err error
+			if got, err = measure(l.flags, `"Part":`); err == nil {
+				want, err = measure(twin, `"Part":`)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got != want {
+			t.Errorf("%q records %v, its twin %q %v", l.flags, got, twin, want)
+		}
+	}
+	if twins != 4 {
+		t.Errorf("%d -r 1 -c 6 -part 1dcol twin pairs in the ledger, want 4", twins)
 	}
 }

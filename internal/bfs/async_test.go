@@ -89,15 +89,15 @@ func TestAsyncMatchesSyncEveryMeshAndCodec(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSync1DEngine runs the matrix on the dedicated 1D
-// engine.
+// TestAsyncMatchesSync1DEngine runs the matrix on 1 x P meshes, where
+// the engine runs Algorithm 1.
 func TestAsyncMatchesSync1DEngine(t *testing.T) {
 	g := testGraph(t, 2500, 8, 13)
 	for _, p := range []int{1, 3, 4, 8} {
 		for _, wire := range asyncWires {
 			builder := func(t *testing.T, opts Options) *Result {
 				st, w := build1D(t, g, p)
-				res, err := Run1D(w, st, opts)
+				res, err := Run2D(w, st, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -112,21 +112,10 @@ func TestRun2DAllAlgorithmCombinations(t *testing.T) {
 
 func TestRun1DMatchesSerial(t *testing.T) {
 	g := testGraph(t, 500, 4, 3)
+	src := graph.LargestComponentVertex(g)
 	for _, p := range []int{1, 2, 4, 7} {
-		l1, err := partition.NewLayout1D(g.N, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st1, err := partition.Build1D(l1, visitCSR(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := comm.NewWorld(comm.Config{P: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := graph.LargestComponentVertex(g)
-		res, err := Run1D(w, st1, DefaultOptions(src))
+		st1, w := build1D(t, g, p)
+		res, err := Run2D(w, st1, DefaultOptions(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,35 +123,27 @@ func TestRun1DMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRun1DEquivalentToDegenerate2D: Algorithm 1 and Algorithm 2 with
-// R=1 are the same partitioning; their levels and fold volumes must
-// agree.
-func TestRun1DEquivalentToDegenerate2D(t *testing.T) {
+// TestOneRowMeshSkipsColumnPhase: Algorithm 1 is Algorithm 2 on a 1 x P
+// mesh, where every processor column is one rank — its own frontier is
+// F̄ and its block column its owned block. A top-down level there moves
+// no expand word and, without the sent cache, makes no hash probe, while
+// the same search on a 2 x 2 mesh does both.
+func TestOneRowMeshSkipsColumnPhase(t *testing.T) {
 	g := testGraph(t, 400, 5, 4)
-	p := 4
-	src := graph.LargestComponentVertex(g)
-
-	l1, _ := partition.NewLayout1D(g.N, p)
-	st1, err := partition.Build1D(l1, visitCSR(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, _ := comm.NewWorld(comm.Config{P: p})
-	opts := DefaultOptions(src)
-	opts.Fold = FoldDirect
-	res1, err := Run1D(w1, st1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fx := build2D(t, g, 1, p)
-	res2, err := Run2D(fx.world, fx.st2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	levelsEqual(t, res2.Levels, res1.Levels, "1D vs 2D(R=1)")
-	if res1.TotalFoldWords != res2.TotalFoldWords {
-		t.Errorf("fold words differ: 1D=%d 2D(R=1)=%d", res1.TotalFoldWords, res2.TotalFoldWords)
+	opts := DefaultOptions(graph.LargestComponentVertex(g))
+	opts.Fold, opts.SentCache = FoldDirect, false
+	for _, mesh := range [][2]int{{1, 4}, {2, 2}} {
+		fx := build2D(t, g, mesh[0], mesh[1])
+		res, err := Run2D(fx.world, fx.st2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levelsEqual(t, res.Levels, fx.serial, fmt.Sprintf("mesh %v", mesh))
+		column := res.TotalExpandWords > 0 || res.HashProbes > 0
+		if want := mesh[0] > 1; column != want {
+			t.Errorf("mesh %v: %d expand words, %d probes; want a column phase %v",
+				mesh, res.TotalExpandWords, res.HashProbes, want)
+		}
 	}
 }
 
@@ -443,16 +424,7 @@ func TestDeterministicSimulatedTime(t *testing.T) {
 
 func TestBidirectional1DDistances(t *testing.T) {
 	g := testGraph(t, 600, 5, 18)
-	p := 4
-	l1, _ := partition.NewLayout1D(g.N, p)
-	st1, err := partition.Build1D(l1, visitCSR(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := comm.NewWorld(comm.Config{P: p})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1, w := build1D(t, g, 4)
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 8; trial++ {
 		s := graph.Vertex(rng.Intn(g.N))
@@ -460,7 +432,7 @@ func TestBidirectional1DDistances(t *testing.T) {
 		want := graph.Distance(g, s, dst)
 		opts := DefaultOptions(s)
 		opts.Target, opts.HasTarget = dst, true
-		res, err := RunBidirectional1D(w, st1, opts)
+		res, err := RunBidirectional2D(w, st1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,13 +448,13 @@ func TestBidirectional1DDistances(t *testing.T) {
 		}
 	}
 	// Requires a target.
-	if _, err := RunBidirectional1D(w, st1, DefaultOptions(0)); err == nil {
+	if _, err := RunBidirectional2D(w, st1, DefaultOptions(0)); err == nil {
 		t.Fatal("1D bidir without target accepted")
 	}
 	// Trivial s == t.
 	opts := DefaultOptions(5)
 	opts.Target, opts.HasTarget = 5, true
-	res, err := RunBidirectional1D(w, st1, opts)
+	res, err := RunBidirectional2D(w, st1, opts)
 	if err != nil || !res.Found || res.Distance != 0 {
 		t.Fatalf("trivial 1D bidir: %v %v %d", err, res.Found, res.Distance)
 	}
@@ -516,7 +488,7 @@ func TestQuickRandomConfigs(t *testing.T) {
 	}
 }
 
-// TestWorldReuseAcrossEngines runs 1D, 2D and bidirectional searches
+// TestWorldReuseAcrossEngines runs uni- and bi-directional searches
 // back to back on one world, checking no state leaks between runs.
 func TestWorldReuseAcrossEngines(t *testing.T) {
 	g := testGraph(t, 400, 5, 30)

@@ -36,90 +36,7 @@ func unwireBitPieces(p *pool.Pool, opts Options, pieces [][]uint32, widths func(
 	}
 }
 
-// stepBottomUp runs one bottom-up level under the 1D partitioning:
-// every rank learns the global frontier as a bitmap (one all-gather of
-// owned-range bitmaps — 1D stores full edge lists, so no fold is
-// needed), then scans its unlabeled owned vertices for frontier
-// parents.
-func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := beginLevel(e.c, &e.hist)
-	// dir is stamped here, not by the caller: the level span closes
-	// inside rec.end with rec.dir as its arg.
-	rec := rankLevel{dir: BottomUp, frontier: s.F.Len()}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	payload := wireBits(e.pl, e.opts, &e.hist, frontier.Bits(s.F), e.st.OwnedCount())
-	var pieces [][]uint32
-	var st collective.Stats
-	if e.opts.Async {
-		// Pipelined ring: each received piece is forwarded before its
-		// handling charge, which then hides the next hop's transit.
-		pieces, st = collective.AllGatherAsync(e.c, e.world, o, payload, func(m int, piece []uint32) {
-			if m != e.world.Me {
-				e.c.ChargeItems(len(piece), e.model.VertexCost)
-			}
-		})
-	} else {
-		pieces, st = collective.AllGather(e.c, e.world, o, payload)
-		e.c.ChargeItems(st.RecvWords, e.model.VertexCost)
-	}
-	unwireBitPieces(e.pl, e.opts, pieces, e.st.Layout.OwnedCount)
-	rec.ExpandWords = st.RecvWords
-
-	n := len(s.L)
-	edges := 0
-	if e.pl.Inline(n, ownedGrain) {
-		edges = e.findParents(s, pieces, 0, n)
-	} else {
-		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.findParents(s, pieces, lo, hi) }) {
-			edges += c
-		}
-	}
-	// The chunks labeled s.L at disjoint indices; one ascending pass
-	// over the labels builds the frontier in the same order at every
-	// pool size.
-	next := s.nextFrontier()
-	foundTarget := false
-	for li, lv := range s.L {
-		if lv != s.level+1 {
-			continue
-		}
-		gv := e.st.GlobalOf(uint32(li))
-		next.Add(uint32(gv))
-		rec.marked++
-		if e.opts.HasTarget && gv == e.opts.Target {
-			foundTarget = true
-		}
-	}
-	rec.Edges = edges
-	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
-	s.advance()
-	rec.end(tm)
-	return rec, foundTarget
-}
-
-// findParents is the 1D bottom-up scan's body over the owned vertices
-// [lo, hi): each still-unlabeled one searches its edge list for a parent
-// in the gathered frontier bitmaps and is labeled at the first hit. It
-// returns the edge entries inspected.
-func (e *engine1D) findParents(s *sideState, pieces [][]uint32, lo, hi int) (edges int) {
-	bs := uint32(e.st.Layout.BlockSize())
-	for li := lo; li < hi; li++ {
-		if s.L[li] != graph.Unreached {
-			continue
-		}
-		for _, u := range e.st.Neighbors(uint32(li)) {
-			edges++
-			r := uint32(u) / bs
-			if frontier.TestBit(pieces[r], uint32(u)-r*bs) {
-				s.L[li] = s.level + 1
-				break
-			}
-		}
-	}
-	return edges
-}
-
-// stepBottomUp runs one bottom-up level under the 2D partitioning:
+// stepBottomUp runs one bottom-up level:
 //
 //  1. Processor-row all-gather of owned-frontier bitmaps — the owners
 //     of every vertex appearing in my partial edge lists are exactly my
@@ -134,6 +51,10 @@ func (e *engine1D) findParents(s *sideState, pieces [][]uint32, lo, hi int) (edg
 //  4. Processor-column OR-reduce-scatter of the claim bitmaps back to
 //     the owners, which mark and build the next frontier.
 //
+// With a one-member processor column (R = 1) steps 2 and 4 are the
+// identity: the scan reads the unlabeled vertices from the levels and
+// labels them in place, as Algorithm 1's bottom-up level would.
+//
 // Under WireHybrid all three bitmap exchanges carry container-encoded
 // payloads (the gathers at the caller edges, the claims through
 // collective.Opts.Codec).
@@ -143,6 +64,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	// dir is stamped here, not by the caller: the level span closes
 	// inside rec.end with rec.dir as its arg.
 	rec := rankLevel{dir: BottomUp, frontier: s.F.Len()}
+	column := e.colG.Size() > 1
 
 	// Per-piece handling charge for the pipelined gathers (received
 	// pieces only, the synchronous charge split across arrivals).
@@ -166,38 +88,84 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	fSend := wireBits(e.pl, e.opts, &e.hist, frontier.Bits(s.F), e.st.OwnedCount())
 	fPieces, fst := gather(e.rowG, o, fSend)
 	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
+	rec.ExpandWords = fst.RecvWords
 
-	un := frontier.NewBits(e.st.OwnedCount())
-	for li, lv := range s.L {
-		if lv == graph.Unreached {
-			frontier.SetBit(un, uint32(li))
+	var uPieces, claims [][]uint32
+	if column {
+		un := frontier.NewBits(e.st.OwnedCount())
+		for li, lv := range s.L {
+			if lv == graph.Unreached {
+				frontier.SetBit(un, uint32(li))
+			}
+		}
+		o2 := collective.Opts{Tag: tagBase + 1<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+		var ust collective.Stats
+		uPieces, ust = gather(e.colG, o2, wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()))
+		unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
+		rec.ExpandWords += ust.RecvWords
+		claims = make([][]uint32, l.R)
+		for i := 0; i < l.R; i++ {
+			claims[i] = frontier.NewBits(l.OwnedCount(e.colG.Ranks[i]))
 		}
 	}
-	o2 := collective.Opts{Tag: tagBase + 1<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	uPieces, ust := gather(e.colG, o2, wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()))
-	unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
-	rec.ExpandWords = fst.RecvWords + ust.RecvWords
 
-	claims := make([][]uint32, l.R)
-	for i := 0; i < l.R; i++ {
-		claims[i] = frontier.NewBits(l.OwnedCount(e.colG.Ranks[i]))
-	}
-	n := len(e.st.ColIds)
+	n := len(e.st.Off) - 1 // columns
 	edges := 0
 	if e.pl.Inline(n, ownedGrain) {
-		edges = e.claimParents(fPieces, uPieces, claims, 0, n)
+		edges = e.claimParents(s, fPieces, uPieces, claims, 0, n)
 	} else {
-		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(fPieces, uPieces, claims, lo, hi) }) {
+		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(s, fPieces, uPieces, claims, lo, hi) }) {
 			edges += c
 		}
 	}
 	rec.Edges = edges
-	e.c.ChargeItemsPar(len(e.st.ColIds), e.model.VertexCost)
+	if column {
+		e.c.ChargeItemsPar(n, e.model.VertexCost)
+	}
 	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
 
-	o3 := collective.Opts{Tag: tagBase + 2<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+	next := s.nextFrontier()
+	foundTarget := false
+	label := func(li uint32) {
+		gv := e.st.GlobalOf(li)
+		next.Add(uint32(gv))
+		rec.marked++
+		if e.opts.HasTarget && gv == e.opts.Target {
+			foundTarget = true
+		}
+	}
+	if column {
+		mine := e.reduceClaims(claims, tagBase+2<<22, chargeRecv(e.colG.Me), &rec)
+		frontier.IterateBits(mine, func(li uint32) {
+			if s.L[li] != graph.Unreached {
+				return // claims are built from a pre-level snapshot
+			}
+			s.L[li] = s.level + 1
+			label(li)
+		})
+	} else {
+		// The scan labeled s.L in place, its chunks at disjoint indices;
+		// one ascending pass builds the frontier in the same order at
+		// every pool size.
+		for li, lv := range s.L {
+			if lv == s.level+1 {
+				label(uint32(li))
+			}
+		}
+	}
+	s.advance()
+	rec.end(tm)
+	return rec, foundTarget
+}
+
+// reduceClaims OR-reduce-scatters the claim bitmaps over the processor
+// column and returns this rank's: its owned vertices some column-mate
+// found a frontier parent for.
+func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Handle, rec *rankLevel) []uint32 {
+	l := e.st.Layout
+	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
 	if e.opts.Wire == frontier.WireHybrid {
-		o3.Codec = &collective.Codec{
+		o.Codec = &collective.Codec{
 			Enc: func(m int, w []uint32) []uint32 {
 				return frontier.EncodeBitsPar(e.pl, w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
 			},
@@ -207,43 +175,27 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		}
 	}
 	var mine []uint32
-	var cst collective.Stats
+	var st collective.Stats
 	if e.opts.Async {
-		mine, cst = collective.ReduceScatterOrAsync(e.c, e.colG, o3,
-			func(m int) []uint32 { return claims[m] }, chargeRecv(e.colG.Me))
+		mine, st = collective.ReduceScatterOrAsync(e.c, e.colG, o, func(m int) []uint32 { return claims[m] }, handle)
 	} else {
-		mine, cst = collective.ReduceScatterOr(e.c, e.colG, o3, claims)
-		e.c.ChargeItems(cst.RecvWords, e.model.VertexCost)
+		mine, st = collective.ReduceScatterOr(e.c, e.colG, o, claims)
+		e.c.ChargeItems(st.RecvWords, e.model.VertexCost)
 	}
-	rec.FoldWords = cst.RecvWords
-
-	next := s.nextFrontier()
-	foundTarget := false
-	frontier.IterateBits(mine, func(li uint32) {
-		if s.L[li] != graph.Unreached {
-			return // claims are built from a pre-level snapshot
-		}
-		s.L[li] = s.level + 1
-		gv := e.st.GlobalOf(li)
-		next.Add(uint32(gv))
-		rec.marked++
-		if e.opts.HasTarget && gv == e.opts.Target {
-			foundTarget = true
-		}
-	})
-	s.advance()
-	rec.end(tm)
-	return rec, foundTarget
+	rec.FoldWords = st.RecvWords
+	return mine
 }
 
-// claimParents is the 2D bottom-up scan's body over the compact columns
+// claimParents is the bottom-up scan's body over the compact columns
 // [lo, hi): each column vertex its owner still holds unlabeled stops at
 // the first frontier parent in its partial list here and claims itself
-// for that owner. Distinct column vertices can claim distinct bits of
-// one claims word from different chunks, so the set is atomic; which
-// bits get set is schedule-independent (each vertex's scan touches only
-// its own partial list). It returns the edge entries inspected.
-func (e *engine2D) claimParents(fPieces, uPieces, claims [][]uint32, lo, hi int) (edges int) {
+// for that owner — or, with claims nil (R = 1, where column ci is owned
+// vertex ci), labels itself in s.L. Distinct column vertices can claim
+// distinct bits of one claims word from different chunks, so the set is
+// atomic; which bits get set is schedule-independent (each vertex's scan
+// touches only its own partial list). It returns the edge entries
+// inspected.
+func (e *engine2D) claimParents(s *sideState, fPieces, uPieces, claims [][]uint32, lo, hi int) (edges int) {
 	st := e.st
 	l := st.Layout
 	bs := l.BlockSize()
@@ -252,8 +204,13 @@ func (e *engine2D) claimParents(fPieces, uPieces, claims [][]uint32, lo, hi int)
 	// cursor divides once per owner the chunk reaches.
 	owner := l.OwnerCursor()
 	for ci := lo; ci < hi; ci++ {
-		m, off := owner.Locate(st.ColIds[ci])
-		if !frontier.TestBit(uPieces[m], off) {
+		var m int
+		var off uint32
+		if claims == nil {
+			if s.L[ci] != graph.Unreached {
+				continue
+			}
+		} else if m, off = owner.Locate(st.ColIds[ci]); !frontier.TestBit(uPieces[m], off) {
 			continue
 		}
 		for _, u := range st.Rows[st.Off[ci]:st.Off[ci+1]] {
@@ -262,7 +219,11 @@ func (e *engine2D) claimParents(fPieces, uPieces, claims [][]uint32, lo, hi int)
 			// so their owner sits at row-group index BlockOf(u)/R.
 			ub := int(u) / bs
 			if frontier.TestBit(fPieces[ub/l.R], uint32(int(u)-ub*bs)) {
-				frontier.SetBitAtomic(claims[m], off)
+				if claims == nil {
+					s.L[ci] = s.level + 1
+				} else {
+					frontier.SetBitAtomic(claims[m], off)
+				}
 				break
 			}
 		}

@@ -62,7 +62,7 @@ func encodeSide(enc *checkpoint.Enc, s *sideState) {
 // decodeSide rebuilds a sideState through the engine's own
 // constructor, so sizes and representations match the engine exactly;
 // the levels decode into L, as newSide takes it.
-func decodeSide(dec *checkpoint.Dec, e stepper, opts Options, L []int32) *sideState {
+func decodeSide(dec *checkpoint.Dec, e *engine2D, opts Options, L []int32) *sideState {
 	s := e.newSide(opts.Source, L)
 	s.level = int32(dec.U32())
 	if n := dec.Int(); n != len(s.L) {
@@ -106,27 +106,12 @@ func decodeRankLevel(dec *checkpoint.Dec) rankLevel {
 	return r
 }
 
-// The engines' extra-state hooks.
-
-// saveExtra persists the 1D degree-sum cache — it is computed without
-// charges, but restoring it keeps the restored run's reductions
-// byte-identical without rescanning — and the hash probes so far, so the
-// restored Result's HashProbes matches the uninterrupted run.
-func (e *engine1D) saveExtra(enc *checkpoint.Enc) {
-	enc.Bool(e.degComputed)
-	enc.U64(e.degTotal)
-	enc.U64(e.probes)
-}
-
-func (e *engine1D) restoreExtra(dec *checkpoint.Dec) {
-	e.degComputed = dec.Bool()
-	e.degTotal = dec.U64()
-	e.probes = dec.U64()
-}
-
-// saveExtra persists the 2D degree-exchange result: computing it
-// charges an AllToAll, which already happened in the checkpointing run
-// — a restored run must reuse the cache, not re-pay the exchange.
+// saveExtra persists the engine-internal state whose absence would
+// change a restored run: the degree-exchange result — computing it
+// charges an AllToAll, which already happened in the checkpointing run,
+// and a restored run must reuse the cache, not re-pay the exchange — and
+// the hash probes so far, so the restored Result's HashProbes matches the
+// uninterrupted run.
 func (e *engine2D) saveExtra(enc *checkpoint.Enc) {
 	enc.Bool(e.deg != nil)
 	if e.deg != nil {

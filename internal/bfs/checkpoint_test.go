@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/trace"
 )
 
@@ -81,23 +80,12 @@ func TestCheckpointRestore2D(t *testing.T) {
 func TestCheckpointRestore1D(t *testing.T) {
 	g := testGraph(t, 500, 4, 12)
 	p := 4
-	l1, err := partition.NewLayout1D(g.N, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, err := partition.Build1D(l1, visitCSR(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := comm.NewWorld(comm.Config{P: p})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1, w := build1D(t, g, p)
 	src := graph.LargestComponentVertex(g)
 	opts := DefaultOptions(src)
 	opts.SentCache = true
 
-	full, err := Run1D(w, st1, opts)
+	full, err := Run2D(w, st1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +94,7 @@ func TestCheckpointRestore1D(t *testing.T) {
 	}
 
 	opts.Checkpoint = checkpoint.NewPlan(2)
-	if _, err := Run1D(w, st1, opts); err != nil {
+	if _, err := Run2D(w, st1, opts); err != nil {
 		t.Fatal(err)
 	}
 	snap := opts.Checkpoint.Snapshot()
@@ -115,7 +103,7 @@ func TestCheckpointRestore1D(t *testing.T) {
 	ropts := opts
 	ropts.Checkpoint = nil
 	ropts.Restore = snap
-	restored, err := Run1D(w2, st1, ropts)
+	restored, err := Run2D(w2, st1, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}

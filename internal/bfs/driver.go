@@ -11,33 +11,6 @@ import (
 	"repro/internal/search"
 )
 
-// stepper is a partitioning engine: it creates per-side search state
-// and advances one complete BFS level in either direction (expand where
-// applicable, neighbor scan, fold, mark for top-down; bitmap exchange
-// and parent search for bottom-up). Both the 1D (Algorithm 1) and 2D
-// (Algorithm 2) engines implement it, so the uni- and bi-directional
-// drivers below are shared.
-type stepper interface {
-	// newSide seeds a side searching from src that labels into L (see
-	// newSideState).
-	newSide(src graph.Vertex, L []int32) *sideState
-	step(s *sideState, tagBase int) (rankLevel, bool)
-	stepBottomUp(s *sideState, tagBase int) (rankLevel, bool)
-	// totalOutDegree and frontierOutDegree feed the Beamer-style
-	// direction heuristic: this rank's degree sum over its owned
-	// vertices, and over a side's current frontier. Only consulted
-	// under DirectionOptimizing.
-	totalOutDegree() uint64
-	frontierOutDegree(s *sideState) uint64
-	// hashProbes returns the global→local probes this run has made.
-	hashProbes() uint64
-	// saveExtra / restoreExtra serialize engine-internal caches whose
-	// absence would change a restored run's charges (the 2D engine's
-	// degree-exchange result, the 1D engine's degree sum).
-	saveExtra(enc *checkpoint.Enc)
-	restoreExtra(dec *checkpoint.Dec)
-}
-
 // chooseDirection picks a level's expansion direction from Beamer's
 // true alpha heuristic: a level runs bottom-up when the edges a
 // top-down expansion would scan (the frontier's out-degree, mf) exceed
@@ -66,11 +39,11 @@ func chooseDirection(opts Options, mf, mu uint64) Direction {
 	}
 }
 
-// stepDir advances one level in the chosen direction. The engines stamp
+// stepDir advances one level in the chosen direction. The steps stamp
 // rec.dir themselves (before the level span closes, so the trace and the
 // Result agree); a caller-side stamp here would land after the span's
 // dir arg was already emitted.
-func stepDir(e stepper, s *sideState, dir Direction, tagBase int) (rankLevel, bool) {
+func (e *engine2D) stepDir(s *sideState, dir Direction, tagBase int) (rankLevel, bool) {
 	if dir == BottomUp {
 		return e.stepBottomUp(s, tagBase)
 	}
@@ -83,7 +56,7 @@ func stepDir(e stepper, s *sideState, dir Direction, tagBase int) (rankLevel, bo
 // *search.Canceled — levels hold the partial labeling). It returns the
 // per-level records and the level the target was found at (globally
 // agreed), -1 if it was not.
-func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
+func driveUni(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
 	dirop := opts.Direction == DirectionOptimizing
 	var s *sideState
 	var recs []rankLevel
@@ -136,7 +109,7 @@ func driveUni(c *comm.Comm, e stepper, l partition.View, opts Options, levels []
 			return recs, -1, nil
 		}
 		dir := chooseDirection(opts, frontierDeg, unlabeledDeg)
-		rec, foundLocal := stepDir(e, s, dir, int(s.level)*64)
+		rec, foundLocal := e.stepDir(s, dir, int(s.level)*64)
 		recs = append(recs, rec)
 		if opts.HasTarget && c.AllReduceOr(foundLocal) {
 			return recs, int64(s.level), nil // labeled at the last completed level
@@ -165,7 +138,7 @@ func meetDist(best uint64) int64 {
 // cancellation fires. The source side labels into levels, the target
 // side privately. It returns the records and the best distance (-1 if
 // none).
-func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
+func driveBidir(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
 	lo, _ := l.OwnedRange(c.Rank())
 	ss := e.newSide(opts.Source, levels)
 	ts := e.newSide(opts.Target, nil)
@@ -216,7 +189,7 @@ func driveBidir(c *comm.Comm, e stepper, l partition.View, opts Options, levels 
 			other = ss
 		}
 		dir := chooseDirection(opts, mf, mu)
-		rec, _ := stepDir(e, side, dir, tagSeq*64)
+		rec, _ := e.stepDir(side, dir, tagSeq*64)
 		if side == ss {
 			newS = true
 		} else {

@@ -18,7 +18,11 @@ import (
 
 // engine2D holds one rank's state for Algorithm 2. The same level
 // machinery serves the uni-directional search and both sides of the
-// bi-directional search.
+// bi-directional search, on every mesh: when the processor column has
+// one member (R = 1, the conventional 1D partitioning of §2.1) its
+// column phase is the identity — the rank's own frontier is F̄, its
+// block column is its owned block — and a level is Algorithm 1's:
+// scan, fold, mark, charged for nothing else.
 type engine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -35,8 +39,9 @@ type engine2D struct {
 	hist frontier.ContainerHist
 	// deg caches the global out-degree of every owned vertex, built on
 	// first use by a processor-column exchange (2D partial edge lists
-	// mean no single rank holds a vertex's full degree). Only the
-	// direction-optimizing policy consults it.
+	// mean no single rank holds a vertex's full degree; with R = 1 the
+	// rank does, and reads them from Off). Only the direction-optimizing
+	// policy consults it.
 	deg []uint32
 	// probes counts this run's hash probes (a restore seeds it with the
 	// checkpointed run's); the stores themselves are read-only.
@@ -52,7 +57,7 @@ type engine2D struct {
 	bundle *collective.BundleCodec
 }
 
-func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) stepper {
+func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) *engine2D {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{
@@ -147,9 +152,6 @@ func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
 	}
 	return s
 }
-
-// hashProbes returns the probes the scans have made so far.
-func (e *engine2D) hashProbes() uint64 { return e.probes }
 
 // expandWire readies an expand payload (a subset of this rank's owned
 // frontier) for the wire: its encoding under the configured mode, or
@@ -369,6 +371,14 @@ func (e *engine2D) ownedOutDegrees() []uint32 {
 	if e.deg != nil {
 		return e.deg
 	}
+	if e.colG.Size() == 1 {
+		// The full edge lists are local: column li is owned vertex li.
+		e.deg = make([]uint32, e.st.OwnedCount())
+		for li := range e.deg {
+			e.deg[li] = uint32(e.st.Off[li+1] - e.st.Off[li])
+		}
+		return e.deg
+	}
 	l := e.st.Layout
 	r := e.colG.Size()
 	send := make([][]uint32, r)
@@ -426,11 +436,15 @@ func (e *engine2D) frontierOutDegree(s *sideState) uint64 {
 // the scans and unions are order-insensitive, and the sent-neighbors
 // cache admits each vertex exactly once in any order; only the
 // simulated clock, and the OverlapS ledger, changes. The fold's
-// schedule is collective.Fold's business.
+// schedule is collective.Fold's business. With a one-member processor
+// column there is no expand: the scan reads the owned frontier itself.
 func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{frontier: s.F.Len()}
-	if e.opts.Async {
+	switch {
+	case e.colG.Size() == 1:
+		rec.Edges = e.scanPart(s, s.F.Vertices())
+	case e.opts.Async:
 		rec.ExpandWords = e.expandAsync(s, tagBase, func(m int, part []uint32) {
 			// Mirror expandUnwire: WireSparse parts are raw id lists that never
 			// saw the sentinel guard, so they must not go through Decode.
@@ -439,7 +453,7 @@ func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 			}
 			rec.Edges += e.scanPart(s, part)
 		}).RecvWords
-	} else {
+	default:
 		fbar, est := e.expand(s, tagBase)
 		rec.ExpandWords = est.RecvWords
 		rec.Edges = e.scanPart(s, fbar)

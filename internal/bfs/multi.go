@@ -256,15 +256,9 @@ func (s *multiState) mark(lo graph.Vertex, rvs []uint32, rms []uint64, rec *rank
 	s.sweep++
 }
 
-// multiStepper is a partitioning engine for lane-parallel sweeps.
-type multiStepper interface {
-	sweep(s *multiState, tagBase int) rankLevel
-	hashProbes() uint64
-}
-
 // multiDrive runs lane-parallel sweeps from s until the global lane-OR
 // frontier empties (or MaxLevels, or a cooperative cancellation).
-func multiDrive(c *comm.Comm, e multiStepper, opts Options, s *multiState) ([]rankLevel, *search.Canceled) {
+func multiDrive(c *comm.Comm, e *multiEngine2D, opts Options, s *multiState) ([]rankLevel, *search.Canceled) {
 	var recs []rankLevel
 	for {
 		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
@@ -280,10 +274,12 @@ func multiDrive(c *comm.Comm, e multiStepper, opts Options, s *multiState) ([]ra
 	}
 }
 
-// multiEngine2D runs lane-parallel sweeps under the 2D partitioning,
-// following the Algorithm 2 shape: targeted column expand of the
-// lane-OR frontier (masks alongside), partial-list scan binning
-// (neighbor, mask) pairs by owner column, row exchange, per-lane mark.
+// multiEngine2D runs lane-parallel sweeps on any mesh, following the
+// Algorithm 2 shape: targeted column expand of the lane-OR frontier
+// (masks alongside), partial-list scan binning (neighbor, mask) pairs by
+// owner column, row exchange, per-lane mark. With a one-member processor
+// column (R = 1) there is no expand and the sweep is Algorithm 1's: the
+// owned frontier's full edge lists, then one exchange over all P ranks.
 type multiEngine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -306,7 +302,7 @@ type multiEngine2D struct {
 }
 
 // newMultiEngine2D builds rank c's engine for a batch of b lanes.
-func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, b int) multiStepper {
+func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, b int) *multiEngine2D {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &multiEngine2D{
@@ -324,8 +320,6 @@ func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opt
 	return e
 }
 
-func (e *multiEngine2D) hashProbes() uint64 { return e.probes }
-
 // sweep runs one lane-parallel sweep under either schedule. The
 // overlapped one streams lane payloads into the partial-list scan as
 // they arrive and posts the row exchange per bin as each finishes its
@@ -333,6 +327,27 @@ func (e *multiEngine2D) hashProbes() uint64 { return e.probes }
 func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
+	binV, binM := e.fold.Reset()
+	if e.colG.Size() == 1 {
+		// The column is this rank: scan its own frontier, masks in place.
+		rec.Edges = e.scanLanes(s.F.Vertices(), s.fmask, binV, binM)
+	} else {
+		rec.Edges, rec.ExpandWords = e.expandScan(s, tagBase, binV, binM)
+	}
+
+	// Lane merge per destination, the row exchange to the owners, and
+	// the owner's merge of what arrives.
+	rvs, rms, dups := e.fold.Deliver(tagBase+1<<24, &rec.Step)
+	rec.dups = dups
+	s.mark(e.st.Lo, rvs, rms, &rec)
+	rec.end(tm)
+	return rec
+}
+
+// expandScan runs a sweep's column phase: the targeted expand of the
+// lane-OR frontier, each part scanned into the bins as it arrives. It
+// returns the edge entries inspected and the expand words received.
+func (e *multiEngine2D) expandScan(s *multiState, tagBase int, binV [][]uint32, binM [][]uint64) (edges, words int) {
 	r := e.colG.Size()
 
 	// Targeted column expand: a frontier vertex travels, mask
@@ -365,65 +380,15 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	// Scan the partial edge lists of every received frontier vertex and
 	// bin the discovered (neighbor, mask) pairs by owner mesh column
 	// (scanLanes runs on the worker pool and charges the scan).
-	binV, binM := e.fold.Reset()
 	scan := func(i int, part []uint32) {
 		avs, ams := sendV[i], sendM[i]
 		if i != e.colG.Me {
 			avs, ams = e.fold.Decode(part)
 		}
-		rec.Edges += e.scanLanes(avs, ams, binV, binM)
+		edges += e.scanLanes(avs, ams, binV, binM)
 	}
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	rec.ExpandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
-
-	// Lane merge per destination, the row exchange to the owners, and
-	// the owner's merge of what arrives.
-	rvs, rms, dups := e.fold.Deliver(tagBase+1<<24, &rec.Step)
-	rec.dups = dups
-	s.mark(e.st.Lo, rvs, rms, &rec)
-	rec.end(tm)
-	return rec
-}
-
-// multiEngine1D runs lane-parallel sweeps under the conventional 1D
-// partitioning: full edge lists are local, so a sweep is one scan and
-// one personalized exchange over all P ranks (the Algorithm 1 fold).
-type multiEngine1D struct {
-	c     *comm.Comm
-	st    *partition.Store1D
-	opts  Options
-	model torus.CostModel
-	pl    *pool.Pool
-	hist  frontier.ContainerHist
-	// fold is the exchange half of a sweep and its per-run scratch, its
-	// raw bins sized from the store's FoldEntries (see multiEngine2D).
-	fold *search.Fold[uint64]
-}
-
-// newMultiEngine1D builds rank c's engine for a batch of b lanes.
-func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, l partition.View, opts Options, b int) multiStepper {
-	c.SetCores(opts.Cores)
-	e := &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), pl: pool.New(opts.Workers)}
-	e.fold = search.NewFold[uint64](c, c.WorldGroup(), &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist}, st.FoldEntries)
-	return e
-}
-
-// hashProbes is zero: the 1D sweep scans full local edge lists and
-// keeps no sent cache, so it resolves nothing.
-func (e *multiEngine1D) hashProbes() uint64 { return 0 }
-
-// sweep runs one lane-parallel sweep under either schedule: the scan is
-// local, so the overlapped schedule's win is the pipelined fold —
-// per-bin OR-merges interleave with the posts.
-func (e *multiEngine1D) sweep(s *multiState, tagBase int) rankLevel {
-	tm := beginLevel(e.c, &e.hist)
-	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	rec.Edges = e.scanLanes(s)
-	rvs, rms, dups := e.fold.Deliver(tagBase, &rec.Step)
-	rec.dups = dups
-	s.mark(e.st.Lo, rvs, rms, &rec)
-	rec.end(tm)
-	return rec
+	return edges, collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 }
 
 // validateSources checks a multi-source batch against the lane

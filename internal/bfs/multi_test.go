@@ -7,10 +7,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/search"
 )
 
@@ -64,31 +62,19 @@ func TestMultiRun2DMatchesIndependentRuns(t *testing.T) {
 	}
 }
 
-// TestMultiRun1DMatchesSerial checks the dedicated 1D engine
-// lane-by-lane against the serial oracle and against the 2D engine's
-// batched result.
+// TestMultiRun1DMatchesSerial checks the sweeps on 1 x P meshes, where
+// they run Algorithm 1, lane-by-lane against the serial oracle.
 func TestMultiRun1DMatchesSerial(t *testing.T) {
 	g := testGraph(t, 500, 4, 12)
 	srcs := multiSources(g, 5)
 	for _, p := range []int{1, 3, 4} {
-		l1, err := partition.NewLayout1D(g.N, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st1, err := partition.Build1D(l1, visitCSR(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := comm.NewWorld(comm.Config{P: p})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st1, w := build1D(t, g, p)
 		for _, wire := range []frontier.WireMode{
 			frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid,
 		} {
 			opts := DefaultOptions(0)
 			opts.Wire = wire
-			res, err := MultiRun1D(w, st1, srcs, opts)
+			res, err := MultiRun2D(w, st1, srcs, opts)
 			if err != nil {
 				t.Fatalf("P=%d wire=%v: %v", p, wire, err)
 			}
@@ -175,8 +161,8 @@ func laneMinimum(laneLevels [][]int32, n int) []int32 {
 }
 
 // TestMultiNearestIsLaneMinimum: the nearest-source levels mark stamps
-// in place are exactly the per-vertex lane minimum, on the 2D engine at
-// 1x1, 2x2 and 4x4 and the 1D engine at 1x16, for a batch with a
+// in place are exactly the per-vertex lane minimum, at 1x1, 2x2, 4x4 and
+// 1x16 (Algorithm 1), for a batch with a
 // duplicate source and an isolated one — and so are the partial answers
 // of a run cut short by MaxLevels and of one stopped by a simulated-time
 // budget.
@@ -199,25 +185,11 @@ func TestMultiNearestIsLaneMinimum(t *testing.T) {
 		run  func(Options) (*MultiResult, error)
 	}
 	var engines []engine
-	for _, mesh := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
+	for _, mesh := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {1, 16}} {
 		fx := build2D(t, g, mesh[0], mesh[1])
-		engines = append(engines, engine{fmt.Sprintf("2D %dx%d", mesh[0], mesh[1]),
+		engines = append(engines, engine{fmt.Sprintf("%dx%d", mesh[0], mesh[1]),
 			func(o Options) (*MultiResult, error) { return MultiRun2D(fx.world, fx.st2, srcs, o) }})
 	}
-	l1, err := partition.NewLayout1D(g.N, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, err := partition.Build1D(l1, visitCSR(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := comm.NewWorld(comm.Config{P: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines = append(engines, engine{"1D 1x16",
-		func(o Options) (*MultiResult, error) { return MultiRun1D(w1, st1, srcs, o) }})
 
 	check := func(res *MultiResult, label string) {
 		t.Helper()

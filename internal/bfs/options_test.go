@@ -42,7 +42,7 @@ func TestDefaultOptions(t *testing.T) {
 
 func TestUnknownAlgorithmsPanicCleanly(t *testing.T) {
 	g := testGraph(t, 100, 3, 50)
-	fx := build2D(t, g, 1, 2)
+	fx := build2D(t, g, 2, 1) // R > 1: a 1 x P mesh runs no expand
 	opts := DefaultOptions(fx.src)
 	opts.Fold = FoldAlg(99)
 	if _, err := Run2D(fx.world, fx.st2, opts); err == nil {

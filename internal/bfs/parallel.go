@@ -1,7 +1,6 @@
 package bfs
 
 import (
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/trace"
@@ -63,56 +62,13 @@ func (o *scanOut) collect(p *pool.Pool, n int, body func(c *scanOut, lo, hi int)
 	}
 }
 
-// scanFrontier merges the frontier's edge lists into the raw per-owner
-// bins (Algorithm 1 steps 7–9), charging the edge scan and hash probes;
-// the bins are unsorted (the fold paths merge and charge them).
-func (e *engine1D) scanFrontier(s *sideState) int {
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	vs := s.F.Vertices()
-	out := scanOut{binV: e.bins.raw}
-	if e.pl.Inline(len(vs), scanGrain) {
-		e.scanChunk(s, vs, &out)
-	} else {
-		out.collect(e.pl, len(vs), func(c *scanOut, lo, hi int) { e.scanChunk(s, vs[lo:hi], c) })
-	}
-	e.probes += out.probes
-	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
-	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
-	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})
-	return out.scanned
-}
-
-// scanChunk is scanFrontier's body over the frontier vertices vs.
-func (e *engine1D) scanChunk(s *sideState, vs []uint32, o *scanOut) {
-	st := e.st
-	l := st.Layout
-	for _, gv := range vs {
-		li := st.LocalOf(graph.Vertex(gv))
-		lo, hi := st.Off[li], st.Off[li+1]
-		o.scanned += int(hi - lo)
-		for k := lo; k < hi; k++ {
-			if s.sent != nil {
-				// The target's index was resolved when the store was
-				// built; charge the lookup the paper's search makes.
-				ti := st.AdjIdx[k]
-				o.probes += uint64(st.TargetProbes[ti])
-				if s.sent.TestAndSetAtomic(ti) {
-					continue // already sent to its owner once (§2.4.3)
-				}
-			}
-			u := st.Adj[k]
-			q := l.OwnerRank(u)
-			o.binV[q] = append(o.binV[q], uint32(u))
-		}
-	}
-}
-
 // scanPart charges the handling of one decoded expand part — received
 // frontier vertices are processed through the hash-indexed partial
 // lists — and scans their partial edge lists (Algorithm 2 step 12),
 // binning the discovered neighbors by owner mesh column and charging
 // the edge scan and hash probes. It returns the edge entries inspected.
+// With a one-member processor column part is the rank's own frontier:
+// nothing was received, and the scan is Algorithm 1 steps 7–9.
 // The overlapped schedule calls it once per received part as each
 // arrives; the synchronous one once with all of F̄. The bins and the
 // sent-cache state are identical either way (the sent cache admits each
@@ -123,7 +79,9 @@ func (e *engine1D) scanChunk(s *sideState, vs []uint32, o *scanOut) {
 // is not ChargeItemsPar(a+b) on a float clock — which is why the
 // synchronous branch of step keeps its single call.
 func (e *engine2D) scanPart(s *sideState, part []uint32) int {
-	e.c.ChargeItemsPar(len(part), e.model.VertexCost)
+	if e.colG.Size() > 1 {
+		e.c.ChargeItemsPar(len(part), e.model.VertexCost)
+	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
 	out := scanOut{binV: e.bins.raw}
@@ -175,27 +133,39 @@ func (e *engine2D) scanChunk(s *sideState, part []uint32, o *scanOut) {
 // scanLanes scans the partial edge lists of one decoded (vertex, mask)
 // batch, appending discovered (neighbor, mask) pairs to the per-column
 // bins, and charges the pair handling, edge scan, and hash probes. Both
-// the synchronous and overlapped 2D sweeps call it once per arrived
-// part.
+// the synchronous and overlapped sweeps call it once per arrived part.
+// With a one-member processor column avs is the rank's own frontier and
+// ams the sweep's fmask: nothing was received, and each mask is read in
+// place at the vertex's column, its local index.
 func (e *multiEngine2D) scanLanes(avs []uint32, ams []uint64, binV [][]uint32, binM [][]uint64) int {
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
 	out := scanOut{binV: binV, binM: binM}
+	local := e.colG.Size() == 1
 	if e.pl.Inline(len(avs), scanGrain) {
-		e.scanChunk(avs, ams, &out)
+		e.scanChunk(avs, ams, local, &out)
 	} else {
-		out.collect(e.pl, len(avs), func(c *scanOut, lo, hi int) { e.scanChunk(avs[lo:hi], ams[lo:hi], c) })
+		out.collect(e.pl, len(avs), func(c *scanOut, lo, hi int) {
+			ms := ams
+			if !local {
+				ms = ams[lo:hi]
+			}
+			e.scanChunk(avs[lo:hi], ms, local, c)
+		})
 	}
 	e.probes += out.probes
-	e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
+	if !local {
+		e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
+	}
 	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
 	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
 	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})
 	return out.scanned
 }
 
-// scanChunk is the 2D scanLanes body over the arrived pairs (avs, ams).
-func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, o *scanOut) {
+// scanChunk is scanLanes' body over the arrived vertices avs: vertex
+// idx's mask is ams[idx], or ams[column] when local.
+func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, local bool, o *scanOut) {
 	st := e.st
 	l := st.Layout
 	var cis [partition.ResolveBatch]uint32
@@ -206,7 +176,12 @@ func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, o *scanOut) {
 			if ci == partition.NoColumn {
 				continue // no partial list here (possible only locally)
 			}
-			mask := ams[idx]
+			var mask uint64
+			if local {
+				mask = ams[ci]
+			} else {
+				mask = ams[idx]
+			}
 			list := st.Rows[st.Off[ci]:st.Off[ci+1]]
 			o.scanned += len(list)
 			for _, u := range list {
@@ -215,42 +190,9 @@ func (e *multiEngine2D) scanChunk(avs []uint32, ams []uint64, o *scanOut) {
 				o.binM[j] = append(o.binM[j], mask)
 			}
 		}
-		avs, ams = avs[n:], ams[n:]
-	}
-}
-
-// scanLanes merges the frontier's full edge lists into the fold's
-// per-owner (neighbor, mask) bins — the 1D sweep's local scan, identical
-// between the synchronous and overlapped schedules — and charges the
-// edge scan.
-func (e *multiEngine1D) scanLanes(s *multiState) int {
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	binV, binM := e.fold.Reset()
-	vs := s.F.Vertices()
-	out := scanOut{binV: binV, binM: binM}
-	if e.pl.Inline(len(vs), scanGrain) {
-		e.scanChunk(s, vs, &out)
-	} else {
-		out.collect(e.pl, len(vs), func(c *scanOut, lo, hi int) { e.scanChunk(s, vs[lo:hi], c) })
-	}
-	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
-	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)})
-	return out.scanned
-}
-
-// scanChunk is the 1D scanLanes body over the frontier vertices vs.
-func (e *multiEngine1D) scanChunk(s *multiState, vs []uint32, o *scanOut) {
-	l := e.st.Layout
-	for _, gv := range vs {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		m := s.fmask[li]
-		adj := e.st.Neighbors(li)
-		o.scanned += len(adj)
-		for _, u := range adj {
-			q := l.OwnerRank(u)
-			o.binV[q] = append(o.binV[q], uint32(u))
-			o.binM[q] = append(o.binM[q], m)
+		avs = avs[n:]
+		if !local {
+			ams = ams[n:]
 		}
 	}
 }

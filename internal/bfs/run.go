@@ -10,10 +10,10 @@ import (
 	"repro/internal/search"
 )
 
-// The exported Run* entry points bind a store type to its engine
-// constructor over three bodies — uni-directional, bi-directional,
-// multi-source — which share search.Run's harness and the helpers
-// below; the partitionings differ only inside the engines.
+// The exported Run* entry points are three bodies — uni-directional,
+// bi-directional, multi-source — which share search.Run's harness and
+// the helpers below. Every partitioning is a mesh shape, so one engine
+// per family serves them all.
 
 // rankOut is what one rank's body hands back to the harness besides
 // the labels it wrote into the answer (search.Owned).
@@ -26,7 +26,7 @@ type rankOut struct {
 // checkRun validates what every BFS run is handed and returns the
 // stores' layout; snapshots is false for the drivers without
 // checkpoint support.
-func checkRun[S search.Store](w *comm.World, stores []S, opts *Options, snapshots bool) (partition.View, error) {
+func checkRun(w *comm.World, stores []*partition.Store2D, opts *Options, snapshots bool) (partition.View, error) {
 	l, err := search.CheckShape("bfs", w, stores)
 	if err == nil {
 		err = search.CheckVertex("bfs", "source", opts.Source, l.N)
@@ -72,16 +72,16 @@ func trivialResult(l partition.View, source graph.Vertex) *Result {
 // block of the Result's — and returns the per-level records, the
 // globally agreed s→t distance (-1 when the target was not reached, or
 // there is none) and the cancellation, if any.
-type drive func(c *comm.Comm, e stepper, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled)
+type drive func(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled)
 
 // runSides allocates the Result and runs drive on every rank's engine,
 // each labeling its owned block of the Result's levels.
-func runSides[S search.Store](w *comm.World, stores []S, l partition.View, opts Options, engine func(*comm.Comm, S, partition.View, Options) stepper, drive drive) (*Result, error) {
+func runSides(w *comm.World, stores []*partition.Store2D, l partition.View, opts Options, drive drive) (*Result, error) {
 	res := &Result{Levels: make([]int32, l.N)}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		e := engine(c, stores[c.Rank()], l, opts)
+		e := newEngine2D(c, stores[c.Rank()], l, opts)
 		recs, dist, cxl := drive(c, e, l, opts, search.Owned(l, c.Rank(), res.Levels))
-		return rankOut{recs: recs, probes: e.hashProbes(), dist: dist}, cxl
+		return rankOut{recs: recs, probes: e.probes, dist: dist}, cxl
 	})
 	if err != nil {
 		return nil, err
@@ -89,8 +89,11 @@ func runSides[S search.Store](w *comm.World, stores []S, l partition.View, opts 
 	return res, finish(res, l, &opts, out)
 }
 
-// runUni is the uni-directional search (Algorithm 1 or 2 by engine).
-func runUni[S search.Store](w *comm.World, stores []S, opts Options, engine func(*comm.Comm, S, partition.View, Options) stepper) (*Result, error) {
+// Run2D executes the uni-directional search across the world:
+// Algorithm 2, or with the mesh degenerate to R = 1 or C = 1 the two 1D
+// partitionings of Table 1 (R = 1 is Algorithm 1). stores must come from
+// partition.Build2D with P = w.P ranks.
+func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
 	l, err := checkRun(w, stores, &opts, true)
 	if err != nil {
 		return nil, err
@@ -98,19 +101,21 @@ func runUni[S search.Store](w *comm.World, stores []S, opts Options, engine func
 	if opts.HasTarget && opts.Source == opts.Target {
 		return trivialResult(l, opts.Source), nil
 	}
-	return runSides(w, stores, l, opts, engine, driveUni)
+	return runSides(w, stores, l, opts, driveUni)
 }
 
-// runBidir is the bi-directional search of §2.3: two level-synchronized
-// searches, one from the source and one from the target, each level
-// expanding whichever side has the smaller global frontier. The search
-// stops as soon as the best meeting path is provably optimal, which
-// keeps both frontiers small and — as the paper reports — cuts message
-// volume by orders of magnitude relative to the uni-directional search.
+// RunBidirectional2D executes the bi-directional search of §2.3 on any
+// mesh (the paper notes either partitioning can host it): two
+// level-synchronized searches, one from the source and one from the
+// target, each level expanding whichever side has the smaller global
+// frontier. The search stops as soon as the best meeting path is
+// provably optimal, which keeps both frontiers small and — as the paper
+// reports — cuts message volume by orders of magnitude relative to the
+// uni-directional search.
 //
 // The returned Result carries the source side's levels; Distance is the
 // exact s→t graph distance when Found.
-func runBidir[S search.Store](w *comm.World, stores []S, opts Options, engine func(*comm.Comm, S, partition.View, Options) stepper) (*Result, error) {
+func RunBidirectional2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
 	if !opts.HasTarget {
 		return nil, fmt.Errorf("bfs: bi-directional search requires a target")
 	}
@@ -121,13 +126,13 @@ func runBidir[S search.Store](w *comm.World, stores []S, opts Options, engine fu
 	if opts.Source == opts.Target {
 		return trivialResult(l, opts.Source), nil
 	}
-	return runSides(w, stores, l, opts, engine, driveBidir)
+	return runSides(w, stores, l, opts, driveBidir)
 }
 
-// runMulti is the batched multi-source search. Direction is always
-// top-down; the sent-neighbors cache does not apply (a vertex must be
-// re-sent when it carries new lanes) and is ignored.
-func runMulti[S search.Store](w *comm.World, stores []S, sources []graph.Vertex, opts Options, engine func(*comm.Comm, S, partition.View, Options, int) multiStepper) (*MultiResult, error) {
+// MultiRun2D executes a batched multi-source BFS on any mesh. Direction
+// is always top-down; the sent-neighbors cache does not apply (a vertex
+// must be re-sent when it carries new lanes) and is ignored.
+func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
 	l, err := search.CheckShape("bfs", w, stores)
 	if err == nil {
 		err = validateSources(sources, l.N)
@@ -146,48 +151,12 @@ func runMulti[S search.Store](w *comm.World, stores []S, sources []graph.Vertex,
 		res.LaneLevels[lane] = make([]int32, l.N)
 	}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		e := engine(c, stores[c.Rank()], l, opts, len(sources))
+		e := newMultiEngine2D(c, stores[c.Rank()], l, opts, len(sources))
 		recs, cxl := multiDrive(c, e, opts, newMultiState(res, l, c.Rank()))
-		return rankOut{recs: recs, probes: e.hashProbes(), dist: -1}, cxl
+		return rankOut{recs: recs, probes: e.probes, dist: -1}, cxl
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, finish(&res.Result, l, &opts, out)
-}
-
-// Run2D executes Algorithm 2 (or, with the mesh degenerate to R=1 or
-// C=1, the 1D partitionings of Table 1) across the world. stores must
-// come from partition.Build2D with P = w.P ranks.
-func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
-	return runUni(w, stores, opts, newEngine2D)
-}
-
-// Run1D executes Algorithm 1 across the world.
-func Run1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	return runUni(w, stores, opts, newEngine1D)
-}
-
-// RunBidirectional2D executes the bi-directional search of §2.3 on the
-// 2D partitioning.
-func RunBidirectional2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
-	return runBidir(w, stores, opts, newEngine2D)
-}
-
-// RunBidirectional1D executes the §2.3 bi-directional search on the 1D
-// partitioning (the paper notes either partitioning can host it).
-func RunBidirectional1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	return runBidir(w, stores, opts, newEngine1D)
-}
-
-// MultiRun2D executes a batched multi-source BFS over the 2D edge
-// partitioning (or a degenerate 1D mesh).
-func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
-	return runMulti(w, stores, sources, opts, newMultiEngine2D)
-}
-
-// MultiRun1D executes a batched multi-source BFS over the dedicated 1D
-// engine.
-func MultiRun1D(w *comm.World, stores []*partition.Store1D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
-	return runMulti(w, stores, sources, opts, newMultiEngine1D)
 }

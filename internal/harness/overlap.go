@@ -75,43 +75,31 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	wsrc := graph.LargestComponentVertex(wg)
-	layout2, err := partition.NewLayout2D(n, r, c)
-	if err != nil {
-		return nil, err
-	}
-	wstores, err := partition.Build2DWeighted(layout2, wg.VisitWeightedEdges)
-	if err != nil {
-		return nil, err
-	}
-	layout1, err := partition.NewLayout1D(n, p)
-	if err != nil {
-		return nil, err
-	}
-	wstores1, err := partition.Build1DWeighted(layout1, wg.VisitWeightedEdges)
-	if err != nil {
-		return nil, err
-	}
-	ssspRuns := []struct {
+	for _, mesh := range []struct {
 		label string
-		run   func(async bool) (*sssp.Result, error)
+		r, c  int
 	}{
-		{"sssp 2d " + meshLabel(r, c), func(async bool) (*sssp.Result, error) {
-			opts := sssp.DefaultOptions(wsrc)
-			opts.Async = async
-			return sssp.Run2D(w.cl.world, wstores, opts)
-		}},
-		{"sssp 1d " + meshLabel(1, p), func(async bool) (*sssp.Result, error) {
-			opts := sssp.DefaultOptions(wsrc)
-			opts.Async = async
-			return sssp.Run1D(w.cl.world, wstores1, opts)
-		}},
-	}
-	for _, sr := range ssspRuns {
-		syncS, err := sr.run(false)
+		{"sssp 2d", r, c},
+		{"sssp 1d", 1, p},
+	} {
+		layout, err := partition.NewLayout2D(n, mesh.r, mesh.c)
 		if err != nil {
 			return nil, err
 		}
-		asyncS, err := sr.run(true)
+		wstores, err := partition.Build2DWeighted(layout, wg.VisitWeightedEdges)
+		if err != nil {
+			return nil, err
+		}
+		run := func(async bool) (*sssp.Result, error) {
+			opts := sssp.DefaultOptions(wsrc)
+			opts.Async = async
+			return sssp.Run2D(w.cl.world, wstores, opts)
+		}
+		syncS, err := run(false)
+		if err != nil {
+			return nil, err
+		}
+		asyncS, err := run(true)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +108,7 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 			commTot += es.CommS
 			overlapTot += es.OverlapS
 		}
-		t.AddRow(sr.label, syncS.Epochs, 1e3*syncS.SimTime, 1e3*asyncS.SimTime,
+		t.AddRow(mesh.label+" "+meshLabel(mesh.r, mesh.c), syncS.Epochs, 1e3*syncS.SimTime, 1e3*asyncS.SimTime,
 			ratioF(syncS.SimTime, asyncS.SimTime), 1e3*commTot/float64(p),
 			100*pctOf(overlapTot, commTot))
 	}

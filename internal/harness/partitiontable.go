@@ -2,17 +2,14 @@ package harness
 
 import (
 	"repro/internal/bfs"
-	"repro/internal/comm"
 	"repro/internal/graph"
-	"repro/internal/partition"
-	"repro/internal/torus"
 )
 
 // RunAblationPartition is the Table 1 head-to-head through the unified
 // partition-aware search layer: the same full traversal on the same
 // workload under the 2D edge partitioning (square-ish mesh), the
 // row-wise 1D partitioning (P x 1 mesh), and the conventional
-// column-wise 1D partitioning (the dedicated Algorithm 1 engine) — the
+// column-wise 1D partitioning (1 x P mesh, Algorithm 1) — the
 // comparison the public API exposes via Distribute(g, WithPartition).
 // Reported per partitioning: expand and fold words, total words, and
 // simulated execution/communication time, for a low-degree and a
@@ -43,19 +40,14 @@ func RunAblationPartition(cfg Config) (*Table, error) {
 		k := fitK(n, gspec.k)
 		label := seriesLabel(perRank, k)
 
-		type run struct {
-			part string
-			mesh string
-			res  *bfs.Result
-		}
-		var runs []run
-		// 2D and row-wise 1D ride the 2D engine on the matching layouts.
+		// Every partitioning is a mesh shape of the one engine.
 		for _, spec := range []struct {
 			part string
 			r, c int
 		}{
 			{"2d", r0, c0},
 			{"1drow", p, 1},
+			{"1dcol", 1, p},
 		} {
 			w, err := buildWorkload(n, k, cfg.Seed, spec.r, spec.c, false)
 			if err != nil {
@@ -66,54 +58,14 @@ func RunAblationPartition(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			runs = append(runs, run{spec.part, meshLabel(spec.r, spec.c), res})
-		}
-		// Column-wise 1D runs the dedicated Algorithm 1 engine.
-		g, stores1, world, err := build1DWorkload(n, k, cfg.Seed, p)
-		if err != nil {
-			return nil, err
-		}
-		src := graph.LargestComponentVertex(g)
-		res1, err := bfs.Run1D(world, stores1, bfs.DefaultOptions(src))
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run{"1dcol", meshLabel(1, p), res1})
-
-		for _, ru := range runs {
-			t.AddRow(label, ru.part, ru.mesh,
-				ru.res.TotalExpandWords, ru.res.TotalFoldWords,
-				ru.res.TotalExpandWords+ru.res.TotalFoldWords,
-				ru.res.SimTime, ru.res.SimComm)
+			t.AddRow(label, spec.part, meshLabel(spec.r, spec.c),
+				res.TotalExpandWords, res.TotalFoldWords,
+				res.TotalExpandWords+res.TotalFoldWords,
+				res.SimTime, res.SimComm)
 		}
 	}
 	t.Note("P=%d; all three partitionings reachable from the public API:", p)
 	t.Note("Distribute(g, WithPartition(Part2D|Part1DRow|Part1DCol)); bfsrun -part 2d|1drow|1dcol")
 	t.Note("paper: 1D pays one big fold (no expand); 2D splits volume and wins as degree grows")
 	return t, nil
-}
-
-// build1DWorkload generates the standard Poisson workload and
-// distributes it under the dedicated 1D partitioning over P ranks.
-func build1DWorkload(n int, k float64, seed int64, p int) (*graph.CSR, []*partition.Store1D, *comm.World, error) {
-	params := graph.Params{N: n, K: k, Seed: seed}
-	g, err := graph.Generate(params)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	layout, err := partition.NewLayout1D(n, p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stores, err := partition.Build1D(layout, func(fn func(u, v graph.Vertex)) error {
-		return params.VisitEdges(fn)
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cl, err := newCluster(1, p, false, torus.PresetBlueGeneL())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return g, stores, cl.world, nil
 }

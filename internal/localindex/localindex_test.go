@@ -52,6 +52,48 @@ func TestMapGrowth(t *testing.T) {
 	}
 }
 
+// TestMapResetIsNewMap: a Reset map refilled with any key sequence —
+// through every grow — probes exactly as a NewMap filled with it, and a
+// refill to the size it had allocates nothing.
+func TestMapResetIsNewMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := NewMap(16)
+	for round, n := range []int{5000, 300, 5000, 12000, 0, 5000} {
+		keys := make([]uint32, n)
+		for i := range keys {
+			keys[i] = uint32(rng.Intn(1 << 20))
+		}
+		fresh := NewMap(16)
+		m.Reset(16)
+		for i, k := range keys {
+			fresh.Put(k, uint32(i))
+			m.Put(k, uint32(i))
+		}
+		for k := uint32(0); k < 1<<20; k += 97 {
+			v1, ok1, p1 := fresh.GetCounted(k)
+			v2, ok2, p2 := m.GetCounted(k)
+			if v1 != v2 || ok1 != ok2 || p1 != p2 {
+				t.Fatalf("round %d key %d: Reset map (%d,%v,%d), NewMap (%d,%v,%d)", round, k, v2, ok2, p2, v1, ok1, p1)
+			}
+		}
+		if m.Len() != fresh.Len() {
+			t.Fatalf("round %d: Len %d, NewMap %d", round, m.Len(), fresh.Len())
+		}
+	}
+	keys := make([]uint32, 12000)
+	for i := range keys {
+		keys[i] = uint32(i) * 7
+	}
+	if a := testing.AllocsPerRun(5, func() {
+		m.Reset(16)
+		for i, k := range keys {
+			m.Put(k, uint32(i))
+		}
+	}); a != 0 {
+		t.Errorf("refilling a Reset map to its old size allocates %v times", a)
+	}
+}
+
 func TestMapGetOrPut(t *testing.T) {
 	m := NewMap(8)
 	next := uint32(0)

@@ -31,17 +31,41 @@ type Map struct {
 	used []uint64 // occupancy bitmap, 1 bit per slot
 	mask uint32
 	n    int
+	// spareKeys, spareVals and spareUsed are, once the map has been Reset,
+	// the table grow retired last, kept at full capacity: the next grow
+	// writes into it when it is large enough, so a Reset map refilled to
+	// its old size allocates nothing. A map never Reset keeps no spare.
+	spareKeys, spareVals []uint32
+	spareUsed            []uint64
+	recycle              bool
 }
 
 // NewMap returns a map pre-sized for n entries.
 func NewMap(n int) *Map {
-	cap := nextPow2(n*2 + 8)
+	cap := initialCap(n)
 	return &Map{
 		keys: make([]uint32, cap),
 		vals: make([]uint32, cap),
 		used: make([]uint64, (cap+63)/64),
 		mask: uint32(cap - 1),
 	}
+}
+
+func initialCap(n int) int { return nextPow2(n*2 + 8) }
+
+// Reset empties the map and gives it the capacity NewMap(n) would, so
+// every later Put, grow and lookup behaves as on NewMap(n), while the
+// tables it grew are kept for it to grow into again.
+func (m *Map) Reset(n int) {
+	if c := initialCap(n); cap(m.keys) < c {
+		*m = *NewMap(n)
+	} else {
+		m.keys, m.vals, m.used = m.keys[:c], m.vals[:c], m.used[:(c+63)/64]
+		clear(m.used)
+		m.mask = uint32(c - 1)
+		m.n = 0
+	}
+	m.recycle = true
 }
 
 func nextPow2(n int) int {
@@ -119,17 +143,34 @@ func (m *Map) GetOrPut(key uint32, next func() uint32) uint32 {
 	return v
 }
 
+// grow doubles the capacity and re-inserts the entries in old slot
+// order, each into the first free slot from its home: the keys are
+// distinct, so that is where Put would place it, and the layout — what
+// every later lookup probes — is the one a Put per entry builds. Only the
+// occupancy bitmap of a reused table needs clearing: a slot's key and
+// value are read only once it is marked used.
 func (m *Map) grow() {
 	oldKeys, oldVals, oldUsed := m.keys, m.vals, m.used
-	cap := len(oldKeys) * 2
-	m.keys = make([]uint32, cap)
-	m.vals = make([]uint32, cap)
-	m.used = make([]uint64, (cap+63)/64)
-	m.mask = uint32(cap - 1)
-	m.n = 0
-	for i, k := range oldKeys {
-		if oldUsed[i>>6]&(1<<(uint(i)&63)) != 0 {
-			m.Put(k, oldVals[i])
+	c := len(oldKeys) * 2
+	if cap(m.spareKeys) >= c {
+		m.keys, m.vals, m.used = m.spareKeys[:c], m.spareVals[:c], m.spareUsed[:(c+63)/64]
+		clear(m.used)
+	} else {
+		m.keys, m.vals, m.used = make([]uint32, c), make([]uint32, c), make([]uint64, (c+63)/64)
+	}
+	if m.recycle {
+		m.spareKeys, m.spareVals, m.spareUsed = oldKeys[:cap(oldKeys)], oldVals[:cap(oldVals)], oldUsed[:cap(oldUsed)]
+	}
+	m.mask = uint32(c - 1)
+	for w, word := range oldUsed {
+		for ; word != 0; word &= word - 1 {
+			j := w*64 + bits.TrailingZeros64(word)
+			i := hash32(oldKeys[j]) & m.mask
+			for m.isUsed(i) {
+				i = (i + 1) & m.mask
+			}
+			m.keys[i], m.vals[i] = oldKeys[j], oldVals[j]
+			m.setUsed(i)
 		}
 	}
 }

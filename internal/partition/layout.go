@@ -1,13 +1,14 @@
-// Package partition implements the 1D (vertex) and 2D (edge)
-// partitionings of §2.1–2.2 and the per-rank storage of §2.4: blocked
-// vertex ownership, partial edge lists indexed only when non-empty, the
-// three global→local mappings — block arithmetic for owned vertices, a
-// hash map for received frontier vertices, and a local index resolved by
-// the loader and carried by every edge-list entry for the sent-neighbors
-// cache — and the per-owned-vertex row-need masks that let the targeted
-// expand send a frontier vertex only to ranks actually holding part of
-// its edge list. Stores are built once by a centralized loader and are
-// read-only afterwards.
+// Package partition implements the 2D (edge) partitioning of §2.2 —
+// whose 1 x P and P x 1 meshes are the two 1D partitionings of §2.1 and
+// Table 1 — and the per-rank storage of §2.4: blocked vertex ownership,
+// partial edge lists indexed only when non-empty, the three global→local
+// mappings — block arithmetic for owned vertices, a hash map for
+// received frontier vertices, and a local index resolved by the loader
+// and carried by every edge-list entry for the sent-neighbors cache —
+// and the per-owned-vertex row-need masks that let the targeted expand
+// send a frontier vertex only to ranks actually holding part of its edge
+// list. Stores are built once by a centralized loader and are read-only
+// afterwards.
 package partition
 
 import (
@@ -29,9 +30,10 @@ import (
 // single all-to-all, the fold); R x 1 is the row-wise 1D partition the
 // paper also measures in Table 1.
 type Layout2D struct {
-	N    int // vertices
-	R, C int // mesh dimensions
-	bs   int // block size = ceil(N/P)
+	N       int // vertices
+	R, C    int // mesh dimensions
+	bs      int // block size = ceil(N/P)
+	colSpan int // vertices in a block column, R*bs
 }
 
 // NewLayout2D validates and builds a layout.
@@ -44,7 +46,7 @@ func NewLayout2D(n, r, c int) (*Layout2D, error) {
 	}
 	p := r * c
 	bs := (n + p - 1) / p
-	return &Layout2D{N: n, R: r, C: c, bs: bs}, nil
+	return &Layout2D{N: n, R: r, C: c, bs: bs, colSpan: r * bs}, nil
 }
 
 // P returns the number of ranks R*C.
@@ -78,8 +80,9 @@ func (l *Layout2D) OwnedCount(rank int) int {
 }
 
 // ColBlockOf returns the processor-column index j whose ranks (i', j)
-// store the edge lists (matrix column) of vertex v.
-func (l *Layout2D) ColBlockOf(v graph.Vertex) int { return l.BlockOf(v) / l.R }
+// store the edge lists (matrix column) of vertex v: BlockOf(v) / R in
+// one division, since ⌊⌊v/bs⌋/R⌋ = ⌊v/(bs·R)⌋.
+func (l *Layout2D) ColBlockOf(v graph.Vertex) int { return int(v) / l.colSpan }
 
 // RowIndexOf returns the mesh row i' of the ranks storing matrix rows
 // of vertex u (entries "u appears in an edge list").
@@ -115,10 +118,9 @@ func (c *OwnerCursor) Locate(v graph.Vertex) (m int, li uint32) {
 	return c.m, uint32(int(v) - c.lo)
 }
 
-// View is what a run harness reads of a layout, the same for both
-// partitionings: the vertex count, the logical mesh (R = 1 under the 1D
-// vertex partitioning, where rank q owns block q) and the block size no
-// owned range exceeds.
+// View is what a run harness reads of a layout: the vertex count, the
+// logical mesh (R = 1 under the 1D vertex partitioning, where rank q
+// owns block q) and the block size no owned range exceeds.
 type View struct {
 	N, R, C   int
 	BlockSize int
@@ -136,39 +138,3 @@ func (v View) OwnedRange(rank int) (lo, hi graph.Vertex) {
 
 // View returns the harness's view of the layout.
 func (l *Layout2D) View() View { return View{N: l.N, R: l.R, C: l.C, BlockSize: l.bs} }
-
-// View returns the harness's view of the layout: a 1 x P mesh.
-func (l *Layout1D) View() View { return View{N: l.N, R: 1, C: l.P, BlockSize: l.bs} }
-
-// Layout1D is the conventional 1D vertex partitioning of §2.1: rank q
-// owns the q-th contiguous block of vertices and their full edge lists.
-type Layout1D struct {
-	N, P int
-	bs   int
-}
-
-// NewLayout1D validates and builds a layout.
-func NewLayout1D(n, p int) (*Layout1D, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("partition: n must be positive, got %d", n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("partition: p must be positive, got %d", p)
-	}
-	return &Layout1D{N: n, P: p, bs: (n + p - 1) / p}, nil
-}
-
-// BlockSize returns ceil(N/P).
-func (l *Layout1D) BlockSize() int { return l.bs }
-
-// OwnerRank returns the rank owning vertex v.
-func (l *Layout1D) OwnerRank(v graph.Vertex) int { return int(v) / l.bs }
-
-// OwnedRange returns the [lo, hi) vertex range owned by rank.
-func (l *Layout1D) OwnedRange(rank int) (lo, hi graph.Vertex) { return l.View().OwnedRange(rank) }
-
-// OwnedCount returns the number of vertices owned by rank.
-func (l *Layout1D) OwnedCount(rank int) int {
-	lo, hi := l.OwnedRange(rank)
-	return int(hi - lo)
-}

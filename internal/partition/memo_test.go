@@ -9,12 +9,13 @@ import (
 	"repro/internal/localindex"
 )
 
-// The stores memoise two hash maps the search used to probe per scanned
-// neighbor (RowIdx/RowProbes, AdjIdx/TargetProbes) and number compact
-// columns by vertex id instead of by discovery. TestMemoIsTheMap rebuilds
-// the maps the way the loader used to — GetOrPut per entry in stream
-// order — and requires the stores to say, entry by entry and probe by
-// probe, what those maps would have said.
+// The stores memoise the row hash map the search used to probe per
+// scanned neighbor (RowIdx/RowProbes) and number compact columns by
+// vertex id instead of by discovery — or, on a 1 x P mesh, by local
+// index with no column map at all. TestMemoIsTheMap rebuilds the maps the
+// way the loader used to — GetOrPut per entry in stream order — and
+// requires the stores to say, entry by entry and probe by probe, what
+// those maps would have said.
 
 type wedge struct {
 	u, v graph.Vertex
@@ -111,7 +112,7 @@ func lastOwnerEdges(n int) []wedge {
 
 var memoCases = []memoCase{
 	// n = 5500 makes a 4x4 rank's row map (capacity 4096, key blocks
-	// 1375 ids apart) and, at k = 3, a 16-rank 1D target map collide, so
+	// 1375 ids apart) and, at k = 3, a 1x16 rank's row map collide, so
 	// probe counts above 1 are in play; a denser key set never collides
 	// (the hash is a bijection on an id's low bits).
 	{"poisson", fixedN(5500), poissonEdges(10)},
@@ -149,23 +150,13 @@ func counter() func() uint32 {
 }
 
 func TestMemoIsTheMap(t *testing.T) {
-	for _, mesh := range [][2]int{{4, 4}, {3, 2}, {1, 4}, {4, 1}} {
+	for _, mesh := range [][2]int{{4, 4}, {3, 2}, {1, 4}, {1, 16}, {4, 1}} {
 		for _, tc := range memoCases {
 			for _, weighted := range []bool{false, true} {
 				name := fmt.Sprintf("%dx%d/%s/weighted=%v", mesh[0], mesh[1], tc.name, weighted)
 				t.Run(name, func(t *testing.T) {
 					n := tc.n(mesh[0] * mesh[1])
 					checkMemo2D(t, n, mesh[0], mesh[1], tc.edges(n), weighted)
-				})
-			}
-		}
-	}
-	for _, p := range []int{4, 16} {
-		for _, tc := range memoCases {
-			for _, weighted := range []bool{false, true} {
-				t.Run(fmt.Sprintf("1d-%d/%s/weighted=%v", p, tc.name, weighted), func(t *testing.T) {
-					n := tc.n(p)
-					checkMemo1D(t, n, p, tc.edges(n), weighted)
 				})
 			}
 		}
@@ -244,16 +235,14 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 			}
 		}
 
-		if len(st.ColIds) != colMaps[rk].Len() || st.NonEmptyColumns() != len(st.ColIds) || len(st.Off) != len(st.ColIds)+1 {
-			t.Fatalf("rank %d: %d ColIds, %d Off, ColMap holds %d, reference %d", rk, len(st.ColIds), len(st.Off), st.NonEmptyColumns(), colMaps[rk].Len())
+		if !slices.Equal(st.FoldEntries, fold[rk]) {
+			t.Fatalf("rank %d: FoldEntries %v, entries per block column %v", rk, st.FoldEntries, fold[rk])
 		}
-		for ci, v := range st.ColIds {
-			if ci > 0 && st.ColIds[ci-1] >= v {
-				t.Fatalf("rank %d: ColIds[%d]=%d does not ascend past ColIds[%d]=%d", rk, ci, v, ci-1, st.ColIds[ci-1])
-			}
-			if got, ok := st.ColMap.Get(v); !ok || int(got) != ci {
-				t.Fatalf("rank %d: ColMap.Get(ColIds[%d]) = %d, %v", rk, ci, got, ok)
-			}
+		if st.NonEmptyColumns() != colMaps[rk].Len() {
+			t.Fatalf("rank %d: %d non-empty columns, reference %d", rk, st.NonEmptyColumns(), colMaps[rk].Len())
+		}
+		// Each column's entries keep stream order.
+		checkColumn := func(ci int, v graph.Vertex) {
 			want := lists[rk][v]
 			if int(st.Off[ci+1]-st.Off[ci]) != len(want) {
 				t.Fatalf("rank %d column %d: %d entries, stream has %d", rk, v, st.Off[ci+1]-st.Off[ci], len(want))
@@ -264,6 +253,43 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 					t.Fatalf("rank %d column %d entry %d: row %d, want (%d, w=%d) in stream order", rk, v, x, st.Rows[k], e.u, e.w)
 				}
 			}
+		}
+		if r == 1 {
+			// The block column is the owned block: column li is owned
+			// vertex li, empty or not, resolved with no probe.
+			if st.ColMap != nil || st.ColIds != nil || st.RowNeed != nil || len(st.Off) != st.OwnedCount()+1 {
+				t.Fatalf("rank %d: R = 1 store carries ColMap %v, %d ColIds, %d RowNeed words, %d Off for %d owned",
+					rk, st.ColMap != nil, len(st.ColIds), len(st.RowNeed), len(st.Off), st.OwnedCount())
+			}
+			var cis [ResolveBatch]uint32
+			for lo := st.Lo; lo < st.Hi; lo += ResolveBatch {
+				part := make([]uint32, 0, ResolveBatch)
+				for v := lo; v < min(lo+ResolveBatch, st.Hi); v++ {
+					part = append(part, uint32(v))
+				}
+				if probes := st.ResolveColumns(part, &cis); probes != 0 {
+					t.Fatalf("rank %d: resolving owned vertices took %d probes", rk, probes)
+				}
+				for x, v := range part {
+					if cis[x] != v-uint32(st.Lo) {
+						t.Fatalf("rank %d: ResolveColumns(%d) = %d, want local index %d", rk, v, cis[x], v-uint32(st.Lo))
+					}
+					checkColumn(int(cis[x]), graph.Vertex(v))
+				}
+			}
+			continue
+		}
+		if len(st.ColIds) != colMaps[rk].Len() || len(st.Off) != len(st.ColIds)+1 {
+			t.Fatalf("rank %d: %d ColIds, %d Off, ColMap holds %d, reference %d", rk, len(st.ColIds), len(st.Off), st.NonEmptyColumns(), colMaps[rk].Len())
+		}
+		for ci, v := range st.ColIds {
+			if ci > 0 && st.ColIds[ci-1] >= v {
+				t.Fatalf("rank %d: ColIds[%d]=%d does not ascend past ColIds[%d]=%d", rk, ci, v, ci-1, st.ColIds[ci-1])
+			}
+			if got, ok := st.ColMap.Get(v); !ok || int(got) != ci {
+				t.Fatalf("rank %d: ColMap.Get(ColIds[%d]) = %d, %v", rk, ci, got, ok)
+			}
+			checkColumn(ci, v)
 		}
 		// Every lookup a search can make — hit or miss, any id — costs
 		// what it cost in the map the loader used to build, one at a time
@@ -293,9 +319,6 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 				t.Fatalf("rank %d: ResolveColumns probe total off by %d", rk, int64(batch))
 			}
 		}
-		if !slices.Equal(st.FoldEntries, fold[rk]) {
-			t.Fatalf("rank %d: FoldEntries %v, entries per block column %v", rk, st.FoldEntries, fold[rk])
-		}
 		if !slices.Equal(st.RowNeed, need[rk]) {
 			t.Fatalf("rank %d: RowNeed differs from the per-entry reference", rk)
 		}
@@ -316,48 +339,6 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 					t.Fatalf("rank %d column %d (vertex %d): cursor says owner %d index %d, layout says rank %d index %d",
 						rk, ci, v, m, li, l.OwnerRank(v), v-lo)
 				}
-			}
-		}
-	}
-}
-
-func checkMemo1D(t *testing.T, n, p int, es []wedge, weighted bool) {
-	l, err := NewLayout1D(n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stores []*Store1D
-	if weighted {
-		stores, err = Build1DWeighted(l, visitor(es))
-	} else {
-		stores, err = Build1D(l, plainVisitor(es))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rk, st := range stores {
-		// The reference: the target map as the loader used to build it.
-		targets := localindex.NewMap(len(st.Adj))
-		next := counter()
-		fold := make([]uint32, p)
-		for _, u := range st.Adj {
-			targets.GetOrPut(u, next)
-			fold[l.OwnerRank(u)]++
-		}
-		if !slices.Equal(st.FoldEntries, fold) {
-			t.Fatalf("rank %d: FoldEntries %v, entries per owner %v", rk, st.FoldEntries, fold)
-		}
-		if len(st.AdjIdx) != len(st.Adj) || st.TargetCount != targets.Len() || len(st.TargetProbes) != st.TargetCount {
-			t.Fatalf("rank %d: %d AdjIdx for %d Adj, TargetCount %d, %d TargetProbes, reference map holds %d",
-				rk, len(st.AdjIdx), len(st.Adj), st.TargetCount, len(st.TargetProbes), targets.Len())
-		}
-		for k, u := range st.Adj {
-			idx, _, probes := targets.GetCounted(u)
-			if st.AdjIdx[k] != idx {
-				t.Fatalf("rank %d entry %d: AdjIdx %d, reference target map says %d", rk, k, st.AdjIdx[k], idx)
-			}
-			if int(st.TargetProbes[idx]) != probes {
-				t.Fatalf("rank %d target %d (vertex %d): TargetProbes %d, reference lookup takes %d", rk, idx, u, st.TargetProbes[idx], probes)
 			}
 		}
 	}
@@ -384,21 +365,21 @@ func TestMemoSeesCollisions(t *testing.T) {
 	if deep == 0 {
 		t.Error("no 2D row lookup takes more than one probe")
 	}
-	l1, _ := NewLayout1D(5500, 16)
-	st1, err := Build1D(l1, plainVisitor(poissonEdges(3)(5500)))
+	l1, _ := NewLayout2D(5500, 1, 16)
+	st1, err := Build2D(l1, plainVisitor(poissonEdges(3)(5500)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	deep = 0
 	for _, st := range st1 {
-		for _, p := range st.TargetProbes {
+		for _, p := range st.RowProbes {
 			if p > 1 {
 				deep++
 			}
 		}
 	}
 	if deep == 0 {
-		t.Error("no 1D target lookup takes more than one probe")
+		t.Error("no 1x16 row lookup takes more than one probe")
 	}
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -123,8 +124,10 @@ func TestLayout2DQuick(t *testing.T) {
 	}
 }
 
+// TestLayout1DBasics: the conventional 1D partitioning is the 1 x P
+// layout, rank q owning the q-th block.
 func TestLayout1DBasics(t *testing.T) {
-	l, err := NewLayout1D(10, 3) // bs = 4
+	l, err := NewLayout2D(10, 1, 3) // bs = 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +137,63 @@ func TestLayout1DBasics(t *testing.T) {
 	if l.OwnedCount(0) != 4 || l.OwnedCount(2) != 2 {
 		t.Fatalf("1D counts wrong: %d %d", l.OwnedCount(0), l.OwnedCount(2))
 	}
-	if _, err := NewLayout1D(0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := NewLayout1D(5, 0); err == nil {
+	if _, err := NewLayout2D(5, 1, 0); err == nil {
 		t.Error("p=0 accepted")
 	}
+}
+
+// TestColBlockOfOneDivision: ColBlockOf's single division by R·bs is
+// the two-division BlockOf(v) / R for every vertex, the last partial
+// block included.
+func TestColBlockOfOneDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, mesh := range [][2]int{{1, 1}, {1, 16}, {4, 4}, {16, 1}, {3, 5}} {
+		for _, n := range []int{1, 15, 16, 17, 1000, 99991} {
+			l, err := NewLayout2D(n, mesh[0], mesh[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := []int{0, n - 1, (n - 1) / l.BlockSize() * l.BlockSize()} // ends, last block's start
+			for i := 0; i < 200; i++ {
+				vs = append(vs, rng.Intn(n))
+			}
+			for _, v := range vs {
+				if got, want := l.ColBlockOf(graph.Vertex(v)), l.BlockOf(graph.Vertex(v))/l.R; got != want {
+					t.Fatalf("mesh %v n=%d: ColBlockOf(%d) = %d, BlockOf/R = %d", mesh, n, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// partialList returns the partial edge list st holds for v, nil if none.
+func partialList(st *Store2D, v graph.Vertex) []graph.Vertex {
+	lo, hi, ok := column(st, v)
+	if !ok {
+		return nil
+	}
+	return st.Rows[lo:hi]
+}
+
+// partialWeights returns the weights parallel to partialList(st, v).
+func partialWeights(st *Store2D, v graph.Vertex) []uint32 {
+	lo, hi, ok := column(st, v)
+	if !ok || st.RowWts == nil {
+		return nil
+	}
+	return st.RowWts[lo:hi]
+}
+
+// column returns the [lo, hi) span of v's list in st's Rows.
+func column(st *Store2D, v graph.Vertex) (lo, hi int64, ok bool) {
+	ci, ok := uint32(v-st.Lo), v >= st.Lo && v < st.Hi // R = 1: columns are owned vertices
+	if st.ColMap != nil {
+		ci, ok = st.ColMap.Get(v)
+	}
+	if !ok {
+		return 0, 0, false
+	}
+	return st.Off[ci], st.Off[ci+1], true
 }
 
 func visitCSR(g *graph.CSR) func(func(u, v graph.Vertex)) error {
@@ -155,22 +209,29 @@ func visitCSR(g *graph.CSR) func(func(u, v graph.Vertex)) error {
 	}
 }
 
+// TestBuild1DMatchesCSR: on a 1 x P mesh each rank holds the full edge
+// list of every owned vertex, in columns indexed by local index with the
+// empty lists kept in place.
 func TestBuild1DMatchesCSR(t *testing.T) {
 	g, err := graph.Generate(graph.Params{N: 300, K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := NewLayout1D(g.N, 4)
-	stores, err := Build1D(l, visitCSR(g))
+	l, _ := NewLayout2D(g.N, 1, 4)
+	stores, err := Build2D(l, visitCSR(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalEdges := int64(0)
 	for _, st := range stores {
-		totalEdges += int64(len(st.Adj))
+		if len(st.Off) != st.OwnedCount()+1 || st.ColMap != nil || st.ColIds != nil || st.RowNeed != nil {
+			t.Fatalf("rank %d: %d Off for %d owned, ColMap %v, %d ColIds, %d RowNeed", st.Rank,
+				len(st.Off), st.OwnedCount(), st.ColMap != nil, len(st.ColIds), len(st.RowNeed))
+		}
+		totalEdges += int64(len(st.Rows))
 		for li := uint32(0); li < uint32(st.OwnedCount()); li++ {
 			v := st.GlobalOf(li)
-			got := st.Neighbors(li)
+			got := st.Rows[st.Off[li]:st.Off[li+1]]
 			want := g.Neighbors(v)
 			if len(got) != len(want) {
 				t.Fatalf("vertex %d: %d neighbors, want %d", v, len(got), len(want))
@@ -212,7 +273,7 @@ func TestBuild2DCoversAllEntries(t *testing.T) {
 			j := l.ColBlockOf(v)
 			for i := 0; i < l.R; i++ {
 				st := stores[l.RankAt(i, j)]
-				part := st.PartialList(v)
+				part := partialList(st, v)
 				for _, u := range part {
 					if l.RowIndexOf(u) != i {
 						t.Fatalf("mesh %v: entry (%d,%d) on wrong row %d", mesh, u, v, i)
@@ -257,7 +318,7 @@ func TestBuild2DRowNeed(t *testing.T) {
 		j := l.ColBlockOf(v)
 		for i := 0; i < l.R; i++ {
 			st := stores[l.RankAt(i, j)]
-			nonEmpty := len(st.PartialList(v)) > 0
+			nonEmpty := len(partialList(st, v)) > 0
 			if needs := owner.NeedWords(li)[i/64]&(1<<(i%64)) != 0; needs != nonEmpty {
 				t.Fatalf("vertex %d row %d: need bit=%v but list non-empty=%v", v, i, needs, nonEmpty)
 			}
@@ -310,8 +371,8 @@ func TestLayout2DOneDimensionalEquivalence(t *testing.T) {
 	}
 	for _, st := range stores {
 		for v := st.Lo; v < st.Hi; v++ {
-			if len(st.PartialList(v)) != g.Degree(v) {
-				t.Fatalf("R=1: vertex %d partial list %d != degree %d", v, len(st.PartialList(v)), g.Degree(v))
+			if len(partialList(st, v)) != g.Degree(v) {
+				t.Fatalf("R=1: vertex %d partial list %d != degree %d", v, len(partialList(st, v)), g.Degree(v))
 			}
 		}
 	}

@@ -26,6 +26,12 @@ import (
 // slot inspections a lookup of that vertex takes in the row map the
 // loader builds and then drops.
 //
+// With R = 1 — the conventional 1D partitioning of §2.1 — a rank's block
+// column is its owned block and every list is a full edge list. The
+// columns are then the owned vertices by local index, empty lists
+// included, so the second mapping is an offset: the store carries no
+// ColMap, no ColIds and, with no column to expand to, no RowNeed.
+//
 // A store is immutable once Build2D returns: searches only read it, so
 // any number of worlds can run over one set of stores at the same time.
 type Store2D struct {
@@ -34,9 +40,10 @@ type Store2D struct {
 	I, J   int          // mesh coordinates
 	Lo, Hi graph.Vertex // owned vertex range
 
-	// Partial edge lists in CSR over compacted non-empty columns.
-	ColMap *localindex.Map // global v -> compact column index
-	ColIds []graph.Vertex  // compact column index -> global v, strictly ascending
+	// Partial edge lists in CSR over compacted non-empty columns (over the
+	// owned vertices when R = 1: Off then has OwnedCount+1 entries).
+	ColMap *localindex.Map // global v -> compact column index; nil when R = 1
+	ColIds []graph.Vertex  // compact column index -> global v, strictly ascending; nil when R = 1
 	Off    []int64
 	Rows   []graph.Vertex // global u ids
 	// RowWts, when non-nil, carries the edge weight parallel to each
@@ -65,7 +72,7 @@ type Store2D struct {
 	// RowNeed marks, for each owned vertex (by local index), which mesh
 	// rows i' hold a non-empty partial edge list for it. The targeted
 	// expand sends a frontier vertex only to those rows. Packed
-	// ceil(R/64) words per vertex.
+	// ceil(R/64) words per vertex; nil when R = 1.
 	RowNeed    []uint64
 	rowNeedWpv int // words per vertex
 }
@@ -82,29 +89,6 @@ func (s *Store2D) LocalOf(v graph.Vertex) uint32 { return uint32(v - s.Lo) }
 // GlobalOf converts a local owned index to the global vertex id.
 func (s *Store2D) GlobalOf(i uint32) graph.Vertex { return s.Lo + graph.Vertex(i) }
 
-// PartialList returns the partial edge list stored on this rank for
-// global vertex v, or nil if empty.
-func (s *Store2D) PartialList(v graph.Vertex) []graph.Vertex {
-	idx, ok := s.ColMap.Get(v)
-	if !ok {
-		return nil
-	}
-	return s.Rows[s.Off[idx]:s.Off[idx+1]]
-}
-
-// PartialWeights returns the weights parallel to PartialList(v), or
-// nil when the store is unweighted or holds no list for v.
-func (s *Store2D) PartialWeights(v graph.Vertex) []uint32 {
-	if s.RowWts == nil {
-		return nil
-	}
-	idx, ok := s.ColMap.Get(v)
-	if !ok {
-		return nil
-	}
-	return s.RowWts[s.Off[idx]:s.Off[idx+1]]
-}
-
 // ResolveBatch is the most vertices one ResolveColumns call looks up:
 // enough for the independent map loads to overlap, small enough for the
 // result to live on the caller's stack.
@@ -119,8 +103,15 @@ const NoColumn = ^uint32(0)
 // holds no partial list, and returns the hash probes the lookups made —
 // misses included — for the caller to charge. The loop holds nothing but
 // the probe, so one lookup's cache miss does not wait for the previous
-// vertex's edge list to be scanned.
+// vertex's edge list to be scanned. When R = 1 the received vertices are
+// the rank's own and a column is a local index: no probe is made.
 func (s *Store2D) ResolveColumns(part []uint32, cis *[ResolveBatch]uint32) (probes uint64) {
+	if s.ColMap == nil {
+		for i, gv := range part {
+			cis[i] = gv - uint32(s.Lo)
+		}
+		return 0
+	}
 	for i, gv := range part {
 		ci, ok, p := s.ColMap.GetCounted(gv)
 		if !ok {
@@ -140,14 +131,20 @@ func (s *Store2D) NeedWords(li uint32) []uint64 {
 	return s.RowNeed[w : w+s.rowNeedWpv]
 }
 
-func (s *Store2D) setNeedsRow(li uint32, i int) {
-	w := int(li)*s.rowNeedWpv + i/64
-	s.RowNeed[w] |= 1 << (i % 64)
-}
-
 // NonEmptyColumns returns the number of non-empty partial edge lists on
 // this rank (the paper's O(n/P) bound, §2.4.1).
-func (s *Store2D) NonEmptyColumns() int { return s.ColMap.Len() }
+func (s *Store2D) NonEmptyColumns() int {
+	if s.ColMap != nil {
+		return s.ColMap.Len()
+	}
+	n := 0
+	for ci := 1; ci < len(s.Off); ci++ {
+		if s.Off[ci] > s.Off[ci-1] {
+			n++
+		}
+	}
+	return n
+}
 
 // MemoryStats summarizes one rank's storage footprint, the quantities
 // §2.4.1 argues stay O(n/P): owned vertices, indexed non-empty columns,
@@ -173,8 +170,27 @@ func (s *Store2D) Memory() MemoryStats {
 	}
 }
 
-// Build2D constructs all per-rank 2D stores by streaming the edge
-// source twice. See Build1D for the loader-centralization note.
+// WeightedVisitor streams every undirected edge exactly once with its
+// weight, such as graph.CSR.VisitWeightedEdges or a WeightSpec overlay
+// on graph.Params.VisitEdges.
+type WeightedVisitor func(func(u, v graph.Vertex, w uint32)) error
+
+// liftUnweighted adapts an unweighted edge source to the weighted
+// visitor shape (weight 1 everywhere).
+func liftUnweighted(visitEdges func(func(u, v graph.Vertex)) error) WeightedVisitor {
+	return func(fn func(u, v graph.Vertex, w uint32)) error {
+		return visitEdges(func(u, v graph.Vertex) { fn(u, v, 1) })
+	}
+}
+
+// Build2D constructs all per-rank stores by streaming the edge source
+// twice (discover and count, then fill). The edge source is any function
+// that visits every undirected edge exactly once, such as
+// graph.Params.VisitEdges or a closure over a materialized CSR.
+//
+// This centralized loader stands in for the parallel file I/O of the
+// original system; graph distribution is not part of any measured
+// experiment.
 func Build2D(l *Layout2D, visitEdges func(func(u, v graph.Vertex)) error) ([]*Store2D, error) {
 	return build2D(l, liftUnweighted(visitEdges), false)
 }
@@ -185,145 +201,165 @@ func Build2DWeighted(l *Layout2D, visit WeightedVisitor) ([]*Store2D, error) {
 	return build2D(l, visit, true)
 }
 
-// loader2D is what build2D keeps per rank while it streams the edges:
-// the third mapping's hash map, and a dense index over the rank's block
-// column and block row standing in for every lookup the loader itself
-// would make, so the maps see only their first-appearance Puts. It costs
-// (R+C)·4n bytes over all ranks and is dropped when the build returns;
-// the centralized loader holds the whole graph anyway.
-type loader2D struct {
-	// rowMap is the row vertex -> local row map of §2.4.2, built as the
-	// search would have built it; only its probe counts outlive the build.
-	rowMap *localindex.Map
-	// col is indexed by a vertex's position in block column j. Pass 1
-	// counts the vertex's entries there; between the passes the count
-	// becomes the vertex's compact column.
-	col []uint32
-	// row is indexed by a vertex's position in block row i (its C blocks
-	// laid end to end) and holds its local row + 1, 0 until it appears.
-	row []uint32
-	// next[ci] is where pass 2 writes column ci's next entry.
-	next []int64
+// end is an edge endpoint and the mesh position (i, j) of its block:
+// block b sits at mesh row b mod R of block column b div R.
+type end struct {
+	v    graph.Vertex
+	i, j int
 }
 
 func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, error) {
-	p, bs := l.P(), l.BlockSize()
+	n, p, bs := l.N, l.P(), l.BlockSize()
 	colSpan := l.R * bs // vertices in a block column
-	stores := make([]*Store2D, p)
-	loaders := make([]loader2D, p)
 	wpv := (l.R + 63) / 64
-	for r := 0; r < p; r++ {
+	stores := make([]*Store2D, p)
+	for r := range stores {
 		i, j := l.MeshOf(r)
 		lo, hi := l.OwnedRange(r)
 		st := &Store2D{
 			Layout: l, Rank: r, I: i, J: j, Lo: lo, Hi: hi,
-			ColMap:      localindex.NewMap(16),
 			FoldEntries: make([]uint32, l.C),
 			rowNeedWpv:  wpv,
 		}
-		st.RowNeed = make([]uint64, st.OwnedCount()*wpv)
+		if l.R > 1 {
+			st.ColMap = localindex.NewMap(16)
+			st.RowNeed = make([]uint64, st.OwnedCount()*wpv)
+		}
 		stores[r] = st
-		loaders[r] = loader2D{
-			rowMap: localindex.NewMap(16),
-			col:    make([]uint32, colSpan),
-			row:    make([]uint32, l.C*bs),
-		}
 	}
-	// locate returns the rank storing matrix entry (row u, column v),
-	// given the blocks bu and bv of the two, the positions of v in that
-	// rank's block column and of u in its block row, and u's block column.
-	locate := func(u graph.Vertex, bu int, v graph.Vertex, bv int) (rk, colPos, rowPos, ju int) {
-		j, ju := bv/l.R, bu/l.R
-		return l.RankAt(bu%l.R, j), int(v) - j*colSpan, ju*bs + int(u) - bu*bs, ju
+	// Entry u of the edge list (matrix column) of v is stored on rank
+	// (u.i, v.j), and the loader finds it at u.i*n + v in the dense arrays
+	// below — its stand-ins for every lookup it would make itself, so the
+	// maps see only their first-appearance Puts. They are dropped when the
+	// build returns; the centralized loader holds the whole graph anyway.
+	//
+	// count[u.i*n+v] counts the entries of column v on mesh row u.i; between
+	// the passes it becomes the column's compact index on its rank.
+	count := make([]uint32, l.R*n)
+	// next, indexed like count, is where pass 2 writes the column's next
+	// entry.
+	next := make([]int64, l.R*n)
+	// seq[rk] lists the Rows slots pass 2 filled on rank rk, in stream
+	// order: the order in which the third mapping's hash map would have
+	// seen the rows.
+	seq := make([][]int64, p)
+	ends := func(u, v graph.Vertex) (end, end) {
+		bu, bv := int(u)/bs, int(v)/bs
+		return end{u, bu % l.R, bu / l.R}, end{v, bv % l.R, bv / l.R}
 	}
-	// Pass 1: discover non-empty columns and distinct rows in stream
-	// order (each map sees exactly the Puts a GetOrPut per entry would
-	// make), count entries per column, build RowNeed.
-	discover := func(u graph.Vertex, bu int, v graph.Vertex, bv int) {
-		// u appears in the edge list (matrix column) of v.
-		rk, colPos, rowPos, _ := locate(u, bu, v, bv)
-		st, ld := stores[rk], &loaders[rk]
-		if ld.col[colPos] == 0 {
-			st.ColMap.Put(v, 0) // numbered once every column is known
+	// Pass 1: discover non-empty columns in stream order (the column maps
+	// see exactly the Puts a GetOrPut per entry would make), count entries
+	// per column, build RowNeed.
+	discover := func(u, v end) {
+		pos := u.i*n + int(v.v)
+		if l.R > 1 {
+			if count[pos] == 0 {
+				stores[l.RankAt(u.i, v.j)].ColMap.Put(v.v, 0) // numbered once every column is known
+			}
+			// Tell v's owner that mesh row u.i has a non-empty partial list
+			// for v.
+			owner := stores[l.RankAt(v.i, v.j)]
+			owner.RowNeed[int(owner.LocalOf(v.v))*wpv+u.i/64] |= 1 << (u.i % 64)
 		}
-		ld.col[colPos]++
-		if ld.row[rowPos] == 0 {
-			ld.rowMap.Put(u, uint32(st.RowCount))
-			st.RowCount++
-			ld.row[rowPos] = uint32(st.RowCount)
-		}
-		// Tell v's owner that mesh row RowIndexOf(u) has a non-empty
-		// partial list for v.
-		owner := stores[l.RankAt(bv%l.R, bv/l.R)]
-		owner.setNeedsRow(uint32(int(v)-bv*bs), bu%l.R)
+		count[pos]++
 	}
 	if err := visit(func(u, v graph.Vertex, w uint32) {
-		bu, bv := int(u)/bs, int(v)/bs
-		discover(u, bu, v, bv)
-		discover(v, bv, u, bu)
+		eu, ev := ends(u, v)
+		discover(eu, ev)
+		discover(ev, eu)
 	}); err != nil {
 		return nil, err
 	}
 	for r, st := range stores {
-		ld := &loaders[r]
-		// Number the columns in ascending vertex id: a walk over the
-		// block column in place of a sort.
-		base := graph.Vertex(st.J * colSpan)
-		n := st.ColMap.Len()
-		st.ColIds = make([]graph.Vertex, 0, n)
-		st.Off = make([]int64, 1, n+1)
-		for pos, count := range ld.col {
-			if count == 0 {
-				continue
+		// The rank's columns: block column J, on mesh row I.
+		base := min(st.J*colSpan, n)
+		lo, hi := st.I*n+base, st.I*n+min(base+colSpan, n)
+		cols, nx := count[lo:hi], next[lo:hi]
+		if st.ColMap == nil {
+			// R = 1: the block column is the owned block, so column ci is
+			// local vertex ci and an empty list keeps its place.
+			st.Off = make([]int64, len(cols)+1)
+			for li, c := range cols {
+				nx[li] = st.Off[li]
+				st.Off[li+1] = st.Off[li] + int64(c)
 			}
-			ld.col[pos] = uint32(len(st.ColIds))
-			st.ColIds = append(st.ColIds, base+graph.Vertex(pos))
-			st.Off = append(st.Off, st.Off[len(st.Off)-1]+int64(count))
+		} else {
+			// Number the columns in ascending vertex id: a walk over the
+			// block column in place of a sort.
+			nc := st.ColMap.Len()
+			st.ColIds = make([]graph.Vertex, 0, nc)
+			st.Off = make([]int64, 1, nc+1)
+			for pos, c := range cols {
+				if c == 0 {
+					continue
+				}
+				cols[pos] = uint32(len(st.ColIds))
+				nx[pos] = st.Off[len(st.Off)-1]
+				st.ColIds = append(st.ColIds, graph.Vertex(base+pos))
+				st.Off = append(st.Off, st.Off[len(st.Off)-1]+int64(c))
+			}
+			st.ColMap.Rewrite(func(v, _ uint32) uint32 { return cols[int(v)-base] })
 		}
-		st.ColMap.Rewrite(func(v, _ uint32) uint32 { return ld.col[v-uint32(base)] })
-		ld.next = append([]int64(nil), st.Off[:n]...)
-		st.Rows = make([]graph.Vertex, st.Off[n])
+		st.Rows = make([]graph.Vertex, st.Off[len(st.Off)-1])
 		st.RowIdx = make([]uint32, len(st.Rows))
+		seq[r] = make([]int64, 0, len(st.Rows))
 		if weighted {
 			st.RowWts = make([]uint32, len(st.Rows))
 		}
-		// What a search would have probed for each row, from the map it
-		// would have probed, now that the map is complete.
-		st.RowProbes = make([]uint8, st.RowCount)
-		for pos, ri := range ld.row {
-			if ri == 0 {
-				continue
-			}
-			jj := pos / bs // the vertex sits in block i + R*jj, pos%bs in
-			u := graph.Vertex((st.I+l.R*jj)*bs + pos - jj*bs)
-			var err error
-			if st.RowProbes[ri-1], err = probeCount(ld.rowMap, u); err != nil {
-				return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
-			}
-		}
-		ld.rowMap = nil
 	}
-	// Pass 2: fill rows, their local indices, and their weights when
-	// carried; within a column entries keep stream order.
-	place := func(u graph.Vertex, bu int, v graph.Vertex, bv int, w uint32) {
-		rk, colPos, rowPos, ju := locate(u, bu, v, bv)
-		st, ld := stores[rk], &loaders[rk]
-		ci := ld.col[colPos]
-		k := ld.next[ci]
-		ld.next[ci]++
-		st.Rows[k] = u
-		st.RowIdx[k] = ld.row[rowPos] - 1
-		st.FoldEntries[ju]++
+	// Pass 2: fill rows, and their weights when carried; within a column
+	// entries keep stream order.
+	place := func(u, v end, w uint32) {
+		rk, pos := l.RankAt(u.i, v.j), u.i*n+int(v.v)
+		st := stores[rk]
+		k := next[pos]
+		next[pos]++
+		st.Rows[k] = u.v
+		seq[rk] = append(seq[rk], k)
+		st.FoldEntries[u.j]++
 		if weighted {
 			st.RowWts[k] = w
 		}
 	}
 	if err := visit(func(u, v graph.Vertex, w uint32) {
-		bu, bv := int(u)/bs, int(v)/bs
-		place(u, bu, v, bv, w)
-		place(v, bv, u, bu, w)
+		eu, ev := ends(u, v)
+		place(eu, ev, w)
+		place(ev, eu, w)
 	}); err != nil {
 		return nil, err
+	}
+	// Number each rank's rows by first appearance in the stream, through
+	// one dense index over all vertices handed clean from rank to rank,
+	// and charge what a search would have probed for each: the row map of
+	// §2.4.2 built as the search would have built it — from NewMap(16), a
+	// Put per row in first-appearance order — and complete before it is
+	// probed. Only the probe counts outlive the build.
+	index := make([]uint32, n) // local row + 1, 0 until the row appears
+	var order []graph.Vertex
+	rowMap := localindex.NewMap(16)
+	for r, st := range stores {
+		order = order[:0]
+		for _, k := range seq[r] {
+			u := st.Rows[k]
+			if index[u] == 0 {
+				order = append(order, u)
+				index[u] = uint32(len(order))
+			}
+			st.RowIdx[k] = index[u] - 1
+		}
+		rowMap.Reset(16)
+		for ri, u := range order {
+			rowMap.Put(u, uint32(ri))
+		}
+		st.RowCount = len(order)
+		st.RowProbes = make([]uint8, len(order))
+		for ri, u := range order {
+			index[u] = 0
+			var err error
+			if st.RowProbes[ri], err = probeCount(rowMap, u); err != nil {
+				return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
+			}
+		}
 	}
 	return stores, nil
 }

@@ -18,11 +18,11 @@ func weightedTestGraph(t *testing.T, n int, k float64, seed int64) *graph.CSR {
 
 func TestBuild1DWeightedCarriesWeights(t *testing.T) {
 	g := weightedTestGraph(t, 500, 6, 2)
-	l, err := NewLayout1D(g.N, 4)
+	l, err := NewLayout2D(g.N, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores, err := Build1DWeighted(l, g.VisitWeightedEdges)
+	stores, err := Build2DWeighted(l, g.VisitWeightedEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestBuild1DWeightedCarriesWeights(t *testing.T) {
 		for li := 0; li < st.OwnedCount(); li++ {
 			v := st.GlobalOf(uint32(li))
 			want := pairCounts(g.Neighbors(v), g.EdgeWeights(v))
-			got := pairCounts(st.Neighbors(uint32(li)), st.Weights(uint32(li)))
+			got := pairCounts(partialList(st, v), partialWeights(st, v))
 			if len(want) != len(got) {
 				t.Fatalf("vertex %d: %d distinct (u,w) pairs, want %d", v, len(got), len(want))
 			}
@@ -42,16 +42,16 @@ func TestBuild1DWeightedCarriesWeights(t *testing.T) {
 			}
 		}
 	}
-	// Unweighted build leaves Wt nil.
-	plain, err := Build1D(l, func(fn func(u, v graph.Vertex)) error {
+	// Unweighted build leaves RowWts nil.
+	plain, err := Build2D(l, func(fn func(u, v graph.Vertex)) error {
 		return g.VisitWeightedEdges(func(u, v graph.Vertex, w uint32) { fn(u, v) })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range plain {
-		if st.Wt != nil {
-			t.Fatal("unweighted Build1D allocated weights")
+		if st.RowWts != nil {
+			t.Fatal("unweighted Build2D allocated weights")
 		}
 	}
 }
@@ -72,8 +72,8 @@ func TestBuild2DWeightedCarriesWeights(t *testing.T) {
 		for v := 0; v < g.N; v++ {
 			got := map[[2]uint32]int{}
 			for _, st := range stores {
-				rows := st.PartialList(graph.Vertex(v))
-				wts := st.PartialWeights(graph.Vertex(v))
+				rows := partialList(st, graph.Vertex(v))
+				wts := partialWeights(st, graph.Vertex(v))
 				if len(rows) > 0 && len(wts) != len(rows) {
 					t.Fatalf("mesh %v: vertex %d: %d rows but %d weights", mesh, v, len(rows), len(wts))
 				}

@@ -92,7 +92,7 @@ type pair[V any] struct {
 // first bin empty, and one all-duplicate bin per rank.
 func makeCase[V any](t *testing.T, n, p, round int, value func(*rand.Rand) V) foldCase[V] {
 	t.Helper()
-	l1, err := partition.NewLayout1D(n, p)
+	l1, err := partition.NewLayout2D(n, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func runFold[V any](t *testing.T, cases []foldCase[V], async, presize bool, payl
 				}
 			}
 		}
-		f := NewFold(c, c.WorldGroup(), &o, cases[0].l, payload(&hist), caps)
+		f := NewFold(c, comm.Mesh{R: 1, C: p}.RowGroup(c.Rank()), &o, cases[0].l, payload(&hist), caps)
 		for round, fc := range cases {
 			binV, binX := f.Reset()
 			for m, bin := range fc.bins[c.Rank()] {

@@ -9,14 +9,10 @@ import (
 	"repro/internal/partition"
 )
 
-// Store is a rank's share of a distributed graph as the harness sees
-// it; partition.Store1D and Store2D both qualify.
-type Store interface{ View() partition.View }
-
 // CheckShape validates what every run is handed before a World starts:
 // one store per rank of w, laid out for w's rank count. fam prefixes
 // the errors ("bfs", "sssp"). It returns the stores' layout.
-func CheckShape[S Store](fam string, w *comm.World, stores []S) (partition.View, error) {
+func CheckShape(fam string, w *comm.World, stores []*partition.Store2D) (partition.View, error) {
 	if len(stores) == 0 {
 		return partition.View{}, fmt.Errorf("%s: no stores", fam)
 	}

@@ -112,9 +112,12 @@ func decodeHist(dec *checkpoint.Dec) frontier.ContainerHist {
 
 // blobVersion guards the layout of a rank's checkpoint blob:
 // [version, the family's state..., the transport state]. Version 3
-// dropped the BFS driver's point-to-point reduction tag; an older
-// snapshot is refused, not misread.
-const blobVersion = 3
+// dropped the BFS driver's point-to-point reduction tag. Version 4 runs
+// the conventional 1D partitioning on the 2D engine over a 1 x P mesh:
+// the fingerprint (the View) is unchanged, but the engine's extra state
+// is the 2D engine's, not the old 1D engine's. An older snapshot is
+// refused, not misread.
+const blobVersion = 4
 
 // Halt deposits rank c's checkpoint blob into o.Checkpoint: state
 // writes the family's search state, the transport state follows. fam

@@ -73,8 +73,8 @@ func TestAsyncMatchesSyncEveryMeshAndCodec(t *testing.T) {
 	}
 }
 
-// TestAsyncMatchesSync1DEngine: the dedicated 1D engine under the same
-// contract, across Δ regimes.
+// TestAsyncMatchesSync1DEngine: 1 x P meshes, where the engine runs
+// Algorithm 1's rounds, under the same contract, across Δ regimes.
 func TestAsyncMatchesSync1DEngine(t *testing.T) {
 	g := poisson(t, 2500, 8, 9, graph.WeightUniform, 64)
 	for _, p := range []int{1, 3, 4, 8} {
@@ -85,7 +85,7 @@ func TestAsyncMatchesSync1DEngine(t *testing.T) {
 				opts.Delta = delta
 				opts.Wire = frontier.WireHybrid
 				opts.Async = asyncOn
-				res, err := Run1D(w, st, opts)
+				res, err := Run2D(w, st, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

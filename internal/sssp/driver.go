@@ -13,25 +13,6 @@ import (
 	"repro/internal/search"
 )
 
-// engine abstracts one rank's partitioned storage for relaxation
-// rounds; the bucket bookkeeping and phase schedule below are shared
-// between the 1D and 2D implementations.
-type engine interface {
-	// maxWeight returns the largest local edge weight (1 if none).
-	maxWeight() uint32
-	// localEdgeEntries counts local edge-list entries (the degree
-	// estimate feeding the default-Δ heuristic).
-	localEdgeEntries() int
-	// scatter relaxes the selected class of edges (light: w <= Δ,
-	// heavy: w > Δ) out of the active owned vertices, exchanges the
-	// requests, and returns the ones owned by this rank, deduplicated
-	// to the minimum distance per vertex.
-	scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) (rvs, rds []uint32)
-	// containers is the engine's running tally of the wire codec's
-	// container choices; per-epoch deltas land in epochRec.Containers.
-	containers() *frontier.ContainerHist
-}
-
 // rankState is one rank's Δ-stepping search state.
 type rankState struct {
 	lo    uint32
@@ -186,7 +167,7 @@ func (s *rankState) apply(rvs, rds []uint32, k uint32, rec *epochRec) []uint32 {
 // globally reduced, so every rank runs the same epoch sequence. A
 // non-nil *search.Canceled return means the run stopped cooperatively
 // with D holding partial tentative distances.
-func runRank(c *comm.Comm, l partition.View, e engine, opts Options, D []uint32) ([]epochRec, *rankState, *search.Canceled) {
+func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint32) ([]epochRec, *rankState, *search.Canceled) {
 	model := c.Model()
 	lo, hi := l.OwnedRange(c.Rank())
 	n := int(hi - lo)
@@ -315,9 +296,10 @@ type rankOut struct {
 	delta uint32
 }
 
-// run is distributed Δ-stepping over either partitioning: the engine
-// constructor is the only thing the exported entry points bind.
-func run[S search.Store](w *comm.World, stores []S, opts Options, engine func(*comm.Comm, S, partition.View, Options) engine) (*Result, error) {
+// Run2D executes distributed Δ-stepping over the 2D edge partitioning
+// (or, with a degenerate mesh, either 1D partitioning of Table 1).
+// Unweighted stores run with unit weights.
+func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
 	l, err := search.CheckShape("sssp", w, stores)
 	if err == nil {
 		err = search.CheckVertex("sssp", "source", opts.Source, l.N)
@@ -330,7 +312,7 @@ func run[S search.Store](w *comm.World, stores []S, opts Options, engine func(*c
 	}
 	res := &Result{N: l.N, R: l.R, C: l.C, Dist: make([]uint32, l.N)}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		recs, st, cxl := runRank(c, l, engine(c, stores[c.Rank()], l, opts), opts, search.Owned(l, c.Rank(), res.Dist))
+		recs, st, cxl := runRank(c, l, newEngine2D(c, stores[c.Rank()], l, opts), opts, search.Owned(l, c.Rank(), res.Dist))
 		return rankOut{recs, st.delta}, cxl
 	})
 	if err != nil {
@@ -341,16 +323,4 @@ func run[S search.Store](w *comm.World, stores []S, opts Options, engine func(*c
 	res.BucketsDrained = countBuckets(res.PerEpoch)
 	publishMetrics(opts.Metrics, res)
 	return res, out.Err()
-}
-
-// Run2D executes distributed Δ-stepping over the 2D edge partitioning
-// (or, with a degenerate mesh, either 1D partitioning of Table 1).
-// Unweighted stores run with unit weights.
-func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
-	return run(w, stores, opts, newEngine2D)
-}
-
-// Run1D executes distributed Δ-stepping over the dedicated 1D engine.
-func Run1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	return run(w, stores, opts, newEngine1D)
 }

@@ -13,14 +13,16 @@ import (
 	"repro/internal/torus"
 )
 
-// engine2D holds one rank's storage handles for Δ-stepping under the
-// 2D edge partitioning. Relaxation rounds follow the BFS Algorithm 2
-// shape: a targeted processor-column expand carries the active
-// (vertex, dist) pairs to the ranks holding partial edge lists, the
-// local scan turns partial lists into relax requests, and a
-// processor-row personalized exchange delivers the requests to the
-// owners (every neighbor discovered on mesh row i is owned by a rank
-// of row i, the same invariant the BFS fold rides).
+// engine2D holds one rank's storage handles for Δ-stepping on any
+// mesh. Relaxation rounds follow the BFS Algorithm 2 shape: a targeted
+// processor-column expand carries the active (vertex, dist) pairs to the
+// ranks holding partial edge lists, the local scan turns partial lists
+// into relax requests, and a processor-row personalized exchange
+// delivers the requests to the owners (every neighbor discovered on mesh
+// row i is owned by a rank of row i, the same invariant the BFS fold
+// rides). With a one-member processor column (R = 1) there is no expand:
+// active vertices relax their own full edge lists and one exchange over
+// all P ranks delivers the requests (the Algorithm 1 fold shape).
 type engine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -32,14 +34,16 @@ type engine2D struct {
 	// codec run on; see parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
-	// fold is the row-exchange half of a round and its per-run scratch,
-	// its bins grown with use (see engine1D.fold); sendV/sendD stage the
-	// targeted column expand, likewise reused every round.
+	// fold is the row-exchange half of a round and its per-run scratch.
+	// Its bins grow with use rather than being sized from FoldEntries, as
+	// the lane engines' are: a round relaxes only one bucket's edges, a
+	// small fraction of that bound. sendV/sendD stage the targeted column
+	// expand, likewise reused every round.
 	fold         *search.Fold[uint32]
 	sendV, sendD [][]uint32
 }
 
-func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) engine {
+func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) *engine2D {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{
@@ -57,8 +61,7 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	return e
 }
 
-func (e *engine2D) containers() *frontier.ContainerHist { return &e.hist }
-
+// maxWeight returns the largest local edge weight (1 if none).
 func (e *engine2D) maxWeight() uint32 {
 	max := uint32(1)
 	for _, w := range e.st.RowWts {
@@ -69,6 +72,8 @@ func (e *engine2D) maxWeight() uint32 {
 	return max
 }
 
+// localEdgeEntries counts local edge-list entries (the degree estimate
+// feeding the default-Δ heuristic).
 func (e *engine2D) localEdgeEntries() int { return len(e.st.Rows) }
 
 // weightAt returns the weight of the i-th local partial-list entry
@@ -80,10 +85,11 @@ func (e *engine2D) weightAt(i int64) uint32 {
 	return e.st.RowWts[i]
 }
 
-// scatter relaxes one class of edges out of the active owned vertices
-// (vs ascending with parallel dists), exchanges the relax requests,
-// and returns the requests destined to this rank, deduplicated to the
-// minimum distance per vertex and valid until the next round.
+// scatter relaxes one class of edges (light: w <= Δ, heavy: w > Δ) out
+// of the active owned vertices (vs ascending with parallel dists),
+// exchanges the relax requests, and returns the requests destined to
+// this rank, deduplicated to the minimum distance per vertex and valid
+// until the next round.
 //
 // Both schedules run this one body and keep payloads and statistics
 // bit-for-bit (the min-merge is order-insensitive). The overlapped one
@@ -91,6 +97,24 @@ func (e *engine2D) weightAt(i int64) uint32 {
 // partial-list scan as they arrive, and the row exchange's sends post
 // per destination bin as each finishes its min-merge.
 func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
+	binV, binD := e.fold.Reset()
+	if e.colG.Size() == 1 {
+		// The column is this rank: relax the active set's own lists.
+		rec.Edges += e.relaxPart(vs, ds, light, delta, binV, binD)
+	} else {
+		rec.ExpandWords = e.expandRelax(vs, ds, light, delta, tag, binV, binD, rec)
+	}
+
+	// Minimum-merge per destination, the row exchange to the owners, and
+	// the owner's merge of what arrives.
+	rvs, rds, _ := e.fold.Deliver(tag+1<<24, &rec.Step)
+	return rvs, rds
+}
+
+// expandRelax runs a round's column phase: the targeted expand of the
+// active (vertex, dist) pairs, each part relaxed into the bins as it
+// arrives. It returns the expand words received.
+func (e *engine2D) expandRelax(vs, ds []uint32, light bool, delta uint32, tag int, binV, binD [][]uint32, rec *epochRec) int {
 	r := e.colG.Size()
 
 	// Targeted column expand: an active vertex travels only to the mesh
@@ -121,7 +145,6 @@ func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, r
 	// Scan the partial edge lists of every received active vertex and
 	// bin the resulting relax requests by owner mesh column (relaxPart
 	// runs on the worker pool and charges the scan).
-	binV, binD := e.fold.Reset()
 	scan := func(i int, part []uint32) {
 		avs, ads := sendV[i], sendD[i]
 		if i != e.colG.Me {
@@ -130,10 +153,5 @@ func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, r
 		rec.Edges += e.relaxPart(avs, ads, light, delta, binV, binD)
 	}
 	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	rec.ExpandWords = collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
-
-	// Minimum-merge per destination, the row exchange to the owners, and
-	// the owner's merge of what arrives.
-	rvs, rds, _ := e.fold.Deliver(tag+1<<24, &rec.Step)
-	return rvs, rds
+	return collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 }

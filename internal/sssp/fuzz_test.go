@@ -78,12 +78,12 @@ func FuzzDeltaSteppingVsDijkstra(f *testing.F) {
 			}
 		}
 
-		// The dedicated 1D engine must agree too.
-		l1, err := partition.NewLayout1D(n, 3)
+		// The conventional 1D partitioning (a 1 x 3 mesh) must agree too.
+		l1, err := partition.NewLayout2D(n, 1, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores1, err := partition.Build1DWeighted(l1, g.VisitWeightedEdges)
+		stores1, err := partition.Build2DWeighted(l1, g.VisitWeightedEdges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func FuzzDeltaSteppingVsDijkstra(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res1, err := Run1D(w1, stores1, opts)
+		res1, err := Run2D(w1, stores1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,53 +47,11 @@ func (o *relaxOut) collect(p *pool.Pool, n int, body func(c *relaxOut, lo, hi in
 	}
 }
 
-// relaxScan relaxes one class of edges out of the active owned
-// vertices, binning the (neighbor, candidate) relax requests by owner
-// rank into the fold's raw bins — the 1D scan shared by the synchronous
-// and overlapped schedules — and charges the edge scan.
-func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) int {
-	tr := e.c.Tracer()
-	tr.Begin("engine", "scan")
-	binV, binD := e.fold.Reset()
-	out := relaxOut{binV: binV, binD: binD}
-	if e.pl.Inline(len(vs), relaxGrain) {
-		e.relaxChunk(vs, ds, light, delta, &out)
-	} else {
-		out.collect(e.pl, len(vs), func(c *relaxOut, lo, hi int) { e.relaxChunk(vs[lo:hi], ds[lo:hi], light, delta, c) })
-	}
-	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
-	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)})
-	return out.scanned
-}
-
-// relaxChunk is relaxScan's body over the active pairs (vs, ds).
-func (e *engine1D) relaxChunk(vs, ds []uint32, light bool, delta uint32, o *relaxOut) {
-	l := e.st.Layout
-	for idx, gv := range vs {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		dv := ds[idx]
-		for i := e.st.Off[li]; i < e.st.Off[li+1]; i++ {
-			o.scanned++
-			w := e.weightAt(i)
-			if (w <= delta) != light {
-				continue
-			}
-			cand := dv + w
-			if cand < dv || cand == graph.MaxDist {
-				continue // saturated: stays unreachable
-			}
-			u := e.st.Adj[i]
-			q := l.OwnerRank(u)
-			o.binV[q] = append(o.binV[q], uint32(u))
-			o.binD[q] = append(o.binD[q], cand)
-		}
-	}
-}
-
 // relaxPart scans the partial edge lists of one arrived active batch,
 // appending relax requests to the per-column bins, and charges the pair
-// handling, edge scan, and hash probes. Both 2D schedules call it once
-// per arrived part.
+// handling, edge scan, and hash probes. Both schedules call it once per
+// arrived part; with a one-member processor column, once with the
+// rank's own active set, which nothing delivered.
 func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, binD [][]uint32) int {
 	tr := e.c.Tracer()
 	tr.Begin("engine", "scan")
@@ -103,7 +61,9 @@ func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, 
 	} else {
 		out.collect(e.pl, len(avs), func(c *relaxOut, lo, hi int) { e.relaxChunk(avs[lo:hi], ads[lo:hi], light, delta, c) })
 	}
-	e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
+	if e.colG.Size() > 1 {
+		e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
+	}
 	e.c.ChargeItemsPar(out.scanned, e.model.EdgeCost)
 	e.c.ChargeItemsPar(int(out.probes), e.model.HashCost)
 	tr.End(trace.Arg{Key: "edges", Val: int64(out.scanned)}, trace.Arg{Key: "probes", Val: int64(out.probes)})

@@ -72,7 +72,7 @@ func (es EpochStats) HiddenFrac() float64 {
 // Result reports a finished distributed Δ-stepping run.
 type Result struct {
 	N     int // graph vertices
-	R, C  int // mesh (R=1 for the 1D engine)
+	R, C  int // mesh (R = 1 under the conventional 1D partitioning)
 	Delta uint32
 	// Dist holds the shortest-path distance of every vertex from the
 	// source (graph.MaxDist for unreachable vertices).
@@ -152,8 +152,8 @@ type epochRec struct {
 }
 
 // begin opens the epoch's span and ledger snapshot.
-func (rec *epochRec) begin(c *comm.Comm, e engine) search.StepTimer {
-	return search.BeginStep(c, e.containers(), "epoch", rec.phase.String(), trace.Arg{Key: "bucket", Val: int64(rec.bucket)})
+func (rec *epochRec) begin(c *comm.Comm, e *engine2D) search.StepTimer {
+	return search.BeginStep(c, &e.hist, "epoch", rec.phase.String(), trace.Arg{Key: "bucket", Val: int64(rec.bucket)})
 }
 
 // end records the epoch's ledger deltas and closes its span.

@@ -209,7 +209,7 @@ func TestMultiBFSTrace(t *testing.T) {
 }
 
 // TestEveryEngineTracesItsScans: every top-down engine — BFS, MultiBFS
-// and Δ-stepping on the 2D and on the dedicated 1D partitioning — wraps
+// and Δ-stepping on a 2D and on a 1 x P (1D) mesh — wraps
 // its local scan in an engine/scan span whose edges (and, where a map is
 // probed, probes) args add up to the Result's totals, and recording them
 // leaves the simulated clock where the untraced run put it.

@@ -1,6 +1,9 @@
 package bgl
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -162,6 +165,134 @@ func TestMultiBFSAllPartitionings(t *testing.T) {
 	}
 	if _, err := cl.MultiBFS(dg, make([]Vertex, MaxLanes+1)); err == nil {
 		t.Error("oversized source batch accepted")
+	}
+}
+
+// TestPartitionsAreMeshShapes: every partitioning is a shape of the 2D
+// mesh run by one engine per family. On a 1 x 6 cluster Part1DCol and
+// Part2D are both the 1 x 6 layout, and on a 6 x 1 cluster Part1DRow
+// and Part2D are both the 6 x 1 one, so each pair returns the same
+// Result — every statistic and simulated second — apart from the host's
+// Wall, for every search family under both schedules, two wire codecs
+// and two pool sizes, each checked against its serial oracle.
+func TestPartitionsAreMeshShapes(t *testing.T) {
+	const n = 12000
+	g, err := GenerateWeighted(n, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := g.LargestComponentVertex()
+	serial := g.SerialBFS(src)
+	dijkstra := g.SerialDijkstra(src)
+	far := src
+	for v, l := range serial {
+		if l > serial[far] {
+			far = Vertex(v)
+		}
+	}
+	lanes := []Vertex{3, 99, 1024, 2047, 11600}
+	laneSerial := make([][]int32, len(lanes))
+	for i, s := range lanes {
+		laneSerial[i] = g.SerialBFS(s)
+	}
+	levels := func(got []int32, want []int32) error {
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("levels differ from the serial BFS")
+		}
+		return nil
+	}
+	distance := func(res *Result) error {
+		if !res.Found || res.Distance != serial[far] {
+			return fmt.Errorf("distance %d found=%v, serial %d", res.Distance, res.Found, serial[far])
+		}
+		return nil
+	}
+	bfsRun := func(dir Direction) func(*Cluster, *DistGraph, []Option) (any, error) {
+		return func(cl *Cluster, dg *DistGraph, o []Option) (any, error) {
+			return cl.BFS(dg, src, append(o, WithDirection(dir))...)
+		}
+	}
+	families := []struct {
+		name  string
+		run   func(cl *Cluster, dg *DistGraph, o []Option) (any, error)
+		check func(res any) error
+	}{
+		{"bfs-topdown", bfsRun(TopDown), func(res any) error { return levels(res.(*Result).Levels, serial) }},
+		{"bfs-dirop", bfsRun(DirectionOptimizing), func(res any) error { return levels(res.(*Result).Levels, serial) }},
+		{"bfs-bottomup", bfsRun(BottomUp), func(res any) error { return levels(res.(*Result).Levels, serial) }},
+		{"search", func(cl *Cluster, dg *DistGraph, o []Option) (any, error) { return cl.Search(dg, src, far, o...) },
+			func(res any) error { return distance(res.(*Result)) }},
+		{"bisearch", func(cl *Cluster, dg *DistGraph, o []Option) (any, error) { return cl.BiSearch(dg, src, far, o...) },
+			func(res any) error { return distance(res.(*Result)) }},
+		{"multibfs", func(cl *Cluster, dg *DistGraph, o []Option) (any, error) { return cl.MultiBFS(dg, lanes, o...) },
+			func(res any) error {
+				for lane, want := range laneSerial {
+					if err := levels(res.(*MultiResult).LaneLevels[lane], want); err != nil {
+						return fmt.Errorf("lane %d: %v", lane, err)
+					}
+				}
+				return nil
+			}},
+		{"sssp", func(cl *Cluster, dg *DistGraph, o []Option) (any, error) {
+			return cl.SSSP(dg, src, append(o, WithDelta(25))...)
+		}, func(res any) error {
+			if !slices.Equal(res.(*SSSPResult).Dist, dijkstra) {
+				return fmt.Errorf("distances differ from the serial Dijkstra")
+			}
+			return nil
+		}},
+	}
+	dropWall := func(res any) any {
+		switch r := res.(type) {
+		case *Result:
+			r.Wall = 0
+		case *MultiResult:
+			r.Wall = 0
+		case *SSSPResult:
+			r.Wall = 0
+		}
+		return res
+	}
+	for _, shape := range []struct {
+		r, c int
+		part Partition
+	}{{1, 6, Part1DCol}, {6, 1, Part1DRow}} {
+		cl, err := NewCluster(ClusterConfig{R: shape.r, C: shape.c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dgs := map[Partition]*DistGraph{}
+		for _, part := range []Partition{shape.part, Part2D} {
+			if dgs[part], err = cl.Distribute(g, WithPartition(part)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, fam := range families {
+			for _, async := range []bool{true, false} {
+				for _, wire := range []WireMode{WireSparse, WireHybrid} {
+					for _, workers := range []int{1, 4} {
+						name := fmt.Sprintf("%dx%d/%s/async=%v/wire=%v/workers=%d", shape.r, shape.c, fam.name, async, wire, workers)
+						t.Run(name, func(t *testing.T) {
+							opts := []Option{WithAsync(async), WithWire(wire), WithWorkers(workers)}
+							var got [2]any
+							for i, part := range []Partition{shape.part, Part2D} {
+								res, err := fam.run(cl, dgs[part], opts)
+								if err != nil {
+									t.Fatalf("%s: %v", part, err)
+								}
+								if err := fam.check(res); err != nil {
+									t.Fatalf("%s: %v", part, err)
+								}
+								got[i] = dropWall(res)
+							}
+							if !reflect.DeepEqual(got[0], got[1]) {
+								t.Errorf("%s and %s results differ", shape.part, Part2D)
+							}
+						})
+					}
+				}
+			}
+		}
 	}
 }
 

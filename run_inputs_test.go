@@ -16,12 +16,13 @@ import (
 )
 
 // runInputs is what one Run* call is handed, in the shape every entry
-// point can read: its world and stores (it takes the kind it runs on),
-// the endpoints, the multi-source batch and the shared options.
+// point can read: its world, the 2D stores and the 1 x P stores of the
+// same graph (an entry takes the ones it runs on), the endpoints, the
+// multi-source batch and the shared options.
 type runInputs struct {
 	w       *comm.World
 	st2     []*partition.Store2D
-	st1     []*partition.Store1D
+	st1     []*partition.Store2D
 	source  graph.Vertex
 	target  graph.Vertex
 	sources []graph.Vertex
@@ -78,32 +79,32 @@ func TestRunRejectsBadInputs(t *testing.T) {
 			_, err := bfs.Run2D(in.w, in.st2, in.bfsOpts(true))
 			return err
 		}},
-		{"bfs.Run1D", "bfs", true, false, true, func(in runInputs) error {
-			_, err := bfs.Run1D(in.w, in.st1, in.bfsOpts(true))
+		{"bfs.Run2D-1dcol", "bfs", true, false, true, func(in runInputs) error {
+			_, err := bfs.Run2D(in.w, in.st1, in.bfsOpts(true))
 			return err
 		}},
 		{"bfs.RunBidirectional2D", "bfs", true, false, false, func(in runInputs) error {
 			_, err := bfs.RunBidirectional2D(in.w, in.st2, in.bfsOpts(true))
 			return err
 		}},
-		{"bfs.RunBidirectional1D", "bfs", true, false, false, func(in runInputs) error {
-			_, err := bfs.RunBidirectional1D(in.w, in.st1, in.bfsOpts(true))
+		{"bfs.RunBidirectional2D-1dcol", "bfs", true, false, false, func(in runInputs) error {
+			_, err := bfs.RunBidirectional2D(in.w, in.st1, in.bfsOpts(true))
 			return err
 		}},
 		{"bfs.MultiRun2D", "bfs", false, true, false, func(in runInputs) error {
 			_, err := bfs.MultiRun2D(in.w, in.st2, in.sources, in.bfsOpts(false))
 			return err
 		}},
-		{"bfs.MultiRun1D", "bfs", false, true, false, func(in runInputs) error {
-			_, err := bfs.MultiRun1D(in.w, in.st1, in.sources, in.bfsOpts(false))
+		{"bfs.MultiRun2D-1dcol", "bfs", false, true, false, func(in runInputs) error {
+			_, err := bfs.MultiRun2D(in.w, in.st1, in.sources, in.bfsOpts(false))
 			return err
 		}},
 		{"sssp.Run2D", "sssp", false, false, true, func(in runInputs) error {
 			_, err := sssp.Run2D(in.w, in.st2, in.ssspOpts())
 			return err
 		}},
-		{"sssp.Run1D", "sssp", false, false, true, func(in runInputs) error {
-			_, err := sssp.Run1D(in.w, in.st1, in.ssspOpts())
+		{"sssp.Run2D-1dcol", "sssp", false, false, true, func(in runInputs) error {
+			_, err := sssp.Run2D(in.w, in.st1, in.ssspOpts())
 			return err
 		}},
 	}
@@ -119,7 +120,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 			"3 stores for world P=4"},
 		{"layout P != world P", nil, func(in *runInputs) {
 			in.st2 = append(append([]*partition.Store2D{}, small2.stores...), small2.stores...)
-			in.st1 = append(append([]*partition.Store1D{}, small1.stores1...), small1.stores1...)
+			in.st1 = append(append([]*partition.Store2D{}, small1.stores...), small1.stores...)
 		}, "layout P=2 for world P=4"},
 		{"source out of range", func(e entry) bool { return !e.batch }, func(in *runInputs) { in.source = n },
 			"source 400 out of range for n=400"},
@@ -149,7 +150,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 			}
 			t.Run(e.name+"/"+f.name, func(t *testing.T) {
 				var started atomic.Bool
-				in := runInputs{w: cl.world, st2: dg2.stores, st1: dg1.stores1,
+				in := runInputs{w: cl.world, st2: dg2.stores, st1: dg1.stores,
 					source: 1, target: 2, sources: []graph.Vertex{1, 2, 3}, common: search.Defaults()}
 				in.common.Cancel = func(float64) error { started.Store(true); return nil }
 				f.break_(&in)
@@ -171,7 +172,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 
 	// The well-formed call every fault above was derived from runs.
 	for _, e := range entries {
-		in := runInputs{w: cl.world, st2: dg2.stores, st1: dg1.stores1,
+		in := runInputs{w: cl.world, st2: dg2.stores, st1: dg1.stores,
 			source: 1, target: 2, sources: []graph.Vertex{1, 2, 3}, common: search.Defaults()}
 		if err := e.run(in); err != nil {
 			t.Errorf("%s: well-formed call failed: %v", e.name, err)

@@ -8,11 +8,12 @@ import (
 // TestStoreFootprint holds what a distributed graph pins on the heap:
 // HeapAlloc after a forced collection, with the stores reachable, minus
 // the same before Distribute. The stores keep no hash map a search does
-// not probe — the row and target maps behind the sent-neighbors cache
-// are resolved into RowIdx / AdjIdx by the loader and dropped, leaving a
-// probe count per row — so the perf lab's 2D graph costs 22.55 MB where
-// it cost 26.6 MB with a RowMap per rank, and its 1D graph 1.54 MB where
-// it cost 5.0 MB with a TargetMap per rank. The ceilings sit 4% and 10%
+// not probe — the row map behind the sent-neighbors cache is resolved
+// into RowIdx by the loader and dropped, leaving a probe count per row,
+// and a 1 x P store, whose columns are its owned vertices, carries no
+// column map at all — so the perf lab's 2D graph costs 22.55 MB where it
+// cost 26.6 MB with a RowMap per rank, and its 1D graph 1.54 MB where it
+// cost 5.0 MB with a target map per rank. The ceilings sit 4% and 10%
 // over the readings, which repeat to within 0.05 MB; a retained loader index
 // or a second per-entry array lands well above them.
 func TestStoreFootprint(t *testing.T) {
