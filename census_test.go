@@ -116,6 +116,58 @@ func TestKnobCensus(t *testing.T) {
 	}
 }
 
+// TestScheduleChosenInCollective guards "the schedule is collective's
+// business": no non-test source of the engine packages may branch on a
+// field named Async — in an if condition, a switch tag or a case — so
+// every exchange runs one body under both schedules and only
+// internal/collective reads Opts.Async. Passing the option on, as in
+// collective.Opts{…, Async: e.opts.Async}, is not a branch.
+func TestScheduleChosenInCollective(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/bfs", "internal/sssp", "internal/search"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) == 0 {
+			t.Fatalf("%s: no package found", dir)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(node ast.Node) bool {
+					var exprs []ast.Expr
+					switch n := node.(type) {
+					case *ast.IfStmt:
+						exprs = []ast.Expr{n.Cond}
+					case *ast.SwitchStmt:
+						exprs = []ast.Expr{n.Tag}
+					case *ast.CaseClause:
+						exprs = n.List
+					}
+					for _, e := range exprs {
+						if e != nil && readsAsync(e) {
+							t.Errorf("%s: branches on Async; the schedule is chosen inside internal/collective", fset.Position(e.Pos()))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// readsAsync reports whether e reads a field named Async.
+func readsAsync(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(node ast.Node) bool {
+		if sel, ok := node.(*ast.SelectorExpr); ok && sel.Sel.Name == "Async" {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // censusCommands are the commands whose flag definitions the census
 // guards: every cmd/ directory.
 var censusCommands = []string{"bfsrun", "graphd", "bfsbench", "graphload", "graphgen", "tracecheck"}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -125,7 +126,10 @@ func measure(flags string, skip ...string) (cols [len(ledgerCols)]string, err er
 // The cost model is deterministic, so any difference — a word, the last
 // bit of a simulated clock, a field of the -json document — is a
 // behaviour change and fails with the runnable command and the column
-// that moved. With -update the measured columns are written back.
+// that moved. With -update the measured columns are written back, and
+// every line that moved is logged — its flags, old -> new simexec,
+// simcomm and words, and the relative simexec change — with a count and
+// the largest relative change, so a re-record can be quoted as it is.
 func TestSimLedger(t *testing.T) {
 	raw, lines := readLedger(t)
 	got := make([][len(ledgerCols)]string, len(lines))
@@ -159,14 +163,36 @@ func TestSimLedger(t *testing.T) {
 	if !*update || t.Failed() {
 		return
 	}
+	moved, largest := 0, 0.0
 	for i, l := range lines {
-		if got[i][0] != "" { // measured: not a block -short skipped
-			raw[l.at] = l.flags + "\t" + strings.Join(got[i][:], "\t")
+		if got[i][0] == "" { // a block -short skipped
+			continue
 		}
+		if got[i] != l.cols {
+			moved++
+			rel := relChange(l.cols[0], got[i][0])
+			largest = max(largest, math.Abs(rel))
+			t.Logf("re-recorded %s\n  simexec %s -> %s\n  simcomm %s -> %s\n  words   %s -> %s\n  simexec %+.3g relative",
+				l.flags, l.cols[0], got[i][0], l.cols[1], got[i][1], l.cols[2], got[i][2], rel)
+		}
+		raw[l.at] = l.flags + "\t" + strings.Join(got[i][:], "\t")
 	}
+	t.Logf("%d of %d lines re-recorded; the largest relative simexec change is %.3g", moved, len(lines), largest)
 	if err := os.WriteFile(ledgerPath, []byte(strings.Join(raw, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// relChange is the relative change from the recorded to the measured
+// value of a column; a line added by hand has no recorded value and
+// reads 0.
+func relChange(old, now string) float64 {
+	o, err := strconv.ParseFloat(old, 64)
+	if err != nil || o == 0 {
+		return 0
+	}
+	n, _ := strconv.ParseFloat(now, 64)
+	return (n - o) / o
 }
 
 // TestSimLedgerCatchesOneDigit is the gate's self-check: a ledger line

@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"repro/internal/collective"
-	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/pool"
@@ -66,8 +65,8 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	rec := rankLevel{dir: BottomUp, frontier: s.F.Len()}
 	column := e.colG.Size() > 1
 
-	// Per-piece handling charge for the pipelined gathers (received
-	// pieces only, the synchronous charge split across arrivals).
+	// Each received piece is charged as the exchange hands it over (the
+	// self piece stays local and costs nothing).
 	chargeRecv := func(me int) collective.Handle {
 		return func(m int, piece []uint32) {
 			if m != me {
@@ -75,18 +74,10 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 			}
 		}
 	}
-	gather := func(g comm.Group, o collective.Opts, data []uint32) ([][]uint32, collective.Stats) {
-		if e.opts.Async {
-			return collective.AllGatherAsync(e.c, g, o, data, chargeRecv(g.Me))
-		}
-		pieces, st := collective.AllGather(e.c, g, o, data)
-		e.c.ChargeItems(st.RecvWords, e.model.VertexCost)
-		return pieces, st
-	}
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
 	fSend := wireBits(e.pl, e.opts, &e.hist, frontier.Bits(s.F), e.st.OwnedCount())
-	fPieces, fst := gather(e.rowG, o, fSend)
+	fPieces, fst := collective.Gather(e.c, e.rowG, o, "allgather", fSend, chargeRecv(e.rowG.Me))
 	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 	rec.ExpandWords = fst.RecvWords
 
@@ -98,9 +89,9 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 				frontier.SetBit(un, uint32(li))
 			}
 		}
-		o2 := collective.Opts{Tag: tagBase + 1<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+		o.Tag = tagBase + 1<<22
 		var ust collective.Stats
-		uPieces, ust = gather(e.colG, o2, wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()))
+		uPieces, ust = collective.Gather(e.c, e.colG, o, "allgather", wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()), chargeRecv(e.colG.Me))
 		unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
 		rec.ExpandWords += ust.RecvWords
 		claims = make([][]uint32, l.R)
@@ -174,14 +165,7 @@ func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Ha
 			},
 		}
 	}
-	var mine []uint32
-	var st collective.Stats
-	if e.opts.Async {
-		mine, st = collective.ReduceScatterOrAsync(e.c, e.colG, o, func(m int) []uint32 { return claims[m] }, handle)
-	} else {
-		mine, st = collective.ReduceScatterOr(e.c, e.colG, o, claims)
-		e.c.ChargeItems(st.RecvWords, e.model.VertexCost)
-	}
+	mine, st := collective.ReduceScatterOr(e.c, e.colG, o, func(m int) []uint32 { return claims[m] }, handle)
 	rec.FoldWords = st.RecvWords
 	return mine
 }

@@ -1,7 +1,6 @@
 package bfs
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/collective"
@@ -182,60 +181,13 @@ func (e *engine2D) wireFrontier(f frontier.Frontier) []uint32 {
 	return out
 }
 
-// expandUnwire decodes the pieces of an expand exchange in place
-// (frontier.Decode is a no-op on payloads that stayed raw, so pieces
-// that never crossed the wire are safe to pass through).
-func (e *engine2D) expandUnwire(parts [][]uint32) {
-	if e.opts.Wire == frontier.WireSparse {
-		return
-	}
-	tr := e.c.Tracer()
-	tr.Begin("engine", "decode")
-	words := int64(0)
-	for i := range parts {
-		words += int64(len(parts[i]))
-		parts[i] = frontier.DecodePar(e.pl, parts[i])
-	}
-	tr.End(trace.Arg{Key: "words", Val: words})
-}
-
 // expand performs the processor-column expand of Algorithm 2 steps
-// 7–11, returning the frontier portion F̄ this rank must scan.
-func (e *engine2D) expand(s *sideState, tag int) ([]uint32, collective.Stats) {
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
-	switch e.opts.Expand {
-	case ExpandTargeted:
-		send := e.c.Lists(e.colG.Size())
-		for i, ids := range e.targetRows(s) {
-			send[i] = ids
-			if i != e.colG.Me {
-				send[i] = e.expandWire(ids)
-			}
-		}
-		parts, st := collective.AllToAll(e.c, e.colG, o, send)
-		e.c.ReleaseLists(send)
-		e.expandUnwire(parts)
-		return flatten(parts), st
-	case ExpandAllGather:
-		parts, st := collective.AllGather(e.c, e.colG, o, e.wireFrontier(s.F))
-		e.expandUnwire(parts)
-		return flatten(parts), st
-	case ExpandTwoPhase:
-		o.BundleMerge = e.bundle
-		parts, st := collective.TwoPhaseExpand(e.c, e.colG, o, e.wireFrontier(s.F))
-		e.expandUnwire(parts)
-		return flatten(parts), st
-	default:
-		panic(fmt.Sprintf("bfs: unknown expand algorithm %v", e.opts.Expand))
-	}
-}
-
-// expandAsync posts the expand with the pipelined schedule, streaming
-// every part — this rank's own portion first — through handle.
-func (e *engine2D) expandAsync(s *sideState, tag int, handle collective.Handle) collective.Stats {
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: true}
-	switch e.opts.Expand {
-	case ExpandTargeted:
+// 7–11 under the configured schedule, handing every part of F̄, this
+// rank's own portion included, to handle, and returns what this rank
+// received.
+func (e *engine2D) expand(s *sideState, tag int, handle collective.Handle) collective.Stats {
+	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async, BundleMerge: e.bundle}
+	if e.opts.Expand == ExpandTargeted {
 		send := e.targetRows(s)
 		prep := func(i int) []uint32 {
 			if i == e.colG.Me {
@@ -244,26 +196,19 @@ func (e *engine2D) expandAsync(s *sideState, tag int, handle collective.Handle) 
 			return e.expandWire(send[i])
 		}
 		return collective.Exchange(e.c, e.colG, o, prep, handle)
-	case ExpandAllGather:
-		_, st := collective.AllGatherAsync(e.c, e.colG, o, e.wireFrontier(s.F), handle)
-		return st
-	case ExpandTwoPhase:
-		o.BundleMerge = e.bundle
-		_, st := collective.TwoPhaseExpandAsync(e.c, e.colG, o, e.wireFrontier(s.F), handle)
-		return st
-	default:
-		panic(fmt.Sprintf("bfs: unknown expand algorithm %v", e.opts.Expand))
 	}
+	_, st := collective.Gather(e.c, e.colG, o, e.opts.Expand.String(), e.wireFrontier(s.F), handle)
+	return st
 }
 
 // expandBundleMerge recompresses a two-phase expand bundle — the
 // processor column's per-origin frontier payloads, which circulate
 // together along every grid-row hop — as one set over the column's
 // stacked owned ranges, re-encoded through the configured wire codec.
-// TwoPhaseExpand ships whichever of this and the plain framing is fewer
-// words, so configuring it never costs a word; it wins whenever the
-// per-origin headers and framing dominate (dense or hybrid payloads,
-// and the a-1 length words of sparse bundles).
+// The two-phase expand ships whichever of this and the plain framing is
+// fewer words, so configuring it never costs a word; it wins whenever
+// the per-origin headers and framing dominate (dense or hybrid
+// payloads, and the a-1 length words of sparse bundles).
 func (e *engine2D) expandBundleMerge() *collective.BundleCodec {
 	l := e.st.Layout
 	return &collective.BundleCodec{
@@ -318,18 +263,6 @@ func (e *engine2D) targetRows(s *sideState) [][]uint32 {
 	// Bitmask scan cost: |F| x ceil(R/64) words.
 	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
 	return e.sendV
-}
-
-func flatten(parts [][]uint32) []uint32 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]uint32, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // foldCodec builds the wire codec for fold payloads: a set destined to
@@ -430,33 +363,29 @@ func (e *engine2D) frontierOutDegree(s *sideState) uint64 {
 // emptiness check belongs to the caller (it differs between uni- and
 // bi-directional drivers).
 //
-// The phase-synchronous schedule waits out the whole expand and scans
-// F̄ once; the overlapped one scans each expand part as it arrives,
-// while the remaining parts are on the wire. Results are identical —
-// the scans and unions are order-insensitive, and the sent-neighbors
-// cache admits each vertex exactly once in any order; only the
-// simulated clock, and the OverlapS ledger, changes. The fold's
-// schedule is collective.Fold's business. With a one-member processor
-// column there is no expand: the scan reads the owned frontier itself.
+// Each expand part is scanned as the exchange hands it over: under the
+// overlapped schedule as it arrives, while the remaining parts are on
+// the wire, under the synchronous one in member order once the last has
+// arrived. Results are identical — the scans and unions are
+// order-insensitive, and the sent-neighbors cache admits each vertex
+// exactly once in any order; only the simulated clock, and the OverlapS
+// ledger, changes. The schedules are collective's business. With a
+// one-member processor column there is no expand: the scan reads the
+// owned frontier itself.
 func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{frontier: s.F.Len()}
-	switch {
-	case e.colG.Size() == 1:
+	if e.colG.Size() == 1 {
 		rec.Edges = e.scanPart(s, s.F.Vertices())
-	case e.opts.Async:
-		rec.ExpandWords = e.expandAsync(s, tagBase, func(m int, part []uint32) {
-			// Mirror expandUnwire: WireSparse parts are raw id lists that never
-			// saw the sentinel guard, so they must not go through Decode.
+	} else {
+		rec.ExpandWords = e.expand(s, tagBase, func(m int, part []uint32) {
+			// WireSparse parts are raw id lists that never saw the sentinel
+			// guard, so they must not go through Decode.
 			if e.opts.Wire != frontier.WireSparse {
 				part = frontier.DecodePar(e.pl, part) // no-op on raw lists and local parts
 			}
 			rec.Edges += e.scanPart(s, part)
 		}).RecvWords
-	default:
-		fbar, est := e.expand(s, tagBase)
-		rec.ExpandWords = est.RecvWords
-		rec.Edges = e.scanPart(s, fbar)
 	}
 	foundTarget := s.mark(e.opts, e.st.Lo, e.bins.fold(tagBase+1<<24, &rec), &rec)
 	rec.end(tm)

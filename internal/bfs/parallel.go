@@ -69,15 +69,12 @@ func (o *scanOut) collect(p *pool.Pool, n int, body func(c *scanOut, lo, hi int)
 // the edge scan and hash probes. It returns the edge entries inspected.
 // With a one-member processor column part is the rank's own frontier:
 // nothing was received, and the scan is Algorithm 1 steps 7–9.
-// The overlapped schedule calls it once per received part as each
-// arrives; the synchronous one once with all of F̄. The bins and the
-// sent-cache state are identical either way (the sent cache admits each
-// row vertex exactly once regardless of scan order, and the bins are
-// sorted sets before they travel); the charges are equal only up to
-// float association — the synchronous schedule charges F̄ once, the
-// overlapped one part by part, and ChargeItemsPar(a)+ChargeItemsPar(b)
-// is not ChargeItemsPar(a+b) on a float clock — which is why the
-// synchronous branch of step keeps its single call.
+// Both schedules call it once per expand part: the overlapped one as
+// each arrives, the synchronous one in member order once the last has.
+// The bins and the sent-cache state are identical either way (the sent
+// cache admits each row vertex exactly once regardless of scan order,
+// and the bins are sorted sets before they travel), and so is every
+// charge.
 func (e *engine2D) scanPart(s *sideState, part []uint32) int {
 	if e.colG.Size() > 1 {
 		e.c.ChargeItemsPar(len(part), e.model.VertexCost)

@@ -35,7 +35,7 @@ func TestReduceScatterOr(t *testing.T) {
 			}
 		}
 		results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-			out, _ := ReduceScatterOr(c, g, Opts{Tag: 1}, send[g.Me])
+			out, _ := ReduceScatterOr(c, g, Opts{Tag: 1}, prepared(send[g.Me]), nil)
 			return out
 		})
 		for d := 0; d < p; d++ {
@@ -57,7 +57,7 @@ func TestReduceScatterOrUnevenLengths(t *testing.T) {
 	}
 	want := [][]uint32{{1, 16}, {2, 0, 4}, {8}}
 	results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-		out, _ := ReduceScatterOr(c, g, Opts{Tag: 1}, send[g.Me])
+		out, _ := ReduceScatterOr(c, g, Opts{Tag: 1}, prepared(send[g.Me]), nil)
 		return out
 	})
 	for d := 0; d < p; d++ {
@@ -105,7 +105,9 @@ func denseOwnerSets(p, span int, seed int64) [][][]uint32 {
 func TestUnionFoldsWithCodecMatchPlain(t *testing.T) {
 	const span = 128
 	folds := map[string]func(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats){
-		"direct":   ReduceScatterUnion,
+		"direct": func(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats) {
+			return ReduceScatterUnion(c, g, o, prepared(send))
+		},
 		"twophase": TwoPhaseFold,
 	}
 	for name, fold := range folds {
@@ -175,8 +177,8 @@ func TestReduceScatterOrWithCodec(t *testing.T) {
 			plainW, codW int
 		}
 		results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-			plain, pst := ReduceScatterOr(c, g, Opts{Tag: 1}, send[g.Me])
-			coded, cst := ReduceScatterOr(c, g, Opts{Tag: 1 << 16, Codec: bitsCodec(span)}, send[g.Me])
+			plain, pst := ReduceScatterOr(c, g, Opts{Tag: 1}, prepared(send[g.Me]), nil)
+			coded, cst := ReduceScatterOr(c, g, Opts{Tag: 1 << 16, Codec: bitsCodec(span)}, prepared(send[g.Me]), nil)
 			return res{plain, coded, pst.RecvWords, cst.RecvWords}
 		})
 		for d := 0; d < p; d++ {

@@ -1,27 +1,29 @@
 // Package collective implements every collective operation the paper
 // uses or compares against, built exclusively from point-to-point
-// comm.Send/Recv — exactly as §3.2 does on the BlueGene/L torus:
+// comm sends and receives — exactly as §3.2 does on the BlueGene/L
+// torus:
 //
-//   - AllGather (ring): the traditional dense-matrix expand.
-//   - AllToAll (pairwise direct): personalized exchange, the
-//     traditional fold and the "targeted expand" of §2.2.
-//   - ReduceScatterUnion (direct): fold as a reduce-scatter whose
-//     reduction operator is set union.
-//   - TwoPhaseFold (Figure 2): the paper's optimized union-fold —
-//     phase 1 is a grouped ring reduce-scatter along grid rows with
-//     in-flight duplicate elimination, phase 2 is point-to-point
-//     distribution down grid columns.
-//   - TwoPhaseExpand (Figure 3): the paper's optimized expand —
-//     phase 1 exchanges within grid columns, phase 2 circulates along
-//     grid-row rings.
-//   - Broadcast (ring): used for one-to-all announcements; the real
-//     machine had a tree network for this.
-//   - Fold: the union fold by algorithm name (direct, two-phase with or
-//     without the in-flight union) — the one place a fold's schedule,
-//     phase-synchronous or overlapped, is chosen.
-//   - Exchange: the personalized exchange for callers that produce and
-//     consume payloads the same way under both schedules (the value
-//     folds and targeted expands of multi-source BFS and Δ-stepping).
+//   - Exchange (pairwise direct): personalized exchange, the "targeted
+//     expand" of §2.2 and the value folds of multi-source BFS and
+//     Δ-stepping; AllToAll is its synchronous body on precomputed
+//     buffers.
+//   - ReduceScatterUnion and ReduceScatterOr: the exchange reducing
+//     what arrives by set union (the traditional fold) or bitwise OR
+//     (bottom-up BFS's claims).
+//   - Gather: every member's data to every member, by the ring
+//     all-gather (the traditional dense-matrix expand) or the paper's
+//     optimized expand (Figure 3) — phase 1 exchanges within grid
+//     columns, phase 2 circulates along grid-row rings.
+//   - Fold: the union fold by algorithm name — direct, or TwoPhaseFold
+//     (Figure 2), the paper's optimized union-fold, whose phase 1 is a
+//     grouped ring reduce-scatter along grid rows with in-flight
+//     duplicate elimination and phase 2 a point-to-point distribution
+//     down grid columns, with or without the in-flight union.
+//
+// Each exchange has one entry and one body, and Opts.Async alone picks
+// its schedule: the paper's phase-synchronous one, or the overlapped one
+// that posts sends before waiting and hands parts over as they arrive
+// (see exchange.go). The engines never branch on it.
 //
 // All set-typed payloads are ascending, duplicate-free []uint32. Every
 // operation returns Stats with the words this rank received and the
@@ -33,7 +35,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/localindex"
 	"repro/internal/trace"
 )
 
@@ -52,18 +53,18 @@ type Opts struct {
 	// traffic is not. This is the baseline against which the paper's
 	// union-fold saves up to 80% of received vertices (Fig. 7).
 	NoUnion bool
-	// Async selects the pipelined schedule where an operation supports
-	// one: every send posts before any wait and independent transfers
-	// progress concurrently (see async.go). Payloads, tags, and received
-	// words are identical to the synchronous schedule; only the simulated
-	// clock — and the OverlapTime ledger — differ. Operations whose hops
-	// are serially dependent (the two-phase fold's phase-1 ring) ignore
-	// the knob for those hops.
+	// Async selects the pipelined schedule: every send posts before any
+	// wait, independent transfers progress concurrently, and parts reach
+	// their handle as they arrive (see exchange.go). Payloads, tags, and
+	// received words are identical to the synchronous schedule; only the
+	// simulated clock — and the OverlapTime ledger — differ. Hops that
+	// are serially dependent (the two-phase fold's phase-1 ring) stay
+	// blocking either way.
 	Async bool
-	// BundleMerge, when non-nil, lets TwoPhaseExpand recompress each
-	// circulating phase-2 bundle as one merged payload; the hop ships
-	// whichever of the plain framed bundle and the merged form is fewer
-	// words, so configuring it can only reduce traffic.
+	// BundleMerge, when non-nil, lets the two-phase expand recompress
+	// each circulating phase-2 bundle as one merged payload; the hop
+	// ships whichever of the plain framed bundle and the merged form is
+	// fewer words, so configuring it can only reduce traffic.
 	BundleMerge *BundleCodec
 	// Codec, when non-nil, re-encodes payloads at wire boundaries
 	// (typically frontier.EncodeSet picking vertex lists, bitmaps, or
@@ -71,9 +72,9 @@ type Opts struct {
 	// the union folds — ReduceScatterUnion and TwoPhaseFold (ignored
 	// under NoUnion, whose merged multisets have no set encoding) — and
 	// by ReduceScatterOr, whose payloads are wire bitmaps rather than
-	// sets. The pass-through exchanges (AllGather, AllToAll,
-	// TwoPhaseExpand) move opaque payloads, so their callers encode and
-	// decode at the edges instead.
+	// sets. The pass-through exchanges (Exchange, AllToAll, Gather) move
+	// opaque payloads, so their callers encode and decode at the edges
+	// instead.
 	Codec *Codec
 }
 
@@ -94,8 +95,9 @@ type Codec struct {
 // per-origin payloads one grid column contributed, which travel
 // together for every remaining ring hop — into a single merged payload
 // and back. origins are group member indices in bundle order; Split
-// returns per-origin DECODED payloads (the callers of TwoPhaseExpand
-// decode at the edges anyway, and a raw id list decodes as itself).
+// returns per-origin DECODED payloads (the callers of the two-phase
+// expand decode at the edges anyway, and a raw id list decodes as
+// itself).
 type BundleCodec struct {
 	Merge func(origins []int, payloads [][]uint32) []uint32
 	Split func(origins []int, merged []uint32) [][]uint32
@@ -113,31 +115,25 @@ func wireSet(cdc *Codec, m int, set []uint32) []uint32 {
 	return append(make([]uint32, 0, len(set)), set...)
 }
 
-// encodeSends readies every set that will cross the wire (send[g.Me]
-// stays local and plain).
-func encodeSends(g comm.Group, cdc *Codec, send [][]uint32) [][]uint32 {
-	out := make([][]uint32, len(send))
-	for i, s := range send {
-		if i == g.Me {
-			out[i] = s
-			continue
-		}
-		out[i] = wireSet(cdc, i, s)
-	}
-	return out
-}
-
-// decodeParts inverts encodeSends on the receive side, in place. Every
-// decoded part is destined to this rank, so g.Me names its universe.
-func decodeParts(g comm.Group, cdc *Codec, parts [][]uint32) {
-	if cdc == nil {
+// isend and irecv are the transfer the exchanges are written on, one
+// send or one receive posted under the schedule o.Async selects. The
+// pipelined schedule hands both to the coprocessor and waits on the
+// receive later; the synchronous one sends blocking and receives at the
+// post — the pipelined schedule with an immediate wait — so its request
+// is already complete and the bodies run the paper's blocking sequence.
+func isend(c *comm.Comm, o Opts, dst, tag int, data []uint32) {
+	if o.Async {
+		c.IsendChunked(dst, tag, data, o.Chunk)
 		return
 	}
-	for i := range parts {
-		if i != g.Me {
-			parts[i] = cdc.Dec(g.Me, parts[i])
-		}
+	c.SendChunked(dst, tag, data, o.Chunk)
+}
+
+func irecv(c *comm.Comm, o Opts, src, tag int) comm.Request {
+	if o.Async {
+		return c.IrecvChunked(src, tag, o.Chunk)
 	}
+	return comm.Completed(c.RecvChunked(src, tag, o.Chunk))
 }
 
 // begin opens a structural trace span for one collective operation on
@@ -177,44 +173,79 @@ func (s *Stats) Add(other Stats) {
 	s.Dups += other.Dups
 }
 
-// AllGather gathers each group member's data; out[i] is member i's
-// contribution. Implemented as a ring: G-1 steps, each member forwards
-// the piece it received in the previous step. This is the traditional
-// expand for dense problems — message volume grows with the group, the
-// reason §2.2 prefers targeted exchange for sparse frontiers.
-func AllGather(c *comm.Comm, g comm.Group, o Opts, data []uint32) ([][]uint32, Stats) {
-	size := g.Size()
-	out := make([][]uint32, size)
+// Gather delivers every group member's data to every member with the
+// expand alg names — "allgather", the ring, or "twophase", Figure 3 —
+// and returns out, out[i] member i's data (out[g.Me] aliases data).
+// handle, when non-nil, sees every part once, this rank's own included:
+// under the pipelined schedule as each is in hand, its compute hiding
+// the transfers still in flight; under the synchronous one in member
+// order once the last part has arrived, the rule Exchange follows.
+func Gather(c *comm.Comm, g comm.Group, o Opts, alg string, data []uint32, handle Handle) ([][]uint32, Stats) {
+	out := make([][]uint32, g.Size())
 	out[g.Me] = data
+	ready := func(m int) {
+		if o.Async && handle != nil {
+			handle(m, out[m])
+		}
+	}
+	var st Stats
+	switch alg {
+	case "allgather":
+		st = ringGather(c, g, o, out, ready)
+	case "twophase":
+		st = twoPhaseExpand(c, g, o, out, ready)
+	default:
+		panic(fmt.Sprintf("collective: unknown gather %q", alg))
+	}
+	if !o.Async && handle != nil {
+		for m, part := range out {
+			handle(m, part)
+		}
+	}
+	return out, st
+}
+
+// ringGather is the ring all-gather, the traditional expand for dense
+// problems — message volume grows with the group, the reason §2.2
+// prefers targeted exchange for sparse frontiers: G-1 steps, each
+// member forwarding the piece it received in the previous step to the
+// next. Each hop's forward posts before the piece in hand is readied,
+// so on the pipelined schedule the piece's handling hides the hop.
+func ringGather(c *comm.Comm, g comm.Group, o Opts, out [][]uint32, ready func(m int)) Stats {
+	size := g.Size()
 	var st Stats
 	if size == 1 {
-		return out, st
+		ready(g.Me)
+		return st
 	}
 	tr := begin(c, "allgather")
 	next := g.World(g.Next(g.Me))
 	prev := g.World(g.Prev(g.Me))
-	piece := data
+	piece := out[g.Me]
+	pend := g.Me // own piece processes under the first hop
 	for step := 0; step < size-1; step++ {
-		stepDone := round(c, step)
-		c.SendChunked(next, o.Tag+step, piece, o.Chunk)
-		piece = c.RecvChunked(prev, o.Tag+step, o.Chunk)
+		isend(c, o, next, o.Tag+step, piece)
+		req := irecv(c, o, prev, o.Tag+step)
+		ready(pend) // forwarded above; process under the next hop
+		piece = req.Wait()
 		srcIdx := g.Me - step - 1
 		for srcIdx < 0 {
 			srcIdx += size
 		}
 		out[srcIdx] = piece
 		st.RecvWords += len(piece)
-		stepDone()
+		pend = srcIdx
 	}
+	ready(pend)
 	end(tr, &st)
-	return out, st
+	return st
 }
 
-// AllToAll performs a personalized exchange: send[i] goes to member i
-// (send[g.Me] stays local). out[i] is the payload from member i. The
-// schedule is the rotation pairing: at step s every member sends to
-// (me+s) and receives from (me-s), so each pair's traffic is one
-// message per direction per step.
+// AllToAll performs a personalized exchange on the synchronous
+// schedule: send[i] goes to member i (send[g.Me] stays local). out[i]
+// is the payload from member i. The schedule is the rotation pairing:
+// at step s every member sends to (me+s) and receives from (me-s), so
+// each pair's traffic is one message per direction per step.
 func AllToAll(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uint32, Stats) {
 	size := g.Size()
 	if len(send) != size {
@@ -235,50 +266,4 @@ func AllToAll(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([][]uint32, 
 	}
 	end(tr, &st)
 	return out, st
-}
-
-// ReduceScatterUnion performs fold as a direct reduce-scatter with set
-// union: send[i] (sorted set) is destined for member i; the result is
-// the union of everything destined to this rank. Duplicate elimination
-// happens after receipt (no in-flight reduction), so Dups counts local
-// merge savings only; contrast with TwoPhaseFold.
-func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats) {
-	var st Stats
-	tr := begin(c, "rs-union")
-	parts, ast := AllToAll(c, g, o, encodeSends(g, o.Codec, send))
-	st = ast
-	decodeParts(g, o.Codec, parts)
-	acc := append([]uint32(nil), parts[g.Me]...)
-	for i, p := range parts {
-		if i == g.Me {
-			continue
-		}
-		var d int
-		acc, d = localindex.UnionInto(acc, p)
-		st.Dups += d
-	}
-	end(tr, &st)
-	return acc, st
-}
-
-// Broadcast sends root's data to every group member along the ring.
-// Returns the data (root gets its own slice back).
-func Broadcast(c *comm.Comm, g comm.Group, o Opts, root int, data []uint32) ([]uint32, Stats) {
-	size := g.Size()
-	var st Stats
-	if size == 1 {
-		return data, st
-	}
-	tr := begin(c, "bcast")
-	// Position relative to root along the ring.
-	rel := (g.Me - root + size) % size
-	if rel != 0 {
-		data = c.RecvChunked(g.World(g.Prev(g.Me)), o.Tag, o.Chunk)
-		st.RecvWords += len(data)
-	}
-	if rel != size-1 {
-		c.SendChunked(g.World(g.Next(g.Me)), o.Tag, data, o.Chunk)
-	}
-	end(tr, &st)
-	return data, st
 }

@@ -114,7 +114,7 @@ func TestAllGatherAllSizes(t *testing.T) {
 			t.Run(fmt.Sprintf("p=%d chunk=%d", p, chunk), func(t *testing.T) {
 				results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
 					mine := []uint32{uint32(c.Rank()) * 10, uint32(c.Rank())*10 + 1}
-					out, _ := AllGather(c, g, Opts{Tag: 1, Chunk: chunk}, mine)
+					out, _ := Gather(c, g, Opts{Tag: 1, Chunk: chunk}, "allgather", mine, nil)
 					return out
 				})
 				for r, res := range results {
@@ -161,7 +161,7 @@ func TestReduceScatterUnionMatchesReference(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6} {
 		all := randSets(p, 10, int64(p))
 		results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-			out, _ := ReduceScatterUnion(c, g, Opts{Tag: 1}, all[c.Rank()])
+			out, _ := ReduceScatterUnion(c, g, Opts{Tag: 1}, prepared(all[c.Rank()]))
 			return out
 		})
 		for dst, res := range results {
@@ -315,28 +315,6 @@ func TestTwoPhaseExpandMatchesAllGather(t *testing.T) {
 					if len(out[i]) != 2 || out[i][0] != want[0] || out[i][1] != want[1] {
 						t.Fatalf("p=%d chunk=%d rank %d: out[%d] = %v want %v", p, chunk, r, i, out[i], want)
 					}
-				}
-			}
-		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, p := range []int{1, 2, 5} {
-		for root := 0; root < p; root++ {
-			payload := []uint32{42, uint32(root)}
-			results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-				var data []uint32
-				if c.Rank() == root {
-					data = payload
-				}
-				out, _ := Broadcast(c, g, Opts{Tag: 1}, root, data)
-				return out
-			})
-			for r, res := range results {
-				got := res.([]uint32)
-				if len(got) != 2 || got[0] != 42 || got[1] != uint32(root) {
-					t.Fatalf("p=%d root=%d rank=%d: got %v", p, root, r, got)
 				}
 			}
 		}

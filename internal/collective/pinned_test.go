@@ -67,25 +67,12 @@ func pinBits(p int, seed int64) [][][]uint32 {
 	return all
 }
 
-// handleInOrder hands every part to handle in member order, the way the
-// synchronous schedule does once the last part has arrived.
-func handleInOrder(parts [][]uint32, handle Handle) {
-	for m, part := range parts {
-		handle(m, part)
-	}
-}
-
 var pinCases = []pinCase{
 	{name: "exchange", run: func(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
 		return nil, Exchange(c, g, o, prep, handle)
 	}},
 	{name: "gather-ring", run: func(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
-		if o.Async {
-			_, st := AllGatherAsync(c, g, o, all[g.Me][0], handle)
-			return nil, st
-		}
-		out, st := AllGather(c, g, o, all[g.Me][0])
-		handleInOrder(out, handle)
+		_, st := Gather(c, g, o, "allgather", all[g.Me][0], handle)
 		return nil, st
 	}},
 	{name: "expand-twophase", run: pinTwoPhaseExpand},
@@ -100,24 +87,7 @@ var pinCases = []pinCase{
 	}},
 	{name: "rs-or-codec", bits: true, run: func(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
 		o.Codec = bitsCodec(pinSpan)
-		if o.Async {
-			return ReduceScatterOrAsync(c, g, o, prep, handle)
-		}
-		send := make([][]uint32, g.Size())
-		for m := range send {
-			send[m] = prep(m)
-		}
-		acc, st := ReduceScatterOr(c, g, o, send)
-		// The handle sees each part in its wire form: the self part plain,
-		// every other one as its sender encoded it.
-		for m := range send {
-			part := all[m][g.Me]
-			if m != g.Me {
-				part = o.Codec.Enc(g.Me, part)
-			}
-			handle(m, part)
-		}
-		return acc, st
+		return ReduceScatterOr(c, g, o, prep, handle)
 	}},
 	{name: "fold-direct", run: pinFold("direct")},
 	{name: "fold-twophase", run: pinFold("twophase")},
@@ -125,24 +95,12 @@ var pinCases = []pinCase{
 }
 
 func pinTwoPhaseExpand(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
-	if o.Async {
-		_, st := TwoPhaseExpandAsync(c, g, o, all[g.Me][0], handle)
-		return nil, st
-	}
-	out, st := TwoPhaseExpand(c, g, o, all[g.Me][0])
-	handleInOrder(out, handle)
+	_, st := Gather(c, g, o, "twophase", all[g.Me][0], handle)
 	return nil, st
 }
 
 func pinReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
-	if o.Async {
-		return ReduceScatterUnionAsync(c, g, o, prep)
-	}
-	send := make([][]uint32, g.Size())
-	for m := range send {
-		send[m] = prep(m)
-	}
-	return ReduceScatterUnion(c, g, o, send)
+	return ReduceScatterUnion(c, g, o, prep)
 }
 
 func pinFold(alg string) func(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {

@@ -168,36 +168,22 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 	tr.Begin("phase", "phase2")
 	acc := append([]uint32(nil), mine[row]...)
 	tag2 := o.Tag + 1<<20
-	var reqs []comm.Request
-	if o.Async {
-		reqs = c.Requests(a)
-	}
 	for i := 0; i < a; i++ {
-		if i == row {
-			continue
-		}
-		part := wireSet(cdc, i*b+col, mine[i])
-		if o.Async {
-			c.IsendChunked(g.World(i*b+col), tag2+row, part, o.Chunk)
-		} else {
-			c.SendChunked(g.World(i*b+col), tag2+row, part, o.Chunk)
-		}
-	}
-	for i := 0; o.Async && i < a; i++ {
 		if i != row {
-			reqs[i] = c.IrecvChunked(g.World(i*b+col), tag2+i, o.Chunk)
+			isend(c, o, g.World(i*b+col), tag2+row, wireSet(cdc, i*b+col, mine[i]))
+		}
+	}
+	reqs := c.Requests(a)
+	for i := 0; i < a; i++ {
+		if i != row {
+			reqs[i] = irecv(c, o, g.World(i*b+col), tag2+i)
 		}
 	}
 	for i := 0; i < a; i++ {
 		if i == row {
 			continue
 		}
-		var part []uint32
-		if o.Async {
-			part = reqs[i].Wait()
-		} else {
-			part = c.RecvChunked(g.World(i*b+col), tag2+i, o.Chunk)
-		}
+		part := reqs[i].Wait()
 		st.RecvWords += len(part)
 		if cdc != nil {
 			part = cdc.Dec(g.Me, part)
@@ -215,9 +201,7 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 	if o.NoUnion {
 		acc, _ = localindex.SortSet(acc)
 	}
-	if o.Async {
-		c.ReleaseRequests(reqs)
-	}
+	c.ReleaseRequests(reqs)
 	c.ReleaseLists(sets)
 	tr.End()
 	end(tr, &st)
@@ -243,77 +227,104 @@ func mergeKeepDups(a, b []uint32) []uint32 {
 	return out
 }
 
-// TwoPhaseExpand is the paper's optimized expand (Figure 3): every
-// group member's data reaches every other member in two phases on the
-// a x b grid. Phase 1: members of each grid column exchange their data
-// directly. Phase 2: each member circulates its phase-1 collection
-// (one bundle of a sets) along its grid-row ring, so after b-1 steps
-// everyone holds all a*b contributions.
-//
-// out[i] is member i's contribution (out[g.Me] aliases data).
+// TwoPhaseExpand is Gather's "twophase" arm on precomputed data with no
+// handle, the form the perf lab's collective.twophase_expand_us probe
+// calls.
 func TwoPhaseExpand(c *comm.Comm, g comm.Group, o Opts, data []uint32) ([][]uint32, Stats) {
+	return Gather(c, g, o, "twophase", data, nil)
+}
+
+// twoPhaseExpand is the paper's optimized expand (Figure 3): every
+// group member's data, out[g.Me], reaches every other member in two
+// phases on the a x b grid. Phase 1: members of each grid column
+// exchange their data directly. Phase 2: each member circulates its
+// phase-1 collection (one bundle of a sets) along its grid-row ring, so
+// after b-1 steps everyone holds all a*b contributions. Each part is
+// readied while a later transfer is in flight: my own under phase 1,
+// each phase-1 piece under the wait for the next, the last one under
+// phase 2's first hop, and each bundle under the forward of the next.
+func twoPhaseExpand(c *comm.Comm, g comm.Group, o Opts, out [][]uint32, ready func(m int)) Stats {
 	size := g.Size()
 	var st Stats
-	out := make([][]uint32, size)
-	out[g.Me] = data
 	if size == 1 {
-		return out, st
+		ready(g.Me)
+		return st
 	}
 	tr := begin(c, "twophase-expand")
-	a, b := FactorGrid(size)
+	a, b := FactorGrid(size) // a >= b, so a > 1 here
 	row, col := g.Me/b, g.Me%b
 
-	// Phase 1: exchange within my grid column (stride-b members).
-	tr.Begin("phase", "phase1")
+	// Phase 1: exchange within my grid column (stride-b members), all
+	// sends posted before any receive.
 	colSets := make([][]uint32, a)
-	colSets[row] = data
+	colSets[row] = out[g.Me]
 	for i := 0; i < a; i++ {
-		if i == row {
-			continue
+		if i != row {
+			isend(c, o, g.World(i*b+col), o.Tag+row, colSets[row])
 		}
-		c.SendChunked(g.World(i*b+col), o.Tag+row, data, o.Chunk)
 	}
+	reqs := c.Requests(a)
+	for i := 0; i < a; i++ {
+		if i != row {
+			reqs[i] = irecv(c, o, g.World(i*b+col), o.Tag+i)
+		}
+	}
+	ready(g.Me)
+	pend := -1 // the phase-1 piece waiting to be readied
 	for i := 0; i < a; i++ {
 		if i == row {
 			continue
 		}
-		colSets[i] = c.RecvChunked(g.World(i*b+col), o.Tag+i, o.Chunk)
+		if pend >= 0 {
+			ready(pend*b + col)
+		}
+		colSets[i] = reqs[i].Wait()
 		st.RecvWords += len(colSets[i])
 		out[i*b+col] = colSets[i]
+		pend = i
 	}
-	tr.End()
+	c.ReleaseRequests(reqs)
+	if b == 1 {
+		ready(pend*b + col)
+		end(tr, &st)
+		return st
+	}
 
 	// Phase 2: circulate bundles along my grid-row ring. The bundle I
 	// forward at step s originated at grid column (col-s); receivers
-	// attribute sets to the originating column. With o.BundleMerge set,
-	// each hop ships the cheaper of the plain framed bundle and the
-	// merged recompression (see bundleForWire).
-	if b > 1 {
-		tr.Begin("phase", "phase2")
-		next := g.World(row*b + (col+1)%b)
-		prev := g.World(row*b + (col-1+b)%b)
-		tag2 := o.Tag + 1<<20
-		// Each received bundle is forwarded verbatim on the next hop (a
-		// bundle's content never changes while it circulates, so the
-		// framing — plain or merged — is chosen once, at its first hop).
-		wire := bundleForWire(o, g, col, colSets)
-		for s := 0; s < b-1; s++ {
-			stepDone := round(c, s)
-			c.SendChunked(next, tag2+s, wire, o.Chunk)
-			buf := c.RecvChunked(prev, tag2+s, o.Chunk)
-			st.RecvWords += len(buf)
-			wire = buf
-			srcCol := (col - s - 1 + b) % b
-			bundle := bundleFromWire(o, g, srcCol, buf, a)
+	// attribute sets to the originating column. Each received bundle is
+	// forwarded verbatim on the next hop (a bundle's content never
+	// changes while it circulates, so the framing — plain or, with
+	// o.BundleMerge set, the cheaper merged recompression — is chosen
+	// once, at its first hop: see bundleForWire).
+	next := g.World(row*b + (col+1)%b)
+	prev := g.World(row*b + (col-1+b)%b)
+	tag2 := o.Tag + 1<<20
+	wire := bundleForWire(o, g, col, colSets)
+	pendCol := -1 // the grid column whose bundle waits to be readied
+	for s := 0; s < b-1; s++ {
+		isend(c, o, next, tag2+s, wire)
+		req := irecv(c, o, prev, tag2+s)
+		if pendCol < 0 {
+			ready(pend*b + col)
+		} else {
 			for i := 0; i < a; i++ {
-				out[i*b+srcCol] = bundle[i]
+				ready(i*b + pendCol)
 			}
-			stepDone()
 		}
-		tr.End()
+		wire = req.Wait()
+		st.RecvWords += len(wire)
+		pendCol = (col - s - 1 + b) % b
+		bundle := bundleFromWire(o, g, pendCol, wire, a)
+		for i := 0; i < a; i++ {
+			out[i*b+pendCol] = bundle[i]
+		}
+	}
+	for i := 0; i < a; i++ {
+		ready(i*b + pendCol)
 	}
 	end(tr, &st)
-	return out, st
+	return st
 }
 
 // mergedBundleMarker leads a recompressed phase-2 bundle. A plain

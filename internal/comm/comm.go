@@ -238,14 +238,6 @@ func (c *Comm) Recv(src, tag int) []uint32 {
 	return data
 }
 
-// SendRecv performs a simultaneous exchange with a partner rank: both
-// sides post their send, then receive. With buffered mailboxes this is
-// deadlock-free for any pairwise schedule.
-func (c *Comm) SendRecv(partner, tag int, data []uint32) []uint32 {
-	c.Send(partner, tag, data)
-	return c.Recv(partner, tag)
-}
-
 // Barrier blocks until all ranks reach it and synchronizes all
 // simulated clocks to the maximum plus a log2(P)-stage tree latency.
 func (c *Comm) Barrier() {

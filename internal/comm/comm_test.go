@@ -169,20 +169,6 @@ func TestAllReduceOps(t *testing.T) {
 	}
 }
 
-func TestSendRecvExchange(t *testing.T) {
-	w := newTestWorld(t, 2)
-	_, err := w.Run(func(c *Comm) {
-		partner := 1 - c.Rank()
-		got := c.SendRecv(partner, 3, []uint32{uint32(c.Rank())})
-		if len(got) != 1 || got[0] != uint32(partner) {
-			panic("exchange returned wrong data")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeterministicClocks(t *testing.T) {
 	run := func() float64 {
 		w := newTestWorld(t, 8)

@@ -42,6 +42,10 @@ type Request struct {
 	data  []uint32
 }
 
+// Completed returns an already-complete request whose Wait returns data:
+// a blocking receive in the form of a posted one.
+func Completed(data []uint32) Request { return Request{done: true, data: data} }
+
 // Isend posts a send and returns an immediately-complete request. The
 // coprocessor runs the send path: the message departs one SendOverhead
 // after the coprocessor frees up, the overhead is charged to the

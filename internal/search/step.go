@@ -170,15 +170,19 @@ func (o *Common) CheckRobustness(fam string, snapshots bool) error {
 // the layout, every shared option that changes the schedule, the wire
 // traffic or the charges, and the family's own identity words.
 func (o *Common) Fingerprint(l partition.View, family ...uint64) uint64 {
-	var async uint64
-	if o.Async {
-		async = 1
-	}
 	return checkpoint.Fingerprint(append(family,
-		uint64(l.N), uint64(l.R), uint64(l.C), async,
+		uint64(l.N), uint64(l.R), uint64(l.C), word(o.Async),
 		uint64(o.Wire), uint64(o.ChunkWords),
 		// Cores scales the pool-loop charges, so it is workload identity;
 		// 0 and 1 are the same single-core baseline. Workers is real
 		// wall-clock parallelism only and deliberately excluded.
 		uint64(max(1, o.Cores)))...)
+}
+
+// word is a fingerprint's word for a flag.
+func word(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -25,6 +25,15 @@ import (
 // adjacency order, a map sized for every entry), so the probe count and
 // the clock it feeds moved while edges and words did not. With the old
 // table rebuilt the old readings return exactly.
+//
+// The synchronous rows that receive an expand (R > 1) or run a
+// bottom-up level were re-pinned in their last digits when the
+// synchronous schedule began handing each expand part and gathered
+// bitmap to the engine in member order after the last arrival, as the
+// overlapped schedule hands them as they arrive: the scan and the
+// received-word charges are now summed part by part, and
+// ChargeItems(a) + ChargeItems(b) is not ChargeItems(a+b) on a float
+// clock. Probes, edges and words did not move.
 func TestProbeChargesPinned(t *testing.T) {
 	// n and the degrees are chosen so that lookups do collide: a map's
 	// hash is a bijection on the low bits of the id, so two keys share a
@@ -121,21 +130,21 @@ func TestProbeChargesPinned(t *testing.T) {
 		want reading
 	}{
 		{"2d/topdown/cache/targeted/w1/sync", 4, 4, Part2D, gU,
-			bfs(WithDirection(TopDown), WithAsync(false)), reading{86492, 55112, 33553, "0.0015660328571428556"}},
+			bfs(WithDirection(TopDown), WithAsync(false)), reading{86492, 55112, 33553, "0.0015660328571428564"}}, // re-pinned: charged per part
 		{"2d/topdown/cache/targeted/w4/async", 4, 4, Part2D, gU,
 			bfs(WithDirection(TopDown), WithWorkers(4), WithAsync(true)), reading{86492, 55112, 33553, "0.0013937985714285708"}},
 		{"2d/topdown/nocache/allgather/w1/async", 4, 4, Part2D, gU,
 			bfs(WithDirection(TopDown), WithSentCache(false), WithExpand(ExpandAllGather), WithAsync(true)), reading{22000, 55112, 45007, "0.001130974285714285"}},
 		{"2d/topdown/cache/allgather/w4/sync", 4, 4, Part2D, gU,
-			bfs(WithDirection(TopDown), WithExpand(ExpandAllGather), WithWorkers(4), WithAsync(false)), reading{88184, 55112, 34824, "0.0015862385714285698"}},
+			bfs(WithDirection(TopDown), WithExpand(ExpandAllGather), WithWorkers(4), WithAsync(false)), reading{88184, 55112, 34824, "0.0015862385714285707"}}, // re-pinned: charged per part
 		{"2d/dirop/cache/targeted/w1/async/hybrid", 4, 4, Part2D, gU,
 			bfs(WithDirection(DirectionOptimizing), WithWire(WireHybrid), WithAsync(true)), reading{12356, 14508, 4322, "0.0012842571428571406"}},
 		{"2d/dirop/nocache/targeted/w4/sync", 4, 4, Part2D, gU,
-			bfs(WithDirection(DirectionOptimizing), WithSentCache(false), WithWorkers(4), WithAsync(false)), reading{2734, 14508, 11619, "0.0013868285714285678"}},
+			bfs(WithDirection(DirectionOptimizing), WithSentCache(false), WithWorkers(4), WithAsync(false)), reading{2734, 14508, 11619, "0.0013868285714285673"}}, // re-pinned: charged per part
 		{"3x2/topdown/cache/twophase/w4/async", 3, 2, Part2D, gU,
 			bfs(WithDirection(TopDown), WithExpand(ExpandTwoPhase), WithWorkers(4), WithAsync(true)), reading{71612, 55112, 16463, "0.002311599999999999"}},
 		{"1drow/dirop/cache/targeted/w1/sync", 4, 1, Part1DRow, gU,
-			bfs(WithDirection(DirectionOptimizing), WithAsync(false)), reading{10708, 14533, 4111, "0.0027774599999999955"}},
+			bfs(WithDirection(DirectionOptimizing), WithAsync(false)), reading{10708, 14533, 4111, "0.0027774599999999946"}}, // re-pinned: charged per part
 		{"1d/topdown/cache/w1/sync", 1, 16, Part1DCol, gS,
 			bfs(WithDirection(TopDown), WithAsync(false)), reading{21208, 16700, 35349, "0.0017107128571428516"}},
 		{"1d/topdown/nocache/w4/async", 1, 16, Part1DCol, gS,
@@ -143,7 +152,7 @@ func TestProbeChargesPinned(t *testing.T) {
 		{"1d/dirop/cache/w4/async", 1, 16, Part1DCol, gS,
 			bfs(WithDirection(DirectionOptimizing), WithWorkers(4), WithAsync(true)), reading{2614, 16564, 21986, "0.0020569985714285655"}},
 		{"1d/dirop/cache/w1/sync/hybrid", 1, 16, Part1DCol, gS,
-			bfs(WithDirection(DirectionOptimizing), WithWire(WireHybrid), WithAsync(false)), reading{2614, 16564, 16068, "0.002429868571428558"}},
+			bfs(WithDirection(DirectionOptimizing), WithWire(WireHybrid), WithAsync(false)), reading{2614, 16564, 16068, "0.0024298685714285546"}}, // re-pinned: charged per part
 		{"2d/multibfs/w4/async/hybrid", 4, 4, Part2D, gU,
 			multi(WithWire(WireHybrid), WithWorkers(4), WithAsync(true)), reading{63216, 171787, 61652, "0.0024531300000000004"}},
 		{"2d/sssp/w4/async/hybrid", 4, 4, Part2D, gW,
@@ -153,11 +162,11 @@ func TestProbeChargesPinned(t *testing.T) {
 		// driver, the value folds on a 1 x P mesh and a canceled run of
 		// each family — read at the commit before it (PR 17).
 		{"2d/fold-direct/sync", 4, 4, Part2D, gU,
-			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(false)), reading{86492, 55112, 30407, "0.0016198399999999985"}},
+			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(false)), reading{86492, 55112, 30407, "0.001619839999999999"}}, // re-pinned: charged per part
 		{"2d/fold-direct/async", 4, 4, Part2D, gU,
 			bfs(WithDirection(TopDown), WithFold(FoldDirect), WithAsync(true)), reading{86492, 55112, 30407, "0.0013142442857142853"}},
 		{"2d/fold-twophase-nounion/sync", 4, 4, Part2D, gU,
-			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(false)), reading{86492, 55112, 35708, "0.0015692328571428559"}},
+			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(false)), reading{86492, 55112, 35708, "0.0015692328571428565"}}, // re-pinned: charged per part
 		{"2d/fold-twophase-nounion/async", 4, 4, Part2D, gU,
 			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(true)), reading{86492, 55112, 35708, "0.0013970671428571422"}},
 		{"1d/fold-direct/sync", 1, 16, Part1DCol, gS,
@@ -169,7 +178,7 @@ func TestProbeChargesPinned(t *testing.T) {
 		{"1d/fold-twophase-nounion/async", 1, 16, Part1DCol, gS,
 			bfs(WithDirection(TopDown), WithFold(FoldTwoPhaseNoUnion), WithAsync(true)), reading{21208, 16700, 37142, "0.0015433371428571392"}},
 		{"2d/bisearch/sync", 4, 4, Part2D, gU,
-			bi(WithAsync(false)), reading{277, 183, 354, "0.0004958642857142864"}},
+			bi(WithAsync(false)), reading{277, 183, 354, "0.0004958642857142865"}}, // re-pinned: charged per part
 		{"2d/bisearch/async", 4, 4, Part2D, gU,
 			bi(WithAsync(true)), reading{277, 183, 354, "0.0004446485714285717"}},
 		{"1d/bisearch/sync", 1, 16, Part1DCol, gS,
