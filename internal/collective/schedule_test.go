@@ -64,7 +64,7 @@ type scheduleOut struct {
 // exactly once per member — the self member included — wherever the
 // entry takes them, and the pipelined schedule's simulated execution
 // time is never above the synchronous one's with the same compute in
-// every handle.
+// every handle. Each row runs as its own subtest, named after its case.
 func TestSchedulesAgree(t *testing.T) {
 	cases := map[string]pinCase{}
 	for _, pc := range pinCases {
@@ -87,55 +87,57 @@ func TestSchedulesAgree(t *testing.T) {
 		if !ok {
 			t.Fatalf("no pinned case %q", row.pinned)
 		}
-		for _, p := range row.ps {
-			for _, chunk := range row.chunks {
-				all := randSets(p, 50, int64(11*p+chunk))
-				if pc.bits {
-					all = pinBits(p, int64(11*p+chunk))
-				}
-				run := func(async bool) ([]any, float64) {
-					o := Opts{Tag: 40, Chunk: chunk, Async: async}
-					return runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
-						out := scheduleOut{preps: make([]int, p), handles: make([]int, p)}
-						parts := make([][]uint32, p)
-						prep := func(m int) []uint32 {
-							out.preps[m]++
-							return all[g.Me][m]
-						}
-						handle := func(m int, part []uint32) {
-							out.handles[m]++
-							parts[m] = part
-							c.ChargeItems(len(part)+8, 1e-7)
-						}
-						out.acc, out.st = pc.run(c, g, o, all, prep, handle)
-						out.parts = flattenParts(parts)
-						return out
-					})
-				}
-				sync, syncT := run(false)
-				async, asyncT := run(true)
-				name := fmt.Sprintf("%s p=%d chunk=%d", row.pinned, p, chunk)
-				for r := 0; r < p; r++ {
-					s, a := sync[r].(scheduleOut), async[r].(scheduleOut)
-					if !reflect.DeepEqual(s.parts, a.parts) || !reflect.DeepEqual(s.acc, a.acc) {
-						t.Fatalf("%s rank %d: the schedules delivered different parts or results", name, r)
+		t.Run(row.pinned, func(t *testing.T) {
+			for _, p := range row.ps {
+				for _, chunk := range row.chunks {
+					all := randSets(p, 50, int64(11*p+chunk))
+					if pc.bits {
+						all = pinBits(p, int64(11*p+chunk))
 					}
-					if s.st != a.st {
-						t.Fatalf("%s rank %d: stats differ: sync %+v, async %+v", name, r, s.st, a.st)
+					run := func(async bool) ([]any, float64) {
+						o := Opts{Tag: 40, Chunk: chunk, Async: async}
+						return runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
+							out := scheduleOut{preps: make([]int, p), handles: make([]int, p)}
+							parts := make([][]uint32, p)
+							prep := func(m int) []uint32 {
+								out.preps[m]++
+								return all[g.Me][m]
+							}
+							handle := func(m int, part []uint32) {
+								out.handles[m]++
+								parts[m] = part
+								c.ChargeItems(len(part)+8, 1e-7)
+							}
+							out.acc, out.st = pc.run(c, g, o, all, prep, handle)
+							out.parts = flattenParts(parts)
+							return out
+						})
 					}
-					for _, o := range []scheduleOut{s, a} {
-						for m := 0; m < p; m++ {
-							if o.preps[m] != b2i(row.prep) || o.handles[m] != b2i(row.handle) {
-								t.Fatalf("%s rank %d: member %d prepared %d times and handled %d times", name, r, m, o.preps[m], o.handles[m])
+					sync, syncT := run(false)
+					async, asyncT := run(true)
+					name := fmt.Sprintf("p=%d chunk=%d", p, chunk)
+					for r := 0; r < p; r++ {
+						s, a := sync[r].(scheduleOut), async[r].(scheduleOut)
+						if !reflect.DeepEqual(s.parts, a.parts) || !reflect.DeepEqual(s.acc, a.acc) {
+							t.Fatalf("%s rank %d: the schedules delivered different parts or results", name, r)
+						}
+						if s.st != a.st {
+							t.Fatalf("%s rank %d: stats differ: sync %+v, async %+v", name, r, s.st, a.st)
+						}
+						for _, o := range []scheduleOut{s, a} {
+							for m := 0; m < p; m++ {
+								if o.preps[m] != b2i(row.prep) || o.handles[m] != b2i(row.handle) {
+									t.Fatalf("%s rank %d: member %d prepared %d times and handled %d times", name, r, m, o.preps[m], o.handles[m])
+								}
 							}
 						}
 					}
-				}
-				if asyncT > syncT {
-					t.Fatalf("%s: async simexec %g > sync %g", name, asyncT, syncT)
+					if asyncT > syncT {
+						t.Fatalf("%s: async simexec %g > sync %g", name, asyncT, syncT)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
