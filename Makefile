@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs sim-matrix trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs sim-matrix trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz loc
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
@@ -180,6 +180,16 @@ graphd-chaos:
 	wait $$pid || { echo "graphd-chaos: server exited non-zero on drain"; cat $$tmp/graphd.log; exit 1; }; \
 	pid=""; \
 	echo "graphd-chaos: faulted+panicked serving verified, deadlines 504d, replica rebuilt, clean drain"
+
+# Source size: non-test Go lines (wc -l) per package, the bfs + sssp +
+# collective + search sum ROADMAP item 2 tracks, and the total outside
+# the perf lab (bench/) and hidden directories. Not part of ci.
+loc:
+	@find . -path './.*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; all += $$1 } \
+	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%6d  bfs + sssp + collective + search\n", n["internal/bfs"] + n["internal/sssp"] + n["internal/collective"] + n["internal/search"]; \
+		printf "%6d  total outside bench/\n", all }'
 
 # Host-process profiles of the flagship workload; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.

@@ -125,35 +125,71 @@ func TestKnobCensus(t *testing.T) {
 func TestScheduleChosenInCollective(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, dir := range []string{"internal/bfs", "internal/sssp", "internal/search"} {
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkgs) == 0 {
-			t.Fatalf("%s: no package found", dir)
-		}
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(node ast.Node) bool {
-					var exprs []ast.Expr
-					switch n := node.(type) {
-					case *ast.IfStmt:
-						exprs = []ast.Expr{n.Cond}
-					case *ast.SwitchStmt:
-						exprs = []ast.Expr{n.Tag}
-					case *ast.CaseClause:
-						exprs = n.List
+		for _, f := range nonTestFiles(t, fset, dir) {
+			ast.Inspect(f, func(node ast.Node) bool {
+				var exprs []ast.Expr
+				switch n := node.(type) {
+				case *ast.IfStmt:
+					exprs = []ast.Expr{n.Cond}
+				case *ast.SwitchStmt:
+					exprs = []ast.Expr{n.Tag}
+				case *ast.CaseClause:
+					exprs = n.List
+				}
+				for _, e := range exprs {
+					if e != nil && readsAsync(e) {
+						t.Errorf("%s: branches on Async; the schedule is chosen inside internal/collective", fset.Position(e.Pos()))
 					}
-					for _, e := range exprs {
-						if e != nil && readsAsync(e) {
-							t.Errorf("%s: branches on Async; the schedule is chosen inside internal/collective", fset.Position(e.Pos()))
-						}
-					}
-					return true
-				})
-			}
+				}
+				return true
+			})
 		}
 	}
+}
+
+// TestOneColumnPhase guards "one column phase for every top-down
+// family": the targeted expand's row-need walk (search.Column) and the
+// scan's chunk-order bin collector (search.Bins) are written once, in
+// internal/search, so no non-test source of a family package may call
+// Store2D.NeedWords or declare a method named collect.
+func TestOneColumnPhase(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/bfs", "internal/sssp"} {
+		for _, f := range nonTestFiles(t, fset, dir) {
+			ast.Inspect(f, func(node ast.Node) bool {
+				switch n := node.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NeedWords" {
+						t.Errorf("%s: calls NeedWords; the targeted expand is search.Column's", fset.Position(n.Pos()))
+					}
+				case *ast.FuncDecl:
+					if n.Recv != nil && n.Name.Name == "collect" {
+						t.Errorf("%s: declares a collect method; a scan's bins are collected by search.Bins", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// nonTestFiles parses the non-test sources of the package in dir.
+func nonTestFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("%s: no package found", dir)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return files
 }
 
 // readsAsync reports whether e reads a field named Async.

@@ -17,13 +17,6 @@ import (
 // re-encoded through the chunked container codec and sparse or
 // clustered bitmaps collapse to a fraction of their raw width.
 
-// wireBits encodes a bitmap payload over an n-bit universe for the
-// wire under the configured encoding (the identity except under
-// WireHybrid).
-func wireBits(p *pool.Pool, opts Options, h *frontier.ContainerHist, words []uint32, n int) []uint32 {
-	return frontier.EncodeBitsPar(p, words, n, opts.Wire, h)
-}
-
 // unwireBitPieces restores gathered bitmap pieces in place; piece i
 // covers universe size widths(i).
 func unwireBitPieces(p *pool.Pool, opts Options, pieces [][]uint32, widths func(i int) int) {
@@ -76,7 +69,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	}
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	fSend := wireBits(e.pl, e.opts, &e.hist, frontier.Bits(s.F), e.st.OwnedCount())
+	fSend := frontier.EncodeBitsPar(e.pl, frontier.Bits(s.F), e.st.OwnedCount(), e.opts.Wire, &e.hist)
 	fPieces, fst := collective.Gather(e.c, e.rowG, o, "allgather", fSend, chargeRecv(e.rowG.Me))
 	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 	rec.ExpandWords = fst.RecvWords
@@ -91,7 +84,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		}
 		o.Tag = tagBase + 1<<22
 		var ust collective.Stats
-		uPieces, ust = collective.Gather(e.c, e.colG, o, "allgather", wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()), chargeRecv(e.colG.Me))
+		uPieces, ust = collective.Gather(e.c, e.colG, o, "allgather", frontier.EncodeBitsPar(e.pl, un, e.st.OwnedCount(), e.opts.Wire, &e.hist), chargeRecv(e.colG.Me))
 		unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
 		rec.ExpandWords += ust.RecvWords
 		claims = make([][]uint32, l.R)

@@ -7,23 +7,22 @@ import (
 	"repro/internal/localindex"
 	"repro/internal/partition"
 	"repro/internal/pool"
+	"repro/internal/search"
 )
 
 // The combine step — Algorithm 2's neighbors "merged to form N" before
-// the fold, and merged again at the owner — of the single-source
-// engines (the lane-parallel sweeps and Δ-stepping, whose vertices carry
-// a value, share search.Fold). Every bin is destined to one member of
-// the fold group, so its ids lie in that member's contiguous owned
-// range and a localindex.Combiner merges them without a sort. The
-// scratch below is allocated once per rank per run and reused by every
-// level: the folds encode or copy what they send (collective.wireSet),
-// so nothing here is ever handed to comm. The model charges each merge
-// one VertexCost per id that went in, len(out)+absorbed, whatever way
-// the merge is computed.
+// the fold, and merged again at the owner — of a single-source search
+// (value-carrying vertices share search.Fold). Every bin is destined to
+// one member of the fold group, so its ids lie in that member's
+// contiguous owned range and a localindex.Combiner merges them without
+// a sort. The scratch is allocated once per rank per run; the folds
+// encode or copy what they send (collective.wireSet), so nothing here is
+// ever handed to comm. The model charges each merge one VertexCost per
+// id that went in, len(out)+absorbed, however it is computed.
 
 // setBins is one rank's union-form combine scratch and the fold that
-// consumes it: the raw per-member neighbor bins a level's scan fills and
-// the Combiner that turns each into the sorted set the fold moves.
+// consumes it: the raw per-member neighbor bins a level's scan fills
+// (raw.V, no values) and the Combiner that turns each into a sorted set.
 type setBins struct {
 	c *comm.Comm
 	g comm.Group // the fold group; bin m is destined to member m
@@ -33,12 +32,12 @@ type setBins struct {
 	pl   *pool.Pool
 	hist *frontier.ContainerHist
 	comb *localindex.Combiner
-	raw  [][]uint32
+	raw  search.Bins[struct{}]
 }
 
 func newSetBins(c *comm.Comm, g comm.Group, l partition.View, opts *Options, p *pool.Pool, h *frontier.ContainerHist) *setBins {
 	return &setBins{c: c, g: g, l: l, opts: opts, pl: p, hist: h,
-		comb: localindex.NewCombiner(l.BlockSize), raw: make([][]uint32, g.Size())}
+		comb: localindex.NewCombiner(l.BlockSize), raw: search.Bins[struct{}]{V: make([][]uint32, g.Size())}}
 }
 
 // set merges (and charges) raw bin m into its sorted set and empties
@@ -52,9 +51,9 @@ func newSetBins(c *comm.Comm, g comm.Group, l partition.View, opts *Options, p *
 func (b *setBins) set(m int) []uint32 {
 	lo, hi := b.l.OwnedRange(b.g.World(m))
 	b.comb.Reset(uint32(lo), int(hi-lo))
-	b.comb.Add(b.raw[m])
-	set, d := b.comb.Drain(b.raw[m][:0])
-	b.raw[m] = set[:0]
+	b.comb.Add(b.raw.V[m])
+	set, d := b.comb.Drain(b.raw.V[m][:0])
+	b.raw.V[m] = set[:0]
 	b.c.ChargeItems(len(set)+d, b.c.Model().VertexCost)
 	return set
 }
@@ -71,28 +70,4 @@ func (b *setBins) fold(tag int, rec *rankLevel) []uint32 {
 	rec.FoldWords, rec.dups = st.RecvWords, st.Dups
 	b.c.ChargeItems(len(nbar), b.c.Model().VertexCost)
 	return nbar
-}
-
-// lanePayload is the multi-source fold's payload: a 64-bit lane mask
-// rides with each vertex, merged by OR and framed by encodeLanes for
-// the b lanes of the batch.
-type lanePayload struct {
-	pl   *pool.Pool
-	b    int
-	wire frontier.WireMode
-	hist *frontier.ContainerHist
-}
-
-func (lanePayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
-
-func (lanePayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
-	return cb.DrainOr(vs, ms)
-}
-
-func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
-	return encodeLanes(p.pl, vs, ms, p.b, lo, n, p.wire, p.hist)
-}
-
-func (p lanePayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) {
-	return decodeLanes(p.pl, buf, p.b, vs, ms)
 }

@@ -1,8 +1,6 @@
 package bfs
 
 import (
-	"math/bits"
-
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
@@ -16,12 +14,13 @@ import (
 )
 
 // engine2D holds one rank's state for Algorithm 2. The same level
-// machinery serves the uni-directional search and both sides of the
-// bi-directional search, on every mesh: when the processor column has
-// one member (R = 1, the conventional 1D partitioning of §2.1) its
-// column phase is the identity — the rank's own frontier is F̄, its
-// block column is its owned block — and a level is Algorithm 1's:
-// scan, fold, mark, charged for nothing else.
+// machinery serves the uni-directional search, both sides of the
+// bi-directional search and the sweeps of a multi-source batch, on every
+// mesh: when the processor column has one member (R = 1, the
+// conventional 1D partitioning of §2.1) its column phase is the identity
+// — the rank's own frontier is F̄, its block column is its owned block —
+// and a level is Algorithm 1's: scan, fold, mark, charged for nothing
+// else.
 type engine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -45,18 +44,22 @@ type engine2D struct {
 	// probes counts this run's hash probes (a restore seeds it with the
 	// checkpointed run's); the stores themselves are read-only.
 	probes uint64
-	// bins is the per-run scratch of the neighbor merge (see combine.go).
-	bins *setBins
-	// sendV is the targeted expand's per-destination-row staging, kept
-	// across levels: what reaches comm is an encoding or a copy (see
-	// expandWire), never these lists.
-	sendV [][]uint32
-	// bundle recompresses the two-phase expand's circulating bundles
-	// (see expandBundleMerge); nil under the other expands.
-	bundle *collective.BundleCodec
+	// The scratch of the run's steps: a single-source search's union
+	// fold (see combine.go), targeted expand and two-phase bundle
+	// recompression; or a batch's lane fold, whose bins never regrow (a
+	// sweep scans an arrived vertex's partial list at most once), and its
+	// expand. A column expand is nil on a one-member column.
+	bins    *setBins
+	col     *search.Column[struct{}]
+	bundle  *collective.BundleCodec
+	lanes   *search.Fold[uint64]
+	laneCol *search.Column[uint64]
 }
 
-func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options) *engine2D {
+// newEngine2D builds rank c's engine with the scratch its run uses:
+// with lanes > 0 a batch of that many sources' sweeps, otherwise a
+// single-source search's levels.
+func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, lanes int) *engine2D {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{
@@ -67,10 +70,20 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 		colG:  mesh.ColGroup(c.Rank()),
 		rowG:  mesh.RowGroup(c.Rank()),
 		pl:    pool.New(opts.Workers),
-		sendV: make([][]uint32, l.R),
+	}
+	column := e.colG.Size() > 1
+	if lanes > 0 {
+		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, lanes, opts.Wire, &e.hist}, st.FoldEntries)
+		if column {
+			e.laneCol = search.NewColumn[uint64](c, e.colG, &e.opts.Common, st, e.lanes)
+		}
+		return e
 	}
 	e.bins = newSetBins(c, e.rowG, l, &e.opts, e.pl, &e.hist)
-	if opts.Expand == ExpandTwoPhase {
+	switch {
+	case column && opts.Expand == ExpandTargeted:
+		e.col = search.NewColumn[struct{}](c, e.colG, &e.opts.Common, st, expandWire{e})
+	case opts.Expand == ExpandTwoPhase:
 		e.bundle = e.expandBundleMerge()
 	}
 	return e
@@ -152,27 +165,11 @@ func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
 	return s
 }
 
-// expandWire readies an expand payload (a subset of this rank's owned
-// frontier) for the wire: its encoding under the configured mode, or
-// under WireSparse — the legacy vertex-list format, free of overhead —
-// a copy. Either way the transport, which owns what it is handed, never
-// gets the caller's list.
-func (e *engine2D) expandWire(ids []uint32) []uint32 {
-	if e.opts.Wire == frontier.WireSparse {
-		return append(make([]uint32, 0, len(ids)), ids...)
-	}
-	tr := e.c.Tracer()
-	tr.Begin("engine", "encode")
-	out := frontier.EncodeSetStatsPar(e.pl, ids, uint32(e.st.Lo), e.st.OwnedCount(), e.opts.Wire, &e.hist)
-	tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
-	return out
-}
-
 // wireFrontier encodes the whole frontier as an expand payload, using
 // the word-level repack when the representation is already dense.
 func (e *engine2D) wireFrontier(f frontier.Frontier) []uint32 {
 	if e.opts.Wire == frontier.WireSparse {
-		return e.expandWire(f.Vertices())
+		return expandWire{e}.Encode(f.Vertices(), nil, uint32(e.st.Lo), e.st.OwnedCount())
 	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "encode")
@@ -181,24 +178,32 @@ func (e *engine2D) wireFrontier(f frontier.Frontier) []uint32 {
 	return out
 }
 
-// expand performs the processor-column expand of Algorithm 2 steps
-// 7–11 under the configured schedule, handing every part of F̄, this
-// rank's own portion included, to handle, and returns what this rank
-// received.
-func (e *engine2D) expand(s *sideState, tag int, handle collective.Handle) collective.Stats {
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async, BundleMerge: e.bundle}
-	if e.opts.Expand == ExpandTargeted {
-		send := e.targetRows(s)
-		prep := func(i int) []uint32 {
-			if i == e.colG.Me {
-				return send[i] // stays local, unencoded
-			}
-			return e.expandWire(send[i])
-		}
-		return collective.Exchange(e.c, e.colG, o, prep, handle)
+// expandWire is the wire form of single-source expand parts (a
+// search.Wire). Encode readies a subset of this rank's owned frontier,
+// the universe [lo, lo+n), for the wire: its encoding under the
+// configured mode, or under WireSparse — the legacy vertex-list format,
+// free of overhead — a copy. Either way the transport, which owns what
+// it is handed, never gets the caller's list.
+type expandWire struct{ e *engine2D }
+
+func (w expandWire) Encode(ids []uint32, _ []struct{}, lo uint32, n int) []uint32 {
+	if w.e.opts.Wire == frontier.WireSparse {
+		return append(make([]uint32, 0, len(ids)), ids...)
 	}
-	_, st := collective.Gather(e.c, e.colG, o, e.opts.Expand.String(), e.wireFrontier(s.F), handle)
-	return st
+	tr := w.e.c.Tracer()
+	tr.Begin("engine", "encode")
+	out := frontier.EncodeSetStatsPar(w.e.pl, ids, lo, n, w.e.opts.Wire, &w.e.hist)
+	tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
+	return out
+}
+
+// Decode leaves WireSparse parts alone: they are raw id lists that never
+// saw the sentinel guard, so they must not go through frontier.Decode.
+func (w expandWire) Decode(part []uint32) ([]uint32, []struct{}) {
+	if w.e.opts.Wire != frontier.WireSparse {
+		part = frontier.DecodePar(w.e.pl, part)
+	}
+	return part, nil
 }
 
 // expandBundleMerge recompresses a two-phase expand bundle — the
@@ -241,28 +246,6 @@ func (e *engine2D) expandBundleMerge() *collective.BundleCodec {
 			return out
 		},
 	}
-}
-
-// targetRows filters the frontier per destination row by the row-need
-// masks (only rows holding a non-empty partial list receive v) into
-// the engine's staging lists, charges the mask scan, and returns the
-// lists, valid until the next call.
-func (e *engine2D) targetRows(s *sideState) [][]uint32 {
-	r := len(e.sendV)
-	for i := range e.sendV {
-		e.sendV[i] = e.sendV[i][:0]
-	}
-	s.F.Iterate(func(gv uint32) {
-		for w, need := range e.st.NeedWords(e.st.LocalOf(graph.Vertex(gv))) {
-			for ; need != 0; need &= need - 1 {
-				i := w*64 + bits.TrailingZeros64(need)
-				e.sendV[i] = append(e.sendV[i], gv)
-			}
-		}
-	})
-	// Bitmask scan cost: |F| x ceil(R/64) words.
-	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
-	return e.sendV
 }
 
 // foldCodec builds the wire codec for fold payloads: a set destined to
@@ -375,18 +358,26 @@ func (e *engine2D) frontierOutDegree(s *sideState) uint64 {
 func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{frontier: s.F.Len()}
-	if e.colG.Size() == 1 {
-		rec.Edges = e.scanPart(s, s.F.Vertices())
-	} else {
-		rec.ExpandWords = e.expand(s, tagBase, func(m int, part []uint32) {
-			// WireSparse parts are raw id lists that never saw the sentinel
-			// guard, so they must not go through Decode.
-			if e.opts.Wire != frontier.WireSparse {
-				part = frontier.DecodePar(e.pl, part) // no-op on raw lists and local parts
-			}
-			rec.Edges += e.scanPart(s, part)
-		}).RecvWords
+	b := &e.bins.raw
+	b.Reset()
+	switch {
+	case e.colG.Size() == 1:
+		e.scanPart(s, s.F.Vertices(), 0)
+	case e.col != nil:
+		s.F.Iterate(func(gv uint32) { e.col.Add(gv, struct{}{}) })
+		rec.ExpandWords = e.col.Expand(tagBase, func(vs []uint32, _ []struct{}) { e.scanPart(s, vs, len(vs)) })
+	default:
+		// The dense expands (Algorithm 2 steps 7–11 as the ring all-gather
+		// or the two-phase expand of §3.2.2) move the whole frontier.
+		o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async, BundleMerge: e.bundle}
+		_, st := collective.Gather(e.c, e.colG, o, e.opts.Expand.String(), e.wireFrontier(s.F), func(_ int, part []uint32) {
+			vs, _ := expandWire{e}.Decode(part)
+			e.scanPart(s, vs, len(vs))
+		})
+		rec.ExpandWords = st.RecvWords
 	}
+	rec.Edges = b.Scanned
+	e.probes += b.Probes
 	foundTarget := s.mark(e.opts, e.st.Lo, e.bins.fold(tagBase+1<<24, &rec), &rec)
 	rec.end(tm)
 	return rec, foundTarget

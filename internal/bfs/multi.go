@@ -5,14 +5,13 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
+	"repro/internal/localindex"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/search"
-	"repro/internal/torus"
 )
 
 // Batched multi-source BFS: up to MaxLanes sources traverse the graph
@@ -99,50 +98,65 @@ const (
 // maskWords returns the interleaved per-member mask width for b lanes.
 func maskWords(b int) int { return (b + 31) / 32 }
 
-// encodeLanes packs a deduplicated (vertex, mask) batch of a b-lane
-// search drawn from the destination's owned universe [lo, lo+n).
-func encodeLanes(p *pool.Pool, vs []uint32, ms []uint64, b int, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist) []uint32 {
+// lanePayload is the multi-source fold's payload: a 64-bit lane mask
+// rides with each vertex, merged by OR and framed as above for the b
+// lanes of the batch.
+type lanePayload struct {
+	pl   *pool.Pool
+	b    int
+	wire frontier.WireMode
+	hist *frontier.ContainerHist
+}
+
+func (lanePayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
+
+func (lanePayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
+	return cb.DrainOr(vs, ms)
+}
+
+// Encode packs a deduplicated (vertex, mask) batch drawn from the
+// destination's owned universe [lo, lo+n).
+func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
 	if len(vs) == 0 {
 		return nil
 	}
 	s := len(vs)
-	wInter := s * maskWords(b)
-	wPlane := b * frontier.BitWords(s)
+	wInter := s * maskWords(p.b)
+	wPlane := p.b * frontier.BitWords(s)
 	if wInter <= wPlane {
-		out := search.FrameSet(p, vs, lo, n, mode, h, wInter, laneFormInterleaved)
+		out := search.FrameSet(p.pl, vs, lo, n, p.wire, p.hist, wInter, laneFormInterleaved)
 		for _, m := range ms {
 			out = append(out, uint32(m))
-			if b > 32 {
+			if p.b > 32 {
 				out = append(out, uint32(m>>32))
 			}
 		}
 		return out
 	}
-	out := search.FrameSet(p, vs, lo, n, mode, h, wPlane, laneFormPlanes)
+	out := search.FrameSet(p.pl, vs, lo, n, p.wire, p.hist, wPlane, laneFormPlanes)
 	planes := make([]uint32, wPlane)
 	pw := frontier.BitWords(s)
-	for p, m := range ms {
+	for i, m := range ms {
 		for mm := m; mm != 0; mm &= mm - 1 {
 			lane := bits.TrailingZeros64(mm)
-			planes[lane*pw+p/32] |= 1 << (p % 32)
+			planes[lane*pw+i/32] |= 1 << (i % 32)
 		}
 	}
 	return append(out, planes...)
 }
 
-// decodeLanes inverts encodeLanes for a b-lane search. vs and ms are
-// staging whose capacity is reused for the decoded batch; neither
-// result aliases buf.
-func decodeLanes(p *pool.Pool, buf []uint32, b int, vs []uint32, ms []uint64) ([]uint32, []uint64) {
+// Decode inverts Encode. vs and ms are staging whose capacity is reused
+// for the decoded batch; neither result aliases buf.
+func (p lanePayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) {
 	if len(buf) == 0 {
 		return vs[:0], ms[:0]
 	}
-	vs, form, rest := search.UnframeSet(p, buf, vs, 1)
+	vs, form, rest := search.UnframeSet(p.pl, buf, vs, 1)
 	s := len(vs)
 	ms = slices.Grow(ms[:0], s)[:s]
 	switch form[0] {
 	case laneFormInterleaved:
-		w := maskWords(b)
+		w := maskWords(p.b)
 		if len(rest) != s*w {
 			panic("bfs: lane payload set/mask length mismatch")
 		}
@@ -154,13 +168,13 @@ func decodeLanes(p *pool.Pool, buf []uint32, b int, vs []uint32, ms []uint64) ([
 		}
 	case laneFormPlanes:
 		pw := frontier.BitWords(s)
-		if len(rest) != b*pw {
+		if len(rest) != p.b*pw {
 			panic("bfs: lane payload plane length mismatch")
 		}
 		clear(ms)
-		for lane := 0; lane < b; lane++ {
+		for lane := 0; lane < p.b; lane++ {
 			plane := rest[lane*pw : (lane+1)*pw]
-			frontier.IterateBits(plane, func(p uint32) { ms[p] |= 1 << uint(lane) })
+			frontier.IterateBits(plane, func(i uint32) { ms[i] |= 1 << uint(lane) })
 		}
 	default:
 		panic("bfs: unknown lane mask form")
@@ -258,7 +272,7 @@ func (s *multiState) mark(lo graph.Vertex, rvs []uint32, rms []uint64, rec *rank
 
 // multiDrive runs lane-parallel sweeps from s until the global lane-OR
 // frontier empties (or MaxLevels, or a cooperative cancellation).
-func multiDrive(c *comm.Comm, e *multiEngine2D, opts Options, s *multiState) ([]rankLevel, *search.Canceled) {
+func multiDrive(c *comm.Comm, e *engine2D, opts Options, s *multiState) ([]rankLevel, *search.Canceled) {
 	var recs []rankLevel
 	for {
 		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
@@ -274,121 +288,33 @@ func multiDrive(c *comm.Comm, e *multiEngine2D, opts Options, s *multiState) ([]
 	}
 }
 
-// multiEngine2D runs lane-parallel sweeps on any mesh, following the
-// Algorithm 2 shape: targeted column expand of the lane-OR frontier
-// (masks alongside), partial-list scan binning (neighbor, mask) pairs by
-// owner column, row exchange, per-lane mark. With a one-member processor
-// column (R = 1) there is no expand and the sweep is Algorithm 1's: the
+// sweep runs one lane-parallel sweep, a top-down level of the lane-OR
+// frontier whose vertices carry their masks: column expand, partial-list
+// scan into (neighbor, mask) bins by owner column, lane fold, per-lane
+// mark. With a one-member processor column it is Algorithm 1's: the
 // owned frontier's full edge lists, then one exchange over all P ranks.
-type multiEngine2D struct {
-	c     *comm.Comm
-	st    *partition.Store2D
-	opts  Options
-	model torus.CostModel
-	colG  comm.Group
-	rowG  comm.Group
-	pl    *pool.Pool
-	hist  frontier.ContainerHist
-	// probes counts this run's hash probes.
-	probes uint64
-	// fold is the row-exchange half of a sweep and its per-run scratch,
-	// its raw bins sized once from the store's FoldEntries — a sweep scans
-	// each arrived vertex's partial list at most once, so they never
-	// regrow; sendV/sendM stage the targeted column expand, reused every
-	// sweep.
-	fold  *search.Fold[uint64]
-	sendV [][]uint32
-	sendM [][]uint64
-}
-
-// newMultiEngine2D builds rank c's engine for a batch of b lanes.
-func newMultiEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, b int) *multiEngine2D {
-	mesh := comm.Mesh{R: l.R, C: l.C}
-	c.SetCores(opts.Cores)
-	e := &multiEngine2D{
-		c:     c,
-		st:    st,
-		opts:  opts,
-		model: c.Model(),
-		colG:  mesh.ColGroup(c.Rank()),
-		rowG:  mesh.RowGroup(c.Rank()),
-		pl:    pool.New(opts.Workers),
-		sendV: make([][]uint32, l.R),
-		sendM: make([][]uint64, l.R),
-	}
-	e.fold = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, b, opts.Wire, &e.hist}, st.FoldEntries)
-	return e
-}
-
-// sweep runs one lane-parallel sweep under either schedule. The
-// overlapped one streams lane payloads into the partial-list scan as
-// they arrive and posts the row exchange per bin as each finishes its
-// OR-merge; payloads, statistics and marks are the same.
-func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
+func (e *engine2D) sweep(s *multiState, tagBase int) rankLevel {
 	tm := beginLevel(e.c, &e.hist)
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	binV, binM := e.fold.Reset()
-	if e.colG.Size() == 1 {
+	b := e.lanes.Reset()
+	if e.laneCol == nil {
 		// The column is this rank: scan its own frontier, masks in place.
-		rec.Edges = e.scanLanes(s.F.Vertices(), s.fmask, binV, binM)
+		e.scanLanes(b, s.F.Vertices(), s.fmask, 0)
 	} else {
-		rec.Edges, rec.ExpandWords = e.expandScan(s, tagBase, binV, binM)
+		lo := uint32(e.st.Lo)
+		s.F.Iterate(func(gv uint32) { e.laneCol.Add(gv, s.fmask[gv-lo]) })
+		rec.ExpandWords = e.laneCol.Expand(tagBase, func(vs []uint32, ms []uint64) { e.scanLanes(b, vs, ms, len(vs)) })
 	}
+	rec.Edges = b.Scanned
+	e.probes += b.Probes
 
 	// Lane merge per destination, the row exchange to the owners, and
 	// the owner's merge of what arrives.
-	rvs, rms, dups := e.fold.Deliver(tagBase+1<<24, &rec.Step)
+	rvs, rms, dups := e.lanes.Deliver(tagBase+1<<24, &rec.Step)
 	rec.dups = dups
 	s.mark(e.st.Lo, rvs, rms, &rec)
 	rec.end(tm)
 	return rec
-}
-
-// expandScan runs a sweep's column phase: the targeted expand of the
-// lane-OR frontier, each part scanned into the bins as it arrives. It
-// returns the edge entries inspected and the expand words received.
-func (e *multiEngine2D) expandScan(s *multiState, tagBase int, binV [][]uint32, binM [][]uint64) (edges, words int) {
-	r := e.colG.Size()
-
-	// Targeted column expand: a frontier vertex travels, mask
-	// alongside, only to the mesh rows holding a partial list for it.
-	sendV, sendM := e.sendV, e.sendM
-	for i := range sendV {
-		sendV[i], sendM[i] = sendV[i][:0], sendM[i][:0]
-	}
-	s.F.Iterate(func(gv uint32) {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		m := s.fmask[li]
-		for w, need := range e.st.NeedWords(li) {
-			for ; need != 0; need &= need - 1 {
-				i := w*64 + bits.TrailingZeros64(need)
-				sendV[i] = append(sendV[i], gv)
-				sendM[i] = append(sendM[i], m)
-			}
-		}
-	})
-	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
-	b := len(s.levels)
-	lo, n := e.st.Lo, e.st.OwnedCount()
-	prep := func(i int) []uint32 {
-		if i == e.colG.Me {
-			return nil // stays local; the scan reads sendV/sendM directly
-		}
-		return encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
-	}
-
-	// Scan the partial edge lists of every received frontier vertex and
-	// bin the discovered (neighbor, mask) pairs by owner mesh column
-	// (scanLanes runs on the worker pool and charges the scan).
-	scan := func(i int, part []uint32) {
-		avs, ams := sendV[i], sendM[i]
-		if i != e.colG.Me {
-			avs, ams = e.fold.Decode(part)
-		}
-		edges += e.scanLanes(avs, ams, binV, binM)
-	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	return edges, collective.Exchange(e.c, e.colG, o, prep, scan).RecvWords
 }
 
 // validateSources checks a multi-source batch against the lane

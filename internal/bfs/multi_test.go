@@ -351,12 +351,12 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 		for _, wire := range []frontier.WireMode{
 			frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid,
 		} {
-			buf := encodeLanes(nil, vs, ms, tc.b, 0, tc.n, wire, nil)
+			buf := lanePayload{b: tc.b, wire: wire}.Encode(vs, ms, 0, tc.n)
 			// Copy to catch aliasing into caller storage.
 			buf = append([]uint32(nil), buf...)
 			// The staging is reused from one decode to the next, as the
 			// engines do: stale masks must not leak into a later batch.
-			stV, stM = decodeLanes(nil, buf, tc.b, stV, stM)
+			stV, stM = lanePayload{b: tc.b}.Decode(buf, stV, stM)
 			gvs, gms := stV, stM
 			if len(gvs) != len(vs) {
 				t.Fatalf("case %d wire=%v: %d members, want %d", ci, wire, len(gvs), len(vs))
@@ -369,7 +369,7 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if gvs, gms := decodeLanes(nil, nil, 8, stV, stM); len(gvs) != 0 || len(gms) != 0 {
+	if gvs, gms := (lanePayload{b: 8}).Decode(nil, stV, stM); len(gvs) != 0 || len(gms) != 0 {
 		t.Error("nil payload should decode to an empty batch")
 	}
 }
@@ -384,7 +384,7 @@ func TestLaneCodecPicksCheaperForm(t *testing.T) {
 		wide[i] = uint32(i)
 		ms[i] = 1
 	}
-	planes := encodeLanes(nil, wide, ms, 8, 0, 1000, frontier.WireSparse, nil)
+	planes := lanePayload{b: 8, wire: frontier.WireSparse}.Encode(wide, ms, 0, 1000)
 	if planes[1] != laneFormPlanes {
 		t.Errorf("b=8 s=1000 shipped form %d, want planes", planes[1])
 	}
@@ -392,7 +392,7 @@ func TestLaneCodecPicksCheaperForm(t *testing.T) {
 	if want := 2 + 1000 + 8*frontier.BitWords(1000); len(planes) != want {
 		t.Errorf("plane payload %d words, want %d", len(planes), want)
 	}
-	inter := encodeLanes(nil, wide[:4], ms[:4], 64, 0, 1000, frontier.WireSparse, nil)
+	inter := lanePayload{b: 64, wire: frontier.WireSparse}.Encode(wide[:4], ms[:4], 0, 1000)
 	if inter[1] != laneFormInterleaved {
 		t.Errorf("b=64 s=4 shipped form %d, want interleaved", inter[1])
 	}

@@ -5,14 +5,14 @@
 // and selectable expand/fold collective algorithms including the
 // BlueGene/L-optimized two-phase operations of §3.2.
 //
-// Beyond the paper, both engines support direction-optimizing
-// traversal: each level can run top-down (the paper's expansion),
-// bottom-up (unlabeled vertices search their own edge lists for a
-// frontier parent, exchanged as bitmaps), or switch per level on a
-// frontier/unlabeled-ratio heuristic. Frontiers use the pluggable
-// sparse/dense/adaptive representations of internal/frontier, whose
-// wire codec lets the collectives transmit bitmaps instead of vertex
-// lists when denser is cheaper.
+// Beyond the paper, the one engine — every partitioning is a mesh
+// shape — supports direction-optimizing traversal: each level can run
+// top-down (the paper's expansion), bottom-up (unlabeled vertices search
+// their own edge lists for a frontier parent, exchanged as bitmaps), or
+// switch per level on Beamer's out-degree rule. Frontiers use the
+// pluggable sparse/dense/adaptive representations of internal/frontier,
+// whose wire codec lets the collectives transmit bitmaps instead of
+// vertex lists when denser is cheaper.
 package bfs
 
 import (

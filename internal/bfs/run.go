@@ -79,7 +79,7 @@ type drive func(c *comm.Comm, e *engine2D, l partition.View, opts Options, level
 func runSides(w *comm.World, stores []*partition.Store2D, l partition.View, opts Options, drive drive) (*Result, error) {
 	res := &Result{Levels: make([]int32, l.N)}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		e := newEngine2D(c, stores[c.Rank()], l, opts)
+		e := newEngine2D(c, stores[c.Rank()], l, opts, 0)
 		recs, dist, cxl := drive(c, e, l, opts, search.Owned(l, c.Rank(), res.Levels))
 		return rankOut{recs: recs, probes: e.probes, dist: dist}, cxl
 	})
@@ -151,7 +151,7 @@ func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vert
 		res.LaneLevels[lane] = make([]int32, l.N)
 	}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		e := newMultiEngine2D(c, stores[c.Rank()], l, opts, len(sources))
+		e := newEngine2D(c, stores[c.Rank()], l, opts, len(sources))
 		recs, cxl := multiDrive(c, e, opts, newMultiState(res, l, c.Rank()))
 		return rankOut{recs: recs, probes: e.probes, dist: -1}, cxl
 	})

@@ -36,10 +36,10 @@ type Payload[V any] interface {
 // charges each merge one VertexCost per pair that went in, whatever way
 // the merge is computed.
 //
-// It holds the raw bins, the send-side Combiner (retargeted per bin),
-// the owner's Combiner that every arrived part streams into as it
-// lands, and the merge and decode staging — all allocated once per rank
-// per run and reused every step. Only encoded payloads, owned by the
+// It holds the raw bins a step's scan fills, the send-side Combiner
+// (retargeted per bin), the owner's Combiner that every arrived part
+// streams into as it lands, and the merge and decode staging — all
+// allocated once per rank per run and reused every step. Only encoded payloads, owned by the
 // transport once posted, are allocated fresh.
 type Fold[V any] struct {
 	c   *comm.Comm
@@ -49,8 +49,7 @@ type Fold[V any] struct {
 	ops Payload[V]
 
 	comb, own  *localindex.Combiner
-	binV       [][]uint32
-	binX       [][]V
+	raw        Bins[V]
 	outV, decV []uint32
 	outX, decX []V
 	// absorbed counts the send-side duplicates of the Deliver in flight
@@ -65,9 +64,9 @@ type Fold[V any] struct {
 func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, l partition.View, ops Payload[V], caps []uint32) *Fold[V] {
 	f := &Fold[V]{c: c, g: g, o: o, l: l, ops: ops,
 		comb: localindex.NewCombiner(l.BlockSize), own: localindex.NewCombiner(l.BlockSize),
-		binV: make([][]uint32, g.Size()), binX: make([][]V, g.Size())}
+		raw: Bins[V]{V: make([][]uint32, g.Size()), X: make([][]V, g.Size())}}
 	for m, n := range caps {
-		f.binV[m], f.binX[m] = make([]uint32, 0, n), make([]V, 0, n)
+		f.raw.V[m], f.raw.X[m] = make([]uint32, 0, n), make([]V, 0, n)
 	}
 	lo, hi := l.OwnedRange(g.World(g.Me))
 	f.own.Reset(uint32(lo), int(hi-lo))
@@ -75,16 +74,20 @@ func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, l partition.View, ops
 }
 
 // Reset empties the raw bins for the next scan and returns them.
-func (f *Fold[V]) Reset() ([][]uint32, [][]V) {
-	for m := range f.binV {
-		f.binV[m], f.binX[m] = f.binV[m][:0], f.binX[m][:0]
-	}
-	return f.binV, f.binX
+func (f *Fold[V]) Reset() *Bins[V] {
+	f.raw.Reset()
+	return &f.raw
+}
+
+// Encode packs pairs in the fold's payload form. With Decode it makes the
+// fold a Column's Wire, whose arrivals may borrow the decode staging:
+// the column's scan is over before the fold begins.
+func (f *Fold[V]) Encode(vs []uint32, xs []V, lo uint32, n int) []uint32 {
+	return f.ops.Encode(vs, xs, lo, n)
 }
 
 // Decode decodes a payload into the decode staging, valid until the
-// next call; a 2D engine's expand scan, which is over before the fold
-// begins, stages its arrivals here too.
+// next call.
 func (f *Fold[V]) Decode(buf []uint32) ([]uint32, []V) {
 	f.decV, f.decX = f.ops.Decode(buf, f.decV, f.decX)
 	return f.decV, f.decX
@@ -102,7 +105,7 @@ func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int)
 	prep := func(m int) []uint32 {
 		lo, hi := f.l.OwnedRange(f.g.World(m))
 		f.comb.Reset(uint32(lo), int(hi-lo))
-		f.ops.Add(f.comb, f.binV[m], f.binX[m])
+		f.ops.Add(f.comb, f.raw.V[m], f.raw.X[m])
 		var d int
 		f.outV, f.outX, d = f.ops.Drain(f.comb, f.outV[:0], f.outX[:0])
 		f.absorbed += d

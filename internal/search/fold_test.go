@@ -163,7 +163,7 @@ type foldGot[V any] struct {
 // runFold delivers rounds steps of cases on one Fold per rank — the
 // scratch is reused from step to step, as in the engines — under the
 // given schedule, its bins presized to the largest each step fills when
-// presize is set (as the lane engines size them from the store).
+// presize is set (as the lane fold sizes them from the store).
 func runFold[V any](t *testing.T, cases []foldCase[V], async, presize bool, payload func(h *frontier.ContainerHist) Payload[V]) [][]foldGot[V] {
 	t.Helper()
 	p := cases[0].l.P()
@@ -184,10 +184,10 @@ func runFold[V any](t *testing.T, cases []foldCase[V], async, presize bool, payl
 		}
 		f := NewFold(c, comm.Mesh{R: 1, C: p}.RowGroup(c.Rank()), &o, cases[0].l, payload(&hist), caps)
 		for round, fc := range cases {
-			binV, binX := f.Reset()
+			b := f.Reset()
 			for m, bin := range fc.bins[c.Rank()] {
 				for _, pr := range bin {
-					binV[m], binX[m] = append(binV[m], pr.v), append(binX[m], pr.x)
+					b.V[m], b.X[m] = append(b.V[m], pr.v), append(b.X[m], pr.x)
 				}
 			}
 			var st Step

@@ -14,6 +14,10 @@
 //     record keeps, their trace span and their checkpoint codec, with
 //     the blob envelope around a family's state (Halt, Resume);
 //   - the cancel poll (Poll) and the Cancel hooks it consults;
+//   - the column phase (Column, Bins, Scan): the targeted expand's
+//     row-need walk, staging and exchange, and the scan's
+//     per-destination bins, collected in chunk order and charged by one
+//     tail;
 //   - the value fold (Fold): the per-owner merge, exchange and owner-side
 //     merge of (vertex, value) pairs, generic over the value — a lane
 //     mask OR-merged, a tentative distance min-merged;

@@ -482,8 +482,8 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 	ds := []uint32{3, 9, 12, 1, 77, 2}
 	for _, mode := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
 		var h frontier.ContainerHist
-		buf := encodeRequests(nil, vs, ds, 100, 4000, mode, &h)
-		gvs, gds := decodeRequests(nil, buf, nil)
+		buf := requestPayload{wire: mode, hist: &h}.Encode(vs, ds, 100, 4000)
+		gvs, gds := requestPayload{}.Decode(buf, nil, nil)
 		if len(gvs) != len(vs) {
 			t.Fatalf("mode %v: %d vertices back, want %d", mode, len(gvs), len(vs))
 		}
@@ -496,10 +496,10 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("mode %v: %d payloads tallied", mode, h.Payloads())
 		}
 	}
-	if encodeRequests(nil, nil, nil, 0, 10, frontier.WireHybrid, nil) != nil {
+	if (requestPayload{wire: frontier.WireHybrid}).Encode(nil, nil, 0, 10) != nil {
 		t.Fatal("empty batch should encode to nil")
 	}
-	if vs, ds := decodeRequests(nil, nil, nil); len(vs) != 0 || len(ds) != 0 {
+	if vs, ds := (requestPayload{}).Decode(nil, nil, nil); len(vs) != 0 || len(ds) != 0 {
 		t.Fatal("nil payload should decode empty")
 	}
 }

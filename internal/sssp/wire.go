@@ -19,30 +19,8 @@ import (
 // set's order; the setWords prefix keeps the payload self-describing
 // under every mode. An empty request batch is a nil payload.
 
-// encodeRequests packs a deduplicated request batch drawn from the
-// destination's owned universe [lo, lo+n).
-func encodeRequests(p *pool.Pool, vs, ds []uint32, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist) []uint32 {
-	if len(vs) == 0 {
-		return nil
-	}
-	return append(search.FrameSet(p, vs, lo, n, mode, h, len(ds)), ds...)
-}
-
-// decodeRequests inverts encodeRequests. The vertex set is decoded into
-// the staging vs, whose capacity is reused; the distances alias buf.
-func decodeRequests(p *pool.Pool, buf, vs []uint32) (_, ds []uint32) {
-	if len(buf) == 0 {
-		return vs[:0], nil
-	}
-	vs, _, ds = search.UnframeSet(p, buf, vs, 0)
-	if len(vs) != len(ds) {
-		panic("sssp: relax-request set/distance length mismatch")
-	}
-	return vs, ds
-}
-
 // requestPayload is the relaxation fold's payload: a tentative distance
-// rides with each vertex, merged by min and framed by encodeRequests.
+// rides with each vertex, merged by min and framed as above.
 type requestPayload struct {
 	pl   *pool.Pool
 	wire frontier.WireMode
@@ -55,11 +33,25 @@ func (requestPayload) Drain(cb *localindex.Combiner, vs, ds []uint32) ([]uint32,
 	return cb.DrainMin(vs, ds)
 }
 
+// Encode packs a deduplicated request batch drawn from the destination's
+// owned universe [lo, lo+n).
 func (p requestPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
-	return encodeRequests(p.pl, vs, ds, lo, n, p.wire, p.hist)
+	if len(vs) == 0 {
+		return nil
+	}
+	return append(search.FrameSet(p.pl, vs, lo, n, p.wire, p.hist, len(ds)), ds...)
 }
 
-// Decode leaves the staging ds alone: the distances alias buf.
+// Decode inverts Encode. The vertex set is decoded into the staging vs,
+// whose capacity is reused; the distances alias buf, so the staging ds
+// is left alone.
 func (p requestPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
-	return decodeRequests(p.pl, buf, vs)
+	if len(buf) == 0 {
+		return vs[:0], nil
+	}
+	vs, _, ds := search.UnframeSet(p.pl, buf, vs, 0)
+	if len(vs) != len(ds) {
+		panic("sssp: relax-request set/distance length mismatch")
+	}
+	return vs, ds
 }

@@ -190,7 +190,7 @@ func TestTraceCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestMultiBFSTrace covers the batched multi-source engine's level
+// TestMultiBFSTrace covers the batched multi-source sweeps' level
 // spans through the same pipeline.
 func TestMultiBFSTrace(t *testing.T) {
 	cl, dg, src := traceCluster(t, 2, 2)
