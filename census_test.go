@@ -173,6 +173,68 @@ func TestOneColumnPhase(t *testing.T) {
 	}
 }
 
+// TestOneEngineQueue guards "one engine queue in graphd": queries of
+// every kind wait in the batcher's one queue, so no non-test source of
+// internal/graphd may receive from an engines channel outside
+// batcher.dispatch (the dispatcher's lease) and Server.sweepBFS (a
+// share's one retry), and Server may not hold a chan of funcs — a
+// second queue of jobs beside the batcher.
+func TestOneEngineQueue(t *testing.T) {
+	fset := token.NewFileSet()
+	leases := map[string]bool{"batcher.dispatch": true, "Server.sweepBFS": true}
+	for _, f := range nonTestFiles(t, fset, "internal/graphd") {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && leases[receiverType(fn)+"."+fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(d, func(node ast.Node) bool {
+				switch n := node.(type) {
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW && namedEngines(n.X) {
+						t.Errorf("%s: receives from an engines channel; only batcher.dispatch and Server.sweepBFS lease engines", fset.Position(n.Pos()))
+					}
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || n.Name.Name != "Server" {
+						return true
+					}
+					for _, field := range st.Fields.List {
+						if ch, ok := field.Type.(*ast.ChanType); ok {
+							if _, ok := ch.Value.(*ast.FuncType); ok {
+								t.Errorf("%s: Server holds a chan of funcs; every query waits in the batcher's queue", fset.Position(field.Pos()))
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// receiverType names the type a method is declared on.
+func receiverType(fn *ast.FuncDecl) string {
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// namedEngines reports whether e is a variable or field named engines.
+func namedEngines(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == "engines"
+	case *ast.SelectorExpr:
+		return e.Sel.Name == "engines"
+	}
+	return false
+}
+
 // nonTestFiles parses the non-test sources of the package in dir.
 func nonTestFiles(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 	t.Helper()

@@ -4,8 +4,8 @@
 // resident engines. A single-source BFS query that finds a replica idle
 // runs on it at once, direction-optimizing; those that arrive while
 // every replica is busy coalesce into multi-source MultiBFS sweeps as
-// replicas free up. SSSP and path queries go through a bounded worker
-// queue with admission control.
+// replicas free up. SSSP and path queries wait in the same FIFO queue
+// and run alone; admission is bounded (-max-waiting), beyond it 503.
 //
 // Endpoints:
 //
@@ -28,8 +28,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -41,99 +43,39 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port; see -portfile)")
-		portFile = flag.String("portfile", "", "write the bound host:port to this file once listening")
-		n        = flag.Int("n", 100000, "vertices (when generating)")
-		k        = flag.Float64("k", 10, "expected average degree (when generating)")
-		seed     = flag.Int64("seed", 42, "graph seed (when generating)")
-		input    = flag.String("input", "", "load the graph from an edge-list file instead of generating")
-		weighted = flag.Bool("weighted", false, "generate a weighted graph (uniform weights in [1, 256])")
-		r        = flag.Int("r", 2, "mesh rows R")
-		c        = flag.Int("c", 2, "mesh columns C")
-		partStr  = flag.String("part", "2d", "partitioning: 2d|1drow|1dcol")
-		cores    = flag.Int("cores", 1, "modeled compute cores per node")
-		workers  = flag.Int("workers", 0, "real per-rank worker pool size (0 = -cores)")
-		replicas = flag.Int("replicas", 1, "engine replicas (each a simulated machine over the one distributed graph; bounds real concurrency)")
-		batch    = flag.Int("batch", bgl.MaxLanes, "max distinct sources per MultiBFS sweep (<= 64; 1 serves every BFS alone)")
-		maxWait  = flag.Int("max-waiting", 0, "max batched BFS queries awaiting sweeps before 503 (0 = 4x -batch)")
-		queue    = flag.Int("queue", graphd.DefaultQueueDepth, "bounded queue depth for path/sssp queries")
-		faultStr = flag.String("fault", "", "deterministic fault plan for every sweep (e.g. canned:7 or seed=1,corrupt=0.01)")
-		maxQuery = flag.Duration("max-query-time", 0, "server-side wall cap per query (0 = uncapped; timeout_ms may tighten)")
-		maxSim   = flag.Float64("max-simexec", 0, "cap on simulated execution seconds per query (0 = uncapped)")
-		chaosN   = flag.Int("chaos-panic-sweep", 0, "arm a one-shot drill: the Nth BFS sweep panics its replica (0 = off)")
-	)
-	flag.Parse()
-
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	part, ok := map[string]bgl.Partition{
-		"2d": bgl.Part2D, "1drow": bgl.Part1DRow, "1dcol": bgl.Part1DCol,
-	}[*partStr]
-	if !ok {
-		fail(fmt.Errorf("unknown partitioning %q", *partStr))
-	}
-
-	var fplan *bgl.FaultPlan
-	if *faultStr != "" {
-		var perr error
-		if fplan, perr = bgl.ParseFaultPlan(*faultStr); perr != nil {
-			fail(perr)
-		}
-	}
-
-	var g *bgl.Graph
-	var err error
-	switch {
-	case *input != "":
-		f, ferr := os.Open(*input)
-		if ferr != nil {
-			fail(ferr)
-		}
-		g, err = bgl.Load(f)
-		f.Close()
-	case *weighted:
-		g, err = bgl.GenerateWeighted(*n, *k, *seed)
-	default:
-		g, err = bgl.Generate(*n, *k, *seed)
-	}
-	if err != nil {
+	cfg, addr, portFile, err := config(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
 		fail(err)
 	}
 
 	fmt.Fprintf(os.Stderr, "graphd: distributing n=%d (%d edges, weighted=%v) over %dx%d part=%s, %d replica(s)...\n",
-		g.N(), g.NumEdges(), g.Weighted(), *r, *c, *partStr, *replicas)
+		cfg.Graph.N(), cfg.Graph.NumEdges(), cfg.Graph.Weighted(), cfg.R, cfg.C, cfg.Partition, cfg.Replicas)
 	t0 := time.Now()
-	srv, err := graphd.NewServer(graphd.Config{
-		Graph: g, R: *r, C: *c, Partition: part,
-		Cores: *cores, Workers: *workers, Replicas: *replicas,
-		MaxBatch: *batch, MaxWaiting: *maxWait,
-		QueueDepth: *queue, Fault: fplan,
-		MaxQueryWall: *maxQuery, MaxSimExec: *maxSim,
-		ChaosPanicSweep: *chaosN,
-	})
+	srv, err := graphd.NewServer(cfg)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "graphd: distributed in %v\n", time.Since(t0).Round(time.Millisecond))
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fail(err)
 	}
 	bound := ln.Addr().String()
-	if *portFile != "" {
+	if portFile != "" {
 		// Written last thing before serving: a reader that sees the file
 		// can connect.
-		if err := os.WriteFile(*portFile, []byte(bound+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(portFile, []byte(bound+"\n"), 0o644); err != nil {
 			fail(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "graphd: serving on http://%s (batch=%d queue=%d)\n",
-		bound, *batch, *queue)
+	fmt.Fprintf(os.Stderr, "graphd: serving on http://%s (batch=%d)\n", bound, cfg.MaxBatch)
 
 	// The hardened wrapper sets read-header/read/idle timeouts so a
 	// slow-loris client cannot pin connections open.
@@ -159,4 +101,64 @@ func main() {
 	}
 	srv.Close()
 	fmt.Fprintln(os.Stderr, "graphd: drained, bye")
+}
+
+// config parses the command line into the server's Config — the graph
+// loaded or generated — plus the listen address and port file. The flag
+// package reports usage errors on stderr.
+func config(args []string, stderr io.Writer) (cfg graphd.Config, addr, portFile string, err error) {
+	fs := flag.NewFlagSet("graphd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addrStr  = fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port; see -portfile)")
+		portStr  = fs.String("portfile", "", "write the bound host:port to this file once listening")
+		n        = fs.Int("n", 100000, "vertices (when generating)")
+		k        = fs.Float64("k", 10, "expected average degree (when generating)")
+		seed     = fs.Int64("seed", 42, "graph seed (when generating)")
+		input    = fs.String("input", "", "load the graph from an edge-list file instead of generating")
+		weighted = fs.Bool("weighted", false, "generate a weighted graph (uniform weights in [1, 256])")
+		r        = fs.Int("r", 2, "mesh rows R")
+		c        = fs.Int("c", 2, "mesh columns C")
+		partStr  = fs.String("part", "2d", "partitioning: 2d|1drow|1dcol")
+		cores    = fs.Int("cores", 1, "modeled compute cores per node")
+		workers  = fs.Int("workers", 0, "real per-rank worker pool size (0 = -cores)")
+		replicas = fs.Int("replicas", 1, "engine replicas (each a simulated machine over the one distributed graph; bounds real concurrency)")
+		batch    = fs.Int("batch", bgl.MaxLanes, "max distinct sources per MultiBFS sweep (<= 64; 1 serves every BFS alone)")
+		maxWait  = fs.Int("max-waiting", 0, "max admitted, unanswered queries of every kind before 503 (0 = 4x -batch)")
+		faultStr = fs.String("fault", "", "deterministic fault plan for every sweep (e.g. canned:7 or seed=1,corrupt=0.01)")
+		maxQuery = fs.Duration("max-query-time", 0, "server-side wall cap per query (0 = uncapped; timeout_ms may tighten)")
+		maxSim   = fs.Float64("max-simexec", 0, "cap on simulated execution seconds per query (0 = uncapped)")
+		chaosN   = fs.Int("chaos-panic-sweep", 0, "arm a one-shot drill: the Nth BFS sweep panics its replica (0 = off)")
+	)
+	if err = fs.Parse(args); err != nil {
+		return cfg, "", "", err
+	}
+	cfg = graphd.Config{
+		R: *r, C: *c, Cores: *cores, Workers: *workers, Replicas: *replicas,
+		MaxBatch: *batch, MaxWaiting: *maxWait,
+		MaxQueryWall: *maxQuery, MaxSimExec: *maxSim, ChaosPanicSweep: *chaosN,
+	}
+	var ok bool
+	if cfg.Partition, ok = map[string]bgl.Partition{"2d": bgl.Part2D, "1drow": bgl.Part1DRow, "1dcol": bgl.Part1DCol}[*partStr]; !ok {
+		return cfg, "", "", fmt.Errorf("unknown partitioning %q", *partStr)
+	}
+	if *faultStr != "" {
+		if cfg.Fault, err = bgl.ParseFaultPlan(*faultStr); err != nil {
+			return cfg, "", "", err
+		}
+	}
+	switch {
+	case *input != "":
+		f, ferr := os.Open(*input)
+		if ferr != nil {
+			return cfg, "", "", ferr
+		}
+		cfg.Graph, err = bgl.Load(f)
+		f.Close()
+	case *weighted:
+		cfg.Graph, err = bgl.GenerateWeighted(*n, *k, *seed)
+	default:
+		cfg.Graph, err = bgl.Generate(*n, *k, *seed)
+	}
+	return cfg, *addrStr, *portStr, err
 }

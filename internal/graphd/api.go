@@ -15,10 +15,10 @@
 // and far less simulated execution time than one-query-at-a-time (the
 // PR 4 acceptance result the service exists to exploit). There is no
 // batching window and no timer. Queries that cannot share a sweep —
-// Δ-stepping SSSP and path reconstruction — go through a bounded worker
-// queue with admission control instead: when the queue is full the
-// server answers 503 with a Retry-After header rather than building an
-// unbounded backlog.
+// Δ-stepping SSSP and path reconstruction — wait in the same queue, in
+// arrival order, and run alone. Admission is bounded: once MaxWaiting
+// queries are waiting the server answers 503 with a Retry-After header
+// rather than building an unbounded backlog.
 package graphd
 
 // This file holds the JSON wire types the server and client share. All
@@ -95,7 +95,7 @@ type SSSPResponse struct {
 }
 
 // QueryStats reports how the service executed one query: how long it
-// waited for an engine or worker slot, how many queries and distinct
+// waited in the queue for an engine, how many queries and distinct
 // sources shared its run (both 1 for a query that ran alone), and the
 // run's simulated cost — which is AMORTIZED over the whole batch, so a query
 // that shared a 64-lane sweep reports the one sweep's words, not 64
@@ -155,7 +155,6 @@ type GraphInfo struct {
 type BatchingInfo struct {
 	MaxBatch   int `json:"max_batch"`
 	MaxWaiting int `json:"max_waiting"`
-	QueueDepth int `json:"queue_depth"`
 }
 
 // QueryCounts aggregates the server's lifetime traffic.

@@ -3,6 +3,7 @@ package graphd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// ErrDraining is returned by Submit once the batcher has begun its
-// shutdown drain; the server maps it to a 503.
+// ErrDraining is returned by batcher.submit once the batcher has begun
+// its shutdown drain; the server maps it to a 503.
 var ErrDraining = errors.New("graphd: draining")
 
 // sweepStats is the shared cost of one run, reported to every query
@@ -45,8 +46,14 @@ func (st sweepStats) partial() *PartialStats {
 // the patient ones; for a lone query that is its own deadline.
 type sweepFunc func(e *engine, sources []bgl.Vertex, deadline time.Time) ([][]int32, sweepStats, error)
 
+// soloFunc runs one path or SSSP query alone on the borrowed engine e
+// under the query's own deadline. Like a sweepFunc, it owns how the
+// query runs and what becomes of e afterwards.
+type soloFunc func(e *engine, deadline time.Time) (sweepStats, error)
+
 // batchAnswer is what a waiting caller receives: its own lane's levels
-// plus the per-query statistics, or the run's error.
+// (none for a solo job) plus the per-query statistics, or the run's
+// error.
 type batchAnswer struct {
 	levels []int32
 	stats  QueryStats
@@ -54,10 +61,12 @@ type batchAnswer struct {
 	err    error
 }
 
-// batchQuery is one waiting caller. deadline is the query's own wall
+// batchQuery is one waiting caller: a BFS from source, or, when solo is
+// set, a solo job that runs alone. deadline is the query's own wall
 // budget (zero = unbounded).
 type batchQuery struct {
 	source   bgl.Vertex
+	solo     soloFunc
 	enq      time.Time
 	deadline time.Time
 	lane     int // index of source in its run's sources, set when taken
@@ -73,11 +82,12 @@ type batchQuery struct {
 // engine frees up first.
 const minSweepLanes = 4
 
-// batcher paces single-source BFS queries by the engines, not by a
-// clock. One dispatcher goroutine waits for a pending query, borrows an
-// idle engine — blocking while every engine is busy, which is exactly
-// when arrivals pool into a batch — and hands that engine its share of
-// the distinct pending sources: ceil(pending / idle engines), capped at
+// batcher is the server's one queue: it paces every query by the
+// engines, not by a clock. One dispatcher goroutine waits for a pending
+// query, borrows an idle engine — blocking while every engine is busy,
+// which is exactly when arrivals pool into a batch — and hands it the
+// head of the queue: a solo job alone, or else its share of the
+// distinct pending BFS sources: ceil(pending / idle engines), capped at
 // maxBatch, and a single source when that is under minSweepLanes. So
 // while queries do not outnumber engines each runs alone the moment it
 // arrives, and 64 lanes still fill when 64 clients outrun the replicas.
@@ -91,8 +101,8 @@ type batcher struct {
 	mu      sync.Mutex
 	arrived *sync.Cond // signaled on submit and close
 	closed  bool
-	pending []*batchQuery           // arrival order
-	lanes   map[bgl.Vertex]struct{} // distinct pending sources
+	pending []*batchQuery           // arrival order, every kind
+	lanes   map[bgl.Vertex]struct{} // distinct pending BFS sources
 
 	wg sync.WaitGroup // the dispatcher and every run in flight
 
@@ -128,17 +138,20 @@ func newBatcher(maxBatch int, engines chan *engine, sweep sweepFunc, reg *metric
 	return b
 }
 
-// submit enqueues one query and returns the channel its answer will
-// arrive on (buffered — a run never blocks on a caller).
-func (b *batcher) submit(src bgl.Vertex, deadline time.Time) (<-chan batchAnswer, error) {
-	q := &batchQuery{source: src, enq: time.Now(), deadline: deadline, done: make(chan batchAnswer, 1)}
+// submit enqueues q (its source or solo job, and its deadline) and
+// returns the channel its answer will arrive on (buffered — a run never
+// blocks on a caller).
+func (b *batcher) submit(q *batchQuery) (<-chan batchAnswer, error) {
+	q.enq, q.done = time.Now(), make(chan batchAnswer, 1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, ErrDraining
 	}
 	b.pending = append(b.pending, q)
-	b.lanes[src] = struct{}{}
+	if q.solo == nil {
+		b.lanes[q.source] = struct{}{}
+	}
 	b.arrived.Signal()
 	return q.done, nil
 }
@@ -161,10 +174,15 @@ func (b *batcher) dispatch() {
 		// in the pending set by the time the share is cut.
 		e := <-b.engines
 		b.mu.Lock()
-		batch, sources := b.takeLocked(share(len(b.lanes), 1+len(b.engines), b.maxBatch))
-		b.mu.Unlock()
 		b.wg.Add(1)
-		go b.run(e, batch, sources)
+		if head := b.pending[0]; head.solo != nil { // only this loop removes queries
+			b.pending = slices.Delete(b.pending, 0, 1)
+			go b.runSolo(e, head)
+		} else {
+			batch, sources := b.takeLocked(share(len(b.lanes), 1+len(b.engines), b.maxBatch))
+			go b.run(e, batch, sources)
+		}
+		b.mu.Unlock()
 	}
 }
 
@@ -180,9 +198,10 @@ func share(pending, idle, maxBatch int) int {
 	return n
 }
 
-// takeLocked removes the n earliest distinct sources from the pending
-// set, with every query waiting on one of them, and returns the queries
-// and the sources (lane order). Callers hold b.mu.
+// takeLocked removes the n earliest distinct BFS sources from the
+// pending set, with every query waiting on one of them, and returns the
+// queries and the sources (lane order); solo jobs stay where they are.
+// Callers hold b.mu.
 func (b *batcher) takeLocked(n int) ([]*batchQuery, []bgl.Vertex) {
 	lane := make(map[bgl.Vertex]int, n)
 	sources := make([]bgl.Vertex, 0, n)
@@ -190,7 +209,9 @@ func (b *batcher) takeLocked(n int) ([]*batchQuery, []bgl.Vertex) {
 	rest := b.pending[:0]
 	for _, q := range b.pending {
 		l, taken := lane[q.source]
-		if !taken && len(sources) < n {
+		if q.solo != nil {
+			taken = false
+		} else if !taken && len(sources) < n {
 			l, taken = len(sources), true
 			lane[q.source] = l
 			sources = append(sources, q.source)
@@ -254,18 +275,28 @@ func (b *batcher) run(e *engine, batch []*batchQuery, sources []bgl.Vertex) {
 		ans := batchAnswer{sweep: st, err: err}
 		if err == nil {
 			ans.levels = levels[q.lane]
-			ans.stats = QueryStats{
-				QueueWaitS: start.Sub(q.enq).Seconds(),
-				BatchSize:  len(batch),
-				BatchLanes: len(sources),
-				SimExecS:   st.SimExecS,
-				SimCommS:   st.SimCommS,
-				Words:      st.Words,
-				WallS:      st.WallS,
-			}
+			ans.stats = queryStats(st, start.Sub(q.enq), len(batch), len(sources))
 		}
 		q.done <- ans
 		answered++
+	}
+}
+
+// runSolo executes one solo job alone on engine e. It is not a batch:
+// the batch counters and the lane histogram count BFS shares only.
+func (b *batcher) runSolo(e *engine, q *batchQuery) {
+	defer b.wg.Done()
+	start := time.Now()
+	st, err := q.solo(e, q.deadline)
+	q.done <- batchAnswer{sweep: st, err: err, stats: queryStats(st, start.Sub(q.enq), 1, 1)}
+}
+
+// queryStats are the QueryStats of one query that waited wait for the
+// run st of size queries over lanes sources.
+func queryStats(st sweepStats, wait time.Duration, size, lanes int) QueryStats {
+	return QueryStats{
+		QueueWaitS: wait.Seconds(), BatchSize: size, BatchLanes: lanes,
+		SimExecS: st.SimExecS, SimCommS: st.SimCommS, Words: st.Words, WallS: st.WallS,
 	}
 }
 

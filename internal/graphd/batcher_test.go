@@ -64,10 +64,11 @@ type fleet struct {
 }
 
 // fakeRun is one parked run: the engine it holds and the share it was
-// handed.
+// handed, or the name of the solo job it runs.
 type fakeRun struct {
 	e        *engine
 	sources  []bgl.Vertex
+	solo     string
 	deadline time.Time
 	release  chan struct{}
 }
@@ -104,9 +105,26 @@ func (f *fleet) finish(r *fakeRun) {
 
 func (f *fleet) submit(src bgl.Vertex) <-chan batchAnswer {
 	f.t.Helper()
-	ch, err := f.b.submit(src, time.Time{})
+	ch, err := f.b.submit(&batchQuery{source: src})
 	if err != nil {
 		f.t.Fatalf("submit %d: %v", src, err)
+	}
+	return ch
+}
+
+// solo submits a solo job named name that, once dispatched, parks like
+// a sweep.
+func (f *fleet) solo(name string) <-chan batchAnswer {
+	f.t.Helper()
+	run := func(e *engine, deadline time.Time) (sweepStats, error) {
+		r := &fakeRun{e: e, solo: name, deadline: deadline, release: make(chan struct{})}
+		f.started <- r
+		<-r.release
+		return sweepStats{Finished: time.Now()}, nil
+	}
+	ch, err := f.b.submit(&batchQuery{solo: run})
+	if err != nil {
+		f.t.Fatalf("submit solo %s: %v", name, err)
 	}
 	return ch
 }
@@ -337,6 +355,45 @@ func TestDispatchMaxBatchOneNeverCoalesces(t *testing.T) {
 	f.closeAndWait()
 }
 
+// TestDispatchSoloInArrivalOrder: path and SSSP queries wait in the one
+// queue with BFS, in arrival order. A solo job at the head runs alone;
+// a BFS head takes its share and leaves the solo job behind it waiting.
+// b1 and b2 ask for one source, so a 1-lane share holds both.
+func TestDispatchSoloInArrivalOrder(t *testing.T) {
+	f := newFleet(t, 1, bgl.MaxLanes)
+	f.submit(100)
+	held := f.nextRun()
+	chA := f.solo("A")
+	chB1, chB2 := f.submit(7), f.submit(7)
+	chC := f.solo("C")
+	f.finish(held)
+	for _, want := range []string{"A", "[7]", "C"} {
+		r := f.nextRun()
+		got := r.solo
+		if got == "" {
+			got = fmt.Sprint(r.sources)
+		} else if r.sources != nil {
+			t.Fatalf("solo job %s was handed sources %v", r.solo, r.sources)
+		}
+		if got != want {
+			t.Fatalf("the engine ran %s, want %s", got, want)
+		}
+		f.finish(r)
+	}
+	for name, ch := range map[string]<-chan batchAnswer{"A": chA, "C": chC} {
+		ans := recvAnswer(t, ch)
+		if ans.err != nil || ans.levels != nil || ans.stats.BatchSize != 1 || ans.stats.BatchLanes != 1 {
+			t.Fatalf("solo %s answered %+v, want a 1-query 1-lane run and no levels", name, ans)
+		}
+	}
+	f.wantAnswer(chB1, 7, 2, 1)
+	f.wantAnswer(chB2, 7, 2, 1)
+	f.closeAndWait()
+	if f.b.Batches() != 2 || f.b.BatchedQueries() != 3 {
+		t.Fatalf("%d batches over %d queries, want 2 over 3: solo runs are not batches", f.b.Batches(), f.b.BatchedQueries())
+	}
+}
+
 // TestDispatchCloseDrains: close answers every query admitted before
 // it, as engines free up, and refuses the ones after.
 func TestDispatchCloseDrains(t *testing.T) {
@@ -364,7 +421,7 @@ func TestDispatchCloseDrains(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("batcher close did not return after draining")
 	}
-	if _, err := f.b.submit(4, time.Time{}); err != ErrDraining {
+	if _, err := f.b.submit(&batchQuery{source: 4}); err != ErrDraining {
 		t.Fatalf("submit after close: err = %v, want ErrDraining", err)
 	}
 }
@@ -377,7 +434,7 @@ func TestDispatchLoosestDeadline(t *testing.T) {
 	first := f.nextRun()
 	soon, later := time.Now().Add(time.Hour), time.Now().Add(2*time.Hour)
 	for i, dl := range []time.Time{soon, later, soon, soon} {
-		if _, err := f.b.submit(bgl.Vertex(i), dl); err != nil {
+		if _, err := f.b.submit(&batchQuery{source: bgl.Vertex(i), deadline: dl}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +444,7 @@ func TestDispatchLoosestDeadline(t *testing.T) {
 		t.Fatalf("4 bounded riders ran under deadline %v, want the loosest %v", bounded.deadline, later)
 	}
 	for i, dl := range []time.Time{soon, {}, soon, soon} {
-		if _, err := f.b.submit(bgl.Vertex(10+i), dl); err != nil {
+		if _, err := f.b.submit(&batchQuery{source: bgl.Vertex(10 + i), deadline: dl}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +472,7 @@ func TestDispatchDemuxPanicIsolated(t *testing.T) {
 	b := newBatcher(bgl.MaxLanes, engines, short, nil)
 	chans := make([]<-chan batchAnswer, 4)
 	for i := range chans {
-		ch, err := b.submit(bgl.Vertex(i), time.Time{})
+		ch, err := b.submit(&batchQuery{source: bgl.Vertex(i)})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -458,7 +515,7 @@ func TestDispatchCloseRace(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
-					ch, err := s.batcher.submit(bgl.Vertex(w*8+i), time.Time{})
+					ch, err := s.batcher.submit(&batchQuery{source: bgl.Vertex(w*8 + i)})
 					if err != nil {
 						if err != ErrDraining {
 							answers <- fmt.Errorf("submit: %v", err)

@@ -76,13 +76,21 @@ func holdEngines(s *Server) (release func()) {
 	}
 }
 
-// awaitWaiting polls until n BFS queries are waiting on engines.
-func awaitWaiting(t *testing.T, s *Server, n int64) {
+// awaitWaiting polls until n queries wait in the batcher's queue —
+// admitted and submitted, so a drain that starts now still answers
+// them.
+func awaitWaiting(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.waiting.Load() < n {
+	for {
+		s.batcher.mu.Lock()
+		queued := len(s.batcher.pending)
+		s.batcher.mu.Unlock()
+		if queued >= n {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d BFS queries reached the batcher", s.waiting.Load(), n)
+			t.Fatalf("only %d of %d queries reached the queue", queued, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -9,8 +9,6 @@ import (
 
 // Defaults for the knobs of Config, and the constants beside them.
 const (
-	DefaultQueueDepth = 64
-
 	// retryAfterSeconds is the Retry-After of every 503.
 	retryAfterSeconds = "1"
 
@@ -59,14 +57,11 @@ type Config struct {
 	// every BFS query alone.
 	MaxBatch int
 
-	// MaxWaiting bounds the batched BFS queries admitted but not yet
-	// answered (default 4x MaxBatch); QueueDepth bounds the worker
-	// queue for queries that cannot batch — SSSP and path (default
-	// DefaultQueueDepth), which Replicas goroutines drain — more would
-	// just contend for engines. Beyond either bound the server answers
-	// 503 with a Retry-After of one second.
+	// MaxWaiting bounds the queries of every kind admitted but not yet
+	// answered (default 4x MaxBatch): they wait in one arrival-order
+	// queue for the engines. Beyond it the server answers 503 with a
+	// Retry-After of one second.
 	MaxWaiting int
-	QueueDepth int
 
 	// Fault, when non-nil, injects the plan's deterministic transport
 	// faults into every sweep and query the server runs. The engines'
@@ -117,9 +112,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxWaiting == 0 {
 		cfg.MaxWaiting = 4 * cfg.MaxBatch
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	if cfg.RebuildBackoff == 0 {
 		cfg.RebuildBackoff = DefaultRebuildBackoff
 	}
@@ -155,8 +147,8 @@ func (cfg Config) validate() error {
 	if cfg.Replicas < 0 {
 		return fmt.Errorf("graphd: negative replica count %d", cfg.Replicas)
 	}
-	if cfg.MaxWaiting < 0 || cfg.QueueDepth < 0 {
-		return fmt.Errorf("graphd: admission bounds must be non-negative")
+	if cfg.MaxWaiting < 0 {
+		return fmt.Errorf("graphd: the admission bound must be non-negative, got %d", cfg.MaxWaiting)
 	}
 	if cfg.MaxQueryWall < 0 {
 		return fmt.Errorf("graphd: negative query wall cap %v", cfg.MaxQueryWall)

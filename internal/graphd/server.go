@@ -16,12 +16,12 @@ import (
 
 // Server is a graphd instance: the graph distributed once, a pool of
 // engine replicas searching it, the engine-paced batcher in front of
-// them, the bounded worker queue for non-batchable queries, and the
-// HTTP surface.
+// them — the one FIFO queue every query kind waits in — and the HTTP
+// surface.
 //
 //	POST /v1/bfs    single-source BFS (alone on an idle replica, sharing a MultiBFS sweep when all are busy)
-//	POST /v1/path   shortest path s→t (worker queue)
-//	POST /v1/sssp   Δ-stepping distances (worker queue)
+//	POST /v1/path   shortest path s→t (alone, a solo job)
+//	POST /v1/sssp   Δ-stepping distances (alone, a solo job)
 //	GET  /v1/stats  service statistics
 //	GET  /metrics   the metrics registry (text; ?format=json for JSON)
 //	GET  /healthz   liveness (503 while draining)
@@ -36,14 +36,9 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 
-	mu       sync.RWMutex // guards draining + workCh sends vs Close
-	draining bool
-	workCh   chan func()
-	workerWG sync.WaitGroup
+	draining atomic.Bool
 	closed   chan struct{}
-
-	waiting  atomic.Int64 // admitted, unanswered batched BFS queries
-	inflight atomic.Int64 // all admitted, unanswered queries
+	waiting  atomic.Int64 // admitted, unanswered queries of every kind
 
 	// Replica supervision. stopCh wakes sleeping rebuild loops when the
 	// server drains; supervisorWG tracks them so Close can join. live /
@@ -92,7 +87,6 @@ func NewServer(cfg Config) (*Server, error) {
 		engines: make(chan *engine, len(engines)),
 		reg:     metrics.NewRegistry(),
 		start:   time.Now(),
-		workCh:  make(chan func(), cfg.QueueDepth),
 		closed:  make(chan struct{}),
 		stopCh:  make(chan struct{}),
 	}
@@ -120,15 +114,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.gQuarantined = s.reg.Gauge("graphd_replicas_quarantined")
 	s.hQueueWait = s.reg.Histogram("graphd_queue_wait_seconds", metrics.TimeBuckets)
 	s.hLatency = s.reg.Histogram("graphd_latency_seconds", metrics.TimeBuckets)
-	for i := 0; i < cfg.Replicas; i++ {
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			for job := range s.workCh {
-				job()
-			}
-		}()
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/bfs", s.handleBFS)
 	s.mux.HandleFunc("/v1/path", s.handlePath)
@@ -143,26 +128,20 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the server: no new queries are admitted (503), the
-// pending BFS queries run as engines free up, the worker queue runs
-// dry, and Close blocks until every admitted query has been answered. Safe to
+// queue's pending queries of every kind run as engines free up, and
+// Close blocks until every admitted query has been answered. Safe to
 // call more than once. Stop the HTTP listener first (http.Server
 // Shutdown) or alongside — handlers already past admission finish
 // normally.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.draining.Swap(true) {
 		<-s.closed
 		return
 	}
-	s.draining = true
-	close(s.workCh)
-	s.mu.Unlock()
-	// Wake sleeping rebuild loops first: an in-flight query blocked on
-	// the engine pool may be waiting for the supervisor's replacement.
+	// Wake sleeping rebuild loops first: the dispatcher, blocked on the
+	// engine pool, may be waiting for the supervisor's replacement.
 	close(s.stopCh)
 	s.batcher.close()
-	s.workerWG.Wait()
 	s.supervisorWG.Wait()
 	close(s.closed)
 }
@@ -182,23 +161,17 @@ func (s *Server) searchOpts(extra ...bgl.Option) []bgl.Option {
 // run's progress, however the run ended — canceled cooperatively at a
 // level/epoch boundary (a query running alone stops itself this way),
 // or finished late for a rider of a sweep that ran under a looser
-// deadline (see late).
+// deadline (see reply).
 
 // deadlineGrace is the backstop for a stuck engine: how much past its
 // own wall deadline a handler waits for the run's answer before giving
 // up on it and answering 504 without progress.
 const deadlineGrace = 200 * time.Millisecond
 
-// late reports whether a run that returned at finished missed the
-// query's own deadline (zero = unbounded).
-func late(deadline, finished time.Time) bool {
-	return !deadline.IsZero() && finished.After(deadline)
-}
-
 // awaitAnswer receives a run's answer for a handler. ok is false when
 // the deadlineGrace backstop fired first; the buffered channel means
 // the run never blocks on the handler that gave up.
-func awaitAnswer[T any](ch <-chan T, deadline time.Time) (ans T, ok bool) {
+func awaitAnswer(ch <-chan batchAnswer, deadline time.Time) (ans batchAnswer, ok bool) {
 	if deadline.IsZero() {
 		return <-ch, true
 	}
@@ -296,11 +269,6 @@ func engineFailed(err error) bool {
 	return !errors.As(err, &cxl)
 }
 
-// runEngine borrows an engine and runs fn on it (see runOn).
-func (s *Server) runEngine(fn func(e *engine) error) error {
-	return s.runOn(<-s.engines, fn)
-}
-
 // runOn runs fn on the borrowed engine e under panic isolation and
 // decides the engine's fate: a clean run (or a cooperative cancel)
 // returns it to the pool; a panic or engine failure quarantines it and
@@ -381,7 +349,30 @@ func (s *Server) recordFaults(fs bgl.FaultStats) {
 	s.nFaultRetries.Add(int64(fs.Retries))
 }
 
-// --- sweeps --------------------------------------------------------
+// --- runs ----------------------------------------------------------
+
+// searchFunc is one engine call: it runs a query's search on e with the
+// given run options and reports what the run cost.
+type searchFunc func(e *engine, opts []bgl.Option) (sweepStats, error)
+
+// runSearch runs search on the borrowed engine e (see runOn) under the
+// server's options and deadline. A deadline or budget cancel comes back
+// as an errDeadline carrying the run's progress.
+func (s *Server) runSearch(e *engine, deadline time.Time, search searchFunc) (st sweepStats, err error) {
+	err = s.runOn(e, func(e *engine) error {
+		var err error
+		st, err = search(e, s.searchOpts(s.deadlineOpts(deadline)...))
+		return wrapDeadline(err, st)
+	})
+	return st, err
+}
+
+// solo makes search a solo job for the dispatcher.
+func (s *Server) solo(search searchFunc) soloFunc {
+	return func(e *engine, deadline time.Time) (sweepStats, error) {
+		return s.runSearch(e, deadline, search)
+	}
+}
 
 // sweepBFS executes one share on the engine the dispatcher borrowed for
 // it: a single distinct source runs the flagship direction-optimizing
@@ -395,44 +386,38 @@ func (s *Server) sweepBFS(e *engine, sources []bgl.Vertex, deadline time.Time) (
 	seq := s.sweepSeq.Add(1)
 	hostile := s.cfg.ChaosPanicSweep > 0 && seq == int64(s.cfg.ChaosPanicSweep)
 	levels, st, err := s.trySweep(e, sources, deadline, hostile)
-	if engineFailed(err) && !s.isDraining() {
+	if engineFailed(err) && !s.draining.Load() {
 		levels, st, err = s.trySweep(<-s.engines, sources, deadline, false)
 	}
 	return levels, st, err
 }
 
-// trySweep runs the share once on engine e.
+// trySweep runs the share once on engine e. The levels are only
+// complete when err is nil.
 func (s *Server) trySweep(e *engine, sources []bgl.Vertex, deadline time.Time, hostile bool) ([][]int32, sweepStats, error) {
 	var levels [][]int32
-	var st sweepStats
-	err := s.runOn(e, func(e *engine) error {
-		opts := s.searchOpts(s.deadlineOpts(deadline)...)
+	st, err := s.runSearch(e, deadline, func(e *engine, opts []bgl.Option) (sweepStats, error) {
 		if hostile {
 			opts = append(opts, bgl.WithFault(bgl.HostileFaultPlan(uint64(e.idx)+1)))
 		}
 		if len(sources) == 1 {
 			res, err := e.cl.BFS(s.dg, sources[0], append(opts, bgl.WithDirection(bgl.DirectionOptimizing))...)
 			if res == nil {
-				return err
+				return sweepStats{}, err
 			}
 			s.recordFaults(res.Faults)
 			levels = [][]int32{res.Levels}
-			st = runStats(res.SimTime, res.SimComm, res.TotalExpandWords+res.TotalFoldWords, res.Wall, "level", len(res.PerLevel))
-			return wrapDeadline(err, st)
+			return runStats(res.SimTime, res.SimComm, res.TotalExpandWords+res.TotalFoldWords, res.Wall, "level", len(res.PerLevel)), err
 		}
 		mres, err := e.cl.MultiBFS(s.dg, sources, opts...)
 		if mres == nil {
-			return err
+			return sweepStats{}, err
 		}
 		s.recordFaults(mres.Faults)
 		levels = mres.LaneLevels
-		st = runStats(mres.SimTime, mres.SimComm, mres.TotalExpandWords+mres.TotalFoldWords, mres.Wall, "sweep", len(mres.PerLevel))
-		return wrapDeadline(err, st)
+		return runStats(mres.SimTime, mres.SimComm, mres.TotalExpandWords+mres.TotalFoldWords, mres.Wall, "sweep", len(mres.PerLevel)), err
 	})
-	if err != nil {
-		return nil, st, err
-	}
-	return levels, st, nil
+	return levels, st, err
 }
 
 // runStats stamps a run that just returned.
@@ -441,13 +426,6 @@ func runStats(sim, comm float64, words int64, wall time.Duration, unit string, d
 		SimExecS: sim, SimCommS: comm, Words: words, WallS: wall.Seconds(),
 		Unit: unit, Done: done, Finished: time.Now(),
 	}
-}
-
-// isDraining reports whether Close has begun.
-func (s *Server) isDraining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
 }
 
 // --- HTTP plumbing -------------------------------------------------
@@ -511,36 +489,70 @@ func (s *Server) vertexArg(w http.ResponseWriter, name string, v *int, required 
 	return bgl.Vertex(*v), true
 }
 
-// admit performs the common admission steps shared by every query
-// handler; on success the caller must call the returned func when the
-// query is answered.
-func (s *Server) admit(w http.ResponseWriter, kind *metrics.Counter) (func(), bool) {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-	if draining {
+// admit is the one admission step of every query kind: 503 while
+// draining, or once MaxWaiting queries are admitted and unanswered. The
+// slot is reserved before the bound is checked and given back on
+// overflow, so concurrent arrivals cannot overshoot it; an admitted
+// query gives it back when answered.
+func (s *Server) admit(w http.ResponseWriter, kind *metrics.Counter) bool {
+	if s.draining.Load() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return nil, false
+		return false
 	}
 	kind.Inc()
 	s.nQueries.Inc()
-	s.inflight.Add(1)
-	return func() { s.inflight.Add(-1) }, true
-}
-
-// submitWork tries to enqueue one non-batchable query; a full queue is
-// an admission failure (503), not a wait.
-func (s *Server) submitWork(job func()) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
+	if s.waiting.Add(1) > int64(s.cfg.MaxWaiting) {
+		s.waiting.Add(-1)
+		s.writeError(w, http.StatusServiceUnavailable,
+			"query backlog full (%d queries waiting); retry shortly", s.cfg.MaxWaiting)
 		return false
 	}
-	select {
-	case s.workCh <- job:
-		return true
+	return true
+}
+
+// serve gives q the request's deadline, admits it, queues it and
+// replies with its answer. what names the query in error answers, and
+// is called only for one, so a success formats nothing; body builds the
+// 200 answer.
+func (s *Server) serve(w http.ResponseWriter, t0 time.Time, timeoutMS int, kind *metrics.Counter, q *batchQuery, what func() string, body func(batchAnswer) any) {
+	var ok bool
+	if q.deadline, ok = s.queryDeadline(w, timeoutMS); !ok || !s.admit(w, kind) {
+		return
+	}
+	defer s.waiting.Add(-1)
+	ch, err := s.batcher.submit(q)
+	if err != nil {
+		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return
+	}
+	ans, ok := awaitAnswer(ch, q.deadline)
+	s.reply(w, t0, q.deadline, ans, ok, what, body)
+}
+
+// reply turns a query's answer into its response: 504 when the
+// deadlineGrace backstop fired first (no progress), when the run
+// stopped at the deadline or budget (its progress), or when it finished
+// past the query's own deadline (the run's stats); 500 on any other
+// error; else 200, observed by the queue-wait and latency histograms.
+func (s *Server) reply(w http.ResponseWriter, t0, deadline time.Time, ans batchAnswer, ok bool, what func() string, body func(batchAnswer) any) {
+	switch {
+	case !ok:
+		// The run is still going — for patient riders, or on a stuck
+		// engine; this query's own budget is long spent.
+		s.writeDeadline(w, fmt.Sprintf("%s: query deadline exceeded: no answer %v past it", what(), deadlineGrace), nil)
+	case ans.err != nil:
+		if edl := (*errDeadline)(nil); errors.As(ans.err, &edl) {
+			s.writeDeadline(w, fmt.Sprintf("%s: query deadline exceeded: %v", what(), edl), &edl.stats)
+		} else {
+			s.writeError(w, http.StatusInternalServerError, "%s failed: %v", what(), ans.err)
+		}
+	case !deadline.IsZero() && ans.sweep.Finished.After(deadline): // late: zero is unbounded
+		s.writeDeadline(w, fmt.Sprintf("%s: query deadline exceeded: the %d-lane run it rode finished %v past it",
+			what(), ans.stats.BatchLanes, ans.sweep.Finished.Sub(deadline).Round(time.Microsecond)), ans.sweep.partial())
 	default:
-		return false
+		s.hQueueWait.Observe(ans.stats.QueueWaitS)
+		s.hLatency.Observe(time.Since(t0).Seconds())
+		writeJSON(w, http.StatusOK, body(ans))
 	}
 }
 
@@ -560,68 +572,25 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	deadline, ok := s.queryDeadline(w, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	done, ok := s.admit(w, s.nBFS)
-	if !ok {
-		return
-	}
-	defer done()
-	if s.waiting.Load() >= int64(s.cfg.MaxWaiting) {
-		s.writeError(w, http.StatusServiceUnavailable,
-			"batch backlog full (%d queries waiting); retry shortly", s.cfg.MaxWaiting)
-		return
-	}
-	s.waiting.Add(1)
-	defer s.waiting.Add(-1)
-	ch, err := s.batcher.submit(src, deadline)
-	if err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	ans, ok := awaitAnswer(ch, deadline)
-	if !ok {
-		// The run is still going — for patient riders, or on a stuck
-		// engine; this query's own budget is long spent.
-		s.writeDeadline(w, fmt.Sprintf(
-			"bfs from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
-		return
-	}
-	if ans.err != nil {
-		var edl *errDeadline
-		if errors.As(ans.err, &edl) {
-			s.writeDeadline(w, fmt.Sprintf(
-				"bfs from %d: query deadline exceeded: %v", src, edl), &edl.stats)
-			return
+	q := &batchQuery{source: src}
+	what := func() string { return fmt.Sprintf("bfs from %d", src) }
+	s.serve(w, t0, req.TimeoutMS, s.nBFS, q, what, func(ans batchAnswer) any {
+		resp := BFSResponse{Source: int(src), Stats: ans.stats}
+		for _, l := range ans.levels {
+			if l != bgl.Unreached {
+				resp.Reached++
+			}
 		}
-		s.writeError(w, http.StatusInternalServerError, "bfs from %d failed: %v", src, ans.err)
-		return
-	}
-	if late(deadline, ans.sweep.Finished) {
-		s.writeDeadline(w, fmt.Sprintf(
-			"bfs from %d: query deadline exceeded: the %d-lane sweep it rode finished %v past it",
-			src, ans.stats.BatchLanes, ans.sweep.Finished.Sub(deadline).Round(time.Microsecond)), ans.sweep.partial())
-		return
-	}
-	resp := BFSResponse{Source: int(src), Stats: ans.stats}
-	for _, l := range ans.levels {
-		if l != bgl.Unreached {
-			resp.Reached++
+		if req.Target != nil {
+			d := ans.levels[tgt]
+			found := d != bgl.Unreached
+			resp.Found, resp.Distance = &found, &d
 		}
-	}
-	if req.Target != nil {
-		d := ans.levels[tgt]
-		found := d != bgl.Unreached
-		resp.Found, resp.Distance = &found, &d
-	}
-	if req.Levels {
-		resp.Levels = ans.levels
-	}
-	s.hQueueWait.Observe(ans.stats.QueueWaitS)
-	s.hLatency.Observe(time.Since(t0).Seconds())
-	writeJSON(w, http.StatusOK, resp)
+		if req.Levels {
+			resp.Levels = ans.levels
+		}
+		return resp
+	})
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
@@ -638,90 +607,28 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	deadline, ok := s.queryDeadline(w, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	done, ok := s.admit(w, s.nPath)
-	if !ok {
-		return
-	}
-	defer done()
-	type out struct {
-		path []bgl.Vertex
-		res  *bgl.Result
-		st   sweepStats
-		err  error
-	}
-	enq := time.Now()
-	ch := make(chan out, 1)
-	ok = s.submitWork(func() {
-		var o out
-		s.runEngine(func(e *engine) error {
-			p, res, err := e.cl.Path(s.dg, src, tgt, s.searchOpts(s.deadlineOpts(deadline)...)...)
-			if res == nil {
-				// No result at all: the run itself died (rank panic,
-				// exhausted retry budget) — let runEngine quarantine.
-				o = out{err: err}
-				return err
-			}
-			s.recordFaults(res.Faults)
-			// A canceled run hands back partial levels; not-reachable
-			// and reconstruction errors are answers, not failures.
-			st := runStats(res.SimTime, res.SimComm, res.TotalExpandWords+res.TotalFoldWords, res.Wall, "level", len(res.PerLevel))
-			o = out{path: p, res: res, st: st, err: wrapDeadline(err, st)}
-			var edl *errDeadline
-			if errors.As(o.err, &edl) {
-				return edl
-			}
-			return nil
-		})
-		ch <- o
-	})
-	if !ok {
-		s.writeError(w, http.StatusServiceUnavailable,
-			"query queue full (%d deep); retry shortly", s.cfg.QueueDepth)
-		return
-	}
-	o, ok := awaitAnswer(ch, deadline)
-	if !ok {
-		s.writeDeadline(w, fmt.Sprintf(
-			"path %d→%d: query deadline exceeded (timeout %dms)", src, tgt, req.TimeoutMS), nil)
-		return
-	}
-	var edl *errDeadline
-	if errors.As(o.err, &edl) {
-		s.writeDeadline(w, fmt.Sprintf(
-			"path %d→%d: query deadline exceeded: %v", src, tgt, edl), &edl.stats)
-		return
-	}
-	if o.res != nil && late(deadline, o.st.Finished) {
-		s.writeDeadline(w, fmt.Sprintf(
-			"path %d→%d: query deadline exceeded: the search finished %v past it",
-			src, tgt, o.st.Finished.Sub(deadline).Round(time.Microsecond)), o.st.partial())
-		return
-	}
-	if o.err != nil {
-		if o.res == nil || o.res.Found {
-			s.writeError(w, http.StatusInternalServerError, "path %d→%d failed: %v", src, tgt, o.err)
-			return
+	var path []bgl.Vertex
+	q := &batchQuery{solo: s.solo(func(e *engine, opts []bgl.Option) (sweepStats, error) {
+		p, res, err := e.cl.Path(s.dg, src, tgt, opts...)
+		if res == nil {
+			return sweepStats{}, err // the run itself died: a failed replica
 		}
-	}
-	resp := PathResponse{Source: int(src), Target: int(tgt), Distance: -1}
-	if o.res != nil {
-		resp.Stats = soloStats(o.st, enq)
-	}
-	if o.err == nil {
-		resp.Found = true
-		resp.Distance = int32(len(o.path) - 1)
-		resp.Path = make([]int, len(o.path))
-		for i, v := range o.path {
+		s.recordFaults(res.Faults)
+		if !res.Found && engineFailed(err) {
+			err = nil // not a cancel, so not reachable: an answer (found: false)
+		}
+		path = p
+		return runStats(res.SimTime, res.SimComm, res.TotalExpandWords+res.TotalFoldWords, res.Wall, "level", len(res.PerLevel)), err
+	})}
+	what := func() string { return fmt.Sprintf("path %d→%d", src, tgt) }
+	s.serve(w, t0, req.TimeoutMS, s.nPath, q, what, func(ans batchAnswer) any {
+		resp := PathResponse{Source: int(src), Target: int(tgt), Found: len(path) > 0,
+			Distance: int32(len(path) - 1), Path: make([]int, len(path)), Stats: ans.stats}
+		for i, v := range path {
 			resp.Path[i] = int(v)
 		}
-	}
-	s.hQueueWait.Observe(resp.Stats.QueueWaitS)
-	s.hLatency.Observe(time.Since(t0).Seconds())
-	writeJSON(w, http.StatusOK, resp)
+		return resp
+	})
 }
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
@@ -738,91 +645,29 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	deadline, ok := s.queryDeadline(w, req.TimeoutMS)
-	if !ok {
-		return
-	}
-	done, ok := s.admit(w, s.nSSSP)
-	if !ok {
-		return
-	}
-	defer done()
-	type out struct {
-		res *bgl.SSSPResult
-		st  sweepStats
-		err error
-	}
-	enq := time.Now()
-	ch := make(chan out, 1)
-	ok = s.submitWork(func() {
-		var o out
-		s.runEngine(func(e *engine) error {
-			res, err := e.cl.SSSP(s.dg, src, s.searchOpts(append(s.deadlineOpts(deadline), bgl.WithDelta(req.Delta))...)...)
-			if res == nil {
-				o = out{err: err}
-				return err
-			}
-			s.recordFaults(res.Faults)
-			st := runStats(res.SimTime, res.SimComm, res.TotalWords(), res.Wall, "epoch", len(res.PerEpoch))
-			o = out{res: res, st: st, err: wrapDeadline(err, st)}
-			var edl *errDeadline
-			if errors.As(o.err, &edl) {
-				return edl
-			}
-			return o.err
-		})
-		ch <- o
-	})
-	if !ok {
-		s.writeError(w, http.StatusServiceUnavailable,
-			"query queue full (%d deep); retry shortly", s.cfg.QueueDepth)
-		return
-	}
-	o, ok := awaitAnswer(ch, deadline)
-	if !ok {
-		s.writeDeadline(w, fmt.Sprintf(
-			"sssp from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
-		return
-	}
-	if o.err != nil {
-		var edl *errDeadline
-		if errors.As(o.err, &edl) {
-			s.writeDeadline(w, fmt.Sprintf(
-				"sssp from %d: query deadline exceeded: %v", src, edl), &edl.stats)
-			return
+	var res *bgl.SSSPResult
+	q := &batchQuery{solo: s.solo(func(e *engine, opts []bgl.Option) (sweepStats, error) {
+		sres, err := e.cl.SSSP(s.dg, src, append(opts, bgl.WithDelta(req.Delta))...)
+		if sres == nil {
+			return sweepStats{}, err
 		}
-		s.writeError(w, http.StatusInternalServerError, "sssp from %d failed: %v", src, o.err)
-		return
-	}
-	if late(deadline, o.st.Finished) {
-		s.writeDeadline(w, fmt.Sprintf(
-			"sssp from %d: query deadline exceeded: the search finished %v past it",
-			src, o.st.Finished.Sub(deadline).Round(time.Microsecond)), o.st.partial())
-		return
-	}
-	resp := SSSPResponse{Source: int(src), Reached: o.res.Reached(), Stats: soloStats(o.st, enq)}
-	if req.Target != nil {
-		d := o.res.Dist[tgt]
-		found := d != graph.MaxDist
-		resp.Found, resp.Distance = &found, &d
-	}
-	if req.Dists {
-		resp.Dists = o.res.Dist
-	}
-	s.hQueueWait.Observe(resp.Stats.QueueWaitS)
-	s.hLatency.Observe(time.Since(t0).Seconds())
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// soloStats are the QueryStats of a query that ran alone off the worker
-// queue: everything between admission and the run's return that was not
-// the run itself counts as queue wait.
-func soloStats(st sweepStats, enq time.Time) QueryStats {
-	return QueryStats{
-		QueueWaitS: max(0, st.Finished.Sub(enq).Seconds()-st.WallS),
-		BatchSize:  1, BatchLanes: 1,
-		SimExecS: st.SimExecS, SimCommS: st.SimCommS, Words: st.Words, WallS: st.WallS,
-	}
+		s.recordFaults(sres.Faults)
+		res = sres
+		return runStats(sres.SimTime, sres.SimComm, sres.TotalWords(), sres.Wall, "epoch", len(sres.PerEpoch)), err
+	})}
+	what := func() string { return fmt.Sprintf("sssp from %d", src) }
+	s.serve(w, t0, req.TimeoutMS, s.nSSSP, q, what, func(ans batchAnswer) any {
+		resp := SSSPResponse{Source: int(src), Reached: res.Reached(), Stats: ans.stats}
+		if req.Target != nil {
+			d := res.Dist[tgt]
+			found := d != graph.MaxDist
+			resp.Found, resp.Distance = &found, &d
+		}
+		if req.Dists {
+			resp.Dists = res.Dist
+		}
+		return resp
+	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -841,7 +686,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // are plain health documents, not ErrorResponses — probes are not
 // query traffic and must not skew the rejected/error counters.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
+	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, HealthzResponse{Status: "draining"})
 		return
 	}
@@ -872,7 +717,6 @@ func (s *Server) Stats() StatsResponse {
 		Batching: BatchingInfo{
 			MaxBatch:   s.cfg.MaxBatch,
 			MaxWaiting: s.cfg.MaxWaiting,
-			QueueDepth: s.cfg.QueueDepth,
 		},
 		Queries: QueryCounts{
 			BFS:              s.nBFS.Value(),
@@ -883,7 +727,7 @@ func (s *Server) Stats() StatsResponse {
 			Rejected:         s.nRejected.Value(),
 			Errors:           s.nErrors.Value(),
 			DeadlineExceeded: s.nDeadline.Value(),
-			Inflight:         s.inflight.Load(),
+			Inflight:         s.waiting.Load(),
 		},
 		Replicas: ReplicaInfo{
 			Configured:  s.cfg.Replicas,

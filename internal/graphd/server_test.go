@@ -1,6 +1,7 @@
 package graphd
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -253,7 +254,7 @@ func TestServerConfigErrors(t *testing.T) {
 		{"batch above lane cap", Config{Graph: small, MaxBatch: bgl.MaxLanes + 1}, "lane capacity"},
 		{"negative replicas", Config{Graph: small, Replicas: -2}, "negative replica"},
 		{"negative mesh", Config{Graph: small, R: -1, C: 2}, "mesh must be positive"},
-		{"negative queue", Config{Graph: small, QueueDepth: -1}, "non-negative"},
+		{"negative backlog", Config{Graph: small, MaxWaiting: -1}, "non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -282,54 +283,106 @@ func TestPoolSizeHonorsWorkers(t *testing.T) {
 	}
 }
 
-// TestServerQueueFull: with the lone engine borrowed and the bounded
-// queue filled, a path query is rejected with 503 + Retry-After instead
-// of queueing without bound.
-func TestServerQueueFull(t *testing.T) {
+// TestServerBacklogBoundsEveryKind: the one admission bound counts
+// queries of every kind. With the lone engine held, a waiting path query
+// fills MaxWaiting = 1, and BFS and SSSP queries are then rejected with
+// 503 + Retry-After instead of queueing without bound.
+func TestServerBacklogBoundsEveryKind(t *testing.T) {
 	g := testGraph(t, 400)
-	s := newTestServer(t, g, func(c *Config) {
-		c.QueueDepth = 1
-	})
+	s := newTestServer(t, g, func(c *Config) { c.MaxWaiting = 1 })
+	ts, cl := startHTTP(t, s)
+
+	release := holdEngines(s)
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := cl.Path(PathRequest{Source: intp(1), Target: intp(2)})
+		waiting <- err
+	}()
+	awaitWaiting(t, s, 1)
+	for _, probe := range []struct{ path, body string }{
+		{"/v1/bfs", `{"source":4}`},
+		{"/v1/sssp", `{"source":4}`},
+	} {
+		resp, err := http.Post(ts.URL+probe.path, "application/json", strings.NewReader(probe.body))
+		if err != nil {
+			release()
+			t.Fatalf("%s: %v", probe.path, err)
+		}
+		body := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "backlog full") {
+			release()
+			t.Fatalf("%s behind a waiting path query: status %d (body %s), want 503 backlog full", probe.path, resp.StatusCode, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			release()
+			t.Fatalf("%s: Retry-After %q, want %q", probe.path, ra, "1")
+		}
+	}
+	release()
+	if err := <-waiting; err != nil {
+		t.Fatalf("the waiting path query failed once the engine freed up: %v", err)
+	}
+	if got := s.nRejected.Value(); got != 2 {
+		t.Fatalf("rejected counter %d, want 2", got)
+	}
+}
+
+// TestServerBacklogBoundExact: the bound holds under concurrent
+// arrivals. With the lone engine held and MaxWaiting = 4, 16 concurrent
+// queries of mixed kinds get exactly 12 answers of 503 backlog full,
+// then exactly 4 answers of 200 once the engine is released.
+func TestServerBacklogBoundExact(t *testing.T) {
+	g, err := bgl.GenerateWeighted(300, 6, 5)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	s := newTestServer(t, g, func(c *Config) { c.MaxWaiting = 4 })
 	ts, _ := startHTTP(t, s)
 
-	e := <-s.engines // hold the only engine: the first job wedges in acquire
-	started := make(chan struct{})
-	if !s.submitWork(func() {
-		close(started)
-		s.runEngine(func(*engine) error { return nil })
-	}) {
-		s.engines <- e
-		t.Fatal("idle server refused the first job")
+	release := holdEngines(s)
+	type answer struct {
+		code int
+		body []byte
 	}
-	<-started // the worker is now wedged; the queue is empty and stays fillable
-	for i := 0; ; i++ {
-		if i > 4 {
-			s.engines <- e
-			t.Fatal("queue (depth 1, one wedged worker) did not fill after 5 no-op jobs")
+	answers := make(chan answer, 16)
+	for i := 0; i < 16; i++ {
+		path, body := [3]string{"/v1/bfs", "/v1/path", "/v1/sssp"}[i%3], fmt.Sprintf(`{"source":%d,"target":%d}`, i, 299-i)
+		go func() {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				answers <- answer{0, []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			answers <- answer{resp.StatusCode, readAll(t, resp)}
+		}()
+	}
+	recv := func() answer {
+		select {
+		case a := <-answers:
+			return a
+		case <-time.After(30 * time.Second):
+			release()
+			t.Fatal("no answer within 30s")
+			panic("unreachable")
 		}
-		if !s.submitWork(func() {}) {
-			break
+	}
+	for i := 0; i < 12; i++ {
+		if a := recv(); a.code != http.StatusServiceUnavailable || !strings.Contains(string(a.body), "backlog full") {
+			release()
+			t.Fatalf("answer %d with the engine held: status %d (body %s), want 503 backlog full", i, a.code, a.body)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/path", "application/json", strings.NewReader(`{"source":1,"target":2}`))
-	if err != nil {
-		s.engines <- e
-		t.Fatalf("request: %v", err)
+	if got := s.waiting.Load(); got != 4 {
+		release()
+		t.Fatalf("%d queries waiting after 12 rejections, want 4", got)
 	}
-	body := readAll(t, resp)
-	resp.Body.Close()
-	s.engines <- e // give the engine back before cleanup drains the queue
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d with a full queue, want 503 (body %s)", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After %q, want %q", ra, "1")
-	}
-	if !strings.Contains(string(body), "queue full") {
-		t.Fatalf("rejection %s does not mention the full queue", body)
-	}
-	if s.nRejected.Value() < 1 {
-		t.Fatal("rejected counter not bumped")
+	release()
+	for i := 0; i < 4; i++ {
+		if a := recv(); a.code != http.StatusOK {
+			t.Fatalf("admitted query answered status %d (body %s), want 200", a.code, a.body)
+		}
 	}
 }
 
@@ -382,7 +435,7 @@ func TestSinglesAndSweepsMatchSerialBFS(t *testing.T) {
 			// One at a time: the engine is idle, so each runs alone.
 			var singleWords int64
 			for i, src := range srcs {
-				ch, err := s.batcher.submit(src, time.Time{})
+				ch, err := s.batcher.submit(&batchQuery{source: src})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -394,7 +447,7 @@ func TestSinglesAndSweepsMatchSerialBFS(t *testing.T) {
 			release := holdEngines(s)
 			chans := make([]<-chan batchAnswer, len(srcs))
 			for i, src := range srcs {
-				ch, err := s.batcher.submit(src, time.Time{})
+				ch, err := s.batcher.submit(&batchQuery{source: src})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -463,8 +516,9 @@ func TestServerBatchBacklogFull(t *testing.T) {
 	}
 }
 
-// TestServerDrain: a draining server refuses new work but Close waits
-// for admitted queries.
+// TestServerDrain: a draining server refuses new work, but Close waits
+// for admitted queries — here a path and an SSSP query waiting on a held
+// engine, both answered 200.
 func TestServerDrain(t *testing.T) {
 	g := testGraph(t, 400)
 	s := newTestServer(t, g, nil)
@@ -473,7 +527,36 @@ func TestServerDrain(t *testing.T) {
 	if _, err := cl.BFS(BFSRequest{Source: intp(1)}); err != nil {
 		t.Fatalf("warmup bfs: %v", err)
 	}
-	s.Close()
+	release := holdEngines(s)
+	answered := make(chan error, 2)
+	go func() {
+		_, err := cl.Path(PathRequest{Source: intp(1), Target: intp(2)})
+		answered <- err
+	}()
+	go func() {
+		_, err := cl.SSSP(SSSPRequest{Source: intp(3)})
+		answered <- err
+	}()
+	awaitWaiting(t, s, 2)
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	for !s.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-closed:
+		release()
+		t.Fatal("Close returned while two admitted queries were still waiting")
+	default:
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-answered; err != nil {
+			t.Fatalf("admitted query during drain: %v", err)
+		}
+	}
+	<-closed
 	s.Close() // idempotent
 
 	for _, probe := range []struct{ method, path, body string }{
