@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -101,51 +102,108 @@ func (o *oracle) dists(src int) []uint32 {
 	return d
 }
 
-func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "graphd address (host:port or full http:// URL)")
-		queries     = flag.Int("queries", 200, "total queries to send")
-		concurrency = flag.Int("concurrency", 8, "concurrent workers")
-		seed        = flag.Uint64("seed", 1, "query-stream seed")
-		mixStr      = flag.String("mix", "bfs=6,path=1,sssp=1", "query mix as kind=weight pairs")
-		verify      = flag.Bool("verify", false, "verify every answer against the serial oracles (needs -n/-k/-graph-seed to match the server)")
-		n           = flag.Int("n", 100000, "server graph vertices (query range; oracle rebuild under -verify)")
-		k           = flag.Float64("k", 10, "server graph average degree (oracle rebuild)")
-		graphSeed   = flag.Int64("graph-seed", 42, "server graph seed (oracle rebuild)")
-		weighted    = flag.Bool("weighted", false, "the server graph is weighted (oracle rebuild)")
-		checkMet    = flag.Bool("check-metrics", false, "fetch /metrics afterwards and require the graphd instruments")
-		expectBatch = flag.Bool("expect-batching", false, "require the server to have coalesced queries (mean batch size > 1)")
-		chaos       = flag.Bool("chaos", false, "chaos drill: arm the resilient client and assert panic+quarantine+rebuild recovery afterwards")
-		deadEvery   = flag.Int("deadline-every", 0, "make every Nth query a deadline probe that must answer 504 (0 = none)")
-		deadMS      = flag.Int("deadline-ms", 1, "timeout_ms carried by deadline probes")
-		expectFault = flag.Bool("expect-faults", false, "require the server to report injected communication faults")
-	)
-	flag.Parse()
+// options is graphload's command line.
+type options struct {
+	addr                      string
+	queries, concurrency      int
+	seed                      uint64
+	mix                       []string
+	verify                    bool
+	n                         int
+	k                         float64
+	graphSeed                 int64
+	weighted                  bool
+	checkMetrics              bool
+	expectBatching            bool
+	chaos                     bool
+	deadlineEvery, deadlineMS int
+	expectFaults              bool
+}
 
+// config parses the command line. The flag package reports usage errors
+// on stderr; a flag value out of range is returned as an error.
+func config(args []string, stderr io.Writer) (options, error) {
+	fs := flag.NewFlagSet("graphload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", "127.0.0.1:8080", "graphd address (host:port or full http:// URL)")
+		queries     = fs.Int("queries", 200, "total queries to send")
+		concurrency = fs.Int("concurrency", 8, "concurrent workers")
+		seed        = fs.Uint64("seed", 1, "query-stream seed")
+		mix         = fs.String("mix", "bfs=6,path=1,sssp=1", "query mix as kind=weight pairs")
+		verify      = fs.Bool("verify", false, "verify every answer against the serial oracles (needs -n/-k/-graph-seed to match the server)")
+		n           = fs.Int("n", 100000, "server graph vertices (query range; oracle rebuild under -verify)")
+		k           = fs.Float64("k", 10, "server graph average degree (oracle rebuild)")
+		graphSeed   = fs.Int64("graph-seed", 42, "server graph seed (oracle rebuild)")
+		weighted    = fs.Bool("weighted", false, "the server graph is weighted (oracle rebuild)")
+		checkMet    = fs.Bool("check-metrics", false, "fetch /metrics afterwards and require the graphd instruments")
+		expectBatch = fs.Bool("expect-batching", false, "require the server to have coalesced queries (mean batch size > 1)")
+		chaos       = fs.Bool("chaos", false, "chaos drill: arm the resilient client and assert panic+quarantine+rebuild recovery afterwards")
+		deadEvery   = fs.Int("deadline-every", 0, "make every Nth query a deadline probe that must answer 504 (0 = none)")
+		deadMS      = fs.Int("deadline-ms", 1, "timeout_ms carried by deadline probes")
+		expectFault = fs.Bool("expect-faults", false, "require the server to report injected communication faults")
+	)
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	o := options{
+		addr: *addr, queries: *queries, concurrency: *concurrency, seed: *seed,
+		verify: *verify, n: *n, k: *k, graphSeed: *graphSeed, weighted: *weighted,
+		checkMetrics: *checkMet, expectBatching: *expectBatch, chaos: *chaos,
+		deadlineEvery: *deadEvery, deadlineMS: *deadMS, expectFaults: *expectFault,
+	}
+	var err error
+	if o.mix, err = parseMix(*mix); err != nil {
+		return o, err
+	}
+	switch {
+	case o.queries <= 0 || o.concurrency <= 0:
+		return o, errors.New("-queries and -concurrency must be positive")
+	case o.n <= 0:
+		return o, errors.New("-n must be positive")
+	case o.deadlineEvery < 0 || o.deadlineMS <= 0:
+		return o, errors.New("-deadline-every must be >= 0 and -deadline-ms positive")
+	}
+	return o, nil
+}
+
+// plan draws the whole query stream up front: a pure function of the
+// seed, count, mix and -n. Deadline probes ride the same stream — every
+// Nth planned query is flagged, consuming no extra randomness, so
+// -deadline-every does not perturb the other queries.
+func plan(o options) []query {
+	rng := splitmix64(o.seed)
+	qs := make([]query, o.queries)
+	for i := range qs {
+		qs[i] = query{
+			kind:   o.mix[rng.next()%uint64(len(o.mix))],
+			source: int(rng.next() % uint64(o.n)),
+			target: int(rng.next() % uint64(o.n)),
+		}
+		qs[i].deadline = o.deadlineEvery > 0 && (i+1)%o.deadlineEvery == 0
+	}
+	return qs
+}
+
+func main() {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "graphload: "+format+"\n", args...)
 		os.Exit(1)
 	}
-
-	mix, err := parseMix(*mixStr)
-	if err != nil {
+	o, err := config(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
 		fail("%v", err)
-	}
-	if *queries <= 0 || *concurrency <= 0 {
-		fail("-queries and -concurrency must be positive")
-	}
-	if *deadEvery < 0 || *deadMS <= 0 {
-		fail("-deadline-every must be >= 0 and -deadline-ms positive")
 	}
 
 	var orc *oracle
-	if *verify {
+	if o.verify {
 		var g *bgl.Graph
-		var err error
-		if *weighted {
-			g, err = bgl.GenerateWeighted(*n, *k, *graphSeed)
+		if o.weighted {
+			g, err = bgl.GenerateWeighted(o.n, o.k, o.graphSeed)
 		} else {
-			g, err = bgl.Generate(*n, *k, *graphSeed)
+			g, err = bgl.Generate(o.n, o.k, o.graphSeed)
 		}
 		if err != nil {
 			fail("rebuilding the oracle graph: %v", err)
@@ -153,36 +211,25 @@ func main() {
 		orc = &oracle{g: g, bfs: map[int][]int32{}, dijk: map[int][]uint32{}}
 	}
 
-	// Plan the whole stream up front: a pure function of the seed.
-	// Deadline probes ride the same stream — every Nth planned query is
-	// flagged, consuming no extra randomness, so -deadline-every does
-	// not perturb the other queries.
-	rng := splitmix64(*seed)
-	plan := make([]query, *queries)
+	queries := plan(o)
 	nProbes := 0
-	for i := range plan {
-		plan[i] = query{
-			kind:   mix[rng.next()%uint64(len(mix))],
-			source: int(rng.next() % uint64(*n)),
-			target: int(rng.next() % uint64(*n)),
-		}
-		if *deadEvery > 0 && (i+1)%*deadEvery == 0 {
-			plan[i].deadline = true
+	for _, q := range queries {
+		if q.deadline {
 			nProbes++
 		}
 	}
 
-	base := *addr
+	base := o.addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
 	copts := []graphd.ClientOption{graphd.WithTimeout(2 * time.Minute), graphd.WithRetries(3)}
-	if *chaos {
+	if o.chaos {
 		// The drill's client half: jittered backoff is already on by
 		// default; add the breaker (fail fast if the server dies
 		// outright) and hedged BFS (mask a straggling replica).
 		copts = append(copts,
-			graphd.WithJitterSeed(*seed),
+			graphd.WithJitterSeed(o.seed),
 			graphd.WithBreaker(5, 500*time.Millisecond),
 			graphd.WithHedge(0.95, 50*time.Millisecond),
 		)
@@ -197,7 +244,7 @@ func main() {
 	work := make(chan query)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < *concurrency; w++ {
+	for w := 0; w < o.concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -205,7 +252,7 @@ func main() {
 				t0 := time.Now()
 				var err error
 				if q.deadline {
-					err = runDeadlineProbe(client, q, *deadMS, &tripped)
+					err = runDeadlineProbe(client, q, o.deadlineMS, &tripped)
 				} else {
 					err = runQuery(client, q, orc)
 				}
@@ -219,7 +266,7 @@ func main() {
 			}
 		}()
 	}
-	for _, q := range plan {
+	for _, q := range queries {
 		work <- q
 	}
 	close(work)
@@ -228,7 +275,7 @@ func main() {
 
 	total := reg.Histogram("graphload_latency_seconds", metrics.TimeBuckets)
 	fmt.Printf("graphload: %d queries in %v (%.1f QPS, %d workers, %d failed)\n",
-		*queries, elapsed.Round(time.Millisecond), float64(*queries)/elapsed.Seconds(), *concurrency, failures.Load())
+		o.queries, elapsed.Round(time.Millisecond), float64(o.queries)/elapsed.Seconds(), o.concurrency, failures.Load())
 	for _, kind := range []string{"bfs", "path", "sssp"} {
 		h := reg.Histogram("graphload_"+kind+"_latency_seconds", metrics.TimeBuckets)
 		if h.Count() == 0 {
@@ -251,11 +298,11 @@ func main() {
 			nProbes, tripped.Load(), st.Queries.DeadlineExceeded)
 	}
 
-	if *expectBatch && st.Queries.MeanBatchSize <= 1 {
+	if o.expectBatching && st.Queries.MeanBatchSize <= 1 {
 		fail("expected batching, but the server's mean batch size is %.2f (%d queries over %d sweeps)",
 			st.Queries.MeanBatchSize, st.Queries.BatchedQueries, st.Queries.Batches)
 	}
-	if *checkMet {
+	if o.checkMetrics {
 		text, err := client.Metrics()
 		if err != nil {
 			fail("fetching /metrics: %v", err)
@@ -269,21 +316,21 @@ func main() {
 			}
 		}
 	}
-	if *expectFault {
+	if o.expectFaults {
 		if st.Faults == nil || st.Faults.Injected == 0 {
 			fail("expected injected faults, but the server reports none (is -fault set on graphd?)")
 		}
 		fmt.Printf("  faults: plan %q injected %d (%d retries, %d checksum fails)\n",
 			st.Faults.Plan, st.Faults.Injected, st.Faults.Retries, st.Faults.ChecksumFails)
 	}
-	if *chaos {
+	if o.chaos {
 		chaosAssert(client, fail)
 	}
 	if failures.Load() > 0 {
-		fail("%d of %d queries failed", failures.Load(), *queries)
+		fail("%d of %d queries failed", failures.Load(), o.queries)
 	}
-	if *verify {
-		fmt.Printf("  verified %d answers against the serial oracles: OK\n", *queries-nProbes)
+	if o.verify {
+		fmt.Printf("  verified %d answers against the serial oracles: OK\n", o.queries-nProbes)
 	}
 }
 

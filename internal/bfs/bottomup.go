@@ -96,9 +96,9 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	n := len(e.st.Off) - 1 // columns
 	edges := 0
 	if e.pl.Inline(n, ownedGrain) {
-		edges = e.claimParents(s, fPieces, uPieces, claims, 0, n)
+		edges = e.claimParents(s, fPieces, uPieces, claims, 0, n, false)
 	} else {
-		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(s, fPieces, uPieces, claims, lo, hi) }) {
+		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(s, fPieces, uPieces, claims, lo, hi, true) }) {
 			edges += c
 		}
 	}
@@ -168,11 +168,11 @@ func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Ha
 // the first frontier parent in its partial list here and claims itself
 // for that owner — or, with claims nil (R = 1, where column ci is owned
 // vertex ci), labels itself in s.L. Distinct column vertices can claim
-// distinct bits of one claims word from different chunks, so the set is
-// atomic; which bits get set is schedule-independent (each vertex's scan
-// touches only its own partial list). It returns the edge entries
-// inspected.
-func (e *engine2D) claimParents(s *sideState, fPieces, uPieces, claims [][]uint32, lo, hi int) (edges int) {
+// distinct bits of one claims word from chunks running at once, so when
+// shared the set is atomic; which bits get set is schedule-independent
+// (each vertex's scan touches only its own partial list). It returns the
+// edge entries inspected.
+func (e *engine2D) claimParents(s *sideState, fPieces, uPieces, claims [][]uint32, lo, hi int, shared bool) (edges int) {
 	st := e.st
 	l := st.Layout
 	bs := l.BlockSize()
@@ -198,8 +198,10 @@ func (e *engine2D) claimParents(s *sideState, fPieces, uPieces, claims [][]uint3
 			if frontier.TestBit(fPieces[ub/l.R], uint32(int(u)-ub*bs)) {
 				if claims == nil {
 					s.L[ci] = s.level + 1
-				} else {
+				} else if shared {
 					frontier.SetBitAtomic(claims[m], off)
+				} else {
+					frontier.SetBit(claims[m], off)
 				}
 				break
 			}

@@ -16,11 +16,14 @@ const (
 )
 
 // Every hot loop has one chunk body, run once over the whole range or
-// per chunk on the pool (search.Scan). It reads the immutable
-// store and claims through the atomic TestAndSetAtomic / SetBitAtomic:
-// which worker wins a claim is scheduler-dependent, but each neighbor
-// still lands in its owner's bin at most once, so the sorted sets the
-// fold moves — and every count — are the same at every pool size.
+// per chunk on the pool (search.Scan), and told which. It reads the
+// immutable store — a received vertex's partial list is two array reads
+// away (Store2D.ResolveColumns), with no hash map probed — and claims
+// with plain stores when run once, through the atomic TestAndSetAtomic /
+// SetBitAtomic when its chunks run concurrently: which worker wins a
+// claim is then scheduler-dependent, but each neighbor still lands in
+// its owner's bin at most once, so the sorted sets the fold moves — and
+// every count — are the same at every pool size.
 
 // scanPart scans the partial edge lists of one decoded expand part
 // (Algorithm 2 step 12; with a one-member column, the rank's own
@@ -40,8 +43,9 @@ type partScan struct {
 	part []uint32
 }
 
-// Chunk is scanPart's body over part[from:to].
-func (ps partScan) Chunk(o *search.Bins[struct{}], from, to int) {
+// Chunk is scanPart's body over part[from:to]; shared, its chunks run
+// concurrently and claim sent bits atomically.
+func (ps partScan) Chunk(o *search.Bins[struct{}], from, to int, shared bool) {
 	st, s, part := ps.e.st, ps.s, ps.part[from:to]
 	l := st.Layout
 	var cis [partition.ResolveBatch]uint32
@@ -61,7 +65,13 @@ func (ps partScan) Chunk(o *search.Bins[struct{}], from, to int) {
 					// built; charge the lookup the paper's search makes.
 					ri := st.RowIdx[k]
 					o.Probes += uint64(st.RowProbes[ri])
-					if s.sent.TestAndSetAtomic(ri) {
+					var sent bool
+					if shared {
+						sent = s.sent.TestAndSetAtomic(ri)
+					} else {
+						sent = s.sent.TestAndSet(ri)
+					}
+					if sent {
 						continue // already sent to its owner once (§2.4.3)
 					}
 				}
@@ -91,7 +101,7 @@ type laneScan struct {
 
 // Chunk is scanLanes' body over avs[lo:hi]: vertex idx's mask is
 // ams[idx], or ams[column] with a one-member column.
-func (k laneScan) Chunk(o *search.Bins[uint64], lo, hi int) {
+func (k laneScan) Chunk(o *search.Bins[uint64], lo, hi int, _ bool) {
 	st, avs, ams := k.e.st, k.avs[lo:hi], k.ams
 	l := st.Layout
 	local := k.e.colG.Size() == 1

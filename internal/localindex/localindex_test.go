@@ -1,6 +1,7 @@
 package localindex
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -153,6 +154,61 @@ func TestGetCountedProbes(t *testing.T) {
 				c.name, c.key, val, ok, probes, c.val, c.ok, c.probes)
 		}
 	}
+}
+
+// TestProbesIsGetCounted: the counts one walk of the table reports for
+// its entries, and MissProbes for any other key, are what a lookup of
+// the key counts — on maps grown from NewMap(16) at any fill, and on one
+// whose chain wraps past the last slot.
+func TestProbesIsGetCounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(name string, m *Map, keys []uint32) {
+		hits := map[uint32]int{}
+		m.Probes(func(k, v uint32, p int) {
+			if _, ok := hits[k]; ok {
+				t.Fatalf("%s: key %d reported twice", name, k)
+			}
+			hits[k] = p
+		})
+		if len(hits) != m.Len() {
+			t.Fatalf("%s: %d hits for %d entries", name, len(hits), m.Len())
+		}
+		for _, k := range keys {
+			_, ok, want := m.GetCounted(k)
+			got, hit := hits[k]
+			if !hit {
+				got = m.MissProbes(k)
+			}
+			if hit != ok || got != want {
+				t.Fatalf("%s: key %d: walk says present=%v in %d probes, GetCounted present=%v in %d", name, k, hit, got, ok, want)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 100, 3000} {
+		m := NewMap(16)
+		var keys []uint32
+		for i := 0; i < n; i++ {
+			k := uint32(rng.Intn(1 << 14))
+			m.Put(k, uint32(i))
+			keys = append(keys, k)
+		}
+		for k := uint32(0); k < 1<<14; k += 3 {
+			keys = append(keys, k)
+		}
+		check(fmt.Sprintf("n=%d", n), m, keys)
+	}
+	m := NewMap(8)
+	last := m.mask
+	var wrap []uint32
+	for k := uint32(0); len(wrap) < 4; k++ {
+		if m.home(k) == last {
+			wrap = append(wrap, k)
+		}
+	}
+	for i, k := range wrap[:3] {
+		m.Put(k, uint32(i))
+	}
+	check("wrapped chain", m, wrap)
 }
 
 func TestMapRange(t *testing.T) {

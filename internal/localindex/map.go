@@ -6,13 +6,14 @@
 // The paper's search reaches every local index through such a map and
 // notes that it spends most of its time in the probes. Here the maps are
 // built once, when a graph is distributed, and are immutable afterwards,
-// so a lookup whose answer cannot change is made by the loader instead:
-// the partition stores carry the local index of every edge-list entry
-// and, for the simulated clock, the number of probes GetCounted would
-// have taken to find it. What a search still probes is the one map keyed
-// by what arrives over the wire (received frontier vertex → partial edge
-// list). The map is written for that: power-of-two capacity, linear
-// probing, no per-entry allocation, lookups that write nothing.
+// so every lookup a search would make is made by the loader instead: the
+// partition stores carry the local row of every edge-list entry and the
+// compact column of every vertex of their block column, and, for the
+// simulated clock, the probes GetCounted would have taken — hit or miss
+// — which Probes and MissProbes read off a built table. No search
+// probes a map. The map keeps the paper's shape all the same, so the
+// charged counts are the paper's: power-of-two capacity, linear probing,
+// no per-entry allocation, lookups that write nothing.
 package localindex
 
 import "math/bits"
@@ -132,6 +133,32 @@ func (m *Map) GetCounted(key uint32) (val uint32, ok bool, probes int) {
 	}
 }
 
+// home returns the slot a lookup of key inspects first.
+func (m *Map) home(key uint32) uint32 { return hash32(key) & m.mask }
+
+// Probes reports, from one walk of the table, what GetCounted counts to
+// find each entry without looking it up: it calls hit(key, val, probes)
+// with the entry's slot distance from its home slot, plus one.
+func (m *Map) Probes(hit func(key, val uint32, probes int)) {
+	for w, word := range m.used {
+		for ; word != 0; word &= word - 1 {
+			i := uint32(w*64 + bits.TrailingZeros64(word))
+			hit(m.keys[i], m.vals[i], int((i-m.home(m.keys[i]))&m.mask)+1)
+		}
+	}
+}
+
+// MissProbes returns what GetCounted counts for a key the map does not
+// hold, read off the occupancy bitmap alone: the run of used slots from
+// the key's home slot, plus one.
+func (m *Map) MissProbes(key uint32) int {
+	probes := 1
+	for i := m.home(key); m.isUsed(i); i = (i + 1) & m.mask {
+		probes++
+	}
+	return probes
+}
+
 // GetOrPut returns the existing value for key, or inserts next() and
 // returns it. Used to build compact indices while streaming edges.
 func (m *Map) GetOrPut(key uint32, next func() uint32) uint32 {
@@ -171,18 +198,6 @@ func (m *Map) grow() {
 			}
 			m.keys[i], m.vals[i] = oldKeys[j], oldVals[j]
 			m.setUsed(i)
-		}
-	}
-}
-
-// Rewrite replaces the value of every entry with fn(key, value). No key
-// moves, so every lookup, hit or miss, probes exactly as it did before:
-// a loader can number its keys after it has seen them all without
-// changing what a search is charged.
-func (m *Map) Rewrite(fn func(key, val uint32) uint32) {
-	for i := range m.keys {
-		if m.isUsed(uint32(i)) {
-			m.vals[i] = fn(m.keys[i], m.vals[i])
 		}
 	}
 }

@@ -2,9 +2,10 @@
 // whose 1 x P and P x 1 meshes are the two 1D partitionings of §2.1 and
 // Table 1 — and the per-rank storage of §2.4: blocked vertex ownership,
 // partial edge lists indexed only when non-empty, the three global→local
-// mappings — block arithmetic for owned vertices, a hash map for
-// received frontier vertices, and a local index resolved by the loader
-// and carried by every edge-list entry for the sent-neighbors cache —
+// mappings — block arithmetic for owned vertices, and two the loader
+// resolves: a dense index over the block column for received frontier
+// vertices, and a local index carried by every edge-list entry for the
+// sent-neighbors cache —
 // and the per-owned-vertex row-need masks that let the targeted expand
 // send a frontier vertex only to ranks actually holding part of its edge
 // list. Stores are built once by a centralized loader and are read-only

@@ -9,13 +9,14 @@ import (
 	"repro/internal/localindex"
 )
 
-// The stores memoise the row hash map the search used to probe per
-// scanned neighbor (RowIdx/RowProbes) and number compact columns by
-// vertex id instead of by discovery — or, on a 1 x P mesh, by local
-// index with no column map at all. TestMemoIsTheMap rebuilds the maps the
-// way the loader used to — GetOrPut per entry in stream order — and
-// requires the stores to say, entry by entry and probe by probe, what
-// those maps would have said.
+// The stores memoise the two hash maps the search used to probe: the row
+// map per scanned neighbor (RowIdx/RowProbes) and the column map per
+// received vertex (ColIdx/ColProbes over the block column), numbering
+// compact columns by vertex id instead of by discovery — or, on a 1 x P
+// mesh, by local index with no column index at all. TestMemoIsTheMap
+// rebuilds the maps the way the loader used to — GetOrPut per entry in
+// stream order — and requires the stores to say, entry by entry, vertex
+// by vertex and probe by probe, what those maps would have said.
 
 type wedge struct {
 	u, v graph.Vertex
@@ -161,6 +162,28 @@ func TestMemoIsTheMap(t *testing.T) {
 			}
 		}
 	}
+	// No engine sends a vertex to a rank outside its block column; one
+	// that did would read another column's answer, so the lookup panics.
+	t.Run("outside-block-column", func(t *testing.T) {
+		l, _ := NewLayout2D(600, 4, 4)
+		stores, err := Build2D(l, plainVisitor(poissonEdges(4)(600)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stores[l.RankAt(1, 1)]
+		end := st.ColBase + graph.Vertex(len(st.ColIdx))
+		for _, v := range []graph.Vertex{st.ColBase - 1, end, 599} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("ResolveColumns(%d) outside the block column [%d, %d) did not panic", v, st.ColBase, end)
+					}
+				}()
+				var cis [ResolveBatch]uint32
+				st.ResolveColumns([]uint32{uint32(st.ColBase), uint32(v)}, &cis)
+			}()
+		}
+	})
 }
 
 func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
@@ -257,9 +280,9 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 		if r == 1 {
 			// The block column is the owned block: column li is owned
 			// vertex li, empty or not, resolved with no probe.
-			if st.ColMap != nil || st.ColIds != nil || st.RowNeed != nil || len(st.Off) != st.OwnedCount()+1 {
-				t.Fatalf("rank %d: R = 1 store carries ColMap %v, %d ColIds, %d RowNeed words, %d Off for %d owned",
-					rk, st.ColMap != nil, len(st.ColIds), len(st.RowNeed), len(st.Off), st.OwnedCount())
+			if st.ColIdx != nil || st.ColProbes != nil || st.ColIds != nil || st.RowNeed != nil || len(st.Off) != st.OwnedCount()+1 {
+				t.Fatalf("rank %d: R = 1 store carries %d ColIdx, %d ColProbes, %d ColIds, %d RowNeed words, %d Off for %d owned",
+					rk, len(st.ColIdx), len(st.ColProbes), len(st.ColIds), len(st.RowNeed), len(st.Off), st.OwnedCount())
 			}
 			var cis [ResolveBatch]uint32
 			for lo := st.Lo; lo < st.Hi; lo += ResolveBatch {
@@ -280,38 +303,46 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 			continue
 		}
 		if len(st.ColIds) != colMaps[rk].Len() || len(st.Off) != len(st.ColIds)+1 {
-			t.Fatalf("rank %d: %d ColIds, %d Off, ColMap holds %d, reference %d", rk, len(st.ColIds), len(st.Off), st.NonEmptyColumns(), colMaps[rk].Len())
+			t.Fatalf("rank %d: %d ColIds, %d Off, reference map holds %d", rk, len(st.ColIds), len(st.Off), colMaps[rk].Len())
 		}
 		for ci, v := range st.ColIds {
 			if ci > 0 && st.ColIds[ci-1] >= v {
 				t.Fatalf("rank %d: ColIds[%d]=%d does not ascend past ColIds[%d]=%d", rk, ci, v, ci-1, st.ColIds[ci-1])
 			}
-			if got, ok := st.ColMap.Get(v); !ok || int(got) != ci {
-				t.Fatalf("rank %d: ColMap.Get(ColIds[%d]) = %d, %v", rk, ci, got, ok)
-			}
 			checkColumn(ci, v)
 		}
-		// Every lookup a search can make — hit or miss, any id — costs
-		// what it cost in the map the loader used to build, one at a time
-		// or a batch at a time.
+		// The block column is the rank's mesh column's vertices.
+		base := min(st.J*r*l.BlockSize(), n)
+		if int(st.ColBase) != base || len(st.ColIdx) != min(base+r*l.BlockSize(), n)-base || len(st.ColProbes) != len(st.ColIdx) {
+			t.Fatalf("rank %d: ColIdx covers %d vertices from %d (%d ColProbes), block column %d from %d",
+				rk, len(st.ColIdx), st.ColBase, len(st.ColProbes), min(base+r*l.BlockSize(), n)-base, base)
+		}
+		// Every lookup a search can make — hit or miss, any vertex of the
+		// block column — costs what it costs in the map the loader used to
+		// build, and names the column whose id it is, one at a time or a
+		// batch at a time.
 		var cis [ResolveBatch]uint32
-		for lo := 0; lo < n; lo += ResolveBatch {
+		for lo := base; lo < base+len(st.ColIdx); lo += ResolveBatch {
 			part := make([]uint32, 0, ResolveBatch)
-			for v := lo; v < min(lo+ResolveBatch, n); v++ {
+			for v := lo; v < min(lo+ResolveBatch, base+len(st.ColIdx)); v++ {
 				part = append(part, uint32(v))
 			}
 			batch := st.ResolveColumns(part, &cis)
 			for x, v := range part {
-				_, wantOK, wantProbes := colMaps[rk].GetCounted(v)
-				ci, ok, probes := st.ColMap.GetCounted(v)
-				if ok != wantOK || probes != wantProbes {
-					t.Fatalf("rank %d: looking up %d: present=%v in %d probes, reference present=%v in %d", rk, v, ok, probes, wantOK, wantProbes)
+				_, ok, want := colMaps[rk].GetCounted(v)
+				ci, probes := st.ColIdx[int(v)-base], int(st.ColProbes[int(v)-base])
+				if (ci != NoColumn) != ok || probes != want {
+					t.Fatalf("rank %d: vertex %d: column %d in %d probes, reference present=%v in %d", rk, v, ci, probes, ok, want)
 				}
-				if !ok {
-					ci = NoColumn
+				if ok && st.ColIds[ci] != graph.Vertex(v) {
+					t.Fatalf("rank %d: vertex %d resolves to column %d, which is vertex %d", rk, v, ci, st.ColIds[ci])
+				}
+				var one [ResolveBatch]uint32
+				if p := st.ResolveColumns([]uint32{v}, &one); one[0] != ci || int(p) != probes {
+					t.Fatalf("rank %d: ResolveColumns(%d) alone = %d in %d probes, want %d in %d", rk, v, one[0], p, ci, probes)
 				}
 				if cis[x] != ci {
-					t.Fatalf("rank %d: ResolveColumns(%d) = %d, ColMap says %d", rk, v, cis[x], ci)
+					t.Fatalf("rank %d: ResolveColumns(%d) in a batch = %d, want %d", rk, v, cis[x], ci)
 				}
 				batch -= uint64(probes)
 			}
@@ -346,39 +377,45 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 
 // TestMemoSeesCollisions guards the cases above against going soft: if
 // no lookup in them ever took a second probe, equal probe counts would
-// prove nothing.
+// prove nothing. A column map never collides where it has at least as
+// many slots as the block column has vertices (the hash is a bijection
+// on an id's low bits), so column collisions need a sparse block column:
+// on the long path a rank holds lists for one block of the four.
 func TestMemoSeesCollisions(t *testing.T) {
-	es := poissonEdges(10)(5500)
+	deep := func(stores []*Store2D, probes func(*Store2D) []uint8) int {
+		n := 0
+		for _, st := range stores {
+			for _, p := range probes(st) {
+				if p > 1 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	rows := func(st *Store2D) []uint8 { return st.RowProbes }
 	l2, _ := NewLayout2D(5500, 4, 4)
-	st2, err := Build2D(l2, plainVisitor(es))
+	st2, err := Build2D(l2, plainVisitor(poissonEdges(10)(5500)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep := 0
-	for _, st := range st2 {
-		for _, p := range st.RowProbes {
-			if p > 1 {
-				deep++
-			}
-		}
-	}
-	if deep == 0 {
+	if deep(st2, rows) == 0 {
 		t.Error("no 2D row lookup takes more than one probe")
+	}
+	lp, _ := NewLayout2D(3000, 4, 4)
+	stp, err := Build2D(lp, plainVisitor(pathEdges(3000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deep(stp, func(st *Store2D) []uint8 { return st.ColProbes }) == 0 {
+		t.Error("no 2D column lookup, hit or miss, takes more than one probe")
 	}
 	l1, _ := NewLayout2D(5500, 1, 16)
 	st1, err := Build2D(l1, plainVisitor(poissonEdges(3)(5500)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep = 0
-	for _, st := range st1 {
-		for _, p := range st.RowProbes {
-			if p > 1 {
-				deep++
-			}
-		}
-	}
-	if deep == 0 {
+	if deep(st1, rows) == 0 {
 		t.Error("no 1x16 row lookup takes more than one probe")
 	}
 }
@@ -391,10 +428,15 @@ func TestProbeCountRefusesToTruncate(t *testing.T) {
 	for i := uint32(0); i < keys; i++ {
 		m.Put(i<<10, i)
 	}
-	if got, err := probeCount(m, 254<<10); err != nil || got != 255 {
+	hits := map[uint32]int{}
+	m.Probes(func(k, _ uint32, p int) { hits[k] = p })
+	if got, err := probeCount(254<<10, hits[254<<10]); err != nil || got != 255 {
 		t.Fatalf("the 255-probe lookup: count %d, %v", got, err)
 	}
-	if _, err := probeCount(m, 255<<10); err == nil {
+	if _, err := probeCount(255<<10, hits[255<<10]); err == nil {
 		t.Fatal("a 256-probe lookup was squeezed into 8 bits")
+	}
+	if _, err := probeCount(keys<<10, m.MissProbes(keys<<10)); err == nil {
+		t.Fatal("a 301-probe miss was squeezed into 8 bits")
 	}
 }

@@ -187,8 +187,12 @@ func partialWeights(st *Store2D, v graph.Vertex) []uint32 {
 // column returns the [lo, hi) span of v's list in st's Rows.
 func column(st *Store2D, v graph.Vertex) (lo, hi int64, ok bool) {
 	ci, ok := uint32(v-st.Lo), v >= st.Lo && v < st.Hi // R = 1: columns are owned vertices
-	if st.ColMap != nil {
-		ci, ok = st.ColMap.Get(v)
+	if st.ColIdx != nil {
+		k := int(v) - int(st.ColBase)
+		ok = k >= 0 && k < len(st.ColIdx) && st.ColIdx[k] != NoColumn
+		if ok {
+			ci = st.ColIdx[k]
+		}
 	}
 	if !ok {
 		return 0, 0, false
@@ -224,9 +228,9 @@ func TestBuild1DMatchesCSR(t *testing.T) {
 	}
 	totalEdges := int64(0)
 	for _, st := range stores {
-		if len(st.Off) != st.OwnedCount()+1 || st.ColMap != nil || st.ColIds != nil || st.RowNeed != nil {
-			t.Fatalf("rank %d: %d Off for %d owned, ColMap %v, %d ColIds, %d RowNeed", st.Rank,
-				len(st.Off), st.OwnedCount(), st.ColMap != nil, len(st.ColIds), len(st.RowNeed))
+		if len(st.Off) != st.OwnedCount()+1 || st.ColIdx != nil || st.ColProbes != nil || st.ColIds != nil || st.RowNeed != nil {
+			t.Fatalf("rank %d: %d Off for %d owned, %d ColIdx, %d ColProbes, %d ColIds, %d RowNeed", st.Rank,
+				len(st.Off), st.OwnedCount(), len(st.ColIdx), len(st.ColProbes), len(st.ColIds), len(st.RowNeed))
 		}
 		totalEdges += int64(len(st.Rows))
 		for li := uint32(0); li < uint32(st.OwnedCount()); li++ {

@@ -16,21 +16,24 @@ import (
 // walks Off and Rows forward.
 //
 // Of the three global→local mappings of §2.4.2 the first (owned
-// vertices) is block arithmetic, the second (ColMap: received frontier
-// vertex → compact column) is the one hash lookup a search still makes,
-// a batch at a time through ResolveColumns, and the third (row vertex →
-// sent-neighbors bit, §2.4.3) is resolved when the store is built: every
-// entry carries its local row index in RowIdx. The paper's search pays a
-// hash probe per scanned neighbor for that third mapping, so the
-// simulated clock still charges it: RowProbes holds, per local row, the
-// slot inspections a lookup of that vertex takes in the row map the
-// loader builds and then drops.
+// vertices) is block arithmetic, and the other two are resolved when the
+// store is built, so a search probes no hash map. The second (received
+// frontier vertex → compact column) is a dense array over the block
+// column, ColIdx, read a batch at a time through ResolveColumns; the
+// third (row vertex → sent-neighbors bit, §2.4.3) is carried by every
+// entry as its local row index in RowIdx. The paper's search pays a hash
+// probe for each, so the simulated clock still charges them: ColProbes
+// and RowProbes hold the slot inspections a lookup takes in the column
+// and row maps the loader builds as the paper's search would and then
+// drops. A block column costs 5 bytes a vertex this way; a map costs 8
+// bytes a slot, at two to four slots per column with a list, so it would
+// be smaller only where fewer than about one vertex in five has a list.
 //
 // With R = 1 — the conventional 1D partitioning of §2.1 — a rank's block
 // column is its owned block and every list is a full edge list. The
 // columns are then the owned vertices by local index, empty lists
 // included, so the second mapping is an offset: the store carries no
-// ColMap, no ColIds and, with no column to expand to, no RowNeed.
+// ColIdx, no ColIds and, with no column to expand to, no RowNeed.
 //
 // A store is immutable once Build2D returns: searches only read it, so
 // any number of worlds can run over one set of stores at the same time.
@@ -42,13 +45,21 @@ type Store2D struct {
 
 	// Partial edge lists in CSR over compacted non-empty columns (over the
 	// owned vertices when R = 1: Off then has OwnedCount+1 entries).
-	ColMap *localindex.Map // global v -> compact column index; nil when R = 1
-	ColIds []graph.Vertex  // compact column index -> global v, strictly ascending; nil when R = 1
+	ColIds []graph.Vertex // compact column index -> global v, strictly ascending; nil when R = 1
 	Off    []int64
 	Rows   []graph.Vertex // global u ids
 	// RowWts, when non-nil, carries the edge weight parallel to each
 	// Rows entry (weight-aware builds only).
 	RowWts []uint32
+
+	// ColIdx[v-ColBase], for each vertex v of the block column, is v's
+	// compact column, or NoColumn where this rank holds no list for it.
+	// ColProbes[v-ColBase] is the number of probes Map.GetCounted takes to
+	// look v up, hit or miss, in the rank's column map (built like the row
+	// map below). Both are nil when R = 1.
+	ColBase   graph.Vertex
+	ColIdx    []uint32
+	ColProbes []uint8
 
 	// RowIdx, parallel to Rows, is each entry's local row: distinct row
 	// vertices are numbered [0, RowCount) by first appearance in the
@@ -90,7 +101,7 @@ func (s *Store2D) LocalOf(v graph.Vertex) uint32 { return uint32(v - s.Lo) }
 func (s *Store2D) GlobalOf(i uint32) graph.Vertex { return s.Lo + graph.Vertex(i) }
 
 // ResolveBatch is the most vertices one ResolveColumns call looks up:
-// enough for the independent map loads to overlap, small enough for the
+// enough for the independent index loads to overlap, small enough for the
 // result to live on the caller's stack.
 const ResolveBatch = 256
 
@@ -100,25 +111,24 @@ const NoColumn = ^uint32(0)
 
 // ResolveColumns looks up the compact column of each received vertex of
 // part (at most ResolveBatch of them) into cis, NoColumn where this rank
-// holds no partial list, and returns the hash probes the lookups made —
-// misses included — for the caller to charge. The loop holds nothing but
-// the probe, so one lookup's cache miss does not wait for the previous
-// vertex's edge list to be scanned. When R = 1 the received vertices are
-// the rank's own and a column is a local index: no probe is made.
+// holds no partial list, and returns the hash probes the paper's lookups
+// make — misses included — for the caller to charge. The loop holds
+// nothing but the two array reads, so one vertex's cache miss does not
+// wait for the previous vertex's edge list to be scanned. A vertex
+// outside the block column panics. When R = 1 the received vertices are
+// the rank's own and a column is a local index: no probe is charged.
 func (s *Store2D) ResolveColumns(part []uint32, cis *[ResolveBatch]uint32) (probes uint64) {
-	if s.ColMap == nil {
+	if s.ColIdx == nil {
 		for i, gv := range part {
 			cis[i] = gv - uint32(s.Lo)
 		}
 		return 0
 	}
+	idx, cost, base := s.ColIdx, s.ColProbes[:len(s.ColIdx)], uint32(s.ColBase)
 	for i, gv := range part {
-		ci, ok, p := s.ColMap.GetCounted(gv)
-		if !ok {
-			ci = NoColumn
-		}
-		cis[i] = ci
-		probes += uint64(p)
+		k := gv - base
+		cis[i] = idx[k]
+		probes += uint64(cost[k])
 	}
 	return probes
 }
@@ -134,8 +144,8 @@ func (s *Store2D) NeedWords(li uint32) []uint64 {
 // NonEmptyColumns returns the number of non-empty partial edge lists on
 // this rank (the paper's O(n/P) bound, §2.4.1).
 func (s *Store2D) NonEmptyColumns() int {
-	if s.ColMap != nil {
-		return s.ColMap.Len()
+	if s.ColIdx != nil {
+		return len(s.ColIds)
 	}
 	n := 0
 	for ci := 1; ci < len(s.Off); ci++ {
@@ -222,7 +232,6 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 			rowNeedWpv:  wpv,
 		}
 		if l.R > 1 {
-			st.ColMap = localindex.NewMap(16)
 			st.RowNeed = make([]uint64, st.OwnedCount()*wpv)
 		}
 		stores[r] = st
@@ -230,31 +239,37 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	// Entry u of the edge list (matrix column) of v is stored on rank
 	// (u.i, v.j), and the loader finds it at u.i*n + v in the dense arrays
 	// below — its stand-ins for every lookup it would make itself, so the
-	// maps see only their first-appearance Puts. They are dropped when the
-	// build returns; the centralized loader holds the whole graph anyway.
+	// maps see only their first-appearance Puts.
 	//
 	// count[u.i*n+v] counts the entries of column v on mesh row u.i; between
-	// the passes it becomes the column's compact index on its rank.
+	// the passes it becomes the column's compact index on its rank, or
+	// NoColumn, and so each rank's ColIdx: the ranks' block columns tile it.
 	count := make([]uint32, l.R*n)
+	// colProbes, tiled the same way, holds the ranks' ColProbes.
+	var colProbes []uint8
+	if l.R > 1 {
+		colProbes = make([]uint8, l.R*n)
+	}
 	// next, indexed like count, is where pass 2 writes the column's next
 	// entry.
 	next := make([]int64, l.R*n)
-	// seq[rk] lists the Rows slots pass 2 filled on rank rk, in stream
-	// order: the order in which the third mapping's hash map would have
-	// seen the rows.
+	// colSeq[rk] lists rank rk's columns in stream order, and seq[rk] the
+	// Rows slots pass 2 filled on it: the orders in which the second and
+	// third mappings' hash maps would have seen their keys.
+	colSeq := make([][]graph.Vertex, p)
 	seq := make([][]int64, p)
 	ends := func(u, v graph.Vertex) (end, end) {
 		bu, bv := int(u)/bs, int(v)/bs
 		return end{u, bu % l.R, bu / l.R}, end{v, bv % l.R, bv / l.R}
 	}
-	// Pass 1: discover non-empty columns in stream order (the column maps
-	// see exactly the Puts a GetOrPut per entry would make), count entries
+	// Pass 1: discover non-empty columns in stream order, count entries
 	// per column, build RowNeed.
 	discover := func(u, v end) {
 		pos := u.i*n + int(v.v)
 		if l.R > 1 {
 			if count[pos] == 0 {
-				stores[l.RankAt(u.i, v.j)].ColMap.Put(v.v, 0) // numbered once every column is known
+				rk := l.RankAt(u.i, v.j)
+				colSeq[rk] = append(colSeq[rk], v.v)
 			}
 			// Tell v's owner that mesh row u.i has a non-empty partial list
 			// for v.
@@ -270,12 +285,19 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	}); err != nil {
 		return nil, err
 	}
+	// What a search would have probed is charged from the maps of §2.4.2
+	// built as the search would have built them — from NewMap(16), a Put
+	// per key in first-appearance order — and complete before any lookup:
+	// one map, Reset for each rank's columns and then its rows, each
+	// walked once for the probes of its hits, a miss read off its
+	// occupancy bitmap. Only the probe counts outlive the build.
+	m := localindex.NewMap(16)
 	for r, st := range stores {
 		// The rank's columns: block column J, on mesh row I.
 		base := min(st.J*colSpan, n)
 		lo, hi := st.I*n+base, st.I*n+min(base+colSpan, n)
 		cols, nx := count[lo:hi], next[lo:hi]
-		if st.ColMap == nil {
+		if l.R == 1 {
 			// R = 1: the block column is the owned block, so column ci is
 			// local vertex ci and an empty list keeps its place.
 			st.Off = make([]int64, len(cols)+1)
@@ -286,11 +308,12 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		} else {
 			// Number the columns in ascending vertex id: a walk over the
 			// block column in place of a sort.
-			nc := st.ColMap.Len()
+			nc := len(colSeq[r])
 			st.ColIds = make([]graph.Vertex, 0, nc)
 			st.Off = make([]int64, 1, nc+1)
 			for pos, c := range cols {
 				if c == 0 {
+					cols[pos] = NoColumn
 					continue
 				}
 				cols[pos] = uint32(len(st.ColIds))
@@ -298,7 +321,22 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 				st.ColIds = append(st.ColIds, graph.Vertex(base+pos))
 				st.Off = append(st.Off, st.Off[len(st.Off)-1]+int64(c))
 			}
-			st.ColMap.Rewrite(func(v, _ uint32) uint32 { return cols[int(v)-base] })
+			st.ColBase, st.ColIdx, st.ColProbes = graph.Vertex(base), cols, colProbes[lo:hi]
+			m.Reset(16)
+			for _, v := range colSeq[r] {
+				m.Put(v, uint32(int(v)-base))
+			}
+			colSeq[r] = nil
+			err := chargeLookups(m, st.ColProbes)
+			for pos, ci := range cols {
+				if ci == NoColumn && err == nil {
+					v := uint32(base + pos)
+					st.ColProbes[pos], err = probeCount(v, m.MissProbes(v))
+				}
+			}
+			if err != nil {
+				return nil, fmt.Errorf("partition: rank %d column map: %w", r, err)
+			}
 		}
 		st.Rows = make([]graph.Vertex, st.Off[len(st.Off)-1])
 		st.RowIdx = make([]uint32, len(st.Rows))
@@ -330,13 +368,9 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	}
 	// Number each rank's rows by first appearance in the stream, through
 	// one dense index over all vertices handed clean from rank to rank,
-	// and charge what a search would have probed for each: the row map of
-	// §2.4.2 built as the search would have built it — from NewMap(16), a
-	// Put per row in first-appearance order — and complete before it is
-	// probed. Only the probe counts outlive the build.
+	// and charge each row's lookup in the row map.
 	index := make([]uint32, n) // local row + 1, 0 until the row appears
 	var order []graph.Vertex
-	rowMap := localindex.NewMap(16)
 	for r, st := range stores {
 		order = order[:0]
 		for _, k := range seq[r] {
@@ -347,29 +381,37 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 			}
 			st.RowIdx[k] = index[u] - 1
 		}
-		rowMap.Reset(16)
+		m.Reset(16)
 		for ri, u := range order {
-			rowMap.Put(u, uint32(ri))
+			m.Put(u, uint32(ri))
+			index[u] = 0
 		}
 		st.RowCount = len(order)
 		st.RowProbes = make([]uint8, len(order))
-		for ri, u := range order {
-			index[u] = 0
-			var err error
-			if st.RowProbes[ri], err = probeCount(rowMap, u); err != nil {
-				return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
-			}
+		if err := chargeLookups(m, st.RowProbes); err != nil {
+			return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
 		}
 	}
 	return stores, nil
 }
 
-// probeCount returns the probes m.GetCounted takes to find key. It fails
-// if the count does not fit the stores' 8 bits: a lookup that long means
-// ids crafted to collide, and a truncated count would silently
+// chargeLookups sets probes[val], for every entry of m, to the probes a
+// lookup of its key takes, from one walk of m's table (Map.Probes).
+func chargeLookups(m *localindex.Map, probes []uint8) error {
+	var err error
+	m.Probes(func(key, val uint32, p int) {
+		if err == nil {
+			probes[val], err = probeCount(key, p)
+		}
+	})
+	return err
+}
+
+// probeCount returns probes, the probes a lookup of key takes, as the
+// stores' 8 bits. It fails if the count does not fit: a lookup that long
+// means ids crafted to collide, and a truncated count would silently
 // undercharge every search.
-func probeCount(m *localindex.Map, key uint32) (uint8, error) {
-	_, _, probes := m.GetCounted(key)
+func probeCount(key uint32, probes int) (uint8, error) {
 	if probes > math.MaxUint8 {
 		return 0, fmt.Errorf("looking up vertex %d takes %d probes, more than the %d a probe count holds", key, probes, math.MaxUint8)
 	}

@@ -118,15 +118,19 @@ func (b *Bins[V]) Reset() {
 // Scan scans one part of n items into b inside an engine/scan span:
 // k.Chunk over [0, n) into b when the pool runs it inline, else over
 // each chunk into staged Bins of its own, appended to b in chunk order.
-// It then charges, on the modeled cores, the handling of the recv
+// Chunk's shared is true only in the latter case, where chunks run at
+// once on several goroutines and must claim shared state atomically.
+// Scan then charges, on the modeled cores, the handling of the recv
 // vertices received (0 for the rank's own), the part's edge entries,
 // then its probes. k is the family's part, a value rather than a
 // closure, so a part scanned inline allocates nothing.
-func Scan[V any, K interface{ Chunk(o *Bins[V], lo, hi int) }](b *Bins[V], c *comm.Comm, p *pool.Pool, n, grain, recv int, k K) {
+func Scan[V any, K interface {
+	Chunk(o *Bins[V], lo, hi int, shared bool)
+}](b *Bins[V], c *comm.Comm, p *pool.Pool, n, grain, recv int, k K) {
 	scanned0, probes0 := b.Scanned, b.Probes
 	c.Tracer().Begin("engine", "scan")
 	if p.Inline(n, grain) {
-		k.Chunk(b, 0, n)
+		k.Chunk(b, 0, n, false)
 	} else {
 		nb, values := len(b.V), b.X != nil
 		outs := pool.Collect(p, n, grain, func(o *Bins[V], lo, hi int) {
@@ -134,7 +138,7 @@ func Scan[V any, K interface{ Chunk(o *Bins[V], lo, hi int) }](b *Bins[V], c *co
 			if values {
 				o.X = make([][]V, nb)
 			}
-			k.Chunk(o, lo, hi)
+			k.Chunk(o, lo, hi, true)
 		})
 		for _, o := range outs {
 			b.Scanned, b.Probes = b.Scanned+o.Scanned, b.Probes+o.Probes

@@ -3,11 +3,13 @@ package search
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/pool"
 )
 
 // tagWire is a Column's wire form for the test: [n, vs..., xs...] with
@@ -156,5 +158,76 @@ func TestColumnExpand(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// sharingKernel records every Chunk call Scan makes and bins each item
+// of its range, so the merge is checked too.
+type sharingKernel struct {
+	mu    *sync.Mutex
+	calls *[][3]int // lo, hi, shared (0 or 1)
+}
+
+func (k sharingKernel) Chunk(o *Bins[struct{}], lo, hi int, shared bool) {
+	s := 0
+	if shared {
+		s = 1
+	}
+	k.mu.Lock()
+	*k.calls = append(*k.calls, [3]int{lo, hi, s})
+	k.mu.Unlock()
+	for i := lo; i < hi; i++ {
+		o.V[0] = append(o.V[0], uint32(i))
+	}
+	o.Scanned += hi - lo
+}
+
+// TestScanReportsSharing: Scan tells the kernel its chunks share state
+// exactly when they run concurrently — never with one worker, nor with
+// four over a part of at most one grain, which both run inline as one
+// call over the whole part; always with four over more than a grain,
+// one call per chunk — and the bins and counts are the same either way.
+func TestScanReportsSharing(t *testing.T) {
+	const grain = 8
+	for _, tc := range []struct {
+		workers, n int
+		shared     bool
+	}{
+		{1, 3*grain + 1, false},
+		{4, grain, false},
+		{4, 3*grain + 1, true},
+	} {
+		t.Run(fmt.Sprintf("workers=%d/n=%d", tc.workers, tc.n), func(t *testing.T) {
+			var calls [][3]int
+			var b Bins[struct{}]
+			if _, err := testWorld(t, 1).Run(func(c *comm.Comm) {
+				b.V = make([][]uint32, 1)
+				Scan(&b, c, pool.New(tc.workers), tc.n, grain, 0, sharingKernel{new(sync.Mutex), &calls})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := 1
+			if tc.shared {
+				want = pool.Chunks(tc.n, grain)
+			}
+			if len(calls) != want {
+				t.Fatalf("%d Chunk calls, want %d", len(calls), want)
+			}
+			covered := 0
+			for _, call := range calls {
+				if (call[2] == 1) != tc.shared {
+					t.Errorf("Chunk(%d, %d) told shared=%v, want %v", call[0], call[1], call[2] == 1, tc.shared)
+				}
+				covered += call[1] - call[0]
+			}
+			if covered != tc.n || b.Scanned != tc.n || len(b.V[0]) != tc.n {
+				t.Fatalf("calls cover %d items, Scanned %d, binned %d; want %d", covered, b.Scanned, len(b.V[0]), tc.n)
+			}
+			for i, v := range b.V[0] {
+				if v != uint32(i) {
+					t.Fatalf("bin[%d] = %d: chunks merged out of order", i, v)
+				}
+			}
+		})
 	}
 }

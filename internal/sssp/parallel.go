@@ -32,7 +32,7 @@ type relaxScan struct {
 }
 
 // Chunk is relaxPart's body over the pairs [lo, hi).
-func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int) {
+func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int, _ bool) {
 	e, avs, ads, light, delta := k.e, k.avs[lo:hi], k.ads[lo:hi], k.light, k.delta
 	st := e.st
 	l := st.Layout

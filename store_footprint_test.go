@@ -7,15 +7,19 @@ import (
 
 // TestStoreFootprint holds what a distributed graph pins on the heap:
 // HeapAlloc after a forced collection, with the stores reachable, minus
-// the same before Distribute. The stores keep no hash map a search does
-// not probe — the row map behind the sent-neighbors cache is resolved
-// into RowIdx by the loader and dropped, leaving a probe count per row,
-// and a 1 x P store, whose columns are its owned vertices, carries no
-// column map at all — so the perf lab's 2D graph costs 22.55 MB where it
-// cost 26.6 MB with a RowMap per rank, and its 1D graph 1.54 MB where it
-// cost 5.0 MB with a target map per rank. The ceilings sit 4% and 10%
-// over the readings, which repeat to within 0.05 MB; a retained loader index
-// or a second per-entry array lands well above them.
+// the same before Distribute. The stores keep no hash map: the loader
+// resolves both maps a search would probe and drops them, leaving a
+// local row per edge entry and a probe count per row, and a compact
+// column and a probe count per block-column vertex — 5 bytes a vertex,
+// where the column map cost 8 bytes a slot at two to four slots per
+// column with a list. A 1 x P store, whose columns are its owned
+// vertices, carries no column index at all. The perf lab's 2D graph
+// costs 16.0 MB where it cost 22.55 MB with a column map per rank; the
+// 16 x 1 mesh, where the dense index is least ahead (each rank's block
+// column is every vertex), 26.2 MB where it cost 35.24 MB; the 1D graph
+// 1.54 MB. The ceilings sit 4% over the 2D readings and 10% over the 1D
+// one, which repeat to within 0.05 MB; a retained loader index or a
+// second per-entry array lands well above them.
 func TestStoreFootprint(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{R: 4, C: 4})
 	if err != nil {
@@ -33,8 +37,9 @@ func TestStoreFootprint(t *testing.T) {
 		part    Partition
 		ceiling float64 // MB
 	}{
-		{"bfs2d", 100000, Part2D, 23.5},
+		{"bfs2d", 100000, Part2D, 16.7},
 		{"multibfs1d", 16000, Part1DCol, 1.7},
+		{"bfs1drow", 100000, Part1DRow, 27.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := Generate(tc.n, 10, 9)
