@@ -99,7 +99,7 @@ perf-pairs:
 # When a PR means to move a number, rewrite the file and commit it:
 #   go test ./cmd/bfsrun -run TestSimLedger -update
 sim-matrix:
-	$(GO) test -count=1 -run 'TestSimLedger|TestLedgerClaims' ./cmd/bfsrun
+	$(GO) test -count=1 -run 'TestSimLedger|TestLedgerClaims|TestRestoreMatchesLedger' ./cmd/bfsrun
 
 # Trace smoke: record BFS and Δ-stepping runs with -trace (which
 # re-derives clock == comp + comm - overlap from the span stream and
@@ -117,10 +117,10 @@ trace-smoke:
 # faulted (canned plan: corruption, drops, duplicates, delays, a
 # straggler, an outage) vs clean, with scrubbed Results required to
 # match exactly, plus the in-process kill/restore byte-identity checks.
-# Then a CLI round trip: checkpoint a faulted flagship BFS and
-# Δ-stepping run at an interior level/epoch, restore each from its
-# snapshot file, and re-verify the resumed runs against the serial
-# oracles.
+# Then a CLI round trip: checkpoint a faulted flagship BFS, Δ-stepping
+# run and multi-source batch at an interior level/epoch/sweep, restore
+# each from its snapshot file, and re-verify the resumed runs against
+# the serial oracles.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosDifferential|TestChaosKillRestore' .
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -128,6 +128,8 @@ chaos-smoke:
 	$(GO) run ./cmd/bfsrun -n 20000 -k 10 -r 4 -c 4 -direction dirop -wire hybrid -fault canned -restore $$tmp/bfs.ckpt >/dev/null; \
 	$(GO) run ./cmd/bfsrun -algo sssp -n 20000 -k 10 -r 4 -c 4 -wire hybrid -fault canned -checkpoint $$tmp/sssp.ckpt -kill-at 4 >/dev/null; \
 	$(GO) run ./cmd/bfsrun -algo sssp -n 20000 -k 10 -r 4 -c 4 -wire hybrid -fault canned -restore $$tmp/sssp.ckpt >/dev/null; \
+	$(GO) run ./cmd/bfsrun -sources 3,99,1024,19999 -n 20000 -k 10 -r 4 -c 4 -wire hybrid -fault canned -checkpoint $$tmp/multi.ckpt -kill-at 3 >/dev/null; \
+	$(GO) run ./cmd/bfsrun -sources 3,99,1024,19999 -n 20000 -k 10 -r 4 -c 4 -wire hybrid -fault canned -restore $$tmp/multi.ckpt >/dev/null; \
 	echo "chaos-smoke: faulted differential suite and kill/restore round trips verified"
 
 # graphd smoke: the end-to-end service gate. Build the server and the

@@ -522,7 +522,9 @@ const MaxLanes = bfs.MaxLanes
 // bitmap exchange and the sent-neighbors cache cannot express), so of
 // the BFS-family options only WithMaxLevels applies; WithDirection,
 // WithExpand, WithFold and WithSentCache are ignored. The shared
-// options (WithWire, WithChunkWords) apply as usual.
+// options (WithWire, WithChunkWords) apply as usual, and so do
+// WithCheckpoint and WithRestore: a batch halts at a sweep and resumes
+// from it like a single-source BFS at a level.
 func (c *Cluster) MultiBFS(dg *DistGraph, sources []Vertex, opts ...Option) (*MultiResult, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("bgl: MultiBFS needs at least one source")

@@ -330,4 +330,56 @@ func TestChaosKillRestore(t *testing.T) {
 			t.Fatal("restored SSSP result is not byte-identical to the uninterrupted run")
 		}
 	})
+
+	t.Run("multibfs", func(t *testing.T) {
+		opts := []Option{WithWire(WireHybrid), WithFault(plan)}
+		sources := []Vertex{fx.src, fx.tgt, 0, fx.src}
+		cl := newCluster()
+		dg, err := cl.Distribute(fx.gU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := cl.MultiBFS(dg, sources, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Faults.Injected() == 0 {
+			t.Fatal("plan injected nothing; test is vacuous")
+		}
+		if len(full.PerLevel) < 3 {
+			t.Fatalf("fixture too shallow to kill mid-run (%d sweeps)", len(full.PerLevel))
+		}
+
+		ckpt := NewCheckpoint(2)
+		cl2 := newCluster()
+		dg2, err := cl2.Distribute(fx.gU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl2.MultiBFS(dg2, sources, append(opts, WithCheckpoint(ckpt))...); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteCheckpoint(path, ckpt.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ReadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		cl3 := newCluster()
+		dg3, err := cl3.Distribute(fx.gU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := cl3.MultiBFS(dg3, sources, append(opts, WithRestore(snap))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := *full, *resumed
+		a.Wall, b.Wall = 0, 0
+		if !reflect.DeepEqual(&a, &b) {
+			t.Fatal("restored MultiBFS result is not byte-identical to the uninterrupted run")
+		}
+	})
 }

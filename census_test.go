@@ -173,6 +173,65 @@ func TestOneColumnPhase(t *testing.T) {
 	}
 }
 
+// TestOneLevelStep guards "one level step for one source and for a
+// batch": in internal/bfs's non-test sources the level's mark, its scan
+// kernel and its uni-directional driver are written once — one
+// declaration named mark, one type with a Chunk method (the scan part
+// search.Scan runs) — and only driveUni and driveBidir poll for
+// cancellation. Each declaration beyond the first, in file order, is
+// named.
+func TestOneLevelStep(t *testing.T) {
+	fset := token.NewFileSet()
+	files := nonTestFiles(t, fset, "internal/bfs")
+	sort.Slice(files, func(i, j int) bool {
+		return fset.Position(files[i].Pos()).Filename < fset.Position(files[j].Pos()).Filename
+	})
+	var marks, chunks []*ast.FuncDecl
+	polls := map[string]bool{"driveUni": true, "driveBidir": true}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			switch {
+			case fn.Name.Name == "mark":
+				marks = append(marks, fn)
+			case fn.Name.Name == "Chunk" && fn.Recv != nil:
+				chunks = append(chunks, fn)
+			}
+			if fn.Body == nil || polls[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn.Body, func(node ast.Node) bool {
+				if call, ok := node.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Poll" {
+						t.Errorf("%s: %s polls for cancellation; only driveUni and driveBidir drive levels", fset.Position(call.Pos()), declName(fn))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(marks) == 0 || len(chunks) == 0 {
+		t.Fatalf("internal/bfs: %d mark declarations and %d Chunk methods, want one of each", len(marks), len(chunks))
+	}
+	for _, fn := range marks[1:] {
+		t.Errorf("%s: declares %s, a second mark; one source and a batch mark through one", fset.Position(fn.Pos()), declName(fn))
+	}
+	for _, fn := range chunks[1:] {
+		t.Errorf("%s: declares %s, a second scan kernel; one source and a batch scan through one", fset.Position(fn.Pos()), declName(fn))
+	}
+}
+
+// declName names a function, or a method by its receiver type.
+func declName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	return receiverType(fn) + "." + fn.Name.Name
+}
+
 // TestOneEngineQueue guards "one engine queue in graphd": queries of
 // every kind wait in the batcher's one queue, so no non-test source of
 // internal/graphd may receive from an engines channel outside
@@ -212,11 +271,18 @@ func TestOneEngineQueue(t *testing.T) {
 	}
 }
 
-// receiverType names the type a method is declared on.
+// receiverType names the type a method is declared on, a generic
+// type without its parameters.
 func receiverType(fn *ast.FuncDecl) string {
 	typ := fn.Recv.List[0].Type
 	if star, ok := typ.(*ast.StarExpr); ok {
 		typ = star.X
+	}
+	switch g := typ.(type) {
+	case *ast.IndexExpr:
+		typ = g.X
+	case *ast.IndexListExpr:
+		typ = g.X
 	}
 	if id, ok := typ.(*ast.Ident); ok {
 		return id.Name

@@ -223,6 +223,40 @@ func TestSimLedgerCatchesOneDigit(t *testing.T) {
 	}
 }
 
+// TestRestoreMatchesLedger is the kill/restore gate of the command
+// line: a BFS, a Δ-stepping and a multi-source ledger line are each run
+// with -checkpoint -kill-at 2, then resumed from the snapshot file with
+// -restore, and the resumed run — oracle-verified — must reproduce that
+// line's every column, the hash of its -json document included.
+func TestRestoreMatchesLedger(t *testing.T) {
+	_, lines := readLedger(t)
+	for _, flags := range []string{
+		"-n 12000 -k 8 -seed 7 -r 2 -c 3 -part 2d -wire sparse -async=true -direction dirop",
+		"-n 12000 -k 8 -seed 7 -r 2 -c 3 -algo sssp -part 2d -wire sparse -async=true -delta 25",
+		"-n 12000 -k 8 -seed 7 -r 2 -c 3 -sources 3,99,1024,2047,11600 -part 2d -wire sparse -async=true",
+	} {
+		i := slices.IndexFunc(lines, func(l ledgerLine) bool { return l.flags == flags })
+		if i < 0 {
+			t.Fatalf("no ledger line %q", flags)
+		}
+		t.Run(flags, func(t *testing.T) {
+			t.Parallel()
+			path := t.TempDir() + "/run.ckpt"
+			var stdout, stderr bytes.Buffer
+			if err := run(strings.Fields(flags+" -checkpoint "+path+" -kill-at 2"), &stdout, &stderr); err != nil {
+				t.Fatalf("checkpoint run: %v\n%s", err, stderr.String())
+			}
+			cols, err := measure(flags + " -restore " + path)
+			if err != nil {
+				t.Fatalf("restore run: %v", err)
+			}
+			if err := lines[i].check(cols); err != nil {
+				t.Errorf("the restored run does not reproduce the ledger line: %v", err)
+			}
+		})
+	}
+}
+
 // TestLedgerClaims asserts, over the recorded headline rows, the
 // acceptance claims the per-PR baseline documents carried as booleans:
 // some interior Δ beats both degenerate extremes, the overlapped

@@ -1,8 +1,9 @@
 package bfs
 
-// Checkpoint/restart for the uni-directional drivers: at the top of
-// level Checkpoint.At each rank serializes its complete search state —
-// the side (levels, frontier, sent-cache), the direction heuristic's
+// Checkpoint/restart for the uni-directional driver, one source's or a
+// batch's: at the top of level (sweep) Checkpoint.At each rank
+// serializes its complete search state — the side (levels, frontier,
+// sent-cache, a batch's lane levels and masks), the direction heuristic's
 // running degree ledger, the per-level statistics, the engine's cached
 // degree exchange, and the transport state (comm.State) — into one
 // opaque blob deposited in the checkpoint.Plan. A restoring run loads
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/frontier"
+	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/search"
 )
@@ -23,8 +25,9 @@ import (
 // fingerprint is the run's workload identity: the layout and shared
 // options (search.Common.Fingerprint) plus every BFS option that must
 // match between the checkpointing and the restoring run — anything that
-// changes the schedule, the wire traffic, or the charges.
-func (o *Options) fingerprint(l partition.View) uint64 {
+// changes the schedule, the wire traffic, or the charges — and a batch's
+// size and sources (nil for one source).
+func (o *Options) fingerprint(l partition.View, batch []graph.Vertex) uint64 {
 	var bits uint64
 	if o.HasTarget {
 		bits |= 1
@@ -32,64 +35,79 @@ func (o *Options) fingerprint(l partition.View) uint64 {
 	if o.SentCache {
 		bits |= 2
 	}
-	return o.Fingerprint(l,
-		uint64(o.Source), uint64(o.Target), bits,
-		uint64(o.Expand), uint64(o.Fold), uint64(o.Direction), uint64(o.MaxLevels))
+	words := []uint64{uint64(o.Source), uint64(o.Target), bits,
+		uint64(o.Expand), uint64(o.Fold), uint64(o.Direction), uint64(o.MaxLevels)}
+	if batch != nil {
+		words = append(words, uint64(len(batch)))
+		for _, src := range batch {
+			words = append(words, uint64(src))
+		}
+	}
+	return o.Fingerprint(l, words...)
 }
 
 // encodeSide serializes a sideState. The frontier goes through the
 // wire codec (WireAuto: vertex list or bitmap, whichever is fewer
 // words); members are re-Added in ascending order on restore, which
-// reproduces the adaptive representation deterministically.
+// reproduces the adaptive representation deterministically. The
+// sent-cache and a batch's lane arrays follow when present — the
+// fingerprint pins both.
 func encodeSide(enc *checkpoint.Enc, s *sideState) {
 	enc.U32(uint32(s.level))
-	enc.Int(len(s.L))
-	for _, v := range s.L {
-		enc.U32(uint32(v))
-	}
+	encodeWords(enc, s.L)
 	lo, n := s.F.Universe()
 	enc.Words(frontier.EncodeSet(s.F.Vertices(), lo, n, frontier.WireAuto))
-	enc.Bool(s.sent != nil)
 	if s.sent != nil {
-		words := s.sent.Words()
-		enc.Int(len(words))
-		for _, w := range words {
-			enc.U64(w)
+		encodeWords(enc, s.sent.Words())
+	}
+	if b := s.batch; b != nil {
+		for _, lv := range b.levels {
+			encodeWords(enc, lv)
 		}
+		encodeWords(enc, b.reached)
+		encodeWords(enc, b.fmask)
 	}
 }
 
-// decodeSide rebuilds a sideState through the engine's own
-// constructor, so sizes and representations match the engine exactly;
-// the levels decode into L, as newSide takes it.
-func decodeSide(dec *checkpoint.Dec, e *engine2D, opts Options, L []int32) *sideState {
-	s := e.newSide(opts.Source, L)
+// decodeSide fills s, the side the engine built for the restoring run
+// (so sizes and representations match the engine exactly), with the
+// state encodeSide wrote.
+func decodeSide(dec *checkpoint.Dec, s *sideState) {
 	s.level = int32(dec.U32())
-	if n := dec.Int(); n != len(s.L) {
-		panic(fmt.Sprintf("bfs: checkpoint has %d owned levels, engine has %d", n, len(s.L)))
-	}
-	for i := range s.L {
-		s.L[i] = int32(dec.U32())
-	}
-	s.F.Reset() // newSide seeded the source
+	decodeWords(dec, s.L)
+	s.F.Reset() // the constructor seeded the sources
 	for _, v := range frontier.Decode(dec.Words()) {
 		s.F.Add(v)
 	}
-	if dec.Bool() {
-		if s.sent == nil {
-			panic("bfs: checkpoint has a sent-cache, engine does not")
-		}
-		words := s.sent.Words()
-		if n := dec.Int(); n != len(words) {
-			panic(fmt.Sprintf("bfs: checkpoint sent-cache has %d words, engine has %d", n, len(words)))
-		}
-		for i := range words {
-			words[i] = dec.U64()
-		}
-	} else if s.sent != nil {
-		panic("bfs: checkpoint has no sent-cache, engine expects one")
+	if s.sent != nil {
+		decodeWords(dec, s.sent.Words())
 	}
-	return s
+	if b := s.batch; b != nil {
+		for _, lv := range b.levels {
+			decodeWords(dec, lv)
+		}
+		decodeWords(dec, b.reached)
+		decodeWords(dec, b.fmask)
+	}
+}
+
+// encodeWords appends an owned array, its length first.
+func encodeWords[T int32 | uint64](enc *checkpoint.Enc, xs []T) {
+	enc.Int(len(xs))
+	for _, x := range xs {
+		enc.U64(uint64(x))
+	}
+}
+
+// decodeWords reads encodeWords' array into xs, whose length it must
+// have.
+func decodeWords[T int32 | uint64](dec *checkpoint.Dec, xs []T) {
+	if n := dec.Int(); n != len(xs) {
+		panic(fmt.Sprintf("bfs: checkpoint has %d entries where the engine has %d", n, len(xs)))
+	}
+	for i := range xs {
+		xs[i] = T(dec.U64())
+	}
 }
 
 func encodeRankLevel(enc *checkpoint.Enc, r *rankLevel) {

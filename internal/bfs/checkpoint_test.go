@@ -3,6 +3,8 @@ package bfs
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -204,8 +206,9 @@ func TestCheckpointRejectsUnsupportedCombos(t *testing.T) {
 
 	opts = DefaultOptions(fx.src)
 	opts.Checkpoint = cp
+	opts.Trace = trace.NewRecorder()
 	if _, err := MultiRun2D(fx.world, fx.st2, []graph.Vertex{fx.src}, opts); err == nil {
-		t.Error("multi-source checkpoint accepted")
+		t.Error("multi-source checkpoint+trace accepted")
 	}
 }
 
@@ -234,6 +237,125 @@ func TestRestoreRejectsMismatchedWorkload(t *testing.T) {
 	ropts2.Restore = snap
 	if _, err := Run2D(w3, fx2.st2, ropts2); err == nil {
 		t.Error("mismatched world size accepted")
+	}
+
+	// Another graph of the same n and mesh => the store digest differs,
+	// with the sent cache on (whose size may happen to differ too) and
+	// off.
+	other := build2D(t, testGraph(t, 300, 4, 17), 2, 2)
+	for _, cache := range []bool{true, false} {
+		opts := DefaultOptions(fx.src)
+		opts.SentCache = cache
+		opts.Checkpoint = checkpoint.NewPlan(1)
+		if _, err := Run2D(fx.world, fx.st2, opts); err != nil {
+			t.Fatal(err)
+		}
+		ropts := opts
+		ropts.Checkpoint, ropts.Restore = nil, opts.Checkpoint.Snapshot()
+		w4, _ := comm.NewWorld(comm.Config{P: 4})
+		if _, err := Run2D(w4, other.st2, ropts); err == nil || !strings.Contains(err.Error(), "another graph") {
+			t.Errorf("sent cache %v: a snapshot restored onto another graph: %v", cache, err)
+		}
+	}
+}
+
+// scrubMulti is scrubWall for a batch.
+func scrubMulti(r *MultiResult) *MultiResult {
+	cp := *r
+	cp.Wall = 0
+	return &cp
+}
+
+// TestCheckpointRestoreMulti kills a batch — a duplicated source among
+// its lanes — at its first sweep, mid-run and its last sweep, on a 2D
+// and a 1D mesh, and restores it onto a fresh world: the restored
+// MultiResult must be deep-equal to the uninterrupted run's, Wall aside,
+// with and without a MaxLevels bound. A snapshot is refused, by its
+// fingerprint, by a batch with one source dropped or replaced, as a
+// one-source snapshot of the same source and options is by a batch; and
+// by a batch on another graph, by the store digest.
+func TestCheckpointRestoreMulti(t *testing.T) {
+	g := testGraph(t, 600, 5, 11)
+	srcs := append(multiSources(g, 4), graph.LargestComponentVertex(g))
+	srcs = append(srcs, srcs[4])
+	for _, mesh := range [][2]int{{2, 2}, {1, 4}} {
+		fx := build2D(t, g, mesh[0], mesh[1])
+		fresh := func() *comm.World {
+			w, err := comm.NewWorld(comm.Config{P: mesh[0] * mesh[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		for _, maxLevels := range []int{0, 3} {
+			opts := DefaultOptions(0)
+			opts.Wire = frontier.WireHybrid
+			opts.MaxLevels = maxLevels
+			full, err := MultiRun2D(fx.world, fx.st2, srcs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(full.PerLevel) - 1
+			if last < 2 {
+				t.Fatalf("%v: batch too shallow for an interior checkpoint (%d sweeps)", mesh, len(full.PerLevel))
+			}
+			for _, at := range []int{1, last / 2, last} {
+				label := fmt.Sprintf("%dx%d MaxLevels=%d at=%d", mesh[0], mesh[1], maxLevels, at)
+				opts := opts
+				opts.Checkpoint = checkpoint.NewPlan(at)
+				partial, err := MultiRun2D(fx.world, fx.st2, srcs, opts)
+				if err != nil {
+					t.Fatalf("%s: checkpoint run: %v", label, err)
+				}
+				if len(partial.PerLevel) != at {
+					t.Fatalf("%s: partial run recorded %d sweeps", label, len(partial.PerLevel))
+				}
+				ropts := opts
+				ropts.Checkpoint, ropts.Restore = nil, opts.Checkpoint.Snapshot()
+				restored, err := MultiRun2D(fresh(), fx.st2, srcs, ropts)
+				if err != nil {
+					t.Fatalf("%s: restore run: %v", label, err)
+				}
+				if !reflect.DeepEqual(scrubMulti(restored), scrubMulti(full)) {
+					t.Fatalf("%s: restored MultiResult differs from the uninterrupted run", label)
+				}
+				replaced := append(slices.Clone(srcs[:len(srcs)-1]), srcs[0]+1)
+				for name, batch := range map[string][]graph.Vertex{"dropped": srcs[:len(srcs)-1], "replaced": replaced} {
+					if _, err := MultiRun2D(fresh(), fx.st2, batch, ropts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+						t.Errorf("%s: a batch with one source %s: %v", label, name, err)
+					}
+				}
+			}
+		}
+
+		// A one-source run of the same source and the options a batch
+		// runs under.
+		opts := DefaultOptions(srcs[0])
+		opts.Wire, opts.SentCache = frontier.WireHybrid, false
+		opts.Checkpoint = checkpoint.NewPlan(1)
+		if _, err := Run2D(fx.world, fx.st2, opts); err != nil {
+			t.Fatal(err)
+		}
+		ropts := opts
+		ropts.Checkpoint, ropts.Restore = nil, opts.Checkpoint.Snapshot()
+		if _, err := MultiRun2D(fresh(), fx.st2, srcs[:1], ropts); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Errorf("%v: a batch restoring a one-source snapshot: %v", mesh, err)
+		}
+
+		// The batch's snapshot, restored onto another graph of the same
+		// n and mesh.
+		opts = DefaultOptions(0)
+		opts.Wire = frontier.WireHybrid
+		opts.Checkpoint = checkpoint.NewPlan(1)
+		if _, err := MultiRun2D(fx.world, fx.st2, srcs, opts); err != nil {
+			t.Fatal(err)
+		}
+		ropts = opts
+		ropts.Checkpoint, ropts.Restore = nil, opts.Checkpoint.Snapshot()
+		other := build2D(t, testGraph(t, 600, 5, 12), mesh[0], mesh[1])
+		if _, err := MultiRun2D(fresh(), other.st2, srcs, ropts); err == nil || !strings.Contains(err.Error(), "another graph") {
+			t.Errorf("%v: a batch snapshot restored onto another graph: %v", mesh, err)
+		}
 	}
 }
 

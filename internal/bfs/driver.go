@@ -50,15 +50,14 @@ func (e *engine2D) stepDir(s *sideState, dir Direction, tagBase int) (rankLevel,
 	return e.step(s, tagBase)
 }
 
-// driveUni runs a uni-directional level-synchronized search, labeling
-// into levels, to completion (empty global frontier), target discovery,
-// the MaxLevels bound, or a cooperative cancellation (non-nil
-// *search.Canceled — levels hold the partial labeling). It returns the
-// per-level records and the level the target was found at (globally
-// agreed), -1 if it was not.
-func driveUni(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
+// driveUni runs a uni-directional level-synchronized search of side s
+// — one source's or a batch's — to completion (empty global frontier),
+// target discovery, the MaxLevels bound, or a cooperative cancellation
+// (non-nil *search.Canceled — the side's levels hold the partial
+// labeling). It returns the per-level records and the level the target
+// was found at (globally agreed), -1 if it was not.
+func driveUni(c *comm.Comm, e *engine2D, l partition.View, opts Options, s *sideState) ([]rankLevel, int64, *search.Canceled) {
 	dirop := opts.Direction == DirectionOptimizing
-	var s *sideState
 	var recs []rankLevel
 	// Every vertex joins the frontier exactly once, at the level it is
 	// labeled, so subtracting each level frontier's out-degree tracks
@@ -66,26 +65,27 @@ func driveUni(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels 
 	// level. Fixed policies skip the degree machinery entirely.
 	var unlabeledDeg uint64
 	if opts.Restore != nil {
-		// Resume from a snapshot: load engine + transport state and
+		// Resume from a snapshot: load engine + transport state into s and
 		// skip the charged initialization (it already happened in the
 		// checkpointing run and its cost is in the restored ledgers).
-		opts.Resume(c, "bfs", opts.fingerprint(l), func(dec *checkpoint.Dec) {
+		opts.Resume(c, e.st, "bfs", opts.fingerprint(l, e.sources), func(dec *checkpoint.Dec) {
 			unlabeledDeg = dec.U64()
-			s = decodeSide(dec, e, opts, levels)
+			decodeSide(dec, s)
 			e.restoreExtra(dec)
 			recs = search.DecodeRecs(dec, decodeRankLevel)
 		})
-	} else {
-		s = e.newSide(opts.Source, levels)
-		if dirop {
-			unlabeledDeg = c.AllReduceSum(e.totalOutDegree())
-		}
+	} else if dirop {
+		unlabeledDeg = c.AllReduceSum(e.totalOutDegree())
+	}
+	unit := "level"
+	if s.batch != nil {
+		unit = "sweep"
 	}
 	for {
 		if opts.Checkpoint.Enabled() && opts.Restore == nil && int(s.level) == opts.Checkpoint.At {
 			// Halt here: snapshot this rank's complete state at the top
 			// of level At, before any of its reductions or exchanges.
-			opts.Halt(c, "bfs", opts.fingerprint(l), func(enc *checkpoint.Enc) {
+			opts.Halt(c, e.st, "bfs", opts.fingerprint(l, e.sources), func(enc *checkpoint.Enc) {
 				enc.U64(unlabeledDeg)
 				encodeSide(enc, s)
 				e.saveExtra(enc)
@@ -93,7 +93,7 @@ func driveUni(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels 
 			})
 			return recs, -1, nil
 		}
-		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "level", int(s.level)); cxl != nil {
+		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), unit, int(s.level)); cxl != nil {
 			return recs, -1, cxl
 		}
 		gf := c.AllReduceSum(uint64(s.F.Len()))
@@ -135,12 +135,10 @@ func meetDist(best uint64) int64 {
 // labeled, and the search stops once the best meeting distance is
 // provably optimal (any undiscovered path must exceed the sum of the
 // completed levels), either side exhausts, or a cooperative
-// cancellation fires. The source side labels into levels, the target
-// side privately. It returns the records and the best distance (-1 if
-// none).
-func driveBidir(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled) {
+// cancellation fires. ss is the source side; the target side labels
+// privately. It returns the records and the best distance (-1 if none).
+func driveBidir(c *comm.Comm, e *engine2D, l partition.View, opts Options, ss *sideState) ([]rankLevel, int64, *search.Canceled) {
 	lo, _ := l.OwnedRange(c.Rank())
-	ss := e.newSide(opts.Source, levels)
 	ts := e.newSide(opts.Target, nil)
 	dirop := opts.Direction == DirectionOptimizing
 	var recs []rankLevel

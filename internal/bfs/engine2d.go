@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"math/bits"
+
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
@@ -15,12 +17,11 @@ import (
 
 // engine2D holds one rank's state for Algorithm 2. The same level
 // machinery serves the uni-directional search, both sides of the
-// bi-directional search and the sweeps of a multi-source batch, on every
-// mesh: when the processor column has one member (R = 1, the
-// conventional 1D partitioning of §2.1) its column phase is the identity
-// — the rank's own frontier is F̄, its block column is its owned block —
-// and a level is Algorithm 1's: scan, fold, mark, charged for nothing
-// else.
+// bi-directional search and a multi-source batch, on every mesh: when
+// the processor column has one member (R = 1, the conventional 1D
+// partitioning of §2.1) its column phase is the identity — the rank's
+// own frontier is F̄, its block column is its owned block — and a level
+// is Algorithm 1's: scan, fold, mark, charged for nothing else.
 type engine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -30,7 +31,8 @@ type engine2D struct {
 	rowG  comm.Group // fold group: my processor-row, C members
 	// pl is the per-rank worker pool the hot local loops and the hybrid
 	// codec run on; see parallel.go for the determinism contract.
-	pl *pool.Pool
+	pl      *pool.Pool
+	sources []graph.Vertex // a batch's, lane i from sources[i]; nil for one source
 
 	// hist tallies the wire codec's container choices; per-level deltas
 	// land in rankLevel.Containers.
@@ -44,11 +46,11 @@ type engine2D struct {
 	// probes counts this run's hash probes (a restore seeds it with the
 	// checkpointed run's); the stores themselves are read-only.
 	probes uint64
-	// The scratch of the run's steps: a single-source search's union
-	// fold (see combine.go), targeted expand and two-phase bundle
-	// recompression; or a batch's lane fold, whose bins never regrow (a
-	// sweep scans an arrived vertex's partial list at most once), and its
-	// expand. A column expand is nil on a one-member column.
+	// The scratch of the run's steps: one source's union fold (see
+	// combine.go), targeted expand and two-phase bundle recompression;
+	// or a batch's lane fold, whose bins never regrow (a level scans an
+	// arrived vertex's partial list at most once), and its expand. A
+	// column expand is nil on a one-member column.
 	bins    *setBins
 	col     *search.Column[struct{}]
 	bundle  *collective.BundleCodec
@@ -56,24 +58,24 @@ type engine2D struct {
 	laneCol *search.Column[uint64]
 }
 
-// newEngine2D builds rank c's engine with the scratch its run uses:
-// with lanes > 0 a batch of that many sources' sweeps, otherwise a
-// single-source search's levels.
-func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, lanes int) *engine2D {
+// newEngine2D builds rank c's engine with the scratch its run uses: a
+// batch's levels when sources is non-nil, otherwise one source's.
+func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Options, sources []graph.Vertex) *engine2D {
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{
-		c:     c,
-		st:    st,
-		opts:  opts,
-		model: c.Model(),
-		colG:  mesh.ColGroup(c.Rank()),
-		rowG:  mesh.RowGroup(c.Rank()),
-		pl:    pool.New(opts.Workers),
+		c:       c,
+		st:      st,
+		opts:    opts,
+		model:   c.Model(),
+		colG:    mesh.ColGroup(c.Rank()),
+		rowG:    mesh.RowGroup(c.Rank()),
+		pl:      pool.New(opts.Workers),
+		sources: sources,
 	}
 	column := e.colG.Size() > 1
-	if lanes > 0 {
-		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, lanes, opts.Wire, &e.hist}, st.FoldEntries)
+	if sources != nil {
+		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, len(sources), opts.Wire, &e.hist}, st.FoldEntries)
 		if column {
 			e.laneCol = search.NewColumn[uint64](c, e.colG, &e.opts.Common, st, e.lanes)
 		}
@@ -89,33 +91,50 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	return e
 }
 
-// sideState is the per-side search state (the bi-directional search
-// runs two of these).
+// sideState is one search's level state: a single source's, a side of
+// the bi-directional search (which runs two), or a batch's, whose lanes
+// ride as a per-vertex mask.
 type sideState struct {
-	L []int32 // levels of owned vertices, Unreached if unlabeled
+	// L holds the levels of owned vertices, Unreached if unlabeled; a
+	// batch's nearest-source levels, stamped when the first lanes arrive.
+	L []int32
 	// F holds the owned vertices labeled in the current level; spare is
 	// the storage the next level's frontier is built in (see advance).
 	F, spare *frontier.Adaptive
 	sent     *localindex.Bitset
 	level    int32
+	// batch holds a batch's lanes, nil for one source.
+	batch *laneState
 }
 
-// newSideState returns a side over the owned range [lo, lo+n) with
-// nothing labeled. L is where it labels: the rank's block of the
+// laneState is a batch's side: its sideState and its lanes. reached[li]
+// holds the lanes that have labeled owned vertex li; fmask[li] those that
+// newly labeled it last level (nonzero exactly on F's members), spare the
+// next level's; levels[i] is lane i's level array.
+type laneState struct {
+	sideState
+	reached, fmask, spare []uint64
+	levels                [][]int32
+}
+
+// initSide makes s a side over the owned range [lo, lo+n) with nothing
+// labeled and returns it. L is where it labels: the rank's block of the
 // Result's Levels, or nil for a private array (a bi-directional run's
 // target side).
-func newSideState(lo graph.Vertex, n int, L []int32) *sideState {
+func initSide(s *sideState, lo graph.Vertex, n int, L []int32) *sideState {
 	if L == nil {
 		L = make([]int32, n)
 	}
+	s.L, s.F, s.spare = unlabeled(L), search.NewFrontier(uint32(lo), n), search.NewFrontier(uint32(lo), n)
+	return s
+}
+
+// unlabeled sets every level of L to Unreached and returns it.
+func unlabeled(L []int32) []int32 {
 	for i := range L {
 		L[i] = graph.Unreached
 	}
-	return &sideState{
-		L:     L,
-		F:     search.NewFrontier(uint32(lo), n),
-		spare: search.NewFrontier(uint32(lo), n),
-	}
+	return L
 }
 
 // nextFrontier returns the emptied spare frontier for a level to fill;
@@ -125,28 +144,50 @@ func (s *sideState) nextFrontier() *frontier.Adaptive {
 	return s.spare
 }
 
-// advance makes the frontier nextFrontier handed out the current one
-// and moves to the next level.
+// advance installs the frontier (and a batch's lane masks) the level
+// built as the current ones, empties the spare masks for the next, and
+// moves to the next level.
 func (s *sideState) advance() {
 	s.F, s.spare = s.spare, s.F
+	if b := s.batch; b != nil {
+		b.fmask, b.spare = b.spare, b.fmask
+		clear(b.spare)
+	}
 	s.level++
 }
 
-// mark applies a level's delivery N̄ — owned vertices, ascending, lo
-// the first owned id — to the side: those still unlabeled are labeled
-// level+1 and become the next frontier, and the level advances. It
-// reports whether the target was among the newly labeled.
-func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rankLevel) (foundTarget bool) {
-	next := s.nextFrontier()
-	for _, gu := range nbar {
+// mark applies a level's delivery — owned vertices vs, ascending, lo the
+// first owned id, with a batch's lane masks ms (nil for one source) — to
+// the side: a vertex is new to the lanes that have not reached it (one
+// source: it is unlabeled), which label it level+1 and carry it into the
+// next frontier, and the level advances. It reports whether the target
+// was among the newly labeled.
+func (s *sideState) mark(opts Options, lo graph.Vertex, vs []uint32, ms []uint64, rec *rankLevel) (foundTarget bool) {
+	next, b := s.nextFrontier(), s.batch
+	for i, gu := range vs {
 		li := gu - uint32(lo)
+		if ms != nil {
+			nw := ms[i] &^ b.reached[li]
+			if nw == 0 {
+				continue
+			}
+			b.reached[li] |= nw
+			b.spare[li] = nw
+			for m := nw; m != 0; m &= m - 1 {
+				b.levels[bits.TrailingZeros64(m)][li] = s.level + 1
+			}
+			rec.marked += bits.OnesCount64(nw)
+		} else if s.L[li] == graph.Unreached {
+			rec.marked++
+		} else {
+			continue
+		}
 		if s.L[li] == graph.Unreached {
 			s.L[li] = s.level + 1
-			next.Add(gu)
-			rec.marked++
-			if opts.HasTarget && graph.Vertex(gu) == opts.Target {
-				foundTarget = true
-			}
+		}
+		next.Add(gu)
+		if opts.HasTarget && graph.Vertex(gu) == opts.Target {
+			foundTarget = true
 		}
 	}
 	s.advance()
@@ -154,13 +195,38 @@ func (s *sideState) mark(opts Options, lo graph.Vertex, nbar []uint32, rec *rank
 }
 
 func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
-	s := newSideState(e.st.Lo, e.st.OwnedCount(), L)
+	s := initSide(new(sideState), e.st.Lo, e.st.OwnedCount(), L)
 	if src >= e.st.Lo && src < e.st.Hi {
 		s.L[e.st.LocalOf(src)] = 0
 		s.F.Add(uint32(src))
 	}
 	if e.opts.SentCache {
 		s.sent = localindex.NewBitset(e.st.RowCount)
+	}
+	return s
+}
+
+// newLaneSide returns the side of the engine's batch, labeling this
+// rank's owned blocks of res in place: each lane's source at level 0,
+// and its frontier mask.
+func (e *engine2D) newLaneSide(res *MultiResult) *sideState {
+	l, rank, n := e.st.View(), e.c.Rank(), e.st.OwnedCount()
+	b := &laneState{reached: make([]uint64, n), fmask: make([]uint64, n), spare: make([]uint64, n),
+		levels: make([][]int32, len(res.LaneLevels))}
+	s := initSide(&b.sideState, e.st.Lo, n, search.Owned(l, rank, res.Levels))
+	s.batch = b
+	for lane, all := range res.LaneLevels {
+		b.levels[lane] = unlabeled(search.Owned(l, rank, all))
+	}
+	for lane, src := range e.sources {
+		if src < e.st.Lo || src >= e.st.Hi {
+			continue
+		}
+		li := e.st.LocalOf(src)
+		b.levels[lane][li], s.L[li] = 0, 0
+		b.reached[li] |= 1 << uint(lane)
+		b.fmask[li] |= 1 << uint(lane)
+		s.F.Add(uint32(src))
 	}
 	return s
 }
@@ -340,45 +406,65 @@ func (e *engine2D) frontierOutDegree(s *sideState) uint64 {
 	return sum
 }
 
-// step runs one complete top-down BFS level for side s: expand,
-// neighbor scan, fold, mark. It returns the rank-local statistics and
-// whether this rank labeled the target this level. The global frontier
+// step runs one complete top-down level for side s: expand, neighbor
+// scan, fold, mark. It returns the rank-local statistics and whether
+// this rank labeled the target this level. The global frontier
 // emptiness check belongs to the caller (it differs between uni- and
-// bi-directional drivers).
-//
-// Each expand part is scanned as the exchange hands it over: under the
-// overlapped schedule as it arrives, while the remaining parts are on
-// the wire, under the synchronous one in member order once the last has
-// arrived. Results are identical — the scans and unions are
+// bi-directional drivers). One source's neighbors fold as sets
+// (setBins); a batch's carry their lane masks through the OR fold.
+func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
+	tm := beginLevel(e.c, &e.hist)
+	rec := rankLevel{frontier: s.F.Len()}
+	var nbar []uint32
+	var ms []uint64
+	if e.lanes == nil {
+		e.bins.raw.Reset()
+		expand(e, s, &e.bins.raw, e.col, nil, tagBase, &rec)
+		nbar = e.bins.fold(tagBase+1<<24, &rec)
+	} else {
+		expand(e, s, e.lanes.Reset(), e.laneCol, s.batch.fmask, tagBase, &rec)
+		nbar, ms, rec.dups = e.lanes.Deliver(tagBase+1<<24, &rec.Step)
+	}
+	foundTarget := s.mark(e.opts, e.st.Lo, nbar, ms, &rec)
+	rec.end(tm)
+	return rec, foundTarget
+}
+
+// expand moves side s's frontier, each vertex with its payload from
+// fmask (nil when M carries nothing), to the ranks holding its partial
+// edge lists and scans each part into b as the exchange hands it over:
+// under the overlapped schedule as it arrives, while the remaining parts
+// are on the wire, under the synchronous one in member order once the
+// last has arrived. Results are identical — the scans and merges are
 // order-insensitive, and the sent-neighbors cache admits each vertex
 // exactly once in any order; only the simulated clock, and the OverlapS
 // ledger, changes. The schedules are collective's business. With a
 // one-member processor column there is no expand: the scan reads the
-// owned frontier itself.
-func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := beginLevel(e.c, &e.hist)
-	rec := rankLevel{frontier: s.F.Len()}
-	b := &e.bins.raw
-	b.Reset()
+// owned frontier itself. Only one source reaches the dense expands.
+func expand[M any](e *engine2D, s *sideState, b *search.Bins[M], col *search.Column[M], fmask []M, tagBase int, rec *rankLevel) {
 	switch {
 	case e.colG.Size() == 1:
-		e.scanPart(s, s.F.Vertices(), 0)
-	case e.col != nil:
-		s.F.Iterate(func(gv uint32) { e.col.Add(gv, struct{}{}) })
-		rec.ExpandWords = e.col.Expand(tagBase, func(vs []uint32, _ []struct{}) { e.scanPart(s, vs, len(vs)) })
+		scanPart(e, b, s, s.F.Vertices(), fmask, 0)
+	case col != nil:
+		lo := uint32(e.st.Lo)
+		s.F.Iterate(func(gv uint32) {
+			var x M
+			if fmask != nil {
+				x = fmask[gv-lo]
+			}
+			col.Add(gv, x)
+		})
+		rec.ExpandWords = col.Expand(tagBase, func(vs []uint32, xs []M) { scanPart(e, b, s, vs, xs, len(vs)) })
 	default:
 		// The dense expands (Algorithm 2 steps 7–11 as the ring all-gather
 		// or the two-phase expand of §3.2.2) move the whole frontier.
 		o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async, BundleMerge: e.bundle}
 		_, st := collective.Gather(e.c, e.colG, o, e.opts.Expand.String(), e.wireFrontier(s.F), func(_ int, part []uint32) {
 			vs, _ := expandWire{e}.Decode(part)
-			e.scanPart(s, vs, len(vs))
+			scanPart(e, b, s, vs, nil, len(vs))
 		})
 		rec.ExpandWords = st.RecvWords
 	}
 	rec.Edges = b.Scanned
 	e.probes += b.Probes
-	foundTarget := s.mark(e.opts, e.st.Lo, e.bins.fold(tagBase+1<<24, &rec), &rec)
-	rec.end(tm)
-	return rec, foundTarget
 }

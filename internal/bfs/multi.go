@@ -5,11 +5,9 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/localindex"
-	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/search"
 )
@@ -17,10 +15,11 @@ import (
 // Batched multi-source BFS: up to MaxLanes sources traverse the graph
 // in one level-synchronized sweep sequence, one bit-lane per source
 // (the Ligra-style cluster-BFS shape). Every owned vertex carries a
-// lane mask of the sources that have reached it; a sweep expands the
-// lane-OR frontier — the set of vertices some lane newly reached —
-// exactly like a top-down BFS level, except each travelling vertex
-// carries its frontier lane mask and owners label per lane.
+// lane mask of the sources that have reached it; a sweep is the
+// top-down level of a side whose frontier is the lane-OR frontier — the
+// set of vertices some lane newly reached — except each travelling
+// vertex carries its frontier lane mask as its payload and owners label
+// per lane (engine2D.step, sideState.mark).
 //
 // The vertex sets ride the same wire codecs as single-source payloads
 // (the lane-OR frontier is what gets list/bitmap/hybrid-encoded); the
@@ -51,21 +50,11 @@ type MultiResult struct {
 	LaneLevels [][]int32
 }
 
-// laneOf returns the index of source s in the batch, or -1.
-func (r *MultiResult) laneOf(s graph.Vertex) int {
-	for i, src := range r.Sources {
-		if src == s {
-			return i
-		}
-	}
-	return -1
-}
-
 // LaneDistance returns the s→t distance of the lane searching from s —
 // the first such lane when s is in the batch twice — or Unreached if t
 // was not reached or is not a vertex, or s is not in the batch.
 func (r *MultiResult) LaneDistance(s, t graph.Vertex) int32 {
-	if i := r.laneOf(s); i >= 0 && int(t) < len(r.LaneLevels[i]) {
+	if i := slices.Index(r.Sources, s); i >= 0 && int(t) < len(r.LaneLevels[i]) {
 		return r.LaneLevels[i][t]
 	}
 	return graph.Unreached
@@ -180,141 +169,6 @@ func (p lanePayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) 
 		panic("bfs: unknown lane mask form")
 	}
 	return vs, ms
-}
-
-// multiState is one rank's lane-parallel search state. Its labels are
-// the rank's owned blocks of the MultiResult's arrays, written in place.
-type multiState struct {
-	// reached[li] holds the lanes that have labeled owned vertex li.
-	reached []uint64
-	// fmask[li] holds the lanes that newly labeled li last sweep; the
-	// nonzero entries are exactly the members of F. spare is the
-	// previous sweep's fmask, zeroed and reused as the next one.
-	fmask, spare []uint64
-	// F is the lane-OR frontier: owned vertices with fmask != 0; spareF
-	// is the storage mark builds the next one in.
-	F, spareF *frontier.Adaptive
-	// levels[lane][li] is lane's level of owned vertex li; nearest[li]
-	// is the lane minimum, stamped when the first lanes reach li.
-	levels  [][]int32
-	nearest []int32
-	sweep   int32
-}
-
-// newMultiState seeds rank's lane-parallel search over its owned blocks
-// of res, which it initializes and from then on labels in place.
-func newMultiState(res *MultiResult, l partition.View, rank int) *multiState {
-	lo, hi := l.OwnedRange(rank)
-	n := int(hi - lo)
-	s := &multiState{
-		reached: make([]uint64, n),
-		fmask:   make([]uint64, n),
-		spare:   make([]uint64, n),
-		F:       search.NewFrontier(uint32(lo), n),
-		spareF:  search.NewFrontier(uint32(lo), n),
-		levels:  make([][]int32, res.B),
-		nearest: search.Owned(l, rank, res.Levels),
-	}
-	for i := range s.nearest {
-		s.nearest[i] = graph.Unreached
-	}
-	for lane, all := range res.LaneLevels {
-		lv := search.Owned(l, rank, all)
-		for i := range lv {
-			lv[i] = graph.Unreached
-		}
-		s.levels[lane] = lv
-	}
-	for lane, src := range res.Sources {
-		if src < lo || src >= hi {
-			continue
-		}
-		li := uint32(src - lo)
-		s.levels[lane][li], s.nearest[li] = 0, 0
-		s.reached[li] |= 1 << uint(lane)
-		s.fmask[li] |= 1 << uint(lane)
-		s.F.Add(uint32(src))
-	}
-	return s
-}
-
-// mark applies a deduplicated batch of (vertex, mask) arrivals owned
-// by this rank: lanes not yet at a vertex label it at sweep+1 and
-// re-enter the frontier carrying only the new lanes; a vertex no lane
-// had reached gets its nearest-source level too. It installs the next
-// frontier and advances the sweep counter.
-func (s *multiState) mark(lo graph.Vertex, rvs []uint32, rms []uint64, rec *rankLevel) {
-	next := s.spareF
-	next.Reset()
-	nextMask := s.spare
-	clear(nextMask)
-	for i, gu := range rvs {
-		li := gu - uint32(lo)
-		nw := rms[i] &^ s.reached[li]
-		if nw == 0 {
-			continue
-		}
-		if s.reached[li] == 0 {
-			s.nearest[li] = s.sweep + 1
-		}
-		s.reached[li] |= nw
-		for m := nw; m != 0; m &= m - 1 {
-			s.levels[bits.TrailingZeros64(m)][li] = s.sweep + 1
-		}
-		rec.marked += bits.OnesCount64(nw)
-		nextMask[li] = nw
-		next.Add(gu)
-	}
-	s.F, s.spareF = next, s.F
-	s.fmask, s.spare = nextMask, s.fmask
-	s.sweep++
-}
-
-// multiDrive runs lane-parallel sweeps from s until the global lane-OR
-// frontier empties (or MaxLevels, or a cooperative cancellation).
-func multiDrive(c *comm.Comm, e *engine2D, opts Options, s *multiState) ([]rankLevel, *search.Canceled) {
-	var recs []rankLevel
-	for {
-		if cxl := opts.Poll(c.AllReduceOr, c.Clock(), "sweep", int(s.sweep)); cxl != nil {
-			return recs, cxl
-		}
-		if c.AllReduceSum(uint64(s.F.Len())) == 0 {
-			return recs, nil
-		}
-		if opts.MaxLevels > 0 && int(s.sweep) >= opts.MaxLevels {
-			return recs, nil
-		}
-		recs = append(recs, e.sweep(s, int(s.sweep)*64))
-	}
-}
-
-// sweep runs one lane-parallel sweep, a top-down level of the lane-OR
-// frontier whose vertices carry their masks: column expand, partial-list
-// scan into (neighbor, mask) bins by owner column, lane fold, per-lane
-// mark. With a one-member processor column it is Algorithm 1's: the
-// owned frontier's full edge lists, then one exchange over all P ranks.
-func (e *engine2D) sweep(s *multiState, tagBase int) rankLevel {
-	tm := beginLevel(e.c, &e.hist)
-	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	b := e.lanes.Reset()
-	if e.laneCol == nil {
-		// The column is this rank: scan its own frontier, masks in place.
-		e.scanLanes(b, s.F.Vertices(), s.fmask, 0)
-	} else {
-		lo := uint32(e.st.Lo)
-		s.F.Iterate(func(gv uint32) { e.laneCol.Add(gv, s.fmask[gv-lo]) })
-		rec.ExpandWords = e.laneCol.Expand(tagBase, func(vs []uint32, ms []uint64) { e.scanLanes(b, vs, ms, len(vs)) })
-	}
-	rec.Edges = b.Scanned
-	e.probes += b.Probes
-
-	// Lane merge per destination, the row exchange to the owners, and
-	// the owner's merge of what arrives.
-	rvs, rms, dups := e.lanes.Deliver(tagBase+1<<24, &rec.Step)
-	rec.dups = dups
-	s.mark(e.st.Lo, rvs, rms, &rec)
-	rec.end(tm)
-	return rec
 }
 
 // validateSources checks a multi-source batch against the lane

@@ -13,6 +13,13 @@
 // pluggable sparse/dense/adaptive representations of internal/frontier,
 // whose wire codec lets the collectives transmit bitmaps instead of
 // vertex lists when denser is cheaper.
+//
+// The top-down level — expand, scan, fold, mark — is written once, for
+// one source and for a batch of up to 64 (MultiRun2D): a batch is a side
+// whose vertices carry a lane mask as their payload, so the scan kernel
+// (partScan), the step, the mark and the uni-directional driver, with
+// its checkpoint/restore, are the same code; only the fold differs, a
+// set union for one source and a lane-mask OR for a batch.
 package bfs
 
 import (

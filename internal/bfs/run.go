@@ -10,10 +10,11 @@ import (
 	"repro/internal/search"
 )
 
-// The exported Run* entry points are three bodies — uni-directional,
-// bi-directional, multi-source — which share search.Run's harness and
-// the helpers below. Every partitioning is a mesh shape, so one engine
-// per family serves them all.
+// The exported Run* entry points share search.Run's harness and the
+// helpers below, and two drivers: the uni-directional one, which runs a
+// single source and a multi-source batch alike, and the bi-directional
+// one. Every partitioning is a mesh shape, so one engine serves them
+// all.
 
 // rankOut is what one rank's body hands back to the harness besides
 // the labels it wrote into the answer (search.Owned).
@@ -68,19 +69,18 @@ func trivialResult(l partition.View, source graph.Vertex) *Result {
 }
 
 // drive is a level-synchronized driver: it runs rank c's engine to the
-// end of the search, its (source) side labeling into levels — the rank's
-// block of the Result's — and returns the per-level records, the
-// globally agreed s→t distance (-1 when the target was not reached, or
-// there is none) and the cancellation, if any.
-type drive func(c *comm.Comm, e *engine2D, l partition.View, opts Options, levels []int32) ([]rankLevel, int64, *search.Canceled)
+// end of the search from its (source) side s and returns the per-level
+// records, the globally agreed s→t distance (-1 when the target was not
+// reached, or there is none) and the cancellation, if any.
+type drive func(c *comm.Comm, e *engine2D, l partition.View, opts Options, s *sideState) ([]rankLevel, int64, *search.Canceled)
 
 // runSides allocates the Result and runs drive on every rank's engine,
-// each labeling its owned block of the Result's levels.
+// the source side labeling the rank's owned block of the Result's levels.
 func runSides(w *comm.World, stores []*partition.Store2D, l partition.View, opts Options, drive drive) (*Result, error) {
 	res := &Result{Levels: make([]int32, l.N)}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		e := newEngine2D(c, stores[c.Rank()], l, opts, 0)
-		recs, dist, cxl := drive(c, e, l, opts, search.Owned(l, c.Rank(), res.Levels))
+		e := newEngine2D(c, stores[c.Rank()], l, opts, nil)
+		recs, dist, cxl := drive(c, e, l, opts, e.newSide(opts.Source, search.Owned(l, c.Rank(), res.Levels)))
 		return rankOut{recs: recs, probes: e.probes, dist: dist}, cxl
 	})
 	if err != nil {
@@ -129,21 +129,25 @@ func RunBidirectional2D(w *comm.World, stores []*partition.Store2D, opts Options
 	return runSides(w, stores, l, opts, driveBidir)
 }
 
-// MultiRun2D executes a batched multi-source BFS on any mesh. Direction
-// is always top-down; the sent-neighbors cache does not apply (a vertex
-// must be re-sent when it carries new lanes) and is ignored.
+// MultiRun2D executes a batched multi-source BFS on any mesh: the
+// uni-directional driver over a side whose lanes are the sources. A
+// batch runs top-down with the targeted expand and no target, and
+// without the sent-neighbors cache (a vertex must be re-sent when it
+// carries new lanes); opts' settings of those are ignored. Checkpoint
+// and Restore work as for Run2D, a level being a sweep.
 func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
+	opts.Direction, opts.Expand, opts.SentCache, opts.HasTarget = TopDown, ExpandTargeted, false, false
 	l, err := search.CheckShape("bfs", w, stores)
 	if err == nil {
 		err = validateSources(sources, l.N)
 	}
 	if err == nil {
-		err = opts.CheckRobustness("bfs", false)
+		err = opts.CheckRobustness("bfs", true)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// The answer, for the ranks to label (newMultiState): one array per
+	// The answer, for the ranks to label (newLaneSide): one array per
 	// lane, so a caller that keeps one lane does not pin the whole batch.
 	res := &MultiResult{B: len(sources), Sources: slices.Clone(sources), LaneLevels: make([][]int32, len(sources))}
 	res.Levels = make([]int32, l.N)
@@ -151,8 +155,8 @@ func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vert
 		res.LaneLevels[lane] = make([]int32, l.N)
 	}
 	out, err := search.Run(w, &opts.Common, func(c *comm.Comm) (rankOut, *search.Canceled) {
-		e := newEngine2D(c, stores[c.Rank()], l, opts, len(sources))
-		recs, cxl := multiDrive(c, e, opts, newMultiState(res, l, c.Rank()))
+		e := newEngine2D(c, stores[c.Rank()], l, opts, res.Sources)
+		recs, _, cxl := driveUni(c, e, l, opts, e.newLaneSide(res))
 		return rankOut{recs: recs, probes: e.probes, dist: -1}, cxl
 	})
 	if err != nil {

@@ -100,17 +100,18 @@ type Common struct {
 	// times and the Faults counters.
 	Fault *fault.Plan
 	// Checkpoint, when enabled, halts the run at the plan's level
-	// (BFS) / epoch ordinal (Δ-stepping), deposits every rank's engine
-	// and transport state into the plan, and returns a partial Result.
-	// Not supported by the bi-directional or multi-source drivers, or
-	// combined with Trace (a restored run's spans cannot tile the clock
-	// from zero).
+	// (BFS) / sweep (multi-source BFS) / epoch ordinal (Δ-stepping),
+	// deposits every rank's engine and transport state, and a digest of
+	// its store, into the plan, and returns a partial Result. Not
+	// supported by the bi-directional driver, or combined with Trace (a
+	// restored run's spans cannot tile the clock from zero).
 	Checkpoint *checkpoint.Plan
 	// Restore, when non-nil, resumes a run from a snapshot instead of
 	// starting at the source: the engines load every rank's state and
 	// continue, producing a Result byte-identical to the uninterrupted
-	// run. The workload (graph, source, options) must match the
-	// snapshot's fingerprint.
+	// run. The workload (source or batch, options) must match the
+	// snapshot's fingerprint, and every rank's store the digest in its
+	// blob.
 	Restore *checkpoint.Snapshot
 	// Cancel, when non-nil, is polled with the rank's simulated clock
 	// at every level / sweep / epoch boundary. A non-nil return stops

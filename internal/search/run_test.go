@@ -10,6 +10,8 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/frontier"
+	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/trace"
 )
 
@@ -189,8 +191,8 @@ func TestStepTimer(t *testing.T) {
 }
 
 // TestStepCodec: a record, and a run's records, survive Halt/Resume; a
-// truncated blob, another blob version and another workload are
-// refused.
+// truncated blob, another blob version, another workload and another
+// graph of the same size are refused.
 func TestStepCodec(t *testing.T) {
 	recs := []Step{
 		{ExpandWords: 3, FoldWords: 1 << 30, Edges: 7, ExecS: 0.125, CommS: 1e-9, OverlapS: math.SmallestNonzeroFloat64,
@@ -200,11 +202,23 @@ func TestStepCodec(t *testing.T) {
 		{Edges: 9, ExecS: 2},
 	}
 	w := testWorld(t, 2)
+	stores := func(seed int64) []*partition.Store2D {
+		l, err := partition.NewLayout2D(64, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := partition.Build2D(l, graph.Params{N: 64, K: 4, Seed: seed}.VisitEdges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	graph5, graph6 := stores(5), stores(6)
 	halt := Defaults()
 	halt.Checkpoint = checkpoint.NewPlan(0)
 	if _, err := w.Run(func(c *comm.Comm) {
 		c.Compute(float64(1 + c.Rank()))
-		halt.Halt(c, "fam", 42, func(enc *checkpoint.Enc) {
+		halt.Halt(c, graph5[c.Rank()], "fam", 42, func(enc *checkpoint.Enc) {
 			enc.Int(c.Rank())
 			EncodeRecs(enc, recs, func(enc *checkpoint.Enc, s *Step) { s.Encode(enc) })
 		})
@@ -213,12 +227,16 @@ func TestStepCodec(t *testing.T) {
 	}
 	snap := halt.Checkpoint.Snapshot()
 
-	resume := func(snap *checkpoint.Snapshot, fingerprint uint64) error {
+	resume := func(snap *checkpoint.Snapshot, fingerprint uint64, onto ...[]*partition.Store2D) error {
+		st := graph5
+		if onto != nil {
+			st = onto[0]
+		}
 		o := Defaults()
 		o.Restore = snap
 		_, err := w.Run(func(c *comm.Comm) {
 			var got []Step
-			o.Resume(c, "fam", fingerprint, func(dec *checkpoint.Dec) {
+			o.Resume(c, st[c.Rank()], "fam", fingerprint, func(dec *checkpoint.Dec) {
 				if r := dec.Int(); r != c.Rank() {
 					panic("another rank's blob")
 				}
@@ -243,6 +261,9 @@ func TestStepCodec(t *testing.T) {
 	}
 	if err := resume(snap, 43); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("another workload's snapshot: %v", err)
+	}
+	if err := resume(snap, 42, graph6); err == nil || !strings.Contains(err.Error(), "another graph") {
+		t.Errorf("a snapshot restored onto another graph: %v", err)
 	}
 	damaged := func(edit func(blob []uint32) []uint32) *checkpoint.Snapshot {
 		s := *snap

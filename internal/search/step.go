@@ -111,31 +111,37 @@ func decodeHist(dec *checkpoint.Dec) frontier.ContainerHist {
 }
 
 // blobVersion guards the layout of a rank's checkpoint blob:
-// [version, the family's state..., the transport state]. Version 3
-// dropped the BFS driver's point-to-point reduction tag. Version 4 runs
-// the conventional 1D partitioning on the 2D engine over a 1 x P mesh:
-// the fingerprint (the View) is unchanged, but the engine's extra state
-// is the 2D engine's, not the old 1D engine's. An older snapshot is
-// refused, not misread.
-const blobVersion = 4
+// [version, the store digest, the family's state..., the transport
+// state]. Version 3 dropped the BFS driver's point-to-point reduction
+// tag. Version 4 runs the conventional 1D partitioning on the 2D engine
+// over a 1 x P mesh: the fingerprint (the View) is unchanged, but the
+// engine's extra state is the 2D engine's, not the old 1D engine's.
+// Version 5 adds the digest of the rank's store, so a snapshot restored
+// onto another graph of the same size and mesh is refused. An older
+// snapshot is refused, not misread.
+const blobVersion = 5
 
-// Halt deposits rank c's checkpoint blob into o.Checkpoint: state
-// writes the family's search state, the transport state follows. fam
-// and fingerprint identify the workload to a later Resume.
-func (o *Common) Halt(c *comm.Comm, fam string, fingerprint uint64, state func(enc *checkpoint.Enc)) {
+// Halt deposits rank c's checkpoint blob into o.Checkpoint: the digest
+// of st, the rank's store, then what state writes — the family's search
+// state — then the transport state. fam and fingerprint identify the
+// workload to a later Resume.
+func (o *Common) Halt(c *comm.Comm, st *partition.Store2D, fam string, fingerprint uint64, state func(enc *checkpoint.Enc)) {
 	enc := &checkpoint.Enc{}
 	enc.U32(blobVersion)
+	for _, w := range storeDigest(st) {
+		enc.U64(w)
+	}
 	state(enc)
 	c.CaptureState().Encode(enc)
 	o.Checkpoint.Put(fam, o.Checkpoint.At, c.Size(), c.Rank(), fingerprint, enc.Payload())
 }
 
-// Resume loads rank c's blob of o.Restore: state reads back what Halt's
-// state wrote, then the transport state is installed on the (fresh)
-// rank. A snapshot of another workload, blob version or length panics;
-// the engines resume inside World.Run, which turns that into the run's
-// error.
-func (o *Common) Resume(c *comm.Comm, fam string, fingerprint uint64, state func(dec *checkpoint.Dec)) {
+// Resume loads rank c's blob of o.Restore: the digest must be st's,
+// state reads back what Halt's state wrote, then the transport state is
+// installed on the (fresh) rank. A snapshot of another workload or
+// graph, blob version or length panics; the engines resume inside
+// World.Run, which turns that into the run's error.
+func (o *Common) Resume(c *comm.Comm, st *partition.Store2D, fam string, fingerprint uint64, state func(dec *checkpoint.Dec)) {
 	if err := o.Restore.Check(fam, c.Size(), fingerprint); err != nil {
 		panic(err.Error())
 	}
@@ -143,14 +149,39 @@ func (o *Common) Resume(c *comm.Comm, fam string, fingerprint uint64, state func
 	if v := dec.U32(); v != blobVersion {
 		panic(fmt.Sprintf("%s: checkpoint blob version %d, want %d", fam, v, blobVersion))
 	}
+	var got [3]uint64
+	for i := range got {
+		got[i] = dec.U64()
+	}
+	if want := storeDigest(st); got != want {
+		panic(fmt.Sprintf("%s: checkpoint was taken on another graph: rank %d's store has %d offsets, %d edge entries, hash %#x; the snapshot's has %d, %d, %#x",
+			fam, c.Rank(), want[0], want[1], want[2], got[0], got[1], got[2]))
+	}
 	state(dec)
 	c.RestoreState(comm.DecodeState(dec))
 	dec.Done()
 }
 
+// storeDigest identifies the graph a rank's store holds: its offset and
+// edge-entry counts and a hash over its rows, offsets and weights. It is
+// computed only when a run halts or resumes.
+func storeDigest(st *partition.Store2D) [3]uint64 {
+	h := checkpoint.Fingerprint(uint64(len(st.Off)), uint64(len(st.Rows)), uint64(len(st.RowWts)))
+	for _, u := range st.Rows {
+		h = checkpoint.Fingerprint(h, uint64(u))
+	}
+	for _, off := range st.Off {
+		h = checkpoint.Fingerprint(h, uint64(off))
+	}
+	for _, w := range st.RowWts {
+		h = checkpoint.Fingerprint(h, uint64(w))
+	}
+	return [3]uint64{uint64(len(st.Off)), uint64(len(st.Rows)), h}
+}
+
 // CheckRobustness rejects the checkpoint/restore combinations no run
 // supports, and any use of them by a driver without snapshot support
-// (snapshots false: the bi-directional and multi-source drivers).
+// (snapshots false: the bi-directional driver).
 func (o *Common) CheckRobustness(fam string, snapshots bool) error {
 	cp, rs := o.Checkpoint.Enabled(), o.Restore != nil
 	switch {

@@ -3,6 +3,7 @@ package sssp
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -184,5 +185,14 @@ func TestRestoreRejectsMismatchedWorkload(t *testing.T) {
 	w3, _ := comm.NewWorld(comm.Config{P: 4})
 	if _, err := Run2D(w3, fx.stores, ropts2); err == nil {
 		t.Error("wrong-kind snapshot accepted")
+	}
+
+	// Another graph of the same n and mesh: the store digest differs.
+	other := build2D(t, poisson(t, 300, 4, 26, graph.WeightUniform, 40), 2, 2)
+	ropts3 := DefaultOptions(fx.src)
+	ropts3.Restore = snap
+	w4, _ := comm.NewWorld(comm.Config{P: 4})
+	if _, err := Run2D(w4, other.stores, ropts3); err == nil || !strings.Contains(err.Error(), "another graph") {
+		t.Errorf("a snapshot restored onto another graph: %v", err)
 	}
 }

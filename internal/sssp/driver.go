@@ -186,7 +186,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 		// Resume from a snapshot: load the distances, buckets, Δ, and
 		// transport state and skip the charged initialization (its cost
 		// lives in the restored ledgers).
-		opts.Resume(c, "sssp", opts.fingerprint(l), func(dec *checkpoint.Dec) {
+		opts.Resume(c, e.st, "sssp", opts.fingerprint(l), func(dec *checkpoint.Dec) {
 			allLight, tagSeq = dec.Bool(), dec.Int()
 			st.decode(dec)
 			recs = search.DecodeRecs(dec, decodeEpochRec)
@@ -225,7 +225,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 			// epochs: every rank has appended the same number of records,
 			// so the condition fires uniformly, and the per-bucket
 			// scratch state (settled, removed, active) is dead here.
-			opts.Halt(c, "sssp", opts.fingerprint(l), func(enc *checkpoint.Enc) {
+			opts.Halt(c, e.st, "sssp", opts.fingerprint(l), func(enc *checkpoint.Enc) {
 				enc.Bool(allLight)
 				enc.Int(tagSeq)
 				st.encode(enc)

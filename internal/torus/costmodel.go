@@ -25,13 +25,6 @@ type CostModel struct {
 	EdgeCost   float64 // scanning one edge-list entry
 	HashCost   float64 // one hash probe (global->local lookup)
 	VertexCost float64 // processing one received frontier/neighbour vertex
-
-	// StoreAndForward charges the full serialization delay at every
-	// hop (bytes/Bandwidth × hops) instead of the cut-through /
-	// wormhole model BlueGene/L actually used (serialize once, add
-	// only HopLatency per hop). Useful as an ablation showing why
-	// wormhole routing matters for multi-hop collectives.
-	StoreAndForward bool
 }
 
 // PresetBlueGeneL returns the default BlueGene/L-flavoured cost model.
@@ -72,11 +65,9 @@ func PresetCluster() CostModel {
 }
 
 // Transit returns the time a message of b bytes spends in the network
-// between ranks that are h hops apart, excluding the endpoint overheads.
+// between ranks that are h hops apart, excluding the endpoint overheads:
+// cut-through (wormhole) routing, as on BlueGene/L — the message is
+// serialized once and each hop adds only HopLatency.
 func (m CostModel) Transit(h, b int) float64 {
-	ser := float64(b) / m.Bandwidth
-	if m.StoreAndForward && h > 1 {
-		ser *= float64(h)
-	}
-	return m.HopLatency*float64(h) + ser
+	return m.HopLatency*float64(h) + float64(b)/m.Bandwidth
 }

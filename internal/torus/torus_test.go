@@ -232,16 +232,3 @@ func TestHopsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStoreAndForwardTransit(t *testing.T) {
-	m := PresetBlueGeneL()
-	cut := m.Transit(4, 10000)
-	m.StoreAndForward = true
-	saf := m.Transit(4, 10000)
-	if saf <= cut {
-		t.Errorf("store-and-forward %g not above cut-through %g for multi-hop", saf, cut)
-	}
-	if m.Transit(1, 10000) != PresetBlueGeneL().Transit(1, 10000) {
-		t.Error("single-hop transit must match cut-through")
-	}
-}

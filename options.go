@@ -181,8 +181,8 @@ func WithMaxLevels(n int) Option {
 }
 
 // Robustness: fault injection and checkpoint/restart. These apply to
-// every search algorithm (checkpointing to the uni-directional
-// single-source drivers only — see WithCheckpoint).
+// every search algorithm (checkpointing to the uni-directional drivers
+// only — see WithCheckpoint).
 
 // FaultPlan re-exports the seeded deterministic fault plan the
 // simulated transport consults for every point-to-point message: bit
@@ -272,9 +272,9 @@ type CheckpointPlan = checkpoint.Plan
 type CheckpointSnapshot = checkpoint.Snapshot
 
 // NewCheckpoint returns a plan that halts the run at BFS level /
-// Δ-stepping epoch ordinal at (counting completed units, so at=2 stops
-// after two full levels) and collects every rank's engine and
-// transport state.
+// MultiBFS sweep / Δ-stepping epoch ordinal at (counting completed
+// units, so at=2 stops after two full levels) and collects every rank's
+// engine and transport state.
 func NewCheckpoint(at int) *CheckpointPlan { return checkpoint.NewPlan(at) }
 
 // WriteCheckpoint persists a snapshot (atomically, via rename).
@@ -288,18 +288,19 @@ func ReadCheckpoint(path string) (*CheckpointSnapshot, error) {
 	return checkpoint.ReadFile(path)
 }
 
-// WithCheckpoint halts the run at the plan's level/epoch, deposits
-// every rank's state into the plan, and returns the partial Result.
-// Supported by the uni-directional single-source drivers (BFS, Search,
-// Path, SSSP); the bi-directional and multi-source drivers and runs
-// with WithTrace reject it.
+// WithCheckpoint halts the run at the plan's level/sweep/epoch,
+// deposits every rank's state into the plan, and returns the partial
+// Result. Supported by the uni-directional drivers (BFS, Search, Path,
+// MultiBFS, SSSP); the bi-directional driver and runs with WithTrace
+// reject it.
 func WithCheckpoint(p *CheckpointPlan) Option {
 	return func(c *searchConfig) { c.bfs.Checkpoint = p; c.sssp.Checkpoint = p }
 }
 
 // WithRestore resumes a run from a snapshot instead of starting at the
 // source. The workload must match the snapshot (same graph, mesh,
-// source and options — enforced by fingerprint); the resumed Result is
+// source or batch, and options — enforced by fingerprint, and each
+// rank's store by a digest of its edges); the resumed Result is
 // byte-identical to the uninterrupted run's, wall time aside.
 func WithRestore(s *CheckpointSnapshot) Option {
 	return func(c *searchConfig) { c.bfs.Restore = s; c.sssp.Restore = s }

@@ -91,11 +91,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 			_, err := bfs.RunBidirectional2D(in.w, in.st1, in.bfsOpts(true))
 			return err
 		}},
-		{"bfs.MultiRun2D", "bfs", false, true, false, func(in runInputs) error {
+		{"bfs.MultiRun2D", "bfs", false, true, true, func(in runInputs) error {
 			_, err := bfs.MultiRun2D(in.w, in.st2, in.sources, in.bfsOpts(false))
 			return err
 		}},
-		{"bfs.MultiRun2D-1dcol", "bfs", false, true, false, func(in runInputs) error {
+		{"bfs.MultiRun2D-1dcol", "bfs", false, true, true, func(in runInputs) error {
 			_, err := bfs.MultiRun2D(in.w, in.st1, in.sources, in.bfsOpts(false))
 			return err
 		}},
