@@ -189,13 +189,16 @@ graphd-chaos:
 
 # Source size: non-test Go lines (wc -l) per package, the bfs + sssp +
 # collective + search sum ROADMAP item 2 tracks, and the total outside
-# the perf lab (bench/) and hidden directories. Not part of ci.
+# the perf lab (bench/) and hidden directories; then the test lines
+# (_test.go files) outside bench/ and hidden directories. Not part of ci.
 loc:
 	@find . -path './.*' -prune -o -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
 	awk '$$2 != "total" { d = $$2; sub(/^\.\//, "", d); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; all += $$1 } \
 	END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 		printf "%6d  bfs + sssp + collective + search\n", n["internal/bfs"] + n["internal/sssp"] + n["internal/collective"] + n["internal/search"]; \
 		printf "%6d  total outside bench/\n", all }'
+	@find . -path './.*' -prune -o -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l | \
+	awk '{ printf "%6d  test lines outside bench/\n", $$1 }'
 
 # Host-process profiles of the flagship workload; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -224,6 +226,160 @@ func TestOneLevelStep(t *testing.T) {
 	}
 }
 
+// testOnlyAllowed are the exported internal/ names no non-test source
+// outside bench/ names, each kept for its reason.
+var testOnlyAllowed = map[string]string{
+	"collective.FoldAsync":      "the perf lab's collective probe times it (bench/probes.go)",
+	"collective.TwoPhaseExpand": "the perf lab's collective probe times it (bench/probes.go)",
+	"collective.TwoPhaseFold":   "the perf lab's collective probe times it (bench/probes.go)",
+	"comm.NewMesh":              "the perf lab's comm probe builds its mesh with it (bench/probes.go)",
+	"graph.BellmanFord":         "the second SSSP oracle internal/sssp's tests check Dijkstra against",
+}
+
+// TestNoTestOnlySurface guards "no surface that only tests and the lab
+// call": every exported top-level func, type, var and const of an
+// internal/ package must be named by some non-test source outside
+// bench/ — through its import selector, or as a same-package
+// identifier other than its own declaration. Methods are not counted.
+// The names that fail are listed; testOnlyAllowed holds the exceptions.
+func TestNoTestOnlySurface(t *testing.T) {
+	fset := token.NewFileSet()
+	type file struct {
+		pkg string // the internal/ package name, or "" outside internal/
+		ast *ast.File
+	}
+	var files []file
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := ""
+		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
+			pkg = strings.TrimPrefix(dir, "internal/")
+		}
+		files = append(files, file{pkg, f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]token.Pos{} // "pkg.Name" → declaration
+	decls := map[*ast.Ident]bool{}     // the declaring identifiers
+	for _, f := range files {
+		if f.pkg == "" {
+			continue
+		}
+		declare := func(id *ast.Ident) {
+			decls[id] = true
+			if id.IsExported() {
+				declared[f.pkg+"."+id.Name] = id.Pos()
+			}
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(d.Name)
+				} else {
+					decls[d.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declare(s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(id)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	named := map[string]bool{}
+	for _, f := range files {
+		imports := map[string]string{} // local name → internal package
+		for _, imp := range f.ast.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			pkg, ok := strings.CutPrefix(path, "repro/internal/")
+			if !ok {
+				continue
+			}
+			name := pkg
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = pkg
+		}
+		// A selected name is an import member, a field or a method; a
+		// field's own name declares nothing at top level.
+		skip := map[*ast.Ident]bool{}
+		ast.Inspect(f.ast, func(node ast.Node) bool {
+			switch n := node.(type) {
+			case *ast.SelectorExpr:
+				skip[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					if pkg, ok := imports[x.Name]; ok {
+						named[pkg+"."+n.Sel.Name] = true
+					}
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					skip[id] = true
+				}
+			}
+			return true
+		})
+		if f.pkg == "" {
+			continue
+		}
+		ast.Inspect(f.ast, func(node ast.Node) bool {
+			if id, ok := node.(*ast.Ident); ok && !skip[id] && !decls[id] {
+				named[f.pkg+"."+id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var unnamed []string
+	for name, pos := range declared {
+		if named[name] {
+			if _, ok := testOnlyAllowed[name]; ok {
+				t.Errorf("%s: %s is named outside tests and bench/; drop it from testOnlyAllowed", fset.Position(pos), name)
+			}
+			continue
+		}
+		if _, ok := testOnlyAllowed[name]; !ok {
+			unnamed = append(unnamed, name)
+		}
+	}
+	for name := range testOnlyAllowed {
+		if _, ok := declared[name]; !ok {
+			t.Errorf("testOnlyAllowed names %s, which no internal/ package declares", name)
+		}
+	}
+	sort.Strings(unnamed)
+	for _, name := range unnamed {
+		t.Errorf("%s: exported %s is named by no non-test source outside bench/; delete it or move it into a test file", fset.Position(declared[name]), name)
+	}
+}
+
 // declName names a function, or a method by its receiver type.
 func declName(fn *ast.FuncDecl) string {
 	if fn.Recv == nil {
@@ -268,6 +424,55 @@ func TestOneEngineQueue(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestOneFrontierSet guards "one frontier set type": internal/frontier's
+// non-test sources declare one type with an Iterate method (the set,
+// Adaptive, which switches between its id queue and its bitmap itself),
+// no interface but Runner (the worker-pool contract the codec borrows),
+// and none of the retired representation surface — a Kind to ask which
+// form a set is in, an Unwrap to reach it, conversions or a Union
+// between forms, or a constructor that takes the switch occupancy.
+func TestOneFrontierSet(t *testing.T) {
+	fset := token.NewFileSet()
+	files := nonTestFiles(t, fset, "internal/frontier")
+	sort.Slice(files, func(i, j int) bool {
+		return fset.Position(files[i].Pos()).Filename < fset.Position(files[j].Pos()).Filename
+	})
+	retired := map[string]bool{"Kind": true, "Unwrap": true, "ToDense": true, "ToSparse": true, "Union": true, "NewAdaptive": true}
+	var sets []*ast.FuncDecl
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && d.Name.Name == "Iterate" {
+					sets = append(sets, d)
+				}
+				if d.Recv == nil && retired[d.Name.Name] {
+					t.Errorf("%s: declares %s; a frontier's form is its own business", fset.Position(d.Pos()), d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					if _, ok := ts.Type.(*ast.InterfaceType); ok && ts.Name.Name != "Runner" {
+						t.Errorf("%s: declares interface %s; there is one frontier set type", fset.Position(ts.Pos()), ts.Name.Name)
+					}
+					if retired[ts.Name.Name] {
+						t.Errorf("%s: declares type %s; a frontier's form is its own business", fset.Position(ts.Pos()), ts.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	if len(sets) == 0 {
+		t.Fatal("internal/frontier: no type with an Iterate method")
+	}
+	for _, fn := range sets[1:] {
+		t.Errorf("%s: declares %s, a second frontier set type", fset.Position(fn.Pos()), declName(fn))
 	}
 }
 

@@ -69,7 +69,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	}
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	fSend := frontier.EncodeBitsPar(e.pl, frontier.Bits(s.F), e.st.OwnedCount(), e.opts.Wire, &e.hist)
+	fSend := frontier.EncodeBitsPar(e.pl, s.F.Bits(), e.st.OwnedCount(), e.opts.Wire, &e.hist)
 	fPieces, fst := collective.Gather(e.c, e.rowG, o, "allgather", fSend, chargeRecv(e.rowG.Me))
 	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 	rec.ExpandWords = fst.RecvWords

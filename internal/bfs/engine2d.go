@@ -125,7 +125,7 @@ func initSide(s *sideState, lo graph.Vertex, n int, L []int32) *sideState {
 	if L == nil {
 		L = make([]int32, n)
 	}
-	s.L, s.F, s.spare = unlabeled(L), search.NewFrontier(uint32(lo), n), search.NewFrontier(uint32(lo), n)
+	s.L, s.F, s.spare = unlabeled(L), frontier.New(uint32(lo), n), frontier.New(uint32(lo), n)
 	return s
 }
 
@@ -232,14 +232,14 @@ func (e *engine2D) newLaneSide(res *MultiResult) *sideState {
 }
 
 // wireFrontier encodes the whole frontier as an expand payload, using
-// the word-level repack when the representation is already dense.
-func (e *engine2D) wireFrontier(f frontier.Frontier) []uint32 {
+// the word-level repack when the frontier is already dense.
+func (e *engine2D) wireFrontier(f *frontier.Adaptive) []uint32 {
 	if e.opts.Wire == frontier.WireSparse {
 		return expandWire{e}.Encode(f.Vertices(), nil, uint32(e.st.Lo), e.st.OwnedCount())
 	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "encode")
-	out := frontier.EncodeFrontierStatsPar(e.pl, f, e.opts.Wire, &e.hist)
+	out := frontier.EncodeFrontier(e.pl, f, e.opts.Wire, &e.hist)
 	tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
 	return out
 }

@@ -194,9 +194,6 @@ func TestTwoPhaseFoldMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(r.set, want) {
 					t.Fatalf("p=%d chunk=%d dst=%d: got %v want %v", p, chunk, dst, r.set, want)
 				}
-				if !localindex.IsSortedSet(r.set) {
-					t.Fatalf("p=%d dst=%d: result not a sorted set", p, dst)
-				}
 			}
 		}
 	}

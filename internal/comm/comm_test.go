@@ -21,7 +21,7 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(Config{P: 0}); err == nil {
 		t.Fatal("expected error for P=0")
 	}
-	m, _ := torus.RowMajor(torus.MustNew(2, 1, 1), 2)
+	m, _ := torus.RowMajor(torus.Torus{DX: 2, DY: 1, DZ: 1}, 2)
 	if _, err := NewWorld(Config{P: 4, Mapping: m}); err == nil {
 		t.Fatal("expected error for undersized mapping")
 	}

@@ -23,8 +23,8 @@ func TestLinkLedgerMatchesRouteMap(t *testing.T) {
 		p    int
 	}{
 		{"fitted 2x2", torus.FitTorus(4), 4},
-		{"uneven 5x3x2", torus.MustNew(5, 3, 2), 27},
-		{"ring of 16", torus.MustNew(16, 1, 1), 16},
+		{"uneven 5x3x2", torus.Torus{DX: 5, DY: 3, DZ: 2}, 27},
+		{"ring of 16", torus.Torus{DX: 16, DY: 1, DZ: 1}, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := torus.RowMajor(tc.tor, tc.p)

@@ -38,13 +38,6 @@ func SetBitAtomic(w []uint32, i uint32) {
 // TestBit reports bit i.
 func TestBit(w []uint32, i uint32) bool { return w[i>>5]&(1<<(i&31)) != 0 }
 
-// OrBits ORs src into dst; src must not be longer than dst.
-func OrBits(dst, src []uint32) {
-	for i, w := range src {
-		dst[i] |= w
-	}
-}
-
 // CountBits returns the number of set bits.
 func CountBits(w []uint32) int {
 	c := 0
@@ -75,27 +68,10 @@ func IDsToBits(ids []uint32, lo uint32, n int) []uint32 {
 	return w
 }
 
-// BitsToIDs unpacks a wire bitmap into ascending ids offset by lo.
-func BitsToIDs(w []uint32, lo uint32) []uint32 {
-	return appendBitsIDs(nil, w, lo)
-}
-
-// appendBitsIDs is BitsToIDs appending to dst.
+// appendBitsIDs unpacks a wire bitmap into ascending ids offset by lo,
+// appending them to dst.
 func appendBitsIDs(dst, w []uint32, lo uint32) []uint32 {
 	dst = slices.Grow(dst, CountBits(w))
 	IterateBits(w, func(i uint32) { dst = append(dst, lo+i) })
 	return dst
-}
-
-// Bits renders any frontier as a wire bitmap over its universe,
-// using the word-level fast path when the representation is already
-// dense.
-func Bits(f Frontier) []uint32 {
-	if d, ok := Unwrap(f).(*Dense); ok {
-		return d.WireBits()
-	}
-	lo, n := f.Universe()
-	w := NewBits(n)
-	f.Iterate(func(v uint32) { SetBit(w, v-lo) })
-	return w
 }

@@ -1,113 +1,181 @@
-// Package frontier provides pluggable representations of a BFS
-// frontier — a set of vertex ids drawn from a contiguous universe
-// [lo, lo+n) — together with conversion, set-union and wire-encoding
-// primitives.
+// Package frontier holds a BFS frontier — the set of vertex ids a
+// level labeled, drawn from a rank's contiguous owned universe
+// [lo, lo+n) — together with the wire-encoding primitives the
+// collectives move sets and bitmaps with.
 //
-// Three representations are provided:
-//
-//   - Sparse: a vertex queue, cheap while the frontier is a small
-//     fraction of the universe (the regime of the paper's early and
-//     late BFS levels).
-//   - Dense: a bitmap over the universe, built on localindex.Bitset;
-//     cheap when the frontier is large, and its set union is word-wise
-//     OR — the form the bottom-up BFS steps and the bitmap wire
-//     encoding fold over.
-//   - Adaptive: starts sparse and switches to dense when occupancy
-//     crosses a tunable threshold, so level frontiers pay for the
-//     representation that fits them.
+// The set, Adaptive, is a vertex queue while it holds a small fraction
+// of its universe (the regime of the paper's early and late BFS levels)
+// and switches to a bitmap once it holds more than 1/32 of it, where the
+// bitmap is both smaller (32 ids per wire word) and cheaper to walk.
 //
 // The wire codec (EncodeSet/Decode) is self-describing: each payload
-// carries whichever of the two forms is fewer words, which lets the
+// carries whichever of its forms is fewest words, which lets the
 // collectives transmit bitmaps instead of vertex lists exactly when
 // denser is cheaper.
 package frontier
 
-// Kind identifies a frontier's current representation.
-type Kind int
+import (
+	"fmt"
+	"math/bits"
 
-const (
-	// KindSparse is the vertex-queue representation.
-	KindSparse Kind = iota
-	// KindDense is the bitmap representation.
-	KindDense
+	"repro/internal/localindex"
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindSparse:
-		return "sparse"
-	case KindDense:
-		return "dense"
-	default:
-		return "unknown"
+// maxPresize caps how many ids a frontier reserves up front.
+const maxPresize = 4096
+
+// Adaptive is a mutable set of vertex ids from the universe [lo, lo+n).
+// It starts as an id queue, kept ascending and duplicate-free lazily —
+// appends in ascending order, the common case in the level-synchronized
+// engines, cost nothing; out-of-order inserts are normalized on the next
+// read — and switches to a bitmap once it holds more than 1/32 of its
+// universe. The switch is one-way until Reset: a level frontier only
+// grows. The engines keep two per search side and Reset the spare one
+// for each new level, so the id queue — reserved once, at the switch
+// threshold it can never outgrow — and the bitmap are reused level after
+// level. It is not safe for concurrent use; in the SPMD engines each
+// rank owns its frontiers outright.
+type Adaptive struct {
+	lo    uint32
+	n     int
+	limit int // switch to the bitmap when Len() exceeds this
+	// The sparse form: the members, unsorted or duplicated while dirty.
+	ids   []uint32
+	dirty bool
+	// The dense form: the bitmap, built at the first switch and kept
+	// (cleared) across Resets, and its member count.
+	dense   *localindex.Bitset
+	count   int
+	isDense bool
+}
+
+// New returns an empty frontier over [lo, lo+n).
+func New(lo uint32, n int) *Adaptive {
+	return &Adaptive{lo: lo, n: n, limit: max(n/32, 1)}
+}
+
+// Reset empties the frontier, back in the sparse form, keeping its
+// storage.
+func (a *Adaptive) Reset() {
+	a.ids = a.ids[:0]
+	a.dirty = false
+	if a.isDense {
+		a.dense.Reset()
+		a.count = 0
+		a.isDense = false
 	}
 }
 
-// Frontier is a mutable set of vertex ids from the universe [lo, lo+n).
-// Implementations are not safe for concurrent use; in the SPMD engines
-// each rank owns its frontiers outright.
-type Frontier interface {
-	// Add inserts v, which must lie in the universe. Inserting a
-	// vertex twice is a no-op.
-	Add(v uint32)
-	// Has reports membership of v (which must lie in the universe).
-	Has(v uint32) bool
-	// Len returns the number of distinct vertices in the set.
-	Len() int
-	// Universe returns the id range [lo, lo+n) this frontier draws
-	// from.
-	Universe() (lo uint32, n int)
-	// Iterate calls fn for every member in ascending order.
-	Iterate(fn func(v uint32))
-	// Vertices returns the members in ascending order. The slice may
-	// alias internal storage; callers must not mutate it.
-	Vertices() []uint32
-	// Kind reports the current representation.
-	Kind() Kind
-}
-
-// ToDense converts any frontier to the bitmap representation (returns
-// the argument itself when it already is one).
-func ToDense(f Frontier) *Dense {
-	if d, ok := Unwrap(f).(*Dense); ok {
-		return d
+// Add inserts v, which must lie in the universe; inserting a vertex
+// twice is a no-op. The raw queue length bounds the distinct count from
+// above, so the (normalizing) Len is only consulted once that bound
+// crosses the switch threshold.
+func (a *Adaptive) Add(v uint32) {
+	if v < a.lo || uint64(v) >= uint64(a.lo)+uint64(a.n) {
+		panic(fmt.Sprintf("frontier: vertex %d outside universe [%d, %d)", v, a.lo, uint64(a.lo)+uint64(a.n)))
 	}
-	lo, n := f.Universe()
-	d := NewDense(lo, n)
-	f.Iterate(d.Add)
-	return d
-}
-
-// ToSparse converts any frontier to the vertex-queue representation
-// (returns the argument itself when it already is one).
-func ToSparse(f Frontier) *Sparse {
-	if s, ok := Unwrap(f).(*Sparse); ok {
-		return s
-	}
-	lo, n := f.Universe()
-	s := NewSparse(lo, n)
-	f.Iterate(s.Add)
-	return s
-}
-
-// Unwrap strips the Adaptive wrapper, exposing the underlying concrete
-// representation.
-func Unwrap(f Frontier) Frontier {
-	if a, ok := f.(*Adaptive); ok {
-		return a.rep()
-	}
-	return f
-}
-
-// Union adds every member of src to dst. Both must share a universe
-// large enough for src's members. When both sides are dense the union
-// is word-wise OR.
-func Union(dst, src Frontier) {
-	d, dok := Unwrap(dst).(*Dense)
-	s, sok := Unwrap(src).(*Dense)
-	if dok && sok && d.lo == s.lo && d.n == s.n {
-		d.Or(s)
+	if a.isDense {
+		if !a.dense.TestAndSet(v - a.lo) {
+			a.count++
+		}
 		return
 	}
-	src.Iterate(dst.Add)
+	if a.ids == nil {
+		a.ids = make([]uint32, 0, min(a.limit+1, maxPresize))
+	}
+	if k := len(a.ids); k > 0 && a.ids[k-1] >= v {
+		if a.ids[k-1] == v {
+			return
+		}
+		a.dirty = true
+	}
+	a.ids = append(a.ids, v)
+	if len(a.ids) > a.limit && a.Len() > a.limit {
+		if a.dense == nil {
+			a.dense = localindex.NewBitset(a.n)
+		}
+		for _, id := range a.ids {
+			a.dense.Set(id - a.lo)
+		}
+		a.count = len(a.ids)
+		a.ids = a.ids[:0]
+		a.isDense = true
+	}
+}
+
+// normalize sorts and dedups the id queue.
+func (a *Adaptive) normalize() {
+	if a.dirty {
+		a.ids, _ = localindex.SortSet(a.ids)
+		a.dirty = false
+	}
+}
+
+// Len returns the number of distinct members.
+func (a *Adaptive) Len() int {
+	if a.isDense {
+		return a.count
+	}
+	a.normalize()
+	return len(a.ids)
+}
+
+// Universe returns the id range [lo, lo+n) the frontier draws from.
+func (a *Adaptive) Universe() (lo uint32, n int) { return a.lo, a.n }
+
+// Iterate calls fn for every member in ascending order. Both forms are
+// walked here, with no dynamic call but fn's, so a closure passed on a
+// *Adaptive stays on the caller's stack.
+func (a *Adaptive) Iterate(fn func(v uint32)) {
+	if a.isDense {
+		a.eachDense(fn)
+		return
+	}
+	a.normalize()
+	for _, v := range a.ids {
+		fn(v)
+	}
+}
+
+// eachDense calls fn for every member of the bitmap in ascending order.
+// It is small enough to inline, so a closure passed here by a caller in
+// this package is inlined too.
+func (a *Adaptive) eachDense(fn func(v uint32)) {
+	for wi, w := range a.dense.Words() {
+		base := a.lo + uint32(wi)*64
+		for ; w != 0; w &= w - 1 {
+			fn(base + uint32(bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// Vertices returns the members in ascending order. A sparse frontier's
+// slice aliases its storage; callers must not mutate it.
+func (a *Adaptive) Vertices() []uint32 {
+	if !a.isDense {
+		a.normalize()
+		return a.ids
+	}
+	out := make([]uint32, 0, a.count)
+	a.eachDense(func(v uint32) { out = append(out, v) })
+	return out
+}
+
+// Bits renders the frontier as a wire bitmap over its universe (bit i
+// of word j is vertex lo+32j+i), packing the bitmap word for word once
+// the frontier is dense.
+func (a *Adaptive) Bits() []uint32 {
+	if !a.isDense {
+		return IDsToBits(a.Vertices(), a.lo, a.n)
+	}
+	out := NewBits(a.n)
+	for wi, w := range a.dense.Words() {
+		if 2*wi < len(out) {
+			out[2*wi] = uint32(w)
+		}
+		if 2*wi+1 < len(out) {
+			out[2*wi+1] = uint32(w >> 32)
+		}
+	}
+	return out
 }

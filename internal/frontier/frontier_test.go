@@ -19,123 +19,155 @@ func randSet(rng *rand.Rand, lo uint32, n, count int) []uint32 {
 	return out
 }
 
-func builders() map[string]func(lo uint32, n int) Frontier {
-	return map[string]func(lo uint32, n int) Frontier{
-		"sparse":   func(lo uint32, n int) Frontier { return NewSparse(lo, n) },
-		"dense":    func(lo uint32, n int) Frontier { return NewDense(lo, n) },
-		"adaptive": func(lo uint32, n int) Frontier { return NewAdaptive(lo, n, 0) },
-	}
-}
-
+// TestFrontierImplementations: the one set type holds the same members,
+// in the same order, below and above its switch to a bitmap, whatever
+// order and duplication they arrive in.
 func TestFrontierImplementations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for name, build := range builders() {
-		lo, n := uint32(1000), 500
-		want := randSet(rng, lo, n, 300)
-		f := build(lo, n)
+	lo, n := uint32(1000), 5000
+	for _, count := range []int{0, 1, 100, 3000} {
+		want := randSet(rng, lo, n, count)
+		f := New(lo, n)
 		// Insert in shuffled order with duplicates.
-		perm := rng.Perm(len(want))
-		for _, i := range perm {
+		for _, i := range rng.Perm(len(want)) {
 			f.Add(want[i])
 			f.Add(want[i]) // duplicate must be a no-op
 		}
 		if f.Len() != len(want) {
-			t.Fatalf("%s: Len=%d want %d", name, f.Len(), len(want))
+			t.Fatalf("%d ids: Len=%d want %d", count, f.Len(), len(want))
 		}
-		if got := f.Vertices(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Vertices mismatch", name)
+		if got := f.Vertices(); !slices.Equal(got, want) {
+			t.Fatalf("%d ids: Vertices mismatch", count)
 		}
 		var iter []uint32
 		f.Iterate(func(v uint32) { iter = append(iter, v) })
-		if !reflect.DeepEqual(iter, want) {
-			t.Fatalf("%s: Iterate mismatch", name)
+		if !slices.Equal(iter, want) {
+			t.Fatalf("%d ids: Iterate mismatch", count)
 		}
-		for trial := 0; trial < 100; trial++ {
-			v := lo + uint32(rng.Intn(n))
-			inSet := false
-			for _, w := range want {
-				if w == v {
-					inSet = true
-					break
-				}
-			}
-			if f.Has(v) != inSet {
-				t.Fatalf("%s: Has(%d)=%v want %v", name, v, f.Has(v), inSet)
-			}
+		if !reflect.DeepEqual(f.Bits(), IDsToBits(want, lo, n)) {
+			t.Fatalf("%d ids: Bits mismatch", count)
 		}
-		glo, gn := f.Universe()
-		if glo != lo || gn != n {
-			t.Fatalf("%s: Universe=(%d,%d) want (%d,%d)", name, glo, gn, lo, n)
+		if glo, gn := f.Universe(); glo != lo || gn != n {
+			t.Fatalf("%d ids: Universe=(%d,%d) want (%d,%d)", count, glo, gn, lo, n)
+		}
+		if dense := len(want) > n/32; f.isDense != dense {
+			t.Fatalf("%d ids: dense=%v want %v", count, f.isDense, dense)
 		}
 	}
 }
 
+// TestSparseDenseRoundTrip: a set's ids and its bitmap convert into each
+// other without loss in either form, and Reset returns the set to the
+// sparse form.
 func TestSparseDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		lo := uint32(rng.Intn(10000))
 		n := 1 + rng.Intn(400)
 		want := randSet(rng, lo, n, rng.Intn(2*n))
-		s := NewSparseFrom(lo, n, want)
-		d := ToDense(s)
-		if d.Len() != len(want) || !reflect.DeepEqual(d.Vertices(), want) {
-			t.Fatalf("trial %d: sparse→dense mismatch", trial)
+		f := New(lo, n)
+		for _, i := range rng.Perm(len(want)) {
+			f.Add(want[i])
 		}
-		s2 := ToSparse(d)
-		if !reflect.DeepEqual(s2.Vertices(), want) {
-			t.Fatalf("trial %d: dense→sparse mismatch", trial)
+		bits := f.Bits()
+		if !reflect.DeepEqual(bits, IDsToBits(want, lo, n)) || CountBits(bits) != len(want) {
+			t.Fatalf("trial %d: ids→bitmap mismatch", trial)
 		}
-		// Identity conversions return the same object.
-		if ToDense(d) != d || ToSparse(s) != s {
-			t.Fatal("identity conversion allocated")
+		if got := appendBitsIDs(nil, bits, lo); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: bitmap→ids mismatch", trial)
+		}
+		if !slices.Equal(f.Vertices(), want) {
+			t.Fatalf("trial %d: Vertices mismatch (dense=%v)", trial, f.isDense)
+		}
+		f.Reset()
+		f.Add(lo)
+		if f.isDense || !slices.Equal(f.Vertices(), []uint32{lo}) {
+			t.Fatalf("trial %d: after Reset dense=%v members %v", trial, f.isDense, f.Vertices())
 		}
 	}
 }
 
 func TestAdaptiveSwitchBoundary(t *testing.T) {
-	// occupancy 0.25 of 128 = limit 32: the 32nd insert stays sparse,
-	// the 33rd flips to dense.
-	a := NewAdaptive(0, 128, 0.25)
+	// 1/32 of 1024 = limit 32: the 32nd insert stays sparse, the 33rd
+	// switches to the bitmap.
+	a := New(0, 1024)
 	for i := 0; i < 32; i++ {
 		a.Add(uint32(i))
 	}
-	if a.Kind() != KindSparse {
-		t.Fatalf("at limit: Kind=%v want sparse", a.Kind())
+	if a.isDense {
+		t.Fatal("at limit: switched to the bitmap")
 	}
 	a.Add(32)
-	if a.Kind() != KindDense {
-		t.Fatalf("past limit: Kind=%v want dense", a.Kind())
+	if !a.isDense {
+		t.Fatal("past limit: still sparse")
 	}
-	if a.Len() != 33 || !a.Has(0) || !a.Has(32) || a.Has(33) {
-		t.Fatal("membership lost across the representation switch")
+	if a.Len() != 33 || !slices.Equal(a.Vertices(), seqIDs(0, 33)) {
+		t.Fatal("membership lost across the switch")
 	}
 
-	// occupancy >= 1 never switches, even when out-of-order duplicate
-	// inserts inflate the raw backing slice past the limit — the switch
-	// decision counts distinct members.
-	full := NewAdaptive(0, 16, 1)
+	// Out-of-order duplicate inserts inflate the raw queue past the
+	// limit without switching: the switch decision counts distinct
+	// members.
+	dup := New(0, 1024)
 	for round := 0; round < 3; round++ {
-		for i := 15; i >= 0; i-- {
-			full.Add(uint32(i))
+		for i := 31; i >= 0; i-- {
+			dup.Add(uint32(i))
 		}
 	}
-	if full.Kind() != KindSparse {
-		t.Fatal("occupancy 1 should pin the frontier sparse")
-	}
-	if full.Len() != 16 {
-		t.Fatalf("Len=%d want 16", full.Len())
+	if dup.isDense || dup.Len() != 32 {
+		t.Fatalf("duplicates: dense=%v Len=%d, want sparse with 32", dup.isDense, dup.Len())
 	}
 
-	// A tiny occupancy clamps the limit to 1: second distinct insert
-	// switches.
-	tiny := NewAdaptive(0, 1000, 1e-9)
+	// A universe under 32 ids has n/32 = 0, which the clamp raises to 1:
+	// the first insert stays sparse only because of it, the second
+	// distinct insert switches.
+	tiny := New(0, 20)
 	tiny.Add(5)
-	if tiny.Kind() != KindSparse {
+	if tiny.isDense {
 		t.Fatal("first insert should not switch")
 	}
 	tiny.Add(6)
-	if tiny.Kind() != KindDense {
+	if !tiny.isDense {
 		t.Fatal("second insert should switch at the clamped limit")
+	}
+}
+
+// TestFrontierReset: Reset empties the set back into the sparse form and
+// keeps the bitmap, cleared, for the next switch.
+func TestFrontierReset(t *testing.T) {
+	a := New(100, 640)
+	for v := uint32(100); v < 140; v++ {
+		a.Add(v)
+	}
+	bitmap := a.dense
+	if bitmap == nil {
+		t.Fatal("40 of 640 ids did not switch to the bitmap")
+	}
+	a.Reset()
+	if a.isDense || a.Len() != 0 || len(a.Vertices()) != 0 {
+		t.Fatal("Reset left members behind")
+	}
+	for v := uint32(739); v >= 700; v-- {
+		a.Add(v)
+	}
+	if a.dense != bitmap {
+		t.Fatal("the bitmap was rebuilt after Reset")
+	}
+	if a.Len() != 40 || !slices.Equal(a.Vertices(), seqIDs(700, 40)) {
+		t.Fatalf("after Reset: %v", a.Vertices())
+	}
+}
+
+func TestFrontierRejectsOutOfUniverse(t *testing.T) {
+	for _, v := range []uint32{99, 164} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) on [100, 164) did not panic", v)
+				}
+			}()
+			New(100, 64).Add(v)
+		}()
 	}
 }
 
@@ -219,40 +251,40 @@ func TestWireRawListsCostNothing(t *testing.T) {
 	}
 }
 
+// TestUnionMatchesLocalindex: adding two sets into one frontier, and
+// OR-ing their bitmaps word by word, both give localindex's sorted union.
 func TestUnionMatchesLocalindex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lo, n := uint32(0), 512
+	f := New(lo, n)
 	for trial := 0; trial < 30; trial++ {
 		a := randSet(rng, lo, n, rng.Intn(300))
 		b := randSet(rng, lo, n, rng.Intn(300))
 		want, _ := localindex.UnionSorted(a, b)
 
-		// Word-level OR of wire bitmaps.
-		wa := IDsToBits(a, lo, n)
-		OrBits(wa, IDsToBits(b, lo, n))
-		if got := BitsToIDs(wa, lo); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: OrBits union mismatch", trial)
+		f.Reset()
+		for _, v := range a {
+			f.Add(v)
+		}
+		for _, v := range b {
+			f.Add(v)
+		}
+		if f.Len() != len(want) || !slices.Equal(f.Vertices(), want) {
+			t.Fatalf("trial %d: frontier union mismatch (dense=%v)", trial, f.isDense)
+		}
+
+		wa, wb := IDsToBits(a, lo, n), IDsToBits(b, lo, n)
+		for i := range wa {
+			wa[i] |= wb[i]
+		}
+		if !reflect.DeepEqual(wa, f.Bits()) {
+			t.Fatalf("trial %d: OR of bitmaps differs from the union's Bits", trial)
+		}
+		if got := appendBitsIDs(nil, wa, lo); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: OR-ed bitmap union mismatch", trial)
 		}
 		if CountBits(wa) != len(want) {
 			t.Fatalf("trial %d: CountBits=%d want %d", trial, CountBits(wa), len(want))
-		}
-
-		// Dense.Or and the generic Union helper.
-		da, db := NewDense(lo, n), NewDense(lo, n)
-		for _, v := range a {
-			da.Add(v)
-		}
-		for _, v := range b {
-			db.Add(v)
-		}
-		da.Or(db)
-		if !reflect.DeepEqual(da.Vertices(), want) || da.Len() != len(want) {
-			t.Fatalf("trial %d: Dense.Or mismatch", trial)
-		}
-		sp := NewSparseFrom(lo, n, a)
-		Union(sp, db)
-		if !reflect.DeepEqual(sp.Vertices(), want) {
-			t.Fatalf("trial %d: Union(sparse, dense) mismatch", trial)
 		}
 	}
 }
@@ -273,21 +305,15 @@ func TestBitsHelpers(t *testing.T) {
 	if TestBit(w, 1) || !TestBit(w, 69) {
 		t.Fatal("TestBit wrong")
 	}
-	// Bits() agrees between representations.
-	s := NewSparseFrom(100, 70, []uint32{100, 131, 132, 169})
-	d := ToDense(s)
-	if !reflect.DeepEqual(Bits(s), Bits(d)) {
-		t.Fatal("Bits(sparse) != Bits(dense)")
+	if CountBits(w) != 4 {
+		t.Fatalf("CountBits=%d want 4", CountBits(w))
 	}
-	if !reflect.DeepEqual(BitsToIDs(Bits(s), 100), s.Vertices()) {
-		t.Fatal("Bits round trip failed")
+	if ids := appendBitsIDs(nil, w, 100); !reflect.DeepEqual(ids, []uint32{100, 131, 132, 169}) {
+		t.Fatalf("appendBitsIDs=%v", ids)
 	}
 }
 
-func TestKindStrings(t *testing.T) {
-	if KindSparse.String() != "sparse" || KindDense.String() != "dense" {
-		t.Fatal("Kind strings changed")
-	}
+func TestWireModeStrings(t *testing.T) {
 	for mode, want := range map[WireMode]string{WireSparse: "sparse", WireDense: "dense", WireAuto: "auto", WireHybrid: "hybrid"} {
 		if mode.String() != want {
 			t.Fatalf("WireMode %d string %q want %q", int(mode), mode.String(), want)

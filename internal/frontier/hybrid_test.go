@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/localindex"
+	"repro/internal/pool"
 )
 
 var allWireModes = []WireMode{WireSparse, WireDense, WireAuto, WireHybrid}
@@ -155,23 +156,31 @@ func TestEncodeSetDoesNotAlias(t *testing.T) {
 			t.Fatalf("mode %v: in-flight mutation corrupted the payload: got %v want %v", mode, got, want)
 		}
 	}
-	// The frontier fast path must not alias either.
-	s := NewSparseFrom(0, 64, []uint32{1, 2, 50})
-	buf := EncodeFrontier(s, WireAuto)
-	s.Add(7)
+	// Nor may a sparse frontier's encode alias its queue.
+	f := New(0, 64)
+	for _, v := range []uint32{1, 2, 50} {
+		f.Add(v)
+	}
+	buf := EncodeFrontier(nil, f, WireAuto, nil)
+	f.Add(7)
 	if got := Decode(buf); !reflect.DeepEqual(got, []uint32{1, 2, 50}) {
 		t.Fatalf("EncodeFrontier aliased live frontier storage: got %v", got)
 	}
 }
 
-// TestEncodeFrontierHybridFastPath: the dense-representation fast path
-// (chunk stream built straight from the wire words) must produce
-// byte-identical payloads to the id-list path for every occupancy.
+// TestEncodeFrontierHybridFastPath: a frontier's encode — a dense one's
+// built straight from its bitmap words, inline or on a pool — must be
+// byte-identical to the id-list path, histogram included, for every
+// occupancy and wire mode.
 func TestEncodeFrontierHybridFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	runners := []Runner{nil, pool.New(1), pool.New(4)}
 	for trial := 0; trial < 30; trial++ {
 		lo := uint32(rng.Intn(5000))
 		n := 1 + rng.Intn(2*ChunkSpan)
+		if trial%5 == 4 {
+			n = 12 * ChunkSpan // past parallelWorthwhile, so the pool engages
+		}
 		var ids []uint32
 		switch trial % 4 {
 		case 0:
@@ -182,19 +191,24 @@ func TestEncodeFrontierHybridFastPath(t *testing.T) {
 			ids = fullSet(lo, n)
 		case 3: // empty
 		}
-		d := NewDense(lo, n)
+		f := New(lo, n)
 		for _, v := range ids {
-			d.Add(v)
+			f.Add(v)
 		}
-		var hd, hs ContainerHist
-		fast := EncodeFrontierStats(d, WireHybrid, &hd)
-		slow := EncodeSetStats(ids, lo, n, WireHybrid, &hs)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("trial %d (n=%d, %d ids): dense fast path diverged (%d vs %d words)",
-				trial, n, len(ids), len(fast), len(slow))
-		}
-		if hd != hs {
-			t.Fatalf("trial %d: fast-path histogram %+v != set-path %+v", trial, hd, hs)
+		for _, mode := range allWireModes {
+			var hs ContainerHist
+			slow := EncodeSetStats(ids, lo, n, mode, &hs)
+			for _, p := range runners {
+				var hf ContainerHist
+				fast := EncodeFrontier(p, f, mode, &hf)
+				if !reflect.DeepEqual(fast, slow) {
+					t.Fatalf("trial %d (n=%d, %d ids, dense=%v) mode %v: frontier encode diverged (%d vs %d words)",
+						trial, n, len(ids), f.isDense, mode, len(fast), len(slow))
+				}
+				if hf != hs {
+					t.Fatalf("trial %d mode %v: frontier histogram %+v != set-path %+v", trial, mode, hf, hs)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package frontier
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,31 +41,33 @@ func seqIDs(lo uint32, n int) []uint32 {
 	return ids
 }
 
-// TestDecodeCheckedRejectsMalformed: every mangled payload must come
-// back as a *DecodeError — not a crash, not a silent wrong answer.
+// decodeChecked is Decode for payloads of uncertain provenance: the
+// decode paths validate every length, span and container code before
+// indexing, so a malformed payload panics with a frontier message,
+// which comes back here as an error.
+func decodeChecked(buf []uint32) (ids []uint32, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	return Decode(buf), nil
+}
+
+// TestDecodeCheckedRejectsMalformed: every mangled payload must be
+// rejected with a frontier panic — not a runtime fault, not a silent
+// wrong answer.
 func TestDecodeCheckedRejectsMalformed(t *testing.T) {
 	for name, buf := range mangleCases() {
-		ids, err := DecodeChecked(buf)
+		ids, err := decodeChecked(buf)
 		if err == nil {
 			t.Errorf("%s: accepted, decoded %d ids", name, len(ids))
 			continue
 		}
-		var de *DecodeError
-		if !asDecodeError(err, &de) {
-			t.Errorf("%s: error is %T, want *DecodeError", name, err)
-		}
-		if !strings.Contains(err.Error(), "frontier") {
-			t.Errorf("%s: error %q lacks package context", name, err)
+		if !strings.HasPrefix(err.Error(), "frontier: ") {
+			t.Errorf("%s: error %q is not a frontier validation failure", name, err)
 		}
 	}
-}
-
-func asDecodeError(err error, target **DecodeError) bool {
-	de, ok := err.(*DecodeError)
-	if ok {
-		*target = de
-	}
-	return ok
 }
 
 // TestDecodeCheckedAcceptsValid: the checked path is Decode on the
@@ -73,7 +76,7 @@ func TestDecodeCheckedAcceptsValid(t *testing.T) {
 	ids := []uint32{3, 4, 5, 64, 900, 901, 902, 4097}
 	for _, mode := range []WireMode{WireSparse, WireDense, WireAuto, WireHybrid} {
 		buf := EncodeSet(ids, 0, 5000, mode)
-		got, err := DecodeChecked(buf)
+		got, err := decodeChecked(buf)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -89,9 +92,8 @@ func TestDecodeCheckedAcceptsValid(t *testing.T) {
 }
 
 // FuzzDecodeMalformed hammers the decoder with arbitrary word
-// sequences: DecodeChecked must never panic (runtime faults like index
-// out of range would escape the recover as non-frontier panics and
-// fail the fuzz), never allocate proportionally to a forged universe,
+// sequences: Decode must only ever panic with its own validation
+// messages (a runtime fault like index out of range fails the fuzz), never allocate proportionally to a forged universe,
 // and on success return only in-universe ids for self-describing
 // payloads.
 func FuzzDecodeMalformed(f *testing.F) {
@@ -108,8 +110,11 @@ func FuzzDecodeMalformed(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		buf := bytesToWordsSlice(raw)
-		ids, err := DecodeChecked(buf)
+		ids, err := decodeChecked(buf)
 		if err != nil {
+			if !strings.HasPrefix(err.Error(), "frontier: ") {
+				t.Fatalf("decode failed outside its validation: %v", err)
+			}
 			return // rejected cleanly — the property under test
 		}
 		if len(buf) > 0 && (buf[0] == wireSentinel || buf[0] == hybridSentinel) {

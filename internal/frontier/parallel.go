@@ -163,29 +163,37 @@ func EncodeSetStatsPar(p Runner, ids []uint32, lo uint32, n int, mode WireMode, 
 		func() []uint32 { return IDsToBits(ids, lo, n) })
 }
 
-// EncodeFrontierStatsPar is EncodeFrontierStats with the hybrid chunk
-// stream built on the runner.
-func EncodeFrontierStatsPar(p Runner, f Frontier, mode WireMode, h *ContainerHist) []uint32 {
+// EncodeFrontier encodes a frontier's members exactly like
+// EncodeSetStatsPar, the hybrid chunk stream built on the runner (a nil
+// or one-worker runner runs inline). A dense frontier is encoded word
+// for word from its bitmap instead of materializing an id list and
+// rebuilding the bitmap.
+func EncodeFrontier(p Runner, f *Adaptive, mode WireMode, h *ContainerHist) []uint32 {
 	lo, n := f.Universe()
-	if mode != WireHybrid || !parallelWorthwhile(p, n) {
-		return EncodeFrontierStats(f, mode, h)
-	}
-	d, ok := Unwrap(f).(*Dense)
-	if !ok {
+	if !f.isDense {
 		return EncodeSetStatsPar(p, f.Vertices(), lo, n, mode, h)
 	}
-	if rawBeatsHybrid(n, d.Len()) {
-		if h != nil {
-			h.RawPayloads++
+	switch {
+	case mode == WireHybrid && !rawBeatsHybrid(n, f.count):
+		w := f.Bits()
+		var chunks ContainerHist
+		hyb := append(make([]uint32, 0, 3+streamBound(n, f.count)), hybridSentinel, lo, uint32(n))
+		if parallelWorthwhile(p, n) {
+			hyb = appendBitsChunksPar(p, hyb, w, n, &chunks)
+		} else {
+			hyb = appendBitsChunks(hyb, w, n, &chunks)
 		}
-		return rawList(d.Vertices())
+		return pickHybridForm(hyb, chunks, f.count, lo, n, h,
+			func() []uint32 { return rawList(f.Vertices()) },
+			func() []uint32 { return w })
+	case mode == WireDense || (mode == WireAuto && denseCheaper(n, f.count)):
+		if h != nil {
+			h.DensePayloads++
+		}
+		return append(denseHeader(lo, n), f.Bits()...)
+	default:
+		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
 	}
-	w := d.WireBits()
-	var chunks ContainerHist
-	hyb := appendBitsChunksPar(p, []uint32{hybridSentinel, lo, uint32(n)}, w, n, &chunks)
-	return pickHybridForm(hyb, chunks, d.Len(), lo, n, h,
-		func() []uint32 { return rawList(d.Vertices()) },
-		func() []uint32 { return w })
 }
 
 // EncodeBitsPar is EncodeBits with the chunk stream built on the

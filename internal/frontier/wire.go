@@ -131,26 +131,6 @@ func encodeSetHybrid(ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 
 		func() []uint32 { return IDsToBits(ids, lo, n) })
 }
 
-// encodeDenseFrontierHybrid is encodeSetHybrid for a frontier that is
-// already a bitmap: the chunk stream is built straight from the wire
-// words, and an id list only materializes if the raw arm wins.
-func encodeDenseFrontierHybrid(d *Dense, h *ContainerHist) []uint32 {
-	lo, n := d.Universe()
-	if rawBeatsHybrid(n, d.Len()) {
-		if h != nil {
-			h.RawPayloads++
-		}
-		return rawList(d.Vertices())
-	}
-	w := d.WireBits()
-	var chunks ContainerHist
-	buf := make([]uint32, 0, 3+streamBound(n, d.Len()))
-	hyb := appendBitsChunks(append(buf, hybridSentinel, lo, uint32(n)), w, n, &chunks)
-	return pickHybridForm(hyb, chunks, d.Len(), lo, n, h,
-		func() []uint32 { return rawList(d.Vertices()) },
-		func() []uint32 { return w })
-}
-
 // pickHybridForm chooses among the three payload forms given the
 // prebuilt chunk stream; raw and bits lazily produce the id list and
 // wire bitmap for the fallback arms.
@@ -176,60 +156,14 @@ func pickHybridForm(hyb []uint32, chunks ContainerHist, rawLen int, lo uint32, n
 	}
 }
 
-// EncodeFrontier encodes a frontier's member set exactly like
-// EncodeSet, but works word-for-word from an already-dense
-// representation instead of materializing an id list and rebuilding
-// the bitmap.
-func EncodeFrontier(f Frontier, mode WireMode) []uint32 {
-	return EncodeFrontierStats(f, mode, nil)
-}
-
-// EncodeFrontierStats is EncodeFrontier with container accounting.
-func EncodeFrontierStats(f Frontier, mode WireMode, h *ContainerHist) []uint32 {
-	lo, n := f.Universe()
-	d, ok := Unwrap(f).(*Dense)
-	if !ok {
-		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
-	}
-	switch {
-	case mode == WireHybrid:
-		return encodeDenseFrontierHybrid(d, h)
-	case mode == WireDense || (mode == WireAuto && denseCheaper(n, d.Len())):
-		if h != nil {
-			h.DensePayloads++
-		}
-		return append(denseHeader(lo, n), d.WireBits()...)
-	default:
-		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
-	}
-}
-
-// DecodeError reports a malformed wire payload rejected by
-// DecodeChecked.
-type DecodeError struct{ Reason string }
-
-func (e *DecodeError) Error() string { return e.Reason }
-
-// DecodeChecked is Decode for payloads of uncertain provenance
-// (checkpoint files, tools reading foreign dumps): a malformed payload
-// comes back as a *DecodeError instead of a panic. The decode paths
-// validate every length, span, and container code before indexing, so
-// arbitrary input cannot crash or over-allocate.
-func DecodeChecked(buf []uint32) (ids []uint32, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &DecodeError{Reason: fmt.Sprint(r)}
-		}
-	}()
-	return Decode(buf), nil
-}
-
 // Decode unpacks a payload produced by EncodeSet back into an
 // ascending id slice. Raw lists pass through untouched (and aliased),
 // so decoding an unencoded payload is a safe no-op. Malformed payloads
-// panic (transit corruption is the transport's job to catch — see
-// internal/comm's checksummed frames); use DecodeChecked for input
-// that is not protocol-guaranteed.
+// panic with a "frontier: " message (transit corruption is the
+// transport's job to catch — see internal/comm's checksummed frames).
+// Every length, span and container code is validated before it is
+// indexed, so no input can fault or over-allocate: a reader of input
+// that is not protocol-guaranteed recovers the panic as an error.
 func Decode(buf []uint32) []uint32 {
 	if len(buf) == 0 || buf[0] < hybridSentinel {
 		return buf

@@ -44,15 +44,6 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 	return bw.Flush()
 }
 
-// WriteWeightedEdgeList writes a weighted graph's "u v w" edge list;
-// it rejects unweighted graphs so weight-dropping is always explicit.
-func WriteWeightedEdgeList(w io.Writer, g *CSR) error {
-	if !g.Weighted() {
-		return fmt.Errorf("graph: WriteWeightedEdgeList on an unweighted graph")
-	}
-	return WriteEdgeList(w, g)
-}
-
 // ReadEdgeList parses a plain-text edge list: one "u v" pair (or
 // "u v w" weighted triple) per line, blank lines ignored, lines
 // starting with '#' treated as comments except the optional "# n
@@ -160,18 +151,4 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 		return FromWeightedEdges(n, edges, weights)
 	}
 	return FromEdges(n, edges)
-}
-
-// ReadWeightedEdgeList parses an edge list that must carry weights; an
-// unweighted input is rejected rather than silently lifted to unit
-// weights.
-func ReadWeightedEdgeList(r io.Reader) (*CSR, error) {
-	g, err := ReadEdgeList(r)
-	if err != nil {
-		return nil, err
-	}
-	if !g.Weighted() {
-		return nil, fmt.Errorf("graph: edge list carries no weights; use ReadEdgeList")
-	}
-	return g, nil
 }

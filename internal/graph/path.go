@@ -45,28 +45,3 @@ func PathFromLevels(g *CSR, levels []int32, src, dst Vertex) ([]Vertex, error) {
 	}
 	return path, nil
 }
-
-// ValidatePath checks that path is a genuine path in g from src to dst
-// (consecutive vertices adjacent, endpoints correct).
-func ValidatePath(g *CSR, path []Vertex, src, dst Vertex) error {
-	if len(path) == 0 {
-		return fmt.Errorf("graph: empty path")
-	}
-	if path[0] != src || path[len(path)-1] != dst {
-		return fmt.Errorf("graph: path endpoints (%d,%d), want (%d,%d)",
-			path[0], path[len(path)-1], src, dst)
-	}
-	for i := 1; i < len(path); i++ {
-		adjacent := false
-		for _, u := range g.Neighbors(path[i-1]) {
-			if u == path[i] {
-				adjacent = true
-				break
-			}
-		}
-		if !adjacent {
-			return fmt.Errorf("graph: path step %d→%d is not an edge", path[i-1], path[i])
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,7 +25,7 @@ func TestPathFromLevelsPathGraph(t *testing.T) {
 			t.Fatalf("path %v, want %v", path, want)
 		}
 	}
-	if err := ValidatePath(g, path, 0, 4); err != nil {
+	if err := validatePath(g, path, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,7 +53,7 @@ func TestPathFromLevelsRandomGraph(t *testing.T) {
 		if int32(len(path)-1) != levels[dst] {
 			t.Fatalf("path length %d, distance %d", len(path)-1, levels[dst])
 		}
-		if err := ValidatePath(g, path, src, dst); err != nil {
+		if err := validatePath(g, path, src, dst); err != nil {
 			t.Fatal(err)
 		}
 		// Shortest: every step descends exactly one level.
@@ -101,16 +102,41 @@ func TestValidatePathRejectsNonPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePath(g, []Vertex{0, 2}, 0, 2); err == nil {
+	if err := validatePath(g, []Vertex{0, 2}, 0, 2); err == nil {
 		t.Error("non-edge step accepted")
 	}
-	if err := ValidatePath(g, []Vertex{0, 1}, 0, 2); err == nil {
+	if err := validatePath(g, []Vertex{0, 1}, 0, 2); err == nil {
 		t.Error("wrong endpoint accepted")
 	}
-	if err := ValidatePath(g, nil, 0, 0); err == nil {
+	if err := validatePath(g, nil, 0, 0); err == nil {
 		t.Error("empty path accepted")
 	}
-	if err := ValidatePath(g, []Vertex{0, 1, 2, 3}, 0, 3); err != nil {
+	if err := validatePath(g, []Vertex{0, 1, 2, 3}, 0, 3); err != nil {
 		t.Errorf("valid path rejected: %v", err)
 	}
+}
+
+// validatePath checks that path is a genuine path in g from src to dst
+// (consecutive vertices adjacent, endpoints correct).
+func validatePath(g *CSR, path []Vertex, src, dst Vertex) error {
+	if len(path) == 0 {
+		return fmt.Errorf("graph: empty path")
+	}
+	if path[0] != src || path[len(path)-1] != dst {
+		return fmt.Errorf("graph: path endpoints (%d,%d), want (%d,%d)",
+			path[0], path[len(path)-1], src, dst)
+	}
+	for i := 1; i < len(path); i++ {
+		adjacent := false
+		for _, u := range g.Neighbors(path[i-1]) {
+			if u == path[i] {
+				adjacent = true
+				break
+			}
+		}
+		if !adjacent {
+			return fmt.Errorf("graph: path step %d→%d is not an edge", path[i-1], path[i])
+		}
+	}
+	return nil
 }

@@ -41,12 +41,3 @@ func Relabel(g *CSR, seed int64) (*CSR, []Vertex) {
 	}
 	return out, perm
 }
-
-// InversePerm returns the inverse permutation: inv[new] = old.
-func InversePerm(perm []Vertex) []Vertex {
-	inv := make([]Vertex, len(perm))
-	for old, nw := range perm {
-		inv[nw] = Vertex(old)
-	}
-	return inv
-}

@@ -2,19 +2,44 @@ package graph
 
 import "testing"
 
+// inversePerm inverts perm, failing t unless perm is a bijection on
+// [0, len(perm)).
+func inversePerm(t *testing.T, perm []Vertex) []Vertex {
+	t.Helper()
+	inv := make([]Vertex, len(perm))
+	seen := make([]bool, len(perm))
+	for old, nw := range perm {
+		if int(nw) >= len(perm) || seen[nw] {
+			t.Fatalf("new id %d out of range or given twice", nw)
+		}
+		inv[nw], seen[nw] = Vertex(old), true
+	}
+	return inv
+}
+
 func TestRelabelPreservesStructure(t *testing.T) {
 	g, err := Generate(Params{N: 2000, K: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The permutation is a bijection for every seed: inversePerm fails
+	// on an id out of range or given twice.
+	for seed := int64(0); seed < 5; seed++ {
+		_, perm := Relabel(g, seed)
+		if len(perm) != g.N {
+			t.Fatalf("seed %d: permutation of %d ids, want %d", seed, len(perm), g.N)
+		}
+		inversePerm(t, perm)
+	}
 	rg, perm := Relabel(g, 99)
 	if rg.N != g.N || len(rg.Adj) != len(g.Adj) {
 		t.Fatalf("size changed: %d/%d vs %d/%d", rg.N, len(rg.Adj), g.N, len(g.Adj))
 	}
-	// Degrees transport through the permutation.
-	for v := 0; v < g.N; v++ {
-		if g.Degree(Vertex(v)) != rg.Degree(perm[v]) {
-			t.Fatalf("degree of %d changed under relabeling", v)
+	// Degrees transport back through the inverse.
+	inv := inversePerm(t, perm)
+	for nv := 0; nv < rg.N; nv++ {
+		if rg.Degree(Vertex(nv)) != g.Degree(inv[nv]) {
+			t.Fatalf("degree of %d changed under relabeling", inv[nv])
 		}
 	}
 	// Adjacency transports: perm(N(v)) == N(perm(v)) as sets.
@@ -73,16 +98,6 @@ func TestRelabelDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds gave identical permutations")
-	}
-}
-
-func TestInversePerm(t *testing.T) {
-	perm := []Vertex{2, 0, 3, 1}
-	inv := InversePerm(perm)
-	for old, nw := range perm {
-		if inv[nw] != Vertex(old) {
-			t.Fatalf("inverse wrong at %d", old)
-		}
 	}
 }
 

@@ -13,12 +13,15 @@ func TestWeightedEdgeListRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteWeightedEdgeList(&buf, g); err != nil {
+	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadWeightedEdgeList(bytes.NewReader(buf.Bytes()))
+	back, err := ReadEdgeList(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !back.Weighted() {
+		t.Fatal("round trip dropped the weights")
 	}
 	if back.N != g.N || len(back.Adj) != len(g.Adj) {
 		t.Fatalf("round trip changed shape: n %d->%d, adj %d->%d", g.N, back.N, len(g.Adj), len(back.Adj))
@@ -60,16 +63,6 @@ func TestWriteEdgeListKeepsWeights(t *testing.T) {
 	}
 }
 
-func TestWriteWeightedEdgeListRejectsUnweighted(t *testing.T) {
-	g, err := FromEdges(2, [][2]Vertex{{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteWeightedEdgeList(&bytes.Buffer{}, g); err == nil {
-		t.Fatal("unweighted graph accepted by the weighted writer")
-	}
-}
-
 func TestReadEdgeListRejectsMalformedWeights(t *testing.T) {
 	cases := []struct {
 		name, input string
@@ -93,12 +86,6 @@ func TestReadEdgeListRejectsMalformedWeights(t *testing.T) {
 	}
 }
 
-func TestReadWeightedEdgeListRejectsUnweighted(t *testing.T) {
-	if _, err := ReadWeightedEdgeList(strings.NewReader("0 1\n")); err == nil {
-		t.Fatal("unweighted input accepted by the weighted reader")
-	}
-}
-
 func TestReadEdgeListWeightedDuplicatesMerge(t *testing.T) {
 	g, err := ReadEdgeList(strings.NewReader("0 1 5\n1 0 5\n"))
 	if err != nil {
@@ -110,7 +97,8 @@ func TestReadEdgeListWeightedDuplicatesMerge(t *testing.T) {
 }
 
 // FuzzWeightedEdgeListRoundTrip builds a weighted graph from arbitrary
-// edge/weight bytes and asserts the text format round-trips it exactly.
+// edge/weight bytes and asserts WriteEdgeList / ReadEdgeList round-trip
+// it exactly, weights included.
 func FuzzWeightedEdgeListRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 1, 2, 9}, uint8(4))
 	f.Add([]byte{}, uint8(1))
@@ -143,12 +131,15 @@ func FuzzWeightedEdgeListRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteWeightedEdgeList(&buf, g); err != nil {
+		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadWeightedEdgeList(bytes.NewReader(buf.Bytes()))
+		back, err := ReadEdgeList(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("round trip failed on %q: %v", buf.String(), err)
+		}
+		if !back.Weighted() {
+			t.Fatalf("round trip dropped the weights of %q", buf.String())
 		}
 		if back.N != g.N || len(back.Adj) != len(g.Adj) {
 			t.Fatalf("shape changed: n %d->%d adj %d->%d", g.N, back.N, len(g.Adj), len(back.Adj))

@@ -46,19 +46,6 @@ func WithRetries(n int) ClientOption {
 	return func(c *Client) { c.retries = n }
 }
 
-// WithBackoff sets the base retry delay, doubled per attempt (default
-// 50ms). A server Retry-After below the cap overrides the computed
-// delay.
-func WithBackoff(d time.Duration) ClientOption {
-	return func(c *Client) { c.backoff = d }
-}
-
-// WithMaxBackoff caps any single retry delay, including server-directed
-// Retry-After waits (default 2s).
-func WithMaxBackoff(d time.Duration) ClientOption {
-	return func(c *Client) { c.maxWait = d }
-}
-
 // WithJitterSeed reseeds the deterministic retry jitter (default seed
 // 1). Seed 0 disables jitter entirely — every delay is then exactly
 // the doubled base, which is what the pre-jitter releases did and what

@@ -13,11 +13,9 @@ import (
 // fastClient builds a client with millisecond backoff so retry tests
 // stay quick.
 func fastClient(base string, retries int) *Client {
-	return NewClient(base,
-		WithRetries(retries),
-		WithBackoff(time.Millisecond),
-		WithMaxBackoff(5*time.Millisecond),
-		WithTimeout(5*time.Second))
+	c := NewClient(base, WithRetries(retries), WithTimeout(5*time.Second))
+	c.backoff, c.maxWait = time.Millisecond, 5*time.Millisecond
+	return c
 }
 
 // TestClientRetriesOverload: 503 answers are retried (honouring
@@ -139,8 +137,8 @@ func TestClientRetriesTransport(t *testing.T) {
 // doubling from the base, capped, with a short server Retry-After
 // taking precedence.
 func TestClientRetryDelay(t *testing.T) {
-	c := NewClient("http://unused", WithJitterSeed(0),
-		WithBackoff(10*time.Millisecond), WithMaxBackoff(50*time.Millisecond))
+	c := NewClient("http://unused", WithJitterSeed(0))
+	c.backoff, c.maxWait = 10*time.Millisecond, 50*time.Millisecond
 	cases := []struct {
 		attempt    int
 		retryAfter string
@@ -168,8 +166,9 @@ func TestClientRetryDelay(t *testing.T) {
 // exactly — the determinism the chaos harness relies on.
 func TestClientRetryJitter(t *testing.T) {
 	mk := func(seed uint64) *Client {
-		return NewClient("http://unused", WithJitterSeed(seed),
-			WithBackoff(10*time.Millisecond), WithMaxBackoff(80*time.Millisecond))
+		c := NewClient("http://unused", WithJitterSeed(seed))
+		c.backoff, c.maxWait = 10*time.Millisecond, 80*time.Millisecond
+		return c
 	}
 	c := mk(42)
 	for attempt := 1; attempt <= 3; attempt++ {
@@ -257,10 +256,9 @@ func TestClientBreakerFailsFast(t *testing.T) {
 
 	c := NewClient(dead,
 		WithRetries(5),
-		WithBackoff(time.Millisecond),
-		WithMaxBackoff(2*time.Millisecond),
 		WithBreaker(2, time.Minute), // open after 2 failures, long cooldown
 		WithTimeout(time.Second))
+	c.backoff, c.maxWait = time.Millisecond, 2*time.Millisecond
 	_, err := c.BFS(BFSRequest{Source: intp(1)})
 	if err == nil {
 		t.Fatal("BFS against a dead listener succeeded")

@@ -95,21 +95,6 @@ func TestMapResetIsNewMap(t *testing.T) {
 	}
 }
 
-func TestMapGetOrPut(t *testing.T) {
-	m := NewMap(8)
-	next := uint32(0)
-	gen := func() uint32 { next++; return next - 1 }
-	a := m.GetOrPut(100, gen)
-	b := m.GetOrPut(200, gen)
-	c := m.GetOrPut(100, gen)
-	if a != 0 || b != 1 || c != 0 {
-		t.Fatalf("GetOrPut sequence = %d,%d,%d want 0,1,0", a, b, c)
-	}
-	if next != 2 {
-		t.Fatalf("generator called %d times, want 2", next)
-	}
-}
-
 // GetCounted's probe count is what the searches charge HashCost for:
 // one slot inspection for a key at its home slot or a miss on an empty
 // home slot, one more per occupied slot walked past.
@@ -354,7 +339,7 @@ func TestUnionIntoFastPaths(t *testing.T) {
 		t.Fatal("empty src path")
 	}
 	out, d := UnionInto([]uint32{1, 2}, []uint32{5, 6})
-	if len(out) != 4 || d != 0 || !IsSortedSet(out) {
+	if len(out) != 4 || d != 0 || !isSortedSet(out) {
 		t.Fatalf("disjoint path: %v dups=%d", out, d)
 	}
 }
@@ -372,7 +357,7 @@ func TestUnionQuick(t *testing.T) {
 		a, _ := SortSet(append([]uint32(nil), xs...))
 		b, _ := SortSet(append([]uint32(nil), ys...))
 		out, dups := UnionSorted(a, b)
-		if !IsSortedSet(out) {
+		if !isSortedSet(out) {
 			return false
 		}
 		ref := map[uint32]bool{}
@@ -415,4 +400,14 @@ func BenchmarkMapPutGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Get(uint32(i*7) % (1 << 18))
 	}
+}
+
+// isSortedSet reports whether s is strictly ascending.
+func isSortedSet(s []uint32) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -159,17 +159,6 @@ func (m *Map) MissProbes(key uint32) int {
 	return probes
 }
 
-// GetOrPut returns the existing value for key, or inserts next() and
-// returns it. Used to build compact indices while streaming edges.
-func (m *Map) GetOrPut(key uint32, next func() uint32) uint32 {
-	if v, ok := m.Get(key); ok {
-		return v
-	}
-	v := next()
-	m.Put(key, v)
-	return v
-}
-
 // grow doubles the capacity and re-inserts the entries in old slot
 // order, each into the first free slot from its home: the keys are
 // distinct, so that is where Put would place it, and the layout — what

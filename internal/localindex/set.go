@@ -66,13 +66,3 @@ func UnionInto(dst, src []uint32) ([]uint32, int) {
 	out, dups := UnionSorted(dst, src)
 	return out, dups
 }
-
-// IsSortedSet reports whether s is strictly ascending.
-func IsSortedSet(s []uint32) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			return false
-		}
-	}
-	return true
-}

@@ -14,7 +14,7 @@ import (
 // received vertex (ColIdx/ColProbes over the block column), numbering
 // compact columns by vertex id instead of by discovery — or, on a 1 x P
 // mesh, by local index with no column index at all. TestMemoIsTheMap
-// rebuilds the maps the way the loader used to — GetOrPut per entry in
+// rebuilds the maps the way the loader used to — getOrPut per entry in
 // stream order — and requires the stores to say, entry by entry, vertex
 // by vertex and probe by probe, what those maps would have said.
 
@@ -144,7 +144,18 @@ func plainVisitor(es []wedge) func(func(u, v graph.Vertex)) error {
 	}
 }
 
-// counter numbers keys by first appearance, as GetOrPut's next callback.
+// getOrPut returns m's value for key, or inserts next() and returns it:
+// how the loader used to number a map's keys while streaming edges.
+func getOrPut(m *localindex.Map, key uint32, next func() uint32) uint32 {
+	if v, ok := m.Get(key); ok {
+		return v
+	}
+	v := next()
+	m.Put(key, v)
+	return v
+}
+
+// counter numbers keys by first appearance, as getOrPut's next callback.
 func counter() func() uint32 {
 	next := uint32(0)
 	return func() uint32 { next++; return next - 1 }
@@ -202,7 +213,7 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 	}
 
 	// The reference: the loader as it was. Two maps per rank filled by
-	// GetOrPut per entry in stream order, RowNeed set per entry, each
+	// getOrPut per entry in stream order, RowNeed set per entry, each
 	// column's entries kept in stream order.
 	type entry struct {
 		u graph.Vertex
@@ -224,8 +235,8 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 	}
 	ref := func(u, v graph.Vertex, w uint32) {
 		rk := l.StoringRank(u, v)
-		colMaps[rk].GetOrPut(v, nextCol[rk])
-		rowMaps[rk].GetOrPut(u, nextRow[rk])
+		getOrPut(colMaps[rk], v, nextCol[rk])
+		getOrPut(rowMaps[rk], u, nextRow[rk])
 		lists[rk][v] = append(lists[rk][v], entry{u, w})
 		fold[rk][l.ColBlockOf(u)]++
 		owner := l.OwnerRank(v)

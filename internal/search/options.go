@@ -131,10 +131,3 @@ type Common struct {
 func Defaults() Common {
 	return Common{ChunkWords: DefaultChunkWords, Async: true}
 }
-
-// NewFrontier builds an adaptive vertex set over the owned range
-// [lo, lo+n) — the representation level frontiers and Δ-stepping
-// buckets share, switching sparse→dense at frontier.DefaultOccupancy.
-func NewFrontier(lo uint32, n int) *frontier.Adaptive {
-	return frontier.NewAdaptive(lo, n, frontier.DefaultOccupancy)
-}

@@ -49,7 +49,7 @@ func (st *rankState) decode(dec *checkpoint.Dec) {
 	nb := dec.Int()
 	for i := 0; i < nb; i++ {
 		idx := dec.U32()
-		f := search.NewFrontier(st.lo, st.n)
+		f := frontier.New(st.lo, st.n)
 		for _, v := range frontier.Decode(dec.Words()) {
 			f.Add(v)
 		}

@@ -23,7 +23,7 @@ type rankState struct {
 	// buckets maps bucket index -> member set. Members whose distance
 	// has since improved to another bucket are stale and filtered
 	// lazily; a drained bucket is deleted.
-	buckets map[uint32]frontier.Frontier
+	buckets map[uint32]*frontier.Adaptive
 	// settled marks owned vertices already relaxed during the current
 	// bucket (their light edges were expanded); a vertex relaxed again
 	// in the same bucket is a re-settle.
@@ -45,19 +45,20 @@ func (s *rankState) insert(gv uint32, d uint32) {
 	b := s.bucketOfDist(d)
 	f, ok := s.buckets[b]
 	if !ok {
-		f = search.NewFrontier(s.lo, s.n)
+		f = frontier.New(s.lo, s.n)
 		s.buckets[b] = f
 	}
 	f.Add(gv)
 }
+
+// noBucket is localMinBucket's answer when no bucket has a live member.
+const noBucket = uint64(math.MaxUint64)
 
 // localMinBucket returns the smallest bucket index with a live member
 // (noBucket if none), deleting the fully-stale buckets below it. The
 // indices are scanned in ascending order — not map order — so the
 // scanned-item count, and therefore the simulated clock it is charged
 // to, is determined by the input alone.
-const noBucket = uint64(math.MaxUint64)
-
 func (s *rankState) localMinBucket() (min uint64, scanned int) {
 	min = noBucket
 	s.idxs = s.sortedBuckets(s.idxs[:0])
@@ -176,7 +177,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 		n:       n,
 		opts:    opts,
 		D:       D,
-		buckets: map[uint32]frontier.Frontier{},
+		buckets: map[uint32]*frontier.Adaptive{},
 		settled: localindex.NewBitset(n),
 	}
 	var recs []epochRec

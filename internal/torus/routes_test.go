@@ -15,7 +15,7 @@ func TestRouteTableReproducesRoute(t *testing.T) {
 		}
 		return m
 	}
-	planes, err := Planes(MustNew(2, 2, 4), 4, 4)
+	planes, err := Planes(Torus{DX: 2, DY: 2, DZ: 4}, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestRouteTableReproducesRoute(t *testing.T) {
 		{"2x2 mesh", rowMajor(FitTorus(4), 4), 4},
 		{"4x4 mesh, planes", planes, 16},
 		{"4x4 mesh, row-major", rowMajor(FitTorus(16), 16), 16},
-		{"1x16 ring", rowMajor(MustNew(16, 1, 1), 16), 16},
-		{"uneven 5x3x2, 27 of 30 nodes", rowMajor(MustNew(5, 3, 2), 27), 27},
+		{"1x16 ring", rowMajor(Torus{DX: 16, DY: 1, DZ: 1}, 16), 16},
+		{"uneven 5x3x2, 27 of 30 nodes", rowMajor(Torus{DX: 5, DY: 3, DZ: 2}, 27), 27},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := NewRouteTable(tc.m, tc.p)

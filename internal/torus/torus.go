@@ -22,25 +22,6 @@ type Torus struct {
 	DX, DY, DZ int
 }
 
-// New returns a torus with the given dimensions. Dimensions must be
-// positive.
-func New(dx, dy, dz int) (Torus, error) {
-	if dx <= 0 || dy <= 0 || dz <= 0 {
-		return Torus{}, fmt.Errorf("torus: dimensions must be positive, got %dx%dx%d", dx, dy, dz)
-	}
-	return Torus{DX: dx, DY: dy, DZ: dz}, nil
-}
-
-// MustNew is New but panics on invalid dimensions; intended for
-// package-level defaults and tests.
-func MustNew(dx, dy, dz int) Torus {
-	t, err := New(dx, dy, dz)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Nodes returns the total number of nodes on the torus.
 func (t Torus) Nodes() int { return t.DX * t.DY * t.DZ }
 

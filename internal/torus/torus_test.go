@@ -6,18 +6,8 @@ import (
 	"testing/quick"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 4, 4); err == nil {
-		t.Fatal("expected error for zero dimension")
-	}
-	if _, err := New(4, -1, 4); err == nil {
-		t.Fatal("expected error for negative dimension")
-	}
-	tor, err := New(4, 2, 3)
-	if err != nil {
-		t.Fatalf("New(4,2,3): %v", err)
-	}
-	if got := tor.Nodes(); got != 24 {
+func TestNodes(t *testing.T) {
+	if got := (Torus{DX: 4, DY: 2, DZ: 3}).Nodes(); got != 24 {
 		t.Fatalf("Nodes = %d, want 24", got)
 	}
 }
@@ -40,7 +30,7 @@ func TestWrapDist(t *testing.T) {
 }
 
 func TestHopsSymmetricAndTriangle(t *testing.T) {
-	tor := MustNew(5, 4, 3)
+	tor := Torus{DX: 5, DY: 4, DZ: 3}
 	rng := rand.New(rand.NewSource(1))
 	randCoord := func() Coord {
 		return Coord{rng.Intn(tor.DX), rng.Intn(tor.DY), rng.Intn(tor.DZ)}
@@ -60,7 +50,7 @@ func TestHopsSymmetricAndTriangle(t *testing.T) {
 }
 
 func TestRouteMatchesHops(t *testing.T) {
-	tor := MustNew(6, 3, 2)
+	tor := Torus{DX: 6, DY: 3, DZ: 2}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
 		a := Coord{rng.Intn(tor.DX), rng.Intn(tor.DY), rng.Intn(tor.DZ)}
@@ -81,7 +71,7 @@ func TestRouteMatchesHops(t *testing.T) {
 }
 
 func TestRowMajorMapping(t *testing.T) {
-	tor := MustNew(4, 4, 2)
+	tor := Torus{DX: 4, DY: 4, DZ: 2}
 	m, err := RowMajor(tor, 32)
 	if err != nil {
 		t.Fatalf("RowMajor: %v", err)
@@ -103,7 +93,7 @@ func TestRowMajorMapping(t *testing.T) {
 func TestPlanesMappingFigure1(t *testing.T) {
 	// The Figure 1 example: Lx x Ly logical array onto a wc x wr x 4
 	// torus. Use Lx=4 (R), Ly=6 (C) with 3x2 tiles -> 4 planes.
-	tor := MustNew(3, 2, 4)
+	tor := Torus{DX: 3, DY: 2, DZ: 4}
 	m, err := Planes(tor, 4, 6)
 	if err != nil {
 		t.Fatalf("Planes: %v", err)
@@ -129,14 +119,14 @@ func TestPlanesMappingFigure1(t *testing.T) {
 }
 
 func TestPlanesMappingErrors(t *testing.T) {
-	tor := MustNew(3, 2, 4)
+	tor := Torus{DX: 3, DY: 2, DZ: 4}
 	if _, err := Planes(tor, 5, 6); err == nil {
 		t.Error("expected tiling error for 5x6 on 3x2 tiles")
 	}
 	if _, err := Planes(tor, 4, 3); err == nil {
 		t.Error("expected tiling error for 4x3 on width-3 tiles")
 	}
-	if _, err := Planes(MustNew(3, 2, 5), 4, 6); err == nil {
+	if _, err := Planes(Torus{DX: 3, DY: 2, DZ: 5}, 4, 6); err == nil {
 		t.Error("expected plane-count mismatch error")
 	}
 	if _, err := Planes(tor, 0, 6); err == nil {
@@ -149,7 +139,7 @@ func TestPlanesExpandCheaperThanRowMajor(t *testing.T) {
 	// local: total hop count over all column pairs should not exceed the
 	// row-major placement's.
 	lx, ly := 8, 8
-	tor := MustNew(4, 4, 4)
+	tor := Torus{DX: 4, DY: 4, DZ: 4}
 	planes, err := Planes(tor, lx, ly)
 	if err != nil {
 		t.Fatalf("Planes: %v", err)
@@ -192,10 +182,10 @@ func TestFitTorus(t *testing.T) {
 }
 
 func TestBisection(t *testing.T) {
-	if got := MustNew(8, 4, 4).Bisection(); got != 32 {
+	if got := (Torus{DX: 8, DY: 4, DZ: 4}).Bisection(); got != 32 {
 		t.Errorf("Bisection 8x4x4 = %d, want 32", got)
 	}
-	if got := MustNew(2, 1, 1).Bisection(); got != 2 {
+	if got := (Torus{DX: 2, DY: 1, DZ: 1}).Bisection(); got != 2 {
 		t.Errorf("Bisection 2x1x1 = %d, want 2", got)
 	}
 }
@@ -220,7 +210,7 @@ func TestCostModelTransit(t *testing.T) {
 }
 
 func TestHopsQuick(t *testing.T) {
-	tor := MustNew(7, 5, 3)
+	tor := Torus{DX: 7, DY: 5, DZ: 3}
 	f := func(ax, ay, az, bx, by, bz uint8) bool {
 		a := Coord{int(ax) % tor.DX, int(ay) % tor.DY, int(az) % tor.DZ}
 		b := Coord{int(bx) % tor.DX, int(by) % tor.DY, int(bz) % tor.DZ}
