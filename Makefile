@@ -56,12 +56,15 @@ bench:
 # rank's share of multibfs1d-64's largest sweep at 0/50/90% duplicates
 # through localindex.Combiner (union / OR / min), beside the
 # sort-then-compact merge it replaced. 0 allocs/op is the expectation.
-# Last the per-layer number for a top-down scan's column lookup: one
+# Then the per-layer number for a top-down scan's column lookup: one
 # rank of the lab's 4x4 graph resolving a sorted 4,096-vertex part
 # through its dense column index, in ns per vertex, 0 allocs/op.
+# Last the simulator's fixed cost in P (ROADMAP item 2): NewWorld at
+# P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes.
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench=Combine -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
+	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
 
 # The wall-clock perf lab is its own module (bench/go.mod), outside
 # `go test ./...`: run its tests — every workload at n = 2000,

@@ -272,22 +272,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.R <= 0 || cfg.C <= 0 {
 		return nil, fmt.Errorf("bgl: mesh must be positive, got %dx%d", cfg.R, cfg.C)
 	}
-	p := cfg.R * cfg.C
-	tor := torus.FitTorus(p)
-	var mapping *torus.Mapping
-	var err error
-	switch cfg.Mapping {
-	case MapPlanes:
-		mapping, err = torus.Planes(tor, cfg.R, cfg.C)
-		if err != nil {
-			// The logical array does not tile this torus; fall back.
-			mapping, err = torus.RowMajor(tor, p)
-		}
-	case MapRowMajor:
-		mapping, err = torus.RowMajor(tor, p)
-	default:
+	if cfg.Mapping != MapPlanes && cfg.Mapping != MapRowMajor {
 		return nil, fmt.Errorf("bgl: unknown mapping %d", cfg.Mapping)
 	}
+	mapping, err := torus.MeshMapping(cfg.R, cfg.C, cfg.Mapping == MapRowMajor)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +283,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ClusterModel {
 		model = torus.PresetCluster()
 	}
-	w, err := comm.NewWorld(comm.Config{P: p, Mapping: mapping, Model: model})
+	w, err := comm.NewWorld(comm.Config{P: cfg.R * cfg.C, Mapping: mapping, Model: model})
 	if err != nil {
 		return nil, err
 	}

@@ -230,8 +230,10 @@ func (d *Dec) Done() {
 
 // File format: magic, then the snapshot header, then the blobs, all
 // little-endian. Lengths are explicit so ReadFile can reject truncated
-// or corrupted files with errors rather than panics.
-var fileMagic = [8]byte{'B', 'G', 'L', 'C', 'K', 'P', 'T', '1'}
+// or corrupted files with errors rather than panics. The magic's last
+// byte is the format version: version 2 carries the transport state as
+// a per-peer traffic ledger, which a version-1 blob would be misread as.
+var fileMagic = [8]byte{'B', 'G', 'L', 'C', 'K', 'P', 'T', '2'}
 
 // WriteFile serializes a snapshot to path (atomically: temp file +
 // rename).

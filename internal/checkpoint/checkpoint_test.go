@@ -166,8 +166,8 @@ func TestWriteReadFileRoundTrip(t *testing.T) {
 }
 
 // TestReadFileCorruption: every way a checkpoint file can be damaged —
-// truncated mid-write, wrong magic, trailing garbage — must come back
-// as an error, never a panic.
+// truncated mid-write, a wrong or an older version's magic, trailing
+// garbage — must come back as an error, never a panic.
 func TestReadFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.ckpt")
@@ -190,12 +190,17 @@ func TestReadFileCorruption(t *testing.T) {
 		}
 	}
 
-	bad := append([]byte(nil), raw...)
-	bad[0] ^= 0xff
+	// A foreign header, and the previous format version's: its
+	// transport blobs have another layout.
+	foreign := append([]byte(nil), raw...)
+	foreign[0] ^= 0xff
+	old := append([]byte("BGLCKPT1"), raw[8:]...)
 	p := filepath.Join(dir, "magic.ckpt")
-	os.WriteFile(p, bad, 0o644)
-	if _, err := ReadFile(p); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("wrong magic: err = %v", err)
+	for _, bad := range [][]byte{foreign, old} {
+		os.WriteFile(p, bad, 0o644)
+		if _, err := ReadFile(p); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("magic %q: err = %v", bad[:8], err)
+		}
 	}
 
 	p = filepath.Join(dir, "trailing.ckpt")

@@ -36,28 +36,20 @@ type Comm struct {
 	// untraced one.
 	tr *trace.Tracer
 
-	bytesSent uint64
-	msgsSent  uint64
-	bytesRecv uint64
-	msgsRecv  uint64
-	hopsRecv  uint64 // sum of torus hop counts over received messages
-	hopBytes  uint64 // sum of bytes x hops (link-traffic load)
-
-	linkLoad []uint64 // bytes per directed torus link, by route-table link index
+	// peers is the traffic ledger, indexed by peer rank (see Peer).
+	// post writes its send side and nextFrame its receive side, once per
+	// logical message whatever the wire did to its copies; every traffic
+	// number is derived from it when read (ledger.go).
+	peers []Peer
 
 	// Per-call scratch the collectives borrow (see scratch.go).
 	reqs  lend[Request]
 	lists lend[[]uint32]
 
-	// Transport framing: per-peer sequence counters (sendSeq[dst] is
-	// the next outgoing frame number on the rank->dst stream,
-	// recvSeq[src] the next expected incoming frame from src) and the
-	// fault/recovery activity ledger. slow is the fault plan's
+	// The fault/recovery activity ledger, and the fault plan's
 	// straggler factor for this rank (1 when not a straggler).
-	sendSeq []uint32
-	recvSeq []uint32
-	faults  FaultStats
-	slow    float64
+	faults FaultStats
+	slow   float64
 
 	// cores is the modeled per-node core count (BG/L co-processor mode
 	// keeps one core on computation, virtual-node mode uses both).
@@ -95,27 +87,6 @@ func (c *Comm) CompTime() float64 { return c.compTime }
 // CommTime, never part of the clock. Zero on purely synchronous
 // schedules.
 func (c *Comm) OverlapTime() float64 { return c.overlapTime }
-
-// BytesSent returns total payload+header bytes sent by this rank.
-func (c *Comm) BytesSent() uint64 { return c.bytesSent }
-
-// MsgsSent returns the number of messages sent by this rank.
-func (c *Comm) MsgsSent() uint64 { return c.msgsSent }
-
-// BytesRecv returns total payload+header bytes received by this rank.
-func (c *Comm) BytesRecv() uint64 { return c.bytesRecv }
-
-// MsgsRecv returns the number of messages received by this rank.
-func (c *Comm) MsgsRecv() uint64 { return c.msgsRecv }
-
-// HopsRecv returns the sum of torus hop counts over received messages.
-func (c *Comm) HopsRecv() uint64 { return c.hopsRecv }
-
-// HopBytes returns the sum of bytes x hops over received messages —
-// the total link traffic this rank's receives imposed on the torus.
-// Task-mapping quality (Figure 1) shows up here even when the cost
-// model's per-hop latency is too small to move end-to-end times.
-func (c *Comm) HopBytes() uint64 { return c.hopBytes }
 
 // Compute advances the simulated clock by d seconds of computation.
 // On a straggler rank (see fault.Plan.Stragglers) the charge is scaled
@@ -181,13 +152,10 @@ func (c *Comm) ChargeItemsPar(n int, unit float64) {
 // an error).
 func (c *Comm) Send(dst, tag int, data []uint32) {
 	c.validateSend(dst, tag, data)
-	bytes := messageHeaderBytes + 4*len(data)
 	t0 := c.clock
 	c.clock += c.world.model.SendOverhead
 	c.commTime += c.world.model.SendOverhead
 	c.tr.Cost("send", trace.KindComm, t0, c.clock)
-	c.bytesSent += uint64(bytes)
-	c.msgsSent++
 	c.post(dst, tag, data, c.clock)
 }
 
@@ -203,18 +171,11 @@ func (c *Comm) Send(dst, tag int, data []uint32) {
 // under a bound fault plan, lost or corrupted copies are recovered by
 // the NACK-driven retransmission protocol (see recover) and duplicate
 // copies are discarded, all charged to the simulated clock as
-// communication time. The traffic counters (bytes, messages, hops,
-// link loads) count each logical message once, exactly as fault-free,
-// so only the clock differs between a faulted and a clean run.
+// communication time. The traffic ledger counts each logical message
+// once, exactly as fault-free, so only the clock differs between a
+// faulted and a clean run.
 func (c *Comm) Recv(src, tag int) []uint32 {
-	msg, bytes := c.takeMessage(src, tag)
-	hops := c.world.mapping.Hops(src, c.rank)
-	c.hopsRecv += uint64(hops)
-	c.hopBytes += uint64(hops) * uint64(bytes)
-	c.recordRoute(src, bytes)
-	transit := c.world.model.Transit(hops, bytes)
-	c.bytesRecv += uint64(bytes)
-	c.msgsRecv++
+	msg, transit := c.takeMessage(src, tag)
 	data := msg.data
 	if msg.dropped {
 		data, _ = c.recover(src, msg, transit, true)

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -300,5 +301,20 @@ func TestLinkLoads(t *testing.T) {
 	}
 	if links != hops {
 		t.Errorf("links used %d, want %d", links, hops)
+	}
+}
+
+// BenchmarkNewWorld is the simulator's fixed cost in P: building a
+// world of P ranks on a fitted torus, before any Run.
+func BenchmarkNewWorld(b *testing.B) {
+	for _, p := range []int{16, 256} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewWorld(Config{P: p}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

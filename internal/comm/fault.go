@@ -100,18 +100,19 @@ func (c *Comm) validateSend(dst, tag int, data []uint32) {
 	}
 }
 
-// post frames data as the next message on the c.rank -> dst stream and
-// pushes it (and, for Duplicate faults, its extra copy) into dst's
-// mailbox. departure is when the frame leaves this rank; the fault
-// plan may corrupt the wire image, mark the frame dropped, or shift
-// the departure for delays and link outages. The original payload
-// always travels on the envelope so a retransmission can deliver it.
+// post frames data as the next message on the c.rank -> dst stream,
+// counts it on the send side of the traffic ledger (the one place that
+// does), and pushes it (and, for Duplicate faults, its extra copy)
+// into dst's mailbox. departure is when the frame leaves this rank;
+// the fault plan may corrupt the wire image, mark the frame dropped,
+// or shift the departure for delays and link outages. The original
+// payload always travels on the envelope so a retransmission can
+// deliver it.
 func (c *Comm) post(dst, tag int, data []uint32, departure float64) {
-	if c.sendSeq == nil {
-		c.sendSeq = make([]uint32, c.world.P)
-	}
-	seq := c.sendSeq[dst]
-	c.sendSeq[dst]++
+	p := &c.peers[dst]
+	seq := uint32(p.Sent)
+	p.Sent++
+	p.SentBytes += uint64(frameBytes(data))
 	m := message{tag: tag, data: data, departure: departure, seq: seq, sum: checksum(data)}
 	plan := c.world.fault
 	if plan != nil {
@@ -174,23 +175,24 @@ func garble(data []uint32, src, dst int, seq uint32) []uint32 {
 // checksum.
 func verifyFrame(m message) bool { return checksum(m.data) == m.sum }
 
-// nextFrame pops the next frame on the src stream and verifies its
-// sequence number. The per-peer counters make reordering and stream
-// corruption a hard protocol error rather than silent misdelivery;
-// duplicate copies never appear here because the receiver discards
-// them eagerly (see discardDup).
+// nextFrame pops the next frame on the src stream, verifies its
+// sequence number against the receive side of the traffic ledger and
+// counts it there (the one place that does). The per-peer counts make
+// reordering and stream corruption a hard protocol error rather than
+// silent misdelivery; duplicate copies never appear here because the
+// receiver discards them eagerly (see discardDup), and retransmissions
+// (see recover) repair a frame already counted.
 func (c *Comm) nextFrame(src int) message {
 	msg, ok := c.world.mail[c.rank][src].pop()
 	if !ok {
 		panic("comm: receive aborted because a peer rank panicked")
 	}
-	if c.recvSeq == nil {
-		c.recvSeq = make([]uint32, c.world.P)
+	p := &c.peers[src]
+	if msg.seq != uint32(p.Recv) {
+		panic(fmt.Sprintf("comm: rank %d expected seq %d from rank %d, got %d (transport stream corrupted)", c.rank, uint32(p.Recv), src, msg.seq))
 	}
-	if msg.seq != c.recvSeq[src] {
-		panic(fmt.Sprintf("comm: rank %d expected seq %d from rank %d, got %d (transport stream corrupted)", c.rank, c.recvSeq[src], src, msg.seq))
-	}
-	c.recvSeq[src]++
+	p.Recv++
+	p.RecvBytes += uint64(frameBytes(msg.data))
 	return msg
 }
 

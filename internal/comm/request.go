@@ -88,9 +88,6 @@ func (c *Comm) sendOffloaded(dst, tag int, data []uint32) {
 	c.commTime += oS
 	c.overlapTime += oS
 	c.tr.Cost("isend", trace.KindOverlap, start, departure)
-	bytes := messageHeaderBytes + 4*len(data)
-	c.bytesSent += uint64(bytes)
-	c.msgsSent++
 	c.post(dst, tag, data, departure)
 }
 
@@ -148,14 +145,7 @@ func (r *Request) Wait() []uint32 {
 // The uncovered remainder is an honest wait. It returns the payload
 // and the completion time.
 func (c *Comm) receiveOffloaded(src, tag int, ref float64) ([]uint32, float64) {
-	msg, bytes := c.takeMessage(src, tag)
-	hops := c.world.mapping.Hops(src, c.rank)
-	c.hopsRecv += uint64(hops)
-	c.hopBytes += uint64(hops) * uint64(bytes)
-	c.recordRoute(src, bytes)
-	transit := c.world.model.Transit(hops, bytes)
-	c.bytesRecv += uint64(bytes)
-	c.msgsRecv++
+	msg, transit := c.takeMessage(src, tag)
 	var data []uint32
 	var ready float64
 	if msg.dropped {
@@ -208,9 +198,9 @@ func (c *Comm) receiveOffloaded(src, tag int, ref float64) ([]uint32, float64) {
 	return data, ready
 }
 
-// takeMessage pops the next frame from src (verifying its sequence
-// number) and tag-checks it, returning it with its on-wire byte count.
-func (c *Comm) takeMessage(src, tag int) (message, int) {
+// takeMessage pops the next frame from src (see nextFrame) and
+// tag-checks it, returning it with its modeled wire transit time.
+func (c *Comm) takeMessage(src, tag int) (message, float64) {
 	if src == c.rank {
 		panic(fmt.Sprintf("comm: rank %d receiving from itself (tag %d)", c.rank, tag))
 	}
@@ -218,5 +208,5 @@ func (c *Comm) takeMessage(src, tag int) (message, int) {
 	if msg.tag != tag {
 		panic(fmt.Sprintf("comm: rank %d expected tag %d from %d, got %d", c.rank, tag, src, msg.tag))
 	}
-	return msg, messageHeaderBytes + 4*len(msg.data)
+	return msg, c.world.model.Transit(c.world.mapping.Hops(src, c.rank), frameBytes(msg.data))
 }

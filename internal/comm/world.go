@@ -7,6 +7,13 @@
 // Everything higher in the stack — all collectives of §3.2 and the BFS
 // itself — is written against Comm using only point-to-point messages,
 // exactly as the paper implements its collectives.
+//
+// Each rank keeps one traffic ledger: for every peer, the frames and
+// bytes it sent there and received from there (Peer). The frame
+// sequence numbers are those counts, and every transport number —
+// message and byte totals, hop sums, per-link loads (LinkLoads) — is
+// derived from the ledger when it is read, so a rank's whole traffic
+// record, and its checkpoint, is one slice of P entries.
 package comm
 
 import (
@@ -45,9 +52,6 @@ type World struct {
 	P       int
 	mapping *torus.Mapping
 	model   torus.CostModel
-	// routes is the link-index route of every ordered rank pair, built
-	// once here so the per-message link accounting allocates nothing.
-	routes *torus.RouteTable
 
 	// mail[dst][src] carries messages from src to dst in FIFO order.
 	mail [][]*queue
@@ -96,7 +100,6 @@ func NewWorld(cfg Config) (*World, error) {
 		P:       cfg.P,
 		mapping: cfg.Mapping,
 		model:   cfg.Model,
-		routes:  torus.NewRouteTable(cfg.Mapping, cfg.P),
 		mail:    make([][]*queue, cfg.P),
 		barrier: newClockBarrier(),
 	}
@@ -139,7 +142,7 @@ func (w *World) Fault() *fault.Plan { return w.fault }
 func (w *World) Run(body func(c *Comm)) ([]*Comm, error) {
 	comms := make([]*Comm, w.P)
 	for r := range comms {
-		comms[r] = &Comm{world: w, rank: r, slow: 1, cores: 1, linkLoad: make([]uint64, w.routes.NumLinks())}
+		comms[r] = &Comm{world: w, rank: r, slow: 1, cores: 1, peers: make([]Peer, w.P)}
 		if w.fault != nil {
 			comms[r].slow = w.fault.StragglerFactor(r)
 		}

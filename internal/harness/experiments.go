@@ -99,22 +99,11 @@ type cluster struct {
 }
 
 func newCluster(r, c int, rowMajor bool, model torus.CostModel) (*cluster, error) {
-	p := r * c
-	tor := torus.FitTorus(p)
-	var mapping *torus.Mapping
-	var err error
-	if rowMajor {
-		mapping, err = torus.RowMajor(tor, p)
-	} else {
-		mapping, err = torus.Planes(tor, r, c)
-		if err != nil {
-			mapping, err = torus.RowMajor(tor, p)
-		}
-	}
+	mapping, err := torus.MeshMapping(r, c, rowMajor)
 	if err != nil {
 		return nil, err
 	}
-	w, err := comm.NewWorld(comm.Config{P: p, Mapping: mapping, Model: model})
+	w, err := comm.NewWorld(comm.Config{P: r * c, Mapping: mapping, Model: model})
 	if err != nil {
 		return nil, err
 	}

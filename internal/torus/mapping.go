@@ -88,6 +88,20 @@ func Planes(t Torus, lx, ly int) (*Mapping, error) {
 	return &Mapping{Torus: t, Coords: coords, Name: "planes"}, nil
 }
 
+// MeshMapping places the ranks of an r x c logical mesh on the torus
+// FitTorus(r*c) picks: with the Figure 1 planes tiling unless rowMajor
+// is set or the mesh does not tile that torus, and in row-major order
+// otherwise.
+func MeshMapping(r, c int, rowMajor bool) (*Mapping, error) {
+	t := FitTorus(r * c)
+	if !rowMajor {
+		if m, err := Planes(t, r, c); err == nil {
+			return m, nil
+		}
+	}
+	return RowMajor(t, r*c)
+}
+
 // FitTorus picks torus dimensions that hold p nodes, preferring shapes
 // close to the BlueGene/L aspect (X twice Y and Z). Used when the caller
 // does not specify a torus explicitly.

@@ -50,11 +50,14 @@ func (t Torus) Hops(a, b Coord) int {
 	return wrapDist(a.X, b.X, t.DX) + wrapDist(a.Y, b.Y, t.DY) + wrapDist(a.Z, b.Z, t.DZ)
 }
 
-// Route returns the sequence of coordinates visited by dimension-ordered
-// (X then Y then Z) minimal routing from a to b, including both
-// endpoints. It is used by tests and by link-contention accounting.
-func (t Torus) Route(a, b Coord) []Coord {
-	path := []Coord{a}
+// Route appends to path the coordinates that dimension-ordered (X,
+// then Y, then Z) minimal routing visits from a to b, both endpoints
+// included, and returns the extended slice. Each step is one hop the
+// shorter way round its dimension, the + way on a tie, and each pair of
+// consecutive coordinates is one directed link (see LinkID). Passing a
+// reused buffer as path[:0] makes a walk allocation-free.
+func (t Torus) Route(path []Coord, a, b Coord) []Coord {
+	path = append(path, a)
 	cur := a
 	step := func(cur, dst, d int) int {
 		if cur == dst {
@@ -83,6 +86,33 @@ func (t Torus) Route(a, b Coord) []Coord {
 		path = append(path, cur)
 	}
 	return path
+}
+
+// LinkID numbers the directed link from a node to its neighbour to:
+// node × 6 + direction, where node is from's row-major index (X
+// fastest) and the directions are +X, −X, +Y, −Y, +Z, −Z in that order,
+// so every id is below 6 × Nodes(). In a dimension of size 2 the + and
+// − neighbours are one node over one link, which gets the + id.
+func (t Torus) LinkID(from, to Coord) int {
+	var dir int
+	switch {
+	case from.X != to.X:
+		dir = hopDir(from.X, to.X, t.DX)
+	case from.Y != to.Y:
+		dir = 2 + hopDir(from.Y, to.Y, t.DY)
+	default:
+		dir = 4 + hopDir(from.Z, to.Z, t.DZ)
+	}
+	return 6*(from.X+t.DX*(from.Y+t.DY*from.Z)) + dir
+}
+
+// hopDir is 0 when b is a's + neighbour in a dimension of size d and 1
+// when it is only the − neighbour.
+func hopDir(a, b, d int) int {
+	if b == (a+1)%d {
+		return 0
+	}
+	return 1
 }
 
 // Bisection returns the number of links crossing the smallest bisection

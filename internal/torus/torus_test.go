@@ -55,7 +55,7 @@ func TestRouteMatchesHops(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a := Coord{rng.Intn(tor.DX), rng.Intn(tor.DY), rng.Intn(tor.DZ)}
 		b := Coord{rng.Intn(tor.DX), rng.Intn(tor.DY), rng.Intn(tor.DZ)}
-		path := tor.Route(a, b)
+		path := tor.Route(nil, a, b)
 		if path[0] != a || path[len(path)-1] != b {
 			t.Fatalf("route endpoints wrong: %v", path)
 		}
@@ -220,5 +220,91 @@ func TestHopsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkIDs: every link a route crosses, on every ordered rank pair,
+// gets an id below 6 × Nodes() that no other link shares, over mappings
+// that exercise wraparound, a ring, unused torus nodes, the Figure 1
+// plane tiling and size-2 dimensions, where stepping + or − from a node
+// reaches the same neighbour over one link and so one id.
+func TestLinkIDs(t *testing.T) {
+	rowMajor := func(tor Torus, p int) *Mapping {
+		m, err := RowMajor(tor, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	planes, err := Planes(Torus{DX: 2, DY: 2, DZ: 4}, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Mapping
+		p    int
+	}{
+		{"2x2 mesh", rowMajor(FitTorus(4), 4), 4},
+		{"4x4 mesh, planes", planes, 16},
+		{"4x4 mesh, row-major", rowMajor(FitTorus(16), 16), 16},
+		{"1x16 ring", rowMajor(Torus{DX: 16, DY: 1, DZ: 1}, 16), 16},
+		{"uneven 5x3x2, 27 of 30 nodes", rowMajor(Torus{DX: 5, DY: 3, DZ: 2}, 27), 27},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tor := tc.m.Torus
+			type link struct{ from, to Coord }
+			ids := map[int]link{}
+			check := func(l link) {
+				id := tor.LinkID(l.from, l.to)
+				if id < 0 || id >= 6*tor.Nodes() {
+					t.Fatalf("link %v→%v: id %d outside [0, %d)", l.from, l.to, id, 6*tor.Nodes())
+				}
+				if prev, ok := ids[id]; ok && prev != l {
+					t.Fatalf("links %v→%v and %v→%v share id %d", prev.from, prev.to, l.from, l.to, id)
+				}
+				ids[id] = l
+			}
+			var path []Coord
+			for src := 0; src < tc.p; src++ {
+				for dst := 0; dst < tc.p; dst++ {
+					path = tor.Route(path[:0], tc.m.Coords[src], tc.m.Coords[dst])
+					if len(path)-1 != tc.m.Hops(src, dst) {
+						t.Fatalf("%d→%d: Route crosses %d links, Hops says %d", src, dst, len(path)-1, tc.m.Hops(src, dst))
+					}
+					for i := 1; i < len(path); i++ {
+						check(link{path[i-1], path[i]})
+					}
+				}
+			}
+			// Every node's neighbour links, stepped both ways in each
+			// dimension: equal neighbours must give equal ids (size 2),
+			// distinct ones distinct ids.
+			dims := [3]int{tor.DX, tor.DY, tor.DZ}
+			step := func(c Coord, dim, by int) Coord {
+				v := [3]int{c.X, c.Y, c.Z}
+				v[dim] = (v[dim] + by + dims[dim]) % dims[dim]
+				return Coord{v[0], v[1], v[2]}
+			}
+			for x := 0; x < tor.DX; x++ {
+				for y := 0; y < tor.DY; y++ {
+					for z := 0; z < tor.DZ; z++ {
+						from := Coord{x, y, z}
+						for dim, d := range dims {
+							if d == 1 {
+								continue
+							}
+							plus, minus := step(from, dim, 1), step(from, dim, -1)
+							check(link{from, plus})
+							check(link{from, minus})
+							if (plus == minus) != (tor.LinkID(from, plus) == tor.LinkID(from, minus)) {
+								t.Fatalf("%v: + neighbour %v and − neighbour %v in a dimension of size %d, ids %d and %d",
+									from, plus, minus, d, tor.LinkID(from, plus), tor.LinkID(from, minus))
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
