@@ -59,11 +59,15 @@ bench:
 # Then the per-layer number for a top-down scan's column lookup: one
 # rank of the lab's 4x4 graph resolving a sorted 4,096-vertex part
 # through its dense column index, in ns per vertex, 0 allocs/op.
+# Then the bottom-up level's wire codec: one 4x4 rank's owned bitmap of
+# the lab's 100,000-vertex graph through the hybrid bits encoder at 3%,
+# 25% and 60% occupancy, in ns/op.
 # Last the simulator's fixed cost in P (ROADMAP item 2): NewWorld at
 # P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes.
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench=Combine -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
+	$(GO) test -run=^$$ -bench=EncodeBits -benchtime=100x -benchmem ./internal/frontier
 	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
 
 # The wall-clock perf lab is its own module (bench/go.mod), outside

@@ -1,9 +1,12 @@
 package bfs
 
 import (
+	"math/bits"
+
 	"repro/internal/collective"
 	"repro/internal/frontier"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/pool"
 )
 
@@ -69,19 +72,16 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	}
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	fSend := frontier.EncodeBitsPar(e.pl, s.F.Bits(), e.st.OwnedCount(), e.opts.Wire, &e.hist)
+	fBits := s.F.Bits()
+	fSend := frontier.EncodeBitsPar(e.pl, fBits, e.st.OwnedCount(), e.opts.Wire, &e.hist)
 	fPieces, fst := collective.Gather(e.c, e.rowG, o, "allgather", fSend, chargeRecv(e.rowG.Me))
 	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 	rec.ExpandWords = fst.RecvWords
+	row := e.rowPieces(fPieces)
 
 	var uPieces, claims [][]uint32
 	if column {
-		un := frontier.NewBits(e.st.OwnedCount())
-		for li, lv := range s.L {
-			if lv == graph.Unreached {
-				frontier.SetBit(un, uint32(li))
-			}
-		}
+		un := s.unlabeledBits(fBits)
 		o.Tag = tagBase + 1<<22
 		var ust collective.Stats
 		uPieces, ust = collective.Gather(e.c, e.colG, o, "allgather", frontier.EncodeBitsPar(e.pl, un, e.st.OwnedCount(), e.opts.Wire, &e.hist), chargeRecv(e.colG.Me))
@@ -96,9 +96,9 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	n := len(e.st.Off) - 1 // columns
 	edges := 0
 	if e.pl.Inline(n, ownedGrain) {
-		edges = e.claimParents(s, fPieces, uPieces, claims, 0, n, false)
+		edges = e.claimParents(s, row, uPieces, claims, 0, n, false)
 	} else {
-		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(s, fPieces, uPieces, claims, lo, hi, true) }) {
+		for _, c := range pool.Collect(e.pl, n, ownedGrain, func(c *int, lo, hi int) { *c = e.claimParents(s, row, uPieces, claims, lo, hi, true) }) {
 			edges += c
 		}
 	}
@@ -142,6 +142,62 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	return rec, foundTarget
 }
 
+// rowFrontier tests row vertices against the gathered frontier pieces
+// without dividing: u's block is the high word of M·u, M = ⌊(2⁶⁴−1)/bs⌋+1,
+// exact for every uint32 u and bs (Lemire, Kaser & Kurz 2019); at bs = 1
+// M wraps to 0 and one, all ones, makes the block u itself. pieces[b] is
+// block b's piece, nil off this rank's mesh row.
+type rowFrontier struct {
+	pieces  [][]uint32
+	m       uint64
+	bs, one uint32
+}
+
+// has reports whether row vertex u is in the frontier.
+func (r *rowFrontier) has(u uint32) bool {
+	hi, _ := bits.Mul64(r.m, uint64(u))
+	b := uint32(hi) | u&r.one
+	return frontier.TestBit(r.pieces[b], u-b*r.bs)
+}
+
+// rowPieces indexes the level's gathered frontier pieces by vertex
+// block: row-group member j, at mesh position (i, j), owns block j·R+i.
+func (e *engine2D) rowPieces(fPieces [][]uint32) *rowFrontier {
+	l, r := e.st.Layout, &e.row
+	if r.pieces == nil {
+		r.pieces, r.bs = make([][]uint32, l.P()), uint32(l.BlockSize())
+		if r.m = ^uint64(0)/uint64(r.bs) + 1; r.m == 0 {
+			r.one = ^uint32(0)
+		}
+	}
+	for j, piece := range fPieces {
+		r.pieces[j*l.R+e.st.I] = piece
+	}
+	return r
+}
+
+// unlabeledBits returns the side's unlabeled owned vertices as a wire
+// bitmap, kept for the run: a bottom-up level right after another
+// clears the frontier fBits that level labeled, any other rebuilds it
+// from L. Column-mates only read it, and no rank passes the reduction
+// that starts the next level before every scan of this one has ended.
+func (s *sideState) unlabeledBits(fBits []uint32) []uint32 {
+	if s.un != nil && s.unAt == s.level {
+		for i, f := range fBits {
+			s.un[i] &^= f
+		}
+	} else {
+		s.un = append(s.un[:0], make([]uint32, frontier.BitWords(len(s.L)))...)
+		for li, lv := range s.L {
+			if lv == graph.Unreached {
+				frontier.SetBit(s.un, uint32(li))
+			}
+		}
+	}
+	s.unAt = s.level + 1
+	return s.un
+}
+
 // reduceClaims OR-reduce-scatters the claim bitmaps over the processor
 // column and returns this rank's: its owned vertices some column-mate
 // found a frontier parent for.
@@ -167,43 +223,64 @@ func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Ha
 // [lo, hi): each column vertex its owner still holds unlabeled stops at
 // the first frontier parent in its partial list here and claims itself
 // for that owner — or, with claims nil (R = 1, where column ci is owned
-// vertex ci), labels itself in s.L. Distinct column vertices can claim
-// distinct bits of one claims word from chunks running at once, so when
-// shared the set is atomic; which bits get set is schedule-independent
-// (each vertex's scan touches only its own partial list). It returns the
-// edge entries inspected.
-func (e *engine2D) claimParents(s *sideState, fPieces, uPieces, claims [][]uint32, lo, hi int, shared bool) (edges int) {
-	st := e.st
-	l := st.Layout
-	bs := l.BlockSize()
-	// Column vertices v are owned within my processor column, at
-	// column-group index BlockOf(v) mod R, and ascend with ci, so the
-	// cursor divides once per owner the chunk reaches.
-	owner := l.OwnerCursor()
-	for ci := lo; ci < hi; ci++ {
-		var m int
-		var off uint32
-		if claims == nil {
-			if s.L[ci] != graph.Unreached {
-				continue
-			}
-		} else if m, off = owner.Locate(st.ColIds[ci]); !frontier.TestBit(uPieces[m], off) {
-			continue
-		}
-		for _, u := range st.Rows[st.Off[ci]:st.Off[ci+1]] {
+// vertex ci), labels itself in s.L. With R > 1 it walks the set bits of
+// the unlabeled pieces — the owners' blocks tile the block column in
+// column-group order — across the chunk's vertex span [ColIds[lo],
+// ColIds[hi-1]], each mapped to its column through ColIdx. Distinct
+// column vertices can claim distinct bits of one claims word from chunks
+// running at once, so when shared the set is atomic; which bits get set
+// is schedule-independent (each vertex's scan touches only its own
+// partial list). It returns the edge entries inspected.
+func (e *engine2D) claimParents(s *sideState, row *rowFrontier, uPieces, claims [][]uint32, lo, hi int, shared bool) (edges int) {
+	st, r := e.st, *row
+	rows, colOff := st.Rows, st.Off
+	// scan walks column ci's list to its first frontier parent.
+	scan := func(ci uint32) bool {
+		for _, u := range rows[colOff[ci]:colOff[ci+1]] {
 			edges++
-			// My row vertices u satisfy BlockOf(u) mod R == my mesh row,
-			// so their owner sits at row-group index BlockOf(u)/R.
-			ub := int(u) / bs
-			if frontier.TestBit(fPieces[ub/l.R], uint32(int(u)-ub*bs)) {
-				if claims == nil {
-					s.L[ci] = s.level + 1
-				} else if shared {
+			if r.has(uint32(u)) {
+				return true
+			}
+		}
+		return false
+	}
+	if claims == nil {
+		for ci := lo; ci < hi; ci++ {
+			if s.L[ci] == graph.Unreached && scan(uint32(ci)) {
+				s.L[ci] = s.level + 1
+			}
+		}
+		return edges
+	}
+	if lo >= hi {
+		return 0
+	}
+	bs := uint32(st.Layout.BlockSize())
+	first, last := uint32(st.ColIds[lo]-st.ColBase), uint32(st.ColIds[hi-1]-st.ColBase)
+	for m := first / bs; m <= last/bs; m++ {
+		base := m * bs
+		// The span's part in piece m, [from, to] piece-relative.
+		from, to := max(first, base)-base, min(last, base+bs-1)-base
+		piece, idx := uPieces[m], st.ColIdx[base:]
+		for wi := from >> 5; wi <= to>>5; wi++ {
+			x := piece[wi]
+			if wi == from>>5 {
+				x &= ^uint32(0) << (from & 31)
+			}
+			if wi == to>>5 {
+				x &= ^uint32(0) >> (31 - to&31)
+			}
+			for ; x != 0; x &= x - 1 {
+				off := wi<<5 | uint32(bits.TrailingZeros32(x))
+				ci := idx[off]
+				if ci == partition.NoColumn || !scan(ci) {
+					continue
+				}
+				if shared {
 					frontier.SetBitAtomic(claims[m], off)
 				} else {
 					frontier.SetBit(claims[m], off)
 				}
-				break
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package bfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -422,17 +423,24 @@ func TestDirectionStrings(t *testing.T) {
 	}
 }
 
-// TestBottomUpWalksPastEmptyOwners aims at the walk claimParents and
-// ownedOutDegrees make along the ascending compact columns: they locate
-// each column vertex's owner through a cursor that divides only when
-// the vertex leaves the previous one's block, so a block column whose
-// first or middle owner has no column on a rank is what they can get
-// wrong — within a chunk and at a chunk's start. On the 4x2 mesh below
-// only the vertices of every second block (the owners at column-group
-// index 1 and 3) have edges, about 5,900 columns on half the ranks and
-// none on the rest, so four workers cut the scan into ownedGrain chunks
-// that begin before, inside and after the gap. The tiny cases put n next
-// to P, where most owners own one vertex or none.
+// TestBottomUpWalksPastEmptyOwners aims at the walk claimParents makes
+// over a chunk of compact columns: it reads the set bits of the gathered
+// unlabeled pieces across the chunk's vertex span, masking the partial
+// words at both ends, and maps each vertex to its column, skipping the
+// vertices with no list here — and at the one ownedOutDegrees makes over
+// the block column. Owners with no column on a rank, a span that starts
+// or ends inside a piece's word, and a block size that is not a multiple
+// of 32 are what they can get wrong. On the 4x2 mesh below only the
+// vertices of every second block (the owners at column-group index 1 and
+// 3) have edges, about 5,900 columns on half the ranks and none on the
+// rest, so four workers cut the scan into ownedGrain chunks that begin
+// before, inside and after the gap. On the 3x5 mesh bs = 2,000 and the
+// last block holds 1,990, so pieces end mid-word and chunks of a 6,000
+// vertex block column start mid-word. The tiny cases put n next to P,
+// where most owners own one vertex or none, and at n = P the block size
+// is 1 (the row test's one case where M wraps to 0). Each direction's edge counts
+// — per level and in total — are pinned: a chunk that walks a column
+// twice or misses one moves them.
 func TestBottomUpWalksPastEmptyOwners(t *testing.T) {
 	const bs = 3000
 	rng := rand.New(rand.NewSource(5))
@@ -460,6 +468,15 @@ func TestBottomUpWalksPastEmptyOwners(t *testing.T) {
 		}
 		return es
 	}
+	// A sparse random graph: some vertices isolated, the rest in short
+	// lists spread over every rank of the 3x5 mesh.
+	const nOdd = 29990
+	var sparse [][2]graph.Vertex
+	for len(sparse) < 2*nOdd {
+		if u, v := rng.Intn(nOdd), rng.Intn(nOdd); u != v {
+			sparse = append(sparse, [2]graph.Vertex{graph.Vertex(u), graph.Vertex(v)})
+		}
+	}
 	cases := []struct {
 		name  string
 		n     int
@@ -470,6 +487,25 @@ func TestBottomUpWalksPastEmptyOwners(t *testing.T) {
 		{"every-second-owner", 8 * bs, gappy, 4, 2, live[0]},
 		{"star-n=P+1", 17, star(17), 4, 4, 3},
 		{"star-n=P+1-3x2", 7, star(7), 3, 2, 0},
+		{"star-n=P", 16, star(16), 4, 4, 3},
+		{"star-n=P-1x6", 6, star(6), 1, 6, 0},
+		{"odd-bs-3x5", nOdd, sparse, 3, 5, 7},
+	}
+	// What a walk over every compact column, testing each one's unlabeled
+	// bit at its owner, scans.
+	want := map[string][]int64{ // total, then per level
+		"every-second-owner bottomup": {456096, 95972, 95898, 95322, 91020, 65687, 12181, 16, 0},
+		"every-second-owner dirop":    {26618, 4, 35, 248, 1831, 12254, 12181, 16, 49},
+		"star-n=P+1 bottomup":         {44, 29, 15, 0},
+		"star-n=P+1 dirop":            {31, 1, 15, 15},
+		"star-n=P+1-3x2 bottomup":     {14, 9, 5, 0},
+		"star-n=P+1-3x2 dirop":        {11, 1, 5, 5},
+		"star-n=P bottomup":           {40, 26, 14, 0},
+		"star-n=P dirop":              {29, 1, 14, 14},
+		"star-n=P-1x6 bottomup":       {9, 5, 4, 0},
+		"star-n=P-1x6 dirop":          {9, 1, 4, 4},
+		"odd-bs-3x5 bottomup":         {923000, 119957, 119950, 119911, 119734, 119013, 116095, 105496, 73996, 25660, 2824, 215, 60, 45, 44},
+		"odd-bs-3x5 dirop":            {113484, 2, 8, 30, 119, 508, 2068, 7948, 73996, 25660, 2824, 215, 60, 45, 1},
 	}
 	for _, tc := range cases {
 		g, err := graph.FromEdges(tc.n, tc.edges)
@@ -479,10 +515,10 @@ func TestBottomUpWalksPastEmptyOwners(t *testing.T) {
 		serial := graph.BFS(g, tc.src)
 		fx := build2D(t, g, tc.r, tc.c)
 		for _, dir := range []Direction{BottomUp, DirectionOptimizing} {
-			var edges int64
+			key := fmt.Sprintf("%s %v", tc.name, dir)
 			for _, workers := range []int{1, 4} {
 				for _, async := range []bool{false, true} {
-					label := fmt.Sprintf("%s dir %v workers %d async %v", tc.name, dir, workers, async)
+					label := fmt.Sprintf("%s workers %d async %v", key, workers, async)
 					opts := DefaultOptions(tc.src)
 					opts.Direction, opts.Workers, opts.Async = dir, workers, async
 					res, err := Run2D(fx.world, fx.st2, opts)
@@ -490,11 +526,12 @@ func TestBottomUpWalksPastEmptyOwners(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					levelsEqual(t, res.Levels, serial, label)
-					if edges == 0 {
-						edges = res.TotalEdgesScanned
+					got := []int64{res.TotalEdgesScanned}
+					for _, ls := range res.PerLevel {
+						got = append(got, ls.EdgesScanned)
 					}
-					if res.TotalEdgesScanned != edges {
-						t.Fatalf("%s: %d edges scanned, first run of this direction %d", label, res.TotalEdgesScanned, edges)
+					if !slices.Equal(got, want[key]) {
+						t.Errorf("%s: edges scanned (total, per level) %#v, want %#v", label, got, want[key])
 					}
 				}
 			}

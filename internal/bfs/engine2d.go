@@ -56,6 +56,8 @@ type engine2D struct {
 	bundle  *collective.BundleCodec
 	lanes   *search.Fold[uint64]
 	laneCol *search.Column[uint64]
+	// row indexes a bottom-up level's frontier pieces by vertex block.
+	row rowFrontier
 }
 
 // newEngine2D builds rank c's engine with the scratch its run uses: a
@@ -103,6 +105,10 @@ type sideState struct {
 	F, spare *frontier.Adaptive
 	sent     *localindex.Bitset
 	level    int32
+	// un is a bottom-up level's unlabeled set, current at level unAt
+	// once the last frontier is cleared (see unlabeledBits).
+	un   []uint32
+	unAt int32
 	// batch holds a batch's lanes, nil for one source.
 	batch *laneState
 }
@@ -361,16 +367,18 @@ func (e *engine2D) ownedOutDegrees() []uint32 {
 		}
 		return e.deg
 	}
+	// The members' owned blocks tile the block column in member order:
+	// one array over it, cut at the block boundaries, is every send.
 	l := e.st.Layout
-	r := e.colG.Size()
-	send := make([][]uint32, r)
-	for i := 0; i < r; i++ {
-		send[i] = make([]uint32, l.OwnedCount(e.colG.Ranks[i]))
-	}
-	owner := l.OwnerCursor() // columns ascend: one division per owner
+	all := make([]uint32, len(e.st.ColIdx))
 	for ci, v := range e.st.ColIds {
-		m, li := owner.Locate(v)
-		send[m][li] += uint32(e.st.Off[ci+1] - e.st.Off[ci])
+		all[v-e.st.ColBase] = uint32(e.st.Off[ci+1] - e.st.Off[ci])
+	}
+	send := make([][]uint32, e.colG.Size())
+	for i := range send {
+		lo := min(i*l.BlockSize(), len(all))
+		hi := lo + l.OwnedCount(e.colG.Ranks[i])
+		send[i] = all[lo:hi:hi]
 	}
 	e.c.ChargeItems(len(e.st.ColIds), e.model.VertexCost)
 	o := collective.Opts{Tag: degreeExchangeTag, Chunk: e.opts.ChunkWords}

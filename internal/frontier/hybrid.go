@@ -406,7 +406,8 @@ func appendSetChunks(buf []uint32, ids []uint32, lo uint32, n int, h *ContainerH
 
 // appendBitsChunks appends the chunk stream for a wire bitmap over
 // [0, n). Chunk boundaries align with bitmap words (ChunkSpan/32 words
-// per chunk), so each chunk's members come from a word subrange.
+// per chunk), so each chunk's members come from a word subrange; a chunk
+// the bitmap provably wins (bitmapWins) is copied, not enumerated.
 func appendBitsChunks(buf []uint32, words []uint32, n int, h *ContainerHist) []uint32 {
 	const wordsPerChunk = ChunkSpan / 32
 	var scratch [ChunkSpan]uint32 // chunk-relative offsets; stays on the stack
@@ -417,6 +418,11 @@ func appendBitsChunks(buf []uint32, words []uint32, n int, h *ContainerHist) []u
 		}
 		wlo := c * wordsPerChunk
 		whi := wlo + BitWords(span)
+		if bitmapWins(words[wlo:whi]) {
+			h.BitmapChunks++
+			buf = append(append(buf, chunkBitmap<<chunkTypeShift|uint32(whi-wlo)), words[wlo:whi]...)
+			continue
+		}
 		offs := scratch[:0]
 		for wi, x := range words[wlo:whi] {
 			for ; x != 0; x &= x - 1 {
@@ -426,6 +432,38 @@ func appendBitsChunks(buf []uint32, words []uint32, n int, h *ContainerHist) []u
 		buf = encodeChunk(buf, offs, span, h)
 	}
 	return buf
+}
+
+// bitmapWins reports whether encodeChunk would pick the bitmap for the
+// chunk w without enumerating its members. Members and run starts,
+// counted a word at a time, must put the least the list (a count varint
+// and a byte a member) and the runs (a count varint and two bytes a run)
+// can take above the bitmap's width; so must the packed container at the
+// largest gap, which a bit walk finds, stopping once the packed loses.
+func bitmapWins(w []uint32) bool {
+	count, nruns, carry := 0, 0, uint32(0) // carry: the last word's top bit
+	for _, x := range w {
+		count += bits.OnesCount32(x)
+		nruns += bits.OnesCount32(x &^ (x<<1 | carry))
+		carry = x >> 31
+	}
+	bitmap := len(w)
+	if bitmap >= bytesToWords(uvarintLen(uint32(count))+count) || bitmap >= bytesToWords(uvarintLen(uint32(nruns))+2*nruns) {
+		return false
+	}
+	maxDelta, prev := uint32(0), -1
+	for wi, x := range w {
+		for ; x != 0; x &= x - 1 {
+			off := wi*32 + bits.TrailingZeros32(x)
+			if prev >= 0 && uint32(off-prev-1) > maxDelta {
+				if maxDelta = uint32(off - prev - 1); bitmap < packedCost(count, maxDelta) {
+					return true
+				}
+			}
+			prev = off
+		}
+	}
+	return bitmap < packedCost(count, maxDelta)
 }
 
 // decodeChunks walks a chunk stream over an n-id universe, calling emit

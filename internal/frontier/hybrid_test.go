@@ -307,7 +307,8 @@ func FuzzHybridSetRoundTrip(f *testing.F) {
 }
 
 // FuzzHybridBitsRoundTrip feeds arbitrary bitmaps through the bits
-// codec and asserts the round trip and the no-growth guarantee.
+// codec and asserts the round trip, the no-growth guarantee, and the
+// stream and histogram of the enumerating codec (enumerateBits).
 func FuzzHybridBitsRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(31))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(64))
@@ -323,6 +324,7 @@ func FuzzHybridBitsRoundTrip(f *testing.F) {
 				}
 			}
 		}
+		checkBitsLikeEnumeration(t, "fuzz", w, n)
 		enc := EncodeBits(w, n, WireHybrid, nil)
 		if len(enc) > len(w) {
 			t.Fatalf("EncodeBits grew the payload (%d > %d words)", len(enc), len(w))

@@ -95,30 +95,6 @@ func (l *Layout2D) StoringRank(u, v graph.Vertex) int {
 	return l.RankAt(l.RowIndexOf(u), l.ColBlockOf(v))
 }
 
-// OwnerCursor locates vertices within their processor column's group —
-// the owner's column-group index BlockOf(v) mod R and the vertex's local
-// index there — dividing only when a vertex lies outside the block of
-// the one before it. A walk over ascending ids, such as a store's
-// ColIds, divides once per vertex block instead of twice per vertex.
-type OwnerCursor struct {
-	l       *Layout2D
-	lo, end int // the block last located in, [lo, end); empty at first
-	m       int
-}
-
-// OwnerCursor returns a cursor that has located nothing yet.
-func (l *Layout2D) OwnerCursor() OwnerCursor { return OwnerCursor{l: l} }
-
-// Locate returns the column-group index of v's owner and v's local index
-// on that owner.
-func (c *OwnerCursor) Locate(v graph.Vertex) (m int, li uint32) {
-	if x := int(v); x < c.lo || x >= c.end {
-		b := x / c.l.bs
-		c.m, c.lo, c.end = b%c.l.R, b*c.l.bs, (b+1)*c.l.bs
-	}
-	return c.m, uint32(int(v) - c.lo)
-}
-
 // View is what a run harness reads of a layout: the vertex count, the
 // logical mesh (R = 1 under the 1D vertex partitioning, where rank q
 // owns block q) and the block size no owned range exceeds.

@@ -369,20 +369,6 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 				t.Fatalf("rank %d vertex %d: NeedWords differ from the reference", rk, li)
 			}
 		}
-		// A cursor walked along the columns names each one's owner and
-		// its index there, from the start and from any chunk start.
-		for _, start := range []int{0, len(st.ColIds) / 3, len(st.ColIds) - 1} {
-			owner := l.OwnerCursor()
-			for ci := max(start, 0); ci < len(st.ColIds); ci++ {
-				v := st.ColIds[ci]
-				m, li := owner.Locate(v)
-				lo, _ := l.OwnedRange(l.OwnerRank(v))
-				if l.RankAt(m, st.J) != l.OwnerRank(v) || li != uint32(v-lo) {
-					t.Fatalf("rank %d column %d (vertex %d): cursor says owner %d index %d, layout says rank %d index %d",
-						rk, ci, v, m, li, l.OwnerRank(v), v-lo)
-				}
-			}
-		}
 	}
 }
 
