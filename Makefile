@@ -51,7 +51,7 @@ bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
 # One-iteration benchmark smoke: every exhibit still runs to completion
-# (BenchmarkExhibit ranges over harness.All).
+# (BenchmarkExhibit, in internal/harness, ranges over harness.All).
 # Then the combine step's micro-benchmarks with allocation counts: one
 # rank's share of multibfs1d-64's largest sweep at 0/50/90% duplicates
 # through localindex.Combiner (union / OR / min), beside the
@@ -62,7 +62,7 @@ bench:
 # Then the bottom-up level's wire codec: one 4x4 rank's owned bitmap of
 # the lab's 100,000-vertex graph through the hybrid bits encoder at 3%,
 # 25% and 60% occupancy, in ns/op.
-# Last the simulator's fixed cost in P (ROADMAP item 2): NewWorld at
+# Last the simulator's fixed cost in P (ROADMAP item 4): NewWorld at
 # P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes.
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench=Combine -benchtime=100x -benchmem ./internal/localindex

@@ -1,17 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section (§4): BenchmarkExhibit runs each harness
-// experiment at a reduced scale (the full-scale runs are driven by
-// cmd/bfsbench), and the engine benchmarks below it report headline
-// quantities as custom metrics so `go test -bench=.` yields a compact
-// reproduction record:
+// Benchmarks of the distributed engine itself: each reports headline
+// quantities as custom metrics beside its wall-clock throughput, so
+// `go test -bench=.` yields a compact reproduction record:
 //
-//	simexec-s   simulated execution time of the exhibit's largest run
+//	simexec-s   simulated execution time of the run
 //	simcomm-s   simulated communication time of the same run
 //	words       total message words moved
-//	redund-pct  union-fold redundancy ratio
 //
-// Shapes — who wins, slopes, crossovers — are asserted by the unit
-// tests; benchmarks record magnitudes.
+// The paper's tables and figures (§4) are regenerated by
+// BenchmarkExhibit in internal/harness (the full-scale runs are driven
+// by cmd/bfsbench). Shapes — who wins, slopes, crossovers — are
+// asserted by the unit tests; benchmarks record magnitudes.
 package bgl
 
 import (
@@ -22,34 +20,14 @@ import (
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/harness"
 	"repro/internal/partition"
 	"repro/internal/sssp"
 )
 
-// BenchmarkExhibit regenerates every exhibit of harness.All — the
-// paper's figures and table, the memory-scalability exhibit and the
-// design ablations — one sub-benchmark per experiment id, at a scale
-// that keeps each under a few seconds per iteration on one core.
-// `make bench-smoke` runs it once: every exhibit still runs to
-// completion.
-func BenchmarkExhibit(b *testing.B) {
-	cfg := harness.Config{Scale: 0.25, MaxP: 16, Seed: 1, Searches: 1}
-	for _, e := range harness.All() {
-		b.Run(e.ID, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Core-engine micro-benchmarks -----------------------------------
 // These measure the real (wall-clock) throughput of the distributed
-// engine itself on this host, complementing the simulated-time
-// exhibits above.
+// engine itself on the host, complementing the simulated-time exhibits
+// of internal/harness.
 
 type benchFixture struct {
 	g      *graph.CSR

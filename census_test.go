@@ -427,6 +427,24 @@ func TestOneEngineQueue(t *testing.T) {
 	}
 }
 
+// TestOneWayToRunAnExhibit guards "one way to make an exhibit's
+// number": the non-test sources of internal/harness reach the engines
+// only through the public API, so the only packages of this module
+// they may import are repro itself and repro/internal/analytic (the
+// closed-form expectations the exhibits print beside their runs).
+func TestOneWayToRunAnExhibit(t *testing.T) {
+	fset := token.NewFileSet()
+	allowed := map[string]bool{"repro": true, "repro/internal/analytic": true}
+	for _, f := range nonTestFiles(t, fset, "internal/harness") {
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if (path == "repro" || strings.HasPrefix(path, "repro/")) && !allowed[path] {
+				t.Errorf("%s: imports %s; an exhibit runs through the public Cluster API", fset.Position(imp.Pos()), path)
+			}
+		}
+	}
+}
+
 // TestOneFrontierSet guards "one frontier set type": internal/frontier's
 // non-test sources declare one type with an Iterate method (the set,
 // Adaptive, which switches between its id queue and its bitmap itself),

@@ -76,7 +76,7 @@ func run(args []string, w io.Writer) error {
 	ecc, reached := graph.Eccentricity(g, src)
 	fmt.Fprintf(w, "  largest component: %d vertices (%.1f%%), eccentricity %d from vertex %d\n",
 		reached, 100*float64(reached)/float64(g.N), ecc, src)
-	fmt.Fprintf(w, "  diameter estimate: %.2f (log n / log k)\n", graph.ExpectedDiameter(g.N, *k))
+	fmt.Fprintf(w, "  diameter estimate: %.2f (log n / log k)\n", analytic.ExpectedDiameter(g.N, *k))
 
 	fmt.Fprintf(w, "\n§3.1 analytic expectations for P=%d:\n", *p)
 	nf := float64(*n)

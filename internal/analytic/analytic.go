@@ -1,8 +1,9 @@
 // Package analytic implements the closed-form analysis of §3.1: the
 // γ(m) column-occupancy probability, the expected per-level message
-// lengths for the 1D fold and the 2D expand/fold, and the solver for
-// the degree at which 1D and 2D partitionings exchange the same volume
-// (the crossover of Figure 6b).
+// lengths for the 1D fold and the 2D expand/fold, the solver for the
+// degree at which 1D and 2D partitionings exchange the same volume
+// (the crossover of Figure 6b), and the expected diameter of a Poisson
+// random graph.
 package analytic
 
 import (
@@ -108,4 +109,13 @@ func CrossoverK(n float64, p int, kMax float64) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
+}
+
+// ExpectedDiameter returns the O(log n / log k) diameter estimate for a
+// Poisson random graph (Bollobás 1981, the paper's reference [2]).
+func ExpectedDiameter(n int, k float64) float64 {
+	if k <= 1 || n <= 1 {
+		return math.Inf(1)
+	}
+	return math.Log(float64(n)) / math.Log(k)
 }

@@ -4,10 +4,7 @@
 // to validate every distributed run.
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vertex is a global vertex id. The paper reaches 3.2 billion vertices;
 // this reproduction caps at 2^32, far beyond laptop memory anyway.
@@ -147,13 +144,4 @@ func (g *CSR) DegreeHistogram() []int {
 		hist[g.Degree(Vertex(v))]++
 	}
 	return hist
-}
-
-// ExpectedDiameter returns the O(log n / log k) diameter estimate for a
-// Poisson random graph (Bollobás 1981, the paper's reference [2]).
-func ExpectedDiameter(n int, k float64) float64 {
-	if k <= 1 || n <= 1 {
-		return math.Inf(1)
-	}
-	return math.Log(float64(n)) / math.Log(k)
 }

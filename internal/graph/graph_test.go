@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/analytic"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -280,11 +282,11 @@ func TestEccentricityAndDiameterEstimate(t *testing.T) {
 	if reached < g.N/2 {
 		t.Fatalf("giant component too small: %d", reached)
 	}
-	est := ExpectedDiameter(g.N, 8)
+	est := analytic.ExpectedDiameter(g.N, 8)
 	if float64(ecc) < est/2 || float64(ecc) > est*3 {
 		t.Errorf("eccentricity %d far from log n / log k estimate %.1f", ecc, est)
 	}
-	if !math.IsInf(ExpectedDiameter(10, 1), 1) {
+	if !math.IsInf(analytic.ExpectedDiameter(10, 1), 1) {
 		t.Error("ExpectedDiameter with k<=1 should be infinite")
 	}
 }

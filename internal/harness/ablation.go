@@ -1,20 +1,29 @@
 package harness
 
-import (
-	"repro/internal/bfs"
-	"repro/internal/graph"
-)
+import bgl "repro"
 
-// ablationWorkload builds the common graph for the design ablations:
-// a mid-size square mesh with the k=10 workload.
-func ablationWorkload(cfg Config, rowMajor bool) (*workload, error) {
-	p := minInt(64, cfg.MaxP)
-	for p&(p-1) != 0 {
-		p--
-	}
+// ablationK is the average degree of the design ablations' workload.
+const ablationK = 10
+
+// ablationGraph generates the design ablations' common workload, the
+// k=10 graph at the weak-scaling series' per-rank size, for the square
+// mesh of the largest power of two P up to capP; it returns that mesh.
+func ablationGraph(cfg Config, capP int) (*bgl.Graph, bgl.ClusterConfig, error) {
+	p := cfg.pow2P(capP)
 	r, c := squareMesh(p)
 	n := cfg.scaleCount(100000/fig4aScaleDivisor) * p
-	return buildWorkload(n, fitK(n, 10), cfg.Seed, r, c, rowMajor)
+	g, err := bgl.Generate(n, fitK(n, ablationK), cfg.Seed)
+	return g, bgl.ClusterConfig{R: r, C: c}, err
+}
+
+// ablationWorkload distributes the ablation graph over its mesh of up
+// to 64 ranks.
+func ablationWorkload(cfg Config) (*bgl.Cluster, *bgl.DistGraph, error) {
+	g, mesh, err := ablationGraph(cfg, 64)
+	if err != nil {
+		return nil, nil, err
+	}
+	return distribute(g, mesh)
 }
 
 // RunAblationMapping compares the Figure 1 plane mapping against plain
@@ -27,16 +36,20 @@ func RunAblationMapping(cfg Config) (*Table, error) {
 		Title:   "Ablation — task mapping onto the torus (§3.2.1)",
 		Columns: []string{"mapping", "exec(s)", "comm(s)", "avg hops/msg", "link MB (bytes x hops)", "max link MB"},
 	}
+	g, mesh, err := ablationGraph(cfg, 64)
+	if err != nil {
+		return nil, err
+	}
 	for _, m := range []struct {
-		name     string
-		rowMajor bool
-	}{{"figure-1 planes", false}, {"row-major", true}} {
-		w, err := ablationWorkload(cfg, m.rowMajor)
+		name    string
+		mapping bgl.MappingKind
+	}{{"figure-1 planes", bgl.MapPlanes}, {"row-major", bgl.MapRowMajor}} {
+		mesh.Mapping = m.mapping
+		cl, dg, err := distribute(g, mesh)
 		if err != nil {
 			return nil, err
 		}
-		src := graph.LargestComponentVertex(w.g)
-		res, err := bfs.Run2D(w.cl.world, w.stores, bfs.DefaultOptions(src))
+		res, err := cl.BFS(dg, g.LargestComponentVertex())
 		if err != nil {
 			return nil, err
 		}
@@ -58,15 +71,13 @@ func RunAblationCollectives(cfg Config) (*Table, error) {
 		Title:   "Ablation — fold collective algorithm (§3.2.2)",
 		Columns: []string{"fold", "exec(s)", "comm(s)", "fold vol", "dups eliminated"},
 	}
-	w, err := ablationWorkload(cfg, false)
+	cl, dg, err := ablationWorkload(cfg)
 	if err != nil {
 		return nil, err
 	}
-	src := graph.LargestComponentVertex(w.g)
-	for _, alg := range []bfs.FoldAlg{bfs.FoldDirect, bfs.FoldTwoPhase, bfs.FoldTwoPhaseNoUnion} {
-		opts := bfs.DefaultOptions(src)
-		opts.Fold = alg
-		res, err := bfs.Run2D(w.cl.world, w.stores, opts)
+	src := dg.Graph().LargestComponentVertex()
+	for _, alg := range []bgl.FoldAlg{bgl.FoldDirect, bgl.FoldTwoPhase, bgl.FoldTwoPhaseNoUnion} {
+		res, err := cl.BFS(dg, src, bgl.WithFold(alg))
 		if err != nil {
 			return nil, err
 		}
@@ -86,15 +97,13 @@ func RunAblationSentCache(cfg Config) (*Table, error) {
 		Title:   "Ablation — sent-neighbors cache (§2.4.3)",
 		Columns: []string{"cache", "exec(s)", "fold vol", "dups eliminated"},
 	}
-	w, err := ablationWorkload(cfg, false)
+	cl, dg, err := ablationWorkload(cfg)
 	if err != nil {
 		return nil, err
 	}
-	src := graph.LargestComponentVertex(w.g)
+	src := dg.Graph().LargestComponentVertex()
 	for _, on := range []bool{true, false} {
-		opts := bfs.DefaultOptions(src)
-		opts.SentCache = on
-		res, err := bfs.Run2D(w.cl.world, w.stores, opts)
+		res, err := cl.BFS(dg, src, bgl.WithSentCache(on))
 		if err != nil {
 			return nil, err
 		}

@@ -3,51 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/graph"
-	"repro/internal/partition"
-	"repro/internal/sssp"
-	"repro/internal/torus"
+	bgl "repro"
 )
-
-// weightedWorkload builds the Δ-stepping ablation workload: the
-// n=100k k=10 Poisson graph (scaled by Config) with uniform weights,
-// distributed weight-aware over a square mesh.
-type weightedWorkload struct {
-	g      *graph.CSR
-	stores []*partition.Store2D
-	cl     *cluster
-}
-
-func buildWeightedWorkload(cfg Config) (*weightedWorkload, error) {
-	p := minInt(16, cfg.MaxP)
-	for p&(p-1) != 0 {
-		p--
-	}
-	r, c := squareMesh(p)
-	n := cfg.scaleCount(100000/16) * p
-	k := fitK(n, 10)
-	params := graph.Params{N: n, K: k, Seed: cfg.Seed}
-	spec := graph.WeightSpec{Dist: graph.WeightUniform, MaxWeight: 256, Seed: cfg.Seed + 1}
-	g, err := graph.GenerateWeighted(params, spec)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := partition.NewLayout2D(n, r, c)
-	if err != nil {
-		return nil, err
-	}
-	stores, err := partition.Build2DWeighted(layout, func(fn func(u, v graph.Vertex, w uint32)) error {
-		return params.VisitEdges(func(u, v graph.Vertex) { fn(u, v, spec.WeightOf(u, v)) })
-	})
-	if err != nil {
-		return nil, err
-	}
-	cl, err := newCluster(r, c, false, torus.PresetBlueGeneL())
-	if err != nil {
-		return nil, err
-	}
-	return &weightedWorkload{g: g, stores: stores, cl: cl}, nil
-}
 
 // RunAblationDelta sweeps the Δ-stepping bucket width across the
 // weighted Poisson workload, from the Dijkstra-like extreme (Δ = min
@@ -63,12 +20,21 @@ func RunAblationDelta(cfg Config) (*Table, error) {
 		Columns: []string{"delta", "buckets", "epochs", "relaxations", "re-settles",
 			"words", "exec(s)", "comm(s)"},
 	}
-	w, err := buildWeightedWorkload(cfg)
+	// The n=100k k=10 Poisson graph (scaled by Config) with uniform
+	// weights, distributed weight-aware over a square mesh.
+	p := cfg.pow2P(16)
+	r, c := squareMesh(p)
+	n := cfg.scaleCount(100000/16) * p
+	g, err := bgl.GenerateWeighted(n, fitK(n, 10), cfg.Seed, bgl.WithMaxWeight(256))
 	if err != nil {
 		return nil, err
 	}
-	src := graph.LargestComponentVertex(w.g)
-	minW, maxW := w.g.MinEdgeWeight(), w.g.MaxEdgeWeight()
+	cl, dg, err := distribute(g, bgl.ClusterConfig{R: r, C: c})
+	if err != nil {
+		return nil, err
+	}
+	src := g.LargestComponentVertex()
+	minW, maxW := g.EdgeWeightRange()
 	type point struct {
 		label string
 		delta uint32
@@ -79,11 +45,9 @@ func RunAblationDelta(cfg Config) (*Table, error) {
 			points = append(points, point{fmt.Sprint(d), d})
 		}
 	}
-	points = append(points, point{"auto", 0}, point{"inf (bellman-ford)", sssp.DeltaInf})
+	points = append(points, point{"auto", 0}, point{"inf (bellman-ford)", bgl.DeltaInf})
 	for _, pt := range points {
-		opts := sssp.DefaultOptions(src)
-		opts.Delta = pt.delta
-		res, err := sssp.Run2D(w.cl.world, w.stores, opts)
+		res, err := cl.SSSP(dg, src, bgl.WithDelta(pt.delta))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -20,13 +21,13 @@ func TestAblationDeltaShape(t *testing.T) {
 	var prevResettle, prevBuckets float64 = -1, 1 << 60
 	for _, row := range tbl.Rows {
 		var buckets, resettles, exec float64
-		if _, err := fmtSscan(row[1], &buckets); err != nil {
+		if _, err := fmt.Sscan(row[1], &buckets); err != nil {
 			t.Fatalf("bad buckets cell %q: %v", row[1], err)
 		}
-		if _, err := fmtSscan(row[4], &resettles); err != nil {
+		if _, err := fmt.Sscan(row[4], &resettles); err != nil {
 			t.Fatalf("bad re-settles cell %q: %v", row[4], err)
 		}
-		if _, err := fmtSscan(row[6], &exec); err != nil {
+		if _, err := fmt.Sscan(row[6], &exec); err != nil {
 			t.Fatalf("bad exec cell %q: %v", row[6], err)
 		}
 		switch {

@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"repro/internal/bfs"
-	"repro/internal/graph"
-)
+import bgl "repro"
 
 // RunAblationDirection compares the traversal directions level by
 // level on the k=10 Poisson workload: the paper's always-top-down
@@ -20,29 +17,23 @@ func RunAblationDirection(cfg Config) (*Table, error) {
 			"edges topdown", "edges DO", "edges saved %",
 			"words topdown", "words DO"},
 	}
-	w, err := ablationWorkload(cfg, false)
+	cl, dg, err := ablationWorkload(cfg)
 	if err != nil {
 		return nil, err
 	}
-	src := graph.LargestComponentVertex(w.g)
-	td := bfs.DefaultOptions(src)
-	do := bfs.DefaultOptions(src)
-	do.Direction = bfs.DirectionOptimizing
-	resTD, err := bfs.Run2D(w.cl.world, w.stores, td)
+	src := dg.Graph().LargestComponentVertex()
+	resTD, err := cl.BFS(dg, src)
 	if err != nil {
 		return nil, err
 	}
-	resDO, err := bfs.Run2D(w.cl.world, w.stores, do)
+	resDO, err := cl.BFS(dg, src, bgl.WithDirection(bgl.DirectionOptimizing))
 	if err != nil {
 		return nil, err
 	}
-	levels := len(resTD.PerLevel)
-	if len(resDO.PerLevel) > levels {
-		levels = len(resDO.PerLevel)
-	}
+	levels := max(len(resTD.PerLevel), len(resDO.PerLevel))
 	var tdEdges, doEdges, tdWords, doWords int64
 	for l := 0; l < levels; l++ {
-		var a, b bfs.LevelStats
+		var a, b bgl.LevelStats
 		if l < len(resTD.PerLevel) {
 			a = resTD.PerLevel[l]
 		}

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
-	"repro/internal/bfs"
-	"repro/internal/comm"
-	"repro/internal/graph"
-	"repro/internal/partition"
-	"repro/internal/torus"
+	bgl "repro"
 )
 
 // Config scales and seeds an experiment run. The paper ran on up to
@@ -91,78 +86,35 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q", id)
 }
 
-// cluster is a mesh with its simulated world on a fitted torus, mapped
-// with the Figure 1 planes layout when possible.
-type cluster struct {
-	r, c  int
-	world *comm.World
-}
-
-func newCluster(r, c int, rowMajor bool, model torus.CostModel) (*cluster, error) {
-	mapping, err := torus.MeshMapping(r, c, rowMajor)
+// distribute lays g out under the 2D partitioning over a fresh cluster
+// of the given shape.
+func distribute(g *bgl.Graph, mesh bgl.ClusterConfig) (*bgl.Cluster, *bgl.DistGraph, error) {
+	cl, err := bgl.NewCluster(mesh)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	w, err := comm.NewWorld(comm.Config{P: r * c, Mapping: mapping, Model: model})
-	if err != nil {
-		return nil, err
-	}
-	return &cluster{r: r, c: c, world: w}, nil
-}
-
-// workload is a generated graph distributed over a mesh.
-type workload struct {
-	g      *graph.CSR
-	layout *partition.Layout2D
-	stores []*partition.Store2D
-	cl     *cluster
-}
-
-func buildWorkload(n int, k float64, seed int64, r, c int, rowMajor bool) (*workload, error) {
-	if k > float64(n-1) {
-		return nil, fmt.Errorf("harness: degree %g infeasible for n=%d", k, n)
-	}
-	params := graph.Params{N: n, K: k, Seed: seed}
-	g, err := graph.Generate(params)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := partition.NewLayout2D(n, r, c)
-	if err != nil {
-		return nil, err
-	}
-	stores, err := partition.Build2D(layout, func(fn func(u, v graph.Vertex)) error {
-		return params.VisitEdges(fn)
-	})
-	if err != nil {
-		return nil, err
-	}
-	cl, err := newCluster(r, c, rowMajor, torus.PresetBlueGeneL())
-	if err != nil {
-		return nil, err
-	}
-	return &workload{g: g, layout: layout, stores: stores, cl: cl}, nil
+	dg, err := cl.Distribute(g)
+	return cl, dg, err
 }
 
 // searchPairs picks deterministic source/target pairs inside the
 // largest component, spread across the level structure so path lengths
 // vary the way random pairs on BG/L did.
-func (w *workload) searchPairs(count int, seed int64) [][2]graph.Vertex {
-	src := graph.LargestComponentVertex(w.g)
-	levels := graph.BFS(w.g, src)
-	var reachable []graph.Vertex
+func searchPairs(g *bgl.Graph, count int, seed int64) [][2]bgl.Vertex {
+	levels := g.SerialBFS(g.LargestComponentVertex())
+	var reachable []bgl.Vertex
 	for v, l := range levels {
-		if l != graph.Unreached {
-			reachable = append(reachable, graph.Vertex(v))
+		if l != bgl.Unreached {
+			reachable = append(reachable, bgl.Vertex(v))
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pairs := make([][2]graph.Vertex, 0, count)
+	pairs := make([][2]bgl.Vertex, 0, count)
 	for len(pairs) < count {
 		s := reachable[rng.Intn(len(reachable))]
 		t := reachable[rng.Intn(len(reachable))]
 		if s != t {
-			pairs = append(pairs, [2]graph.Vertex{s, t})
+			pairs = append(pairs, [2]bgl.Vertex{s, t})
 		}
 	}
 	return pairs
@@ -170,20 +122,20 @@ func (w *workload) searchPairs(count int, seed int64) [][2]graph.Vertex {
 
 // targetAtDepth returns a vertex at the given BFS depth from src, or
 // false if none exists.
-func targetAtDepth(levels []int32, depth int32) (graph.Vertex, bool) {
+func targetAtDepth(levels []int32, depth int32) (bgl.Vertex, bool) {
 	for v, l := range levels {
 		if l == depth {
-			return graph.Vertex(v), true
+			return bgl.Vertex(v), true
 		}
 	}
 	return 0, false
 }
 
-// meanSearch runs the given pairs through fn and averages simulated
+// meanSearch runs an s→t search for each pair and averages simulated
 // execution and communication times.
-func meanSearch(w *workload, pairs [][2]graph.Vertex, run func(s, t graph.Vertex) (*bfs.Result, error)) (exec, comm float64, err error) {
+func meanSearch(cl *bgl.Cluster, dg *bgl.DistGraph, pairs [][2]bgl.Vertex) (exec, comm float64, err error) {
 	for _, p := range pairs {
-		res, e := run(p[0], p[1])
+		res, e := cl.Search(dg, p[0], p[1])
 		if e != nil {
 			return 0, 0, e
 		}
@@ -222,16 +174,12 @@ func fitK(n int, k float64) float64 {
 	return math.Min(k, float64(n-1))
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// pow2P caps a rank count at MaxP and rounds it down to a power of
+// two, so every mesh shape an exhibit asks of it factors.
+func (c Config) pow2P(want int) int {
+	p := min(want, c.MaxP)
+	for p&(p-1) != 0 {
+		p--
 	}
-	return b
+	return p
 }
-
-func fmtInt(v int) string { return strconv.Itoa(v) }
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// fmtSscan is a test seam around fmt.Sscan for parsing rendered cells.
-func fmtSscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,42 @@ func TestSquareMeshAndWeakPoints(t *testing.T) {
 	}
 }
 
+// TestSmallMaxP pins the exhibits below P = 4: Figure 6 runs on the
+// largest of its square candidates that fits under MaxP — here one
+// rank, where Figure 6b has no crossover to solve for and says so —
+// and memscale, which needs a shared block column, says in a note why
+// it has no rows rather than printing an empty table.
+func TestSmallMaxP(t *testing.T) {
+	cfg := Config{Scale: 0.1, MaxP: 2, Seed: 1, Searches: 1}
+	tbl, err := RunFig6a(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) == 0 {
+		t.Fatal("fig6a: no rows")
+	}
+	if want := "P=1 (2D as 1x1, 1D as 1x1)"; !strings.Contains(tbl.Notes[0], want) {
+		t.Errorf("fig6a at MaxP=2: note %q does not read %q", tbl.Notes[0], want)
+	}
+	tbl, err = RunFig6b(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 0 || len(tbl.Notes) != 1 || !strings.Contains(tbl.Notes[0], "no crossover") {
+		t.Errorf("fig6b at MaxP=2: %d rows, notes %q; want none and the no-crossover note", len(tbl.Rows), tbl.Notes)
+	}
+	tbl, err = RunMemScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 0 {
+		t.Errorf("memscale at MaxP=2: %d rows, want none", len(tbl.Rows))
+	}
+	if want := "no P ≥ 4 fits under MaxP=2"; len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], want) {
+		t.Errorf("memscale at MaxP=2: notes %q do not open with %q", tbl.Notes, want)
+	}
+}
+
 // TestFig4aShape checks the headline claims at tiny scale: comm time is
 // far below exec time, and exec time grows with P (the log P trend).
 func TestFig4aShape(t *testing.T) {
@@ -100,10 +137,10 @@ func TestFig4aShape(t *testing.T) {
 	for _, row := range tbl.Rows {
 		if strings.Contains(row[0], "k=10") {
 			var e, c float64
-			if _, err := fmtSscan(row[5], &e); err != nil {
+			if _, err := fmt.Sscan(row[5], &e); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fmtSscan(row[6], &c); err != nil {
+			if _, err := fmt.Sscan(row[6], &c); err != nil {
 				t.Fatal(err)
 			}
 			if c >= e {
@@ -130,7 +167,7 @@ func TestFig7Redundancy(t *testing.T) {
 	byK := map[string]float64{}
 	for _, row := range tbl.Rows {
 		var r float64
-		if _, err := fmtSscan(row[3], &r); err != nil {
+		if _, err := fmt.Sscan(row[3], &r); err != nil {
 			t.Fatal(err)
 		}
 		byK[row[0]] = r
@@ -180,7 +217,7 @@ func TestAblationPartitionCoversAllPartitionings(t *testing.T) {
 		part := row[1]
 		seen[part] = true
 		var total float64
-		if _, err := fmtSscan(row[5], &total); err != nil || total <= 0 {
+		if _, err := fmt.Sscan(row[5], &total); err != nil || total <= 0 {
 			t.Fatalf("%s: total words cell %q not positive (%v)", part, row[5], err)
 		}
 	}
@@ -188,5 +225,24 @@ func TestAblationPartitionCoversAllPartitionings(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("exhibit missing partitioning %s", want)
 		}
+	}
+}
+
+// BenchmarkExhibit regenerates every exhibit of All — the paper's
+// figures and table, the memory-scalability exhibit and the design
+// ablations — one sub-benchmark per experiment id, at a scale that
+// keeps each under a few seconds per iteration on one core.
+// `make bench-smoke` runs it once: every exhibit still runs to
+// completion.
+func BenchmarkExhibit(b *testing.B) {
+	cfg := Config{Scale: 0.25, MaxP: 16, Seed: 1, Searches: 1}
+	for _, e := range All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,10 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/bfs"
-	"repro/internal/graph"
-	"repro/internal/partition"
-	"repro/internal/sssp"
+	bgl "repro"
 )
 
 // RunAblationOverlap compares the phase-synchronous schedule against
@@ -25,24 +22,21 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 		Columns: []string{"run", "level/epochs", "sync exec ms", "async exec ms",
 			"speedup", "async comm ms/rank", "hidden %"},
 	}
-	p := minInt(16, cfg.MaxP)
-	for p&(p-1) != 0 {
-		p--
-	}
-	r, c := squareMesh(p)
-	n := cfg.scaleCount(100000/fig4aScaleDivisor) * p
-	k := fitK(n, 10)
-
-	// BFS: per-level comparison on the 2D mesh.
-	w, err := buildWorkload(n, k, cfg.Seed, r, c, false)
+	g, mesh, err := ablationGraph(cfg, 16)
 	if err != nil {
 		return nil, err
 	}
-	src := graph.LargestComponentVertex(w.g)
-	runBFS := func(async bool) (*bfs.Result, error) {
-		opts := bfs.DefaultOptions(src)
-		opts.Async = async
-		return bfs.Run2D(w.cl.world, w.stores, opts)
+	r, c, p := mesh.R, mesh.C, mesh.R*mesh.C
+	n, k := g.N(), fitK(g.N(), ablationK)
+
+	// BFS: per-level comparison on the 2D mesh.
+	cl, dg, err := distribute(g, mesh)
+	if err != nil {
+		return nil, err
+	}
+	src := g.LargestComponentVertex()
+	runBFS := func(async bool) (*bgl.Result, error) {
+		return cl.BFS(dg, src, bgl.WithAsync(async))
 	}
 	syncRes, err := runBFS(false)
 	if err != nil {
@@ -61,39 +55,34 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 		s, a := syncRes.PerLevel[l], asyncRes.PerLevel[l]
 		commTot += a.CommS
 		overlapTot += a.OverlapS
-		t.AddRow(label, l, 1e3*s.ExecS, 1e3*a.ExecS, ratioF(s.ExecS, a.ExecS),
+		t.AddRow(label, l, 1e3*s.ExecS, 1e3*a.ExecS, ratio(s.ExecS, a.ExecS),
 			1e3*a.CommS/float64(p), 100*a.HiddenFrac())
 	}
 	t.AddRow(label, "total", 1e3*syncRes.SimTime, 1e3*asyncRes.SimTime,
-		ratioF(syncRes.SimTime, asyncRes.SimTime), 1e3*commTot/float64(p),
+		ratio(syncRes.SimTime, asyncRes.SimTime), 1e3*commTot/float64(p),
 		100*pctOf(overlapTot, commTot))
 
-	// Δ-stepping: totals on the weighted variant across partitionings.
-	wg, err := graph.GenerateWeighted(graph.Params{N: n, K: k, Seed: cfg.Seed},
-		graph.WeightSpec{Dist: graph.WeightUniform, MaxWeight: 256, Seed: cfg.Seed + 1})
+	// Δ-stepping: totals on the weighted variant across partitionings,
+	// both laid out over the one 2D cluster.
+	wg, err := bgl.GenerateWeighted(n, k, cfg.Seed, bgl.WithMaxWeight(256))
 	if err != nil {
 		return nil, err
 	}
-	wsrc := graph.LargestComponentVertex(wg)
-	for _, mesh := range []struct {
+	wsrc := wg.LargestComponentVertex()
+	for _, spec := range []struct {
 		label string
+		part  bgl.Partition
 		r, c  int
 	}{
-		{"sssp 2d", r, c},
-		{"sssp 1d", 1, p},
+		{"sssp 2d", bgl.Part2D, r, c},
+		{"sssp 1d", bgl.Part1DCol, 1, p},
 	} {
-		layout, err := partition.NewLayout2D(n, mesh.r, mesh.c)
+		wdg, err := cl.Distribute(wg, bgl.WithPartition(spec.part))
 		if err != nil {
 			return nil, err
 		}
-		wstores, err := partition.Build2DWeighted(layout, wg.VisitWeightedEdges)
-		if err != nil {
-			return nil, err
-		}
-		run := func(async bool) (*sssp.Result, error) {
-			opts := sssp.DefaultOptions(wsrc)
-			opts.Async = async
-			return sssp.Run2D(w.cl.world, wstores, opts)
+		run := func(async bool) (*bgl.SSSPResult, error) {
+			return cl.SSSP(wdg, wsrc, bgl.WithAsync(async))
 		}
 		syncS, err := run(false)
 		if err != nil {
@@ -108,8 +97,8 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 			commTot += es.CommS
 			overlapTot += es.OverlapS
 		}
-		t.AddRow(mesh.label+" "+meshLabel(mesh.r, mesh.c), syncS.Epochs, 1e3*syncS.SimTime, 1e3*asyncS.SimTime,
-			ratioF(syncS.SimTime, asyncS.SimTime), 1e3*commTot/float64(p),
+		t.AddRow(spec.label+" "+meshLabel(spec.r, spec.c), syncS.Epochs, 1e3*syncS.SimTime, 1e3*asyncS.SimTime,
+			ratio(syncS.SimTime, asyncS.SimTime), 1e3*commTot/float64(p),
 			100*pctOf(overlapTot, commTot))
 	}
 
@@ -120,7 +109,7 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-func ratioF(a, b float64) string {
+func ratio(a, b float64) string {
 	if b == 0 {
 		return "-"
 	}

@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"repro/internal/bfs"
-	"repro/internal/graph"
-)
+import bgl "repro"
 
 // RunAblationPartition is the Table 1 head-to-head through the unified
 // partition-aware search layer: the same full traversal on the same
@@ -22,43 +19,38 @@ func RunAblationPartition(cfg Config) (*Table, error) {
 		Columns: []string{"graph", "partition", "mesh",
 			"expand words", "fold words", "total words", "exec(s)", "comm(s)"},
 	}
-	p := minInt(16, cfg.MaxP)
-	for p&(p-1) != 0 {
-		p--
+	p := cfg.pow2P(16)
+	r, c := squareMesh(p)
+	cl, err := bgl.NewCluster(bgl.ClusterConfig{R: r, C: c})
+	if err != nil {
+		return nil, err
 	}
-	r0, c0 := squareMesh(p)
-	graphs := []struct {
-		perRank int
-		k       float64
-	}{
-		{100000 / fig4aScaleDivisor, 10},
-		{10000 / fig4aScaleDivisor, 100},
-	}
-	for _, gspec := range graphs {
+	for _, gspec := range table1Graphs {
 		perRank := cfg.scaleCount(gspec.perRank)
 		n := perRank * p
 		k := fitK(n, gspec.k)
-		label := seriesLabel(perRank, k)
-
-		// Every partitioning is a mesh shape of the one engine.
+		g, err := bgl.Generate(n, k, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		// Every partitioning is a mesh shape of the one cluster.
 		for _, spec := range []struct {
-			part string
+			part bgl.Partition
 			r, c int
 		}{
-			{"2d", r0, c0},
-			{"1drow", p, 1},
-			{"1dcol", 1, p},
+			{bgl.Part2D, r, c},
+			{bgl.Part1DRow, p, 1},
+			{bgl.Part1DCol, 1, p},
 		} {
-			w, err := buildWorkload(n, k, cfg.Seed, spec.r, spec.c, false)
+			dg, err := cl.Distribute(g, bgl.WithPartition(spec.part))
 			if err != nil {
 				return nil, err
 			}
-			src := graph.LargestComponentVertex(w.g)
-			res, err := bfs.Run2D(w.cl.world, w.stores, bfs.DefaultOptions(src))
+			res, err := cl.BFS(dg, g.LargestComponentVertex())
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(label, spec.part, meshLabel(spec.r, spec.c),
+			t.AddRow(seriesLabel(perRank, k), spec.part.String(), meshLabel(spec.r, spec.c),
 				res.TotalExpandWords, res.TotalFoldWords,
 				res.TotalExpandWords+res.TotalFoldWords,
 				res.SimTime, res.SimComm)

@@ -3,6 +3,13 @@
 // the same rows/series the paper reports, at a laptop scale set by
 // Config.Scale. All (experiments.go) is the experiment index, and each
 // rendered Table's notes state what the paper reports for that exhibit.
+//
+// Every exhibit is a client of the public API (package bgl, "repro"),
+// the same path bfsrun, graphd and the examples take: graphs come from
+// bgl.Generate / bgl.GenerateWeighted, machines from bgl.NewCluster,
+// layouts from Cluster.Distribute, and numbers from Search, BiSearch,
+// BFS and SSSP with bgl.With* options. Beside bgl the package imports
+// only internal/analytic, for the closed-form expectations it prints.
 package harness
 
 import (

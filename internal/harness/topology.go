@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"repro/internal/bfs"
-	"repro/internal/graph"
-)
+import bgl "repro"
 
 // RunTable1 reproduces Table 1: execution time, communication time and
 // average expand/fold message lengths per level for four processor
@@ -20,11 +17,7 @@ func RunTable1(cfg Config) (*Table, error) {
 		Title:   "Table 1 — performance for various processor topologies",
 		Columns: []string{"graph", "R x C", "exec(s)", "comm(s)", "avg expand len", "avg fold len"},
 	}
-	p := minInt(128, cfg.MaxP)
-	// Make p a power of two so all four topologies factor.
-	for p&(p-1) != 0 {
-		p--
-	}
+	p := cfg.pow2P(128)
 	// The paper's 2D meshes have a 1:2 aspect (128x256 and 256x128);
 	// use the r x 2r split of p when possible, else the square.
 	r0, c0 := squareMesh(p / 2)
@@ -34,29 +27,23 @@ func RunTable1(cfg Config) (*Table, error) {
 		r0, c0 = squareMesh(p)
 	}
 	topologies := [][2]int{{r0, c0}, {c0, r0}, {p, 1}, {1, p}}
-	graphs := []struct {
-		perRank int
-		k       float64
-	}{
-		{100000 / fig4aScaleDivisor, 10},
-		{10000 / fig4aScaleDivisor, 100},
-	}
-	for _, gspec := range graphs {
+	for _, gspec := range table1Graphs {
 		perRank := cfg.scaleCount(gspec.perRank)
 		n := perRank * p
 		k := fitK(n, gspec.k)
+		g, err := bgl.Generate(n, k, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		for _, topo := range topologies {
-			w, err := buildWorkload(n, k, cfg.Seed, topo[0], topo[1], false)
+			cl, dg, err := distribute(g, bgl.ClusterConfig{R: topo[0], C: topo[1]})
 			if err != nil {
 				return nil, err
 			}
-			pairs := w.searchPairs(cfg.Searches, cfg.Seed+int64(topo[0]))
 			var exec, commT float64
 			var expandLen, foldLen float64
-			for _, pr := range pairs {
-				opts := bfs.DefaultOptions(pr[0])
-				opts.Target, opts.HasTarget = pr[1], true
-				res, err := bfs.Run2D(w.cl.world, w.stores, opts)
+			for _, pr := range searchPairs(g, cfg.Searches, cfg.Seed+int64(topo[0])) {
+				res, err := cl.Search(dg, pr[0], pr[1])
 				if err != nil {
 					return nil, err
 				}
@@ -65,7 +52,7 @@ func RunTable1(cfg Config) (*Table, error) {
 				expandLen += res.AvgExpandWordsPerLevel(p)
 				foldLen += res.AvgFoldWordsPerLevel(p)
 			}
-			sc := float64(len(pairs))
+			sc := float64(cfg.Searches)
 			t.AddRow(
 				seriesLabel(perRank, k), meshLabel(topo[0], topo[1]),
 				exec/sc, commT/sc, expandLen/sc, foldLen/sc,
@@ -87,13 +74,6 @@ func RunFig7(cfg Config) (*Table, error) {
 		Title:   "Figure 7 — union-fold redundancy ratio",
 		Columns: []string{"series", "P", "n", "redundancy %"},
 	}
-	series := []struct {
-		perRank int
-		k       float64
-	}{
-		{100000 / fig4aScaleDivisor, 10},
-		{10000 / fig4aScaleDivisor, 100},
-	}
 	points := weakPoints(cfg.MaxP)
 	// The paper's Fig. 7 x-axis starts at ~1000 processors; start at 16
 	// so rings are non-trivial.
@@ -106,20 +86,23 @@ func RunFig7(cfg Config) (*Table, error) {
 	if len(ps) == 0 {
 		ps = []int{points[len(points)-1]}
 	}
-	for _, s := range series {
+	for _, s := range table1Graphs {
 		perRank := cfg.scaleCount(s.perRank)
 		for _, p := range ps {
 			r, c := squareMesh(p)
 			n := perRank * p
 			k := fitK(n, s.k)
-			w, err := buildWorkload(n, k, cfg.Seed, r, c, false)
+			g, err := bgl.Generate(n, k, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			src := graph.LargestComponentVertex(w.g)
+			cl, dg, err := distribute(g, bgl.ClusterConfig{R: r, C: c})
+			if err != nil {
+				return nil, err
+			}
 			// Full traversal with the union-fold; the sent-neighbors
 			// cache stays on, as in the production configuration.
-			res, err := bfs.Run2D(w.cl.world, w.stores, bfs.DefaultOptions(src))
+			res, err := cl.BFS(dg, g.LargestComponentVertex())
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,8 @@
 package harness
 
 import (
+	bgl "repro"
 	"repro/internal/analytic"
-	"repro/internal/bfs"
-	"repro/internal/graph"
 )
 
 // RunFig4b reproduces Figure 4b: total message volume of a search as a
@@ -19,22 +18,24 @@ func RunFig4b(cfg Config) (*Table, error) {
 	}
 	n := cfg.scaleCount(120000/16) * 16
 	k := fitK(n, 10)
-	r, c := squareMesh(minInt(16, cfg.MaxP))
-	w, err := buildWorkload(n, k, cfg.Seed, r, c, false)
+	r, c := squareMesh(min(16, cfg.MaxP))
+	g, err := bgl.Generate(n, k, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	src := graph.LargestComponentVertex(w.g)
-	levels := graph.BFS(w.g, src)
+	cl, dg, err := distribute(g, bgl.ClusterConfig{R: r, C: c})
+	if err != nil {
+		return nil, err
+	}
+	src := g.LargestComponentVertex()
+	levels := g.SerialBFS(src)
 	for depth := int32(3); depth <= 9; depth++ {
 		target, ok := targetAtDepth(levels, depth)
 		if !ok {
 			t.Note("no vertex at depth %d (graph diameter reached)", depth)
 			continue
 		}
-		opts := bfs.DefaultOptions(src)
-		opts.Target, opts.HasTarget = target, true
-		res, err := bfs.Run2D(w.cl.world, w.stores, opts)
+		res, err := cl.Search(dg, src, target)
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +43,7 @@ func RunFig4b(cfg Config) (*Table, error) {
 			res.TotalFoldWords+res.TotalExpandWords)
 	}
 	t.Note("n=%d k=%g on %s; paper: volume rises steeply until path length ≈ diameter (≈%.1f)",
-		n, k, meshLabel(r, c), graph.ExpectedDiameter(n, k))
+		n, k, meshLabel(r, c), analytic.ExpectedDiameter(n, k))
 	return t, nil
 }
 
@@ -63,6 +64,14 @@ func RunFig6b(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	p := fig6P(cfg)
 	n := fig6N(cfg, p)
+	if p == 1 {
+		t := &Table{
+			Title:   "Figure 6b — 1D vs 2D at the computed crossover degree",
+			Columns: []string{"k", "level", "2D vol", "1D vol"},
+		}
+		t.Note("MaxP=%d leaves one rank, which moves no words: there is no crossover to compute", cfg.MaxP)
+		return t, nil
+	}
 	k, err := analytic.CrossoverK(float64(n), p, float64(n-1))
 	if err != nil {
 		return nil, err
@@ -75,16 +84,16 @@ func RunFig6b(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// fig6P is the largest candidate P that fits under MaxP, or 1 when
+// none does; each is a perfect square so the 2D mesh is square
+// (paper: 400 = 20x20).
 func fig6P(cfg Config) int {
-	// A perfect square P so the 2D mesh is square (paper: 400 = 20x20).
-	p := 16
-	for _, cand := range []int{400, 256, 100, 64, 16, 4} {
-		if cand <= cfg.MaxP {
-			p = cand
-			break
+	for _, p := range []int{400, 256, 100, 64, 16, 4} {
+		if p <= cfg.MaxP {
+			return p
 		}
 	}
-	return p
+	return 1
 }
 
 func fig6N(cfg Config, p int) int {
@@ -103,21 +112,22 @@ func fig6Volumes(cfg Config, ks []float64, crossover *float64) (*Table, error) {
 	r, c := squareMesh(p)
 	for _, kRaw := range ks {
 		k := fitK(n, kRaw)
-		run := func(rr, cc int) (*bfs.Result, error) {
-			w, err := buildWorkload(n, k, cfg.Seed, rr, cc, false)
+		g, err := bgl.Generate(n, k, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		run := func(rr, cc int) (*bgl.Result, error) {
+			cl, dg, err := distribute(g, bgl.ClusterConfig{R: rr, C: cc})
 			if err != nil {
 				return nil, err
 			}
-			src := graph.LargestComponentVertex(w.g)
 			// Full traversal = unreachable-target worst case. Direct
 			// targeted collectives so that "received words" counts
 			// each index once, matching the §3.1 analysis the figure
 			// compares against (ring-based folds re-count in-flight
 			// hops).
-			opts := bfs.DefaultOptions(src)
-			opts.Expand = bfs.ExpandTargeted
-			opts.Fold = bfs.FoldDirect
-			return bfs.Run2D(w.cl.world, w.stores, opts)
+			return cl.BFS(dg, g.LargestComponentVertex(),
+				bgl.WithExpand(bgl.ExpandTargeted), bgl.WithFold(bgl.FoldDirect))
 		}
 		res2, err := run(r, c)
 		if err != nil {
@@ -127,10 +137,7 @@ func fig6Volumes(cfg Config, ks []float64, crossover *float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxLv := len(res2.PerLevel)
-		if len(res1.PerLevel) > maxLv {
-			maxLv = len(res1.PerLevel)
-		}
+		maxLv := max(len(res2.PerLevel), len(res1.PerLevel))
 		for lv := 0; lv < maxLv; lv++ {
 			var v2, v1 int64
 			if lv < len(res2.PerLevel) {

@@ -1,21 +1,35 @@
 package harness
 
 import (
-	"repro/internal/bfs"
-	"repro/internal/graph"
+	"strconv"
+
+	bgl "repro"
 )
+
+// graphSpec is one workload shape of the evaluation: vertices per rank
+// and average degree.
+type graphSpec struct {
+	perRank int
+	k       float64
+}
 
 // fig4aSeries are the per-rank problem sizes of Figure 4: the paper
 // holds |V| per processor constant while varying the average degree so
 // every series has the same per-rank edge budget (|V|·k = 10^6).
-var fig4aSeries = []struct {
-	perRank int
-	k       float64
-}{
+var fig4aSeries = []graphSpec{
 	{100000, 10},
 	{20000, 50},
 	{10000, 100},
 	{5000, 200},
+}
+
+// table1Graphs are Table 1's low-degree and high-degree graphs
+// (|V|=100000, k=10 and |V|=10000, k=100 per rank), at the same
+// divisor as the weak-scaling series; Figure 7 and the partitioning
+// head-to-head reuse them.
+var table1Graphs = []graphSpec{
+	{100000 / fig4aScaleDivisor, 10},
+	{10000 / fig4aScaleDivisor, 100},
 }
 
 // fig4aScaleDivisor shrinks the paper's per-rank sizes to laptop scale
@@ -42,16 +56,15 @@ func RunFig4a(cfg Config) (*Table, error) {
 			r, c := squareMesh(p)
 			n := perRank * p
 			k := fitK(n, series.k)
-			w, err := buildWorkload(n, k, cfg.Seed, r, c, false)
+			g, err := bgl.Generate(n, k, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			pairs := w.searchPairs(cfg.Searches, cfg.Seed+int64(p))
-			exec, comm, err := meanSearch(w, pairs, func(s, tg graph.Vertex) (*bfs.Result, error) {
-				opts := bfs.DefaultOptions(s)
-				opts.Target, opts.HasTarget = tg, true
-				return bfs.Run2D(w.cl.world, w.stores, opts)
-			})
+			cl, dg, err := distribute(g, bgl.ClusterConfig{R: r, C: c})
+			if err != nil {
+				return nil, err
+			}
+			exec, comm, err := meanSearch(cl, dg, searchPairs(g, cfg.Searches, cfg.Seed+int64(p)))
 			if err != nil {
 				return nil, err
 			}
@@ -81,21 +94,23 @@ func RunFig4c(cfg Config) (*Table, error) {
 	for _, p := range weakPoints(cfg.MaxP) {
 		r, c := squareMesh(p)
 		n := perRank * p
-		w, err := buildWorkload(n, fitK(n, k), cfg.Seed, r, c, false)
+		g, err := bgl.Generate(n, fitK(n, k), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		pairs := w.searchPairs(cfg.Searches, cfg.Seed+int64(p))
+		cl, dg, err := distribute(g, bgl.ClusterConfig{R: r, C: c})
+		if err != nil {
+			return nil, err
+		}
+		pairs := searchPairs(g, cfg.Searches, cfg.Seed+int64(p))
 		var uniExec, biExec float64
 		var uniVol, biVol int64
 		for _, pr := range pairs {
-			opts := bfs.DefaultOptions(pr[0])
-			opts.Target, opts.HasTarget = pr[1], true
-			uni, err := bfs.Run2D(w.cl.world, w.stores, opts)
+			uni, err := cl.Search(dg, pr[0], pr[1])
 			if err != nil {
 				return nil, err
 			}
-			bi, err := bfs.RunBidirectional2D(w.cl.world, w.stores, opts)
+			bi, err := cl.BiSearch(dg, pr[0], pr[1])
 			if err != nil {
 				return nil, err
 			}
@@ -125,28 +140,27 @@ func RunFig5(cfg Config) (*Table, error) {
 		Title:   "Figure 5 — strong scaling speedup",
 		Columns: []string{"k", "P", "R x C", "exec(s)", "speedup"},
 	}
-	refP := minInt(cfg.MaxP, 256)
+	refP := min(cfg.MaxP, 256)
 	for _, series := range fig4aSeries {
 		// Fixed graph sized so the largest run matches the series'
 		// per-rank budget (the paper fixes the graph per series).
 		baseN := cfg.scaleCount(series.perRank/fig4aScaleDivisor) * refP
 		k := fitK(baseN, series.k)
+		g, err := bgl.Generate(baseN, k, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		// The graph is fixed across P, so use the same search pairs at
+		// every point: speedup then compares identical work.
+		pairs := searchPairs(g, cfg.Searches, cfg.Seed)
 		var t1 float64
 		for _, p := range weakPoints(cfg.MaxP) {
 			r, c := squareMesh(p)
-			w, err := buildWorkload(baseN, k, cfg.Seed, r, c, false)
+			cl, dg, err := distribute(g, bgl.ClusterConfig{R: r, C: c})
 			if err != nil {
 				return nil, err
 			}
-			// The graph is fixed across P, so use the same search
-			// pairs at every point: speedup then compares identical
-			// work.
-			pairs := w.searchPairs(cfg.Searches, cfg.Seed)
-			exec, _, err := meanSearch(w, pairs, func(s, tg graph.Vertex) (*bfs.Result, error) {
-				opts := bfs.DefaultOptions(s)
-				opts.Target, opts.HasTarget = tg, true
-				return bfs.Run2D(w.cl.world, w.stores, opts)
-			})
+			exec, _, err := meanSearch(cl, dg, pairs)
 			if err != nil {
 				return nil, err
 			}
@@ -165,9 +179,7 @@ func RunFig5(cfg Config) (*Table, error) {
 }
 
 func seriesLabel(perRank int, k float64) string {
-	return "|V|=" + itoa(perRank) + ",k=" + ftoa(k)
+	return "|V|=" + strconv.Itoa(perRank) + ",k=" + strconv.FormatFloat(k, 'g', -1, 64)
 }
 
-func meshLabel(r, c int) string { return itoa(r) + "x" + itoa(c) }
-
-func itoa(v int) string { return fmtInt(v) }
+func meshLabel(r, c int) string { return strconv.Itoa(r) + "x" + strconv.Itoa(c) }

@@ -1,17 +1,9 @@
 package harness
 
-import (
-	"fmt"
-
-	"repro/internal/bfs"
-	"repro/internal/frontier"
-	"repro/internal/graph"
-)
+import bgl "repro"
 
 // wireModes lists the frontier wire encodings in ablation order.
-var wireModes = []frontier.WireMode{
-	frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid,
-}
+var wireModes = []bgl.WireMode{bgl.WireSparse, bgl.WireDense, bgl.WireAuto, bgl.WireHybrid}
 
 // RunAblationWire compares the frontier wire encodings level by level
 // on the k=10 Poisson workload over both partitionings (the square 2D
@@ -29,24 +21,21 @@ func RunAblationWire(cfg Config) (*Table, error) {
 		Columns: []string{"mesh", "level", "frontier occ %",
 			"words sparse", "words dense", "words auto", "words hybrid", "auto/hybrid"},
 	}
-	p := minInt(64, cfg.MaxP)
-	for p&(p-1) != 0 {
-		p--
+	g, sq, err := ablationGraph(cfg, 64)
+	if err != nil {
+		return nil, err
 	}
-	r, c := squareMesh(p)
-	n := cfg.scaleCount(100000/fig4aScaleDivisor) * p
-	k := fitK(n, 10)
-	for _, mesh := range [][2]int{{r, c}, {1, p}} {
-		w, err := buildWorkload(n, k, cfg.Seed, mesh[0], mesh[1], false)
+	n, p := g.N(), sq.R*sq.C
+	k := fitK(n, ablationK)
+	src := g.LargestComponentVertex()
+	for _, mesh := range [][2]int{{sq.R, sq.C}, {1, p}} {
+		cl, dg, err := distribute(g, bgl.ClusterConfig{R: mesh[0], C: mesh[1]})
 		if err != nil {
 			return nil, err
 		}
-		src := graph.LargestComponentVertex(w.g)
-		results := make([]*bfs.Result, len(wireModes))
+		results := make([]*bgl.Result, len(wireModes))
 		for i, mode := range wireModes {
-			opts := bfs.DefaultOptions(src)
-			opts.Wire = mode
-			res, err := bfs.Run2D(w.cl.world, w.stores, opts)
+			res, err := cl.BFS(dg, src, bgl.WithWire(mode))
 			if err != nil {
 				return nil, err
 			}
@@ -64,19 +53,12 @@ func RunAblationWire(cfg Config) (*Table, error) {
 				totals[i] += words[i]
 			}
 			occ := 100 * float64(results[0].PerLevel[l].Frontier) / float64(n)
-			t.AddRow(label, l, occ, words[0], words[1], words[2], words[3], ratio(words[2], words[3]))
+			t.AddRow(label, l, occ, words[0], words[1], words[2], words[3], ratio(float64(words[2]), float64(words[3])))
 		}
-		t.AddRow(label, "total", "", totals[0], totals[1], totals[2], totals[3], ratio(totals[2], totals[3]))
+		t.AddRow(label, "total", "", totals[0], totals[1], totals[2], totals[3], ratio(float64(totals[2]), float64(totals[3])))
 	}
 	t.Note("n=%d k=%g: auto picks min(sparse, dense) per payload; hybrid re-chunks each payload", n, k)
 	t.Note("into delta-varint/bitmap/run containers and must never exceed auto — the auto/hybrid")
 	t.Note("column is its compression factor, largest on the mid-occupancy middle levels")
 	return t, nil
-}
-
-func ratio(a, b int64) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", float64(a)/float64(b))
 }
