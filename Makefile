@@ -62,13 +62,16 @@ bench:
 # Then the bottom-up level's wire codec: one 4x4 rank's owned bitmap of
 # the lab's 100,000-vertex graph through the hybrid bits encoder at 3%,
 # 25% and 60% occupancy, in ns/op.
-# Last the simulator's fixed cost in P (ROADMAP item 4): NewWorld at
+# Then the simulator's fixed cost in P (ROADMAP item 4): NewWorld at
 # P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes.
+# Last the paper's top-down level as a whole: full top-down searches of
+# the lab's 100,000-vertex graph on 4x4, in ns/op and allocs/op.
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench=Combine -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
 	$(GO) test -run=^$$ -bench=EncodeBits -benchtime=100x -benchmem ./internal/frontier
 	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
+	$(GO) test -run=^$$ -bench=DirectionTopDown -benchtime=20x -benchmem .
 
 # The wall-clock perf lab is its own module (bench/go.mod), outside
 # `go test ./...`: run its tests — every workload at n = 2000,
@@ -195,7 +198,7 @@ graphd-chaos:
 	echo "graphd-chaos: faulted+panicked serving verified, deadlines 504d, replica rebuilt, clean drain"
 
 # Source size: non-test Go lines (wc -l) per package, the bfs + sssp +
-# collective + search sum ROADMAP item 2 tracks, and the total outside
+# collective + search sum ROADMAP item 6 tracks, and the total outside
 # the perf lab (bench/) and hidden directories; then the test lines
 # (_test.go files) outside bench/ and hidden directories. Not part of ci.
 loc:

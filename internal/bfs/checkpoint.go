@@ -58,7 +58,7 @@ func encodeSide(enc *checkpoint.Enc, s *sideState) {
 	lo, n := s.F.Universe()
 	enc.Words(frontier.EncodeSet(s.F.Vertices(), lo, n, frontier.WireAuto))
 	if s.sent != nil {
-		encodeWords(enc, s.sent.Words())
+		encodeWords(enc, s.sent)
 	}
 	if b := s.batch; b != nil {
 		for _, lv := range b.levels {
@@ -80,7 +80,7 @@ func decodeSide(dec *checkpoint.Dec, s *sideState) {
 		s.F.Add(v)
 	}
 	if s.sent != nil {
-		decodeWords(dec, s.sent.Words())
+		decodeWords(dec, s.sent)
 	}
 	if b := s.batch; b != nil {
 		for _, lv := range b.levels {

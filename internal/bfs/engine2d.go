@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/localindex"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/search"
@@ -103,8 +102,12 @@ type sideState struct {
 	// F holds the owned vertices labeled in the current level; spare is
 	// the storage the next level's frontier is built in (see advance).
 	F, spare *frontier.Adaptive
-	sent     *localindex.Bitset
-	level    int32
+	// sent is the sent-neighbors cache (§2.4.3), bit RowIdx of each row
+	// vertex already folded to its owner, and seen the row bits the
+	// current top-down level's scan has reached (see setBins.set): one
+	// allocation, both nil without the cache.
+	sent, seen []uint64
+	level      int32
 	// un is a bottom-up level's unlabeled set, current at level unAt
 	// once the last frontier is cleared (see unlabeledBits).
 	un   []uint32
@@ -207,7 +210,9 @@ func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
 		s.F.Add(uint32(src))
 	}
 	if e.opts.SentCache {
-		s.sent = localindex.NewBitset(e.st.RowCount)
+		w := e.st.RowCount / 64
+		words := make([]uint64, 2*w)
+		s.sent, s.seen = words[:w:w], words[w:]
 	}
 	return s
 }
@@ -428,7 +433,7 @@ func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 	if e.lanes == nil {
 		e.bins.raw.Reset()
 		expand(e, s, &e.bins.raw, e.col, nil, tagBase, &rec)
-		nbar = e.bins.fold(tagBase+1<<24, &rec)
+		nbar = e.bins.fold(s, tagBase+1<<24, &rec)
 	} else {
 		expand(e, s, e.lanes.Reset(), e.laneCol, s.batch.fmask, tagBase, &rec)
 		nbar, ms, rec.dups = e.lanes.Deliver(tagBase+1<<24, &rec.Step)

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -21,23 +22,24 @@ const (
 // Every hot loop has one chunk body, run once over the whole range or
 // per chunk on the pool (search.Scan), and told which. It reads the
 // immutable store — a received vertex's partial list is two array reads
-// away (Store2D.ResolveColumns), with no hash map probed — and claims
-// with plain stores when run once, through the atomic TestAndSetAtomic /
-// SetBitAtomic when its chunks run concurrently: which worker wins a
-// claim is then scheduler-dependent, but each neighbor still lands in
-// its owner's bin at most once, so the sorted sets the fold moves — and
-// every count — are the same at every pool size.
+// away (Store2D.ResolveColumns), with no hash map probed — and marks
+// with plain stores when run once, through atomic ORs / SetBitAtomic
+// when its chunks run concurrently. A mark is an OR, so the marked bits,
+// the sorted sets the fold moves and every count are the same at every
+// pool size, whichever worker reaches a bit first.
 
 // scanPart scans the partial edge lists of one decoded expand part
 // (Algorithm 2 step 12; with a one-member column, the rank's own
-// frontier and Algorithm 1 steps 7–9) into the level's bins b by owner
-// mesh column, each neighbor with its vertex's payload, and charges it,
-// recv the vertices received. xs holds the part's payloads in part
+// frontier and Algorithm 1 steps 7–9) and charges it, recv the vertices
+// received. With the sent-neighbors cache each entry's row bit is marked
+// in s.seen, from which setBins.set cuts the level's sets; without it
+// the level's bins b take every neighbor, by owner mesh column, each
+// with its vertex's payload. xs holds the part's payloads in part
 // order — with a one-member column the owned payload array, read at a
 // vertex's column, its local index — and is nil when M carries nothing.
-// Both schedules call it once per part; the sent cache admits each row
-// vertex once in any order, so the bins — sorted before they travel —
-// and every charge are the same either way.
+// Both schedules call it once per part; the marks and bins are merged
+// into sorted sets before they travel, so the sets and every charge are
+// the same either way.
 func scanPart[M any](e *engine2D, b *search.Bins[M], s *sideState, part []uint32, xs []M, recv int) {
 	search.Scan(b, e.c, e.pl, len(part), scanGrain, recv, partScan[M]{e, s, part, xs})
 }
@@ -52,10 +54,10 @@ type partScan[M any] struct {
 }
 
 // Chunk is scanPart's body over part[from:to]; shared, its chunks run
-// concurrently and claim sent bits atomically. A zero-size payload is
+// concurrently and mark row bits atomically. A zero-size payload is
 // neither read nor binned (search.Column.Add's idiom).
 func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
-	st, sent, part, xs := ps.e.st, ps.s.sent, ps.part[from:to], ps.xs
+	st, seen, part, xs := ps.e.st, ps.s.seen, ps.part[from:to], ps.xs
 	l := st.Layout
 	local := ps.e.colG.Size() == 1
 	var x M
@@ -71,6 +73,15 @@ func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
 			if ci == partition.NoColumn {
 				continue // no partial list here
 			}
+			lo, hi := st.Off[ci], st.Off[ci+1]
+			o.Scanned += int(hi - lo)
+			if seen != nil {
+				// The rows' indexes were resolved when the store was
+				// built; charge the lookups the paper's search makes.
+				o.Probes += uint64(st.ListProbes[ci])
+				markRows(seen, st.RowIdx[lo:hi], shared)
+				continue
+			}
 			if unsafe.Sizeof(x) != 0 {
 				if local {
 					x = xs[ci]
@@ -78,27 +89,7 @@ func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
 					x = xs[idx]
 				}
 			}
-			lo, hi := st.Off[ci], st.Off[ci+1]
-			o.Scanned += int(hi - lo)
-			if sent == nil {
-				binList(o, l, st.Rows[lo:hi], x)
-				continue
-			}
-			for k := lo; k < hi; k++ {
-				// The row's index was resolved when the store was built;
-				// charge the lookup the paper's search makes.
-				ri := st.RowIdx[k]
-				o.Probes += uint64(st.RowProbes[ri])
-				if shared && sent.TestAndSetAtomic(ri) || !shared && sent.TestAndSet(ri) {
-					continue // already sent to its owner once (§2.4.3)
-				}
-				u := st.Rows[k]
-				j := l.ColBlockOf(u)
-				o.V[j] = append(o.V[j], uint32(u))
-				if unsafe.Sizeof(x) != 0 {
-					o.X[j] = append(o.X[j], x)
-				}
-			}
+			binList(o, l, st.Rows[lo:hi], x)
 		}
 		if unsafe.Sizeof(x) != 0 && !local {
 			xs = xs[n:]
@@ -106,8 +97,25 @@ func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
 	}
 }
 
+// markRows sets the row bits rows in seen, with an atomic OR per unset
+// bit when shared.
+func markRows(seen []uint64, rows []uint32, shared bool) {
+	if !shared {
+		for _, ri := range rows {
+			seen[ri>>6] |= 1 << (ri & 63)
+		}
+		return
+	}
+	for _, ri := range rows {
+		w, m := &seen[ri>>6], uint64(1)<<(ri&63)
+		if atomic.LoadUint64(w)&m == 0 {
+			atomic.OrUint64(w, m)
+		}
+	}
+}
+
 // binList bins list's vertices by owner mesh column, each with x. It is
-// never inlined: in Chunk, beside the sent loop, this loop spills.
+// never inlined: in Chunk, beside the marking path, this loop spills.
 //
 //go:noinline
 func binList[M any](o *search.Bins[M], l *partition.Layout2D, list []graph.Vertex, x M) {

@@ -232,8 +232,10 @@ func (d *Dec) Done() {
 // little-endian. Lengths are explicit so ReadFile can reject truncated
 // or corrupted files with errors rather than panics. The magic's last
 // byte is the format version: version 2 carries the transport state as
-// a per-peer traffic ledger, which a version-1 blob would be misread as.
-var fileMagic = [8]byte{'B', 'G', 'L', 'C', 'K', 'P', 'T', '2'}
+// a per-peer traffic ledger, which a version-1 blob would be misread as;
+// version 3 a BFS sent-neighbors cache indexed by row position, a
+// version-2 cache of another width.
+var fileMagic = [8]byte{'B', 'G', 'L', 'C', 'K', 'P', 'T', '3'}
 
 // WriteFile serializes a snapshot to path (atomically: temp file +
 // rename).

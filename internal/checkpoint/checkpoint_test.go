@@ -190,13 +190,15 @@ func TestReadFileCorruption(t *testing.T) {
 		}
 	}
 
-	// A foreign header, and the previous format version's: its
-	// transport blobs have another layout.
+	// A foreign header, and the previous format versions': version 1's
+	// transport blobs have another layout, version 2's sent-neighbors
+	// cache another width.
 	foreign := append([]byte(nil), raw...)
 	foreign[0] ^= 0xff
-	old := append([]byte("BGLCKPT1"), raw[8:]...)
+	v1 := append([]byte("BGLCKPT1"), raw[8:]...)
+	v2 := append([]byte("BGLCKPT2"), raw[8:]...)
 	p := filepath.Join(dir, "magic.ckpt")
-	for _, bad := range [][]byte{foreign, old} {
+	for _, bad := range [][]byte{foreign, v1, v2} {
 		os.WriteFile(p, bad, 0o644)
 		if _, err := ReadFile(p); err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Errorf("magic %q: err = %v", bad[:8], err)

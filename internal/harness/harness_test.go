@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -185,22 +186,39 @@ func TestFig7Redundancy(t *testing.T) {
 	}
 }
 
-// TestTable1TopologiesDistinct guards against the meshes degenerating
-// (a square P would otherwise produce the same mesh twice).
+// TestTable1TopologiesDistinct guards against the meshes degenerating:
+// a square P would otherwise produce the same 2D mesh twice, and below
+// P = 8 the r x 2r split is a 1D mesh. Each graph's rows name distinct
+// meshes, and from P = 4 one of them is a true 2D mesh.
 func TestTable1TopologiesDistinct(t *testing.T) {
-	tbl, err := RunTable1(Config{Scale: 0.05, MaxP: 16, Seed: 1, Searches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, row := range tbl.Rows[:4] { // first graph's four topologies
-		if seen[row[1]] {
-			t.Fatalf("duplicate topology %q in Table 1", row[1])
+	for _, tc := range []struct {
+		maxP   int
+		meshes []string
+	}{
+		{2, []string{"1x2", "2x1"}},
+		{4, []string{"2x2", "4x1", "1x4"}},
+		{16, []string{"2x8", "8x2", "16x1", "1x16"}},
+	} {
+		tbl, err := RunTable1(Config{Scale: 0.05, MaxP: tc.maxP, Seed: 1, Searches: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[row[1]] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("expected 4 distinct topologies, got %d", len(seen))
+		byGraph := map[string][]string{}
+		var graphs []string
+		for _, row := range tbl.Rows {
+			if byGraph[row[0]] == nil {
+				graphs = append(graphs, row[0])
+			}
+			byGraph[row[0]] = append(byGraph[row[0]], row[1])
+		}
+		for _, g := range graphs {
+			if got := byGraph[g]; !slices.Equal(got, tc.meshes) {
+				t.Errorf("MaxP %d, graph %s: topologies %v, want %v", tc.maxP, g, got, tc.meshes)
+			}
+		}
+		if len(graphs) != len(table1Graphs) {
+			t.Errorf("MaxP %d: rows for %d graphs, want %d", tc.maxP, len(graphs), len(table1Graphs))
+		}
 	}
 }
 

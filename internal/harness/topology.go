@@ -1,6 +1,10 @@
 package harness
 
-import bgl "repro"
+import (
+	"slices"
+
+	bgl "repro"
+)
 
 // RunTable1 reproduces Table 1: execution time, communication time and
 // average expand/fold message lengths per level for four processor
@@ -19,14 +23,19 @@ func RunTable1(cfg Config) (*Table, error) {
 	}
 	p := cfg.pow2P(128)
 	// The paper's 2D meshes have a 1:2 aspect (128x256 and 256x128);
-	// use the r x 2r split of p when possible, else the square.
+	// use the r x 2r split of p when it is a 2D mesh, else the square.
 	r0, c0 := squareMesh(p / 2)
-	if r0*c0*2 == p {
-		c0 *= 2
-	} else {
+	if c0 *= 2; r0*c0 != p || r0 == 1 {
 		r0, c0 = squareMesh(p)
 	}
-	topologies := [][2]int{{r0, c0}, {c0, r0}, {p, 1}, {1, p}}
+	// Below P = 8 meshes coincide (at P = 4 both 2D meshes are 2x2, at
+	// P = 2 they are the 1D ones): each is run once.
+	var topologies [][2]int
+	for _, m := range [][2]int{{r0, c0}, {c0, r0}, {p, 1}, {1, p}} {
+		if !slices.Contains(topologies, m) {
+			topologies = append(topologies, m)
+		}
+	}
 	for _, gspec := range table1Graphs {
 		perRank := cfg.scaleCount(gspec.perRank)
 		n := perRank * p

@@ -1,13 +1,9 @@
 package localindex
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Bitset is a fixed-size dense bitset over local indices. It backs the
-// "sent neighbors" optimization of §2.4.3 and the visited marks of the
-// serial reference BFS.
+// dense form of a frontier set and Δ-stepping's settled marks.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -36,25 +32,6 @@ func (b *Bitset) TestAndSet(i uint32) bool {
 	old := b.words[w]&m != 0
 	b.words[w] |= m
 	return old
-}
-
-// TestAndSetAtomic is TestAndSet via compare-and-swap, safe for
-// concurrent claimants: exactly one caller per bit observes false. The
-// sent-neighbor cache always claims through it — on the worker pool,
-// which worker wins a vertex is scheduler-dependent, but the set of
-// claimed bits (and everything downstream of the sorted merge) is not.
-func (b *Bitset) TestAndSetAtomic(i uint32) bool {
-	p := &b.words[i>>6]
-	m := uint64(1) << (i & 63)
-	for {
-		old := atomic.LoadUint64(p)
-		if old&m != 0 {
-			return true
-		}
-		if atomic.CompareAndSwapUint64(p, old, old|m) {
-			return false
-		}
-	}
 }
 
 // Words exposes the backing word array (64 bits per word, bit i of

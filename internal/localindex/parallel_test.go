@@ -45,40 +45,3 @@ func TestMapConcurrentReaders(t *testing.T) {
 		t.Fatalf("concurrent probe total %d != serial %d", got, want)
 	}
 }
-
-// TestAndSetAtomic: exactly one claimant per bit wins, nothing is lost,
-// and the final bitset matches serial TestAndSet (run with -race).
-func TestTestAndSetAtomicConcurrent(t *testing.T) {
-	const n = 1 << 14
-	b := NewBitset(n)
-	var wins atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := uint32(0); i < n; i++ {
-				if i%5 == 0 {
-					continue
-				}
-				if !b.TestAndSetAtomic(i) {
-					wins.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	want := int64(0)
-	for i := uint32(0); i < n; i++ {
-		set := i%5 != 0
-		if set {
-			want++
-		}
-		if b.Test(i) != set {
-			t.Fatalf("bit %d = %v, want %v", i, b.Test(i), set)
-		}
-	}
-	if wins.Load() != want {
-		t.Fatalf("%d wins across claimants, want exactly %d (one per bit)", wins.Load(), want)
-	}
-}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -10,7 +11,8 @@ import (
 )
 
 // The stores memoise the two hash maps the search used to probe: the row
-// map per scanned neighbor (RowIdx/RowProbes) and the column map per
+// map per scanned neighbor (RowIdx, a row's position in its owner's
+// range, and ListProbes, a list's lookups summed) and the column map per
 // received vertex (ColIdx/ColProbes over the block column), numbering
 // compact columns by vertex id instead of by discovery — or, on a 1 x P
 // mesh, by local index with no column index at all. TestMemoIsTheMap
@@ -256,16 +258,32 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 		if len(st.RowIdx) != len(st.Rows) {
 			t.Fatalf("rank %d: %d RowIdx entries for %d Rows", rk, len(st.RowIdx), len(st.Rows))
 		}
-		if st.RowCount != rowMaps[rk].Len() || len(st.RowProbes) != st.RowCount {
-			t.Fatalf("rank %d: RowCount %d, %d RowProbes, reference map holds %d", rk, st.RowCount, len(st.RowProbes), rowMaps[rk].Len())
+		// A row's bit is its position in the owned range of its owner,
+		// fold-group member m, whose rows take span bits from m·span.
+		span := (l.BlockSize() + 63) / 64 * 64
+		if st.RowCount != c*span || st.DistinctRows != rowMaps[rk].Len() || len(st.ListProbes) != len(st.Off)-1 {
+			t.Fatalf("rank %d: RowCount %d (C·span %d), DistinctRows %d (reference map holds %d), %d ListProbes for %d lists",
+				rk, st.RowCount, c*span, st.DistinctRows, rowMaps[rk].Len(), len(st.ListProbes), len(st.Off)-1)
 		}
 		for k, u := range st.Rows {
-			idx, ok, probes := rowMaps[rk].GetCounted(u)
-			if !ok || st.RowIdx[k] != idx {
-				t.Fatalf("rank %d entry %d: RowIdx %d, reference row map says %d (present=%v)", rk, k, st.RowIdx[k], idx, ok)
+			ri := int(st.RowIdx[k])
+			m, off := ri/span, ri%span
+			lo, hi := l.OwnedRange(l.RankAt(st.I, m))
+			if m >= c || off >= int(hi-lo) || lo+graph.Vertex(off) != u {
+				t.Fatalf("rank %d entry %d: RowIdx %d decodes to member %d offset %d, not row vertex %d", rk, k, ri, m, off, u)
 			}
-			if int(st.RowProbes[idx]) != probes {
-				t.Fatalf("rank %d row %d (vertex %d): RowProbes %d, reference lookup takes %d", rk, idx, u, st.RowProbes[idx], probes)
+		}
+		for ci, got := range st.ListProbes {
+			want := 0
+			for _, u := range st.Rows[st.Off[ci]:st.Off[ci+1]] {
+				_, ok, probes := rowMaps[rk].GetCounted(u)
+				if !ok {
+					t.Fatalf("rank %d list %d: row vertex %d is not in the reference row map", rk, ci, u)
+				}
+				want += probes
+			}
+			if int(got) != want {
+				t.Fatalf("rank %d list %d: ListProbes %d, reference lookups take %d", rk, ci, got, want)
 			}
 		}
 
@@ -282,7 +300,7 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 				t.Fatalf("rank %d column %d: %d entries, stream has %d", rk, v, st.Off[ci+1]-st.Off[ci], len(want))
 			}
 			for x, e := range want {
-				k := st.Off[ci] + int64(x)
+				k := st.Off[ci] + uint32(x)
 				if st.Rows[k] != e.u || (weighted && st.RowWts[k] != e.w) {
 					t.Fatalf("rank %d column %d entry %d: row %d, want (%d, w=%d) in stream order", rk, v, x, st.Rows[k], e.u, e.w)
 				}
@@ -377,26 +395,27 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 // prove nothing. A column map never collides where it has at least as
 // many slots as the block column has vertices (the hash is a bijection
 // on an id's low bits), so column collisions need a sparse block column:
-// on the long path a rank holds lists for one block of the four.
+// on the long path a rank holds lists for one block of the four. A row
+// lookup took a second probe where a list's probes outnumber its
+// entries.
 func TestMemoSeesCollisions(t *testing.T) {
-	deep := func(stores []*Store2D, probes func(*Store2D) []uint8) int {
+	deepRows := func(stores []*Store2D) int {
 		n := 0
 		for _, st := range stores {
-			for _, p := range probes(st) {
-				if p > 1 {
+			for ci, p := range st.ListProbes {
+				if p > st.Off[ci+1]-st.Off[ci] {
 					n++
 				}
 			}
 		}
 		return n
 	}
-	rows := func(st *Store2D) []uint8 { return st.RowProbes }
 	l2, _ := NewLayout2D(5500, 4, 4)
 	st2, err := Build2D(l2, plainVisitor(poissonEdges(10)(5500)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deep(st2, rows) == 0 {
+	if deepRows(st2) == 0 {
 		t.Error("no 2D row lookup takes more than one probe")
 	}
 	lp, _ := NewLayout2D(3000, 4, 4)
@@ -404,7 +423,15 @@ func TestMemoSeesCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deep(stp, func(st *Store2D) []uint8 { return st.ColProbes }) == 0 {
+	deepCols := 0
+	for _, st := range stp {
+		for _, p := range st.ColProbes {
+			if p > 1 {
+				deepCols++
+			}
+		}
+	}
+	if deepCols == 0 {
 		t.Error("no 2D column lookup, hit or miss, takes more than one probe")
 	}
 	l1, _ := NewLayout2D(5500, 1, 16)
@@ -412,7 +439,7 @@ func TestMemoSeesCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deep(st1, rows) == 0 {
+	if deepRows(st1) == 0 {
 		t.Error("no 1x16 row lookup takes more than one probe")
 	}
 }
@@ -435,5 +462,19 @@ func TestProbeCountRefusesToTruncate(t *testing.T) {
 	}
 	if _, err := probeCount(keys<<10, m.MissProbes(keys<<10)); err == nil {
 		t.Fatal("a 301-probe miss was squeezed into 8 bits")
+	}
+}
+
+// TestEntryGuardRefuses2To32: Off's 32-bit offsets address at most
+// 2^32 − 1 entries on a rank; one more must fail the build by name, not
+// wrap.
+func TestEntryGuardRefuses2To32(t *testing.T) {
+	if err := checkEntries(1<<32 - 1); err != nil {
+		t.Fatalf("2^32 − 1 entries refused: %v", err)
+	}
+	for _, n := range []uint64{1 << 32, 1<<32 + 1, 1 << 40} {
+		if err := checkEntries(n); !errors.Is(err, ErrTooManyEntries) {
+			t.Errorf("%d entries: err = %v, want ErrTooManyEntries", n, err)
+		}
 	}
 }

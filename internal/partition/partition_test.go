@@ -185,7 +185,7 @@ func partialWeights(st *Store2D, v graph.Vertex) []uint32 {
 }
 
 // column returns the [lo, hi) span of v's list in st's Rows.
-func column(st *Store2D, v graph.Vertex) (lo, hi int64, ok bool) {
+func column(st *Store2D, v graph.Vertex) (lo, hi uint32, ok bool) {
 	ci, ok := uint32(v-st.Lo), v >= st.Lo && v < st.Hi // R = 1: columns are owned vertices
 	if st.ColIdx != nil {
 		k := int(v) - int(st.ColBase)

@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/localindex"
@@ -21,13 +23,15 @@ import (
 // frontier vertex → compact column) is a dense array over the block
 // column, ColIdx, read a batch at a time through ResolveColumns; the
 // third (row vertex → sent-neighbors bit, §2.4.3) is carried by every
-// entry as its local row index in RowIdx. The paper's search pays a hash
-// probe for each, so the simulated clock still charges them: ColProbes
-// and RowProbes hold the slot inspections a lookup takes in the column
-// and row maps the loader builds as the paper's search would and then
-// drops. A block column costs 5 bytes a vertex this way; a map costs 8
-// bytes a slot, at two to four slots per column with a list, so it would
-// be smaller only where fewer than about one vertex in five has a list.
+// entry as its local row index in RowIdx, a dense number by position. The
+// paper's search pays a hash probe for each, so the simulated clock still
+// charges them: ColProbes and ListProbes hold the slot inspections the
+// lookups take in the column and row maps the loader builds as the
+// paper's search would and then drops — per block-column vertex, and
+// summed over each partial list. A block column costs 5 bytes a vertex
+// this way; a map costs 8 bytes a slot, at two to four slots per column
+// with a list, so it would be smaller only where fewer than about one
+// vertex in five has a list.
 //
 // With R = 1 — the conventional 1D partitioning of §2.1 — a rank's block
 // column is its owned block and every list is a full edge list. The
@@ -44,9 +48,10 @@ type Store2D struct {
 	Lo, Hi graph.Vertex // owned vertex range
 
 	// Partial edge lists in CSR over compacted non-empty columns (over the
-	// owned vertices when R = 1: Off then has OwnedCount+1 entries).
+	// owned vertices when R = 1: Off then has OwnedCount+1 entries). A
+	// rank holds fewer than 2^32 entries (ErrTooManyEntries).
 	ColIds []graph.Vertex // compact column index -> global v, strictly ascending; nil when R = 1
-	Off    []int64
+	Off    []uint32
 	Rows   []graph.Vertex // global u ids
 	// RowWts, when non-nil, carries the edge weight parallel to each
 	// Rows entry (weight-aware builds only).
@@ -61,18 +66,23 @@ type Store2D struct {
 	ColIdx    []uint32
 	ColProbes []uint8
 
-	// RowIdx, parallel to Rows, is each entry's local row: distinct row
-	// vertices are numbered [0, RowCount) by first appearance in the
-	// edge stream, and the sent-neighbors bitset (§2.4.3) is indexed by
-	// that number.
+	// RowIdx, parallel to Rows, is each entry's local row, the bit the
+	// sent-neighbors cache (§2.4.3) keeps for it. A row vertex u is owned
+	// by rank (I, m) of this rank's processor row, m = ColBlockOf(u), and
+	// is numbered by position: m·span + u mod BlockSize, where span is
+	// BlockSize rounded up to 64. So member m of the fold group has the
+	// word-aligned bits [m·span, m·span+BlockSize), in vertex order, and
+	// RowCount = C·span bits cover every row.
 	RowIdx   []uint32
 	RowCount int
-	// RowProbes[ri] is the number of probes Map.GetCounted takes to find
-	// local row ri's vertex in the rank's row map (built in
-	// first-appearance order from NewMap(16), as §2.4.2 has it): what a
-	// search charges instead of making the lookup. Build2D fails rather
-	// than truncate a count.
-	RowProbes []uint8
+	// DistinctRows is the number of distinct row vertices in Rows.
+	DistinctRows int
+	// ListProbes[ci] sums, over the entries of partial list ci, the
+	// probes Map.GetCounted takes to find the entry's row vertex in the
+	// rank's row map (built in first-appearance order from NewMap(16), as
+	// §2.4.2 has it): what a search that scans the list charges instead
+	// of making the lookups. Build2D fails rather than truncate a count.
+	ListProbes []uint32
 
 	// FoldEntries[j] counts the Rows entries in block column j (the row
 	// vertices processor column j owns): the most pairs one sweep of a
@@ -174,7 +184,7 @@ func (s *Store2D) Memory() MemoryStats {
 	return MemoryStats{
 		OwnedVertices:   s.OwnedCount(),
 		NonEmptyColumns: s.NonEmptyColumns(),
-		DistinctRows:    s.RowCount,
+		DistinctRows:    s.DistinctRows,
 		EdgeEntries:     len(s.Rows),
 		DenseColumns:    l.R * l.BlockSize(), // vertices in my block column
 	}
@@ -252,12 +262,12 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	}
 	// next, indexed like count, is where pass 2 writes the column's next
 	// entry.
-	next := make([]int64, l.R*n)
+	next := make([]uint32, l.R*n)
 	// colSeq[rk] lists rank rk's columns in stream order, and seq[rk] the
 	// Rows slots pass 2 filled on it: the orders in which the second and
 	// third mappings' hash maps would have seen their keys.
 	colSeq := make([][]graph.Vertex, p)
-	seq := make([][]int64, p)
+	seq := make([][]uint32, p)
 	ends := func(u, v graph.Vertex) (end, end) {
 		bu, bv := int(u)/bs, int(v)/bs
 		return end{u, bu % l.R, bu / l.R}, end{v, bv % l.R, bv / l.R}
@@ -297,20 +307,27 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		base := min(st.J*colSpan, n)
 		lo, hi := st.I*n+base, st.I*n+min(base+colSpan, n)
 		cols, nx := count[lo:hi], next[lo:hi]
+		var entries uint64
+		for _, c := range cols {
+			entries += uint64(c)
+		}
+		if err := checkEntries(entries); err != nil {
+			return nil, fmt.Errorf("partition: rank %d: %w", r, err)
+		}
 		if l.R == 1 {
 			// R = 1: the block column is the owned block, so column ci is
 			// local vertex ci and an empty list keeps its place.
-			st.Off = make([]int64, len(cols)+1)
+			st.Off = make([]uint32, len(cols)+1)
 			for li, c := range cols {
 				nx[li] = st.Off[li]
-				st.Off[li+1] = st.Off[li] + int64(c)
+				st.Off[li+1] = st.Off[li] + c
 			}
 		} else {
 			// Number the columns in ascending vertex id: a walk over the
 			// block column in place of a sort.
 			nc := len(colSeq[r])
 			st.ColIds = make([]graph.Vertex, 0, nc)
-			st.Off = make([]int64, 1, nc+1)
+			st.Off = make([]uint32, 1, nc+1)
 			for pos, c := range cols {
 				if c == 0 {
 					cols[pos] = NoColumn
@@ -319,7 +336,7 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 				cols[pos] = uint32(len(st.ColIds))
 				nx[pos] = st.Off[len(st.Off)-1]
 				st.ColIds = append(st.ColIds, graph.Vertex(base+pos))
-				st.Off = append(st.Off, st.Off[len(st.Off)-1]+int64(c))
+				st.Off = append(st.Off, st.Off[len(st.Off)-1]+c)
 			}
 			st.ColBase, st.ColIdx, st.ColProbes = graph.Vertex(base), cols, colProbes[lo:hi]
 			m.Reset(16)
@@ -340,7 +357,7 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		}
 		st.Rows = make([]graph.Vertex, st.Off[len(st.Off)-1])
 		st.RowIdx = make([]uint32, len(st.Rows))
-		seq[r] = make([]int64, 0, len(st.Rows))
+		seq[r] = make([]uint32, 0, len(st.Rows))
 		if weighted {
 			st.RowWts = make([]uint32, len(st.Rows))
 		}
@@ -366,33 +383,73 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	}); err != nil {
 		return nil, err
 	}
-	// Number each rank's rows by first appearance in the stream, through
-	// one dense index over all vertices handed clean from rank to rank,
-	// and charge each row's lookup in the row map.
-	index := make([]uint32, n) // local row + 1, 0 until the row appears
+	// Put each rank's rows in its row map in first-appearance order,
+	// through one dense index over all vertices handed clean from rank to
+	// rank, charge each list the lookups of its entries, and number each
+	// row by position.
+	index := make([]uint32, n) // first-appearance row + 1, 0 until the row appears
 	var order []graph.Vertex
+	var rowProbes []uint8
+	var rowPos []uint32
+	span := (bs + 63) &^ 63
 	for r, st := range stores {
 		order = order[:0]
 		for _, k := range seq[r] {
-			u := st.Rows[k]
-			if index[u] == 0 {
+			if u := st.Rows[k]; index[u] == 0 {
 				order = append(order, u)
 				index[u] = uint32(len(order))
 			}
-			st.RowIdx[k] = index[u] - 1
 		}
+		seq[r] = nil
 		m.Reset(16)
 		for ri, u := range order {
 			m.Put(u, uint32(ri))
-			index[u] = 0
 		}
-		st.RowCount = len(order)
-		st.RowProbes = make([]uint8, len(order))
-		if err := chargeLookups(m, st.RowProbes); err != nil {
+		rowProbes = slices.Grow(rowProbes[:0], len(order))[:len(order)]
+		err := chargeLookups(m, rowProbes)
+		// A row's position: member m = its block / R takes the bits from
+		// m·span, in block order.
+		rowPos = slices.Grow(rowPos[:0], len(order))[:len(order)]
+		for ri, u := range order {
+			b := int(u) / bs
+			rowPos[ri] = uint32(b/l.R*span + int(u) - b*bs)
+		}
+		st.ListProbes = make([]uint32, len(st.Off)-1)
+		for ci := range st.ListProbes {
+			var sum uint64
+			for k := st.Off[ci]; k < st.Off[ci+1]; k++ {
+				ri := index[st.Rows[k]] - 1
+				sum += uint64(rowProbes[ri])
+				st.RowIdx[k] = rowPos[ri]
+			}
+			if sum > math.MaxUint32 && err == nil {
+				err = fmt.Errorf("list %d's lookups take %d probes, more than a list's count holds", ci, sum)
+			}
+			st.ListProbes[ci] = uint32(sum)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
 		}
+		for _, u := range order {
+			index[u] = 0
+		}
+		st.DistinctRows, st.RowCount = len(order), l.C*span
 	}
 	return stores, nil
+}
+
+// ErrTooManyEntries is Build2D's refusal of a rank whose partial edge
+// lists hold 2^32 entries or more, which Off's 32-bit offsets cannot
+// address.
+var ErrTooManyEntries = errors.New("partition: 2^32 or more edge-list entries on one rank")
+
+// checkEntries refuses a rank of entries edge-list entries that Off
+// cannot address.
+func checkEntries(entries uint64) error {
+	if entries > math.MaxUint32 {
+		return fmt.Errorf("%w: %d", ErrTooManyEntries, entries)
+	}
+	return nil
 }
 
 // chargeLookups sets probes[val], for every entry of m, to the probes a

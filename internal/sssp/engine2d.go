@@ -58,7 +58,7 @@ func (e *engine2D) maxWeight() uint32 {
 
 // weightAt returns the weight of the i-th local partial-list entry
 // (1 for unweighted stores).
-func (e *engine2D) weightAt(i int64) uint32 {
+func (e *engine2D) weightAt(i uint32) uint32 {
 	if e.st.RowWts == nil {
 		return 1
 	}

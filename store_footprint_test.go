@@ -9,17 +9,19 @@ import (
 // HeapAlloc after a forced collection, with the stores reachable, minus
 // the same before Distribute. The stores keep no hash map: the loader
 // resolves both maps a search would probe and drops them, leaving a
-// local row per edge entry and a probe count per row, and a compact
-// column and a probe count per block-column vertex — 5 bytes a vertex,
-// where the column map cost 8 bytes a slot at two to four slots per
-// column with a list. A 1 x P store, whose columns are its owned
+// local row per edge entry and a probe sum per partial list, and a
+// compact column and a probe count per block-column vertex — 5 bytes a
+// vertex, where the column map cost 8 bytes a slot at two to four slots
+// per column with a list. A 1 x P store, whose columns are its owned
 // vertices, carries no column index at all. The perf lab's 2D graph
-// costs 16.0 MB where it cost 22.55 MB with a column map per rank; the
+// costs 15.78 MB where it cost 22.55 MB with a column map per rank and
+// 16.04 MB with a probe count per distinct row and 64-bit offsets; the
 // 16 x 1 mesh, where the dense index is least ahead (each rank's block
-// column is every vertex), 26.2 MB where it cost 35.24 MB; the 1D graph
-// 1.54 MB. The ceilings sit 4% over the 2D readings and 10% over the 1D
-// one, which repeat to within 0.05 MB; a retained loader index or a
-// second per-entry array lands well above them.
+// column is every vertex), 26.11 MB where it cost 35.24 MB (26.21); the
+// 1D graph 1.41 MB (1.54). The ceilings, set 4% over the 2D readings and
+// 10% over the 1D one of the per-row counts, stand; the readings repeat
+// to within 0.05 MB, and a retained loader index or a second per-entry
+// array lands well above them.
 func TestStoreFootprint(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{R: 4, C: 4})
 	if err != nil {
