@@ -55,7 +55,9 @@ bench:
 # Then the combine step's micro-benchmarks with allocation counts: one
 # rank's share of multibfs1d-64's largest sweep at 0/50/90% duplicates
 # through localindex.Combiner (union / OR / min), beside the
-# sort-then-compact merge it replaced. 0 allocs/op is the expectation.
+# sort-then-compact merge it replaced, and the union folds' merge of
+# two 10,000-id sets at 10/50/90% overlap into reused scratch, in ns
+# per id. 0 allocs/op is the expectation.
 # Then the per-layer number for a top-down scan's column lookup: one
 # rank of the lab's 4x4 graph resolving a sorted 4,096-vertex part
 # through its dense column index, in ns per vertex, 0 allocs/op.
@@ -63,14 +65,17 @@ bench:
 # the lab's 100,000-vertex graph through the hybrid bits encoder at 3%,
 # 25% and 60% occupancy, in ns/op.
 # Then the simulator's fixed cost in P (ROADMAP item 4): NewWorld at
-# P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes.
+# P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes —
+# and the transport's frame checksum on 16- and 16k-word payloads, in
+# MB/s.
 # Last the paper's top-down level as a whole: full top-down searches of
 # the lab's 100,000-vertex graph on 4x4, in ns/op and allocs/op.
 bench-smoke: bench
-	$(GO) test -run=^$$ -bench=Combine -benchtime=100x -benchmem ./internal/localindex
+	$(GO) test -run=^$$ -bench='Combine|UnionSorted' -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
 	$(GO) test -run=^$$ -bench=EncodeBits -benchtime=100x -benchmem ./internal/frontier
 	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
+	$(GO) test -run=^$$ -bench=Checksum -benchtime=100x -benchmem ./internal/comm
 	$(GO) test -run=^$$ -bench=DirectionTopDown -benchtime=20x -benchmem .
 
 # The wall-clock perf lab is its own module (bench/go.mod), outside

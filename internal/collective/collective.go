@@ -85,7 +85,10 @@ type Opts struct {
 // member m because a payload's universe (and therefore its decoded
 // width, for bitmap payloads) is the destination's owned range.
 // Received-word statistics count encoded words, so a denser encoding
-// shows up directly in the message-volume measurements.
+// shows up directly in the message-volume measurements. What Dec
+// returns must stay valid across later Dec calls of the same collective
+// (a fold decodes a whole bundle before it merges it), and neither
+// output is written to by the collectives.
 type Codec struct {
 	Enc func(m int, payload []uint32) []uint32
 	Dec func(m int, buf []uint32) []uint32

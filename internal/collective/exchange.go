@@ -107,9 +107,7 @@ func Exchange(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stat
 // reduction), so Dups counts local merge savings only; contrast with
 // TwoPhaseFold.
 func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stats) {
-	var acc []uint32
-	first := true
-	dups := 0
+	acc := newUnion(c, nil, g.Size())
 	wirePrep := func(m int) []uint32 {
 		if m == g.Me {
 			return prep(m)
@@ -120,16 +118,50 @@ func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32
 		if m != g.Me && o.Codec != nil {
 			part = o.Codec.Dec(g.Me, part)
 		}
-		if first {
-			acc, first = append([]uint32(nil), part...), false
-			return
-		}
-		var d int
-		acc, d = localindex.UnionInto(acc, part)
-		dups += d
+		acc.add(part)
 	})
-	st.Dups += dups
-	return acc, st
+	st.Dups += acc.dups
+	return acc.done(), st
+}
+
+// union accumulates the union of a fold's arriving parts. Every merge
+// but the last lands in one of two buffers borrowed from the rank's
+// Comm, the one the running union is not in; the last writes fresh
+// memory, the result the caller keeps. Nothing is written into a part.
+type union struct {
+	c    *comm.Comm
+	buf  [2][]uint32
+	k    int      // the buffer the next merge writes
+	acc  []uint32 // the union so far, read-only
+	left int      // parts still to come
+	dups int      // elements of the parts already in acc
+}
+
+// newUnion starts a union at acc, read-only, that parts more parts
+// extend.
+func newUnion(c *comm.Comm, acc []uint32, parts int) union {
+	return union{c: c, buf: [2][]uint32{c.Words(), c.Words()}, acc: acc, left: parts}
+}
+
+// add merges the next sorted duplicate-free part into the union.
+func (u *union) add(part []uint32) {
+	u.left--
+	var d int
+	if u.left == 0 {
+		u.acc, d = localindex.UnionSorted(u.acc, part)
+	} else {
+		u.buf[u.k], d = localindex.UnionInto(u.buf[u.k][:0], u.acc, part)
+		u.acc, u.k = u.buf[u.k], u.k^1
+	}
+	u.dups += d
+}
+
+// done returns the union once every part has been added, and hands the
+// merge buffers back.
+func (u *union) done() []uint32 {
+	u.c.ReleaseWords(u.buf[1])
+	u.c.ReleaseWords(u.buf[0])
+	return u.acc
 }
 
 // ReduceScatterOr reduce-scatters wire bitmaps with bitwise OR: prep(m)

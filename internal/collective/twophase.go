@@ -116,6 +116,10 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 	if o.NoUnion {
 		cdc = nil
 	}
+	// The in-flight unions of step s land in arena s%2, borrowed from c:
+	// a step's merged sets are read only by the next step's send, which
+	// copies them onto the wire, and after the last step by phase 2.
+	arena := [2][]uint32{c.Words(), c.Words()}
 	if b > 1 {
 		tr.Begin("phase", "phase1")
 		next := g.World(row*b + (col+1)%b)
@@ -139,18 +143,34 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 			st.RecvWords += len(buf)
 			incoming := decodeBundleInto(staged, buf)
 			mine := chunk(recvIdx)
+			need := 0
 			for i := 0; i < a; i++ {
 				if cdc != nil {
 					incoming[i] = cdc.Dec(i*b+(recvIdx-1+b)%b, incoming[i])
 				}
-				if o.NoUnion {
+				need += len(mine[i]) + len(incoming[i])
+			}
+			if o.NoUnion {
+				for i := 0; i < a; i++ {
 					mine[i] = mergeKeepDups(mine[i], incoming[i])
-					continue
 				}
+				stepDone()
+				continue
+			}
+			// Size the arena for the whole step at once, so the unions
+			// below never regrow it.
+			w := arena[s%2][:0]
+			if cap(w) < need {
+				w = make([]uint32, 0, need)
+			}
+			for i := 0; i < a; i++ {
+				start := len(w)
 				var d int
-				mine[i], d = localindex.UnionSorted(mine[i], incoming[i])
+				w, d = localindex.UnionInto(w, mine[i], incoming[i])
+				mine[i] = w[start:len(w):len(w)]
 				st.Dups += d
 			}
+			arena[s%2] = w
 			stepDone()
 		}
 		c.ReleaseLists(staged)
@@ -166,7 +186,7 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 	// synchronous either way). What travels is the codec's encoding or,
 	// without one (and for NoUnion's multisets), a copy: see wireSet.
 	tr.Begin("phase", "phase2")
-	acc := append([]uint32(nil), mine[row]...)
+	acc := newUnion(c, mine[row], a-1)
 	tag2 := o.Tag + 1<<20
 	for i := 0; i < a; i++ {
 		if i != row {
@@ -194,18 +214,20 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 			// avoids.
 			part, _ = localindex.SortSet(append([]uint32(nil), part...))
 		}
-		var d int
-		acc, d = localindex.UnionInto(acc, part)
-		st.Dups += d
+		acc.add(part)
 	}
+	out := acc.done()
 	if o.NoUnion {
-		acc, _ = localindex.SortSet(acc)
+		out, _ = localindex.SortSet(out)
 	}
+	st.Dups += acc.dups
 	c.ReleaseRequests(reqs)
 	c.ReleaseLists(sets)
+	c.ReleaseWords(arena[1])
+	c.ReleaseWords(arena[0])
 	tr.End()
 	end(tr, &st)
-	return acc, st
+	return out, st
 }
 
 // mergeKeepDups merges two ascending slices preserving duplicates, the

@@ -45,6 +45,7 @@ type Comm struct {
 	// Per-call scratch the collectives borrow (see scratch.go).
 	reqs  lend[Request]
 	lists lend[[]uint32]
+	words lend[uint32]
 
 	// The fault/recovery activity ledger, and the fault plan's
 	// straggler factor for this rank (1 when not a straggler).

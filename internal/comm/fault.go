@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"hash/crc32"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/trace"
@@ -19,15 +21,17 @@ import (
 // clock as communication time ("retry" cost spans), keeping
 // clock == comp + comm - overlap intact.
 
-// checksum is a 32-bit FNV-1a over the payload words — the integrity
-// check carried in the modeled message envelope.
+// castagnoli is the CRC-32C table; hash/crc32 runs it on the CPU's CRC
+// instructions where it has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the CRC-32C of the payload's bytes — the integrity check
+// carried in the modeled message envelope. Like every CRC it catches
+// any single flipped bit, the corruption the fault plan injects. The
+// bytes are read in host order: sender and receiver share the host.
 func checksum(data []uint32) uint32 {
-	h := uint32(2166136261)
-	for _, w := range data {
-		h ^= w
-		h *= 16777619
-	}
-	return h
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*len(data))
+	return crc32.Checksum(b, castagnoli)
 }
 
 // FaultStats aggregates one rank's transport-fault activity: what the

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -413,5 +414,76 @@ func TestWorldReusableAcrossFaultedRuns(t *testing.T) {
 	}
 	if !MergeFaultStats(comms).Zero() {
 		t.Fatalf("clean run recorded fault activity: %+v", MergeFaultStats(comms))
+	}
+}
+
+// TestChecksumCatchesEveryBitFlip requires the frame checksum to fail
+// verification for every single-bit flip of payloads of 1 to 64 words,
+// for every garble output the fault plan can draw on them, and for the
+// envelope flip post applies to an empty payload.
+func TestChecksumCatchesEveryBitFlip(t *testing.T) {
+	x := uint32(0x9e3779b9)
+	for n := 1; n <= 64; n++ {
+		data := make([]uint32, n)
+		for i := range data {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			data[i] = x
+		}
+		if n%8 == 0 {
+			clear(data[n/2:]) // runs of zero words as well
+		}
+		sum := checksum(data)
+		if !verifyFrame(message{data: data, sum: sum}) {
+			t.Fatalf("%d words: a clean frame fails verification", n)
+		}
+		flipped := make([]uint32, n)
+		for i := range data {
+			for bit := 0; bit < 32; bit++ {
+				copy(flipped, data)
+				flipped[i] ^= 1 << bit
+				if verifyFrame(message{data: flipped, sum: sum}) {
+					t.Fatalf("%d words: flipping bit %d of word %d goes undetected", n, bit, i)
+				}
+			}
+		}
+		for seq := uint32(0); seq < 16; seq++ {
+			for src := 0; src < 4; src++ {
+				g := garble(data, src, 3-src, seq)
+				if verifyFrame(message{data: g, sum: sum}) {
+					t.Fatalf("%d words: garble(src %d, seq %d) goes undetected", n, src, seq)
+				}
+			}
+		}
+	}
+	// post corrupts a zero-length payload by flipping envelope bits.
+	empty := []uint32{}
+	if verifyFrame(message{data: empty, sum: checksum(empty) ^ 0x5a5a5a5a}) {
+		t.Fatal("the empty-payload envelope flip goes undetected")
+	}
+	if !verifyFrame(message{data: empty, sum: checksum(empty)}) {
+		t.Fatal("a clean empty frame fails verification")
+	}
+}
+
+var checksumSink uint32
+
+// BenchmarkChecksum times the frame checksum on a 16-word and a
+// 16k-word payload.
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{16, 16 << 10} {
+		b.Run(fmt.Sprintf("words=%d", n), func(b *testing.B) {
+			data := make([]uint32, n)
+			for i := range data {
+				data[i] = uint32(i) * 2654435761
+			}
+			b.SetBytes(int64(4 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checksumSink = checksum(data)
+			}
+		})
 	}
 }

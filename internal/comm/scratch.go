@@ -2,8 +2,8 @@ package comm
 
 // lend is a LIFO free list of scratch slices. The collectives borrow
 // their per-call bookkeeping (posted requests, per-member payload
-// tables) from the rank's Comm instead of allocating it on every call;
-// a Comm lives for one Run, so nothing outlasts the run.
+// tables, merge buffers) from the rank's Comm instead of allocating it
+// on every call; a Comm lives for one Run, so nothing outlasts the run.
 type lend[T any] struct{ free [][]T }
 
 // get returns a zeroed slice of length n, reusing the most recently
@@ -35,3 +35,12 @@ func (c *Comm) Lists(n int) [][]uint32 { return c.lists.get(n) }
 
 // ReleaseLists returns a table borrowed from Lists.
 func (c *Comm) ReleaseLists(l [][]uint32) { c.lists.put(l) }
+
+// Words lends an empty word buffer for one collective call, with
+// whatever capacity an earlier borrower grew it to; the union folds
+// merge into it. Hand it back, grown or not, with ReleaseWords, and keep
+// nothing that points into it.
+func (c *Comm) Words() []uint32 { return c.words.get(0) }
+
+// ReleaseWords returns a buffer borrowed from Words.
+func (c *Comm) ReleaseWords(w []uint32) { c.words.put(w[:0]) }

@@ -545,14 +545,6 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 	}
 }
 
-// encodeHybridSet builds the full self-describing hybrid set payload
-// [hybridSentinel, lo, n, chunks...].
-func encodeHybridSet(ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 {
-	buf := make([]uint32, 0, 3+streamBound(n, len(ids)))
-	buf = append(buf, hybridSentinel, lo, uint32(n))
-	return appendSetChunks(buf, ids, lo, n, h)
-}
-
 // streamBound bounds the words of the chunk stream of count members
 // over an n-id universe, so an encoder can reserve its output once: a
 // header word per chunk, and per chunk no more payload than its bitmap

@@ -153,14 +153,53 @@ func appendChunksPar(p Runner, dst, stream []uint32, lo uint32, n int) []uint32 
 // built on the runner. Output and histogram are byte-identical to the
 // serial call for every worker count.
 func EncodeSetStatsPar(p Runner, ids []uint32, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
-	if mode != WireHybrid || !parallelWorthwhile(p, n) || rawBeatsHybrid(n, len(ids)) {
-		return EncodeSetStats(ids, lo, n, mode, h)
+	return AppendEncodeSetPar(p, nil, ids, lo, n, mode, h)
+}
+
+// EncodeSetBound is the capacity AppendEncodeSetPar may use past dst
+// for a count-member set over an n-id universe under mode: the payload,
+// or the hybrid chunk stream it is chosen against. A caller that
+// reserves it gets the payload appended without a reallocation.
+func EncodeSetBound(mode WireMode, n, count int) int {
+	switch {
+	case mode == WireHybrid && !rawBeatsHybrid(n, count):
+		return 3 + streamBound(n, count)
+	case mode == WireDense || mode == WireAuto && denseCheaper(n, count):
+		return 3 + BitWords(n)
 	}
-	var chunks ContainerHist
-	hyb := appendSetChunksPar(p, []uint32{hybridSentinel, lo, uint32(n)}, ids, lo, n, &chunks)
-	return pickHybridForm(hyb, chunks, len(ids), lo, n, h,
-		func() []uint32 { return rawList(ids) },
-		func() []uint32 { return IDsToBits(ids, lo, n) })
+	return count
+}
+
+// AppendEncodeSetPar appends to dst exactly what EncodeSetStatsPar
+// returns, growing dst at most once, by EncodeSetBound, and only when
+// its spare capacity is short. The payload is built in place: a hybrid
+// stream that loses to the raw list or the bitmap is overwritten by it.
+func AppendEncodeSetPar(p Runner, dst, ids []uint32, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
+	head := len(dst)
+	dst = slices.Grow(dst, EncodeSetBound(mode, n, len(ids)))
+	raw := func(dst []uint32) []uint32 { return appendRaw(dst, ids) }
+	switch {
+	case mode == WireHybrid && !rawBeatsHybrid(n, len(ids)):
+		var chunks ContainerHist
+		dst = append(dst, hybridSentinel, lo, uint32(n))
+		if parallelWorthwhile(p, n) {
+			dst = appendSetChunksPar(p, dst, ids, lo, n, &chunks)
+		} else {
+			dst = appendSetChunks(dst, ids, lo, n, &chunks)
+		}
+		return pickHybridForm(dst, head, chunks, len(ids), lo, n, h, raw,
+			func(dst []uint32) []uint32 { return appendIDBits(dst, ids, lo, n) })
+	case mode == WireDense || mode == WireAuto && denseCheaper(n, len(ids)):
+		if h != nil {
+			h.DensePayloads++
+		}
+		return appendIDBits(appendDenseHeader(dst, lo, n), ids, lo, n)
+	default:
+		if h != nil {
+			h.RawPayloads++
+		}
+		return raw(dst)
+	}
 }
 
 // EncodeFrontier encodes a frontier's members exactly like
@@ -183,14 +222,14 @@ func EncodeFrontier(p Runner, f *Adaptive, mode WireMode, h *ContainerHist) []ui
 		} else {
 			hyb = appendBitsChunks(hyb, w, n, &chunks)
 		}
-		return pickHybridForm(hyb, chunks, f.count, lo, n, h,
-			func() []uint32 { return rawList(f.Vertices()) },
-			func() []uint32 { return w })
+		return pickHybridForm(hyb, 0, chunks, f.count, lo, n, h,
+			func(dst []uint32) []uint32 { return appendRaw(dst, f.Vertices()) },
+			func(dst []uint32) []uint32 { return append(dst, w...) })
 	case mode == WireDense || (mode == WireAuto && denseCheaper(n, f.count)):
 		if h != nil {
 			h.DensePayloads++
 		}
-		return append(denseHeader(lo, n), f.Bits()...)
+		return append(appendDenseHeader(make([]uint32, 0, 3+BitWords(n)), lo, n), f.Bits()...)
 	default:
 		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
 	}

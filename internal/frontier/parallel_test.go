@@ -141,3 +141,32 @@ func TestSetBitAtomicSharedWords(t *testing.T) {
 		}
 	}
 }
+
+// AppendEncodeSetPar must append exactly what EncodeSetStats returns —
+// same payload, same histogram — under every wire mode, after any
+// prefix, and into capacity reserved with EncodeSetBound without
+// reallocating.
+func TestAppendEncodeSetMatchesEncode(t *testing.T) {
+	n, sets := parallelTestSets(t)
+	sets = append(sets, []uint32{3, 9, 4000}, seqIDs(100, 300))
+	p := pool.New(2)
+	for si, ids := range sets {
+		for _, mode := range []WireMode{WireSparse, WireDense, WireAuto, WireHybrid} {
+			var hWant, hGot ContainerHist
+			want := EncodeSetStats(ids, 0, n, mode, &hWant)
+			prefix := []uint32{0xabc, 0xdef}
+			buf := make([]uint32, len(prefix), len(prefix)+EncodeSetBound(mode, n, len(ids)))
+			copy(buf, prefix)
+			got := AppendEncodeSetPar(p, buf, ids, 0, n, mode, &hGot)
+			if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+				t.Fatalf("set %d %v: appended payload differs from EncodeSetStats", si, mode)
+			}
+			if hGot != hWant {
+				t.Fatalf("set %d %v: hist %+v != %+v", si, mode, hGot, hWant)
+			}
+			if &got[0] != &buf[0] {
+				t.Fatalf("set %d %v: reallocated past the reserved EncodeSetBound", si, mode)
+			}
+		}
+	}
+}

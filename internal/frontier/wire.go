@@ -1,6 +1,9 @@
 package frontier
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // WireMode selects how set payloads are encoded for transmission.
 type WireMode int
@@ -54,21 +57,35 @@ const wireSentinel = ^uint32(0)
 // set over an n-vertex universe is fewer wire words than the raw list.
 func denseCheaper(n, count int) bool { return 3+BitWords(n) < count }
 
-func denseHeader(lo uint32, n int) []uint32 {
-	buf := make([]uint32, 0, 3+BitWords(n))
-	return append(buf, wireSentinel, lo, uint32(n))
+// appendDenseHeader appends the head of the dense arm, [sentinel, lo,
+// n], which the bitmap words follow.
+func appendDenseHeader(dst []uint32, lo uint32, n int) []uint32 {
+	return append(dst, wireSentinel, lo, uint32(n))
 }
 
-// rawList returns the raw-list arm of the wire format. The buffer is
+// appendIDBits appends the wire bitmap of ids over the universe
+// [lo, lo+n) to dst; an id outside it panics.
+func appendIDBits(dst, ids []uint32, lo uint32, n int) []uint32 {
+	start := len(dst)
+	dst = slices.Grow(dst, BitWords(n))[:start+BitWords(n)]
+	w := dst[start:]
+	clear(w)
+	for _, v := range ids {
+		SetBit(w, v-lo)
+	}
+	return dst
+}
+
+// appendRaw appends the raw-list arm of the wire format to dst. It is
 // always a copy: encoded payloads are owned by the transport until
-// receipt (they may sit in mailboxes or ride several ring hops),
-// and an aliased frontier slice the caller later mutates would corrupt
-// them in flight.
-func rawList(ids []uint32) []uint32 {
+// receipt (they may sit in mailboxes or ride several ring hops), and an
+// aliased frontier slice the caller later mutates would corrupt them in
+// flight.
+func appendRaw(dst, ids []uint32) []uint32 {
 	if len(ids) > 0 && ids[0] >= hybridSentinel {
 		panic("frontier: vertex id collides with a wire sentinel")
 	}
-	return append([]uint32(nil), ids...)
+	return append(dst, ids...)
 }
 
 // EncodeSet encodes an ascending duplicate-free id set drawn from the
@@ -85,23 +102,7 @@ func EncodeSet(ids []uint32, lo uint32, n int, mode WireMode) []uint32 {
 // is non-nil the chosen payload form (and, for hybrid payloads, every
 // chunk's container) is tallied into it.
 func EncodeSetStats(ids []uint32, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
-	if mode == WireHybrid {
-		return encodeSetHybrid(ids, lo, n, h)
-	}
-	dense := mode == WireDense
-	if mode == WireAuto {
-		dense = denseCheaper(n, len(ids))
-	}
-	if !dense {
-		if h != nil {
-			h.RawPayloads++
-		}
-		return rawList(ids)
-	}
-	if h != nil {
-		h.DensePayloads++
-	}
-	return append(denseHeader(lo, n), IDsToBits(ids, lo, n)...)
+	return AppendEncodeSetPar(nil, nil, ids, lo, n, mode, h)
 }
 
 // rawBeatsHybrid reports whether a count-member raw list is certain to
@@ -114,45 +115,31 @@ func rawBeatsHybrid(n, count int) bool {
 	return count <= 3+numChunks(n) && !denseCheaper(n, count)
 }
 
-// encodeSetHybrid picks the cheapest of {raw list, dense bitmap,
-// hybrid chunk stream} for one payload, preferring raw and then hybrid
-// on ties.
-func encodeSetHybrid(ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 {
-	if rawBeatsHybrid(n, len(ids)) {
-		if h != nil {
-			h.RawPayloads++
-		}
-		return rawList(ids)
-	}
-	var chunks ContainerHist
-	hyb := encodeHybridSet(ids, lo, n, &chunks)
-	return pickHybridForm(hyb, chunks, len(ids), lo, n, h,
-		func() []uint32 { return rawList(ids) },
-		func() []uint32 { return IDsToBits(ids, lo, n) })
-}
-
-// pickHybridForm chooses among the three payload forms given the
-// prebuilt chunk stream; raw and bits lazily produce the id list and
-// wire bitmap for the fallback arms.
-func pickHybridForm(hyb []uint32, chunks ContainerHist, rawLen int, lo uint32, n int, h *ContainerHist, raw, bits func() []uint32) []uint32 {
-	dense := 3 + BitWords(n)
+// pickHybridForm settles a payload whose hybrid form — header and chunk
+// stream — was built at dst[head:]: it keeps it, or rewrites the payload
+// in its place as the raw list (raw appends it) or the dense bitmap
+// (bits appends its words) when that is no longer, preferring raw and
+// then hybrid on ties. Either rewrite is no longer than the hybrid form,
+// so it fits the memory the stream was built in.
+func pickHybridForm(dst []uint32, head int, chunks ContainerHist, rawLen int, lo uint32, n int, h *ContainerHist, raw, bits func(dst []uint32) []uint32) []uint32 {
+	hyb, dense := len(dst)-head, 3+BitWords(n)
 	switch {
-	case rawLen <= len(hyb) && rawLen <= dense:
+	case rawLen <= hyb && rawLen <= dense:
 		if h != nil {
 			h.RawPayloads++
 		}
-		return raw()
-	case len(hyb) <= dense:
+		return raw(dst[:head])
+	case hyb <= dense:
 		if h != nil {
 			chunks.HybridPayloads++
 			h.Add(chunks)
 		}
-		return hyb
+		return dst
 	default:
 		if h != nil {
 			h.DensePayloads++
 		}
-		return append(denseHeader(lo, n), bits()...)
+		return bits(appendDenseHeader(dst[:head], lo, n))
 	}
 }
 

@@ -3,6 +3,7 @@ package localindex
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -332,15 +333,109 @@ func TestUnionSorted(t *testing.T) {
 }
 
 func TestUnionIntoFastPaths(t *testing.T) {
-	if out, d := UnionInto(nil, []uint32{1, 2}); len(out) != 2 || d != 0 {
-		t.Fatal("empty dst path")
+	if out, d := UnionInto(nil, nil, []uint32{1, 2}); len(out) != 2 || d != 0 {
+		t.Fatal("empty a path")
 	}
-	if out, d := UnionInto([]uint32{1, 2}, nil); len(out) != 2 || d != 0 {
-		t.Fatal("empty src path")
+	if out, d := UnionInto(nil, []uint32{1, 2}, nil); len(out) != 2 || d != 0 {
+		t.Fatal("empty b path")
 	}
-	out, d := UnionInto([]uint32{1, 2}, []uint32{5, 6})
-	if len(out) != 4 || d != 0 || !isSortedSet(out) {
+	out, d := UnionInto([]uint32{9}, []uint32{1, 2}, []uint32{5, 6})
+	if len(out) != 5 || d != 0 || out[0] != 9 || !isSortedSet(out[1:]) {
 		t.Fatalf("disjoint path: %v dups=%d", out, d)
+	}
+}
+
+// refUnion is the compare-and-branch merge UnionInto replaced, kept
+// here as the reference it must match.
+func refUnion(a, b []uint32) (out []uint32, dups int) {
+	out = make([]uint32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+			dups++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out, dups
+}
+
+// TestUnionSortedMatchesReference requires UnionSorted and UnionInto to
+// produce the reference merge's output and duplicate count on every
+// shape of input a fold meets, UnionInto also when it reuses a dirty
+// scratch buffer.
+func TestUnionSortedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randSet := func(n int, universe uint32) []uint32 {
+		s := make([]uint32, n)
+		for i := range s {
+			s[i] = uint32(rng.Int63n(int64(universe)))
+		}
+		s, _ = SortSet(s)
+		return s
+	}
+	seq := func(lo, hi uint32) []uint32 {
+		var s []uint32
+		for v := lo; v < hi; v++ {
+			s = append(s, v)
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		a, b []uint32
+	}{
+		{"random", randSet(300, 1000), randSet(200, 1000)},
+		{"random-sparse", randSet(50, 1<<30), randSet(70, 1<<30)},
+		{"disjoint-ab", seq(0, 40), seq(40, 90)},
+		{"disjoint-ba", seq(40, 90), seq(0, 40)},
+		{"interleaved", []uint32{0, 2, 4, 6, 8}, []uint32{1, 3, 5, 7, 9}},
+		{"identical", seq(5, 60), seq(5, 60)},
+		{"nested-a-in-b", seq(20, 30), seq(0, 100)},
+		{"nested-b-in-a", seq(0, 100), seq(20, 30)},
+		{"empty-both", nil, nil},
+		{"empty-a", nil, seq(3, 9)},
+		{"empty-b", seq(3, 9), []uint32{}},
+		{"single-equal", []uint32{7}, []uint32{7}},
+		{"single-below", []uint32{3}, []uint32{7}},
+		{"single-above", []uint32{9}, []uint32{7}},
+		{"single-in-range", []uint32{1, 5, 9}, []uint32{5}},
+		{"max-ids", []uint32{1, ^uint32(0) - 1}, []uint32{^uint32(0) - 1, ^uint32(0)}},
+	}
+	dirty := make([]uint32, 0, 16)
+	for _, tc := range cases {
+		want, wantDups := refUnion(tc.a, tc.b)
+		got, dups := UnionSorted(tc.a, tc.b)
+		if !slices.Equal(got, want) || dups != wantDups {
+			t.Errorf("%s: UnionSorted = %s, want %s", tc.name, unionDiff(got, dups), unionDiff(want, wantDups))
+		}
+		// Reuse one scratch buffer across cases, poisoned with stale
+		// words, as the folds do.
+		dirty = dirty[:cap(dirty)]
+		for i := range dirty {
+			dirty[i] = 0xdeadbeef
+		}
+		got, dups = UnionInto(dirty[:0], tc.a, tc.b)
+		if !slices.Equal(got, want) || dups != wantDups {
+			t.Errorf("%s: UnionInto(dirty) = %s, want %s", tc.name, unionDiff(got, dups), unionDiff(want, wantDups))
+		}
+		dirty = got
+		// Appending keeps dst's existing words.
+		head := []uint32{42, 43}
+		got, dups = UnionInto(head, tc.a, tc.b)
+		if !slices.Equal(got[:2], []uint32{42, 43}) || !slices.Equal(got[2:], want) || dups != wantDups {
+			t.Errorf("%s: UnionInto(head) = %s, want [42 43] then %s", tc.name, unionDiff(got, dups), unionDiff(want, wantDups))
+		}
 	}
 }
 
@@ -410,4 +505,44 @@ func isSortedSet(s []uint32) bool {
 		}
 	}
 	return true
+}
+
+// unionDiff summarizes a union for a failure message: its length, its
+// duplicate count and its first few ids.
+func unionDiff(s []uint32, dups int) string {
+	return fmt.Sprintf("%d ids %v… dups=%d", len(s), s[:min(len(s), 12)], dups)
+}
+
+// BenchmarkUnionSorted merges two member-range sets of benchPairs ids
+// each at 10%, 50% and 90% overlap into reused scratch, the way the
+// folds call it.
+func BenchmarkUnionSorted(b *testing.B) {
+	for _, overlap := range []int{10, 50, 90} {
+		b.Run(fmt.Sprintf("overlap=%d%%", overlap), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(overlap)))
+			// Members are drawn from a range twice the set size; a
+			// shared id is in both sets, the rest go to one side each.
+			x := make([]uint32, 0, benchPairs)
+			y := make([]uint32, 0, benchPairs)
+			for v := uint32(0); len(x) < benchPairs || len(y) < benchPairs; v += 1 + uint32(rng.Intn(2)) {
+				switch {
+				case rng.Intn(100) < overlap:
+					if len(x) < benchPairs && len(y) < benchPairs {
+						x, y = append(x, v), append(y, v)
+					}
+				case rng.Intn(2) == 0 && len(x) < benchPairs, len(y) == benchPairs:
+					x = append(x, v)
+				default:
+					y = append(y, v)
+				}
+			}
+			out, _ := UnionInto(nil, x, y)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, _ = UnionInto(out[:0], x, y)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)+len(y)), "ns/id")
+		})
+	}
 }

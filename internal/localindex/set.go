@@ -22,47 +22,54 @@ func SortSet(s []uint32) ([]uint32, int) {
 	return s[:w], len(s) - w
 }
 
-// UnionSorted merges two ascending duplicate-free slices into a new
-// ascending duplicate-free slice, returning it and the number of
-// elements of b that were already present in a (the duplicates a
-// union-fold hop eliminates).
-func UnionSorted(a, b []uint32) (out []uint32, dups int) {
-	out = make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-			dups++
-		}
+// UnionInto appends the union of the ascending duplicate-free slices a
+// and b to dst and returns the extended slice with the number of
+// elements of b already present in a (the duplicates a union-fold hop
+// eliminates). dst grows only when its spare capacity is short, so a
+// caller that hands back the same scratch merges without allocating;
+// that spare capacity must not overlap a or b.
+//
+// The merge is branch-free: each step writes min(a[i], b[j]) and
+// advances whichever side (or both, on a duplicate) supplied it, so its
+// cost does not depend on how the two sets interleave.
+func UnionInto(dst, a, b []uint32) ([]uint32, int) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(a)+len(b))
+	out := dst[n : n+len(a)+len(b)]
+	if len(a) > 0 && len(b) > 0 && b[len(b)-1] < a[0] {
+		a, b = b, a
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, dups
+	var i, j, k int
+	if len(a) > 0 && len(b) > 0 && b[0] <= a[len(a)-1] {
+		i, j, k = merge(out, a, b)
+	}
+	k += copy(out[k:], a[i:])
+	k += copy(out[k:], b[j:])
+	return dst[:n+k], len(a) + len(b) - k
 }
 
-// UnionInto unions sorted duplicate-free src into dst (also sorted,
-// duplicate-free), reusing dst's backing array when possible. Returns
-// the union and the duplicate count.
-func UnionInto(dst, src []uint32) ([]uint32, int) {
-	if len(src) == 0 {
-		return dst, 0
+// merge writes the ascending union of a and b to out until one side
+// runs out, returning how far it read into each and wrote into out.
+func merge(out, a, b []uint32) (i, j, k int) {
+	for i < len(a) && j < len(b) && k < len(out) {
+		x, y := a[i], b[j]
+		out[k] = min(x, y)
+		k++
+		i += b2i(x <= y)
+		j += b2i(y <= x)
 	}
-	if len(dst) == 0 {
-		return append(dst, src...), 0
+	return i, j, k
+}
+
+// UnionSorted is UnionInto on fresh memory sized to the inputs.
+func UnionSorted(a, b []uint32) ([]uint32, int) {
+	return UnionInto(make([]uint32, 0, len(a)+len(b)), a, b)
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	// Fast path: disjoint ranges.
-	if dst[len(dst)-1] < src[0] {
-		return append(dst, src...), 0
-	}
-	out, dups := UnionSorted(dst, src)
-	return out, dups
+	return 0
 }

@@ -140,12 +140,14 @@ func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int)
 
 // FrameSet starts a value payload for the set vs drawn from the universe
 // [lo, lo+n), with room for tail value words after the head.
+// The set is encoded in place after the head, into the one allocation.
 func FrameSet(p *pool.Pool, vs []uint32, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist, tail int, hdr ...uint32) []uint32 {
-	enc := frontier.EncodeSetStatsPar(p, vs, lo, n, mode, h)
-	out := make([]uint32, 0, 1+len(hdr)+len(enc)+tail)
-	out = append(out, uint32(len(enc)))
-	out = append(out, hdr...)
-	return append(out, enc...)
+	head := 1 + len(hdr)
+	out := make([]uint32, head, head+frontier.EncodeSetBound(mode, n, len(vs))+tail)
+	copy(out[1:], hdr)
+	out = frontier.AppendEncodeSetPar(p, out, vs, lo, n, mode, h)
+	out[0] = uint32(len(out) - head)
+	return out
 }
 
 // UnframeSet reads the head of a non-empty payload framed with nhdr

@@ -262,3 +262,37 @@ func TestUnframeSetRejectsTruncation(t *testing.T) {
 		}()
 	}
 }
+
+// TestFrameSetOneAllocation: FrameSet's payload is [setWords, hdr...,
+// the set's encoding] under every wire mode, with the histogram the
+// encoder keeps on its own, and it allocates no more than encoding the
+// set alone does, room for the tail values included.
+func TestFrameSetOneAllocation(t *testing.T) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(3))
+	for _, frac := range []float64{0.0005, 0.02, 0.3, 0.9} {
+		var vs []uint32
+		for v := 0; v < n; v++ {
+			if rng.Float64() < frac {
+				vs = append(vs, uint32(v)+n)
+			}
+		}
+		for _, mode := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
+			var hWant, hGot frontier.ContainerHist
+			enc := frontier.EncodeSetStats(vs, n, n, mode, &hWant)
+			out := FrameSet(nil, vs, n, n, mode, &hGot, len(vs), 0xfeed, 0xbeef)
+			want := append([]uint32{uint32(len(enc)), 0xfeed, 0xbeef}, enc...)
+			if !slices.Equal(out, want) || hGot != hWant {
+				t.Fatalf("frac %v %v: FrameSet differs from the encoder's payload or histogram", frac, mode)
+			}
+			if cap(out)-len(out) < len(vs) {
+				t.Fatalf("frac %v %v: %d words of tail room for %d values", frac, mode, cap(out)-len(out), len(vs))
+			}
+			encAllocs := testing.AllocsPerRun(10, func() { frontier.EncodeSetStats(vs, n, n, mode, nil) })
+			allocs := testing.AllocsPerRun(10, func() { FrameSet(nil, vs, n, n, mode, nil, len(vs), 0xfeed, 0xbeef) })
+			if allocs > encAllocs {
+				t.Fatalf("frac %v %v: FrameSet makes %v allocations, encoding alone %v", frac, mode, allocs, encAllocs)
+			}
+		}
+	}
+}

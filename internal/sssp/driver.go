@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/checkpoint"
@@ -123,6 +124,27 @@ func (s *rankState) unsettle() {
 		s.settled.Clear(gv - s.lo)
 	}
 	s.removed = s.removed[:0]
+}
+
+// heavySet returns the vertices the current bucket settled, ascending:
+// the set bits of settled, which are exactly removed, read off the
+// words that removed spans.
+func (s *rankState) heavySet() []uint32 {
+	s.heavy = s.heavy[:0]
+	if len(s.removed) == 0 {
+		return s.heavy
+	}
+	first, last := ^uint32(0), uint32(0)
+	for _, gv := range s.removed {
+		first, last = min(first, gv-s.lo), max(last, gv-s.lo)
+	}
+	words := s.settled.Words()
+	for wi := first / 64; wi <= last/64; wi++ {
+		for w, base := words[wi], s.lo+wi*64; w != 0; w &= w - 1 {
+			s.heavy = append(s.heavy, base+uint32(bits.TrailingZeros64(w)))
+		}
+	}
+	return s.heavy
 }
 
 // settle marks the active list as relaxed within the current bucket,
@@ -264,8 +286,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 			recs = append(recs, rec)
 		}
 		if !allLight {
-			st.heavy = append(st.heavy[:0], st.removed...)
-			heavy, _ := localindex.SortSet(st.heavy)
+			heavy := st.heavySet()
 			rec := epochRec{bucket: k, phase: PhaseHeavy, active: len(heavy)}
 			tme := rec.begin(c, e)
 			rvs, rds := e.scatter(heavy, st.distsOf(heavy), false, st.delta, tagSeq*64, &rec)
