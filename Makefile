@@ -33,8 +33,10 @@ race:
 # the oracle-equivalence suite at 8 workers, the cores cost-model
 # check, the read-only-stores proof (two clusters searching one
 # distributed graph at once, every engine, 1 and 4 workers), and the
-# package-level regression tests pinning the concurrent map readers,
-# CAS visit claims, and grouped codec paths.
+# package-level regression tests pinning the pool itself and the
+# concurrent map readers. internal/frontier stays in the pass for one
+# concurrent test, TestSetBitAtomicSharedWords: the CAS bit sets the
+# bottom-up claimParents makes from several workers into shared words.
 race-pool:
 	$(GO) test -race -count=1 -run 'TestWorkerPoolDeterminism|TestParallelOracleEquivalence|TestCoresModel|TestSharedGraphConcurrentClusters' .
 	$(GO) test -race -count=1 ./internal/pool ./internal/localindex ./internal/frontier

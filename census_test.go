@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -171,6 +172,41 @@ func TestOneColumnPhase(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestOneCodecPath guards "one serial wire codec": internal/frontier
+// encodes and decodes every payload on the caller's goroutine, so no
+// non-test source there may declare Runner or an exported function
+// whose name ends in Par, and neither the package nor its tests may
+// depend on internal/pool.
+func TestOneCodecPath(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range nonTestFiles(t, fset, "internal/frontier") {
+		for _, d := range f.Decls {
+			switch n := d.(type) {
+			case *ast.FuncDecl:
+				if n.Name.IsExported() && strings.HasSuffix(n.Name.Name, "Par") {
+					t.Errorf("%s: declares %s; the codec has one serial entry point per operation", fset.Position(n.Pos()), n.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range n.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Runner" {
+						t.Errorf("%s: declares Runner; the codec takes no worker pool", fset.Position(ts.Pos()))
+					}
+				}
+			}
+		}
+	}
+	// go test puts its own GOROOT/bin first on the test's PATH.
+	out, err := exec.Command("go", "list", "-deps", "-test", "./internal/frontier").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if dep == "repro/internal/pool" {
+			t.Errorf("internal/frontier or its tests depend on %s", dep)
 		}
 	}
 }
@@ -448,10 +484,9 @@ func TestOneWayToRunAnExhibit(t *testing.T) {
 // TestOneFrontierSet guards "one frontier set type": internal/frontier's
 // non-test sources declare one type with an Iterate method (the set,
 // Adaptive, which switches between its id queue and its bitmap itself),
-// no interface but Runner (the worker-pool contract the codec borrows),
-// and none of the retired representation surface — a Kind to ask which
-// form a set is in, an Unwrap to reach it, conversions or a Union
-// between forms, or a constructor that takes the switch occupancy.
+// no interface, and none of the retired representation surface — a Kind
+// to ask which form a set is in, an Unwrap to reach it, conversions or a
+// Union between forms, or a constructor that takes the switch occupancy.
 func TestOneFrontierSet(t *testing.T) {
 	fset := token.NewFileSet()
 	files := nonTestFiles(t, fset, "internal/frontier")
@@ -476,7 +511,7 @@ func TestOneFrontierSet(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if _, ok := ts.Type.(*ast.InterfaceType); ok && ts.Name.Name != "Runner" {
+					if _, ok := ts.Type.(*ast.InterfaceType); ok {
 						t.Errorf("%s: declares interface %s; there is one frontier set type", fset.Position(ts.Pos()), ts.Name.Name)
 					}
 					if retired[ts.Name.Name] {

@@ -171,6 +171,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	// The library would clamp these, but -json echoes the raw value, so a
+	// negative one would name a run the clamped value already names.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"chunk", *chunk}, {"cores", *cores}, {"workers", *workers}} {
+		if f.v < 0 {
+			err := fmt.Errorf("-%s must be non-negative, got %d", f.name, f.v)
+			fmt.Fprintln(stderr, err)
+			fs.Usage()
+			return fmt.Errorf("%w: %w", errUsage, err)
+		}
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

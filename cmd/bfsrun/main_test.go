@@ -83,6 +83,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-fault gremlins=1", "fault"},
 		{"-n 3 -k 1", "mesh 2x2 has more ranks (4) than the graph has vertices (3)"},
 		{"-n 5 -k 1 -r 2 -c 3 -part 1dcol", "mesh 2x3 has more ranks (6) than the graph has vertices (5)"},
+		{"-chunk -5", "-chunk must be non-negative, got -5"},
+		{"-cores -2", "-cores must be non-negative, got -2"},
+		{"-workers -3", "-workers must be non-negative, got -3"},
 		{"-n many", "usage"},
 		{"-levels", "usage"},
 	} {

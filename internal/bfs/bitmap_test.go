@@ -115,7 +115,7 @@ func checkLevelBitmap(t *testing.T, label string, fx fixture, rows []*localindex
 	_, err := fx.world.Run(func(c *comm.Comm) {
 		rank := c.Rank()
 		e := newEngine2D(c, fx.st2[rank], l, opts, nil)
-		ref := newSetBins(c, e.rowG, l, &e.opts, e.pl, &e.hist)
+		ref := newSetBins(c, e.rowG, l, &e.opts, &e.hist)
 		sides := []*sideState{e.newSide(fx.src, nil)}
 		if drv == "bidir" {
 			sides = append(sides, e.newSide(far, nil))

@@ -22,12 +22,12 @@ import (
 
 // unwireBitPieces restores gathered bitmap pieces in place; piece i
 // covers universe size widths(i).
-func unwireBitPieces(p *pool.Pool, opts Options, pieces [][]uint32, widths func(i int) int) {
+func unwireBitPieces(opts Options, pieces [][]uint32, widths func(i int) int) {
 	if opts.Wire != frontier.WireHybrid {
 		return
 	}
 	for i := range pieces {
-		pieces[i] = frontier.DecodeBitsPar(p, pieces[i], widths(i))
+		pieces[i] = frontier.DecodeBits(pieces[i], widths(i))
 	}
 }
 
@@ -73,9 +73,9 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 
 	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
 	fBits := s.F.Bits()
-	fSend := frontier.EncodeBitsPar(e.pl, fBits, e.st.OwnedCount(), e.opts.Wire, &e.hist)
+	fSend := frontier.EncodeBits(fBits, e.st.OwnedCount(), e.opts.Wire, &e.hist)
 	fPieces, fst := collective.Gather(e.c, e.rowG, o, "allgather", fSend, chargeRecv(e.rowG.Me))
-	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
+	unwireBitPieces(e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 	rec.ExpandWords = fst.RecvWords
 	row := e.rowPieces(fPieces)
 
@@ -84,8 +84,8 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		un := s.unlabeledBits(fBits)
 		o.Tag = tagBase + 1<<22
 		var ust collective.Stats
-		uPieces, ust = collective.Gather(e.c, e.colG, o, "allgather", frontier.EncodeBitsPar(e.pl, un, e.st.OwnedCount(), e.opts.Wire, &e.hist), chargeRecv(e.colG.Me))
-		unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
+		uPieces, ust = collective.Gather(e.c, e.colG, o, "allgather", frontier.EncodeBits(un, e.st.OwnedCount(), e.opts.Wire, &e.hist), chargeRecv(e.colG.Me))
+		unwireBitPieces(e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
 		rec.ExpandWords += ust.RecvWords
 		claims = make([][]uint32, l.R)
 		for i := 0; i < l.R; i++ {
@@ -207,10 +207,10 @@ func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Ha
 	if e.opts.Wire == frontier.WireHybrid {
 		o.Codec = &collective.Codec{
 			Enc: func(m int, w []uint32) []uint32 {
-				return frontier.EncodeBitsPar(e.pl, w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
+				return frontier.EncodeBits(w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
 			},
 			Dec: func(m int, buf []uint32) []uint32 {
-				return frontier.DecodeBitsPar(e.pl, buf, l.OwnedCount(e.colG.Ranks[m]))
+				return frontier.DecodeBits(buf, l.OwnedCount(e.colG.Ranks[m]))
 			},
 		}
 	}

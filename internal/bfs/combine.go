@@ -8,7 +8,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/localindex"
 	"repro/internal/partition"
-	"repro/internal/pool"
 	"repro/internal/search"
 )
 
@@ -35,7 +34,6 @@ type setBins struct {
 	// l is the layout; a member's owned range is at most l.BlockSize wide.
 	l    partition.View
 	opts *Options
-	pl   *pool.Pool
 	hist *frontier.ContainerHist
 	comb *localindex.Combiner
 	raw  search.Bins[struct{}]
@@ -44,8 +42,8 @@ type setBins struct {
 	sent, seen []uint64
 }
 
-func newSetBins(c *comm.Comm, g comm.Group, l partition.View, opts *Options, p *pool.Pool, h *frontier.ContainerHist) *setBins {
-	return &setBins{c: c, g: g, l: l, opts: opts, pl: p, hist: h,
+func newSetBins(c *comm.Comm, g comm.Group, l partition.View, opts *Options, h *frontier.ContainerHist) *setBins {
+	return &setBins{c: c, g: g, l: l, opts: opts, hist: h,
 		comb: localindex.NewCombiner(l.BlockSize), raw: search.Bins[struct{}]{V: make([][]uint32, g.Size())}}
 }
 
@@ -97,7 +95,7 @@ func (b *setBins) set(m int) []uint32 {
 func (b *setBins) fold(s *sideState, tag int, rec *rankLevel) []uint32 {
 	b.sent, b.seen = s.sent, s.seen
 	o := collective.Opts{Tag: tag, Chunk: b.opts.ChunkWords, Async: b.opts.Async}
-	o.Codec = foldCodec(b.c.Tracer(), b.pl, b.opts.Wire, b.g, b.l, b.hist)
+	o.Codec = foldCodec(b.c.Tracer(), b.opts.Wire, b.g, b.l, b.hist)
 	nbar, st := collective.Fold(b.c, b.g, o, b.opts.Fold.String(), b.set)
 	rec.FoldWords, rec.dups = st.RecvWords, st.Dups
 	b.c.ChargeItems(len(nbar), b.c.Model().VertexCost)

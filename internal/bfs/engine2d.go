@@ -28,8 +28,8 @@ type engine2D struct {
 	model torus.CostModel
 	colG  comm.Group // expand group: my processor-column, R members
 	rowG  comm.Group // fold group: my processor-row, C members
-	// pl is the per-rank worker pool the hot local loops and the hybrid
-	// codec run on; see parallel.go for the determinism contract.
+	// pl is the per-rank worker pool the scans and the bottom-up claims
+	// run on; see parallel.go for the determinism contract.
 	pl      *pool.Pool
 	sources []graph.Vertex // a batch's, lane i from sources[i]; nil for one source
 
@@ -76,13 +76,13 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	}
 	column := e.colG.Size() > 1
 	if sources != nil {
-		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{e.pl, len(sources), opts.Wire, &e.hist}, st.FoldEntries)
+		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{len(sources), opts.Wire, &e.hist}, st.FoldEntries)
 		if column {
 			e.laneCol = search.NewColumn[uint64](c, e.colG, &e.opts.Common, st, e.lanes)
 		}
 		return e
 	}
-	e.bins = newSetBins(c, e.rowG, l, &e.opts, e.pl, &e.hist)
+	e.bins = newSetBins(c, e.rowG, l, &e.opts, &e.hist)
 	switch {
 	case column && opts.Expand == ExpandTargeted:
 		e.col = search.NewColumn[struct{}](c, e.colG, &e.opts.Common, st, expandWire{e})
@@ -250,7 +250,7 @@ func (e *engine2D) wireFrontier(f *frontier.Adaptive) []uint32 {
 	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "encode")
-	out := frontier.EncodeFrontier(e.pl, f, e.opts.Wire, &e.hist)
+	out := frontier.EncodeFrontier(f, e.opts.Wire, &e.hist)
 	tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
 	return out
 }
@@ -269,7 +269,7 @@ func (w expandWire) Encode(ids []uint32, _ []struct{}, lo uint32, n int) []uint3
 	}
 	tr := w.e.c.Tracer()
 	tr.Begin("engine", "encode")
-	out := frontier.EncodeSetStatsPar(w.e.pl, ids, lo, n, w.e.opts.Wire, &w.e.hist)
+	out := frontier.EncodeSetStats(ids, lo, n, w.e.opts.Wire, &w.e.hist)
 	tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
 	return out
 }
@@ -278,7 +278,7 @@ func (w expandWire) Encode(ids []uint32, _ []struct{}, lo uint32, n int) []uint3
 // saw the sentinel guard, so they must not go through frontier.Decode.
 func (w expandWire) Decode(part []uint32) ([]uint32, []struct{}) {
 	if w.e.opts.Wire != frontier.WireSparse {
-		part = frontier.DecodePar(w.e.pl, part)
+		part = frontier.Decode(part)
 	}
 	return part, nil
 }
@@ -329,7 +329,7 @@ func (e *engine2D) expandBundleMerge() *collective.BundleCodec {
 // row-group member m is a subset of that member's owned range, so it
 // can travel as a bitmap — or hybrid chunk containers — over that
 // range when denser is cheaper.
-func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Group, l partition.View, h *frontier.ContainerHist) *collective.Codec {
+func foldCodec(tr *trace.Tracer, wire frontier.WireMode, g comm.Group, l partition.View, h *frontier.ContainerHist) *collective.Codec {
 	if wire == frontier.WireSparse {
 		return nil
 	}
@@ -337,13 +337,13 @@ func foldCodec(tr *trace.Tracer, p *pool.Pool, wire frontier.WireMode, g comm.Gr
 		Enc: func(m int, set []uint32) []uint32 {
 			tr.Begin("engine", "encode")
 			lo, hi := l.OwnedRange(g.World(m))
-			out := frontier.EncodeSetStatsPar(p, set, uint32(lo), int(hi-lo), wire, h)
+			out := frontier.EncodeSetStats(set, uint32(lo), int(hi-lo), wire, h)
 			tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
 			return out
 		},
 		Dec: func(m int, buf []uint32) []uint32 {
 			tr.Begin("engine", "decode")
-			out := frontier.DecodePar(p, buf)
+			out := frontier.Decode(buf)
 			tr.End(trace.Arg{Key: "words", Val: int64(len(buf))})
 			return out
 		},

@@ -8,7 +8,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/localindex"
-	"repro/internal/pool"
 	"repro/internal/search"
 )
 
@@ -91,7 +90,6 @@ func maskWords(b int) int { return (b + 31) / 32 }
 // rides with each vertex, merged by OR and framed as above for the b
 // lanes of the batch.
 type lanePayload struct {
-	pl   *pool.Pool
 	b    int
 	wire frontier.WireMode
 	hist *frontier.ContainerHist
@@ -113,7 +111,7 @@ func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32
 	wInter := s * maskWords(p.b)
 	wPlane := p.b * frontier.BitWords(s)
 	if wInter <= wPlane {
-		out := search.FrameSet(p.pl, vs, lo, n, p.wire, p.hist, wInter, laneFormInterleaved)
+		out := search.FrameSet(vs, lo, n, p.wire, p.hist, wInter, laneFormInterleaved)
 		for _, m := range ms {
 			out = append(out, uint32(m))
 			if p.b > 32 {
@@ -122,7 +120,7 @@ func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32
 		}
 		return out
 	}
-	out := search.FrameSet(p.pl, vs, lo, n, p.wire, p.hist, wPlane, laneFormPlanes)
+	out := search.FrameSet(vs, lo, n, p.wire, p.hist, wPlane, laneFormPlanes)
 	planes := make([]uint32, wPlane)
 	pw := frontier.BitWords(s)
 	for i, m := range ms {
@@ -140,7 +138,7 @@ func (p lanePayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) 
 	if len(buf) == 0 {
 		return vs[:0], ms[:0]
 	}
-	vs, form, rest := search.UnframeSet(p.pl, buf, vs, 1)
+	vs, form, rest := search.UnframeSet(buf, vs, 1)
 	s := len(vs)
 	ms = slices.Grow(ms[:0], s)[:s]
 	switch form[0] {

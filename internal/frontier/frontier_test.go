@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/localindex"
@@ -158,6 +159,8 @@ func TestFrontierReset(t *testing.T) {
 	}
 }
 
+// TestFrontierRejectsOutOfUniverse: Add, and the hybrid encoder's chunk
+// walk, panic on an id outside the universe rather than drop it.
 func TestFrontierRejectsOutOfUniverse(t *testing.T) {
 	for _, v := range []uint32{99, 164} {
 		func() {
@@ -167,6 +170,19 @@ func TestFrontierRejectsOutOfUniverse(t *testing.T) {
 				}
 			}()
 			New(100, 64).Add(v)
+		}()
+	}
+	const n = 20 * ChunkSpan
+	for _, bad := range []uint32{0, ChunkSpan + n} {
+		ids := append(seqIDs(ChunkSpan, n/2), bad)
+		slices.Sort(ids)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("hybrid encode of id %d on [%d, %d) did not panic", bad, ChunkSpan, ChunkSpan+n)
+				}
+			}()
+			EncodeSetStats(ids, ChunkSpan, n, WireHybrid, nil)
 		}()
 	}
 }
@@ -310,6 +326,35 @@ func TestBitsHelpers(t *testing.T) {
 	}
 	if ids := appendBitsIDs(nil, w, 100); !reflect.DeepEqual(ids, []uint32{100, 131, 132, 169}) {
 		t.Fatalf("appendBitsIDs=%v", ids)
+	}
+}
+
+// SetBitAtomic under contention on shared words must lose no updates;
+// this is the 2D bottom-up claims-bitmap regression (run with -race).
+// Eight goroutines set bits from interleaved 7-bit chunks, so every word
+// is written by several of them.
+func TestSetBitAtomicSharedWords(t *testing.T) {
+	const n, grain, writers = 1 << 16, 7, 8
+	w := NewBits(n)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := g * grain; lo < n; lo += writers * grain {
+				for i := lo; i < min(lo+grain, n); i++ {
+					if i%3 != 0 {
+						SetBitAtomic(w, uint32(i))
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if got, want := TestBit(w, uint32(i)), i%3 != 0; got != want {
+			t.Fatalf("bit %d = %v, want %v (lost update)", i, got, want)
+		}
 	}
 }
 

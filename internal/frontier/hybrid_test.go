@@ -3,10 +3,10 @@ package frontier
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/localindex"
-	"repro/internal/pool"
 )
 
 var allWireModes = []WireMode{WireSparse, WireDense, WireAuto, WireHybrid}
@@ -161,7 +161,7 @@ func TestEncodeSetDoesNotAlias(t *testing.T) {
 	for _, v := range []uint32{1, 2, 50} {
 		f.Add(v)
 	}
-	buf := EncodeFrontier(nil, f, WireAuto, nil)
+	buf := EncodeFrontier(f, WireAuto, nil)
 	f.Add(7)
 	if got := Decode(buf); !reflect.DeepEqual(got, []uint32{1, 2, 50}) {
 		t.Fatalf("EncodeFrontier aliased live frontier storage: got %v", got)
@@ -169,17 +169,16 @@ func TestEncodeSetDoesNotAlias(t *testing.T) {
 }
 
 // TestEncodeFrontierHybridFastPath: a frontier's encode — a dense one's
-// built straight from its bitmap words, inline or on a pool — must be
+// built straight from its bitmap words — must be
 // byte-identical to the id-list path, histogram included, for every
 // occupancy and wire mode.
 func TestEncodeFrontierHybridFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	runners := []Runner{nil, pool.New(1), pool.New(4)}
 	for trial := 0; trial < 30; trial++ {
 		lo := uint32(rng.Intn(5000))
 		n := 1 + rng.Intn(2*ChunkSpan)
 		if trial%5 == 4 {
-			n = 12 * ChunkSpan // past parallelWorthwhile, so the pool engages
+			n = 12 * ChunkSpan // a many-chunk universe
 		}
 		var ids []uint32
 		switch trial % 4 {
@@ -198,16 +197,72 @@ func TestEncodeFrontierHybridFastPath(t *testing.T) {
 		for _, mode := range allWireModes {
 			var hs ContainerHist
 			slow := EncodeSetStats(ids, lo, n, mode, &hs)
-			for _, p := range runners {
-				var hf ContainerHist
-				fast := EncodeFrontier(p, f, mode, &hf)
-				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("trial %d (n=%d, %d ids, dense=%v) mode %v: frontier encode diverged (%d vs %d words)",
-						trial, n, len(ids), f.isDense, mode, len(fast), len(slow))
-				}
-				if hf != hs {
-					t.Fatalf("trial %d mode %v: frontier histogram %+v != set-path %+v", trial, mode, hf, hs)
-				}
+			var hf ContainerHist
+			fast := EncodeFrontier(f, mode, &hf)
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("trial %d (n=%d, %d ids, dense=%v) mode %v: frontier encode diverged (%d vs %d words)",
+					trial, n, len(ids), f.isDense, mode, len(fast), len(slow))
+			}
+			if hf != hs {
+				t.Fatalf("trial %d mode %v: frontier histogram %+v != set-path %+v", trial, mode, hf, hs)
+			}
+		}
+	}
+}
+
+// manyChunkSets returns deterministic test sets across the occupancy
+// spectrum over a 40-chunk universe.
+func manyChunkSets(t *testing.T) (int, [][]uint32) {
+	t.Helper()
+	const n = 40 * ChunkSpan
+	rng := rand.New(rand.NewSource(7))
+	sets := [][]uint32{nil, {0}, {uint32(n - 1)}}
+	for _, frac := range []float64{0.001, 0.01, 0.12, 0.5, 0.95} {
+		var ids []uint32
+		for v := 0; v < n; v++ {
+			if rng.Float64() < frac {
+				ids = append(ids, uint32(v))
+			}
+		}
+		sets = append(sets, ids)
+	}
+	// A runs-heavy set and a full universe.
+	var runs []uint32
+	for v := 0; v < n; v += 900 {
+		for j := 0; j < 400 && v+j < n; j++ {
+			runs = append(runs, uint32(v+j))
+		}
+	}
+	full := make([]uint32, n)
+	for v := range full {
+		full[v] = uint32(v)
+	}
+	return n, append(sets, runs, full)
+}
+
+// AppendEncodeSet must append exactly what EncodeSetStats returns —
+// same payload, same histogram — under every wire mode, after any
+// prefix, and into capacity reserved with EncodeSetBound without
+// reallocating.
+func TestAppendEncodeSetMatchesEncode(t *testing.T) {
+	n, sets := manyChunkSets(t)
+	sets = append(sets, []uint32{3, 9, 4000}, seqIDs(100, 300))
+	for si, ids := range sets {
+		for _, mode := range []WireMode{WireSparse, WireDense, WireAuto, WireHybrid} {
+			var hWant, hGot ContainerHist
+			want := EncodeSetStats(ids, 0, n, mode, &hWant)
+			prefix := []uint32{0xabc, 0xdef}
+			buf := make([]uint32, len(prefix), len(prefix)+EncodeSetBound(mode, n, len(ids)))
+			copy(buf, prefix)
+			got := AppendEncodeSet(buf, ids, 0, n, mode, &hGot)
+			if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+				t.Fatalf("set %d %v: appended payload differs from EncodeSetStats", si, mode)
+			}
+			if hGot != hWant {
+				t.Fatalf("set %d %v: hist %+v != %+v", si, mode, hGot, hWant)
+			}
+			if &got[0] != &buf[0] {
+				t.Fatalf("set %d %v: reallocated past the reserved EncodeSetBound", si, mode)
 			}
 		}
 	}

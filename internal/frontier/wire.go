@@ -102,7 +102,75 @@ func EncodeSet(ids []uint32, lo uint32, n int, mode WireMode) []uint32 {
 // is non-nil the chosen payload form (and, for hybrid payloads, every
 // chunk's container) is tallied into it.
 func EncodeSetStats(ids []uint32, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
-	return AppendEncodeSetPar(nil, nil, ids, lo, n, mode, h)
+	return AppendEncodeSet(nil, ids, lo, n, mode, h)
+}
+
+// EncodeSetBound is the capacity AppendEncodeSet may use past dst for a
+// count-member set over an n-id universe under mode: the payload, or the
+// hybrid chunk stream it is chosen against. A caller that reserves it
+// gets the payload appended without a reallocation.
+func EncodeSetBound(mode WireMode, n, count int) int {
+	switch {
+	case mode == WireHybrid && !rawBeatsHybrid(n, count):
+		return 3 + streamBound(n, count)
+	case mode == WireDense || mode == WireAuto && denseCheaper(n, count):
+		return 3 + BitWords(n)
+	}
+	return count
+}
+
+// AppendEncodeSet appends to dst exactly what EncodeSetStats returns,
+// growing dst at most once, by EncodeSetBound, and only when its spare
+// capacity is short. The payload is built in place: a hybrid stream that
+// loses to the raw list or the bitmap is overwritten by it.
+func AppendEncodeSet(dst, ids []uint32, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
+	head := len(dst)
+	dst = slices.Grow(dst, EncodeSetBound(mode, n, len(ids)))
+	raw := func(dst []uint32) []uint32 { return appendRaw(dst, ids) }
+	switch {
+	case mode == WireHybrid && !rawBeatsHybrid(n, len(ids)):
+		var chunks ContainerHist
+		dst = appendSetChunks(append(dst, hybridSentinel, lo, uint32(n)), ids, lo, n, &chunks)
+		return pickHybridForm(dst, head, chunks, len(ids), lo, n, h, raw,
+			func(dst []uint32) []uint32 { return appendIDBits(dst, ids, lo, n) })
+	case mode == WireDense || mode == WireAuto && denseCheaper(n, len(ids)):
+		if h != nil {
+			h.DensePayloads++
+		}
+		return appendIDBits(appendDenseHeader(dst, lo, n), ids, lo, n)
+	default:
+		if h != nil {
+			h.RawPayloads++
+		}
+		return raw(dst)
+	}
+}
+
+// EncodeFrontier encodes a frontier's members exactly like
+// EncodeSetStats. A dense frontier is encoded word for word from its
+// bitmap instead of materializing an id list and rebuilding the bitmap.
+func EncodeFrontier(f *Adaptive, mode WireMode, h *ContainerHist) []uint32 {
+	lo, n := f.Universe()
+	if !f.isDense {
+		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
+	}
+	switch {
+	case mode == WireHybrid && !rawBeatsHybrid(n, f.count):
+		w := f.Bits()
+		var chunks ContainerHist
+		hyb := append(make([]uint32, 0, 3+streamBound(n, f.count)), hybridSentinel, lo, uint32(n))
+		hyb = appendBitsChunks(hyb, w, n, &chunks)
+		return pickHybridForm(hyb, 0, chunks, f.count, lo, n, h,
+			func(dst []uint32) []uint32 { return appendRaw(dst, f.Vertices()) },
+			func(dst []uint32) []uint32 { return append(dst, w...) })
+	case mode == WireDense || (mode == WireAuto && denseCheaper(n, f.count)):
+		if h != nil {
+			h.DensePayloads++
+		}
+		return append(appendDenseHeader(make([]uint32, 0, 3+BitWords(n)), lo, n), f.Bits()...)
+	default:
+		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
+	}
 }
 
 // rawBeatsHybrid reports whether a count-member raw list is certain to

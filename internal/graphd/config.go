@@ -144,6 +144,9 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("graphd: max batch %d outside the MultiBFS lane capacity [1, %d]",
 			cfg.MaxBatch, bgl.MaxLanes)
 	}
+	if cfg.Cores < 0 || cfg.Workers < 0 {
+		return fmt.Errorf("graphd: negative core or worker count (cores %d, workers %d)", cfg.Cores, cfg.Workers)
+	}
 	if cfg.Replicas < 0 {
 		return fmt.Errorf("graphd: negative replica count %d", cfg.Replicas)
 	}

@@ -255,6 +255,8 @@ func TestServerConfigErrors(t *testing.T) {
 		{"negative replicas", Config{Graph: small, Replicas: -2}, "negative replica"},
 		{"negative mesh", Config{Graph: small, R: -1, C: 2}, "mesh must be positive"},
 		{"negative backlog", Config{Graph: small, MaxWaiting: -1}, "non-negative"},
+		{"negative cores", Config{Graph: small, Cores: -2}, "negative core or worker count"},
+		{"negative workers", Config{Graph: small, Workers: -3}, "negative core or worker count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

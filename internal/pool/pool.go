@@ -1,7 +1,9 @@
 // Package pool provides the per-rank worker pool behind the engines'
 // intra-rank parallelism. A Pool runs the body of a hot local loop —
-// top-down scans, bottom-up edge checks, hybrid chunk encode/decode,
-// Δ-stepping relaxations — over fixed-width chunks of an index range.
+// top-down scans, bottom-up edge checks, Δ-stepping relaxations — over
+// fixed-width chunks of an index range: the loops whose charges the
+// cost model divides by the modeled core count. The wire codec stays
+// serial.
 //
 // The determinism contract: chunk boundaries depend only on (n, grain),
 // never on the worker count or the scheduler, so per-chunk outputs

@@ -6,7 +6,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/localindex"
 	"repro/internal/partition"
-	"repro/internal/pool"
 )
 
 // Payload binds the value type V riding with each vertex of a fold — a
@@ -141,11 +140,11 @@ func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int)
 // FrameSet starts a value payload for the set vs drawn from the universe
 // [lo, lo+n), with room for tail value words after the head.
 // The set is encoded in place after the head, into the one allocation.
-func FrameSet(p *pool.Pool, vs []uint32, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist, tail int, hdr ...uint32) []uint32 {
+func FrameSet(vs []uint32, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist, tail int, hdr ...uint32) []uint32 {
 	head := 1 + len(hdr)
 	out := make([]uint32, head, head+frontier.EncodeSetBound(mode, n, len(vs))+tail)
 	copy(out[1:], hdr)
-	out = frontier.AppendEncodeSetPar(p, out, vs, lo, n, mode, h)
+	out = frontier.AppendEncodeSet(out, vs, lo, n, mode, h)
 	out[0] = uint32(len(out) - head)
 	return out
 }
@@ -153,10 +152,10 @@ func FrameSet(p *pool.Pool, vs []uint32, lo uint32, n int, mode frontier.WireMod
 // UnframeSet reads the head of a non-empty payload framed with nhdr
 // header words: the set, decoded into the staging vs, the header words
 // and the value words that follow. A truncated payload panics.
-func UnframeSet(p *pool.Pool, buf, vs []uint32, nhdr int) (set, hdr, values []uint32) {
+func UnframeSet(buf, vs []uint32, nhdr int) (set, hdr, values []uint32) {
 	if len(buf) < 1+nhdr || 1+nhdr+int(buf[0]) > len(buf) {
 		panic("search: truncated value payload")
 	}
 	end := 1 + nhdr + int(buf[0])
-	return frontier.AppendDecodePar(p, vs[:0], buf[1+nhdr:end]), buf[1 : 1+nhdr], buf[end:]
+	return frontier.AppendDecode(vs[:0], buf[1+nhdr:end]), buf[1 : 1+nhdr], buf[end:]
 }

@@ -31,7 +31,7 @@ func (p orPayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
 	if len(vs) == 0 {
 		return nil
 	}
-	out := FrameSet(nil, vs, lo, n, p.wire, p.hist, 2*len(ms), 0xfeed)
+	out := FrameSet(vs, lo, n, p.wire, p.hist, 2*len(ms), 0xfeed)
 	for _, m := range ms {
 		out = append(out, uint32(m), uint32(m>>32))
 	}
@@ -41,7 +41,7 @@ func (orPayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) {
 	if len(buf) == 0 {
 		return vs[:0], ms[:0]
 	}
-	vs, hdr, rest := UnframeSet(nil, buf, vs, 1)
+	vs, hdr, rest := UnframeSet(buf, vs, 1)
 	if hdr[0] != 0xfeed || len(rest) != 2*len(vs) {
 		panic("or payload mangled")
 	}
@@ -65,13 +65,13 @@ func (p minPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
 	if len(vs) == 0 {
 		return nil
 	}
-	return append(FrameSet(nil, vs, lo, n, p.wire, p.hist, len(ds)), ds...)
+	return append(FrameSet(vs, lo, n, p.wire, p.hist, len(ds)), ds...)
 }
 func (minPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
 	if len(buf) == 0 {
 		return vs[:0], nil
 	}
-	vs, _, ds := UnframeSet(nil, buf, vs, 0)
+	vs, _, ds := UnframeSet(buf, vs, 0)
 	return vs, ds
 }
 
@@ -250,7 +250,7 @@ func TestFoldAgainstSortedReference(t *testing.T) {
 // TestUnframeSetRejectsTruncation: a payload cut inside its head or its
 // set panics instead of decoding garbage.
 func TestUnframeSetRejectsTruncation(t *testing.T) {
-	buf := FrameSet(nil, []uint32{3, 5, 8}, 0, 64, frontier.WireSparse, nil, 0, 7)
+	buf := FrameSet([]uint32{3, 5, 8}, 0, 64, frontier.WireSparse, nil, 0, 7)
 	for _, cut := range [][]uint32{buf[:1], buf[:len(buf)-1]} {
 		func() {
 			defer func() {
@@ -258,7 +258,7 @@ func TestUnframeSetRejectsTruncation(t *testing.T) {
 					t.Errorf("a %d-word cut of a %d-word payload decoded", len(cut), len(buf))
 				}
 			}()
-			UnframeSet(nil, cut, nil, 1)
+			UnframeSet(cut, nil, 1)
 		}()
 	}
 }
@@ -280,7 +280,7 @@ func TestFrameSetOneAllocation(t *testing.T) {
 		for _, mode := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
 			var hWant, hGot frontier.ContainerHist
 			enc := frontier.EncodeSetStats(vs, n, n, mode, &hWant)
-			out := FrameSet(nil, vs, n, n, mode, &hGot, len(vs), 0xfeed, 0xbeef)
+			out := FrameSet(vs, n, n, mode, &hGot, len(vs), 0xfeed, 0xbeef)
 			want := append([]uint32{uint32(len(enc)), 0xfeed, 0xbeef}, enc...)
 			if !slices.Equal(out, want) || hGot != hWant {
 				t.Fatalf("frac %v %v: FrameSet differs from the encoder's payload or histogram", frac, mode)
@@ -289,7 +289,7 @@ func TestFrameSetOneAllocation(t *testing.T) {
 				t.Fatalf("frac %v %v: %d words of tail room for %d values", frac, mode, cap(out)-len(out), len(vs))
 			}
 			encAllocs := testing.AllocsPerRun(10, func() { frontier.EncodeSetStats(vs, n, n, mode, nil) })
-			allocs := testing.AllocsPerRun(10, func() { FrameSet(nil, vs, n, n, mode, nil, len(vs), 0xfeed, 0xbeef) })
+			allocs := testing.AllocsPerRun(10, func() { FrameSet(vs, n, n, mode, nil, len(vs), 0xfeed, 0xbeef) })
 			if allocs > encAllocs {
 				t.Fatalf("frac %v %v: FrameSet makes %v allocations, encoding alone %v", frac, mode, allocs, encAllocs)
 			}

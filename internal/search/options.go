@@ -76,12 +76,12 @@ type Common struct {
 	// have it.
 	Cores int
 	// Workers sizes the real per-rank worker pool threaded through the
-	// same hot loops (plus the hybrid codec). It affects wall-clock
-	// only: Results, words, simulated clocks, and container histograms
-	// are bit-identical for every value — per-worker outputs merge in a
-	// fixed chunk order. 0 or 1 runs the loops inline with zero
-	// goroutine overhead. WithCores sets both knobs together so the
-	// simulated and real clocks stay coupled.
+	// same hot loops. It affects wall-clock only: Results, words,
+	// simulated clocks, and container histograms are bit-identical for
+	// every value — per-worker outputs merge in a fixed chunk order. 0
+	// or 1 runs the loops inline with zero goroutine overhead. WithCores
+	// sets both knobs together so the simulated and real clocks stay
+	// coupled.
 	Workers int
 	// Trace, when non-nil, records every simulated-clock charge and
 	// every collective/engine phase of the run as spans (see

@@ -22,8 +22,8 @@ type engine2D struct {
 	c    *comm.Comm
 	st   *partition.Store2D
 	opts Options
-	// pl is the per-rank worker pool the relaxation scans and the wire
-	// codec run on; see parallel.go for the determinism contract.
+	// pl is the per-rank worker pool the relaxation scans run on; see
+	// parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
 	// fold is the row exchange of a round and its scratch, its bins grown
@@ -38,7 +38,7 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{c: c, st: st, opts: opts, pl: pool.New(opts.Workers)}
-	e.fold = search.NewFold[uint32](c, mesh.RowGroup(c.Rank()), &e.opts.Common, l, requestPayload{e.pl, opts.Wire, &e.hist}, nil)
+	e.fold = search.NewFold[uint32](c, mesh.RowGroup(c.Rank()), &e.opts.Common, l, requestPayload{opts.Wire, &e.hist}, nil)
 	if colG := mesh.ColGroup(c.Rank()); colG.Size() > 1 {
 		e.col = search.NewColumn[uint32](c, colG, &e.opts.Common, st, e.fold)
 	}

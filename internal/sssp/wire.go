@@ -3,7 +3,6 @@ package sssp
 import (
 	"repro/internal/frontier"
 	"repro/internal/localindex"
-	"repro/internal/pool"
 	"repro/internal/search"
 )
 
@@ -22,7 +21,6 @@ import (
 // requestPayload is the relaxation fold's payload: a tentative distance
 // rides with each vertex, merged by min and framed as above.
 type requestPayload struct {
-	pl   *pool.Pool
 	wire frontier.WireMode
 	hist *frontier.ContainerHist
 }
@@ -39,7 +37,7 @@ func (p requestPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
 	if len(vs) == 0 {
 		return nil
 	}
-	return append(search.FrameSet(p.pl, vs, lo, n, p.wire, p.hist, len(ds)), ds...)
+	return append(search.FrameSet(vs, lo, n, p.wire, p.hist, len(ds)), ds...)
 }
 
 // Decode inverts Encode. The vertex set is decoded into the staging vs,
@@ -49,7 +47,7 @@ func (p requestPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
 	if len(buf) == 0 {
 		return vs[:0], nil
 	}
-	vs, _, ds := search.UnframeSet(p.pl, buf, vs, 0)
+	vs, _, ds := search.UnframeSet(buf, vs, 0)
 	if len(vs) != len(ds) {
 		panic("sssp: relax-request set/distance length mismatch")
 	}

@@ -114,8 +114,7 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 }
 
 // TestParallelOracleEquivalence drives the pooled engines (8 workers,
-// hybrid codec — the configuration exercising every grouped codec
-// path) against the single-machine oracles: per-direction BFS levels,
+// hybrid codec) against the single-machine oracles: per-direction BFS levels,
 // per-lane multi-source levels, and Δ-stepping distances.
 func TestParallelOracleEquivalence(t *testing.T) {
 	fx := newChaosFixture(t)
