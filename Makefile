@@ -62,7 +62,11 @@ bench:
 # per id. 0 allocs/op is the expectation.
 # Then the per-layer number for a top-down scan's column lookup: one
 # rank of the lab's 4x4 graph resolving a sorted 4,096-vertex part
-# through its dense column index, in ns per vertex, 0 allocs/op.
+# through its dense column index, in ns per vertex, 0 allocs/op. Then
+# the targeted expand that feeds that scan: one column expand on all 16
+# ranks of the same graph, a dense frontier (half the owned vertices,
+# staged as bitmap words) and a sparse one (one in 64, as ids), raw id
+# lists on the wire, in ns/op and allocs/op.
 # Then the bottom-up level's wire codec: one 4x4 rank's owned bitmap of
 # the lab's 100,000-vertex graph through the hybrid bits encoder at 3%,
 # 25% and 60% occupancy, in ns/op.
@@ -75,6 +79,7 @@ bench:
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench='Combine|UnionSorted' -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
+	$(GO) test -run=^$$ -bench=ColumnExpand -benchtime=100x -benchmem ./internal/search
 	$(GO) test -run=^$$ -bench=EncodeBits -benchtime=100x -benchmem ./internal/frontier
 	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
 	$(GO) test -run=^$$ -bench=Checksum -benchtime=100x -benchmem ./internal/comm

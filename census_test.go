@@ -154,7 +154,7 @@ func TestScheduleChosenInCollective(t *testing.T) {
 // family": the targeted expand's row-need walk (search.Column) and the
 // scan's chunk-order bin collector (search.Bins) are written once, in
 // internal/search, so no non-test source of a family package may call
-// Store2D.NeedWords or declare a method named collect.
+// Store2D.NeedRow or declare a method named collect.
 func TestOneColumnPhase(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, dir := range []string{"internal/bfs", "internal/sssp"} {
@@ -162,8 +162,8 @@ func TestOneColumnPhase(t *testing.T) {
 			ast.Inspect(f, func(node ast.Node) bool {
 				switch n := node.(type) {
 				case *ast.CallExpr:
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NeedWords" {
-						t.Errorf("%s: calls NeedWords; the targeted expand is search.Column's", fset.Position(n.Pos()))
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NeedRow" {
+						t.Errorf("%s: calls NeedRow; the targeted expand is search.Column's", fset.Position(n.Pos()))
 					}
 				case *ast.FuncDecl:
 					if n.Recv != nil && n.Name.Name == "collect" {

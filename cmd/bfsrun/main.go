@@ -203,6 +203,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}()
 	}
 
+	// -cores 0 runs as one core (the library's clamp); echo it as such,
+	// so the two command lines name one run.
+	*cores = max(*cores, 1)
 	s := setup{k: *k, seed: *seed, chunk: *chunk, cores: *cores, workers: *workers, async: *async}
 	if s.workers == 0 {
 		s.workers = *cores

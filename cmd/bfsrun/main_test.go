@@ -53,6 +53,36 @@ func TestRunVerifiesUnderJSON(t *testing.T) {
 	}
 }
 
+// TestCoresZeroIsCoresOne: -cores 0 runs as one core, so its -json
+// document — Cores and Workers echoed included — is byte-identical to
+// -cores 1's once the wall-clock lines are dropped, for each document
+// shape.
+func TestCoresZeroIsCoresOne(t *testing.T) {
+	doc := func(args string) string {
+		var stdout, stderr bytes.Buffer
+		if err := run(strings.Fields(args), &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if !strings.Contains(line, "Wall") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	for _, flags := range []string{"", "-algo sssp", "-sources 3,99 -part 1dcol"} {
+		base := "-n 1000 -k 4 -r 2 -c 2 -json " + flags
+		zero, one := doc(base+" -cores 0"), doc(base+" -cores 1")
+		if zero != one {
+			t.Errorf("%q: -cores 0 and -cores 1 documents differ:\n%s\n---\n%s", flags, zero, one)
+		}
+		if !strings.Contains(zero, `"Cores": 1,`) || !strings.Contains(zero, `"Workers": 1,`) {
+			t.Errorf("%q: -cores 0 does not echo one core and one worker:\n%s", flags, zero)
+		}
+	}
+}
+
 // TestRunRejectsBadFlags: every command line bfsrun refuses comes back
 // from run as a descriptive error — no panic, no exit, nothing on
 // stdout.

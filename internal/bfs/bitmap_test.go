@@ -174,9 +174,9 @@ func checkLevelBitmap(t *testing.T, label string, fx fixture, rows []*localindex
 			e.bins.sent, e.bins.seen = s.sent, s.seen
 			for m := range sets {
 				t0 := c.Clock()
-				got := e.bins.set(m)
+				got := e.bins.Append(make([]uint32, 0, e.bins.Len(m)), m)
 				t1 := c.Clock()
-				want := ref.set(m)
+				want := ref.Append(make([]uint32, 0, ref.Len(m)), m)
 				t2 := c.Clock()
 				if !slices.Equal(got, want) {
 					at := 0
@@ -195,7 +195,7 @@ func checkLevelBitmap(t *testing.T, label string, fx fixture, rows []*localindex
 				fail(rank, lvl, "marks left after the sets were made")
 			}
 			o := collective.Opts{Tag: tag + 1<<24, Chunk: opts.ChunkWords, Async: opts.Async}
-			nbar, _ := collective.Fold(c, e.rowG, o, opts.Fold.String(), func(m int) []uint32 { return sets[m] })
+			nbar, _ := collective.Fold(c, e.rowG, o, opts.Fold.String(), collective.SetList(sets))
 			s.mark(e.opts, e.st.Lo, nbar, nil, &rec)
 		}
 		// Every side ran to exhaustion: its levels are the serial ones.

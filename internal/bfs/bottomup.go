@@ -206,8 +206,12 @@ func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Ha
 	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
 	if e.opts.Wire == frontier.WireHybrid {
 		o.Codec = &collective.Codec{
-			Enc: func(m int, w []uint32) []uint32 {
-				return frontier.EncodeBits(w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
+			Enc: func(dst []uint32, m int, w []uint32) []uint32 {
+				enc := frontier.EncodeBits(w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
+				if dst == nil {
+					return enc
+				}
+				return append(dst, enc...)
 			},
 			Dec: func(m int, buf []uint32) []uint32 {
 				return frontier.DecodeBits(buf, l.OwnedCount(e.colG.Ranks[m]))

@@ -85,7 +85,12 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	e.bins = newSetBins(c, e.rowG, l, &e.opts, &e.hist)
 	switch {
 	case column && opts.Expand == ExpandTargeted:
-		e.col = search.NewColumn[struct{}](c, e.colG, &e.opts.Common, st, expandWire{e})
+		// Sparse parts are raw id lists, which the column writes itself.
+		var w search.Wire[struct{}]
+		if opts.Wire != frontier.WireSparse {
+			w = expandWire{e}
+		}
+		e.col = search.NewColumn[struct{}](c, e.colG, &e.opts.Common, st, w)
 	case opts.Expand == ExpandTwoPhase:
 		e.bundle = e.expandBundleMerge()
 	}
@@ -104,7 +109,7 @@ type sideState struct {
 	F, spare *frontier.Adaptive
 	// sent is the sent-neighbors cache (§2.4.3), bit RowIdx of each row
 	// vertex already folded to its owner, and seen the row bits the
-	// current top-down level's scan has reached (see setBins.set): one
+	// current top-down level's scan has reached (see setBins.Len): one
 	// allocation, both nil without the cache.
 	sent, seen []uint64
 	level      int32
@@ -246,7 +251,10 @@ func (e *engine2D) newLaneSide(res *MultiResult) *sideState {
 // the word-level repack when the frontier is already dense.
 func (e *engine2D) wireFrontier(f *frontier.Adaptive) []uint32 {
 	if e.opts.Wire == frontier.WireSparse {
-		return expandWire{e}.Encode(f.Vertices(), nil, uint32(e.st.Lo), e.st.OwnedCount())
+		// The legacy vertex-list format, free of overhead, as a copy: the
+		// transport owns what it is handed.
+		ids := f.Vertices()
+		return append(make([]uint32, 0, len(ids)), ids...)
 	}
 	tr := e.c.Tracer()
 	tr.Begin("engine", "encode")
@@ -256,17 +264,13 @@ func (e *engine2D) wireFrontier(f *frontier.Adaptive) []uint32 {
 }
 
 // expandWire is the wire form of single-source expand parts (a
-// search.Wire). Encode readies a subset of this rank's owned frontier,
-// the universe [lo, lo+n), for the wire: its encoding under the
-// configured mode, or under WireSparse — the legacy vertex-list format,
-// free of overhead — a copy. Either way the transport, which owns what
-// it is handed, never gets the caller's list.
+// search.Wire) under a codec: Encode encodes a subset of this rank's
+// owned frontier, the universe [lo, lo+n), in the configured mode, into
+// memory of its own. Under WireSparse the column writes its parts as raw
+// id lists itself and only Decode is used.
 type expandWire struct{ e *engine2D }
 
 func (w expandWire) Encode(ids []uint32, _ []struct{}, lo uint32, n int) []uint32 {
-	if w.e.opts.Wire == frontier.WireSparse {
-		return append(make([]uint32, 0, len(ids)), ids...)
-	}
 	tr := w.e.c.Tracer()
 	tr.Begin("engine", "encode")
 	out := frontier.EncodeSetStats(ids, lo, n, w.e.opts.Wire, &w.e.hist)
@@ -334,12 +338,17 @@ func foldCodec(tr *trace.Tracer, wire frontier.WireMode, g comm.Group, l partiti
 		return nil
 	}
 	return &collective.Codec{
-		Enc: func(m int, set []uint32) []uint32 {
+		Enc: func(dst []uint32, m int, set []uint32) []uint32 {
 			tr.Begin("engine", "encode")
 			lo, hi := l.OwnedRange(g.World(m))
-			out := frontier.EncodeSetStats(set, uint32(lo), int(hi-lo), wire, h)
-			tr.End(trace.Arg{Key: "words", Val: int64(len(out))})
-			return out
+			k := len(dst)
+			dst = frontier.AppendEncodeSet(dst, set, uint32(lo), int(hi-lo), wire, h)
+			tr.End(trace.Arg{Key: "words", Val: int64(len(dst) - k)})
+			return dst
+		},
+		Bound: func(m, n int) int {
+			lo, hi := l.OwnedRange(g.World(m))
+			return frontier.EncodeSetBound(wire, int(hi-lo), n)
 		},
 		Dec: func(m int, buf []uint32) []uint32 {
 			tr.Begin("engine", "decode")
@@ -459,15 +468,11 @@ func expand[M any](e *engine2D, s *sideState, b *search.Bins[M], col *search.Col
 	case e.colG.Size() == 1:
 		scanPart(e, b, s, s.F.Vertices(), fmask, 0)
 	case col != nil:
-		lo := uint32(e.st.Lo)
-		s.F.Iterate(func(gv uint32) {
-			var x M
-			if fmask != nil {
-				x = fmask[gv-lo]
-			}
-			col.Add(gv, x)
-		})
-		rec.ExpandWords = col.Expand(tagBase, func(vs []uint32, xs []M) { scanPart(e, b, s, vs, xs, len(vs)) })
+		words, ids := s.F.Words(), []uint32(nil)
+		if words == nil {
+			ids = s.F.Vertices()
+		}
+		rec.ExpandWords = col.Expand(tagBase, words, ids, fmask, func(vs []uint32, xs []M) { scanPart(e, b, s, vs, xs, len(vs)) })
 	default:
 		// The dense expands (Algorithm 2 steps 7–11 as the ring all-gather
 		// or the two-phase expand of §3.2.2) move the whole frontier.

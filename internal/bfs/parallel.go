@@ -32,7 +32,7 @@ const (
 // (Algorithm 2 step 12; with a one-member column, the rank's own
 // frontier and Algorithm 1 steps 7–9) and charges it, recv the vertices
 // received. With the sent-neighbors cache each entry's row bit is marked
-// in s.seen, from which setBins.set cuts the level's sets; without it
+// in s.seen, from which setBins cuts the level's sets; without it
 // the level's bins b take every neighbor, by owner mesh column, each
 // with its vertex's payload. xs holds the part's payloads in part
 // order — with a one-member column the owned payload array, read at a
@@ -55,7 +55,7 @@ type partScan[M any] struct {
 
 // Chunk is scanPart's body over part[from:to]; shared, its chunks run
 // concurrently and mark row bits atomically. A zero-size payload is
-// neither read nor binned (search.Column.Add's idiom).
+// neither read nor binned (search.Column's idiom).
 func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
 	st, seen, part, xs := ps.e.st, ps.s.seen, ps.part[from:to], ps.xs
 	l := st.Layout

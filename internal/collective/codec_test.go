@@ -75,10 +75,11 @@ func TestReduceScatterOrUnevenLengths(t *testing.T) {
 // [m*span, (m+1)*span), the shape the BFS fold uses.
 func ownerCodec(span int, mode frontier.WireMode) *Codec {
 	return &Codec{
-		Enc: func(m int, set []uint32) []uint32 {
-			return frontier.EncodeSet(set, uint32(m*span), span, mode)
+		Enc: func(dst []uint32, m int, set []uint32) []uint32 {
+			return frontier.AppendEncodeSet(dst, set, uint32(m*span), span, mode, nil)
 		},
-		Dec: func(m int, buf []uint32) []uint32 { return frontier.Decode(buf) },
+		Dec:   func(m int, buf []uint32) []uint32 { return frontier.Decode(buf) },
+		Bound: func(m, n int) int { return frontier.EncodeSetBound(mode, span, n) },
 	}
 }
 
@@ -106,7 +107,7 @@ func TestUnionFoldsWithCodecMatchPlain(t *testing.T) {
 	const span = 128
 	folds := map[string]func(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats){
 		"direct": func(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32, Stats) {
-			return ReduceScatterUnion(c, g, o, prepared(send))
+			return ReduceScatterUnion(c, g, o, SetList(send))
 		},
 		"twophase": TwoPhaseFold,
 	}
@@ -145,8 +146,8 @@ func TestUnionFoldsWithCodecMatchPlain(t *testing.T) {
 // container codec; every destination's universe is span bits.
 func bitsCodec(span int) *Codec {
 	return &Codec{
-		Enc: func(m int, w []uint32) []uint32 {
-			return frontier.EncodeBits(w, span, frontier.WireHybrid, nil)
+		Enc: func(dst []uint32, m int, w []uint32) []uint32 {
+			return append(dst, frontier.EncodeBits(w, span, frontier.WireHybrid, nil)...)
 		},
 		Dec: func(m int, buf []uint32) []uint32 {
 			return frontier.DecodeBits(buf, span)

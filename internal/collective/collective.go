@@ -79,20 +79,56 @@ type Opts struct {
 }
 
 // Codec is a pluggable payload encoding applied where payloads cross
-// the wire. Enc encodes the payload destined for group member m — an
-// ascending duplicate-free set in the union folds, a wire bitmap in
-// the OR reductions — and Dec inverts it; both take the destination
-// member m because a payload's universe (and therefore its decoded
-// width, for bitmap payloads) is the destination's owned range.
-// Received-word statistics count encoded words, so a denser encoding
-// shows up directly in the message-volume measurements. What Dec
-// returns must stay valid across later Dec calls of the same collective
-// (a fold decodes a whole bundle before it merges it), and neither
-// output is written to by the collectives.
+// the wire. Enc appends the encoding of the payload destined for group
+// member m — an ascending duplicate-free set in the union folds, a wire
+// bitmap in the OR reductions — to dst, and Dec inverts it; both take
+// the destination member m because a payload's universe (and therefore
+// its decoded width, for bitmap payloads) is the destination's owned
+// range. Bound(m, n) is the most words Enc may use past dst for an
+// n-member set destined to m: the union folds reserve it, so a set is
+// encoded in place into the buffer that travels. Received-word
+// statistics count encoded words, so a denser encoding shows up directly
+// in the message-volume measurements. What Dec returns must stay valid
+// across later Dec calls of the same collective (a fold decodes a whole
+// bundle before it merges it), and neither output is written to by the
+// collectives.
 type Codec struct {
-	Enc func(m int, payload []uint32) []uint32
-	Dec func(m int, buf []uint32) []uint32
+	Enc   func(dst []uint32, m int, payload []uint32) []uint32
+	Dec   func(m int, buf []uint32) []uint32
+	Bound func(m, n int) int
 }
+
+// Sets is a union fold's input: the ascending, duplicate-free set
+// destined to each group member. The fold calls Len(m) once per member
+// at the moment the set is made — what making it costs is charged there
+// — and later Append(dst, m) once, which appends exactly Len(m) ids to
+// dst: a set is written once, into the buffer where the fold reads it
+// next, often the one handed to the transport.
+type Sets interface {
+	Len(m int) int
+	Append(dst []uint32, m int) []uint32
+}
+
+// SetList is Sets over ready lists, list m destined to member m.
+type SetList [][]uint32
+
+func (l SetList) Len(m int) int { return len(l[m]) }
+
+func (l SetList) Append(dst []uint32, m int) []uint32 { return append(dst, l[m]...) }
+
+// prepSets is Sets over a Prep: Len calls it and keeps the set, in a
+// table lent for the call, for Append to copy.
+type prepSets struct {
+	prep Prep
+	sets [][]uint32
+}
+
+func (p prepSets) Len(m int) int {
+	p.sets[m] = p.prep(m)
+	return len(p.sets[m])
+}
+
+func (p prepSets) Append(dst []uint32, m int) []uint32 { return append(dst, p.sets[m]...) }
 
 // BundleCodec recompresses a circulating phase-2 expand bundle — the
 // per-origin payloads one grid column contributed, which travel
@@ -104,18 +140,6 @@ type Codec struct {
 type BundleCodec struct {
 	Merge func(origins []int, payloads [][]uint32) []uint32
 	Split func(origins []int, merged []uint32) [][]uint32
-}
-
-// wireSet readies the set a union fold sends to group member m: the
-// codec's encoding, or without a codec a copy. Either way the caller's
-// set is not what travels — a fold never hands its input to the
-// transport, so the engines may keep scanning into the same bins level
-// after level.
-func wireSet(cdc *Codec, m int, set []uint32) []uint32 {
-	if cdc != nil {
-		return cdc.Enc(m, set)
-	}
-	return append(make([]uint32, 0, len(set)), set...)
 }
 
 // isend and irecv are the transfer the exchanges are written on, one

@@ -161,7 +161,7 @@ func TestReduceScatterUnionMatchesReference(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6} {
 		all := randSets(p, 10, int64(p))
 		results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-			out, _ := ReduceScatterUnion(c, g, Opts{Tag: 1}, prepared(all[c.Rank()]))
+			out, _ := ReduceScatterUnion(c, g, Opts{Tag: 1}, SetList(all[c.Rank()]))
 			return out
 		})
 		for dst, res := range results {
@@ -169,31 +169,6 @@ func TestReduceScatterUnionMatchesReference(t *testing.T) {
 			want := refUnionTo(all, dst)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("p=%d dst=%d: got %v want %v", p, dst, got, want)
-			}
-		}
-	}
-}
-
-func TestTwoPhaseFoldMatchesReference(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 7, 9, 12, 16} {
-		for _, chunk := range []int{0, 4} {
-			all := randSets(p, 8, int64(p*31+chunk))
-			results := runGroup(t, p, func(c *comm.Comm, g comm.Group) any {
-				out, st := TwoPhaseFold(c, g, Opts{Tag: 1, Chunk: chunk}, all[c.Rank()])
-				return struct {
-					set []uint32
-					st  Stats
-				}{out, st}
-			})
-			for dst, res := range results {
-				r := res.(struct {
-					set []uint32
-					st  Stats
-				})
-				want := refUnionTo(all, dst)
-				if !reflect.DeepEqual(r.set, want) {
-					t.Fatalf("p=%d chunk=%d dst=%d: got %v want %v", p, chunk, dst, r.set, want)
-				}
 			}
 		}
 	}

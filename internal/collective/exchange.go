@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/localindex"
@@ -100,19 +101,27 @@ func Exchange(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stat
 }
 
 // ReduceScatterUnion performs fold as a direct reduce-scatter with set
-// union: prep(m) is the sorted set destined for member m (the codec, if
-// any, is applied at the wire), and the result is the union of
-// everything destined to this rank, each part merged as Exchange hands
-// it over. Duplicate elimination happens after receipt (no in-flight
-// reduction), so Dups counts local merge savings only; contrast with
-// TwoPhaseFold.
-func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stats) {
+// union: sets holds the sorted set destined for each member, and the
+// result is the union of everything destined to this rank, each part
+// merged as Exchange hands it over. A set that travels is written
+// straight into the buffer the transport is handed or, with a codec,
+// encoded there from a scratch copy; this rank's own stays in scratch.
+// Duplicate elimination happens after receipt (no in-flight reduction),
+// so Dups counts local merge savings only; contrast with TwoPhaseFold.
+func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, sets Sets) ([]uint32, Stats) {
 	acc := newUnion(c, nil, g.Size())
+	own, scratch := c.Words(), c.Words()
 	wirePrep := func(m int) []uint32 {
-		if m == g.Me {
-			return prep(m)
+		n := sets.Len(m)
+		switch {
+		case m == g.Me:
+			own = sets.Append(slices.Grow(own, n), m)
+			return own
+		case o.Codec == nil:
+			return sets.Append(make([]uint32, 0, n), m)
 		}
-		return wireSet(o.Codec, m, prep(m))
+		scratch = sets.Append(scratch[:0], m)
+		return o.Codec.Enc(nil, m, scratch)
 	}
 	st := Exchange(c, g, o, wirePrep, func(m int, part []uint32) {
 		if m != g.Me && o.Codec != nil {
@@ -121,7 +130,10 @@ func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32
 		acc.add(part)
 	})
 	st.Dups += acc.dups
-	return acc.done(), st
+	res := acc.done()
+	c.ReleaseWords(scratch)
+	c.ReleaseWords(own)
+	return res, st
 }
 
 // union accumulates the union of a fold's arriving parts. Every merge
@@ -183,7 +195,7 @@ func ReduceScatterOr(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handl
 	var acc []uint32
 	wirePrep := func(m int) []uint32 {
 		if o.Codec != nil && m != g.Me {
-			return o.Codec.Enc(m, prep(m))
+			return o.Codec.Enc(nil, m, prep(m))
 		}
 		return prep(m)
 	}
@@ -206,30 +218,32 @@ func ReduceScatterOr(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handl
 	return acc, st
 }
 
-// Fold delivers the sets prep produces — prep(m) the sorted set
-// destined to member m — to their owners with the union fold alg names
-// ("direct", "twophase" or in full "twophase-union", "twophase-nounion")
-// and returns the sorted union of what was destined to this rank. Under
-// o.Async the direct fold posts each set as prep returns it, so the
-// merges of the later sets overlap the transfers already in flight, and
-// the two-phase fold posts its phase 2 before any wait; otherwise every
-// set is prepared up front in member order. The two-phase schedule
-// needs every bundle before its first hop and prepares up front either
-// way.
-func Fold(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, Stats) {
+// Fold delivers sets — the sorted set destined to each member — to
+// their owners with the union fold alg names ("direct", "twophase" or in
+// full "twophase-union", "twophase-nounion") and returns the sorted
+// union of what was destined to this rank. Under o.Async the direct fold
+// makes and posts each set in turn, so the making of the later sets
+// overlaps the transfers already in flight, and the two-phase fold posts
+// its phase 2 before any wait; otherwise every set is made up front in
+// member order. The two-phase schedule needs every bundle before its
+// first hop and makes every set up front either way.
+func Fold(c *comm.Comm, g comm.Group, o Opts, alg string, sets Sets) ([]uint32, Stats) {
 	switch alg {
 	case "direct":
-		return ReduceScatterUnion(c, g, o, prep)
+		return ReduceScatterUnion(c, g, o, sets)
 	case "twophase", "twophase-union", "twophase-nounion":
 		o.NoUnion = o.NoUnion || alg == "twophase-nounion"
-		return twoPhaseFold(c, g, o, prep)
+		return twoPhaseFold(c, g, o, sets)
 	}
 	panic(fmt.Sprintf("collective: unknown fold %q", alg))
 }
 
-// FoldAsync is Fold under the pipelined schedule, the form the perf
+// FoldAsync is Fold under the pipelined schedule with prep(m) the set
+// destined to member m, copied where it travels — the form the perf
 // lab's collective.fold_async_us probe calls.
 func FoldAsync(c *comm.Comm, g comm.Group, o Opts, alg string, prep Prep) ([]uint32, Stats) {
 	o.Async = true
-	return Fold(c, g, o, alg, prep)
+	sets := prepSets{prep, c.Lists(g.Size())}
+	defer c.ReleaseLists(sets.sets)
+	return Fold(c, g, o, alg, sets)
 }

@@ -45,8 +45,11 @@ const pinSpan = 200
 
 func pinSetCodec() *Codec {
 	return &Codec{
-		Enc: func(m int, s []uint32) []uint32 { return frontier.EncodeSet(s, 0, pinSpan, frontier.WireHybrid) },
-		Dec: func(m int, b []uint32) []uint32 { return frontier.Decode(b) },
+		Enc: func(dst []uint32, m int, s []uint32) []uint32 {
+			return frontier.AppendEncodeSet(dst, s, 0, pinSpan, frontier.WireHybrid, nil)
+		},
+		Dec:   func(m int, b []uint32) []uint32 { return frontier.Decode(b) },
+		Bound: func(m, n int) int { return frontier.EncodeSetBound(frontier.WireHybrid, pinSpan, n) },
 	}
 }
 
@@ -100,12 +103,12 @@ func pinTwoPhaseExpand(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, pre
 }
 
 func pinReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
-	return ReduceScatterUnion(c, g, o, prep)
+	return ReduceScatterUnion(c, g, o, prepSets{prep, make([][]uint32, g.Size())})
 }
 
 func pinFold(alg string) func(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
 	return func(c *comm.Comm, g comm.Group, o Opts, all [][][]uint32, prep Prep, handle Handle) ([]uint32, Stats) {
-		return Fold(c, g, o, alg, prep)
+		return Fold(c, g, o, alg, prepSets{prep, make([][]uint32, g.Size())})
 	}
 }
 

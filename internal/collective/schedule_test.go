@@ -261,13 +261,13 @@ func TestBundleMergeNeverMoreWords(t *testing.T) {
 // being the long form of "twophase": FoldAsync delivers the direct
 // fold's union, and Fold under the synchronous schedule delivers the
 // same set with the same Stats — received words, eliminated duplicates
-// — calling prep once per member, in member order.
+// — making each member's set (Sets.Len) once, in member order.
 func TestFoldAsyncDispatch(t *testing.T) {
 	const p = 4
 	all := randSets(p, 30, 99)
 	for _, alg := range []string{"direct", "twophase", "twophase-union", "twophase-nounion"} {
 		want, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
-			acc, _ := ReduceScatterUnion(c, g, Opts{Tag: 5}, prepared(all[g.Me]))
+			acc, _ := ReduceScatterUnion(c, g, Opts{Tag: 5}, SetList(all[g.Me]))
 			return acc
 		})
 		async, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
@@ -276,13 +276,13 @@ func TestFoldAsyncDispatch(t *testing.T) {
 		})
 		sync, _ := runTimed(t, p, func(c *comm.Comm, g comm.Group) any {
 			next := 0
-			acc, st := Fold(c, g, Opts{Tag: 5}, alg, func(m int) []uint32 {
+			acc, st := Fold(c, g, Opts{Tag: 5}, alg, prepSets{func(m int) []uint32 {
 				if m != next {
 					panic(fmt.Sprintf("prep(%d) called when member %d was due", m, next))
 				}
 				next++
 				return all[g.Me][m]
-			})
+			}, make([][]uint32, p)})
 			if next != p {
 				panic(fmt.Sprintf("prep called for %d of %d members", next, p))
 			}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/localindex"
@@ -82,124 +83,128 @@ func TwoPhaseFold(c *comm.Comm, g comm.Group, o Opts, send [][]uint32) ([]uint32
 	if len(send) != g.Size() {
 		panic(fmt.Sprintf("collective: TwoPhaseFold needs %d send buffers, got %d", g.Size(), len(send)))
 	}
-	return twoPhaseFold(c, g, o, prepared(send))
+	return twoPhaseFold(c, g, o, SetList(send))
 }
 
-// twoPhaseFold is TwoPhaseFold drawing the set destined to member m
-// from prep(m), called once per member in member order before anything
-// is sent.
-func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stats) {
+// twoPhaseFold is TwoPhaseFold on sets, made (Len) once per member in
+// member order before anything is sent. Every set is written once, where
+// it is read next: straight into the bundle it leaves in — with a codec,
+// encoded there in place — merged on the way with the matching set of
+// the bundle that arrived (mergeHeld), or, for this rank's column, into
+// the phase-2 wire set it becomes.
+func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, sets Sets) ([]uint32, Stats) {
 	size := g.Size()
 	var st Stats
 	if size == 1 {
-		return append([]uint32(nil), prep(0)...), st
+		return sets.Append(make([]uint32, 0, sets.Len(0)), 0), st
 	}
 	tr := begin(c, "twophase-fold")
 	a, b := FactorGrid(size)
 	row, col := g.Me/b, g.Me%b
-
-	// chunk((j+1)%b) holds the bundle destined to grid column j:
-	// a sets, one per grid row. The +1 shift makes the textbook ring
-	// schedule finish with this rank owning its own column's bundle.
-	sets := c.Lists(size)
-	chunk := func(idx int) [][]uint32 { return sets[idx*a : (idx+1)*a] }
-	for m := 0; m < size; m++ {
-		sets[(m%b+1)%b*a+m/b] = prep(m)
-	}
-
-	// Phase 1: ring reduce-scatter along my grid row. With a codec,
-	// each set is re-encoded for the wire on every hop and decoded back
-	// before the in-flight union (bitmap payloads when denser is
-	// cheaper); NoUnion skips the codec because its in-transit payloads
-	// are merged multisets with no set encoding.
-	cdc := o.Codec
+	// With a codec, each set is encoded for the wire on every hop and
+	// decoded back before the in-flight union (bitmap payloads when
+	// denser is cheaper); NoUnion skips the codec because its in-transit
+	// payloads are merged multisets with no set encoding.
+	cdc, merge := o.Codec, localindex.UnionInto
 	if o.NoUnion {
-		cdc = nil
+		cdc, merge = nil, appendKeepDups
 	}
-	// The in-flight unions of step s land in arena s%2, borrowed from c:
-	// a step's merged sets are read only by the next step's send, which
-	// copies them onto the wire, and after the last step by phase 2.
-	arena := [2][]uint32{c.Words(), c.Words()}
+	// Bundle idx holds the sets of the a members of grid column
+	// (idx-1) mod b; the +1 shift makes the textbook ring schedule finish
+	// with this rank owning its own column's bundle.
+	member := func(idx, i int) int { return i*b + (idx-1+b)%b }
+	lens := slices.Grow(c.Words(), size)[:size]
+	for m := range size {
+		lens[m] = uint32(sets.Len(m))
+	}
+	scratch, own := c.Words(), c.Words()
+	// write appends member m's set, merged with in, to dst — encoded when
+	// it travels and there is a codec — and bound is the most words that
+	// takes on the wire.
+	write := func(dst []uint32, m int, in []uint32, travels bool) []uint32 {
+		var d int
+		if travels && cdc != nil {
+			scratch, d = mergeHeld(scratch[:0], sets, m, int(lens[m]), in, merge)
+			dst = cdc.Enc(dst, m, scratch)
+		} else {
+			dst, d = mergeHeld(dst, sets, m, int(lens[m]), in, merge)
+		}
+		st.Dups += d
+		return dst
+	}
+	bound := func(m int, in []uint32) int {
+		if cdc != nil {
+			return cdc.Bound(m, int(lens[m])+len(in))
+		}
+		return int(lens[m]) + len(in)
+	}
+	// incoming is the bundle that arrived last, decoded; none has before
+	// the first hop.
+	incoming := c.Lists(a)
+	idx := col // the bundle that leaves next
 	if b > 1 {
 		tr.Begin("phase", "phase1")
 		next := g.World(row*b + (col+1)%b)
 		prev := g.World(row*b + (col-1+b)%b)
-		staged := c.Lists(a)
 		for s := 0; s < b-1; s++ {
 			stepDone := round(c, s)
-			sendIdx := (col - s + b) % b
-			recvIdx := (col - s - 1 + b) % b
-			outgoing := chunk(sendIdx)
-			if cdc != nil {
-				// Set i of the bundle stored at sendIdx belongs to group
-				// member i*b + (sendIdx-1 mod b).
-				for i, set := range outgoing {
-					staged[i] = cdc.Enc(i*b+(sendIdx-1+b)%b, set)
-				}
-				outgoing = staged
+			need := 0
+			for i, in := range incoming {
+				need += 1 + bound(member(idx, i), in)
 			}
-			c.SendChunked(next, o.Tag+s, encodeBundle(outgoing), o.Chunk)
+			out := make([]uint32, 0, need)
+			for i, in := range incoming {
+				out = append(out, 0)
+				k := len(out)
+				out = write(out, member(idx, i), in, true)
+				out[k-1] = uint32(len(out) - k)
+			}
+			c.SendChunked(next, o.Tag+s, out, o.Chunk)
 			buf := c.RecvChunked(prev, o.Tag+s, o.Chunk)
 			st.RecvWords += len(buf)
-			incoming := decodeBundleInto(staged, buf)
-			mine := chunk(recvIdx)
-			need := 0
-			for i := 0; i < a; i++ {
-				if cdc != nil {
-					incoming[i] = cdc.Dec(i*b+(recvIdx-1+b)%b, incoming[i])
+			idx = (idx - 1 + b) % b
+			decodeBundleInto(incoming, buf)
+			if cdc != nil {
+				for i := range incoming {
+					incoming[i] = cdc.Dec(member(idx, i), incoming[i])
 				}
-				need += len(mine[i]) + len(incoming[i])
 			}
-			if o.NoUnion {
-				for i := 0; i < a; i++ {
-					mine[i] = mergeKeepDups(mine[i], incoming[i])
-				}
-				stepDone()
-				continue
-			}
-			// Size the arena for the whole step at once, so the unions
-			// below never regrow it.
-			w := arena[s%2][:0]
-			if cap(w) < need {
-				w = make([]uint32, 0, need)
-			}
-			for i := 0; i < a; i++ {
-				start := len(w)
-				var d int
-				w, d = localindex.UnionInto(w, mine[i], incoming[i])
-				mine[i] = w[start:len(w):len(w)]
-				st.Dups += d
-			}
-			arena[s%2] = w
 			stepDone()
 		}
-		c.ReleaseLists(staged)
 		tr.End()
 	}
-	// This rank now owns the fully reduced bundle for its grid column.
-	mine := chunk((col + 1) % b)
+	// This rank's column, bundle (col+1) mod b, is reduced once merged
+	// with the last arrival: each set is the phase-2 wire set of its
+	// member, or this rank's own.
+	wire := c.Lists(a)
+	for i, in := range incoming {
+		if m := member(idx, i); i == row {
+			own = write(own[:0], m, in, false)
+		} else {
+			wire[i] = write(make([]uint32, 0, bound(m, in)), m, in, true)
+		}
+	}
 
 	// Phase 2: point-to-point distribution down my grid column. The
 	// async schedule posts every send before any wait so the column's
 	// transfers fly concurrently (phase 1's ring is serially dependent —
 	// each step forwards what the previous one merged — and stays
-	// synchronous either way). What travels is the codec's encoding or,
-	// without one (and for NoUnion's multisets), a copy: see wireSet.
+	// synchronous either way).
 	tr.Begin("phase", "phase2")
-	acc := newUnion(c, mine[row], a-1)
+	acc := newUnion(c, own, a-1)
 	tag2 := o.Tag + 1<<20
-	for i := 0; i < a; i++ {
+	for i := range a {
 		if i != row {
-			isend(c, o, g.World(i*b+col), tag2+row, wireSet(cdc, i*b+col, mine[i]))
+			isend(c, o, g.World(i*b+col), tag2+row, wire[i])
 		}
 	}
 	reqs := c.Requests(a)
-	for i := 0; i < a; i++ {
+	for i := range a {
 		if i != row {
 			reqs[i] = irecv(c, o, g.World(i*b+col), tag2+i)
 		}
 	}
-	for i := 0; i < a; i++ {
+	for i := range a {
 		if i == row {
 			continue
 		}
@@ -216,37 +221,54 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, prep Prep) ([]uint32, Stat
 		}
 		acc.add(part)
 	}
-	out := acc.done()
+	res := acc.done()
 	if o.NoUnion {
-		out, _ = localindex.SortSet(out)
+		res, _ = localindex.SortSet(res)
 	}
 	st.Dups += acc.dups
 	c.ReleaseRequests(reqs)
-	c.ReleaseLists(sets)
-	c.ReleaseWords(arena[1])
-	c.ReleaseWords(arena[0])
+	c.ReleaseLists(wire)
+	c.ReleaseLists(incoming)
+	c.ReleaseWords(own)
+	c.ReleaseWords(scratch)
+	c.ReleaseWords(lens)
 	tr.End()
 	end(tr, &st)
-	return out, st
+	return res, st
 }
 
-// mergeKeepDups merges two ascending slices preserving duplicates, the
-// no-union baseline's in-transit "reduction".
-func mergeKeepDups(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
+// mergeHeld appends to dst the merge of member m's set, n ids, with in,
+// the matching set of a bundle that arrived, and returns it with the
+// duplicates absorbed. The set is written straight into dst's spare
+// capacity len(in) past its end, where the merge reads it ahead of what
+// it writes (localindex.UnionInto), so it is never copied; with no set
+// arrived it is simply appended.
+func mergeHeld(dst []uint32, sets Sets, m, n int, in []uint32, merge func(dst, a, b []uint32) ([]uint32, int)) ([]uint32, int) {
+	if len(in) == 0 {
+		return sets.Append(slices.Grow(dst, n), m), 0
+	}
+	k := len(dst) + len(in)
+	dst = slices.Grow(dst, n+len(in))
+	return merge(dst, sets.Append(dst[k:k], m), in)
+}
+
+// appendKeepDups appends the merge of two ascending slices to dst,
+// duplicates kept — the no-union baseline's in-transit "reduction" — and
+// reports none absorbed.
+func appendKeepDups(dst, a, b []uint32) ([]uint32, int) {
+	dst = slices.Grow(dst, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] <= b[j] {
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...), 0
 }
 
 // TwoPhaseExpand is Gather's "twophase" arm on precomputed data with no

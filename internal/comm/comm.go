@@ -145,8 +145,9 @@ func (c *Comm) ChargeItemsPar(n int, unit float64) {
 // simulated network does not copy, so the slice handed over here is the
 // one the receiver gets — possibly much later, possibly forwarded on to
 // other ranks — and from this call on nobody may write to it, sender or
-// receiver. A sender that wants to reuse a buffer sends a copy (the
-// union folds and the expand do: collective.wireSet, bfs expandWire).
+// receiver. A sender that wants to reuse a buffer sends a copy, or
+// writes what it sends into fresh memory (the union folds and the
+// column expand write each set straight into the buffer they hand over).
 // Every payload is framed with a sequence number and
 // checksum carried in the modeled message envelope; a nil payload or an
 // out-of-range dst is a descriptive panic (recovered by World.Run into

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/fault"
@@ -25,13 +26,46 @@ import (
 // instructions where it has them.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// checksum is the CRC-32C of the payload's bytes — the integrity check
-// carried in the modeled message envelope. Like every CRC it catches
-// any single flipped bit, the corruption the fault plan injects. The
-// bytes are read in host order: sender and receiver share the host.
+// shortFrame is the payload length, in words, below which checksum
+// takes the word-mixing path: there the CRC's call and dispatch cost
+// more than the bytes.
+const shortFrame = 32
+
+// checksum is the integrity check carried in the modeled message
+// envelope: the CRC-32C of the payload's bytes, read in host order
+// (sender and receiver share the host), or for a frame under shortFrame
+// words shortSum. Either catches every single flipped bit, the
+// corruption the fault plan injects.
 func checksum(data []uint32) uint32 {
+	if len(data) < shortFrame {
+		return shortSum(data)
+	}
 	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*len(data))
 	return crc32.Checksum(b, castagnoli)
+}
+
+// shortSum mixes a short payload in four independent lanes, word i into
+// lane i mod 4 (a tail short of four words into lane 0): each step
+// x -> (x^w)·k is a bijection of the lane for a fixed word and of the
+// word for a fixed lane, so a change confined to one word — any single
+// flipped bit — changes that lane's final state and no other. The lanes
+// fold through a bijection of each, and the length and a last bijective
+// mix follow, so the sum changes too. The lanes run in parallel, so a
+// 16-word frame is four multiplies deep.
+func shortSum(data []uint32) uint32 {
+	const k = 0x9e3779b1 // odd: multiplying by it is a bijection
+	a, b, c, d := uint32(0x243f6a88), uint32(0x85a308d3), uint32(0x13198a2e), uint32(0x03707344)
+	n := uint32(len(data))
+	for ; len(data) >= 4; data = data[4:] {
+		a, b, c, d = (a^data[0])*k, (b^data[1])*k, (c^data[2])*k, (d^data[3])*k
+	}
+	for _, w := range data {
+		a = (a ^ w) * k
+	}
+	h := a ^ bits.RotateLeft32(b, 8) ^ bits.RotateLeft32(c, 16) ^ bits.RotateLeft32(d, 24) ^ n
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	return h ^ h>>13
 }
 
 // FaultStats aggregates one rank's transport-fault activity: what the

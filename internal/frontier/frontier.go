@@ -149,6 +149,16 @@ func (a *Adaptive) eachDense(fn func(v uint32)) {
 	}
 }
 
+// Words returns a dense frontier's bitmap — bit i%64 of word i/64 is
+// member lo+i — or nil while the frontier is sparse. It aliases the
+// frontier's storage; callers must not mutate it.
+func (a *Adaptive) Words() []uint64 {
+	if !a.isDense {
+		return nil
+	}
+	return a.dense.Words()
+}
+
 // Vertices returns the members in ascending order. A sparse frontier's
 // slice aliases its storage; callers must not mutate it.
 func (a *Adaptive) Vertices() []uint32 {

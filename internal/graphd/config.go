@@ -106,6 +106,9 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 1
 	}
+	if cfg.Cores == 0 {
+		cfg.Cores = 1 // the engines' clamp, so the config a server keeps names the run
+	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = bgl.MaxLanes
 	}

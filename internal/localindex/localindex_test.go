@@ -430,6 +430,15 @@ func TestUnionSortedMatchesReference(t *testing.T) {
 			t.Errorf("%s: UnionInto(dirty) = %s, want %s", tc.name, unionDiff(got, dups), unionDiff(want, wantDups))
 		}
 		dirty = got
+		// a may sit in dst's spare capacity len(b) past len(dst), the
+		// merge writing over it from the front.
+		inPlace := make([]uint32, 2, 2+len(tc.a)+len(tc.b)+3)
+		inPlace[0], inPlace[1] = 42, 43
+		a := append(inPlace[2+len(tc.b):2+len(tc.b)], tc.a...)
+		got, dups = UnionInto(inPlace, a, tc.b)
+		if !slices.Equal(got[:2], []uint32{42, 43}) || !slices.Equal(got[2:], want) || dups != wantDups || &got[0] != &inPlace[0] {
+			t.Errorf("%s: UnionInto(a in place) = %s, want [42 43] then %s", tc.name, unionDiff(got, dups), unionDiff(want, wantDups))
+		}
 		// Appending keeps dst's existing words.
 		head := []uint32{42, 43}
 		got, dups = UnionInto(head, tc.a, tc.b)

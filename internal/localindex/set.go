@@ -26,8 +26,11 @@ func SortSet(s []uint32) ([]uint32, int) {
 // and b to dst and returns the extended slice with the number of
 // elements of b already present in a (the duplicates a union-fold hop
 // eliminates). dst grows only when its spare capacity is short, so a
-// caller that hands back the same scratch merges without allocating;
-// that spare capacity must not overlap a or b.
+// caller that hands back the same scratch merges without allocating.
+// That spare capacity must not overlap b, and may hold a only exactly
+// len(b) words past len(dst): there the merge writes behind where it
+// reads a, so a caller can write a set straight into the place its
+// union lands.
 //
 // The merge is branch-free: each step writes min(a[i], b[j]) and
 // advances whichever side (or both, on a duplicate) supplied it, so its

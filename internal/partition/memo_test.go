@@ -215,14 +215,15 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 	}
 
 	// The reference: the loader as it was. Two maps per rank filled by
-	// getOrPut per entry in stream order, RowNeed set per entry, each
+	// getOrPut per entry in stream order, RowNeed set per entry (row i's
+	// bitmap over the owner's range, ceil(owned/64) words a row), each
 	// column's entries kept in stream order.
 	type entry struct {
 		u graph.Vertex
 		w uint32
 	}
 	p := l.P()
-	wpv := (r + 63) / 64
+	wpr := func(rk int) int { return (l.OwnedCount(rk) + 63) / 64 }
 	colMaps, rowMaps := make([]*localindex.Map, p), make([]*localindex.Map, p)
 	nextCol, nextRow := make([]func() uint32, p), make([]func() uint32, p)
 	need := make([][]uint64, p)
@@ -231,7 +232,7 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 	for rk := 0; rk < p; rk++ {
 		colMaps[rk], rowMaps[rk] = localindex.NewMap(16), localindex.NewMap(16)
 		nextCol[rk], nextRow[rk] = counter(), counter()
-		need[rk] = make([]uint64, l.OwnedCount(rk)*wpv)
+		need[rk] = make([]uint64, r*wpr(rk))
 		lists[rk] = map[graph.Vertex][]entry{}
 		fold[rk] = make([]uint32, c)
 	}
@@ -243,8 +244,8 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 		fold[rk][l.ColBlockOf(u)]++
 		owner := l.OwnerRank(v)
 		lo, _ := l.OwnedRange(owner)
-		i := l.RowIndexOf(u)
-		need[owner][int(v-lo)*wpv+i/64] |= 1 << (i % 64)
+		i, li := l.RowIndexOf(u), int(v-lo)
+		need[owner][i*wpr(owner)+li/64] |= 1 << (li % 64)
 	}
 	for _, e := range es {
 		ref(e.u, e.v, e.w)
@@ -382,9 +383,9 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 		if !slices.Equal(st.RowNeed, need[rk]) {
 			t.Fatalf("rank %d: RowNeed differs from the per-entry reference", rk)
 		}
-		for li := 0; li < st.OwnedCount(); li++ {
-			if !slices.Equal(st.NeedWords(uint32(li)), need[rk][li*wpv:(li+1)*wpv]) {
-				t.Fatalf("rank %d vertex %d: NeedWords differ from the reference", rk, li)
+		for i, w := 0, wpr(rk); i < r; i++ {
+			if row := st.NeedRow(i); len(row) != w || cap(row) != w || !slices.Equal(row, need[rk][i*w:(i+1)*w]) {
+				t.Fatalf("rank %d row %d: NeedRow (%d words, cap %d) differs from the reference (%d words)", rk, i, len(row), cap(row), w)
 			}
 		}
 	}

@@ -323,7 +323,7 @@ func TestBuild2DRowNeed(t *testing.T) {
 		for i := 0; i < l.R; i++ {
 			st := stores[l.RankAt(i, j)]
 			nonEmpty := len(partialList(st, v)) > 0
-			if needs := owner.NeedWords(li)[i/64]&(1<<(i%64)) != 0; needs != nonEmpty {
+			if needs := owner.NeedRow(i)[li/64]&(1<<(li%64)) != 0; needs != nonEmpty {
 				t.Fatalf("vertex %d row %d: need bit=%v but list non-empty=%v", v, i, needs, nonEmpty)
 			}
 		}

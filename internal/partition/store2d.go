@@ -90,12 +90,15 @@ type Store2D struct {
 	// scans each arrived vertex's partial list at most once.
 	FoldEntries []uint32
 
-	// RowNeed marks, for each owned vertex (by local index), which mesh
-	// rows i' hold a non-empty partial edge list for it. The targeted
-	// expand sends a frontier vertex only to those rows. Packed
-	// ceil(R/64) words per vertex; nil when R = 1.
+	// RowNeed marks, for each mesh row i' and owned vertex (by local
+	// index), whether row i' holds a non-empty partial edge list for it.
+	// The targeted expand sends a frontier vertex only to those rows.
+	// Stored by row: row i' is a bitmap over the owned range, the
+	// ceil(OwnedCount/64) words NeedRow(i') returns, so a row's share of
+	// a dense frontier is a word-wise AND and a vertex costs R bits; nil
+	// when R = 1.
 	RowNeed    []uint64
-	rowNeedWpv int // words per vertex
+	rowNeedWpr int // words per row
 }
 
 // View returns the harness's view of the store's layout.
@@ -143,12 +146,12 @@ func (s *Store2D) ResolveColumns(part []uint32, cis *[ResolveBatch]uint32) (prob
 	return probes
 }
 
-// NeedWords returns the ceil(R/64) RowNeed words of the owned vertex
-// with local index li: bit i%64 of word i/64 is set when mesh row i has
-// a non-empty partial edge list for it.
-func (s *Store2D) NeedWords(li uint32) []uint64 {
-	w := int(li) * s.rowNeedWpv
-	return s.RowNeed[w : w+s.rowNeedWpv]
+// NeedRow returns mesh row i's RowNeed bitmap over the owned range: bit
+// li%64 of word li/64 is set when row i has a non-empty partial edge
+// list for the owned vertex with local index li.
+func (s *Store2D) NeedRow(i int) []uint64 {
+	w := i * s.rowNeedWpr
+	return s.RowNeed[w : w+s.rowNeedWpr : w+s.rowNeedWpr]
 }
 
 // NonEmptyColumns returns the number of non-empty partial edge lists on
@@ -231,7 +234,6 @@ type end struct {
 func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, error) {
 	n, p, bs := l.N, l.P(), l.BlockSize()
 	colSpan := l.R * bs // vertices in a block column
-	wpv := (l.R + 63) / 64
 	stores := make([]*Store2D, p)
 	for r := range stores {
 		i, j := l.MeshOf(r)
@@ -239,10 +241,10 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		st := &Store2D{
 			Layout: l, Rank: r, I: i, J: j, Lo: lo, Hi: hi,
 			FoldEntries: make([]uint32, l.C),
-			rowNeedWpv:  wpv,
+			rowNeedWpr:  (int(hi-lo) + 63) / 64,
 		}
 		if l.R > 1 {
-			st.RowNeed = make([]uint64, st.OwnedCount()*wpv)
+			st.RowNeed = make([]uint64, l.R*st.rowNeedWpr)
 		}
 		stores[r] = st
 	}
@@ -284,7 +286,8 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 			// Tell v's owner that mesh row u.i has a non-empty partial list
 			// for v.
 			owner := stores[l.RankAt(v.i, v.j)]
-			owner.RowNeed[int(owner.LocalOf(v.v))*wpv+u.i/64] |= 1 << (u.i % 64)
+			li := owner.LocalOf(v.v)
+			owner.RowNeed[u.i*owner.rowNeedWpr+int(li/64)] |= 1 << (li % 64)
 		}
 		count[pos]++
 	}

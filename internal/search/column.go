@@ -2,30 +2,34 @@ package search
 
 import (
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"repro/internal/collective"
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
 // Column is the targeted column expand of a superstep (§2.2, Algorithm 2
-// steps 7–11), the same for every family and both schedules: a staged
-// frontier vertex, its value alongside, travels down the processor
-// column only to the mesh rows holding a partial edge list for it. The
-// staging is allocated once per rank per run; the wire form, decode
-// staging included, is the family's.
+// steps 7–11), the same for every family and both schedules: a frontier
+// vertex, its value alongside, travels down the processor column only to
+// the mesh rows holding a partial edge list for it. Row m's part is cut
+// from the staged frontier whole — its bitmap words ANDed with the
+// store's NeedRow(m), or its ids filtered by that row's bit — and, with
+// no wire form, written once, sized by its count, into the buffer the
+// transport is handed. The rank's own part and the part a wire form
+// encodes are enumerated into scratch reused for the run.
 type Column[V any] struct {
-	c     *comm.Comm
-	g     comm.Group
-	o     *Common
-	st    *partition.Store2D
-	wire  Wire[V]
-	rows  []staged[V] // per destination row
-	added int         // vertices staged
+	c    *comm.Comm
+	g    comm.Group
+	o    *Common
+	st   *partition.Store2D
+	wire Wire[V] // nil: parts travel as raw ascending id lists
+	// own is the rank's own part, scanned as it is; part stages the part
+	// the wire form encodes next.
+	own, part staged[V]
 }
 
 // Wire is a family's wire form: Encode packs a part drawn from the
@@ -42,53 +46,104 @@ type staged[V any] struct {
 }
 
 // NewColumn builds the column expand of group g on rank c, whose
-// frontier and row-need masks st holds.
+// row-need masks st holds, in the wire form w; a nil w moves raw
+// ascending id lists, the legacy format, and carries no values.
 func NewColumn[V any](c *comm.Comm, g comm.Group, o *Common, st *partition.Store2D, w Wire[V]) *Column[V] {
-	return &Column[V]{c: c, g: g, o: o, st: st, wire: w, rows: make([]staged[V], g.Size())}
+	return &Column[V]{c: c, g: g, o: o, st: st, wire: w}
 }
 
-// Add stages owned vertex gv with x for every row its RowNeed bits name;
-// a zero-size x is not staged (each append of one calls the runtime).
-func (col *Column[V]) Add(gv uint32, x V) {
-	for w, need := range col.st.NeedWords(col.st.LocalOf(graph.Vertex(gv))) {
-		for ; need != 0; need &= need - 1 {
-			r := &col.rows[w*64+bits.TrailingZeros64(need)]
-			r.vs = append(r.vs, gv)
-			if unsafe.Sizeof(x) != 0 {
-				r.xs = append(r.xs, x)
-			}
+// Expand moves the staged frontier — words, its bitmap over the owned
+// range, when non-nil, else ids, its ascending members — each member
+// with its value read at its local index in xs (nil when V carries
+// nothing). It charges the mask scan, |F| x ceil(R/64) EdgeCost,
+// exchanges the parts under o.Async's schedule and hands each to scan
+// as it comes: this rank's own unencoded, xs empty if V is zero-size. It
+// returns the words received.
+func (col *Column[V]) Expand(tag int, words []uint64, ids []uint32, xs []V, scan func(vs []uint32, xs []V)) int {
+	members := len(ids)
+	if words != nil {
+		members = 0
+		for _, w := range words {
+			members += bits.OnesCount64(w)
 		}
 	}
-	col.added++
-}
-
-// Expand charges the mask scan, |F| x ceil(R/64) EdgeCost, exchanges the
-// staged parts under o.Async's schedule, hands each to scan as it comes —
-// this rank's own as the staging, unencoded, xs empty if V is zero-size —
-// and empties the staging. It returns the words received.
-func (col *Column[V]) Expand(tag int, scan func(vs []uint32, xs []V)) int {
-	col.c.ChargeItems(col.added*((col.g.Size()+63)/64), col.c.Model().EdgeCost)
+	col.c.ChargeItems(members*((col.g.Size()+63)/64), col.c.Model().EdgeCost)
 	me, lo, n := col.g.Me, uint32(col.st.Lo), col.st.OwnedCount()
 	prep := func(m int) []uint32 {
-		if m == me {
+		need := col.st.NeedRow(m)
+		switch {
+		case m == me:
+			col.own = stage(col.own, words, ids, lo, need, xs)
 			return nil // stays local
+		case col.wire == nil:
+			return appendPart(make([]uint32, 0, partLen(words, ids, lo, need)), words, ids, lo, need)
 		}
-		return col.wire.Encode(col.rows[m].vs, col.rows[m].xs, lo, n)
+		col.part = stage(col.part, words, ids, lo, need, xs)
+		return col.wire.Encode(col.part.vs, col.part.xs, lo, n)
 	}
 	handle := func(m int, part []uint32) {
-		if m == me {
-			scan(col.rows[m].vs, col.rows[m].xs)
-		} else {
+		switch {
+		case m == me:
+			scan(col.own.vs, col.own.xs)
+		case col.wire == nil:
+			scan(part, nil)
+		default:
 			scan(col.wire.Decode(part))
 		}
 	}
 	o := collective.Opts{Tag: tag, Chunk: col.o.ChunkWords, Async: col.o.Async}
-	words := collective.Exchange(col.c, col.g, o, prep, handle).RecvWords
-	for i := range col.rows {
-		col.rows[i] = staged[V]{col.rows[i].vs[:0], col.rows[i].xs[:0]}
+	return collective.Exchange(col.c, col.g, o, prep, handle).RecvWords
+}
+
+// stage refills s with the part need selects from the staged frontier
+// (see Expand) and, unless V is zero-size, its values gathered from xs.
+func stage[V any](s staged[V], words []uint64, ids []uint32, lo uint32, need []uint64, xs []V) staged[V] {
+	k := partLen(words, ids, lo, need)
+	s.vs = appendPart(slices.Grow(s.vs[:0], k), words, ids, lo, need)
+	var x V
+	if unsafe.Sizeof(x) != 0 {
+		s.xs = slices.Grow(s.xs[:0], k)[:k]
+		for i, gv := range s.vs {
+			s.xs[i] = xs[gv-lo]
+		}
 	}
-	col.added = 0
-	return words
+	return s
+}
+
+// partLen returns the size of the part need selects from the staged
+// frontier — words when non-nil, else ids — of the owned range from lo.
+func partLen(words []uint64, ids []uint32, lo uint32, need []uint64) int {
+	k := 0
+	if words != nil {
+		for i, w := range words {
+			k += bits.OnesCount64(w & need[i])
+		}
+		return k
+	}
+	for _, gv := range ids {
+		li := gv - lo
+		k += int(need[li>>6] >> (li & 63) & 1)
+	}
+	return k
+}
+
+// appendPart appends the part partLen counts to dst, ascending.
+func appendPart(dst []uint32, words []uint64, ids []uint32, lo uint32, need []uint64) []uint32 {
+	if words != nil {
+		for i, w := range words {
+			base := lo + uint32(i)*64
+			for w &= need[i]; w != 0; w &= w - 1 {
+				dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
+			}
+		}
+		return dst
+	}
+	for _, gv := range ids {
+		if li := gv - lo; need[li>>6]&(1<<(li&63)) != 0 {
+			dst = append(dst, gv)
+		}
+	}
+	return dst
 }
 
 // Bins is a step's scan output: the (vertex, value) pairs found, binned

@@ -33,10 +33,10 @@ type rankState struct {
 	// current bucket settled — the heavy phase's active set, and exactly
 	// the bits set in settled.
 	removed []uint32
-	// active, dists and heavy are per-run buffers behind the active list
-	// (drain, apply), its distances (distsOf) and the sorted heavy set;
-	// idxs is localMinBucket's sorted bucket-index scratch.
-	active, dists, heavy, idxs []uint32
+	// active and heavy are per-run buffers behind the active list
+	// (drain, apply) and the sorted heavy set; idxs is localMinBucket's
+	// sorted bucket-index scratch.
+	active, heavy, idxs []uint32
 }
 
 func (s *rankState) bucketOfDist(d uint32) uint32 { return bucketOf(d, s.delta) }
@@ -105,16 +105,6 @@ func (s *rankState) drain(k uint32) []uint32 {
 		}
 	})
 	return s.active
-}
-
-// distsOf gathers the current distances of an active list (valid until
-// the next call).
-func (s *rankState) distsOf(vs []uint32) []uint32 {
-	s.dists = s.dists[:0]
-	for _, gv := range vs {
-		s.dists = append(s.dists, s.D[gv-s.lo])
-	}
-	return s.dists
 }
 
 // unsettle clears the per-bucket settle marks through the removed list,
@@ -278,7 +268,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 			rec := epochRec{bucket: k, phase: PhaseLight, active: len(active)}
 			tme := rec.begin(c, e)
 			st.settle(active, &rec)
-			rvs, rds := e.scatter(active, st.distsOf(active), true, st.delta, tagSeq*64, &rec)
+			rvs, rds := e.scatter(active, st.D, true, st.delta, tagSeq*64, &rec)
 			tagSeq++
 			c.ChargeItems(len(rvs), model.VertexCost)
 			active = st.apply(rvs, rds, k, &rec)
@@ -289,7 +279,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 			heavy := st.heavySet()
 			rec := epochRec{bucket: k, phase: PhaseHeavy, active: len(heavy)}
 			tme := rec.begin(c, e)
-			rvs, rds := e.scatter(heavy, st.distsOf(heavy), false, st.delta, tagSeq*64, &rec)
+			rvs, rds := e.scatter(heavy, st.D, false, st.delta, tagSeq*64, &rec)
 			tagSeq++
 			c.ChargeItems(len(rvs), model.VertexCost)
 			st.apply(rvs, rds, k, &rec) // heavy targets always land in later buckets

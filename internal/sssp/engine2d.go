@@ -66,22 +66,20 @@ func (e *engine2D) weightAt(i uint32) uint32 {
 }
 
 // scatter relaxes one class of edges (light: w <= Δ, heavy: w > Δ) out
-// of the active owned vertices (vs ascending with parallel dists),
+// of the active owned vertices (vs ascending, their distances D read at
+// their local indexes),
 // exchanges the relax requests, and returns the requests destined to
 // this rank, deduplicated to the minimum distance per vertex and valid
 // until the next round. Both schedules run this one body and keep
 // payloads and statistics bit-for-bit (the min-merge is
 // order-insensitive).
-func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
+func (e *engine2D) scatter(vs, D []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
 	b := e.fold.Reset()
 	if e.col == nil {
 		// The column is this rank: relax the active set's own lists.
-		e.relaxPart(b, vs, ds, light, delta, 0)
+		e.relaxPart(b, vs, D, light, delta, 0)
 	} else {
-		for i, gv := range vs {
-			e.col.Add(gv, ds[i])
-		}
-		rec.ExpandWords = e.col.Expand(tag, func(avs, ads []uint32) { e.relaxPart(b, avs, ads, light, delta, len(avs)) })
+		rec.ExpandWords = e.col.Expand(tag, nil, vs, D, func(avs, ads []uint32) { e.relaxPart(b, avs, ads, light, delta, len(avs)) })
 	}
 	rec.Edges += b.Scanned
 

@@ -18,7 +18,10 @@ const relaxGrain = 512
 // into the fold's raw bins b — its one chunk body run over the whole
 // batch, or per chunk on the pool (search.Scan) — and charges the scan,
 // recv the pairs received (0 for the rank's own active set, which
-// nothing delivered). Both schedules call it once per part.
+// nothing delivered). ads holds the batch's distances in batch order —
+// with a one-member column the owned distance array, read at a
+// vertex's column, its local index. Both schedules call it once per
+// part.
 func (e *engine2D) relaxPart(b *search.Bins[uint32], avs, ads []uint32, light bool, delta uint32, recv int) {
 	search.Scan(b, e.c, e.pl, len(avs), relaxGrain, recv, relaxScan{e, avs, ads, light, delta})
 }
@@ -33,8 +36,12 @@ type relaxScan struct {
 
 // Chunk is relaxPart's body over the pairs [lo, hi).
 func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int, _ bool) {
-	e, avs, ads, light, delta := k.e, k.avs[lo:hi], k.ads[lo:hi], k.light, k.delta
+	e, avs, ads, light, delta := k.e, k.avs[lo:hi], k.ads, k.light, k.delta
 	st := e.st
+	local := e.col == nil
+	if !local {
+		ads = ads[lo:hi]
+	}
 	l := st.Layout
 	var cis [partition.ResolveBatch]uint32
 	for len(avs) > 0 {
@@ -45,6 +52,9 @@ func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int, _ bool) {
 				continue // no partial list here (possible only locally)
 			}
 			dv := ads[idx]
+			if local {
+				dv = ads[ci]
+			}
 			for i := st.Off[ci]; i < st.Off[ci+1]; i++ {
 				o.Scanned++
 				w := e.weightAt(i)
@@ -61,6 +71,9 @@ func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int, _ bool) {
 				o.X[j] = append(o.X[j], cand)
 			}
 		}
-		avs, ads = avs[n:], ads[n:]
+		avs = avs[n:]
+		if !local {
+			ads = ads[n:]
+		}
 	}
 }

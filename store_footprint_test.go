@@ -13,15 +13,17 @@ import (
 // compact column and a probe count per block-column vertex — 5 bytes a
 // vertex, where the column map cost 8 bytes a slot at two to four slots
 // per column with a list. A 1 x P store, whose columns are its owned
-// vertices, carries no column index at all. The perf lab's 2D graph
-// costs 15.78 MB where it cost 22.55 MB with a column map per rank and
-// 16.04 MB with a probe count per distinct row and 64-bit offsets; the
-// 16 x 1 mesh, where the dense index is least ahead (each rank's block
-// column is every vertex), 26.11 MB where it cost 35.24 MB (26.21); the
-// 1D graph 1.41 MB (1.54). The ceilings, set 4% over the 2D readings and
-// 10% over the 1D one of the per-row counts, stand; the readings repeat
-// to within 0.05 MB, and a retained loader index or a second per-entry
-// array lands well above them.
+// vertices, carries no column index at all, and row needs are stored by
+// mesh row, R bits a vertex. The perf lab's 2D graph costs 14.91 MB
+// where it cost 22.55 MB with a column map per rank, 16.04 MB with a
+// probe count per distinct row and 64-bit offsets, and 15.78 MB with a
+// 64-bit row-need word per vertex; the 16 x 1 mesh, where the dense
+// index is least ahead (each rank's block column is every vertex),
+// 25.40 MB where it cost 35.24 MB (26.21, 26.11); the 1D graph 1.41 MB
+// (1.54). The ceilings are set 4% over the 2D readings, and 10% over
+// the 1D one of the per-row counts; the readings repeat to within
+// 0.05 MB, and a retained loader index or a second per-entry array
+// lands well above them.
 func TestStoreFootprint(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{R: 4, C: 4})
 	if err != nil {
@@ -39,9 +41,9 @@ func TestStoreFootprint(t *testing.T) {
 		part    Partition
 		ceiling float64 // MB
 	}{
-		{"bfs2d", 100000, Part2D, 16.7},
+		{"bfs2d", 100000, Part2D, 15.5},
 		{"multibfs1d", 16000, Part1DCol, 1.7},
-		{"bfs1drow", 100000, Part1DRow, 27.3},
+		{"bfs1drow", 100000, Part1DRow, 26.4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := Generate(tc.n, 10, 9)
