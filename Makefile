@@ -74,8 +74,13 @@ bench:
 # P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes —
 # and the transport's frame checksum on 16- and 16k-word payloads, in
 # MB/s.
-# Last the paper's top-down level as a whole: full top-down searches of
+# Then the paper's top-down level as a whole: full top-down searches of
 # the lab's 100,000-vertex graph on 4x4, in ns/op and allocs/op.
+# Last the three loops that read each edge entry's local row, with their
+# allocations: the bottom-up claim scan (direction-optimizing searches
+# of the same graph), the Δ-stepping relax scan (searches of a weighted
+# 100,000-vertex graph on 4x4) and the loader that numbers the rows
+# (Build2D of another). Together about 3 s.
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench='Combine|UnionSorted' -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
@@ -84,6 +89,9 @@ bench-smoke: bench
 	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
 	$(GO) test -run=^$$ -bench=Checksum -benchtime=100x -benchmem ./internal/comm
 	$(GO) test -run=^$$ -bench=DirectionTopDown -benchtime=20x -benchmem .
+	$(GO) test -run=^$$ -bench='^BenchmarkDirectionOptimizing$$' -benchtime=20x -benchmem .
+	$(GO) test -run=^$$ -bench='^BenchmarkDeltaStepping$$' -benchtime=10x -benchmem .
+	$(GO) test -run=^$$ -bench='^BenchmarkBuild2D$$' -benchtime=5x -benchmem .
 
 # The wall-clock perf lab is its own module (bench/go.mod), outside
 # `go test ./...`: run its tests — every workload at n = 2000,

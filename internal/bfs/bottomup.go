@@ -77,7 +77,7 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	fPieces, fst := collective.Gather(e.c, e.rowG, o, "allgather", fSend, chargeRecv(e.rowG.Me))
 	unwireBitPieces(e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 	rec.ExpandWords = fst.RecvWords
-	row := e.rowPieces(fPieces)
+	row := e.rowBits(fPieces)
 
 	var uPieces, claims [][]uint32
 	if column {
@@ -142,38 +142,20 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	return rec, foundTarget
 }
 
-// rowFrontier tests row vertices against the gathered frontier pieces
-// without dividing: u's block is the high word of M·u, M = ⌊(2⁶⁴−1)/bs⌋+1,
-// exact for every uint32 u and bs (Lemire, Kaser & Kurz 2019); at bs = 1
-// M wraps to 0 and one, all ones, makes the block u itself. pieces[b] is
-// block b's piece, nil off this rank's mesh row.
-type rowFrontier struct {
-	pieces  [][]uint32
-	m       uint64
-	bs, one uint32
-}
-
-// has reports whether row vertex u is in the frontier.
-func (r *rowFrontier) has(u uint32) bool {
-	hi, _ := bits.Mul64(r.m, uint64(u))
-	b := uint32(hi) | u&r.one
-	return frontier.TestBit(r.pieces[b], u-b*r.bs)
-}
-
-// rowPieces indexes the level's gathered frontier pieces by vertex
-// block: row-group member j, at mesh position (i, j), owns block j·R+i.
-func (e *engine2D) rowPieces(fPieces [][]uint32) *rowFrontier {
-	l, r := e.st.Layout, &e.row
-	if r.pieces == nil {
-		r.pieces, r.bs = make([][]uint32, l.P()), uint32(l.BlockSize())
-		if r.m = ^uint64(0)/uint64(r.bs) + 1; r.m == 0 {
-			r.one = ^uint32(0)
-		}
+// rowBits lays the level's gathered frontier pieces out by local row:
+// row-group member j's piece at bit j·span, where RowIdx numbers its
+// rows, so an entry's parent test is one bit read at its row. The
+// pieces keep their lengths from level to level, so the bits past a
+// piece stay zero.
+func (e *engine2D) rowBits(fPieces [][]uint32) []uint32 {
+	if e.row == nil {
+		e.row = frontier.NewBits(e.st.RowCount)
 	}
+	words := len(e.row) / len(fPieces) // span / 32 a member
 	for j, piece := range fPieces {
-		r.pieces[j*l.R+e.st.I] = piece
+		copy(e.row[j*words:(j+1)*words], piece)
 	}
-	return r
+	return e.row
 }
 
 // unlabeledBits returns the side's unlabeled owned vertices as a wire
@@ -235,14 +217,14 @@ func (e *engine2D) reduceClaims(claims [][]uint32, tag int, handle collective.Ha
 // running at once, so when shared the set is atomic; which bits get set
 // is schedule-independent (each vertex's scan touches only its own
 // partial list). It returns the edge entries inspected.
-func (e *engine2D) claimParents(s *sideState, row *rowFrontier, uPieces, claims [][]uint32, lo, hi int, shared bool) (edges int) {
-	st, r := e.st, *row
-	rows, colOff := st.Rows, st.Off
+func (e *engine2D) claimParents(s *sideState, row []uint32, uPieces, claims [][]uint32, lo, hi int, shared bool) (edges int) {
+	st := e.st
+	rows, colOff := st.RowIdx, st.Off
 	// scan walks column ci's list to its first frontier parent.
 	scan := func(ci uint32) bool {
-		for _, u := range rows[colOff[ci]:colOff[ci+1]] {
+		for _, ri := range rows[colOff[ci]:colOff[ci+1]] {
 			edges++
-			if r.has(uint32(u)) {
+			if frontier.TestBit(row, ri) {
 				return true
 			}
 		}

@@ -55,8 +55,9 @@ type engine2D struct {
 	bundle  *collective.BundleCodec
 	lanes   *search.Fold[uint64]
 	laneCol *search.Column[uint64]
-	// row indexes a bottom-up level's frontier pieces by vertex block.
-	row rowFrontier
+	// row is a bottom-up level's gathered frontier by local row (see
+	// rowBits).
+	row []uint32
 }
 
 // newEngine2D builds rank c's engine with the scratch its run uses: a

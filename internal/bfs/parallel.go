@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/search"
 )
@@ -58,7 +57,6 @@ type partScan[M any] struct {
 // neither read nor binned (search.Column's idiom).
 func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
 	st, seen, part, xs := ps.e.st, ps.s.seen, ps.part[from:to], ps.xs
-	l := st.Layout
 	local := ps.e.colG.Size() == 1
 	var x M
 	if unsafe.Sizeof(x) != 0 && !local {
@@ -89,7 +87,7 @@ func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
 					x = xs[idx]
 				}
 			}
-			binList(o, l, st.Rows[lo:hi], x)
+			binList(o, st, st.RowIdx[lo:hi], x)
 		}
 		if unsafe.Sizeof(x) != 0 && !local {
 			xs = xs[n:]
@@ -114,13 +112,14 @@ func markRows(seen []uint64, rows []uint32, shared bool) {
 	}
 }
 
-// binList bins list's vertices by owner mesh column, each with x. It is
-// never inlined: in Chunk, beside the marking path, this loop spills.
+// binList bins the row vertices at local rows rows by owner mesh
+// column, each with x. It is never inlined: in Chunk, beside the marking
+// path, this loop spills.
 //
 //go:noinline
-func binList[M any](o *search.Bins[M], l *partition.Layout2D, list []graph.Vertex, x M) {
-	for _, u := range list {
-		j := l.ColBlockOf(u)
+func binList[M any](o *search.Bins[M], st *partition.Store2D, rows []uint32, x M) {
+	for _, ri := range rows {
+		u, j := st.RowVertex(ri)
 		o.V[j] = append(o.V[j], uint32(u))
 		if unsafe.Sizeof(x) != 0 {
 			o.X[j] = append(o.X[j], x)

@@ -31,10 +31,9 @@ import (
 // single all-to-all, the fold); R x 1 is the row-wise 1D partition the
 // paper also measures in Table 1.
 type Layout2D struct {
-	N       int // vertices
-	R, C    int // mesh dimensions
-	bs      int // block size = ceil(N/P)
-	colSpan int // vertices in a block column, R*bs
+	N    int // vertices
+	R, C int // mesh dimensions
+	bs   int // block size = ceil(N/P)
 }
 
 // NewLayout2D validates and builds a layout.
@@ -47,7 +46,7 @@ func NewLayout2D(n, r, c int) (*Layout2D, error) {
 	}
 	p := r * c
 	bs := (n + p - 1) / p
-	return &Layout2D{N: n, R: r, C: c, bs: bs, colSpan: r * bs}, nil
+	return &Layout2D{N: n, R: r, C: c, bs: bs}, nil
 }
 
 // P returns the number of ranks R*C.
@@ -80,19 +79,15 @@ func (l *Layout2D) OwnedCount(rank int) int {
 	return int(hi - lo)
 }
 
-// ColBlockOf returns the processor-column index j whose ranks (i', j)
-// store the edge lists (matrix column) of vertex v: BlockOf(v) / R in
-// one division, since ⌊⌊v/bs⌋/R⌋ = ⌊v/(bs·R)⌋.
-func (l *Layout2D) ColBlockOf(v graph.Vertex) int { return int(v) / l.colSpan }
-
 // RowIndexOf returns the mesh row i' of the ranks storing matrix rows
 // of vertex u (entries "u appears in an edge list").
 func (l *Layout2D) RowIndexOf(u graph.Vertex) int { return l.BlockOf(u) % l.R }
 
 // StoringRank returns the world rank storing matrix entry
-// (row u, column v): mesh position (RowIndexOf(u), ColBlockOf(v)).
+// (row u, column v): mesh position (RowIndexOf(u), BlockOf(v) / R), the
+// processor column whose ranks store v's edge lists (matrix column).
 func (l *Layout2D) StoringRank(u, v graph.Vertex) int {
-	return l.RankAt(l.RowIndexOf(u), l.ColBlockOf(v))
+	return l.RankAt(l.RowIndexOf(u), l.BlockOf(v)/l.R)
 }
 
 // View is what a run harness reads of a layout: the vertex count, the

@@ -126,6 +126,11 @@ var memoCases = []memoCase{
 	{"dup-and-self-edges", fixedN(300), dupSelfEdges},
 	{"last-owner-only", fixedN(600), lastOwnerEdges},
 	{"n=P+1", func(p int) int { return p + 1 }, pathEdges},
+	// Block size 1: each block is one vertex, so a member's rows are one
+	// bit of its span.
+	{"n=P", func(p int) int { return p }, pathEdges},
+	// The last block holds one vertex of the block size 2.
+	{"n=2P-1", func(p int) int { return 2*p - 1 }, pathEdges},
 }
 
 func visitor(es []wedge) WeightedVisitor {
@@ -241,7 +246,7 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 		getOrPut(colMaps[rk], v, nextCol[rk])
 		getOrPut(rowMaps[rk], u, nextRow[rk])
 		lists[rk][v] = append(lists[rk][v], entry{u, w})
-		fold[rk][l.ColBlockOf(u)]++
+		fold[rk][l.BlockOf(u)/l.R]++
 		owner := l.OwnerRank(v)
 		lo, _ := l.OwnedRange(owner)
 		i, li := l.RowIndexOf(u), int(v-lo)
@@ -256,27 +261,26 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 		if weighted != (st.RowWts != nil) {
 			t.Fatalf("rank %d: weighted=%v but RowWts nil=%v", rk, weighted, st.RowWts == nil)
 		}
-		if len(st.RowIdx) != len(st.Rows) {
-			t.Fatalf("rank %d: %d RowIdx entries for %d Rows", rk, len(st.RowIdx), len(st.Rows))
-		}
 		// A row's bit is its position in the owned range of its owner,
-		// fold-group member m, whose rows take span bits from m·span.
+		// fold-group member m, whose rows take span bits from m·span, and
+		// RowVertex reads the row vertex and m back off it.
 		span := (l.BlockSize() + 63) / 64 * 64
 		if st.RowCount != c*span || st.DistinctRows != rowMaps[rk].Len() || len(st.ListProbes) != len(st.Off)-1 {
 			t.Fatalf("rank %d: RowCount %d (C·span %d), DistinctRows %d (reference map holds %d), %d ListProbes for %d lists",
 				rk, st.RowCount, c*span, st.DistinctRows, rowMaps[rk].Len(), len(st.ListProbes), len(st.Off)-1)
 		}
-		for k, u := range st.Rows {
-			ri := int(st.RowIdx[k])
-			m, off := ri/span, ri%span
+		for k, ri := range st.RowIdx {
+			m, off := int(ri)/span, int(ri)%span
 			lo, hi := l.OwnedRange(l.RankAt(st.I, m))
-			if m >= c || off >= int(hi-lo) || lo+graph.Vertex(off) != u {
-				t.Fatalf("rank %d entry %d: RowIdx %d decodes to member %d offset %d, not row vertex %d", rk, k, ri, m, off, u)
+			u, um := st.RowVertex(ri)
+			if m >= c || off >= int(hi-lo) || lo+graph.Vertex(off) != u || int(um) != m {
+				t.Fatalf("rank %d entry %d: RowIdx %d decodes to member %d offset %d, but RowVertex says vertex %d of member %d", rk, k, ri, m, off, u, um)
 			}
 		}
 		for ci, got := range st.ListProbes {
 			want := 0
-			for _, u := range st.Rows[st.Off[ci]:st.Off[ci+1]] {
+			for _, ri := range st.RowIdx[st.Off[ci]:st.Off[ci+1]] {
+				u, _ := st.RowVertex(ri)
 				_, ok, probes := rowMaps[rk].GetCounted(u)
 				if !ok {
 					t.Fatalf("rank %d list %d: row vertex %d is not in the reference row map", rk, ci, u)
@@ -302,8 +306,8 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 			}
 			for x, e := range want {
 				k := st.Off[ci] + uint32(x)
-				if st.Rows[k] != e.u || (weighted && st.RowWts[k] != e.w) {
-					t.Fatalf("rank %d column %d entry %d: row %d, want (%d, w=%d) in stream order", rk, v, x, st.Rows[k], e.u, e.w)
+				if u, _ := st.RowVertex(st.RowIdx[k]); u != e.u || (weighted && st.RowWts[k] != e.w) {
+					t.Fatalf("rank %d column %d entry %d: row %d, want (%d, w=%d) in stream order", rk, v, x, u, e.u, e.w)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -57,8 +56,8 @@ func TestLayout2DExpandInvariant(t *testing.T) {
 	for v := graph.Vertex(0); v < 100; v++ {
 		owner := l.OwnerRank(v)
 		_, ownerJ := l.MeshOf(owner)
-		if l.ColBlockOf(v) != ownerJ {
-			t.Fatalf("vertex %d: column block %d but owner column %d", v, l.ColBlockOf(v), ownerJ)
+		if l.BlockOf(v)/l.R != ownerJ {
+			t.Fatalf("vertex %d: column block %d but owner column %d", v, l.BlockOf(v)/l.R, ownerJ)
 		}
 		// Every storing rank for entries (u, v) is in mesh column ownerJ.
 		for u := graph.Vertex(0); u < 100; u += 7 {
@@ -142,37 +141,22 @@ func TestLayout1DBasics(t *testing.T) {
 	}
 }
 
-// TestColBlockOfOneDivision: ColBlockOf's single division by R·bs is
-// the two-division BlockOf(v) / R for every vertex, the last partial
-// block included.
-func TestColBlockOfOneDivision(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, mesh := range [][2]int{{1, 1}, {1, 16}, {4, 4}, {16, 1}, {3, 5}} {
-		for _, n := range []int{1, 15, 16, 17, 1000, 99991} {
-			l, err := NewLayout2D(n, mesh[0], mesh[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs := []int{0, n - 1, (n - 1) / l.BlockSize() * l.BlockSize()} // ends, last block's start
-			for i := 0; i < 200; i++ {
-				vs = append(vs, rng.Intn(n))
-			}
-			for _, v := range vs {
-				if got, want := l.ColBlockOf(graph.Vertex(v)), l.BlockOf(graph.Vertex(v))/l.R; got != want {
-					t.Fatalf("mesh %v n=%d: ColBlockOf(%d) = %d, BlockOf/R = %d", mesh, n, v, got, want)
-				}
-			}
-		}
-	}
-}
-
 // partialList returns the partial edge list st holds for v, nil if none.
 func partialList(st *Store2D, v graph.Vertex) []graph.Vertex {
 	lo, hi, ok := column(st, v)
 	if !ok {
 		return nil
 	}
-	return st.Rows[lo:hi]
+	return rowVertices(st, st.RowIdx[lo:hi])
+}
+
+// rowVertices returns the global row vertices of the local rows rows.
+func rowVertices(st *Store2D, rows []uint32) []graph.Vertex {
+	us := make([]graph.Vertex, len(rows))
+	for k, ri := range rows {
+		us[k], _ = st.RowVertex(ri)
+	}
+	return us
 }
 
 // partialWeights returns the weights parallel to partialList(st, v).
@@ -184,7 +168,7 @@ func partialWeights(st *Store2D, v graph.Vertex) []uint32 {
 	return st.RowWts[lo:hi]
 }
 
-// column returns the [lo, hi) span of v's list in st's Rows.
+// column returns the [lo, hi) span of v's list in st's RowIdx.
 func column(st *Store2D, v graph.Vertex) (lo, hi uint32, ok bool) {
 	ci, ok := uint32(v-st.Lo), v >= st.Lo && v < st.Hi // R = 1: columns are owned vertices
 	if st.ColIdx != nil {
@@ -232,10 +216,10 @@ func TestBuild1DMatchesCSR(t *testing.T) {
 			t.Fatalf("rank %d: %d Off for %d owned, %d ColIdx, %d ColProbes, %d ColIds, %d RowNeed", st.Rank,
 				len(st.Off), st.OwnedCount(), len(st.ColIdx), len(st.ColProbes), len(st.ColIds), len(st.RowNeed))
 		}
-		totalEdges += int64(len(st.Rows))
+		totalEdges += int64(len(st.RowIdx))
 		for li := uint32(0); li < uint32(st.OwnedCount()); li++ {
 			v := st.GlobalOf(li)
-			got := st.Rows[st.Off[li]:st.Off[li+1]]
+			got := rowVertices(st, st.RowIdx[st.Off[li]:st.Off[li+1]])
 			want := g.Neighbors(v)
 			if len(got) != len(want) {
 				t.Fatalf("vertex %d: %d neighbors, want %d", v, len(got), len(want))
@@ -274,7 +258,7 @@ func TestBuild2DCoversAllEntries(t *testing.T) {
 		// and compare against the CSR.
 		for v := graph.Vertex(0); int(v) < g.N; v++ {
 			var rebuilt []graph.Vertex
-			j := l.ColBlockOf(v)
+			j := l.BlockOf(v) / l.R
 			for i := 0; i < l.R; i++ {
 				st := stores[l.RankAt(i, j)]
 				part := partialList(st, v)
@@ -319,7 +303,7 @@ func TestBuild2DRowNeed(t *testing.T) {
 	for v := graph.Vertex(0); int(v) < g.N; v++ {
 		owner := stores[l.OwnerRank(v)]
 		li := owner.LocalOf(v)
-		j := l.ColBlockOf(v)
+		j := l.BlockOf(v) / l.R
 		for i := 0; i < l.R; i++ {
 			st := stores[l.RankAt(i, j)]
 			nonEmpty := len(partialList(st, v)) > 0
@@ -349,8 +333,8 @@ func TestBuild2DNonEmptyColumnsBound(t *testing.T) {
 	for _, st := range stores {
 		// Upper bound: number of entries on the rank (each non-empty
 		// column has >= 1 entry) and the trivial n/C bound.
-		if st.NonEmptyColumns() > len(st.Rows) {
-			t.Fatalf("rank %d: %d non-empty columns with %d entries", st.Rank, st.NonEmptyColumns(), len(st.Rows))
+		if st.NonEmptyColumns() > len(st.RowIdx) {
+			t.Fatalf("rank %d: %d non-empty columns with %d entries", st.Rank, st.NonEmptyColumns(), len(st.RowIdx))
 		}
 		// The expected count is ~ (n/P)*k for this regime; assert it is
 		// well below the dense n/C bound.

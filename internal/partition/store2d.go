@@ -15,7 +15,8 @@ import (
 // partial edge list {u : (u,v) in E, block(u) mod R == i}. Only
 // non-empty partial lists are indexed (§2.4.1), in CSR form over compact
 // columns numbered in ascending vertex id, so a sorted frontier part
-// walks Off and Rows forward.
+// walks Off and RowIdx forward. An entry is one word, its row vertex's
+// local row (RowIdx), from which RowVertex recovers the global id.
 //
 // Of the three global→local mappings of §2.4.2 the first (owned
 // vertices) is block arithmetic, and the other two are resolved when the
@@ -52,9 +53,8 @@ type Store2D struct {
 	// rank holds fewer than 2^32 entries (ErrTooManyEntries).
 	ColIds []graph.Vertex // compact column index -> global v, strictly ascending; nil when R = 1
 	Off    []uint32
-	Rows   []graph.Vertex // global u ids
 	// RowWts, when non-nil, carries the edge weight parallel to each
-	// Rows entry (weight-aware builds only).
+	// RowIdx entry (weight-aware builds only).
 	RowWts []uint32
 
 	// ColIdx[v-ColBase], for each vertex v of the block column, is v's
@@ -66,16 +66,17 @@ type Store2D struct {
 	ColIdx    []uint32
 	ColProbes []uint8
 
-	// RowIdx, parallel to Rows, is each entry's local row, the bit the
-	// sent-neighbors cache (§2.4.3) keeps for it. A row vertex u is owned
-	// by rank (I, m) of this rank's processor row, m = ColBlockOf(u), and
-	// is numbered by position: m·span + u mod BlockSize, where span is
-	// BlockSize rounded up to 64. So member m of the fold group has the
-	// word-aligned bits [m·span, m·span+BlockSize), in vertex order, and
-	// RowCount = C·span bits cover every row.
+	// RowIdx is each entry's local row, the bit the sent-neighbors cache
+	// (§2.4.3) keeps for it, and the only per-entry row the store holds. A
+	// row vertex u is owned by rank (I, m) of this rank's processor row,
+	// m = BlockOf(u) / R, and is numbered by position: m·span + u mod
+	// BlockSize, where span is BlockSize rounded up to 64. So member m of
+	// the fold group has the word-aligned bits [m·span, m·span+BlockSize),
+	// in vertex order, and RowCount = C·span bits cover every row.
 	RowIdx   []uint32
 	RowCount int
-	// DistinctRows is the number of distinct row vertices in Rows.
+	span     uint32
+	// DistinctRows is the number of distinct row vertices in RowIdx.
 	DistinctRows int
 	// ListProbes[ci] sums, over the entries of partial list ci, the
 	// probes Map.GetCounted takes to find the entry's row vertex in the
@@ -84,10 +85,10 @@ type Store2D struct {
 	// of making the lookups. Build2D fails rather than truncate a count.
 	ListProbes []uint32
 
-	// FoldEntries[j] counts the Rows entries in block column j (the row
-	// vertices processor column j owns): the most pairs one sweep of a
-	// lane-parallel search bins for row-group member j, since a sweep
-	// scans each arrived vertex's partial list at most once.
+	// FoldEntries[j] counts the entries whose row vertex is in block
+	// column j (the row vertices processor column j owns): the most pairs
+	// one sweep of a lane-parallel search bins for row-group member j,
+	// since a sweep scans each arrived vertex's partial list at most once.
 	FoldEntries []uint32
 
 	// RowNeed marks, for each mesh row i' and owned vertex (by local
@@ -112,6 +113,15 @@ func (s *Store2D) LocalOf(v graph.Vertex) uint32 { return uint32(v - s.Lo) }
 
 // GlobalOf converts a local owned index to the global vertex id.
 func (s *Store2D) GlobalOf(i uint32) graph.Vertex { return s.Lo + graph.Vertex(i) }
+
+// RowVertex returns the global row vertex u at local row ri (see RowIdx)
+// and the fold-group member m that owns it: m = ri / span, and u sits
+// ri − m·span into block m·R + I. The arithmetic wraps in 32 bits and u
+// fits them, so u is exact.
+func (s *Store2D) RowVertex(ri uint32) (u graph.Vertex, m uint32) {
+	m = ri / s.span
+	return graph.Vertex((m*uint32(s.Layout.R)+uint32(s.I))*uint32(s.Layout.bs) + ri - m*s.span), m
+}
 
 // ResolveBatch is the most vertices one ResolveColumns call looks up:
 // enough for the independent index loads to overlap, small enough for the
@@ -188,7 +198,7 @@ func (s *Store2D) Memory() MemoryStats {
 		OwnedVertices:   s.OwnedCount(),
 		NonEmptyColumns: s.NonEmptyColumns(),
 		DistinctRows:    s.DistinctRows,
-		EdgeEntries:     len(s.Rows),
+		EdgeEntries:     len(s.RowIdx),
 		DenseColumns:    l.R * l.BlockSize(), // vertices in my block column
 	}
 }
@@ -219,7 +229,7 @@ func Build2D(l *Layout2D, visitEdges func(func(u, v graph.Vertex)) error) ([]*St
 }
 
 // Build2DWeighted is Build2D with per-edge weights: every partial edge
-// list entry carries its weight in RowWts, parallel to Rows.
+// list entry carries its weight in RowWts, parallel to RowIdx.
 func Build2DWeighted(l *Layout2D, visit WeightedVisitor) ([]*Store2D, error) {
 	return build2D(l, visit, true)
 }
@@ -233,7 +243,8 @@ type end struct {
 
 func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, error) {
 	n, p, bs := l.N, l.P(), l.BlockSize()
-	colSpan := l.R * bs // vertices in a block column
+	colSpan := l.R * bs     // vertices in a block column
+	span := (bs + 63) &^ 63 // local rows a fold-group member's block takes
 	stores := make([]*Store2D, p)
 	for r := range stores {
 		i, j := l.MeshOf(r)
@@ -241,6 +252,8 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		st := &Store2D{
 			Layout: l, Rank: r, I: i, J: j, Lo: lo, Hi: hi,
 			FoldEntries: make([]uint32, l.C),
+			RowCount:    l.C * span,
+			span:        uint32(span),
 			rowNeedWpr:  (int(hi-lo) + 63) / 64,
 		}
 		if l.R > 1 {
@@ -266,7 +279,7 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	// entry.
 	next := make([]uint32, l.R*n)
 	// colSeq[rk] lists rank rk's columns in stream order, and seq[rk] the
-	// Rows slots pass 2 filled on it: the orders in which the second and
+	// entry slots pass 2 filled on it: the orders in which the second and
 	// third mappings' hash maps would have seen their keys.
 	colSeq := make([][]graph.Vertex, p)
 	seq := make([][]uint32, p)
@@ -358,21 +371,21 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 				return nil, fmt.Errorf("partition: rank %d column map: %w", r, err)
 			}
 		}
-		st.Rows = make([]graph.Vertex, st.Off[len(st.Off)-1])
-		st.RowIdx = make([]uint32, len(st.Rows))
-		seq[r] = make([]uint32, 0, len(st.Rows))
+		st.RowIdx = make([]uint32, st.Off[len(st.Off)-1])
+		seq[r] = make([]uint32, 0, len(st.RowIdx))
 		if weighted {
-			st.RowWts = make([]uint32, len(st.Rows))
+			st.RowWts = make([]uint32, len(st.RowIdx))
 		}
 	}
-	// Pass 2: fill rows, and their weights when carried; within a column
-	// entries keep stream order.
+	// Pass 2: fill each entry's local row — u's owner column u.j takes the
+	// rows from u.j·span, in block order — and its weight when carried;
+	// within a column entries keep stream order.
 	place := func(u, v end, w uint32) {
 		rk, pos := l.RankAt(u.i, v.j), u.i*n+int(v.v)
 		st := stores[rk]
 		k := next[pos]
 		next[pos]++
-		st.Rows[k] = u.v
+		st.RowIdx[k] = uint32(u.j*span + int(u.v) - (u.j*l.R+u.i)*bs)
 		seq[rk] = append(seq[rk], k)
 		st.FoldEntries[u.j]++
 		if weighted {
@@ -386,44 +399,34 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 	}); err != nil {
 		return nil, err
 	}
-	// Put each rank's rows in its row map in first-appearance order,
-	// through one dense index over all vertices handed clean from rank to
-	// rank, charge each list the lookups of its entries, and number each
-	// row by position.
-	index := make([]uint32, n) // first-appearance row + 1, 0 until the row appears
-	var order []graph.Vertex
+	// Put each rank's rows in its row map, keyed by the global vertex in
+	// first-appearance order, through one dense index over the local rows
+	// handed clean from rank to rank, and charge each list the lookups of
+	// its entries.
+	index := make([]uint32, l.C*span) // first-appearance row + 1, 0 until the row appears
+	var order []uint32                // local rows in first-appearance order
 	var rowProbes []uint8
-	var rowPos []uint32
-	span := (bs + 63) &^ 63
 	for r, st := range stores {
 		order = order[:0]
 		for _, k := range seq[r] {
-			if u := st.Rows[k]; index[u] == 0 {
-				order = append(order, u)
-				index[u] = uint32(len(order))
+			if ri := st.RowIdx[k]; index[ri] == 0 {
+				order = append(order, ri)
+				index[ri] = uint32(len(order))
 			}
 		}
 		seq[r] = nil
 		m.Reset(16)
-		for ri, u := range order {
-			m.Put(u, uint32(ri))
+		for x, ri := range order {
+			u, _ := st.RowVertex(ri)
+			m.Put(u, uint32(x))
 		}
 		rowProbes = slices.Grow(rowProbes[:0], len(order))[:len(order)]
 		err := chargeLookups(m, rowProbes)
-		// A row's position: member m = its block / R takes the bits from
-		// m·span, in block order.
-		rowPos = slices.Grow(rowPos[:0], len(order))[:len(order)]
-		for ri, u := range order {
-			b := int(u) / bs
-			rowPos[ri] = uint32(b/l.R*span + int(u) - b*bs)
-		}
 		st.ListProbes = make([]uint32, len(st.Off)-1)
 		for ci := range st.ListProbes {
 			var sum uint64
-			for k := st.Off[ci]; k < st.Off[ci+1]; k++ {
-				ri := index[st.Rows[k]] - 1
-				sum += uint64(rowProbes[ri])
-				st.RowIdx[k] = rowPos[ri]
+			for _, ri := range st.RowIdx[st.Off[ci]:st.Off[ci+1]] {
+				sum += uint64(rowProbes[index[ri]-1])
 			}
 			if sum > math.MaxUint32 && err == nil {
 				err = fmt.Errorf("list %d's lookups take %d probes, more than a list's count holds", ci, sum)
@@ -433,10 +436,10 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		if err != nil {
 			return nil, fmt.Errorf("partition: rank %d row map: %w", r, err)
 		}
-		for _, u := range order {
-			index[u] = 0
+		for _, ri := range order {
+			index[ri] = 0
 		}
-		st.DistinctRows, st.RowCount = len(order), l.C*span
+		st.DistinctRows = len(order)
 	}
 	return stores, nil
 }

@@ -163,11 +163,14 @@ func (o *Common) Resume(c *comm.Comm, st *partition.Store2D, fam string, fingerp
 }
 
 // storeDigest identifies the graph a rank's store holds: its offset and
-// edge-entry counts and a hash over its rows, offsets and weights. It is
-// computed only when a run halts or resumes.
+// edge-entry counts and a hash over its row vertices, offsets and
+// weights. It hashes each entry's global row vertex, not its local row,
+// so it names the graph however rows are numbered. It is computed only
+// when a run halts or resumes.
 func storeDigest(st *partition.Store2D) [3]uint64 {
-	h := checkpoint.Fingerprint(uint64(len(st.Off)), uint64(len(st.Rows)), uint64(len(st.RowWts)))
-	for _, u := range st.Rows {
+	h := checkpoint.Fingerprint(uint64(len(st.Off)), uint64(len(st.RowIdx)), uint64(len(st.RowWts)))
+	for _, ri := range st.RowIdx {
+		u, _ := st.RowVertex(ri)
 		h = checkpoint.Fingerprint(h, uint64(u))
 	}
 	for _, off := range st.Off {
@@ -176,7 +179,7 @@ func storeDigest(st *partition.Store2D) [3]uint64 {
 	for _, w := range st.RowWts {
 		h = checkpoint.Fingerprint(h, uint64(w))
 	}
-	return [3]uint64{uint64(len(st.Off)), uint64(len(st.Rows)), h}
+	return [3]uint64{uint64(len(st.Off)), uint64(len(st.RowIdx)), h}
 }
 
 // CheckRobustness rejects the checkpoint/restore combinations no run

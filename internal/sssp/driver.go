@@ -213,7 +213,7 @@ func runRank(c *comm.Comm, l partition.View, e *engine2D, opts Options, D []uint
 		maxW := uint32(c.AllReduceMax(uint64(e.maxWeight())))
 		st.delta = opts.Delta
 		if st.delta == 0 {
-			entries := c.AllReduceSum(uint64(len(e.st.Rows))) // local edge-list entries: 2m in all
+			entries := c.AllReduceSum(uint64(len(e.st.RowIdx))) // local edge-list entries: 2m in all
 			avgDeg := entries / uint64(max(1, l.N))
 			if avgDeg < 1 {
 				avgDeg = 1

@@ -42,7 +42,6 @@ func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int, _ bool) {
 	if !local {
 		ads = ads[lo:hi]
 	}
-	l := st.Layout
 	var cis [partition.ResolveBatch]uint32
 	for len(avs) > 0 {
 		n := min(len(avs), len(cis))
@@ -65,8 +64,7 @@ func (k relaxScan) Chunk(o *search.Bins[uint32], lo, hi int, _ bool) {
 				if cand < dv || cand == graph.MaxDist {
 					continue // saturated: stays unreachable
 				}
-				u := st.Rows[i]
-				j := l.ColBlockOf(u)
+				u, j := st.RowVertex(st.RowIdx[i])
 				o.V[j] = append(o.V[j], uint32(u))
 				o.X[j] = append(o.X[j], cand)
 			}
