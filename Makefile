@@ -23,8 +23,9 @@ tier1:
 
 # Race-detector pass: the SPMD ranks are goroutines sharing one address
 # space; any unsynchronized touch of a payload in flight shows up here.
-# -short is read by one test: the simulated ledger keeps its 240-line
-# matrix block under the detector and skips the n = 100,000 block.
+# -short is read by two tests: the simulated ledger keeps its 240-line
+# matrix block under the detector and skips the n = 100,000 block, and
+# TestValueFoldMatchesReference skips its 1 x 260 mesh.
 race:
 	$(GO) test -race -short ./...
 
@@ -56,7 +57,7 @@ bench:
 # (BenchmarkExhibit, in internal/harness, ranges over harness.All).
 # Then the combine step's micro-benchmarks with allocation counts: one
 # rank's share of multibfs1d-64's largest sweep at 0/50/90% duplicates
-# through localindex.Combiner (union / OR / min), beside the
+# through the owner's localindex.Combiner (OR / min), beside the
 # sort-then-compact merge it replaced, and the union folds' merge of
 # two 10,000-id sets at 10/50/90% overlap into reused scratch, in ns
 # per id. 0 allocs/op is the expectation.
@@ -67,30 +68,35 @@ bench:
 # ranks of the same graph, a dense frontier (half the owned vertices,
 # staged as bitmap words) and a sparse one (one in 64, as ids), raw id
 # lists on the wire, in ns/op and allocs/op.
-# Then the bottom-up level's wire codec: one 4x4 rank's owned bitmap of
-# the lab's 100,000-vertex graph through the hybrid bits encoder at 3%,
-# 25% and 60% occupancy, in ns/op.
+# Then the wire codec: one 4x4 rank's owned bitmap of the lab's
+# 100,000-vertex graph through the hybrid bits encoder at 3%, 25% and
+# 60% occupancy (the bottom-up level's), in ns/op; and a value fold's
+# member universes of 2,500 and 6,250 ids at 1, 5, 20 and 50% occupancy
+# through the one-pass hybrid set encoder and its decoder, in ns per id,
+# 0 allocs/op into a reused buffer.
 # Then the simulator's fixed cost in P (ROADMAP item 4): NewWorld at
 # P = 16 and 256, in B/op and allocs/op — today the P^2 mailboxes —
 # and the transport's frame checksum on 16- and 16k-word payloads, in
 # MB/s.
 # Then the paper's top-down level as a whole: full top-down searches of
 # the lab's 100,000-vertex graph on 4x4, in ns/op and allocs/op.
-# Last the three loops that read each edge entry's local row, with their
+# Last the four loops that read each edge entry's local row, with their
 # allocations: the bottom-up claim scan (direction-optimizing searches
 # of the same graph), the Δ-stepping relax scan (searches of a weighted
-# 100,000-vertex graph on 4x4) and the loader that numbers the rows
-# (Build2D of another). Together about 3 s.
+# 100,000-vertex graph on 4x4), the 64-lane MultiBFS sweep that ORs its
+# masks at the row (the perf lab's multibfs1d-64 shape) and the loader
+# that numbers the rows (Build2D of another). Together about 4 s.
 bench-smoke: bench
 	$(GO) test -run=^$$ -bench='Combine|UnionSorted' -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
 	$(GO) test -run=^$$ -bench=ColumnExpand -benchtime=100x -benchmem ./internal/search
-	$(GO) test -run=^$$ -bench=EncodeBits -benchtime=100x -benchmem ./internal/frontier
+	$(GO) test -run=^$$ -bench='EncodeBits|EncodeSet|DecodeSet' -benchtime=100x -benchmem ./internal/frontier
 	$(GO) test -run=^$$ -bench=NewWorld -benchtime=10x -benchmem ./internal/comm
 	$(GO) test -run=^$$ -bench=Checksum -benchtime=100x -benchmem ./internal/comm
 	$(GO) test -run=^$$ -bench=DirectionTopDown -benchtime=20x -benchmem .
 	$(GO) test -run=^$$ -bench='^BenchmarkDirectionOptimizing$$' -benchtime=20x -benchmem .
 	$(GO) test -run=^$$ -bench='^BenchmarkDeltaStepping$$' -benchtime=10x -benchmem .
+	$(GO) test -run=^$$ -bench='^BenchmarkMultiBFS1D$$' -benchtime=5x -benchmem .
 	$(GO) test -run=^$$ -bench='^BenchmarkBuild2D$$' -benchtime=5x -benchmem .
 
 # The wall-clock perf lab is its own module (bench/go.mod), outside

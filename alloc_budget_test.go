@@ -20,16 +20,17 @@ import (
 // n-sized array that comes back as one allocation lands above the bytes
 // ceilings. The readings repeat exactly:
 //
-//	case                 allocs  MB     under -race  (before the top-down sets were built once)
-//	sssp2d                8523   1.739  9252, 1.769  (9129, 1.829)
-//	multibfs1d            4154   2.658  5031, 2.714  (4154, 2.658)
-//	multibfs2d-service     604   6.705   772, 7.376  (768, 7.438)
-//	bfs2d                 1259   0.439  1387, 0.482  (2222, 0.716)
-//	bfs2d-service          424   0.623   515, 0.709  (519, 0.705)
+//	case                 allocs  MB     under -race  (before the value folds merged at the row)
+//	sssp2d                7451   1.554  7900, 1.570  (8523, 1.739)
+//	multibfs1d            3594   2.641  3741, 2.662  (4154, 2.658)
+//	multibfs2d-service     575   4.386   707, 5.046  (604, 6.705)
+//	bfs2d                 1188   0.428  1377, 0.511  (1259, 0.439)
+//	bfs2d-service          408   0.622   503, 0.748  (424, 0.623)
 //
 // The race detector's runs (make race) read higher and repeat exactly
 // too. Count ceilings sit about 20% over the count they were set at —
-// sssp2d's, bfs2d's and bfs2d-service's over the -race readings above;
+// sssp2d's, bfs2d's and bfs2d-service's over their -race readings of
+// 9252, 1387 and 515, before the top-down sets were built once;
 // multibfs1d's and multibfs2d-service's over 7256 and 875, before the
 // folds merged into run scratch; before the transport stopped
 // allocating per message sssp2d, bfs2d and bfs2d-service took 72857,

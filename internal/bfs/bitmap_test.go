@@ -11,22 +11,23 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/localindex"
+	"repro/internal/partition"
 )
 
 // TestLevelBitmapMatchesBins holds the top-down level's sent-cache path
 // — scan marks in seen, sets read off seen &^ sent — to the path it
 // replaced: every neighbor binned by owner mesh column, claimed in a
 // sent bitset indexed by the row map's first-appearance numbering,
-// charged its row lookup, and merged per bin by a localindex.Combiner.
-// Each level of each side runs its real expand twice over the same
-// frontier: once into the side's marks, once through the cache-off bins
-// that the reference then claims and merges. Per level it compares the
-// edge entries and probes charged, and per fold-group member the set
-// and the clock its making charged; then it delivers the real sets and
-// marks. The loops step the sides as driveUni and driveBidir do: one
-// side, two alternating sides (bi-directional), or one side with
-// bottom-up levels between top-down ones (direction-optimizing). Levels must match the
-// serial oracle at the end.
+// charged its row lookup, and merged per bin. Each level of each side
+// runs its real expand, and the same frontier runs a second column
+// expand whose parts a test-local kernel bins entry by entry for the
+// reference to claim. Per level it compares the edge entries and probes
+// charged, and per fold-group member the set and the clock its making
+// charged; then it delivers the real sets and marks. The loops step the
+// sides as driveUni and driveBidir do: one side, two alternating sides
+// (bi-directional), or one side with bottom-up levels between top-down
+// ones (direction-optimizing). Levels must match the serial oracle at
+// the end.
 func TestLevelBitmapMatchesBins(t *testing.T) {
 	star := func(n int) *graph.CSR {
 		var es [][2]graph.Vertex
@@ -115,7 +116,6 @@ func checkLevelBitmap(t *testing.T, label string, fx fixture, rows []*localindex
 	_, err := fx.world.Run(func(c *comm.Comm) {
 		rank := c.Rank()
 		e := newEngine2D(c, fx.st2[rank], l, opts, nil)
-		ref := newSetBins(c, e.rowG, l, &e.opts, &e.hist)
 		sides := []*sideState{e.newSide(fx.src, nil)}
 		if drv == "bidir" {
 			sides = append(sides, e.newSide(far, nil))
@@ -143,32 +143,51 @@ func checkLevelBitmap(t *testing.T, label string, fx fixture, rows []*localindex
 			}
 
 			// The level as the engine runs it: marks in s.seen.
-			e.bins.raw.Reset()
+			e.bins.tally.Reset()
 			var rec rankLevel
-			expand(e, s, &e.bins.raw, e.col, nil, tag, &rec)
-			// The reference: the same frontier through the cache-off
-			// bins, claimed entry by entry and charged its row lookups.
-			ref.raw.Reset()
-			var refRec rankLevel
-			expand(e, &sideState{F: s.F}, &ref.raw, e.col, nil, tag+1<<25, &refRec)
-			probes := ref.raw.Probes
-			for m, bin := range ref.raw.V {
-				kept := bin[:0]
-				for _, u := range bin {
-					ri, ok, p := rows[rank].GetCounted(u)
-					if !ok {
-						fail(rank, lvl, "row vertex %d is not in the row map", u)
-						continue
-					}
-					probes += uint64(p)
-					if !refSent[i].TestAndSet(ri) {
-						kept = append(kept, u)
+			expand(e, s, &e.bins.tally, e.col, nil, tag, &rec)
+			// The reference: the same frontier's parts binned entry by
+			// entry, claimed and charged their row lookups.
+			bins := make([][]uint32, e.rowG.Size())
+			var scanned int
+			var probes uint64
+			refScan := func(part []uint32) {
+				var cis [partition.ResolveBatch]uint32
+				for len(part) > 0 {
+					n := min(len(part), len(cis))
+					probes += e.st.ResolveColumns(part[:n], &cis)
+					part = part[n:]
+					for _, ci := range cis[:n] {
+						if ci == partition.NoColumn {
+							continue
+						}
+						for _, ri := range e.st.RowIdx[e.st.Off[ci]:e.st.Off[ci+1]] {
+							scanned++
+							u, m := e.st.RowVertex(ri)
+							x, ok, p := rows[rank].GetCounted(uint32(u))
+							if !ok {
+								fail(rank, lvl, "row vertex %d is not in the row map", u)
+								continue
+							}
+							probes += uint64(p)
+							if !refSent[i].TestAndSet(x) {
+								bins[m] = append(bins[m], uint32(u))
+							}
+						}
 					}
 				}
-				ref.raw.V[m] = kept
 			}
-			if got := e.bins.raw; got.Scanned != ref.raw.Scanned || got.Probes != probes {
-				fail(rank, lvl, "scanned %d in %d probes, reference %d in %d", got.Scanned, got.Probes, ref.raw.Scanned, probes)
+			if e.col == nil {
+				refScan(s.F.Vertices())
+			} else {
+				words, ids := s.F.Words(), []uint32(nil)
+				if words == nil {
+					ids = s.F.Vertices()
+				}
+				e.col.Expand(tag+1<<25, words, ids, nil, func(vs []uint32, _ []struct{}) { refScan(vs) })
+			}
+			if got := e.bins.tally; got.Scanned != scanned || got.Probes != probes {
+				fail(rank, lvl, "scanned %d in %d probes, reference %d in %d", got.Scanned, got.Probes, scanned, probes)
 			}
 			sets := make([][]uint32, e.rowG.Size())
 			e.bins.sent, e.bins.seen = s.sent, s.seen
@@ -176,7 +195,8 @@ func checkLevelBitmap(t *testing.T, label string, fx fixture, rows []*localindex
 				t0 := c.Clock()
 				got := e.bins.Append(make([]uint32, 0, e.bins.Len(m)), m)
 				t1 := c.Clock()
-				want := ref.Append(make([]uint32, 0, ref.Len(m)), m)
+				want := slices.Sorted(slices.Values(bins[m]))
+				c.ChargeItems(len(want), c.Model().VertexCost)
 				t2 := c.Clock()
 				if !slices.Equal(got, want) {
 					at := 0

@@ -47,9 +47,8 @@ type engine2D struct {
 	probes uint64
 	// The scratch of the run's steps: one source's union fold (see
 	// combine.go), targeted expand and two-phase bundle recompression;
-	// or a batch's lane fold, whose bins never regrow (a level scans an
-	// arrived vertex's partial list at most once), and its expand. A
-	// column expand is nil on a one-member column.
+	// or a batch's lane fold, whose scans OR their masks into its rows,
+	// and its expand. A column expand is nil on a one-member column.
 	bins    *setBins
 	col     *search.Column[struct{}]
 	bundle  *collective.BundleCodec
@@ -77,13 +76,13 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	}
 	column := e.colG.Size() > 1
 	if sources != nil {
-		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, l, lanePayload{len(sources), opts.Wire, &e.hist}, st.FoldEntries)
+		e.lanes = search.NewFold[uint64](c, e.rowG, &e.opts.Common, st, lanePayload{len(sources), opts.Wire, &e.hist})
 		if column {
 			e.laneCol = search.NewColumn[uint64](c, e.colG, &e.opts.Common, st, e.lanes)
 		}
 		return e
 	}
-	e.bins = newSetBins(c, e.rowG, l, &e.opts, &e.hist)
+	e.bins = newSetBins(c, e.rowG, st, &e.opts, &e.hist)
 	switch {
 	case column && opts.Expand == ExpandTargeted:
 		// Sparse parts are raw id lists, which the column writes itself.
@@ -441,11 +440,11 @@ func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 	var nbar []uint32
 	var ms []uint64
 	if e.lanes == nil {
-		e.bins.raw.Reset()
-		expand(e, s, &e.bins.raw, e.col, nil, tagBase, &rec)
+		e.bins.tally.Reset()
+		expand(e, s, &e.bins.tally, e.col, nil, tagBase, &rec)
 		nbar = e.bins.fold(s, tagBase+1<<24, &rec)
 	} else {
-		expand(e, s, e.lanes.Reset(), e.laneCol, s.batch.fmask, tagBase, &rec)
+		expand(e, s, e.lanes.Tally(), e.laneCol, s.batch.fmask, tagBase, &rec)
 		nbar, ms, rec.dups = e.lanes.Deliver(tagBase+1<<24, &rec.Step)
 	}
 	foundTarget := s.mark(e.opts, e.st.Lo, nbar, ms, &rec)
@@ -455,7 +454,8 @@ func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 
 // expand moves side s's frontier, each vertex with its payload from
 // fmask (nil when M carries nothing), to the ranks holding its partial
-// edge lists and scans each part into b as the exchange hands it over:
+// edge lists and scans each part, counting into t, as the exchange
+// hands it over:
 // under the overlapped schedule as it arrives, while the remaining parts
 // are on the wire, under the synchronous one in member order once the
 // last has arrived. Results are identical — the scans and merges are
@@ -464,26 +464,26 @@ func (e *engine2D) step(s *sideState, tagBase int) (rankLevel, bool) {
 // ledger, changes. The schedules are collective's business. With a
 // one-member processor column there is no expand: the scan reads the
 // owned frontier itself. Only one source reaches the dense expands.
-func expand[M any](e *engine2D, s *sideState, b *search.Bins[M], col *search.Column[M], fmask []M, tagBase int, rec *rankLevel) {
+func expand[M any](e *engine2D, s *sideState, t *search.Tally, col *search.Column[M], fmask []M, tagBase int, rec *rankLevel) {
 	switch {
 	case e.colG.Size() == 1:
-		scanPart(e, b, s, s.F.Vertices(), fmask, 0)
+		scanPart(e, t, s, s.F.Vertices(), fmask, 0)
 	case col != nil:
 		words, ids := s.F.Words(), []uint32(nil)
 		if words == nil {
 			ids = s.F.Vertices()
 		}
-		rec.ExpandWords = col.Expand(tagBase, words, ids, fmask, func(vs []uint32, xs []M) { scanPart(e, b, s, vs, xs, len(vs)) })
+		rec.ExpandWords = col.Expand(tagBase, words, ids, fmask, func(vs []uint32, xs []M) { scanPart(e, t, s, vs, xs, len(vs)) })
 	default:
 		// The dense expands (Algorithm 2 steps 7–11 as the ring all-gather
 		// or the two-phase expand of §3.2.2) move the whole frontier.
 		o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async, BundleMerge: e.bundle}
 		_, st := collective.Gather(e.c, e.colG, o, e.opts.Expand.String(), e.wireFrontier(s.F), func(_ int, part []uint32) {
 			vs, _ := expandWire{e}.Decode(part)
-			scanPart(e, b, s, vs, nil, len(vs))
+			scanPart(e, t, s, vs, []struct{}(nil), len(vs))
 		})
 		rec.ExpandWords = st.RecvWords
 	}
-	rec.Edges = b.Scanned
-	e.probes += b.Probes
+	rec.Edges = t.Scanned
+	e.probes += t.Probes
 }

@@ -95,6 +95,8 @@ type lanePayload struct {
 	hist *frontier.ContainerHist
 }
 
+func (lanePayload) Identity() uint64 { return 0 }
+
 func (lanePayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
 
 func (lanePayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {

@@ -1,9 +1,6 @@
 package bfs
 
 import (
-	"sync/atomic"
-	"unsafe"
-
 	"repro/internal/partition"
 	"repro/internal/search"
 )
@@ -31,65 +28,74 @@ const (
 // (Algorithm 2 step 12; with a one-member column, the rank's own
 // frontier and Algorithm 1 steps 7–9) and charges it, recv the vertices
 // received. With the sent-neighbors cache each entry's row bit is marked
-// in s.seen, from which setBins cuts the level's sets; without it
-// the level's bins b take every neighbor, by owner mesh column, each
-// with its vertex's payload. xs holds the part's payloads in part
+// in s.seen, from which setBins cuts the level's sets; without it each
+// entry merges at its row of the fold's rows: the row is marked and a
+// pair counted for its member, and a batch ORs its vertex's lane mask
+// into the row's accumulator. xs holds the part's payloads in part
 // order — with a one-member column the owned payload array, read at a
 // vertex's column, its local index — and is nil when M carries nothing.
-// Both schedules call it once per part; the marks and bins are merged
-// into sorted sets before they travel, so the sets and every charge are
-// the same either way.
-func scanPart[M any](e *engine2D, b *search.Bins[M], s *sideState, part []uint32, xs []M, recv int) {
-	search.Scan(b, e.c, e.pl, len(part), scanGrain, recv, partScan[M]{e, s, part, xs})
+// Both schedules call it once per part; the marks and merges are
+// order-insensitive, so the sets and every charge are the same either
+// way.
+func scanPart[M any](e *engine2D, t *search.Tally, s *sideState, part []uint32, xs []M, recv int) {
+	ps := partScan{e: e, seen: s.seen, part: part}
+	if e.lanes != nil {
+		ps.rows, ps.acc = &e.lanes.Rows, e.lanes.Acc
+		ps.xs, _ = any(xs).([]uint64)
+	} else if s.seen == nil {
+		ps.rows = &e.bins.rows
+	}
+	search.Scan(t, e.c, e.pl, len(part), scanGrain, recv, ps)
 }
 
-// partScan is scanPart's part: received frontier vertices and their
-// payloads.
-type partScan[M any] struct {
+// partScan is scanPart's part: received frontier vertices and their lane
+// masks, and where they merge.
+type partScan struct {
 	e    *engine2D
-	s    *sideState
+	seen []uint64     // the side's row marks, with the sent-neighbors cache
+	rows *search.Rows // else the fold's rows
+	acc  []uint64     // and a batch's lane accumulator, nil for one source
 	part []uint32
-	xs   []M
+	xs   []uint64
 }
 
 // Chunk is scanPart's body over part[from:to]; shared, its chunks run
-// concurrently and mark row bits atomically. A zero-size payload is
-// neither read nor binned (search.Column's idiom).
-func (ps partScan[M]) Chunk(o *search.Bins[M], from, to int, shared bool) {
-	st, seen, part, xs := ps.e.st, ps.s.seen, ps.part[from:to], ps.xs
+// concurrently and mark rows and merge masks atomically.
+func (ps partScan) Chunk(t *search.Tally, from, to int, shared bool) {
+	st, seen, part, xs := ps.e.st, ps.seen, ps.part[from:to], ps.xs
 	local := ps.e.colG.Size() == 1
-	var x M
-	if unsafe.Sizeof(x) != 0 && !local {
+	if xs != nil && !local {
 		xs = xs[from:to]
 	}
 	var cis [partition.ResolveBatch]uint32
 	for len(part) > 0 {
 		n := min(len(part), len(cis))
-		o.Probes += st.ResolveColumns(part[:n], &cis)
+		t.Probes += st.ResolveColumns(part[:n], &cis)
 		part = part[n:]
 		for idx, ci := range cis[:n] {
 			if ci == partition.NoColumn {
 				continue // no partial list here
 			}
 			lo, hi := st.Off[ci], st.Off[ci+1]
-			o.Scanned += int(hi - lo)
-			if seen != nil {
+			t.Scanned += int(hi - lo)
+			rows := st.RowIdx[lo:hi]
+			switch {
+			case seen != nil:
 				// The rows' indexes were resolved when the store was
 				// built; charge the lookups the paper's search makes.
-				o.Probes += uint64(st.ListProbes[ci])
-				markRows(seen, st.RowIdx[lo:hi], shared)
-				continue
-			}
-			if unsafe.Sizeof(x) != 0 {
+				t.Probes += uint64(st.ListProbes[ci])
+				markRows(seen, rows, shared)
+			case ps.acc != nil:
+				x := xs[idx]
 				if local {
 					x = xs[ci]
-				} else {
-					x = xs[idx]
 				}
+				orRows(ps.acc, ps.rows, t.Pairs, rows, x, shared)
+			default:
+				orRows(nil, ps.rows, t.Pairs, rows, 0, shared)
 			}
-			binList(o, st, st.RowIdx[lo:hi], x)
 		}
-		if unsafe.Sizeof(x) != 0 && !local {
+		if xs != nil && !local {
 			xs = xs[n:]
 		}
 	}
@@ -105,24 +111,29 @@ func markRows(seen []uint64, rows []uint32, shared bool) {
 		return
 	}
 	for _, ri := range rows {
-		w, m := &seen[ri>>6], uint64(1)<<(ri&63)
-		if atomic.LoadUint64(w)&m == 0 {
-			atomic.OrUint64(w, m)
-		}
+		search.MarkAtomic(seen, ri)
 	}
 }
 
-// binList bins the row vertices at local rows rows by owner mesh
-// column, each with x. It is never inlined: in Chunk, beside the marking
-// path, this loop spills.
+// orRows merges the entries at local rows rows into r (search.Rows):
+// each row is marked and counts a pair for its member, and x is ORed into
+// its accumulator when acc is non-nil — atomically when shared. It is
+// never inlined: in Chunk, beside the marking path, this loop spills.
 //
 //go:noinline
-func binList[M any](o *search.Bins[M], st *partition.Store2D, rows []uint32, x M) {
-	for _, ri := range rows {
-		u, j := st.RowVertex(ri)
-		o.V[j] = append(o.V[j], uint32(u))
-		if unsafe.Sizeof(x) != 0 {
-			o.X[j] = append(o.X[j], x)
+func orRows(acc []uint64, r *search.Rows, pairs []uint64, rows []uint32, x uint64, shared bool) {
+	switch {
+	case acc == nil:
+		for _, ri := range rows {
+			r.Mark(pairs, ri, shared)
+		}
+	case shared:
+		for _, ri := range rows {
+			r.OrShared(acc, pairs, ri, x)
+		}
+	default:
+		for _, ri := range rows {
+			r.Or(acc, pairs, ri, x)
 		}
 	}
 }

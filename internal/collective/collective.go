@@ -109,6 +109,26 @@ type Sets interface {
 	Append(dst []uint32, m int) []uint32
 }
 
+// Into is a Sets that also owns the memory the union folds write their
+// result into: Into returns it, and the fold writes from its start,
+// growing it only when its capacity is short of the last merge's
+// inputs, so a caller that hands back the result of its last call
+// merges into memory it already owns. It must not alias any set the
+// fold reads. Without it the result is fresh memory.
+type Into interface {
+	Sets
+	Into() []uint32
+}
+
+// into returns the memory sets owns for the fold's result, nil when it
+// owns none.
+func into(sets Sets) []uint32 {
+	if s, ok := sets.(Into); ok {
+		return s.Into()
+	}
+	return nil
+}
+
 // SetList is Sets over ready lists, list m destined to member m.
 type SetList [][]uint32
 

@@ -109,7 +109,7 @@ func Exchange(c *comm.Comm, g comm.Group, o Opts, prep Prep, handle Handle) Stat
 // Duplicate elimination happens after receipt (no in-flight reduction),
 // so Dups counts local merge savings only; contrast with TwoPhaseFold.
 func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, sets Sets) ([]uint32, Stats) {
-	acc := newUnion(c, nil, g.Size())
+	acc := newUnion(c, nil, g.Size(), into(sets))
 	own, scratch := c.Words(), c.Words()
 	wirePrep := func(m int) []uint32 {
 		n := sets.Len(m)
@@ -138,30 +138,35 @@ func ReduceScatterUnion(c *comm.Comm, g comm.Group, o Opts, sets Sets) ([]uint32
 
 // union accumulates the union of a fold's arriving parts. Every merge
 // but the last lands in one of two buffers borrowed from the rank's
-// Comm, the one the running union is not in; the last writes fresh
-// memory, the result the caller keeps. Nothing is written into a part.
+// Comm, the one the running union is not in; the last writes the result
+// the caller keeps into the memory its Sets owns (Into), grown only when
+// short, or fresh memory. Nothing is written into a part.
 type union struct {
 	c    *comm.Comm
 	buf  [2][]uint32
 	k    int      // the buffer the next merge writes
 	acc  []uint32 // the union so far, read-only
+	into []uint32 // where the last merge writes
 	left int      // parts still to come
 	dups int      // elements of the parts already in acc
 }
 
 // newUnion starts a union at acc, read-only, that parts more parts
-// extend.
-func newUnion(c *comm.Comm, acc []uint32, parts int) union {
-	return union{c: c, buf: [2][]uint32{c.Words(), c.Words()}, acc: acc, left: parts}
+// extend, the last merge into into.
+func newUnion(c *comm.Comm, acc []uint32, parts int, into []uint32) union {
+	return union{c: c, buf: [2][]uint32{c.Words(), c.Words()}, acc: acc, into: into[:0], left: parts}
 }
 
 // add merges the next sorted duplicate-free part into the union.
 func (u *union) add(part []uint32) {
 	u.left--
 	var d int
-	if u.left == 0 {
+	switch {
+	case u.left == 0 && u.into == nil:
 		u.acc, d = localindex.UnionSorted(u.acc, part)
-	} else {
+	case u.left == 0:
+		u.acc, d = localindex.UnionInto(u.into, u.acc, part)
+	default:
 		u.buf[u.k], d = localindex.UnionInto(u.buf[u.k][:0], u.acc, part)
 		u.acc, u.k = u.buf[u.k], u.k^1
 	}

@@ -191,7 +191,7 @@ func twoPhaseFold(c *comm.Comm, g comm.Group, o Opts, sets Sets) ([]uint32, Stat
 	// each step forwards what the previous one merged — and stays
 	// synchronous either way).
 	tr.Begin("phase", "phase2")
-	acc := newUnion(c, own, a-1)
+	acc := newUnion(c, own, a-1, into(sets))
 	tag2 := o.Tag + 1<<20
 	for i := range a {
 		if i != row {

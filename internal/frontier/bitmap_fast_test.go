@@ -26,7 +26,7 @@ func enumerateBits(words []uint32, n int, mode WireMode, h *ContainerHist) []uin
 				offs = append(offs, uint32(wi)*32+uint32(bits.TrailingZeros32(x)))
 			}
 		}
-		stream = encodeChunk(stream, offs, span, &hist)
+		stream = encodeChunk(stream, offs, 0, span, &hist)
 	}
 	if len(stream) >= len(words) {
 		h.DensePayloads++

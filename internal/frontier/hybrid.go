@@ -1,6 +1,10 @@
 package frontier
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // Hybrid chunked container codec: the universe [lo, lo+n) is split into
 // fixed-width chunks of ChunkSpan ids and every chunk is encoded
@@ -115,37 +119,56 @@ func uvarintLen(v uint32) int {
 	return n
 }
 
-// bytePacker streams a byte-granular container straight into its wire
-// words: bytes land little-endian, four to a word, and the last word is
-// zero-padded — no intermediate byte buffer.
-type bytePacker struct {
-	buf []uint32
-	cur uint32
-	n   uint // bytes held in cur
+// wordWriter writes a container's fields straight into its reserved
+// payload words through a 64-bit accumulator: fields land LSB-first, the
+// word being filled is stored after every field and the writer moves on
+// once it holds 32 bits, without a branch, and the last word is
+// zero-padded — no intermediate byte buffer. The byte-granular
+// containers (list, runs) write little-endian varints as 8- or 16-bit
+// fields, the packed one its fixed-width deltas. The payload must be
+// exactly as long as the fields written, as the chunk's pricing makes
+// it.
+type wordWriter struct {
+	out []uint32
+	i   int
+	acc uint64
+	n   uint // bits held in acc
 }
 
-func (p *bytePacker) put(b byte) {
-	p.cur |= uint32(b) << (8 * p.n)
-	if p.n++; p.n == 4 {
-		p.buf = append(p.buf, p.cur)
-		p.cur, p.n = 0, 0
+// reserve extends buf by words payload words and returns it with a
+// writer over them.
+func reserve(buf []uint32, words int) ([]uint32, wordWriter) {
+	at := len(buf)
+	buf = slices.Grow(buf, words)[:at+words]
+	return buf, wordWriter{out: buf[at:]}
+}
+
+// put writes the low width bits of v, width at most 32.
+func (w *wordWriter) put(v uint32, width uint) {
+	w.acc |= uint64(v) << w.n
+	w.n += width
+	w.out[w.i] = uint32(w.acc)
+	full := w.n >> 5
+	w.i += int(full)
+	w.acc >>= full << 5
+	w.n &= 31
+}
+
+// flush stores the bits a field spilled past the last full word.
+func (w *wordWriter) flush() {
+	if w.n > 0 {
+		w.out[w.i] = uint32(w.acc)
 	}
 }
 
-func (p *bytePacker) uvarint(v uint32) {
-	for v >= 0x80 {
-		p.put(byte(v) | 0x80)
-		v >>= 7
-	}
-	p.put(byte(v))
-}
-
-// words flushes the padded tail and returns the extended buffer.
-func (p *bytePacker) words() []uint32 {
-	if p.n > 0 {
-		p.buf = append(p.buf, p.cur)
-	}
-	return p.buf
+// uvarint writes v, below 2^14 as every chunk-relative value is, as a
+// LEB128 varint without a branch: one byte v below 128, else v's low
+// seven bits with the continuation bit, then v>>7 — the 16-bit field
+// v + (1 + v>>7)<<7.
+func (w *wordWriter) uvarint(v uint32) {
+	hi := v >> 7
+	two := min(hi, 1)
+	w.put(v+(two+hi)<<7, 8+8*uint(two))
 }
 
 // readUvarint decodes one varint at byte position pos of the packed
@@ -175,40 +198,118 @@ func readUvarint(words []uint32, pos int) (uint32, int) {
 
 func bytesToWords(n int) int { return (n + 3) / 4 }
 
-// --- chunk encoding -------------------------------------------------
+// --- chunk pricing --------------------------------------------------
 
-// chunkCosts returns the payload word counts of the four containers
-// for a chunk holding offs (ascending, chunk-relative) over span ids,
-// plus the run count and largest member gap the encoders need.
-func chunkCosts(offs []uint32, span int) (list, bitmap, runs, packed, nruns int, maxDelta uint32) {
-	listBytes := uvarintLen(uint32(len(offs)))
-	runsBytes := 0
-	prevEnd := uint32(0) // one past the previous run's last member
-	runStart := uint32(0)
-	for i, off := range offs {
-		if i == 0 {
-			listBytes += uvarintLen(off)
-			runStart = off
-			nruns++
-			continue
+// chunkStats are the counts a chunk's container costs follow from,
+// gathered in one walk over its members. A chunk's varints are one or
+// two bytes (every value is below ChunkSpan), so the list takes its
+// count varint, a byte a member and a byte more for every big value —
+// the first offset or a gap minus one of 128 or more; the runs take
+// their count varint, two bytes a run, a byte more for every big value
+// (each opens a run: its gap from the previous run's end) and one for
+// every long run, whose length-1 is 128 or more.
+type chunkStats struct {
+	count, big, nruns, long int
+	maxDelta                uint32 // largest gap minus one
+}
+
+// costs returns the payload words of the list, bitmap, runs and packed
+// containers of a chunk over span ids.
+func (s chunkStats) costs(span int) (list, bitmap, runs, packed int) {
+	list = bytesToWords(uvarintLen(uint32(s.count)) + s.count + s.big)
+	runs = bytesToWords(uvarintLen(uint32(s.nruns)) + 2*s.nruns + s.big + s.long)
+	return list, BitWords(span), runs, packedCost(s.count, s.maxDelta)
+}
+
+// choose picks the cheapest container and returns it with its payload
+// words, recording the choice in h. Ties keep the pre-packed preference
+// order (list, then runs, then bitmap), so the packed form is only ever
+// chosen when it strictly shrinks a chunk and can never regress.
+func (s chunkStats) choose(span int, h *ContainerHist) (choice uint32, words int) {
+	list, bitmap, runs, packed := s.costs(span)
+	choice, words = chunkList, list
+	if runs < words {
+		choice, words = chunkRuns, runs
+	}
+	if packed < words {
+		choice, words = chunkPacked, packed
+	}
+	if bitmap < words {
+		choice, words = chunkBitmap, bitmap
+	}
+	switch choice {
+	case chunkList:
+		h.ListChunks++
+	case chunkRuns:
+		h.RunChunks++
+	case chunkPacked:
+		h.PackedChunks++
+	default:
+		h.BitmapChunks++
+	}
+	return choice, words
+}
+
+// idStats prices the chunk of ascending ids from base in one pass over
+// their gaps, which do not depend on base; a second, branch-free pass
+// counts the long runs only when 128 zero gaps make one possible.
+func idStats(ids []uint32, base uint32) chunkStats {
+	s := chunkStats{count: len(ids)}
+	if len(ids) == 0 {
+		return s
+	}
+	big := min((ids[0]-base)>>7, 1)
+	var zeros, maxDelta uint32
+	prev := ids[0]
+	for _, v := range ids[1:] {
+		d := v - prev - 1
+		prev = v
+		maxDelta = max(maxDelta, d)
+		big += min(d>>7, 1)
+		zeros += 1 - min(d, 1)
+	}
+	s.big, s.nruns, s.maxDelta = int(big), len(ids)-int(zeros), maxDelta
+	if zeros >= 128 {
+		// A run longer than 128 ids opens at i when the 129 ids from i
+		// are consecutive and id i-1 is not ids[i]-1: counted without a
+		// branch, as ids ascend.
+		long := 1 - min(ids[128]-ids[0]-128, 1)
+		for i := 1; i+128 < len(ids); i++ {
+			long += (1 - min(ids[i+128]-ids[i]-128, 1)) & min(ids[i]-ids[i-1]-1, 1)
 		}
-		d := off - offs[i-1] - 1
-		if d > maxDelta {
-			maxDelta = d
-		}
-		listBytes += uvarintLen(d)
-		if off != offs[i-1]+1 {
-			runsBytes += uvarintLen(runStart-prevEnd) + uvarintLen(offs[i-1]-runStart)
-			prevEnd = offs[i-1] + 1
-			runStart = off
-			nruns++
+		s.long = int(long)
+	}
+	return s
+}
+
+// bitStats prices the chunk whose members are the set bits of w in one
+// walk over them.
+func bitStats(w []uint32) chunkStats {
+	var s chunkStats
+	prev, run := -1, 0 // run: the current run's length-1
+	for wi, x := range w {
+		for ; x != 0; x &= x - 1 {
+			off := wi*32 + bits.TrailingZeros32(x)
+			d := uint32(off - prev - 1) // the first member's offset itself
+			s.count++
+			s.big += int(min(d>>7, 1))
+			if prev >= 0 {
+				s.maxDelta = max(s.maxDelta, d)
+				if d == 0 {
+					run++
+					prev = off
+					continue
+				}
+				s.long += int(min(uint(run)>>7, 1))
+			}
+			s.nruns++
+			run, prev = 0, off
 		}
 	}
-	if len(offs) > 0 {
-		runsBytes += uvarintLen(runStart-prevEnd) + uvarintLen(offs[len(offs)-1]-runStart)
+	if s.nruns > 0 {
+		s.long += int(min(uint(run)>>7, 1))
 	}
-	runsBytes += uvarintLen(uint32(nruns))
-	return bytesToWords(listBytes), BitWords(span), bytesToWords(runsBytes), packedCost(len(offs), maxDelta), nruns, maxDelta
+	return s
 }
 
 // packedCost is the word count of the bit-packed fixed-width delta
@@ -225,71 +326,7 @@ func packedCost(count int, maxDelta uint32) int {
 	return 1 + ((count-1)*width+31)/32
 }
 
-// encodeChunk appends one chunk's header + payload for offs (ascending,
-// chunk-relative, duplicate-free) over span ids, choosing the cheapest
-// container, and records the choice in h.
-func encodeChunk(buf []uint32, offs []uint32, span int, h *ContainerHist) []uint32 {
-	if len(offs) == 0 {
-		h.EmptyChunks++
-		return append(buf, chunkEmpty<<chunkTypeShift)
-	}
-	list, bitmap, runs, packed, nruns, maxDelta := chunkCosts(offs, span)
-	// Cheapest container wins; ties keep the pre-packed preference order
-	// (list, then runs, then bitmap), so the packed form is only ever
-	// chosen when it strictly shrinks a chunk and can never regress.
-	best, choice := list, chunkList
-	if runs < best {
-		best, choice = runs, chunkRuns
-	}
-	if packed < best {
-		best, choice = packed, chunkPacked
-	}
-	if bitmap < best {
-		choice = chunkBitmap
-	}
-	switch choice {
-	case chunkList:
-		h.ListChunks++
-		p := bytePacker{buf: append(buf, chunkList<<chunkTypeShift|uint32(list))}
-		p.uvarint(uint32(len(offs)))
-		for i, off := range offs {
-			if i == 0 {
-				p.uvarint(off)
-			} else {
-				p.uvarint(off - offs[i-1] - 1)
-			}
-		}
-		return p.words()
-	case chunkPacked:
-		return appendPackedChunk(buf, offs, maxDelta, h)
-	case chunkRuns:
-		h.RunChunks++
-		p := bytePacker{buf: append(buf, chunkRuns<<chunkTypeShift|uint32(runs))}
-		p.uvarint(uint32(nruns))
-		prevEnd, runStart := uint32(0), offs[0]
-		for i := 1; i <= len(offs); i++ {
-			if i < len(offs) && offs[i] == offs[i-1]+1 {
-				continue
-			}
-			p.uvarint(runStart - prevEnd)
-			p.uvarint(offs[i-1] - runStart)
-			prevEnd = offs[i-1] + 1
-			if i < len(offs) {
-				runStart = offs[i]
-			}
-		}
-		return p.words()
-	default:
-		h.BitmapChunks++
-		buf = append(buf, chunkBitmap<<chunkTypeShift|uint32(bitmap))
-		at := len(buf)
-		buf = append(buf, make([]uint32, bitmap)...)
-		for _, off := range offs {
-			SetBit(buf[at:], off)
-		}
-		return buf
-	}
-}
+// --- chunk encoding -------------------------------------------------
 
 // Packed chunk payload layout: a meta word holding count-1 (bits 0-11),
 // the delta width in bits (12-15), and the first member's offset
@@ -302,134 +339,170 @@ const (
 	packedFirstOff  = packedCountBits + packedWidthBits
 )
 
-// appendPackedChunk appends the header and payload of a packed chunk
-// whose largest member gap (minus one) is maxDelta.
-func appendPackedChunk(buf []uint32, offs []uint32, maxDelta uint32, h *ContainerHist) []uint32 {
-	h.PackedChunks++
-	width := uint(bits.Len32(maxDelta))
-	words := packedCost(len(offs), maxDelta)
-	buf = append(buf, chunkPacked<<chunkTypeShift|uint32(words))
-	meta := uint32(len(offs)-1) | uint32(width)<<packedCountBits | offs[0]<<packedFirstOff
-	buf = append(buf, meta)
-	var cur uint32
-	var filled uint
-	for i := 1; i < len(offs); i++ {
-		d := offs[i] - offs[i-1] - 1
-		cur |= d << filled
-		filled += width
-		if filled >= 32 {
-			buf = append(buf, cur)
-			filled -= 32
-			cur = 0
-			if filled > 0 {
-				cur = d >> (width - filled)
+// packedMeta returns a packed chunk's meta word.
+func packedMeta(s chunkStats, first uint32) uint32 {
+	return uint32(s.count-1) | uint32(bits.Len32(s.maxDelta))<<packedCountBits | first<<packedFirstOff
+}
+
+// encodeChunk appends one chunk's header and payload for the ascending
+// duplicate-free ids of [base, base+span), choosing the cheapest
+// container, and records the choice in h. The container is written
+// from the ids themselves.
+func encodeChunk(buf []uint32, ids []uint32, base uint32, span int, h *ContainerHist) []uint32 {
+	if len(ids) == 0 {
+		h.EmptyChunks++
+		return append(buf, chunkEmpty<<chunkTypeShift)
+	}
+	s := idStats(ids, base)
+	choice, words := s.choose(span, h)
+	buf, w := reserve(append(buf, choice<<chunkTypeShift|uint32(words)), words)
+	prev := ids[0]
+	switch choice {
+	case chunkList:
+		w.uvarint(uint32(s.count))
+		w.uvarint(prev - base)
+		for _, v := range ids[1:] {
+			w.uvarint(v - prev - 1)
+			prev = v
+		}
+	case chunkRuns:
+		w.uvarint(uint32(s.nruns))
+		w.uvarint(prev - base) // the first run's gap from 0
+		run := uint32(0)
+		for _, v := range ids[1:] {
+			d := v - prev - 1
+			prev = v
+			if d == 0 {
+				run++
+				continue
 			}
+			w.uvarint(run)
+			w.uvarint(d)
+			run = 0
+		}
+		w.uvarint(run)
+	case chunkPacked:
+		writePacked(&w, ids, base, s)
+	default:
+		clear(w.out)
+		for _, v := range ids {
+			SetBit(w.out, v-base)
 		}
 	}
-	if filled > 0 {
-		buf = append(buf, cur)
-	}
+	w.flush()
 	return buf
 }
 
-// decodePackedChunk walks a packed chunk payload, emitting each
-// chunk-relative offset in ascending order.
-func decodePackedChunk(payload []uint32, span int, emit func(off uint32)) {
-	if len(payload) == 0 {
-		panic("frontier: truncated packed chunk")
+// writePacked writes the payload of the packed chunk of ids from base,
+// priced s: its meta word, then its deltas.
+func writePacked(w *wordWriter, ids []uint32, base uint32, s chunkStats) {
+	prev := ids[0]
+	w.put(packedMeta(s, prev-base), 32)
+	width := uint(bits.Len32(s.maxDelta))
+	if width == 0 {
+		return // consecutive ids: the deltas take no bits, and a put would store past the payload
 	}
-	meta := payload[0]
-	count := int(meta&(1<<packedCountBits-1)) + 1
-	width := uint(meta >> packedCountBits & (1<<packedWidthBits - 1))
-	off := meta >> packedFirstOff
-	if count > span || int(off) >= span {
-		panic("frontier: packed chunk overflows its span")
+	for _, v := range ids[1:] {
+		w.put(v-prev-1, width)
+		prev = v
 	}
-	// The delta words the meta claims must actually be present — a
-	// forged header must not index past the payload.
-	if need := 1 + (uint(count-1)*width+31)/32; uint(len(payload)) < need {
-		panic("frontier: packed chunk payload shorter than its meta word claims")
+}
+
+// encodeBitsChunk is encodeChunk for the chunk whose members are the set
+// bits of w, written in one walk over them; the caller has copied the
+// chunks the bitmap wins (bitmapWins).
+func encodeBitsChunk(buf []uint32, w []uint32, span int, h *ContainerHist) []uint32 {
+	s := bitStats(w)
+	if s.count == 0 {
+		h.EmptyChunks++
+		return append(buf, chunkEmpty<<chunkTypeShift)
 	}
-	emit(off)
-	mask := uint32(1)<<width - 1
-	pos := uint(0)
-	for i := 1; i < count; i++ {
-		var d uint32
-		if width > 0 {
-			word := 1 + int(pos>>5)
-			shift := pos & 31
-			d = payload[word] >> shift
-			if shift+width > 32 {
-				d |= payload[word+1] << (32 - shift)
+	choice, words := s.choose(span, h)
+	if choice == chunkBitmap {
+		return append(append(buf, chunkBitmap<<chunkTypeShift|uint32(words)), w...)
+	}
+	buf, wr := reserve(append(buf, choice<<chunkTypeShift|uint32(words)), words)
+	width := uint(bits.Len32(s.maxDelta))
+	prev, run := -1, uint32(0)
+	for wi, x := range w {
+		for ; x != 0; x &= x - 1 {
+			off := wi*32 + bits.TrailingZeros32(x)
+			d := uint32(off - prev - 1)
+			switch {
+			case prev < 0 && choice == chunkPacked:
+				wr.put(packedMeta(s, d), 32)
+			case prev < 0:
+				head := s.count
+				if choice == chunkRuns {
+					head = s.nruns
+				}
+				wr.uvarint(uint32(head))
+				wr.uvarint(d)
+			case choice == chunkList:
+				wr.uvarint(d)
+			case choice == chunkPacked:
+				if width > 0 { // a zero-width put would store past the payload
+					wr.put(d, width)
+				}
+			case d == 0:
+				run++
+			default:
+				wr.uvarint(run)
+				wr.uvarint(d)
+				run = 0
 			}
-			d &= mask
-			pos += width
+			prev = off
 		}
-		off += d + 1
-		if int(off) >= span {
-			panic("frontier: packed chunk offset overflows its span")
-		}
-		emit(off)
 	}
+	if choice == chunkRuns {
+		wr.uvarint(run)
+	}
+	wr.flush()
+	return buf
 }
 
 // numChunks returns the chunk count covering an n-id universe.
 func numChunks(n int) int { return (n + ChunkSpan - 1) / ChunkSpan }
 
 // appendSetChunks appends the chunk stream for an ascending id set over
-// [lo, lo+n).
+// [lo, lo+n), each chunk's ids a subslice of ids.
 func appendSetChunks(buf []uint32, ids []uint32, lo uint32, n int, h *ContainerHist) []uint32 {
-	var scratch [ChunkSpan]uint32 // chunk-relative offsets; stays on the stack
-	offs := scratch[:0]
-	i := 0
-	for c := 0; c < numChunks(n); c++ {
-		base := lo + uint32(c*ChunkSpan)
-		span := n - c*ChunkSpan
-		if span > ChunkSpan {
-			span = ChunkSpan
-		}
-		offs = offs[:0]
-		for i < len(ids) && ids[i]-lo < uint32(c*ChunkSpan)+uint32(span) {
-			offs = append(offs, ids[i]-base)
-			i++
-		}
-		buf = encodeChunk(buf, offs, span, h)
-	}
-	if i != len(ids) {
-		// An id below lo underflows past every chunk bound; one above
-		// lo+n is never consumed. Either way the loop would silently
-		// truncate the set — fail as loudly as the bitmap modes do.
+	if len(ids) > 0 && (ids[0] < lo || uint64(ids[len(ids)-1]-lo) >= uint64(n)) {
+		// The set is ascending, so its ends bound it: an id outside the
+		// universe would land in no chunk or in the wrong one — fail as
+		// loudly as the bitmap modes do.
 		panic("frontier: id outside the universe in hybrid set payload")
+	}
+	for c := 0; c < numChunks(n); c++ {
+		base := uint32(c * ChunkSpan)
+		span := min(n-c*ChunkSpan, ChunkSpan)
+		k := len(ids)
+		if c < numChunks(n)-1 {
+			// The first id past the chunk, by bisection.
+			end := base + uint32(span)
+			k = sort.Search(len(ids), func(i int) bool { return ids[i]-lo >= end })
+		}
+		buf = encodeChunk(buf, ids[:k], lo+base, span, h)
+		ids = ids[k:]
 	}
 	return buf
 }
 
 // appendBitsChunks appends the chunk stream for a wire bitmap over
 // [0, n). Chunk boundaries align with bitmap words (ChunkSpan/32 words
-// per chunk), so each chunk's members come from a word subrange; a chunk
-// the bitmap provably wins (bitmapWins) is copied, not enumerated.
+// per chunk), so each chunk is a word subrange; a chunk the bitmap
+// provably wins (bitmapWins) is copied without a walk over its members.
 func appendBitsChunks(buf []uint32, words []uint32, n int, h *ContainerHist) []uint32 {
 	const wordsPerChunk = ChunkSpan / 32
-	var scratch [ChunkSpan]uint32 // chunk-relative offsets; stays on the stack
 	for c := 0; c < numChunks(n); c++ {
-		span := n - c*ChunkSpan
-		if span > ChunkSpan {
-			span = ChunkSpan
-		}
-		wlo := c * wordsPerChunk
-		whi := wlo + BitWords(span)
-		if bitmapWins(words[wlo:whi]) {
+		span := min(n-c*ChunkSpan, ChunkSpan)
+		w := words[c*wordsPerChunk : c*wordsPerChunk+BitWords(span)]
+		if bitmapWins(w) {
 			h.BitmapChunks++
-			buf = append(append(buf, chunkBitmap<<chunkTypeShift|uint32(whi-wlo)), words[wlo:whi]...)
+			buf = append(append(buf, chunkBitmap<<chunkTypeShift|uint32(len(w))), w...)
 			continue
 		}
-		offs := scratch[:0]
-		for wi, x := range words[wlo:whi] {
-			for ; x != 0; x &= x - 1 {
-				offs = append(offs, uint32(wi)*32+uint32(bits.TrailingZeros32(x)))
-			}
-		}
-		buf = encodeChunk(buf, offs, span, h)
+		buf = encodeBitsChunk(buf, w, span, h)
 	}
 	return buf
 }
@@ -466,16 +539,34 @@ func bitmapWins(w []uint32) bool {
 	return bitmap < packedCost(count, maxDelta)
 }
 
-// decodeChunks walks a chunk stream over an n-id universe, calling emit
-// with every member's universe-relative offset in ascending order.
-func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
+// --- chunk decoding -------------------------------------------------
+
+// members collects decoded chunk members: appended to ids as lo+off or,
+// with bm non-nil, set as bit off of bm.
+type members struct {
+	ids []uint32
+	lo  uint32
+	bm  []uint32
+}
+
+func (m *members) add(off uint32) {
+	if m.bm != nil {
+		SetBit(m.bm, off)
+	} else {
+		m.ids = append(m.ids, m.lo+off)
+	}
+}
+
+// decodeChunks walks a chunk stream over an n-id universe into out, each
+// member's universe-relative offset in ascending order, one loop per
+// container. Every count, offset and width is checked against the
+// chunk's span before it is used, so a forged stream panics instead of
+// writing out of place.
+func decodeChunks(stream []uint32, n int, out *members) {
 	pos := 0
 	for c := 0; c < numChunks(n); c++ {
 		base := uint32(c * ChunkSpan)
-		span := n - c*ChunkSpan
-		if span > ChunkSpan {
-			span = ChunkSpan
-		}
+		span := min(n-c*ChunkSpan, ChunkSpan)
 		if pos >= len(stream) {
 			panic("frontier: truncated hybrid chunk stream")
 		}
@@ -490,17 +581,16 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 		switch header >> chunkTypeShift {
 		case chunkEmpty:
 		case chunkPacked:
-			decodePackedChunk(payload, span, func(off uint32) { emit(base + off) })
+			decodePackedChunk(payload, base, span, out)
 		case chunkList:
-			b := payload
-			count, bp := readUvarint(b, 0)
+			count, bp := readUvarint(payload, 0)
 			if int(count) > span {
 				panic("frontier: hybrid list chunk overflows its span")
 			}
 			var off uint32
 			for i := uint32(0); i < count; i++ {
 				var d uint32
-				d, bp = readUvarint(b, bp)
+				d, bp = readUvarint(payload, bp)
 				if i == 0 {
 					off = d
 				} else {
@@ -509,7 +599,7 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 				if int(off) >= span {
 					panic("frontier: hybrid list chunk offset overflows its span")
 				}
-				emit(base + off)
+				out.add(base + off)
 			}
 		case chunkBitmap:
 			if nw != BitWords(span) {
@@ -518,22 +608,28 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 			if pad := span % 32; pad != 0 && payload[nw-1]>>uint(pad) != 0 {
 				panic("frontier: hybrid bitmap chunk has bits set beyond its span")
 			}
-			IterateBits(payload, func(off uint32) { emit(base + off) })
+			if out.bm != nil {
+				copy(out.bm[base/32:], payload)
+				continue
+			}
+			for wi, x := range payload {
+				for ; x != 0; x &= x - 1 {
+					out.ids = append(out.ids, out.lo+base+uint32(wi*32+bits.TrailingZeros32(x)))
+				}
+			}
 		case chunkRuns:
-			b := payload
-			nruns, bp := readUvarint(b, 0)
-			pos := uint32(0)
+			nruns, bp := readUvarint(payload, 0)
+			at := uint32(0)
 			for r := uint32(0); r < nruns; r++ {
 				var gap, runLen uint32
-				gap, bp = readUvarint(b, bp)
-				runLen, bp = readUvarint(b, bp)
-				pos += gap
-				if int(pos)+int(runLen) >= span {
+				gap, bp = readUvarint(payload, bp)
+				runLen, bp = readUvarint(payload, bp)
+				at += gap
+				if int(at)+int(runLen) >= span {
 					panic("frontier: hybrid runs chunk overflows its span")
 				}
-				for i := uint32(0); i <= runLen; i++ {
-					emit(base + pos)
-					pos++
+				for end := at + runLen; at <= end; at++ {
+					out.add(base + at)
 				}
 			}
 		default:
@@ -542,6 +638,45 @@ func decodeChunks(stream []uint32, n int, emit func(off uint32)) {
 	}
 	if pos != len(stream) {
 		panic("frontier: trailing words in hybrid chunk stream")
+	}
+}
+
+// decodePackedChunk adds the members of a packed chunk payload, from
+// base, to out in ascending order.
+func decodePackedChunk(payload []uint32, base uint32, span int, out *members) {
+	if len(payload) == 0 {
+		panic("frontier: truncated packed chunk")
+	}
+	meta := payload[0]
+	count := int(meta&(1<<packedCountBits-1)) + 1
+	width := uint(meta >> packedCountBits & (1<<packedWidthBits - 1))
+	off := meta >> packedFirstOff
+	if count > span || int(off) >= span {
+		panic("frontier: packed chunk overflows its span")
+	}
+	// The delta words the meta claims must actually be present — a
+	// forged header must not index past the payload.
+	if need := 1 + (uint(count-1)*width+31)/32; uint(len(payload)) < need {
+		panic("frontier: packed chunk payload shorter than its meta word claims")
+	}
+	out.add(base + off)
+	mask := uint64(1)<<width - 1
+	var acc uint64 // the next deltas, LSB-first
+	var held uint  // bits in acc
+	next := 1
+	for i := 1; i < count; i++ {
+		if held < width {
+			acc |= uint64(payload[next]) << held
+			next++
+			held += 32
+		}
+		off += uint32(acc&mask) + 1
+		acc >>= width
+		held -= width
+		if int(off) >= span {
+			panic("frontier: packed chunk offset overflows its span")
+		}
+		out.add(base + off)
 	}
 }
 
@@ -571,8 +706,9 @@ func appendHybridSet(dst, buf []uint32) []uint32 {
 		// words can hold at most ~32 members per word, so cap by that.
 		dst = make([]uint32, 0, min(n/8, 32*len(buf)))
 	}
-	decodeChunks(buf[3:], n, func(off uint32) { dst = append(dst, lo+off) })
-	return dst
+	out := members{ids: dst, lo: lo}
+	decodeChunks(buf[3:], n, &out)
+	return out.ids
 }
 
 // EncodeBits encodes a wire bitmap over [0, n) for transmission.
@@ -608,7 +744,7 @@ func DecodeBits(buf []uint32, n int) []uint32 {
 	if len(buf) == BitWords(n) {
 		return buf
 	}
-	w := NewBits(n)
-	decodeChunks(buf, n, func(off uint32) { SetBit(w, off) })
-	return w
+	out := members{bm: NewBits(n)}
+	decodeChunks(buf, n, &out)
+	return out.bm
 }

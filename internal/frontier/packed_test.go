@@ -45,19 +45,17 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 		cases = append(cases, offs)
 	}
 	for i, offs := range cases {
-		var h ContainerHist
-		_, _, _, _, _, maxDelta := chunkCosts(offs, ChunkSpan)
-		buf := appendPackedChunk(nil, offs, maxDelta, &h)
-		if h.PackedChunks != 1 {
-			t.Fatalf("case %d: accounting %+v", i, h)
+		s := idStats(offs, 0)
+		buf, w := reserve(nil, packedCost(len(offs), s.maxDelta))
+		writePacked(&w, offs, 0, s)
+		w.flush()
+		if len(buf) != packedCost(len(offs), s.maxDelta) {
+			t.Fatalf("case %d: %d payload words, priced %d", i, len(buf), packedCost(len(offs), s.maxDelta))
 		}
-		if int(buf[0]&chunkWordsMask) != len(buf)-1 {
-			t.Fatalf("case %d: header word count %d != payload %d", i, buf[0]&chunkWordsMask, len(buf)-1)
-		}
-		var got []uint32
-		decodePackedChunk(buf[1:], ChunkSpan, func(off uint32) { got = append(got, off) })
-		if !reflect.DeepEqual(got, offs) {
-			t.Fatalf("case %d: round trip %v != %v", i, got, offs)
+		var got members
+		decodePackedChunk(buf, 0, ChunkSpan, &got)
+		if !reflect.DeepEqual(got.ids, offs) {
+			t.Fatalf("case %d: round trip %v != %v", i, got.ids, offs)
 		}
 	}
 }
@@ -105,7 +103,7 @@ func legacySetCost(ids []uint32, lo uint32, n int) int {
 		if len(offs) == 0 {
 			continue
 		}
-		list, bitmap, runs, _, _, _ := chunkCosts(offs, span)
+		list, bitmap, runs, _ := idStats(offs, 0).costs(span)
 		best := list
 		if runs < best {
 			best = runs

@@ -6,21 +6,20 @@ import (
 	"math/bits"
 )
 
-// Combiner merges duplicate ids without sorting them. Every bin an
-// engine combines is destined to one rank, so its ids lie in that
-// rank's contiguous owned range [lo, lo+n): Add scatters each id into a
-// presence bitmap over the range — and, for the (id, value) forms, ORs
-// or min-merges the value into an array over the same range — and
-// Drain walks the bitmap ascending, emitting exactly what sorting the
-// added pairs by id and compacting equal ids would: the ascending
-// duplicate-free ids, one merged value per id, and the count of pairs
-// the merge absorbed.
+// Combiner merges the values of duplicate ids without sorting them.
+// Every part a fold's owner merges lies in its contiguous owned range
+// [lo, lo+n): AddOr and AddMin scatter each id into a presence bitmap
+// over the range and OR or min-merge its value into an array over the
+// same range, and a drain walks the bitmap ascending, emitting exactly
+// what sorting the added pairs by id and compacting equal ids would:
+// the ascending duplicate-free ids, one merged value per id, and the
+// count of pairs the merge absorbed.
 //
-// One Combiner serves one merge form at a time (Add/Drain, AddOr/
-// DrainOr, or AddMin/DrainMin between two drains) and is built to be
-// allocated once and reused: Reset retargets it to another range of at
-// most the constructed capacity, and a drain clears only the words and
-// values it emitted, so an emptied Combiner costs nothing to reuse.
+// One Combiner serves one merge form at a time (AddOr/DrainOr or
+// AddMin/DrainMin between two drains) and is built to be allocated once
+// and reused: Reset retargets it to another range of at most the
+// constructed capacity, and a drain clears only the words and values it
+// emitted, so an emptied Combiner costs nothing to reuse.
 type Combiner struct {
 	lo, n uint32
 	// present has bit i set when id lo+i was added since the last drain.
@@ -75,20 +74,6 @@ func (c *Combiner) touch(added int, first, last uint32) {
 	}
 }
 
-// Add scatters ids into the set. An id outside the range panics.
-func (c *Combiner) Add(ids []uint32) {
-	first, last := uint32(math.MaxUint32), uint32(0)
-	for _, id := range ids {
-		off := id - c.lo
-		if off >= c.n {
-			c.outOfRange(id)
-		}
-		c.present[off>>6] |= 1 << (off & 63)
-		first, last = min(first, off), max(last, off)
-	}
-	c.touch(len(ids), first, last)
-}
-
 // AddOr scatters (id, mask) pairs, OR-merging the masks of equal ids.
 func (c *Combiner) AddOr(ids []uint32, masks []uint64) {
 	if c.masks == nil {
@@ -131,56 +116,53 @@ func (c *Combiner) AddMin(ids, vals []uint32) {
 	c.touch(len(ids), first, last)
 }
 
-// drain walks the touched words ascending, calling emit with every
-// present offset, and leaves the bitmap empty. It returns the number of
-// added ids the merge absorbed.
-func (c *Combiner) drain(emit func(off uint32)) int {
-	if c.adds == 0 {
-		return 0
-	}
-	distinct := 0
-	for wi := c.first >> 6; wi <= c.last>>6; wi++ {
-		w := c.present[wi]
-		if w == 0 {
-			continue
-		}
-		c.present[wi] = 0
-		distinct += bits.OnesCount64(w)
-		for ; w != 0; w &= w - 1 {
-			emit(wi<<6 + uint32(bits.TrailingZeros64(w)))
-		}
-	}
+// done ends a drain that emitted distinct ids: it returns the number of
+// added ids the merge absorbed and leaves the Combiner empty.
+func (c *Combiner) done(distinct int) int {
 	absorbed := c.adds - distinct
 	c.adds, c.first, c.last = 0, math.MaxUint32, 0
 	return absorbed
 }
 
-// Drain appends the ascending duplicate-free ids added since the last
-// drain to ids and empties the Combiner. absorbed is the number of
-// added ids that were duplicates.
-func (c *Combiner) Drain(ids []uint32) (out []uint32, absorbed int) {
-	absorbed = c.drain(func(off uint32) { ids = append(ids, c.lo+off) })
-	return ids, absorbed
+// DrainOr appends the ascending duplicate-free ids added since the last
+// drain to ids and, parallel to them, the OR of every mask added for
+// each to masks, and empties the Combiner. absorbed is the number of
+// added ids that were duplicates. The drains walk only the touched words
+// and clear each as they go.
+func (c *Combiner) DrainOr(ids []uint32, masks []uint64) (_ []uint32, _ []uint64, absorbed int) {
+	if c.adds == 0 {
+		return ids, masks, 0
+	}
+	distinct := 0
+	for wi := c.first >> 6; wi <= c.last>>6; wi++ {
+		w := c.present[wi]
+		c.present[wi] = 0
+		distinct += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			off := wi<<6 + uint32(bits.TrailingZeros64(w))
+			ids, masks = append(ids, c.lo+off), append(masks, c.masks[off])
+			c.masks[off] = 0
+		}
+	}
+	return ids, masks, c.done(distinct)
 }
 
-// DrainOr is Drain for AddOr pairs: masks receives, parallel to ids,
-// the OR of every mask added for that id.
-func (c *Combiner) DrainOr(ids []uint32, masks []uint64) ([]uint32, []uint64, int) {
-	absorbed := c.drain(func(off uint32) {
-		ids = append(ids, c.lo+off)
-		masks = append(masks, c.masks[off])
-		c.masks[off] = 0
-	})
-	return ids, masks, absorbed
-}
-
-// DrainMin is Drain for AddMin pairs: vals receives, parallel to ids,
+// DrainMin is DrainOr for AddMin pairs: vals receives, parallel to ids,
 // the minimum value added for that id.
-func (c *Combiner) DrainMin(ids, vals []uint32) ([]uint32, []uint32, int) {
-	absorbed := c.drain(func(off uint32) {
-		ids = append(ids, c.lo+off)
-		vals = append(vals, c.mins[off])
-		c.mins[off] = math.MaxUint32
-	})
-	return ids, vals, absorbed
+func (c *Combiner) DrainMin(ids, vals []uint32) (_, _ []uint32, absorbed int) {
+	if c.adds == 0 {
+		return ids, vals, 0
+	}
+	distinct := 0
+	for wi := c.first >> 6; wi <= c.last>>6; wi++ {
+		w := c.present[wi]
+		c.present[wi] = 0
+		distinct += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			off := wi<<6 + uint32(bits.TrailingZeros64(w))
+			ids, vals = append(ids, c.lo+off), append(vals, c.mins[off])
+			c.mins[off] = math.MaxUint32
+		}
+	}
+	return ids, vals, c.done(distinct)
 }

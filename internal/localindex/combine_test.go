@@ -71,8 +71,8 @@ func refMin(vs, ds []uint32) ([]uint32, []uint32, int) {
 	return vs[:w], ds[:w], len(vs) - w
 }
 
-// checkCombine runs one (ids, vals) batch through all three merge forms
-// of c, already Reset to the batch's range, and compares each with its
+// checkCombine runs one (ids, vals) batch through both merge forms of
+// c, already Reset to the batch's range, and compares each with its
 // reference. The 64-bit masks are derived from vals so one input drives
 // every form.
 func checkCombine(t *testing.T, c *Combiner, ids, vals []uint32) {
@@ -80,13 +80,6 @@ func checkCombine(t *testing.T, c *Combiner, ids, vals []uint32) {
 	masks := make([]uint64, len(vals))
 	for i, v := range vals {
 		masks[i] = uint64(v)<<32 | uint64(^v)
-	}
-
-	wantU, wantD := SortSet(slices.Clone(ids))
-	c.Add(ids)
-	gotU, gotD := c.Drain(nil)
-	if !slices.Equal(gotU, wantU) || gotD != wantD {
-		t.Fatalf("union: got %v absorbed %d, want %v absorbed %d", gotU, gotD, wantU, wantD)
 	}
 
 	wantV, wantM, wantD := refOr(slices.Clone(ids), slices.Clone(masks))
@@ -102,7 +95,7 @@ func checkCombine(t *testing.T, c *Combiner, ids, vals []uint32) {
 	if !slices.Equal(gotV, wantV) || !slices.Equal(gotS, wantS) || gotD != wantD {
 		t.Fatalf("min: got %v %v absorbed %d, want %v %v absorbed %d", gotV, gotS, gotD, wantV, wantS, wantD)
 	}
-	if out, absorbed := c.Drain(nil); len(out) != 0 || absorbed != 0 {
+	if out, _, absorbed := c.DrainOr(nil, nil); len(out) != 0 || absorbed != 0 {
 		t.Fatalf("drained Combiner emitted %v, absorbed %d", out, absorbed)
 	}
 }
@@ -184,18 +177,17 @@ func TestCombineOutOfRangePanics(t *testing.T) {
 		c := NewCombiner(64)
 		c.Reset(100, 50)
 		want := fmt.Sprintf("id %d outside its range [100, 150)", id)
-		mustPanic(t, want, func() { c.Add([]uint32{120, id}) })
-		mustPanic(t, want, func() { c.AddOr([]uint32{id}, []uint64{1}) })
+		mustPanic(t, want, func() { c.AddOr([]uint32{120, id}, []uint64{1, 1}) })
 		mustPanic(t, want, func() { c.AddMin([]uint32{id}, []uint32{1}) })
 	}
 	c := NewCombiner(64)
 	mustPanic(t, "exceeds the capacity", func() { c.Reset(0, 65) })
-	c.Add([]uint32{3})
+	c.AddMin([]uint32{3}, []uint32{1})
 	mustPanic(t, "undrained", func() { c.Reset(0, 10) })
 }
 
 // FuzzCombine decodes the input as a range and a batch of (offset,
-// value) pairs and checks all three merge forms against the references,
+// value) pairs and checks both merge forms against the references,
 // twice through one Combiner so the second pass sees whatever the first
 // left behind.
 func FuzzCombine(f *testing.F) {
@@ -255,14 +247,6 @@ func benchCombine(b *testing.B, run func(c *Combiner, ids []uint32, masks []uint
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchPairs, "ns/id")
 		})
 	}
-}
-
-func BenchmarkCombineUnion(b *testing.B) {
-	var out []uint32
-	benchCombine(b, func(c *Combiner, ids []uint32, _ []uint64, _ []uint32) {
-		c.Add(ids)
-		out, _ = c.Drain(out[:0])
-	})
 }
 
 func BenchmarkCombineOr(b *testing.B) {

@@ -233,20 +233,17 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 	nextCol, nextRow := make([]func() uint32, p), make([]func() uint32, p)
 	need := make([][]uint64, p)
 	lists := make([]map[graph.Vertex][]entry, p)
-	fold := make([][]uint32, p)
 	for rk := 0; rk < p; rk++ {
 		colMaps[rk], rowMaps[rk] = localindex.NewMap(16), localindex.NewMap(16)
 		nextCol[rk], nextRow[rk] = counter(), counter()
 		need[rk] = make([]uint64, r*wpr(rk))
 		lists[rk] = map[graph.Vertex][]entry{}
-		fold[rk] = make([]uint32, c)
 	}
 	ref := func(u, v graph.Vertex, w uint32) {
 		rk := l.StoringRank(u, v)
 		getOrPut(colMaps[rk], v, nextCol[rk])
 		getOrPut(rowMaps[rk], u, nextRow[rk])
 		lists[rk][v] = append(lists[rk][v], entry{u, w})
-		fold[rk][l.BlockOf(u)/l.R]++
 		owner := l.OwnerRank(v)
 		lo, _ := l.OwnedRange(owner)
 		i, li := l.RowIndexOf(u), int(v-lo)
@@ -292,9 +289,6 @@ func checkMemo2D(t *testing.T, n, r, c int, es []wedge, weighted bool) {
 			}
 		}
 
-		if !slices.Equal(st.FoldEntries, fold[rk]) {
-			t.Fatalf("rank %d: FoldEntries %v, entries per block column %v", rk, st.FoldEntries, fold[rk])
-		}
 		if st.NonEmptyColumns() != colMaps[rk].Len() {
 			t.Fatalf("rank %d: %d non-empty columns, reference %d", rk, st.NonEmptyColumns(), colMaps[rk].Len())
 		}

@@ -85,12 +85,6 @@ type Store2D struct {
 	// of making the lookups. Build2D fails rather than truncate a count.
 	ListProbes []uint32
 
-	// FoldEntries[j] counts the entries whose row vertex is in block
-	// column j (the row vertices processor column j owns): the most pairs
-	// one sweep of a lane-parallel search bins for row-group member j,
-	// since a sweep scans each arrived vertex's partial list at most once.
-	FoldEntries []uint32
-
 	// RowNeed marks, for each mesh row i' and owned vertex (by local
 	// index), whether row i' holds a non-empty partial edge list for it.
 	// The targeted expand sends a frontier vertex only to those rows.
@@ -251,10 +245,9 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		lo, hi := l.OwnedRange(r)
 		st := &Store2D{
 			Layout: l, Rank: r, I: i, J: j, Lo: lo, Hi: hi,
-			FoldEntries: make([]uint32, l.C),
-			RowCount:    l.C * span,
-			span:        uint32(span),
-			rowNeedWpr:  (int(hi-lo) + 63) / 64,
+			RowCount:   l.C * span,
+			span:       uint32(span),
+			rowNeedWpr: (int(hi-lo) + 63) / 64,
 		}
 		if l.R > 1 {
 			st.RowNeed = make([]uint64, l.R*st.rowNeedWpr)
@@ -387,7 +380,6 @@ func build2D(l *Layout2D, visit WeightedVisitor, weighted bool) ([]*Store2D, err
 		next[pos]++
 		st.RowIdx[k] = uint32(u.j*span + int(u.v) - (u.j*l.R+u.i)*bs)
 		seq[rk] = append(seq[rk], k)
-		st.FoldEntries[u.j]++
 		if weighted {
 			st.RowWts[k] = w
 		}

@@ -146,67 +146,66 @@ func appendPart(dst []uint32, words []uint64, ids []uint32, lo uint32, need []ui
 	return dst
 }
 
-// Bins is a step's scan output: the (vertex, value) pairs found, binned
-// by destination fold-group member (X nil when no value rides along),
-// and the edge entries inspected and hash probes made. A family's kernel
-// is one chunk body appending to a Bins: the step's own when the pool
-// runs a part inline, else each chunk's, which Scan appends in chunk
-// order — the same bins and counts at every pool size.
-type Bins[V any] struct {
-	V       [][]uint32
-	X       [][]V
+// Tally is a step's scan counts: the edge entries inspected, the hash
+// probes made and, for a scan that merges pairs into a fold's rows
+// (Rows), the pairs merged for each fold-group member. A family's kernel
+// is one chunk body counting into a Tally: the step's own when the pool
+// runs a part inline, else each chunk's, which Scan sums — the same
+// counts at every pool size. The fold that reads a member's rows zeroes
+// its pair count.
+type Tally struct {
 	Scanned int
 	Probes  uint64
+	Pairs   []uint64
+	// chunks are the pool's per-chunk tallies, their pair counts cut
+	// from spare; both are kept for the next pooled scan.
+	chunks []Tally
+	spare  []uint64
 }
 
-// Reset empties the bins and zeroes the counts.
-func (b *Bins[V]) Reset() {
-	for m := range b.V {
-		b.V[m] = b.V[m][:0]
+// Reset zeroes the edge and probe counts.
+func (t *Tally) Reset() { t.Scanned, t.Probes = 0, 0 }
+
+// split readies nc zeroed chunk tallies.
+func (t *Tally) split(nc int) []Tally {
+	m := len(t.Pairs)
+	t.chunks = slices.Grow(t.chunks[:0], nc)[:nc]
+	t.spare = slices.Grow(t.spare[:0], nc*m)[:nc*m]
+	clear(t.spare)
+	for i := range t.chunks {
+		t.chunks[i] = Tally{Pairs: t.spare[i*m : (i+1)*m : (i+1)*m]}
 	}
-	for m := range b.X {
-		b.X[m] = b.X[m][:0]
-	}
-	b.Scanned, b.Probes = 0, 0
+	return t.chunks
 }
 
-// Scan scans one part of n items into b inside an engine/scan span:
-// k.Chunk over [0, n) into b when the pool runs it inline, else over
-// each chunk into staged Bins of its own, appended to b in chunk order.
-// Chunk's shared is true only in the latter case, where chunks run at
-// once on several goroutines and must claim shared state atomically.
-// Scan then charges, on the modeled cores, the handling of the recv
-// vertices received (0 for the rank's own), the part's edge entries,
-// then its probes. k is the family's part, a value rather than a
-// closure, so a part scanned inline allocates nothing.
-func Scan[V any, K interface {
-	Chunk(o *Bins[V], lo, hi int, shared bool)
-}](b *Bins[V], c *comm.Comm, p *pool.Pool, n, grain, recv int, k K) {
-	scanned0, probes0 := b.Scanned, b.Probes
+// Scan scans one part of n items into t inside an engine/scan span:
+// k.Chunk over [0, n) into t when the pool runs it inline, else over
+// each chunk into a tally of its own, summed into t. Chunk's shared is
+// true only in the latter case, where chunks run at once on several
+// goroutines and must merge into shared rows atomically. Scan then
+// charges, on the modeled cores, the handling of the recv vertices
+// received (0 for the rank's own), the part's edge entries, then its
+// probes. k is the family's part, a value rather than a closure, so a
+// part scanned inline allocates nothing.
+func Scan[K interface {
+	Chunk(t *Tally, lo, hi int, shared bool)
+}](t *Tally, c *comm.Comm, p *pool.Pool, n, grain, recv int, k K) {
+	scanned0, probes0 := t.Scanned, t.Probes
 	c.Tracer().Begin("engine", "scan")
 	if p.Inline(n, grain) {
-		k.Chunk(b, 0, n, false)
+		k.Chunk(t, 0, n, false)
 	} else {
-		nb, values := len(b.V), b.X != nil
-		outs := pool.Collect(p, n, grain, func(o *Bins[V], lo, hi int) {
-			o.V = make([][]uint32, nb)
-			if values {
-				o.X = make([][]V, nb)
-			}
-			k.Chunk(o, lo, hi, true)
-		})
-		for _, o := range outs {
-			b.Scanned, b.Probes = b.Scanned+o.Scanned, b.Probes+o.Probes
-			for m := range o.V {
-				b.V[m] = append(b.V[m], o.V[m]...)
-			}
-			for m := range o.X {
-				b.X[m] = append(b.X[m], o.X[m]...)
+		chunks := t.split(pool.Chunks(n, grain))
+		p.Run(n, grain, func(chunk, lo, hi int) { k.Chunk(&chunks[chunk], lo, hi, true) })
+		for _, o := range chunks {
+			t.Scanned, t.Probes = t.Scanned+o.Scanned, t.Probes+o.Probes
+			for m, x := range o.Pairs {
+				t.Pairs[m] += x
 			}
 		}
 	}
 	m := c.Model()
-	scanned, probes := b.Scanned-scanned0, b.Probes-probes0
+	scanned, probes := t.Scanned-scanned0, t.Probes-probes0
 	c.ChargeItemsPar(recv, m.VertexCost)
 	c.ChargeItemsPar(scanned, m.EdgeCost)
 	c.ChargeItemsPar(int(probes), m.HashCost)

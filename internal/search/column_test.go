@@ -219,14 +219,15 @@ func testColumnExpand(t *testing.T, tc columnCase) {
 	}
 }
 
-// sharingKernel records every Chunk call Scan makes and bins each item
-// of its range, so the merge is checked too.
+// sharingKernel records every Chunk call Scan makes and counts a pair
+// for member i%2 of each item i of its range, so the sums are checked
+// too.
 type sharingKernel struct {
 	mu    *sync.Mutex
 	calls *[][3]int // lo, hi, shared (0 or 1)
 }
 
-func (k sharingKernel) Chunk(o *Bins[struct{}], lo, hi int, shared bool) {
+func (k sharingKernel) Chunk(t *Tally, lo, hi int, shared bool) {
 	s := 0
 	if shared {
 		s = 1
@@ -235,16 +236,18 @@ func (k sharingKernel) Chunk(o *Bins[struct{}], lo, hi int, shared bool) {
 	*k.calls = append(*k.calls, [3]int{lo, hi, s})
 	k.mu.Unlock()
 	for i := lo; i < hi; i++ {
-		o.V[0] = append(o.V[0], uint32(i))
+		t.Pairs[i%2]++
 	}
-	o.Scanned += hi - lo
+	t.Scanned += hi - lo
+	t.Probes += uint64(2 * (hi - lo))
 }
 
 // TestScanReportsSharing: Scan tells the kernel its chunks share state
 // exactly when they run concurrently — never with one worker, nor with
 // four over a part of at most one grain, which both run inline as one
 // call over the whole part; always with four over more than a grain,
-// one call per chunk — and the bins and counts are the same either way.
+// one call per chunk — and the counts and pairs are the same either way,
+// on top of what the tally already held.
 func TestScanReportsSharing(t *testing.T) {
 	const grain = 8
 	for _, tc := range []struct {
@@ -257,10 +260,11 @@ func TestScanReportsSharing(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("workers=%d/n=%d", tc.workers, tc.n), func(t *testing.T) {
 			var calls [][3]int
-			var b Bins[struct{}]
+			tl := Tally{Scanned: 5, Probes: 7, Pairs: []uint64{1, 0}}
 			if _, err := testWorld(t, 1).Run(func(c *comm.Comm) {
-				b.V = make([][]uint32, 1)
-				Scan(&b, c, pool.New(tc.workers), tc.n, grain, 0, sharingKernel{new(sync.Mutex), &calls})
+				p := pool.New(tc.workers)
+				Scan(&tl, c, p, tc.n, grain, 0, sharingKernel{new(sync.Mutex), &calls})
+				Scan(&tl, c, p, tc.n, grain, 0, sharingKernel{new(sync.Mutex), new([][3]int)})
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -278,13 +282,11 @@ func TestScanReportsSharing(t *testing.T) {
 				}
 				covered += call[1] - call[0]
 			}
-			if covered != tc.n || b.Scanned != tc.n || len(b.V[0]) != tc.n {
-				t.Fatalf("calls cover %d items, Scanned %d, binned %d; want %d", covered, b.Scanned, len(b.V[0]), tc.n)
-			}
-			for i, v := range b.V[0] {
-				if v != uint32(i) {
-					t.Fatalf("bin[%d] = %d: chunks merged out of order", i, v)
-				}
+			even := uint64((tc.n + 1) / 2)
+			if covered != tc.n || tl.Scanned != 5+2*tc.n || tl.Probes != 7+4*uint64(tc.n) ||
+				tl.Pairs[0] != 1+2*even || tl.Pairs[1] != 2*(uint64(tc.n)-even) {
+				t.Fatalf("calls cover %d items; tally %d scanned, %d probes, pairs %v; want %d items twice over 5, 7, [1 0]",
+					covered, tl.Scanned, tl.Probes, tl.Pairs, tc.n)
 			}
 		})
 	}

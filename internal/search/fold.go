@@ -1,6 +1,9 @@
 package search
 
 import (
+	"math/bits"
+	"sync/atomic"
+
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
@@ -9,9 +12,13 @@ import (
 )
 
 // Payload binds the value type V riding with each vertex of a fold — a
-// 64-bit lane mask, a uint32 tentative distance — to its combine (the
-// Combiner's OR or min scatter and drain) and its wire form.
+// 64-bit lane mask, a uint32 tentative distance — to its merge (OR or
+// min), whose identity the fold's rows start from and whose owner-side
+// form is the Combiner's scatter and drain, and to its wire form.
 type Payload[V any] interface {
+	// Identity is the value a row holds before any pair merges into it:
+	// 0 for OR, MaxUint32 for min.
+	Identity() V
 	// Add scatters the pairs (vs[i], xs[i]) into cb.
 	Add(cb *localindex.Combiner, vs []uint32, xs []V)
 	// Drain appends cb's merged pairs, ascending and duplicate-free, to
@@ -25,30 +32,115 @@ type Payload[V any] interface {
 	Decode(buf, vs []uint32, xs []V) ([]uint32, []V)
 }
 
+// Rows is the send side of a fold that merges at the row: a bit per
+// local row of a rank's store (Store2D.RowIdx) that a step's scan
+// reached, and the owner table a scan counts its pairs by. Rows are
+// numbered by position, member m of the fold group owning the
+// word-aligned bits [m·span, m·span+BlockSize), so Owner maps a word of
+// Bits to its member without a division, and a member's rows, read off
+// its words in order, are its sorted set.
+type Rows struct {
+	Bits  []uint64
+	Owner []uint64 // Owner[w]: the member whose rows word w of Bits holds
+	words int      // words of Bits a member's rows take
+}
+
+// NewRows returns the rows of store st over a fold group of members
+// (its processor row, one member per owner column) and the pair count
+// per member a Tally keeps for them, in one allocation.
+func NewRows(st *partition.Store2D, members int) (Rows, []uint64) {
+	w := st.RowCount / 64
+	all := make([]uint64, 2*w+members)
+	r := Rows{Bits: all[:w:w], Owner: all[w : 2*w : 2*w], words: w / members}
+	for i := range r.Owner {
+		r.Owner[i] = uint64(i / r.words)
+	}
+	return r, all[2*w:]
+}
+
+// Mark marks row ri and counts a pair for its member in pairs — with an
+// atomic OR when shared, the chunks of a scan running at once.
+func (r *Rows) Mark(pairs []uint64, ri uint32, shared bool) {
+	if shared {
+		MarkAtomic(r.Bits, ri)
+	} else {
+		r.Bits[ri>>6] |= 1 << (ri & 63)
+	}
+	pairs[r.Owner[ri>>6]]++
+}
+
+// Or merges the pair (row ri, lane mask x) at its row: x is ORed into
+// the row's accumulator and the row marked (Mark).
+func (r *Rows) Or(acc, pairs []uint64, ri uint32, x uint64) {
+	acc[ri] |= x
+	r.Bits[ri>>6] |= 1 << (ri & 63)
+	pairs[r.Owner[ri>>6]]++
+}
+
+// OrShared is Or for chunks running at once: an atomic OR.
+func (r *Rows) OrShared(acc, pairs []uint64, ri uint32, x uint64) {
+	atomic.OrUint64(&acc[ri], x)
+	r.Mark(pairs, ri, true)
+}
+
+// Min merges the pair (row ri, distance x) at its row: the row's
+// accumulator keeps the least and the row is marked (Mark).
+func (r *Rows) Min(acc []uint32, pairs []uint64, ri, x uint32) {
+	acc[ri] = min(acc[ri], x)
+	r.Bits[ri>>6] |= 1 << (ri & 63)
+	pairs[r.Owner[ri>>6]]++
+}
+
+// MinShared is Min for chunks running at once: a CAS loop lowers the
+// accumulator unless it already holds no more.
+func (r *Rows) MinShared(acc []uint32, pairs []uint64, ri, x uint32) {
+	for p := &acc[ri]; ; {
+		old := atomic.LoadUint32(p)
+		if x >= old || atomic.CompareAndSwapUint32(p, old, x) {
+			break
+		}
+	}
+	r.Mark(pairs, ri, true)
+}
+
+// MarkAtomic sets bit ri of bits with an atomic OR unless it is already
+// set — the mark of a scan whose chunks run at once.
+func MarkAtomic(bits []uint64, ri uint32) {
+	w, b := &bits[ri>>6], uint64(1)<<(ri&63)
+	if atomic.LoadUint64(w)&b == 0 {
+		atomic.OrUint64(w, b)
+	}
+}
+
 // Fold is the fold half of a superstep whose vertices carry a value,
-// the same for both partitionings and both schedules: merge each raw
-// (vertex, value) bin ("merged to form N", with an OR or a min instead
-// of a union), deliver the bins to their owners over the fold group,
-// and merge what arrives for this rank. Every bin is destined to one
-// group member, so its vertices lie in that member's contiguous owned
-// range and a localindex.Combiner merges them without a sort; the model
-// charges each merge one VertexCost per pair that went in, whatever way
-// the merge is computed.
+// the same for both partitionings and both schedules: the step's scans
+// merge each (row, value) pair where they read it — an OR or a min into
+// the row's accumulator, the row's bit set and the pair counted for its
+// member ("merged to form N", with a value) — then Deliver reads each
+// member's set off its rows, delivers the sets to their owners over the
+// fold group, and merges what arrives for this rank in a
+// localindex.Combiner. The model charges each merge one VertexCost per
+// pair that went in, whatever way the merge is computed.
 //
-// It holds the raw bins a step's scan fills, the send-side Combiner
-// (retargeted per bin), the owner's Combiner that every arrived part
-// streams into as it lands, and the merge and decode staging — all
-// allocated once per rank per run and reused every step. Only encoded payloads, owned by the
-// transport once posted, are allocated fresh.
+// The rows, the accumulator and the owner's Combiner are allocated once
+// per rank per run and reused every step: a member's rows go back to the
+// payload's identity as Deliver reads them. Only encoded payloads, owned
+// by the transport once posted, are allocated fresh.
 type Fold[V any] struct {
 	c   *comm.Comm
 	g   comm.Group
 	o   *Common
 	l   partition.View
 	ops Payload[V]
+	id  V
 
-	comb, own  *localindex.Combiner
-	raw        Bins[V]
+	// Acc holds each row's merged value, the identity where no pair
+	// merged since the row was last read; Rows its marks.
+	Acc   []V
+	Rows  Rows
+	tally Tally
+
+	own        *localindex.Combiner
 	outV, decV []uint32
 	outX, decX []V
 	// absorbed counts the send-side duplicates of the Deliver in flight
@@ -56,26 +148,26 @@ type Fold[V any] struct {
 	absorbed int
 }
 
-// NewFold builds the fold of group g on rank c over layout l. caps,
-// when non-nil, is each raw bin's initial capacity — the most pairs one
-// step can bin for that member (a store's FoldEntries) — so the bins
-// never regrow; nil bins start empty and grow with what the steps bin.
-func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, l partition.View, ops Payload[V], caps []uint32) *Fold[V] {
-	f := &Fold[V]{c: c, g: g, o: o, l: l, ops: ops,
-		comb: localindex.NewCombiner(l.BlockSize), own: localindex.NewCombiner(l.BlockSize),
-		raw: Bins[V]{V: make([][]uint32, g.Size()), X: make([][]V, g.Size())}}
-	for m, n := range caps {
-		f.raw.V[m], f.raw.X[m] = make([]uint32, 0, n), make([]V, 0, n)
+// NewFold builds the fold of group g — st's processor row — on rank c
+// over store st.
+func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, st *partition.Store2D, ops Payload[V]) *Fold[V] {
+	l := st.View()
+	f := &Fold[V]{c: c, g: g, o: o, l: l, ops: ops, id: ops.Identity(),
+		Acc: make([]V, st.RowCount), own: localindex.NewCombiner(l.BlockSize)}
+	for i := range f.Acc {
+		f.Acc[i] = f.id
 	}
+	f.Rows, f.tally.Pairs = NewRows(st, g.Size())
 	lo, hi := l.OwnedRange(g.World(g.Me))
 	f.own.Reset(uint32(lo), int(hi-lo))
 	return f
 }
 
-// Reset empties the raw bins for the next scan and returns them.
-func (f *Fold[V]) Reset() *Bins[V] {
-	f.raw.Reset()
-	return &f.raw
+// Tally zeroes the scan counts for the next step and returns them: the
+// step's scans count into it as they merge into Acc and Rows.
+func (f *Fold[V]) Tally() *Tally {
+	f.tally.Reset()
+	return &f.tally
 }
 
 // Encode packs pairs in the fold's payload form. With Decode it makes the
@@ -92,23 +184,42 @@ func (f *Fold[V]) Decode(buf []uint32) ([]uint32, []V) {
 	return f.decV, f.decX
 }
 
+// take reads member m's merged pairs, owned range [lo, lo+n), off its
+// rows into the merge staging, ascending, and resets the rows it reads.
+func (f *Fold[V]) take(m int, lo uint32, n int) {
+	vs, xs := f.outV[:0], f.outX[:0]
+	at := m * f.Rows.words
+	acc, words := f.Acc[at*64:], f.Rows.Bits[at:at+(n+63)/64]
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[i] = 0
+		for ; w != 0; w &= w - 1 {
+			r := i*64 + bits.TrailingZeros64(w)
+			vs, xs = append(vs, lo+uint32(r)), append(xs, acc[r])
+			acc[r] = f.id
+		}
+	}
+	f.outV, f.outX = vs, xs
+}
+
 // Deliver runs the fold of one step under the schedule o.Async selects
 // and returns the merged pairs owned by this rank, valid until the next
 // call, with the duplicates the merges absorbed; the words received go
-// to st.FoldWords. The exchange calls prep once per member, the self bin
-// included; the overlapped schedule posts each bin as soon as it is
-// merged.
+// to st.FoldWords. The exchange calls prep once per member, the self
+// set included; the overlapped schedule posts each set as soon as it is
+// read.
 func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int) {
 	vertexCost := f.c.Model().VertexCost
 	f.absorbed = 0
 	prep := func(m int) []uint32 {
 		lo, hi := f.l.OwnedRange(f.g.World(m))
-		f.comb.Reset(uint32(lo), int(hi-lo))
-		f.ops.Add(f.comb, f.raw.V[m], f.raw.X[m])
-		var d int
-		f.outV, f.outX, d = f.ops.Drain(f.comb, f.outV[:0], f.outX[:0])
-		f.absorbed += d
-		f.c.ChargeItems(len(f.outV)+d, vertexCost)
+		f.take(m, uint32(lo), int(hi-lo))
+		pairs := int(f.tally.Pairs[m])
+		f.tally.Pairs[m] = 0
+		f.absorbed += pairs - len(f.outV)
+		f.c.ChargeItems(pairs, vertexCost)
 		if m == f.g.Me {
 			f.ops.Add(f.own, f.outV, f.outX) // stays local, unencoded
 			return nil

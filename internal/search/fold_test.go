@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/frontier"
+	"repro/internal/graph"
 	"repro/internal/localindex"
 	"repro/internal/partition"
 )
@@ -23,6 +25,7 @@ type orPayload struct {
 	hist *frontier.ContainerHist
 }
 
+func (orPayload) Identity() uint64                                      { return 0 }
 func (orPayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
 func (orPayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
 	return cb.DrainOr(vs, ms)
@@ -57,6 +60,7 @@ type minPayload struct {
 	hist *frontier.ContainerHist
 }
 
+func (minPayload) Identity() uint32                             { return math.MaxUint32 }
 func (minPayload) Add(cb *localindex.Combiner, vs, ds []uint32) { cb.AddMin(vs, ds) }
 func (minPayload) Drain(cb *localindex.Combiner, vs, ds []uint32) ([]uint32, []uint32, int) {
 	return cb.DrainMin(vs, ds)
@@ -78,8 +82,8 @@ func (minPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
 // foldCase is one fold's inputs, the same on every schedule: bins[r][m]
 // holds the raw (vertex, value) pairs rank r found for member m.
 type foldCase[V any] struct {
-	l    partition.View
-	bins [][][]pair[V]
+	stores []*partition.Store2D
+	bins   [][][]pair[V]
 }
 
 type pair[V any] struct {
@@ -87,21 +91,33 @@ type pair[V any] struct {
 	x V
 }
 
+// emptyStores returns the stores of an edgeless n-vertex graph on an R x
+// C mesh: their rows are all a fold needs.
+func emptyStores(t *testing.T, n, r, c int) []*partition.Store2D {
+	t.Helper()
+	l, err := partition.NewLayout2D(n, r, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores, err := partition.Build2D(l, func(func(u, v graph.Vertex)) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stores
+}
+
 // makeCase draws the bins of step round on a p-rank world over n
 // vertices: random pairs with plenty of repeats, every third rank's
 // first bin empty, and one all-duplicate bin per rank.
 func makeCase[V any](t *testing.T, n, p, round int, value func(*rand.Rand) V) foldCase[V] {
 	t.Helper()
-	l1, err := partition.NewLayout2D(n, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := foldCase[V]{l: l1.View(), bins: make([][][]pair[V], p)}
+	fc := foldCase[V]{stores: emptyStores(t, n, 1, p), bins: make([][][]pair[V], p)}
+	l := fc.stores[0].View()
 	rng := rand.New(rand.NewSource(int64(1000*p + round)))
 	for r := range fc.bins {
 		fc.bins[r] = make([][]pair[V], p)
 		for m := range fc.bins[r] {
-			lo, hi := fc.l.OwnedRange(m)
+			lo, hi := l.OwnedRange(m)
 			switch {
 			case hi == lo || (r%3 == 0 && m == (r+1)%p):
 				// empty bin
@@ -160,39 +176,57 @@ type foldGot[V any] struct {
 	absorbed  int
 }
 
+// rowMerge merges the pair (ri, x) at its row of f, counting it in
+// pairs: the scans' Rows.Or or Rows.Min, or their shared forms.
+type rowMerge[V any] func(f *Fold[V], pairs []uint64, ri uint32, x V, shared bool)
+
+func orMerge(f *Fold[uint64], pairs []uint64, ri uint32, x uint64, shared bool) {
+	if shared {
+		f.Rows.OrShared(f.Acc, pairs, ri, x)
+	} else {
+		f.Rows.Or(f.Acc, pairs, ri, x)
+	}
+}
+
+func minMerge(f *Fold[uint32], pairs []uint64, ri, x uint32, shared bool) {
+	if shared {
+		f.Rows.MinShared(f.Acc, pairs, ri, x)
+	} else {
+		f.Rows.Min(f.Acc, pairs, ri, x)
+	}
+}
+
+// rowOf returns the local row of vertex v, owned by fold-group member m
+// from lo, on store st.
+func rowOf(st *partition.Store2D, m int, lo graph.Vertex, v uint32) uint32 {
+	return uint32(m*st.RowCount/st.Layout.C) + v - uint32(lo)
+}
+
 // runFold delivers rounds steps of cases on one Fold per rank — the
 // scratch is reused from step to step, as in the engines — under the
-// given schedule, its bins presized to the largest each step fills when
-// presize is set (as the lane fold sizes them from the store).
-func runFold[V any](t *testing.T, cases []foldCase[V], async, presize bool, payload func(h *frontier.ContainerHist) Payload[V]) [][]foldGot[V] {
+// given schedule, every bin's pairs merged at their rows.
+func runFold[V any](t *testing.T, cases []foldCase[V], async bool, merge rowMerge[V], payload func(h *frontier.ContainerHist) Payload[V]) [][]foldGot[V] {
 	t.Helper()
-	p := cases[0].l.P()
+	p := len(cases[0].stores)
 	w := testWorld(t, p)
 	got := make([][]foldGot[V], p)
 	if _, err := w.Run(func(c *comm.Comm) {
 		o := Defaults()
 		o.Async = async
 		var hist frontier.ContainerHist
-		var caps []uint32
-		if presize {
-			caps = make([]uint32, p)
-			for _, fc := range cases {
-				for m, bin := range fc.bins[c.Rank()] {
-					caps[m] = max(caps[m], uint32(len(bin)))
-				}
-			}
-		}
-		f := NewFold(c, comm.Mesh{R: 1, C: p}.RowGroup(c.Rank()), &o, cases[0].l, payload(&hist), caps)
+		st := cases[0].stores[c.Rank()]
+		f := NewFold(c, comm.Mesh{R: 1, C: p}.RowGroup(c.Rank()), &o, st, payload(&hist))
 		for round, fc := range cases {
-			b := f.Reset()
+			tl := f.Tally()
 			for m, bin := range fc.bins[c.Rank()] {
+				lo, _ := st.View().OwnedRange(m)
 				for _, pr := range bin {
-					b.V[m], b.X[m] = append(b.V[m], pr.v), append(b.X[m], pr.x)
+					merge(f, tl.Pairs, rowOf(st, m, lo, pr.v), pr.x, false)
 				}
 			}
-			var st Step
-			vs, xs, absorbed := f.Deliver(64*round, &st)
-			got[c.Rank()] = append(got[c.Rank()], foldGot[V]{slices.Clone(vs), slices.Clone(xs), st.FoldWords, absorbed})
+			var step Step
+			vs, xs, absorbed := f.Deliver(64*round, &step)
+			got[c.Rank()] = append(got[c.Rank()], foldGot[V]{slices.Clone(vs), slices.Clone(xs), step.FoldWords, absorbed})
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -200,18 +234,15 @@ func runFold[V any](t *testing.T, cases []foldCase[V], async, presize bool, payl
 	return got
 }
 
-func checkFold[V any](t *testing.T, value func(*rand.Rand) V, merge func(a, b V) V, payload func(frontier.WireMode, *frontier.ContainerHist) Payload[V]) {
+func checkFold[V any](t *testing.T, value func(*rand.Rand) V, merge func(a, b V) V, rm rowMerge[V], payload func(frontier.WireMode, *frontier.ContainerHist) Payload[V]) {
 	for _, p := range []int{1, 2, 3, 6, 7} {
 		for _, wire := range []frontier.WireMode{frontier.WireSparse, frontier.WireHybrid} {
 			t.Run(fmt.Sprintf("p%d/%v", p, wire), func(t *testing.T) {
 				cases := []foldCase[V]{makeCase(t, 997, p, 0, value), makeCase(t, 997, p, 1, value)}
 				bind := func(h *frontier.ContainerHist) Payload[V] { return payload(wire, h) }
-				sync, async := runFold(t, cases, false, false, bind), runFold(t, cases, true, false, bind)
+				sync, async := runFold(t, cases, false, rm, bind), runFold(t, cases, true, rm, bind)
 				if !reflect.DeepEqual(sync, async) {
 					t.Errorf("the schedules disagree:\nsync  %+v\nasync %+v", sync, async)
-				}
-				if sized := runFold(t, cases, false, true, bind); !reflect.DeepEqual(sync, sized) {
-					t.Errorf("presized bins disagree:\ngrown %+v\nsized %+v", sync, sized)
 				}
 				for rank := range sync {
 					for round, g := range sync[rank] {
@@ -228,7 +259,7 @@ func checkFold[V any](t *testing.T, value func(*rand.Rand) V, merge func(a, b V)
 }
 
 // TestFoldAgainstSortedReference: the generic value fold delivers, for
-// OR and for min, exactly what sorting the raw bins and merging equal
+// OR and for min, exactly what sorting the raw pairs and merging equal
 // vertices would — same pairs, same absorbed-duplicate count — at every
 // group size, with empty and all-duplicate bins, under both wire codecs,
 // and the two schedules agree to the received word.
@@ -236,13 +267,13 @@ func TestFoldAgainstSortedReference(t *testing.T) {
 	t.Run("or", func(t *testing.T) {
 		checkFold(t,
 			func(r *rand.Rand) uint64 { return 1 << uint(r.Intn(64)) },
-			func(a, b uint64) uint64 { return a | b },
+			func(a, b uint64) uint64 { return a | b }, orMerge,
 			func(w frontier.WireMode, h *frontier.ContainerHist) Payload[uint64] { return orPayload{w, h} })
 	})
 	t.Run("min", func(t *testing.T) {
 		checkFold(t,
 			func(r *rand.Rand) uint32 { return uint32(r.Intn(1 << 20)) },
-			func(a, b uint32) uint32 { return min(a, b) },
+			func(a, b uint32) uint32 { return min(a, b) }, minMerge,
 			func(w frontier.WireMode, h *frontier.ContainerHist) Payload[uint32] { return minPayload{w, h} })
 	})
 }

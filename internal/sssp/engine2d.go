@@ -26,10 +26,10 @@ type engine2D struct {
 	// parallel.go for the determinism contract.
 	pl   *pool.Pool
 	hist frontier.ContainerHist
-	// fold is the row exchange of a round and its scratch, its bins grown
-	// with use, not sized from FoldEntries as the lane fold's are: a round
-	// relaxes only one bucket's edges. col is the column expand in the
-	// fold's wire form, nil when the column is this rank alone.
+	// fold is the row exchange of a round and its scratch: the relax
+	// scans min-merge their requests into its rows. col is the column
+	// expand in the fold's wire form, nil when the column is this rank
+	// alone.
 	fold *search.Fold[uint32]
 	col  *search.Column[uint32]
 }
@@ -38,7 +38,7 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, l partition.View, opts Opt
 	mesh := comm.Mesh{R: l.R, C: l.C}
 	c.SetCores(opts.Cores)
 	e := &engine2D{c: c, st: st, opts: opts, pl: pool.New(opts.Workers)}
-	e.fold = search.NewFold[uint32](c, mesh.RowGroup(c.Rank()), &e.opts.Common, l, requestPayload{opts.Wire, &e.hist}, nil)
+	e.fold = search.NewFold[uint32](c, mesh.RowGroup(c.Rank()), &e.opts.Common, st, requestPayload{opts.Wire, &e.hist})
 	if colG := mesh.ColGroup(c.Rank()); colG.Size() > 1 {
 		e.col = search.NewColumn[uint32](c, colG, &e.opts.Common, st, e.fold)
 	}
@@ -74,14 +74,14 @@ func (e *engine2D) weightAt(i uint32) uint32 {
 // payloads and statistics bit-for-bit (the min-merge is
 // order-insensitive).
 func (e *engine2D) scatter(vs, D []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	b := e.fold.Reset()
+	t := e.fold.Tally()
 	if e.col == nil {
 		// The column is this rank: relax the active set's own lists.
-		e.relaxPart(b, vs, D, light, delta, 0)
+		e.relaxPart(t, vs, D, light, delta, 0)
 	} else {
-		rec.ExpandWords = e.col.Expand(tag, nil, vs, D, func(avs, ads []uint32) { e.relaxPart(b, avs, ads, light, delta, len(avs)) })
+		rec.ExpandWords = e.col.Expand(tag, nil, vs, D, func(avs, ads []uint32) { e.relaxPart(t, avs, ads, light, delta, len(avs)) })
 	}
-	rec.Edges += b.Scanned
+	rec.Edges += t.Scanned
 
 	// Minimum-merge per destination, the row exchange to the owners, and
 	// the owner's merge of what arrives.

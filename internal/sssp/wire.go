@@ -1,6 +1,8 @@
 package sssp
 
 import (
+	"math"
+
 	"repro/internal/frontier"
 	"repro/internal/localindex"
 	"repro/internal/search"
@@ -24,6 +26,8 @@ type requestPayload struct {
 	wire frontier.WireMode
 	hist *frontier.ContainerHist
 }
+
+func (requestPayload) Identity() uint32 { return math.MaxUint32 }
 
 func (requestPayload) Add(cb *localindex.Combiner, vs, ds []uint32) { cb.AddMin(vs, ds) }
 

@@ -1,7 +1,10 @@
 package bgl
 
 import (
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -22,12 +25,59 @@ import (
 // the 16 x 1 mesh, where the dense index is least ahead (each rank's
 // block column is every vertex), 21.34 MB where it cost 35.24 MB
 // (26.21, 26.11, 25.40); the 1D graph 0.75 MB (1.54, 1.41); a weighted
-// 2D graph of 40,000 vertices 6.21 MB (7.91). The ceilings are set 4%
-// over the 2D readings and 0.1 MB over the 1D one, which reads up to
-// 0.79 MB after the package's other tests; the readings repeat to
-// within 0.05 MB, and a retained loader index or a second per-entry
-// array lands well above them.
+// 2D graph of 40,000 vertices 6.21 MB (7.91). Each case runs in a fresh
+// process — the test binary re-executed for that one case — so no other
+// test's leftovers count: the 1D case read 0.79 MB after the package's
+// other tests in this process and 0.75 MB alone. The ceilings are set
+// 4% over the readings; the readings repeat to within 0.05 MB, and a
+// retained loader index or a second per-entry array lands well above
+// them.
 func TestStoreFootprint(t *testing.T) {
+	cases := []struct {
+		name     string
+		n        int
+		part     Partition
+		weighted bool
+		ceiling  float64 // MB
+	}{
+		{"bfs2d", 100000, Part2D, false, 11.3},
+		{"multibfs1d", 16000, Part1DCol, false, 0.78},
+		{"bfs1drow", 100000, Part1DRow, false, 22.2},
+		{"sssp2d", 40000, Part2D, true, 6.5},
+	}
+	only := os.Getenv(footprintCaseEnv)
+	for _, tc := range cases {
+		if only != "" && only != tc.name {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if only == "" {
+				// Re-execute the test binary for this case alone.
+				cmd := exec.Command(os.Args[0], "-test.run=^TestStoreFootprint$/^"+tc.name+"$", "-test.v", "-test.count=1")
+				cmd.Env = append(os.Environ(), footprintCaseEnv+"="+tc.name)
+				out, err := cmd.CombinedOutput()
+				for _, line := range strings.Split(string(out), "\n") {
+					if strings.Contains(line, "pinned by Distribute") || strings.Contains(line, "over the budget") {
+						t.Log(strings.TrimSpace(line))
+					}
+				}
+				if err != nil {
+					t.Fatalf("the case's own process failed: %v\n%s", err, out)
+				}
+				return
+			}
+			measureFootprint(t, tc.n, tc.part, tc.weighted, tc.ceiling)
+		})
+	}
+}
+
+// footprintCaseEnv names the one TestStoreFootprint case a re-executed
+// test binary measures.
+const footprintCaseEnv = "BGL_STORE_FOOTPRINT_CASE"
+
+// measureFootprint distributes a generated n-vertex graph under part and
+// fails if it pins more than ceiling MB.
+func measureFootprint(t *testing.T, n int, part Partition, weighted bool, ceiling float64) {
 	cl, err := NewCluster(ClusterConfig{R: 4, C: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -38,39 +88,24 @@ func TestStoreFootprint(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc) / 1e6
 	}
-	for _, tc := range []struct {
-		name     string
-		n        int
-		part     Partition
-		weighted bool
-		ceiling  float64 // MB
-	}{
-		{"bfs2d", 100000, Part2D, false, 11.3},
-		{"multibfs1d", 16000, Part1DCol, false, 0.85},
-		{"bfs1drow", 100000, Part1DRow, false, 22.2},
-		{"sssp2d", 40000, Part2D, true, 6.5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			generate := Generate
-			if tc.weighted {
-				generate = func(n int, k float64, seed int64) (*Graph, error) { return GenerateWeighted(n, k, seed) }
-			}
-			g, err := generate(tc.n, 10, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := heapMB()
-			dg, err := cl.Distribute(g, WithPartition(tc.part))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := heapMB() - before
-			runtime.KeepAlive(dg)
-			runtime.KeepAlive(g)
-			t.Logf("%.2f MB pinned by Distribute (ceiling %.2f)", got, tc.ceiling)
-			if got > tc.ceiling {
-				t.Errorf("Distribute pins %.2f MB, over the budget of %.2f", got, tc.ceiling)
-			}
-		})
+	generate := Generate
+	if weighted {
+		generate = func(n int, k float64, seed int64) (*Graph, error) { return GenerateWeighted(n, k, seed) }
+	}
+	g, err := generate(n, 10, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := heapMB()
+	dg, err := cl.Distribute(g, WithPartition(part))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := heapMB() - before
+	runtime.KeepAlive(dg)
+	runtime.KeepAlive(g)
+	t.Logf("%.2f MB pinned by Distribute (ceiling %.2f)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("Distribute pins %.2f MB, over the budget of %.2f", got, ceiling)
 	}
 }
