@@ -23,9 +23,8 @@ tier1:
 
 # Race-detector pass: the SPMD ranks are goroutines sharing one address
 # space; any unsynchronized touch of a payload in flight shows up here.
-# -short is read by two tests: the simulated ledger keeps its 240-line
-# matrix block under the detector and skips the n = 100,000 block, and
-# TestValueFoldMatchesReference skips its 1 x 260 mesh.
+# -short is read by one test: the simulated ledger keeps its 240-line
+# matrix block under the detector and skips the n = 100,000 block.
 race:
 	$(GO) test -race -short ./...
 
@@ -55,12 +54,11 @@ bench:
 
 # One-iteration benchmark smoke: every exhibit still runs to completion
 # (BenchmarkExhibit, in internal/harness, ranges over harness.All).
-# Then the combine step's micro-benchmarks with allocation counts: one
-# rank's share of multibfs1d-64's largest sweep at 0/50/90% duplicates
-# through the owner's localindex.Combiner (OR / min), beside the
-# sort-then-compact merge it replaced, and the union folds' merge of
-# two 10,000-id sets at 10/50/90% overlap into reused scratch, in ns
-# per id. 0 allocs/op is the expectation.
+# Then the union folds' merge with allocation counts: two 10,000-id
+# sets (one rank's share of multibfs1d-64's largest sweep) at 10/50/90%
+# overlap into reused scratch, in ns per id, 0 allocs/op. The value
+# folds merge at the row, on both sides of the exchange; their number
+# is BenchmarkMultiBFS1D's and BenchmarkDeltaStepping's, below.
 # Then the per-layer number for a top-down scan's column lookup: one
 # rank of the lab's 4x4 graph resolving a sorted 4,096-vertex part
 # through its dense column index, in ns per vertex, 0 allocs/op. Then
@@ -87,7 +85,7 @@ bench:
 # masks at the row (the perf lab's multibfs1d-64 shape) and the loader
 # that numbers the rows (Build2D of another). Together about 4 s.
 bench-smoke: bench
-	$(GO) test -run=^$$ -bench='Combine|UnionSorted' -benchtime=100x -benchmem ./internal/localindex
+	$(GO) test -run=^$$ -bench=UnionSorted -benchtime=100x -benchmem ./internal/localindex
 	$(GO) test -run=^$$ -bench=ResolveColumns -benchtime=100x -benchmem ./internal/partition
 	$(GO) test -run=^$$ -bench=ColumnExpand -benchtime=100x -benchmem ./internal/search
 	$(GO) test -run=^$$ -bench='EncodeBits|EncodeSet|DecodeSet' -benchtime=100x -benchmem ./internal/frontier
@@ -242,12 +240,13 @@ profile:
 	$(GO) run ./cmd/bfsrun -n 100000 -k 10 -r 4 -c 4 -verify=false -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof (open with: go tool pprof cpu.pprof)"
 
-# Coverage-guided fuzzing: the hybrid wire codec round-trips, malformed
-# payload rejection, the sort-free combiner vs the sort-then-compact
-# references, weighted edge-list IO, and distributed Δ-stepping vs the
-# serial Dijkstra oracle. FUZZTIME sets the budget per target.
+# Coverage-guided fuzzing: the value fold that merges at the row (min
+# and OR, on meshes up to 2 x 3) vs the sorted reference, the hybrid
+# wire codec round-trips, malformed payload rejection, weighted
+# edge-list IO, and distributed Δ-stepping vs the serial Dijkstra
+# oracle. FUZZTIME sets the budget per target.
 fuzz:
-	$(GO) test ./internal/localindex -run=^$$ -fuzz=FuzzCombine -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/search -run=^$$ -fuzz=FuzzValueFold -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontier -run=^$$ -fuzz=FuzzHybridSetRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontier -run=^$$ -fuzz=FuzzHybridBitsRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontier -run=^$$ -fuzz=FuzzDecodeMalformed -fuzztime=$(FUZZTIME)

@@ -9,10 +9,10 @@ import (
 // traversal per engine family on a small fixed graph, and of the
 // traversals graphd serves with on the perf lab's service graph (a lone
 // query's BFS, a batch's 8-lane sweep), counted over every rank's
-// goroutine. The engines allocate their scratch — combiner arrays,
-// per-destination bins, level frontiers, expand and decode staging —
-// once per rank per run, the ranks label straight into the answer, and
-// the transport allocates nothing per message beyond the payload it is
+// goroutine. The engines allocate their scratch — fold rows and
+// accumulators, level frontiers, expand and decode staging — once per
+// rank per run, the ranks label straight into the answer, and the
+// transport allocates nothing per message beyond the payload it is
 // handed (routes come from the World's table, requests are values,
 // per-call tables are borrowed from the Comm); an allocation that creeps
 // back into the per-message or per-superstep path multiplies by levels x
@@ -20,23 +20,22 @@ import (
 // n-sized array that comes back as one allocation lands above the bytes
 // ceilings. The readings repeat exactly:
 //
-//	case                 allocs  MB     under -race  (before the value folds merged at the row)
-//	sssp2d                7451   1.554  7900, 1.570  (8523, 1.739)
-//	multibfs1d            3594   2.641  3741, 2.662  (4154, 2.658)
-//	multibfs2d-service     575   4.386   707, 5.046  (604, 6.705)
-//	bfs2d                 1188   0.428  1377, 0.511  (1259, 0.439)
-//	bfs2d-service          408   0.622   503, 0.748  (424, 0.623)
+//	case                 allocs  MB     under -race  (before the owner merged at its rows)
+//	sssp2d                7403   1.528  7852, 1.543  (7451, 1.554)
+//	multibfs1d            3546   2.590  3693, 2.611  (3594, 2.641)
+//	multibfs2d-service     564   4.219   694, 4.880  (576, 4.386)
+//	bfs2d                 1188   0.428  1377, 0.511
+//	bfs2d-service          408   0.622   503, 0.748
 //
 // The race detector's runs (make race) read higher and repeat exactly
 // too. Count ceilings sit about 20% over the count they were set at —
-// sssp2d's, bfs2d's and bfs2d-service's over their -race readings of
-// 9252, 1387 and 515, before the top-down sets were built once;
-// multibfs1d's and multibfs2d-service's over 7256 and 875, before the
-// folds merged into run scratch; before the transport stopped
+// sssp2d's, multibfs1d's and multibfs2d-service's over their -race
+// readings above; bfs2d's and bfs2d-service's over 1387 and 515, before
+// the top-down sets were built once; before the transport stopped
 // allocating per message sssp2d, bfs2d and bfs2d-service took 72857,
 // 9769 and 2133 — and bytes ceilings about 15% over the higher reading
-// they were set at (multibfs1d's and multibfs2d-service's over 2.829 and
-// 7.475 MB). graphd's allocs per query sit about 170 above
+// they were set at (the three value-fold cases' over their -race
+// readings above). graphd's allocs per query sit about 170 above
 // bfs2d-service's. Raise a ceiling only with the cause in hand.
 func TestAllocBudgets(t *testing.T) {
 	const n = 6000
@@ -93,15 +92,15 @@ func TestAllocBudgets(t *testing.T) {
 		mb      float64 // bytes ceiling, MB
 		run     func() error
 	}{
-		{"sssp2d", 11100, 2.05, func() error {
+		{"sssp2d", 9425, 1.78, func() error {
 			_, err := cl.SSSP(dgW, src, WithWire(WireHybrid), WithDelta(25))
 			return err
 		}},
-		{"multibfs1d", 8650, 3.25, func() error {
+		{"multibfs1d", 4430, 3.01, func() error {
 			_, err := cl.MultiBFS(dg1, lanes, WithWire(WireHybrid))
 			return err
 		}},
-		{"multibfs2d-service", 1050, 8.6, func() error {
+		{"multibfs2d-service", 835, 5.62, func() error {
 			_, err := clS.MultiBFS(dgS, lanesS, WithWire(WireHybrid))
 			return err
 		}},

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/localindex"
 	"repro/internal/search"
 )
 
@@ -97,10 +96,11 @@ type lanePayload struct {
 
 func (lanePayload) Identity() uint64 { return 0 }
 
-func (lanePayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
-
-func (lanePayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
-	return cb.DrainOr(vs, ms)
+// Merge ORs an arrived part's masks into the owner's rows.
+func (lanePayload) Merge(r *search.Rows, acc, pairs []uint64, shift uint32, vs []uint32, ms []uint64) {
+	for i, v := range vs {
+		r.Or(acc, pairs, v+shift, ms[i])
+	}
 }
 
 // Encode packs a deduplicated (vertex, mask) batch drawn from the

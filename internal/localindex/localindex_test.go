@@ -522,6 +522,11 @@ func unionDiff(s []uint32, dups int) string {
 	return fmt.Sprintf("%d ids %v… dups=%d", len(s), s[:min(len(s), 12)], dups)
 }
 
+// benchPairs is one rank's share of multibfs1d-64's largest sweep: that
+// sweep scans ~160k edge entries (n = 16000, degree 10, nearly every
+// vertex in the lane-OR frontier) over P = 16 ranks.
+const benchPairs = 10000
+
 // BenchmarkUnionSorted merges two member-range sets of benchPairs ids
 // each at 10%, 50% and 90% overlap into reused scratch, the way the
 // folds call it.

@@ -6,7 +6,7 @@ import "slices"
 // the deduplicated slice and the number of duplicates removed. The
 // duplicate count feeds the paper's redundancy-ratio metric (Fig. 7).
 // It is the general-purpose merge for callers that know no id range;
-// the engines' per-destination bins use Combiner instead.
+// the engines' folds merge at the row instead (search.Rows).
 func SortSet(s []uint32) ([]uint32, int) {
 	if len(s) < 2 {
 		return s, 0

@@ -1,29 +1,29 @@
 package search
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/frontier"
-	"repro/internal/localindex"
 	"repro/internal/partition"
 )
 
 // Payload binds the value type V riding with each vertex of a fold — a
 // 64-bit lane mask, a uint32 tentative distance — to its merge (OR or
-// min), whose identity the fold's rows start from and whose owner-side
-// form is the Combiner's scatter and drain, and to its wire form.
+// min), whose identity the fold's rows start from, and to its wire
+// form.
 type Payload[V any] interface {
 	// Identity is the value a row holds before any pair merges into it:
 	// 0 for OR, MaxUint32 for min.
 	Identity() V
-	// Add scatters the pairs (vs[i], xs[i]) into cb.
-	Add(cb *localindex.Combiner, vs []uint32, xs []V)
-	// Drain appends cb's merged pairs, ascending and duplicate-free, to
-	// vs and xs and returns them with the duplicates absorbed.
-	Drain(cb *localindex.Combiner, vs []uint32, xs []V) ([]uint32, []V, int)
+	// Merge merges the decoded pairs (vs[i], xs[i]) of a part that
+	// arrived for this rank, their ids checked to be its own, at their
+	// rows vs[i]+shift of r by the scans' merge (Rows.Or or Rows.Min),
+	// each counted in pairs.
+	Merge(r *Rows, acc []V, pairs []uint64, shift uint32, vs []uint32, xs []V)
 	// Encode packs a merged batch drawn from the destination's owned
 	// universe [lo, lo+n); an empty batch is a nil payload.
 	Encode(vs []uint32, xs []V, lo uint32, n int) []uint32
@@ -32,13 +32,13 @@ type Payload[V any] interface {
 	Decode(buf, vs []uint32, xs []V) ([]uint32, []V)
 }
 
-// Rows is the send side of a fold that merges at the row: a bit per
-// local row of a rank's store (Store2D.RowIdx) that a step's scan
-// reached, and the owner table a scan counts its pairs by. Rows are
-// numbered by position, member m of the fold group owning the
-// word-aligned bits [m·span, m·span+BlockSize), so Owner maps a word of
-// Bits to its member without a division, and a member's rows, read off
-// its words in order, are its sorted set.
+// Rows is where a fold merges at the row: a bit per local row of a
+// rank's store (Store2D.RowIdx) that a step's scan reached or, in the
+// rank's own member, a pair arrived at, and the owner table the pairs
+// are counted by. Rows are numbered by position, member m of the fold
+// group owning the word-aligned bits [m·span, m·span+BlockSize), so
+// Owner maps a word of Bits to its member without a division, and a
+// member's rows, read off its words in order, are its sorted set.
 type Rows struct {
 	Bits  []uint64
 	Owner []uint64 // Owner[w]: the member whose rows word w of Bits holds
@@ -103,6 +103,9 @@ func (r *Rows) MinShared(acc []uint32, pairs []uint64, ri, x uint32) {
 	r.Mark(pairs, ri, true)
 }
 
+// member returns the words of Bits that hold member m's rows.
+func (r *Rows) member(m int) []uint64 { return r.Bits[m*r.words : (m+1)*r.words] }
+
 // MarkAtomic sets bit ri of bits with an atomic OR unless it is already
 // set — the mark of a scan whose chunks run at once.
 func MarkAtomic(bits []uint64, ri uint32) {
@@ -117,15 +120,16 @@ func MarkAtomic(bits []uint64, ri uint32) {
 // merge each (row, value) pair where they read it — an OR or a min into
 // the row's accumulator, the row's bit set and the pair counted for its
 // member ("merged to form N", with a value) — then Deliver reads each
-// member's set off its rows, delivers the sets to their owners over the
-// fold group, and merges what arrives for this rank in a
-// localindex.Combiner. The model charges each merge one VertexCost per
-// pair that went in, whatever way the merge is computed.
+// other member's set off its rows and delivers it to its owner over the
+// fold group, and merges what arrives for this rank the same way at the
+// rows of its own member, which are its owned range. The model charges
+// each merge one VertexCost per pair that went in, whatever way the
+// merge is computed.
 //
-// The rows, the accumulator and the owner's Combiner are allocated once
-// per rank per run and reused every step: a member's rows go back to the
-// payload's identity as Deliver reads them. Only encoded payloads, owned
-// by the transport once posted, are allocated fresh.
+// The rows and the accumulator are allocated once per rank per run and
+// reused every step: a member's rows go back to the payload's identity
+// as Deliver reads them. Only encoded payloads, owned by the transport
+// once posted, are allocated fresh.
 type Fold[V any] struct {
 	c   *comm.Comm
 	g   comm.Group
@@ -139,12 +143,14 @@ type Fold[V any] struct {
 	Acc   []V
 	Rows  Rows
 	tally Tally
+	// lo and n are this rank's owned range [lo, lo+n), whose id v is at
+	// row v+shift (mod 2^32) of its own member.
+	lo, n, shift uint32
 
-	own        *localindex.Combiner
 	outV, decV []uint32
 	outX, decX []V
-	// absorbed counts the send-side duplicates of the Deliver in flight
-	// (a field, not a local, so prep captures nothing but f).
+	// absorbed counts the duplicates of the Deliver in flight (a field,
+	// not a local, so prep captures nothing but f).
 	absorbed int
 }
 
@@ -152,14 +158,14 @@ type Fold[V any] struct {
 // over store st.
 func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, st *partition.Store2D, ops Payload[V]) *Fold[V] {
 	l := st.View()
-	f := &Fold[V]{c: c, g: g, o: o, l: l, ops: ops, id: ops.Identity(),
-		Acc: make([]V, st.RowCount), own: localindex.NewCombiner(l.BlockSize)}
+	f := &Fold[V]{c: c, g: g, o: o, l: l, ops: ops, id: ops.Identity(), Acc: make([]V, st.RowCount)}
 	for i := range f.Acc {
 		f.Acc[i] = f.id
 	}
 	f.Rows, f.tally.Pairs = NewRows(st, g.Size())
 	lo, hi := l.OwnedRange(g.World(g.Me))
-	f.own.Reset(uint32(lo), int(hi-lo))
+	f.lo, f.n = uint32(lo), uint32(hi-lo)
+	f.shift = uint32(g.Me*64*f.Rows.words) - f.lo
 	return f
 }
 
@@ -184,12 +190,12 @@ func (f *Fold[V]) Decode(buf []uint32) ([]uint32, []V) {
 	return f.decV, f.decX
 }
 
-// take reads member m's merged pairs, owned range [lo, lo+n), off its
-// rows into the merge staging, ascending, and resets the rows it reads.
-func (f *Fold[V]) take(m int, lo uint32, n int) {
+// take reads member m's merged pairs, owned range from lo, off its rows
+// into the merge staging, ascending, resets the rows it reads, and
+// charges and returns the pairs that went into them.
+func (f *Fold[V]) take(m int, lo uint32) int {
 	vs, xs := f.outV[:0], f.outX[:0]
-	at := m * f.Rows.words
-	acc, words := f.Acc[at*64:], f.Rows.Bits[at:at+(n+63)/64]
+	acc, words := f.Acc[m*64*f.Rows.words:], f.Rows.member(m)
 	for i, w := range words {
 		if w == 0 {
 			continue
@@ -202,6 +208,10 @@ func (f *Fold[V]) take(m int, lo uint32, n int) {
 		}
 	}
 	f.outV, f.outX = vs, xs
+	pairs := int(f.tally.Pairs[m])
+	f.tally.Pairs[m] = 0
+	f.c.ChargeItems(pairs, f.c.Model().VertexCost)
+	return pairs
 }
 
 // Deliver runs the fold of one step under the schedule o.Async selects
@@ -209,36 +219,45 @@ func (f *Fold[V]) take(m int, lo uint32, n int) {
 // call, with the duplicates the merges absorbed; the words received go
 // to st.FoldWords. The exchange calls prep once per member, the self
 // set included; the overlapped schedule posts each set as soon as it is
-// read.
+// read. This rank's own set never travels: its rows stay in place, each
+// arrival merges into them, and they are read once the exchange is over.
 func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int) {
-	vertexCost := f.c.Model().VertexCost
 	f.absorbed = 0
 	prep := func(m int) []uint32 {
-		lo, hi := f.l.OwnedRange(f.g.World(m))
-		f.take(m, uint32(lo), int(hi-lo))
-		pairs := int(f.tally.Pairs[m])
-		f.tally.Pairs[m] = 0
-		f.absorbed += pairs - len(f.outV)
-		f.c.ChargeItems(pairs, vertexCost)
-		if m == f.g.Me {
-			f.ops.Add(f.own, f.outV, f.outX) // stays local, unencoded
-			return nil
+		if m != f.g.Me {
+			lo, hi := f.l.OwnedRange(f.g.World(m))
+			f.absorbed += f.take(m, uint32(lo)) - len(f.outV)
+			return f.ops.Encode(f.outV, f.outX, uint32(lo), int(hi-lo))
 		}
-		return f.ops.Encode(f.outV, f.outX, uint32(lo), int(hi-lo))
+		// Both schedules prep this rank's own member before they handle
+		// any part (collective.Exchange): its marks are the distinct rows
+		// the scans reached, and from here pairs[m] counts them and then
+		// every pair that arrives — what goes into the owner's merge.
+		pairs, d := f.tally.Pairs, 0
+		for _, w := range f.Rows.member(m) {
+			d += bits.OnesCount64(w)
+		}
+		f.c.ChargeItems(int(pairs[m]), f.c.Model().VertexCost)
+		f.absorbed += int(pairs[m]) - d
+		pairs[m] = uint64(d)
+		return nil
 	}
 	handle := func(m int, part []uint32) {
-		if m != f.g.Me {
-			pv, px := f.Decode(part)
-			f.ops.Add(f.own, pv, px)
+		if m == f.g.Me {
+			return
 		}
+		pv, px := f.Decode(part)
+		for _, v := range pv {
+			if v-f.lo >= f.n {
+				panic(fmt.Sprintf("search: fold id %d outside its owner's range [%d, %d)", v, f.lo, uint64(f.lo)+uint64(f.n)))
+			}
+		}
+		f.ops.Merge(&f.Rows, f.Acc, f.tally.Pairs, f.shift, pv, px)
 	}
 	o := collective.Opts{Tag: tag, Chunk: f.o.ChunkWords, Async: f.o.Async}
 	st.FoldWords = collective.Exchange(f.c, f.g, o, prep, handle).RecvWords
-
-	var d int
-	f.outV, f.outX, d = f.ops.Drain(f.own, f.outV[:0], f.outX[:0])
-	f.c.ChargeItems(len(f.outV)+d, vertexCost)
-	return f.outV, f.outX, f.absorbed + d
+	f.absorbed += f.take(f.g.Me, f.lo) - len(f.outV)
+	return f.outV, f.outX, f.absorbed
 }
 
 // Value payloads share one head, [setWords, hdr..., encodedSet...]: the

@@ -7,12 +7,12 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
-	"repro/internal/localindex"
 	"repro/internal/partition"
 )
 
@@ -25,10 +25,11 @@ type orPayload struct {
 	hist *frontier.ContainerHist
 }
 
-func (orPayload) Identity() uint64                                      { return 0 }
-func (orPayload) Add(cb *localindex.Combiner, vs []uint32, ms []uint64) { cb.AddOr(vs, ms) }
-func (orPayload) Drain(cb *localindex.Combiner, vs []uint32, ms []uint64) ([]uint32, []uint64, int) {
-	return cb.DrainOr(vs, ms)
+func (orPayload) Identity() uint64 { return 0 }
+func (orPayload) Merge(r *Rows, acc, pairs []uint64, shift uint32, vs []uint32, ms []uint64) {
+	for i, v := range vs {
+		r.Or(acc, pairs, v+shift, ms[i])
+	}
 }
 func (p orPayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
 	if len(vs) == 0 {
@@ -60,10 +61,11 @@ type minPayload struct {
 	hist *frontier.ContainerHist
 }
 
-func (minPayload) Identity() uint32                             { return math.MaxUint32 }
-func (minPayload) Add(cb *localindex.Combiner, vs, ds []uint32) { cb.AddMin(vs, ds) }
-func (minPayload) Drain(cb *localindex.Combiner, vs, ds []uint32) ([]uint32, []uint32, int) {
-	return cb.DrainMin(vs, ds)
+func (minPayload) Identity() uint32 { return math.MaxUint32 }
+func (minPayload) Merge(r *Rows, acc []uint32, pairs []uint64, shift uint32, vs, ds []uint32) {
+	for i, v := range vs {
+		r.Min(acc, pairs, v+shift, ds[i])
+	}
 }
 func (p minPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
 	if len(vs) == 0 {
@@ -79,9 +81,11 @@ func (minPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
 	return vs, ds
 }
 
-// foldCase is one fold's inputs, the same on every schedule: bins[r][m]
-// holds the raw (vertex, value) pairs rank r found for member m.
+// foldCase is one fold's inputs, the same on every schedule: on an R x
+// C mesh, bins[r][m] holds the raw (vertex, value) pairs rank r found
+// for member m of its fold group, its processor row.
 type foldCase[V any] struct {
+	mesh   comm.Mesh
 	stores []*partition.Store2D
 	bins   [][][]pair[V]
 }
@@ -106,12 +110,12 @@ func emptyStores(t *testing.T, n, r, c int) []*partition.Store2D {
 	return stores
 }
 
-// makeCase draws the bins of step round on a p-rank world over n
+// makeCase draws the bins of step round on a 1 x p mesh over n
 // vertices: random pairs with plenty of repeats, every third rank's
 // first bin empty, and one all-duplicate bin per rank.
 func makeCase[V any](t *testing.T, n, p, round int, value func(*rand.Rand) V) foldCase[V] {
 	t.Helper()
-	fc := foldCase[V]{stores: emptyStores(t, n, 1, p), bins: make([][][]pair[V], p)}
+	fc := foldCase[V]{mesh: comm.Mesh{R: 1, C: p}, stores: emptyStores(t, n, 1, p), bins: make([][][]pair[V], p)}
 	l := fc.stores[0].View()
 	rng := rand.New(rand.NewSource(int64(1000*p + round)))
 	for r := range fc.bins {
@@ -139,7 +143,8 @@ func makeCase[V any](t *testing.T, n, p, round int, value func(*rand.Rand) V) fo
 
 // reference computes what rank owner must receive, by sorting: the
 // merged pairs ascending, and the duplicates absorbed on its way — in
-// its own send-side merges and in its merge of the arrivals.
+// its own send-side merges and in its merge of the arrivals from its
+// fold group.
 func (fc foldCase[V]) reference(owner int, merge func(a, b V) V) (vs []uint32, xs []V, absorbed int) {
 	mergeSorted := func(ps []pair[V]) []pair[V] {
 		ps = slices.Clone(ps)
@@ -157,9 +162,10 @@ func (fc foldCase[V]) reference(owner int, merge func(a, b V) V) (vs []uint32, x
 	for _, bin := range fc.bins[owner] {
 		absorbed += len(bin) - len(mergeSorted(bin))
 	}
+	g := fc.mesh.RowGroup(owner)
 	var arrived []pair[V]
-	for r := range fc.bins {
-		arrived = append(arrived, mergeSorted(fc.bins[r][owner])...)
+	for _, r := range g.Ranks {
+		arrived = append(arrived, mergeSorted(fc.bins[r][g.Me])...)
 	}
 	merged := mergeSorted(arrived)
 	absorbed += len(arrived) - len(merged)
@@ -207,19 +213,31 @@ func rowOf(st *partition.Store2D, m int, lo graph.Vertex, v uint32) uint32 {
 // given schedule, every bin's pairs merged at their rows.
 func runFold[V any](t *testing.T, cases []foldCase[V], async bool, merge rowMerge[V], payload func(h *frontier.ContainerHist) Payload[V]) [][]foldGot[V] {
 	t.Helper()
-	p := len(cases[0].stores)
-	w := testWorld(t, p)
-	got := make([][]foldGot[V], p)
-	if _, err := w.Run(func(c *comm.Comm) {
+	got, err := deliverCases(cases, async, merge, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// deliverCases is runFold's body, returning the run's error.
+func deliverCases[V any](cases []foldCase[V], async bool, merge rowMerge[V], payload func(h *frontier.ContainerHist) Payload[V]) ([][]foldGot[V], error) {
+	mesh := cases[0].mesh
+	w, err := comm.NewWorld(comm.Config{P: mesh.P()})
+	if err != nil {
+		return nil, err
+	}
+	got := make([][]foldGot[V], mesh.P())
+	_, err = w.Run(func(c *comm.Comm) {
 		o := Defaults()
 		o.Async = async
 		var hist frontier.ContainerHist
-		st := cases[0].stores[c.Rank()]
-		f := NewFold(c, comm.Mesh{R: 1, C: p}.RowGroup(c.Rank()), &o, st, payload(&hist))
+		st, g := cases[0].stores[c.Rank()], mesh.RowGroup(c.Rank())
+		f := NewFold(c, g, &o, st, payload(&hist))
 		for round, fc := range cases {
 			tl := f.Tally()
 			for m, bin := range fc.bins[c.Rank()] {
-				lo, _ := st.View().OwnedRange(m)
+				lo, _ := st.View().OwnedRange(g.World(m))
 				for _, pr := range bin {
 					merge(f, tl.Pairs, rowOf(st, m, lo, pr.v), pr.x, false)
 				}
@@ -228,13 +246,26 @@ func runFold[V any](t *testing.T, cases []foldCase[V], async bool, merge rowMerg
 			vs, xs, absorbed := f.Deliver(64*round, &step)
 			got[c.Rank()] = append(got[c.Rank()], foldGot[V]{slices.Clone(vs), slices.Clone(xs), step.FoldWords, absorbed})
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return got
+	})
+	return got, err
 }
 
-func checkFold[V any](t *testing.T, value func(*rand.Rand) V, merge func(a, b V) V, rm rowMerge[V], payload func(frontier.WireMode, *frontier.ContainerHist) Payload[V]) {
+// checkAgainstReference fails t unless every rank's step of got is what
+// its case's reference delivers.
+func checkAgainstReference[V comparable](t *testing.T, cases []foldCase[V], got [][]foldGot[V], merge func(a, b V) V) {
+	t.Helper()
+	for rank := range got {
+		for round, g := range got[rank] {
+			vs, xs, absorbed := cases[round].reference(rank, merge)
+			if !slices.Equal(g.vs, vs) || !slices.Equal(g.xs, xs) || g.absorbed != absorbed {
+				t.Errorf("rank %d step %d: got %d pairs absorbing %d, the sorted reference has %d absorbing %d",
+					rank, round, len(g.vs), g.absorbed, len(vs), absorbed)
+			}
+		}
+	}
+}
+
+func checkFold[V comparable](t *testing.T, value func(*rand.Rand) V, merge func(a, b V) V, rm rowMerge[V], payload func(frontier.WireMode, *frontier.ContainerHist) Payload[V]) {
 	for _, p := range []int{1, 2, 3, 6, 7} {
 		for _, wire := range []frontier.WireMode{frontier.WireSparse, frontier.WireHybrid} {
 			t.Run(fmt.Sprintf("p%d/%v", p, wire), func(t *testing.T) {
@@ -244,15 +275,7 @@ func checkFold[V any](t *testing.T, value func(*rand.Rand) V, merge func(a, b V)
 				if !reflect.DeepEqual(sync, async) {
 					t.Errorf("the schedules disagree:\nsync  %+v\nasync %+v", sync, async)
 				}
-				for rank := range sync {
-					for round, g := range sync[rank] {
-						vs, xs, absorbed := cases[round].reference(rank, merge)
-						if !slices.Equal(g.vs, vs) || !reflect.DeepEqual(g.xs, xs) || g.absorbed != absorbed {
-							t.Errorf("rank %d step %d: got %d pairs absorbing %d, the sorted reference has %d absorbing %d",
-								rank, round, len(g.vs), g.absorbed, len(vs), absorbed)
-						}
-					}
-				}
+				checkAgainstReference(t, cases, sync, merge)
 			})
 		}
 	}
@@ -276,6 +299,90 @@ func TestFoldAgainstSortedReference(t *testing.T) {
 			func(a, b uint32) uint32 { return min(a, b) }, minMerge,
 			func(w frontier.WireMode, h *frontier.ContainerHist) Payload[uint32] { return minPayload{w, h} })
 	})
+}
+
+// fuzzCase reads one step's inputs off data: an R x C mesh of at most
+// 2 x 3, n vertices, then 4-byte records, each a pair for a rank and a
+// member of its fold group — an offset into the member's range, which
+// may own nothing, and a value byte.
+func fuzzCase[V any](t *testing.T, data []byte, value func(byte) V) foldCase[V] {
+	r, c, n := 1+int(data[0])%2, 1+int(data[1])%3, 1+int(data[2])%300
+	fc := foldCase[V]{mesh: comm.Mesh{R: r, C: c}, stores: emptyStores(t, n, r, c), bins: make([][][]pair[V], r*c)}
+	for rank := range fc.bins {
+		fc.bins[rank] = make([][]pair[V], c)
+	}
+	l := fc.stores[0].View()
+	for rec := data[3:]; len(rec) >= 4; rec = rec[4:] {
+		rank := int(rec[0]) % (r * c)
+		m := int(rec[1]) % c
+		lo, hi := l.OwnedRange(fc.mesh.RowGroup(rank).World(m))
+		if hi == lo {
+			continue
+		}
+		v := uint32(lo) + uint32(rec[2])%uint32(hi-lo)
+		fc.bins[rank][m] = append(fc.bins[rank][m], pair[V]{v, value(rec[3])})
+	}
+	return fc
+}
+
+// FuzzValueFold runs one Deliver for min and one for OR on a mesh, a
+// graph size and bins the input chooses, under the schedule and wire
+// codec its first byte picks, and checks each rank's delivery against
+// the sorted reference.
+func FuzzValueFold(f *testing.F) {
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{1, 2, 40, 0, 0, 3, 9, 0, 1, 3, 4, 5, 2, 200, 7, 5, 2, 200, 1})
+	f.Add([]byte{3, 1, 4, 1, 0, 0, 255, 2, 1, 1, 0, 3, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		async := data[0]&4 != 0
+		wire := frontier.WireSparse
+		if data[0]&8 != 0 {
+			wire = frontier.WireHybrid
+		}
+		mins := []foldCase[uint32]{fuzzCase(t, data, func(b byte) uint32 { return uint32(b) })}
+		got, err := deliverCases(mins, async, minMerge, func(h *frontier.ContainerHist) Payload[uint32] { return minPayload{wire, h} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstReference(t, mins, got, func(a, b uint32) uint32 { return min(a, b) })
+		ors := []foldCase[uint64]{fuzzCase(t, data, func(b byte) uint64 { return 1<<(b%64) | uint64(b)<<56 })}
+		gotOr, err := deliverCases(ors, async, orMerge, func(h *frontier.ContainerHist) Payload[uint64] { return orPayload{wire, h} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstReference(t, ors, gotOr, func(a, b uint64) uint64 { return a | b })
+	})
+}
+
+// strayPayload is minPayload with an encoder that moves every id of a
+// part past the end of its owner's range.
+type strayPayload struct{ minPayload }
+
+func (p strayPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
+	stray := make([]uint32, len(vs))
+	for i, v := range vs {
+		stray[i] = v + uint32(n)
+	}
+	return p.minPayload.Encode(stray, ds, lo+uint32(n), n)
+}
+
+// TestFoldOutOfRangeIsRunError: a delivered part holding an id outside
+// its owner's range panics in the owner's merge, and the panic, naming
+// the id and the range, comes back as the run's error.
+func TestFoldOutOfRangeIsRunError(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		fc := foldCase[uint32]{mesh: comm.Mesh{R: 1, C: 2}, stores: emptyStores(t, 20, 1, 2),
+			bins: [][][]pair[uint32]{{nil, {{13, 4}}}, {nil, nil}}}
+		_, err := deliverCases([]foldCase[uint32]{fc}, async, minMerge, func(h *frontier.ContainerHist) Payload[uint32] {
+			return strayPayload{minPayload{frontier.WireSparse, h}}
+		})
+		if want := "fold id 23 outside its owner's range [10, 20)"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("async=%v: the run's error is %v, want one naming %q", async, err, want)
+		}
+	}
 }
 
 // TestUnframeSetRejectsTruncation: a payload cut inside its head or its

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/frontier"
-	"repro/internal/localindex"
 	"repro/internal/search"
 )
 
@@ -29,10 +28,11 @@ type requestPayload struct {
 
 func (requestPayload) Identity() uint32 { return math.MaxUint32 }
 
-func (requestPayload) Add(cb *localindex.Combiner, vs, ds []uint32) { cb.AddMin(vs, ds) }
-
-func (requestPayload) Drain(cb *localindex.Combiner, vs, ds []uint32) ([]uint32, []uint32, int) {
-	return cb.DrainMin(vs, ds)
+// Merge min-merges an arrived part's distances into the owner's rows.
+func (requestPayload) Merge(r *search.Rows, acc []uint32, pairs []uint64, shift uint32, vs, ds []uint32) {
+	for i, v := range vs {
+		r.Min(acc, pairs, v+shift, ds[i])
+	}
 }
 
 // Encode packs a deduplicated request batch drawn from the destination's
