@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs sim-matrix trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz loc
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-lab-test perf perf-pairs sim-matrix trace-smoke chaos-smoke graphd-smoke graphd-chaos profile profile-bench fuzz loc
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
@@ -239,6 +239,17 @@ loc:
 profile:
 	$(GO) run ./cmd/bfsrun -n 100000 -k 10 -r 4 -c 4 -verify=false -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof (open with: go tool pprof cpu.pprof)"
+
+# The same two profiles of one root-package benchmark at a fixed
+# iteration count, so profiles taken before and after a change cover
+# the same work: `make profile-bench BENCH=MultiBFS1D` (the Benchmark
+# prefix is optional; BENCHTIME=100x by default). go test keeps the
+# test binary, repro.test, beside them for pprof's symbols.
+BENCHTIME ?= 100x
+profile-bench:
+	@[ -n "$(BENCH)" ] || { echo "usage: make profile-bench BENCH=<name> [BENCHTIME=100x]"; exit 2; }
+	$(GO) test -run='^$$' -bench='^(Benchmark)?$(BENCH)$$' -benchtime=$(BENCHTIME) -benchmem -cpuprofile cpu.pprof -memprofile mem.pprof .
+	@echo "wrote cpu.pprof and mem.pprof (open with: go tool pprof repro.test cpu.pprof)"
 
 # Coverage-guided fuzzing: the value fold that merges at the row (min
 # and OR, on meshes up to 2 x 3) vs the sorted reference, the hybrid

@@ -18,25 +18,32 @@ import (
 // back into the per-message or per-superstep path multiplies by levels x
 // ranks x messages and lands far above the count ceilings, and an
 // n-sized array that comes back as one allocation lands above the bytes
-// ceilings. The readings repeat exactly:
+// ceilings. The readings:
 //
-//	case                 allocs  MB     under -race  (before the owner merged at its rows)
-//	sssp2d                7403   1.528  7852, 1.543  (7451, 1.554)
-//	multibfs1d            3546   2.590  3693, 2.611  (3594, 2.641)
-//	multibfs2d-service     564   4.219   694, 4.880  (576, 4.386)
+//	case                 allocs  MB     under -race  (before value-fold sets moved as bitmaps)
+//	sssp2d                7280   1.469  7725, 1.483  (7403, 1.528; 7852, 1.543)
+//	multibfs1d            2150   2.177  2166, 2.178  (3546, 2.590; 3693, 2.611)
+//	multibfs2d-service     413   3.697   530, 4.353  (564, 4.219; 694, 4.880)
 //	bfs2d                 1188   0.428  1377, 0.511
 //	bfs2d-service          408   0.622   503, 0.748
 //
-// The race detector's runs (make race) read higher and repeat exactly
-// too. Count ceilings sit about 20% over the count they were set at —
-// sssp2d's, multibfs1d's and multibfs2d-service's over their -race
-// readings above; bfs2d's and bfs2d-service's over 1387 and 515, before
-// the top-down sets were built once; before the transport stopped
-// allocating per message sssp2d, bfs2d and bfs2d-service took 72857,
-// 9769 and 2133 — and bytes ceilings about 15% over the higher reading
-// they were set at (the three value-fold cases' over their -race
-// readings above). graphd's allocs per query sit about 170 above
-// bfs2d-service's. Raise a ceiling only with the cause in hand.
+// The race detector's runs (make race) read higher. Two cases move by one
+// allocation from run to run: multibfs2d-service reads 413 or 414 (529
+// or 530 under -race) and sssp2d now and then 7281. Both run a column
+// expand under the overlapped schedule, whose parts arrive in an order
+// the goroutines' interleaving picks, and the staging the column's
+// arrivals decode into (frontier.AppendDecode) grows by append each time
+// a part outgrows every earlier one: six runs of multibfs2d-service's
+// memory profile count 14 to 17 such growths. A one-allocation wobble is
+// far inside the margins. Count ceilings sit about 20% over the count
+// they were set at — sssp2d's, multibfs1d's and multibfs2d-service's
+// over their -race readings above; bfs2d's and bfs2d-service's over 1387
+// and 515, before the top-down sets were built once; before the
+// transport stopped allocating per message sssp2d, bfs2d and
+// bfs2d-service took 72857, 9769 and 2133 — and bytes ceilings about 15%
+// over the higher reading they were set at (the three value-fold cases'
+// over their -race readings above). graphd's allocs per query sit about
+// 170 above bfs2d-service's. Raise a ceiling only with the cause in hand.
 func TestAllocBudgets(t *testing.T) {
 	const n = 6000
 	gU, err := Generate(n, 10, 21)
@@ -92,15 +99,15 @@ func TestAllocBudgets(t *testing.T) {
 		mb      float64 // bytes ceiling, MB
 		run     func() error
 	}{
-		{"sssp2d", 9425, 1.78, func() error {
+		{"sssp2d", 9270, 1.71, func() error {
 			_, err := cl.SSSP(dgW, src, WithWire(WireHybrid), WithDelta(25))
 			return err
 		}},
-		{"multibfs1d", 4430, 3.01, func() error {
+		{"multibfs1d", 2600, 2.51, func() error {
 			_, err := cl.MultiBFS(dg1, lanes, WithWire(WireHybrid))
 			return err
 		}},
-		{"multibfs2d-service", 835, 5.62, func() error {
+		{"multibfs2d-service", 636, 5.01, func() error {
 			_, err := clS.MultiBFS(dgS, lanesS, WithWire(WireHybrid))
 			return err
 		}},

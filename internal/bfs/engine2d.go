@@ -124,11 +124,13 @@ type sideState struct {
 // laneState is a batch's side: its sideState and its lanes. reached[li]
 // holds the lanes that have labeled owned vertex li; fmask[li] those that
 // newly labeled it last level (nonzero exactly on F's members), spare the
-// next level's; levels[i] is lane i's level array.
+// next level's; levels[i] is lane i's level array. tiles lists the
+// 64-vertex tiles (li>>6) a level's mark touched, in order.
 type laneState struct {
 	sideState
 	reached, fmask, spare []uint64
 	levels                [][]int32
+	tiles                 []uint32
 }
 
 // initSide makes s a side over the owned range [lo, lo+n) with nothing
@@ -174,8 +176,9 @@ func (s *sideState) advance() {
 // first owned id, with a batch's lane masks ms (nil for one source) — to
 // the side: a vertex is new to the lanes that have not reached it (one
 // source: it is unlabeled), which label it level+1 and carry it into the
-// next frontier, and the level advances. It reports whether the target
-// was among the newly labeled.
+// next frontier, and the level advances. A batch's lane levels are
+// written a tile at a time once the deliveries are in (writeTiles). It
+// reports whether the target was among the newly labeled.
 func (s *sideState) mark(opts Options, lo graph.Vertex, vs []uint32, ms []uint64, rec *rankLevel) (foundTarget bool) {
 	next, b := s.nextFrontier(), s.batch
 	for i, gu := range vs {
@@ -187,8 +190,8 @@ func (s *sideState) mark(opts Options, lo graph.Vertex, vs []uint32, ms []uint64
 			}
 			b.reached[li] |= nw
 			b.spare[li] = nw
-			for m := nw; m != 0; m &= m - 1 {
-				b.levels[bits.TrailingZeros64(m)][li] = s.level + 1
+			if k := len(b.tiles); k == 0 || b.tiles[k-1] != li>>6 {
+				b.tiles = append(b.tiles, li>>6)
 			}
 			rec.marked += bits.OnesCount64(nw)
 		} else if s.L[li] == graph.Unreached {
@@ -204,8 +207,30 @@ func (s *sideState) mark(opts Options, lo graph.Vertex, vs []uint32, ms []uint64
 			foundTarget = true
 		}
 	}
+	if b != nil {
+		b.writeTiles(s.level + 1)
+	}
 	s.advance()
 	return foundTarget
+}
+
+// writeTiles labels level in the lane arrays, tile by touched tile, and
+// empties the tile list: the tile's 64 spare masks transposed, lane l's
+// word holds the tile's vertices l newly reached, and l's row of the
+// tile is written in order from it.
+func (b *laneState) writeTiles(level int32) {
+	var tile [64]uint64
+	for _, t := range b.tiles {
+		base := int(t) * 64
+		clear(tile[copy(tile[:], b.spare[base:]):]) // the last tile may be partial
+		transpose64(&tile)
+		for lane, lv := range b.levels {
+			for w, row := tile[lane], lv[base:]; w != 0; w &= w - 1 {
+				row[bits.TrailingZeros64(w)] = level
+			}
+		}
+	}
+	b.tiles = b.tiles[:0]
 }
 
 func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
@@ -227,8 +252,9 @@ func (e *engine2D) newSide(src graph.Vertex, L []int32) *sideState {
 // and its frontier mask.
 func (e *engine2D) newLaneSide(res *MultiResult) *sideState {
 	l, rank, n := e.st.View(), e.c.Rank(), e.st.OwnedCount()
-	b := &laneState{reached: make([]uint64, n), fmask: make([]uint64, n), spare: make([]uint64, n),
-		levels: make([][]int32, len(res.LaneLevels))}
+	masks := make([]uint64, 3*n)
+	b := &laneState{reached: masks[:n:n], fmask: masks[n : 2*n : 2*n], spare: masks[2*n:],
+		levels: make([][]int32, len(res.LaneLevels)), tiles: make([]uint32, 0, (n+63)/64)}
 	s := initSide(&b.sideState, e.st.Lo, n, search.Owned(l, rank, res.Levels))
 	s.batch = b
 	for lane, all := range res.LaneLevels {

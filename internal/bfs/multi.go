@@ -96,24 +96,105 @@ type lanePayload struct {
 
 func (lanePayload) Identity() uint64 { return 0 }
 
-// Merge ORs an arrived part's masks into the owner's rows.
-func (lanePayload) Merge(r *search.Rows, acc, pairs []uint64, shift uint32, vs []uint32, ms []uint64) {
-	for i, v := range vs {
-		r.Or(acc, pairs, v+shift, ms[i])
+// Merge ORs an arrived part's masks into the owner's rows, in the set's
+// bit order.
+func (p lanePayload) Merge(acc []uint64, in *search.Inbox, part []uint32) {
+	set, count, form, rest := in.Unframe(part, 1)
+	var lm laneMasks
+	lm.reset(p.b, form[0], rest, count)
+	acc, k := acc[in.Row:], 0
+	for wi, x := range set {
+		for ; x != 0; x &= x - 1 {
+			var m uint64
+			if lm.planes {
+				m = lm.at(k)
+			} else { // lm.at, inlined
+				m = uint64(rest[k*lm.w]) | uint64(rest[k*lm.w+lm.w-1])<<32&lm.hi
+			}
+			acc[wi*32+bits.TrailingZeros32(x)] |= m
+			k++
+		}
+	}
+}
+
+// laneMasks reads a payload's lane masks in set order: from the
+// interleaved words, or from the planes a tile of 64 members at a time,
+// the tile's 64 plane words transposed into its members' masks.
+type laneMasks struct {
+	b, w, pw int
+	hi       uint64 // the second interleaved word's mask: 0 for one-word masks
+	planes   bool
+	words    []uint32
+	tile     [64]uint64
+}
+
+// reset checks the mask words of a count-member payload of b lanes.
+func (m *laneMasks) reset(b int, form uint32, words []uint32, count int) {
+	m.b, m.w, m.pw, m.planes, m.words = b, maskWords(b), frontier.BitWords(count), form == laneFormPlanes, words
+	m.hi = ^uint64(0) >> (64 * uint(2-m.w))
+	switch {
+	case !m.planes && form != laneFormInterleaved:
+		panic("bfs: unknown lane mask form")
+	case !m.planes && len(words) != count*m.w:
+		panic("bfs: lane payload set/mask length mismatch")
+	case m.planes && len(words) != b*m.pw:
+		panic("bfs: lane payload plane length mismatch")
+	}
+}
+
+// at returns member k's mask, the members read in order.
+func (m *laneMasks) at(k int) uint64 {
+	if m.planes {
+		if k&63 == 0 {
+			m.load(k >> 6)
+		}
+		return m.tile[k&63]
+	}
+	return uint64(m.words[k*m.w]) | uint64(m.words[k*m.w+m.w-1])<<32&m.hi
+}
+
+// load makes tile t of the planes — members 64t to 64t+63 — current.
+func (m *laneMasks) load(t int) {
+	for l := range m.tile {
+		m.tile[l] = 0
+		if l < m.b {
+			plane := m.words[l*m.pw : (l+1)*m.pw]
+			m.tile[l] = uint64(plane[2*t])
+			if 2*t+1 < m.pw {
+				m.tile[l] |= uint64(plane[2*t+1]) << 32
+			}
+		}
+	}
+	transpose64(&m.tile)
+}
+
+// transpose64 transposes the 64 x 64 bit matrix a in place, bit j of
+// a[i] to bit i of a[j], swapping the off-diagonal j x j blocks of every
+// 2j x 2j diagonal block for j = 32 down to 1 (masked indices spare the
+// bounds checks).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := uint(32); j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for base := uint(0); base < 64; base += 2 * j {
+			for k := base; k < base+j; k++ {
+				x, y := a[k&63], a[(k+j)&63]
+				t := (x>>(j&63) ^ y) & m
+				a[k&63], a[(k+j)&63] = x^t<<(j&63), y^t
+			}
+		}
 	}
 }
 
 // Encode packs a deduplicated (vertex, mask) batch drawn from the
-// destination's owned universe [lo, lo+n).
-func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
-	if len(vs) == 0 {
+// destination's owned universe [lo, lo+n), the masks in set order.
+func (p lanePayload) Encode(s search.Set, ms []uint64, lo uint32, n int) []uint32 {
+	if s.Count == 0 {
 		return nil
 	}
-	s := len(vs)
-	wInter := s * maskWords(p.b)
-	wPlane := p.b * frontier.BitWords(s)
+	pw := frontier.BitWords(s.Count)
+	wInter, wPlane := s.Count*maskWords(p.b), p.b*pw
 	if wInter <= wPlane {
-		out := search.FrameSet(vs, lo, n, p.wire, p.hist, wInter, laneFormInterleaved)
+		out := search.FrameSet(s, lo, n, p.wire, p.hist, wInter, laneFormInterleaved)
 		for _, m := range ms {
 			out = append(out, uint32(m))
 			if p.b > 32 {
@@ -122,16 +203,20 @@ func (p lanePayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32
 		}
 		return out
 	}
-	out := search.FrameSet(vs, lo, n, p.wire, p.hist, wPlane, laneFormPlanes)
-	planes := make([]uint32, wPlane)
-	pw := frontier.BitWords(s)
+	out := search.FrameSet(s, lo, n, p.wire, p.hist, wPlane, laneFormPlanes)
+	at := len(out)
+	out = out[:at+wPlane]
+	// The planes are ORed into the payload's tail, where the set's encoder
+	// may have left words of a hybrid stream it rewrote shorter.
+	planes := out[at:]
+	clear(planes)
 	for i, m := range ms {
 		for mm := m; mm != 0; mm &= mm - 1 {
 			lane := bits.TrailingZeros64(mm)
 			planes[lane*pw+i/32] |= 1 << (i % 32)
 		}
 	}
-	return append(out, planes...)
+	return out
 }
 
 // Decode inverts Encode. vs and ms are staging whose capacity is reused
@@ -141,32 +226,11 @@ func (p lanePayload) Decode(buf, vs []uint32, ms []uint64) ([]uint32, []uint64) 
 		return vs[:0], ms[:0]
 	}
 	vs, form, rest := search.UnframeSet(buf, vs, 1)
-	s := len(vs)
-	ms = slices.Grow(ms[:0], s)[:s]
-	switch form[0] {
-	case laneFormInterleaved:
-		w := maskWords(p.b)
-		if len(rest) != s*w {
-			panic("bfs: lane payload set/mask length mismatch")
-		}
-		for i := range ms {
-			ms[i] = uint64(rest[i*w])
-			if w > 1 {
-				ms[i] |= uint64(rest[i*w+1]) << 32
-			}
-		}
-	case laneFormPlanes:
-		pw := frontier.BitWords(s)
-		if len(rest) != p.b*pw {
-			panic("bfs: lane payload plane length mismatch")
-		}
-		clear(ms)
-		for lane := 0; lane < p.b; lane++ {
-			plane := rest[lane*pw : (lane+1)*pw]
-			frontier.IterateBits(plane, func(i uint32) { ms[i] |= 1 << uint(lane) })
-		}
-	default:
-		panic("bfs: unknown lane mask form")
+	var lm laneMasks
+	lm.reset(p.b, form[0], rest, len(vs))
+	ms = slices.Grow(ms[:0], len(vs))[:len(vs)]
+	for i := range ms {
+		ms[i] = lm.at(i)
 	}
 	return vs, ms
 }

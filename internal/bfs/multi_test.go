@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/search"
@@ -63,25 +66,105 @@ func TestMultiRun2DMatchesIndependentRuns(t *testing.T) {
 }
 
 // TestMultiRun1DMatchesSerial checks the sweeps on 1 x P meshes, where
-// they run Algorithm 1, lane-by-lane against the serial oracle.
+// they run Algorithm 1, lane-by-lane against the serial oracle: five
+// lanes on blocks of 500/P vertices, then 1, 32, 33 and 64 lanes on
+// n = 1000 over 1 x 3 and 1 x 7, whose owned blocks end in a partial
+// 64-vertex tile and whose batches leave lanes of a mask unused — the
+// edges of mark's tile-wise writes. A 64-lane batch checkpointed at its
+// middle sweep and restored equals the uninterrupted run.
 func TestMultiRun1DMatchesSerial(t *testing.T) {
-	g := testGraph(t, 500, 4, 12)
-	srcs := multiSources(g, 5)
-	for _, p := range []int{1, 3, 4} {
+	check := func(g *graph.CSR, p int, srcs []graph.Vertex, wire frontier.WireMode, oracle map[graph.Vertex][]int32) *MultiResult {
+		t.Helper()
 		st1, w := build1D(t, g, p)
-		for _, wire := range []frontier.WireMode{
-			frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid,
-		} {
-			opts := DefaultOptions(0)
-			opts.Wire = wire
-			res, err := MultiRun2D(w, st1, srcs, opts)
-			if err != nil {
-				t.Fatalf("P=%d wire=%v: %v", p, wire, err)
+		opts := DefaultOptions(0)
+		opts.Wire = wire
+		res, err := MultiRun2D(w, st1, srcs, opts)
+		if err != nil {
+			t.Fatalf("P=%d wire=%v: %v", p, wire, err)
+		}
+		for lane, src := range srcs {
+			if oracle[src] == nil {
+				oracle[src] = graph.BFS(g, src)
 			}
-			for lane, src := range srcs {
-				levelsEqual(t, res.LaneLevels[lane], graph.BFS(g, src),
-					fmt.Sprintf("1D P=%d wire=%v lane %d (src %d)", p, wire, lane, src))
+			levelsEqual(t, res.LaneLevels[lane], oracle[src],
+				fmt.Sprintf("1D P=%d b=%d wire=%v lane %d (src %d)", p, len(srcs), wire, lane, src))
+		}
+		return res
+	}
+	wires := []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid}
+	g := testGraph(t, 500, 4, 12)
+	oracle := map[graph.Vertex][]int32{}
+	for _, p := range []int{1, 3, 4} {
+		for _, wire := range wires {
+			check(g, p, multiSources(g, 5), wire, oracle)
+		}
+	}
+	g = testGraph(t, 1000, 4, 15)
+	oracle = map[graph.Vertex][]int32{}
+	for _, p := range []int{3, 7} {
+		for _, b := range []int{1, 32, 33, 64} {
+			for _, wire := range wires {
+				check(g, p, multiSources(g, b), wire, oracle)
 			}
+		}
+	}
+
+	srcs := multiSources(g, MaxLanes)
+	opts := DefaultOptions(0)
+	opts.Wire = frontier.WireHybrid
+	full := check(g, 7, srcs, opts.Wire, oracle)
+	opts.Checkpoint = checkpoint.NewPlan(len(full.PerLevel) / 2)
+	st1, w := build1D(t, g, 7)
+	if _, err := MultiRun2D(w, st1, srcs, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Checkpoint, opts.Restore = nil, opts.Checkpoint.Snapshot()
+	restored, err := MultiRun2D(w, st1, srcs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scrubMulti(restored), scrubMulti(full)) {
+		t.Fatal("a 64-lane batch restored at its middle sweep differs from the uninterrupted run")
+	}
+}
+
+// TestTranspose64 holds transpose64 to the naive bit-by-bit transpose
+// on random, identity, all-ones and every single-bit matrix.
+func TestTranspose64(t *testing.T) {
+	naive := func(a [64]uint64) (out [64]uint64) {
+		for i := range a {
+			for j := range 64 {
+				out[j] |= (a[i] >> j & 1) << i
+			}
+		}
+		return out
+	}
+	var cases [][64]uint64
+	rng := rand.New(rand.NewSource(64))
+	for range 20 {
+		var a [64]uint64
+		for i := range a {
+			a[i] = rng.Uint64()
+		}
+		cases = append(cases, a)
+	}
+	var id, ones [64]uint64
+	for i := range id {
+		id[i], ones[i] = 1<<i, ^uint64(0)
+	}
+	cases = append(cases, id, ones)
+	for i := range 64 {
+		for j := range 64 {
+			var a [64]uint64
+			a[i] = 1 << j
+			cases = append(cases, a)
+		}
+	}
+	for ci, a := range cases {
+		got := a
+		transpose64(&got)
+		if got != naive(a) {
+			t.Fatalf("case %d: transpose64 differs from the naive transpose", ci)
 		}
 	}
 }
@@ -351,7 +434,7 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 		for _, wire := range []frontier.WireMode{
 			frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid,
 		} {
-			buf := lanePayload{b: tc.b, wire: wire}.Encode(vs, ms, 0, tc.n)
+			buf := lanePayload{b: tc.b, wire: wire}.Encode(search.Set{IDs: vs, Count: len(vs)}, ms, 0, tc.n)
 			// Copy to catch aliasing into caller storage.
 			buf = append([]uint32(nil), buf...)
 			// The staging is reused from one decode to the next, as the
@@ -384,7 +467,7 @@ func TestLaneCodecPicksCheaperForm(t *testing.T) {
 		wide[i] = uint32(i)
 		ms[i] = 1
 	}
-	planes := lanePayload{b: 8, wire: frontier.WireSparse}.Encode(wide, ms, 0, 1000)
+	planes := lanePayload{b: 8, wire: frontier.WireSparse}.Encode(search.Set{IDs: wide, Count: len(wide)}, ms, 0, 1000)
 	if planes[1] != laneFormPlanes {
 		t.Errorf("b=8 s=1000 shipped form %d, want planes", planes[1])
 	}
@@ -392,11 +475,54 @@ func TestLaneCodecPicksCheaperForm(t *testing.T) {
 	if want := 2 + 1000 + 8*frontier.BitWords(1000); len(planes) != want {
 		t.Errorf("plane payload %d words, want %d", len(planes), want)
 	}
-	inter := lanePayload{b: 64, wire: frontier.WireSparse}.Encode(wide[:4], ms[:4], 0, 1000)
+	inter := lanePayload{b: 64, wire: frontier.WireSparse}.Encode(search.Set{IDs: wide[:4], Count: len(wide[:4])}, ms[:4], 0, 1000)
 	if inter[1] != laneFormInterleaved {
 		t.Errorf("b=64 s=4 shipped form %d, want interleaved", inter[1])
 	}
 	if want := 2 + 4 + 4*2; len(inter) != want {
 		t.Errorf("interleaved payload %d words, want %d", len(inter), want)
+	}
+}
+
+// TestLanePayloadRowsMatchList: a lane payload encoded from a set's
+// bitmap (a fold member's rows) is the payload encoded from its id list,
+// under every wire mode, for 1, 8, 32, 33 and 64 lanes, in the mask forms
+// each admits; and it decodes to the batch. The wide sets ship planes
+// after a hybrid stream rewritten shorter, whose leftover words lie where
+// the planes are ORed in.
+func TestLanePayloadRowsMatchList(t *testing.T) {
+	const lo, n = 4096, 4096
+	rng := rand.New(rand.NewSource(33))
+	forms := map[uint32]int{}
+	for _, b := range []int{1, 8, 32, 33, 64} {
+		for _, frac := range []float64{0.001, 0.02, 0.5} {
+			var vs []uint32
+			var ms []uint64
+			rows := make([]uint64, n/64)
+			for i := 0; i < n; i++ {
+				if rng.Float64() < frac {
+					vs = append(vs, lo+uint32(i))
+					ms = append(ms, 1<<uint(rng.Intn(b))|rng.Uint64()>>uint(64-b))
+					rows[i/64] |= 1 << (i % 64)
+				}
+			}
+			for _, wire := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
+				p := lanePayload{b: b, wire: wire}
+				list := p.Encode(search.Set{IDs: vs, Count: len(vs)}, ms, lo, n)
+				got := p.Encode(search.Set{Bits: frontier.Words32(rows), Count: len(vs)}, ms, lo, n)
+				label := fmt.Sprintf("b=%d frac=%v wire=%v", b, frac, wire)
+				if !slices.Equal(got, list) {
+					t.Fatalf("%s: the rows-encoded payload differs from the list-encoded one", label)
+				}
+				gvs, gms := p.Decode(got, nil, nil)
+				if !slices.Equal(gvs, vs) || !slices.Equal(gms, ms) {
+					t.Fatalf("%s: the payload does not decode to its batch", label)
+				}
+				forms[got[1]]++
+			}
+		}
+	}
+	if forms[laneFormPlanes] == 0 || forms[laneFormInterleaved] == 0 {
+		t.Fatalf("mask forms shipped %v, want both", forms)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Wire bitmaps are []uint32 with 32 bits per word: bit i of word j
@@ -72,6 +73,24 @@ func IDsToBits(ids []uint32, lo uint32, n int) []uint32 {
 // appending them to dst.
 func appendBitsIDs(dst, w []uint32, lo uint32) []uint32 {
 	dst = slices.Grow(dst, CountBits(w))
-	IterateBits(w, func(i uint32) { dst = append(dst, lo+i) })
+	for wi, x := range w {
+		for base := lo + uint32(wi)*32; x != 0; x &= x - 1 {
+			dst = append(dst, base+uint32(bits.TrailingZeros32(x)))
+		}
+	}
 	return dst
+}
+
+// Words32 views 64-bit bitmap words (bit i%64 of word i/64 is bit i) as
+// the wire bitmap of the same bits, without a copy. It reads them in host
+// order, exact on little-endian hosts, which store a uint64's low half
+// first; init refuses any other host rather than scramble a set.
+func Words32(w []uint64) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(w))), 2*len(w))
+}
+
+func init() {
+	if Words32([]uint64{1})[0] != 1 {
+		panic("frontier: Words32 needs a little-endian host")
+	}
 }

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -268,6 +269,60 @@ func TestAppendEncodeSetMatchesEncode(t *testing.T) {
 	}
 }
 
+// checkBitsLikeSet requires AppendEncodeBits, for the wire bitmap w over
+// [0, n) from lo, to append after a two-word head what AppendEncodeSet
+// appends for its ids, with the same histogram, under every wire mode,
+// into capacity reserved with EncodeSetBound without reallocating; and
+// DecodeSetBits to read every payload back as w.
+func checkBitsLikeSet(t *testing.T, label string, w []uint32, lo uint32, n int) {
+	t.Helper()
+	ids := appendBitsIDs(nil, w, lo)
+	var scratch []uint32
+	for _, mode := range allWireModes {
+		var hWant, hGot ContainerHist
+		head := []uint32{0xabc, 0xdef}
+		want := AppendEncodeSet(slices.Clone(head), ids, lo, n, mode, &hWant)
+		buf := make([]uint32, len(head), len(head)+EncodeSetBound(mode, n, len(ids)))
+		copy(buf, head)
+		got := AppendEncodeBits(buf, w, len(ids), lo, n, mode, &hGot)
+		if !slices.Equal(got, want) || hGot != hWant {
+			t.Fatalf("%s %v: AppendEncodeBits (%d words, %+v) differs from AppendEncodeSet (%d words, %+v)",
+				label, mode, len(got), hGot, len(want), hWant)
+		}
+		if &got[0] != &buf[0] {
+			t.Fatalf("%s %v: reallocated past the reserved EncodeSetBound", label, mode)
+		}
+		if set, err := DecodeSetBits(got[len(head):], &scratch, lo, n); err != nil || !slices.Equal(set, w) {
+			t.Fatalf("%s %v: DecodeSetBits does not read the payload back", label, mode)
+		}
+	}
+}
+
+// TestAppendEncodeBitsMatchesSet: the bits encoder is the set encoder,
+// word for word, on universes at and around the word and chunk widths,
+// from empty to full.
+func TestAppendEncodeBitsMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{1, 31, 32, 33, 1000, ChunkSpan, ChunkSpan + 1, 3*ChunkSpan + 5} {
+		for _, frac := range []float64{0, 0.001, 0.01, 0.04, 0.2, 0.6, 1} {
+			w := NewBits(n)
+			for i := 0; i < n; i++ {
+				if rng.Float64() < frac {
+					SetBit(w, uint32(i))
+				}
+			}
+			checkBitsLikeSet(t, fmt.Sprintf("n=%d frac=%v", n, frac), w, 77, n)
+		}
+		runs := NewBits(n) // long runs: the run-length containers
+		for i := 0; i < n; i++ {
+			if i/200%2 == 0 {
+				SetBit(runs, uint32(i))
+			}
+		}
+		checkBitsLikeSet(t, fmt.Sprintf("n=%d runs", n), runs, 0, n)
+	}
+}
+
 // TestEncodeBitsRoundTrip: DecodeBits∘EncodeBits is the identity on
 // wire bitmaps and never produces a longer payload than the raw words.
 func TestEncodeBitsRoundTrip(t *testing.T) {
@@ -363,7 +418,9 @@ func FuzzHybridSetRoundTrip(f *testing.F) {
 
 // FuzzHybridBitsRoundTrip feeds arbitrary bitmaps through the bits
 // codec and asserts the round trip, the no-growth guarantee, and the
-// stream and histogram of the enumerating codec (enumerateBits).
+// stream and histogram of the enumerating codec (enumerateBits); and
+// through the set encoder's bits form, which must match the id form
+// (checkBitsLikeSet).
 func FuzzHybridBitsRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(31))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(64))
@@ -380,6 +437,7 @@ func FuzzHybridBitsRoundTrip(f *testing.F) {
 			}
 		}
 		checkBitsLikeEnumeration(t, "fuzz", w, n)
+		checkBitsLikeSet(t, "fuzz", w, uint32(span), n)
 		enc := EncodeBits(w, n, WireHybrid, nil)
 		if len(enc) > len(w) {
 			t.Fatalf("EncodeBits grew the payload (%d > %d words)", len(enc), len(w))

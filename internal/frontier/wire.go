@@ -121,56 +121,65 @@ func EncodeSetBound(mode WireMode, n, count int) int {
 
 // AppendEncodeSet appends to dst exactly what EncodeSetStats returns,
 // growing dst at most once, by EncodeSetBound, and only when its spare
-// capacity is short. The payload is built in place: a hybrid stream that
-// loses to the raw list or the bitmap is overwritten by it.
+// capacity is short (appendEncode).
 func AppendEncodeSet(dst, ids []uint32, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
+	return appendEncode(dst, len(ids), lo, n, mode, h,
+		func(dst []uint32) (out []uint32, c ContainerHist) { return appendSetChunks(dst, ids, lo, n, &c), c },
+		func(dst []uint32) []uint32 { return appendRaw(dst, ids) },
+		func(dst []uint32) []uint32 { return appendIDBits(dst, ids, lo, n) })
+}
+
+// AppendEncodeBits is AppendEncodeSet for the count-member set given as
+// the wire bitmap w over [0, n), bit i member lo+i: the same payload and
+// histogram, written from the words, ids enumerated only for a raw list.
+func AppendEncodeBits(dst, w []uint32, count int, lo uint32, n int, mode WireMode, h *ContainerHist) []uint32 {
+	w = w[:BitWords(n)]
+	return appendEncode(dst, count, lo, n, mode, h,
+		func(dst []uint32) (out []uint32, c ContainerHist) { return appendBitsChunks(dst, w, n, &c), c },
+		func(dst []uint32) []uint32 { return appendBitsIDs(dst, w, lo) },
+		func(dst []uint32) []uint32 { return append(dst, w...) })
+}
+
+// appendEncode is the set encoders' one body, for a count-member set
+// over [lo, lo+n) whose chunk stream (with its histogram), raw list and
+// bitmap words the three functions append. The payload is built in
+// place: a hybrid stream that loses to the raw list or the bitmap —
+// ties prefer raw, then hybrid — is overwritten by it.
+func appendEncode(dst []uint32, count int, lo uint32, n int, mode WireMode, h *ContainerHist,
+	stream func([]uint32) ([]uint32, ContainerHist), raw, bits func([]uint32) []uint32) []uint32 {
 	head := len(dst)
-	dst = slices.Grow(dst, EncodeSetBound(mode, n, len(ids)))
-	raw := func(dst []uint32) []uint32 { return appendRaw(dst, ids) }
-	switch {
-	case mode == WireHybrid && !rawBeatsHybrid(n, len(ids)):
-		var chunks ContainerHist
-		dst = appendSetChunks(append(dst, hybridSentinel, lo, uint32(n)), ids, lo, n, &chunks)
-		return pickHybridForm(dst, head, chunks, len(ids), lo, n, h, raw,
-			func(dst []uint32) []uint32 { return appendIDBits(dst, ids, lo, n) })
-	case mode == WireDense || mode == WireAuto && denseCheaper(n, len(ids)):
+	dst = slices.Grow(dst, EncodeSetBound(mode, n, count))
+	if mode == WireHybrid && !rawBeatsHybrid(n, count) {
+		out, chunks := stream(append(dst, hybridSentinel, lo, uint32(n)))
+		if hyb := len(out) - head; hyb < count && hyb <= 3+BitWords(n) {
+			if h != nil {
+				chunks.HybridPayloads++
+				h.Add(chunks)
+			}
+			return out
+		}
+	}
+	if mode == WireDense || mode != WireSparse && denseCheaper(n, count) {
 		if h != nil {
 			h.DensePayloads++
 		}
-		return appendIDBits(appendDenseHeader(dst, lo, n), ids, lo, n)
-	default:
-		if h != nil {
-			h.RawPayloads++
-		}
-		return raw(dst)
+		return bits(appendDenseHeader(dst, lo, n))
 	}
+	if h != nil {
+		h.RawPayloads++
+	}
+	return raw(dst)
 }
 
 // EncodeFrontier encodes a frontier's members exactly like
-// EncodeSetStats. A dense frontier is encoded word for word from its
-// bitmap instead of materializing an id list and rebuilding the bitmap.
+// EncodeSetStats. A dense frontier is encoded from its bitmap words
+// (AppendEncodeBits) instead of materializing an id list.
 func EncodeFrontier(f *Adaptive, mode WireMode, h *ContainerHist) []uint32 {
 	lo, n := f.Universe()
 	if !f.isDense {
 		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
 	}
-	switch {
-	case mode == WireHybrid && !rawBeatsHybrid(n, f.count):
-		w := f.Bits()
-		var chunks ContainerHist
-		hyb := append(make([]uint32, 0, 3+streamBound(n, f.count)), hybridSentinel, lo, uint32(n))
-		hyb = appendBitsChunks(hyb, w, n, &chunks)
-		return pickHybridForm(hyb, 0, chunks, f.count, lo, n, h,
-			func(dst []uint32) []uint32 { return appendRaw(dst, f.Vertices()) },
-			func(dst []uint32) []uint32 { return append(dst, w...) })
-	case mode == WireDense || (mode == WireAuto && denseCheaper(n, f.count)):
-		if h != nil {
-			h.DensePayloads++
-		}
-		return append(appendDenseHeader(make([]uint32, 0, 3+BitWords(n)), lo, n), f.Bits()...)
-	default:
-		return EncodeSetStats(f.Vertices(), lo, n, mode, h)
-	}
+	return AppendEncodeBits(nil, Words32(f.dense.Words()), f.count, lo, n, mode, h)
 }
 
 // rawBeatsHybrid reports whether a count-member raw list is certain to
@@ -181,34 +190,6 @@ func EncodeFrontier(f *Adaptive, mode WireMode, h *ContainerHist) []uint32 {
 // per payload like WireAuto.
 func rawBeatsHybrid(n, count int) bool {
 	return count <= 3+numChunks(n) && !denseCheaper(n, count)
-}
-
-// pickHybridForm settles a payload whose hybrid form — header and chunk
-// stream — was built at dst[head:]: it keeps it, or rewrites the payload
-// in its place as the raw list (raw appends it) or the dense bitmap
-// (bits appends its words) when that is no longer, preferring raw and
-// then hybrid on ties. Either rewrite is no longer than the hybrid form,
-// so it fits the memory the stream was built in.
-func pickHybridForm(dst []uint32, head int, chunks ContainerHist, rawLen int, lo uint32, n int, h *ContainerHist, raw, bits func(dst []uint32) []uint32) []uint32 {
-	hyb, dense := len(dst)-head, 3+BitWords(n)
-	switch {
-	case rawLen <= hyb && rawLen <= dense:
-		if h != nil {
-			h.RawPayloads++
-		}
-		return raw(dst[:head])
-	case hyb <= dense:
-		if h != nil {
-			chunks.HybridPayloads++
-			h.Add(chunks)
-		}
-		return dst
-	default:
-		if h != nil {
-			h.DensePayloads++
-		}
-		return bits(appendDenseHeader(dst[:head], lo, n))
-	}
 }
 
 // Decode unpacks a payload produced by EncodeSet back into an
@@ -237,21 +218,61 @@ func AppendDecode(dst, buf []uint32) []uint32 {
 	case hybridSentinel:
 		return appendHybridSet(dst, buf)
 	case wireSentinel:
-		if len(buf) < 3 {
-			panic("frontier: truncated dense wire payload")
-		}
-		lo, n := buf[1], int(buf[2])
-		if len(buf) != 3+BitWords(n) {
-			panic("frontier: malformed dense wire payload")
-		}
-		if uint64(lo)+uint64(n) > uint64(hybridSentinel) {
-			panic("frontier: dense universe exceeds the id space")
-		}
-		if pad := n % 32; pad != 0 && buf[len(buf)-1]>>uint(pad) != 0 {
-			panic("frontier: dense wire payload has bits set beyond its universe")
-		}
-		return appendBitsIDs(dst, buf[3:], lo)
+		return appendBitsIDs(dst, denseBits(buf), buf[1])
 	default:
 		return append(dst, buf...)
 	}
+}
+
+// denseBits checks a dense payload [sentinel, lo, n, words...] and
+// returns its bitmap words.
+func denseBits(buf []uint32) []uint32 {
+	if len(buf) < 3 {
+		panic("frontier: truncated dense wire payload")
+	}
+	lo, n := buf[1], int(buf[2])
+	if len(buf) != 3+BitWords(n) {
+		panic("frontier: malformed dense wire payload")
+	}
+	if uint64(lo)+uint64(n) > uint64(hybridSentinel) {
+		panic("frontier: dense universe exceeds the id space")
+	}
+	if pad := n % 32; pad != 0 && buf[len(buf)-1]>>uint(pad) != 0 {
+		panic("frontier: dense wire payload has bits set beyond its universe")
+	}
+	return buf[3:]
+}
+
+// DecodeSetBits reads a set payload as the wire bitmap over [0, n) of a
+// set drawn from [lo, lo+n), the range of the rank it is for: a dense
+// payload's own words, in place, or else *scratch, cut to BitWords(n)
+// words and cleared, with the raw list's or the chunk stream's members
+// set. A payload naming another universe, or a raw id outside [lo, lo+n),
+// is an error naming it; a malformed one panics, as in Decode.
+func DecodeSetBits(buf []uint32, scratch *[]uint32, lo uint32, n int) ([]uint32, error) {
+	if len(buf) > 0 && buf[0] >= hybridSentinel {
+		if len(buf) < 3 {
+			panic("frontier: truncated wire payload")
+		}
+		if buf[1] != lo || int(buf[2]) != n {
+			return nil, fmt.Errorf("set over [%d, %d) outside its owner's range [%d, %d)", buf[1], uint64(buf[1])+uint64(buf[2]), lo, uint64(lo)+uint64(n))
+		}
+		if buf[0] == wireSentinel {
+			return denseBits(buf), nil
+		}
+	}
+	set := slices.Grow((*scratch)[:0], BitWords(n))[:BitWords(n)]
+	*scratch = set
+	clear(set)
+	if len(buf) > 0 && buf[0] == hybridSentinel {
+		decodeChunks(buf[3:], n, &members{bm: set})
+		return set, nil
+	}
+	for _, v := range buf {
+		if v-lo >= uint32(n) {
+			return nil, fmt.Errorf("id %d outside its owner's range [%d, %d)", v, lo, uint64(lo)+uint64(n))
+		}
+		SetBit(set, v-lo)
+	}
+	return set, nil
 }

@@ -218,42 +218,51 @@ func TestCombineStreamed(t *testing.T) {
 }
 
 // idPayload is a payload whose encoder replaces every part's set with
-// the one id, the way a corrupted or misaddressed part would arrive.
+// the one id, drawn from the universe [id, id+1), the way a corrupted or
+// misaddressed part would arrive.
 type idPayload[V any] struct {
 	Payload[V]
 	id uint32
 }
 
-func (p idPayload[V]) Encode(vs []uint32, xs []V, _ uint32, _ int) []uint32 {
-	if len(vs) == 0 {
+func (p idPayload[V]) Encode(s Set, xs []V, _ uint32, _ int) []uint32 {
+	if s.Count == 0 {
 		return nil
 	}
-	return p.Payload.Encode([]uint32{p.id}, xs[:1], p.id, 1)
+	return p.Payload.Encode(Set{IDs: []uint32{p.id}, Count: 1}, xs[:1], p.id, 1)
 }
 
 // TestCombineOutOfRangePanics: an arrived id just below or at the end
 // of the owner's range [150, 300), or at either end of the ids a part
-// can carry (the wire reserves the top two), panics in the owner's merge for both merge forms, naming the id and
-// the range, and World.Run returns the panic as the run's error.
+// can carry (the wire reserves the top two), panics in the owner's
+// merge, naming the id and the range, and so does a bitmap over the
+// one-id universe at it; World.Run returns the panic as the run's error,
+// under both schedules and for both merge forms.
 func TestCombineOutOfRangePanics(t *testing.T) {
 	stores := emptyStores(t, 300, 1, 2)
 	for _, id := range []uint32{149, 300, 0, math.MaxUint32 - 2} {
-		want := fmt.Sprintf("fold id %d outside its owner's range [150, 300)", id)
-		check := func(form string, err error) {
-			t.Helper()
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: the run's error is %v, want one naming %q", form, err, want)
+		for wire, want := range map[frontier.WireMode]string{
+			frontier.WireSparse: fmt.Sprintf("fold id %d outside its owner's range [150, 300)", id),
+			frontier.WireDense:  fmt.Sprintf("fold set over [%d, %d) outside its owner's range [150, 300)", id, uint64(id)+1),
+		} {
+			for _, async := range []bool{false, true} {
+				check := func(form string, err error) {
+					t.Helper()
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s %v async=%v: the run's error is %v, want one naming %q", form, wire, async, err, want)
+					}
+				}
+				mins := []foldCase[uint32]{{mesh: comm.Mesh{R: 1, C: 2}, stores: stores, bins: [][][]pair[uint32]{{nil, {{170, 4}}}, {nil, nil}}}}
+				_, err := deliverCases(mins, async, minMerge, func(h *frontier.ContainerHist) Payload[uint32] {
+					return idPayload[uint32]{minPayload{wire, h}, id}
+				})
+				check("min", err)
+				ors := []foldCase[uint64]{{mesh: comm.Mesh{R: 1, C: 2}, stores: stores, bins: [][][]pair[uint64]{{nil, {{170, 4}}}, {nil, nil}}}}
+				_, err = deliverCases(ors, async, orMerge, func(h *frontier.ContainerHist) Payload[uint64] {
+					return idPayload[uint64]{orPayload{wire, h}, id}
+				})
+				check("or", err)
 			}
 		}
-		mins := []foldCase[uint32]{{mesh: comm.Mesh{R: 1, C: 2}, stores: stores, bins: [][][]pair[uint32]{{nil, {{170, 4}}}, {nil, nil}}}}
-		_, err := deliverCases(mins, false, minMerge, func(h *frontier.ContainerHist) Payload[uint32] {
-			return idPayload[uint32]{minPayload{frontier.WireSparse, h}, id}
-		})
-		check("min", err)
-		ors := []foldCase[uint64]{{mesh: comm.Mesh{R: 1, C: 2}, stores: stores, bins: [][][]pair[uint64]{{nil, {{170, 4}}}, {nil, nil}}}}
-		_, err = deliverCases(ors, true, orMerge, func(h *frontier.ContainerHist) Payload[uint64] {
-			return idPayload[uint64]{orPayload{frontier.WireSparse, h}, id}
-		})
-		check("or", err)
 	}
 }

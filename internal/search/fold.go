@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -19,17 +18,56 @@ type Payload[V any] interface {
 	// Identity is the value a row holds before any pair merges into it:
 	// 0 for OR, MaxUint32 for min.
 	Identity() V
-	// Merge merges the decoded pairs (vs[i], xs[i]) of a part that
-	// arrived for this rank, their ids checked to be its own, at their
-	// rows vs[i]+shift of r by the scans' merge (Rows.Or or Rows.Min),
-	// each counted in pairs.
-	Merge(r *Rows, acc []V, pairs []uint64, shift uint32, vs []uint32, xs []V)
-	// Encode packs a merged batch drawn from the destination's owned
-	// universe [lo, lo+n); an empty batch is a nil payload.
-	Encode(vs []uint32, xs []V, lo uint32, n int) []uint32
+	// Merge merges a non-empty part that arrived for this rank: its set,
+	// read by in.Unframe, and each member's value, in bit order, into acc
+	// at row in.Row plus its bit, by the scans' merge (OR or min).
+	Merge(acc []V, in *Inbox, part []uint32)
+	// Encode packs a merged batch, the set s drawn from the
+	// destination's owned universe [lo, lo+n) and its values xs in set
+	// order; an empty batch is a nil payload.
+	Encode(s Set, xs []V, lo uint32, n int) []uint32
 	// Decode inverts Encode into the staging vs and xs, whose capacity
-	// it may reuse.
+	// it may reuse: the column expand's scans read lists.
 	Decode(buf, vs []uint32, xs []V) ([]uint32, []V)
+}
+
+// Set is a set of Count members drawn from a universe [lo, lo+n): its
+// ascending IDs or, with Bits non-nil, the wire bitmap over [0, n) whose
+// bit i is member lo+i — a fold member's rows (frontier.Words32).
+type Set struct {
+	IDs, Bits []uint32
+	Count     int
+}
+
+// Inbox reads what arrives for a rank's owned range [lo, lo+n), whose id
+// lo+i is at row Row+i of its own member: marks, those rows' bits viewed
+// as a wire bitmap; pairs, the member's pair count; scratch, where a set
+// that did not arrive as a bitmap is decoded.
+type Inbox struct {
+	Row     uint32
+	lo, n   uint32
+	marks   []uint32
+	pairs   *uint64
+	scratch []uint32
+}
+
+// Unframe reads a non-empty part framed with nhdr header words
+// (FrameSet): its set as a wire bitmap over the owned range, valid until
+// the next call, its member count, and its header and value words; and
+// marks the set's rows and counts its pairs, a word at a time. A set
+// over another range, a raw id outside it or a truncated part panics.
+func (in *Inbox) Unframe(part []uint32, nhdr int) (set []uint32, count int, hdr, values []uint32) {
+	end := frameEnd(part, nhdr)
+	set, err := frontier.DecodeSetBits(part[1+nhdr:end], &in.scratch, in.lo, int(in.n))
+	if err != nil {
+		panic("search: fold " + err.Error())
+	}
+	for wi, x := range set {
+		in.marks[wi] |= x
+		count += bits.OnesCount32(x)
+	}
+	*in.pairs += uint64(count)
+	return set, count, part[1 : 1+nhdr], part[end:]
 }
 
 // Rows is where a fold merges at the row: a bit per local row of a
@@ -143,9 +181,8 @@ type Fold[V any] struct {
 	Acc   []V
 	Rows  Rows
 	tally Tally
-	// lo and n are this rank's owned range [lo, lo+n), whose id v is at
-	// row v+shift (mod 2^32) of its own member.
-	lo, n, shift uint32
+	// in reads the parts that arrive for this rank's owned range.
+	in Inbox
 
 	outV, decV []uint32
 	outX, decX []V
@@ -164,8 +201,8 @@ func NewFold[V any](c *comm.Comm, g comm.Group, o *Common, st *partition.Store2D
 	}
 	f.Rows, f.tally.Pairs = NewRows(st, g.Size())
 	lo, hi := l.OwnedRange(g.World(g.Me))
-	f.lo, f.n = uint32(lo), uint32(hi-lo)
-	f.shift = uint32(g.Me*64*f.Rows.words) - f.lo
+	f.in = Inbox{Row: uint32(g.Me * 64 * f.Rows.words), lo: uint32(lo), n: uint32(hi - lo),
+		marks: frontier.Words32(f.Rows.member(g.Me)), pairs: &f.tally.Pairs[g.Me]}
 	return f
 }
 
@@ -180,7 +217,7 @@ func (f *Fold[V]) Tally() *Tally {
 // fold a Column's Wire, whose arrivals may borrow the decode staging:
 // the column's scan is over before the fold begins.
 func (f *Fold[V]) Encode(vs []uint32, xs []V, lo uint32, n int) []uint32 {
-	return f.ops.Encode(vs, xs, lo, n)
+	return f.ops.Encode(Set{IDs: vs, Count: len(vs)}, xs, lo, n)
 }
 
 // Decode decodes a payload into the decode staging, valid until the
@@ -190,21 +227,29 @@ func (f *Fold[V]) Decode(buf []uint32) ([]uint32, []V) {
 	return f.decV, f.decX
 }
 
-// take reads member m's merged pairs, owned range from lo, off its rows
-// into the merge staging, ascending, resets the rows it reads, and
-// charges and returns the pairs that went into them.
-func (f *Fold[V]) take(m int, lo uint32) int {
-	vs, xs := f.outV[:0], f.outX[:0]
-	acc, words := f.Acc[m*64*f.Rows.words:], f.Rows.member(m)
+// take counts member m's rows and reads their merged values, in row
+// order, into the merge staging — with ids, their ids, owned range from
+// lo, too — resetting the rows' accumulators; the caller clears their
+// bits once it has read the set off them. It charges and returns the
+// pairs that went into the rows.
+func (f *Fold[V]) take(m int, lo uint32, ids bool) int {
+	words, count := f.Rows.member(m), 0
+	for _, w := range words {
+		count += bits.OnesCount64(w)
+	}
+	vs, xs := f.outV[:0], resize(f.outX, count)
+	if ids {
+		vs = resize(vs, count)
+	}
+	acc, k := f.Acc[m*64*f.Rows.words:], 0
 	for i, w := range words {
-		if w == 0 {
-			continue
-		}
-		words[i] = 0
 		for ; w != 0; w &= w - 1 {
 			r := i*64 + bits.TrailingZeros64(w)
-			vs, xs = append(vs, lo+uint32(r)), append(xs, acc[r])
-			acc[r] = f.id
+			xs[k], acc[r] = acc[r], f.id
+			if ids {
+				vs[k] = lo + uint32(r)
+			}
+			k++
 		}
 	}
 	f.outV, f.outX = vs, xs
@@ -214,27 +259,40 @@ func (f *Fold[V]) take(m int, lo uint32) int {
 	return pairs
 }
 
+// resize returns staging s cut to n elements, reallocated at twice that
+// when short; what it held is not kept.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, 2*n)
+	}
+	return s[:n]
+}
+
 // Deliver runs the fold of one step under the schedule o.Async selects
 // and returns the merged pairs owned by this rank, valid until the next
 // call, with the duplicates the merges absorbed; the words received go
 // to st.FoldWords. The exchange calls prep once per member, the self
 // set included; the overlapped schedule posts each set as soon as it is
-// read. This rank's own set never travels: its rows stay in place, each
-// arrival merges into them, and they are read once the exchange is over.
+// read, encoded from its rows, never an id list. This rank's own set
+// never travels: its rows stay in place, each arrival merges into them,
+// and they are read once the exchange is over.
 func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int) {
 	f.absorbed = 0
 	prep := func(m int) []uint32 {
+		words := f.Rows.member(m)
 		if m != f.g.Me {
 			lo, hi := f.l.OwnedRange(f.g.World(m))
-			f.absorbed += f.take(m, uint32(lo)) - len(f.outV)
-			return f.ops.Encode(f.outV, f.outX, uint32(lo), int(hi-lo))
+			f.absorbed += f.take(m, 0, false) - len(f.outX)
+			out := f.ops.Encode(Set{Bits: frontier.Words32(words), Count: len(f.outX)}, f.outX, uint32(lo), int(hi-lo))
+			clear(words)
+			return out
 		}
 		// Both schedules prep this rank's own member before they handle
 		// any part (collective.Exchange): its marks are the distinct rows
 		// the scans reached, and from here pairs[m] counts them and then
 		// every pair that arrives — what goes into the owner's merge.
 		pairs, d := f.tally.Pairs, 0
-		for _, w := range f.Rows.member(m) {
+		for _, w := range words {
 			d += bits.OnesCount64(w)
 		}
 		f.c.ChargeItems(int(pairs[m]), f.c.Model().VertexCost)
@@ -243,20 +301,14 @@ func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int)
 		return nil
 	}
 	handle := func(m int, part []uint32) {
-		if m == f.g.Me {
-			return
+		if m != f.g.Me && len(part) > 0 {
+			f.ops.Merge(f.Acc, &f.in, part)
 		}
-		pv, px := f.Decode(part)
-		for _, v := range pv {
-			if v-f.lo >= f.n {
-				panic(fmt.Sprintf("search: fold id %d outside its owner's range [%d, %d)", v, f.lo, uint64(f.lo)+uint64(f.n)))
-			}
-		}
-		f.ops.Merge(&f.Rows, f.Acc, f.tally.Pairs, f.shift, pv, px)
 	}
 	o := collective.Opts{Tag: tag, Chunk: f.o.ChunkWords, Async: f.o.Async}
 	st.FoldWords = collective.Exchange(f.c, f.g, o, prep, handle).RecvWords
-	f.absorbed += f.take(f.g.Me, f.lo) - len(f.outV)
+	f.absorbed += f.take(f.g.Me, f.in.lo, true) - len(f.outX)
+	clear(f.Rows.member(f.g.Me))
 	return f.outV, f.outX, f.absorbed
 }
 
@@ -267,25 +319,35 @@ func (f *Fold[V]) Deliver(tag int, st *Step) (vs []uint32, xs []V, absorbed int)
 // under each. The family's header words, if any, and its values — in
 // decoded set order — follow.
 
-// FrameSet starts a value payload for the set vs drawn from the universe
+// FrameSet starts a value payload for the set s drawn from the universe
 // [lo, lo+n), with room for tail value words after the head.
 // The set is encoded in place after the head, into the one allocation.
-func FrameSet(vs []uint32, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist, tail int, hdr ...uint32) []uint32 {
+func FrameSet(s Set, lo uint32, n int, mode frontier.WireMode, h *frontier.ContainerHist, tail int, hdr ...uint32) []uint32 {
 	head := 1 + len(hdr)
-	out := make([]uint32, head, head+frontier.EncodeSetBound(mode, n, len(vs))+tail)
+	out := make([]uint32, head, head+frontier.EncodeSetBound(mode, n, s.Count)+tail)
 	copy(out[1:], hdr)
-	out = frontier.AppendEncodeSet(out, vs, lo, n, mode, h)
+	if s.Bits != nil {
+		out = frontier.AppendEncodeBits(out, s.Bits, s.Count, lo, n, mode, h)
+	} else {
+		out = frontier.AppendEncodeSet(out, s.IDs, lo, n, mode, h)
+	}
 	out[0] = uint32(len(out) - head)
 	return out
+}
+
+// frameEnd returns where the set of a non-empty payload framed with nhdr
+// header words ends and its values begin. A truncated payload panics.
+func frameEnd(buf []uint32, nhdr int) int {
+	if len(buf) < 1+nhdr || 1+nhdr+int(buf[0]) > len(buf) {
+		panic("search: truncated value payload")
+	}
+	return 1 + nhdr + int(buf[0])
 }
 
 // UnframeSet reads the head of a non-empty payload framed with nhdr
 // header words: the set, decoded into the staging vs, the header words
 // and the value words that follow. A truncated payload panics.
 func UnframeSet(buf, vs []uint32, nhdr int) (set, hdr, values []uint32) {
-	if len(buf) < 1+nhdr || 1+nhdr+int(buf[0]) > len(buf) {
-		panic("search: truncated value payload")
-	}
-	end := 1 + nhdr + int(buf[0])
+	end := frameEnd(buf, nhdr)
 	return frontier.AppendDecode(vs[:0], buf[1+nhdr:end]), buf[1 : 1+nhdr], buf[end:]
 }

@@ -2,7 +2,9 @@ package search
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -26,16 +28,20 @@ type orPayload struct {
 }
 
 func (orPayload) Identity() uint64 { return 0 }
-func (orPayload) Merge(r *Rows, acc, pairs []uint64, shift uint32, vs []uint32, ms []uint64) {
-	for i, v := range vs {
-		r.Or(acc, pairs, v+shift, ms[i])
+func (orPayload) Merge(acc []uint64, in *Inbox, part []uint32) {
+	set, count, hdr, rest := in.Unframe(part, 1)
+	if hdr[0] != 0xfeed || len(rest) != 2*count {
+		panic("or payload mangled")
+	}
+	for k, ri := range rowsOf(set, in.Row) {
+		acc[ri] |= uint64(rest[2*k]) | uint64(rest[2*k+1])<<32
 	}
 }
-func (p orPayload) Encode(vs []uint32, ms []uint64, lo uint32, n int) []uint32 {
-	if len(vs) == 0 {
+func (p orPayload) Encode(s Set, ms []uint64, lo uint32, n int) []uint32 {
+	if s.Count == 0 {
 		return nil
 	}
-	out := FrameSet(vs, lo, n, p.wire, p.hist, 2*len(ms), 0xfeed)
+	out := FrameSet(s, lo, n, p.wire, p.hist, 2*len(ms), 0xfeed)
 	for _, m := range ms {
 		out = append(out, uint32(m), uint32(m>>32))
 	}
@@ -62,16 +68,48 @@ type minPayload struct {
 }
 
 func (minPayload) Identity() uint32 { return math.MaxUint32 }
-func (minPayload) Merge(r *Rows, acc []uint32, pairs []uint64, shift uint32, vs, ds []uint32) {
-	for i, v := range vs {
-		r.Min(acc, pairs, v+shift, ds[i])
+func (minPayload) Merge(acc []uint32, in *Inbox, part []uint32) {
+	set, count, _, ds := in.Unframe(part, 0)
+	if len(ds) != count {
+		panic("min payload mangled")
+	}
+	for k, ri := range rowsOf(set, in.Row) {
+		acc[ri] = min(acc[ri], ds[k])
 	}
 }
-func (p minPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
-	if len(vs) == 0 {
+func (p minPayload) Encode(s Set, ds []uint32, lo uint32, n int) []uint32 {
+	if s.Count == 0 {
 		return nil
 	}
-	return append(FrameSet(vs, lo, n, p.wire, p.hist, len(ds)), ds...)
+	return append(FrameSet(s, lo, n, p.wire, p.hist, len(ds)), ds...)
+}
+
+// setIDs returns a copy of the ids of s, drawn from a universe from lo.
+func setIDs(s Set, lo uint32) []uint32 {
+	if s.Bits == nil {
+		return slices.Clone(s.IDs)
+	}
+	var ids []uint32
+	for _, v := range rowsOf(s.Bits, lo) {
+		ids = append(ids, v)
+	}
+	return ids
+}
+
+// rowsOf yields the k-th member of the wire bitmap set, in bit order,
+// with its row: row plus its bit.
+func rowsOf(set []uint32, row uint32) iter.Seq2[int, uint32] {
+	return func(yield func(int, uint32) bool) {
+		k := 0
+		for wi, x := range set {
+			for ; x != 0; x &= x - 1 {
+				if !yield(k, row+uint32(wi)*32+uint32(bits.TrailingZeros32(x))) {
+					return
+				}
+				k++
+			}
+		}
+	}
 }
 func (minPayload) Decode(buf, vs, _ []uint32) ([]uint32, []uint32) {
 	if len(buf) == 0 {
@@ -357,30 +395,45 @@ func FuzzValueFold(f *testing.F) {
 	})
 }
 
-// strayPayload is minPayload with an encoder that moves every id of a
-// part past the end of its owner's range.
-type strayPayload struct{ minPayload }
+// strayPayload is a payload whose encoder moves every id of a part, and
+// the universe it is drawn from, one owned range up, past the end of its
+// owner's: a raw list then holds ids outside the owner's range, a bitmap
+// names a universe that is not it.
+type strayPayload[V any] struct{ Payload[V] }
 
-func (p strayPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
-	stray := make([]uint32, len(vs))
-	for i, v := range vs {
-		stray[i] = v + uint32(n)
+func (p strayPayload[V]) Encode(s Set, xs []V, lo uint32, n int) []uint32 {
+	stray := setIDs(s, lo)
+	for i := range stray {
+		stray[i] += uint32(n)
 	}
-	return p.minPayload.Encode(stray, ds, lo+uint32(n), n)
+	return p.Payload.Encode(Set{IDs: stray, Count: len(stray)}, xs, lo+uint32(n), n)
 }
 
 // TestFoldOutOfRangeIsRunError: a delivered part holding an id outside
-// its owner's range panics in the owner's merge, and the panic, naming
-// the id and the range, comes back as the run's error.
+// its owner's range, or a bitmap over another range, panics in the
+// owner's merge, and the panic, naming the id or the bitmap's range and
+// the owner's, comes back as the run's error — under both schedules and
+// both merge forms.
 func TestFoldOutOfRangeIsRunError(t *testing.T) {
+	stores := emptyStores(t, 20, 1, 2)
 	for _, async := range []bool{false, true} {
-		fc := foldCase[uint32]{mesh: comm.Mesh{R: 1, C: 2}, stores: emptyStores(t, 20, 1, 2),
-			bins: [][][]pair[uint32]{{nil, {{13, 4}}}, {nil, nil}}}
-		_, err := deliverCases([]foldCase[uint32]{fc}, async, minMerge, func(h *frontier.ContainerHist) Payload[uint32] {
-			return strayPayload{minPayload{frontier.WireSparse, h}}
-		})
-		if want := "fold id 23 outside its owner's range [10, 20)"; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("async=%v: the run's error is %v, want one naming %q", async, err, want)
+		for wire, want := range map[frontier.WireMode]string{
+			frontier.WireSparse: "fold id 23 outside its owner's range [10, 20)",
+			frontier.WireDense:  "fold set over [20, 30) outside its owner's range [10, 20)",
+		} {
+			mins := foldCase[uint32]{mesh: comm.Mesh{R: 1, C: 2}, stores: stores, bins: [][][]pair[uint32]{{nil, {{13, 4}}}, {nil, nil}}}
+			_, errMin := deliverCases([]foldCase[uint32]{mins}, async, minMerge, func(h *frontier.ContainerHist) Payload[uint32] {
+				return strayPayload[uint32]{minPayload{wire, h}}
+			})
+			ors := foldCase[uint64]{mesh: comm.Mesh{R: 1, C: 2}, stores: stores, bins: [][][]pair[uint64]{{nil, {{13, 4}}}, {nil, nil}}}
+			_, errOr := deliverCases([]foldCase[uint64]{ors}, async, orMerge, func(h *frontier.ContainerHist) Payload[uint64] {
+				return strayPayload[uint64]{orPayload{wire, h}}
+			})
+			for form, err := range map[string]error{"min": errMin, "or": errOr} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("async=%v %v %s: the run's error is %v, want one naming %q", async, wire, form, err, want)
+				}
+			}
 		}
 	}
 }
@@ -388,7 +441,7 @@ func TestFoldOutOfRangeIsRunError(t *testing.T) {
 // TestUnframeSetRejectsTruncation: a payload cut inside its head or its
 // set panics instead of decoding garbage.
 func TestUnframeSetRejectsTruncation(t *testing.T) {
-	buf := FrameSet([]uint32{3, 5, 8}, 0, 64, frontier.WireSparse, nil, 0, 7)
+	buf := FrameSet(Set{IDs: []uint32{3, 5, 8}, Count: 3}, 0, 64, frontier.WireSparse, nil, 0, 7)
 	for _, cut := range [][]uint32{buf[:1], buf[:len(buf)-1]} {
 		func() {
 			defer func() {
@@ -418,7 +471,7 @@ func TestFrameSetOneAllocation(t *testing.T) {
 		for _, mode := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
 			var hWant, hGot frontier.ContainerHist
 			enc := frontier.EncodeSetStats(vs, n, n, mode, &hWant)
-			out := FrameSet(vs, n, n, mode, &hGot, len(vs), 0xfeed, 0xbeef)
+			out := FrameSet(Set{IDs: vs, Count: len(vs)}, n, n, mode, &hGot, len(vs), 0xfeed, 0xbeef)
 			want := append([]uint32{uint32(len(enc)), 0xfeed, 0xbeef}, enc...)
 			if !slices.Equal(out, want) || hGot != hWant {
 				t.Fatalf("frac %v %v: FrameSet differs from the encoder's payload or histogram", frac, mode)
@@ -427,7 +480,7 @@ func TestFrameSetOneAllocation(t *testing.T) {
 				t.Fatalf("frac %v %v: %d words of tail room for %d values", frac, mode, cap(out)-len(out), len(vs))
 			}
 			encAllocs := testing.AllocsPerRun(10, func() { frontier.EncodeSetStats(vs, n, n, mode, nil) })
-			allocs := testing.AllocsPerRun(10, func() { FrameSet(vs, n, n, mode, nil, len(vs), 0xfeed, 0xbeef) })
+			allocs := testing.AllocsPerRun(10, func() { FrameSet(Set{IDs: vs, Count: len(vs)}, n, n, mode, nil, len(vs), 0xfeed, 0xbeef) })
 			if allocs > encAllocs {
 				t.Fatalf("frac %v %v: FrameSet makes %v allocations, encoding alone %v", frac, mode, allocs, encAllocs)
 			}

@@ -60,7 +60,7 @@ func (f *refFold[V]) deliver(tag int, st *Step) ([]uint32, []V, int) {
 			f.arrV, f.arrX = append(f.arrV, vs...), append(f.arrX, xs...)
 			return nil
 		}
-		return f.ops.Encode(vs, xs, uint32(lo), int(hi-lo))
+		return f.ops.Encode(Set{IDs: vs, Count: len(vs)}, xs, uint32(lo), int(hi-lo))
 	}
 	handle := func(m int, part []uint32) {
 		if m != f.g.Me {

@@ -2,12 +2,14 @@ package sssp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/search"
 )
 
 // fixture distributes one weighted graph over a mesh with a world.
@@ -476,13 +478,20 @@ func TestSSSPIsolatedSource(t *testing.T) {
 }
 
 // TestRequestCodecRoundTrip pins the relax-request payload format
-// under every wire mode.
+// under every wire mode, the set given as ids or as a bitmap.
 func TestRequestCodecRoundTrip(t *testing.T) {
 	vs := []uint32{100, 101, 107, 130, 1000, 4095}
 	ds := []uint32{3, 9, 12, 1, 77, 2}
+	w := frontier.NewBits(4000)
+	for _, v := range vs {
+		frontier.SetBit(w, v-100)
+	}
 	for _, mode := range []frontier.WireMode{frontier.WireSparse, frontier.WireDense, frontier.WireAuto, frontier.WireHybrid} {
 		var h frontier.ContainerHist
-		buf := requestPayload{wire: mode, hist: &h}.Encode(vs, ds, 100, 4000)
+		buf := requestPayload{wire: mode, hist: &h}.Encode(search.Set{IDs: vs, Count: len(vs)}, ds, 100, 4000)
+		if rows := (requestPayload{wire: mode}).Encode(search.Set{Bits: w, Count: len(vs)}, ds, 100, 4000); !slices.Equal(rows, buf) {
+			t.Fatalf("mode %v: the bitmap-form payload differs from the id-form one", mode)
+		}
 		gvs, gds := requestPayload{}.Decode(buf, nil, nil)
 		if len(gvs) != len(vs) {
 			t.Fatalf("mode %v: %d vertices back, want %d", mode, len(gvs), len(vs))
@@ -496,7 +505,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("mode %v: %d payloads tallied", mode, h.Payloads())
 		}
 	}
-	if (requestPayload{wire: frontier.WireHybrid}).Encode(nil, nil, 0, 10) != nil {
+	if (requestPayload{wire: frontier.WireHybrid}).Encode(search.Set{}, nil, 0, 10) != nil {
 		t.Fatal("empty batch should encode to nil")
 	}
 	if vs, ds := (requestPayload{}).Decode(nil, nil, nil); len(vs) != 0 || len(ds) != 0 {

@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/frontier"
 	"repro/internal/search"
@@ -28,20 +29,30 @@ type requestPayload struct {
 
 func (requestPayload) Identity() uint32 { return math.MaxUint32 }
 
-// Merge min-merges an arrived part's distances into the owner's rows.
-func (requestPayload) Merge(r *search.Rows, acc []uint32, pairs []uint64, shift uint32, vs, ds []uint32) {
-	for i, v := range vs {
-		r.Min(acc, pairs, v+shift, ds[i])
+// Merge min-merges an arrived part's distances into the owner's rows,
+// in the set's bit order.
+func (requestPayload) Merge(acc []uint32, in *search.Inbox, part []uint32) {
+	set, count, _, ds := in.Unframe(part, 0)
+	if count != len(ds) {
+		panic("sssp: relax-request set/distance length mismatch")
+	}
+	acc, k := acc[in.Row:], 0
+	for wi, x := range set {
+		for ; x != 0; x &= x - 1 {
+			i := wi*32 + bits.TrailingZeros32(x)
+			acc[i] = min(acc[i], ds[k])
+			k++
+		}
 	}
 }
 
 // Encode packs a deduplicated request batch drawn from the destination's
 // owned universe [lo, lo+n).
-func (p requestPayload) Encode(vs, ds []uint32, lo uint32, n int) []uint32 {
-	if len(vs) == 0 {
+func (p requestPayload) Encode(s search.Set, ds []uint32, lo uint32, n int) []uint32 {
+	if s.Count == 0 {
 		return nil
 	}
-	return append(search.FrameSet(vs, lo, n, p.wire, p.hist, len(ds)), ds...)
+	return append(search.FrameSet(s, lo, n, p.wire, p.hist, len(ds)), ds...)
 }
 
 // Decode inverts Encode. The vertex set is decoded into the staging vs,
